@@ -9,7 +9,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sss_core::sketch::JoinSchema;
-use sss_core::LoadSheddingSketcher;
+use sss_core::Sampled;
 use std::hint::black_box;
 
 const TUPLES: u64 = 16_384;
@@ -41,7 +41,7 @@ fn benches(c: &mut Criterion) {
         for p in [0.1, 0.01] {
             group.bench_function(BenchmarkId::new(format!("{name}/shed"), p), |b| {
                 let mut shed =
-                    LoadSheddingSketcher::new(schema, p, &mut rng).expect("valid probability");
+                    Sampled::new(schema.sketch(), p, &mut rng).expect("valid probability");
                 b.iter(|| {
                     for &key in &keys {
                         shed.observe(black_box(key));
@@ -50,7 +50,7 @@ fn benches(c: &mut Criterion) {
             });
             group.bench_function(BenchmarkId::new(format!("{name}/shed_batched"), p), |b| {
                 let mut shed =
-                    LoadSheddingSketcher::new(schema, p, &mut rng).expect("valid probability");
+                    Sampled::new(schema.sketch(), p, &mut rng).expect("valid probability");
                 b.iter(|| shed.feed_batch(black_box(&keys)))
             });
         }

@@ -12,8 +12,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sss_bench::experiments::PacedSketch;
-use sss_core::sketch::JoinSchema;
+use sss_core::sketch::{JoinSchema, JoinSketch};
 use sss_core::{JoinQuery, Summary};
 use sss_stream::{Partition, RuntimeConfig, ShardedRuntime};
 use std::hint::black_box;
@@ -22,6 +21,41 @@ use std::time::Duration;
 const TUPLES: usize = 200_000;
 const BATCH: usize = 4_096;
 const PAUSE_US: u64 = 50;
+
+/// A latency-bound sink: every batch pays a fixed pause (a downstream
+/// commit, a synchronous write, a remote round-trip) before the in-memory
+/// sketch update. `thread::sleep` yields the core, so the pauses of
+/// different shard workers overlap in wall-clock time.
+#[derive(Debug, Clone)]
+struct PacedSketch {
+    inner: JoinSketch,
+    pause: Duration,
+}
+
+impl Summary for PacedSketch {
+    fn update(&mut self, key: u64, count: i64) {
+        self.inner.update(key, count);
+    }
+
+    fn update_batch(&mut self, keys: &[u64]) {
+        std::thread::sleep(self.pause);
+        self.inner.update_batch(keys);
+    }
+
+    fn merge_from(&mut self, other: &Self) -> sss_core::Result<()> {
+        self.inner.merge(&other.inner)
+    }
+}
+
+impl JoinQuery for PacedSketch {
+    fn self_join(&self) -> f64 {
+        self.inner.raw_self_join()
+    }
+
+    fn size_of_join(&self, other: &Self) -> sss_core::Result<f64> {
+        self.inner.raw_size_of_join(&other.inner)
+    }
+}
 
 fn ingest<E: Summary + JoinQuery>(prototype: &E, shards: usize, stream: &[u64]) -> E {
     let config = RuntimeConfig {
@@ -49,7 +83,10 @@ fn benches(c: &mut Criterion) {
             b.iter(|| black_box(ingest(&schema.sketch(), shards, &stream)))
         });
         group.bench_function(BenchmarkId::new("paced", shards), |b| {
-            let proto = PacedSketch::new(&schema, Duration::from_micros(PAUSE_US));
+            let proto = PacedSketch {
+                inner: schema.sketch(),
+                pause: Duration::from_micros(PAUSE_US),
+            };
             b.iter(|| black_box(ingest(&proto, shards, &stream)))
         });
     }

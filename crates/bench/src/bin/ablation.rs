@@ -15,12 +15,11 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sss_bench::{arg, banner};
+use sss_bench::{arg, banner, mtps};
 use sss_datagen::ZipfGenerator;
 use sss_moments::FrequencyVector;
 use sss_sampling::{BernoulliSampler, GeometricSkip};
 use sss_sketch::{AgmsSchema, FagmsSchema, Sketch};
-use sss_stream::Throughput;
 use sss_xi::{Bch3, Bch5, Cw2, Cw2Bucket, Cw4, Eh3, SignFamily, Tabulation};
 
 fn xi_family_accuracy<S>(name: &str, stream: &[u64], truth: f64, reps: usize, seed: u64)
@@ -71,14 +70,14 @@ fn main() {
     for p in [0.1, 0.01, 0.001] {
         let mut coin: BernoulliSampler = BernoulliSampler::new(p, &mut rng).expect("valid p");
         let mut kept = 0u64;
-        let coin_t = Throughput::measure(stream.len() as u64, || {
+        let coin_mtps = mtps(stream.len(), || {
             for _ in &stream {
                 kept += coin.keep() as u64;
             }
         });
         let mut skip: GeometricSkip = GeometricSkip::new(p, &mut rng).expect("valid p");
         let mut kept_skip = 0u64;
-        let skip_t = Throughput::measure(stream.len() as u64, || {
+        let skip_mtps = mtps(stream.len(), || {
             let mut gap = skip.next_gap();
             for _ in &stream {
                 if gap == 0 {
@@ -89,8 +88,8 @@ fn main() {
                 }
             }
         });
-        println!("shed_coin_mtps,p={p},{:.2}", coin_t.tuples_per_sec() / 1e6);
-        println!("shed_skip_mtps,p={p},{:.2}", skip_t.tuples_per_sec() / 1e6);
+        println!("shed_coin_mtps,p={p},{coin_mtps:.2}");
+        println!("shed_skip_mtps,p={p},{skip_mtps:.2}");
         std::hint::black_box((kept, kept_skip));
     }
 
@@ -104,7 +103,7 @@ fn main() {
         for _ in 0..acc_reps {
             let agms = AgmsSchema::<Cw4>::new(5000, &mut rng);
             let mut s = agms.sketch();
-            let agms_t = Throughput::measure(sub.len() as u64, || {
+            let agms_mtps = mtps(sub.len(), || {
                 for &k in sub {
                     s.update(k, 1);
                 }
@@ -113,20 +112,14 @@ fn main() {
 
             let fagms = FagmsSchema::<Cw4, Cw2Bucket>::new(1, 5000, &mut rng);
             let mut f = fagms.sketch();
-            let fagms_t = Throughput::measure(sub.len() as u64, || {
+            let fagms_mtps = mtps(sub.len(), || {
                 for &k in sub {
                     f.update(k, 1);
                 }
             });
             err_fagms += ((f.self_join() - sub_truth) / sub_truth).abs();
-            println!(
-                "structure_agms5000_mtps,,{:.3}",
-                agms_t.tuples_per_sec() / 1e6
-            );
-            println!(
-                "structure_fagms5000_mtps,,{:.3}",
-                fagms_t.tuples_per_sec() / 1e6
-            );
+            println!("structure_agms5000_mtps,,{agms_mtps:.3}");
+            println!("structure_fagms5000_mtps,,{fagms_mtps:.3}");
         }
         println!("structure_agms5000_err,,{:.6}", err_agms / acc_reps as f64);
         println!(

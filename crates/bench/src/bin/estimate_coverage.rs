@@ -23,7 +23,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sss_bench::{arg, banner};
 use sss_core::sketch::JoinSchema;
-use sss_core::LoadSheddingSketcher;
+use sss_core::Sampled;
 use sss_sketch::{AgmsSchema, Estimate, FagmsSchema, Sketch};
 
 /// Mildly Zipfian frequencies shared by every configuration.
@@ -128,7 +128,7 @@ fn main() {
             .map(|run| {
                 let mut rng = StdRng::seed_from_u64(seed ^ (3000 + run as u64));
                 let schema = JoinSchema::agms(n, &mut rng);
-                let mut shed = LoadSheddingSketcher::new(&schema, 0.3, &mut rng).unwrap();
+                let mut shed = Sampled::new(schema.sketch(), 0.3, &mut rng).unwrap();
                 shed.feed_batch(&stream);
                 shed.self_join_estimate()
             })

@@ -11,11 +11,11 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sss_bench::{arg, banner};
+use sss_bench::{arg, banner, mtps};
 use sss_core::sketch::JoinSchema;
+use sss_core::Sampled;
 use sss_datagen::ZipfGenerator;
 use sss_moments::FrequencyVector;
-use sss_stream::ShedderComparison;
 
 fn main() {
     let tuples: usize = arg("tuples", 10_000_000);
@@ -42,19 +42,32 @@ fn main() {
         ("agms-64", JoinSchema::agms(64, &mut rng)),
     ];
     for (name, schema) in backends {
-        let cmp = ShedderComparison::new(schema);
         // Warm-up pass so the first measured row doesn't pay the cold
         // cache/page-fault cost of the first touch of the stream.
-        let _ = cmp.run(&stream[..stream.len().min(1_000_000)], 1.0, &mut rng);
+        let mut warm = schema.sketch();
+        for &k in &stream[..stream.len().min(1_000_000)] {
+            warm.update(k, 1);
+        }
         for p in [1.0, 0.1, 0.01, 0.001] {
-            let r = cmp.run(&stream, p, &mut rng).expect("valid probability");
+            // The same stream through a sketch that ingests every tuple
+            // and through a Bernoulli(p) front end over the same schema.
+            let mut full = schema.sketch();
+            let full_mtps = mtps(stream.len(), || {
+                for &k in &stream {
+                    full.update(k, 1);
+                }
+            });
+            let mut shed = Sampled::new(schema.sketch(), p, &mut rng).expect("valid probability");
+            let shed_mtps = mtps(stream.len(), || {
+                for &k in &stream {
+                    shed.observe(k);
+                }
+            });
             println!(
-                "{name},{p},{},{:.2},{:.2},{:.1},{:.6}",
-                r.kept,
-                r.full.tuples_per_sec() / 1e6,
-                r.shedded.tuples_per_sec() / 1e6,
-                r.speedup(),
-                ((r.shedded_estimate - truth) / truth).abs()
+                "{name},{p},{},{full_mtps:.2},{shed_mtps:.2},{:.1},{:.6}",
+                shed.kept(),
+                shed_mtps / full_mtps,
+                ((shed.self_join() - truth) / truth).abs()
             );
         }
     }

@@ -55,6 +55,14 @@ pub fn banner(figure: &str, description: &str, params: &[(&str, String)]) {
     }
 }
 
+/// Run `f` over `tuples` tuples and return the wall-clock rate in millions
+/// of tuples per second.
+pub fn mtps(tuples: usize, f: impl FnOnce()) -> f64 {
+    let start = std::time::Instant::now();
+    f();
+    tuples as f64 / start.elapsed().as_secs_f64() / 1e6
+}
+
 /// Mean of the absolute relative errors of `estimates` against `truth`.
 pub fn mean_relative_error(estimates: &[f64], truth: f64) -> f64 {
     if estimates.is_empty() || truth == 0.0 {

@@ -24,7 +24,8 @@ use sss_moments::engine::{self, Moments};
 use sss_moments::freq::FrequencyVector;
 use sss_moments::scheme::{Bernoulli, WithReplacement, WithoutReplacement};
 
-/// Moments of [`crate::LoadSheddingSketcher::self_join`] on a stream with
+/// Moments of [`crate::Sampled::self_join`] (over a join sketch) on a stream
+/// with
 /// true frequencies `f`, shedding probability `p`, over `schema`.
 pub fn shedding_self_join(f: &FrequencyVector, p: f64, schema: &JoinSchema) -> Result<Moments> {
     let scheme = Bernoulli::new(p)?;
@@ -35,7 +36,7 @@ pub fn shedding_self_join(f: &FrequencyVector, p: f64, schema: &JoinSchema) -> R
     )?)
 }
 
-/// Moments of [`crate::LoadSheddingSketcher::size_of_join`] for streams
+/// Moments of [`crate::Sampled::size_of_join`] for streams
 /// with true frequencies `f`, `g` and shedding probabilities `p`, `q`.
 pub fn shedding_size_of_join(
     f: &FrequencyVector,

@@ -1,9 +1,9 @@
 //! Bounded-memory support for epoch-based shedding: the rate-quantization
-//! grid, the cross-term query cache, and the naive reference shedder.
+//! grid and the cross-term query cache.
 //!
-//! The three pieces turn [`crate::EpochShedder`] from an O(E)-memory,
-//! O(E²)-query structure (E = number of rate changes) into one bounded by
-//! the number of *distinct* sampling rates G:
+//! Together with same-`p` compaction they turn [`crate::EpochShedder`]
+//! from an O(E)-memory, O(E²)-query structure (E = number of rate changes)
+//! into one bounded by the number of *distinct* sampling rates G:
 //!
 //! * **Same-`p` compaction** (implemented in `epochs.rs`, justified here):
 //!   two epochs A and B with equal rate `p` merge *exactly*. By sketch
@@ -22,17 +22,13 @@
 //!   recomputes one diagonal and one row of cross terms (O(G) sketch dot
 //!   products) instead of the full O(G²) table.
 //!
-//! [`ReferenceEpochShedder`] is the original uncompacted implementation —
-//! one epoch per rate change, full O(E²) query — retained verbatim as the
-//! bit-identity and unbiasedness oracle for property tests and benchmarks.
+//! The uncompacted implementation — one epoch per rate change, full O(E²)
+//! query — lives on as the bit-identity oracle in
+//! `tests/support/mod.rs`.
 
-use crate::epochs::{same_p, Epoch};
+use crate::epochs::Epoch;
 use crate::error::{Error, Result};
-use crate::shedding::bernoulli_self_join;
-use crate::sketch::JoinSchema;
-use rand::rngs::StdRng;
-use rand::Rng;
-use sss_sampling::bernoulli::GeometricSkip;
+use crate::sampled::bernoulli_self_join;
 
 /// A logarithmic grid of admissible sampling rates.
 ///
@@ -171,169 +167,6 @@ impl QueryCache {
             }
         }
         total
-    }
-}
-
-/// The original, uncompacted epoch shedder: one epoch per rate change,
-/// O(E) memory, O(E²) sketch dot products per `self_join` query.
-///
-/// Retained as the testing oracle: fed the same tuples with the same seed
-/// RNG it makes bit-identical sampling decisions to [`crate::EpochShedder`]
-/// (both draw a fresh geometric skip per effective rate change), so the
-/// compacted estimates can be checked against this one exactly. Production
-/// code should always use [`crate::EpochShedder`].
-#[derive(Debug)]
-pub struct ReferenceEpochShedder {
-    schema: JoinSchema,
-    epochs: Vec<Epoch>,
-    skip: GeometricSkip<StdRng>,
-    gap: u64,
-}
-
-impl ReferenceEpochShedder {
-    /// Start a reference shedder with an initial sampling probability.
-    pub fn new<R: Rng>(schema: &JoinSchema, p: f64, seed_rng: &mut R) -> Result<Self> {
-        let mut skip = GeometricSkip::<StdRng>::new(p, seed_rng)?;
-        let gap = skip.next_gap();
-        Ok(Self {
-            schema: schema.clone(),
-            epochs: vec![Epoch::new(p, schema)],
-            skip,
-            gap,
-        })
-    }
-
-    /// Begin a new epoch at probability `p` (no-op if `p` equals the
-    /// current epoch's rate). Empty current epochs are reused in place.
-    pub fn set_probability<R: Rng>(&mut self, p: f64, seed_rng: &mut R) -> Result<()> {
-        let current = self
-            .epochs
-            .last_mut()
-            .expect("at least one epoch always exists");
-        if same_p(current.p, p) {
-            return Ok(());
-        }
-        self.skip = GeometricSkip::<StdRng>::new(p, seed_rng)?;
-        self.gap = self.skip.next_gap();
-        if current.seen == 0 {
-            current.p = p;
-        } else {
-            self.epochs.push(Epoch::new(p, &self.schema));
-        }
-        Ok(())
-    }
-
-    /// Offer the next stream tuple; returns whether it was sketched.
-    #[inline]
-    pub fn observe(&mut self, key: u64) -> bool {
-        let epoch = self
-            .epochs
-            .last_mut()
-            .expect("at least one epoch always exists");
-        epoch.seen += 1;
-        if self.gap > 0 {
-            self.gap -= 1;
-            return false;
-        }
-        epoch.sketch.update(key, 1);
-        epoch.kept += 1;
-        epoch.version += 1;
-        self.gap = self.skip.next_gap();
-        true
-    }
-
-    /// Offer a whole batch of tuples to the current epoch; returns how
-    /// many were kept. Same skip-sampling algorithm as
-    /// [`crate::EpochShedder::feed_batch`], so the two consume their RNGs
-    /// identically.
-    pub fn feed_batch(&mut self, keys: &[u64]) -> u64 {
-        const CHUNK: usize = 256;
-        let epoch = self
-            .epochs
-            .last_mut()
-            .expect("at least one epoch always exists");
-        let mut kept_keys = [0u64; CHUNK];
-        let mut fill = 0usize;
-        let mut kept_now = 0u64;
-        let mut pos = 0u64;
-        let n = keys.len() as u64;
-        loop {
-            let remaining = n - pos;
-            if self.gap >= remaining {
-                self.gap -= remaining;
-                break;
-            }
-            pos += self.gap;
-            kept_keys[fill] = keys[pos as usize];
-            fill += 1;
-            kept_now += 1;
-            if fill == CHUNK {
-                epoch.sketch.update_batch(&kept_keys);
-                fill = 0;
-            }
-            self.gap = self.skip.next_gap();
-            pos += 1;
-        }
-        if fill > 0 {
-            epoch.sketch.update_batch(&kept_keys[..fill]);
-        }
-        epoch.seen += n;
-        epoch.kept += kept_now;
-        if kept_now > 0 {
-            epoch.version += 1;
-        }
-        kept_now
-    }
-
-    /// The probability currently in force.
-    pub fn probability(&self) -> f64 {
-        self.epochs
-            .last()
-            .expect("at least one epoch always exists")
-            .p
-    }
-
-    /// Number of epochs — one per effective rate change, unbounded.
-    pub fn epoch_count(&self) -> usize {
-        self.epochs.len()
-    }
-
-    /// Tuples offered across all epochs.
-    pub fn seen(&self) -> u64 {
-        self.epochs.iter().map(|e| e.seen).sum()
-    }
-
-    /// Tuples sketched across all epochs.
-    pub fn kept(&self) -> u64 {
-        self.epochs.iter().map(|e| e.kept).sum()
-    }
-
-    /// Unbiased self-join estimate: Proposition 14 within epochs,
-    /// Proposition 13 across them, recomputed from scratch over all
-    /// E(E−1)/2 epoch pairs.
-    pub fn self_join(&self) -> Result<f64> {
-        let mut total = 0.0;
-        for (i, e) in self.epochs.iter().enumerate() {
-            total += bernoulli_self_join(e.sketch.raw_self_join(), e.p, e.kept);
-            for e2 in &self.epochs[i + 1..] {
-                let cross = e.sketch.raw_size_of_join(&e2.sketch)?;
-                total += 2.0 * cross / (e.p * e2.p);
-            }
-        }
-        Ok(total)
-    }
-
-    /// Unbiased size-of-join estimate against another epoch-shedded
-    /// stream (sharing the sketch schema).
-    pub fn size_of_join(&self, other: &ReferenceEpochShedder) -> Result<f64> {
-        let mut total = 0.0;
-        for e in &self.epochs {
-            for o in &other.epochs {
-                let cross = e.sketch.raw_size_of_join(&o.sketch)?;
-                total += cross / (e.p * o.p);
-            }
-        }
-        Ok(total)
     }
 }
 

@@ -1,7 +1,7 @@
 //! Hash-coordinated load shedding: Bernoulli sampling that supports
 //! **deletions** (turnstile streams).
 //!
-//! The coin-flip shedder of [`crate::LoadSheddingSketcher`] cannot process
+//! The coin-flip shedder ([`crate::Sampled`]) cannot process
 //! a deletion: it has no way to know whether the matching insertion was
 //! kept. Coordinated sampling replaces the coin with a hash of a stable
 //! *tuple identity*: tuple `t` is kept iff `h(t) < p·2⁶⁴`. The decision is

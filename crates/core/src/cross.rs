@@ -19,7 +19,7 @@
 
 use crate::error::{Error, Result};
 use crate::sketch::JoinSketch;
-use crate::{CoordinatedShedder, IidStreamSketcher, LoadSheddingSketcher, ScanSketcher};
+use crate::{CoordinatedShedder, IidStreamSketcher, Sampled, ScanSketcher};
 
 /// A driver exposing its raw sketch and its effective sampling rate
 /// (`E[f′ᵢ]/fᵢ`).
@@ -32,9 +32,9 @@ pub trait RatedSketch {
     fn rate(&self) -> f64;
 }
 
-impl RatedSketch for LoadSheddingSketcher {
+impl RatedSketch for Sampled<JoinSketch> {
     fn raw_sketch(&self) -> &JoinSketch {
-        self.sketch()
+        self.summary()
     }
     fn rate(&self) -> f64 {
         self.probability()
@@ -103,7 +103,7 @@ mod tests {
         let mut r = rng(1);
         let schema = JoinSchema::fagms(1, 4096, &mut r);
         // Live stream F: keys 0..800 ×50, shedded at p = 0.2.
-        let mut live = LoadSheddingSketcher::new(&schema, 0.2, &mut r).unwrap();
+        let mut live = Sampled::new(schema.sketch(), 0.2, &mut r).unwrap();
         for _ in 0..50 {
             for k in 0..800u64 {
                 live.observe(k);
@@ -137,7 +137,7 @@ mod tests {
         let truth = 500.0 * 40.0 * 40.0;
 
         // Bernoulli at 0.5.
-        let mut bern = LoadSheddingSketcher::new(&schema, 0.5, &mut r).unwrap();
+        let mut bern = Sampled::new(schema.sketch(), 0.5, &mut r).unwrap();
         for &k in &keys {
             bern.observe(k);
         }
@@ -176,7 +176,7 @@ mod tests {
     fn empty_sides_are_rejected() {
         let mut r = rng(3);
         let schema = JoinSchema::agms(4, &mut r);
-        let bern = LoadSheddingSketcher::new(&schema, 0.5, &mut r).unwrap();
+        let bern = Sampled::new(schema.sketch(), 0.5, &mut r).unwrap();
         let scan = ScanSketcher::new(&schema, 100).unwrap(); // nothing scanned
         assert!(matches!(
             size_of_join(&bern, &scan),
@@ -189,8 +189,8 @@ mod tests {
         let mut r = rng(4);
         let s1 = JoinSchema::agms(4, &mut r);
         let s2 = JoinSchema::agms(4, &mut r);
-        let mut a = LoadSheddingSketcher::new(&s1, 1.0, &mut r).unwrap();
-        let mut b = LoadSheddingSketcher::new(&s2, 1.0, &mut r).unwrap();
+        let mut a = Sampled::new(s1.sketch(), 1.0, &mut r).unwrap();
+        let mut b = Sampled::new(s2.sketch(), 1.0, &mut r).unwrap();
         a.observe(1);
         b.observe(1);
         assert!(size_of_join(&a, &b).is_err());
@@ -228,7 +228,7 @@ mod tests {
         let mut acc_sq = 0.0;
         for _ in 0..reps {
             let schema = JoinSchema::agms(n_avg, &mut r);
-            let mut bern = LoadSheddingSketcher::new(&schema, p, &mut r).unwrap();
+            let mut bern = Sampled::new(schema.sketch(), p, &mut r).unwrap();
             for k in 0..6u64 {
                 for _ in 0..f.get(k as usize) as u64 {
                     bern.observe(k);

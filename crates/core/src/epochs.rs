@@ -40,14 +40,14 @@
 //! streams: `Σ_{e,e′} (1/(p_e q_e′))·S_e·T_e′` with no diagonal
 //! correction, since the two relations' samples are always independent.
 //!
-//! The pre-compaction implementation survives as
-//! [`crate::compaction::ReferenceEpochShedder`], the bit-identity oracle
-//! for the property tests.
+//! The pre-compaction implementation survives as the bit-identity oracle
+//! of `tests/epoch_compaction.rs`
+//! (`tests/support/mod.rs`).
 
 use crate::compaction::QueryCache;
 use crate::error::{Error, Result};
 use crate::portable::{TAG_AGMS, TAG_EPOCHS, TAG_FAGMS};
-use crate::shedding::{bernoulli_self_join, skip_sample_batch};
+use crate::sampled::{bernoulli_self_join, skip_sample_batch};
 use crate::sketch::{JoinSchema, JoinSketch};
 use crate::slim::SlimJoin;
 use crate::summary::Portable;
@@ -85,9 +85,9 @@ impl Epoch {
 }
 
 /// Whether two sampling rates are the same epoch rate (relative-epsilon
-/// comparison, shared by the compacted and reference shedders).
+/// comparison).
 #[inline]
-pub(crate) fn same_p(a: f64, b: f64) -> bool {
+fn same_p(a: f64, b: f64) -> bool {
     (a - b).abs() < f64::EPSILON * b.abs()
 }
 
@@ -174,8 +174,8 @@ impl EpochShedder {
     /// Bit-identical to calling [`EpochShedder::observe`] per key — same
     /// geometric-gap draw order, same sketch state via the batched update
     /// kernel — through the same skip-sampling kernel as
-    /// [`crate::LoadSheddingSketcher::feed_batch`]
-    /// (`crate::shedding::skip_sample_batch`). The whole batch lands in the
+    /// [`crate::Sampled::feed_batch`]
+    /// (`crate::sampled::skip_sample_batch`). The whole batch lands in the
     /// epoch in force when the call starts; rate changes take effect
     /// between batches via [`EpochShedder::set_probability`].
     pub fn feed_batch(&mut self, keys: &[u64]) -> u64 {
@@ -618,7 +618,6 @@ impl Portable for EpochShedder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compaction::ReferenceEpochShedder;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -898,37 +897,6 @@ mod tests {
             );
         }
         assert!(shed.epoch_count() <= 4, "four distinct rates used");
-    }
-
-    /// Compacted estimates equal the uncompacted reference bit-for-bit on
-    /// a dyadic-rate schedule (every term exactly representable).
-    #[test]
-    fn compaction_is_bit_identical_to_reference() {
-        let mut r = rng(31);
-        let schema = JoinSchema::agms(8, &mut r);
-        let mut seed_a = rng(32);
-        let mut seed_b = rng(32);
-        let mut compact = EpochShedder::new(&schema, 0.5, &mut seed_a).unwrap();
-        let mut reference = ReferenceEpochShedder::new(&schema, 0.5, &mut seed_b).unwrap();
-        let ps = [0.5, 0.25, 0.5, 1.0, 0.25, 0.5];
-        for (round, p) in ps.iter().enumerate() {
-            compact.set_probability(*p, &mut seed_a).unwrap();
-            reference.set_probability(*p, &mut seed_b).unwrap();
-            for k in 0..3_000u64 {
-                let key = (k * 7 + round as u64) % 50;
-                compact.observe(key);
-                reference.observe(key);
-            }
-        }
-        assert_eq!(reference.epoch_count(), 6, "one epoch per change");
-        assert_eq!(compact.epoch_count(), 3, "one epoch per distinct rate");
-        assert_eq!(compact.kept(), reference.kept());
-        assert_eq!(compact.seen(), reference.seen());
-        assert_eq!(
-            compact.self_join().unwrap(),
-            reference.self_join().unwrap(),
-            "dyadic rates: every term is exact, any grouping agrees"
-        );
     }
 
     /// The sketch cross term: a shedded stream joined against a full-rate

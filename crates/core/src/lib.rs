@@ -8,7 +8,7 @@
 //!
 //! | Driver | Sampling scheme | Application (paper §VI) |
 //! |---|---|---|
-//! | [`LoadSheddingSketcher`] | Bernoulli(p), coin/skip | shedding tuples of a too-fast stream before they reach the sketch |
+//! | [`Sampled`] | Bernoulli(p), coin/skip | shedding tuples of a too-fast stream before they reach the summary (any [`Summary`]; `Sampled<JoinSketch>` is the paper's join shedder) |
 //! | [`CoordinatedShedder`] | Bernoulli(p), hash-coordinated | deletion-safe (turnstile) shedding: insert/delete decisions agree per tuple identity |
 //! | [`EpochShedder`] | Bernoulli(p(t)) | unbiased estimates under a **time-varying** rate (adaptive shedding) |
 //! | [`IidStreamSketcher`] | with replacement | the stream *is* an i.i.d. sample from a generative model over a known finite population |
@@ -37,12 +37,12 @@
 //! ```
 //! use rand::SeedableRng;
 //! use sss_core::sketch::JoinSchema;
-//! use sss_core::LoadSheddingSketcher;
+//! use sss_core::Sampled;
 //!
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(9);
 //! // F-AGMS with 5000 buckets, as in the paper's experiments.
 //! let schema = JoinSchema::fagms(1, 5000, &mut rng);
-//! let mut sketcher = LoadSheddingSketcher::new(&schema, 0.1, &mut rng).unwrap();
+//! let mut sketcher = Sampled::new(schema.sketch(), 0.1, &mut rng).unwrap();
 //! // A stream of 200k tuples over 1000 values (uniform; F₂ = 4·10⁷).
 //! for i in 0..200_000u64 {
 //!     sketcher.observe(i % 1000);
@@ -67,28 +67,23 @@ pub mod multi;
 pub mod portable;
 pub mod sampled;
 pub mod scan;
-pub mod shedding;
 pub mod sketch;
 pub mod slim;
 pub mod summary;
-pub mod topk;
 pub mod wire;
 
-pub use compaction::{RateGrid, ReferenceEpochShedder};
+pub use compaction::RateGrid;
 pub use coordinated::CoordinatedShedder;
 pub use cross::RatedSketch;
 pub use epochs::EpochShedder;
 pub use error::{Error, Result};
 pub use iid::IidStreamSketcher;
 pub use multi::{MultiSpec, MultiSummary, SampledMultiSummary};
-pub use sampled::{bernoulli_distinct_estimate, Sampled};
+pub use sampled::{bernoulli_distinct_estimate, bernoulli_self_join, Sampled};
 pub use scan::ScanSketcher;
-pub use shedding::{bernoulli_self_join, bernoulli_self_join_estimate, LoadSheddingSketcher};
 pub use sketch::{JoinSchema, JoinSketch};
 pub use slim::{SlimJoin, SlimMultiSummary, SlimTopK};
 pub use sss_sketch::{Bound, Estimate};
 pub use summary::{
     DistinctQuery, JoinQuery, Portable, QuantileQuery, SlimQuery, Summary, TopKQuery,
 };
-#[allow(deprecated)]
-pub use topk::SampledTopK;

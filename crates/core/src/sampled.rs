@@ -3,11 +3,10 @@
 //!
 //! The paper's central idea is that a sketch over a `Bernoulli(p)` sample
 //! still answers full-stream queries once the right `1/p` correction is
-//! applied on the way out. Pre-redesign, each driver hard-coded one
-//! summary kind (`LoadSheddingSketcher` for join sketches, `SampledTopK`
-//! for heavy hitters). `Sampled<S>` factors the sampling machinery out
-//! once: a geometric-skip Bernoulli sampler in front of *any* summary,
-//! with query corrections unlocked per capability of `S`:
+//! applied on the way out. `Sampled<S>` is that idea once: a
+//! geometric-skip Bernoulli sampler (work proportional to the tuples
+//! actually *kept*, per Olken) in front of *any* summary, with query
+//! corrections unlocked per capability of `S`:
 //!
 //! | `S` implements | corrected queries | correction |
 //! |---|---|---|
@@ -62,7 +61,6 @@
 //! and callers are pointed at the rank-based bounds.
 
 use crate::error::{Error, Result};
-use crate::shedding::{bernoulli_self_join, skip_sample_batch};
 use crate::summary::{DistinctQuery, JoinQuery, QuantileQuery, Summary, TopKQuery};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -72,6 +70,73 @@ use sss_sampling::{
     bernoulli_size_of_join_variance_plugin,
 };
 use sss_sketch::{CountSketchTopK, Estimate, FagmsSchema, HyperLogLog, KllSketch, MisraGries};
+
+/// The Proposition 14 self-join correction, shared by every Bernoulli
+/// estimator in the workspace: the unbiased full-stream self-join estimate
+/// from the raw sketch estimate of a Bernoulli(`p`) sample in which `kept`
+/// tuples were retained:
+///
+/// ```text
+/// X = (1/p²)·S² − ((1−p)/p²)·|F′|
+/// ```
+///
+/// `|F′|` is known exactly, which is why Bernoulli sampling composes so
+/// cleanly with sketching ("the size of the sample is unknown prior to
+/// running the process. This is not a problem anymore when the sample is
+/// sketched"). Keeping this in one place guarantees [`Sampled`], the epoch
+/// compaction diagonals and the sharded merge all apply the exact same
+/// formula.
+#[inline]
+pub fn bernoulli_self_join(raw_self_join: f64, p: f64, kept: u64) -> f64 {
+    let p2 = p * p;
+    raw_self_join / p2 - (1.0 - p) / p2 * kept as f64
+}
+
+/// The skip-sampled batch kernel shared by [`Sampled::feed_batch`] and
+/// [`crate::EpochShedder::feed_batch`]: walk the batch by geometric gaps,
+/// stack-buffer the kept keys, and flush them through the summary's batched
+/// update kernel (for the join sketches, the runtime-dispatched `sss_xi`
+/// row kernels). Returns how many keys were kept.
+///
+/// Bit-identical to the per-tuple `observe` loop: gaps are consumed in the
+/// same order (one draw per kept tuple) and `update_batch` shares the
+/// scalar path's counter state exactly. Skipped tuples cost a pointer jump
+/// instead of a per-tuple branch.
+pub(crate) fn skip_sample_batch<S: Summary>(
+    sketch: &mut S,
+    skip: &mut GeometricSkip<StdRng>,
+    gap: &mut u64,
+    keys: &[u64],
+) -> u64 {
+    const CHUNK: usize = 256;
+    let mut kept_keys = [0u64; CHUNK];
+    let mut fill = 0usize;
+    let mut kept_now = 0u64;
+    let mut pos = 0u64;
+    let n = keys.len() as u64;
+    loop {
+        let remaining = n - pos;
+        if *gap >= remaining {
+            // The rest of the batch is skipped outright.
+            *gap -= remaining;
+            break;
+        }
+        pos += *gap;
+        kept_keys[fill] = keys[pos as usize];
+        fill += 1;
+        kept_now += 1;
+        if fill == CHUNK {
+            sketch.update_batch(&kept_keys);
+            fill = 0;
+        }
+        *gap = skip.next_gap();
+        pos += 1;
+    }
+    if fill > 0 {
+        sketch.update_batch(&kept_keys[..fill]);
+    }
+    kept_now
+}
 
 /// Bernoulli load shedder in front of any mergeable summary; query
 /// corrections are unlocked by the capabilities of `S` (see the module
@@ -203,7 +268,7 @@ impl<S: Summary> Sampled<S> {
     /// Offer a whole batch of stream tuples; returns how many were kept.
     ///
     /// Bit-identical to calling [`Sampled::observe`] on each key in turn —
-    /// shares the geometric-gap kernel with the join shedders.
+    /// shares the geometric-gap kernel with the epoch shedder.
     pub fn feed_batch(&mut self, keys: &[u64]) -> u64 {
         let kept_now = skip_sample_batch(&mut self.summary, &mut self.skip, &mut self.gap, keys);
         self.seen += keys.len() as u64;
@@ -490,6 +555,7 @@ pub fn bernoulli_distinct_estimate(raw: Estimate, p: f64, kept: u64) -> Estimate
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sketch::JoinSchema;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sss_sketch::topk::HeavyHitters;
@@ -623,26 +689,98 @@ mod tests {
         );
     }
 
-    /// The generic join corrections agree bit-for-bit with the dedicated
-    /// `LoadSheddingSketcher` driver on the same sample (same kernel, same
-    /// formulas — the lens is a pure generalization).
+    /// The join corrections are exactly the shared Prop. 13/14 scalings of
+    /// the raw sketch answers: value *and* variance, to the bit.
     #[test]
-    fn join_corrections_match_the_dedicated_shedder() {
-        use crate::sketch::JoinSchema;
-        let mut r1 = rng(21);
-        let mut r2 = rng(21);
-        let schema = JoinSchema::fagms(3, 512, &mut StdRng::seed_from_u64(5));
-        let mut lens = Sampled::new(schema.sketch(), 0.2, &mut r1).unwrap();
-        let mut shed = crate::LoadSheddingSketcher::new(&schema, 0.2, &mut r2).unwrap();
+    fn join_corrections_are_the_shared_scalings_bit_for_bit() {
+        let schema = JoinSchema::fagms(3, 512, &mut rng(5));
+        let mut r = rng(21);
+        let (p, q) = (0.2, 1.0);
+        let mut shed = Sampled::new(schema.sketch(), p, &mut r).unwrap();
+        let mut full = Sampled::new(schema.sketch(), q, &mut r).unwrap();
         let keys = skewed_stream();
-        lens.feed_batch(&keys);
         shed.feed_batch(&keys);
-        assert_eq!(lens.kept(), shed.kept());
-        assert_eq!(lens.self_join().to_bits(), shed.self_join().to_bits());
-        let a = lens.self_join_estimate();
-        let b = shed.self_join_estimate();
-        assert_eq!(a.value.to_bits(), b.value.to_bits());
-        assert_eq!(a.variance.to_bits(), b.variance.to_bits());
+        full.feed_batch(&keys);
+        // p = 1 keeps everything and the estimate is the raw sketch's.
+        assert_eq!(full.kept(), keys.len() as u64);
+        assert_eq!(full.self_join(), full.summary().raw_self_join());
+
+        let raw = shed.summary().raw_self_join_estimate();
+        let value = bernoulli_self_join(shed.summary().raw_self_join(), p, shed.kept());
+        assert_eq!(shed.self_join().to_bits(), value.to_bits());
+        let e = shed.self_join_estimate();
+        assert_eq!(e.value.to_bits(), value.to_bits());
+        assert_eq!(e.basics.len(), raw.basics.len());
+        let sampling = bernoulli_self_join_variance_plugin(p, shed.seen(), value);
+        assert_eq!(
+            e.variance.to_bits(),
+            (raw.variance / ((p * p) * (p * p)) + sampling).to_bits()
+        );
+        // No sampling noise at p = 1: pure sketch spread, strictly below
+        // the shedded variance on the same stream.
+        assert!(full.self_join_estimate().variance < e.variance);
+
+        let raw_join = shed.summary().raw_size_of_join(full.summary()).unwrap();
+        assert_eq!(
+            shed.size_of_join(&full).unwrap().to_bits(),
+            (raw_join / (p * q)).to_bits()
+        );
+        let ej = shed.size_of_join_estimate(&full).unwrap();
+        assert_eq!(ej.value.to_bits(), (raw_join / (p * q)).to_bits());
+        assert!(ej.variance.is_finite());
+    }
+
+    #[test]
+    fn size_of_join_with_asymmetric_probabilities() {
+        let mut r = rng(5);
+        let schema = JoinSchema::fagms(1, 4096, &mut r);
+        let mut f = Sampled::new(schema.sketch(), 0.5, &mut r).unwrap();
+        let mut g = Sampled::new(schema.sketch(), 0.25, &mut r).unwrap();
+        // F: keys 0..1000 ×100; G: keys 500..1500 ×80. Overlap 500 keys.
+        for _ in 0..100 {
+            for k in 0..1000u64 {
+                f.observe(k);
+            }
+        }
+        for _ in 0..80 {
+            for k in 500..1500u64 {
+                g.observe(k);
+            }
+        }
+        let truth = 500.0 * 100.0 * 80.0;
+        let est = f.size_of_join(&g).unwrap();
+        assert!(
+            (est - truth).abs() / truth < 0.2,
+            "est = {est}, truth = {truth}"
+        );
+        // Sketches drawn from a different schema do not join.
+        let other = JoinSchema::fagms(1, 4096, &mut r);
+        let h = Sampled::new(other.sketch(), 0.5, &mut r).unwrap();
+        assert!(f.size_of_join(&h).is_err());
+    }
+
+    /// Prop. 14 unbiasedness at a small p: average many runs.
+    #[test]
+    fn self_join_is_unbiased_at_small_p() {
+        let mut r = rng(7);
+        let truth: f64 = (1..=40u64).map(|f| (f * f) as f64).sum();
+        let reps = 400;
+        let mut acc = 0.0;
+        for _ in 0..reps {
+            let schema = JoinSchema::agms(16, &mut r);
+            let mut shed = Sampled::new(schema.sketch(), 0.3, &mut r).unwrap();
+            for key in 0..40u64 {
+                for _ in 0..=key {
+                    shed.observe(key);
+                }
+            }
+            acc += shed.self_join();
+        }
+        let mean = acc / reps as f64;
+        assert!(
+            (mean - truth).abs() / truth < 0.1,
+            "mean = {mean}, truth = {truth}"
+        );
     }
 
     #[test]

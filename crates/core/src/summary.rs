@@ -50,6 +50,22 @@
 //! use sss_core::JoinEstimator; // removed: use `sss_core::JoinQuery`
 //! ```
 //!
+//! So are the single-capability Bernoulli front ends that
+//! [`crate::Sampled`] replaced, and the uncompacted epoch shedder, which
+//! is now a test oracle under `tests/support/`:
+//!
+//! ```compile_fail
+//! use sss_core::LoadSheddingSketcher; // removed: `Sampled::new(schema.sketch(), p, rng)`
+//! ```
+//!
+//! ```compile_fail
+//! use sss_core::SampledTopK; // removed: use `sss_core::Sampled`
+//! ```
+//!
+//! ```compile_fail
+//! use sss_core::ReferenceEpochShedder; // removed: use `sss_core::EpochShedder`
+//! ```
+//!
 //! A summary implements whichever capabilities it can actually answer;
 //! [`crate::MultiSummary`] implements all four by fanning one
 //! `update_batch` into a join sketch, a Count-Sketch top-k tracker, a

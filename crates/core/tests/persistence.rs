@@ -9,7 +9,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sss_core::sketch::{JoinSchema, JoinSketch};
-use sss_core::LoadSheddingSketcher;
+use sss_core::Sampled;
 
 #[test]
 fn schema_and_sketch_roundtrip_both_backends() {
@@ -48,12 +48,12 @@ fn distributed_shedding_merges_to_one_estimate() {
     let mut total_kept = 0u64;
     for w in 0..3u64 {
         let worker_schema: JoinSchema = serde_json::from_str(&schema_json).unwrap();
-        let mut shed = LoadSheddingSketcher::new(&worker_schema, p, &mut rng).unwrap();
+        let mut shed = Sampled::new(worker_schema.sketch(), p, &mut rng).unwrap();
         for i in 0..200_000u64 {
             shed.observe((w * 200_000 + i) % 1000);
         }
         total_kept += shed.kept();
-        worker_payloads.push(serde_json::to_string(shed.sketch()).unwrap());
+        worker_payloads.push(serde_json::to_string(shed.summary()).unwrap());
     }
 
     // Coordinator: merge and scale once.

@@ -20,7 +20,7 @@
 //!
 //! Both summaries report **raw** (sample-universe) estimates; the
 //! `1/p`-unbiasing for Bernoulli-sampled streams lives one layer up in
-//! `sss-core::SampledTopK`, next to the paper's Prop. 13/14 corrections
+//! `sss-core::Sampled`, next to the paper's Prop. 13/14 corrections
 //! for the join estimators.
 //!
 //! Top-k answers are a *pure function* of the summary state and its

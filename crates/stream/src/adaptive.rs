@@ -26,7 +26,6 @@
 //! to determine how aggressive the load shedding can be without a
 //! significant loss in the accuracy".
 
-use crate::throughput::Throughput;
 use sss_core::sketch::JoinSchema;
 use sss_core::{RateGrid, Result};
 
@@ -116,27 +115,6 @@ impl RateController {
             current_step: 0,
             adjustments: 0,
         }
-    }
-
-    /// Measure the capacity of a schema empirically: time a calibration
-    /// burst through a throwaway sketch and build a controller from it
-    /// (derated by `headroom ∈ (0, 1]`, e.g. 0.8 to keep 20% slack).
-    pub fn calibrated(schema: &JoinSchema, headroom: f64, config: ControllerConfig) -> Self {
-        assert!(
-            headroom > 0.0 && headroom <= 1.0,
-            "headroom must be in (0, 1]"
-        );
-        let mut sketch = schema.sketch();
-        let burst: u64 = 200_000;
-        let t = Throughput::measure(burst, || {
-            for key in 0..burst {
-                sketch.update(key, 1);
-            }
-        });
-        Self::new(ControllerConfig {
-            capacity_tps: t.tuples_per_sec() * headroom,
-            ..config
-        })
     }
 
     /// The dead-band in grid steps implied by the relative `hysteresis`:
@@ -360,14 +338,6 @@ mod tests {
             c.observe_batch(100, 1.0);
         }
         assert_eq!(c.probability(), 1.0);
-    }
-
-    #[test]
-    fn calibration_produces_a_positive_capacity() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let schema = JoinSchema::fagms(1, 1024, &mut rng);
-        let c = RateController::calibrated(&schema, 0.8, ControllerConfig::default());
-        assert!(c.config.capacity_tps > 0.0);
     }
 
     #[test]

@@ -179,13 +179,6 @@ impl<E: Summary> EngineBuilder<E> {
         self
     }
 
-    /// Deprecated name for [`summary`](Self::summary) from when the
-    /// engine was join-only.
-    #[deprecated(since = "0.1.0", note = "renamed to `EngineBuilder::summary`")]
-    pub fn estimator(self, prototype: E) -> Self {
-        self.summary(prototype)
-    }
-
     /// Maintain a Count-Sketch heavy-hitter summary alongside the join
     /// estimator, unlocking [`StreamEngine::top_k`]. `k` is the number of
     /// heavy keys the engine must be able to report; the summary tracks a
@@ -230,7 +223,7 @@ impl<E: Summary> EngineBuilder<E> {
     /// # Errors
     ///
     /// [`StreamError::MissingEstimator`] if neither
-    /// [`estimator`](Self::estimator) nor [`schema`](Self::schema) was
+    /// [`summary`](Self::summary) nor [`schema`](Self::schema) was
     /// called; [`StreamError::InvalidConfig`] for degenerate shard/queue
     /// settings or shedding without a schema.
     pub fn build(self) -> StreamResult<StreamEngine<E>> {
@@ -916,7 +909,7 @@ mod tests {
     }
 
     /// A generic estimator (typed F-AGMS, not the erased enum) drives the
-    /// same engine through `.estimator(…)`.
+    /// same engine through `.summary(…)`.
     #[test]
     fn engine_is_generic_over_the_estimator() {
         let mut rng = StdRng::seed_from_u64(4);

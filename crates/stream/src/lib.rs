@@ -1,8 +1,7 @@
 //! # sss-stream — streaming pipelines around the combined estimators
 //!
 //! The operational layer of the reproduction: where `sss-core` owns the
-//! estimator mathematics, this crate owns *running streams through them*
-//! and measuring what the paper's Sections VI–VII measure:
+//! estimator mathematics, this crate owns *running streams through them*:
 //!
 //! * [`runtime`] — the persistent sharded runtime: a pool of shard
 //!   workers behind bounded queues, merging to the sequential sketch bit
@@ -16,16 +15,23 @@
 //!   backpressure, and an adaptive overflow shedder, built by
 //!   [`EngineBuilder`]; every query also has a typed `*_estimate()` form
 //!   returning an [`Estimate`](sss_core::Estimate) with error bars;
-//! * [`shedder`] — a load-shedding pipeline pairing a full-stream sketch
-//!   with a Bernoulli-shedded sketch and reporting the update-throughput
-//!   **speed-up** (the paper's headline "factor of at least 10");
-//! * [`online`] — an online-aggregation run that scans a relation in
-//!   random order and records an estimate **trajectory** at configurable
-//!   checkpoints (Figures 7–8 are trajectories of this kind);
-//! * [`throughput`] — wall-clock instrumentation shared by the pipelines
-//!   and the Criterion benches;
-//! * [`ops`] — small composable stream operators (tagging, key
-//!   extraction, multiplexing a stream into several consumers).
+//! * [`adaptive`] — the quantized rate controller that picks the
+//!   shedding probability `p` on line;
+//! * [`window`] — paned sliding-window sketches.
+//!
+//! Measurement apparatus is not part of the runtime crate. The one-shot
+//! helpers and wall-clock structs that used to live here are gone — a
+//! parallel shed is [`ShardedRuntime::new_per_shard`] over reseeded
+//! [`Sampled`](sss_core::Sampled) prototypes, timing is
+//! `std::time::Instant` — and code still naming them no longer compiles:
+//!
+//! ```compile_fail
+//! use sss_stream::parallel_shed; // removed: `ShardedRuntime::new_per_shard`
+//! ```
+//!
+//! ```compile_fail
+//! use sss_stream::Throughput; // removed: use `std::time::Instant`
+//! ```
 
 // `deny` rather than `forbid`: the SPSC ring transport ([`ring`]) is the
 // one audited module allowed to use `unsafe`, mirroring the SIMD kernel
@@ -36,23 +42,14 @@
 pub mod adaptive;
 pub mod engine;
 pub mod error;
-pub mod online;
-pub mod ops;
-pub mod parallel;
 pub mod ring;
 pub mod runtime;
-pub mod shedder;
 pub mod snapshot;
-pub mod throughput;
 pub mod window;
 
 pub use adaptive::{ControllerConfig, RateController};
 pub use engine::{EngineBuilder, StageStats, StreamEngine, Transform};
 pub use error::{Result, StreamError};
-pub use online::{OnlineAggregation, OnlineJoinAggregation, Snapshot};
-pub use parallel::{parallel_shed, parallel_sketch, parallel_sketch_with, ParallelShedResult};
 pub use runtime::{Partition, PoolStats, QueryHandle, ReadReplica, RuntimeConfig, ShardedRuntime};
-pub use shedder::{ShedderComparison, ShedderReport};
 pub use snapshot::CacheStats;
-pub use throughput::Throughput;
 pub use window::PanedWindowSketch;

@@ -4,10 +4,10 @@
 //! multi-core processors, sketching can be done essentially for free":
 //! partition the stream any way at all, sketch each partition on its own
 //! core, and the merged sketch is *bit-identical* to sequential sketching.
-//! [`parallel_sketch`](crate::parallel_sketch) exploits this for a
-//! pre-materialized slice; this module is the long-lived version — a DSMS
-//! needs a runtime that absorbs batches continuously and answers
-//! at-all-times queries, not a one-shot scatter/gather.
+//! This module is the long-lived version of that remark — a DSMS needs a
+//! runtime that absorbs batches continuously and answers at-all-times
+//! queries, not a one-shot scatter/gather (which is just
+//! [`ShardedRuntime::new`] → `push` → [`ShardedRuntime::into_merged`]).
 //!
 //! ```text
 //!              ┌─ data ring ─▶ worker 0 ─ owns shard sketch E₀
@@ -17,8 +17,8 @@
 //!  merged() ── dirty shards only ──▶ snapshot cache ──▶ E₀ ⊕ E₁ ⊕ E₂
 //! ```
 //!
-//! Two perf-critical design decisions (see `DESIGN.md` §4h and
-//! `BENCH_sharded_runtime.json` for the before/after numbers):
+//! Two perf-critical design decisions (see `DESIGN.md` §4h; the ledger's
+//! `stream.*` rows measure both):
 //!
 //! * **Transport** — each shard lane is a pair of lock-free SPSC
 //!   [`ring`] buffers: a *data* ring carrying batch buffers
@@ -282,27 +282,6 @@ impl<E: Summary> RuntimeShared<E> {
         cache
             .refresh(&prototype, fresh)
             .map_err(StreamError::Estimator)
-    }
-
-    /// The pre-cache full barrier: clone every shard, merge in shard
-    /// order. Kept as the benchmark baseline and a cross-check.
-    fn merged_uncached(&self) -> Result<E> {
-        let mut fetches = Vec::with_capacity(self.shards.len());
-        for (shard, state) in self.shards.iter().enumerate() {
-            let target = state.accepted.load(Ordering::Acquire);
-            let (tx, rx) = mpsc::channel();
-            state.ctrl.send(SnapshotReq {
-                min: target,
-                reply: tx,
-            });
-            fetches.push((shard, rx));
-        }
-        let mut merged = self.lock_prototype().clone();
-        for (shard, rx) in fetches {
-            let (_, clone) = self.fetch_snapshot(shard, &rx)?;
-            merged.merge_from(&clone)?;
-        }
-        Ok(merged)
     }
 
     /// Wait for a shard's snapshot reply, failing over to
@@ -815,19 +794,6 @@ impl<E: Summary> ShardedRuntime<E> {
     /// [`StreamError::ShardDisconnected`] if a worker thread has died.
     pub fn merged(&self) -> Result<E> {
         self.shared.merged()
-    }
-
-    /// The same at-all-times query *without* the snapshot cache: every
-    /// shard is cloned and merged, exactly like the pre-cache full
-    /// barrier. Kept as the benchmark baseline
-    /// (`queries_under_ingest` in `BENCH_sharded_runtime.json`) and as a
-    /// correctness cross-check against [`merged`](Self::merged).
-    ///
-    /// # Errors
-    ///
-    /// [`StreamError::ShardDisconnected`] if a worker thread has died.
-    pub fn merged_uncached(&self) -> Result<E> {
-        self.shared.merged_uncached()
     }
 
     /// Shut the pool down and merge the final shard estimators. Cheaper
@@ -1767,11 +1733,10 @@ mod tests {
         }
         let stats = rt.cache_stats();
         assert_eq!(stats.hits, 10, "all repeats served from cache");
-        // The cache-bypassing full barrier agrees with the cached answer.
-        let barrier = rt.merged_uncached().unwrap();
+        // The cached answer is the sequential sketch of the same prefix.
         assert_eq!(
-            barrier.raw_self_join().to_bits(),
-            first.raw_self_join().to_bits()
+            first.raw_self_join().to_bits(),
+            sequential(&schema, &s[..half]).raw_self_join().to_bits()
         );
         // One more round-robin batch dirties exactly one shard; the
         // delta rebuild still matches the sequential sketch bit for bit.

@@ -26,9 +26,8 @@
 //!
 //! A query with **zero** dirty shards — the common case for repeated
 //! at-all-times polling — costs one clone of the cached merged result:
-//! O(sketch bytes), independent of the shard count, ≥10x cheaper than
-//! the old barrier at 8 shards (see `BENCH_sharded_runtime.json`,
-//! `queries_under_ingest`).
+//! O(sketch bytes), independent of the shard count (the ledger's
+//! `stream.merged_clean_us` against `stream.merged_dirty_us`).
 //!
 //! The cache never talks to workers itself: the runtime fetches fresh
 //! clones for dirty shards (via the control queue) and hands them in via

@@ -11,8 +11,8 @@
 //!    exactly the sketch of a p-sample of the union stream, so the usual
 //!    Proposition 14 scaling applies once at the coordinator.
 //!
-//! Also shows the in-process shortcut (`sss_stream::parallel_shed`) that
-//! does the same thing on local threads.
+//! Also shows the in-process form of the same thing: a `ShardedRuntime`
+//! whose shards each carry an independently reseeded `Sampled` front end.
 //!
 //! ```text
 //! cargo run --release --example distributed_shedding
@@ -21,10 +21,10 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sketch_sampled_streams::core::sketch::{JoinSchema, JoinSketch};
-use sketch_sampled_streams::core::LoadSheddingSketcher;
+use sketch_sampled_streams::core::Sampled;
 use sketch_sampled_streams::datagen::ZipfGenerator;
 use sketch_sampled_streams::exact::ExactAggregator;
-use sketch_sampled_streams::stream::parallel_shed;
+use sketch_sampled_streams::stream::{RuntimeConfig, ShardedRuntime};
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(77);
@@ -60,11 +60,11 @@ fn main() {
         let worker_schema: JoinSchema =
             serde_json::from_str(&schema_wire).expect("schema deserializes");
         let mut shed =
-            LoadSheddingSketcher::new(&worker_schema, p, &mut rng).expect("valid probability");
+            Sampled::new(worker_schema.sketch(), p, &mut rng).expect("valid probability");
         for &k in part {
             shed.observe(k);
         }
-        let payload = serde_json::to_string(shed.sketch()).expect("sketch serializes");
+        let payload = serde_json::to_string(shed.summary()).expect("sketch serializes");
         println!(
             "worker {w}: kept {} tuples, sketch payload {} bytes",
             shed.kept(),
@@ -87,13 +87,37 @@ fn main() {
         100.0 * (est - truth).abs() / truth
     );
 
-    // --- The in-process shortcut ----------------------------------------
-    let flat: Vec<u64> = partitions.concat();
-    let r = parallel_shed(&schema, &flat, p, workers, &mut rng).expect("valid probability");
+    // --- In process: the sampler rides the shard workers ----------------
+    // Clones replay the same skip sequence, so every shard is reseeded:
+    // shards must sample independently for the union to be a p-sample.
+    let prototype = Sampled::new(schema.sketch(), p, &mut rng).expect("valid probability");
+    let prototypes = (0..workers)
+        .map(|_| {
+            let mut shard = prototype.clone();
+            shard.reseed(&mut rng).expect("p was validated above");
+            shard
+        })
+        .collect();
+    let config = RuntimeConfig {
+        shards: workers,
+        ..Default::default()
+    };
+    let mut rt =
+        ShardedRuntime::new_per_shard(config, prototypes).expect("one prototype per shard");
+    let start = std::time::Instant::now();
+    for part in &partitions {
+        for batch in part.chunks(4096) {
+            rt.push(batch).expect("no shard died");
+        }
+    }
+    let merged = rt.into_merged().expect("shards merge");
+    let secs = start.elapsed().as_secs_f64();
     println!(
-        "parallel_shed (threads): {:.4e}  (rel. error {:.2}%, {:.1} Mt/s)",
-        r.self_join(),
-        100.0 * (r.self_join() - truth).abs() / truth,
-        r.throughput.tuples_per_sec() / 1e6
+        "sharded runtime ({workers} shards): {:.4e}  (rel. error {:.2}%, kept {} of {}, {:.1} Mt/s)",
+        merged.self_join(),
+        100.0 * (merged.self_join() - truth).abs() / truth,
+        merged.kept(),
+        merged.seen(),
+        merged.seen() as f64 / secs / 1e6
     );
 }

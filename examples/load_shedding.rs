@@ -12,9 +12,10 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sketch_sampled_streams::core::sketch::JoinSchema;
+use sketch_sampled_streams::core::Sampled;
 use sketch_sampled_streams::datagen::ZipfGenerator;
 use sketch_sampled_streams::moments::FrequencyVector;
-use sketch_sampled_streams::stream::ShedderComparison;
+use std::time::Instant;
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(41);
@@ -28,23 +29,35 @@ fn main() {
     // AGMS with 128 counters: an expensive per-tuple update, the regime
     // where shedding pays off most visibly. Swap in `fagms(1, 5000)` to see
     // the cheap-update regime (speed-up then comes from skipping RNG work).
-    let cmp = ShedderComparison::new(JoinSchema::agms(128, &mut rng));
+    let schema = JoinSchema::agms(128, &mut rng);
+    let mtps = |since: Instant| tuples as f64 / since.elapsed().as_secs_f64() / 1e6;
 
     println!(
         "{:>8} {:>10} {:>12} {:>12} {:>10} {:>10}",
         "p", "kept", "full Mt/s", "shed Mt/s", "speedup", "rel.err"
     );
     for p in [1.0, 0.5, 0.1, 0.01, 0.001] {
-        let r = cmp.run(&stream, p, &mut rng).unwrap();
+        let mut full = schema.sketch();
+        let start = Instant::now();
+        for &k in &stream {
+            full.update(k, 1);
+        }
+        let full_mtps = mtps(start);
+        let mut shed = Sampled::new(schema.sketch(), p, &mut rng).unwrap();
+        let start = Instant::now();
+        for &k in &stream {
+            shed.observe(k);
+        }
+        let shed_mtps = mtps(start);
         // The shedded estimate is corrected for p; compare against truth.
-        let rel = (r.shedded_estimate - truth).abs() / truth;
+        let rel = (shed.self_join() - truth).abs() / truth;
         println!(
             "{:>8} {:>10} {:>12.2} {:>12.2} {:>9.1}x {:>9.2}%",
             p,
-            r.kept,
-            r.full.tuples_per_sec() / 1e6,
-            r.shedded.tuples_per_sec() / 1e6,
-            r.speedup(),
+            shed.kept(),
+            full_mtps,
+            shed_mtps,
+            shed_mtps / full_mtps,
             100.0 * rel
         );
     }

@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sketch_sampled_streams::core::analysis::{self, BoundKind};
 use sketch_sampled_streams::core::sketch::JoinSchema;
-use sketch_sampled_streams::core::LoadSheddingSketcher;
+use sketch_sampled_streams::core::Sampled;
 use sketch_sampled_streams::datagen::ZipfGenerator;
 use sketch_sampled_streams::moments::FrequencyVector;
 
@@ -39,7 +39,7 @@ fn main() {
         "p", "estimate", "rel.err", "sketched"
     );
     for p in [1.0, 0.5, 0.1, 0.01] {
-        let mut sketcher = LoadSheddingSketcher::new(&schema, p, &mut rng).unwrap();
+        let mut sketcher = Sampled::new(schema.sketch(), p, &mut rng).unwrap();
         for &k in &stream {
             sketcher.observe(k);
         }

@@ -62,9 +62,7 @@ use std::process::ExitCode;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sketch_sampled_streams::core::sketch::{JoinSchema, JoinSketch};
-use sketch_sampled_streams::core::{
-    wire, JoinQuery, LoadSheddingSketcher, MultiSpec, Portable, Sampled, SlimQuery,
-};
+use sketch_sampled_streams::core::{wire, JoinQuery, MultiSpec, Portable, Sampled, SlimQuery};
 use sketch_sampled_streams::exact::ExactAggregator;
 use sketch_sampled_streams::net::{self, QueryClient, RunningServer, ServerConfig};
 use sketch_sampled_streams::sketch::FagmsSchema;
@@ -72,12 +70,25 @@ use sketch_sampled_streams::stream::runtime::RuntimeConfig;
 use sketch_sampled_streams::stream::Partition;
 use sketch_sampled_streams::{Error, Result};
 
-fn arg_value<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
+/// The parsed value of `--name=<v>`, `None` when the flag is absent. A
+/// flag that is present but does not parse is a usage error (exit 2,
+/// stderr names the flag) — never a silent fallback to the default. Every
+/// call happens before a command starts a thread or opens a socket, so
+/// exiting here leaves nothing behind.
+fn flag<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
     let prefix = format!("--{name}=");
-    args.iter()
-        .find_map(|a| a.strip_prefix(&prefix))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    let raw = args.iter().find_map(|a| a.strip_prefix(&prefix))?;
+    Some(raw.parse().unwrap_or_else(|_| bad_flag(name, raw)))
+}
+
+fn bad_flag(name: &str, raw: &str) -> ! {
+    eprintln!("error: --{name}={raw}: not a valid value for --{name}");
+    usage();
+    std::process::exit(2)
+}
+
+fn arg_value<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
+    flag(args, name).unwrap_or(default)
 }
 
 fn has_flag(args: &[String], name: &str) -> bool {
@@ -155,7 +166,7 @@ fn run_selfjoin(
 ) -> Result<()> {
     let path = &args[1];
     let keys = read_keys(path)?;
-    let mut shed = LoadSheddingSketcher::new(schema, p, rng)?;
+    let mut shed = Sampled::new(schema.sketch(), p, rng)?;
     for &k in &keys {
         shed.observe(k);
     }
@@ -188,8 +199,8 @@ fn run_join(
     let q: f64 = arg_value(args, "q", 1.0);
     let f_keys = read_keys(pf)?;
     let g_keys = read_keys(pg)?;
-    let mut fs = LoadSheddingSketcher::new(schema, p, rng)?;
-    let mut gs = LoadSheddingSketcher::new(schema, q, rng)?;
+    let mut fs = Sampled::new(schema.sketch(), p, rng)?;
+    let mut gs = Sampled::new(schema.sketch(), q, rng)?;
     for &k in &f_keys {
         fs.observe(k);
     }
@@ -297,8 +308,8 @@ fn run_quantiles(args: &[String], p: f64, seed: u64) -> Result<()> {
     println!("sketched   {}", summary.kept());
     // `--at=q` narrows the report to one quantile; the default covers the
     // operational trio.
-    let ranks: Vec<f64> = match args.iter().find_map(|a| a.strip_prefix("--at=")) {
-        Some(v) => vec![v.parse().unwrap_or(0.5)],
+    let ranks: Vec<f64> = match flag(args, "at") {
+        Some(q) => vec![q],
         None => vec![0.5, 0.95, 0.99],
     };
     let exact = has_flag(args, "exact").then(|| {
@@ -486,13 +497,10 @@ fn run_serve(args: &[String]) -> Result<()> {
     let shards: usize = arg_value(args, "shards", 2);
     let queue_depth: usize = arg_value(args, "queue-depth", 64);
     let max_pending: u64 = arg_value(args, "max-pending", 0);
-    let partition = match args
-        .iter()
-        .find_map(|a| a.strip_prefix("--partition="))
-        .unwrap_or("rr")
-    {
-        "hash" => Partition::Hash,
-        _ => Partition::RoundRobin,
+    let partition = match flag::<String>(args, "partition").as_deref() {
+        None | Some("rr") => Partition::RoundRobin,
+        Some("hash") => Partition::Hash,
+        Some(other) => bad_flag("partition", other),
     };
     let mut rng = StdRng::seed_from_u64(seed);
     let spec = MultiSpec::new(JoinSchema::fagms(depth, width, &mut rng), &mut rng);

@@ -12,13 +12,14 @@
 //!   sampling/sketch/interaction variance decomposition, planning and
 //!   tail bounds.
 //! * [`core`] — the combined sketch-over-samples estimators and the
-//!   application drivers (load shedding — coin-flip, hash-coordinated and
-//!   epoch-based, i.i.d. streams, online aggregation).
+//!   application drivers (load shedding — `Sampled<S>` in front of any
+//!   summary, hash-coordinated and epoch-based —, i.i.d. streams, online
+//!   aggregation scans).
 //! * [`exact`] — exact streaming aggregates used as ground truth.
 //! * [`datagen`] — Zipf, self-similar, correlated-pair and mini-TPC-H
 //!   workload generators.
-//! * [`stream`] — streaming pipeline substrate: adaptive controllers,
-//!   DSMS operator chains, parallel sketching, sliding windows.
+//! * [`stream`] — streaming pipeline substrate: the sharded runtime, the
+//!   DSMS engine over it, adaptive controllers, sliding windows.
 //! * [`net`] — the network ingest service: a non-blocking event-loop
 //!   TCP front-end decoding length-prefixed batches straight into the
 //!   sharded runtime's pooled buffers, plus a line-delimited JSON query
@@ -29,11 +30,11 @@
 //! ```
 //! use rand::SeedableRng;
 //! use sketch_sampled_streams::core::sketch::JoinSchema;
-//! use sketch_sampled_streams::core::LoadSheddingSketcher;
+//! use sketch_sampled_streams::core::Sampled;
 //!
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(1);
 //! let schema = JoinSchema::fagms(1, 5000, &mut rng);
-//! let mut sketcher = LoadSheddingSketcher::new(&schema, 0.1, &mut rng).unwrap();
+//! let mut sketcher = Sampled::new(schema.sketch(), 0.1, &mut rng).unwrap();
 //! for i in 0..100_000u64 {
 //!     sketcher.observe(i % 500); // sketch a 10% sample of the stream
 //! }

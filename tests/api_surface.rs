@@ -7,8 +7,9 @@
 //! drops a capability (say, `HyperLogLog: DistinctQuery`) breaks the
 //! build here rather than in downstream code. The runtime bodies pin the
 //! parts of the contract the type system cannot see: default-method
-//! honesty (`supports_retract`, `retract_from`), and that the removed
-//! pre-redesign shims stay removed.
+//! honesty (`supports_retract`, `retract_from`). That removed names stay
+//! removed can only be proven at compile time: `sss_core::summary` and
+//! the `sss_stream` crate docs carry the `compile_fail` doctests.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -150,24 +151,6 @@ fn streaming_layer_is_generic_over_the_hierarchy() {
     engine_accepts::<SampledMultiSummary>();
     replica_accepts::<JoinSketch>();
     replica_accepts::<MultiSummary>();
-}
-
-/// The pre-redesign `StreamSummary`/`JoinEstimator` shims are **gone**,
-/// not deprecated: `sss_core::summary` carries `compile_fail` doctests
-/// proving that `core::StreamSummary` and `core::JoinEstimator` no
-/// longer resolve (the assertion lives there because a missing name can
-/// only be proven at compile time). What survives is the `SampledTopK`
-/// type alias — same type as `Sampled`, behind a deprecation warning —
-/// which this body pins at runtime.
-#[test]
-#[allow(deprecated)]
-fn removed_shims_stay_removed() {
-    // The alias is the same type, not a lookalike: a value built through
-    // the new name is assignable to the old one.
-    let mut r = rng(1);
-    let sampled: sketch_sampled_streams::core::SampledTopK<MisraGries> =
-        Sampled::misra_gries(8, 0.5, &mut r).unwrap();
-    assert_eq!(sampled.probability(), 0.5);
 }
 
 /// Default-method honesty: a summary that does not override retraction

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sketch_sampled_streams::core::sketch::JoinSchema;
-use sketch_sampled_streams::core::LoadSheddingSketcher;
+use sketch_sampled_streams::core::Sampled;
 use sketch_sampled_streams::sketch::{AgmsSchema, CountMinSchema, FagmsSchema, Sketch};
 use sketch_sampled_streams::xi::{Cw2, Cw2Bucket, Cw4, Eh3, Tabulation};
 
@@ -169,8 +169,8 @@ proptest! {
 
         let mut rng_a = StdRng::seed_from_u64(seed ^ 0x5eed);
         let mut rng_b = StdRng::seed_from_u64(seed ^ 0x5eed);
-        let mut scalar = LoadSheddingSketcher::new(&schema, p, &mut rng_a).unwrap();
-        let mut batched = LoadSheddingSketcher::new(&schema, p, &mut rng_b).unwrap();
+        let mut scalar = Sampled::new(schema.sketch(), p, &mut rng_a).unwrap();
+        let mut batched = Sampled::new(schema.sketch(), p, &mut rng_b).unwrap();
 
         let mut kept = 0u64;
         for &k in &keys {
@@ -184,6 +184,10 @@ proptest! {
         prop_assert_eq!(kept, kept_batched);
         prop_assert_eq!(scalar.seen(), batched.seen());
         prop_assert_eq!(scalar.kept(), batched.kept());
+        prop_assert_eq!(
+            scalar.summary().raw_self_join(),
+            batched.summary().raw_self_join()
+        );
         prop_assert_eq!(scalar.self_join(), batched.self_join());
     }
 }

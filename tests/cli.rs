@@ -37,6 +37,13 @@ fn selfjoin_with_exact_reports_error() {
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("tuples     60000"), "stdout: {stdout}");
+    // The digits the dedicated join shedder printed for this file and
+    // seed before `Sampled<JoinSketch>` replaced it: same draws, same bits.
+    assert!(stdout.contains("sketched   29907"), "stdout: {stdout}");
+    assert!(
+        stdout.contains("estimate   11919974.00"),
+        "stdout: {stdout}"
+    );
     assert!(
         stdout.contains("exact      12000000.00"),
         "stdout: {stdout}"
@@ -69,6 +76,19 @@ fn join_command_runs() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     // Exact join: 200 overlapping keys × 100 × 100 = 2,000,000.
     assert!(stdout.contains("exact      2000000.00"), "stdout: {stdout}");
+
+    // Sampled on both sides: the pre-`Sampled<JoinSketch>` digits.
+    let out = sss()
+        .args(["join", f.to_str().unwrap(), g.to_str().unwrap()])
+        .args(["--p=0.5", "--q=0.25", "--seed=5"])
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("sketched   10165 + 7449"),
+        "stdout: {stdout}"
+    );
+    assert!(stdout.contains("estimate   2020728.00"), "stdout: {stdout}");
 }
 
 #[test]
@@ -349,4 +369,93 @@ fn topk_rejects_p_zero_loudly() {
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(1));
+}
+
+/// A flag that is present but does not parse is a usage error naming the
+/// flag — not a silent fallback to the default (`--p=0,1` used to run
+/// unsampled, `--shards=two` served two shards, `--at=x` meant 0.5).
+#[test]
+fn unparseable_flag_values_are_usage_errors() {
+    let dir = std::env::temp_dir().join("sss-cli-test-bad-flags");
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("keys.txt");
+    write_keys(&file, 0..100u64);
+    let file = file.to_str().unwrap();
+    for (args, flag) in [
+        (vec!["selfjoin", file, "--p=abc"], "--p"),
+        (vec!["selfjoin", file, "--p=0,1"], "--p"),
+        (vec!["selfjoin", file, "--width=5k"], "--width"),
+        (vec!["quantiles", file, "--at=x"], "--at"),
+        (vec!["serve", "--shards=two"], "--shards"),
+        (vec!["serve", "--partition=hsah"], "--partition"),
+    ] {
+        let out = sss().args(&args).output().unwrap();
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{args:?} should be a usage error"
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("error: {flag}=")),
+            "{args:?}: stderr should name {flag}: {stderr}"
+        );
+    }
+    // Absent flags still take their defaults.
+    let out = sss().args(["quantiles", file]).output().unwrap();
+    assert!(out.status.success());
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout)
+            .matches("\nq0.")
+            .count(),
+        3
+    );
+}
+
+/// The exact `sss serve` lines the ledger spawns still parse: the server
+/// comes up, prints its banner, and drains on a client `shutdown`.
+#[test]
+fn serve_accepts_the_ledger_spawn_lines() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    for (shards, partition) in [
+        ("--shards=1", "--partition=rr"),
+        ("--shards=2", "--partition=hash"),
+    ] {
+        let mut child = sss()
+            .args(["serve", "--ingest=127.0.0.1:0", "--query=127.0.0.1:0"])
+            .args([
+                shards,
+                "--queue-depth=64",
+                partition,
+                "--seed=1",
+                "--max-pending=0",
+            ])
+            .stdin(Stdio::null())
+            .stdout(Stdio::piped())
+            .spawn()
+            .unwrap();
+        let mut lines = BufReader::new(child.stdout.take().unwrap()).lines();
+        let mut query_addr = None;
+        for line in lines.by_ref() {
+            let line = line.unwrap();
+            if let Some(addr) = line.strip_prefix("query") {
+                query_addr = Some(addr.trim().to_string());
+            }
+            if line.starts_with("fingerprint") {
+                break;
+            }
+        }
+        let query_addr = query_addr.expect("banner carries the query address");
+        sketch_sampled_streams::net::QueryClient::connect(query_addr.as_str())
+            .unwrap()
+            .shutdown()
+            .unwrap();
+        let rest: Vec<String> = lines.map(|l| l.unwrap()).collect();
+        assert!(child.wait().unwrap().success(), "{shards} {partition}");
+        assert!(
+            rest.iter().any(|l| l.starts_with("tuples      0")),
+            "{rest:?}"
+        );
+    }
 }

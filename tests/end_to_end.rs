@@ -6,11 +6,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sketch_sampled_streams::core::analysis::{self, BoundKind};
 use sketch_sampled_streams::core::sketch::JoinSchema;
-use sketch_sampled_streams::core::{IidStreamSketcher, LoadSheddingSketcher, ScanSketcher};
+use sketch_sampled_streams::core::{IidStreamSketcher, Sampled, ScanSketcher};
 use sketch_sampled_streams::datagen::{TpchGenerator, ZipfGenerator};
 use sketch_sampled_streams::moments::FrequencyVector;
 use sketch_sampled_streams::sampling::without_replacement::PrefixScan;
-use sketch_sampled_streams::stream::{OnlineAggregation, ShedderComparison};
 
 #[test]
 fn zipf_stream_shedding_keeps_accuracy_at_10_percent() {
@@ -20,8 +19,8 @@ fn zipf_stream_shedding_keeps_accuracy_at_10_percent() {
     let truth = FrequencyVector::from_keys(stream.iter().copied(), domain).self_join();
 
     let schema = JoinSchema::fagms(1, 5000, &mut rng);
-    let mut full = LoadSheddingSketcher::new(&schema, 1.0, &mut rng).unwrap();
-    let mut shed = LoadSheddingSketcher::new(&schema, 0.1, &mut rng).unwrap();
+    let mut full = Sampled::new(schema.sketch(), 1.0, &mut rng).unwrap();
+    let mut shed = Sampled::new(schema.sketch(), 0.1, &mut rng).unwrap();
     for &k in &stream {
         full.observe(k);
         shed.observe(k);
@@ -51,7 +50,7 @@ fn predicted_confidence_interval_covers_realized_estimates() {
     let runs = 30;
     for _ in 0..runs {
         let schema = JoinSchema::fagms(1, 2000, &mut rng);
-        let mut shed = LoadSheddingSketcher::new(&schema, p, &mut rng).unwrap();
+        let mut shed = Sampled::new(schema.sketch(), p, &mut rng).unwrap();
         for &k in &stream {
             shed.observe(k);
         }
@@ -73,12 +72,20 @@ fn tpch_online_aggregation_trajectory_converges() {
 
     let schema = JoinSchema::fagms(1, 4000, &mut rng);
     let scan = PrefixScan::new(tables.lineitem.clone(), &mut rng);
-    let mut oa = OnlineAggregation::new(&schema, scan.len() as u64, &[0.1, 0.5, 1.0]).unwrap();
-    oa.run(scan.tuples().iter().copied()).unwrap();
-    let snaps = oa.snapshots();
+    // The running estimate at 10%, 50% and 100% of a random-order scan.
+    let n = scan.len();
+    let checkpoints = [0.1, 0.5, 1.0].map(|f| (f * n as f64).round() as usize);
+    let mut sketcher = ScanSketcher::new(&schema, n as u64).unwrap();
+    let mut snaps = Vec::new();
+    for (i, &k) in scan.tuples().iter().enumerate() {
+        sketcher.observe(k).unwrap();
+        if checkpoints.contains(&(i + 1)) {
+            snaps.push(sketcher.self_join().unwrap());
+        }
+    }
     assert_eq!(snaps.len(), 3);
-    let err10 = (snaps[0].estimate - truth).abs() / truth;
-    let err100 = (snaps[2].estimate - truth).abs() / truth;
+    let err10 = (snaps[0] - truth).abs() / truth;
+    let err100 = (snaps[2] - truth).abs() / truth;
     assert!(err10 < 0.25, "10% scan error {err10}");
     assert!(err100 < 0.08, "full scan error {err100}");
 }
@@ -133,14 +140,18 @@ fn iid_stream_estimates_its_generative_model() {
 fn shedder_comparison_reports_consistent_estimates() {
     let mut rng = StdRng::seed_from_u64(6);
     let stream = ZipfGenerator::new(10_000, 0.8).relation(300_000, &mut rng);
-    let cmp = ShedderComparison::new(JoinSchema::fagms(1, 5000, &mut rng));
-    let report = cmp.run(&stream, 0.1, &mut rng).unwrap();
-    assert!(
-        report.estimate_gap() < 0.15,
-        "gap {}",
-        report.estimate_gap()
-    );
-    assert!(report.kept < 40_000);
+    // The same stream through a sketch that sees every tuple and through
+    // a 10% Bernoulli front end over the same schema.
+    let schema = JoinSchema::fagms(1, 5000, &mut rng);
+    let mut full = schema.sketch();
+    full.update_batch(&stream);
+    let mut shed = Sampled::new(schema.sketch(), 0.1, &mut rng).unwrap();
+    for &k in &stream {
+        shed.observe(k);
+    }
+    let gap = ((shed.self_join() - full.raw_self_join()) / full.raw_self_join()).abs();
+    assert!(gap < 0.15, "gap {gap}");
+    assert!(shed.kept() < 40_000);
 }
 
 /// The paper's three regimes agree with each other on the same data: at a
@@ -154,7 +165,7 @@ fn three_regimes_agree_on_one_relation() {
     let schema = JoinSchema::fagms(1, 5000, &mut rng);
 
     // Bernoulli 10%.
-    let mut shed = LoadSheddingSketcher::new(&schema, 0.1, &mut rng).unwrap();
+    let mut shed = Sampled::new(schema.sketch(), 0.1, &mut rng).unwrap();
     for &k in &rel {
         shed.observe(k);
     }

@@ -1,6 +1,6 @@
 //! Property and end-to-end tests for bounded-memory epoch shedding: the
 //! compacted [`EpochShedder`] against the uncompacted
-//! [`ReferenceEpochShedder`] oracle, the cached query path against the
+//! [`ReferenceEpochShedder`] oracle (`tests/support`), the cached query path against the
 //! cache-free recomputation, Monte-Carlo unbiasedness under grid-snapped
 //! rates, and the bounded-epoch guarantee under a thrashing controller.
 
@@ -8,9 +8,12 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sketch_sampled_streams::core::sketch::JoinSchema;
-use sketch_sampled_streams::core::{EpochShedder, RateGrid, ReferenceEpochShedder};
+use sketch_sampled_streams::core::{EpochShedder, RateGrid};
 use sketch_sampled_streams::exact::ExactAggregator;
 use sketch_sampled_streams::stream::{ControllerConfig, RateController};
+
+mod support;
+use support::ReferenceEpochShedder;
 
 /// Dyadic rates: with i64 counters every term of the epoch decomposition
 /// (raw/p², (1−p)/p²·kept, 2·cross/(p·q)) is exactly representable in f64,
@@ -66,6 +69,37 @@ proptest! {
         prop_assert_eq!(compact.epoch_count(), distinct.len());
         prop_assert!(reference.epoch_count() >= compact.epoch_count());
     }
+}
+
+/// Compacted estimates equal the uncompacted reference bit-for-bit on
+/// a dyadic-rate schedule (every term exactly representable).
+#[test]
+fn compaction_is_bit_identical_to_reference() {
+    let mut r = StdRng::seed_from_u64(31);
+    let schema = JoinSchema::agms(8, &mut r);
+    let mut seed_a = StdRng::seed_from_u64(32);
+    let mut seed_b = StdRng::seed_from_u64(32);
+    let mut compact = EpochShedder::new(&schema, 0.5, &mut seed_a).unwrap();
+    let mut reference = ReferenceEpochShedder::new(&schema, 0.5, &mut seed_b).unwrap();
+    let ps = [0.5, 0.25, 0.5, 1.0, 0.25, 0.5];
+    for (round, p) in ps.iter().enumerate() {
+        compact.set_probability(*p, &mut seed_a).unwrap();
+        reference.set_probability(*p, &mut seed_b).unwrap();
+        for k in 0..3_000u64 {
+            let key = (k * 7 + round as u64) % 50;
+            compact.observe(key);
+            reference.observe(key);
+        }
+    }
+    assert_eq!(reference.epoch_count(), 6, "one epoch per change");
+    assert_eq!(compact.epoch_count(), 3, "one epoch per distinct rate");
+    assert_eq!(compact.kept(), reference.kept());
+    assert_eq!(compact.seen(), reference.seen());
+    assert_eq!(
+        compact.self_join().unwrap(),
+        reference.self_join().unwrap(),
+        "dyadic rates: every term is exact, any grouping agrees"
+    );
 }
 
 /// Grid-snapped rates keep the estimator unbiased: the snap changes *which*

@@ -16,7 +16,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sketch_sampled_streams::core::sketch::JoinSchema;
-use sketch_sampled_streams::core::{LoadSheddingSketcher, Sampled};
+use sketch_sampled_streams::core::Sampled;
 use sketch_sampled_streams::exact::ExactAggregator;
 use sketch_sampled_streams::moments::engine::{sampling_sjs, sketch_sample_sjs, sketch_sjs};
 use sketch_sampled_streams::moments::scheme::Bernoulli;
@@ -166,7 +166,7 @@ fn bernoulli_shedder_intervals_cover_at_nominal_rate() {
         .map(|run| {
             let mut rng = StdRng::seed_from_u64(3000 + run as u64);
             let schema = JoinSchema::agms(128, &mut rng);
-            let mut shed = LoadSheddingSketcher::new(&schema, p, &mut rng).unwrap();
+            let mut shed = Sampled::new(schema.sketch(), p, &mut rng).unwrap();
             shed.feed_batch(&stream);
             shed.self_join_estimate()
         })

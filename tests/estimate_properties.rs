@@ -10,9 +10,9 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sketch_sampled_streams::core::sketch::JoinSchema;
-use sketch_sampled_streams::core::{EpochShedder, JoinQuery, LoadSheddingSketcher};
+use sketch_sampled_streams::core::{EpochShedder, JoinQuery, Sampled};
 use sketch_sampled_streams::sketch::{AgmsSchema, CountMinSchema, Estimate, FagmsSchema};
-use sketch_sampled_streams::stream::{parallel_shed, EngineBuilder, RuntimeConfig, ShardedRuntime};
+use sketch_sampled_streams::stream::{EngineBuilder, RuntimeConfig, ShardedRuntime};
 
 /// Shared coherence checks: finite-value intervals centered on the point
 /// estimate, Chebyshev at least as wide as CLT.
@@ -99,7 +99,7 @@ proptest! {
         assert_coherent(&af.size_of_join_estimate(&ag).unwrap());
     }
 
-    /// Shedding drivers: `LoadSheddingSketcher` and `EpochShedder` (with
+    /// Shedding drivers: `Sampled<JoinSketch>` and `EpochShedder` (with
     /// rate changes mid-stream) report bit-identical typed values.
     #[test]
     fn shedder_estimates_are_bit_identical(
@@ -115,8 +115,8 @@ proptest! {
             JoinSchema::agms(24, &mut rng)
         };
 
-        let mut shed = LoadSheddingSketcher::new(&schema, p, &mut rng).unwrap();
-        let mut other = LoadSheddingSketcher::new(&schema, 1.0, &mut rng).unwrap();
+        let mut shed = Sampled::new(schema.sketch(), p, &mut rng).unwrap();
+        let mut other = Sampled::new(schema.sketch(), 1.0, &mut rng).unwrap();
         for &k in &stream {
             shed.observe(k);
             other.observe(k);
@@ -143,17 +143,17 @@ proptest! {
         prop_assert_eq!(ej.value.to_bits(), epochs.size_of_join(&epochs2).unwrap().to_bits());
         assert_coherent(&ej);
         let es = epochs
-            .size_of_join_sketch_estimate(other.sketch(), 1.0)
+            .size_of_join_sketch_estimate(other.summary(), 1.0)
             .unwrap();
         prop_assert_eq!(
             es.value.to_bits(),
-            epochs.size_of_join_sketch(other.sketch(), 1.0).unwrap().to_bits()
+            epochs.size_of_join_sketch(other.summary(), 1.0).unwrap().to_bits()
         );
     }
 
     /// The stream layer: sharded runtime and the full engine (with and
     /// without an overflow-shedding leg) report bit-identical typed
-    /// values, and `parallel_shed` matches its scalar correction.
+    /// values, and a sharded shed matches its scalar correction.
     #[test]
     fn stream_layer_estimates_are_bit_identical(
         seed in 0u64..1000,
@@ -210,8 +210,22 @@ proptest! {
             overloaded.size_of_join(&engine).unwrap().to_bits()
         );
 
-        // One-shot parallel shedding.
-        let r = parallel_shed(&schema, &stream, 0.5, shards, &mut rng).unwrap();
-        prop_assert_eq!(r.self_join_estimate().value.to_bits(), r.self_join().to_bits());
+        // Parallel shedding: one independently reseeded `Sampled` front
+        // end per shard, merged; the typed value is the scalar correction.
+        let prototype = Sampled::new(schema.sketch(), 0.5, &mut rng).unwrap();
+        let prototypes = (0..shards)
+            .map(|_| {
+                let mut shard = prototype.clone();
+                shard.reseed(&mut rng).unwrap();
+                shard
+            })
+            .collect();
+        let mut shed_rt = ShardedRuntime::new_per_shard(config, prototypes).unwrap();
+        for chunk in stream.chunks(97) {
+            shed_rt.push(chunk).unwrap();
+        }
+        let shed = shed_rt.into_merged().unwrap();
+        prop_assert_eq!(shed.seen(), stream.len() as u64);
+        prop_assert_eq!(shed.self_join_estimate().value.to_bits(), shed.self_join().to_bits());
     }
 }

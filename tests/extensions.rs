@@ -151,8 +151,7 @@ fn planner_sizes_a_real_sketch_correctly() {
     for _ in 0..reps {
         let schema = JoinSchema::fagms(1, n, &mut rng);
         let mut shed =
-            sketch_sampled_streams::core::LoadSheddingSketcher::new(&schema, 0.2, &mut rng)
-                .unwrap();
+            sketch_sampled_streams::core::Sampled::new(schema.sketch(), 0.2, &mut rng).unwrap();
         for key in 0..2_000u64 {
             for _ in 0..50 {
                 shed.observe(key);

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sketch_sampled_streams::core::sketch::JoinSchema;
-use sketch_sampled_streams::core::{LoadSheddingSketcher, ScanSketcher};
+use sketch_sampled_streams::core::{Sampled, ScanSketcher};
 use sketch_sampled_streams::sampling::estimators;
 use sketch_sampled_streams::sampling::SampleCounts;
 use sketch_sampled_streams::sketch::{AgmsSchema, FagmsSchema, Sketch};
@@ -66,15 +66,15 @@ proptest! {
     fn shedder_bookkeeping(keys in stream(), seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
         let schema = JoinSchema::agms(4, &mut rng);
-        let mut shed = LoadSheddingSketcher::new(&schema, 0.5, &mut rng).unwrap();
+        let mut shed = Sampled::new(schema.sketch(), 0.5, &mut rng).unwrap();
         for &k in &keys { shed.observe(k); }
         prop_assert!(shed.kept() <= shed.seen());
         prop_assert_eq!(shed.seen(), keys.len() as u64);
 
-        let mut full = LoadSheddingSketcher::new(&schema, 1.0, &mut rng).unwrap();
+        let mut full = Sampled::new(schema.sketch(), 1.0, &mut rng).unwrap();
         for &k in &keys { full.observe(k); }
         prop_assert_eq!(full.kept(), keys.len() as u64);
-        prop_assert_eq!(full.self_join(), full.sketch().raw_self_join());
+        prop_assert_eq!(full.self_join(), full.summary().raw_self_join());
     }
 
     /// A complete scan's estimate is the raw sketch estimate (the WOR
