@@ -16,6 +16,31 @@
 //! is what the `multi_summary` bench measures against four separate
 //! passes.
 //!
+//! # The write path
+//!
+//! `update_batch` does not run four batch kernels over the same keys. The
+//! top-k tracker cuts the batch into chunks and reduces each chunk to its
+//! [`KeyRuns`](sss_sketch::KeyRuns) — distinct keys, their counts, and each
+//! tuple's position among them — and the other three parts ride on that
+//! one deduplication ([`CountSketchTopK::offer_batch_with`]):
+//!
+//! * **Shared:** the chunking and the runs. A key's sign and bucket hashes
+//!   are evaluated once per distinct key of a chunk, not once per tuple.
+//! * **Order-free, fed per distinct key:** the join sketch takes
+//!   `(key, count)` pairs (integer counter updates commute) and HyperLogLog
+//!   takes the distinct keys (registers only grow) — both end up exactly
+//!   where the per-tuple loop leaves them.
+//! * **Still per tuple, in arrival order:** the top-k tracker's candidate
+//!   bump / counter increment / median / admission / eviction, and KLL's
+//!   inserts and compactions, because what they do with a tuple depends on
+//!   the tuples before it.
+//!
+//! The invariant all of it keeps: **state is a function of the tuple
+//! sequence, never of call boundaries** — `encode()` after `update_batch`
+//! equals `encode()` after the per-key `update` loop, however a shard
+//! worker's coalescing cut the stream into calls
+//! (`tests/batch_properties.rs` pins it byte for byte).
+//!
 //! Construction goes through a [`MultiSpec`], which freezes the random
 //! seeds of all four constituents: any two summaries minted from the same
 //! spec (or cloned from each other) are mergeable, which is exactly the
@@ -145,9 +170,9 @@ impl MultiSummary {
     }
 }
 
-/// Fan-out ingestion: every constituent absorbs the same tuples, each
-/// with its own batch kernel, so `update_batch` stays bit-identical to
-/// the per-key loop part by part.
+/// Fan-out ingestion: every constituent absorbs the same tuples, and
+/// `update_batch` leaves each of them bit-identical to the per-key loop —
+/// see the module docs for what the batch path shares.
 ///
 /// A failed `merge_from` (mismatched specs) can leave earlier
 /// constituents merged and later ones not — discard `self` on error;
@@ -161,10 +186,17 @@ impl Summary for MultiSummary {
     }
 
     fn update_batch(&mut self, keys: &[u64]) {
-        Summary::update_batch(&mut self.join, keys);
-        Summary::update_batch(&mut self.topk, keys);
-        Summary::update_batch(&mut self.distinct, keys);
-        Summary::update_batch(&mut self.quantiles, keys);
+        let Self {
+            join,
+            topk,
+            distinct,
+            quantiles,
+        } = self;
+        topk.offer_batch_with(keys, |runs, chunk| {
+            join.update_batch_counts(runs.items());
+            distinct.insert_batch(runs.keys());
+            quantiles.insert_batch(chunk);
+        });
     }
 
     fn merge_from(&mut self, other: &Self) -> Result<()> {

@@ -37,9 +37,13 @@ pub const MIN_K: usize = 8;
 /// Capacity decay ratio between adjacent compactor levels.
 const DECAY: f64 = 2.0 / 3.0;
 
+/// Most levels a summary can hold: level `h` carries weight `2^h` and the
+/// total weight is a `u64`.
+const MAX_LEVELS: usize = 64;
+
 /// A KLL quantile summary over `u64` values with seeded, reproducible
 /// compaction randomness.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct KllSketch {
     /// `compactors[h]` holds items of weight `2^h`, unsorted between
     /// compactions.
@@ -53,9 +57,80 @@ pub struct KllSketch {
     /// maintained incrementally so the per-insert overflow check is O(1)
     /// instead of an O(levels) walk.
     stored: usize,
-    /// Cached `Σ capacity(h)`; changes only when the level count does
-    /// (capacities are keyed off the distance from the *top* level).
+    /// `capacities[h]`: how many items level `h` may hold before it is
+    /// compacted. Keyed off the distance from the *top* level, so the
+    /// table is rebuilt when (and only when) the level count changes.
+    capacities: Vec<usize>,
+    /// Cached `Σ capacities`.
     cap_total: usize,
+}
+
+// Persistence: the levels, `k`, the weight and the coin. `stored` and
+// `cap_total` are written because format 1 has always carried them, but
+// they are caches: decoding recomputes them (and the capacity table) from
+// the levels, and refuses levels that could not have come from a summary.
+impl serde::Serialize for KllSketch {
+    fn serialize<S: serde::Serializer>(
+        &self,
+        serializer: S,
+    ) -> std::result::Result<S::Ok, S::Error> {
+        use serde::ser::SerializeStruct;
+        let mut st = serializer.serialize_struct("KllSketch", 6)?;
+        st.serialize_field("compactors", &self.compactors)?;
+        st.serialize_field("k", &self.k)?;
+        st.serialize_field("n", &self.n)?;
+        st.serialize_field("coin", &self.coin)?;
+        st.serialize_field("stored", &self.stored)?;
+        st.serialize_field("cap_total", &self.cap_total)?;
+        st.end()
+    }
+}
+
+impl<'de> serde::Deserialize<'de> for KllSketch {
+    fn deserialize<D: serde::Deserializer<'de>>(
+        deserializer: D,
+    ) -> std::result::Result<Self, D::Error> {
+        #[derive(serde::Deserialize)]
+        struct Repr {
+            compactors: Vec<Vec<u64>>,
+            k: usize,
+            n: u64,
+            coin: u64,
+        }
+        let repr = Repr::deserialize(deserializer)?;
+        if repr.k < MIN_K {
+            return Err(serde::de::Error::custom("KLL k is below the minimum"));
+        }
+        if repr.compactors.is_empty() || repr.compactors.len() > MAX_LEVELS {
+            return Err(serde::de::Error::invalid_length(
+                repr.compactors.len(),
+                &"between 1 and 64 KLL levels",
+            ));
+        }
+        let weight = repr
+            .compactors
+            .iter()
+            .enumerate()
+            .try_fold(0u64, |sum, (h, level)| {
+                sum.checked_add((level.len() as u64).checked_mul(1 << h)?)
+            });
+        if weight != Some(repr.n) {
+            return Err(serde::de::Error::custom(
+                "KLL weight does not match its levels",
+            ));
+        }
+        let mut s = Self {
+            stored: repr.compactors.iter().map(Vec::len).sum(),
+            compactors: repr.compactors,
+            k: repr.k,
+            n: repr.n,
+            coin: repr.coin,
+            capacities: Vec::new(),
+            cap_total: 0,
+        };
+        s.reprice();
+        Ok(s)
+    }
 }
 
 #[inline]
@@ -95,9 +170,10 @@ impl KllSketch {
             n: 0,
             coin: seed,
             stored: 0,
+            capacities: Vec::new(),
             cap_total: 0,
         };
-        s.cap_total = s.total_capacity();
+        s.reprice();
         Ok(s)
     }
 
@@ -122,16 +198,21 @@ impl KllSketch {
         self.stored
     }
 
-    /// Capacity of level `h` when `levels` levels exist: `k` at the top,
-    /// decaying by 2/3 per level downward, floored at 2.
-    fn capacity(&self, h: usize, levels: usize) -> usize {
-        let depth = (levels - 1 - h) as i32;
-        ((self.k as f64 * DECAY.powi(depth)).ceil() as usize).max(2)
-    }
-
-    fn total_capacity(&self) -> usize {
+    /// Rebuild the capacity table for the current level count: `k` at the
+    /// top, decaying by 2/3 per level downward, floored at 2.
+    fn reprice(&mut self) {
         let levels = self.compactors.len();
-        (0..levels).map(|h| self.capacity(h, levels)).sum()
+        let k = self.k as f64;
+        self.capacities.clear();
+        self.capacities.extend((0..levels).map(|h| {
+            let depth = (levels - 1 - h) as i32;
+            ((k * DECAY.powi(depth)).ceil() as usize).max(2)
+        }));
+        // Saturating: a decoded `k` may be anything from `MIN_K` up.
+        self.cap_total = self
+            .capacities
+            .iter()
+            .fold(0, |sum, &c| sum.saturating_add(c));
     }
 
     /// Observe one value.
@@ -145,10 +226,24 @@ impl KllSketch {
         }
     }
 
-    /// Observe every value in the batch.
-    pub fn insert_batch(&mut self, values: &[u64]) {
-        for &v in values {
-            self.insert(v);
+    /// Observe every value in the batch: level 0 takes as many values at
+    /// once as fit before the next compaction, so the compaction sequence
+    /// — and with it the coin sequence and every stored item — is that of
+    /// the per-value [`insert`](Self::insert) loop.
+    pub fn insert_batch(&mut self, mut values: &[u64]) {
+        while !values.is_empty() {
+            // The value that makes `stored` exceed `cap_total` is the one
+            // `insert` compacts after. (Saturating twice: a decoded summary
+            // may be overfull, and a decoded `k` may saturate `cap_total`.)
+            let room = self.cap_total.saturating_sub(self.stored).saturating_add(1);
+            let (now, later) = values.split_at(room.min(values.len()));
+            self.compactors[0].extend_from_slice(now);
+            self.n += now.len() as u64;
+            self.stored += now.len();
+            if self.stored > self.cap_total {
+                self.compress();
+            }
+            values = later;
         }
     }
 
@@ -161,32 +256,35 @@ impl KllSketch {
     /// Compact the lowest overfull level until the structure fits. Levels
     /// are sorted before compaction, so the surviving *set* depends only on
     /// the level's multiset content and the coin state — the property that
-    /// makes [`merge`](KllSketch::merge) commutative.
+    /// makes [`merge`](KllSketch::merge) commutative. Compaction is in
+    /// place: the level keeps its buffer, and its odd leftover if it has
+    /// one.
     fn compress(&mut self) {
         while self.stored > self.cap_total {
-            let levels = self.compactors.len();
-            let Some(h) =
-                (0..levels).find(|&h| self.compactors[h].len() > self.capacity(h, levels))
+            let Some(h) = self
+                .compactors
+                .iter()
+                .zip(&self.capacities)
+                .position(|(level, &capacity)| level.len() > capacity)
             else {
                 break;
             };
             if h + 1 == self.compactors.len() {
                 self.compactors.push(Vec::new());
-                // Every level's capacity is keyed off its distance from
-                // the top, so a new top level reprices all of them.
-                self.cap_total = self.total_capacity();
-            }
-            let mut level = std::mem::take(&mut self.compactors[h]);
-            level.sort_unstable();
-            // Odd leftover keeps its weight by staying at this level.
-            let even = level.len() & !1;
-            if even < level.len() {
-                self.compactors[h].push(level[even]);
+                self.reprice();
             }
             let offset = self.next_offset();
-            let promoted = level[..even].iter().skip(offset).step_by(2);
-            for &v in promoted {
-                self.compactors[h + 1].push(v);
+            let (lower, upper) = self.compactors.split_at_mut(h + 1);
+            let (level, above) = (&mut lower[h], &mut upper[0]);
+            level.sort_unstable();
+            let even = level.len() & !1;
+            above.extend(level[..even].iter().skip(offset).step_by(2));
+            // Odd leftover keeps its weight by staying at this level.
+            if even < level.len() {
+                level[0] = level[even];
+                level.truncate(1);
+            } else {
+                level.clear();
             }
             // `even` items compacted into `even / 2` survivors.
             self.stored -= even / 2;
@@ -213,7 +311,7 @@ impl KllSketch {
         self.n += other.n;
         self.stored += other.stored;
         self.coin ^= other.coin;
-        self.cap_total = self.total_capacity();
+        self.reprice();
         self.compress();
         Ok(())
     }

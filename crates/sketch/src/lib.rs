@@ -58,6 +58,7 @@ pub mod hll;
 pub mod kll;
 pub mod multiway;
 pub(crate) mod rowkernel;
+mod runs;
 pub mod topk;
 
 /// Keys per stack-buffered chunk of the batched update kernels: large
@@ -73,6 +74,7 @@ pub use fagms::{FagmsSchema, FagmsSketch};
 pub use hll::HyperLogLog;
 pub use kll::KllSketch;
 pub use multiway::{chain_join, BinarySketch, MultiwaySchema, UnarySketch};
+pub use runs::KeyRuns;
 pub use topk::{CountSketchTopK, HeavyHitters, MisraGries};
 
 /// Common behaviour of all linear sketches in this crate.

@@ -33,8 +33,9 @@
 //! sequential top-k.
 
 use crate::error::{Error, Result};
-use crate::fagms::{FagmsSchema, FagmsSketch};
+use crate::fagms::{FagmsSchema, FagmsSketch, RowCells};
 use crate::fasthash::KeyHashMap;
+use crate::runs::KeyRuns;
 use crate::Sketch;
 use sss_xi::{BucketFamily, DefaultBucket, DefaultSign, SignFamily};
 
@@ -48,7 +49,13 @@ pub trait HeavyHitters: Clone {
 
     /// Record one occurrence of every key in the batch — semantically
     /// `for &k in keys { self.offer(k, 1) }`, and implementations must
-    /// leave state identical to that loop.
+    /// leave state identical to that loop: the same counters, the same
+    /// candidates with the same running estimates, and the same behaviour
+    /// on every later offer. What an override may share across the batch is
+    /// whatever depends on a key alone (its hashes); whatever depends on
+    /// what arrived before (admission, eviction, the estimate a key is
+    /// admitted with) stays per tuple, in arrival order. State must be a
+    /// function of the tuple sequence, never of how it was cut into calls.
     fn offer_batch(&mut self, keys: &[u64]) {
         for &key in keys {
             self.offer(key, 1);
@@ -316,10 +323,22 @@ pub struct CountSketchTopK<S = DefaultSign, B = DefaultBucket> {
     min_est: f64,
     min_dirty: bool,
     offered: u64,
+    /// Buffers of the batch path. Not state: never cloned, serialized or
+    /// compared, and empty until the first batch.
+    scratch: Scratch,
+}
+
+/// What [`CountSketchTopK::offer_batch_with`] reuses from call to call.
+#[derive(Debug, Default)]
+struct Scratch {
+    runs: KeyRuns,
+    cells: RowCells,
+    per_row: Vec<f64>,
 }
 
 // Manual impl, like the sketch's: the families sit behind the schema's
-// `Arc`, so `S: Clone`/`B: Clone` are not required.
+// `Arc`, so `S: Clone`/`B: Clone` are not required. A clone starts with
+// empty scratch.
 impl<S, B> Clone for CountSketchTopK<S, B> {
     fn clone(&self) -> Self {
         Self {
@@ -330,6 +349,7 @@ impl<S, B> Clone for CountSketchTopK<S, B> {
             min_est: self.min_est,
             min_dirty: self.min_dirty,
             offered: self.offered,
+            scratch: Scratch::default(),
         }
     }
 }
@@ -406,6 +426,7 @@ where
             min_est: f64::INFINITY,
             min_dirty: true,
             offered: repr.offered,
+            scratch: Scratch::default(),
         })
     }
 }
@@ -429,6 +450,7 @@ impl<S: SignFamily, B: BucketFamily> CountSketchTopK<S, B> {
             min_est: f64::INFINITY,
             min_dirty: true,
             offered: 0,
+            scratch: Scratch::default(),
         })
     }
 
@@ -456,6 +478,74 @@ impl<S: SignFamily, B: BucketFamily> CountSketchTopK<S, B> {
         }
         self.min_dirty = false;
     }
+
+    /// The admission test of a non-candidate `key` whose post-update point
+    /// estimate is `est`: take a free slot, or evict the weakest candidate
+    /// if `est` beats it.
+    fn admit(&mut self, key: u64, est: f64) {
+        if self.candidates.len() < self.capacity {
+            self.candidates.insert(key, est);
+            self.min_dirty = true;
+            return;
+        }
+        if self.min_dirty {
+            self.recompute_min();
+        }
+        if est > self.min_est {
+            self.candidates.remove(&self.min_key);
+            self.candidates.insert(key, est);
+            self.recompute_min();
+        }
+    }
+
+    /// [`offer_batch`](HeavyHitters::offer_batch), sharing the batch's
+    /// deduplication: `keys` is cut into chunks, each chunk is reduced to
+    /// its [`KeyRuns`] and offered, and `each` then sees the runs next to
+    /// the chunk's raw tuples — so summaries fed from the same batch
+    /// (`sss-core`'s `MultiSummary`) take their order-free updates per
+    /// distinct key without deduplicating again.
+    ///
+    /// Every row's sign and bucket is evaluated once per *distinct* key of
+    /// a chunk; the tuples are then walked in arrival order, each doing
+    /// exactly what [`offer`](HeavyHitters::offer) does — candidate bump or
+    /// counter increments, median, admission, eviction — against the
+    /// memoised cells. Counters, candidates, running estimates and the
+    /// min-cache therefore pass through the same states as under the
+    /// per-key loop, whatever the chunking and however the stream was cut
+    /// into calls.
+    pub fn offer_batch_with(&mut self, keys: &[u64], mut each: impl FnMut(&KeyRuns, &[u64])) {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let Scratch {
+            runs,
+            cells,
+            per_row,
+        } = &mut scratch;
+        let depth = self.sketch.schema().depth();
+        per_row.resize(depth, 0.0);
+        runs.for_each_chunk(keys, |runs, chunk| {
+            let distinct = runs.keys();
+            self.sketch.hash_cells(distinct, cells);
+            let cells = cells.cells();
+            self.offered += chunk.len() as u64;
+            for &position in runs.index() {
+                let position = usize::from(position);
+                let key = distinct[position];
+                let cells = &cells[position * depth..(position + 1) * depth];
+                if let Some(est) = self.candidates.get_mut(&key) {
+                    *est += 1.0;
+                    self.sketch.bump(cells);
+                    if key == self.min_key {
+                        self.min_dirty = true;
+                    }
+                } else {
+                    let est = self.sketch.bump_and_query(cells, per_row);
+                    self.admit(key, est);
+                }
+            }
+            each(runs, chunk);
+        });
+        self.scratch = scratch;
+    }
 }
 
 impl<S: SignFamily, B: BucketFamily> HeavyHitters for CountSketchTopK<S, B> {
@@ -481,19 +571,11 @@ impl<S: SignFamily, B: BucketFamily> HeavyHitters for CountSketchTopK<S, B> {
         // estimate anyway, so the fused sketch op computes each row's
         // hashes once (state identical to update-then-query).
         let est = self.sketch.update_and_query(key, count);
-        if self.candidates.len() < self.capacity {
-            self.candidates.insert(key, est);
-            self.min_dirty = true;
-            return;
-        }
-        if self.min_dirty {
-            self.recompute_min();
-        }
-        if est > self.min_est {
-            self.candidates.remove(&self.min_key);
-            self.candidates.insert(key, est);
-            self.recompute_min();
-        }
+        self.admit(key, est);
+    }
+
+    fn offer_batch(&mut self, keys: &[u64]) {
+        self.offer_batch_with(keys, |_, _| {});
     }
 
     /// Sketch counters add entry-wise (linearity); candidate sets union,

@@ -1230,8 +1230,14 @@ fn shard_worker<E: Summary>(
     // otherwise pay that per 512-tuple producer batch). Snapshot floors are
     // unaffected: the local `applied` advances past a floor in one jump
     // after the update lands, and a floor is a minimum, never an
-    // exact-prefix request. Coalescing is bounded by the ring capacity, so
-    // requests arriving mid-drain wait at most one queue depth of work.
+    // exact-prefix request. Coalescing is NOT bounded by the ring capacity:
+    // the loop below keeps popping while the producer keeps refilling, so a
+    // producer that never waits for an answer makes the run — and `first`,
+    // and what a request arriving mid-drain waits for — grow with the
+    // stream (ledger/README.md, "Unbounded coalescing": 2^27 push-only
+    // tuples became one 1 GiB buffer, and a recycled buffer keeps the
+    // capacity of the longest run it ever headed). `queue_depth` bounds the
+    // ring, not the run; capping the run is ROADMAP item 6.
     // The atomic gauge counter is bumped per *pop* (not per apply): the
     // producer refills slots the drain frees, and counting claimed buffers
     // as still-queued would let `accepted − applied` read up to twice the

@@ -2,14 +2,24 @@
 //! `update_batch_counts` must be bit-identical to the sequential per-key
 //! path for every sketch backend and ξ family combination, and the
 //! skip-sampled `feed_batch` must reproduce `observe` exactly.
+//!
+//! The order-dependent summaries are held to the same bar by *state*, not
+//! by answers: the hash-once top-k batch path, the in-place KLL batch path
+//! and the `MultiSummary` fan-out that shares one deduplication between
+//! its parts must leave the bytes `encode()` writes equal to the per-key
+//! loop's, however the stream is cut into calls.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
+use rand::Rng;
 use rand::SeedableRng;
 use sketch_sampled_streams::core::sketch::JoinSchema;
-use sketch_sampled_streams::core::Sampled;
-use sketch_sampled_streams::sketch::{AgmsSchema, CountMinSchema, FagmsSchema, Sketch};
-use sketch_sampled_streams::xi::{Cw2, Cw2Bucket, Cw4, Eh3, Tabulation};
+use sketch_sampled_streams::core::{MultiSpec, Portable, Sampled, Summary};
+use sketch_sampled_streams::sketch::topk::HeavyHitters;
+use sketch_sampled_streams::sketch::{
+    AgmsSchema, CountMinSchema, CountSketchTopK, FagmsSchema, KllSketch, Sketch,
+};
+use sketch_sampled_streams::xi::{BucketFamily, Cw2, Cw2Bucket, Cw4, Eh3, SignFamily, Tabulation};
 
 fn stream() -> impl Strategy<Value = Vec<u64>> {
     prop::collection::vec(any::<u64>(), 1..400)
@@ -47,8 +57,140 @@ fn check_counted_batch<S: Sketch>(
     batched.update_batch_counts(&items[split..]);
 }
 
+/// The batch paths' private chunk size (`sss_sketch::runs`): the lengths
+/// below straddle it.
+const CHUNK: usize = 2048;
+const LENGTHS: [usize; 6] = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7];
+
+/// A skewed stream over `domain` keys (cubing a uniform draw piles the
+/// mass on the small keys), so chunks repeat keys and a small candidate
+/// set keeps admitting and evicting.
+fn skewed(len: usize, domain: u64, rng: &mut StdRng) -> Vec<u64> {
+    (0..len)
+        .map(|_| (domain as f64 * rng.random::<f64>().powi(3)) as u64)
+        .collect()
+}
+
+/// Hand `keys` to `call` in slices of `cut`, `2·cut + 1`, `cut`, … keys —
+/// call boundaries that fall anywhere relative to the chunk size.
+fn in_calls(keys: &[u64], cut: usize, mut call: impl FnMut(&[u64])) {
+    let mut rest = keys;
+    let mut wide = false;
+    while !rest.is_empty() {
+        let take = if wide { 2 * cut + 1 } else { cut }.min(rest.len());
+        call(&rest[..take]);
+        rest = &rest[take..];
+        wide = !wide;
+    }
+}
+
+/// `offer_batch` (in arbitrary calls) against the per-key `offer` loop:
+/// same counters, same candidates with the same estimate bits, same
+/// `items_offered` — and, so that a stale min-cache would show, the same
+/// again after 100 further per-key offers on both sides.
+fn check_topk_batch<S, B>(depth: usize, keys: &[u64], cut: usize, rng: &mut StdRng)
+where
+    S: SignFamily,
+    B: BucketFamily,
+    CountSketchTopK<S, B>: Portable,
+{
+    let schema = FagmsSchema::<S, B>::new(depth, 61, rng);
+    // Far fewer candidate slots than distinct keys.
+    let mut scalar = CountSketchTopK::new(&schema, 8).unwrap();
+    let mut batched = scalar.clone();
+    for &k in keys {
+        scalar.offer(k, 1);
+    }
+    in_calls(keys, cut, |call| batched.offer_batch(call));
+    let tail = skewed(100, 500, rng);
+    for round in 0..2 {
+        for r in 0..depth {
+            assert_eq!(scalar.sketch().row(r), batched.sketch().row(r), "row {r}");
+        }
+        assert_eq!(scalar.items_offered(), batched.items_offered());
+        assert_eq!(
+            scalar.encode().unwrap(),
+            batched.encode().unwrap(),
+            "candidates or estimates diverged (round {round})"
+        );
+        for &k in &tail {
+            scalar.offer(k, 1);
+            batched.offer(k, 1);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Top-k: hashing once per distinct key and deciding once per tuple
+    /// passes through exactly the states of the per-key loop — for the
+    /// polynomial default pair and for a pair with no polynomial form
+    /// (EH3 signs, tabulation buckets) at a depth past the median's
+    /// comparison networks.
+    #[test]
+    fn topk_offer_batch_matches_offer_loop(length in 0usize..6, cut in 1usize..3000, seed: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let keys = skewed(LENGTHS[length], 500, &mut rng);
+        check_topk_batch::<Cw4, Cw2Bucket>(5, &keys, cut, &mut rng);
+        check_topk_batch::<Eh3, Tabulation>(7, &keys, cut, &mut rng);
+    }
+
+    /// KLL: `insert_batch` fills level 0 up to the next compaction in one
+    /// go and compacts in place, yet stores what the `insert` loop stores
+    /// and flips the same coins — also when the summary was encoded and
+    /// decoded (caches recomputed) half way through.
+    #[test]
+    fn kll_insert_batch_matches_insert_loop(
+        length in 0usize..6,
+        k in 8usize..40,
+        cut in 1usize..3000,
+        seed: u64,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let values: Vec<u64> = (0..LENGTHS[length]).map(|_| rng.random()).collect();
+        let mut scalar = KllSketch::with_seed(k, seed).unwrap();
+        for &v in &values {
+            scalar.insert(v);
+        }
+        let mut batched = KllSketch::with_seed(k, seed).unwrap();
+        in_calls(&values, cut, |call| batched.insert_batch(call));
+        prop_assert_eq!(scalar.encode().unwrap(), batched.encode().unwrap());
+
+        let (before, after) = values.split_at(values.len() / 2);
+        let mut resumed = KllSketch::with_seed(k, seed).unwrap();
+        resumed.insert_batch(before);
+        let mut resumed = KllSketch::decode(&resumed.encode().unwrap()).unwrap();
+        resumed.insert_batch(after);
+        prop_assert_eq!(scalar.encode().unwrap(), resumed.encode().unwrap());
+    }
+
+    /// The composite: one deduplication per chunk feeds the join sketch
+    /// (distinct keys with counts), the top-k tracker (memoised hashes),
+    /// HyperLogLog (distinct keys) and KLL (raw tuples), and every part
+    /// ends up byte for byte where per-key `update` leaves it — on both
+    /// join backends.
+    #[test]
+    fn multi_update_batch_matches_update_loop(length in 0usize..6, cut in 1usize..3000, seed: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let keys = skewed(LENGTHS[length], 700, &mut rng);
+        let join = if seed % 2 == 0 {
+            JoinSchema::fagms(2, 61, &mut rng)
+        } else {
+            JoinSchema::agms(8, &mut rng)
+        };
+        let spec = MultiSpec::new(join, &mut rng)
+            .top_k(FagmsSchema::new(3, 61, &mut rng), 8)
+            .distinct_precision(4)
+            .quantile_k(8);
+        let mut scalar = spec.summary().unwrap();
+        for &k in &keys {
+            scalar.update(k, 1);
+        }
+        let mut batched = spec.summary().unwrap();
+        in_calls(&keys, cut, |call| batched.update_batch(call));
+        prop_assert_eq!(scalar.encode().unwrap(), batched.encode().unwrap());
+    }
 
     /// AGMS: the family-major `sign_sum` kernel is bit-identical to the
     /// per-key loop for both a polynomial (CW4) and a non-polynomial

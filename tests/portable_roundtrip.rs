@@ -4,7 +4,9 @@
 //! memory — the property the multi-process aggregation path
 //! (`sss save` | `sss merge-snapshots`) and the slim replica exchange
 //! rest on. Plus the typed failure modes: mismatched configuration
-//! fingerprints refuse to merge, foreign kinds refuse to decode.
+//! fingerprints refuse to merge, foreign kinds refuse to decode, and a
+//! KLL body that no summary could have written refuses to decode while
+//! every body that does decode is safe to keep using.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -180,4 +182,128 @@ fn mismatched_fingerprints_refuse_with_typed_errors() {
     assert_eq!(head.kind, JoinSketch::KIND);
     assert_eq!(head.format, JoinSketch::FORMAT);
     assert_eq!(head.fingerprint, Portable::fingerprint(&a));
+}
+
+/// A KLL body as format 1 writes it, every field the forger's to choose.
+fn kll_body(levels: &str, k: u64, n: u64, stored: u64, cap_total: u64) -> String {
+    format!(
+        "{{\"compactors\":{levels},\"k\":{k},\"n\":{n},\"coin\":7,\
+         \"stored\":{stored},\"cap_total\":{cap_total}}}"
+    )
+}
+
+/// `body` in a `kll` envelope.
+fn kll_envelope(body: &str) -> Vec<u8> {
+    let fingerprint = KllSketch::with_seed(8, 0).unwrap().fingerprint();
+    format!("{{\"kind\":\"kll\",\"format\":1,\"fingerprint\":{fingerprint},\"body\":{body}}}")
+        .into_bytes()
+}
+
+/// `body` where an honest `multi` envelope carries its quantile part (the
+/// last field of its body).
+fn multi_envelope(body: &str) -> Vec<u8> {
+    let mut rng = StdRng::seed_from_u64(407);
+    let spec = MultiSpec::new(JoinSchema::fagms(2, 32, &mut rng), &mut rng).quantile_k(8);
+    let honest = String::from_utf8(spec.summary().unwrap().encode().unwrap()).unwrap();
+    let at = honest
+        .find("\"quantiles\":")
+        .expect("multi body names its parts");
+    format!("{}\"quantiles\":{body}}}}}", &honest[..at]).into_bytes()
+}
+
+/// Every shape the KLL decode refuses comes back as the typed wire error,
+/// from the summary's own envelope and from inside a composite's.
+#[test]
+fn hostile_kll_bodies_refuse_with_typed_errors() {
+    let sixty_five_levels = format!("[{}]", vec!["[]"; 65].join(","));
+    let refused = [
+        ("no levels", kll_body("[]", 8, 0, 0, 0)),
+        ("k below the minimum", kll_body("[[1,2]]", 7, 2, 2, 2)),
+        (
+            "more than 64 levels",
+            kll_body(&sixty_five_levels, 8, 0, 0, 0),
+        ),
+        (
+            "weight above the levels'",
+            kll_body("[[1,2],[3]]", 8, 5, 3, 20),
+        ),
+        (
+            "weight below the levels'",
+            kll_body("[[1,2],[3]]", 8, 3, 3, 20),
+        ),
+        (
+            "levels heavier than a u64",
+            kll_body(&format!("[{}[1,2]]", "[],".repeat(63)), 8, 0, 2, 20),
+        ),
+    ];
+    for (what, body) in &refused {
+        let err = KllSketch::decode(&kll_envelope(body)).unwrap_err();
+        assert!(matches!(err, Error::Wire { .. }), "{what}: got {err:?}");
+        let err = MultiSummary::decode(&multi_envelope(body)).unwrap_err();
+        assert!(
+            matches!(err, Error::Wire { .. }),
+            "{what} in multi: got {err:?}"
+        );
+    }
+}
+
+/// `stored` and `cap_total` are caches: a body that lies about them
+/// decodes to the summary its levels describe.
+#[test]
+fn kll_decode_recomputes_its_caches() {
+    let mut honest = KllSketch::with_seed(8, 3).unwrap();
+    honest.insert_batch(&(0..500u64).collect::<Vec<_>>());
+    let text = String::from_utf8(honest.encode().unwrap()).unwrap();
+    let at = text
+        .find("\"stored\":")
+        .expect("format 1 writes its caches");
+    let lying = format!("{}\"stored\":0,\"cap_total\":1000000}}}}", &text[..at]);
+    let mut decoded = KllSketch::decode(lying.as_bytes()).unwrap();
+    assert_eq!(decoded.encode().unwrap(), text.as_bytes());
+    // ... and therefore keeps compacting where the original would.
+    let more: Vec<u64> = (500..900).collect();
+    decoded.insert_batch(&more);
+    honest.insert_batch(&more);
+    assert_eq!(decoded.encode().unwrap(), honest.encode().unwrap());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Whatever levels a body carries — overfull, out of order, under any
+    /// `k`, with any cached counts — if it decodes, then inserting,
+    /// merging and querying it neither panic nor lose weight.
+    #[test]
+    fn accepted_kll_bodies_are_safe_to_use(
+        levels in prop::collection::vec(prop::collection::vec(any::<u64>(), 0..40), 1..7),
+        small_k in 8u64..64,
+        huge_k: bool,
+        stored: u64,
+        cap_total: u64,
+    ) {
+        let k = if huge_k { u64::MAX } else { small_k };
+        let weight: u64 = levels.iter().enumerate().map(|(h, l)| (l.len() as u64) << h).sum();
+        let text = format!("{levels:?}");
+        let body = kll_body(&text, k, weight, stored, cap_total);
+
+        let mut kll = KllSketch::decode(&kll_envelope(&body)).unwrap();
+        let twin = kll.clone();
+        for v in 0..50 {
+            kll.insert(v);
+        }
+        kll.insert_batch(&(0..3000u64).collect::<Vec<_>>());
+        kll.merge(&twin).unwrap();
+        prop_assert_eq!(kll.len(), 2 * weight + 3050);
+        for q in [0.0, 0.5, 1.0] {
+            kll.raw_quantile(q).unwrap();
+        }
+
+        let mut multi = MultiSummary::decode(&multi_envelope(&body)).unwrap();
+        let twin = multi.clone();
+        multi.update(1, 1);
+        multi.update_batch(&(0..3000u64).collect::<Vec<_>>());
+        multi.merge_from(&twin).unwrap();
+        prop_assert_eq!(multi.stream_len(), 2 * weight + 3001);
+        multi.quantile(0.5).unwrap();
+    }
 }
