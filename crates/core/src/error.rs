@@ -33,12 +33,6 @@ pub enum Error {
         /// The rejected steps-per-decade value (must be ≥ 1).
         steps_per_decade: u32,
     },
-    /// The summary does not support exact retraction
-    /// ([`Summary::retract_from`](crate::Summary::retract_from)):
-    /// callers needing an incremental merge must fall back to a full
-    /// re-merge (see
-    /// [`Summary::supports_retract`](crate::Summary::supports_retract)).
-    RetractUnsupported,
     /// A wire payload could not be encoded or decoded
     /// ([`Portable`](crate::Portable)): malformed bytes, an unsupported
     /// format version, or a serializer refusal.
@@ -103,12 +97,6 @@ impl fmt::Display for Error {
                 write!(
                     f,
                     "rate grid needs at least one step per decade, got {steps_per_decade}"
-                )
-            }
-            Error::RetractUnsupported => {
-                write!(
-                    f,
-                    "estimator does not support exact retraction (supports_retract() is false)"
                 )
             }
             Error::Wire { detail } => {

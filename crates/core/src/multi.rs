@@ -44,10 +44,7 @@
 //! Construction goes through a [`MultiSpec`], which freezes the random
 //! seeds of all four constituents: any two summaries minted from the same
 //! spec (or cloned from each other) are mergeable, which is exactly the
-//! property sharding needs. The composite inherits the *weakest*
-//! retraction guarantee of its parts — HyperLogLog and KLL are monotone,
-//! so `supports_retract()` is honestly `false` and snapshot caches fall
-//! back to full re-merges.
+//! property sharding needs.
 
 use crate::error::Result;
 use crate::sampled::Sampled;
@@ -350,18 +347,6 @@ mod tests {
         let rank = QuantileQuery::rank(&whole, med as u64);
         assert!((rank - 0.5).abs() < 2.0 * QuantileQuery::rank_error(&left));
         assert_eq!(QuantileQuery::stream_len(&left), keys.len() as u64);
-    }
-
-    #[test]
-    fn retraction_honestly_unsupported() {
-        let spec = spec(3);
-        let mut a = spec.summary().unwrap();
-        let b = spec.summary().unwrap();
-        assert!(!Summary::supports_retract(&a));
-        assert!(matches!(
-            Summary::retract_from(&mut a, &b),
-            Err(crate::Error::RetractUnsupported)
-        ));
     }
 
     #[test]

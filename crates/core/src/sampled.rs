@@ -304,11 +304,10 @@ impl<S: Summary> Sampled<S> {
 ///
 /// Insert-only: `update(key, count)` offers `count` independent tuples
 /// (each with its own inclusion draw) and ignores non-positive counts —
-/// retracting tuples that were never sampled is not meaningful.
+/// deleting tuples that were never sampled is not meaningful.
 /// Merging requires equal inclusion probabilities (the union of
 /// independent `Bernoulli(p)` samples of disjoint streams is a
-/// `Bernoulli(p)` sample of their concatenation); retraction is honestly
-/// unsupported, so snapshot caches fall back to full re-merges.
+/// `Bernoulli(p)` sample of their concatenation).
 impl<S: Summary> Summary for Sampled<S> {
     fn update(&mut self, key: u64, count: i64) {
         for _ in 0..count.max(0) {
@@ -866,8 +865,5 @@ mod tests {
             a.merge_from(&c),
             Err(Error::IncompatibleEstimators) | Err(Error::Sketch(_))
         ));
-        // Retraction is honestly unsupported (sample state is not
-        // subtractable), so snapshot caches must full-rebuild.
-        assert!(!Summary::supports_retract(&a));
     }
 }

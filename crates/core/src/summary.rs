@@ -22,7 +22,7 @@
 //!
 //! The capability traits are deliberately **not** subtraits of
 //! [`Summary`]: a query capability describes *answering*, not ingesting,
-//! and the two-stage read path (DESIGN.md §4k) relies on the split. A fat
+//! and the two-stage read path (DESIGN.md §4h) relies on the split. A fat
 //! update-side summary implements `Summary` plus its capabilities; its
 //! [`SlimQuery::slim`] projection is a compact read replica that
 //! implements the same capability traits — answering queries
@@ -66,6 +66,19 @@
 //! use sss_core::ReferenceEpochShedder; // removed: use `sss_core::EpochShedder`
 //! ```
 //!
+//! [`Summary`] has no retraction pair either (a merged view is rebuilt by
+//! merging again; sketch difference is `sss_sketch::Sketch::subtract`):
+//!
+//! ```compile_fail
+//! use sss_core::Summary;
+//! fn gone<S: Summary>(a: &mut S, b: &S) { let _ = a.retract_from(b); }
+//! ```
+//!
+//! ```compile_fail
+//! use sss_core::Summary;
+//! fn gone<S: Summary>(s: &S) -> bool { s.supports_retract() }
+//! ```
+//!
 //! A summary implements whichever capabilities it can actually answer;
 //! [`crate::MultiSummary`] implements all four by fanning one
 //! `update_batch` into a join sketch, a Count-Sketch top-k tracker, a
@@ -85,11 +98,8 @@
 //!   equivalent to summarizing the concatenated streams — bit-identical
 //!   for the linear sketches, guarantee-preserving for the (order-lossy)
 //!   heavy-hitter/quantile summaries — so a sharded runtime can partition
-//!   tuples arbitrarily;
-//! * [`supports_retract`](Summary::supports_retract) gates the snapshot
-//!   cache's delta rebuilds: linear sketches retract exactly, while
-//!   monotone or lossy summaries (HyperLogLog, KLL, Misra–Gries) honestly
-//!   return `false` and the cache falls back to a full re-merge.
+//!   tuples arbitrarily, and its snapshot cache can rebuild a merged view
+//!   by re-merging per-shard clones in shard order.
 //!
 //! Why bit-identity is load-bearing: every pre-redesign query path
 //! (scalar vs typed, scalar vs batched, merged vs single-stream) is pinned
@@ -132,37 +142,6 @@ pub trait Summary: Clone + Send + 'static {
     /// Schema mismatch (different random seeds, or structurally
     /// incompatible summaries) — merged state would be meaningless.
     fn merge_from(&mut self, other: &Self) -> Result<()>;
-
-    /// Whether [`retract_from`](Summary::retract_from) performs an
-    /// **exact** entry-wise inverse of [`merge_from`](Summary::merge_from).
-    ///
-    /// The linear sketch backends store integer counters, so
-    /// `merge_from(new)` after `retract_from(old)` leaves the estimator
-    /// bit-identical to a fresh merge over the updated parts — this is
-    /// what lets a snapshot cache replace one shard's stale contribution
-    /// in O(sketch) instead of re-merging every shard. Defaults to
-    /// `false` so monotone/lossy summaries (HyperLogLog, KLL,
-    /// Misra–Gries) and external implementations honestly opt out and
-    /// callers fall back to a full re-merge.
-    fn supports_retract(&self) -> bool {
-        false
-    }
-
-    /// Entry-wise retraction of a peer previously merged in: afterwards
-    /// `self` summarizes its stream *minus* `other`'s, exactly — the delta
-    /// counterpart of [`merge_from`](Summary::merge_from).
-    ///
-    /// Only meaningful when [`supports_retract`](Summary::supports_retract)
-    /// returns `true`.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::RetractUnsupported`] by default; schema mismatch for the
-    /// linear sketch backends.
-    fn retract_from(&mut self, other: &Self) -> Result<()> {
-        let _ = other;
-        Err(Error::RetractUnsupported)
-    }
 }
 
 /// The capability of answering the paper's join-size queries.
@@ -310,7 +289,7 @@ pub trait QuantileQuery {
 /// [`merge_encoded`](Portable::merge_encoded) refuses payloads whose
 /// fingerprint differs, so only like-configured summaries ever merge.
 ///
-/// Versioning rules (DESIGN.md §4k): a field *added* to a body bumps
+/// Versioning rules (DESIGN.md §4h): a field *added* to a body bumps
 /// [`FORMAT`](Portable::FORMAT) only if old decoders would misread the
 /// payload — the deserializer ignores unknown fields, so purely additive
 /// optional state keeps the version; renames, removals, and semantic
@@ -381,11 +360,12 @@ pub trait Portable: Sized {
 /// — medians-of-means lanes for the join sketches, the candidate scores
 /// for top-k — instead of the full counter matrix. Slim states are *not*
 /// mergeable (lane aggregates don't add: `(a+b)² ≠ a² + b²`), so
-/// projection always happens **after** fat merging; the read path ships
-/// `encode()`d slim bytes to replicas, never the reverse.
-pub trait SlimQuery: Summary + Portable {
+/// projection always happens **after** fat merging. In-process readers
+/// share one projection behind an `Arc` (hence `Sync`); a slim type that
+/// is also [`Portable`] can be shipped to another process, never merged.
+pub trait SlimQuery: Summary {
     /// The compact read-replica form.
-    type Slim: Portable + Clone + Send + 'static;
+    type Slim: Clone + Send + Sync + 'static;
 
     /// Project the current state to its read-replica form.
     fn slim(&self) -> Self::Slim;
@@ -405,14 +385,6 @@ where
 
     fn merge_from(&mut self, other: &Self) -> Result<()> {
         Ok(self.merge(other)?)
-    }
-
-    fn supports_retract(&self) -> bool {
-        true
-    }
-
-    fn retract_from(&mut self, other: &Self) -> Result<()> {
-        Ok(self.subtract(other)?)
     }
 }
 
@@ -453,14 +425,6 @@ where
     fn merge_from(&mut self, other: &Self) -> Result<()> {
         Ok(self.merge(other)?)
     }
-
-    fn supports_retract(&self) -> bool {
-        true
-    }
-
-    fn retract_from(&mut self, other: &Self) -> Result<()> {
-        Ok(self.subtract(other)?)
-    }
 }
 
 impl<S, B> JoinQuery for FagmsSketch<S, B>
@@ -500,14 +464,6 @@ where
     fn merge_from(&mut self, other: &Self) -> Result<()> {
         Ok(self.merge(other)?)
     }
-
-    fn supports_retract(&self) -> bool {
-        true
-    }
-
-    fn retract_from(&mut self, other: &Self) -> Result<()> {
-        Ok(self.subtract(other)?)
-    }
 }
 
 impl<B> JoinQuery for CountMinSketch<B>
@@ -543,14 +499,6 @@ impl Summary for JoinSketch {
     fn merge_from(&mut self, other: &Self) -> Result<()> {
         self.merge(other)
     }
-
-    fn supports_retract(&self) -> bool {
-        true
-    }
-
-    fn retract_from(&mut self, other: &Self) -> Result<()> {
-        self.subtract(other)
-    }
 }
 
 impl JoinQuery for JoinSketch {
@@ -574,8 +522,7 @@ impl JoinQuery for JoinSketch {
 /// Heavy-hitter summaries shard like sketches do — merge via the
 /// Agarwal-et-al. summary merge — but answer top-k queries, not joins.
 /// Insert-only: non-positive counts are dropped by [`MisraGries`] (see its
-/// docs). Merging subtracts candidate mass irreversibly, so retraction is
-/// honestly unsupported.
+/// docs).
 impl Summary for MisraGries {
     fn update(&mut self, key: u64, count: i64) {
         self.offer(key, count);
@@ -642,8 +589,7 @@ where
 
 /// Distinct counting is duplicate-insensitive, so `update` treats any
 /// positive count as one occurrence of the key and ignores deletions —
-/// registers only ever grow (which is also why retraction is honestly
-/// unsupported and sharded snapshots fall back to full re-merges).
+/// registers only ever grow.
 impl Summary for HyperLogLog {
     fn update(&mut self, key: u64, count: i64) {
         if count > 0 {
@@ -678,7 +624,7 @@ impl DistinctQuery for HyperLogLog {
 
 /// Quantile summaries weight a key by its multiplicity, so `update` with
 /// `count > 1` inserts the key that many times; deletions are ignored
-/// (compaction discards items irreversibly — no retraction).
+/// (compaction discards items irreversibly).
 impl Summary for KllSketch {
     fn update(&mut self, key: u64, count: i64) {
         for _ in 0..count.max(0) {
@@ -765,25 +711,6 @@ mod tests {
         assert!(e.chebyshev(0.95).unwrap().contains(e.value));
         let ej = scalar.size_of_join_estimate(&scalar).unwrap();
         assert_eq!(ej.value.to_bits(), sj.to_bits());
-        // Retraction is the exact inverse of merge for every linear
-        // backend: retract(old) then merge(new) lands bit-identically on
-        // the fresh merge — the delta-rebuild contract the sharded
-        // runtime's snapshot cache relies on.
-        assert!(scalar.supports_retract());
-        let mut merged = make();
-        merged.merge_from(&left).unwrap(); // left already holds the union
-        let mut grown = make();
-        Summary::update_batch(&mut grown, &keys);
-        Summary::update_batch(&mut grown, &[1, 2, 3]);
-        merged.retract_from(&left).unwrap();
-        merged.merge_from(&grown).unwrap();
-        let mut fresh = make();
-        fresh.merge_from(&grown).unwrap();
-        assert_eq!(
-            JoinQuery::self_join(&merged).to_bits(),
-            JoinQuery::self_join(&fresh).to_bits(),
-            "retract + merge must equal a fresh merge exactly"
-        );
     }
 
     #[test]
@@ -838,13 +765,6 @@ mod tests {
         }
         let mut e = ExactCounter(Default::default());
         e.update_batch(&[1, 1, 2, 3]);
-        // The delta-merge defaults: external implementors honestly report
-        // that retraction is unsupported and the method errors.
-        assert!(!e.supports_retract());
-        assert!(matches!(
-            e.clone().retract_from(&e),
-            Err(crate::Error::RetractUnsupported)
-        ));
         let est = e.self_join_estimate();
         assert_eq!(est.value, e.self_join());
         assert!(est.variance.is_infinite());
@@ -881,7 +801,7 @@ mod tests {
     }
 
     /// HyperLogLog rides the ingestion contract: duplicate-insensitive
-    /// updates, union merges, honest retraction refusal, analytic error.
+    /// updates, union merges, analytic error.
     #[test]
     fn distinct_capability_over_hyperloglog() {
         let mut h = HyperLogLog::with_seed(12, 99).unwrap();
@@ -893,12 +813,6 @@ mod tests {
         assert_eq!(est.value.to_bits(), h.raw_distinct().to_bits());
         assert!((est.value - 5_000.0).abs() / 5_000.0 < 5.0 * h.relative_std_error());
         assert!(est.variance.is_finite() && est.variance > 0.0);
-        // No retraction: honest refusal, so delta rebuilds cannot lie.
-        assert!(!Summary::supports_retract(&h));
-        assert!(matches!(
-            Summary::retract_from(&mut h.clone(), &h),
-            Err(Error::RetractUnsupported)
-        ));
     }
 
     /// KLL rides the ingestion contract with weight-aware updates, and its
@@ -917,7 +831,6 @@ mod tests {
         assert!(lo <= median && median <= hi);
         let true_rank = QuantileQuery::rank(&s, median as u64);
         assert!((true_rank - 0.5).abs() < 2.0 * QuantileQuery::rank_error(&s));
-        assert!(!Summary::supports_retract(&s));
         assert!(QuantileQuery::quantile(&s, 1.4).is_err());
     }
 }

@@ -17,8 +17,9 @@
 //!   windows of every client rather than buffering unboundedly.
 //! * The **query thread** owns a [`ReadReplica`] opened from the
 //!   runtime's query handle and a second poller over the query
-//!   listener. Queries are answered from the local slim projection
-//!   (single-flight refresh through the shared frame hub), so a slow
+//!   listener. Every query line refreshes the replica once and is
+//!   answered from that one slim projection (single-flight refresh
+//!   through the shared frame hub, adopted by pointer), so a slow
 //!   or chatty query client never blocks ingest, and sustained ingest
 //!   costs a query only the staleness the replica's `max_pending`
 //!   budget allows — with the estimate's error bar widened to match.
@@ -34,7 +35,7 @@ use crate::error::{NetError, Result};
 use crate::protocol::{self, FrameReader};
 use crate::sys::{Event, Interest, Poller};
 use sss_core::wire::{self, FrameError};
-use sss_core::{MultiSpec, MultiSummary, Portable};
+use sss_core::{MultiSpec, MultiSummary, Portable, QuantileQuery};
 use sss_stream::runtime::RuntimeConfig;
 use sss_stream::{QueryHandle, ReadReplica, ShardedRuntime};
 use std::collections::HashMap;
@@ -884,10 +885,15 @@ fn answer_query(
             .map_err(|e| e.to_string()),
         "quantile" => {
             let q = req.q.unwrap_or(0.5);
+            // One refresh, then the value and its envelope from one borrow
+            // of the projection: under ingest at `max_pending = 0` two
+            // refreshing reads would answer from two frames.
             replica
-                .quantile(q)
-                .and_then(|value| {
-                    let (lo, hi) = replica.quantile_bounds(q)?;
+                .refresh()
+                .and_then(|_| {
+                    let slim = replica.slim();
+                    let value = slim.quantile(q)?;
+                    let (lo, hi) = slim.quantile_bounds(q)?;
                     let mut out = String::from("{\"ok\":true,\"cmd\":\"quantile\",");
                     out.push_str(&format!("\"q\":{},", json_num(q)));
                     push_f64_field(&mut out, "value", value);

@@ -20,6 +20,9 @@ pub enum Error {
     /// A value query (quantile, …) was asked of a summary that has
     /// observed no data — there is no value to report.
     EmptySummary,
+    /// Merging two summaries would carry more total weight than a `u64`
+    /// counts; the receiver is left unchanged.
+    WeightOverflow,
 }
 
 impl fmt::Display for Error {
@@ -40,6 +43,9 @@ impl fmt::Display for Error {
                     f,
                     "summary has observed no data, value queries are undefined"
                 )
+            }
+            Error::WeightOverflow => {
+                write!(f, "merged summary weight does not fit in 64 bits")
             }
         }
     }

@@ -15,10 +15,9 @@
 //! associative, and idempotent bit-for-bit) only when precision and seed
 //! agree, otherwise [`Error::SchemaMismatch`].
 //!
-//! Registers saturate monotonically, so there is **no retraction**: the
-//! summary of "stream minus a fragment" is not recoverable. Callers that
-//! need delta rebuilds must fall back to a full re-merge — the streaming
-//! layer's `supports_retract()` contract reports this honestly.
+//! Registers saturate monotonically, so the summary of "stream minus a
+//! fragment" is not recoverable: a merged view that must drop a stale
+//! part is rebuilt by merging the current parts again.
 
 use crate::error::{Error, Result};
 

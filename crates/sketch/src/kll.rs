@@ -21,9 +21,9 @@
 //!   levels, XOR-combines the two coin states, and re-compacts with
 //!   levels *sorted before every compaction* — so `a.merge(b)` and
 //!   `b.merge(a)` answer every quantile query bit-identically.
-//! * **No retraction.** Compaction discards items irreversibly; like
-//!   HyperLogLog this summary honestly opts out of exact retraction and
-//!   delta rebuilds fall back to full re-merges.
+//! * **No inverse of merge.** Compaction discards items irreversibly, so
+//!   like HyperLogLog a merged view is rebuilt from its current parts,
+//!   never patched.
 //!
 //! Total stored weight is conserved exactly (each compacted pair of
 //! weight-`w` items becomes one weight-`2w` survivor; odd leftovers stay
@@ -297,19 +297,29 @@ impl KllSketch {
     ///
     /// # Errors
     ///
-    /// [`Error::SchemaMismatch`] if the accuracy parameters differ.
+    /// [`Error::SchemaMismatch`] if the accuracy parameters differ;
+    /// [`Error::WeightOverflow`] if the combined weight does not fit a
+    /// `u64`. Either way `self` is unchanged.
     pub fn merge(&mut self, other: &Self) -> Result<()> {
         if self.k != other.k {
             return Err(Error::SchemaMismatch);
         }
+        // Decoded peers can each carry up to `u64::MAX` weight (one item
+        // at level 63 is 2⁶³): check the sums before touching `self`.
+        let (Some(n), Some(stored)) = (
+            self.n.checked_add(other.n),
+            self.stored.checked_add(other.stored),
+        ) else {
+            return Err(Error::WeightOverflow);
+        };
         while self.compactors.len() < other.compactors.len() {
             self.compactors.push(Vec::new());
         }
         for (h, level) in other.compactors.iter().enumerate() {
             self.compactors[h].extend_from_slice(level);
         }
-        self.n += other.n;
-        self.stored += other.stored;
+        self.n = n;
+        self.stored = stored;
         self.coin ^= other.coin;
         self.reprice();
         self.compress();

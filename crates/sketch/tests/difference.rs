@@ -77,6 +77,32 @@ fn agms_subtract_matches_direct_difference_stream() {
     );
 }
 
+/// `subtract` is the exact inverse of `merge`: merging a peer in and
+/// subtracting it again restores every counter.
+#[test]
+fn subtract_undoes_a_merge_exactly() {
+    let mut rng = StdRng::seed_from_u64(5);
+    let agms: AgmsSchema = AgmsSchema::new(32, &mut rng);
+    let fagms: FagmsSchema = FagmsSchema::new(3, 256, &mut rng);
+    let (mut a, mut peer) = (agms.sketch(), agms.sketch());
+    let (mut f, mut fpeer) = (fagms.sketch(), fagms.sketch());
+    for k in 0..2000u64 {
+        a.update(k % 90, 1);
+        f.update(k % 90, 1);
+        peer.update(k % 37, 3);
+        fpeer.update(k % 37, 3);
+    }
+    let (a0, f0) = (a.clone(), f.clone());
+    a.merge(&peer).unwrap();
+    f.merge(&fpeer).unwrap();
+    assert_ne!(a.raw_counters(), a0.raw_counters());
+    a.subtract(&peer).unwrap();
+    f.subtract(&fpeer).unwrap();
+    assert_eq!(a.raw_counters(), a0.raw_counters());
+    assert_eq!(f.self_join().to_bits(), f0.self_join().to_bits());
+    assert_eq!(f.point_query(7).to_bits(), f0.point_query(7).to_bits());
+}
+
 #[test]
 fn subtract_requires_shared_schema() {
     let mut rng = StdRng::seed_from_u64(4);

@@ -14,7 +14,8 @@
 //! push_batch ──┼─ data ring ─▶ worker 1 ─ owns shard sketch E₁   ⇠ recycle
 //!  (partition) └─ data ring ─▶ worker 2 ─ owns shard sketch E₂     rings
 //!                      ▲ control queue (snapshot requests)
-//!  merged() ── dirty shards only ──▶ snapshot cache ──▶ E₀ ⊕ E₁ ⊕ E₂
+//!  merged() ── dirty shards only ──▶ per-shard table ──▶ E₀ ⊕ E₁ ⊕ E₂
+//!  read_replica() ── merged() ─▶ slim() ─▶ Arc ─▶ every reader
 //! ```
 //!
 //! Two perf-critical design decisions (see `DESIGN.md` §4h; the ledger's
@@ -27,8 +28,10 @@
 //!   therefore performs **zero heap allocations per batch**
 //!   ([`ShardedRuntime::pool_stats`] proves it) and a push is a handful
 //!   of atomics, not a `sync_channel` futex round-trip. The rings are
-//!   still **bounded** (`queue_depth` batches), so memory stays
-//!   `O(shards · queue_depth · batch)` no matter how fast the producer is.
+//!   **bounded** (`queue_depth` batches each), but a worker coalesces
+//!   everything queued into one run, and a producer that never waits for
+//!   an answer keeps that run growing: `queue_depth` bounds the ring, not
+//!   the memory (see `shard_worker`; capping the run is ROADMAP item 6).
 //! * **Queries** — snapshot requests travel on a separate per-shard
 //!   control queue, so a query can *never* be routed through the data
 //!   ring's overflow leg (the old transport had a dead
@@ -36,10 +39,13 @@
 //!   confusion unrepresentable at the type level). Each worker bumps a
 //!   per-shard **dirty epoch** after every applied batch, and
 //!   [`merged`](ShardedRuntime::merged) re-clones only shards whose epoch
-//!   moved since the previous query, folding them into a cached merge by
-//!   exact retract + merge deltas ([`snapshot`](crate::snapshot)). A
-//!   repeated at-all-times query with no intervening ingest costs one
-//!   clone — O(sketch bytes), independent of the shard count.
+//!   moved since the previous query, installs the clones in a per-shard
+//!   table and merges the table again in shard order
+//!   ([`snapshot`](crate::snapshot)). A repeated at-all-times query with
+//!   no intervening ingest costs one clone — O(sketch bytes), independent
+//!   of the shard count. [`ReadReplica`]s go one step further: the merged
+//!   result is projected once ([`SlimQuery::slim`]) and every reader
+//!   shares that projection by pointer.
 //!
 //! * [`push`](ShardedRuntime::push) blocks when a ring is full
 //!   (backpressure propagates to the source);
@@ -64,7 +70,7 @@
 use crate::error::{Result, StreamError};
 use crate::ring::{self, Backoff, ControlQueue, PushError};
 use crate::snapshot::{CacheStats, ReplicaFrame, ReplicaHub, SnapshotCache};
-use sss_core::{Estimate, JoinQuery, Portable, SlimQuery, Summary};
+use sss_core::{Estimate, JoinQuery, SlimQuery, Summary};
 use sss_sampling::staleness_variance_plugin;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
@@ -186,7 +192,7 @@ struct RuntimeShared<E> {
     /// concurrent queries from multiple handles.
     cache: Mutex<SnapshotCache<E>>,
     /// The slim read-replica exchange point: one refresher projects the
-    /// merged fat state, N [`ReadReplica`]s decode the published bytes.
+    /// merged fat state, N [`ReadReplica`]s share the published projection.
     replica: ReplicaHub,
     /// Highest `accepted − applied` any shard ever reached (≤ depth + 1).
     high_water: AtomicUsize,
@@ -252,10 +258,10 @@ impl<E: Summary> RuntimeShared<E> {
 
     /// The incremental at-all-times query. See the module docs: only
     /// shards whose dirty epoch moved past the cached stamp are asked for
-    /// a fresh clone; the cache folds them in by exact retract + merge.
+    /// a fresh clone; the cache installs them and re-merges its table.
     fn merged(&self) -> Result<E> {
         // Holding the cache lock for the whole query serializes
-        // concurrent handles (each still pays only its own dirty delta).
+        // concurrent handles.
         let mut cache = self.lock_cache();
         let mut fetches = Vec::new();
         for (shard, state) in self.shards.iter().enumerate() {
@@ -325,7 +331,7 @@ impl<E: Summary + SlimQuery> RuntimeShared<E> {
     /// Ensure the hub carries a frame reflecting at least `min_version`
     /// accepted batches, projecting a fresh one if not. Single-flight:
     /// concurrent stale readers elect one refresher (the `begin_refresh`
-    /// guard) and everyone else decodes the frame that refresher
+    /// guard) and everyone else adopts the frame that refresher
     /// published.
     fn ensure_replica(&self, min_version: u64) -> Result<ReplicaFrame> {
         if let Some(frame) = self.replica.frame() {
@@ -347,11 +353,10 @@ impl<E: Summary + SlimQuery> RuntimeShared<E> {
         let version = self.accepted_total();
         let fat = self.merged()?;
         let applied = self.tuples_ingested();
-        let bytes = fat.slim().encode().map_err(StreamError::Estimator)?;
         let frame = ReplicaFrame {
             version,
             applied,
-            bytes: Arc::new(bytes),
+            slim: Arc::new(fat.slim()),
         };
         self.replica.publish(frame.clone());
         Ok(frame)
@@ -557,7 +562,7 @@ impl<E: Summary> ShardedRuntime<E> {
     }
 
     /// Snapshot-cache counters: how many queries were served from cache,
-    /// by partial delta rebuild, or by full re-merge.
+    /// and how many rebuilt it from some or from all of the shards.
     pub fn cache_stats(&self) -> CacheStats {
         self.shared.cache_stats()
     }
@@ -873,7 +878,7 @@ impl<E: Summary> std::fmt::Debug for ShardedRuntime<E> {
 /// A cloneable read-side handle on a [`ShardedRuntime`]: answers
 /// at-all-times queries through the same incremental snapshot cache,
 /// concurrently with the owner's ingest (queries from multiple handles
-/// serialize on the cache, each paying only its own dirty delta).
+/// serialize on the cache).
 ///
 /// A handle outlives the runtime: after
 /// [`into_merged`](ShardedRuntime::into_merged) (or drop) it still serves
@@ -961,7 +966,7 @@ impl<E: Summary + SlimQuery> ShardedRuntime<E> {
     /// # Errors
     ///
     /// [`StreamError::ShardDisconnected`] if the initial projection needs
-    /// a shard whose worker died; estimator errors from slim encoding.
+    /// a shard whose worker died.
     pub fn read_replica(&self, max_pending: u64) -> Result<ReadReplica<E>> {
         ReadReplica::open(Arc::clone(&self.shared), max_pending)
     }
@@ -985,13 +990,13 @@ impl<E: Summary + SlimQuery> QueryHandle<E> {
 /// two-stage read path.
 ///
 /// Instead of cloning and merging the fat shard estimators on every
-/// query (the [`merged`](ShardedRuntime::merged) path), a replica keeps a
-/// decoded [`SlimQuery::Slim`] projection and refreshes it from the
-/// runtime's shared frame hub only when the accepted-batch counter has
+/// query (the [`merged`](ShardedRuntime::merged) path), a replica holds a
+/// pointer to a [`SlimQuery::Slim`] projection and swaps it for the one in
+/// the runtime's shared frame hub only when the accepted-batch counter has
 /// advanced past `max_pending`. N replicas across N query threads share
 /// one hub: per version, exactly one of them (single-flight) pays the
-/// fat merge + slim projection + encode, and everyone else pays a
-/// pointer bump plus a slim decode of the shared byte buffer.
+/// fat merge + slim projection, and everyone else pays a pointer bump and
+/// reads the same projection.
 ///
 /// `*_estimate()` answers carry the slim projection's sketch variance
 /// **plus** a staleness term
@@ -1007,32 +1012,41 @@ pub struct ReadReplica<E: Summary + SlimQuery> {
     version: u64,
     /// Tuples applied when the adopted frame was projected.
     applied: u64,
-    slim: E::Slim,
+    slim: Arc<E::Slim>,
+}
+
+/// The typed projection in a hub frame. The slot is type-erased (see
+/// [`ReplicaFrame`]), but a runtime's hub is written only by its own
+/// `ensure_replica`, which stores an `E::Slim`.
+fn frame_slim<E: SlimQuery>(frame: ReplicaFrame) -> Arc<E::Slim> {
+    frame
+        .slim
+        .downcast()
+        .expect("a runtime's replica hub holds only its own E::Slim")
 }
 
 impl<E: Summary + SlimQuery> ReadReplica<E> {
     fn open(shared: Arc<RuntimeShared<E>>, max_pending: u64) -> Result<Self> {
         let floor = shared.accepted_total().saturating_sub(max_pending);
         let frame = shared.ensure_replica(floor)?;
-        let slim = E::Slim::decode(&frame.bytes).map_err(StreamError::Estimator)?;
         Ok(Self {
             shared,
             max_pending,
             version: frame.version,
             applied: frame.applied,
-            slim,
+            slim: frame_slim::<E>(frame),
         })
     }
 
     /// Bring the local slim state within `max_pending` accepted batches
     /// of the ingest frontier. Returns `true` if a newer frame was
     /// adopted. At most one caller per version pays the fat projection;
-    /// the rest decode its published bytes.
+    /// the rest take a pointer to it.
     ///
     /// # Errors
     ///
     /// [`StreamError::ShardDisconnected`] if a refresh needs a shard
-    /// whose worker died; estimator errors from slim encode/decode.
+    /// whose worker died.
     pub fn refresh(&mut self) -> Result<bool> {
         let target = self.shared.accepted_total();
         if target.saturating_sub(self.version) <= self.max_pending {
@@ -1044,13 +1058,16 @@ impl<E: Summary + SlimQuery> ReadReplica<E> {
         if frame.version <= self.version {
             return Ok(false);
         }
-        self.slim = E::Slim::decode(&frame.bytes).map_err(StreamError::Estimator)?;
         self.version = frame.version;
         self.applied = frame.applied;
+        self.slim = frame_slim::<E>(frame);
         Ok(true)
     }
 
-    /// The current slim projection (as of the last [`refresh`]).
+    /// The current slim projection (as of the last [`refresh`]). Every
+    /// read made through one borrow of it comes from one frame, so a
+    /// caller that needs several answers to agree — a quantile and its
+    /// rank envelope, say — refreshes once and asks them all of this.
     ///
     /// [`refresh`]: ReadReplica::refresh
     pub fn slim(&self) -> &E::Slim {
@@ -1109,7 +1126,7 @@ where
     /// As for [`refresh`](ReadReplica::refresh).
     pub fn distinct_estimate(&mut self) -> Result<Estimate> {
         self.refresh()?;
-        Ok(sss_core::DistinctQuery::distinct_estimate(&self.slim))
+        Ok(sss_core::DistinctQuery::distinct_estimate(self.slim()))
     }
 }
 
@@ -1126,19 +1143,7 @@ where
     /// for `q ∉ [0, 1]` / an empty summary.
     pub fn quantile(&mut self, q: f64) -> Result<f64> {
         self.refresh()?;
-        sss_core::QuantileQuery::quantile(&self.slim, q).map_err(StreamError::Estimator)
-    }
-
-    /// Quantile query with the KLL rank-error envelope (refreshes
-    /// first) — `(lo, hi)` bracket the true `q`-quantile with the
-    /// sketch's deterministic rank guarantee.
-    ///
-    /// # Errors
-    ///
-    /// As for [`quantile`](ReadReplica::quantile).
-    pub fn quantile_bounds(&mut self, q: f64) -> Result<(f64, f64)> {
-        self.refresh()?;
-        sss_core::QuantileQuery::quantile_bounds(&self.slim, q).map_err(StreamError::Estimator)
+        sss_core::QuantileQuery::quantile(self.slim(), q).map_err(StreamError::Estimator)
     }
 }
 
@@ -1155,12 +1160,12 @@ where
     /// As for [`refresh`](ReadReplica::refresh).
     pub fn top_k(&mut self, k: usize) -> Result<Vec<(u64, Estimate)>> {
         self.refresh()?;
-        Ok(sss_core::TopKQuery::top_k(&self.slim, k)
+        Ok(sss_core::TopKQuery::top_k(self.slim(), k)
             .into_iter()
             .map(|(key, _)| {
                 (
                     key,
-                    sss_core::TopKQuery::frequency_estimate(&self.slim, key),
+                    sss_core::TopKQuery::frequency_estimate(self.slim(), key),
                 )
             })
             .collect())
@@ -1604,9 +1609,8 @@ mod tests {
         ));
     }
 
-    /// An estimator that sleeps per batch and opts out of retraction:
-    /// deterministically saturates tiny rings, and exercises the snapshot
-    /// cache's full-rebuild fallback inside the real runtime.
+    /// An estimator that sleeps per batch: deterministically saturates
+    /// tiny rings.
     #[derive(Clone)]
     struct SlowSketch {
         inner: JoinSketch,
@@ -1675,9 +1679,11 @@ mod tests {
             merged.self_join().to_bits(),
             expect.raw_self_join().to_bits()
         );
-        // SlowSketch opts out of retraction, so the cache fell back to
-        // full rebuilds — still exact, never cached-stale.
-        assert_eq!(rt.cache_stats().full_rebuilds, 1);
+        assert_eq!(
+            rt.cache_stats().full_rebuilds,
+            1,
+            "the one shard was cloned"
+        );
         assert_eq!(rt.queue_occupancy(), 0, "query quiesced the shard");
     }
 
@@ -1706,7 +1712,7 @@ mod tests {
             empty.raw_self_join().to_bits()
         );
         let stats = rt.cache_stats();
-        assert_eq!(stats.full_rebuilds, 1, "first query built the cache");
+        assert_eq!(stats.partial_rebuilds, 1, "first query built the cache");
         assert_eq!(stats.hits, 1, "second query was served from it");
         assert_eq!(stats.shards_refreshed, 0, "no shard was ever cloned");
     }
@@ -1745,7 +1751,7 @@ mod tests {
             sequential(&schema, &s[..half]).raw_self_join().to_bits()
         );
         // One more round-robin batch dirties exactly one shard; the
-        // delta rebuild still matches the sequential sketch bit for bit.
+        // re-merged table still matches the sequential sketch bit for bit.
         rt.push(&s[half..half + 512]).unwrap();
         let after = rt.merged().unwrap();
         assert_eq!(
@@ -1759,7 +1765,7 @@ mod tests {
         assert_eq!(
             stats.shards_refreshed,
             config.shards as u64 + 1,
-            "first query cloned every shard, the delta cloned one"
+            "first query cloned every shard, the second rebuild cloned one"
         );
     }
 

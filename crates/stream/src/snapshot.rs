@@ -1,33 +1,26 @@
 //! Versioned incremental snapshot cache behind
-//! [`ShardedRuntime::merged`](crate::ShardedRuntime::merged).
+//! [`ShardedRuntime::merged`](crate::ShardedRuntime::merged), and the hub
+//! that hands its slim projection to readers.
 //!
 //! The paper's at-all-times query model (and Huang–Tai–Yi's continuous
 //! tracking argument, arXiv 1412.1763) means `merged()` runs *while* the
 //! stream is still being ingested, often far more frequently than shard
-//! state actually changes between queries. The old full snapshot barrier
-//! paid O(shards × sketch bytes) per query regardless; this cache makes
-//! the cost proportional to what changed:
+//! state actually changes between queries. The cache makes a query pay
+//! for what changed:
 //!
 //! * Every shard worker bumps a **dirty-epoch** counter (its applied
 //!   batch count) after each `update_batch`. A shard whose epoch matches
 //!   the version stamped on its cached clone has not changed since the
-//!   previous query — its bytes need no work at all.
-//! * The cache keeps the previous **merged** result too. When the
-//!   estimator supports exact retraction
-//!   ([`supports_retract`](sss_core::Summary::supports_retract) —
-//!   true for every integer-counter sketch in this repo), a dirty shard
-//!   is folded in by `retract_from(stale clone)` + `merge_from(fresh
-//!   clone)`. Counter arithmetic is exact over `i64`, so
-//!   `merged − old + new` is **bit-identical** to re-merging everything
-//!   from scratch — the same linearity that makes sharding itself exact
-//!   (see `tests/runtime_properties.rs`).
-//! * Without retraction support the cache falls back to a full re-merge
-//!   in shard order — still correct, just O(shards) again.
-//!
-//! A query with **zero** dirty shards — the common case for repeated
-//! at-all-times polling — costs one clone of the cached merged result:
-//! O(sketch bytes), independent of the shard count (the ledger's
-//! `stream.merged_clean_us` against `stream.merged_dirty_us`).
+//!   previous query and is not asked for a new clone.
+//! * **Nothing dirty:** the query is one clone of the cached merged
+//!   result — O(sketch bytes), independent of the shard count (the
+//!   ledger's `stream.merged_clean_us`).
+//! * **Otherwise:** the fresh clones replace their entries in the
+//!   per-shard table and the table is merged again in shard order
+//!   (`stream.merged_dirty_us`). Only `merge_from` is asked of the
+//!   summary, so linear sketches, HyperLogLog and KLL all take the same
+//!   path, and the result *is* a from-scratch merge of the current shard
+//!   states — there is nothing to drift.
 //!
 //! The cache never talks to workers itself: the runtime fetches fresh
 //! clones for dirty shards (via the control queue) and hands them in via
@@ -35,33 +28,24 @@
 //! stays trivially safe code.
 
 use sss_core::Summary;
+use std::any::Any;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Counters describing how the cache served queries so far — exposed as
-/// [`ShardedRuntime::cache_stats`](crate::ShardedRuntime::cache_stats)
-/// and recorded by the `queries_under_ingest` bench series.
+/// [`ShardedRuntime::cache_stats`](crate::ShardedRuntime::cache_stats).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Queries answered from the cached merged result alone (zero dirty
     /// shards): one clone, no merge work.
     pub hits: u64,
-    /// Queries that re-integrated only the dirty shards via
-    /// retract + merge deltas.
+    /// Queries that re-cloned a strict subset of the shards and reused
+    /// the per-shard table for the rest.
     pub partial_rebuilds: u64,
-    /// Queries that re-merged every shard (first query, or the estimator
-    /// does not support retraction).
+    /// Queries that re-cloned every shard.
     pub full_rebuilds: u64,
-    /// The subset of [`full_rebuilds`](Self::full_rebuilds) that were
-    /// *fallbacks*: a warm cache had dirty shards to fold in but the
-    /// estimator does not support retraction, so the incremental path was
-    /// unavailable and the whole merge was redone. A growing
-    /// `rebuild_count` under a polling workload means the estimator's
-    /// `RetractUnsupported` is costing `O(shards)` per query — logged once
-    /// per cache (see the module docs) so it cannot pass silently.
-    pub rebuild_count: u64,
-    /// Total shard clones folded in across all partial rebuilds — the
-    /// work actually paid, to compare against `queries × shards` the old
-    /// barrier would have paid.
+    /// Total shard clones taken across all rebuilds — the work actually
+    /// paid, to compare against `queries × shards` a full barrier would
+    /// have paid.
     pub shards_refreshed: u64,
 }
 
@@ -88,9 +72,6 @@ pub(crate) struct SnapshotCache<E> {
     /// The merged result as of the versions recorded in `shards`.
     merged: Option<E>,
     stats: CacheStats,
-    /// Whether the `RetractUnsupported` fallback has been logged yet —
-    /// once per cache, so a polling loop cannot flood stderr.
-    logged_fallback: bool,
 }
 
 impl<E: Summary> SnapshotCache<E> {
@@ -99,7 +80,6 @@ impl<E: Summary> SnapshotCache<E> {
             shards: (0..shards).map(|_| None).collect(),
             merged: None,
             stats: CacheStats::default(),
-            logged_fallback: false,
         }
     }
 
@@ -115,69 +95,32 @@ impl<E: Summary> SnapshotCache<E> {
     ///
     /// `fresh` holds `(shard, version, clone)` for every shard whose live
     /// epoch differed from [`shard_version`](Self::shard_version);
-    /// `prototype` seeds a full rebuild. Returns a clone of the (now
-    /// current) merged estimator.
+    /// `prototype` is the empty summary a rebuild merges into. Returns a
+    /// clone of the (now current) merged estimator.
     pub(crate) fn refresh(
         &mut self,
         prototype: &E,
         fresh: Vec<(usize, u64, E)>,
     ) -> sss_core::Result<E> {
-        match (&mut self.merged, fresh.is_empty()) {
-            // Nothing dirty and a cached merge exists: pure cache hit.
-            (Some(merged), true) => {
-                self.stats.hits += 1;
-                Ok(merged.clone())
-            }
-            // Dirty shards and a cached merge: retract stale, merge fresh
-            // — exact by integer-counter linearity. Falls back to a full
-            // rebuild if the estimator cannot retract.
-            (Some(_), false) if prototype.supports_retract() => {
-                self.stats.partial_rebuilds += 1;
-                self.stats.shards_refreshed += fresh.len() as u64;
-                let merged = self.merged.as_mut().expect("checked Some above");
-                for (shard, version, clone) in fresh {
-                    if let Some(stale) = &self.shards[shard] {
-                        merged.retract_from(&stale.clone)?;
-                    }
-                    merged.merge_from(&clone)?;
-                    self.shards[shard] = Some(ShardEntry { version, clone });
-                }
-                Ok(merged.clone())
-            }
-            // First query, or no retraction support: integrate the fresh
-            // clones into the per-shard cache, then re-merge everything
-            // in shard order (deterministic walk; merge order cannot
-            // matter — integer adds commute).
-            other => {
-                // A warm cache with dirty shards and no retraction is the
-                // *fallback* case: the incremental path wanted to run and
-                // could not. Count it, and say so once — silently paying
-                // O(shards) per poll is how perf regressions hide.
-                if matches!(other, (Some(_), false)) {
-                    self.stats.rebuild_count += 1;
-                    if !self.logged_fallback {
-                        self.logged_fallback = true;
-                        eprintln!(
-                            "sss-stream: estimator does not support retraction \
-                             (RetractUnsupported); snapshot cache falls back to full \
-                             re-merges — every dirty query pays O(shards) \
-                             (rebuild_count in cache_stats() tracks this)"
-                        );
-                    }
-                }
-                self.stats.full_rebuilds += 1;
-                self.stats.shards_refreshed += fresh.len() as u64;
-                for (shard, version, clone) in fresh {
-                    self.shards[shard] = Some(ShardEntry { version, clone });
-                }
-                let mut merged = prototype.clone();
-                for entry in self.shards.iter().flatten() {
-                    merged.merge_from(&entry.clone)?;
-                }
-                self.merged = Some(merged.clone());
-                Ok(merged)
-            }
+        if let (Some(merged), true) = (&self.merged, fresh.is_empty()) {
+            self.stats.hits += 1;
+            return Ok(merged.clone());
         }
+        if fresh.len() < self.shards.len() {
+            self.stats.partial_rebuilds += 1;
+        } else {
+            self.stats.full_rebuilds += 1;
+        }
+        self.stats.shards_refreshed += fresh.len() as u64;
+        for (shard, version, clone) in fresh {
+            self.shards[shard] = Some(ShardEntry { version, clone });
+        }
+        let mut merged = prototype.clone();
+        for entry in self.shards.iter().flatten() {
+            merged.merge_from(&entry.clone)?;
+        }
+        self.merged = Some(merged.clone());
+        Ok(merged)
     }
 
     pub(crate) fn stats(&self) -> CacheStats {
@@ -185,13 +128,14 @@ impl<E: Summary> SnapshotCache<E> {
     }
 }
 
-/// One published slim snapshot: the encoded bytes of the merged summary's
-/// slim projection, stamped with the accepted-batch total it reflects.
+/// One published slim snapshot: the merged summary's slim projection,
+/// stamped with the accepted-batch total it reflects.
 ///
-/// The bytes are behind an [`Arc`] so N concurrent readers share one
-/// buffer — distributing a refresh costs pointer bumps, not copies; each
-/// reader then decodes *slim* bytes (tens of lanes) instead of cloning the
-/// fat merged state.
+/// The projection sits behind an [`Arc`], so N concurrent readers adopt
+/// a frame by pointer and query the one shared value. The slot is
+/// type-erased because the hub lives in a runtime generic over plain
+/// [`Summary`]; the runtime's `SlimQuery` block, the only code that
+/// publishes or adopts frames, downcasts it back to `E::Slim`.
 #[derive(Clone)]
 pub(crate) struct ReplicaFrame {
     /// Sum of every shard's accepted-batch counter when the frame was
@@ -200,18 +144,18 @@ pub(crate) struct ReplicaFrame {
     /// Tuples applied across all shards at projection time — the
     /// denominator of the staleness variance plug-in.
     pub(crate) applied: u64,
-    /// The encoded slim projection ([`sss_core::Portable::encode`]).
-    pub(crate) bytes: Arc<Vec<u8>>,
+    /// The slim projection ([`sss_core::SlimQuery::slim`]).
+    pub(crate) slim: Arc<dyn Any + Send + Sync>,
 }
 
 /// The slim-replica exchange point between the (single) refresher that
 /// projects the merged fat state and the N readers serving `*_estimate()`
-/// queries — the second stage of the two-stage read path (DESIGN.md §4k).
+/// queries.
 ///
 /// Slim states deliberately cannot merge (`(a+b)² ≠ a² + b²`), so deltas
 /// are *whole frames*: a refresh merges fat state through the
-/// [`SnapshotCache`], projects once, encodes once, and publishes the
-/// bytes; every reader whose local version lags decodes the shared buffer.
+/// [`SnapshotCache`], projects once, and publishes the projection; every
+/// reader whose local version lags adopts the shared pointer.
 /// The `refreshing` mutex makes the expensive projection single-flight —
 /// concurrent stale readers elect one refresher and the rest pick up the
 /// frame it publishes.
@@ -269,10 +213,11 @@ mod tests {
         s
     }
 
-    /// The cache's three paths (full, partial, hit) all produce results
-    /// bit-identical to a from-scratch merge of the same shard states.
+    /// Both paths — a rebuild (every shard fresh, or only some) and a
+    /// hit — produce results bit-identical to a from-scratch merge of the
+    /// same shard states.
     #[test]
-    fn all_three_paths_match_a_fresh_merge() {
+    fn both_paths_match_a_fresh_merge() {
         let mut rng = StdRng::seed_from_u64(11);
         let schema = JoinSchema::fagms(2, 128, &mut rng);
         let proto = schema.sketch();
@@ -282,7 +227,7 @@ mod tests {
         let s1 = shard_sketch(&schema, &[40, 50]);
         let s2 = shard_sketch(&schema, &[600]);
 
-        // First query: full rebuild.
+        // First query: every shard is fresh.
         let m1 = cache
             .refresh(
                 &proto,
@@ -304,7 +249,7 @@ mod tests {
         assert_eq!(m2.raw_self_join().to_bits(), m1.raw_self_join().to_bits());
         assert_eq!(cache.stats().hits, 1);
 
-        // Shard 1 advances: partial rebuild touches only that shard.
+        // Shard 1 advances: only its table entry is replaced.
         let s1b = shard_sketch(&schema, &[40, 50, 60, 70]);
         let m3 = cache.refresh(&proto, vec![(1, 2, s1b.clone())]).unwrap();
         let mut expect3 = proto.clone();
@@ -321,64 +266,11 @@ mod tests {
                 hits: 1,
                 partial_rebuilds: 1,
                 full_rebuilds: 1,
-                rebuild_count: 0,
                 shards_refreshed: 4,
             }
         );
         assert_eq!(cache.shard_version(0), Some(1));
         assert_eq!(cache.shard_version(1), Some(2));
-    }
-
-    /// A warm cache without retraction support: every dirty query is a
-    /// counted fallback rebuild (`rebuild_count`), while the first build
-    /// and pure hits are not.
-    #[test]
-    fn fallback_rebuilds_are_counted_separately() {
-        #[derive(Clone)]
-        struct NoRetract(JoinSketch);
-        impl Summary for NoRetract {
-            fn update(&mut self, key: u64, count: i64) {
-                self.0.update(key, count);
-            }
-            fn update_batch(&mut self, keys: &[u64]) {
-                self.0.update_batch(keys);
-            }
-            fn merge_from(&mut self, other: &Self) -> sss_core::Result<()> {
-                self.0.merge_from(&other.0)
-            }
-            // supports_retract() stays the default: false.
-        }
-
-        let mut rng = StdRng::seed_from_u64(21);
-        let schema = JoinSchema::agms(8, &mut rng);
-        let proto = NoRetract(schema.sketch());
-        let mut cache = SnapshotCache::new(2);
-        let shard = |keys: &[u64]| NoRetract(shard_sketch(&schema, keys));
-
-        // Cold first build: a full rebuild, but not a *fallback*.
-        cache
-            .refresh(&proto, vec![(0, 1, shard(&[1])), (1, 1, shard(&[2]))])
-            .unwrap();
-        assert_eq!(cache.stats().full_rebuilds, 1);
-        assert_eq!(cache.stats().rebuild_count, 0);
-
-        // Pure hit: nothing dirty.
-        cache.refresh(&proto, vec![]).unwrap();
-        assert_eq!(cache.stats().hits, 1);
-        assert_eq!(cache.stats().rebuild_count, 0);
-
-        // Warm cache + dirty shard + no retraction: counted fallback.
-        let m = cache.refresh(&proto, vec![(0, 2, shard(&[1, 3]))]).unwrap();
-        assert_eq!(cache.stats().full_rebuilds, 2);
-        assert_eq!(cache.stats().rebuild_count, 1);
-        // Still exact.
-        let mut expect = proto.clone();
-        expect.merge_from(&shard(&[1, 3])).unwrap();
-        expect.merge_from(&shard(&[2])).unwrap();
-        assert_eq!(
-            m.0.raw_self_join().to_bits(),
-            expect.0.raw_self_join().to_bits()
-        );
     }
 
     /// The replica hub: publish is monotone in the version, frames are
@@ -391,27 +283,27 @@ mod tests {
         hub.publish(ReplicaFrame {
             version: 5,
             applied: 100,
-            bytes: Arc::new(vec![1, 2, 3]),
+            slim: Arc::new(vec![1u8, 2, 3]),
         });
         // An older frame from a slow racer does not regress the slot.
         hub.publish(ReplicaFrame {
             version: 3,
             applied: 60,
-            bytes: Arc::new(vec![9]),
+            slim: Arc::new(vec![9u8]),
         });
         let f = hub.frame().unwrap();
         assert_eq!(f.version, 5);
         assert_eq!(f.applied, 100);
-        assert_eq!(*f.bytes, vec![1, 2, 3]);
-        // Two readers share one buffer.
+        assert_eq!(f.slim.downcast_ref::<Vec<u8>>(), Some(&vec![1, 2, 3]));
+        // Two readers share one projection.
         let g = hub.frame().unwrap();
-        assert!(Arc::ptr_eq(&f.bytes, &g.bytes));
+        assert!(Arc::ptr_eq(&f.slim, &g.slim));
         // The refresh guard is just a mutex — hold and release.
         drop(hub.begin_refresh());
         let _second = hub.begin_refresh();
     }
 
-    /// Many rounds of random dirtying: the incremental path never drifts
+    /// Many rounds of random dirtying: re-merging the table never drifts
     /// from a from-scratch merge, bit for bit.
     #[test]
     fn incremental_never_drifts_from_scratch() {

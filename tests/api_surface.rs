@@ -6,10 +6,9 @@
 //! instantiation proves a trait bound holds, so a refactor that silently
 //! drops a capability (say, `HyperLogLog: DistinctQuery`) breaks the
 //! build here rather than in downstream code. The runtime bodies pin the
-//! parts of the contract the type system cannot see: default-method
-//! honesty (`supports_retract`, `retract_from`). That removed names stay
-//! removed can only be proven at compile time: `sss_core::summary` and
-//! the `sss_stream` crate docs carry the `compile_fail` doctests.
+//! parts of the contract the type system cannot see. That removed names
+//! stay removed can only be proven at compile time: `sss_core::summary`
+//! and the `sss_stream` crate docs carry the `compile_fail` doctests.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -151,44 +150,6 @@ fn streaming_layer_is_generic_over_the_hierarchy() {
     engine_accepts::<SampledMultiSummary>();
     replica_accepts::<JoinSketch>();
     replica_accepts::<MultiSummary>();
-}
-
-/// Default-method honesty: a summary that does not override retraction
-/// reports `supports_retract() == false` and errors on `retract_from`,
-/// while the linear join sketch overrides both. The snapshot cache keys
-/// its delta-rebuild path off exactly this pair.
-#[test]
-fn retraction_contract_defaults_are_honest() {
-    let mut r = rng(2);
-    let mut hll = HyperLogLog::new(10, &mut r).unwrap();
-    let hll2 = hll.clone();
-    assert!(!hll.supports_retract());
-    assert!(matches!(
-        hll.retract_from(&hll2),
-        Err(sketch_sampled_streams::core::Error::RetractUnsupported)
-    ));
-
-    let mut kll = KllSketch::new(64, &mut r).unwrap();
-    let kll2 = kll.clone();
-    assert!(!kll.supports_retract());
-    assert!(kll.retract_from(&kll2).is_err());
-
-    let spec = MultiSpec::new(JoinSchema::fagms(3, 256, &mut r), &mut r);
-    let mut multi = spec.summary().unwrap();
-    let multi2 = multi.clone();
-    assert!(!multi.supports_retract());
-    assert!(multi.retract_from(&multi2).is_err());
-
-    // The linear sketch is the positive control: retraction is exact.
-    let schema = JoinSchema::fagms(3, 256, &mut r);
-    let mut sk = schema.sketch();
-    assert!(sk.supports_retract());
-    let mut other = schema.sketch();
-    other.update_batch(&[1, 2, 3]);
-    sk.merge_from(&other).unwrap();
-    sk.retract_from(&other).unwrap();
-    let fresh = schema.sketch();
-    assert_eq!(sk.self_join().to_bits(), fresh.self_join().to_bits());
 }
 
 /// `Estimate`-returning capability queries agree with their scalar

@@ -364,6 +364,55 @@ fn query_plane_answers_all_four_families_and_shutdown_snapshots() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// One request line, one frame. At `max_pending = 0` every read
+/// refreshes, so a `quantile` response whose value and `(lo, hi)` came
+/// from two refreshes could straddle an ingest batch. Each wave here is
+/// three times everything before it and far above it, so one frame's
+/// median lies outside the next frame's envelope; every response polled
+/// while the waves arrive must still be self-consistent. (The race is
+/// inside the server, so this only watches for it; the forced form is
+/// `runtime_properties.rs::reads_through_one_slim_borrow_come_from_one_frame`.)
+#[test]
+fn quantile_responses_never_straddle_frames_under_ingest() {
+    let srv = server(5, 1, Partition::RoundRobin);
+    let ingest_addr = srv.ingest_addr();
+    let ingest = std::thread::spawn(move || {
+        let mut client = IngestClient::connect(ingest_addr).unwrap();
+        for wave in 0..8u64 {
+            let keys: Vec<u64> = (0..100 * 3u64.pow(wave as u32))
+                .map(|j| wave * 10_000_000 + j)
+                .collect();
+            for batch in keys.chunks(512) {
+                client.send_batch(batch).unwrap();
+            }
+            client.sync().unwrap();
+        }
+        client.finish().unwrap();
+    });
+
+    let mut queries = QueryClient::connect(srv.query_addr()).unwrap();
+    let mut poll = |answered: &mut u64| {
+        let line = queries.request("{\"cmd\":\"quantile\",\"q\":0.5}").unwrap();
+        if !line.contains("\"ok\":true") {
+            return; // nothing ingested yet: no value to report
+        }
+        let field = |name: &str| {
+            sss_core::wire::f64_of(protocol::response_u64(&line, name).expect("bits field"))
+        };
+        let (lo, value, hi) = (field("lo_bits"), field("value_bits"), field("hi_bits"));
+        assert!(lo <= value && value <= hi, "straddled: {line}");
+        *answered += 1;
+    };
+    let mut answered = 0u64;
+    while !ingest.is_finished() {
+        poll(&mut answered);
+    }
+    ingest.join().unwrap();
+    poll(&mut answered);
+    assert!(answered > 0);
+    srv.shutdown_and_wait().unwrap();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

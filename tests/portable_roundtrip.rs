@@ -245,6 +245,29 @@ fn hostile_kll_bodies_refuse_with_typed_errors() {
             "{what} in multi: got {err:?}"
         );
     }
+
+    // One item at level 63 weighs 2⁶³: a body the decoder rightly accepts,
+    // and two of them are more than a `u64` counts. The merge refuses
+    // before it touches the receiver.
+    let top_heavy = kll_envelope(&kll_body(
+        &format!("[{}[1]]", "[],".repeat(63)),
+        8,
+        1 << 63,
+        1,
+        20,
+    ));
+    let mut kll = KllSketch::decode(&top_heavy).unwrap();
+    let before = kll.encode().unwrap();
+    let err = kll.merge_encoded(&top_heavy).unwrap_err();
+    assert_eq!(
+        err,
+        Error::Sketch(sketch_sampled_streams::sketch::Error::WeightOverflow)
+    );
+    assert_eq!(
+        kll.encode().unwrap(),
+        before,
+        "refusal left the receiver alone"
+    );
 }
 
 /// `stored` and `cap_total` are caches: a body that lies about them

@@ -8,7 +8,14 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sketch_sampled_streams::core::sketch::{JoinSchema, JoinSketch};
-use sketch_sampled_streams::stream::{EngineBuilder, Partition, RuntimeConfig, ShardedRuntime};
+use sketch_sampled_streams::core::{
+    DistinctQuery, JoinQuery, MultiSpec, MultiSummary, Portable, QuantileQuery, SlimMultiSummary,
+    SlimQuery, Summary, TopKQuery,
+};
+use sketch_sampled_streams::sketch::Estimate;
+use sketch_sampled_streams::stream::{
+    EngineBuilder, Partition, ReadReplica, RuntimeConfig, ShardedRuntime,
+};
 
 fn stream() -> impl Strategy<Value = Vec<u64>> {
     prop::collection::vec(any::<u64>(), 1..400)
@@ -28,6 +35,44 @@ fn sequential(schema: &JoinSchema, keys: &[u64]) -> JoinSketch {
     let mut s = schema.sketch();
     s.update_batch(keys);
     s
+}
+
+fn multi_spec(seed: u64) -> MultiSpec {
+    let mut rng = StdRng::seed_from_u64(seed);
+    MultiSpec::new(JoinSchema::fagms(2, 128, &mut rng), &mut rng)
+}
+
+const QUANTILES: [f64; 3] = [0.1, 0.5, 0.9];
+const TOP: usize = 8;
+
+fn bits(est: &Estimate) -> [u64; 2] {
+    [est.value.to_bits(), est.variance.to_bits()]
+}
+
+/// Every answer the query plane serves from a projection, as bits.
+fn slim_answers(slim: &SlimMultiSummary) -> Vec<u64> {
+    let mut out = Vec::new();
+    out.extend(bits(&slim.self_join_estimate()));
+    out.extend(bits(&slim.distinct_estimate()));
+    out.extend(QUANTILES.map(|q| slim.quantile(q).unwrap().to_bits()));
+    for (key, _) in slim.top_k(TOP) {
+        out.push(key);
+        out.extend(bits(&slim.frequency_estimate(key)));
+    }
+    out
+}
+
+/// The same answers through a replica's refreshing calls.
+fn replica_answers(replica: &mut ReadReplica<MultiSummary>) -> Vec<u64> {
+    let mut out = Vec::new();
+    out.extend(bits(&replica.self_join_estimate().unwrap()));
+    out.extend(bits(&replica.distinct_estimate().unwrap()));
+    out.extend(QUANTILES.map(|q| replica.quantile(q).unwrap().to_bits()));
+    for (key, est) in replica.top_k(TOP).unwrap() {
+        out.push(key);
+        out.extend(bits(&est));
+    }
+    out
 }
 
 proptest! {
@@ -61,10 +106,9 @@ proptest! {
     }
 
     /// Interleaved pushes and at-all-times queries: after every chunk the
-    /// incremental snapshot cache (partial retract+merge rebuilds, cache
-    /// hits on repeats) must answer bit-identically to a sequential
-    /// sketch of everything pushed so far — the exactness of the old full
-    /// snapshot barrier, preserved by the delta path.
+    /// incremental snapshot cache (table re-merges, cache hits on
+    /// repeats) must answer bit-identically to a sequential sketch of
+    /// everything pushed so far.
     #[test]
     fn interleaved_queries_match_sequential_prefixes(
         keys in stream(),
@@ -102,6 +146,42 @@ proptest! {
             fin.raw_self_join().to_bits(),
             sequential(&schema, &keys).raw_self_join().to_bits()
         );
+    }
+
+    /// After any interleaving of pushes and replica reads, a replica that
+    /// lived through it and one opened at the end (nothing pending, so no
+    /// staleness term) answer all four query families bit-identically to
+    /// `merged().slim()` — and so does that projection after an
+    /// `encode`/`decode` round trip: the codec is off the in-process path
+    /// but must still say the same thing.
+    #[test]
+    fn replicas_answer_as_the_merged_projection_does(
+        keys in prop::collection::vec(0..500u64, 1..400),
+        reads in prop::collection::vec(any::<bool>(), 8),
+        shards in 1usize..4,
+        chunk in 1usize..97,
+        partition in partition(),
+        seed: u64,
+    ) {
+        let config = RuntimeConfig { shards, queue_depth: 4, partition };
+        let mut rt = ShardedRuntime::new(config, &multi_spec(seed).summary().unwrap()).unwrap();
+        let mut veteran = rt.read_replica(0).unwrap();
+        for (i, chunk) in keys.chunks(chunk).enumerate() {
+            rt.push(chunk).unwrap();
+            if reads[i % reads.len()] {
+                veteran.self_join_estimate().unwrap();
+            }
+        }
+        let fat = rt.merged().unwrap();
+        let slim = fat.slim();
+        let expect = slim_answers(&slim);
+        prop_assert_eq!(bits(&fat.self_join_estimate()), expect[..2]);
+        let mut fresh = rt.read_replica(0).unwrap();
+        prop_assert_eq!(fresh.pending(), 0);
+        prop_assert_eq!(&replica_answers(&mut fresh), &expect);
+        prop_assert_eq!(&replica_answers(&mut veteran), &expect);
+        let decoded = SlimMultiSummary::decode(&slim.encode().unwrap()).unwrap();
+        prop_assert_eq!(&slim_answers(&decoded), &expect);
     }
 
     /// The same property through the engine: transforms + sharded runtime
@@ -148,4 +228,93 @@ proptest! {
             sequential(&schema, &transformed).raw_self_join().to_bits()
         );
     }
+}
+
+/// The production summary is not linear (KLL and the top-k tracker merge
+/// order-sensitively), so its rebuilds are pinned by bytes: on three
+/// round-robin shards one push dirties one shard, exactly that shard is
+/// re-cloned, and the re-merged table `encode()`s equal to a from-scratch
+/// merge of the three shard states in shard order.
+#[test]
+fn one_dirty_shard_is_recloned_and_the_remerge_equals_from_scratch() {
+    let proto = multi_spec(14).summary().unwrap();
+    let config = RuntimeConfig {
+        shards: 3,
+        queue_depth: 8,
+        partition: Partition::RoundRobin,
+    };
+    let mut rt = ShardedRuntime::new(config, &proto).unwrap();
+    let keys: Vec<u64> = (0..5120u64).map(|i| (i * 2654435761) % 4000).collect();
+    let batches: Vec<&[u64]> = keys.chunks(512).collect();
+    // Shard state is a function of the tuple sequence the shard saw,
+    // however its worker coalesced it (tests/batch_properties.rs).
+    let from_scratch = |upto: usize| {
+        let mut merged = proto.clone();
+        for shard in 0..config.shards {
+            let mut part = proto.clone();
+            for batch in batches[..upto].iter().skip(shard).step_by(config.shards) {
+                part.update_batch(batch);
+            }
+            merged.merge_from(&part).unwrap();
+        }
+        merged.encode().unwrap()
+    };
+    for batch in &batches[..9] {
+        rt.push(batch).unwrap();
+    }
+    assert_eq!(rt.merged().unwrap().encode().unwrap(), from_scratch(9));
+    let before = rt.cache_stats();
+    assert_eq!((before.full_rebuilds, before.shards_refreshed), (1, 3));
+
+    rt.push(batches[9]).unwrap();
+    assert_eq!(rt.merged().unwrap().encode().unwrap(), from_scratch(10));
+    let after = rt.cache_stats();
+    assert_eq!(after.partial_rebuilds, before.partial_rebuilds + 1);
+    assert_eq!(after.shards_refreshed, before.shards_refreshed + 1);
+    assert_eq!(after.full_rebuilds, before.full_rebuilds);
+}
+
+/// Readers share the projection itself: two replicas refreshed on one
+/// runtime hold the same `Slim` by address, and a third opened later
+/// adopts the published frame without another fat merge.
+#[test]
+fn read_replicas_hold_the_same_projection_by_pointer() {
+    let proto = multi_spec(15).summary().unwrap();
+    let mut rt = ShardedRuntime::new(RuntimeConfig::default(), &proto).unwrap();
+    let mut a = rt.read_replica(0).unwrap();
+    let mut b = rt.read_replica(0).unwrap();
+    rt.push(&(0..4096u64).collect::<Vec<_>>()).unwrap();
+    assert!(a.refresh().unwrap());
+    assert!(b.refresh().unwrap());
+    assert!(std::ptr::eq(a.slim(), b.slim()));
+    let queries = rt.cache_stats().queries();
+    let c = rt.read_replica(0).unwrap();
+    assert!(std::ptr::eq(a.slim(), c.slim()));
+    assert_eq!(rt.cache_stats().queries(), queries, "no fat merge for c");
+}
+
+/// One borrow of `slim()` is one frame: a push between two reads cannot
+/// move it, so a value and its envelope agree. Refreshing reads on either
+/// side of the push land on two versions — what a response built from two
+/// of them would straddle (`sss-net` refreshes once per request line).
+#[test]
+fn reads_through_one_slim_borrow_come_from_one_frame() {
+    let proto = multi_spec(16).summary().unwrap();
+    let mut rt = ShardedRuntime::new(RuntimeConfig::default(), &proto).unwrap();
+    rt.push(&(0..1000u64).collect::<Vec<_>>()).unwrap();
+    let mut replica = rt.read_replica(0).unwrap();
+    let v0 = replica.version();
+    let slim = replica.slim();
+    let value = slim.quantile(0.5).unwrap();
+    rt.push(&(1_000_000..1_004_000u64).collect::<Vec<_>>())
+        .unwrap();
+    let (lo, hi) = slim.quantile_bounds(0.5).unwrap();
+    assert!(lo <= value && value <= hi, "{lo} <= {value} <= {hi}");
+    assert_eq!(replica.version(), v0);
+    let moved = replica.quantile(0.5).unwrap();
+    assert!(replica.version() > v0);
+    assert!(
+        moved > hi,
+        "the newer frame's median {moved} is outside ({lo}, {hi})"
+    );
 }

@@ -1,18 +1,16 @@
-//! Merge and retraction properties of the new F₀/quantile backends
-//! (`HyperLogLog`, `KllSketch`) under the `Summary` contract.
+//! Merge properties of the F₀/quantile backends (`HyperLogLog`,
+//! `KllSketch`) under the `Summary` contract.
 //!
 //! The sharded runtime partitions tuples arbitrarily across shards and
 //! re-merges on query, so the whole one-pass design rests on merges being
 //! order-insensitive: commutative bit-for-bit for the monotone register
 //! maximum (HLL), and guarantee-preserving in either order for the lossy
-//! compactor (KLL). Retraction is the opposite contract — both backends
-//! must *refuse* it honestly, and the snapshot cache must notice and fall
-//! back to full re-merges instead of serving a corrupt delta rebuild.
+//! compactor (KLL). Neither merge has an inverse, which is why the
+//! snapshot cache rebuilds a merged view from its per-shard table and
+//! never patches one: the last two tests run that through the runtime.
 
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use sketch_sampled_streams::core::{DistinctQuery, Error, QuantileQuery, Sampled, Summary};
+use sketch_sampled_streams::core::{DistinctQuery, QuantileQuery, Summary};
 use sketch_sampled_streams::sketch::{HyperLogLog, KllSketch};
 use sketch_sampled_streams::stream::{RuntimeConfig, ShardedRuntime};
 
@@ -104,43 +102,12 @@ proptest! {
             }
         }
     }
-
-    /// Both backends — bare and behind the `Sampled` lens — honestly
-    /// refuse retraction: `supports_retract()` is false and
-    /// `retract_from` is a typed error, never a silent corruption.
-    #[test]
-    fn monotone_summaries_refuse_retraction(a in stream()) {
-        let mut hll = HyperLogLog::with_seed(10, 1).unwrap();
-        hll.insert_batch(&a);
-        let hll_twin = hll.clone();
-        prop_assert!(!hll.supports_retract());
-        prop_assert!(matches!(
-            hll.retract_from(&hll_twin),
-            Err(Error::RetractUnsupported)
-        ));
-
-        let mut kll = KllSketch::with_seed(64, 2).unwrap();
-        kll.insert_batch(&a);
-        let kll_twin = kll.clone();
-        prop_assert!(!kll.supports_retract());
-        prop_assert!(matches!(
-            kll.retract_from(&kll_twin),
-            Err(Error::RetractUnsupported)
-        ));
-
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut sampled = Sampled::hyperloglog(10, 0.5, &mut rng).unwrap();
-        sampled.feed_batch(&a);
-        let sampled_twin = sampled.clone();
-        prop_assert!(!sampled.supports_retract());
-        prop_assert!(sampled.retract_from(&sampled_twin).is_err());
-    }
 }
 
-/// The snapshot cache keys its delta-rebuild path off
-/// `supports_retract()`: with a HyperLogLog prototype every post-ingest
-/// query is a *full* rebuild (never a partial one — partial requires
-/// retracting the stale shard), while quiet queries still hit the cache.
+/// Rebuilds stay exact for non-linear summaries: with a HyperLogLog
+/// prototype every post-ingest query re-merges the per-shard table (the
+/// only operation asked of the summary is `merge_from`), while quiet
+/// queries still hit the cache.
 #[test]
 fn snapshot_cache_falls_back_to_full_rebuilds_for_hll() {
     let proto = HyperLogLog::with_seed(12, 0xCAFE).unwrap();
@@ -158,13 +125,9 @@ fn snapshot_cache_falls_back_to_full_rebuilds_for_hll() {
         (d - 5_000.0).abs() / 5_000.0 < 0.05,
         "merged F₀ {d} not within 5% of 5000"
     );
-    let stats = rt.cache_stats();
-    assert_eq!(stats.full_rebuilds, 1, "first query is a full rebuild");
-    assert_eq!(stats.partial_rebuilds, 0);
 
-    // New ingest dirties shards; HLL cannot retract, so the refresh is
-    // another full re-merge — and stays exact: the union now spans 6000
-    // distinct keys.
+    // New ingest dirties the other round-robin shard; the rebuild spans
+    // both and stays exact: the union now holds 6000 distinct keys.
     let second: Vec<u64> = (5_000..6_000u64).collect();
     rt.push(&second).unwrap();
     let merged = rt.merged().unwrap();
@@ -173,24 +136,22 @@ fn snapshot_cache_falls_back_to_full_rebuilds_for_hll() {
         (d - 6_000.0).abs() / 6_000.0 < 0.05,
         "post-refresh F₀ {d} not within 5% of 6000"
     );
+    let mut whole = proto.clone();
+    whole.insert_batch(&first);
+    whole.insert_batch(&second);
+    assert_eq!(merged.distinct().to_bits(), whole.distinct().to_bits());
     let stats = rt.cache_stats();
-    assert_eq!(
-        stats.full_rebuilds, 2,
-        "dirty query fell back to full rebuild"
-    );
-    assert_eq!(
-        stats.partial_rebuilds, 0,
-        "no partial path without retraction"
-    );
+    assert_eq!(stats.partial_rebuilds + stats.full_rebuilds, 2);
+    assert_eq!(stats.shards_refreshed, 2, "one shard cloned per rebuild");
 
     // No intervening ingest: pure cache hit, bit-identical answer.
     let again = rt.merged().unwrap();
     assert_eq!(again.distinct().to_bits(), merged.distinct().to_bits());
-    assert!(rt.cache_stats().hits >= 1);
+    assert_eq!(rt.cache_stats().hits, 1);
 }
 
-/// Same fallback contract for the KLL prototype, checked through the
-/// quantile surface: the re-merged summary covers both ingest waves.
+/// The same for the KLL prototype, checked through the quantile surface:
+/// the re-merged summary covers both ingest waves.
 #[test]
 fn snapshot_cache_falls_back_to_full_rebuilds_for_kll() {
     let proto = KllSketch::with_seed(200, 0xBEEF).unwrap();
@@ -204,7 +165,6 @@ fn snapshot_cache_falls_back_to_full_rebuilds_for_kll() {
     rt.push(&first).unwrap();
     let merged = rt.merged().unwrap();
     assert_eq!(merged.stream_len(), 10_000);
-    assert_eq!(rt.cache_stats().full_rebuilds, 1);
 
     let second: Vec<u64> = (10_000..20_000u64).collect();
     rt.push(&second).unwrap();
@@ -216,6 +176,6 @@ fn snapshot_cache_falls_back_to_full_rebuilds_for_kll() {
         "median {median} outside rank envelope around 10000"
     );
     let stats = rt.cache_stats();
-    assert_eq!(stats.full_rebuilds, 2);
-    assert_eq!(stats.partial_rebuilds, 0);
+    assert_eq!(stats.partial_rebuilds + stats.full_rebuilds, 2);
+    assert_eq!(stats.hits, 0);
 }
