@@ -2,10 +2,10 @@
 //! constituents separately — the microbench behind the `multi_summary`
 //! acceptance bin.
 //!
-//! At `p = 1` the composite and the four separate summaries do identical
-//! sketch work, so `one_pass/full` vs `four_passes/full` isolates the
-//! fan-out overhead (expected: none — the same batch kernels run either
-//! way). At `p = 0.1` the composite skip-samples the batch once where
+//! At `p = 1` the composite deduplicates each chunk once for three of its
+//! parts where the four separate summaries each walk the batch, so
+//! `one_pass/full` vs `four_passes/full` is what sharing the key runs
+//! buys. At `p = 0.1` the composite skip-samples the batch once where
 //! four separate `Sampled` lenses scan it four times, which is the
 //! mechanism the 2× acceptance gate rests on.
 
@@ -15,7 +15,7 @@ use rand::SeedableRng;
 use sss_core::sketch::JoinSchema;
 use sss_core::{MultiSpec, Sampled, Summary};
 use sss_datagen::ZipfGenerator;
-use sss_sketch::{CountSketchTopK, FagmsSchema, HyperLogLog, KllSketch};
+use sss_sketch::{HyperLogLog, KllSketch, MisraGries};
 use std::hint::black_box;
 
 const TUPLES: usize = 16_384;
@@ -27,8 +27,7 @@ fn benches(c: &mut Criterion) {
     group.throughput(Throughput::Elements(TUPLES as u64));
 
     let join_schema = JoinSchema::fagms(3, 4096, &mut rng);
-    let topk_schema: FagmsSchema = FagmsSchema::new(3, 4096, &mut rng);
-    let spec = MultiSpec::new(join_schema.clone(), &mut rng).top_k(topk_schema.clone(), 256);
+    let spec = MultiSpec::new(join_schema.clone(), &mut rng).top_k(256);
 
     // Full-rate ingestion: composite fan-out vs four separate summaries.
     group.bench_function(BenchmarkId::new("one_pass/full", 1.0), |b| {
@@ -37,7 +36,7 @@ fn benches(c: &mut Criterion) {
     });
     group.bench_function(BenchmarkId::new("four_passes/full", 1.0), |b| {
         let mut join = join_schema.sketch();
-        let mut topk = CountSketchTopK::new(&topk_schema, 256).expect("topk");
+        let mut topk = MisraGries::new(256).expect("topk");
         let mut hll = HyperLogLog::with_seed(12, 1).expect("hll");
         let mut kll = KllSketch::with_seed(200, 2).expect("kll");
         b.iter(|| {
@@ -56,7 +55,7 @@ fn benches(c: &mut Criterion) {
         });
         group.bench_function(BenchmarkId::new("four_passes/sampled", p), |b| {
             let mut join = Sampled::new(join_schema.sketch(), p, &mut rng).expect("join");
-            let mut topk = Sampled::count_sketch(&topk_schema, 256, p, &mut rng).expect("topk");
+            let mut topk = Sampled::misra_gries(256, p, &mut rng).expect("topk");
             let mut hll = Sampled::hyperloglog(12, p, &mut rng).expect("hll");
             let mut kll = Sampled::kll(200, p, &mut rng).expect("kll");
             b.iter(|| {

@@ -3,8 +3,10 @@
 //! The paper's one-pass promise culminates here: a composite summary that
 //! fans each `update_batch` into four specialized summaries —
 //!
-//! * a [`JoinSketch`] for F₂ / size-of-join ([`JoinQuery`]),
-//! * a [`CountSketchTopK`] tracker for heavy hitters ([`TopKQuery`]),
+//! * a [`JoinSketch`] for F₂ / size-of-join ([`JoinQuery`]) — and, being a
+//!   Count-Sketch, for the frequency of any one key,
+//! * a [`MisraGries`] counter summary that chooses the heavy-hitter
+//!   candidates ([`TopKQuery`]),
 //! * a [`HyperLogLog`] for distinct counts ([`DistinctQuery`]),
 //! * a [`KllSketch`] for quantiles ([`QuantileQuery`]) —
 //!
@@ -16,24 +18,40 @@
 //! is what the `multi_summary` bench measures against four separate
 //! passes.
 //!
+//! # One Count-Sketch
+//!
+//! F-AGMS — the sketch the paper runs its experiments on — *is*
+//! Count-Sketch, so the composite keeps one. Heavy hitters split into the
+//! two jobs a tracker does: *choosing* candidates is Misra–Gries's, whose
+//! counters cannot be fooled by hash collisions (at depth 3 a light key
+//! needs only two rows shared with a heavy one to read as heavy: a
+//! tracker that admits by sketch estimate takes it, a counter never sees
+//! it twice); *pricing* them is the join sketch's, whose
+//! [`point_query`](JoinSketch::point_query) is unbiased where a
+//! Misra–Gries counter undercounts. [`TopKQuery::top_k`] is the
+//! `capacity` largest counters re-scored by the sketch;
+//! [`TopKQuery::frequency`] is the point query, for any key, with variance
+//! `F₂ /` [`averaging_factor`](JoinSketch::averaging_factor).
+//!
 //! # The write path
 //!
-//! `update_batch` does not run four batch kernels over the same keys. The
-//! top-k tracker cuts the batch into chunks and reduces each chunk to its
-//! [`KeyRuns`](sss_sketch::KeyRuns) — distinct keys, their counts, and each
-//! tuple's position among them — and the other three parts ride on that
-//! one deduplication ([`CountSketchTopK::offer_batch_with`]):
+//! `update_batch` does not run four batch kernels over the same keys.
+//! Misra–Gries cuts the batch into chunks ending on its compaction
+//! positions and reduces each chunk to its
+//! [`KeyRuns`](sss_sketch::KeyRuns) — distinct keys and their counts — and
+//! the other three parts ride on that one deduplication
+//! ([`MisraGries::offer_chunks`]):
 //!
-//! * **Shared:** the chunking and the runs. A key's sign and bucket hashes
-//!   are evaluated once per distinct key of a chunk, not once per tuple.
-//! * **Order-free, fed per distinct key:** the join sketch takes
-//!   `(key, count)` pairs (integer counter updates commute) and HyperLogLog
-//!   takes the distinct keys (registers only grow) — both end up exactly
-//!   where the per-tuple loop leaves them.
-//! * **Still per tuple, in arrival order:** the top-k tracker's candidate
-//!   bump / counter increment / median / admission / eviction, and KLL's
-//!   inserts and compactions, because what they do with a tuple depends on
-//!   the tuples before it.
+//! * **Order-free, fed per distinct key:** the join sketch and Misra–Gries
+//!   take `(key, count)` pairs (counter additions commute) and HyperLogLog
+//!   takes the distinct keys (registers only grow) — all three end up
+//!   exactly where the per-tuple loop leaves them. A key's sign and bucket
+//!   hashes are evaluated once per distinct key of a chunk, for three rows.
+//! * **At fixed stream positions:** Misra–Gries compacts when the offered
+//!   weight crosses a multiple of the chunk length, never in between, so a
+//!   chunk that ends there can be added whole.
+//! * **Still per tuple, in arrival order:** KLL's inserts and compactions,
+//!   because what they do with a tuple depends on the tuples before it.
 //!
 //! The invariant all of it keeps: **state is a function of the tuple
 //! sequence, never of call boundaries** — `encode()` after `update_batch`
@@ -42,16 +60,17 @@
 //! (`tests/batch_properties.rs` pins it byte for byte).
 //!
 //! Construction goes through a [`MultiSpec`], which freezes the random
-//! seeds of all four constituents: any two summaries minted from the same
+//! seeds of the constituents: any two summaries minted from the same
 //! spec (or cloned from each other) are mergeable, which is exactly the
 //! property sharding needs.
 
 use crate::error::Result;
 use crate::sampled::Sampled;
 use crate::sketch::{JoinSchema, JoinSketch};
-use crate::summary::{DistinctQuery, JoinQuery, QuantileQuery, Summary, TopKQuery};
+use crate::summary::{DistinctQuery, JoinQuery, Portable, QuantileQuery, Summary, TopKQuery};
 use rand::Rng;
-use sss_sketch::{CountSketchTopK, Estimate, FagmsSchema, HyperLogLog, KllSketch};
+use sss_sketch::topk::{ranked, HeavyHitters};
+use sss_sketch::{Estimate, HyperLogLog, KllSketch, MisraGries};
 
 /// Frozen configuration (geometries + seeds) for [`MultiSummary`]
 /// construction. Two summaries merge iff they were minted from the same
@@ -59,8 +78,7 @@ use sss_sketch::{CountSketchTopK, Estimate, FagmsSchema, HyperLogLog, KllSketch}
 #[derive(Debug, Clone)]
 pub struct MultiSpec {
     join: JoinSchema,
-    topk_schema: FagmsSchema,
-    topk_capacity: usize,
+    heavy_capacity: usize,
     hll_precision: u8,
     hll_seed: u64,
     kll_k: usize,
@@ -69,14 +87,13 @@ pub struct MultiSpec {
 
 impl MultiSpec {
     /// A spec over the given join schema with the crate's default
-    /// geometries for the other three summaries: a 5×2048 Count-Sketch
-    /// top-k tracker with 256 candidates, a precision-12 HyperLogLog
-    /// (±1.6%), and a k = 200 KLL sketch (ε ≈ 1.6%).
+    /// geometries for the other three summaries: 256 Misra–Gries
+    /// heavy-hitter candidates, a precision-12 HyperLogLog (±1.6%), and a
+    /// k = 200 KLL sketch (ε ≈ 1.6%).
     pub fn new<R: Rng>(join: JoinSchema, rng: &mut R) -> Self {
         Self {
             join,
-            topk_schema: FagmsSchema::new(5, 2048, rng),
-            topk_capacity: 256,
+            heavy_capacity: 256,
             hll_precision: 12,
             hll_seed: rng.random(),
             kll_k: 200,
@@ -84,11 +101,10 @@ impl MultiSpec {
         }
     }
 
-    /// Override the top-k tracker geometry (its own sketch schema and
-    /// candidate capacity).
-    pub fn top_k(mut self, schema: FagmsSchema, capacity: usize) -> Self {
-        self.topk_schema = schema;
-        self.topk_capacity = capacity;
+    /// Override the number of heavy-hitter candidates (Misra–Gries
+    /// counters kept across a compaction).
+    pub fn top_k(mut self, capacity: usize) -> Self {
+        self.heavy_capacity = capacity;
         self
     }
 
@@ -113,7 +129,7 @@ impl MultiSpec {
     pub fn summary(&self) -> Result<MultiSummary> {
         Ok(MultiSummary {
             join: self.join.sketch(),
-            topk: CountSketchTopK::new(&self.topk_schema, self.topk_capacity)?,
+            heavy: MisraGries::new(self.heavy_capacity)?,
             distinct: HyperLogLog::with_seed(self.hll_precision, self.hll_seed)?,
             quantiles: KllSketch::with_seed(self.kll_k, self.kll_seed)?,
         })
@@ -136,7 +152,7 @@ impl MultiSpec {
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct MultiSummary {
     join: JoinSketch,
-    topk: CountSketchTopK,
+    heavy: MisraGries,
     distinct: HyperLogLog,
     quantiles: KllSketch,
 }
@@ -151,9 +167,10 @@ impl MultiSummary {
         &self.join
     }
 
-    /// The constituent top-k tracker (raw, sample-domain).
-    pub fn topk(&self) -> &CountSketchTopK {
-        &self.topk
+    /// The constituent heavy-hitter candidate summary (raw,
+    /// sample-domain).
+    pub fn heavy(&self) -> &MisraGries {
+        &self.heavy
     }
 
     /// The constituent distinct counter (raw, sample-domain).
@@ -171,13 +188,15 @@ impl MultiSummary {
 /// `update_batch` leaves each of them bit-identical to the per-key loop —
 /// see the module docs for what the batch path shares.
 ///
-/// A failed `merge_from` (mismatched specs) can leave earlier
-/// constituents merged and later ones not — discard `self` on error;
-/// summaries minted from one spec never hit this.
+/// `merge_from` is all or nothing: whatever a part could refuse —
+/// another spec's seeds or geometry, offered weights that sum past
+/// `u64::MAX` (reachable only from a decoded snapshot) — is asked of every
+/// part before any of them is touched, so a refusal leaves `self` as it
+/// was.
 impl Summary for MultiSummary {
     fn update(&mut self, key: u64, count: i64) {
         Summary::update(&mut self.join, key, count);
-        Summary::update(&mut self.topk, key, count);
+        Summary::update(&mut self.heavy, key, count);
         Summary::update(&mut self.distinct, key, count);
         Summary::update(&mut self.quantiles, key, count);
     }
@@ -185,11 +204,11 @@ impl Summary for MultiSummary {
     fn update_batch(&mut self, keys: &[u64]) {
         let Self {
             join,
-            topk,
+            heavy,
             distinct,
             quantiles,
         } = self;
-        topk.offer_batch_with(keys, |runs, chunk| {
+        heavy.offer_chunks(keys, |runs, chunk| {
             join.update_batch_counts(runs.items());
             distinct.insert_batch(runs.keys());
             quantiles.insert_batch(chunk);
@@ -197,8 +216,18 @@ impl Summary for MultiSummary {
     }
 
     fn merge_from(&mut self, other: &Self) -> Result<()> {
+        // The fingerprint is the parts' merge conditions (schema identity
+        // and geometry, capacity, precision and seed, `k`), chained.
+        if Portable::fingerprint(self) != Portable::fingerprint(other) {
+            return Err(sss_sketch::Error::SchemaMismatch.into());
+        }
+        let offered = (self.heavy.items_offered()).checked_add(other.heavy.items_offered());
+        let ranked = self.quantiles.len().checked_add(other.quantiles.len());
+        if offered.and(ranked).is_none() {
+            return Err(sss_sketch::Error::WeightOverflow.into());
+        }
         self.join.merge_from(&other.join)?;
-        self.topk.merge_from(&other.topk)?;
+        self.heavy.merge_from(&other.heavy)?;
         self.distinct.merge_from(&other.distinct)?;
         self.quantiles.merge_from(&other.quantiles)
     }
@@ -222,17 +251,29 @@ impl JoinQuery for MultiSummary {
     }
 }
 
+/// Misra–Gries picks, the join sketch prices — see the module docs. A
+/// `top_k` answer is shorter than asked when fewer keys stand out: no
+/// counter holds a key far below `n/(capacity+1)` across a compaction.
 impl TopKQuery for MultiSummary {
     fn frequency(&self, key: u64) -> f64 {
-        TopKQuery::frequency(&self.topk, key)
+        self.join.point_query(key)
     }
 
     fn top_k(&self, k: usize) -> Vec<(u64, f64)> {
-        TopKQuery::top_k(&self.topk, k)
+        let scored = self
+            .heavy
+            .candidates()
+            .into_iter()
+            .map(|key| (key, self.join.point_query(key)))
+            .collect();
+        ranked(scored, k)
     }
 
+    /// One lane's point-query variance, `F₂ / averaging_factor` with `F₂`
+    /// read from the sketch itself (clamped at 0 — the estimate is noisy);
+    /// the median or mean over lanes only concentrates further.
     fn frequency_variance(&self) -> f64 {
-        TopKQuery::frequency_variance(&self.topk)
+        self.join.raw_self_join().max(0.0) / self.join.averaging_factor() as f64
     }
 }
 
@@ -294,7 +335,7 @@ mod tests {
 
         let mut parts = spec.summary().unwrap();
         Summary::update_batch(&mut parts.join, &keys);
-        Summary::update_batch(&mut parts.topk, &keys);
+        Summary::update_batch(&mut parts.heavy, &keys);
         Summary::update_batch(&mut parts.distinct, &keys);
         Summary::update_batch(&mut parts.quantiles, &keys);
 
@@ -302,9 +343,10 @@ mod tests {
             JoinQuery::self_join(&multi).to_bits(),
             JoinQuery::self_join(&parts.join).to_bits()
         );
+        assert_eq!(TopKQuery::top_k(&multi, 10), TopKQuery::top_k(&parts, 10));
         assert_eq!(
-            TopKQuery::top_k(&multi, 10),
-            TopKQuery::top_k(&parts.topk, 10)
+            TopKQuery::top_k(&multi.heavy, 10),
+            TopKQuery::top_k(&parts.heavy, 10)
         );
         assert_eq!(
             DistinctQuery::distinct(&multi).to_bits(),
@@ -349,11 +391,39 @@ mod tests {
         assert_eq!(QuantileQuery::stream_len(&left), keys.len() as u64);
     }
 
+    /// A refusal comes before any part is touched — also when the part
+    /// that differs (here the HyperLogLog precision) merges last but one.
     #[test]
     fn mismatched_specs_refuse_to_merge() {
+        let keys = stream();
         let mut a = spec(4).summary().unwrap();
-        let b = spec(5).summary().unwrap();
-        assert!(a.merge_from(&b).is_err());
+        Summary::update_batch(&mut a, &keys);
+        let before = Portable::encode(&a).unwrap();
+        for other in [spec(5), spec(4).distinct_precision(10), spec(4).top_k(64)] {
+            let mut b = other.summary().unwrap();
+            Summary::update_batch(&mut b, &keys);
+            assert!(a.merge_from(&b).is_err());
+            assert_eq!(Portable::encode(&a).unwrap(), before);
+        }
+    }
+
+    /// The contract a counter front brings: `top_k` ranks the keys that
+    /// stand out and is as long as there are any. Two chunks of all-new
+    /// keys end on a compaction that keeps none; once some keys repeat,
+    /// exactly those come back. `frequency` answers either way.
+    #[test]
+    fn top_k_is_as_long_as_keys_stand_out() {
+        let mut multi = spec(7).summary().unwrap();
+        let flat: Vec<u64> = (0..2 * MisraGries::CHUNK as u64).collect();
+        Summary::update_batch(&mut multi, &flat);
+        assert_eq!(TopKQuery::top_k(&multi, 5), vec![]);
+        assert!((TopKQuery::frequency(&multi, 9) - 1.0).abs() < 10.0);
+        for (key, copies) in [(9u64, 300usize), (4, 200), (2, 100)] {
+            Summary::update_batch(&mut multi, &vec![key; copies]);
+        }
+        let top = TopKQuery::top_k(&multi, 5);
+        let keys: Vec<u64> = top.iter().map(|&(key, _)| key).collect();
+        assert_eq!(keys, [9, 4, 2]);
     }
 
     /// The sampled composite answers all four query families with

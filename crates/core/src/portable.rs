@@ -16,7 +16,7 @@
 //! * [`crate::EpochShedder`] — implemented in [`crate::epochs`], next to
 //!   the private state it serializes.
 
-use crate::error::Result;
+use crate::error::{Error, Result};
 use crate::multi::MultiSummary;
 use crate::sketch::JoinSketch;
 use crate::summary::Portable;
@@ -232,14 +232,20 @@ impl Portable for KllSketch {
 /// The composite fingerprints as the chain of its constituents'
 /// fingerprints — two `MultiSummary`s are wire-compatible iff every part
 /// is, which mirrors `merge_from`'s part-by-part checks exactly.
+///
+/// Format 2: the heavy-hitter part is a [`MisraGries`] body (format 1
+/// carried a `CountSketchTopK` with a sketch of its own). The head refuses
+/// a format-1 snapshot before its body is read, and a body whose parts do
+/// not fingerprint to the head's value — a join sketch paired with another
+/// spec's candidates — is refused after.
 impl Portable for MultiSummary {
     const KIND: &'static str = "multi";
-    const FORMAT: u32 = 1;
+    const FORMAT: u32 = 2;
 
     fn fingerprint(&self) -> u64 {
         wire::fingerprint(&[
             self.join().fingerprint(),
-            self.topk().fingerprint(),
+            self.heavy().fingerprint(),
             self.hll().fingerprint(),
             self.kll().fingerprint(),
         ])
@@ -250,14 +256,21 @@ impl Portable for MultiSummary {
     }
 
     fn decode(bytes: &[u8]) -> Result<Self> {
-        wire::decode_envelope(bytes, Self::KIND, Self::FORMAT)
+        let summary: Self = wire::decode_envelope(bytes, Self::KIND, Self::FORMAT)?;
+        let found = wire::peek(bytes)?.fingerprint;
+        if found != summary.fingerprint() {
+            return Err(Error::FingerprintMismatch {
+                expected: summary.fingerprint(),
+                found,
+            });
+        }
+        Ok(summary)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::Error;
     use crate::sketch::JoinSchema;
     use crate::summary::Summary;
     use rand::rngs::StdRng;

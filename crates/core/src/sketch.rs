@@ -122,6 +122,17 @@ impl JoinSketch {
         }
     }
 
+    /// Point estimate of the frequency of `key` — the Count-Sketch query:
+    /// median over rows of `ξ(key)·c[h(key)]` on F-AGMS, mean over counters
+    /// of `ξₖ(key)·Sₖ` on AGMS. Unbiased on both, with variance at most
+    /// `F₂ /` [`averaging_factor`](Self::averaging_factor) per lane.
+    pub fn point_query(&self, key: u64) -> f64 {
+        match self {
+            JoinSketch::Agms(s) => s.point_query(key),
+            JoinSketch::Fagms(s) => s.point_query(key),
+        }
+    }
+
     /// Merge another sketch of the same schema (stream union).
     pub fn merge(&mut self, other: &JoinSketch) -> Result<()> {
         match (self, other) {

@@ -490,13 +490,21 @@ impl SlimQuery for KllSketch {
     }
 }
 
+/// The top-k stage is the composite's own answer — its `capacity`
+/// Misra–Gries candidates priced by the join sketch — so the slim form
+/// ranks exactly as the fat one does; a key outside it reads 0 where the
+/// fat form can point-query (the gap [`SlimTopK`] documents).
 impl SlimQuery for MultiSummary {
     type Slim = SlimMultiSummary;
 
     fn slim(&self) -> SlimMultiSummary {
         SlimMultiSummary {
             join: self.join().slim(),
-            topk: self.topk().slim(),
+            topk: SlimTopK::project(
+                Portable::fingerprint(self.heavy()),
+                TopKQuery::top_k(self, self.heavy().capacity()),
+                TopKQuery::frequency_variance(self),
+            ),
             distinct: self.hll().slim(),
             quantiles: self.kll().slim(),
             fingerprint: Portable::fingerprint(self),
@@ -596,7 +604,11 @@ mod tests {
     #[test]
     fn slim_multi_serves_all_four_capabilities() {
         let mut rng = StdRng::seed_from_u64(4);
-        let spec = crate::MultiSpec::new(JoinSchema::fagms(3, 128, &mut rng), &mut rng);
+        // The served join geometry: the size claim at the bottom is about
+        // the counters a reader does not need, and the join sketch is the
+        // only part that has any — at 3×128 the two forms are the same size
+        // (17,161 B fat, 16,683 B slim).
+        let spec = crate::MultiSpec::new(JoinSchema::fagms(3, 5000, &mut rng), &mut rng);
         let mut fat = spec.summary().unwrap();
         let keys: Vec<u64> = (0..30_000u64).map(|i| i % 777).collect();
         Summary::update_batch(&mut fat, &keys);

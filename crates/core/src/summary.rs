@@ -81,9 +81,10 @@
 //!
 //! A summary implements whichever capabilities it can actually answer;
 //! [`crate::MultiSummary`] implements all four by fanning one
-//! `update_batch` into a join sketch, a Count-Sketch top-k tracker, a
-//! HyperLogLog, and a KLL sketch, which is how a single pass through the
-//! sharded runtime serves every query type at once.
+//! `update_batch` into a join sketch, a Misra–Gries summary whose
+//! heavy-hitter candidates that sketch prices, a HyperLogLog, and a KLL
+//! sketch, which is how a single pass through the sharded runtime serves
+//! every query type at once.
 //!
 //! Every query here is **raw**: it describes whatever stream the summary
 //! actually absorbed. Bernoulli-sampling corrections (Propositions 13–16
@@ -198,6 +199,15 @@ pub trait TopKQuery {
 
     /// The `k` heaviest tracked keys with raw frequency estimates,
     /// heaviest first (ties broken toward the smaller key).
+    ///
+    /// **At most** `k`: the answer is as long as the summary has tracked
+    /// keys to rank. A candidate set kept full by admission
+    /// (`CountSketchTopK`) fills `k` on any stream with `k` distinct keys;
+    /// a counter summary ([`crate::MultiSummary`]'s Misra–Gries front)
+    /// holds only keys that stand out — after a compaction nothing near or
+    /// below `n/(capacity+1)` — so on a flat stream its answer is short,
+    /// down to empty. [`frequency`](TopKQuery::frequency) answers for any
+    /// key either way.
     fn top_k(&self, k: usize) -> Vec<(u64, f64)>;
 
     /// The estimation variance of [`frequency`](TopKQuery::frequency)

@@ -51,6 +51,13 @@
 //! {"cmd":"shutdown"}
 //! ```
 //!
+//! A request line is at most [`MAX_QUERY_LINE`] bytes: the server buffers
+//! no more than that (plus one socket read) per connection, refuses a
+//! longer line once and closes its side; what the client still sends is
+//! discarded unbuffered, a bounded amount of it, and then the connection is
+//! dropped — a client that never sends a newline costs the server neither
+//! memory nor, past that bound, time.
+//!
 //! Responses are one JSON object per line; every `f64` that must
 //! round-trip exactly (point estimates compared against oracles) also
 //! travels as its IEEE-754 bit pattern in a sibling `*_bits` field,
@@ -82,6 +89,11 @@ pub const MAX_FRAME: u32 = 1 << 22;
 
 /// Largest key count a `BATCH` frame can carry under [`MAX_FRAME`].
 pub const MAX_BATCH_KEYS: usize = ((MAX_FRAME as usize) - 1 - 4) / 8;
+
+/// Longest query-plane request line, newline excluded. Every request the
+/// plane knows fits in a tenth of it; a connection that buffers more
+/// without a newline is answered `{"ok":false,…}` once and closed.
+pub const MAX_QUERY_LINE: usize = 4096;
 
 /// `ERROR` code: generic framing violation.
 pub const ERR_PROTOCOL: u16 = 1;

@@ -53,6 +53,10 @@ const TOKEN_LISTENER: u64 = 0;
 const TICK: Duration = Duration::from_millis(25);
 /// Socket read chunk per readiness event (per loop turn, for fairness).
 const READ_CHUNK: usize = 64 << 10;
+/// What a refused query connection may still send before it is dropped:
+/// room for an honest mistake (a snapshot pasted into the query port) to
+/// read its refusal, an end to what a flood costs the query thread.
+const REFUSED_DRAIN: usize = 4 << 20;
 
 /// Configuration for [`RunningServer::start`].
 #[derive(Debug, Clone)]
@@ -685,6 +689,13 @@ struct QueryConn {
     inbuf: Vec<u8>,
     out: Vec<u8>,
     out_pos: usize,
+    /// Set when the connection sent a line longer than
+    /// [`protocol::MAX_QUERY_LINE`]. It has its refusal and the write half
+    /// closes once that is out; the rest of the line is read and discarded
+    /// so the refusal is not lost to a reset — this many more bytes of it,
+    /// one read a turn, and then the connection is dropped whether or not
+    /// the peer has closed.
+    refused: Option<usize>,
 }
 
 impl QueryConn {
@@ -750,6 +761,7 @@ fn query_loop(
                                 inbuf: Vec::new(),
                                 out: Vec::new(),
                                 out_pos: 0,
+                                refused: None,
                             };
                             if poller.register(&conn.stream, token, Interest::READ).is_ok() {
                                 conns.insert(token, conn);
@@ -774,7 +786,13 @@ fn query_loop(
                             break;
                         }
                         Ok(n) => {
+                            if let Some(left) = &mut conn.refused {
+                                *left = left.saturating_sub(n);
+                                drop_conn = *left == 0;
+                                break;
+                            }
                             conn.inbuf.extend_from_slice(&scratch[..n]);
+                            answer_lines(conn, &mut replica, &handle, &stats, &shutdown);
                             if n < scratch.len() {
                                 break;
                             }
@@ -787,18 +805,14 @@ fn query_loop(
                         }
                     }
                 }
-                // Answer every complete line buffered so far.
-                while let Some(nl) = conn.inbuf.iter().position(|&b| b == b'\n') {
-                    let line: Vec<u8> = conn.inbuf.drain(..=nl).collect();
-                    let line = String::from_utf8_lossy(&line[..nl]);
-                    let response =
-                        answer_query(line.trim(), &mut replica, &handle, &stats, &shutdown);
-                    conn.out.extend_from_slice(response.as_bytes());
-                    conn.out.push(b'\n');
-                }
             }
             if !drop_conn && !conn.out.is_empty() {
                 match conn.flush() {
+                    // Closing only the write half lets the peer read its
+                    // refusal; closing both on unread input would reset it.
+                    Ok(true) if conn.refused.is_some() => {
+                        let _ = conn.stream.shutdown(std::net::Shutdown::Write);
+                    }
                     Ok(_) => {}
                     Err(_) => drop_conn = true,
                 }
@@ -823,6 +837,41 @@ fn query_loop(
         let _ = conn.flush();
     }
     Ok(())
+}
+
+/// Answer every complete line buffered so far, after each socket read so
+/// the buffer never holds more than one read beyond the longest legal line;
+/// a line longer than that is refused once and the buffer released.
+fn answer_lines(
+    conn: &mut QueryConn,
+    replica: &mut ReadReplica<MultiSummary>,
+    handle: &QueryHandle<MultiSummary>,
+    stats: &ServerStats,
+    shutdown: &AtomicBool,
+) {
+    loop {
+        let nl = conn.inbuf.iter().position(|&b| b == b'\n');
+        if nl.unwrap_or(conn.inbuf.len()) > protocol::MAX_QUERY_LINE {
+            conn.out.extend_from_slice(
+                format!(
+                    "{{\"ok\":false,\"error\":\"query line exceeds {} bytes\"}}\n",
+                    protocol::MAX_QUERY_LINE
+                )
+                .as_bytes(),
+            );
+            conn.inbuf = Vec::new();
+            conn.refused = Some(REFUSED_DRAIN);
+            return;
+        }
+        let Some(nl) = nl else {
+            return;
+        };
+        let line: Vec<u8> = conn.inbuf.drain(..=nl).collect();
+        let line = String::from_utf8_lossy(&line[..nl]);
+        let response = answer_query(line.trim(), replica, handle, stats, shutdown);
+        conn.out.extend_from_slice(response.as_bytes());
+        conn.out.push(b'\n');
+    }
 }
 
 /// Render a finite float as a JSON number, a non-finite one as `null`

@@ -346,17 +346,11 @@ impl<S: SignFamily, B: BucketFamily> FagmsSketch<S, B> {
     /// the distinct keys of a dictionary, or keys observed by a parallel
     /// space-saving pass); the sketch alone cannot enumerate keys.
     pub fn top_k<I: IntoIterator<Item = u64>>(&self, candidates: I, k: usize) -> Vec<(u64, f64)> {
-        let mut scored: Vec<(u64, f64)> = candidates
+        let scored = candidates
             .into_iter()
             .map(|key| (key, self.point_query(key)))
             .collect();
-        scored.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .expect("point queries are finite")
-                .then_with(|| a.0.cmp(&b.0))
-        });
-        scored.truncate(k);
-        scored
+        crate::topk::ranked(scored, k)
     }
 
     /// Point estimate of the frequency of `key` (the Count-Sketch query):

@@ -12,9 +12,10 @@
 
 /// Tuples per chunk. Small enough that the table, the runs and a consumer's
 /// per-key scratch stay cache-resident, large enough that a skewed stream
-/// repeats itself inside one chunk. Not a knob: no summary state depends on
-/// it (see [`CountSketchTopK::offer_batch_with`](crate::CountSketchTopK::offer_batch_with)).
-const CHUNK: usize = 2048;
+/// repeats itself inside one chunk. Not a knob: it is also the distance
+/// between two [`MisraGries`](crate::MisraGries) compactions, which makes it
+/// part of that summary's definition.
+pub(crate) const CHUNK: usize = 2048;
 
 /// Table slots: twice the chunk, so the load factor never exceeds one half.
 const SLOTS: usize = 2 * CHUNK;
@@ -61,12 +62,24 @@ impl KeyRuns {
         &self.index
     }
 
-    /// Cut `keys` into chunks and hand `each` every chunk deduplicated,
-    /// next to the chunk's raw tuples.
-    pub(crate) fn for_each_chunk(&mut self, keys: &[u64], mut each: impl FnMut(&Self, &[u64])) {
-        for chunk in keys.chunks(CHUNK) {
-            self.fill(chunk);
-            each(self, chunk);
+    /// Cut `keys` into chunks — the first of `first` tuples, the rest of
+    /// [`CHUNK`] — and hand `each` every chunk deduplicated, next to the
+    /// chunk's raw tuples. A caller whose state changes at fixed stream
+    /// positions passes its distance to the next one as `first`, so chunk
+    /// ends land on those positions however the stream was cut into calls.
+    pub(crate) fn for_each_chunk(
+        &mut self,
+        keys: &[u64],
+        first: usize,
+        mut each: impl FnMut(&Self, &[u64]),
+    ) {
+        debug_assert!((1..=CHUNK).contains(&first));
+        let (head, rest) = keys.split_at(first.min(keys.len()));
+        for chunk in std::iter::once(head).chain(rest.chunks(CHUNK)) {
+            if !chunk.is_empty() {
+                self.fill(chunk);
+                each(self, chunk);
+            }
         }
     }
 
@@ -128,7 +141,9 @@ mod tests {
             .collect();
         let mut runs = KeyRuns::default();
         let mut seen = Vec::new();
-        runs.for_each_chunk(&keys, |runs, chunk| {
+        let mut lengths = Vec::new();
+        runs.for_each_chunk(&keys, 5, |runs, chunk| {
+            lengths.push(chunk.len());
             assert_eq!(rebuilt(runs), chunk);
             let mut distinct = chunk.to_vec();
             distinct.sort_unstable();
@@ -141,6 +156,7 @@ mod tests {
             seen.extend_from_slice(chunk);
         });
         assert_eq!(seen, keys);
+        assert_eq!(lengths, [5, CHUNK, CHUNK, CHUNK, 2]);
     }
 
     #[test]
@@ -155,12 +171,14 @@ mod tests {
         assert_eq!(MULTIPLIER.wrapping_mul(inverse), 1);
         let colliding: Vec<u64> = (0..CHUNK as u64).map(|i| i.wrapping_mul(inverse)).collect();
         let mut runs = KeyRuns::default();
-        runs.for_each_chunk(&colliding, |runs, chunk| assert_eq!(rebuilt(runs), chunk));
+        runs.for_each_chunk(&colliding, CHUNK, |runs, chunk| {
+            assert_eq!(rebuilt(runs), chunk)
+        });
         // Force the stamp to wrap: stale slots must not alias live ones.
         runs.stamp = STAMP_LIMIT - 2;
         for round in 0..4u64 {
             let chunk: Vec<u64> = (0..100).map(|i| i % 10 + round).collect();
-            runs.for_each_chunk(&chunk, |runs, chunk| {
+            runs.for_each_chunk(&chunk, CHUNK, |runs, chunk| {
                 assert_eq!(rebuilt(runs), chunk);
                 assert_eq!(runs.keys().len(), 10);
             });

@@ -9,14 +9,18 @@
 //!   Summaries are mergeable in the sense of Agarwal et al. (*Mergeable
 //!   Summaries*, PODS 2012): add counters pointwise, subtract the
 //!   `(capacity+1)`-th largest, drop the non-positive remainder — the
-//!   merged error bounds add.
+//!   merged error bounds add. The same step is how the summary absorbs its
+//!   own stream, one deduplicated chunk at a time (see its docs). This is
+//!   the candidate front of `sss-core`'s `MultiSummary`, which prices the
+//!   candidates with its join sketch.
 //! * [`CountSketchTopK`] — Charikar–Chen–Farach-Colton top-k over an
 //!   [`FagmsSketch`] (Count-Sketch): the sketch answers
 //!   [`point_query`](FagmsSketch::point_query) for *any* key with additive
 //!   error `≈ √(F₂/width)`, and a bounded candidate set tracks the keys
 //!   whose running estimates are largest. Memory is `O(capacity + depth ×
 //!   width)` — no per-domain state, unlike the dictionary pass the sketch
-//!   alone would need to enumerate keys.
+//!   alone would need to enumerate keys. The stand-alone tracker: it
+//!   brings its own sketch and decides once per tuple.
 //!
 //! Both summaries report **raw** (sample-universe) estimates; the
 //! `1/p`-unbiasing for Bernoulli-sampled streams lives one layer up in
@@ -35,9 +39,25 @@
 use crate::error::{Error, Result};
 use crate::fagms::{FagmsSchema, FagmsSketch, RowCells};
 use crate::fasthash::KeyHashMap;
-use crate::runs::KeyRuns;
+use crate::runs::{KeyRuns, CHUNK};
 use crate::Sketch;
 use sss_xi::{BucketFamily, DefaultBucket, DefaultSign, SignFamily};
+
+/// The crate-wide top-k order: `scored` sorted by estimate descending,
+/// ties toward the smaller key, cut to the first `k`.
+///
+/// # Panics
+///
+/// If an estimate is NaN (no summary in this crate produces one).
+pub fn ranked(mut scored: Vec<(u64, f64)>, k: usize) -> Vec<(u64, f64)> {
+    scored.sort_by(|a, b| {
+        b.1.partial_cmp(&a.1)
+            .expect("estimates are finite")
+            .then_with(|| a.0.cmp(&b.0))
+    });
+    scored.truncate(k);
+    scored
+}
 
 /// A mergeable summary answering approximate frequent-item queries over
 /// the stream it has seen (its *sample universe* — corrections for
@@ -52,7 +72,8 @@ pub trait HeavyHitters: Clone {
     /// leave state identical to that loop: the same counters, the same
     /// candidates with the same running estimates, and the same behaviour
     /// on every later offer. What an override may share across the batch is
-    /// whatever depends on a key alone (its hashes); whatever depends on
+    /// whatever depends on a key alone (its hashes) or commutes (counter
+    /// additions between two fixed stream positions); whatever depends on
     /// what arrived before (admission, eviction, the estimate a key is
     /// admitted with) stays per tuple, in arrival order. State must be a
     /// function of the tuple sequence, never of how it was cut into calls.
@@ -96,18 +117,12 @@ pub trait HeavyHitters: Clone {
     /// descending with ties broken by ascending key (the
     /// [`FagmsSketch::top_k`] convention), truncated to `k`.
     fn raw_top_k(&self, k: usize) -> Vec<(u64, f64)> {
-        let mut scored: Vec<(u64, f64)> = self
+        let scored = self
             .candidates()
             .into_iter()
             .map(|key| (key, self.raw_estimate(key)))
             .collect();
-        scored.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .expect("estimates are finite")
-                .then_with(|| a.0.cmp(&b.0))
-        });
-        scored.truncate(k);
-        scored
+        ranked(scored, k)
     }
 
     /// Total weight offered so far (the `n` of the `n/(capacity+1)`
@@ -120,16 +135,34 @@ pub trait HeavyHitters: Clone {
 
 /// The Misra–Gries deterministic heavy-hitter summary.
 ///
-/// Keeps at most `capacity` `(key, count)` pairs. Offering a key already
-/// tracked (or while a slot is free) increments its counter; otherwise the
-/// summary *compacts*: the smallest counter value is subtracted from every
-/// counter and the zeros are dropped. The cumulative subtracted amount —
-/// [`error_bound`](Self::error_bound) — bounds every key's undercount and
-/// never exceeds `n/(capacity+1)`.
+/// An offer adds to its key's counter, creating it if need be. Whenever the
+/// offered weight crosses a multiple of [`CHUNK`](Self::CHUNK) the summary
+/// *compacts* — the Agarwal et al. merge step: the `(capacity+1)`-th
+/// largest counter value is subtracted from every counter and the
+/// non-positive ones are dropped, leaving at most `capacity`. The
+/// cumulative subtracted amount — [`error_bound`](Self::error_bound) —
+/// bounds every key's undercount and never exceeds `n/(capacity+1)`, since
+/// every compaction takes its cut from each of `capacity + 1` counters.
+///
+/// Compactions sit at **stream positions**, not call positions. Between
+/// two of them only additions happen, and additions commute, so
+/// [`offer_batch`](HeavyHitters::offer_batch) may add a whole deduplicated
+/// chunk of `(key, count)` pairs at once — provided the chunk ends where
+/// the per-key loop would compact, which is why the batch path cuts its
+/// first chunk at the distance to the next multiple. State is then a
+/// function of the offered sequence alone: `encode()` after any re-cut of
+/// the stream into calls equals `encode()` after the per-key loop.
+///
+/// At most `capacity + CHUNK` counters are ever held (at most `CHUNK`
+/// offers, so at most `CHUNK` new keys, separate two compactions); a
+/// [`merge`](HeavyHitters::merge) always compacts, and
+/// [`candidates`](HeavyHitters::candidates) — so every top-k answer — is
+/// the `capacity` largest of them.
 ///
 /// This summary is insert-only: non-positive offer counts are ignored
-/// (deletions would break the deterministic guarantee).
-#[derive(Debug, Clone)]
+/// (deletions would break the deterministic guarantee). So is an offer
+/// that would take the offered weight past `u64::MAX`.
+#[derive(Debug)]
 pub struct MisraGries {
     counters: KeyHashMap<u64>,
     capacity: usize,
@@ -137,9 +170,31 @@ pub struct MisraGries {
     /// deterministic per-key undercount bound.
     offset: u64,
     offered: u64,
+    /// Buffers of compaction and the batch path. Not state: never cloned,
+    /// serialized or compared.
+    scratch: MgScratch,
 }
 
-// Persistence: capacity + error offset + offered weight + the tracked
+#[derive(Debug, Default)]
+struct MgScratch {
+    runs: KeyRuns,
+    values: Vec<u64>,
+}
+
+// A clone starts with empty scratch.
+impl Clone for MisraGries {
+    fn clone(&self) -> Self {
+        Self {
+            counters: self.counters.clone(),
+            capacity: self.capacity,
+            offset: self.offset,
+            offered: self.offered,
+            scratch: MgScratch::default(),
+        }
+    }
+}
+
+// Persistence: capacity + error offset + offered weight + the held
 // counters as parallel key/count columns in ascending key order, so the
 // encoding of a given summary state is deterministic regardless of hash-map
 // iteration order (snapshot proptests pin byte-for-byte stability on this).
@@ -163,10 +218,18 @@ impl serde::Serialize for MisraGries {
     }
 }
 
+// A body is hostile until it has passed what every state this module can
+// reach satisfies: at most `capacity + CHUNK` distinct keys with positive
+// counters, and `Σ counters + offset·(capacity+1) ≤ offered` — offers add
+// equally to both sides' slack, and a compaction with cut `c` adds `c` to
+// the offset while taking at least `c` from each of `capacity + 1`
+// counters. With that, no later sum of counters can overflow before the
+// offered weight does, and that one is checked where it grows.
 impl<'de> serde::Deserialize<'de> for MisraGries {
     fn deserialize<D: serde::Deserializer<'de>>(
         deserializer: D,
     ) -> std::result::Result<Self, D::Error> {
+        use serde::de::Error as _;
         #[derive(serde::Deserialize)]
         struct Repr {
             capacity: usize,
@@ -177,29 +240,52 @@ impl<'de> serde::Deserialize<'de> for MisraGries {
         }
         let repr = Repr::deserialize(deserializer)?;
         if repr.capacity == 0 {
-            return Err(serde::de::Error::custom(
-                "Misra-Gries capacity must be non-zero",
+            return Err(D::Error::custom("Misra-Gries capacity must be non-zero"));
+        }
+        let held = repr.keys.len();
+        let room = repr.capacity.saturating_add(CHUNK);
+        if held != repr.counts.len() || held > room {
+            return Err(D::Error::invalid_length(
+                held,
+                &"matching key/count columns of at most capacity + chunk entries",
             ));
         }
-        if repr.keys.len() != repr.counts.len() || repr.keys.len() > repr.capacity {
-            return Err(serde::de::Error::invalid_length(
-                repr.keys.len(),
-                &"matching key/count columns within capacity",
+        if repr.counts.contains(&0) {
+            return Err(D::Error::custom("Misra-Gries counters are positive"));
+        }
+        let accounted = u64::try_from(repr.capacity)
+            .ok()
+            .and_then(|capacity| capacity.checked_add(1))
+            .and_then(|shares| shares.checked_mul(repr.offset))
+            .and_then(|cut| {
+                repr.counts
+                    .iter()
+                    .try_fold(cut, |sum, &c| sum.checked_add(c))
+            });
+        if !matches!(accounted, Some(accounted) if accounted <= repr.offered) {
+            return Err(D::Error::custom(
+                "Misra-Gries counters and offset exceed the offered weight",
             ));
         }
-        let mut counters =
-            KeyHashMap::with_capacity_and_hasher(repr.capacity + 1, Default::default());
-        counters.extend(repr.keys.into_iter().zip(repr.counts));
+        let counters: KeyHashMap<u64> = repr.keys.into_iter().zip(repr.counts).collect();
+        if counters.len() != held {
+            return Err(D::Error::custom("Misra-Gries keys are distinct"));
+        }
         Ok(Self {
             counters,
             capacity: repr.capacity,
             offset: repr.offset,
             offered: repr.offered,
+            scratch: MgScratch::default(),
         })
     }
 }
 
 impl MisraGries {
+    /// Offered weight between two compactions — part of the summary's
+    /// definition, not a knob (see the type docs).
+    pub const CHUNK: usize = CHUNK;
+
     /// Create a summary with `capacity` counters.
     ///
     /// # Errors
@@ -210,16 +296,23 @@ impl MisraGries {
             return Err(Error::InvalidDimensions);
         }
         Ok(Self {
-            counters: KeyHashMap::with_capacity_and_hasher(capacity + 1, Default::default()),
+            counters: KeyHashMap::default(),
             capacity,
             offset: 0,
             offered: 0,
+            scratch: MgScratch::default(),
         })
     }
 
     /// The configured counter budget.
     pub fn capacity(&self) -> usize {
         self.capacity
+    }
+
+    /// Counters held right now: at most `capacity` after a compaction or a
+    /// merge, at most `capacity + CHUNK` in between.
+    pub fn held(&self) -> usize {
+        self.counters.len()
     }
 
     /// The deterministic undercount bound: for every key,
@@ -229,6 +322,35 @@ impl MisraGries {
         self.offset
     }
 
+    /// [`offer_batch`](HeavyHitters::offer_batch), sharing the batch's
+    /// deduplication: `keys` is cut into chunks ending on this summary's
+    /// compaction positions, each chunk is reduced to its [`KeyRuns`] and
+    /// absorbed, and `each` then sees the runs next to the chunk's raw
+    /// tuples — so summaries fed from the same batch (`sss-core`'s
+    /// `MultiSummary`) take their order-free updates per distinct key
+    /// without deduplicating again.
+    pub fn offer_chunks(&mut self, keys: &[u64], mut each: impl FnMut(&KeyRuns, &[u64])) {
+        let mut runs = std::mem::take(&mut self.scratch.runs);
+        let first = CHUNK - (self.offered % CHUNK as u64) as usize;
+        runs.for_each_chunk(keys, first, |runs, chunk| {
+            match self.offered.checked_add(chunk.len() as u64) {
+                Some(offered) => {
+                    for &(key, count) in runs.items() {
+                        *self.counters.entry(key).or_insert(0) += count as u64;
+                    }
+                    self.offered = offered;
+                    if offered % CHUNK as u64 == 0 {
+                        self.compact();
+                    }
+                }
+                // Past `u64::MAX` the per-key loop drops offers one by one.
+                None => chunk.iter().for_each(|&key| self.offer(key, 1)),
+            }
+            each(runs, chunk);
+        });
+        self.scratch.runs = runs;
+    }
+
     /// Subtract the `(capacity+1)`-th largest counter value from every
     /// counter and drop the non-positive ones. Leaves at most `capacity`
     /// counters (everything at or below the cut dies).
@@ -236,9 +358,10 @@ impl MisraGries {
         if self.counters.len() <= self.capacity {
             return;
         }
-        let mut values: Vec<u64> = self.counters.values().copied().collect();
-        values.sort_unstable_by(|a, b| b.cmp(a));
-        let cut = values[self.capacity];
+        let values = &mut self.scratch.values;
+        values.clear();
+        values.extend(self.counters.values());
+        let (_, &mut cut, _) = values.select_nth_unstable_by(self.capacity, |a, b| b.cmp(a));
         self.counters.retain(|_, v| {
             if *v > cut {
                 *v -= cut;
@@ -257,21 +380,40 @@ impl HeavyHitters for MisraGries {
             return;
         }
         let count = count as u64;
-        self.offered += count;
+        let Some(offered) = self.offered.checked_add(count) else {
+            return;
+        };
         *self.counters.entry(key).or_insert(0) += count;
-        self.compact();
+        let crossed = offered / CHUNK as u64 != self.offered / CHUNK as u64;
+        self.offered = offered;
+        if crossed {
+            self.compact();
+        }
+    }
+
+    fn offer_batch(&mut self, keys: &[u64]) {
+        self.offer_chunks(keys, |_, _| {});
     }
 
     /// Pointwise counter addition followed by one compaction — the
     /// Agarwal et al. merge; the undercount bounds (`offset`s) add.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::SchemaMismatch`] on different capacities,
+    /// [`Error::WeightOverflow`] if the offered weights sum past
+    /// `u64::MAX`; either way `self` is untouched.
     fn merge(&mut self, other: &Self) -> Result<()> {
         if self.capacity != other.capacity {
             return Err(Error::SchemaMismatch);
         }
+        self.offered = self
+            .offered
+            .checked_add(other.offered)
+            .ok_or(Error::WeightOverflow)?;
         for (&key, &count) in &other.counters {
             *self.counters.entry(key).or_insert(0) += count;
         }
-        self.offered += other.offered;
         self.offset += other.offset;
         self.compact();
         Ok(())
@@ -285,8 +427,16 @@ impl HeavyHitters for MisraGries {
         self.offset as f64
     }
 
+    /// The keys of the `capacity` largest held counters (ties toward the
+    /// smaller key) — what the next compaction would keep, and a few at
+    /// its cut besides.
     fn candidates(&self) -> Vec<u64> {
-        self.counters.keys().copied().collect()
+        let mut held: Vec<(u64, u64)> = self.counters.iter().map(|(&k, &v)| (k, v)).collect();
+        if held.len() > self.capacity {
+            held.select_nth_unstable_by(self.capacity, |a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+            held.truncate(self.capacity);
+        }
+        held.into_iter().map(|(key, _)| key).collect()
     }
 
     fn items_offered(&self) -> u64 {
@@ -294,7 +444,7 @@ impl HeavyHitters for MisraGries {
     }
 
     fn counters(&self) -> usize {
-        self.capacity
+        self.capacity.saturating_add(CHUNK)
     }
 }
 
@@ -328,7 +478,7 @@ pub struct CountSketchTopK<S = DefaultSign, B = DefaultBucket> {
     scratch: Scratch,
 }
 
-/// What [`CountSketchTopK::offer_batch_with`] reuses from call to call.
+/// What [`CountSketchTopK`]'s `offer_batch` reuses from call to call.
 #[derive(Debug, Default)]
 struct Scratch {
     runs: KeyRuns,
@@ -497,55 +647,6 @@ impl<S: SignFamily, B: BucketFamily> CountSketchTopK<S, B> {
             self.recompute_min();
         }
     }
-
-    /// [`offer_batch`](HeavyHitters::offer_batch), sharing the batch's
-    /// deduplication: `keys` is cut into chunks, each chunk is reduced to
-    /// its [`KeyRuns`] and offered, and `each` then sees the runs next to
-    /// the chunk's raw tuples — so summaries fed from the same batch
-    /// (`sss-core`'s `MultiSummary`) take their order-free updates per
-    /// distinct key without deduplicating again.
-    ///
-    /// Every row's sign and bucket is evaluated once per *distinct* key of
-    /// a chunk; the tuples are then walked in arrival order, each doing
-    /// exactly what [`offer`](HeavyHitters::offer) does — candidate bump or
-    /// counter increments, median, admission, eviction — against the
-    /// memoised cells. Counters, candidates, running estimates and the
-    /// min-cache therefore pass through the same states as under the
-    /// per-key loop, whatever the chunking and however the stream was cut
-    /// into calls.
-    pub fn offer_batch_with(&mut self, keys: &[u64], mut each: impl FnMut(&KeyRuns, &[u64])) {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let Scratch {
-            runs,
-            cells,
-            per_row,
-        } = &mut scratch;
-        let depth = self.sketch.schema().depth();
-        per_row.resize(depth, 0.0);
-        runs.for_each_chunk(keys, |runs, chunk| {
-            let distinct = runs.keys();
-            self.sketch.hash_cells(distinct, cells);
-            let cells = cells.cells();
-            self.offered += chunk.len() as u64;
-            for &position in runs.index() {
-                let position = usize::from(position);
-                let key = distinct[position];
-                let cells = &cells[position * depth..(position + 1) * depth];
-                if let Some(est) = self.candidates.get_mut(&key) {
-                    *est += 1.0;
-                    self.sketch.bump(cells);
-                    if key == self.min_key {
-                        self.min_dirty = true;
-                    }
-                } else {
-                    let est = self.sketch.bump_and_query(cells, per_row);
-                    self.admit(key, est);
-                }
-            }
-            each(runs, chunk);
-        });
-        self.scratch = scratch;
-    }
 }
 
 impl<S: SignFamily, B: BucketFamily> HeavyHitters for CountSketchTopK<S, B> {
@@ -574,8 +675,45 @@ impl<S: SignFamily, B: BucketFamily> HeavyHitters for CountSketchTopK<S, B> {
         self.admit(key, est);
     }
 
+    /// Every row's sign and bucket is evaluated once per *distinct* key of
+    /// a chunk ([`KeyRuns`]); the tuples are then walked in arrival order,
+    /// each doing exactly what [`offer`](HeavyHitters::offer) does —
+    /// candidate bump or counter increments, median, admission, eviction —
+    /// against the memoised cells. Counters, candidates, running estimates
+    /// and the min-cache therefore pass through the same states as under
+    /// the per-key loop, whatever the chunking and however the stream was
+    /// cut into calls.
     fn offer_batch(&mut self, keys: &[u64]) {
-        self.offer_batch_with(keys, |_, _| {});
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let Scratch {
+            runs,
+            cells,
+            per_row,
+        } = &mut scratch;
+        let depth = self.sketch.schema().depth();
+        per_row.resize(depth, 0.0);
+        runs.for_each_chunk(keys, CHUNK, |runs, chunk| {
+            let distinct = runs.keys();
+            self.sketch.hash_cells(distinct, cells);
+            let cells = cells.cells();
+            self.offered += chunk.len() as u64;
+            for &position in runs.index() {
+                let position = usize::from(position);
+                let key = distinct[position];
+                let cells = &cells[position * depth..(position + 1) * depth];
+                if let Some(est) = self.candidates.get_mut(&key) {
+                    *est += 1.0;
+                    self.sketch.bump(cells);
+                    if key == self.min_key {
+                        self.min_dirty = true;
+                    }
+                } else {
+                    let est = self.sketch.bump_and_query(cells, per_row);
+                    self.admit(key, est);
+                }
+            }
+        });
+        self.scratch = scratch;
     }
 
     /// Sketch counters add entry-wise (linearity); candidate sets union,
@@ -595,17 +733,11 @@ impl<S: SignFamily, B: BucketFamily> HeavyHitters for CountSketchTopK<S, B> {
             .collect();
         union.sort_unstable();
         union.dedup();
-        let mut scored: Vec<(u64, f64)> = union
+        let scored = union
             .into_iter()
             .map(|key| (key, self.sketch.point_query(key)))
             .collect();
-        scored.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .expect("point queries are finite")
-                .then_with(|| a.0.cmp(&b.0))
-        });
-        scored.truncate(self.capacity);
-        self.candidates = scored.into_iter().collect();
+        self.candidates = ranked(scored, self.capacity).into_iter().collect();
         self.offered += other.offered;
         self.min_dirty = true;
         Ok(())
@@ -692,8 +824,11 @@ mod tests {
 
     #[test]
     fn misra_gries_undercount_respects_the_deterministic_bound() {
-        let stream = skewed_stream();
+        // Five passes over the stream: past two compaction positions.
+        const PASSES: u64 = 5;
+        let stream = skewed_stream().repeat(PASSES as usize);
         let n = stream.len() as u64;
+        assert!(n > 2 * CHUNK as u64);
         let mut mg = MisraGries::new(3).unwrap();
         mg.offer_batch(&stream);
         assert_eq!(mg.items_offered(), n);
@@ -706,7 +841,7 @@ mod tests {
         );
         // Every estimate is an undercount within the bound.
         for k in 0..10u64 {
-            let truth = (1u64 << (9 - k)) as f64;
+            let truth = (PASSES << (9 - k)) as f64;
             let est = mg.raw_estimate(k);
             assert!(est <= truth, "key {k}: over-estimate {est} > {truth}");
             assert!(
@@ -716,8 +851,34 @@ mod tests {
                 mg.error_bound()
             );
         }
-        // The head (frequency 512 ≫ bound) is guaranteed present.
+        // The head (half the stream) is guaranteed present.
         assert!(mg.candidates().contains(&0));
+    }
+
+    /// Compaction sits at multiples of `CHUNK` offered, wherever the calls
+    /// end: between two of them every distinct key is held, a query still
+    /// sees `capacity` of them, and a weighted offer that jumps a multiple
+    /// compacts once.
+    #[test]
+    fn misra_gries_compacts_at_stream_positions() {
+        let keys: Vec<u64> = (0..CHUNK as u64 - 1).collect();
+        let mut mg = MisraGries::new(4).unwrap();
+        mg.offer_batch(&keys);
+        assert_eq!(mg.held(), CHUNK - 1);
+        let mut candidates = mg.candidates();
+        candidates.sort_unstable();
+        assert_eq!(candidates, vec![0, 1, 2, 3], "ties toward the smaller key");
+        assert_eq!(mg.error_bound(), 0);
+        mg.offer(7, 5);
+        assert_eq!(mg.items_offered(), CHUNK as u64 + 4);
+        assert_eq!((mg.held(), mg.error_bound()), (1, 1));
+        assert_eq!(mg.raw_top_k(4), vec![(7, 5.0)]);
+        // A merge compacts wherever it happens.
+        let mut other = MisraGries::new(4).unwrap();
+        other.offer_batch(&keys[..100]);
+        mg.merge(&other).unwrap();
+        assert!(mg.held() <= 4);
+        assert_eq!(mg.items_offered(), CHUNK as u64 + 104);
     }
 
     #[test]

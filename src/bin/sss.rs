@@ -11,7 +11,7 @@
 //! sss distinct <file> [--p=0.1] [--precision=12] [--seed=1] [--exact] [--confidence=0.95]
 //! sss quantiles <file> [--p=0.1] [--k=200] [--at=0.5] [--seed=1] [--exact]
 //! sss multi <file> [--k=10] [--p=0.1] [--depth=3] [--width=5000] [--seed=1] [--exact] [--confidence=0.95]
-//! sss save <file> <out.sss> [--depth=3] [--width=5000] [--seed=1]
+//! sss save <file> <out.sss> [--kind=join|multi] [--depth=3] [--width=5000] [--seed=1]
 //! sss load <snapshot.sss> [--confidence=0.95]
 //! sss merge-snapshots <in1.sss> <in2.sss> [more...] [--out=merged.sss] [--confidence=0.95]
 //! sss serve [--ingest=127.0.0.1:0] [--query=127.0.0.1:0] [--shards=2] [--snapshot=final.sss]
@@ -43,12 +43,14 @@
 //!
 //! `save` sketches a key file into a **portable snapshot**: the F-AGMS
 //! join sketch's versioned wire envelope (kind + format + configuration
-//! fingerprint + state). `load` reads one back and answers the self-join
-//! query; `merge-snapshots` combines snapshots produced by *different
-//! processes* — the fingerprint check refuses payloads built from
-//! different seeds/dimensions, so only like-configured sketches merge —
-//! and by sketch linearity the merged estimate is bit-identical to
-//! sketching the concatenated streams in one process.
+//! fingerprint + state), or with `--kind=multi` the whole `MultiSummary`
+//! that `serve` with the same `--depth/--width/--seed` runs. `load` reads
+//! one back and answers the self-join query (a `multi` snapshot also its
+//! distinct count and top keys); `merge-snapshots` combines snapshots
+//! produced by *different processes* — the fingerprint check refuses
+//! payloads built from different seeds/dimensions, so only like-configured
+//! sketches merge — and by sketch linearity the merged estimate is
+//! bit-identical to sketching the concatenated streams in one process.
 //!
 //! `serve` runs the network ingest service (binary batch protocol on the
 //! ingest plane, line-delimited JSON on the query plane) until a query
@@ -62,7 +64,9 @@ use std::process::ExitCode;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sketch_sampled_streams::core::sketch::{JoinSchema, JoinSketch};
-use sketch_sampled_streams::core::{wire, JoinQuery, MultiSpec, Portable, Sampled, SlimQuery};
+use sketch_sampled_streams::core::{
+    wire, JoinQuery, MultiSpec, MultiSummary, Portable, Sampled, SlimQuery, Summary,
+};
 use sketch_sampled_streams::exact::ExactAggregator;
 use sketch_sampled_streams::net::{self, QueryClient, RunningServer, ServerConfig};
 use sketch_sampled_streams::sketch::FagmsSchema;
@@ -130,7 +134,7 @@ fn exact_join(f: &[u64], g: &[u64]) -> f64 {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  sss selfjoin <file> [--p=1.0] [--depth=3] [--width=5000] [--seed=1] [--exact] [--confidence=0.95]\n  sss join <file_f> <file_g> [--p=1.0] [--q=1.0] [--depth=3] [--width=5000] [--seed=1] [--exact] [--confidence=0.95]\n  sss topk <file> [--k=10] [--p=1.0] [--capacity=4k] [--depth=5] [--width=2048] [--seed=1] [--exact] [--confidence=0.95]\n  sss distinct <file> [--p=1.0] [--precision=12] [--seed=1] [--exact] [--confidence=0.95]\n  sss quantiles <file> [--p=1.0] [--k=200] [--at=0.5] [--seed=1] [--exact]\n  sss multi <file> [--k=10] [--p=1.0] [--depth=3] [--width=5000] [--seed=1] [--exact] [--confidence=0.95]\n  sss save <file> <out.sss> [--depth=3] [--width=5000] [--seed=1]\n  sss load <snapshot.sss> [--confidence=0.95]\n  sss merge-snapshots <in1.sss> <in2.sss> [more...] [--out=merged.sss] [--confidence=0.95]\n  sss serve [--ingest=127.0.0.1:0] [--query=127.0.0.1:0] [--shards=2] [--queue-depth=64] [--partition=rr|hash] [--depth=3] [--width=5000] [--seed=1] [--max-pending=0] [--snapshot=final.sss]\n  sss bench-client <host:port> [--connections=1] [--tuples=100000] [--batch=512] [--domain=10000] [--seed=7] [--query-addr=host:port] [--check] [--shutdown]"
+        "usage:\n  sss selfjoin <file> [--p=1.0] [--depth=3] [--width=5000] [--seed=1] [--exact] [--confidence=0.95]\n  sss join <file_f> <file_g> [--p=1.0] [--q=1.0] [--depth=3] [--width=5000] [--seed=1] [--exact] [--confidence=0.95]\n  sss topk <file> [--k=10] [--p=1.0] [--capacity=4k] [--depth=5] [--width=2048] [--seed=1] [--exact] [--confidence=0.95]\n  sss distinct <file> [--p=1.0] [--precision=12] [--seed=1] [--exact] [--confidence=0.95]\n  sss quantiles <file> [--p=1.0] [--k=200] [--at=0.5] [--seed=1] [--exact]\n  sss multi <file> [--k=10] [--p=1.0] [--depth=3] [--width=5000] [--seed=1] [--exact] [--confidence=0.95]\n  sss save <file> <out.sss> [--kind=join|multi] [--depth=3] [--width=5000] [--seed=1]\n  sss load <snapshot.sss> [--confidence=0.95]\n  sss merge-snapshots <in1.sss> <in2.sss> [more...] [--out=merged.sss] [--confidence=0.95]\n  sss serve [--ingest=127.0.0.1:0] [--query=127.0.0.1:0] [--shards=2] [--queue-depth=64] [--partition=rr|hash] [--depth=3] [--width=5000] [--seed=1] [--max-pending=0] [--snapshot=final.sss]\n  sss bench-client <host:port> [--connections=1] [--tuples=100000] [--batch=512] [--domain=10000] [--seed=7] [--query-addr=host:port] [--check] [--shutdown]"
     );
     ExitCode::from(2)
 }
@@ -391,20 +395,19 @@ fn write_snapshot(path: &str, bytes: &[u8]) -> Result<()> {
 }
 
 /// `sss save <file> <out.sss>`: sketch the key file and write the
-/// sketch's portable wire envelope. Processes that agree on
+/// summary's portable wire envelope. Processes that agree on
 /// `--depth/--width/--seed` produce fingerprint-compatible snapshots
 /// that `merge-snapshots` will combine.
-fn run_save(args: &[String], schema: &JoinSchema) -> Result<()> {
+fn run_save<S: Summary + Portable>(args: &[String], mut summary: S) -> Result<()> {
     let (path, out) = (&args[1], &args[2]);
     let keys = read_keys(path)?;
-    let mut sketch = schema.sketch();
-    sketch.update_batch(&keys);
-    let bytes = sketch.encode()?;
+    summary.update_batch(&keys);
+    let bytes = summary.encode()?;
     write_snapshot(out, &bytes)?;
     println!("tuples      {}", keys.len());
-    println!("kind        {}", JoinSketch::KIND);
-    println!("format      {}", JoinSketch::FORMAT);
-    println!("fingerprint {:#018x}", Portable::fingerprint(&sketch));
+    println!("kind        {}", S::KIND);
+    println!("format      {}", S::FORMAT);
+    println!("fingerprint {:#018x}", summary.fingerprint());
     println!("bytes       {}", bytes.len());
     println!("saved       {out}");
     Ok(())
@@ -424,8 +427,8 @@ fn run_load(args: &[String], confidence: Option<f64>) -> Result<()> {
     println!("format      {}", head.format);
     println!("fingerprint {:#018x}", head.fingerprint);
     println!("bytes       {}", bytes.len());
-    if head.kind == sketch_sampled_streams::core::MultiSummary::KIND {
-        use sketch_sampled_streams::core::{DistinctQuery as _, MultiSummary, TopKQuery as _};
+    if head.kind == MultiSummary::KIND {
+        use sketch_sampled_streams::core::{DistinctQuery as _, TopKQuery as _};
         let summary = MultiSummary::decode(&bytes)?;
         let est = summary.self_join_estimate();
         println!("self_join   {:.2}", est.value);
@@ -462,14 +465,29 @@ fn run_load(args: &[String], confidence: Option<f64>) -> Result<()> {
 fn run_merge_snapshots(args: &[String], confidence: Option<f64>) -> Result<()> {
     let inputs: Vec<&String> = args[1..].iter().filter(|a| !a.starts_with("--")).collect();
     let first = read_snapshot(inputs[0])?;
-    let mut merged = JoinSketch::decode(&first)?;
+    // The first snapshot's kind picks the decoder, as in `load`; the
+    // others have to match its fingerprint, so its kind as well.
+    if wire::peek(&first)?.kind == MultiSummary::KIND {
+        merge_snapshots_as::<MultiSummary>(args, &inputs, &first, confidence)
+    } else {
+        merge_snapshots_as::<JoinSketch>(args, &inputs, &first, confidence)
+    }
+}
+
+fn merge_snapshots_as<S: Summary + Portable + JoinQuery>(
+    args: &[String],
+    inputs: &[&String],
+    first: &[u8],
+    confidence: Option<f64>,
+) -> Result<()> {
+    let mut merged = S::decode(first)?;
     println!("loaded      {} ({} bytes)", inputs[0], first.len());
     for path in &inputs[1..] {
         let bytes = read_snapshot(path)?;
         merged.merge_encoded(&bytes)?;
         println!("merged      {path} ({} bytes)", bytes.len());
     }
-    println!("fingerprint {:#018x}", Portable::fingerprint(&merged));
+    println!("fingerprint {:#018x}", merged.fingerprint());
     let est = merged.self_join_estimate();
     println!("self_join   {:.2}", est.value);
     if let Some(level) = confidence {
@@ -668,7 +686,17 @@ fn main() -> ExitCode {
         "distinct" if args.len() >= 2 => run_distinct(&args, p, seed, confidence),
         "quantiles" if args.len() >= 2 => run_quantiles(&args, p, seed),
         "multi" if args.len() >= 2 => run_multi(&args, p, seed, confidence),
-        "save" if args.len() >= 3 && !args[2].starts_with("--") => run_save(&args, &schema),
+        "save" if args.len() >= 3 && !args[2].starts_with("--") => {
+            match flag::<String>(&args, "kind").as_deref() {
+                None | Some("join") => run_save(&args, schema.sketch()),
+                // Drawn as `serve` draws it, so the two merge.
+                Some("multi") => MultiSpec::new(schema.clone(), &mut rng)
+                    .summary()
+                    .map_err(Error::from)
+                    .and_then(|summary| run_save(&args, summary)),
+                Some(other) => bad_flag("kind", other),
+            }
+        }
         "load" if args.len() >= 2 => run_load(&args, confidence),
         "merge-snapshots" if args[1..].iter().filter(|a| !a.starts_with("--")).count() >= 2 => {
             run_merge_snapshots(&args, confidence)

@@ -4,10 +4,11 @@
 //! skip-sampled `feed_batch` must reproduce `observe` exactly.
 //!
 //! The order-dependent summaries are held to the same bar by *state*, not
-//! by answers: the hash-once top-k batch path, the in-place KLL batch path
-//! and the `MultiSummary` fan-out that shares one deduplication between
-//! its parts must leave the bytes `encode()` writes equal to the per-key
-//! loop's, however the stream is cut into calls.
+//! by answers: the hash-once top-k batch path, the chunk-merging
+//! Misra–Gries batch path, the in-place KLL batch path and the
+//! `MultiSummary` fan-out that shares one deduplication between its parts
+//! must leave the bytes `encode()` writes equal to the per-key loop's,
+//! however the stream is cut into calls.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -17,7 +18,7 @@ use sketch_sampled_streams::core::sketch::JoinSchema;
 use sketch_sampled_streams::core::{MultiSpec, Portable, Sampled, Summary};
 use sketch_sampled_streams::sketch::topk::HeavyHitters;
 use sketch_sampled_streams::sketch::{
-    AgmsSchema, CountMinSchema, CountSketchTopK, FagmsSchema, KllSketch, Sketch,
+    AgmsSchema, CountMinSchema, CountSketchTopK, FagmsSchema, KllSketch, MisraGries, Sketch,
 };
 use sketch_sampled_streams::xi::{BucketFamily, Cw2, Cw2Bucket, Cw4, Eh3, SignFamily, Tabulation};
 
@@ -57,9 +58,9 @@ fn check_counted_batch<S: Sketch>(
     batched.update_batch_counts(&items[split..]);
 }
 
-/// The batch paths' private chunk size (`sss_sketch::runs`): the lengths
-/// below straddle it.
-const CHUNK: usize = 2048;
+/// The batch paths' chunk size (`sss_sketch::runs`): the lengths below
+/// straddle it.
+const CHUNK: usize = MisraGries::CHUNK;
 const LENGTHS: [usize; 6] = [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7];
 
 /// A skewed stream over `domain` keys (cubing a uniform draw piles the
@@ -136,6 +137,38 @@ proptest! {
         check_topk_batch::<Eh3, Tabulation>(7, &keys, cut, &mut rng);
     }
 
+    /// Misra–Gries: adding a deduplicated chunk at once and compacting where
+    /// the offered weight reaches a multiple of the chunk length is what the
+    /// per-key loop does one tuple at a time — same counters, same offset,
+    /// wherever the calls end and whatever a weighted offer did to the
+    /// position first; and the same again after 100 further per-key offers.
+    #[test]
+    fn misra_gries_batch_matches_offer_loop(
+        length in 0usize..6,
+        cut in 1usize..3000,
+        lead in 0i64..5000,
+        seed: u64,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let keys = skewed(LENGTHS[length], 5000, &mut rng);
+        let mut scalar = MisraGries::new(8).unwrap();
+        scalar.offer(3, lead);
+        let mut batched = scalar.clone();
+        for &k in &keys {
+            scalar.offer(k, 1);
+        }
+        in_calls(&keys, cut, |call| batched.offer_batch(call));
+        let tail = skewed(100, 5000, &mut rng);
+        for _ in 0..2 {
+            prop_assert!(batched.held() <= 8 + CHUNK);
+            prop_assert_eq!(scalar.encode().unwrap(), batched.encode().unwrap());
+            for &k in &tail {
+                scalar.offer(k, 1);
+                batched.offer(k, 1);
+            }
+        }
+    }
+
     /// KLL: `insert_batch` fills level 0 up to the next compaction in one
     /// go and compacts in place, yet stores what the `insert` loop stores
     /// and flips the same coins — also when the summary was encoded and
@@ -165,11 +198,10 @@ proptest! {
         prop_assert_eq!(scalar.encode().unwrap(), resumed.encode().unwrap());
     }
 
-    /// The composite: one deduplication per chunk feeds the join sketch
-    /// (distinct keys with counts), the top-k tracker (memoised hashes),
-    /// HyperLogLog (distinct keys) and KLL (raw tuples), and every part
-    /// ends up byte for byte where per-key `update` leaves it — on both
-    /// join backends.
+    /// The composite: one deduplication per chunk feeds the join sketch and
+    /// Misra–Gries (distinct keys with counts), HyperLogLog (distinct keys)
+    /// and KLL (raw tuples), and every part ends up byte for byte where
+    /// per-key `update` leaves it — on both join backends.
     #[test]
     fn multi_update_batch_matches_update_loop(length in 0usize..6, cut in 1usize..3000, seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -180,7 +212,7 @@ proptest! {
             JoinSchema::agms(8, &mut rng)
         };
         let spec = MultiSpec::new(join, &mut rng)
-            .top_k(FagmsSchema::new(3, 61, &mut rng), 8)
+            .top_k(8)
             .distinct_precision(4)
             .quantile_k(8);
         let mut scalar = spec.summary().unwrap();

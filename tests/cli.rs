@@ -345,6 +345,67 @@ fn multi_answers_all_families_in_one_pass() {
     assert!(top1.contains("(exact 20020)"), "stdout: {stdout}");
 }
 
+/// `save --kind=multi` in two processes, `merge-snapshots` in a third,
+/// `load` in a fourth: the composite's snapshot body crosses process
+/// boundaries, the merged self-join is the one-pass one to the digit, and
+/// the key that is a fifth of the tuples leads the loaded top-k.
+#[test]
+fn multi_snapshots_save_merge_and_load_across_processes() {
+    let dir = std::env::temp_dir().join("sss-cli-test-multi-snapshots");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let skewed = |i: u64| if i % 5 == 0 { 4242 } else { i % 900 };
+    let halves = [
+        (0..6_000u64, "a.txt", "a.sss"),
+        (6_000..12_000, "b.txt", "b.sss"),
+    ];
+    for (range, file, snapshot) in halves {
+        write_keys(&dir.join(file), range.map(skewed));
+        let out = sss()
+            .args(["save", &path(file), &path(snapshot), "--kind=multi"])
+            .args(["--width=512", "--seed=9"])
+            .output()
+            .unwrap();
+        assert!(out.status.success());
+        assert!(String::from_utf8_lossy(&out.stdout).contains("kind        multi"));
+    }
+    let merged = sss()
+        .args(["merge-snapshots", &path("a.sss"), &path("b.sss")])
+        .arg(format!("--out={}", path("ab.sss")))
+        .output()
+        .unwrap();
+    assert!(merged.status.success());
+    let loaded = sss().args(["load", &path("ab.sss")]).output().unwrap();
+    let loaded = String::from_utf8_lossy(&loaded.stdout).to_string();
+    let top1 = loaded.lines().find(|l| l.starts_with("top1")).unwrap();
+    assert!(top1.contains("key 4242:"), "{loaded}");
+
+    write_keys(&dir.join("ab.txt"), (0..12_000u64).map(skewed));
+    let direct = sss()
+        .args(["selfjoin", &path("ab.txt"), "--width=512", "--seed=9"])
+        .output()
+        .unwrap();
+    let direct = String::from_utf8_lossy(&direct.stdout).to_string();
+    let digits = |text: &str, label: &str| {
+        let line = text.lines().find(|l| l.starts_with(label)).unwrap();
+        line.split_whitespace().nth(1).unwrap().to_string()
+    };
+    assert_eq!(digits(&loaded, "self_join"), digits(&direct, "estimate"));
+
+    // A join snapshot and a multi snapshot of the same seed do not mix.
+    let join = sss()
+        .args(["save", &path("a.txt"), &path("a-join.sss")])
+        .args(["--width=512", "--seed=9"])
+        .output()
+        .unwrap();
+    assert!(join.status.success());
+    let mixed = sss()
+        .args(["merge-snapshots", &path("a.sss"), &path("a-join.sss")])
+        .output()
+        .unwrap();
+    assert_eq!(mixed.status.code(), Some(1));
+}
+
 #[test]
 fn topk_rejects_p_zero_loudly() {
     let dir = std::env::temp_dir().join("sss-cli-test-topk-p0");

@@ -413,6 +413,111 @@ fn quantile_responses_never_straddle_frames_under_ingest() {
     srv.shutdown_and_wait().unwrap();
 }
 
+/// Resident memory of process `pid` in KiB (`None` where `/proc` is not
+/// what Linux makes it).
+fn resident_kib(pid: u32) -> Option<u64> {
+    let status = std::fs::read_to_string(format!("/proc/{pid}/status")).ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmRSS:"))?;
+    line.split_whitespace().nth(1)?.parse().ok()
+}
+
+/// A spawned `sss serve` that does not outlive a failed assertion.
+struct Served(std::process::Child);
+
+impl Drop for Served {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// A query client that never sends a newline is refused once and closed:
+/// 1 MiB of it gets the one-line refusal, not a 1 MiB buffer in the server
+/// (a child process, so its memory is its own), 16 MiB of it gets dropped
+/// on the way, and another client's queries keep being answered.
+#[test]
+fn newline_free_query_flood_is_refused_without_buffering() {
+    use std::io::{BufRead, BufReader};
+    use std::process::{Command, Stdio};
+    const FLOOD: usize = 1 << 20;
+
+    let mut child = Served(
+        Command::new(env!("CARGO_BIN_EXE_sss"))
+            .args(["serve", "--ingest=127.0.0.1:0", "--query=127.0.0.1:0"])
+            .args(["--shards=1", "--seed=1"])
+            .stdin(Stdio::null())
+            .stdout(Stdio::piped())
+            .spawn()
+            .unwrap(),
+    );
+    let mut banner = BufReader::new(child.0.stdout.take().unwrap()).lines();
+    let mut query_addr = None;
+    for line in banner.by_ref() {
+        let line = line.unwrap();
+        if let Some(addr) = line.strip_prefix("query") {
+            query_addr = Some(addr.trim().to_string());
+        }
+        if line.starts_with("fingerprint") {
+            break;
+        }
+    }
+    let query_addr = query_addr.expect("banner carries the query address");
+
+    let mut bystander = QueryClient::connect(query_addr.as_str()).unwrap();
+    let distinct = "{\"cmd\":\"distinct\"}";
+    assert!(bystander.request(distinct).unwrap().contains("\"ok\":true"));
+
+    // An honest line first, so the connection's buffers exist before the
+    // reading is taken.
+    let mut flood = TcpStream::connect(query_addr.as_str()).unwrap();
+    flood
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .unwrap();
+    flood.write_all(format!("{distinct}\n").as_bytes()).unwrap();
+    let mut answers = BufReader::new(flood.try_clone().unwrap());
+    let mut line = String::new();
+    answers.read_line(&mut line).unwrap();
+    assert!(line.contains("\"ok\":true"), "{line}");
+    let before = resident_kib(child.0.id());
+
+    let piece = [b'x'; 16 << 10];
+    for _ in 0..FLOOD / piece.len() {
+        flood.write_all(&piece).unwrap();
+    }
+    line.clear();
+    answers
+        .read_line(&mut line)
+        .expect("a refusal, not silence");
+    assert!(
+        line.starts_with("{\"ok\":false") && line.contains("exceeds"),
+        "{line}"
+    );
+    line.clear();
+    assert_eq!(
+        answers.read_line(&mut line).unwrap(),
+        0,
+        "then closed: {line}"
+    );
+
+    // A flood that does not stop is not read for ever: past a bounded
+    // discard the server drops the connection and the writes start failing.
+    let mut endless = TcpStream::connect(query_addr.as_str()).unwrap();
+    let cut_off = (0..(16 * FLOOD) / piece.len()).any(|_| endless.write_all(&piece).is_err());
+    assert!(cut_off, "a refused connection was read for 16 MiB");
+
+    if let (Some(before), Some(after)) = (before, resident_kib(child.0.id())) {
+        assert!(
+            after < before + (FLOOD as u64 / 1024) / 2,
+            "server grew {before} -> {after} KiB under a {FLOOD}-byte line"
+        );
+    }
+    assert!(bystander.request(distinct).unwrap().contains("\"ok\":true"));
+    bystander.shutdown().unwrap();
+    // The server prints its closing gauges; read them so it can.
+    banner.for_each(drop);
+    assert!(child.0.wait().unwrap().success());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

@@ -5,8 +5,8 @@
 //! (`sss save` | `sss merge-snapshots`) and the slim replica exchange
 //! rest on. Plus the typed failure modes: mismatched configuration
 //! fingerprints refuse to merge, foreign kinds refuse to decode, and a
-//! KLL body that no summary could have written refuses to decode while
-//! every body that does decode is safe to keep using.
+//! KLL or Misra–Gries body that no summary could have written refuses to
+//! decode while every body that does decode is safe to keep using.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -17,7 +17,7 @@ use sketch_sampled_streams::core::{
     Summary, TopKQuery,
 };
 use sketch_sampled_streams::sketch::{
-    CountSketchTopK, FagmsSchema, HyperLogLog, KllSketch, MisraGries,
+    CountSketchTopK, FagmsSchema, HeavyHitters, HyperLogLog, KllSketch, MisraGries,
 };
 
 fn stream() -> impl Strategy<Value = Vec<u64>> {
@@ -199,11 +199,13 @@ fn kll_envelope(body: &str) -> Vec<u8> {
         .into_bytes()
 }
 
-/// `body` where an honest `multi` envelope carries its quantile part (the
-/// last field of its body).
-fn multi_envelope(body: &str) -> Vec<u8> {
+/// `body` where an honest `multi` envelope of accuracy parameter `k` (the
+/// head's fingerprint covers it) carries its quantile part (the last field
+/// of its body).
+fn multi_envelope(k: u64, body: &str) -> Vec<u8> {
     let mut rng = StdRng::seed_from_u64(407);
-    let spec = MultiSpec::new(JoinSchema::fagms(2, 32, &mut rng), &mut rng).quantile_k(8);
+    let spec = MultiSpec::new(JoinSchema::fagms(2, 32, &mut rng), &mut rng)
+        .quantile_k(usize::try_from(k.max(8)).unwrap());
     let honest = String::from_utf8(spec.summary().unwrap().encode().unwrap()).unwrap();
     let at = honest
         .find("\"quantiles\":")
@@ -239,7 +241,7 @@ fn hostile_kll_bodies_refuse_with_typed_errors() {
     for (what, body) in &refused {
         let err = KllSketch::decode(&kll_envelope(body)).unwrap_err();
         assert!(matches!(err, Error::Wire { .. }), "{what}: got {err:?}");
-        let err = MultiSummary::decode(&multi_envelope(body)).unwrap_err();
+        let err = MultiSummary::decode(&multi_envelope(8, body)).unwrap_err();
         assert!(
             matches!(err, Error::Wire { .. }),
             "{what} in multi: got {err:?}"
@@ -268,6 +270,135 @@ fn hostile_kll_bodies_refuse_with_typed_errors() {
         before,
         "refusal left the receiver alone"
     );
+}
+
+/// A Misra–Gries body as format 1 writes it, every field the forger's to
+/// choose.
+fn mg_body(capacity: u64, offset: u64, offered: u64, keys: &[u64], counts: &[u64]) -> String {
+    format!(
+        "{{\"capacity\":{capacity},\"offset\":{offset},\"offered\":{offered},\
+         \"keys\":{keys:?},\"counts\":{counts:?}}}"
+    )
+}
+
+/// `body` in a `misra-gries` envelope.
+fn mg_envelope(capacity: usize, body: &str) -> Vec<u8> {
+    let fingerprint = MisraGries::new(capacity).unwrap().fingerprint();
+    format!(
+        "{{\"kind\":\"misra-gries\",\"format\":1,\"fingerprint\":{fingerprint},\"body\":{body}}}"
+    )
+    .into_bytes()
+}
+
+/// An honest `multi` summary of two Misra–Gries candidates, as text.
+fn honest_multi(seed: u64) -> String {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let spec = MultiSpec::new(JoinSchema::fagms(2, 32, &mut rng), &mut rng).top_k(2);
+    String::from_utf8(spec.summary().unwrap().encode().unwrap()).unwrap()
+}
+
+/// `body` where an honest `multi` envelope carries its heavy-hitter part.
+fn multi_envelope_heavy(body: &str) -> Vec<u8> {
+    let honest = honest_multi(408);
+    let from = honest
+        .find("\"heavy\":")
+        .expect("multi body names its parts");
+    let to = honest.find(",\"distinct\":").expect("heavy is not last");
+    format!("{}\"heavy\":{body}{}", &honest[..from], &honest[to..]).into_bytes()
+}
+
+/// Every shape the Misra–Gries decode refuses comes back as the typed wire
+/// error, from the summary's own envelope and from inside a composite's.
+#[test]
+fn hostile_misra_gries_bodies_refuse_with_typed_errors() {
+    let chunk = MisraGries::CHUNK as u64;
+    let crowd: Vec<u64> = (0..chunk + 3).collect();
+    let ones = vec![1u64; crowd.len()];
+    let refused = [
+        ("zero capacity", mg_body(0, 0, 0, &[], &[])),
+        (
+            "columns of different length",
+            mg_body(2, 0, 9, &[1, 2], &[3]),
+        ),
+        (
+            "more than capacity + chunk entries",
+            mg_body(2, 0, chunk + 3, &crowd, &ones),
+        ),
+        ("a key twice", mg_body(2, 0, 9, &[5, 5], &[3, 3])),
+        ("a zero counter", mg_body(2, 0, 9, &[5, 6], &[3, 0])),
+        (
+            "counters above the offered weight",
+            mg_body(2, 0, 5, &[5, 6], &[3, 3]),
+        ),
+        (
+            "an offset no compaction could have reached",
+            mg_body(2, 2, 9, &[5, 6], &[3, 1]),
+        ),
+        (
+            "counters that sum past a u64",
+            mg_body(2, 0, u64::MAX, &[5, 6], &[u64::MAX, 1]),
+        ),
+        (
+            "an offset whose shares pass a u64",
+            mg_body(2, u64::MAX / 2, u64::MAX, &[], &[]),
+        ),
+    ];
+    for (what, body) in &refused {
+        let err = MisraGries::decode(&mg_envelope(2, body)).unwrap_err();
+        assert!(matches!(err, Error::Wire { .. }), "{what}: got {err:?}");
+        let err = MultiSummary::decode(&multi_envelope_heavy(body)).unwrap_err();
+        assert!(
+            matches!(err, Error::Wire { .. }),
+            "{what} in multi: got {err:?}"
+        );
+    }
+    // The edge of the invariant is a body a summary can write.
+    let tight = mg_body(2, 2, 10, &[5, 6], &[3, 1]);
+    MisraGries::decode(&mg_envelope(2, &tight)).unwrap();
+    MultiSummary::decode(&multi_envelope_heavy(&tight)).unwrap();
+
+    // Two summaries that together weigh more than a `u64` counts: the
+    // merge refuses before it touches the receiver.
+    let heavy = mg_envelope(2, &mg_body(2, 0, u64::MAX, &[5], &[u64::MAX]));
+    let mut mg = MisraGries::decode(&heavy).unwrap();
+    let before = mg.encode().unwrap();
+    let err = mg.merge_encoded(&heavy).unwrap_err();
+    assert_eq!(
+        err,
+        Error::Sketch(sketch_sampled_streams::sketch::Error::WeightOverflow)
+    );
+    assert_eq!(mg.encode().unwrap(), before);
+}
+
+/// The composite's own refusals: a snapshot in the parent's format 1 (a
+/// Count-Sketch tracker where format 2 carries Misra–Gries) is refused by
+/// its head, before the body; a body whose heavy-hitter part belongs to
+/// another spec than the head and the join sketch next to it is refused by
+/// fingerprint.
+#[test]
+fn hostile_multi_bodies_refuse_with_typed_errors() {
+    let honest = honest_multi(408);
+    assert_eq!(MultiSummary::FORMAT, 2);
+    let parent = honest.replacen("\"format\":2", "\"format\":1", 1);
+    let err = MultiSummary::decode(parent.as_bytes()).unwrap_err();
+    assert!(
+        matches!(&err, Error::WireMismatch { found, .. } if found == "multi v1"),
+        "got {err:?}"
+    );
+    // ... whatever the body is: one no format ever wrote gets the same
+    // answer, not a complaint about its fields.
+    let at = parent.find("\"body\":").unwrap();
+    let hollow = format!("{}\"body\":{{\"join\":7}}}}", &parent[..at]);
+    let err = MultiSummary::decode(hollow.as_bytes()).unwrap_err();
+    assert!(matches!(err, Error::WireMismatch { .. }), "got {err:?}");
+
+    let other_capacity = mg_body(3, 0, 0, &[], &[]);
+    let err = MultiSummary::decode(&multi_envelope_heavy(&other_capacity)).unwrap_err();
+    assert!(
+        matches!(err, Error::FingerprintMismatch { expected, found } if expected != found),
+        "got {err:?}"
+    );
+    MultiSummary::decode(honest.as_bytes()).unwrap();
 }
 
 /// `stored` and `cap_total` are caches: a body that lies about them
@@ -321,12 +452,65 @@ proptest! {
             kll.raw_quantile(q).unwrap();
         }
 
-        let mut multi = MultiSummary::decode(&multi_envelope(&body)).unwrap();
+        let mut multi = MultiSummary::decode(&multi_envelope(k, &body)).unwrap();
         let twin = multi.clone();
         multi.update(1, 1);
         multi.update_batch(&(0..3000u64).collect::<Vec<_>>());
         multi.merge_from(&twin).unwrap();
         prop_assert_eq!(multi.stream_len(), 2 * weight + 3001);
         multi.quantile(0.5).unwrap();
+    }
+
+    /// Whatever counters a body carries — more than `capacity` of them, as
+    /// heavy as the offered weight allows, offered up to the last `u64` —
+    /// if it decodes, then offering, merging and querying it neither panic
+    /// nor break the summary's bounds, alone or inside a composite.
+    #[test]
+    fn accepted_misra_gries_bodies_are_safe_to_use(
+        counts in prop::collection::vec(1u64..1_000_000, 0..60),
+        offset in 0u64..1000,
+        slack in 0u64..5000,
+        to_the_brim: bool,
+    ) {
+        let keys: Vec<u64> = (0..counts.len() as u64).map(|i| i * 7).collect();
+        let accounted = counts.iter().sum::<u64>() + 3 * offset;
+        let offered = if to_the_brim { u64::MAX - slack } else { accounted + slack };
+        let body = mg_body(2, offset, offered, &keys, &counts);
+
+        let mut mg = MisraGries::decode(&mg_envelope(2, &body)).unwrap();
+        let twin = mg.clone();
+        for key in 0..50 {
+            mg.offer(key, 1);
+        }
+        mg.offer_batch(&(0..7000u64).collect::<Vec<_>>());
+        prop_assert!(mg.held() <= 2 + MisraGries::CHUNK);
+        prop_assert!(mg.items_offered() >= offered);
+        if to_the_brim {
+            let before = mg.encode().unwrap();
+            prop_assert_eq!(mg.merge(&twin), Err(sketch_sampled_streams::sketch::Error::WeightOverflow));
+            prop_assert_eq!(mg.encode().unwrap(), before, "a refused merge touches nothing");
+        } else {
+            mg.merge(&twin).unwrap();
+            prop_assert_eq!(mg.items_offered(), 2 * offered + 7050);
+        }
+        prop_assert!(mg.raw_top_k(5).len() <= 2);
+        prop_assert!(mg.error_bound() <= mg.items_offered() / 3);
+        // What it writes, it reads back.
+        MisraGries::decode(&mg.encode().unwrap()).unwrap();
+
+        let mut multi = MultiSummary::decode(&multi_envelope_heavy(&body)).unwrap();
+        let twin = multi.clone();
+        multi.update(1, 1);
+        multi.update_batch(&(0..7000u64).collect::<Vec<_>>());
+        if to_the_brim {
+            // The overflow is Misra–Gries's, the second part to merge: the
+            // join sketch before it must not have moved either.
+            let before = multi.encode().unwrap();
+            prop_assert!(multi.merge_from(&twin).is_err());
+            prop_assert_eq!(multi.encode().unwrap(), before, "a refused merge touches no part");
+        } else {
+            multi.merge_from(&twin).unwrap();
+        }
+        prop_assert!(multi.top_k(5).len() <= 2);
     }
 }

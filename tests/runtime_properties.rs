@@ -230,7 +230,7 @@ proptest! {
     }
 }
 
-/// The production summary is not linear (KLL and the top-k tracker merge
+/// The production summary is not linear (KLL and Misra–Gries merge
 /// order-sensitively), so its rebuilds are pinned by bytes: on three
 /// round-robin shards one push dirties one shard, exactly that shard is
 /// re-cloned, and the re-merged table `encode()`s equal to a from-scratch

@@ -16,13 +16,19 @@
 //! 3. **Unbiasedness** — the `1/p` sampling correction makes the
 //!    frequency estimator unbiased: averaged over Monte-Carlo reruns of
 //!    the Bernoulli coin, estimates match the true count.
+//!
+//! Plus the Misra–Gries contract past capacity (its deterministic bounds
+//! hold however the stream is cut, fed and merged) and the collision the
+//! composite's counter front exists to keep out of its answers.
 
 use std::collections::HashSet;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use sketch_sampled_streams::core::Sampled;
+use sketch_sampled_streams::core::sketch::JoinSchema;
+use sketch_sampled_streams::core::{MultiSpec, MultiSummary, Sampled, Summary, TopKQuery};
 use sketch_sampled_streams::datagen::ZipfGenerator;
 use sketch_sampled_streams::exact::ExactAggregator;
 use sketch_sampled_streams::sketch::{CountSketchTopK, FagmsSchema, HeavyHitters, MisraGries};
@@ -125,6 +131,66 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The Misra–Gries contract, far past capacity: split a skewed stream
+    /// over `shards` summaries, feed each per key or in batches cut
+    /// anywhere, merge them — every counter undercounts by at most
+    /// `error_bound()`, which stays within `n/(capacity+1)`; a query sees
+    /// at most `capacity` keys and at most `capacity + CHUNK` counters are
+    /// held at any time.
+    #[test]
+    fn misra_gries_bounds_hold_under_recuts_and_merges(
+        len in 0usize..9000,
+        capacity in 1usize..40,
+        shards in 1usize..4,
+        cut in 1usize..3000,
+        per_key in 0u8..8,
+        seed: u64,
+    ) {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let stream: Vec<u64> = (0..len)
+            .map(|_| (600.0 * rng.random::<f64>().powi(3)) as u64)
+            .collect();
+        let exact = ExactAggregator::from_keys(stream.iter().copied());
+
+        let mut merged = MisraGries::new(capacity).unwrap();
+        for shard in 0..shards {
+            let part: Vec<u64> = stream
+                .iter()
+                .copied()
+                .filter(|key| key % shards as u64 == shard as u64)
+                .collect();
+            let mut mg = MisraGries::new(capacity).unwrap();
+            for call in part.chunks(cut) {
+                if per_key >> shard & 1 == 1 {
+                    call.iter().for_each(|&key| mg.offer(key, 1));
+                } else {
+                    mg.offer_batch(call);
+                }
+                prop_assert!(mg.held() <= capacity + MisraGries::CHUNK);
+                prop_assert!(mg.candidates().len() <= capacity);
+            }
+            merged.merge(&mg).unwrap();
+            prop_assert!(merged.held() <= capacity);
+        }
+
+        prop_assert_eq!(merged.items_offered(), len as u64);
+        prop_assert!(merged.error_bound() <= len as u64 / (capacity as u64 + 1));
+        for key in 0..600u64 {
+            let truth = exact.get(key) as u64;
+            let counter = merged.raw_estimate(key) as u64;
+            prop_assert!(counter <= truth, "key {}: {} over {}", key, counter, truth);
+            prop_assert!(
+                truth - counter <= merged.error_bound(),
+                "key {}: {} under {} by more than {}", key, counter, truth, merged.error_bound()
+            );
+        }
+    }
+}
+
 /// The issue's acceptance gate: Zipf(1.2), domain 100k, 2M tuples,
 /// sampled at p = 0.1 — the recovered top-50 must hit at least 90% of the
 /// exact top-50 while holding only O(k + sketch) state.
@@ -200,4 +266,58 @@ fn sampled_frequency_correction_is_unbiased() {
         (cs_mean - truth).abs() / truth < 0.03,
         "Count-Sketch mean {cs_mean} vs true {truth}"
     );
+}
+
+/// The depth-3 false positive a sketch-admitted tracker falls for, on the
+/// ledger's own block and spec: the singleton key 19907 shares two of its
+/// three join-sketch rows with key 5, so its point query reads as the
+/// sixth heaviest key of the stream. A tracker that admits by that
+/// estimate reports it; the Misra–Gries front never counts it twice, so it
+/// is in no answer — in either arrival order, or merged from two shards —
+/// and the top 10 is the exact top 10.
+#[test]
+fn depth3_collision_is_priced_but_never_picked() {
+    const COLLIDER: u64 = 19_907;
+    let block = ZipfGenerator::new(1 << 20, 1.1).relation(1 << 20, &mut StdRng::seed_from_u64(1));
+    let exact = ExactAggregator::from_keys(block.iter().copied());
+    let truth: Vec<u64> = exact.top_k(10).into_iter().map(|(key, _)| key).collect();
+    assert_eq!(exact.get(COLLIDER), 1);
+
+    let mut rng = StdRng::seed_from_u64(1);
+    let spec = MultiSpec::new(JoinSchema::fagms(3, 5000, &mut rng), &mut rng);
+    let mut shuffled = block.clone();
+    shuffled.shuffle(&mut StdRng::seed_from_u64(1));
+
+    let one_pass = |keys: &[u64]| {
+        let mut summary = spec.summary().unwrap();
+        summary.update_batch(keys);
+        summary
+    };
+    let config = RuntimeConfig {
+        shards: 2,
+        queue_depth: 4,
+        partition: Partition::Hash,
+    };
+    let mut rt = ShardedRuntime::new(config, &spec.summary().unwrap()).unwrap();
+    for batch in shuffled.chunks(4096) {
+        rt.push(batch).unwrap();
+    }
+    let answers: [(&str, MultiSummary); 3] = [
+        ("as drawn", one_pass(&block)),
+        ("shuffled", one_pass(&shuffled)),
+        ("two shards", rt.into_merged().unwrap()),
+    ];
+    for (order, summary) in &answers {
+        let read = summary.join().point_query(COLLIDER);
+        assert!(
+            read > exact.get(truth[5]) as f64,
+            "{order}: the collision is real, {read} reads above the sixth heaviest key"
+        );
+        let top: Vec<u64> = summary.top_k(10).into_iter().map(|(key, _)| key).collect();
+        assert_eq!(top, truth, "{order}");
+        assert!(
+            summary.top_k(256).iter().all(|&(key, _)| key != COLLIDER),
+            "{order}: a singleton among the candidates"
+        );
+    }
 }
