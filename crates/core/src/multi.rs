@@ -50,8 +50,12 @@
 //! * **At fixed stream positions:** Misra–Gries compacts when the offered
 //!   weight crosses a multiple of the chunk length, never in between, so a
 //!   chunk that ends there can be added whole.
-//! * **Still per tuple, in arrival order:** KLL's inserts and compactions,
-//!   because what they do with a tuple depends on the tuples before it.
+//! * **By position, per window:** KLL keeps one tuple of every aligned
+//!   window of `2^base` (its bottom levels are a sampler whose coins depend
+//!   on stream position alone, see [`sss_sketch::kll`]), found by index
+//!   without touching the others; only the survivors enter its compactors,
+//!   in arrival order. Chunks end on multiples of 2048 offered tuples, so
+//!   on this path every window is whole.
 //!
 //! The invariant all of it keeps: **state is a function of the tuple
 //! sequence, never of call boundaries** — `encode()` after `update_batch`
@@ -290,6 +294,10 @@ impl DistinctQuery for MultiSummary {
 impl QuantileQuery for MultiSummary {
     fn quantile(&self, q: f64) -> Result<f64> {
         QuantileQuery::quantile(&self.quantiles, q)
+    }
+
+    fn quantiles(&self, ranks: &[f64]) -> Result<Vec<f64>> {
+        QuantileQuery::quantiles(&self.quantiles, ranks)
     }
 
     fn rank(&self, value: u64) -> f64 {

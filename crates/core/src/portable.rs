@@ -210,11 +210,15 @@ impl Portable for HyperLogLog {
     }
 }
 
-/// KLL merges on equal accuracy parameter `k` alone — the coin seed is
-/// private randomness, not shared structure — so only `k` fingerprints.
+/// KLL merges on equal accuracy parameter `k` alone — the coin and sampler
+/// seeds are private randomness, not shared structure — so only `k`
+/// fingerprints.
+///
+/// Format 2 carries the sampler seed (and no longer the two cached counts
+/// format 1 wrote); a format-1 body is refused by its head.
 impl Portable for KllSketch {
     const KIND: &'static str = "kll";
-    const FORMAT: u32 = 1;
+    const FORMAT: u32 = 2;
 
     fn fingerprint(&self) -> u64 {
         wire::fingerprint(&[TAG_KLL, self.k() as u64])
@@ -233,14 +237,15 @@ impl Portable for KllSketch {
 /// fingerprints — two `MultiSummary`s are wire-compatible iff every part
 /// is, which mirrors `merge_from`'s part-by-part checks exactly.
 ///
-/// Format 2: the heavy-hitter part is a [`MisraGries`] body (format 1
-/// carried a `CountSketchTopK` with a sketch of its own). The head refuses
-/// a format-1 snapshot before its body is read, and a body whose parts do
-/// not fingerprint to the head's value — a join sketch paired with another
-/// spec's candidates — is refused after.
+/// Format 3: the quantile part is a format-2 [`KllSketch`] body (format 2
+/// carried a format-1 one; format 1 a `CountSketchTopK` where the
+/// [`MisraGries`] body is). The head refuses an older snapshot before its
+/// body is read, and a body whose parts do not fingerprint to the head's
+/// value — a join sketch paired with another spec's candidates — is refused
+/// after.
 impl Portable for MultiSummary {
     const KIND: &'static str = "multi";
-    const FORMAT: u32 = 2;
+    const FORMAT: u32 = 3;
 
     fn fingerprint(&self) -> u64 {
         wire::fingerprint(&[

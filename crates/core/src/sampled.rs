@@ -61,7 +61,7 @@
 //! and callers are pointed at the rank-based bounds.
 
 use crate::error::{Error, Result};
-use crate::summary::{DistinctQuery, JoinQuery, QuantileQuery, Summary, TopKQuery};
+use crate::summary::{rank_band, DistinctQuery, JoinQuery, QuantileQuery, Summary, TopKQuery};
 use rand::rngs::StdRng;
 use rand::Rng;
 use sss_sampling::bernoulli::GeometricSkip;
@@ -481,19 +481,26 @@ impl<S: Summary + QuantileQuery> Sampled<S> {
         backend + 3.0 * jitter
     }
 
-    /// Conservative full-stream value bounds for the `q`-quantile: the
-    /// sample values at ranks `q ∓` [`rank_error`](Sampled::rank_error),
-    /// clamped to `[0, 1]`.
+    /// The `q`-quantile estimate and conservative full-stream value bounds
+    /// for it: the sample values at ranks `q ∓`
+    /// [`rank_error`](Sampled::rank_error), clamped to `[0, 1]` — all three
+    /// from one pass over the backend.
+    ///
+    /// # Errors
+    ///
+    /// Invalid `q`, or nothing sampled yet.
+    pub fn quantile_with_bounds(&self, q: f64) -> Result<(f64, (f64, f64))> {
+        let at = self.summary.quantiles(&rank_band(q, self.rank_error(q)))?;
+        Ok((at[0], (at[1], at[2])))
+    }
+
+    /// The bounds of [`quantile_with_bounds`](Sampled::quantile_with_bounds).
     ///
     /// # Errors
     ///
     /// Invalid `q`, or nothing sampled yet.
     pub fn quantile_bounds(&self, q: f64) -> Result<(f64, f64)> {
-        let eps = self.rank_error(q);
-        Ok((
-            self.summary.quantile((q - eps).max(0.0))?,
-            self.summary.quantile((q + eps).min(1.0))?,
-        ))
+        Ok(self.quantile_with_bounds(q)?.1)
     }
 }
 

@@ -355,6 +355,10 @@ impl QuantileQuery for SlimMultiSummary {
         QuantileQuery::quantile(&self.quantiles, q)
     }
 
+    fn quantiles(&self, ranks: &[f64]) -> Result<Vec<f64>> {
+        QuantileQuery::quantiles(&self.quantiles, ranks)
+    }
+
     fn rank(&self, value: u64) -> f64 {
         QuantileQuery::rank(&self.quantiles, value)
     }
@@ -368,9 +372,10 @@ impl QuantileQuery for SlimMultiSummary {
     }
 }
 
+/// Format 2: the quantile stage is a format-2 `KllSketch` body.
 impl Portable for SlimMultiSummary {
     const KIND: &'static str = "slim-multi";
-    const FORMAT: u32 = 1;
+    const FORMAT: u32 = 2;
 
     fn fingerprint(&self) -> u64 {
         self.fingerprint

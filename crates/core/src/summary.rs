@@ -244,6 +244,11 @@ pub trait DistinctQuery {
     }
 }
 
+/// Rank `q` and the ends of its envelope `q ∓ eps`, clamped to `[0, 1]`.
+pub(crate) fn rank_band(q: f64, eps: f64) -> [f64; 3] {
+    [q, (q - eps).max(0.0), (q + eps).min(1.0)]
+}
+
 /// The capability of answering rank/quantile queries over the key
 /// *values* of the summarized stream. Standalone, like [`JoinQuery`], so
 /// slim replicas qualify.
@@ -271,21 +276,40 @@ pub trait QuantileQuery {
     /// Total stream weight summarized (the `n` that normalizes ranks).
     fn stream_len(&self) -> u64;
 
-    /// A conservative value interval for the `q`-quantile: the values at
-    /// ranks `q ∓ ε` (clamped to `[0, 1]`). The true quantile lies between
-    /// them with the backend's high-probability guarantee — this is the
-    /// honest error bar for a query whose *value-domain* variance is
-    /// unknowable without a density model.
+    /// [`quantile`](QuantileQuery::quantile) at every rank of `ranks`, in
+    /// that order. A backend that sorts its items to answer (KLL)
+    /// overrides this to sort once for all of them.
+    ///
+    /// # Errors
+    ///
+    /// As for [`quantile`](QuantileQuery::quantile).
+    fn quantiles(&self, ranks: &[f64]) -> Result<Vec<f64>> {
+        ranks.iter().map(|&q| self.quantile(q)).collect()
+    }
+
+    /// The `q`-quantile and a conservative value interval for it: the
+    /// values at ranks `q ∓ ε` (clamped to `[0, 1]`), all three from one
+    /// [`quantiles`](QuantileQuery::quantiles) call. The true quantile
+    /// lies between the bounds with the backend's high-probability
+    /// guarantee — this is the honest error bar for a query whose
+    /// *value-domain* variance is unknowable without a density model.
+    ///
+    /// # Errors
+    ///
+    /// As for [`quantile`](QuantileQuery::quantile).
+    fn quantile_with_bounds(&self, q: f64) -> Result<(f64, (f64, f64))> {
+        let at = self.quantiles(&rank_band(q, self.rank_error()))?;
+        Ok((at[0], (at[1], at[2])))
+    }
+
+    /// The interval of
+    /// [`quantile_with_bounds`](QuantileQuery::quantile_with_bounds).
     ///
     /// # Errors
     ///
     /// As for [`quantile`](QuantileQuery::quantile).
     fn quantile_bounds(&self, q: f64) -> Result<(f64, f64)> {
-        let eps = self.rank_error();
-        Ok((
-            self.quantile((q - eps).max(0.0))?,
-            self.quantile((q + eps).min(1.0))?,
-        ))
+        Ok(self.quantile_with_bounds(q)?.1)
     }
 }
 
@@ -654,6 +678,11 @@ impl Summary for KllSketch {
 impl QuantileQuery for KllSketch {
     fn quantile(&self, q: f64) -> Result<f64> {
         Ok(self.raw_quantile(q)? as f64)
+    }
+
+    fn quantiles(&self, ranks: &[f64]) -> Result<Vec<f64>> {
+        let values = self.raw_quantiles(ranks)?;
+        Ok(values.into_iter().map(|v| v as f64).collect())
     }
 
     fn rank(&self, value: u64) -> f64 {

@@ -940,9 +940,7 @@ fn answer_query(
             replica
                 .refresh()
                 .and_then(|_| {
-                    let slim = replica.slim();
-                    let value = slim.quantile(q)?;
-                    let (lo, hi) = slim.quantile_bounds(q)?;
+                    let (value, (lo, hi)) = replica.slim().quantile_with_bounds(q)?;
                     let mut out = String::from("{\"ok\":true,\"cmd\":\"quantile\",");
                     out.push_str(&format!("\"q\":{},", json_num(q)));
                     push_f64_field(&mut out, "value", value);

@@ -28,10 +28,10 @@
 //!   therefore performs **zero heap allocations per batch**
 //!   ([`ShardedRuntime::pool_stats`] proves it) and a push is a handful
 //!   of atomics, not a `sync_channel` futex round-trip. The rings are
-//!   **bounded** (`queue_depth` batches each), but a worker coalesces
-//!   everything queued into one run, and a producer that never waits for
-//!   an answer keeps that run growing: `queue_depth` bounds the ring, not
-//!   the memory (see `shard_worker`; capping the run is ROADMAP item 6).
+//!   **bounded** (`queue_depth` batches each), and a worker coalesces
+//!   what is queued into runs of at most [`RUN_TUPLES`] tuples plus one
+//!   batch, so a shard holds `O(queue_depth · max(batch, RUN_TUPLES))`
+//!   tuples in buffers however fast the producer is (see `shard_worker`).
 //! * **Queries** — snapshot requests travel on a separate per-shard
 //!   control queue, so a query can *never* be routed through the data
 //!   ring's overflow leg (the old transport had a dead
@@ -1183,6 +1183,12 @@ impl<E: Summary + SlimQuery> std::fmt::Debug for ReadReplica<E> {
     }
 }
 
+/// The most tuples a shard worker coalesces before it stops popping the
+/// ring and applies the run: 2^16 keys are 512 KiB, a run that stays in L2
+/// next to the summary's counters. One `update_batch` call sees fewer than
+/// this plus one producer batch.
+pub const RUN_TUPLES: usize = 1 << 16;
+
 /// The shard worker loop: apply batches from the data ring (recycling
 /// their buffers), answer control-queue snapshot requests once the
 /// requested floor is reached, and return the final estimator when the
@@ -1226,23 +1232,22 @@ fn shard_worker<E: Summary>(
     let mut applied = 0u64;
     let mut backoff = Backoff::new();
 
-    // Apply everything already queued as ONE batched update: `first` grows
-    // by the contents of every ring buffer waiting behind it, then a single
-    // `update_batch` spans the coalesced run. Update order is exactly ring
-    // order, so summary state is bit-identical to batch-at-a-time applies;
-    // what changes is kernel amortization (the sketch row kernels and the
-    // skip-sampler scan cost per *call*, and a backlogged worker would
-    // otherwise pay that per 512-tuple producer batch). Snapshot floors are
-    // unaffected: the local `applied` advances past a floor in one jump
-    // after the update lands, and a floor is a minimum, never an
-    // exact-prefix request. Coalescing is NOT bounded by the ring capacity:
-    // the loop below keeps popping while the producer keeps refilling, so a
-    // producer that never waits for an answer makes the run — and `first`,
-    // and what a request arriving mid-drain waits for — grow with the
-    // stream (ledger/README.md, "Unbounded coalescing": 2^27 push-only
-    // tuples became one 1 GiB buffer, and a recycled buffer keeps the
-    // capacity of the longest run it ever headed). `queue_depth` bounds the
-    // ring, not the run; capping the run is ROADMAP item 6.
+    // Apply what is queued as one batched update, up to `RUN_TUPLES`:
+    // `first` grows by the contents of the ring buffers waiting behind it
+    // until it holds that many tuples, then a single `update_batch` spans
+    // the coalesced run. Update order is exactly ring order, so summary
+    // state is bit-identical to batch-at-a-time applies; what changes is
+    // kernel amortization (the sketch row kernels and the skip-sampler scan
+    // cost per *call*, and a backlogged worker would otherwise pay that per
+    // 512-tuple producer batch). Snapshot floors are unaffected: the local
+    // `applied` advances past a floor in one jump after the update lands,
+    // and a floor is a minimum, never an exact-prefix request. The budget
+    // is what bounds the run: the producer refills the ring while the loop
+    // pops, so without it a producer that never waits for an answer made
+    // the run grow with the stream. With it a run is shorter than
+    // `RUN_TUPLES` plus one producer batch, a request arriving mid-drain
+    // waits for one such run, and a buffer goes back to the pool holding at
+    // most the larger of `2 * RUN_TUPLES` and what a producer put in it.
     // The atomic gauge counter is bumped per *pop* (not per apply): the
     // producer refills slots the drain frees, and counting claimed buffers
     // as still-queued would let `accepted − applied` read up to twice the
@@ -1253,7 +1258,10 @@ fn shard_worker<E: Summary>(
                          data: &mut ring::Consumer<Vec<u64>>| {
         let mut batches = 1u64;
         state.applied.store(*applied + batches, Ordering::Release);
-        while let Some(mut next) = data.try_pop() {
+        while first.len() < RUN_TUPLES {
+            let Some(mut next) = data.try_pop() else {
+                break;
+            };
             first.append(&mut next);
             batches += 1;
             state.applied.store(*applied + batches, Ordering::Release);
@@ -1268,6 +1276,11 @@ fn shard_worker<E: Summary>(
             .fetch_add(first.len() as u64, Ordering::AcqRel);
         state.applied.store(*applied, Ordering::Release);
         first.clear();
+        if batches > 1 {
+            // Appending may have grown the head buffer past what any
+            // producer asked of it (a short head, a long batch behind it).
+            first.shrink_to(2 * RUN_TUPLES);
+        }
         let _ = recycle.try_push(first);
     };
 

@@ -322,8 +322,7 @@ fn run_quantiles(args: &[String], p: f64, seed: u64) -> Result<()> {
         sorted
     });
     for &q in &ranks {
-        let value = summary.quantile(q)?;
-        let (lo, hi) = summary.quantile_bounds(q)?;
+        let (value, (lo, hi)) = summary.quantile_with_bounds(q)?;
         let mut line = format!(
             "q{q:<8}  {value:.2} ∈ [{lo:.2}, {hi:.2}] (rank ± {:.4})",
             summary.rank_error(q)
@@ -366,8 +365,8 @@ fn run_multi(args: &[String], p: f64, seed: u64, confidence: Option<f64>) -> Res
         println!("           (exact {})", truth.distinct());
     }
     for (label, q) in [("median", 0.5), ("p99", 0.99)] {
-        let (lo, hi) = s.quantile_bounds(q)?;
-        println!("{label:<10} {:.2} ∈ [{lo:.2}, {hi:.2}]", s.quantile(q)?);
+        let (value, (lo, hi)) = s.quantile_with_bounds(q)?;
+        println!("{label:<10} {value:.2} ∈ [{lo:.2}, {hi:.2}]");
     }
     let top = s.top_k(k);
     for (rank, (key, est)) in top.iter().enumerate() {

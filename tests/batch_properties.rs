@@ -5,7 +5,7 @@
 //!
 //! The order-dependent summaries are held to the same bar by *state*, not
 //! by answers: the hash-once top-k batch path, the chunk-merging
-//! Misra–Gries batch path, the in-place KLL batch path and the
+//! Misra–Gries batch path, the windowed KLL batch path and the
 //! `MultiSummary` fan-out that shares one deduplication between its parts
 //! must leave the bytes `encode()` writes equal to the per-key loop's,
 //! however the stream is cut into calls.
@@ -15,7 +15,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
 use sketch_sampled_streams::core::sketch::JoinSchema;
-use sketch_sampled_streams::core::{MultiSpec, Portable, Sampled, Summary};
+use sketch_sampled_streams::core::{MultiSpec, MultiSummary, Portable, Sampled, Summary};
 use sketch_sampled_streams::sketch::topk::HeavyHitters;
 use sketch_sampled_streams::sketch::{
     AgmsSchema, CountMinSchema, CountSketchTopK, FagmsSchema, KllSketch, MisraGries, Sketch,
@@ -121,6 +121,42 @@ where
     }
 }
 
+/// The same identity at the product's `k = 200`, where the first sampling
+/// level appears after 0.82 M tuples and the second after 1.64 M: KLL alone
+/// and inside a `MultiSummary`, the per-key loop against calls of 1, 3000
+/// and 6001 tuples, and (KLL alone; the proptest below resumes composites)
+/// against a resume from a snapshot taken mid-window.
+#[test]
+fn k_200_batches_match_the_loop_once_sampling_is_live() {
+    let mut rng = StdRng::seed_from_u64(0x200);
+    let keys = skewed(1_750_077, 1 << 20, &mut rng);
+    let calls = |keys: &[u64], call: &mut dyn FnMut(&[u64])| {
+        let (singles, rest) = keys.split_at(keys.len().min(1000));
+        singles.chunks(1).for_each(&mut *call);
+        in_calls(rest, 3000, call);
+    };
+
+    let mut scalar = KllSketch::with_seed(200, 9).unwrap();
+    keys.iter().for_each(|&k| scalar.insert(k));
+    assert!(scalar.stored() < 620, "stored {}", scalar.stored());
+    let mut batched = KllSketch::with_seed(200, 9).unwrap();
+    calls(&keys, &mut |call| batched.insert_batch(call));
+    assert_eq!(scalar.encode().unwrap(), batched.encode().unwrap());
+    let (before, after) = keys.split_at(1_700_001);
+    let mut resumed = KllSketch::with_seed(200, 9).unwrap();
+    resumed.insert_batch(before);
+    let mut resumed = KllSketch::decode(&resumed.encode().unwrap()).unwrap();
+    calls(after, &mut |call| resumed.insert_batch(call));
+    assert_eq!(scalar.encode().unwrap(), resumed.encode().unwrap());
+
+    let spec = MultiSpec::new(JoinSchema::fagms(2, 64, &mut rng), &mut rng);
+    let mut scalar = spec.summary().unwrap();
+    keys.iter().for_each(|&k| scalar.update(k, 1));
+    let mut batched = spec.summary().unwrap();
+    calls(&keys, &mut |call| batched.update_batch(call));
+    assert_eq!(scalar.encode().unwrap(), batched.encode().unwrap());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -169,15 +205,19 @@ proptest! {
         }
     }
 
-    /// KLL: `insert_batch` fills level 0 up to the next compaction in one
-    /// go and compacts in place, yet stores what the `insert` loop stores
-    /// and flips the same coins — also when the summary was encoded and
-    /// decoded (caches recomputed) half way through.
+    /// KLL: `insert_batch` takes a slice as aligned windows — one survivor
+    /// per `2^base` values, found by index — and compacts in place, yet
+    /// stores what the `insert` loop stores and flips the same coins,
+    /// however the calls cut the windows (single values and lengths that
+    /// are no power of two included; at `k < 40` the longer streams have
+    /// five to eight sampling levels live) — also when the summary was
+    /// encoded and decoded anywhere on the way, mid-window or not.
     #[test]
     fn kll_insert_batch_matches_insert_loop(
         length in 0usize..6,
         k in 8usize..40,
         cut in 1usize..3000,
+        resume in 0.0f64..1.0,
         seed: u64,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -190,20 +230,26 @@ proptest! {
         in_calls(&values, cut, |call| batched.insert_batch(call));
         prop_assert_eq!(scalar.encode().unwrap(), batched.encode().unwrap());
 
-        let (before, after) = values.split_at(values.len() / 2);
+        let (before, after) = values.split_at((resume * values.len() as f64) as usize);
         let mut resumed = KllSketch::with_seed(k, seed).unwrap();
         resumed.insert_batch(before);
         let mut resumed = KllSketch::decode(&resumed.encode().unwrap()).unwrap();
-        resumed.insert_batch(after);
+        in_calls(after, cut, |call| resumed.insert_batch(call));
         prop_assert_eq!(scalar.encode().unwrap(), resumed.encode().unwrap());
     }
 
     /// The composite: one deduplication per chunk feeds the join sketch and
     /// Misra–Gries (distinct keys with counts), HyperLogLog (distinct keys)
-    /// and KLL (raw tuples), and every part ends up byte for byte where
-    /// per-key `update` leaves it — on both join backends.
+    /// and KLL (raw tuples, as windows), and every part ends up byte for
+    /// byte where per-key `update` leaves it — on both join backends, and
+    /// through a snapshot taken anywhere on the way.
     #[test]
-    fn multi_update_batch_matches_update_loop(length in 0usize..6, cut in 1usize..3000, seed: u64) {
+    fn multi_update_batch_matches_update_loop(
+        length in 0usize..6,
+        cut in 1usize..3000,
+        resume in 0.0f64..1.0,
+        seed: u64,
+    ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let keys = skewed(LENGTHS[length], 700, &mut rng);
         let join = if seed % 2 == 0 {
@@ -222,6 +268,13 @@ proptest! {
         let mut batched = spec.summary().unwrap();
         in_calls(&keys, cut, |call| batched.update_batch(call));
         prop_assert_eq!(scalar.encode().unwrap(), batched.encode().unwrap());
+
+        let (before, after) = keys.split_at((resume * keys.len() as f64) as usize);
+        let mut resumed = spec.summary().unwrap();
+        resumed.update_batch(before);
+        let mut resumed = MultiSummary::decode(&resumed.encode().unwrap()).unwrap();
+        in_calls(after, cut, |call| resumed.update_batch(call));
+        prop_assert_eq!(scalar.encode().unwrap(), resumed.encode().unwrap());
     }
 
     /// AGMS: the family-major `sign_sum` kernel is bit-identical to the

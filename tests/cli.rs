@@ -404,6 +404,42 @@ fn multi_snapshots_save_merge_and_load_across_processes() {
         .output()
         .unwrap();
     assert_eq!(mixed.status.code(), Some(1));
+
+    // A snapshot in the parent's format (format 2: a KLL body without the
+    // sampler seed) is refused from its head — `load` and `merge-snapshots`
+    // say which format they found and exit 1, on either side of a merge.
+    let current = std::fs::read_to_string(path("a.sss")).unwrap();
+    assert!(
+        current.contains("\"format\":3"),
+        "multi snapshots are format 3"
+    );
+    std::fs::write(
+        path("a-v2.sss"),
+        current.replacen("\"format\":3", "\"format\":2", 1),
+    )
+    .unwrap();
+    let refusals = [
+        vec!["load".to_string(), path("a-v2.sss")],
+        vec![
+            "merge-snapshots".to_string(),
+            path("a-v2.sss"),
+            path("b.sss"),
+        ],
+        vec![
+            "merge-snapshots".to_string(),
+            path("b.sss"),
+            path("a-v2.sss"),
+        ],
+    ];
+    for args in refusals {
+        let out = sss().args(&args).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("multi v2") && stderr.contains("multi v3"),
+            "{args:?}: {stderr}"
+        );
+    }
 }
 
 #[test]

@@ -20,6 +20,9 @@ use sketch_sampled_streams::sketch::{
     CountSketchTopK, FagmsSchema, HeavyHitters, HyperLogLog, KllSketch, MisraGries,
 };
 
+#[path = "support/kll_levels.rs"]
+mod kll_levels;
+
 fn stream() -> impl Strategy<Value = Vec<u64>> {
     prop::collection::vec(0..5_000u64, 0..300)
 }
@@ -92,8 +95,9 @@ proptest! {
     }
 
     /// KLL: the compactor coin is *carried state* (a seeded SplitMix64
-    /// inside the summary), so as long as decode restores it, the lossy
-    /// merge compaction makes identical coin flips on both paths.
+    /// inside the summary) and so is the sampler's seed, so as long as
+    /// decode restores them, the lossy merge compaction makes identical
+    /// coin flips on both paths.
     #[test]
     fn kll_wire_merge_is_bit_identical(a in stream(), b in stream()) {
         assert_wire_merge_matches_memory(|| KllSketch::with_seed(64, 0xC0FFEE).unwrap(), &a, &b);
@@ -184,19 +188,23 @@ fn mismatched_fingerprints_refuse_with_typed_errors() {
     assert_eq!(head.fingerprint, Portable::fingerprint(&a));
 }
 
-/// A KLL body as format 1 writes it, every field the forger's to choose.
-fn kll_body(levels: &str, k: u64, n: u64, stored: u64, cap_total: u64) -> String {
+/// A KLL body as format 2 writes it, every field the forger's to choose.
+fn kll_body(levels: &str, k: u64, n: u64) -> String {
+    format!("{{\"compactors\":{levels},\"k\":{k},\"n\":{n},\"coin\":7,\"seed\":11}}")
+}
+
+/// `body` in a `kll` envelope of the given format.
+fn kll_envelope_v(format: u32, body: &str) -> Vec<u8> {
+    let fingerprint = KllSketch::with_seed(8, 0).unwrap().fingerprint();
     format!(
-        "{{\"compactors\":{levels},\"k\":{k},\"n\":{n},\"coin\":7,\
-         \"stored\":{stored},\"cap_total\":{cap_total}}}"
+        "{{\"kind\":\"kll\",\"format\":{format},\"fingerprint\":{fingerprint},\"body\":{body}}}"
     )
+    .into_bytes()
 }
 
 /// `body` in a `kll` envelope.
 fn kll_envelope(body: &str) -> Vec<u8> {
-    let fingerprint = KllSketch::with_seed(8, 0).unwrap().fingerprint();
-    format!("{{\"kind\":\"kll\",\"format\":1,\"fingerprint\":{fingerprint},\"body\":{body}}}")
-        .into_bytes()
+    kll_envelope_v(KllSketch::FORMAT, body)
 }
 
 /// `body` where an honest `multi` envelope of accuracy parameter `k` (the
@@ -219,23 +227,18 @@ fn multi_envelope(k: u64, body: &str) -> Vec<u8> {
 fn hostile_kll_bodies_refuse_with_typed_errors() {
     let sixty_five_levels = format!("[{}]", vec!["[]"; 65].join(","));
     let refused = [
-        ("no levels", kll_body("[]", 8, 0, 0, 0)),
-        ("k below the minimum", kll_body("[[1,2]]", 7, 2, 2, 2)),
-        (
-            "more than 64 levels",
-            kll_body(&sixty_five_levels, 8, 0, 0, 0),
-        ),
-        (
-            "weight above the levels'",
-            kll_body("[[1,2],[3]]", 8, 5, 3, 20),
-        ),
-        (
-            "weight below the levels'",
-            kll_body("[[1,2],[3]]", 8, 3, 3, 20),
-        ),
+        ("no levels", kll_body("[]", 8, 0)),
+        ("k below the minimum", kll_body("[[1,2]]", 7, 2)),
+        ("more than 64 levels", kll_body(&sixty_five_levels, 8, 0)),
+        ("weight above the levels'", kll_body("[[1,2],[3]]", 8, 5)),
+        ("weight below the levels'", kll_body("[[1,2],[3]]", 8, 3)),
         (
             "levels heavier than a u64",
-            kll_body(&format!("[{}[1,2]]", "[],".repeat(63)), 8, 0, 2, 20),
+            kll_body(&format!("[{}[1,2]]", "[],".repeat(63)), 8, 0),
+        ),
+        (
+            "no sampler seed",
+            kll_body("[[1,2]]", 8, 2).replace(",\"seed\":11", ""),
         ),
     ];
     for (what, body) in &refused {
@@ -248,16 +251,24 @@ fn hostile_kll_bodies_refuse_with_typed_errors() {
         );
     }
 
+    // The parent's format 1 (no sampler seed, two cached counts) is refused
+    // by its head — whether the body is one format 1 wrote, one format 2
+    // would accept, or nothing a KLL ever wrote.
+    assert_eq!(KllSketch::FORMAT, 2);
+    let format_1 =
+        "{\"compactors\":[[1,2]],\"k\":8,\"n\":2,\"coin\":7,\"stored\":2,\"cap_total\":8}";
+    for body in [format_1, &kll_body("[[1,2]]", 8, 2), "{\"k\":true}"] {
+        let err = KllSketch::decode(&kll_envelope_v(1, body)).unwrap_err();
+        assert!(
+            matches!(&err, Error::WireMismatch { found, .. } if found == "kll v1"),
+            "got {err:?}"
+        );
+    }
+
     // One item at level 63 weighs 2⁶³: a body the decoder rightly accepts,
     // and two of them are more than a `u64` counts. The merge refuses
     // before it touches the receiver.
-    let top_heavy = kll_envelope(&kll_body(
-        &format!("[{}[1]]", "[],".repeat(63)),
-        8,
-        1 << 63,
-        1,
-        20,
-    ));
+    let top_heavy = kll_envelope(&kll_body(&format!("[{}[1]]", "[],".repeat(63)), 8, 1 << 63));
     let mut kll = KllSketch::decode(&top_heavy).unwrap();
     let before = kll.encode().unwrap();
     let err = kll.merge_encoded(&top_heavy).unwrap_err();
@@ -370,27 +381,29 @@ fn hostile_misra_gries_bodies_refuse_with_typed_errors() {
     assert_eq!(mg.encode().unwrap(), before);
 }
 
-/// The composite's own refusals: a snapshot in the parent's format 1 (a
-/// Count-Sketch tracker where format 2 carries Misra–Gries) is refused by
-/// its head, before the body; a body whose heavy-hitter part belongs to
-/// another spec than the head and the join sketch next to it is refused by
-/// fingerprint.
+/// The composite's own refusals: a snapshot in an older format (format 2
+/// carried a format-1 KLL body, format 1 a Count-Sketch tracker where
+/// Misra–Gries is) is refused by its head, before the body; a body whose
+/// heavy-hitter part belongs to another spec than the head and the join
+/// sketch next to it is refused by fingerprint.
 #[test]
 fn hostile_multi_bodies_refuse_with_typed_errors() {
     let honest = honest_multi(408);
-    assert_eq!(MultiSummary::FORMAT, 2);
-    let parent = honest.replacen("\"format\":2", "\"format\":1", 1);
-    let err = MultiSummary::decode(parent.as_bytes()).unwrap_err();
-    assert!(
-        matches!(&err, Error::WireMismatch { found, .. } if found == "multi v1"),
-        "got {err:?}"
-    );
-    // ... whatever the body is: one no format ever wrote gets the same
-    // answer, not a complaint about its fields.
-    let at = parent.find("\"body\":").unwrap();
-    let hollow = format!("{}\"body\":{{\"join\":7}}}}", &parent[..at]);
-    let err = MultiSummary::decode(hollow.as_bytes()).unwrap_err();
-    assert!(matches!(err, Error::WireMismatch { .. }), "got {err:?}");
+    assert_eq!(MultiSummary::FORMAT, 3);
+    for older in [2, 1] {
+        let parent = honest.replacen("\"format\":3", &format!("\"format\":{older}"), 1);
+        let err = MultiSummary::decode(parent.as_bytes()).unwrap_err();
+        assert!(
+            matches!(&err, Error::WireMismatch { found, .. } if *found == format!("multi v{older}")),
+            "got {err:?}"
+        );
+        // ... whatever the body is: one no format ever wrote gets the same
+        // answer, not a complaint about its fields.
+        let at = parent.find("\"body\":").unwrap();
+        let hollow = format!("{}\"body\":{{\"join\":7}}}}", &parent[..at]);
+        let err = MultiSummary::decode(hollow.as_bytes()).unwrap_err();
+        assert!(matches!(err, Error::WireMismatch { .. }), "got {err:?}");
+    }
 
     let other_capacity = mg_body(3, 0, 0, &[], &[]);
     let err = MultiSummary::decode(&multi_envelope_heavy(&other_capacity)).unwrap_err();
@@ -401,46 +414,71 @@ fn hostile_multi_bodies_refuse_with_typed_errors() {
     MultiSummary::decode(honest.as_bytes()).unwrap();
 }
 
-/// `stored` and `cap_total` are caches: a body that lies about them
-/// decodes to the summary its levels describe.
+/// The item counts and the capacity table are caches no body carries: a
+/// body that claims them anyway (as format 1 did) decodes to the summary
+/// its levels describe.
 #[test]
 fn kll_decode_recomputes_its_caches() {
     let mut honest = KllSketch::with_seed(8, 3).unwrap();
     honest.insert_batch(&(0..500u64).collect::<Vec<_>>());
     let text = String::from_utf8(honest.encode().unwrap()).unwrap();
-    let at = text
-        .find("\"stored\":")
-        .expect("format 1 writes its caches");
-    let lying = format!("{}\"stored\":0,\"cap_total\":1000000}}}}", &text[..at]);
+    assert!(!text.contains("stored") && !text.contains("cap_total"));
+    let body_end = text.len() - 2;
+    let lying = format!(
+        "{},\"stored\":0,\"cap_total\":1000000,\"base\":0}}}}",
+        &text[..body_end]
+    );
     let mut decoded = KllSketch::decode(lying.as_bytes()).unwrap();
     assert_eq!(decoded.encode().unwrap(), text.as_bytes());
-    // ... and therefore keeps compacting where the original would.
+    assert_eq!(decoded.stored(), honest.stored());
+    // ... and therefore keeps sampling and compacting where the original
+    // would.
     let more: Vec<u64> = (500..900).collect();
     decoded.insert_batch(&more);
     honest.insert_batch(&more);
     assert_eq!(decoded.encode().unwrap(), honest.encode().unwrap());
 }
 
+/// Sampling levels a forger crowded (`k = 8` with six levels samples on
+/// the bottom two) are halved on the way in: the weight is all there, each
+/// holds at most one item — bit `h` of `n` — and the summary reads back
+/// what it writes, before and after further inserts and a merge.
+#[test]
+fn crowded_sampling_levels_are_normalized_on_decode() {
+    let body = kll_body("[[5,1,9],[2,2,8,8,3],[4],[],[],[7]]", 8, 3 + 10 + 4 + 32);
+    let mut kll = KllSketch::decode(&kll_envelope(&body)).unwrap();
+    assert_eq!(kll.len(), 49);
+    let check = kll_levels::assert_sampler_invariant;
+    check(&kll);
+    kll.insert_batch(&(0..1000u64).collect::<Vec<_>>());
+    check(&kll);
+    let twin = kll.clone();
+    kll.merge(&twin).unwrap();
+    check(&kll);
+    assert_eq!(kll.len(), 2 * 1049);
+    kll.raw_quantile(0.5).unwrap();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Whatever levels a body carries — overfull, out of order, under any
-    /// `k`, with any cached counts — if it decodes, then inserting,
-    /// merging and querying it neither panic nor lose weight.
+    /// `k`, sampling levels (up to five of the nine, at `k = 8`) crowded —
+    /// if it decodes, then inserting, merging and querying it neither
+    /// panic nor lose weight.
     #[test]
     fn accepted_kll_bodies_are_safe_to_use(
-        levels in prop::collection::vec(prop::collection::vec(any::<u64>(), 0..40), 1..7),
+        levels in prop::collection::vec(prop::collection::vec(any::<u64>(), 0..40), 1..10),
         small_k in 8u64..64,
         huge_k: bool,
-        stored: u64,
-        cap_total: u64,
     ) {
         let k = if huge_k { u64::MAX } else { small_k };
         let weight: u64 = levels.iter().enumerate().map(|(h, l)| (l.len() as u64) << h).sum();
         let text = format!("{levels:?}");
-        let body = kll_body(&text, k, weight, stored, cap_total);
+        let body = kll_body(&text, k, weight);
 
         let mut kll = KllSketch::decode(&kll_envelope(&body)).unwrap();
+        kll_levels::assert_sampler_invariant(&kll);
         let twin = kll.clone();
         for v in 0..50 {
             kll.insert(v);
@@ -448,6 +486,7 @@ proptest! {
         kll.insert_batch(&(0..3000u64).collect::<Vec<_>>());
         kll.merge(&twin).unwrap();
         prop_assert_eq!(kll.len(), 2 * weight + 3050);
+        kll_levels::assert_sampler_invariant(&kll);
         for q in [0.0, 0.5, 1.0] {
             kll.raw_quantile(q).unwrap();
         }

@@ -13,9 +13,12 @@ use sketch_sampled_streams::core::{
     SlimQuery, Summary, TopKQuery,
 };
 use sketch_sampled_streams::sketch::Estimate;
+use sketch_sampled_streams::stream::runtime::RUN_TUPLES;
 use sketch_sampled_streams::stream::{
     EngineBuilder, Partition, ReadReplica, RuntimeConfig, ShardedRuntime,
 };
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier};
 
 fn stream() -> impl Strategy<Value = Vec<u64>> {
     prop::collection::vec(any::<u64>(), 1..400)
@@ -317,4 +320,98 @@ fn reads_through_one_slim_borrow_come_from_one_frame() {
         moved > hi,
         "the newer frame's median {moved} is outside ({lo}, {hi})"
     );
+}
+
+/// A summary that counts tuples, records the longest slice `update_batch`
+/// was handed, and — while `armed` — holds the worker inside one call until
+/// the test has queued what it wants behind it.
+#[derive(Clone)]
+struct GatedCounter {
+    tuples: u64,
+    longest: Arc<AtomicUsize>,
+    armed: Arc<AtomicBool>,
+    gate: Arc<Barrier>,
+}
+
+impl Summary for GatedCounter {
+    fn update(&mut self, _key: u64, count: i64) {
+        self.tuples += count.max(0) as u64;
+    }
+
+    fn update_batch(&mut self, keys: &[u64]) {
+        self.tuples += keys.len() as u64;
+        self.longest.fetch_max(keys.len(), Ordering::SeqCst);
+        if self.armed.swap(false, Ordering::SeqCst) {
+            self.gate.wait(); // the worker is in here, the ring is empty
+            self.gate.wait(); // the test has refilled it
+        }
+    }
+
+    fn merge_from(&mut self, other: &Self) -> sketch_sampled_streams::core::Result<()> {
+        self.tuples += other.tuples;
+        Ok(())
+    }
+}
+
+/// The coalesced run has a cap. A producer that only pushes fills the ring
+/// with four times `RUN_TUPLES` while the worker is busy; the worker then
+/// takes it in runs no longer than the budget plus one batch (it used to
+/// take all of it, and whatever arrived meanwhile, as one slice), and a
+/// head buffer that a long batch behind it grew goes back to the pool
+/// shrunk.
+#[test]
+fn a_push_only_producer_cannot_grow_the_coalesced_run() {
+    const BATCH: usize = 4096;
+    let depth = 4 * RUN_TUPLES / BATCH;
+    let proto = GatedCounter {
+        tuples: 0,
+        longest: Arc::new(AtomicUsize::new(0)),
+        armed: Arc::new(AtomicBool::new(true)),
+        gate: Arc::new(Barrier::new(2)),
+    };
+    let config = RuntimeConfig {
+        queue_depth: depth,
+        ..Default::default()
+    };
+    let mut rt = ShardedRuntime::new(config, &proto).unwrap();
+    let batch = vec![7u64; BATCH];
+
+    rt.push(&batch).unwrap();
+    proto.gate.wait();
+    for _ in 0..depth {
+        rt.push(&batch).unwrap();
+    }
+    proto.gate.wait();
+    assert_eq!(rt.merged().unwrap().tuples, ((depth + 1) * BATCH) as u64);
+    let longest = proto.longest.load(Ordering::SeqCst);
+    assert!(longest > BATCH, "nothing was coalesced: {longest}");
+    assert!(longest < RUN_TUPLES + BATCH, "a run of {longest} tuples");
+
+    // A one-tuple head with 3 · RUN_TUPLES behind it: the run may be that
+    // long (one producer batch past the budget), the head's buffer may not
+    // stay that large.
+    proto.armed.store(true, Ordering::SeqCst);
+    rt.push(&batch).unwrap();
+    proto.gate.wait();
+    rt.push(&[1]).unwrap();
+    rt.push(&vec![9u64; 3 * RUN_TUPLES]).unwrap();
+    proto.gate.wait();
+    rt.merged().unwrap();
+    assert_eq!(
+        proto.longest.load(Ordering::SeqCst),
+        3 * RUN_TUPLES + 1,
+        "head and the batch behind it are one run"
+    );
+    let mut oversized = 0;
+    let mut held = Vec::new();
+    loop {
+        let allocations = rt.pool_stats().allocations;
+        let buf = rt.loan_batch_buf(0);
+        if rt.pool_stats().allocations > allocations {
+            break;
+        }
+        oversized += usize::from(buf.capacity() > 2 * RUN_TUPLES);
+        held.push(buf);
+    }
+    assert_eq!(oversized, 1, "only the buffer the producer itself filled");
 }

@@ -10,12 +10,22 @@
 //! never patches one: the last two tests run that through the runtime.
 
 use proptest::prelude::*;
-use sketch_sampled_streams::core::{DistinctQuery, QuantileQuery, Summary};
+use sketch_sampled_streams::core::{DistinctQuery, Portable, QuantileQuery, Summary};
 use sketch_sampled_streams::sketch::{HyperLogLog, KllSketch};
 use sketch_sampled_streams::stream::{RuntimeConfig, ShardedRuntime};
 
+#[path = "support/kll_levels.rs"]
+mod kll_levels;
+
 fn stream() -> impl Strategy<Value = Vec<u64>> {
     prop::collection::vec(0..10_000u64, 1..300)
+}
+
+/// `len` values of a fixed scrambled sequence, from `start` on.
+fn scrambled(start: u64, len: usize) -> Vec<u64> {
+    (start..start + len as u64)
+        .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40)
+        .collect()
 }
 
 /// Normalized exact rank of `value` in `all` (fraction strictly below).
@@ -99,6 +109,73 @@ proptest! {
                     "q = {}, reported value {} has exact rank {} (tol {})",
                     q, v, r, tol
                 );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The sampler's invariant survives everything a summary goes through:
+    /// after any mix of batches, single inserts, merges of summaries with
+    /// fewer or more levels (and therefore fewer or more sampling levels)
+    /// and decodes, sampling level `h` holds exactly bit `h` of `n` items
+    /// and the levels weigh `n` (at `k = 8` a few hundred values are enough
+    /// for sampling levels; at `k = 20`, a few thousand).
+    #[test]
+    fn kll_sampling_levels_hold_the_binary_expansion_of_n(
+        small in 0usize..3,
+        ops in prop::collection::vec((0u8..4, 0usize..5000), 1..12),
+        seed: u64,
+    ) {
+        let k = [8usize, 9, 20][small];
+        let mut kll = KllSketch::with_seed(k, seed).unwrap();
+        let mut n = 0u64;
+        for (op, len) in ops {
+            match op {
+                0 => kll.insert_batch(&scrambled(n, len)),
+                1 => scrambled(n, len % 70).into_iter().for_each(|v| kll.insert(v)),
+                2 => {
+                    let mut other = KllSketch::with_seed(k, seed ^ len as u64).unwrap();
+                    other.insert_batch(&scrambled(n, len));
+                    kll.merge(&other).unwrap();
+                }
+                _ => kll = KllSketch::decode(&kll.encode().unwrap()).unwrap(),
+            }
+            n = kll.len();
+            kll_levels::assert_sampler_invariant(&kll);
+        }
+    }
+
+    /// Merge stays commutative on answers when the two sides stopped at
+    /// different places in their windows (unequal `n mod 2^base`) and at
+    /// different level counts: both orders hold the same weighted items,
+    /// so every quantile and every rank agree to the bit.
+    #[test]
+    fn kll_merge_is_commutative_on_answers_with_unequal_residuals(
+        len_a in 0usize..6000,
+        len_b in 0usize..6000,
+        seed: u64,
+    ) {
+        let mut ka = KllSketch::with_seed(8, seed).unwrap();
+        ka.insert_batch(&scrambled(0, len_a));
+        let mut kb = KllSketch::with_seed(8, !seed).unwrap();
+        kb.insert_batch(&scrambled(7_000, len_b));
+        let mut ab = ka.clone();
+        ab.merge(&kb).unwrap();
+        let mut ba = kb.clone();
+        ba.merge(&ka).unwrap();
+        prop_assert_eq!(ab.len(), (len_a + len_b) as u64);
+        prop_assert_eq!(ab.stored(), ba.stored());
+        kll_levels::assert_sampler_invariant(&ab);
+        prop_assert_eq!(kll_levels::level_sizes(&ab), kll_levels::level_sizes(&ba));
+        if !ab.is_empty() {
+            let ranks: Vec<f64> = (0..=40).map(|i| i as f64 / 40.0).collect();
+            let values = ab.raw_quantiles(&ranks).unwrap();
+            prop_assert_eq!(&values, &ba.raw_quantiles(&ranks).unwrap());
+            for v in values {
+                prop_assert_eq!(ab.raw_rank(v).to_bits(), ba.raw_rank(v).to_bits());
             }
         }
     }
