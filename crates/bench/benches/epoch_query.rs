@@ -35,7 +35,8 @@ fn epoch_churn(schema: &JoinSchema) -> EpochShedder {
         hysteresis: 0.1,
         min_p: 1e-3,
         grid: RateGrid::default(),
-    });
+    })
+    .expect("sane controller config");
     let mut rng = StdRng::seed_from_u64(8);
     let mut shedder = EpochShedder::new(schema, 1.0, &mut rng).expect("valid p");
     for i in 0..CHANGES {

@@ -10,25 +10,28 @@
 //!   linearity `(A+B)` self-join expands to `A² + B² + 2AB`, which is
 //!   precisely the two Prop-14 diagonals plus the Prop-13 cross term at
 //!   `p·p`; the kept-tuple corrections add because the kept counts add.
-//!   So the shedder never needs more than one epoch per distinct `p`.
+//!   So the shedder never needs more than one cell per distinct `p`.
 //! * **[`RateGrid`]**: the adaptive controller snaps its targets onto a
 //!   small logarithmic grid (`steps_per_decade` points per decade between
 //!   1 and `min_p`, with 1 and `min_p` always representable), so the
-//!   number of distinct rates — and with compaction the number of epochs —
+//!   number of distinct rates — and with compaction the number of cells —
 //!   is bounded by [`RateGrid::size`] regardless of stream length.
 //! * **`QueryCache`** (crate-private): a monitoring loop calling
-//!   `self_join()` per batch
-//!   only dirties the *current* epoch between queries, so the cache
-//!   recomputes one diagonal and one row of cross terms (O(G) sketch dot
-//!   products) instead of the full O(G²) table.
+//!   `self_join()` per batch only dirties the *current* cell between
+//!   queries, so the cache recomputes one diagonal and one row of cross
+//!   terms (O(G) sketch dot products) instead of the full O(G²) table. A
+//!   row is keyed on its cell's `kept()`: that count grows exactly when
+//!   the cell's sketch changes, a cell that holds tuples is never removed
+//!   or replaced, and an empty cell's diagonal and cross terms are zero at
+//!   any `p` — so a key that still matches never serves a stale row.
 //!
 //! The uncompacted implementation — one epoch per rate change, full O(E²)
 //! query — lives on as the bit-identity oracle in
 //! `tests/support/mod.rs`.
 
-use crate::epochs::Epoch;
 use crate::error::{Error, Result};
-use crate::sampled::bernoulli_self_join;
+use crate::sampled::{bernoulli_self_join, Sampled};
+use crate::sketch::JoinSketch;
 
 /// A logarithmic grid of admissible sampling rates.
 ///
@@ -108,30 +111,30 @@ impl RateGrid {
 
 /// Cached pairwise terms of the epoch self-join decomposition.
 ///
-/// `diag[i]` holds `raw_self_join` of epoch `i`'s sketch; `cross[i][j]`
-/// (for `i < j`) holds the raw sketch dot product between epochs `i` and
-/// `j`. Entries are recomputed only for epochs whose `version` moved since
-/// the last query — between monitoring queries only the current epoch
+/// `diag[i]` holds `raw_self_join` of cell `i`'s sketch; `cross[i][j]`
+/// (for `i < j`) holds the raw sketch dot product between cells `i` and
+/// `j`. Entries are recomputed only for cells whose `kept()` moved since
+/// the last query — between monitoring queries only the current cell
 /// mutates, so a steady-state query costs O(G) dot products, not O(G²).
 #[derive(Debug, Default)]
 pub(crate) struct QueryCache {
-    versions: Vec<Option<u64>>,
+    kept: Vec<Option<u64>>,
     diag: Vec<f64>,
     cross: Vec<Vec<f64>>,
 }
 
 impl QueryCache {
-    /// Bring the cache in line with `epochs`, recomputing the diagonal and
-    /// cross row/column of every epoch whose version changed.
-    pub(crate) fn sync(&mut self, epochs: &[Epoch]) -> Result<()> {
-        let n = epochs.len();
-        // The epoch list only grows, except that a never-filled trailing
-        // epoch may be dropped again — truncation handles both directions.
-        self.versions.truncate(n);
+    /// Bring the cache in line with `cells`, recomputing the diagonal and
+    /// cross row/column of every cell whose kept count changed.
+    pub(crate) fn sync(&mut self, cells: &[Sampled<JoinSketch>]) -> Result<()> {
+        let n = cells.len();
+        // The cell list only grows, except that an empty trailing cell
+        // may be dropped again — truncation handles both directions.
+        self.kept.truncate(n);
         self.diag.truncate(n);
         self.cross.truncate(n);
-        while self.versions.len() < n {
-            self.versions.push(None);
+        while self.kept.len() < n {
+            self.kept.push(None);
             self.diag.push(0.0);
             self.cross.push(Vec::new());
         }
@@ -139,31 +142,32 @@ impl QueryCache {
             row.resize(n, 0.0);
         }
         for i in 0..n {
-            if self.versions[i] == Some(epochs[i].version) {
+            if self.kept[i] == Some(cells[i].kept()) {
                 continue;
             }
-            self.diag[i] = epochs[i].sketch.raw_self_join();
-            for (j, other) in epochs.iter().enumerate() {
+            let sketch = cells[i].summary();
+            self.diag[i] = sketch.raw_self_join();
+            for (j, other) in cells.iter().enumerate() {
                 if j == i {
                     continue;
                 }
-                let v = epochs[i].sketch.raw_size_of_join(&other.sketch)?;
+                let v = sketch.raw_size_of_join(other.summary())?;
                 let (a, b) = if i < j { (i, j) } else { (j, i) };
                 self.cross[a][b] = v;
             }
-            self.versions[i] = Some(epochs[i].version);
+            self.kept[i] = Some(cells[i].kept());
         }
         Ok(())
     }
 
     /// Combine the cached terms exactly as the uncached loop does (same
     /// summation order, so the result is bit-identical to recomputing).
-    pub(crate) fn combined_self_join(&self, epochs: &[Epoch]) -> f64 {
+    pub(crate) fn combined_self_join(&self, cells: &[Sampled<JoinSketch>]) -> f64 {
         let mut total = 0.0;
-        for (i, e) in epochs.iter().enumerate() {
-            total += bernoulli_self_join(self.diag[i], e.p, e.kept);
-            for (j, e2) in epochs.iter().enumerate().skip(i + 1) {
-                total += 2.0 * self.cross[i][j] / (e.p * e2.p);
+        for (i, c) in cells.iter().enumerate() {
+            total += bernoulli_self_join(self.diag[i], c.probability(), c.kept() as f64);
+            for (j, c2) in cells.iter().enumerate().skip(i + 1) {
+                total += 2.0 * self.cross[i][j] / (c.probability() * c2.probability());
             }
         }
         total

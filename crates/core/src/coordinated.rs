@@ -21,6 +21,7 @@
 //!   second-moment analysis.
 
 use crate::error::Result;
+use crate::sampled::bernoulli_self_join;
 use crate::sketch::{JoinSchema, JoinSketch};
 use rand::Rng;
 use sss_xi::Tabulation;
@@ -101,8 +102,7 @@ impl CoordinatedShedder {
     /// Unbiased self-join size estimate of the net stream (Proposition 14
     /// scaling, with `Σf′ = kept_net`).
     pub fn self_join(&self) -> f64 {
-        let p2 = self.p * self.p;
-        self.sketch.raw_self_join() / p2 - (1.0 - self.p) / p2 * self.kept_net as f64
+        bernoulli_self_join(self.sketch.raw_self_join(), self.p, self.kept_net as f64)
     }
 
     /// Unbiased size-of-join estimate against another coordinated shedder
@@ -204,6 +204,13 @@ mod tests {
         }
         let truth = 1000.0 * 300.0 * 300.0;
         let est = shed.self_join();
+        // The one Prop. 14 correction, fed the signed net count.
+        let prop14 = bernoulli_self_join(
+            shed.sketch().raw_self_join(),
+            shed.probability(),
+            shed.kept_net() as f64,
+        );
+        assert_eq!(est.to_bits(), prop14.to_bits());
         assert!(
             (est - truth).abs() / truth < 0.15,
             "est = {est}, truth = {truth}"

@@ -20,69 +20,55 @@
 //! the single shared sketch schema, so the combination is exact linear
 //! algebra over the same counters.
 //!
-//! Two additions keep long-running pipelines bounded (see
-//! [`crate::compaction`] for the full argument):
+//! An epoch is a [`Sampled<JoinSketch>`](crate::Sampled) *cell*: the one
+//! Bernoulli front end, with its own skip sampler and `seen`/`kept`
+//! counts. The shedder is the list of cells plus the cross-cell terms;
+//! every diagonal is the cell's own [`Sampled::self_join`]. Two additions
+//! keep long-running pipelines bounded (see [`crate::compaction`] for the
+//! full argument):
 //!
-//! * **Same-`p` compaction.** When a rate recurs, the shedder resumes the
-//!   epoch that already accumulated at that rate instead of opening a new
-//!   one. This is exact: revisiting an epoch just adds more independently
-//!   Bernoulli(`p`)-sampled tuples to the same sketch, and `(A+B)²` expands
-//!   by linearity to the same diagonal + cross terms the separate epochs
-//!   would contribute. Memory is therefore O(#distinct rates), not
-//!   O(#rate changes) — with a quantized controller
+//! * **One cell per distinct rate.** When a rate recurs, the shedder
+//!   resumes the cell that already accumulated at that rate instead of
+//!   opening a new one. This is exact: revisiting a cell just adds more
+//!   independently Bernoulli(`p`)-sampled tuples to the same sketch, and
+//!   `(A+B)²` expands by linearity to the same diagonal + cross terms the
+//!   separate epochs would contribute. Memory is therefore O(#distinct
+//!   rates), not O(#rate changes) — with a quantized controller
 //!   ([`crate::compaction::RateGrid`]), a hard constant.
 //! * **Cross-term caching.** `self_join()` memoizes the pairwise sketch
-//!   dot products and recomputes only the rows of epochs that changed
-//!   since the last query, so a per-batch monitoring loop pays O(G) sketch
-//!   dot products per query instead of O(G²).
+//!   dot products and recomputes only the rows of cells whose `kept()`
+//!   moved since the last query, so a per-batch monitoring loop pays O(G)
+//!   sketch dot products per query instead of O(G²).
+//!
+//! **The reseed rule.** Every effective rate change draws one fresh
+//! geometric skip from the caller's RNG, and one gap from it: into the
+//! resumed cell ([`Sampled::reseed`]), into a fresh cell
+//! ([`Sampled::new`]), or into the empty current cell that a fresh cell
+//! replaces. That is exactly what the uncompacted shedder (one epoch per
+//! change, `tests/support/mod.rs`) draws, so identically seeded shedders
+//! keep the same sample and compaction changes no estimate
+//! (`tests/epoch_compaction.rs`).
 //!
 //! The same decomposition gives the size of join between two epoch-shedded
 //! streams: `Σ_{e,e′} (1/(p_e q_e′))·S_e·T_e′` with no diagonal
 //! correction, since the two relations' samples are always independent.
 //!
-//! The pre-compaction implementation survives as the bit-identity oracle
-//! of `tests/epoch_compaction.rs`
-//! (`tests/support/mod.rs`).
+//! The shedder has no wire form: a [`Sampled`] is not
+//! [`Portable`](crate::Portable) (its live RNG has no stable encoding),
+//! so neither is a list of them.
+//!
+//! ```compile_fail
+//! use sss_core::{EpochShedder, Portable};
+//! fn gone(s: &EpochShedder) -> u64 { s.fingerprint() }
+//! ```
 
 use crate::compaction::QueryCache;
-use crate::error::{Error, Result};
-use crate::portable::{TAG_AGMS, TAG_EPOCHS, TAG_FAGMS};
-use crate::sampled::{bernoulli_self_join, skip_sample_batch};
+use crate::error::Result;
+use crate::sampled::{bernoulli_self_join, Sampled};
 use crate::sketch::{JoinSchema, JoinSketch};
-use crate::slim::SlimJoin;
-use crate::summary::Portable;
-use crate::wire;
-use rand::rngs::StdRng;
 use rand::Rng;
-use sss_sampling::bernoulli::GeometricSkip;
 use sss_sketch::Estimate;
 use std::cell::RefCell;
-
-/// One constant-`p` stream segment (possibly several non-contiguous
-/// segments after compaction — the union is still a Bernoulli(`p`) sample
-/// of their combined tuples).
-#[derive(Debug, Clone)]
-pub(crate) struct Epoch {
-    pub(crate) p: f64,
-    pub(crate) sketch: JoinSketch,
-    pub(crate) kept: u64,
-    pub(crate) seen: u64,
-    /// Bumped whenever the sketch content changes; lets the query cache
-    /// skip epochs that are unchanged since the last query.
-    pub(crate) version: u64,
-}
-
-impl Epoch {
-    pub(crate) fn new(p: f64, schema: &JoinSchema) -> Self {
-        Self {
-            p,
-            sketch: schema.sketch(),
-            kept: 0,
-            seen: 0,
-            version: 0,
-        }
-    }
-}
 
 /// Whether two sampling rates are the same epoch rate (relative-epsilon
 /// comparison).
@@ -92,144 +78,126 @@ fn same_p(a: f64, b: f64) -> bool {
 }
 
 /// A load shedder whose sampling rate may change between epochs while the
-/// overall estimate stays unbiased, holding at most one epoch per
-/// distinct rate.
+/// overall estimate stays unbiased, holding at most one cell per distinct
+/// rate.
 #[derive(Debug)]
 pub struct EpochShedder {
     schema: JoinSchema,
-    /// Invariant: every epoch except possibly the last has `seen > 0`,
-    /// and no two epochs share a rate (compaction).
-    epochs: Vec<Epoch>,
-    /// Index of the epoch currently receiving tuples.
+    /// Invariant: no two cells share a rate, and only the current cell
+    /// can be empty (`seen == 0`) — then it is the trailing one.
+    cells: Vec<Sampled<JoinSketch>>,
+    /// Index of the cell currently receiving tuples.
     current: usize,
-    skip: GeometricSkip<StdRng>,
-    gap: u64,
     cache: RefCell<QueryCache>,
 }
 
 impl EpochShedder {
     /// Start a shedder with an initial sampling probability.
     pub fn new<R: Rng>(schema: &JoinSchema, p: f64, seed_rng: &mut R) -> Result<Self> {
-        let mut skip = GeometricSkip::<StdRng>::new(p, seed_rng)?;
-        let gap = skip.next_gap();
         Ok(Self {
             schema: schema.clone(),
-            epochs: vec![Epoch::new(p, schema)],
+            cells: vec![Sampled::new(schema.sketch(), p, seed_rng)?],
             current: 0,
-            skip,
-            gap,
             cache: RefCell::new(QueryCache::default()),
         })
     }
 
     /// Switch to probability `p` (no-op if `p` equals the current rate).
     ///
-    /// If an epoch already accumulated at `p`, it is resumed — the union
+    /// If a cell already accumulated at `p`, it is resumed — the union
     /// of its segments is still one Bernoulli(`p`) sample, so the estimate
-    /// stays exactly unbiased while the epoch count stays bounded by the
-    /// number of distinct rates. Empty current epochs are reused in place
-    /// (or dropped when the target rate already has an epoch).
+    /// stays exactly unbiased while the cell count stays bounded by the
+    /// number of distinct rates. An empty current cell is replaced in
+    /// place, or dropped when the target rate already has a cell. An
+    /// invalid `p` is refused before anything changes.
     pub fn set_probability<R: Rng>(&mut self, p: f64, seed_rng: &mut R) -> Result<()> {
-        if same_p(self.epochs[self.current].p, p) {
+        if same_p(self.probability(), p) {
             return Ok(());
         }
-        self.skip = GeometricSkip::<StdRng>::new(p, seed_rng)?;
-        self.gap = self.skip.next_gap();
-        if let Some(existing) = self.epochs.iter().position(|e| same_p(e.p, p)) {
-            if self.epochs[self.current].seen == 0 {
-                // A just-created epoch that never saw traffic; it is always
-                // the trailing entry, so dropping it cannot shift `existing`.
-                debug_assert_eq!(self.current, self.epochs.len() - 1);
-                self.epochs.pop();
+        if !(p > 0.0 && p <= 1.0) {
+            return Err(sss_sampling::Error::InvalidProbability(p).into());
+        }
+        let empty = self.cells[self.current].seen() == 0;
+        if let Some(held) = self.cells.iter().position(|c| same_p(c.probability(), p)) {
+            self.cells[held].reseed(seed_rng)?;
+            if empty {
+                // The empty cell is the trailing one, so dropping it
+                // cannot shift `held`.
+                debug_assert_eq!(self.current, self.cells.len() - 1);
+                self.cells.pop();
             }
-            self.current = existing;
-        } else if self.epochs[self.current].seen == 0 {
-            self.epochs[self.current].p = p;
+            self.current = held;
         } else {
-            self.epochs.push(Epoch::new(p, &self.schema));
-            self.current = self.epochs.len() - 1;
+            let cell = Sampled::new(self.schema.sketch(), p, seed_rng)?;
+            if empty {
+                self.cells[self.current] = cell;
+            } else {
+                self.cells.push(cell);
+                self.current = self.cells.len() - 1;
+            }
         }
         Ok(())
     }
 
-    /// Offer the next stream tuple; returns whether it was sketched.
+    /// Offer the next stream tuple to the current cell; returns whether it
+    /// was sketched.
     #[inline]
     pub fn observe(&mut self, key: u64) -> bool {
-        let epoch = &mut self.epochs[self.current];
-        epoch.seen += 1;
-        if self.gap > 0 {
-            self.gap -= 1;
-            return false;
-        }
-        epoch.sketch.update(key, 1);
-        epoch.kept += 1;
-        epoch.version += 1;
-        self.gap = self.skip.next_gap();
-        true
+        self.cells[self.current].observe(key)
     }
 
-    /// Offer a whole batch of tuples to the current epoch; returns how many
-    /// were kept.
-    ///
-    /// Bit-identical to calling [`EpochShedder::observe`] per key — same
-    /// geometric-gap draw order, same sketch state via the batched update
-    /// kernel — through the same skip-sampling kernel as
-    /// [`crate::Sampled::feed_batch`]
-    /// (`crate::sampled::skip_sample_batch`). The whole batch lands in the
-    /// epoch in force when the call starts; rate changes take effect
+    /// Offer a whole batch of tuples to the current cell
+    /// ([`Sampled::feed_batch`], bit-identical to [`EpochShedder::observe`]
+    /// per key); returns how many were kept. Rate changes take effect
     /// between batches via [`EpochShedder::set_probability`].
     pub fn feed_batch(&mut self, keys: &[u64]) -> u64 {
-        let epoch = &mut self.epochs[self.current];
-        let kept_now = skip_sample_batch(&mut epoch.sketch, &mut self.skip, &mut self.gap, keys);
-        epoch.seen += keys.len() as u64;
-        epoch.kept += kept_now;
-        if kept_now > 0 {
-            epoch.version += 1;
-        }
-        kept_now
+        self.cells[self.current].feed_batch(keys)
     }
 
     /// The probability currently in force.
     pub fn probability(&self) -> f64 {
-        self.epochs[self.current].p
+        self.cells[self.current].probability()
     }
 
-    /// The smallest sampling rate any epoch ran at — the dominant
+    /// The smallest sampling rate any cell ran at — the dominant
     /// contributor to the sampling noise of combined estimates, and the
     /// rate the conservative plug-in variances are evaluated at.
     pub fn min_probability(&self) -> f64 {
-        self.epochs.iter().map(|e| e.p).fold(1.0, f64::min)
+        self.cells
+            .iter()
+            .map(|c| c.probability())
+            .fold(1.0, f64::min)
     }
 
-    /// Number of live epochs — at most one per distinct rate ever used
+    /// Number of live cells — at most one per distinct rate ever used
     /// (bounded by the rate grid size when rates come from a quantized
     /// controller), *not* the number of rate changes.
     pub fn epoch_count(&self) -> usize {
-        self.epochs.len()
+        self.cells.len()
     }
 
-    /// Tuples offered across all epochs.
+    /// Tuples offered across all cells.
     pub fn seen(&self) -> u64 {
-        self.epochs.iter().map(|e| e.seen).sum()
+        self.cells.iter().map(|c| c.seen()).sum()
     }
 
-    /// Tuples sketched across all epochs.
+    /// Tuples sketched across all cells.
     pub fn kept(&self) -> u64 {
-        self.epochs.iter().map(|e| e.kept).sum()
+        self.cells.iter().map(|c| c.kept()).sum()
     }
 
     /// Unbiased self-join size estimate of the *entire* stream, combining
-    /// Proposition 14 within epochs and Proposition 13 across them.
+    /// Proposition 14 within cells and Proposition 13 across them.
     ///
     /// Pairwise cross terms are served from a cache that only recomputes
-    /// the rows of epochs modified since the previous query, so calling
+    /// the rows of cells modified since the previous query, so calling
     /// this per batch from a monitoring loop costs O(G) sketch dot
     /// products per call (G = number of distinct rates) instead of O(G²).
     /// The result is bit-identical to [`EpochShedder::self_join_uncached`].
     pub fn self_join(&self) -> Result<f64> {
         let mut cache = self.cache.borrow_mut();
-        cache.sync(&self.epochs)?;
-        Ok(cache.combined_self_join(&self.epochs))
+        cache.sync(&self.cells)?;
+        Ok(cache.combined_self_join(&self.cells))
     }
 
     /// The cache-free O(G²) self-join path: recomputes every diagonal and
@@ -237,11 +205,10 @@ impl EpochShedder {
     /// [`EpochShedder::self_join`] is tested (and benchmarked) against.
     pub fn self_join_uncached(&self) -> Result<f64> {
         let mut total = 0.0;
-        for (i, e) in self.epochs.iter().enumerate() {
-            total += bernoulli_self_join(e.sketch.raw_self_join(), e.p, e.kept);
-            for e2 in &self.epochs[i + 1..] {
-                let cross = e.sketch.raw_size_of_join(&e2.sketch)?;
-                total += 2.0 * cross / (e.p * e2.p);
+        for (i, c) in self.cells.iter().enumerate() {
+            total += c.self_join();
+            for c2 in &self.cells[i + 1..] {
+                total += 2.0 * c.size_of_join(c2)?;
             }
         }
         Ok(total)
@@ -255,7 +222,7 @@ impl EpochShedder {
     /// Σ_e (1/(p_e·q)) · Sₑ·T
     /// ```
     ///
-    /// Every epoch's sample is independent of `other`'s sample (disjoint
+    /// Every cell's sample is independent of `other`'s sample (disjoint
     /// segments), so each term is a Proposition 13 estimator and the sum
     /// is unbiased for `Σᵢ fᵢ·gᵢ`. This is the cross term a concurrent
     /// engine needs when part of a stream flows full-rate into shard
@@ -269,20 +236,20 @@ impl EpochShedder {
             return Err(sss_sampling::Error::InvalidProbability(q).into());
         }
         let mut total = 0.0;
-        for e in &self.epochs {
-            total += e.sketch.raw_size_of_join(other)? / (e.p * q);
+        for c in &self.cells {
+            total += c.summary().raw_size_of_join(other)? / (c.probability() * q);
         }
         Ok(total)
     }
 
     /// Unbiased size-of-join estimate against another epoch-shedded stream
-    /// (sharing the sketch schema).
+    /// (sharing the sketch schema): every cell pair's
+    /// [`Sampled::size_of_join`].
     pub fn size_of_join(&self, other: &EpochShedder) -> Result<f64> {
         let mut total = 0.0;
-        for e in &self.epochs {
-            for o in &other.epochs {
-                let cross = e.sketch.raw_size_of_join(&o.sketch)?;
-                total += cross / (e.p * o.p);
+        for c in &self.cells {
+            for o in &other.cells {
+                total += c.size_of_join(o)?;
             }
         }
         Ok(total)
@@ -290,29 +257,30 @@ impl EpochShedder {
 
     /// The per-lane basic estimates of the combined self-join: for each
     /// independent sketch lane `k`, the Prop.-14-corrected diagonal of
-    /// every epoch plus the `2/(p_e·p_e′)`-scaled pairwise cross terms —
+    /// every cell plus the `2/(p_e·p_e′)`-scaled pairwise cross terms —
     /// the same decomposition as [`EpochShedder::self_join_uncached`],
     /// restricted to lane `k`. Combining the lanes (mean or median by
     /// backend) recovers an estimate of the full-stream self-join; their
     /// spread measures the sketch noise of the combined estimator.
     ///
-    /// O(G²·lanes) sketch work (G = epoch count, bounded by compaction).
+    /// O(G²·lanes) sketch work (G = cell count, bounded by compaction).
     ///
     /// # Errors
     ///
     /// Propagates schema mismatches (impossible for internally built
-    /// epochs).
+    /// cells).
     pub fn self_join_basics(&self) -> Result<Vec<f64>> {
-        let mut lanes = vec![0.0; self.epochs[0].sketch.self_join_basics().len()];
-        for (i, e) in self.epochs.iter().enumerate() {
-            for (lane, d) in lanes.iter_mut().zip(e.sketch.self_join_basics()) {
-                *lane += bernoulli_self_join(d, e.p, e.kept);
+        let mut lanes = vec![0.0; self.cells[0].summary().self_join_basics().len()];
+        for (i, c) in self.cells.iter().enumerate() {
+            let kept = c.kept() as f64;
+            for (lane, d) in lanes.iter_mut().zip(c.summary().self_join_basics()) {
+                *lane += bernoulli_self_join(d, c.probability(), kept);
             }
-            for e2 in &self.epochs[i + 1..] {
-                let scale = 2.0 / (e.p * e2.p);
-                let cross = e.sketch.size_of_join_basics(&e2.sketch)?;
-                for (lane, c) in lanes.iter_mut().zip(cross) {
-                    *lane += scale * c;
+            for c2 in &self.cells[i + 1..] {
+                let scale = 2.0 / (c.probability() * c2.probability());
+                let cross = c.summary().size_of_join_basics(c2.summary())?;
+                for (lane, x) in lanes.iter_mut().zip(cross) {
+                    *lane += scale * x;
                 }
             }
         }
@@ -320,18 +288,21 @@ impl EpochShedder {
     }
 
     /// The sampling-noise part of the combined self-join variance: the
-    /// Bernoulli plug-in summed per epoch (epoch samples are independent),
-    /// each evaluated at that epoch's rate, seen count, and corrected
-    /// sketch estimate. Cross-epoch terms reuse the same samples as the
+    /// Bernoulli plug-in summed per cell (cell samples are independent),
+    /// each evaluated at that cell's rate, seen count, and corrected
+    /// sketch estimate. Cross-cell terms reuse the same samples as the
     /// diagonals, so their extra sampling covariance is not modeled — the
-    /// per-epoch plug-ins (F₃ ≤ F₂^{3/2}, clamped) are conservative
+    /// per-cell plug-ins (F₃ ≤ F₂^{3/2}, clamped) are conservative
     /// precisely to absorb that.
     pub fn sampling_variance(&self) -> f64 {
-        self.epochs
+        self.cells
             .iter()
-            .map(|e| {
-                let f2_hat = bernoulli_self_join(e.sketch.raw_self_join(), e.p, e.kept);
-                sss_sampling::bernoulli_self_join_variance_plugin(e.p, e.seen, f2_hat)
+            .map(|c| {
+                sss_sampling::bernoulli_self_join_variance_plugin(
+                    c.probability(),
+                    c.seen(),
+                    c.self_join(),
+                )
             })
             .sum()
     }
@@ -349,12 +320,12 @@ impl EpochShedder {
         let lanes = self.self_join_basics()?;
         let af = self.schema.averaging_factor() as f64;
         let single = 2.0 * value * value / af;
-        let e = self.epochs[0].sketch.combine_lanes(value, lanes, single);
+        let e = self.cells[0].summary().combine_lanes(value, lanes, single);
         Ok(e.plus_variance(self.sampling_variance()))
     }
 
     /// Per-lane basics of [`EpochShedder::size_of_join_sketch`]: the
-    /// `1/(p_e·q)`-scaled cross lanes summed over epochs.
+    /// `1/(p_e·q)`-scaled cross lanes summed over cells.
     ///
     /// # Errors
     ///
@@ -364,10 +335,13 @@ impl EpochShedder {
             return Err(sss_sampling::Error::InvalidProbability(q).into());
         }
         let mut lanes = vec![0.0; other.self_join_basics().len()];
-        for e in &self.epochs {
-            let scale = 1.0 / (e.p * q);
-            for (lane, c) in lanes.iter_mut().zip(e.sketch.size_of_join_basics(other)?) {
-                *lane += scale * c;
+        for c in &self.cells {
+            let scale = 1.0 / (c.probability() * q);
+            for (lane, x) in lanes
+                .iter_mut()
+                .zip(c.summary().size_of_join_basics(other)?)
+            {
+                *lane += scale * x;
             }
         }
         Ok(lanes)
@@ -376,8 +350,8 @@ impl EpochShedder {
     /// Typed counterpart of [`EpochShedder::size_of_join_sketch`]: value
     /// bit-identical to the scalar path; variance = backend-combined lane
     /// spread plus a two-sided Bernoulli sampling plug-in evaluated at the
-    /// *smallest* epoch rate (the dominant noise contributor — a
-    /// deliberate conservative simplification of the per-epoch mixture)
+    /// *smallest* cell rate (the dominant noise contributor — a
+    /// deliberate conservative simplification of the per-cell mixture)
     /// with `other`'s F₂ bounded by `raw_self_join()/q²`.
     ///
     /// # Errors
@@ -402,22 +376,22 @@ impl EpochShedder {
             .plus_variance(sampling))
     }
 
-    /// Per-lane basics of [`EpochShedder::size_of_join`]: all epoch-pair
+    /// Per-lane basics of [`EpochShedder::size_of_join`]: all cell-pair
     /// cross lanes, each scaled by `1/(p_e·p_o)`.
     ///
     /// # Errors
     ///
     /// Schema mismatch between the two shedders' sketches.
     pub fn size_of_join_basics(&self, other: &EpochShedder) -> Result<Vec<f64>> {
-        let mut lanes = vec![0.0; self.epochs[0].sketch.self_join_basics().len()];
-        for e in &self.epochs {
-            for o in &other.epochs {
-                let scale = 1.0 / (e.p * o.p);
-                for (lane, c) in lanes
+        let mut lanes = vec![0.0; self.cells[0].summary().self_join_basics().len()];
+        for c in &self.cells {
+            for o in &other.cells {
+                let scale = 1.0 / (c.probability() * o.probability());
+                for (lane, x) in lanes
                     .iter_mut()
-                    .zip(e.sketch.size_of_join_basics(&o.sketch)?)
+                    .zip(c.summary().size_of_join_basics(o.summary())?)
                 {
-                    *lane += scale * c;
+                    *lane += scale * x;
                 }
             }
         }
@@ -426,7 +400,7 @@ impl EpochShedder {
 
     /// Typed counterpart of [`EpochShedder::size_of_join`] against another
     /// epoch-shedded stream. Value bit-identical to the scalar path;
-    /// sampling plug-in evaluated at both sides' smallest epoch rates.
+    /// sampling plug-in evaluated at both sides' smallest cell rates.
     ///
     /// # Errors
     ///
@@ -445,173 +419,10 @@ impl EpochShedder {
             f2_other,
             value,
         );
-        Ok(self.epochs[0]
-            .sketch
+        Ok(self.cells[0]
+            .summary()
             .combine_lanes(value, lanes, single)
             .plus_variance(sampling))
-    }
-
-    /// Collapse all epochs into a single merged sketch **only valid when
-    /// every epoch used the same `p`** — the fast path for steady load.
-    /// With compaction that means exactly one epoch.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::IncompatibleEstimators`] if epochs used different rates.
-    pub fn merged_sketch(&self) -> Result<(JoinSketch, f64, u64)> {
-        let p = self.epochs[0].p;
-        if self
-            .epochs
-            .iter()
-            .any(|e| (e.p - p).abs() > f64::EPSILON * p)
-        {
-            return Err(Error::IncompatibleEstimators);
-        }
-        let mut merged = self.schema.sketch();
-        let mut kept = 0;
-        for e in &self.epochs {
-            merged.merge(&e.sketch)?;
-            kept += e.kept;
-        }
-        Ok((merged, p, kept))
-    }
-
-    /// Project the shedder to a [`SlimJoin`] read replica: the combined
-    /// [`EpochShedder::self_join_estimate`] (value, per-lane basics,
-    /// stacked sketch + sampling variance) plus this shedder's
-    /// configuration fingerprint. The replica answers `self_join()`
-    /// bit-identically to the fat shedder at projection time in O(lanes)
-    /// bytes, however many epochs the fat side holds.
-    ///
-    /// # Errors
-    ///
-    /// As for [`EpochShedder::self_join_estimate`].
-    pub fn slim(&self) -> Result<SlimJoin> {
-        Ok(SlimJoin::project(
-            Portable::fingerprint(self),
-            self.self_join_estimate()?,
-        ))
-    }
-}
-
-/// The wire body of an [`EpochShedder`]: the schema plus every epoch in
-/// parallel columns (the vendored serde backend has no tuple impls).
-/// Sampling probabilities travel as IEEE-754 bit patterns per the
-/// [`crate::wire`] determinism invariant.
-#[derive(serde::Serialize, serde::Deserialize)]
-struct EpochShedderRepr {
-    schema: JoinSchema,
-    epoch_p_bits: Vec<u64>,
-    epoch_sketches: Vec<JoinSketch>,
-    epoch_kept: Vec<u64>,
-    epoch_seen: Vec<u64>,
-    epoch_versions: Vec<u64>,
-    current: u64,
-    gap: u64,
-}
-
-/// Wire encoding for epoch-shedded state.
-///
-/// The geometric-skip RNG is **not** serialized — `StdRng` has no stable
-/// wire representation. [`Portable::decode`] reconstructs the sampler at
-/// the current epoch's rate from a seed derived deterministically from the
-/// serialized state, and carries the pending `gap` over, so a decoded
-/// shedder (a) is deterministic given the bytes and (b) keeps drawing
-/// exact `Bernoulli(p)` inclusion decisions — every estimate stays
-/// unbiased. What is *not* preserved is the source's private coin
-/// sequence: a decoded shedder and its live source diverge on which
-/// individual future tuples they keep. All query state (epochs, sketches,
-/// counts) round-trips exactly, so estimates at decode time are
-/// bit-identical.
-impl Portable for EpochShedder {
-    const KIND: &'static str = "epochs";
-    const FORMAT: u32 = 1;
-
-    /// Fingerprint of the shared sketch schema (all epochs use it), tagged
-    /// so it can never collide with a bare [`JoinSketch`] payload of the
-    /// same schema.
-    fn fingerprint(&self) -> u64 {
-        let schema_words = match &self.schema {
-            JoinSchema::Agms(s) => vec![TAG_AGMS, s.id(), s.len() as u64],
-            JoinSchema::Fagms(s) => {
-                vec![TAG_FAGMS, s.id(), s.depth() as u64, s.width() as u64]
-            }
-        };
-        let mut words = vec![TAG_EPOCHS];
-        words.extend(schema_words);
-        wire::fingerprint(&words)
-    }
-
-    fn encode(&self) -> Result<Vec<u8>> {
-        let repr = EpochShedderRepr {
-            schema: self.schema.clone(),
-            epoch_p_bits: self.epochs.iter().map(|e| wire::bits_of(e.p)).collect(),
-            epoch_sketches: self.epochs.iter().map(|e| e.sketch.clone()).collect(),
-            epoch_kept: self.epochs.iter().map(|e| e.kept).collect(),
-            epoch_seen: self.epochs.iter().map(|e| e.seen).collect(),
-            epoch_versions: self.epochs.iter().map(|e| e.version).collect(),
-            current: self.current as u64,
-            gap: self.gap,
-        };
-        wire::encode_envelope(Self::KIND, Self::FORMAT, Portable::fingerprint(self), repr)
-    }
-
-    fn decode(bytes: &[u8]) -> Result<Self> {
-        let repr: EpochShedderRepr = wire::decode_envelope(bytes, Self::KIND, Self::FORMAT)?;
-        let n = repr.epoch_sketches.len();
-        if n == 0
-            || repr.epoch_p_bits.len() != n
-            || repr.epoch_kept.len() != n
-            || repr.epoch_seen.len() != n
-            || repr.epoch_versions.len() != n
-        {
-            return Err(Error::Wire {
-                detail: "epochs payload has mismatched or empty columns".into(),
-            });
-        }
-        let current = repr.current as usize;
-        if current >= n {
-            return Err(Error::Wire {
-                detail: format!("current epoch {current} out of range (have {n})"),
-            });
-        }
-        let mut epochs = Vec::with_capacity(n);
-        for i in 0..n {
-            let p = wire::f64_of(repr.epoch_p_bits[i]);
-            if !(p > 0.0 && p <= 1.0) {
-                return Err(Error::Wire {
-                    detail: format!("epoch {i} carries invalid probability {p}"),
-                });
-            }
-            epochs.push(Epoch {
-                p,
-                sketch: repr.epoch_sketches[i].clone(),
-                kept: repr.epoch_kept[i],
-                seen: repr.epoch_seen[i],
-                version: repr.epoch_versions[i],
-            });
-        }
-        // Deterministic reseed (see the impl docs): the coin stream is a
-        // pure function of the serialized state, seeded off the counts so
-        // distinct snapshots draw distinct streams.
-        let seed = wire::fingerprint(&[
-            TAG_EPOCHS,
-            repr.gap,
-            repr.current,
-            epochs.iter().map(|e| e.seen).sum::<u64>(),
-            epochs.iter().map(|e| e.kept).sum::<u64>(),
-        ]);
-        use rand::SeedableRng;
-        let mut seed_rng = StdRng::seed_from_u64(seed);
-        let skip = GeometricSkip::<StdRng>::new(epochs[current].p, &mut seed_rng)?;
-        Ok(Self {
-            schema: repr.schema,
-            epochs,
-            current,
-            skip,
-            gap: repr.gap,
-            cache: RefCell::new(QueryCache::default()),
-        })
     }
 }
 
@@ -937,109 +748,5 @@ mod tests {
         let g = schema.sketch();
         assert!(f.size_of_join_sketch(&g, 0.0).is_err());
         assert!(f.size_of_join_sketch(&g, 1.5).is_err());
-    }
-
-    /// Wire round-trip: all query state (epochs, sketches, counts, the
-    /// pending gap) is preserved exactly, so every estimate at decode time
-    /// is bit-identical; the reseeded coin stream only affects *future*
-    /// inclusion draws.
-    #[test]
-    fn wire_round_trip_preserves_every_estimate() {
-        use crate::summary::Portable;
-        let mut r = rng(60);
-        let schema = JoinSchema::fagms(3, 128, &mut r);
-        let mut shed = EpochShedder::new(&schema, 0.8, &mut r).unwrap();
-        for k in 0..12_000u64 {
-            shed.observe(k % 200);
-            if k == 4_000 {
-                shed.set_probability(0.3, &mut r).unwrap();
-            }
-            if k == 8_000 {
-                shed.set_probability(0.6, &mut r).unwrap();
-            }
-        }
-        let bytes = shed.encode().unwrap();
-        let back = EpochShedder::decode(&bytes).unwrap();
-        assert_eq!(back.epoch_count(), shed.epoch_count());
-        assert_eq!(back.seen(), shed.seen());
-        assert_eq!(back.kept(), shed.kept());
-        assert_eq!(back.probability(), shed.probability());
-        assert_eq!(
-            back.self_join().unwrap().to_bits(),
-            shed.self_join().unwrap().to_bits()
-        );
-        let a = shed.self_join_estimate().unwrap();
-        let b = back.self_join_estimate().unwrap();
-        assert_eq!(a.value.to_bits(), b.value.to_bits());
-        assert_eq!(a.variance.to_bits(), b.variance.to_bits());
-        // Determinism: decoding twice yields identical future behavior.
-        let mut c = EpochShedder::decode(&bytes).unwrap();
-        let mut d = EpochShedder::decode(&bytes).unwrap();
-        for k in 0..5_000u64 {
-            assert_eq!(c.observe(k), d.observe(k));
-        }
-        // Fingerprint pins the schema: a different schema refuses.
-        assert_eq!(Portable::fingerprint(&back), Portable::fingerprint(&shed));
-        let other = EpochShedder::new(&JoinSchema::fagms(3, 128, &mut r), 0.8, &mut r).unwrap();
-        assert_ne!(Portable::fingerprint(&other), Portable::fingerprint(&shed));
-    }
-
-    /// The slim projection answers `self_join()` bit-identically to the
-    /// fat shedder and survives its own wire round trip.
-    #[test]
-    fn slim_projection_is_bit_identical() {
-        use crate::summary::{JoinQuery, Portable};
-        let mut r = rng(61);
-        let schema = JoinSchema::agms(16, &mut r);
-        let mut shed = EpochShedder::new(&schema, 0.7, &mut r).unwrap();
-        for k in 0..6_000u64 {
-            shed.observe(k % 90);
-            if k == 3_000 {
-                shed.set_probability(0.35, &mut r).unwrap();
-            }
-        }
-        let slim = shed.slim().unwrap();
-        assert_eq!(
-            slim.self_join().to_bits(),
-            shed.self_join().unwrap().to_bits()
-        );
-        assert_eq!(slim.fingerprint(), Portable::fingerprint(&shed));
-        let back = SlimJoin::decode(&slim.encode().unwrap()).unwrap();
-        assert_eq!(back.self_join().to_bits(), slim.self_join().to_bits());
-        assert!(slim.encode().unwrap().len() < shed.encode().unwrap().len() / 5);
-    }
-
-    /// Corrupted payloads are typed errors, not panics.
-    #[test]
-    fn malformed_payloads_are_rejected() {
-        use crate::summary::Portable;
-        let mut r = rng(62);
-        let schema = JoinSchema::agms(4, &mut r);
-        let shed = EpochShedder::new(&schema, 0.5, &mut r).unwrap();
-        let bytes = shed.encode().unwrap();
-        // Foreign kind.
-        assert!(matches!(
-            EpochShedder::decode(&JoinSketch::encode(&schema.sketch()).unwrap()),
-            Err(Error::WireMismatch { .. })
-        ));
-        // Truncated body.
-        assert!(EpochShedder::decode(&bytes[..bytes.len() / 2]).is_err());
-        assert!(EpochShedder::decode(b"{}").is_err());
-    }
-
-    #[test]
-    fn merged_fast_path_requires_constant_p() {
-        let mut r = rng(5);
-        let schema = JoinSchema::agms(4, &mut r);
-        let mut shed = EpochShedder::new(&schema, 0.5, &mut r).unwrap();
-        shed.observe(1);
-        shed.set_probability(0.5, &mut r).unwrap();
-        assert!(shed.merged_sketch().is_ok());
-        shed.set_probability(0.25, &mut r).unwrap();
-        shed.observe(2);
-        assert!(matches!(
-            shed.merged_sketch(),
-            Err(Error::IncompatibleEstimators)
-        ));
     }
 }

@@ -10,7 +10,7 @@
 //! |---|---|---|
 //! | [`Sampled`] | Bernoulli(p), coin/skip | shedding tuples of a too-fast stream before they reach the summary (any [`Summary`]; `Sampled<JoinSketch>` is the paper's join shedder) |
 //! | [`CoordinatedShedder`] | Bernoulli(p), hash-coordinated | deletion-safe (turnstile) shedding: insert/delete decisions agree per tuple identity |
-//! | [`EpochShedder`] | Bernoulli(p(t)) | unbiased estimates under a **time-varying** rate (adaptive shedding) |
+//! | [`EpochShedder`] | Bernoulli(p(t)) | unbiased estimates under a **time-varying** rate (adaptive shedding): one `Sampled<JoinSketch>` cell per distinct rate |
 //! | [`IidStreamSketcher`] | with replacement | the stream *is* an i.i.d. sample from a generative model over a known finite population |
 //! | [`ScanSketcher`] | without replacement | a random-order relation scan feeding an online aggregation engine |
 //!

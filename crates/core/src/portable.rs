@@ -11,10 +11,11 @@
 //! Not here, deliberately:
 //!
 //! * [`crate::Sampled`] — carries a live `StdRng` skip-sampler whose
-//!   state is not serializable; snapshot the *inner* summary (or use
-//!   [`crate::EpochShedder`], which documents its RNG reseeding rule).
-//! * [`crate::EpochShedder`] — implemented in [`crate::epochs`], next to
-//!   the private state it serializes.
+//!   state is not serializable; snapshot the *inner* summary instead.
+//!   Making it portable (reseed from the serialised counts, carry the
+//!   pending gap over) is ROADMAP item 4(a).
+//! * [`crate::EpochShedder`] — a list of `Sampled<JoinSketch>` cells, so
+//!   it becomes portable by composition once `Sampled` is.
 
 use crate::error::{Error, Result};
 use crate::multi::MultiSummary;
@@ -38,7 +39,6 @@ pub(crate) const TAG_MISRA_GRIES: u64 = 0x04;
 pub(crate) const TAG_CS_TOPK: u64 = 0x05;
 pub(crate) const TAG_HLL: u64 = 0x06;
 pub(crate) const TAG_KLL: u64 = 0x07;
-pub(crate) const TAG_EPOCHS: u64 = 0x08;
 
 impl<F> Portable for AgmsSketch<F>
 where

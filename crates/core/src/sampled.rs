@@ -27,6 +27,10 @@
 //! be biased upward). `ShardedRuntime::new_per_shard` exists for exactly
 //! this.
 //!
+//! A rate that changes over time is a list of these:
+//! [`EpochShedder`](crate::EpochShedder) holds one `Sampled<JoinSketch>`
+//! cell per distinct rate and adds only the cross-cell terms.
+//!
 //! ## F₀ under sampling: what is (and isn't) correctable
 //!
 //! A Bernoulli sample thins each key's frequency `fᵢ` binomially, so a key
@@ -84,25 +88,27 @@ use sss_sketch::{CountSketchTopK, Estimate, FagmsSchema, HyperLogLog, KllSketch,
 /// cleanly with sketching ("the size of the sample is unknown prior to
 /// running the process. This is not a problem anymore when the sample is
 /// sketched"). Keeping this in one place guarantees [`Sampled`], the epoch
-/// compaction diagonals and the sharded merge all apply the exact same
-/// formula.
+/// compaction diagonals, the sharded merge and the turnstile
+/// [`CoordinatedShedder`](crate::CoordinatedShedder) all apply the exact
+/// same formula. `kept` is a float so the turnstile's signed net count
+/// fits.
 #[inline]
-pub fn bernoulli_self_join(raw_self_join: f64, p: f64, kept: u64) -> f64 {
+pub fn bernoulli_self_join(raw_self_join: f64, p: f64, kept: f64) -> f64 {
     let p2 = p * p;
-    raw_self_join / p2 - (1.0 - p) / p2 * kept as f64
+    raw_self_join / p2 - (1.0 - p) / p2 * kept
 }
 
-/// The skip-sampled batch kernel shared by [`Sampled::feed_batch`] and
-/// [`crate::EpochShedder::feed_batch`]: walk the batch by geometric gaps,
-/// stack-buffer the kept keys, and flush them through the summary's batched
-/// update kernel (for the join sketches, the runtime-dispatched `sss_xi`
-/// row kernels). Returns how many keys were kept.
+/// The skip-sampled batch kernel behind [`Sampled::feed_batch`]: walk the
+/// batch by geometric gaps, stack-buffer the kept keys, and flush them
+/// through the summary's batched update kernel (for the join sketches, the
+/// runtime-dispatched `sss_xi` row kernels). Returns how many keys were
+/// kept.
 ///
 /// Bit-identical to the per-tuple `observe` loop: gaps are consumed in the
 /// same order (one draw per kept tuple) and `update_batch` shares the
 /// scalar path's counter state exactly. Skipped tuples cost a pointer jump
 /// instead of a per-tuple branch.
-pub(crate) fn skip_sample_batch<S: Summary>(
+fn skip_sample_batch<S: Summary>(
     sketch: &mut S,
     skip: &mut GeometricSkip<StdRng>,
     gap: &mut u64,
@@ -267,8 +273,8 @@ impl<S: Summary> Sampled<S> {
 
     /// Offer a whole batch of stream tuples; returns how many were kept.
     ///
-    /// Bit-identical to calling [`Sampled::observe`] on each key in turn —
-    /// shares the geometric-gap kernel with the epoch shedder.
+    /// Bit-identical to calling [`Sampled::observe`] on each key in turn:
+    /// the same geometric gaps, consumed in the same order.
     pub fn feed_batch(&mut self, keys: &[u64]) -> u64 {
         let kept_now = skip_sample_batch(&mut self.summary, &mut self.skip, &mut self.gap, keys);
         self.seen += keys.len() as u64;
@@ -334,7 +340,7 @@ impl<S: Summary + JoinQuery> Sampled<S> {
     /// Bernoulli-corrected self-join (F₂) estimate of the full offered
     /// stream (paper Proposition 14): `X = S²/p² − (1−p)/p² · |F′|`.
     pub fn self_join(&self) -> f64 {
-        bernoulli_self_join(self.summary.self_join(), self.p, self.kept)
+        bernoulli_self_join(self.summary.self_join(), self.p, self.kept as f64)
     }
 
     /// Typed corrected self-join estimate: the summary's own lane variance
@@ -342,11 +348,12 @@ impl<S: Summary + JoinQuery> Sampled<S> {
     /// Section VI-A, both stacked into one [`Estimate`].
     pub fn self_join_estimate(&self) -> Estimate {
         let raw = self.summary.self_join_estimate();
-        let value = bernoulli_self_join(raw.value, self.p, self.kept);
+        let kept = self.kept as f64;
+        let value = bernoulli_self_join(raw.value, self.p, kept);
         let basics = raw
             .basics
             .iter()
-            .map(|&b| bernoulli_self_join(b, self.p, self.kept))
+            .map(|&b| bernoulli_self_join(b, self.p, kept))
             .collect();
         let p4 = (self.p * self.p) * (self.p * self.p);
         let sketch_variance = raw.variance / p4;
@@ -712,7 +719,7 @@ mod tests {
         assert_eq!(full.self_join(), full.summary().raw_self_join());
 
         let raw = shed.summary().raw_self_join_estimate();
-        let value = bernoulli_self_join(shed.summary().raw_self_join(), p, shed.kept());
+        let value = bernoulli_self_join(shed.summary().raw_self_join(), p, shed.kept() as f64);
         assert_eq!(shed.self_join().to_bits(), value.to_bits());
         let e = shed.self_join_estimate();
         assert_eq!(e.value.to_bits(), value.to_bits());

@@ -330,8 +330,7 @@ pub trait QuantileQuery {
 /// changes bump it, and decoders reject any version other than their own.
 ///
 /// `Portable` deliberately does not require [`Summary`]: read-only
-/// projections and non-`Clone` drivers (e.g. `EpochShedder`) serialize
-/// too. Merging through the wire *does* require `Summary`, hence the
+/// projections (e.g. `SlimJoin`) serialize too. Merging through the wire *does* require `Summary`, hence the
 /// bound on [`merge_encoded`](Portable::merge_encoded) alone.
 pub trait Portable: Sized {
     /// Wire kind tag — distinct per concrete summary shape (e.g.

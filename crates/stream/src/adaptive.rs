@@ -26,6 +26,7 @@
 //! to determine how aggressive the load shedding can be without a
 //! significant loss in the accuracy".
 
+use crate::error::{Result as StreamResult, StreamError};
 use sss_core::sketch::JoinSchema;
 use sss_core::{RateGrid, Result};
 
@@ -93,28 +94,56 @@ impl RateController {
     /// Create a controller; `p` starts at 1 (no shedding) until the
     /// observed rate justifies dropping tuples.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on non-positive capacity, smoothing outside `(0, 1]`,
-    /// negative hysteresis, or `min_p` outside `(0, 1]`.
-    pub fn new(config: ControllerConfig) -> Self {
-        assert!(config.capacity_tps > 0.0, "capacity must be positive");
-        assert!(
-            config.smoothing > 0.0 && config.smoothing <= 1.0,
-            "smoothing must be in (0, 1]"
-        );
-        assert!(config.hysteresis >= 0.0, "hysteresis must be non-negative");
-        assert!(
-            config.min_p > 0.0 && config.min_p <= 1.0,
-            "min_p must be in (0, 1]"
-        );
-        Self {
+    /// [`StreamError::InvalidController`] naming the first bad field:
+    /// capacity not positive, smoothing outside `(0, 1]`, hysteresis
+    /// negative or not finite, or `min_p` outside `(0, 1]` (NaN fails
+    /// every check).
+    pub fn new(config: ControllerConfig) -> StreamResult<Self> {
+        let check = |ok: bool, parameter, value, reason| {
+            if ok {
+                Ok(())
+            } else {
+                Err(StreamError::InvalidController {
+                    parameter,
+                    value,
+                    reason,
+                })
+            }
+        };
+        let c = &config;
+        check(
+            c.capacity_tps > 0.0,
+            "capacity_tps",
+            c.capacity_tps,
+            "must be positive",
+        )?;
+        check(
+            c.smoothing > 0.0 && c.smoothing <= 1.0,
+            "smoothing",
+            c.smoothing,
+            "must be in (0, 1]",
+        )?;
+        check(
+            c.hysteresis >= 0.0 && c.hysteresis.is_finite(),
+            "hysteresis",
+            c.hysteresis,
+            "must be finite and non-negative",
+        )?;
+        check(
+            c.min_p > 0.0 && c.min_p <= 1.0,
+            "min_p",
+            c.min_p,
+            "must be in (0, 1]",
+        )?;
+        Ok(Self {
             config,
             rate: None,
             current_p: 1.0,
             current_step: 0,
             adjustments: 0,
-        }
+        })
     }
 
     /// The dead-band in grid steps implied by the relative `hysteresis`:
@@ -209,6 +238,7 @@ mod tests {
             min_p: 1e-4,
             grid: RateGrid::default(),
         })
+        .unwrap()
     }
 
     #[test]
@@ -268,7 +298,8 @@ mod tests {
             hysteresis: 0.3,
             min_p: 1e-4,
             grid: RateGrid::default(),
-        });
+        })
+        .unwrap();
         c.observe_batch(2_000_000, 1.0); // 2× overload → p ≈ 0.5
         let adjustments_before = c.adjustments();
         // ±10% load wobble must not move p (relative p change < 30%).
@@ -291,7 +322,8 @@ mod tests {
             hysteresis: 0.0,
             min_p: 0.01,
             grid: RateGrid::default(),
-        });
+        })
+        .unwrap();
         c.observe_batch(u32::MAX as u64, 1.0);
         assert_eq!(c.probability(), 0.01);
     }
@@ -304,7 +336,8 @@ mod tests {
             hysteresis: 0.0,
             min_p: 1e-4,
             grid: RateGrid::default(),
-        });
+        })
+        .unwrap();
         for _ in 0..10 {
             c.observe_batch(1_000_000, 1.0); // exactly at capacity
         }
@@ -357,12 +390,51 @@ mod tests {
         assert!(err_shedded < 1.0, "but not absurdly much at p ≈ 0.1");
     }
 
+    /// Every out-of-range field is a typed error naming it — from the
+    /// constructor and through `EngineBuilder::build` alike — never a
+    /// panic.
     #[test]
-    #[should_panic(expected = "capacity must be positive")]
-    fn bad_config_panics() {
-        let _ = RateController::new(ControllerConfig {
-            capacity_tps: 0.0,
-            ..ControllerConfig::default()
-        });
+    fn bad_configs_are_typed_errors() {
+        let schema = JoinSchema::agms(4, &mut StdRng::seed_from_u64(3));
+        let table = [
+            ("capacity_tps", 0.0),
+            ("capacity_tps", -5.0),
+            ("capacity_tps", f64::NAN),
+            ("smoothing", 0.0),
+            ("smoothing", 1.5),
+            ("smoothing", f64::NAN),
+            ("hysteresis", -0.1),
+            ("hysteresis", f64::NAN),
+            ("hysteresis", f64::INFINITY),
+            ("min_p", 0.0),
+            ("min_p", 1.5),
+            ("min_p", f64::NAN),
+        ];
+        for (field, value) in table {
+            let mut cfg = ControllerConfig::default();
+            *match field {
+                "capacity_tps" => &mut cfg.capacity_tps,
+                "smoothing" => &mut cfg.smoothing,
+                "hysteresis" => &mut cfg.hysteresis,
+                _ => &mut cfg.min_p,
+            } = value;
+            match RateController::new(cfg) {
+                Err(StreamError::InvalidController { parameter, .. }) => {
+                    assert_eq!(parameter, field)
+                }
+                other => panic!("{field}: {other:?}"),
+            }
+            let built = crate::EngineBuilder::new()
+                .schema(&schema)
+                .shedding(cfg)
+                .build();
+            match built {
+                Err(StreamError::InvalidController { parameter, .. }) => {
+                    assert_eq!(parameter, field)
+                }
+                other => panic!("{field} via build: {:?}", other.err()),
+            }
+        }
+        assert!(RateController::new(ControllerConfig::default()).is_ok());
     }
 }

@@ -28,11 +28,16 @@
 //! * Per-stage statistics expose where tuples went — the observability a
 //!   real engine needs to explain an approximate answer.
 //!
-//! Construction goes through [`EngineBuilder`]. Every scalar query has a
-//! typed counterpart ([`StreamEngine::self_join_estimate`],
-//! [`StreamEngine::size_of_join_estimate`]) returning an
-//! [`Estimate`] with the bit-identical value plus
-//! empirical error bars for the *combined* estimator.
+//! The engine keeps no summaries of its own beside the runtime's: one
+//! prototype, every shard a clone of it. Top-k, distinct counts and
+//! quantiles come from a [`MultiSummary`](sss_core::MultiSummary)
+//! prototype through [`StreamEngine::merged`].
+//!
+//! Construction goes through [`EngineBuilder`]. The join queries of a
+//! `JoinSketch` engine are typed ([`StreamEngine::self_join_estimate`],
+//! [`StreamEngine::size_of_join_estimate`]): an [`Estimate`] with
+//! empirical error bars for the *combined* estimator, whose value the
+//! scalar queries return.
 
 pub use crate::adaptive::ControllerConfig;
 use crate::adaptive::RateController;
@@ -41,8 +46,7 @@ use crate::runtime::{Partition, RuntimeConfig, ShardedRuntime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sss_core::sketch::{JoinSchema, JoinSketch};
-use sss_core::{DistinctQuery, EpochShedder, Estimate, QuantileQuery, Result, Sampled, Summary};
-use sss_sketch::{CountSketchTopK, FagmsSchema, HyperLogLog, KllSketch};
+use sss_core::{EpochShedder, Estimate, Summary};
 
 /// A stateless per-tuple transform (function pointers keep the engine
 /// `Debug` and the stages trivially serializable in spirit).
@@ -82,10 +86,7 @@ struct ShedPath {
 /// [`sss_core::Sampled`] front end…), or — for the
 /// backend-erased default `JoinSketch` — [`schema`](EngineBuilder::schema),
 /// which additionally unlocks [`shedding`](EngineBuilder::shedding) (the
-/// shedder mathematics lives on `JoinSketch`). Side summaries for other
-/// query families ride along via [`top_k`](EngineBuilder::top_k),
-/// [`distinct`](EngineBuilder::distinct), and
-/// [`quantiles`](EngineBuilder::quantiles).
+/// shedder mathematics lives on `JoinSketch`).
 ///
 /// ```
 /// use rand::SeedableRng;
@@ -112,9 +113,6 @@ pub struct EngineBuilder<E: Summary = JoinSketch> {
     prototype: Option<E>,
     schema: Option<JoinSchema>,
     shedding: Option<ControllerConfig>,
-    top_k: Option<usize>,
-    distinct: Option<u8>,
-    quantiles: Option<usize>,
     seed: u64,
 }
 
@@ -128,9 +126,6 @@ impl<E: Summary> EngineBuilder<E> {
             prototype: None,
             schema: None,
             shedding: None,
-            top_k: None,
-            distinct: None,
-            quantiles: None,
             seed: 0x5353_5f73_6861_7264, // arbitrary fixed default
         }
     }
@@ -173,48 +168,18 @@ impl<E: Summary> EngineBuilder<E> {
         self
     }
 
-    /// Provide the prototype summary every shard starts from.
+    /// Provide the prototype summary every shard starts from — a clone of
+    /// it per shard. A [`MultiSummary`](sss_core::MultiSummary) prototype
+    /// (`spec.summary()?`) makes one pass answer F₂, F₀, quantiles and
+    /// top-k through [`StreamEngine::merged`].
+    ///
+    /// A [`Sampled`](sss_core::Sampled) prototype's RNG is cloned too, so
+    /// with more than one shard every shard would draw the same skips —
+    /// the correlation `sss_core::sampled` warns about. A sampled pass
+    /// over several shards is
+    /// [`ShardedRuntime::new_per_shard`] over reseeded prototypes.
     pub fn summary(mut self, prototype: E) -> Self {
         self.prototype = Some(prototype);
-        self
-    }
-
-    /// Maintain a Count-Sketch heavy-hitter summary alongside the join
-    /// estimator, unlocking [`StreamEngine::top_k`]. `k` is the number of
-    /// heavy keys the engine must be able to report; the summary tracks a
-    /// larger candidate set (4·k, at least 64) over its own 5×2048
-    /// Count-Sketch so near-boundary keys are not evicted prematurely.
-    ///
-    /// The summary sees the full post-transform stream — including tuples
-    /// the overflow shedder would down-sample for the *join* estimate —
-    /// so top-k answers are exact-stream summaries with sketch error bars
-    /// (memory stays O(k + sketch), independent of the stream).
-    pub fn top_k(mut self, k: usize) -> Self {
-        self.top_k = Some(k);
-        self
-    }
-
-    /// Maintain a HyperLogLog cardinality summary alongside the main
-    /// summary, unlocking [`StreamEngine::distinct`]. `precision` is the
-    /// log₂ register count (4..=18); the relative standard error is
-    /// `1.04 / √2^precision` (precision 12 → ±1.6% in 4 KiB).
-    ///
-    /// Like the top-k side, the counter sees the full post-transform
-    /// stream — including tuples the overflow shedder down-samples for
-    /// the join estimate — so distinct counts are exact-stream summaries.
-    pub fn distinct(mut self, precision: u8) -> Self {
-        self.distinct = Some(precision);
-        self
-    }
-
-    /// Maintain a KLL rank summary alongside the main summary, unlocking
-    /// [`StreamEngine::quantile`]. `k` is the accuracy parameter (≥ 8);
-    /// the uniform rank error is ≈ `2.296 / k^0.9433` (k = 200 → ±1.6%).
-    ///
-    /// Sees the full post-transform stream, like the other side
-    /// summaries.
-    pub fn quantiles(mut self, k: usize) -> Self {
-        self.quantiles = Some(k);
         self
     }
 
@@ -225,7 +190,9 @@ impl<E: Summary> EngineBuilder<E> {
     /// [`StreamError::MissingEstimator`] if neither
     /// [`summary`](Self::summary) nor [`schema`](Self::schema) was
     /// called; [`StreamError::InvalidConfig`] for degenerate shard/queue
-    /// settings or shedding without a schema.
+    /// settings or shedding without a schema;
+    /// [`StreamError::InvalidController`] for an out-of-range
+    /// [`ControllerConfig`].
     pub fn build(self) -> StreamResult<StreamEngine<E>> {
         let prototype = self.prototype.ok_or(StreamError::MissingEstimator)?;
         let mut stats: Vec<StageStats> = self
@@ -255,10 +222,9 @@ impl<E: Summary> EngineBuilder<E> {
                     tuples_in: 0,
                     tuples_out: 0,
                 });
-                let controller = RateController::new(cfg);
+                let controller = RateController::new(cfg)?;
                 let mut rng = StdRng::seed_from_u64(self.seed);
-                let shedder = EpochShedder::new(schema, controller.probability(), &mut rng)
-                    .map_err(StreamError::Estimator)?;
+                let shedder = EpochShedder::new(schema, controller.probability(), &mut rng)?;
                 Some(ShedPath {
                     controller,
                     shedder,
@@ -266,54 +232,12 @@ impl<E: Summary> EngineBuilder<E> {
                 })
             }
         };
-        let topk = match self.top_k {
-            None => None,
-            Some(0) => {
-                return Err(StreamError::InvalidConfig {
-                    parameter: "top_k",
-                    value: 0,
-                    reason: "must be at least 1",
-                })
-            }
-            Some(k) => {
-                // The heavy-hitter summary is an independent query over
-                // the same stream: its Count-Sketch draws its own seeds
-                // (derived from the engine seed, so runs reproduce) and
-                // does not need to share the join schema's.
-                let mut rng = StdRng::seed_from_u64(self.seed ^ 0x746f_706b);
-                let schema = FagmsSchema::new(5, 2048, &mut rng);
-                let summary = CountSketchTopK::new(&schema, (4 * k).max(64))
-                    .map_err(|e| StreamError::Estimator(e.into()))?;
-                // p = 1: the engine feeds every post-transform tuple; the
-                // Sampled wrapper only supplies the typed query path.
-                Some(Sampled::new(summary, 1.0, &mut rng).map_err(StreamError::Estimator)?)
-            }
-        };
-        let distinct = match self.distinct {
-            None => None,
-            // Seeds derive from the engine seed so runs reproduce; the
-            // xor tags keep the side summaries independent of each other.
-            Some(precision) => Some(
-                HyperLogLog::with_seed(precision, self.seed ^ 0x6466_3066_4630)
-                    .map_err(|e| StreamError::Estimator(e.into()))?,
-            ),
-        };
-        let quantiles = match self.quantiles {
-            None => None,
-            Some(k) => Some(
-                KllSketch::with_seed(k, self.seed ^ 0x6b6c_6c71)
-                    .map_err(|e| StreamError::Estimator(e.into()))?,
-            ),
-        };
         let runtime = ShardedRuntime::new(self.config, &prototype)?;
         Ok(StreamEngine {
             transforms: self.transforms,
             stats,
             runtime,
             shed,
-            topk,
-            distinct,
-            quantiles,
             scratch: Vec::new(),
             overflow: Vec::new(),
         })
@@ -346,17 +270,14 @@ impl<E: Summary> Default for EngineBuilder<E> {
     }
 }
 
-/// The running engine: transform chain, sharded runtime, optional
-/// overflow shedder and side summaries. Built by [`EngineBuilder`].
+/// The running engine: transform chain, sharded runtime and optional
+/// overflow shedder. Built by [`EngineBuilder`].
 #[derive(Debug)]
 pub struct StreamEngine<E: Summary = JoinSketch> {
     transforms: Vec<(String, Transform)>,
     stats: Vec<StageStats>,
     runtime: ShardedRuntime<E>,
     shed: Option<ShedPath>,
-    topk: Option<Sampled<CountSketchTopK>>,
-    distinct: Option<HyperLogLog>,
-    quantiles: Option<KllSketch>,
     scratch: Vec<u64>,
     overflow: Vec<u64>,
 }
@@ -390,18 +311,6 @@ impl<E: Summary> StreamEngine<E> {
             self.stats[i].tuples_out += self.scratch.len() as u64;
         }
         let n = self.scratch.len() as u64;
-        // The side summaries see the whole post-transform stream — both
-        // the tuples the runtime accepts and any overflow the shedder
-        // will down-sample for the join estimate.
-        if let Some(topk) = &mut self.topk {
-            topk.feed_batch(&self.scratch);
-        }
-        if let Some(distinct) = &mut self.distinct {
-            distinct.insert_batch(&self.scratch);
-        }
-        if let Some(quantiles) = &mut self.quantiles {
-            quantiles.insert_batch(&self.scratch);
-        }
         let runtime_stage = self.transforms.len();
         self.stats[runtime_stage].tuples_in += n;
         match &mut self.shed {
@@ -418,9 +327,7 @@ impl<E: Summary> StreamEngine<E> {
                 let p = shed
                     .controller
                     .observe_batch(self.overflow.len() as u64, seconds);
-                shed.shedder
-                    .set_probability(p, &mut shed.rng)
-                    .map_err(StreamError::Estimator)?;
+                shed.shedder.set_probability(p, &mut shed.rng)?;
                 let of_stage = &mut self.stats[runtime_stage + 1];
                 of_stage.tuples_in += self.overflow.len() as u64;
                 of_stage.tuples_out += shed.shedder.feed_batch(&self.overflow);
@@ -486,113 +393,6 @@ impl<E: Summary> StreamEngine<E> {
         self.runtime.shards()
     }
 
-    /// The `k` heaviest post-transform keys with typed frequency
-    /// estimates, heaviest first (ties toward the smaller key). The error
-    /// bars carry the Count-Sketch point-query noise; the engine feeds
-    /// the summary at full rate, so there is no sampling term.
-    ///
-    /// # Errors
-    ///
-    /// [`StreamError::TopKDisabled`] if the engine was built without
-    /// [`EngineBuilder::top_k`].
-    pub fn top_k(&self, k: usize) -> StreamResult<Vec<(u64, Estimate)>> {
-        self.topk
-            .as_ref()
-            .map(|t| t.top_k(k))
-            .ok_or(StreamError::TopKDisabled)
-    }
-
-    /// Typed frequency estimate for one post-transform key (any key, not
-    /// only the current candidates), from the same summary as
-    /// [`StreamEngine::top_k`].
-    ///
-    /// # Errors
-    ///
-    /// [`StreamError::TopKDisabled`] if the engine was built without
-    /// [`EngineBuilder::top_k`].
-    pub fn key_frequency(&self, key: u64) -> StreamResult<Estimate> {
-        self.topk
-            .as_ref()
-            .map(|t| t.point_estimate(key))
-            .ok_or(StreamError::TopKDisabled)
-    }
-
-    /// The number of distinct post-transform keys seen so far (point
-    /// estimate; the engine feeds the counter at full rate).
-    ///
-    /// # Errors
-    ///
-    /// [`StreamError::DistinctDisabled`] if the engine was built without
-    /// [`EngineBuilder::distinct`].
-    pub fn distinct(&self) -> StreamResult<f64> {
-        self.distinct
-            .as_ref()
-            .map(DistinctQuery::distinct)
-            .ok_or(StreamError::DistinctDisabled)
-    }
-
-    /// Typed counterpart of [`StreamEngine::distinct`]: the same value
-    /// with the HyperLogLog standard-error model as variance, so
-    /// [`Estimate::interval`] works.
-    ///
-    /// # Errors
-    ///
-    /// [`StreamError::DistinctDisabled`] if the engine was built without
-    /// [`EngineBuilder::distinct`].
-    pub fn distinct_estimate(&self) -> StreamResult<Estimate> {
-        self.distinct
-            .as_ref()
-            .map(DistinctQuery::distinct_estimate)
-            .ok_or(StreamError::DistinctDisabled)
-    }
-
-    /// The value at quantile `q ∈ [0, 1]` of the post-transform key
-    /// stream (`q = 0.5` is the median).
-    ///
-    /// # Errors
-    ///
-    /// [`StreamError::QuantilesDisabled`] if the engine was built without
-    /// [`EngineBuilder::quantiles`]; an estimator error for `q` outside
-    /// `[0, 1]` or an empty stream.
-    pub fn quantile(&self, q: f64) -> StreamResult<f64> {
-        let kll = self
-            .quantiles
-            .as_ref()
-            .ok_or(StreamError::QuantilesDisabled)?;
-        QuantileQuery::quantile(kll, q).map_err(StreamError::Estimator)
-    }
-
-    /// Values at the rank band `q ∓ rank_error` — deterministic envelope
-    /// bounds for [`StreamEngine::quantile`] (the KLL guarantee is on
-    /// ranks, so the honest error statement is a value interval, not a
-    /// variance).
-    ///
-    /// # Errors
-    ///
-    /// As for [`StreamEngine::quantile`].
-    pub fn quantile_bounds(&self, q: f64) -> StreamResult<(f64, f64)> {
-        let kll = self
-            .quantiles
-            .as_ref()
-            .ok_or(StreamError::QuantilesDisabled)?;
-        QuantileQuery::quantile_bounds(kll, q).map_err(StreamError::Estimator)
-    }
-
-    /// The fraction of post-transform keys strictly below `value` (the
-    /// inverse query of [`StreamEngine::quantile`]), accurate to the
-    /// summary's uniform rank error.
-    ///
-    /// # Errors
-    ///
-    /// [`StreamError::QuantilesDisabled`] if the engine was built without
-    /// [`EngineBuilder::quantiles`].
-    pub fn rank(&self, value: u64) -> StreamResult<f64> {
-        self.quantiles
-            .as_ref()
-            .map(|kll| QuantileQuery::rank(kll, value))
-            .ok_or(StreamError::QuantilesDisabled)
-    }
-
     /// Shut down the workers and return the merged runtime estimator
     /// (the shedded overflow part is dropped — query
     /// [`StreamEngine::self_join`] first if it matters).
@@ -607,94 +407,71 @@ impl<E: Summary> StreamEngine<E> {
 
 impl StreamEngine<JoinSketch> {
     /// Unbiased self-join (F₂) estimate of the full post-transform
-    /// stream, overflow included.
+    /// stream, overflow included: the value of
+    /// [`StreamEngine::self_join_estimate`].
     ///
-    /// The stream splits disjointly into the runtime part `A` (sketched at
-    /// full rate) and the overflow part `O` (Bernoulli-shedded): `F₂ =
-    /// A·A + O·O + 2·A·O`, each term estimated unbiasedly — `A·A` from
-    /// the merged shard sketch, `O·O` by the shedder's Proposition 14
-    /// estimate, and the cross term by the Proposition 13 product with
-    /// `q = 1` for the full-rate side. Queue-fullness decides the split,
-    /// independently of the sampling and sketch randomness, so the sum is
-    /// unbiased for any overload pattern.
+    /// # Errors
+    ///
+    /// As for [`StreamEngine::self_join_estimate`].
+    pub fn self_join(&self) -> StreamResult<f64> {
+        Ok(self.self_join_estimate()?.value)
+    }
+
+    /// Unbiased size-of-join estimate between this engine's stream and
+    /// another engine's, overflow included on both sides: the value of
+    /// [`StreamEngine::size_of_join_estimate`].
+    ///
+    /// # Errors
+    ///
+    /// As for [`StreamEngine::size_of_join_estimate`].
+    pub fn size_of_join(&self, other: &StreamEngine<JoinSketch>) -> StreamResult<f64> {
+        Ok(self.size_of_join_estimate(other)?.value)
+    }
+
+    /// The combined self-join value over `merged`, this engine's runtime
+    /// sketch. The stream splits disjointly into the runtime part `A`
+    /// (sketched at full rate) and the overflow part `O`
+    /// (Bernoulli-shedded): `F₂ = A·A + O·O + 2·A·O`, each term estimated
+    /// unbiasedly — `A·A` from the merged shard sketch, `O·O` by the
+    /// shedder's Proposition 14 estimate, and the cross term by the
+    /// Proposition 13 product with `q = 1` for the full-rate side.
+    /// Queue-fullness decides the split, independently of the sampling
+    /// and sketch randomness, so the sum is unbiased for any overload
+    /// pattern.
+    fn self_join_over(&self, merged: &JoinSketch) -> StreamResult<f64> {
+        let mut value = merged.raw_self_join();
+        if let Some(shed) = &self.shed {
+            value += shed.shedder.self_join()?;
+            value += 2.0 * shed.shedder.size_of_join_sketch(merged, 1.0)?;
+        }
+        Ok(value)
+    }
+
+    /// Typed unbiased self-join (F₂) estimate of the full post-transform
+    /// stream, overflow included (the decomposition of
+    /// [`StreamEngine::self_join`]).
+    ///
+    /// Each independent sketch lane sums its merged-runtime basic, the
+    /// shedder's Proposition-14-corrected basic, and twice the `q = 1`
+    /// cross-term basic — the lane-wise image of the `A·A + O·O + 2·A·O`
+    /// decomposition — so the lane spread measures the sketch noise of the
+    /// *combined* estimator. The shedder's Bernoulli sampling plug-in is
+    /// added unscaled on top (every lane sees the same sampled tuples, so
+    /// averaging lanes does not average that noise away).
     ///
     /// # Errors
     ///
     /// [`StreamError::ShardDisconnected`] if a worker died, or an
     /// estimator error from the cross-term computation.
-    pub fn self_join(&self) -> StreamResult<f64> {
-        let merged = self.runtime.merged()?;
-        let mut est = merged.raw_self_join();
-        if let Some(shed) = &self.shed {
-            est += shed.shedder.self_join().map_err(StreamError::Estimator)?;
-            est += 2.0
-                * shed
-                    .shedder
-                    .size_of_join_sketch(&merged, 1.0)
-                    .map_err(StreamError::Estimator)?;
-        }
-        Ok(est)
-    }
-
-    /// Unbiased size-of-join estimate between this engine's stream and
-    /// another engine's, overflow included on both sides.
-    ///
-    /// Expands the product of the two split streams: `(A₁+O₁)·(A₂+O₂)`,
-    /// with each of the four terms estimated by the matching sketch pair.
-    /// Both engines must have been built from the same [`JoinSchema`].
-    ///
-    /// # Errors
-    ///
-    /// Schema mismatch between the engines, or
-    /// [`StreamError::ShardDisconnected`].
-    pub fn size_of_join(&self, other: &StreamEngine<JoinSketch>) -> StreamResult<f64> {
-        let m1 = self.runtime.merged()?;
-        let m2 = other.runtime.merged()?;
-        let join = |r: Result<f64>| r.map_err(StreamError::Estimator);
-        let mut est = join(m1.raw_size_of_join(&m2))?;
-        if let Some(s1) = &self.shed {
-            est += join(s1.shedder.size_of_join_sketch(&m2, 1.0))?;
-        }
-        if let Some(s2) = &other.shed {
-            est += join(s2.shedder.size_of_join_sketch(&m1, 1.0))?;
-        }
-        if let (Some(s1), Some(s2)) = (&self.shed, &other.shed) {
-            est += join(s1.shedder.size_of_join(&s2.shedder))?;
-        }
-        Ok(est)
-    }
-
-    /// Typed counterpart of [`StreamEngine::self_join`]: the same value
-    /// (bit-identical accumulation order) with empirical error state.
-    ///
-    /// Each independent sketch lane sums its merged-runtime basic, the
-    /// shedder's Proposition-14-corrected basic, and twice the `q = 1`
-    /// cross-term basic — the lane-wise image of the scalar `A·A + O·O +
-    /// 2·A·O` decomposition — so the lane spread measures the sketch
-    /// noise of the *combined* estimator. The shedder's Bernoulli sampling
-    /// plug-in is added unscaled on top (every lane sees the same sampled
-    /// tuples, so averaging lanes does not average that noise away).
-    ///
-    /// # Errors
-    ///
-    /// As for [`StreamEngine::self_join`].
     pub fn self_join_estimate(&self) -> StreamResult<Estimate> {
         let merged = self.runtime.merged()?;
         let Some(shed) = &self.shed else {
             return Ok(merged.raw_self_join_estimate());
         };
-        // Value: replicate the scalar accumulation order bit for bit.
-        let mut value = merged.raw_self_join();
-        value += shed.shedder.self_join().map_err(StreamError::Estimator)?;
-        value += 2.0
-            * shed
-                .shedder
-                .size_of_join_sketch(&merged, 1.0)
-                .map_err(StreamError::Estimator)?;
-        let basics = |r: Result<Vec<f64>>| r.map_err(StreamError::Estimator);
+        let value = self.self_join_over(&merged)?;
         let mut lanes = merged.self_join_basics();
-        let shed_lanes = basics(shed.shedder.self_join_basics())?;
-        let cross = basics(shed.shedder.size_of_join_sketch_basics(&merged, 1.0))?;
+        let shed_lanes = shed.shedder.self_join_basics()?;
+        let cross = shed.shedder.size_of_join_sketch_basics(&merged, 1.0)?;
         for ((lane, s), c) in lanes.iter_mut().zip(shed_lanes).zip(cross) {
             *lane += s + 2.0 * c;
         }
@@ -704,62 +481,48 @@ impl StreamEngine<JoinSketch> {
             .plus_variance(shed.shedder.sampling_variance()))
     }
 
-    /// Typed counterpart of [`StreamEngine::size_of_join`]: the same value
-    /// (bit-identical four-term accumulation) with empirical error state.
+    /// Typed unbiased size-of-join estimate between this engine's stream
+    /// and another engine's, overflow included on both sides.
     ///
-    /// Lanes sum the four per-lane terms of `(A₁+O₁)·(A₂+O₂)`; the
-    /// Bernoulli sampling plug-in is evaluated at each side's smallest
-    /// epoch rate (`1` for a side without shedding) with the combined
-    /// self-join estimates standing in for the unknown F₂'s.
+    /// Expands the product of the two split streams: `(A₁+O₁)·(A₂+O₂)`,
+    /// with each of the four terms estimated by the matching sketch pair,
+    /// value and lanes alike. Both engines must have been built from the
+    /// same [`JoinSchema`]. The Bernoulli sampling plug-in is evaluated at
+    /// each side's smallest epoch rate (`1` for a side without shedding)
+    /// with the combined self-join values standing in for the unknown
+    /// F₂'s.
     ///
     /// # Errors
     ///
-    /// As for [`StreamEngine::size_of_join`].
+    /// Schema mismatch between the engines, or
+    /// [`StreamError::ShardDisconnected`].
     pub fn size_of_join_estimate(
         &self,
         other: &StreamEngine<JoinSketch>,
     ) -> StreamResult<Estimate> {
         let m1 = self.runtime.merged()?;
         let m2 = other.runtime.merged()?;
-        let join = |r: Result<f64>| r.map_err(StreamError::Estimator);
-        // Value: replicate the scalar accumulation order bit for bit.
-        let mut value = join(m1.raw_size_of_join(&m2))?;
-        if let Some(s1) = &self.shed {
-            value += join(s1.shedder.size_of_join_sketch(&m2, 1.0))?;
-        }
-        if let Some(s2) = &other.shed {
-            value += join(s2.shedder.size_of_join_sketch(&m1, 1.0))?;
-        }
-        if let (Some(s1), Some(s2)) = (&self.shed, &other.shed) {
-            value += join(s1.shedder.size_of_join(&s2.shedder))?;
-        }
-        let basics = |r: Result<Vec<f64>>| r.map_err(StreamError::Estimator);
         let add = |lanes: &mut Vec<f64>, extra: Vec<f64>| {
             for (lane, x) in lanes.iter_mut().zip(extra) {
                 *lane += x;
             }
         };
-        let mut lanes = basics(m1.size_of_join_basics(&m2))?;
+        let mut value = m1.raw_size_of_join(&m2)?;
+        let mut lanes = m1.size_of_join_basics(&m2)?;
         if let Some(s1) = &self.shed {
-            add(
-                &mut lanes,
-                basics(s1.shedder.size_of_join_sketch_basics(&m2, 1.0))?,
-            );
+            value += s1.shedder.size_of_join_sketch(&m2, 1.0)?;
+            add(&mut lanes, s1.shedder.size_of_join_sketch_basics(&m2, 1.0)?);
         }
         if let Some(s2) = &other.shed {
-            add(
-                &mut lanes,
-                basics(s2.shedder.size_of_join_sketch_basics(&m1, 1.0))?,
-            );
+            value += s2.shedder.size_of_join_sketch(&m1, 1.0)?;
+            add(&mut lanes, s2.shedder.size_of_join_sketch_basics(&m1, 1.0)?);
         }
         if let (Some(s1), Some(s2)) = (&self.shed, &other.shed) {
-            add(
-                &mut lanes,
-                basics(s1.shedder.size_of_join_basics(&s2.shedder))?,
-            );
+            value += s1.shedder.size_of_join(&s2.shedder)?;
+            add(&mut lanes, s1.shedder.size_of_join_basics(&s2.shedder)?);
         }
-        let f2_1 = self.self_join()?.max(0.0);
-        let f2_2 = other.self_join()?.max(0.0);
+        let f2_1 = self.self_join_over(&m1)?.max(0.0);
+        let f2_2 = other.self_join_over(&m2)?.max(0.0);
         let p1 = self
             .shed
             .as_ref()
@@ -1103,131 +866,6 @@ mod tests {
             "epochs {} exceed grid bound {bound}",
             shedder.epoch_count()
         );
-    }
-
-    /// The engine's top-k surface: heavy keys of the post-transform
-    /// stream come back ranked with coherent error bars, any-key point
-    /// queries work, and engines built without `.top_k(…)` answer with
-    /// the typed `TopKDisabled` error instead of a panic.
-    #[test]
-    fn top_k_reports_post_transform_heavy_hitters() {
-        let mut rng = StdRng::seed_from_u64(10);
-        let schema = JoinSchema::fagms(1, 1024, &mut rng);
-        let mut e = EngineBuilder::new()
-            .filter("evens", is_even)
-            .map("halve", halve)
-            .shards(2)
-            .schema(&schema)
-            .top_k(5)
-            .build()
-            .unwrap();
-        // Post-transform frequencies: key k (0..8) appears 2^(8-k) · 32
-        // times; odd pre-images are filtered out.
-        let mut batch = Vec::new();
-        for k in 0..8u64 {
-            for _ in 0..(1u64 << (8 - k)) * 32 {
-                batch.push(2 * k); // even pre-image, halves to k
-                batch.push(2 * k + 1); // odd pre-image, filtered
-            }
-        }
-        for chunk in batch.chunks(997) {
-            e.push_batch(chunk, 1e-3).unwrap();
-        }
-        let top = e.top_k(3).unwrap();
-        assert_eq!(top.len(), 3);
-        assert_eq!(top[0].0, 0, "heaviest post-transform key");
-        assert_eq!(top[1].0, 1);
-        let truth = (1u64 << 8) as f64 * 32.0;
-        let est = &top[0].1;
-        assert!(
-            (est.value - truth).abs() / truth < 0.1,
-            "est {} truth {truth}",
-            est.value
-        );
-        assert!(est.variance.is_finite() && est.variance >= 0.0);
-        assert!(est.chebyshev(0.95).unwrap().contains(est.value));
-        // Point query for a non-candidate key still answers.
-        let light = e.key_frequency(7).unwrap();
-        assert!((light.value - 32.0).abs() < 5.0 * light.variance.sqrt().max(1.0));
-        // Without `.top_k(…)` the query is a typed error.
-        let plain = EngineBuilder::new().schema(&schema).build().unwrap();
-        assert!(matches!(plain.top_k(3), Err(StreamError::TopKDisabled)));
-        assert!(matches!(
-            plain.key_frequency(0),
-            Err(StreamError::TopKDisabled)
-        ));
-        // And k = 0 is rejected at build time.
-        assert!(matches!(
-            EngineBuilder::new().schema(&schema).top_k(0).build(),
-            Err(StreamError::InvalidConfig {
-                parameter: "top_k",
-                ..
-            })
-        ));
-    }
-
-    /// The distinct / quantile side summaries ride the engine next to
-    /// the join path: full-rate answers near truth, typed errors when
-    /// the sides were not requested, bad geometry rejected at build.
-    #[test]
-    fn distinct_and_quantile_side_summaries() {
-        let mut rng = StdRng::seed_from_u64(12);
-        let schema = JoinSchema::fagms(1, 1024, &mut rng);
-        let mut e = EngineBuilder::new()
-            .filter("evens", is_even)
-            .map("halve", halve)
-            .shards(2)
-            .schema(&schema)
-            .distinct(12)
-            .quantiles(200)
-            .build()
-            .unwrap();
-        // Post-transform stream: 0..3000, 10 times each.
-        for _ in 0..10 {
-            let batch: Vec<u64> = (0..6000u64).collect();
-            e.push_batch(&batch, 1.0).unwrap();
-        }
-        let d = e.distinct().unwrap();
-        assert!((d - 3000.0).abs() / 3000.0 < 0.05, "distinct = {d}");
-        let de = e.distinct_estimate().unwrap();
-        assert_eq!(de.value.to_bits(), d.to_bits());
-        assert!(de.chebyshev(0.99).unwrap().contains(3000.0));
-        let med = e.quantile(0.5).unwrap();
-        assert!((med - 1500.0).abs() < 100.0, "median = {med}");
-        let (lo, hi) = e.quantile_bounds(0.5).unwrap();
-        assert!(lo <= med && med <= hi);
-        let r = e.rank(1500).unwrap();
-        assert!((r - 0.5).abs() < 0.05, "rank = {r}");
-        // Engines built without the sides answer with typed errors.
-        let plain = EngineBuilder::new().schema(&schema).build().unwrap();
-        assert!(matches!(
-            plain.distinct(),
-            Err(StreamError::DistinctDisabled)
-        ));
-        assert!(matches!(
-            plain.distinct_estimate(),
-            Err(StreamError::DistinctDisabled)
-        ));
-        assert!(matches!(
-            plain.quantile(0.5),
-            Err(StreamError::QuantilesDisabled)
-        ));
-        assert!(matches!(
-            plain.quantile_bounds(0.5),
-            Err(StreamError::QuantilesDisabled)
-        ));
-        assert!(matches!(plain.rank(0), Err(StreamError::QuantilesDisabled)));
-        // Bad geometry is a build-time estimator error.
-        assert!(EngineBuilder::new()
-            .schema(&schema)
-            .distinct(3)
-            .build()
-            .is_err());
-        assert!(EngineBuilder::new()
-            .schema(&schema)
-            .quantiles(1)
-            .build()
-            .is_err());
     }
 
     /// The engine is generic over the whole summary hierarchy: a

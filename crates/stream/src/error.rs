@@ -34,15 +34,17 @@ pub enum StreamError {
         /// Index of the dead shard.
         shard: usize,
     },
-    /// A top-k query was issued but the engine was built without
-    /// `.top_k(…)`, so no heavy-hitter summary was maintained.
-    TopKDisabled,
-    /// A distinct-count query was issued but the engine was built without
-    /// `.distinct(…)`, so no cardinality summary was maintained.
-    DistinctDisabled,
-    /// A quantile query was issued but the engine was built without
-    /// `.quantiles(…)`, so no rank summary was maintained.
-    QuantilesDisabled,
+    /// A [`ControllerConfig`](crate::ControllerConfig) parameter is out of
+    /// range (the controller's parameters are reals, so
+    /// [`InvalidConfig`](StreamError::InvalidConfig) cannot carry them).
+    InvalidController {
+        /// The offending field (`"capacity_tps"`, `"smoothing"`, …).
+        parameter: &'static str,
+        /// What the configuration said.
+        value: f64,
+        /// Why it is rejected.
+        reason: &'static str,
+    },
 }
 
 impl fmt::Display for StreamError {
@@ -63,27 +65,14 @@ impl fmt::Display for StreamError {
             StreamError::ShardDisconnected { shard } => {
                 write!(f, "shard worker {shard} disconnected")
             }
-            StreamError::TopKDisabled => {
-                write!(
-                    f,
-                    "top-k query on an engine built without .top_k(…) — no \
-                     heavy-hitter summary was maintained"
-                )
-            }
-            StreamError::DistinctDisabled => {
-                write!(
-                    f,
-                    "distinct-count query on an engine built without \
-                     .distinct(…) — no cardinality summary was maintained"
-                )
-            }
-            StreamError::QuantilesDisabled => {
-                write!(
-                    f,
-                    "quantile query on an engine built without .quantiles(…) \
-                     — no rank summary was maintained"
-                )
-            }
+            StreamError::InvalidController {
+                parameter,
+                value,
+                reason,
+            } => write!(
+                f,
+                "invalid rate controller config: {parameter} = {value} ({reason})"
+            ),
         }
     }
 }

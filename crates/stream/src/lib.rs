@@ -13,8 +13,8 @@
 //!   dirtied since the previous query;
 //! * [`engine`] — the DSMS engine over that runtime: transform chain,
 //!   backpressure, and an adaptive overflow shedder, built by
-//!   [`EngineBuilder`]; every query also has a typed `*_estimate()` form
-//!   returning an [`Estimate`](sss_core::Estimate) with error bars;
+//!   [`EngineBuilder`]; its join queries return an
+//!   [`Estimate`](sss_core::Estimate) with error bars;
 //! * [`adaptive`] — the quantized rate controller that picks the
 //!   shedding probability `p` on line;
 //! * [`window`] — paned sliding-window sketches.
@@ -31,6 +31,21 @@
 //!
 //! ```compile_fail
 //! use sss_stream::Throughput; // removed: use `std::time::Instant`
+//! ```
+//!
+//! Nor does the engine keep side summaries beside its runtime: a
+//! [`MultiSummary`](sss_core::MultiSummary) prototype
+//! (`.summary(spec.summary()?)`) answers top-k, F₀ and quantiles through
+//! `merged()`, so the builder knobs and their "not enabled" errors are
+//! gone:
+//!
+//! ```compile_fail
+//! let builder = sss_stream::EngineBuilder::<sss_core::JoinSketch>::new();
+//! let _ = builder.top_k(10); // removed: `merged()?.top_k(k)` on a `MultiSummary` engine
+//! ```
+//!
+//! ```compile_fail
+//! let _ = sss_stream::StreamError::TopKDisabled; // removed with the side summaries
 //! ```
 
 // `deny` rather than `forbid`: the SPSC ring transport ([`ring`]) is the

@@ -51,8 +51,9 @@
 //!   (backpressure propagates to the source);
 //!   [`try_push`](ShardedRuntime::try_push) never blocks and instead hands
 //!   overflowed tuples back to the caller: the engine routes overload
-//!   into the [`EpochShedder`](sss_core::EpochShedder) path and keeps the
-//!   estimate unbiased under sustained overload.
+//!   into its [`EpochShedder`](sss_core::EpochShedder) (one
+//!   `Sampled<JoinSketch>` cell per rate) and keeps the estimate unbiased
+//!   under sustained overload.
 //! * [`merged`](ShardedRuntime::merged) reflects exactly the tuples
 //!   accepted before the call: each snapshot request carries the shard's
 //!   accepted-batch count and the worker answers only once it has applied
@@ -66,6 +67,10 @@
 //! The runtime is generic over any [`Summary`] — join sketches and
 //! heavy-hitter summaries alike, not just the backend-erased `JoinSketch`;
 //! the join-query conveniences additionally require a [`JoinQuery`].
+//! [`new`](ShardedRuntime::new) clones one prototype into every shard; a
+//! [`Sampled`](sss_core::Sampled) prototype needs
+//! [`new_per_shard`](ShardedRuntime::new_per_shard) with reseeded clones
+//! instead, or the shards' skip sequences coincide.
 
 use crate::error::{Result, StreamError};
 use crate::ring::{self, Backoff, ControlQueue, PushError};

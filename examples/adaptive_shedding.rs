@@ -30,7 +30,8 @@ fn main() {
         hysteresis: 0.15,
         min_p: 1e-3,
         grid: RateGrid::default(),
-    });
+    })
+    .expect("sane controller config");
 
     let schema = JoinSchema::fagms(1, 5000, &mut rng);
     let mut shedder = EpochShedder::new(&schema, 1.0, &mut rng).unwrap();

@@ -18,10 +18,16 @@ use support::ReferenceEpochShedder;
 /// Dyadic rates: with i64 counters every term of the epoch decomposition
 /// (raw/p², (1−p)/p²·kept, 2·cross/(p·q)) is exactly representable in f64,
 /// so *any* grouping of the terms — compacted or not, cached or not — must
-/// agree bit for bit, not just approximately.
-fn dyadic_schedule() -> impl Strategy<Value = Vec<f64>> {
-    prop::collection::vec(0usize..4, 2..8)
-        .prop_map(|picks| picks.iter().map(|&i| [1.0, 0.5, 0.25, 0.125][i]).collect())
+/// agree bit for bit, not just approximately. Each round is a rate and a
+/// tuple count; one round in four carries no traffic, so an empty current
+/// cell gets replaced, popped and queried.
+fn dyadic_schedule() -> impl Strategy<Value = Vec<(f64, u64)>> {
+    prop::collection::vec((0usize..4, 0usize..4), 2..8).prop_map(|picks| {
+        picks
+            .iter()
+            .map(|&(i, j)| ([1.0, 0.5, 0.25, 0.125][i], [0, 1500, 1500, 1500][j]))
+            .collect()
+    })
 }
 
 proptest! {
@@ -43,16 +49,18 @@ proptest! {
         let schema = JoinSchema::agms(8, &mut r);
         let mut seed_a = StdRng::seed_from_u64(seed ^ 0x9e37);
         let mut seed_b = StdRng::seed_from_u64(seed ^ 0x9e37);
-        let mut compact = EpochShedder::new(&schema, ps[0], &mut seed_a).unwrap();
-        let mut reference = ReferenceEpochShedder::new(&schema, ps[0], &mut seed_b).unwrap();
+        let mut compact = EpochShedder::new(&schema, ps[0].0, &mut seed_a).unwrap();
+        let mut reference = ReferenceEpochShedder::new(&schema, ps[0].0, &mut seed_b).unwrap();
+        // The cells the shedder must hold: one per rate that saw traffic,
+        // plus the current one, which may still be empty.
         let mut distinct: Vec<f64> = Vec::new();
-        for (round, &p) in ps.iter().enumerate() {
+        for (round, &(p, len)) in ps.iter().enumerate() {
             compact.set_probability(p, &mut seed_a).unwrap();
             reference.set_probability(p, &mut seed_b).unwrap();
-            if !distinct.contains(&p) {
+            if len > 0 && !distinct.contains(&p) {
                 distinct.push(p);
             }
-            let keys: Vec<u64> = (0..1500u64).map(|i| (i * 7 + round as u64) % 64).collect();
+            let keys: Vec<u64> = (0..len).map(|i| (i * 7 + round as u64) % 64).collect();
             for batch in keys.chunks(chunk) {
                 compact.feed_batch(batch);
             }
@@ -65,6 +73,10 @@ proptest! {
             let cached = compact.self_join().unwrap();
             prop_assert_eq!(cached, compact.self_join_uncached().unwrap(), "round {}", round);
             prop_assert_eq!(cached, reference.self_join().unwrap(), "round {}", round);
+        }
+        let last = ps[ps.len() - 1].0;
+        if !distinct.contains(&last) {
+            distinct.push(last);
         }
         prop_assert_eq!(compact.epoch_count(), distinct.len());
         prop_assert!(reference.epoch_count() >= compact.epoch_count());
@@ -100,6 +112,49 @@ fn compaction_is_bit_identical_to_reference() {
         reference.self_join().unwrap(),
         "dyadic rates: every term is exact, any grouping agrees"
     );
+}
+
+/// The cached query keys each cell on its kept count, so a stale row could
+/// only hide where `set_probability` pops or replaces an empty cell. Walk
+/// through each of those moves with a query after the switch and after the
+/// traffic: cached, cache-free and the uncompacted reference agree bitwise
+/// throughout.
+#[test]
+fn empty_cells_never_serve_a_stale_row() {
+    let mut r = StdRng::seed_from_u64(51);
+    let schema = JoinSchema::agms(8, &mut r);
+    let mut seed_a = StdRng::seed_from_u64(52);
+    let mut seed_b = StdRng::seed_from_u64(52);
+    let mut compact = EpochShedder::new(&schema, 0.5, &mut seed_a).unwrap();
+    let mut reference = ReferenceEpochShedder::new(&schema, 0.5, &mut seed_b).unwrap();
+    // (what the step does, rate, tuples fed after the switch, cells held)
+    let steps = [
+        ("traffic at the first rate", 0.5, 2_000, 1),
+        ("change the rate with no traffic", 0.25, 0, 2),
+        ("return to a held rate: the empty cell pops", 0.5, 0, 1),
+        ("open a new rate at the freed index", 0.125, 2_000, 2),
+        ("resume an old cell", 0.5, 2_000, 2),
+        ("change the rate again with no traffic", 1.0, 0, 3),
+        ("replace that empty cell in place", 0.25, 2_000, 3),
+    ];
+    for (round, (step, p, len, cells)) in steps.into_iter().enumerate() {
+        compact.set_probability(p, &mut seed_a).unwrap();
+        reference.set_probability(p, &mut seed_b).unwrap();
+        let keys: Vec<u64> = (0..len).map(|i| (i * 11 + round as u64) % 40).collect();
+        for fed in [false, true] {
+            if fed {
+                compact.feed_batch(&keys);
+                for &k in &keys {
+                    reference.observe(k);
+                }
+            }
+            let cached = compact.self_join().unwrap();
+            assert_eq!(cached, compact.self_join_uncached().unwrap(), "{step}");
+            assert_eq!(cached, reference.self_join().unwrap(), "{step}");
+        }
+        assert_eq!(compact.epoch_count(), cells, "{step}");
+        assert_eq!(compact.kept(), reference.kept(), "{step}");
+    }
 }
 
 /// Grid-snapped rates keep the estimator unbiased: the snap changes *which*
@@ -151,7 +206,8 @@ fn thousand_rate_changes_stay_within_the_grid_bound() {
         hysteresis: 0.1,
         min_p: 1e-3,
         grid: RateGrid::default(),
-    });
+    })
+    .unwrap();
     let bound = controller.distinct_rate_bound();
     let mut seed_a = StdRng::seed_from_u64(43);
     let mut seed_b = StdRng::seed_from_u64(43);
