@@ -37,8 +37,7 @@ fn epoch_churn(schema: &JoinSchema) -> EpochShedder {
         grid: RateGrid::default(),
     })
     .expect("sane controller config");
-    let mut rng = StdRng::seed_from_u64(8);
-    let mut shedder = EpochShedder::new(schema, 1.0, &mut rng).expect("valid p");
+    let mut shedder = EpochShedder::new(schema, 1.0, 8).expect("valid p");
     for i in 0..CHANGES {
         // Two drifting bands 100× apart: the smoothed rate swings past the
         // hysteresis dead-band on every batch, so p changes each time.
@@ -48,7 +47,7 @@ fn epoch_churn(schema: &JoinSchema) -> EpochShedder {
             1_000_000 * (1 + (i % 7) as u64)
         };
         let p = controller.observe_batch(rate, 1.0);
-        shedder.set_probability(p, &mut rng).expect("valid p");
+        shedder.set_probability(p).expect("valid p");
         let batch: Vec<u64> = (0..BATCH).map(|j| (j * 13 + i as u64) % 1000).collect();
         shedder.feed_batch(&batch);
     }

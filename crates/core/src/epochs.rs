@@ -40,22 +40,22 @@
 //!   moved since the last query, so a per-batch monitoring loop pays O(G)
 //!   sketch dot products per query instead of O(G²).
 //!
-//! **The reseed rule.** Every effective rate change draws one fresh
-//! geometric skip from the caller's RNG, and one gap from it: into the
-//! resumed cell ([`Sampled::reseed`]), into a fresh cell
-//! ([`Sampled::new`]), or into the empty current cell that a fresh cell
-//! replaces. That is exactly what the uncompacted shedder (one epoch per
-//! change, `tests/support/mod.rs`) draws, so identically seeded shedders
-//! keep the same sample and compaction changes no estimate
+//! **Coins per rate.** The shedder holds one `seed`. The cell for rate `p`
+//! draws its coins from the seed `splitmix64(seed ^ p.to_bits())`
+//! ([`Sampled`]'s counter generator), and a resumed cell simply continues
+//! its own sequence, pending gap included. The leftover part of a
+//! geometric gap is still geometric, so a cell samples its segments as if
+//! they were one continuous stream. The uncompacted shedder
+//! (`tests/support/mod.rs`, one epoch per change) draws each epoch from
+//! the same per-rate sequence, so compaction changes no estimate
 //! (`tests/epoch_compaction.rs`).
 //!
 //! The same decomposition gives the size of join between two epoch-shedded
 //! streams: `Σ_{e,e′} (1/(p_e q_e′))·S_e·T_e′` with no diagonal
 //! correction, since the two relations' samples are always independent.
 //!
-//! The shedder has no wire form: a [`Sampled`] is not
-//! [`Portable`](crate::Portable) (its live RNG has no stable encoding),
-//! so neither is a list of them.
+//! The shedder has no wire form, because a [`Sampled`] has none yet
+//! (ROADMAP 5(a)).
 //!
 //! ```compile_fail
 //! use sss_core::{EpochShedder, Portable};
@@ -66,8 +66,8 @@ use crate::compaction::QueryCache;
 use crate::error::Result;
 use crate::sampled::{bernoulli_self_join, Sampled};
 use crate::sketch::{JoinSchema, JoinSketch};
-use rand::Rng;
 use sss_sketch::Estimate;
+use sss_xi::splitmix64;
 use std::cell::RefCell;
 
 /// Whether two sampling rates are the same epoch rate (relative-epsilon
@@ -83,6 +83,8 @@ fn same_p(a: f64, b: f64) -> bool {
 #[derive(Debug)]
 pub struct EpochShedder {
     schema: JoinSchema,
+    /// The cell for rate `p` is seeded `splitmix64(seed ^ p.to_bits())`.
+    seed: u64,
     /// Invariant: no two cells share a rate, and only the current cell
     /// can be empty (`seen == 0`) — then it is the trailing one.
     cells: Vec<Sampled<JoinSketch>>,
@@ -92,34 +94,37 @@ pub struct EpochShedder {
 }
 
 impl EpochShedder {
-    /// Start a shedder with an initial sampling probability.
-    pub fn new<R: Rng>(schema: &JoinSchema, p: f64, seed_rng: &mut R) -> Result<Self> {
+    /// Start a shedder with an initial sampling probability; `seed` fixes
+    /// every cell's coins.
+    pub fn new(schema: &JoinSchema, p: f64, seed: u64) -> Result<Self> {
         Ok(Self {
             schema: schema.clone(),
-            cells: vec![Sampled::new(schema.sketch(), p, seed_rng)?],
+            seed,
+            cells: vec![Self::cell(schema, p, seed)?],
             current: 0,
             cache: RefCell::new(QueryCache::default()),
         })
     }
 
+    /// A fresh cell at rate `p`.
+    fn cell(schema: &JoinSchema, p: f64, seed: u64) -> Result<Sampled<JoinSketch>> {
+        Sampled::seeded(schema.sketch(), p, splitmix64(seed ^ p.to_bits()))
+    }
+
     /// Switch to probability `p` (no-op if `p` equals the current rate).
     ///
-    /// If a cell already accumulated at `p`, it is resumed — the union
-    /// of its segments is still one Bernoulli(`p`) sample, so the estimate
-    /// stays exactly unbiased while the cell count stays bounded by the
-    /// number of distinct rates. An empty current cell is replaced in
-    /// place, or dropped when the target rate already has a cell. An
-    /// invalid `p` is refused before anything changes.
-    pub fn set_probability<R: Rng>(&mut self, p: f64, seed_rng: &mut R) -> Result<()> {
+    /// If a cell already accumulated at `p`, it is resumed where its coins
+    /// left off — the union of its segments is still one Bernoulli(`p`)
+    /// sample, so the estimate stays exactly unbiased while the cell count
+    /// stays bounded by the number of distinct rates. An empty current
+    /// cell is replaced in place, or dropped when the target rate already
+    /// has a cell. An invalid `p` is refused before anything changes.
+    pub fn set_probability(&mut self, p: f64) -> Result<()> {
         if same_p(self.probability(), p) {
             return Ok(());
         }
-        if !(p > 0.0 && p <= 1.0) {
-            return Err(sss_sampling::Error::InvalidProbability(p).into());
-        }
         let empty = self.cells[self.current].seen() == 0;
         if let Some(held) = self.cells.iter().position(|c| same_p(c.probability(), p)) {
-            self.cells[held].reseed(seed_rng)?;
             if empty {
                 // The empty cell is the trailing one, so dropping it
                 // cannot shift `held`.
@@ -128,7 +133,7 @@ impl EpochShedder {
             }
             self.current = held;
         } else {
-            let cell = Sampled::new(self.schema.sketch(), p, seed_rng)?;
+            let cell = Self::cell(&self.schema, p, self.seed)?;
             if empty {
                 self.cells[self.current] = cell;
             } else {
@@ -430,7 +435,7 @@ impl EpochShedder {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn rng(seed: u64) -> StdRng {
         StdRng::seed_from_u64(seed)
@@ -440,14 +445,14 @@ mod tests {
     fn estimates_match_scalar_queries_bit_for_bit() {
         let mut r = rng(42);
         let schema = JoinSchema::fagms(5, 256, &mut r);
-        let mut shed = EpochShedder::new(&schema, 0.8, &mut r).unwrap();
+        let mut shed = EpochShedder::new(&schema, 0.8, r.random()).unwrap();
         for k in 0..20_000u64 {
             shed.observe(k % 300);
             if k == 7_000 {
-                shed.set_probability(0.4, &mut r).unwrap();
+                shed.set_probability(0.4).unwrap();
             }
             if k == 14_000 {
-                shed.set_probability(0.6, &mut r).unwrap();
+                shed.set_probability(0.6).unwrap();
             }
         }
         assert!(shed.epoch_count() > 1);
@@ -467,7 +472,7 @@ mod tests {
         );
         assert!(es.variance.is_finite());
 
-        let mut shed2 = EpochShedder::new(&schema, 0.5, &mut r).unwrap();
+        let mut shed2 = EpochShedder::new(&schema, 0.5, r.random()).unwrap();
         for k in 0..10_000u64 {
             shed2.observe(k % 300);
         }
@@ -485,11 +490,11 @@ mod tests {
     fn self_join_basics_recombine_to_the_combined_estimate() {
         let mut r = rng(43);
         let schema = JoinSchema::agms(16, &mut r);
-        let mut shed = EpochShedder::new(&schema, 0.9, &mut r).unwrap();
+        let mut shed = EpochShedder::new(&schema, 0.9, r.random()).unwrap();
         for k in 0..8_000u64 {
             shed.observe(k % 100);
             if k == 4_000 {
-                shed.set_probability(0.5, &mut r).unwrap();
+                shed.set_probability(0.5).unwrap();
             }
         }
         let lanes = shed.self_join_basics().unwrap();
@@ -506,13 +511,13 @@ mod tests {
     fn sampling_variance_is_zero_without_shedding() {
         let mut r = rng(44);
         let schema = JoinSchema::agms(8, &mut r);
-        let mut shed = EpochShedder::new(&schema, 1.0, &mut r).unwrap();
+        let mut shed = EpochShedder::new(&schema, 1.0, r.random()).unwrap();
         for k in 0..1_000u64 {
             shed.observe(k % 50);
         }
         assert_eq!(shed.sampling_variance(), 0.0);
         // Shedding makes it strictly positive.
-        let mut lossy = EpochShedder::new(&schema, 0.3, &mut r).unwrap();
+        let mut lossy = EpochShedder::new(&schema, 0.3, r.random()).unwrap();
         for k in 0..1_000u64 {
             lossy.observe(k % 50);
         }
@@ -523,7 +528,7 @@ mod tests {
     fn single_epoch_matches_plain_shedder_scaling() {
         let mut r = rng(1);
         let schema = JoinSchema::fagms(1, 4096, &mut r);
-        let mut shed = EpochShedder::new(&schema, 1.0, &mut r).unwrap();
+        let mut shed = EpochShedder::new(&schema, 1.0, r.random()).unwrap();
         for k in 0..50_000u64 {
             shed.observe(k % 500);
         }
@@ -538,17 +543,17 @@ mod tests {
     fn probability_changes_create_epochs_lazily() {
         let mut r = rng(2);
         let schema = JoinSchema::agms(4, &mut r);
-        let mut shed = EpochShedder::new(&schema, 0.5, &mut r).unwrap();
+        let mut shed = EpochShedder::new(&schema, 0.5, r.random()).unwrap();
         // Change before any tuple: reuse the empty epoch.
-        shed.set_probability(0.25, &mut r).unwrap();
+        shed.set_probability(0.25).unwrap();
         assert_eq!(shed.epoch_count(), 1);
         assert_eq!(shed.probability(), 0.25);
         shed.observe(1);
         // Same p: no new epoch.
-        shed.set_probability(0.25, &mut r).unwrap();
+        shed.set_probability(0.25).unwrap();
         assert_eq!(shed.epoch_count(), 1);
         // Different p after traffic: new epoch.
-        shed.set_probability(0.5, &mut r).unwrap();
+        shed.set_probability(0.5).unwrap();
         assert_eq!(shed.epoch_count(), 2);
     }
 
@@ -558,24 +563,24 @@ mod tests {
     fn recurring_rates_are_compacted() {
         let mut r = rng(20);
         let schema = JoinSchema::agms(4, &mut r);
-        let mut shed = EpochShedder::new(&schema, 0.5, &mut r).unwrap();
+        let mut shed = EpochShedder::new(&schema, 0.5, r.random()).unwrap();
         shed.observe(1);
-        shed.set_probability(0.25, &mut r).unwrap();
+        shed.set_probability(0.25).unwrap();
         shed.observe(2);
-        shed.set_probability(0.5, &mut r).unwrap(); // revisit epoch 0
+        shed.set_probability(0.5).unwrap(); // revisit epoch 0
         assert_eq!(shed.epoch_count(), 2);
         assert_eq!(shed.probability(), 0.5);
         shed.observe(3);
         // A rate change that never sees traffic leaves no epoch behind.
-        shed.set_probability(0.1, &mut r).unwrap();
+        shed.set_probability(0.1).unwrap();
         assert_eq!(shed.epoch_count(), 3);
-        shed.set_probability(0.25, &mut r).unwrap(); // empty 0.1 epoch dropped
+        shed.set_probability(0.25).unwrap(); // empty 0.1 epoch dropped
         assert_eq!(shed.epoch_count(), 2);
         assert_eq!(shed.probability(), 0.25);
         // 1000 alternations never grow past the two distinct rates.
         for i in 0..1000u64 {
             let p = if i % 2 == 0 { 0.5 } else { 0.25 };
-            shed.set_probability(p, &mut r).unwrap();
+            shed.set_probability(p).unwrap();
             shed.observe(i);
         }
         assert_eq!(shed.epoch_count(), 2);
@@ -595,9 +600,9 @@ mod tests {
         let mut acc = 0.0;
         for _ in 0..reps {
             let schema = JoinSchema::agms(16, &mut r);
-            let mut shed = EpochShedder::new(&schema, 0.9, &mut r).unwrap();
+            let mut shed = EpochShedder::new(&schema, 0.9, r.random()).unwrap();
             for (epoch, p) in [(0u64, 0.9), (1, 0.3), (2, 0.6)] {
-                shed.set_probability(p, &mut r).unwrap();
+                shed.set_probability(p).unwrap();
                 for k in 0..40u64 {
                     for _ in 0..=k {
                         shed.observe(k);
@@ -624,11 +629,11 @@ mod tests {
         let mut acc = 0.0;
         for _ in 0..reps {
             let schema = JoinSchema::agms(16, &mut r);
-            let mut f = EpochShedder::new(&schema, 0.8, &mut r).unwrap();
-            let mut g = EpochShedder::new(&schema, 0.5, &mut r).unwrap();
+            let mut f = EpochShedder::new(&schema, 0.8, r.random()).unwrap();
+            let mut g = EpochShedder::new(&schema, 0.5, r.random()).unwrap();
             // F in two epochs of 2 copies each = 4 copies per key.
             for (p, copies) in [(0.8, 2u64), (0.4, 2)] {
-                f.set_probability(p, &mut r).unwrap();
+                f.set_probability(p).unwrap();
                 for k in 0..30u64 {
                     for _ in 0..copies {
                         f.observe(k);
@@ -656,14 +661,12 @@ mod tests {
     fn feed_batch_is_bit_identical_to_observe() {
         let mut r = rng(10);
         let schema = JoinSchema::fagms(1, 512, &mut r);
-        let mut seed_a = rng(11);
-        let mut seed_b = rng(11);
-        let mut scalar = EpochShedder::new(&schema, 0.4, &mut seed_a).unwrap();
-        let mut batched = EpochShedder::new(&schema, 0.4, &mut seed_b).unwrap();
+        let mut scalar = EpochShedder::new(&schema, 0.4, 11).unwrap();
+        let mut batched = EpochShedder::new(&schema, 0.4, 11).unwrap();
         let keys: Vec<u64> = (0..20_000u64).map(|i| (i * 2_654_435_761) % 300).collect();
         for (i, (batch, p)) in keys.chunks(4999).zip([0.4, 0.1, 0.8, 0.1, 0.4]).enumerate() {
-            scalar.set_probability(p, &mut seed_a).unwrap();
-            batched.set_probability(p, &mut seed_b).unwrap();
+            scalar.set_probability(p).unwrap();
+            batched.set_probability(p).unwrap();
             for &k in batch {
                 scalar.observe(k);
             }
@@ -686,10 +689,10 @@ mod tests {
     fn cached_query_matches_uncached_under_interleaving() {
         let mut r = rng(30);
         let schema = JoinSchema::fagms(2, 256, &mut r);
-        let mut shed = EpochShedder::new(&schema, 1.0, &mut r).unwrap();
+        let mut shed = EpochShedder::new(&schema, 1.0, r.random()).unwrap();
         let ps = [1.0, 0.5, 0.25, 0.5, 0.125, 1.0, 0.25];
         for (round, p) in ps.iter().enumerate() {
-            shed.set_probability(*p, &mut r).unwrap();
+            shed.set_probability(*p).unwrap();
             let batch: Vec<u64> = (0..2_000u64)
                 .map(|i| (i * 31 + round as u64) % 100)
                 .collect();
@@ -722,9 +725,9 @@ mod tests {
         let mut acc = 0.0;
         for _ in 0..reps {
             let schema = JoinSchema::agms(16, &mut r);
-            let mut f = EpochShedder::new(&schema, 0.8, &mut r).unwrap();
+            let mut f = EpochShedder::new(&schema, 0.8, r.random()).unwrap();
             for (p, copies) in [(0.8, 2u64), (0.4, 2)] {
-                f.set_probability(p, &mut r).unwrap();
+                f.set_probability(p).unwrap();
                 for k in 0..30u64 {
                     for _ in 0..copies {
                         f.observe(k);
@@ -744,7 +747,7 @@ mod tests {
         );
         // q outside (0, 1] is rejected up front.
         let schema = JoinSchema::agms(4, &mut r);
-        let f = EpochShedder::new(&schema, 0.5, &mut r).unwrap();
+        let f = EpochShedder::new(&schema, 0.5, r.random()).unwrap();
         let g = schema.sketch();
         assert!(f.size_of_join_sketch(&g, 0.0).is_err());
         assert!(f.size_of_join_sketch(&g, 1.5).is_err());

@@ -10,10 +10,9 @@
 //!
 //! Not here, deliberately:
 //!
-//! * [`crate::Sampled`] — carries a live `StdRng` skip-sampler whose
-//!   state is not serializable; snapshot the *inner* summary instead.
-//!   Making it portable (reseed from the serialised counts, carry the
-//!   pending gap over) is ROADMAP item 4(a).
+//! * [`crate::Sampled`] — not yet; snapshot the *inner* summary instead.
+//!   Its sampler state is plain words (`p`, seed, counter position,
+//!   `seen`, `kept`, pending gap), so serialising it is ROADMAP item 5(a).
 //! * [`crate::EpochShedder`] — a list of `Sampled<JoinSketch>` cells, so
 //!   it becomes portable by composition once `Sampled` is.
 

@@ -15,17 +15,31 @@
 //! | [`DistinctQuery`] | [`distinct_estimate`](Sampled::distinct_estimate) | frequency-domain plug-in (see below) |
 //! | [`QuantileQuery`] | [`quantile`](Sampled::quantile), [`quantile_bounds`](Sampled::quantile_bounds) | identity, with widened rank error |
 //!
+//! ## Coins by position
+//!
+//! The sampler draws gap `j` (the tuples skipped before the `j`-th kept
+//! one) as `⌊ln U_j / ln(1−p)⌋`, with `U_j` from a
+//! [`CounterRng`]: a function of `(seed, j)` alone. So a sampler's whole
+//! state is `(p, seed, seen, kept, pending gap)` plus its position in the
+//! counter. [`Sampled::new`] draws the seed as one `u64` from the caller's
+//! RNG; a clone replays the same coins, which is what a snapshot wants.
+//!
 //! Because `Sampled<S>` itself implements [`Summary`], it rides the
 //! sharded runtime like any other summary: sampling happens *inside the
 //! shard workers*, so one delivery of the full stream pays one transport
-//! cost while every summary sees only its kept tuples. Cloning preserves
-//! the sampler state bit-for-bit — fine for snapshots (query clones never
-//! advance the RNG), but shards that should sample *independently* must be
-//! built via [`reseed`](Sampled::reseed) / per-shard prototypes, otherwise
-//! identical skip sequences correlate the shards' inclusion decisions and
-//! the cross-shard F₂ terms lose their `p²` scaling (the estimates would
-//! be biased upward). `ShardedRuntime::new_per_shard` exists for exactly
-//! this.
+//! cost while every summary sees only its kept tuples. Shards must sample
+//! *independently* for the union of their samples to be one
+//! Bernoulli(`p`) sample, so `Sampled` overrides
+//! [`Summary::for_shard`]: shard `i` gets the seed `splitmix64(seed ^ i)`
+//! and `ShardedRuntime::new` calls it once per shard. Nothing else
+//! reseeds a sampler:
+//!
+//! ```compile_fail
+//! use sss_core::{JoinSketch, Sampled};
+//! fn gone(s: &mut Sampled<JoinSketch>, rng: &mut impl rand::Rng) {
+//!     s.reseed(rng).unwrap(); // removed: coins are a function of (seed, position)
+//! }
+//! ```
 //!
 //! A rate that changes over time is a list of these:
 //! [`EpochShedder`](crate::EpochShedder) holds one `Sampled<JoinSketch>`
@@ -66,14 +80,13 @@
 
 use crate::error::{Error, Result};
 use crate::summary::{rank_band, DistinctQuery, JoinQuery, QuantileQuery, Summary, TopKQuery};
-use rand::rngs::StdRng;
-use rand::Rng;
-use sss_sampling::bernoulli::GeometricSkip;
+use rand::{Rng, SeedableRng};
 use sss_sampling::{
     bernoulli_frequency_variance_plugin, bernoulli_self_join_variance_plugin,
-    bernoulli_size_of_join_variance_plugin,
+    bernoulli_size_of_join_variance_plugin, CounterRng, GeometricSkip,
 };
 use sss_sketch::{CountSketchTopK, Estimate, FagmsSchema, HyperLogLog, KllSketch, MisraGries};
+use sss_xi::splitmix64;
 
 /// The Proposition 14 self-join correction, shared by every Bernoulli
 /// estimator in the workspace: the unbiased full-stream self-join estimate
@@ -110,7 +123,7 @@ pub fn bernoulli_self_join(raw_self_join: f64, p: f64, kept: f64) -> f64 {
 /// instead of a per-tuple branch.
 fn skip_sample_batch<S: Summary>(
     sketch: &mut S,
-    skip: &mut GeometricSkip<StdRng>,
+    skip: &mut GeometricSkip<CounterRng>,
     gap: &mut u64,
     keys: &[u64],
 ) -> u64 {
@@ -148,18 +161,18 @@ fn skip_sample_batch<S: Summary>(
 /// corrections are unlocked by the capabilities of `S` (see the module
 /// docs).
 ///
-/// Deliberately **not** [`crate::Portable`]: the live `StdRng` behind the
-/// geometric skip has no stable wire representation, and a reseeded
-/// decode would silently decorrelate a snapshot from its source sampler.
-/// Ship the inner summary (plus `p`/`seen`/`kept`, which the typed
-/// estimates already carry) instead.
+/// Not [`crate::Portable`] yet (ROADMAP 5(a)): ship the inner summary plus
+/// `p`/`seen`/`kept`, which the typed estimates already carry.
 #[derive(Debug, Clone)]
 pub struct Sampled<S: Summary> {
     summary: S,
-    skip: GeometricSkip<StdRng>,
+    skip: GeometricSkip<CounterRng>,
     /// Tuples to silently drop before the next kept tuple.
     gap: u64,
     p: f64,
+    /// The counter's seed; [`Summary::for_shard`] derives shard seeds
+    /// from it.
+    seed: u64,
     seen: u64,
     kept: u64,
 }
@@ -225,36 +238,28 @@ impl<S: Summary> Sampled<S> {
     /// kept, sampling variance identically zero), which is how the
     /// unsampled engine paths reuse this type.
     ///
+    /// The counter seed is one `u64` drawn from `seed_rng`.
+    ///
     /// # Errors
     ///
     /// [`crate::Error::Sampling`] if `p ∉ (0, 1]`.
     pub fn new<R: Rng>(summary: S, p: f64, seed_rng: &mut R) -> Result<Self> {
-        let mut skip = GeometricSkip::<StdRng>::new(p, seed_rng)?;
+        Self::seeded(summary, p, seed_rng.next_u64())
+    }
+
+    /// [`new`](Sampled::new) with the counter seed given outright.
+    pub(crate) fn seeded(summary: S, p: f64, seed: u64) -> Result<Self> {
+        let mut skip = GeometricSkip::with_rng(p, CounterRng::seed_from_u64(seed))?;
         let gap = skip.next_gap();
         Ok(Self {
             summary,
             skip,
             gap,
             p,
+            seed,
             seen: 0,
             kept: 0,
         })
-    }
-
-    /// Replace the sampler's RNG with a freshly seeded one (and redraw the
-    /// pending gap). Use this to decorrelate clones: a cloned `Sampled`
-    /// replays the *same* skip sequence as its source, which is correct
-    /// for snapshots but biases multi-shard deployments where each shard
-    /// must sample independently.
-    ///
-    /// # Errors
-    ///
-    /// Never fails for a valid existing `p`; kept fallible for signature
-    /// stability with [`new`](Sampled::new).
-    pub fn reseed<R: Rng>(&mut self, seed_rng: &mut R) -> Result<()> {
-        self.skip = GeometricSkip::<StdRng>::new(self.p, seed_rng)?;
-        self.gap = self.skip.next_gap();
-        Ok(())
     }
 
     /// Offer the next stream tuple; returns whether it was kept.
@@ -313,7 +318,8 @@ impl<S: Summary> Sampled<S> {
 /// deleting tuples that were never sampled is not meaningful.
 /// Merging requires equal inclusion probabilities (the union of
 /// independent `Bernoulli(p)` samples of disjoint streams is a
-/// `Bernoulli(p)` sample of their concatenation).
+/// `Bernoulli(p)` sample of their concatenation); each shard's copy draws
+/// independent coins through [`for_shard`](Summary::for_shard).
 impl<S: Summary> Summary for Sampled<S> {
     fn update(&mut self, key: u64, count: i64) {
         for _ in 0..count.max(0) {
@@ -323,6 +329,17 @@ impl<S: Summary> Summary for Sampled<S> {
 
     fn update_batch(&mut self, keys: &[u64]) {
         self.feed_batch(keys);
+    }
+
+    /// This sampler with its coins re-seeded `splitmix64(seed ^ shard)`.
+    fn for_shard(&self, shard: usize) -> Self {
+        let seed = splitmix64(self.seed ^ shard as u64);
+        let summary = self.summary.for_shard(shard);
+        Self {
+            seen: self.seen,
+            kept: self.kept,
+            ..Self::seeded(summary, self.p, seed).expect("p was validated when self was built")
+        }
     }
 
     fn merge_from(&mut self, other: &Self) -> Result<()> {
@@ -570,7 +587,6 @@ mod tests {
     use super::*;
     use crate::sketch::JoinSchema;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
     use sss_sketch::topk::HeavyHitters;
 
     fn rng(seed: u64) -> StdRng {
@@ -858,6 +874,23 @@ mod tests {
         assert!(q.rank_error(0.5) > q.summary().rank_error());
     }
 
+    /// Shard copies draw their own coins, reproducibly per shard, and stay
+    /// mergeable; a clone replays its source's coins.
+    #[test]
+    fn shard_copies_draw_their_own_coins() {
+        let proto = Sampled::hyperloglog(10, 0.5, &mut rng(52)).unwrap();
+        let decisions = |mut s: Sampled<HyperLogLog>| -> Vec<bool> {
+            (0..256u64).map(|k| s.observe(k)).collect()
+        };
+        let shard0 = decisions(proto.for_shard(0));
+        assert_eq!(shard0, decisions(proto.for_shard(0)));
+        assert_ne!(shard0, decisions(proto.for_shard(1)));
+        assert_ne!(shard0, decisions(proto.clone()));
+        assert_eq!(decisions(proto.clone()), decisions(proto.clone()));
+        let mut merged = proto.for_shard(0);
+        merged.merge_from(&proto.for_shard(1)).unwrap();
+    }
+
     /// Sampled summaries merge when probabilities agree (union of
     /// independent samples) and refuse otherwise.
     #[test]
@@ -865,7 +898,6 @@ mod tests {
         let mut r = rng(51);
         let mut a = Sampled::hyperloglog(10, 0.5, &mut r).unwrap();
         let mut b = Sampled::new(a.summary().clone(), 0.5, &mut r).unwrap();
-        b.reseed(&mut r).unwrap();
         let keys: Vec<u64> = (0..4_000u64).collect();
         a.feed_batch(&keys[..2_000]);
         b.feed_batch(&keys[2_000..]);

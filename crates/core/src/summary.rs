@@ -143,6 +143,14 @@ pub trait Summary: Clone + Send + 'static {
     /// Schema mismatch (different random seeds, or structurally
     /// incompatible summaries) — merged state would be meaningless.
     fn merge_from(&mut self, other: &Self) -> Result<()>;
+
+    /// The copy shard `shard` of a sharded runtime starts from: a clone,
+    /// except where a summary carries private randomness that shards must
+    /// not share ([`crate::Sampled`] re-seeds its coins per shard). The
+    /// copies stay mutually mergeable.
+    fn for_shard(&self, _shard: usize) -> Self {
+        self.clone()
+    }
 }
 
 /// The capability of answering the paper's join-size queries.

@@ -30,6 +30,7 @@
 use crate::error::{Error, Result};
 use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
+use sss_xi::splitmix64;
 
 /// The envelope head: everything a receiver needs before committing to a
 /// body decode.
@@ -158,14 +159,6 @@ pub fn bits_of(value: f64) -> u64 {
 /// Inverse of [`bits_of`].
 pub fn f64_of(bits: u64) -> f64 {
     f64::from_bits(bits)
-}
-
-/// One splitmix64 scramble — the fingerprint mixing primitive.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// An order-sensitive fingerprint combinator: fold every word of a

@@ -6,6 +6,7 @@
 use crate::error::{NetError, Result};
 use crate::protocol::{self, FrameReader};
 use sss_core::wire::{self, FrameError, Head};
+use sss_xi::splitmix64;
 use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
@@ -298,14 +299,6 @@ fn response_error(context: &str, line: &str) -> NetError {
     NetError::Core(sss_core::Error::Wire {
         detail: format!("{context}: {line}"),
     })
-}
-
-/// One splitmix64 scramble — the load generator's key synthesizer.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// The deterministic key stream the load generator sends: connection

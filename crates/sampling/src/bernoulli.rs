@@ -9,10 +9,12 @@
 //!   geometric distribution (Olken's interval generation, the paper's
 //!   reference \[18\]) — O(1) work per *kept* tuple, which is what makes the
 //!   speed-up of sketching a p-sample proportional to `1/p` rather than
-//!   bounded by the per-tuple coin cost.
+//!   bounded by the per-tuple coin cost. Over a [`CounterRng`], gap `j` is
+//!   a function of `(seed, j)` alone.
 
 use crate::error::{Error, Result};
-use rand::Rng;
+use rand::{Rng, RngCore, SeedableRng};
+use sss_xi::{splitmix64, GOLDEN_GAMMA};
 
 /// Per-tuple coin-flip Bernoulli sampler.
 ///
@@ -84,6 +86,31 @@ impl<R: Rng> BernoulliSampler<R> {
     }
 }
 
+/// A counter generator: output `j` is `splitmix64(seed + j·γ)` with `γ`
+/// SplitMix64's own increment, so its whole state is one `u64`
+/// (`seed + j·γ` for the next output `j`) and output `j` is a function of
+/// `(seed, j)` alone. This is the standard SplitMix64 stream, which passes
+/// BigCrush.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CounterRng {
+    state: u64,
+}
+
+impl RngCore for CounterRng {
+    #[inline]
+    fn next_u64(&mut self) -> u64 {
+        let out = splitmix64(self.state);
+        self.state = self.state.wrapping_add(GOLDEN_GAMMA);
+        out
+    }
+}
+
+impl SeedableRng for CounterRng {
+    fn seed_from_u64(seed: u64) -> Self {
+        Self { state: seed }
+    }
+}
+
 /// Geometric-skip Bernoulli sampler: generates the positions of kept tuples
 /// directly.
 ///
@@ -111,20 +138,29 @@ pub struct GeometricSkip<R = rand::rngs::StdRng> {
 }
 
 impl<R: Rng> GeometricSkip<R> {
-    /// Create a skip sampler with inclusion probability `p ∈ (0, 1]`.
+    /// Create a skip sampler with inclusion probability `p ∈ (0, 1]`,
+    /// seeding its RNG from `seed_rng`.
     ///
     /// `p = 0` is rejected: the gap would be infinite.
     pub fn new<S: Rng>(p: f64, seed_rng: &mut S) -> Result<Self>
     where
-        R: rand::SeedableRng,
+        R: SeedableRng,
     {
+        Self::with_rng(p, R::from_rng(seed_rng))
+    }
+
+    /// Create from an explicit RNG. Same `p ∈ (0, 1]` contract as
+    /// [`new`](Self::new).
+    pub fn with_rng(p: f64, rng: R) -> Result<Self> {
         if !(p > 0.0 && p <= 1.0) {
             return Err(Error::InvalidProbability(p));
         }
+        // `ln_1p`, not `(1 − p).ln()`: below p ≈ 1.1e-16 the subtraction
+        // rounds to 1, `ln` to 0, and every gap to 0 (keep everything).
         Ok(Self {
-            log_q: (1.0 - p).ln(),
+            log_q: (-p).ln_1p(),
             p,
-            rng: R::from_rng(seed_rng),
+            rng,
         })
     }
 
@@ -284,6 +320,38 @@ mod tests {
             let freq = c as f64 / reps as f64;
             assert!((freq - p).abs() < 0.02, "index {i}: inclusion {freq}");
         }
+    }
+
+    /// Below p ≈ 1.1e-16, `1 − p` rounds to 1: a `(1 − p).ln()` log_q is
+    /// 0 and every gap `0`, so everything is kept. `ln_1p` keeps both the
+    /// rate and the gaps right down to the smallest positive p.
+    #[test]
+    fn tiny_probabilities_still_skip() {
+        for p in [1e-16, 1e-17, 1e-300] {
+            let mut g = GeometricSkip::<CounterRng>::new(p, &mut rng(12)).unwrap();
+            assert!((g.log_q / -p - 1.0).abs() < 1e-12, "p = {p}: {}", g.log_q);
+            let gaps: Vec<u64> = (0..16).map(|_| g.next_gap()).collect();
+            // E[gap] ≈ 1/p: sixteen draws are not short by chance.
+            let long = gaps.iter().filter(|&&gap| gap > 1 << 40).count();
+            assert!(long >= 15, "p = {p}: gaps {gaps:?}");
+        }
+    }
+
+    /// Output `j` of the counter generator is `splitmix64(seed + j·γ)`,
+    /// and the skip sampler over it is still geometric.
+    #[test]
+    fn counter_outputs_are_a_function_of_seed_and_position() {
+        let mut c = CounterRng::seed_from_u64(7);
+        for j in 0..5u64 {
+            let at = 7u64.wrapping_add(j.wrapping_mul(GOLDEN_GAMMA));
+            assert_eq!(c.next_u64(), splitmix64(at));
+        }
+        let p = 0.2;
+        let g = GeometricSkip::with_rng(p, CounterRng::seed_from_u64(3)).unwrap();
+        let n = 100_000u64;
+        let kept = g.sample_indices(n).len() as f64;
+        let std = (n as f64 * p * (1.0 - p)).sqrt();
+        assert!((kept - n as f64 * p).abs() < 5.0 * std, "kept = {kept}");
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //!   probability `p`. The sample frequencies `f′ᵢ` are independent
 //!   `Binomial(fᵢ, p)` variables. This is the *load shedding* scheme: both a
 //!   per-tuple coin and the O(selected)-work geometric-skip variant (Olken's
-//!   interval generation) are provided.
+//!   interval generation) are provided, plus the [`CounterRng`] that makes
+//!   a skip sampler's gaps a function of `(seed, position)`.
 //! * [`with_replacement`] — a fixed-size sample drawn with replacement; the
 //!   `f′ᵢ` are components of a multinomial. Models i.i.d. streams from a
 //!   generative model.
@@ -56,7 +57,7 @@ pub mod variance;
 pub mod with_replacement;
 pub mod without_replacement;
 
-pub use bernoulli::{BernoulliSampler, GeometricSkip};
+pub use bernoulli::{BernoulliSampler, CounterRng, GeometricSkip};
 pub use coefficients::SamplingFractions;
 pub use counts::SampleCounts;
 pub use error::{Error, Result};

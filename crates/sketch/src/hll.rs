@@ -20,6 +20,7 @@
 //! part is rebuilt by merging the current parts again.
 
 use crate::error::{Error, Result};
+use sss_xi::splitmix64;
 
 /// Smallest accepted precision (m = 16 registers).
 pub const MIN_PRECISION: u8 = 4;
@@ -32,16 +33,6 @@ pub struct HyperLogLog {
     registers: Vec<u8>,
     precision: u8,
     seed: u64,
-}
-
-/// SplitMix64 finalizer — a full-avalanche 64-bit mixer, the same one the
-/// sharded runtime uses for key partitioning.
-#[inline]
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 impl HyperLogLog {

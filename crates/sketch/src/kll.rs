@@ -74,6 +74,7 @@
 //! arithmetic never drifts from the true count `n`.
 
 use crate::error::{Error, Result};
+use sss_xi::splitmix64;
 
 /// Smallest accepted `k` — below this the rank guarantee is vacuous.
 pub const MIN_K: usize = 8;
@@ -182,14 +183,6 @@ impl<'de> serde::Deserialize<'de> for KllSketch {
         s.reprice();
         Ok(s)
     }
-}
-
-#[inline]
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// The sampler's positional coin for window `window` of `level`: which of

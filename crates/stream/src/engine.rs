@@ -24,12 +24,14 @@
 //!   floor**: it flows through an [`EpochShedder`] whose rate is set by a
 //!   [`RateController`] watching the overflow rate, so the combined
 //!   estimate (runtime part + shedded part + cross term) stays unbiased
-//!   under arbitrary overload while memory stays bounded.
+//!   under arbitrary overload while memory stays bounded. Its coins are
+//!   seeded by [`EngineBuilder::seed`].
 //! * Per-stage statistics expose where tuples went — the observability a
 //!   real engine needs to explain an approximate answer.
 //!
 //! The engine keeps no summaries of its own beside the runtime's: one
-//! prototype, every shard a clone of it. Top-k, distinct counts and
+//! prototype, a copy of it per shard (a [`Sampled`](sss_core::Sampled)
+//! prototype samples independently on each). Top-k, distinct counts and
 //! quantiles come from a [`MultiSummary`](sss_core::MultiSummary)
 //! prototype through [`StreamEngine::merged`].
 //!
@@ -43,8 +45,6 @@ pub use crate::adaptive::ControllerConfig;
 use crate::adaptive::RateController;
 use crate::error::{Result as StreamResult, StreamError};
 use crate::runtime::{Partition, RuntimeConfig, ShardedRuntime};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use sss_core::sketch::{JoinSchema, JoinSketch};
 use sss_core::{EpochShedder, Estimate, Summary};
 
@@ -69,13 +69,11 @@ pub struct StageStats {
     pub tuples_out: u64,
 }
 
-/// The overflow-shedding leg of the engine: controller + epoch shedder +
-/// the RNG driving the Bernoulli coin.
+/// The overflow-shedding leg of the engine: controller + epoch shedder.
 #[derive(Debug)]
 struct ShedPath {
     controller: RateController,
     shedder: EpochShedder,
-    rng: StdRng,
 }
 
 /// Fluent configuration of a [`StreamEngine`].
@@ -161,23 +159,20 @@ impl<E: Summary> EngineBuilder<E> {
         self
     }
 
-    /// Seed for the shedding coin (defaults to a fixed constant, so runs
-    /// are reproducible unless varied explicitly).
+    /// Seed of the overflow shedder's coins, passed to
+    /// [`EpochShedder::new`] (defaults to a fixed constant, so runs are
+    /// reproducible unless varied explicitly).
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
     }
 
-    /// Provide the prototype summary every shard starts from — a clone of
-    /// it per shard. A [`MultiSummary`](sss_core::MultiSummary) prototype
+    /// Provide the prototype summary every shard starts from
+    /// ([`ShardedRuntime::new`]: a copy per shard, with its own coins for a
+    /// [`Sampled`](sss_core::Sampled) front end). A
+    /// [`MultiSummary`](sss_core::MultiSummary) prototype
     /// (`spec.summary()?`) makes one pass answer F₂, F₀, quantiles and
     /// top-k through [`StreamEngine::merged`].
-    ///
-    /// A [`Sampled`](sss_core::Sampled) prototype's RNG is cloned too, so
-    /// with more than one shard every shard would draw the same skips —
-    /// the correlation `sss_core::sampled` warns about. A sampled pass
-    /// over several shards is
-    /// [`ShardedRuntime::new_per_shard`] over reseeded prototypes.
     pub fn summary(mut self, prototype: E) -> Self {
         self.prototype = Some(prototype);
         self
@@ -223,12 +218,10 @@ impl<E: Summary> EngineBuilder<E> {
                     tuples_out: 0,
                 });
                 let controller = RateController::new(cfg)?;
-                let mut rng = StdRng::seed_from_u64(self.seed);
-                let shedder = EpochShedder::new(schema, controller.probability(), &mut rng)?;
+                let shedder = EpochShedder::new(schema, controller.probability(), self.seed)?;
                 Some(ShedPath {
                     controller,
                     shedder,
-                    rng,
                 })
             }
         };
@@ -327,7 +320,7 @@ impl<E: Summary> StreamEngine<E> {
                 let p = shed
                     .controller
                     .observe_batch(self.overflow.len() as u64, seconds);
-                shed.shedder.set_probability(p, &mut shed.rng)?;
+                shed.shedder.set_probability(p)?;
                 let of_stage = &mut self.stats[runtime_stage + 1];
                 of_stage.tuples_in += self.overflow.len() as u64;
                 of_stage.tuples_out += shed.shedder.feed_batch(&self.overflow);

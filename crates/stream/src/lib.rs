@@ -21,12 +21,12 @@
 //!
 //! Measurement apparatus is not part of the runtime crate. The one-shot
 //! helpers and wall-clock structs that used to live here are gone — a
-//! parallel shed is [`ShardedRuntime::new_per_shard`] over reseeded
-//! [`Sampled`](sss_core::Sampled) prototypes, timing is
+//! parallel shed is [`ShardedRuntime::new`] over one
+//! [`Sampled`](sss_core::Sampled) prototype, timing is
 //! `std::time::Instant` — and code still naming them no longer compiles:
 //!
 //! ```compile_fail
-//! use sss_stream::parallel_shed; // removed: `ShardedRuntime::new_per_shard`
+//! use sss_stream::parallel_shed; // removed: `ShardedRuntime::new` over a `Sampled` prototype
 //! ```
 //!
 //! ```compile_fail

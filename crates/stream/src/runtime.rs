@@ -67,16 +67,26 @@
 //! The runtime is generic over any [`Summary`] — join sketches and
 //! heavy-hitter summaries alike, not just the backend-erased `JoinSketch`;
 //! the join-query conveniences additionally require a [`JoinQuery`].
-//! [`new`](ShardedRuntime::new) clones one prototype into every shard; a
-//! [`Sampled`](sss_core::Sampled) prototype needs
-//! [`new_per_shard`](ShardedRuntime::new_per_shard) with reseeded clones
-//! instead, or the shards' skip sequences coincide.
+//! [`new`](ShardedRuntime::new) gives shard `i` the prototype's
+//! [`for_shard(i)`](Summary::for_shard): a clone for every summary but a
+//! [`Sampled`](sss_core::Sampled) front end, whose coins are re-seeded
+//! from `(seed, i)` — so shards sample independently and the merged
+//! sample is one Bernoulli(`p`) sample, with no per-shard setup by the
+//! caller. There is no second constructor:
+//!
+//! ```compile_fail
+//! use sss_core::JoinSketch;
+//! use sss_stream::{RuntimeConfig, ShardedRuntime};
+//! // removed: `ShardedRuntime::new` decorrelates shards itself
+//! let _ = ShardedRuntime::<JoinSketch>::new_per_shard(RuntimeConfig::default(), vec![]);
+//! ```
 
 use crate::error::{Result, StreamError};
 use crate::ring::{self, Backoff, ControlQueue, PushError};
 use crate::snapshot::{CacheStats, ReplicaFrame, ReplicaHub, SnapshotCache};
 use sss_core::{Estimate, JoinQuery, SlimQuery, Summary};
 use sss_sampling::staleness_variance_plugin;
+use sss_xi::splitmix64;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -152,15 +162,6 @@ struct SnapshotReq<E> {
     reply: mpsc::Sender<(u64, E)>,
 }
 
-/// SplitMix64: a full-avalanche mix so adversarially clustered keys still
-/// spread across shards (the sketch hash families are independent of it).
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 /// Per-shard state shared between the producer, the worker, and queriers.
 struct ShardState<E> {
     /// Batches successfully enqueued on this shard's data ring
@@ -189,8 +190,9 @@ struct ShardState<E> {
 /// State shared by the runtime, its workers, and every [`QueryHandle`].
 struct RuntimeShared<E> {
     config: RuntimeConfig,
-    /// The empty estimator every shard started from (schema seeds). Under
-    /// a mutex so only `E: Send` is required of the estimator.
+    /// The empty estimator the shards' copies came from (schema seeds),
+    /// and the zero their snapshots merge into. Under a mutex so only
+    /// `E: Send` is required of the estimator.
     prototype: Mutex<E>,
     shards: Vec<ShardState<E>>,
     /// The incremental snapshot cache; its mutex also serializes
@@ -392,8 +394,9 @@ pub struct PoolStats {
 /// A long-lived pool of shard workers, each owning one estimator.
 ///
 /// Created from a *prototype* estimator (a fresh, empty sketch carrying
-/// the schema seeds); every shard clones it, so all shards share the same
-/// hash functions and their sketches merge exactly.
+/// the schema seeds); every shard starts from a copy of it
+/// ([`Summary::for_shard`]), so all shards share the same hash functions
+/// and their sketches merge exactly.
 ///
 /// ```
 /// use rand::SeedableRng;
@@ -427,34 +430,13 @@ pub struct ShardedRuntime<E: Summary> {
 }
 
 impl<E: Summary> ShardedRuntime<E> {
-    /// Spawn the worker pool. `prototype` must be a fresh estimator; each
-    /// shard starts from a clone of it.
+    /// Spawn the worker pool. `prototype` must be a fresh estimator; shard
+    /// `i` starts from [`prototype.for_shard(i)`](Summary::for_shard) — a
+    /// clone, except that a [`Sampled`](sss_core::Sampled) front end
+    /// draws its own coins on every shard, so the union of the shards'
+    /// samples is one Bernoulli(`p`) sample.
     pub fn new(config: RuntimeConfig, prototype: &E) -> Result<Self> {
         config.validate()?;
-        Self::new_per_shard(config, vec![prototype.clone(); config.shards])
-    }
-
-    /// Spawn the worker pool with a *distinct* prototype per shard
-    /// (`prototypes.len()` must equal `config.shards`; all must be
-    /// mutually mergeable).
-    ///
-    /// [`new`](Self::new) clones one prototype everywhere, which is
-    /// correct for deterministic summaries but **wrong for summaries
-    /// carrying private sampling randomness**: cloning a
-    /// [`Sampled`](sss_core::Sampled) front end duplicates its skip RNG,
-    /// so every shard would make *correlated* inclusion decisions and the
-    /// cross-shard estimator would no longer be unbiased. Build one
-    /// prototype, then [`Sampled::reseed`](sss_core::Sampled::reseed)
-    /// per-shard clones before passing them here.
-    pub fn new_per_shard(config: RuntimeConfig, prototypes: Vec<E>) -> Result<Self> {
-        config.validate()?;
-        if prototypes.len() != config.shards {
-            return Err(StreamError::InvalidConfig {
-                parameter: "prototypes",
-                value: prototypes.len(),
-                reason: "must supply exactly one prototype per shard",
-            });
-        }
         let mut lanes = Vec::with_capacity(config.shards);
         let mut consumers = Vec::with_capacity(config.shards);
         let mut states = Vec::with_capacity(config.shards);
@@ -483,10 +465,8 @@ impl<E: Summary> ShardedRuntime<E> {
         }
         let shared = Arc::new(RuntimeShared {
             config,
-            // The merge zero: a fresh clone of shard 0's prototype. All
-            // prototypes are mutually mergeable by contract, so any one
-            // serves as the identity the shard snapshots merge into.
-            prototype: Mutex::new(prototypes[0].clone()),
+            // The merge zero the shard snapshots merge into.
+            prototype: Mutex::new(prototype.clone()),
             shards: states,
             cache: Mutex::new(SnapshotCache::new(config.shards)),
             replica: ReplicaHub::new(),
@@ -494,9 +474,8 @@ impl<E: Summary> ShardedRuntime<E> {
             started: Instant::now(),
         });
         let mut handles = Vec::with_capacity(config.shards);
-        for ((shard, (data_rx, recycle_tx)), worker_est) in
-            consumers.into_iter().enumerate().zip(prototypes)
-        {
+        for (shard, (data_rx, recycle_tx)) in consumers.into_iter().enumerate() {
+            let worker_est = prototype.for_shard(shard);
             let worker_shared = Arc::clone(&shared);
             let handle = std::thread::Builder::new()
                 .name(format!("sss-shard-{shard}"))
@@ -611,7 +590,9 @@ impl<E: Summary> ShardedRuntime<E> {
     }
 
     /// Scatter `keys` into the per-shard hash buffers (which must be, and
-    /// are left, managed by the push paths).
+    /// are left, managed by the push paths). SplitMix64 avalanches fully,
+    /// so adversarially clustered keys still spread (the sketch hash
+    /// families are independent of it).
     fn scatter_keys(&mut self, keys: &[u64]) {
         let shards = self.shared.config.shards as u64;
         for &k in keys {
@@ -1581,29 +1562,20 @@ mod tests {
         assert_eq!(merged.self_join().to_bits(), seq.self_join().to_bits());
     }
 
-    /// Per-shard prototypes: a `Sampled` front end must NOT share its
-    /// skip RNG across shards (correlated inclusions would bias the
-    /// cross-shard estimator), so each shard gets a reseeded clone and
-    /// the merged correction still lands on the truth.
+    /// One `Sampled` prototype: `new` hands every shard its own coins
+    /// (`for_shard`), so correlated inclusions cannot bias the cross-shard
+    /// estimator and the merged correction lands on the truth.
     #[test]
-    fn per_shard_prototypes_decorrelate_sampling() {
+    fn one_sampled_prototype_decorrelates_sampling() {
         use sss_core::Sampled;
         let mut rng = StdRng::seed_from_u64(21);
         let schema = JoinSchema::fagms(1, 4096, &mut rng);
         let proto = Sampled::new(schema.sketch(), 0.1, &mut rng).unwrap();
-        let shards = 4usize;
-        let prototypes: Vec<_> = (0..shards)
-            .map(|_| {
-                let mut p = proto.clone();
-                p.reseed(&mut rng).unwrap();
-                p
-            })
-            .collect();
         let config = RuntimeConfig {
-            shards,
+            shards: 4,
             ..Default::default()
         };
-        let mut rt = ShardedRuntime::new_per_shard(config, prototypes).unwrap();
+        let mut rt = ShardedRuntime::new(config, &proto).unwrap();
         // 2000 keys × 100: F₂ = 2000 · 100² = 2·10⁷.
         let s: Vec<u64> = (0..200_000u64).map(|i| i % 2000).collect();
         for chunk in s.chunks(512) {
@@ -1613,18 +1585,6 @@ mod tests {
         assert!(merged.kept() < 30_000, "only ~10% sketched");
         let est = merged.self_join();
         assert!((est - 2e7).abs() / 2e7 < 0.15, "est = {est}");
-        // A prototype-count mismatch is a typed config error.
-        let config = RuntimeConfig {
-            shards: 2,
-            ..Default::default()
-        };
-        assert!(matches!(
-            ShardedRuntime::new_per_shard(config, vec![proto.clone()]),
-            Err(StreamError::InvalidConfig {
-                parameter: "prototypes",
-                ..
-            })
-        ));
     }
 
     /// An estimator that sleeps per batch: deterministically saturates

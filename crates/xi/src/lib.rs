@@ -76,3 +76,18 @@ pub type DefaultSign = Cw4;
 
 /// The default pairwise-independent bucket hash used by F-AGMS and Count-Min.
 pub type DefaultBucket = Cw2Bucket;
+
+/// SplitMix64's increment: `2⁶⁴/φ`, rounded to odd.
+pub const GOLDEN_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// SplitMix64 (Steele, Lea & Flood): add [`GOLDEN_GAMMA`], then the
+/// full-avalanche finalizer. The workspace's one 64-bit mixer — HLL
+/// hashing, KLL's positional coins, wire fingerprints, hash partitioning,
+/// synthetic keys, and the sampler's counter generator all call this.
+#[inline]
+pub fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(GOLDEN_GAMMA);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}

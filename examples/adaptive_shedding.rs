@@ -12,7 +12,7 @@
 //! ```
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use sketch_sampled_streams::core::sketch::JoinSchema;
 use sketch_sampled_streams::core::{EpochShedder, RateGrid};
 use sketch_sampled_streams::datagen::ZipfGenerator;
@@ -34,7 +34,7 @@ fn main() {
     .expect("sane controller config");
 
     let schema = JoinSchema::fagms(1, 5000, &mut rng);
-    let mut shedder = EpochShedder::new(&schema, 1.0, &mut rng).unwrap();
+    let mut shedder = EpochShedder::new(&schema, 1.0, rng.random()).unwrap();
     let mut exact = ExactAggregator::new();
 
     // Three phases: calm (1M t/s), burst (20M t/s), calm again.
@@ -50,7 +50,7 @@ fn main() {
             // example runs quickly; the controller sees the real rate.
             let batch = gen.relation((rate / 100.0) as usize, &mut rng);
             let p = controller.observe_batch(rate as u64, 1.0);
-            shedder.set_probability(p, &mut rng).unwrap();
+            shedder.set_probability(p).unwrap();
             for &k in &batch {
                 shedder.observe(k);
                 exact.update(k, 1);

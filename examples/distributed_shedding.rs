@@ -12,7 +12,7 @@
 //!    Proposition 14 scaling applies once at the coordinator.
 //!
 //! Also shows the in-process form of the same thing: a `ShardedRuntime`
-//! whose shards each carry an independently reseeded `Sampled` front end.
+//! over one `Sampled` prototype, each shard drawing its own coins.
 //!
 //! ```text
 //! cargo run --release --example distributed_shedding
@@ -88,22 +88,14 @@ fn main() {
     );
 
     // --- In process: the sampler rides the shard workers ----------------
-    // Clones replay the same skip sequence, so every shard is reseeded:
-    // shards must sample independently for the union to be a p-sample.
+    // Shards must sample independently for the union to be a p-sample;
+    // the runtime gives each shard's copy of the prototype its own coins.
     let prototype = Sampled::new(schema.sketch(), p, &mut rng).expect("valid probability");
-    let prototypes = (0..workers)
-        .map(|_| {
-            let mut shard = prototype.clone();
-            shard.reseed(&mut rng).expect("p was validated above");
-            shard
-        })
-        .collect();
     let config = RuntimeConfig {
         shards: workers,
         ..Default::default()
     };
-    let mut rt =
-        ShardedRuntime::new_per_shard(config, prototypes).expect("one prototype per shard");
+    let mut rt = ShardedRuntime::new(config, &prototype).expect("valid config");
     let start = std::time::Instant::now();
     for part in &partitions {
         for batch in part.chunks(4096) {

@@ -37,11 +37,11 @@ fn selfjoin_with_exact_reports_error() {
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("tuples     60000"), "stdout: {stdout}");
-    // The digits the dedicated join shedder printed for this file and
-    // seed before `Sampled<JoinSketch>` replaced it: same draws, same bits.
-    assert!(stdout.contains("sketched   29907"), "stdout: {stdout}");
+    // The digits of this file and seed under the counter coins (PR 26):
+    // a change to the sampler's draws shows here.
+    assert!(stdout.contains("sketched   30022"), "stdout: {stdout}");
     assert!(
-        stdout.contains("estimate   11919974.00"),
+        stdout.contains("estimate   12014708.00"),
         "stdout: {stdout}"
     );
     assert!(
@@ -77,7 +77,7 @@ fn join_command_runs() {
     // Exact join: 200 overlapping keys × 100 × 100 = 2,000,000.
     assert!(stdout.contains("exact      2000000.00"), "stdout: {stdout}");
 
-    // Sampled on both sides: the pre-`Sampled<JoinSketch>` digits.
+    // Sampled on both sides: the counter-coin digits (PR 26).
     let out = sss()
         .args(["join", f.to_str().unwrap(), g.to_str().unwrap()])
         .args(["--p=0.5", "--q=0.25", "--seed=5"])
@@ -85,10 +85,10 @@ fn join_command_runs() {
         .unwrap();
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
-        stdout.contains("sketched   10165 + 7449"),
+        stdout.contains("sketched   10062 + 7591"),
         "stdout: {stdout}"
     );
-    assert!(stdout.contains("estimate   2020728.00"), "stdout: {stdout}");
+    assert!(stdout.contains("estimate   2050056.00"), "stdout: {stdout}");
 }
 
 #[test]
@@ -466,6 +466,33 @@ fn topk_rejects_p_zero_loudly() {
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(1));
+}
+
+/// Below p ≈ 1.1e-16, `1 − p` rounds to 1 in f64. A skip sampler that
+/// took `ln(1 − p)` drew every gap as 0 and kept the whole stream; the
+/// sampler keeps (almost surely) nothing at p = 1e-17.
+#[test]
+fn tiny_p_samples_instead_of_keeping_everything() {
+    let dir = std::env::temp_dir().join("sss-cli-test-tiny-p");
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("keys.txt");
+    write_keys(&file, 0..1_000u64);
+    let out = sss()
+        .args(["selfjoin", file.to_str().unwrap(), "--p=1e-17"])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let count = |label: &str| -> u64 {
+        let line = stdout.lines().find(|l| l.starts_with(label)).unwrap();
+        line.split_whitespace().nth(1).unwrap().parse().unwrap()
+    };
+    assert_eq!(count("tuples"), 1_000, "stdout: {stdout}");
+    assert!(count("sketched") < count("tuples"), "stdout: {stdout}");
 }
 
 /// A flag that is present but does not parse is a usage error naming the

@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use sketch_sampled_streams::core::sketch::JoinSchema;
 use sketch_sampled_streams::core::{EpochShedder, RateGrid};
 use sketch_sampled_streams::exact::ExactAggregator;
@@ -47,16 +47,15 @@ proptest! {
     ) {
         let mut r = StdRng::seed_from_u64(seed);
         let schema = JoinSchema::agms(8, &mut r);
-        let mut seed_a = StdRng::seed_from_u64(seed ^ 0x9e37);
-        let mut seed_b = StdRng::seed_from_u64(seed ^ 0x9e37);
-        let mut compact = EpochShedder::new(&schema, ps[0].0, &mut seed_a).unwrap();
-        let mut reference = ReferenceEpochShedder::new(&schema, ps[0].0, &mut seed_b).unwrap();
+        let shed_seed = seed ^ 0x9e37;
+        let mut compact = EpochShedder::new(&schema, ps[0].0, shed_seed).unwrap();
+        let mut reference = ReferenceEpochShedder::new(&schema, ps[0].0, shed_seed).unwrap();
         // The cells the shedder must hold: one per rate that saw traffic,
         // plus the current one, which may still be empty.
         let mut distinct: Vec<f64> = Vec::new();
         for (round, &(p, len)) in ps.iter().enumerate() {
-            compact.set_probability(p, &mut seed_a).unwrap();
-            reference.set_probability(p, &mut seed_b).unwrap();
+            compact.set_probability(p).unwrap();
+            reference.set_probability(p).unwrap();
             if len > 0 && !distinct.contains(&p) {
                 distinct.push(p);
             }
@@ -89,14 +88,13 @@ proptest! {
 fn compaction_is_bit_identical_to_reference() {
     let mut r = StdRng::seed_from_u64(31);
     let schema = JoinSchema::agms(8, &mut r);
-    let mut seed_a = StdRng::seed_from_u64(32);
-    let mut seed_b = StdRng::seed_from_u64(32);
-    let mut compact = EpochShedder::new(&schema, 0.5, &mut seed_a).unwrap();
-    let mut reference = ReferenceEpochShedder::new(&schema, 0.5, &mut seed_b).unwrap();
+    let shed_seed = 32;
+    let mut compact = EpochShedder::new(&schema, 0.5, shed_seed).unwrap();
+    let mut reference = ReferenceEpochShedder::new(&schema, 0.5, shed_seed).unwrap();
     let ps = [0.5, 0.25, 0.5, 1.0, 0.25, 0.5];
     for (round, p) in ps.iter().enumerate() {
-        compact.set_probability(*p, &mut seed_a).unwrap();
-        reference.set_probability(*p, &mut seed_b).unwrap();
+        compact.set_probability(*p).unwrap();
+        reference.set_probability(*p).unwrap();
         for k in 0..3_000u64 {
             let key = (k * 7 + round as u64) % 50;
             compact.observe(key);
@@ -123,10 +121,9 @@ fn compaction_is_bit_identical_to_reference() {
 fn empty_cells_never_serve_a_stale_row() {
     let mut r = StdRng::seed_from_u64(51);
     let schema = JoinSchema::agms(8, &mut r);
-    let mut seed_a = StdRng::seed_from_u64(52);
-    let mut seed_b = StdRng::seed_from_u64(52);
-    let mut compact = EpochShedder::new(&schema, 0.5, &mut seed_a).unwrap();
-    let mut reference = ReferenceEpochShedder::new(&schema, 0.5, &mut seed_b).unwrap();
+    let shed_seed = 52;
+    let mut compact = EpochShedder::new(&schema, 0.5, shed_seed).unwrap();
+    let mut reference = ReferenceEpochShedder::new(&schema, 0.5, shed_seed).unwrap();
     // (what the step does, rate, tuples fed after the switch, cells held)
     let steps = [
         ("traffic at the first rate", 0.5, 2_000, 1),
@@ -138,8 +135,8 @@ fn empty_cells_never_serve_a_stale_row() {
         ("replace that empty cell in place", 0.25, 2_000, 3),
     ];
     for (round, (step, p, len, cells)) in steps.into_iter().enumerate() {
-        compact.set_probability(p, &mut seed_a).unwrap();
-        reference.set_probability(p, &mut seed_b).unwrap();
+        compact.set_probability(p).unwrap();
+        reference.set_probability(p).unwrap();
         let keys: Vec<u64> = (0..len).map(|i| (i * 11 + round as u64) % 40).collect();
         for fed in [false, true] {
             if fed {
@@ -172,10 +169,9 @@ fn quantized_rates_stay_unbiased() {
         let schema = JoinSchema::agms(16, &mut r);
         // Three epochs at grid points snapped from off-grid requests.
         let raw = [0.83, 0.31 + (rep % 7) as f64 * 0.05, 0.47];
-        let mut shed = EpochShedder::new(&schema, grid.snap(raw[0], min_p), &mut r).unwrap();
+        let mut shed = EpochShedder::new(&schema, grid.snap(raw[0], min_p), r.random()).unwrap();
         for &want in &raw {
-            shed.set_probability(grid.snap(want, min_p), &mut r)
-                .unwrap();
+            shed.set_probability(grid.snap(want, min_p)).unwrap();
             for k in 0..40u64 {
                 for _ in 0..=k {
                     shed.observe(k);
@@ -209,17 +205,16 @@ fn thousand_rate_changes_stay_within_the_grid_bound() {
     })
     .unwrap();
     let bound = controller.distinct_rate_bound();
-    let mut seed_a = StdRng::seed_from_u64(43);
-    let mut seed_b = StdRng::seed_from_u64(43);
-    let mut compact = EpochShedder::new(&schema, 1.0, &mut seed_a).unwrap();
-    let mut reference = ReferenceEpochShedder::new(&schema, 1.0, &mut seed_b).unwrap();
+    let shed_seed = 43;
+    let mut compact = EpochShedder::new(&schema, 1.0, shed_seed).unwrap();
+    let mut reference = ReferenceEpochShedder::new(&schema, 1.0, shed_seed).unwrap();
     for i in 0..1000u64 {
         // Thrash the controller: the arrival rate alternates 100×, far
         // outside the hysteresis band, so p moves on every batch.
         let rate = if i % 2 == 0 { 10_000 } else { 1_000_000 };
         let p = controller.observe_batch(rate, 1.0);
-        compact.set_probability(p, &mut seed_a).unwrap();
-        reference.set_probability(p, &mut seed_b).unwrap();
+        compact.set_probability(p).unwrap();
+        reference.set_probability(p).unwrap();
         for k in 0..20u64 {
             compact.observe(k);
             reference.observe(k);
@@ -253,11 +248,11 @@ fn cached_queries_track_truth_under_churn() {
     let mut r = StdRng::seed_from_u64(44);
     let schema = JoinSchema::fagms(1, 4096, &mut r);
     let grid = RateGrid::default();
-    let mut shed = EpochShedder::new(&schema, 1.0, &mut r).unwrap();
+    let mut shed = EpochShedder::new(&schema, 1.0, r.random()).unwrap();
     let mut exact = ExactAggregator::new();
     for round in 0..30u64 {
         let p = grid.snap(1.0 / (1.0 + (round % 5) as f64), 0.05);
-        shed.set_probability(p, &mut r).unwrap();
+        shed.set_probability(p).unwrap();
         let batch: Vec<u64> = (0..20_000u64).map(|i| (i * 13 + round) % 1000).collect();
         shed.feed_batch(&batch);
         for &k in &batch {

@@ -8,7 +8,7 @@
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use sketch_sampled_streams::core::sketch::JoinSchema;
 use sketch_sampled_streams::core::{EpochShedder, JoinQuery, Sampled};
 use sketch_sampled_streams::sketch::{AgmsSchema, CountMinSchema, Estimate, FagmsSchema};
@@ -129,11 +129,11 @@ proptest! {
         assert_coherent(&ej);
 
         // Epoch shedder with a mid-stream rate change.
-        let mut epochs = EpochShedder::new(&schema, p, &mut rng).unwrap();
-        let mut epochs2 = EpochShedder::new(&schema, 1.0, &mut rng).unwrap();
+        let mut epochs = EpochShedder::new(&schema, p, rng.random()).unwrap();
+        let mut epochs2 = EpochShedder::new(&schema, 1.0, rng.random()).unwrap();
         let half = stream.len() / 2;
         epochs.feed_batch(&stream[..half]);
-        epochs.set_probability((p * 0.7).max(0.05), &mut rng).unwrap();
+        epochs.set_probability((p * 0.7).max(0.05)).unwrap();
         epochs.feed_batch(&stream[half..]);
         epochs2.feed_batch(&stream);
         let ee = epochs.self_join_estimate().unwrap();
@@ -210,17 +210,10 @@ proptest! {
             overloaded.size_of_join(&engine).unwrap().to_bits()
         );
 
-        // Parallel shedding: one independently reseeded `Sampled` front
-        // end per shard, merged; the typed value is the scalar correction.
+        // Parallel shedding: one `Sampled` prototype, its own coins on
+        // every shard, merged; the typed value is the scalar correction.
         let prototype = Sampled::new(schema.sketch(), 0.5, &mut rng).unwrap();
-        let prototypes = (0..shards)
-            .map(|_| {
-                let mut shard = prototype.clone();
-                shard.reseed(&mut rng).unwrap();
-                shard
-            })
-            .collect();
-        let mut shed_rt = ShardedRuntime::new_per_shard(config, prototypes).unwrap();
+        let mut shed_rt = ShardedRuntime::new(config, &prototype).unwrap();
         for chunk in stream.chunks(97) {
             shed_rt.push(chunk).unwrap();
         }

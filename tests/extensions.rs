@@ -2,7 +2,7 @@
 //! paper's core estimators, exercised together through the public facade.
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use sketch_sampled_streams::core::sketch::JoinSchema;
 use sketch_sampled_streams::core::{CoordinatedShedder, EpochShedder, RateGrid};
 use sketch_sampled_streams::datagen::ZipfGenerator;
@@ -153,14 +153,14 @@ fn controller_plus_epochs_is_unbiased_over_bursts() {
         grid: RateGrid::default(),
     })
     .unwrap();
-    let mut shedder = EpochShedder::new(&schema, 1.0, &mut rng).unwrap();
+    let mut shedder = EpochShedder::new(&schema, 1.0, rng.random()).unwrap();
     let mut exact = ExactAggregator::new();
     let gen = ZipfGenerator::new(5_000, 0.6);
     for (rate, batches) in [(5e5, 5), (2e7, 5), (5e5, 5)] {
         for _ in 0..batches {
             let batch = gen.relation(100_000, &mut rng);
             let p = controller.observe_batch(rate as u64, 1.0);
-            shedder.set_probability(p, &mut rng).unwrap();
+            shedder.set_probability(p).unwrap();
             for &k in &batch {
                 shedder.observe(k);
                 exact.update(k, 1);

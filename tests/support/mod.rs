@@ -1,17 +1,19 @@
 //! Test oracle: the original, uncompacted epoch shedder — one epoch per
 //! rate change, O(E) memory, O(E²) sketch dot products per query.
 //!
-//! Written against the public API only. Fed the same tuples with the same
-//! seed RNG it makes bit-identical sampling decisions to
-//! [`EpochShedder`](sketch_sampled_streams::core::EpochShedder) (both draw
-//! a fresh geometric skip per effective rate change), so the compacted,
-//! cached estimates can be checked against this one exactly.
+//! Written against the public API only. Every epoch at rate `p` draws from
+//! that rate's one coin sequence (seeded `splitmix64(seed ^ p.to_bits())`)
+//! where the previous epoch at `p` left off, pending gap included — the
+//! coins [`EpochShedder`](sketch_sampled_streams::core::EpochShedder)'s
+//! cell for `p` draws. Fed the same tuples with the same seed, the two
+//! make bit-identical sampling decisions, so the compacted, cached
+//! estimates can be checked against this one exactly.
 
-use rand::rngs::StdRng;
-use rand::Rng;
+use rand::SeedableRng;
 use sketch_sampled_streams::core::sketch::{JoinSchema, JoinSketch};
 use sketch_sampled_streams::core::{bernoulli_self_join, Result};
-use sketch_sampled_streams::sampling::bernoulli::GeometricSkip;
+use sketch_sampled_streams::sampling::{CounterRng, GeometricSkip};
+use sketch_sampled_streams::xi::splitmix64;
 
 struct Epoch {
     p: f64,
@@ -20,23 +22,37 @@ struct Epoch {
     seen: u64,
 }
 
-pub struct ReferenceEpochShedder {
-    schema: JoinSchema,
-    epochs: Vec<Epoch>,
-    skip: GeometricSkip<StdRng>,
+/// One rate's coin sequence and its pending gap.
+struct Coins {
+    p: f64,
+    skip: GeometricSkip<CounterRng>,
     gap: u64,
 }
 
+pub struct ReferenceEpochShedder {
+    schema: JoinSchema,
+    seed: u64,
+    epochs: Vec<Epoch>,
+    coins: Vec<Coins>,
+    /// Index into `coins` of the current rate.
+    current: usize,
+}
+
+fn same_p(a: f64, b: f64) -> bool {
+    (a - b).abs() < f64::EPSILON * b.abs()
+}
+
 impl ReferenceEpochShedder {
-    pub fn new<R: Rng>(schema: &JoinSchema, p: f64, seed_rng: &mut R) -> Result<Self> {
-        let mut skip = GeometricSkip::<StdRng>::new(p, seed_rng)?;
-        let gap = skip.next_gap();
-        Ok(Self {
+    pub fn new(schema: &JoinSchema, p: f64, seed: u64) -> Result<Self> {
+        let mut reference = Self {
             schema: schema.clone(),
+            seed,
             epochs: vec![Self::epoch(schema, p)],
-            skip,
-            gap,
-        })
+            coins: Vec::new(),
+            current: 0,
+        };
+        reference.current = reference.coins_for(p)?;
+        Ok(reference)
     }
 
     fn epoch(schema: &JoinSchema, p: f64) -> Epoch {
@@ -48,15 +64,27 @@ impl ReferenceEpochShedder {
         }
     }
 
+    /// The index of rate `p`'s coin sequence, started on first use.
+    fn coins_for(&mut self, p: f64) -> Result<usize> {
+        if let Some(at) = self.coins.iter().position(|c| same_p(c.p, p)) {
+            return Ok(at);
+        }
+        let rng = CounterRng::seed_from_u64(splitmix64(self.seed ^ p.to_bits()));
+        let mut skip = GeometricSkip::with_rng(p, rng)?;
+        let gap = skip.next_gap();
+        self.coins.push(Coins { p, skip, gap });
+        Ok(self.coins.len() - 1)
+    }
+
     /// Begin a new epoch at probability `p` (no-op if `p` equals the
     /// current epoch's rate). Empty current epochs are reused in place.
-    pub fn set_probability<R: Rng>(&mut self, p: f64, seed_rng: &mut R) -> Result<()> {
-        let current = self.epochs.last_mut().expect("never empty");
-        if (current.p - p).abs() < f64::EPSILON * p.abs() {
+    pub fn set_probability(&mut self, p: f64) -> Result<()> {
+        if same_p(self.epochs.last().expect("never empty").p, p) {
             return Ok(());
         }
-        self.skip = GeometricSkip::<StdRng>::new(p, seed_rng)?;
-        self.gap = self.skip.next_gap();
+        self.current = self.coins_for(p)?;
+        let p = self.coins[self.current].p;
+        let current = self.epochs.last_mut().expect("never empty");
         if current.seen == 0 {
             current.p = p;
         } else {
@@ -68,14 +96,15 @@ impl ReferenceEpochShedder {
     /// Offer the next stream tuple; returns whether it was sketched.
     pub fn observe(&mut self, key: u64) -> bool {
         let epoch = self.epochs.last_mut().expect("never empty");
+        let coins = &mut self.coins[self.current];
         epoch.seen += 1;
-        if self.gap > 0 {
-            self.gap -= 1;
+        if coins.gap > 0 {
+            coins.gap -= 1;
             return false;
         }
         epoch.sketch.update(key, 1);
         epoch.kept += 1;
-        self.gap = self.skip.next_gap();
+        coins.gap = coins.skip.next_gap();
         true
     }
 
