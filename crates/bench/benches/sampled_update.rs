@@ -3,13 +3,19 @@
 //! tuple* cost of the shedded pipeline must fall roughly as p falls, which
 //! is exactly the paper's claimed speed-up. The `shed_batched` lines run
 //! the same sampler through `feed_batch`, which jumps the geometric gaps
-//! instead of branching per tuple.
+//! instead of branching per tuple. The `runtime_door` lines are the
+//! product path: a one-shard `ShardedRuntime` over a `Sampled` prototype,
+//! fed by `push` in 512-tuple batches, whose producer tosses the coins
+//! before the ring so only kept keys cross it. Pushes are asynchronous;
+//! behind a bounded ring the loop runs at the slower of producer and
+//! worker, which is the rate a source sees.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sss_core::sketch::JoinSchema;
 use sss_core::Sampled;
+use sss_stream::{RuntimeConfig, ShardedRuntime};
 use std::hint::black_box;
 
 const TUPLES: u64 = 16_384;
@@ -52,6 +58,19 @@ fn benches(c: &mut Criterion) {
                 let mut shed =
                     Sampled::new(schema.sketch(), p, &mut rng).expect("valid probability");
                 b.iter(|| shed.feed_batch(black_box(&keys)))
+            });
+        }
+        for p in [1.0, 0.1, 0.01] {
+            group.bench_function(BenchmarkId::new(format!("{name}/runtime_door"), p), |b| {
+                let prototype =
+                    Sampled::new(schema.sketch(), p, &mut rng).expect("valid probability");
+                let mut rt = ShardedRuntime::new(RuntimeConfig::default(), &prototype)
+                    .expect("valid config");
+                b.iter(|| {
+                    for batch in keys.chunks(512) {
+                        rt.push(black_box(batch)).expect("worker alive");
+                    }
+                })
             });
         }
     }

@@ -111,6 +111,7 @@
 
 use crate::error::{Error, Result};
 use crate::sketch::JoinSketch;
+use sss_sampling::Door;
 use sss_sketch::topk::HeavyHitters;
 use sss_sketch::{
     AgmsSketch, CountMinSketch, CountSketchTopK, Estimate, FagmsSketch, HyperLogLog, KllSketch,
@@ -150,6 +151,20 @@ pub trait Summary: Clone + Send + 'static {
     /// copies stay mutually mergeable.
     fn for_shard(&self, _shard: usize) -> Self {
         self.clone()
+    }
+
+    /// The sampler a producer may run in front of this summary, so that
+    /// only kept keys travel to it: `None` (every key is kept) except for
+    /// [`crate::Sampled`], whose door is a copy of its own coin state.
+    fn door(&self) -> Option<Door> {
+        None
+    }
+
+    /// Absorb `kept`, the keys this summary's [`door`](Summary::door)
+    /// admitted out of `offered` offered tuples. Without a door every
+    /// offered key is kept and this is [`update_batch`](Summary::update_batch).
+    fn update_admitted(&mut self, kept: &[u64], _offered: u64) {
+        self.update_batch(kept);
     }
 }
 

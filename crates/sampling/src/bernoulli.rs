@@ -205,6 +205,78 @@ impl<R: Rng> GeometricSkip<R> {
     }
 }
 
+/// A Bernoulli(`p`) sample in progress over a stream that arrives in
+/// slices: a [`GeometricSkip`] over a [`CounterRng`] plus the gap still
+/// pending before the next kept tuple. It is what a producer holds at the
+/// door of a queue, so the queue carries only kept keys.
+///
+/// Every method walks the same gaps in the same order, one draw per kept
+/// tuple, so the kept positions do not depend on how the stream is cut
+/// into slices or which method offers each slice; a slice costs work per
+/// *kept* key. The state is a few plain words: a copy taken before a
+/// slice and put back after undoes the slice.
+#[derive(Debug, Clone)]
+pub struct Door {
+    skip: GeometricSkip<CounterRng>,
+    gap: u64,
+}
+
+impl Door {
+    /// The door of a fresh sample at rate `p ∈ (0, 1]` whose coins come
+    /// from a [`CounterRng`] seeded `seed`.
+    pub fn new(p: f64, seed: u64) -> Result<Self> {
+        let mut skip = GeometricSkip::with_rng(p, CounterRng::seed_from_u64(seed))?;
+        let gap = skip.next_gap();
+        Ok(Self { skip, gap })
+    }
+
+    /// Offer one tuple; whether it is kept.
+    #[inline]
+    pub fn keep(&mut self) -> bool {
+        if self.gap > 0 {
+            self.gap -= 1;
+            return false;
+        }
+        self.gap = self.skip.next_gap();
+        true
+    }
+
+    /// Offer `keys` and append the kept ones to `out`, in order.
+    pub fn admit(&mut self, keys: &[u64], out: &mut Vec<u64>) {
+        if self.skip.probability() >= 1.0 {
+            // Every gap is 0 and draws nothing: keep the slice whole.
+            out.extend_from_slice(keys);
+            return;
+        }
+        self.walk(keys.len(), |pos| out.push(keys[pos]));
+    }
+
+    /// Offer the keys in `buf` and compact it, in place, to the kept ones.
+    pub fn retain(&mut self, buf: &mut Vec<u64>) {
+        let mut kept = 0;
+        self.walk(buf.len(), |pos| {
+            buf[kept] = buf[pos];
+            kept += 1;
+        });
+        buf.truncate(kept);
+    }
+
+    /// Hand `keep` each kept position of the next `n` offered tuples,
+    /// jumping the skipped ones.
+    #[inline]
+    fn walk(&mut self, n: usize, mut keep: impl FnMut(usize)) {
+        let n = n as u64;
+        let mut pos = 0u64;
+        while self.gap < n - pos {
+            pos += self.gap;
+            keep(pos as usize);
+            pos += 1;
+            self.gap = self.skip.next_gap();
+        }
+        self.gap -= n - pos;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -352,6 +424,38 @@ mod tests {
         let kept = g.sample_indices(n).len() as f64;
         let std = (n as f64 * p * (1.0 - p)).sqrt();
         assert!((kept - n as f64 * p).abs() < 5.0 * std, "kept = {kept}");
+    }
+
+    /// `keep`, `admit` and `retain` walk one gap sequence: however the
+    /// stream is cut and whichever method offers each slice, the kept keys
+    /// are those of the per-tuple loop.
+    #[test]
+    fn door_methods_agree_across_any_cut() {
+        let keys: Vec<u64> = (0..5_000u64).map(|i| i * 7 + 1).collect();
+        for p in [1.0, 0.3, 0.01] {
+            let mut one = Door::new(p, 9).unwrap();
+            let expect: Vec<u64> = keys.iter().copied().filter(|_| one.keep()).collect();
+            let mut door = Door::new(p, 9).unwrap();
+            let mut kept = Vec::new();
+            let mut rest = keys.as_slice();
+            for (i, size) in [0usize, 1, 7, 0, 255, 256, 1000].iter().cycle().enumerate() {
+                if rest.is_empty() {
+                    break;
+                }
+                let (slice, tail) = rest.split_at((*size).min(rest.len()));
+                match i % 3 {
+                    0 => door.admit(slice, &mut kept),
+                    1 => {
+                        let mut buf = slice.to_vec();
+                        door.retain(&mut buf);
+                        kept.extend(buf);
+                    }
+                    _ => kept.extend(slice.iter().copied().filter(|_| door.keep())),
+                }
+                rest = tail;
+            }
+            assert_eq!(kept, expect, "p = {p}");
+        }
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //!   `Binomial(fᵢ, p)` variables. This is the *load shedding* scheme: both a
 //!   per-tuple coin and the O(selected)-work geometric-skip variant (Olken's
 //!   interval generation) are provided, plus the [`CounterRng`] that makes
-//!   a skip sampler's gaps a function of `(seed, position)`.
+//!   a skip sampler's gaps a function of `(seed, position)` and the
+//!   [`Door`] that walks those gaps over a stream arriving in slices.
 //! * [`with_replacement`] — a fixed-size sample drawn with replacement; the
 //!   `f′ᵢ` are components of a multinomial. Models i.i.d. streams from a
 //!   generative model.
@@ -57,7 +58,7 @@ pub mod variance;
 pub mod with_replacement;
 pub mod without_replacement;
 
-pub use bernoulli::{BernoulliSampler, CounterRng, GeometricSkip};
+pub use bernoulli::{BernoulliSampler, CounterRng, Door, GeometricSkip};
 pub use coefficients::SamplingFractions;
 pub use counts::SampleCounts;
 pub use error::{Error, Result};

@@ -22,9 +22,9 @@
 //! `stream.*` rows measure both):
 //!
 //! * **Transport** — each shard lane is a pair of lock-free SPSC
-//!   [`ring`] buffers: a *data* ring carrying batch buffers
-//!   (`Vec<u64>`, no command enum) to the worker, and a reverse *recycle*
-//!   ring returning emptied buffers to the producer. Steady-state ingest
+//!   [`ring`] buffers: a *data* ring carrying batch buffers (keys plus
+//!   an offered count, no command enum) to the worker, and a reverse
+//!   *recycle* ring returning emptied buffers to the producer. Steady-state ingest
 //!   therefore performs **zero heap allocations per batch**
 //!   ([`ShardedRuntime::pool_stats`] proves it) and a push is a handful
 //!   of atomics, not a `sync_channel` futex round-trip. The rings are
@@ -72,7 +72,14 @@
 //! [`Sampled`](sss_core::Sampled) front end, whose coins are re-seeded
 //! from `(seed, i)` — so shards sample independently and the merged
 //! sample is one Bernoulli(`p`) sample, with no per-shard setup by the
-//! caller. There is no second constructor:
+//! caller. That shard copy's [`door`](Summary::door) moves to the
+//! producer: every push path tosses the shard's coins before the ring and
+//! copies only kept keys, and the worker hands a run of them to
+//! [`Summary::update_admitted`] with the run's offered count. The coins
+//! are a function of `(seed, position)` and each shard's substream is
+//! offered in order, so the kept sequence, and every bit of the merge,
+//! is what a worker-side sampler would have kept. There is no second
+//! constructor:
 //!
 //! ```compile_fail
 //! use sss_core::JoinSketch;
@@ -82,10 +89,10 @@
 //! ```
 
 use crate::error::{Result, StreamError};
-use crate::ring::{self, Backoff, ControlQueue, PushError};
+use crate::ring::{self, Backoff, ControlQueue};
 use crate::snapshot::{CacheStats, ReplicaFrame, ReplicaHub, SnapshotCache};
 use sss_core::{Estimate, JoinQuery, SlimQuery, Summary};
-use sss_sampling::staleness_variance_plugin;
+use sss_sampling::{staleness_variance_plugin, Door};
 use sss_xi::splitmix64;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
@@ -173,10 +180,12 @@ struct ShardState<E> {
     /// claims each buffer on pop), keeping the structural
     /// `≤ depth + 1` high-water bound. Snapshot floors never read this:
     /// they use the worker-local counter, which only advances after
-    /// `update_batch` lands.
+    /// `update_admitted` lands.
     applied: AtomicU64,
-    /// Tuples the worker has applied (bumped after `update_batch`, so the
-    /// gauge counts work done rather than work promised).
+    /// Tuples offered to this shard that the worker has applied: a
+    /// batch's offered count, kept or not (the door's `seen`), bumped
+    /// after `update_admitted`, so the gauge counts work done rather than
+    /// work promised.
     ingested: AtomicU64,
     /// Cleared when the worker exits (normally or by panic), so queriers
     /// waiting on a snapshot reply can fail over to
@@ -370,12 +379,21 @@ impl<E: Summary + SlimQuery> RuntimeShared<E> {
     }
 }
 
+/// What rides a data ring: the keys a lane's door kept, and how many
+/// tuples were offered to get them (equal without a door).
+struct Batch {
+    keys: Vec<u64>,
+    offered: u64,
+}
+
 /// The producer side of one shard lane: the data ring in, the recycle
-/// ring back, and a stack of spare (cleared) batch buffers.
+/// ring back, a stack of spare (cleared) batch buffers, and the shard
+/// summary's [`door`](Summary::door), if it has one.
 struct IngestLane {
-    data: ring::Producer<Vec<u64>>,
+    data: ring::Producer<Batch>,
     recycle: ring::Consumer<Vec<u64>>,
     spare: Vec<Vec<u64>>,
+    door: Option<Door>,
 }
 
 /// Batch-buffer pool accounting ([`ShardedRuntime::pool_stats`]): in
@@ -434,14 +452,16 @@ impl<E: Summary> ShardedRuntime<E> {
     /// `i` starts from [`prototype.for_shard(i)`](Summary::for_shard) — a
     /// clone, except that a [`Sampled`](sss_core::Sampled) front end
     /// draws its own coins on every shard, so the union of the shards'
-    /// samples is one Bernoulli(`p`) sample.
+    /// samples is one Bernoulli(`p`) sample. A shard copy's
+    /// [`door`](Summary::door) goes to the producer's lane for that shard.
     pub fn new(config: RuntimeConfig, prototype: &E) -> Result<Self> {
         config.validate()?;
         let mut lanes = Vec::with_capacity(config.shards);
         let mut consumers = Vec::with_capacity(config.shards);
         let mut states = Vec::with_capacity(config.shards);
-        for _ in 0..config.shards {
-            let (data_tx, data_rx) = ring::ring::<Vec<u64>>(config.queue_depth);
+        for shard in 0..config.shards {
+            let worker_est = prototype.for_shard(shard);
+            let (data_tx, data_rx) = ring::ring::<Batch>(config.queue_depth);
             // The recycle ring holds every buffer that can circulate:
             // `queue_depth` in the data ring + one in the worker's hands
             // + one being filled by the producer, with headroom so the
@@ -460,8 +480,9 @@ impl<E: Summary> ShardedRuntime<E> {
                 data: data_tx,
                 recycle: recycle_rx,
                 spare: Vec::new(),
+                door: worker_est.door(),
             });
-            consumers.push((data_rx, recycle_tx));
+            consumers.push((worker_est, data_rx, recycle_tx));
         }
         let shared = Arc::new(RuntimeShared {
             config,
@@ -474,8 +495,7 @@ impl<E: Summary> ShardedRuntime<E> {
             started: Instant::now(),
         });
         let mut handles = Vec::with_capacity(config.shards);
-        for (shard, (data_rx, recycle_tx)) in consumers.into_iter().enumerate() {
-            let worker_est = prototype.for_shard(shard);
+        for (shard, (worker_est, data_rx, recycle_tx)) in consumers.into_iter().enumerate() {
             let worker_shared = Arc::clone(&shared);
             let handle = std::thread::Builder::new()
                 .name(format!("sss-shard-{shard}"))
@@ -520,7 +540,10 @@ impl<E: Summary> ShardedRuntime<E> {
 
     /// Tuples applied to shard sketches so far, summed over all workers.
     ///
-    /// Each worker bumps its counter *after* `update_batch`, so this lags
+    /// These are *offered* tuples: behind a [`door`](Summary::door) the
+    /// count includes the ones it dropped, so it equals a merged
+    /// [`Sampled`](sss_core::Sampled)'s `seen`. Each worker bumps its
+    /// counter *after* applying a run, so this lags
     /// [`push`](Self::push) while batches sit in rings. After a
     /// [`merged`](Self::merged) call returns, the gauge covers every tuple
     /// accepted before it (the snapshot floor quiesces each shard).
@@ -528,14 +551,14 @@ impl<E: Summary> ShardedRuntime<E> {
         self.shared.tuples_ingested()
     }
 
-    /// Tuples applied by one worker (panics if `shard >= shards()`). The
-    /// spread across shards shows how well the partition policy balances
-    /// the load.
+    /// Offered tuples applied by one worker (panics if
+    /// `shard >= shards()`). The spread across shards shows how well the
+    /// partition policy balances the load.
     pub fn shard_tuples_ingested(&self, shard: usize) -> u64 {
         self.shared.shards[shard].ingested.load(Ordering::Acquire)
     }
 
-    /// Merged ingest throughput gauge: tuples applied per second of
+    /// Merged ingest throughput gauge: offered tuples applied per second of
     /// monotonic wall-clock time since the pool was constructed
     /// ([`Instant`] captured in `new`, so system clock adjustments never
     /// skew it). Pair with [`queue_high_water`](Self::queue_high_water)
@@ -600,8 +623,53 @@ impl<E: Summary> ShardedRuntime<E> {
         }
     }
 
-    /// Blocking enqueue of a finished batch buffer on `shard`.
-    fn send_blocking(&mut self, shard: usize, batch: Vec<u64>) -> Result<()> {
+    /// The shard the next round-robin batch goes to.
+    fn next_shard(&mut self) -> usize {
+        let shard = self.cursor;
+        self.cursor = (self.cursor + 1) % self.shards();
+        shard
+    }
+
+    /// A pooled buffer holding the keys of `keys` that `shard`'s door
+    /// admits: all of them when the shard has no door.
+    fn admit_copy(&mut self, shard: usize, keys: &[u64]) -> Batch {
+        let mut buf = self.take_buf(shard, keys.len());
+        match &mut self.lanes[shard].door {
+            Some(door) => door.admit(keys, &mut buf),
+            None => buf.extend_from_slice(keys),
+        }
+        Batch {
+            keys: buf,
+            offered: keys.len() as u64,
+        }
+    }
+
+    /// `keys`, compacted in place to what `shard`'s door admits.
+    fn admit_owned(&mut self, shard: usize, mut keys: Vec<u64>) -> Batch {
+        let offered = keys.len() as u64;
+        if let Some(door) = &mut self.lanes[shard].door {
+            door.retain(&mut keys);
+        }
+        Batch { keys, offered }
+    }
+
+    /// Whether `shard`'s ring is full while the caller takes `overflow`;
+    /// if so `keys` went there instead. The check comes before the door
+    /// sees the keys, so a door spends no coin on tuples handed back.
+    fn overflowed(&self, shard: usize, keys: &[u64], overflow: &mut Option<&mut Vec<u64>>) -> bool {
+        match overflow {
+            Some(overflow) if self.lanes[shard].data.is_full() => {
+                overflow.extend_from_slice(keys);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Blocking enqueue of a finished batch on `shard`. It cannot block
+    /// after [`overflowed`](Self::overflowed) said no: only this thread
+    /// fills the ring.
+    fn send_blocking(&mut self, shard: usize, batch: Batch) -> Result<()> {
         match self.lanes[shard].data.push(batch) {
             Ok(()) => {
                 self.note_enqueued(shard);
@@ -611,28 +679,52 @@ impl<E: Summary> ShardedRuntime<E> {
         }
     }
 
-    /// Non-blocking enqueue: on a full ring the tuples go to `overflow`
-    /// and the buffer returns to the pool. Returns tuples accepted.
-    fn send_nonblocking(
-        &mut self,
-        shard: usize,
-        batch: Vec<u64>,
-        overflow: &mut Vec<u64>,
-    ) -> Result<u64> {
-        let len = batch.len() as u64;
-        match self.lanes[shard].data.try_push(batch) {
-            Ok(()) => {
-                self.note_enqueued(shard);
-                Ok(len)
-            }
-            Err(PushError::Full(mut batch)) => {
-                overflow.extend_from_slice(&batch);
-                batch.clear();
-                self.lanes[shard].spare.push(batch);
-                Ok(0)
-            }
-            Err(PushError::Closed(_)) => Err(StreamError::ShardDisconnected { shard }),
+    /// The tuples of one [`push`](Self::push) or, with `overflow`,
+    /// [`try_push`](Self::try_push). Returns the tuples accepted.
+    fn offer(&mut self, keys: &[u64], mut overflow: Option<&mut Vec<u64>>) -> Result<u64> {
+        if keys.is_empty() {
+            return Ok(0);
         }
+        match self.shared.config.partition {
+            Partition::RoundRobin => {
+                let shard = self.next_shard();
+                if self.overflowed(shard, keys, &mut overflow) {
+                    return Ok(0);
+                }
+                let batch = self.admit_copy(shard, keys);
+                self.send_blocking(shard, batch)?;
+                Ok(keys.len() as u64)
+            }
+            Partition::Hash => self.offer_scattered(keys, overflow),
+        }
+    }
+
+    /// Scatter `keys` by hash and send each shard its part: the filled
+    /// scatter buffer itself, compacted by the shard's door, with a pooled
+    /// buffer put in its place (one copy in all). Returns the tuples
+    /// accepted; with `overflow`, a part whose ring is full goes there.
+    fn offer_scattered(
+        &mut self,
+        keys: &[u64],
+        mut overflow: Option<&mut Vec<u64>>,
+    ) -> Result<u64> {
+        self.scatter_keys(keys);
+        let mut accepted = 0;
+        for shard in 0..self.shards() {
+            if self.scatter[shard].is_empty() {
+                continue;
+            }
+            if self.overflowed(shard, &self.scatter[shard], &mut overflow) {
+                self.scatter[shard].clear();
+                continue;
+            }
+            let part = std::mem::take(&mut self.scatter[shard]);
+            accepted += part.len() as u64;
+            let batch = self.admit_owned(shard, part);
+            self.send_blocking(shard, batch)?;
+            self.scatter[shard] = self.take_buf(shard, keys.len());
+        }
+        Ok(accepted)
     }
 
     /// Borrow a cleared batch buffer from the pool — the **loan half** of
@@ -660,10 +752,11 @@ impl<E: Summary> ShardedRuntime<E> {
     /// target ring is full.
     ///
     /// Under [`Partition::RoundRobin`] the buffer itself is shipped to
-    /// the worker — the keys are never copied after the caller wrote
-    /// them. Under [`Partition::Hash`] the keys are scattered into the
-    /// per-shard buffers (one copy, same as [`push`](Self::push)) and the
-    /// loan returns to the pool. An empty loan just returns to the pool.
+    /// the worker, compacted in place to what the shard's door admits —
+    /// the keys are never copied after the caller wrote them. Under
+    /// [`Partition::Hash`] the keys are scattered into the per-shard
+    /// buffers (one copy, same as [`push`](Self::push)) and the loan
+    /// returns to the pool. An empty loan just returns to the pool.
     ///
     /// # Errors
     ///
@@ -675,21 +768,12 @@ impl<E: Summary> ShardedRuntime<E> {
         }
         match self.shared.config.partition {
             Partition::RoundRobin => {
-                let shard = self.cursor;
-                self.cursor = (self.cursor + 1) % self.shards();
+                let shard = self.next_shard();
+                let batch = self.admit_owned(shard, batch);
                 self.send_blocking(shard, batch)
             }
             Partition::Hash => {
-                self.scatter_keys(&batch);
-                let hint = batch.len();
-                for shard in 0..self.shards() {
-                    if self.scatter[shard].is_empty() {
-                        continue;
-                    }
-                    let scattered = std::mem::take(&mut self.scatter[shard]);
-                    self.send_blocking(shard, scattered)?;
-                    self.scatter[shard] = self.take_buf(shard, hint);
-                }
+                self.offer_scattered(&batch, None)?;
                 batch.clear();
                 self.lanes[self.cursor].spare.push(batch);
                 Ok(())
@@ -699,76 +783,29 @@ impl<E: Summary> ShardedRuntime<E> {
 
     /// Feed one batch, **blocking** while any target shard's ring is
     /// full. Backpressure propagates to the caller; nothing is dropped.
+    /// Only the keys a shard's door admits are copied onto its ring.
     ///
     /// # Errors
     ///
     /// [`StreamError::ShardDisconnected`] if a worker thread has died.
     pub fn push(&mut self, keys: &[u64]) -> Result<()> {
-        if keys.is_empty() {
-            return Ok(());
-        }
-        match self.shared.config.partition {
-            Partition::RoundRobin => {
-                let shard = self.cursor;
-                self.cursor = (self.cursor + 1) % self.shards();
-                let mut batch = self.take_buf(shard, keys.len());
-                batch.extend_from_slice(keys);
-                self.send_blocking(shard, batch)
-            }
-            Partition::Hash => {
-                self.scatter_keys(keys);
-                for shard in 0..self.shards() {
-                    if self.scatter[shard].is_empty() {
-                        continue;
-                    }
-                    // Ship the filled scatter buffer itself (one copy
-                    // total) and put a pooled buffer in its place.
-                    let batch = std::mem::take(&mut self.scatter[shard]);
-                    self.send_blocking(shard, batch)?;
-                    self.scatter[shard] = self.take_buf(shard, keys.len());
-                }
-                Ok(())
-            }
-        }
+        self.offer(keys, None).map(drop)
     }
 
     /// Feed one batch **without blocking**: tuples whose shard ring is
-    /// full are appended to `overflow` instead of enqueued, and the number
-    /// of tuples actually accepted is returned. The caller decides what to
-    /// do with the overflow — the engine routes it through the epoch
-    /// shedder so the combined estimate stays unbiased. (Snapshot traffic
-    /// rides a separate control queue and can never land here — see the
-    /// module docs.)
+    /// full are appended to `overflow` instead of enqueued, as offered
+    /// (no door has sampled them), and the number of tuples actually
+    /// accepted is returned. The caller decides what to do with the
+    /// overflow — the engine routes it through the epoch shedder so the
+    /// combined estimate stays unbiased. (Snapshot traffic rides a
+    /// separate control queue and can never land here — see the module
+    /// docs.)
     ///
     /// # Errors
     ///
     /// [`StreamError::ShardDisconnected`] if a worker thread has died.
     pub fn try_push(&mut self, keys: &[u64], overflow: &mut Vec<u64>) -> Result<u64> {
-        if keys.is_empty() {
-            return Ok(0);
-        }
-        match self.shared.config.partition {
-            Partition::RoundRobin => {
-                let shard = self.cursor;
-                self.cursor = (self.cursor + 1) % self.shards();
-                let mut batch = self.take_buf(shard, keys.len());
-                batch.extend_from_slice(keys);
-                self.send_nonblocking(shard, batch, overflow)
-            }
-            Partition::Hash => {
-                self.scatter_keys(keys);
-                let mut accepted = 0u64;
-                for shard in 0..self.shards() {
-                    if self.scatter[shard].is_empty() {
-                        continue;
-                    }
-                    let batch = std::mem::take(&mut self.scatter[shard]);
-                    accepted += self.send_nonblocking(shard, batch, overflow)?;
-                    self.scatter[shard] = self.take_buf(shard, keys.len());
-                }
-                Ok(accepted)
-            }
-        }
+        self.offer(keys, Some(overflow))
     }
 
     /// Merge the shard estimators as of *now*: every batch accepted by
@@ -1169,10 +1206,12 @@ impl<E: Summary + SlimQuery> std::fmt::Debug for ReadReplica<E> {
     }
 }
 
-/// The most tuples a shard worker coalesces before it stops popping the
+/// The most keys a shard worker coalesces before it stops popping the
 /// ring and applies the run: 2^16 keys are 512 KiB, a run that stays in L2
-/// next to the summary's counters. One `update_batch` call sees fewer than
-/// this plus one producer batch.
+/// next to the summary's counters. One `update_admitted` call sees fewer
+/// than this plus one producer batch. The bound is on *kept* keys, the
+/// ones on the ring: behind a [`door`](Summary::door) at rate `p` a run
+/// stands for about `1/p` times as many offered tuples.
 pub const RUN_TUPLES: usize = 1 << 16;
 
 /// The shard worker loop: apply batches from the data ring (recycling
@@ -1182,7 +1221,7 @@ pub const RUN_TUPLES: usize = 1 << 16;
 fn shard_worker<E: Summary>(
     shard: usize,
     mut est: E,
-    mut data: ring::Consumer<Vec<u64>>,
+    mut data: ring::Consumer<Batch>,
     mut recycle: ring::Producer<Vec<u64>>,
     shared: Arc<RuntimeShared<E>>,
 ) -> E {
@@ -1220,55 +1259,57 @@ fn shard_worker<E: Summary>(
 
     // Apply what is queued as one batched update, up to `RUN_TUPLES`:
     // `first` grows by the contents of the ring buffers waiting behind it
-    // until it holds that many tuples, then a single `update_batch` spans
-    // the coalesced run. Update order is exactly ring order, so summary
-    // state is bit-identical to batch-at-a-time applies; what changes is
-    // kernel amortization (the sketch row kernels and the skip-sampler scan
-    // cost per *call*, and a backlogged worker would otherwise pay that per
-    // 512-tuple producer batch). Snapshot floors are unaffected: the local
-    // `applied` advances past a floor in one jump after the update lands,
-    // and a floor is a minimum, never an exact-prefix request. The budget
-    // is what bounds the run: the producer refills the ring while the loop
-    // pops, so without it a producer that never waits for an answer made
-    // the run grow with the stream. With it a run is shorter than
-    // `RUN_TUPLES` plus one producer batch, a request arriving mid-drain
-    // waits for one such run, and a buffer goes back to the pool holding at
-    // most the larger of `2 * RUN_TUPLES` and what a producer put in it.
+    // until it holds that many keys, then a single `update_admitted` spans
+    // the coalesced run with the sum of the batches' offered counts. Update
+    // order is exactly ring order, so summary state is bit-identical to
+    // batch-at-a-time applies; what changes is kernel amortization (the
+    // sketch row kernels cost per *call*, and a backlogged worker would
+    // otherwise pay that per producer batch). Snapshot floors are
+    // unaffected: the local `applied` advances past a floor in one jump
+    // after the update lands, and a floor is a minimum, never an
+    // exact-prefix request. The budget is what bounds the run: the
+    // producer refills the ring while the loop pops, so without it a
+    // producer that never waits for an answer made the run grow with the
+    // stream. With it a run is shorter than `RUN_TUPLES` plus one producer
+    // batch, a request arriving mid-drain waits for one such run, and a
+    // buffer goes back to the pool holding at most the larger of
+    // `2 * RUN_TUPLES` and what a producer put in it.
     // The atomic gauge counter is bumped per *pop* (not per apply): the
     // producer refills slots the drain frees, and counting claimed buffers
     // as still-queued would let `accepted − applied` read up to twice the
     // ring depth, breaking the documented `≤ depth + 1` high-water bound.
-    let mut apply_run = |est: &mut E,
-                         mut first: Vec<u64>,
-                         applied: &mut u64,
-                         data: &mut ring::Consumer<Vec<u64>>| {
-        let mut batches = 1u64;
-        state.applied.store(*applied + batches, Ordering::Release);
-        while first.len() < RUN_TUPLES {
-            let Some(mut next) = data.try_pop() else {
-                break;
-            };
-            first.append(&mut next);
-            batches += 1;
+    let mut apply_run =
+        |est: &mut E, head: Batch, applied: &mut u64, data: &mut ring::Consumer<Batch>| {
+            let Batch {
+                keys: mut first,
+                mut offered,
+            } = head;
+            let mut batches = 1u64;
             state.applied.store(*applied + batches, Ordering::Release);
-            // A full recycle ring (only possible if the producer stopped
-            // taking buffers back) just drops the buffer.
-            let _ = recycle.try_push(next);
-        }
-        est.update_batch(&first);
-        *applied += batches;
-        state
-            .ingested
-            .fetch_add(first.len() as u64, Ordering::AcqRel);
-        state.applied.store(*applied, Ordering::Release);
-        first.clear();
-        if batches > 1 {
-            // Appending may have grown the head buffer past what any
-            // producer asked of it (a short head, a long batch behind it).
-            first.shrink_to(2 * RUN_TUPLES);
-        }
-        let _ = recycle.try_push(first);
-    };
+            while first.len() < RUN_TUPLES {
+                let Some(mut next) = data.try_pop() else {
+                    break;
+                };
+                first.append(&mut next.keys);
+                offered += next.offered;
+                batches += 1;
+                state.applied.store(*applied + batches, Ordering::Release);
+                // A full recycle ring (only possible if the producer stopped
+                // taking buffers back) just drops the buffer.
+                let _ = recycle.try_push(next.keys);
+            }
+            est.update_admitted(&first, offered);
+            *applied += batches;
+            state.ingested.fetch_add(offered, Ordering::AcqRel);
+            state.applied.store(*applied, Ordering::Release);
+            first.clear();
+            if batches > 1 {
+                // Appending may have grown the head buffer past what any
+                // producer asked of it (a short head, a long batch behind it).
+                first.shrink_to(2 * RUN_TUPLES);
+            }
+            let _ = recycle.try_push(first);
+        };
 
     loop {
         while let Some(req) = state.ctrl.try_recv() {

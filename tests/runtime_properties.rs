@@ -17,6 +17,7 @@ use sketch_sampled_streams::stream::runtime::RUN_TUPLES;
 use sketch_sampled_streams::stream::{
     EngineBuilder, Partition, ReadReplica, RuntimeConfig, ShardedRuntime,
 };
+use sketch_sampled_streams::xi::splitmix64;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 
@@ -230,6 +231,84 @@ proptest! {
             fin.raw_self_join().to_bits(),
             sequential(&schema, &transformed).raw_self_join().to_bits()
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Sampling at the door keeps what a sampler in the worker kept. For
+    /// any cutting of the stream into batches (empty ones and ones with no
+    /// kept key included), any mix of `push` and `push_loaned`, both
+    /// partitions and one to three shards, `into_merged()` equals each
+    /// shard's `for_shard(i)` copy fed that shard's substream through
+    /// `feed_batch` and merged in shard order: the inner summary's
+    /// `encode()` bytes, `seen` and `kept`. The runtime's tuple counter
+    /// counts offered tuples, the merged `seen`.
+    #[test]
+    fn sampling_at_the_door_keeps_the_worker_side_sample(
+        keys in prop::collection::vec(0..300u64, 0..1500),
+        cuts in prop::collection::vec(0usize..80, 1..40),
+        loaned in prop::collection::vec(any::<bool>(), 1..8),
+        rate in 0usize..3,
+        shards in 1usize..4,
+        partition in partition(),
+        seed: u64,
+    ) {
+        let p = [1.0, 0.3, 0.01][rate];
+        let prototype = multi_spec(seed)
+            .sampled(p, &mut StdRng::seed_from_u64(seed ^ 1))
+            .unwrap();
+        let config = RuntimeConfig { shards, queue_depth: 4, partition };
+        let mut rt = ShardedRuntime::new(config, &prototype).unwrap();
+        let mut batches = Vec::new();
+        let mut rest = keys.as_slice();
+        for &cut in &cuts {
+            let (batch, tail) = rest.split_at(cut.min(rest.len()));
+            batches.push(batch);
+            rest = tail;
+        }
+        batches.push(rest);
+
+        let mut substreams = vec![Vec::new(); shards];
+        let mut cursor = 0;
+        for (i, batch) in batches.into_iter().enumerate() {
+            if loaned[i % loaned.len()] {
+                let mut loan = rt.loan_batch_buf(batch.len());
+                loan.extend_from_slice(batch);
+                rt.push_loaned(loan).unwrap();
+            } else {
+                rt.push(batch).unwrap();
+            }
+            match partition {
+                Partition::RoundRobin if !batch.is_empty() => {
+                    substreams[cursor].extend_from_slice(batch);
+                    cursor = (cursor + 1) % shards;
+                }
+                Partition::RoundRobin => {}
+                Partition::Hash => {
+                    for &k in batch {
+                        substreams[(splitmix64(k) % shards as u64) as usize].push(k);
+                    }
+                }
+            }
+        }
+        let mid = rt.merged().unwrap();
+        prop_assert_eq!(mid.seen(), keys.len() as u64);
+        prop_assert_eq!(rt.tuples_ingested(), mid.seen());
+
+        let mut expect = prototype.clone();
+        for (shard, substream) in substreams.iter().enumerate() {
+            let mut part = prototype.for_shard(shard);
+            part.feed_batch(substream);
+            expect.merge_from(&part).unwrap();
+        }
+        let merged = rt.into_merged().unwrap();
+        prop_assert_eq!(
+            merged.summary().encode().unwrap(),
+            expect.summary().encode().unwrap()
+        );
+        prop_assert_eq!((merged.seen(), merged.kept()), (expect.seen(), expect.kept()));
     }
 }
 
