@@ -6,8 +6,8 @@
 //!
 //! * `xi_sign` — the scalar per-key `sign()` loop, the historical baseline;
 //! * `xi_sign_sum` — the batched `sign_sum` entry point at batch sizes
-//!   64 / 1k / 64k, which routes through the chunked (and, with
-//!   `--features simd` on an AVX2 host, vectorized) kernels in
+//!   64 / 1k / 64k, which routes through the chunked (and, on an AVX2
+//!   host, vectorized) kernels in
 //!   `sss_xi::kernels`. Comparing the two groups shows the kernel win;
 //!   comparing batch sizes shows where the fixed dispatch cost amortizes.
 

@@ -35,21 +35,25 @@
 //!
 //! # The write path
 //!
-//! `update_batch` does not run four batch kernels over the same keys.
-//! Misra–Gries cuts the batch into chunks ending on its compaction
-//! positions and reduces each chunk to its
-//! [`KeyRuns`](sss_sketch::KeyRuns) — distinct keys and their counts — and
-//! the other three parts ride on that one deduplication
-//! ([`MisraGries::offer_chunks`]):
+//! `update_batch` does not run four batch kernels over the same keys, nor
+//! probe two hash tables for them. Misra–Gries cuts the batch into chunks
+//! ending on its compaction positions and gathers each chunk in its
+//! counter table, one probe per tuple that bumps both the key's counter
+//! and its count in the chunk. At the chunk's end one walk down the
+//! counter list collects the keys the chunk touched, with those counts:
+//! the chunk's [`KeyRuns`](sss_sketch::KeyRuns). The other parts ride on
+//! them ([`MisraGries::offer_chunks`]):
 //!
-//! * **Order-free, fed per distinct key:** the join sketch and Misra–Gries
-//!   take `(key, count)` pairs (counter additions commute) and HyperLogLog
-//!   takes the distinct keys (registers only grow) — all three end up
-//!   exactly where the per-tuple loop leaves them. A key's sign and bucket
-//!   hashes are evaluated once per distinct key of a chunk, for three rows.
+//! * **Order-free, fed per distinct key:** the join sketch takes
+//!   `(key, count)` pairs (counter additions commute) and HyperLogLog takes
+//!   the distinct keys (registers only grow) — both end up exactly where
+//!   the per-tuple loop leaves them. A key's sign and bucket hashes are
+//!   evaluated once per distinct key of a chunk, for three rows, by the
+//!   kernels [`sss_xi::Dispatch`] picks at run time (AVX2 where the CPU
+//!   has it).
 //! * **At fixed stream positions:** Misra–Gries compacts when the offered
 //!   weight crosses a multiple of the chunk length, never in between, so a
-//!   chunk that ends there can be added whole.
+//!   chunk that ends there can be gathered whole.
 //! * **By position, per window:** KLL keeps one tuple of every aligned
 //!   window of `2^base` (its bottom levels are a sampler whose coins depend
 //!   on stream position alone, see [`sss_sketch::kll`]), found by index

@@ -51,6 +51,10 @@
 //! {"cmd":"shutdown"}
 //! ```
 //!
+//! `stats` answers the server's gauges, and in `"kernels"` the sign and
+//! bucket kernel path the process picked at run time (`"avx2"` or
+//! `"chunked"`, [`sss_xi::Dispatch::label`]).
+//!
 //! A request line is at most [`MAX_QUERY_LINE`] bytes: the server buffers
 //! no more than that (plus one socket read) per connection, refuses a
 //! longer line once and closes its side; what the client still sends is

@@ -981,7 +981,7 @@ fn answer_query(
                  \"connections_accepted\":{},\"connections_open\":{},\
                  \"pool_allocations\":{},\"pool_reuses\":{},\
                  \"replica_version\":{},\"replica_pending\":{},\
-                 \"runtime_tuples\":{}}}",
+                 \"runtime_tuples\":{},\"kernels\":\"{}\"}}",
                 stats.tuples_ingested(),
                 stats.batches_ingested(),
                 json_num(stats.tuples_per_sec()),
@@ -993,6 +993,7 @@ fn answer_query(
                 replica.version(),
                 replica.pending(),
                 handle.tuples_ingested(),
+                sss_xi::Dispatch::get().label(),
             ))
         }
         "shutdown" => {

@@ -1,14 +1,21 @@
-//! Key runs: one chunk of a batch, deduplicated once for every summary
-//! that reads it.
+//! Key runs: one chunk of a batch, split into its distinct keys.
 //!
 //! On skewed streams most tuples of a batch repeat a key already seen a
 //! few hundred tuples earlier (half of every 2048 keys at Zipf(1.1)).
 //! Everything a summary computes from the *key alone* — its sign and
 //! bucket hashes, its HyperLogLog register — needs computing once per
 //! distinct key; only decisions that depend on arrival order need the
-//! tuples. [`KeyRuns`] is that split for one chunk: the distinct keys in
-//! first-arrival order, how often each occurred, and for every tuple the
-//! position of its key among the distinct ones.
+//! tuples. [`KeyRuns`] is that split for one chunk: the distinct keys, how
+//! often each occurred, and for every tuple the position of its key among
+//! the distinct ones.
+//!
+//! Two writers fill it. [`CountSketchTopK`](crate::CountSketchTopK)
+//! deduplicates each chunk here ([`KeyRuns::fill`]), because its per-tuple
+//! decisions need the positions. [`MisraGries`](crate::MisraGries) already
+//! probes its own counter table once per tuple, so it pushes the distinct
+//! keys and counts it gathered there, without positions, and hands them to
+//! the summaries `sss-core`'s `MultiSummary` feeds from the same batch —
+//! each of which is indifferent to the order of the distinct keys.
 
 /// Tuples per chunk. Small enough that the table, the runs and a consumer's
 /// per-key scratch stay cache-resident, large enough that a skewed stream
@@ -27,12 +34,13 @@ const POSITION_BITS: u32 = CHUNK.trailing_zeros();
 const POSITION_MASK: u32 = (1 << POSITION_BITS) - 1;
 const STAMP_LIMIT: u32 = 1 << (32 - POSITION_BITS);
 
-/// Fibonacci multiplier: the slot is the product's top [`SLOT_BITS`] bits.
-const MULTIPLIER: u64 = 0x9E37_79B9_7F4A_7C15;
+/// Fibonacci multiplier: a key's home slot is the product's top bits.
+pub(crate) const MULTIPLIER: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// One deduplicated chunk of a key batch; see the module docs.
+/// One chunk of a key batch, split into its distinct keys; see the module
+/// docs.
 ///
-/// Holds the most recently deduplicated chunk. The buffers are reused from
+/// Holds the most recently filled chunk. The buffers are reused from
 /// chunk to chunk: the open-addressing table is never cleared, a slot
 /// counts as empty unless it carries the current chunk's stamp.
 #[derive(Debug, Default)]
@@ -45,7 +53,10 @@ pub struct KeyRuns {
 }
 
 impl KeyRuns {
-    /// The chunk's distinct keys, in order of first arrival.
+    /// The chunk's distinct keys: in order of first arrival when
+    /// [`CountSketchTopK`](crate::CountSketchTopK) split the chunk, in
+    /// counter-table order when [`MisraGries`](crate::MisraGries) gathered
+    /// it.
     pub fn keys(&self) -> &[u64] {
         &self.keys
     }
@@ -57,38 +68,30 @@ impl KeyRuns {
     }
 
     /// For every tuple of the chunk, in arrival order, the position of its
-    /// key in [`keys`](Self::keys).
+    /// key in [`keys`](Self::keys). Filled by [`fill`](Self::fill) only.
     pub(crate) fn index(&self) -> &[u16] {
         &self.index
     }
 
-    /// Cut `keys` into chunks — the first of `first` tuples, the rest of
-    /// [`CHUNK`] — and hand `each` every chunk deduplicated, next to the
-    /// chunk's raw tuples. A caller whose state changes at fixed stream
-    /// positions passes its distance to the next one as `first`, so chunk
-    /// ends land on those positions however the stream was cut into calls.
-    pub(crate) fn for_each_chunk(
-        &mut self,
-        keys: &[u64],
-        first: usize,
-        mut each: impl FnMut(&Self, &[u64]),
-    ) {
-        debug_assert!((1..=CHUNK).contains(&first));
-        let (head, rest) = keys.split_at(first.min(keys.len()));
-        for chunk in std::iter::once(head).chain(rest.chunks(CHUNK)) {
-            if !chunk.is_empty() {
-                self.fill(chunk);
-                each(self, chunk);
-            }
-        }
+    /// Start a chunk with no keys.
+    pub(crate) fn clear(&mut self) {
+        self.keys.clear();
+        self.items.clear();
+        self.index.clear();
+    }
+
+    /// Append a distinct key of the chunk and its occurrences.
+    pub(crate) fn push(&mut self, key: u64, occurrences: i64) {
+        self.keys.push(key);
+        self.items.push((key, occurrences));
     }
 
     /// Deduplicate one chunk (at most [`CHUNK`] tuples).
     ///
     /// Fibonacci hashing with linear probing: keys crafted to collide cost
     /// at most a chunk's worth of probes each, a bounded slowdown and never
-    /// a wrong answer — the same trade the candidate map makes.
-    fn fill(&mut self, chunk: &[u64]) {
+    /// a wrong answer — the same trade Misra–Gries's counter table makes.
+    pub(crate) fn fill(&mut self, chunk: &[u64]) {
         debug_assert!(chunk.len() <= CHUNK);
         self.stamp += 1;
         if self.slots.is_empty() || self.stamp == STAMP_LIMIT {
@@ -97,9 +100,7 @@ impl KeyRuns {
             self.stamp = 1;
         }
         let stamp = self.stamp << POSITION_BITS;
-        self.keys.clear();
-        self.items.clear();
-        self.index.clear();
+        self.clear();
         for &key in chunk {
             let mut slot = (key.wrapping_mul(MULTIPLIER) >> (64 - SLOT_BITS)) as usize;
             let position = loop {
@@ -107,8 +108,7 @@ impl KeyRuns {
                 if entry & !POSITION_MASK != stamp {
                     let position = self.keys.len();
                     self.slots[slot] = stamp | position as u32;
-                    self.keys.push(key);
-                    self.items.push((key, 0));
+                    self.push(key, 0);
                     break position;
                 }
                 let position = (entry & POSITION_MASK) as usize;
@@ -140,11 +140,9 @@ mod tests {
             .map(|i| i.wrapping_mul(2_654_435_761) % 300)
             .collect();
         let mut runs = KeyRuns::default();
-        let mut seen = Vec::new();
-        let mut lengths = Vec::new();
-        runs.for_each_chunk(&keys, 5, |runs, chunk| {
-            lengths.push(chunk.len());
-            assert_eq!(rebuilt(runs), chunk);
+        for chunk in keys.chunks(CHUNK) {
+            runs.fill(chunk);
+            assert_eq!(rebuilt(&runs), chunk);
             let mut distinct = chunk.to_vec();
             distinct.sort_unstable();
             distinct.dedup();
@@ -153,10 +151,7 @@ mod tests {
                 assert_eq!(key, item_key);
                 assert_eq!(count as usize, chunk.iter().filter(|&&k| k == key).count());
             }
-            seen.extend_from_slice(chunk);
-        });
-        assert_eq!(seen, keys);
-        assert_eq!(lengths, [5, CHUNK, CHUNK, CHUNK, 2]);
+        }
     }
 
     #[test]
@@ -171,17 +166,15 @@ mod tests {
         assert_eq!(MULTIPLIER.wrapping_mul(inverse), 1);
         let colliding: Vec<u64> = (0..CHUNK as u64).map(|i| i.wrapping_mul(inverse)).collect();
         let mut runs = KeyRuns::default();
-        runs.for_each_chunk(&colliding, CHUNK, |runs, chunk| {
-            assert_eq!(rebuilt(runs), chunk)
-        });
+        runs.fill(&colliding);
+        assert_eq!(rebuilt(&runs), colliding);
         // Force the stamp to wrap: stale slots must not alias live ones.
         runs.stamp = STAMP_LIMIT - 2;
         for round in 0..4u64 {
             let chunk: Vec<u64> = (0..100).map(|i| i % 10 + round).collect();
-            runs.for_each_chunk(&chunk, CHUNK, |runs, chunk| {
-                assert_eq!(rebuilt(runs), chunk);
-                assert_eq!(runs.keys().len(), 10);
-            });
+            runs.fill(&chunk);
+            assert_eq!(rebuilt(&runs), chunk);
+            assert_eq!(runs.keys().len(), 10);
         }
         assert!(runs.stamp < 4);
     }

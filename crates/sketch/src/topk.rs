@@ -39,7 +39,7 @@
 use crate::error::{Error, Result};
 use crate::fagms::{FagmsSchema, FagmsSketch, RowCells};
 use crate::fasthash::KeyHashMap;
-use crate::runs::{KeyRuns, CHUNK};
+use crate::runs::{KeyRuns, CHUNK, MULTIPLIER};
 use crate::Sketch;
 use sss_xi::{BucketFamily, DefaultBucket, DefaultSign, SignFamily};
 
@@ -146,12 +146,26 @@ pub trait HeavyHitters: Clone {
 ///
 /// Compactions sit at **stream positions**, not call positions. Between
 /// two of them only additions happen, and additions commute, so
-/// [`offer_batch`](HeavyHitters::offer_batch) may add a whole deduplicated
-/// chunk of `(key, count)` pairs at once — provided the chunk ends where
-/// the per-key loop would compact, which is why the batch path cuts its
-/// first chunk at the distance to the next multiple. State is then a
-/// function of the offered sequence alone: `encode()` after any re-cut of
-/// the stream into calls equals `encode()` after the per-key loop.
+/// [`offer_batch`](HeavyHitters::offer_batch) may gather a whole chunk
+/// before it compacts — provided the chunk ends where the per-key loop
+/// would compact, which is why the batch path cuts its first chunk at the
+/// distance to the next multiple. State is then a function of the offered
+/// sequence alone: `encode()` after any re-cut of the stream into calls
+/// equals `encode()` after the per-key loop.
+///
+/// # The counter table
+///
+/// The counters are one dense list of `(key, count)` entries, found
+/// through an open-addressing index: Fibonacci hashing, linear probing, at
+/// most half full, and a slot counts only while it carries the index's
+/// current stamp, so re-indexing writes the live entries and clears
+/// nothing. The list is also the batch path's deduplication table:
+/// [`offer_chunks`](Self::offer_chunks) probes the index **once per
+/// tuple**, bumping the key's counter and its count in the current chunk.
+/// At the chunk's end one walk down the list collects every entry the
+/// chunk touched, with that count, as the chunk's [`KeyRuns`], and zeroes
+/// the count again. A compaction is a selection over the counts, an
+/// in-place retain and a re-index of the at most `capacity` survivors.
 ///
 /// At most `capacity + CHUNK` counters are ever held (at most `CHUNK`
 /// offers, so at most `CHUNK` new keys, separate two compactions); a
@@ -164,47 +178,192 @@ pub trait HeavyHitters: Clone {
 /// that would take the offered weight past `u64::MAX`.
 #[derive(Debug)]
 pub struct MisraGries {
-    counters: KeyHashMap<u64>,
+    table: CounterTable,
     capacity: usize,
     /// Cumulative amount subtracted by compactions and merges — the
     /// deterministic per-key undercount bound.
     offset: u64,
     offered: u64,
-    /// Buffers of compaction and the batch path. Not state: never cloned,
-    /// serialized or compared.
-    scratch: MgScratch,
-}
-
-#[derive(Debug, Default)]
-struct MgScratch {
+    /// The last chunk's runs, the batch path's buffer. Not state: never
+    /// cloned, serialized or compared.
     runs: KeyRuns,
-    values: Vec<u64>,
 }
 
-// A clone starts with empty scratch.
+/// The largest `capacity`: a merge holds up to `2·(capacity + CHUNK)`
+/// counters, and the index addresses them with 31 bits.
+const MAX_CAPACITY: usize = 1 << 28;
+
+/// One held counter of a [`MisraGries`] summary.
+#[derive(Debug, Clone, Copy)]
+struct Counter {
+    key: u64,
+    count: u64,
+    /// Occurrences in the chunk being gathered; zero between chunks.
+    in_chunk: u32,
+}
+
+/// The dense counter list and its index; see [`MisraGries`].
+#[derive(Debug, Clone)]
+struct CounterTable {
+    counters: Vec<Counter>,
+    /// A power of two, at least twice `counters.len()`. A slot holds
+    /// `stamp << log2(slots.len()) | position` and is empty unless it
+    /// carries the current `stamp`.
+    slots: Vec<u32>,
+    stamp: u32,
+}
+
+/// Index slots of an empty table.
+const MIN_SLOTS: usize = 16;
+
+impl CounterTable {
+    fn new() -> Self {
+        Self {
+            counters: Vec::new(),
+            slots: vec![0; MIN_SLOTS],
+            stamp: 1,
+        }
+    }
+
+    /// The bits of a slot above its position, as a live slot carries them.
+    fn live(&self) -> u32 {
+        self.stamp << self.slots.len().trailing_zeros()
+    }
+
+    /// The slot where `key`'s probe starts: the top bits of its Fibonacci
+    /// product.
+    fn home(&self, key: u64) -> usize {
+        (key.wrapping_mul(MULTIPLIER) >> (64 - self.slots.len().trailing_zeros())) as usize
+    }
+
+    /// `Ok` with the position of `key`'s counter, or `Err` with the empty
+    /// slot its counter would take. Keys crafted to collide cost a probe
+    /// chain as long as the table is full, a bounded slowdown and never a
+    /// wrong answer.
+    #[inline]
+    fn probe(&self, key: u64) -> std::result::Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let live = self.live();
+        let mut slot = self.home(key);
+        loop {
+            let entry = self.slots[slot];
+            if entry & !(mask as u32) != live {
+                return Err(slot);
+            }
+            let position = entry as usize & mask;
+            if self.counters[position].key == key {
+                return Ok(position);
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// Every held `(key, count)`, in table order.
+    fn pairs(&self) -> Vec<(u64, u64)> {
+        self.counters
+            .iter()
+            .map(|counter| (counter.key, counter.count))
+            .collect()
+    }
+
+    fn get(&self, key: u64) -> Option<&Counter> {
+        self.probe(key)
+            .ok()
+            .map(|position| &self.counters[position])
+    }
+
+    /// The position of `key`'s counter, created at zero if it is not held.
+    #[inline]
+    fn upsert(&mut self, key: u64) -> usize {
+        match self.probe(key) {
+            Ok(position) => position,
+            Err(slot) => {
+                let position = self.counters.len();
+                self.counters.push(Counter {
+                    key,
+                    count: 0,
+                    in_chunk: 0,
+                });
+                if 2 * self.counters.len() > self.slots.len() {
+                    self.reindex();
+                } else {
+                    self.slots[slot] = self.live() | position as u32;
+                }
+                position
+            }
+        }
+    }
+
+    /// One tuple of the chunk being gathered: `key`'s counter grows by
+    /// `weight` and its chunk count by one.
+    #[inline]
+    fn tally(&mut self, key: u64, weight: u64) {
+        let position = self.upsert(key);
+        let counter = &mut self.counters[position];
+        counter.in_chunk += 1;
+        counter.count += weight;
+    }
+
+    /// Keep the counters `keep` returns `true` for (it may change them),
+    /// then re-index the survivors.
+    fn retain(&mut self, keep: impl FnMut(&mut Counter) -> bool) {
+        self.counters.retain_mut(keep);
+        self.reindex();
+    }
+
+    /// Index every counter afresh: in slots twice as many when they would
+    /// be more than half full, otherwise under the next stamp — which
+    /// empties every slot without writing it, until the stamp outgrows the
+    /// bits above the position.
+    #[inline(never)]
+    fn reindex(&mut self) {
+        if 2 * self.counters.len() > self.slots.len() {
+            self.slots = vec![0; (2 * self.counters.len()).next_power_of_two()];
+            self.stamp = 1;
+        } else {
+            self.stamp += 1;
+            if self.stamp >> (32 - self.slots.len().trailing_zeros()) != 0 {
+                self.slots.fill(0);
+                self.stamp = 1;
+            }
+        }
+        let mask = self.slots.len() - 1;
+        let live = self.live();
+        for (position, counter) in self.counters.iter().enumerate() {
+            let mut slot = self.home(counter.key);
+            while self.slots[slot] & !(mask as u32) == live {
+                slot = (slot + 1) & mask;
+            }
+            self.slots[slot] = live | position as u32;
+        }
+    }
+}
+
+// A clone starts with empty runs.
 impl Clone for MisraGries {
     fn clone(&self) -> Self {
         Self {
-            counters: self.counters.clone(),
+            table: self.table.clone(),
             capacity: self.capacity,
             offset: self.offset,
             offered: self.offered,
-            scratch: MgScratch::default(),
+            runs: KeyRuns::default(),
         }
     }
 }
 
 // Persistence: capacity + error offset + offered weight + the held
 // counters as parallel key/count columns in ascending key order, so the
-// encoding of a given summary state is deterministic regardless of hash-map
-// iteration order (snapshot proptests pin byte-for-byte stability on this).
+// encoding of a given summary state is deterministic regardless of the
+// table's entry order (snapshot proptests pin byte-for-byte stability on
+// this).
 impl serde::Serialize for MisraGries {
     fn serialize<S: serde::Serializer>(
         &self,
         serializer: S,
     ) -> std::result::Result<S::Ok, S::Error> {
         use serde::ser::SerializeStruct;
-        let mut entries: Vec<(u64, u64)> = self.counters.iter().map(|(&k, &v)| (k, v)).collect();
+        let mut entries = self.table.pairs();
         entries.sort_unstable_by_key(|&(k, _)| k);
         let keys: Vec<u64> = entries.iter().map(|&(k, _)| k).collect();
         let counts: Vec<u64> = entries.iter().map(|&(_, v)| v).collect();
@@ -239,8 +398,10 @@ impl<'de> serde::Deserialize<'de> for MisraGries {
             counts: Vec<u64>,
         }
         let repr = Repr::deserialize(deserializer)?;
-        if repr.capacity == 0 {
-            return Err(D::Error::custom("Misra-Gries capacity must be non-zero"));
+        if !(1..=MAX_CAPACITY).contains(&repr.capacity) {
+            return Err(D::Error::custom(
+                "Misra-Gries capacity must be non-zero and at most 2^28",
+            ));
         }
         let held = repr.keys.len();
         let room = repr.capacity.saturating_add(CHUNK);
@@ -267,16 +428,21 @@ impl<'de> serde::Deserialize<'de> for MisraGries {
                 "Misra-Gries counters and offset exceed the offered weight",
             ));
         }
-        let counters: KeyHashMap<u64> = repr.keys.into_iter().zip(repr.counts).collect();
-        if counters.len() != held {
-            return Err(D::Error::custom("Misra-Gries keys are distinct"));
+        let mut table = CounterTable::new();
+        for (&key, &count) in repr.keys.iter().zip(&repr.counts) {
+            let position = table.upsert(key);
+            let counter = &mut table.counters[position];
+            if counter.count != 0 {
+                return Err(D::Error::custom("Misra-Gries keys are distinct"));
+            }
+            counter.count = count;
         }
         Ok(Self {
-            counters,
+            table,
             capacity: repr.capacity,
             offset: repr.offset,
             offered: repr.offered,
-            scratch: MgScratch::default(),
+            runs: KeyRuns::default(),
         })
     }
 }
@@ -290,17 +456,17 @@ impl MisraGries {
     ///
     /// # Errors
     ///
-    /// [`Error::InvalidDimensions`] if `capacity` is zero.
+    /// [`Error::InvalidDimensions`] if `capacity` is zero or above 2^28.
     pub fn new(capacity: usize) -> Result<Self> {
-        if capacity == 0 {
+        if !(1..=MAX_CAPACITY).contains(&capacity) {
             return Err(Error::InvalidDimensions);
         }
         Ok(Self {
-            counters: KeyHashMap::default(),
+            table: CounterTable::new(),
             capacity,
             offset: 0,
             offered: 0,
-            scratch: MgScratch::default(),
+            runs: KeyRuns::default(),
         })
     }
 
@@ -312,7 +478,7 @@ impl MisraGries {
     /// Counters held right now: at most `capacity` after a compaction or a
     /// merge, at most `capacity + CHUNK` in between.
     pub fn held(&self) -> usize {
-        self.counters.len()
+        self.table.counters.len()
     }
 
     /// The deterministic undercount bound: for every key,
@@ -324,51 +490,63 @@ impl MisraGries {
 
     /// [`offer_batch`](HeavyHitters::offer_batch), sharing the batch's
     /// deduplication: `keys` is cut into chunks ending on this summary's
-    /// compaction positions, each chunk is reduced to its [`KeyRuns`] and
-    /// absorbed, and `each` then sees the runs next to the chunk's raw
-    /// tuples — so summaries fed from the same batch (`sss-core`'s
+    /// compaction positions, each chunk is gathered into the counter table
+    /// one probe per tuple (see the type docs), and `each` then sees the
+    /// chunk's [`KeyRuns`] — its distinct keys and their counts — next to
+    /// its raw tuples, so summaries fed from the same batch (`sss-core`'s
     /// `MultiSummary`) take their order-free updates per distinct key
     /// without deduplicating again.
     pub fn offer_chunks(&mut self, keys: &[u64], mut each: impl FnMut(&KeyRuns, &[u64])) {
-        let mut runs = std::mem::take(&mut self.scratch.runs);
         let first = CHUNK - (self.offered % CHUNK as u64) as usize;
-        runs.for_each_chunk(keys, first, |runs, chunk| {
-            match self.offered.checked_add(chunk.len() as u64) {
-                Some(offered) => {
-                    for &(key, count) in runs.items() {
-                        *self.counters.entry(key).or_insert(0) += count as u64;
-                    }
-                    self.offered = offered;
-                    if offered % CHUNK as u64 == 0 {
-                        self.compact();
-                    }
-                }
-                // Past `u64::MAX` the per-key loop drops offers one by one.
-                None => chunk.iter().for_each(|&key| self.offer(key, 1)),
+        let (head, rest) = keys.split_at(first.min(keys.len()));
+        for chunk in std::iter::once(head).chain(rest.chunks(CHUNK)) {
+            if chunk.is_empty() {
+                continue;
             }
-            each(runs, chunk);
-        });
-        self.scratch.runs = runs;
+            // Past `u64::MAX` the per-key loop drops offers: those tuples
+            // still reach `each`, but no counter.
+            let room = usize::try_from(u64::MAX - self.offered).unwrap_or(usize::MAX);
+            let counted = chunk.len().min(room);
+            for &key in &chunk[..counted] {
+                self.table.tally(key, 1);
+            }
+            for &key in &chunk[counted..] {
+                self.table.tally(key, 0);
+            }
+            self.offered += counted as u64;
+            self.runs.clear();
+            for counter in &mut self.table.counters {
+                if counter.in_chunk > 0 {
+                    self.runs.push(counter.key, i64::from(counter.in_chunk));
+                    counter.in_chunk = 0;
+                }
+            }
+            if counted < chunk.len() {
+                self.table.retain(|counter| counter.count > 0);
+            }
+            if self.offered % CHUNK as u64 == 0 {
+                self.compact();
+            }
+            each(&self.runs, chunk);
+        }
     }
 
     /// Subtract the `(capacity+1)`-th largest counter value from every
     /// counter and drop the non-positive ones. Leaves at most `capacity`
     /// counters (everything at or below the cut dies).
     fn compact(&mut self) {
-        if self.counters.len() <= self.capacity {
+        let counters = &mut self.table.counters;
+        if counters.len() <= self.capacity {
             return;
         }
-        let values = &mut self.scratch.values;
-        values.clear();
-        values.extend(self.counters.values());
-        let (_, &mut cut, _) = values.select_nth_unstable_by(self.capacity, |a, b| b.cmp(a));
-        self.counters.retain(|_, v| {
-            if *v > cut {
-                *v -= cut;
-                true
-            } else {
-                false
-            }
+        let (_, nth, _) =
+            counters.select_nth_unstable_by(self.capacity, |a, b| b.count.cmp(&a.count));
+        let cut = nth.count;
+        // What the selection put first is at least the cut.
+        counters.truncate(self.capacity);
+        self.table.retain(|counter| {
+            counter.count -= cut;
+            counter.count > 0
         });
         self.offset += cut;
     }
@@ -383,7 +561,8 @@ impl HeavyHitters for MisraGries {
         let Some(offered) = self.offered.checked_add(count) else {
             return;
         };
-        *self.counters.entry(key).or_insert(0) += count;
+        let position = self.table.upsert(key);
+        self.table.counters[position].count += count;
         let crossed = offered / CHUNK as u64 != self.offered / CHUNK as u64;
         self.offered = offered;
         if crossed {
@@ -411,8 +590,9 @@ impl HeavyHitters for MisraGries {
             .offered
             .checked_add(other.offered)
             .ok_or(Error::WeightOverflow)?;
-        for (&key, &count) in &other.counters {
-            *self.counters.entry(key).or_insert(0) += count;
+        for counter in &other.table.counters {
+            let position = self.table.upsert(counter.key);
+            self.table.counters[position].count += counter.count;
         }
         self.offset += other.offset;
         self.compact();
@@ -420,7 +600,7 @@ impl HeavyHitters for MisraGries {
     }
 
     fn raw_estimate(&self, key: u64) -> f64 {
-        self.counters.get(&key).copied().unwrap_or(0) as f64
+        self.table.get(key).map_or(0, |counter| counter.count) as f64
     }
 
     fn raw_error_bound(&self) -> f64 {
@@ -431,7 +611,7 @@ impl HeavyHitters for MisraGries {
     /// smaller key) — what the next compaction would keep, and a few at
     /// its cut besides.
     fn candidates(&self) -> Vec<u64> {
-        let mut held: Vec<(u64, u64)> = self.counters.iter().map(|(&k, &v)| (k, v)).collect();
+        let mut held = self.table.pairs();
         if held.len() > self.capacity {
             held.select_nth_unstable_by(self.capacity, |a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
             held.truncate(self.capacity);
@@ -692,7 +872,8 @@ impl<S: SignFamily, B: BucketFamily> HeavyHitters for CountSketchTopK<S, B> {
         } = &mut scratch;
         let depth = self.sketch.schema().depth();
         per_row.resize(depth, 0.0);
-        runs.for_each_chunk(keys, CHUNK, |runs, chunk| {
+        for chunk in keys.chunks(CHUNK) {
+            runs.fill(chunk);
             let distinct = runs.keys();
             self.sketch.hash_cells(distinct, cells);
             let cells = cells.cells();
@@ -712,7 +893,7 @@ impl<S: SignFamily, B: BucketFamily> HeavyHitters for CountSketchTopK<S, B> {
                     self.admit(key, est);
                 }
             }
-        });
+        }
         self.scratch = scratch;
     }
 
@@ -896,6 +1077,33 @@ mod tests {
         assert_eq!(left.raw_top_k(10), seq.raw_top_k(10));
         assert_eq!(left.items_offered(), seq.items_offered());
         assert_eq!(left.error_bound(), 0);
+    }
+
+    /// When the index's stamp outgrows the bits above a slot's position,
+    /// re-indexing clears the slots for real: slots written under a stamp
+    /// that comes round again never read as live.
+    #[test]
+    fn counter_index_stamp_wrap_clears_old_slots() {
+        let mut table = CounterTable::new();
+        for key in 0..200 {
+            table.upsert(key);
+        }
+        assert_eq!(table.stamp, 1);
+        // The next re-index passes the last stamp this many slots allow.
+        table.stamp = (1 << (32 - table.slots.len().trailing_zeros())) - 1;
+        table.retain(|counter| counter.key < 3);
+        assert_eq!(table.stamp, 1, "the stamp wrapped");
+        for key in 200..300 {
+            table.upsert(key);
+        }
+        for key in 0..300 {
+            let held = !(3..200).contains(&key);
+            assert_eq!(
+                table.get(key).map(|counter| counter.key),
+                held.then_some(key)
+            );
+        }
+        assert_eq!(table.counters.len(), 103);
     }
 
     #[test]

@@ -300,9 +300,9 @@ impl<E: Summary> RuntimeShared<E> {
             let (version, clone) = self.fetch_snapshot(shard, &rx)?;
             fresh.push((shard, version, clone));
         }
-        let prototype = self.lock_prototype().clone();
+        // Lent, not cloned: only a rebuild copies the prototype.
         cache
-            .refresh(&prototype, fresh)
+            .refresh(&self.lock_prototype(), fresh)
             .map_err(StreamError::Estimator)
     }
 
@@ -1988,6 +1988,33 @@ mod tests {
             fin.inner.raw_self_join().to_bits(),
             first.inner.raw_self_join().to_bits()
         );
+    }
+
+    /// The clones `merged()` pays: a clean query copies its answer and
+    /// nothing else; a rebuild adds one copy per dirty shard and one of
+    /// the prototype to merge into.
+    #[test]
+    fn merged_clones_the_prototype_only_to_rebuild() {
+        use crate::snapshot::tests::CloneLog;
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let config = RuntimeConfig {
+            shards: 2,
+            queue_depth: 4,
+            partition: Partition::RoundRobin,
+        };
+        let mut rt = ShardedRuntime::new(config, &CloneLog::prototype(&log)).unwrap();
+        rt.push(&[1]).unwrap();
+        rt.push(&[2]).unwrap();
+        let take = || {
+            let mut roles = std::mem::take(&mut *log.lock().unwrap());
+            roles.sort_unstable();
+            roles
+        };
+        take();
+        rt.merged().unwrap();
+        assert_eq!(take(), ["merged", "prototype", "shard", "shard"]);
+        rt.merged().unwrap();
+        assert_eq!(take(), ["merged"]);
     }
 
     /// The zero-allocations-per-batch claim, in accounting form: over a

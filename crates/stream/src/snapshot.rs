@@ -201,7 +201,7 @@ impl ReplicaHub {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -211,6 +211,64 @@ mod tests {
         let mut s = schema.sketch();
         s.update_batch(keys);
         s
+    }
+
+    /// A summary double that logs whose clone was taken: the prototype's
+    /// (never updated or merged into), a shard's (updated), or a merge
+    /// result's.
+    #[derive(Debug)]
+    pub(crate) struct CloneLog {
+        role: &'static str,
+        log: Arc<Mutex<Vec<&'static str>>>,
+    }
+
+    impl CloneLog {
+        pub(crate) fn prototype(log: &Arc<Mutex<Vec<&'static str>>>) -> Self {
+            Self {
+                role: "prototype",
+                log: Arc::clone(log),
+            }
+        }
+    }
+
+    impl Clone for CloneLog {
+        fn clone(&self) -> Self {
+            self.log.lock().unwrap().push(self.role);
+            Self {
+                role: self.role,
+                log: Arc::clone(&self.log),
+            }
+        }
+    }
+
+    impl Summary for CloneLog {
+        fn update(&mut self, _key: u64, _count: i64) {
+            self.role = "shard";
+        }
+        fn update_batch(&mut self, _keys: &[u64]) {
+            self.role = "shard";
+        }
+        fn merge_from(&mut self, _other: &Self) -> sss_core::Result<()> {
+            self.role = "merged";
+            Ok(())
+        }
+    }
+
+    /// The clones a query pays: a hit copies the cached result and nothing
+    /// else, a rebuild copies the prototype once to merge into.
+    #[test]
+    fn a_hit_clones_no_prototype_and_a_rebuild_clones_it_once() {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let proto = CloneLog::prototype(&log);
+        let mut shard = CloneLog::prototype(&log);
+        shard.update_batch(&[1]);
+        let mut cache = SnapshotCache::new(2);
+        let take = || std::mem::take(&mut *log.lock().unwrap());
+
+        cache.refresh(&proto, vec![(0, 1, shard)]).unwrap();
+        assert_eq!(take(), ["prototype", "merged"]);
+        cache.refresh(&proto, vec![]).unwrap();
+        assert_eq!(take(), ["merged"]);
     }
 
     /// Both paths — a rebuild (every shard fresh, or only some) and a

@@ -9,10 +9,10 @@
 //! * a **chunked** path: fixed-width-8 array inner loops that LLVM can
 //!   autovectorize (and that provide instruction-level parallelism even
 //!   where it cannot), compiled for every target; and
-//! * an **AVX2** path behind the `simd` cargo feature: explicit
+//! * an **AVX2** path, compiled on every x86-64 build: explicit
 //!   `std::arch` intrinsics in the single audited `avx2` submodule,
-//!   selected *at runtime* via `is_x86_feature_detected!` so a binary
-//!   built with the feature still runs correctly on older x86-64 parts.
+//!   selected *at runtime* via `is_x86_feature_detected!` so the same
+//!   binary still runs correctly on x86-64 parts without AVX2.
 //!
 //! The selection is memoized in a [`Dispatch`] value; callers grab it once
 //! per batch (an atomic load) and thread it through the kernels.
@@ -49,7 +49,7 @@ enum Path {
     /// Safe fixed-width-8 loops; always available.
     Chunked,
     /// Explicit AVX2 intrinsics; only constructed after runtime detection.
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     Avx2(avx2::Avx2Token),
 }
 
@@ -68,7 +68,7 @@ pub struct Dispatch {
 impl Dispatch {
     /// The fastest path supported by the running CPU (memoized).
     pub fn get() -> Self {
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         {
             use std::sync::OnceLock;
             static DETECTED: OnceLock<Dispatch> = OnceLock::new();
@@ -79,7 +79,7 @@ impl Dispatch {
                 None => Dispatch::chunked(),
             })
         }
-        #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+        #[cfg(not(target_arch = "x86_64"))]
         Dispatch::chunked()
     }
 
@@ -99,7 +99,7 @@ impl Dispatch {
     pub fn label(self) -> &'static str {
         match self.path {
             Path::Chunked => "chunked",
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            #[cfg(target_arch = "x86_64")]
             Path::Avx2(_) => "avx2",
         }
     }
@@ -129,7 +129,7 @@ fn hash8(d: Dispatch, coeffs: &[u64], keys: &[u64; CHUNK]) -> [u64; CHUNK] {
             let xs = keys.map(|k| k % P61);
             horner_lanes_reduced(coeffs, &xs)
         }
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         Path::Avx2(token) => avx2::horner8(token, coeffs, keys),
     }
 }
@@ -151,7 +151,7 @@ fn hash8_pair(
                 horner_lanes_reduced(bucket_coeffs, &xs),
             )
         }
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         Path::Avx2(token) => avx2::horner8_pair(token, sign_coeffs, bucket_coeffs, keys),
     }
 }
@@ -497,7 +497,7 @@ fn eh3_t8(d: Dispatch, s: u64, keys: &[u64; CHUNK]) -> [u64; CHUNK] {
             }
             t
         }
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[cfg(target_arch = "x86_64")]
         Path::Avx2(token) => avx2::eh3_t8(token, s, keys),
     }
 }
@@ -730,7 +730,7 @@ pub fn tab_bucket_batch(tables: &[[u64; 256]; 8], width: usize, keys: &[u64], ou
 /// `reduce128_partial` and canonicalized with the same two folds plus
 /// conditional subtract as `reduce128`, so each lane computes literally
 /// the same u64 sequence as one scalar Horner chain.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 pub(crate) mod avx2 {
     use super::CHUNK;

@@ -42,8 +42,8 @@
 //! ```
 
 // `deny` instead of `forbid`: the one audited AVX2 module in `kernels`
-// carries a scoped `#[allow(unsafe_code)]` (compiled only under the `simd`
-// feature); everything else in the crate remains statically unsafe-free.
+// carries a scoped `#[allow(unsafe_code)]` (compiled on x86-64 only);
+// everything else in the crate remains statically unsafe-free.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -72,6 +72,26 @@ fn skewed(len: usize, domain: u64, rng: &mut StdRng) -> Vec<u64> {
         .collect()
 }
 
+/// The Fibonacci multiplier the counter tables hash with, and its inverse
+/// modulo 2^64 (Newton's iteration doubles the correct low bits each step).
+const MULTIPLIER: u64 = 0x9E37_79B9_7F4A_7C15;
+const INVERSE: u64 = {
+    let mut inverse = 1u64;
+    let mut step = 0;
+    while step < 6 {
+        inverse = inverse.wrapping_mul(2u64.wrapping_sub(MULTIPLIER.wrapping_mul(inverse)));
+        step += 1;
+    }
+    inverse
+};
+
+/// Distinct `i` map to distinct keys whose Fibonacci products are `i`
+/// itself, so the top bits — the home slot — are zero for every small `i`:
+/// all such keys share one probe chain.
+fn colliding(i: u64) -> u64 {
+    i.wrapping_mul(INVERSE)
+}
+
 /// Hand `keys` to `call` in slices of `cut`, `2·cut + 1`, `cut`, … keys —
 /// call boundaries that fall anywhere relative to the chunk size.
 fn in_calls(keys: &[u64], cut: usize, mut call: impl FnMut(&[u64])) {
@@ -157,6 +177,48 @@ fn k_200_batches_match_the_loop_once_sampling_is_live() {
     assert_eq!(scalar.encode().unwrap(), batched.encode().unwrap());
 }
 
+/// Misra–Gries merging two summaries that each hold `capacity + CHUNK − 1`
+/// counters — the most a stream leaves between two compactions — all on
+/// one probe chain, so the merge has to grow the index past what either
+/// side needed: the batch-fed pair merges to the per-key-fed pair's bytes,
+/// and to the counters the merge rule predicts.
+#[test]
+fn misra_gries_merge_of_full_tables_grows_the_index() {
+    const CAPACITY: usize = 8;
+    // A window whose compaction keeps exactly `CAPACITY` keys, seen
+    // `heavy` times each, then new keys up to one short of the next.
+    let side = |base: u64, heavy: u64| -> Vec<u64> {
+        let mut keys: Vec<u64> = (0..CAPACITY as u64 * heavy)
+            .map(|i| i % CAPACITY as u64)
+            .collect();
+        keys.extend(keys.len() as u64..2 * CHUNK as u64 - 1);
+        keys.into_iter().map(|i| colliding(base + i)).collect()
+    };
+    let fed = |keys: &[u64]| {
+        let mut scalar = MisraGries::new(CAPACITY).unwrap();
+        keys.iter().for_each(|&key| scalar.offer(key, 1));
+        let mut batched = MisraGries::new(CAPACITY).unwrap();
+        in_calls(keys, 777, |call| batched.offer_batch(call));
+        assert_eq!(batched.held(), CAPACITY + CHUNK - 1);
+        assert_eq!(scalar.encode().unwrap(), batched.encode().unwrap());
+        (scalar, batched)
+    };
+    let right = 1 << 40;
+    let (mut scalar, mut batched) = fed(&side(0, 100));
+    let (scalar_right, batched_right) = fed(&side(right, 200));
+    scalar.merge(&scalar_right).unwrap();
+    batched.merge(&batched_right).unwrap();
+    assert_eq!(scalar.encode().unwrap(), batched.encode().unwrap());
+    // Each side compacted once by 1. The merge's cut is the ninth largest
+    // sum, the left side's heavy count: only the right side's heavy keys
+    // survive, each by the difference.
+    assert_eq!(batched.held(), CAPACITY);
+    assert_eq!(batched.error_bound(), 1 + 1 + 99);
+    for key in 0..CAPACITY as u64 {
+        assert_eq!(batched.raw_estimate(colliding(right + key)), 100.0);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -173,27 +235,38 @@ proptest! {
         check_topk_batch::<Eh3, Tabulation>(7, &keys, cut, &mut rng);
     }
 
-    /// Misra–Gries: adding a deduplicated chunk at once and compacting where
-    /// the offered weight reaches a multiple of the chunk length is what the
-    /// per-key loop does one tuple at a time — same counters, same offset,
-    /// wherever the calls end and whatever a weighted offer did to the
-    /// position first; and the same again after 100 further per-key offers.
+    /// Misra–Gries: gathering a chunk in the counter table one probe per
+    /// tuple and compacting where the offered weight reaches a multiple of
+    /// the chunk length is what the per-key loop does one tuple at a time —
+    /// same counters, same offset, wherever the calls end, whatever a
+    /// weighted offer did to the position first, with every key on one
+    /// probe chain or spread, and through a snapshot taken anywhere on the
+    /// way, mid-chunk or not; and the same again after 100 further per-key
+    /// offers.
     #[test]
     fn misra_gries_batch_matches_offer_loop(
         length in 0usize..6,
         cut in 1usize..3000,
         lead in 0i64..5000,
+        collide: bool,
+        resume in 0.0f64..1.0,
         seed: u64,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let keys = skewed(LENGTHS[length], 5000, &mut rng);
+        let mut keys = skewed(LENGTHS[length], 5000, &mut rng);
+        if collide {
+            keys.iter_mut().for_each(|key| *key = colliding(*key));
+        }
         let mut scalar = MisraGries::new(8).unwrap();
         scalar.offer(3, lead);
         let mut batched = scalar.clone();
         for &k in &keys {
             scalar.offer(k, 1);
         }
-        in_calls(&keys, cut, |call| batched.offer_batch(call));
+        let (before, after) = keys.split_at((resume * keys.len() as f64) as usize);
+        in_calls(before, cut, |call| batched.offer_batch(call));
+        let mut batched = MisraGries::decode(&batched.encode().unwrap()).unwrap();
+        in_calls(after, cut, |call| batched.offer_batch(call));
         let tail = skewed(100, 5000, &mut rng);
         for _ in 0..2 {
             prop_assert!(batched.held() <= 8 + CHUNK);

@@ -1,17 +1,10 @@
 //! Property-based bit-identity tests for the `sss_xi::kernels` fast paths:
-//! every batched entry point — chunked and, when compiled with
-//! `--features simd` and running on a host with AVX2, the vectorized path
-//! behind [`Dispatch::get`] — must agree **exactly** with the per-key
-//! scalar reference for all sign and bucket families, on arbitrary keys
-//! and signed counts, including empty batches and lengths that are not a
-//! multiple of the kernel width (tails).
-//!
-//! Run both ways; the suite is the same, only the dispatch outcome moves:
-//!
-//! ```text
-//! cargo test --test kernel_identity
-//! cargo test --test kernel_identity --features simd
-//! ```
+//! every batched entry point — chunked and, on an x86-64 host with AVX2,
+//! the vectorized path behind [`Dispatch::get`] — must agree **exactly**
+//! with the per-key scalar reference for all sign and bucket families, on
+//! arbitrary keys and signed counts, including empty batches and lengths
+//! that are not a multiple of the kernel width (tails). Every case runs on
+//! both dispatches, so the portable path stays covered on AVX2 hosts.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -32,8 +25,8 @@ fn items_strategy() -> impl Strategy<Value = Vec<(u64, i64)>> {
 }
 
 /// Both dispatch outcomes to pin: the portable chunked path, and whatever
-/// the runtime probe picked (equal to chunked without `--features simd`,
-/// the AVX2 path with it on a supporting host).
+/// the runtime probe picked (the AVX2 path on a supporting x86-64 host,
+/// chunked elsewhere).
 fn paths() -> [Dispatch; 2] {
     [Dispatch::chunked(), Dispatch::get()]
 }
@@ -164,9 +157,8 @@ proptest! {
 
     /// The fused sign+bucket scatter kernels (the F-AGMS / Count-Min row
     /// update) leave counter state byte-identical to the per-key loop —
-    /// these route through `Dispatch::get()` internally, so under
-    /// `--features simd` this exercises the AVX2 pair-evaluation end to
-    /// end.
+    /// these route through `Dispatch::get()` internally, so on an AVX2
+    /// host this exercises the AVX2 pair-evaluation end to end.
     #[test]
     fn scatter_kernels_are_bit_identical(
         keys in keys_strategy(),

@@ -12,6 +12,7 @@ use sss_net::protocol;
 use sss_net::{IngestClient, NetError, QueryClient, RunningServer, ServerConfig};
 use sss_stream::runtime::RuntimeConfig;
 use sss_stream::{Partition, ShardedRuntime};
+use sss_xi::Dispatch;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 
@@ -316,6 +317,10 @@ fn query_plane_answers_all_four_families_and_shutdown_snapshots() {
     assert!(topk.contains("\"top\":["), "{topk}");
     let stats_line = queries.stats_line().unwrap();
     assert!(stats_line.contains("\"tuples\":500"), "{stats_line}");
+    // The kernel path is picked at run time: the server names the one the
+    // process runs.
+    let kernels = format!("\"kernels\":\"{}\"", Dispatch::get().label());
+    assert!(stats_line.contains(&kernels), "{stats_line}");
 
     // A malformed query line is an error *response*, not a dropped
     // connection.
