@@ -54,12 +54,49 @@
 //! streams: `Σ_{e,e′} (1/(p_e q_e′))·S_e·T_e′` with no diagonal
 //! correction, since the two relations' samples are always independent.
 //!
+//! **A runtime in front.** Under overload a sharded runtime's `try_push`
+//! sketches what its rings accept at full rate and hands the rest back;
+//! fed to a shedder, that overflow makes the stream two disjoint parts,
+//! the runtime's merged sketch `A` and the shedded `O`. Then
+//! `F₂ = A·A + O·O + 2·A·O`: `A·A` is the raw sketch estimate, `O·O` the
+//! shedder's own, and the cross term is `Σ_e raw(O_e·A)/p_e`, a
+//! Proposition 13 product with rate 1 on the runtime's side. Ring fullness
+//! decides the split independently of the coins and the sketch seeds, so
+//! the sum is unbiased under any overload pattern.
+//! [`EpochShedder::self_join_estimate_over`] answers it, and
+//! [`EpochShedder::size_of_join_estimate_over`] expands
+//! `(A₁+O₁)·(A₂+O₂)` the same way for two split streams.
+//!
 //! The shedder has no wire form, because a [`Sampled`] has none yet
 //! (ROADMAP 5(a)).
 //!
 //! ```compile_fail
 //! use sss_core::{EpochShedder, Portable};
 //! fn gone(s: &EpochShedder) -> u64 { s.fingerprint() }
+//! ```
+//!
+//! Nor a join against a bare sketch: the runtime-plus-overflow split is
+//! what the `*_over` estimates answer.
+//!
+//! ```compile_fail
+//! use sss_core::{EpochShedder, JoinSketch};
+//! fn gone(s: &EpochShedder, a: &JoinSketch) -> f64 {
+//!     s.size_of_join_sketch(a, 1.0).unwrap() // removed: `size_of_join_estimate_over`
+//! }
+//! ```
+//!
+//! ```compile_fail
+//! use sss_core::{EpochShedder, JoinSketch};
+//! fn gone(s: &EpochShedder, a: &JoinSketch) -> Vec<f64> {
+//!     s.size_of_join_sketch_basics(a, 1.0).unwrap() // removed with it
+//! }
+//! ```
+//!
+//! ```compile_fail
+//! use sss_core::{EpochShedder, Estimate, JoinSketch};
+//! fn gone(s: &EpochShedder, a: &JoinSketch) -> Estimate {
+//!     s.size_of_join_sketch_estimate(a, 1.0).unwrap() // removed with it
+//! }
 //! ```
 
 use crate::compaction::QueryCache;
@@ -167,7 +204,7 @@ impl EpochShedder {
     /// The smallest sampling rate any cell ran at — the dominant
     /// contributor to the sampling noise of combined estimates, and the
     /// rate the conservative plug-in variances are evaluated at.
-    pub fn min_probability(&self) -> f64 {
+    fn min_probability(&self) -> f64 {
         self.cells
             .iter()
             .map(|c| c.probability())
@@ -219,34 +256,6 @@ impl EpochShedder {
         Ok(total)
     }
 
-    /// Unbiased size-of-join estimate against a plain sketch of a
-    /// **disjoint** stream segment that was itself Bernoulli(`q`)-sampled
-    /// (pass `q = 1` for a full-rate sketch), sharing the schema:
-    ///
-    /// ```text
-    /// Σ_e (1/(p_e·q)) · Sₑ·T
-    /// ```
-    ///
-    /// Every cell's sample is independent of `other`'s sample (disjoint
-    /// segments), so each term is a Proposition 13 estimator and the sum
-    /// is unbiased for `Σᵢ fᵢ·gᵢ`. This is the cross term a concurrent
-    /// engine needs when part of a stream flows full-rate into shard
-    /// sketches while overflow is routed through an epoch shedder.
-    ///
-    /// # Errors
-    ///
-    /// Rejects `q ∉ (0, 1]` and schema mismatches.
-    pub fn size_of_join_sketch(&self, other: &JoinSketch, q: f64) -> Result<f64> {
-        if !(q > 0.0 && q <= 1.0) {
-            return Err(sss_sampling::Error::InvalidProbability(q).into());
-        }
-        let mut total = 0.0;
-        for c in &self.cells {
-            total += c.summary().raw_size_of_join(other)? / (c.probability() * q);
-        }
-        Ok(total)
-    }
-
     /// Unbiased size-of-join estimate against another epoch-shedded stream
     /// (sharing the sketch schema): every cell pair's
     /// [`Sampled::size_of_join`].
@@ -274,7 +283,7 @@ impl EpochShedder {
     ///
     /// Propagates schema mismatches (impossible for internally built
     /// cells).
-    pub fn self_join_basics(&self) -> Result<Vec<f64>> {
+    fn self_join_basics(&self) -> Result<Vec<f64>> {
         let mut lanes = vec![0.0; self.cells[0].summary().self_join_basics().len()];
         for (i, c) in self.cells.iter().enumerate() {
             let kept = c.kept() as f64;
@@ -299,7 +308,7 @@ impl EpochShedder {
     /// diagonals, so their extra sampling covariance is not modeled — the
     /// per-cell plug-ins (F₃ ≤ F₂^{3/2}, clamped) are conservative
     /// precisely to absorb that.
-    pub fn sampling_variance(&self) -> f64 {
+    fn sampling_variance(&self) -> f64 {
         self.cells
             .iter()
             .map(|c| {
@@ -313,9 +322,10 @@ impl EpochShedder {
     }
 
     /// Typed combined self-join estimate: value bit-identical to
-    /// [`EpochShedder::self_join`] (the cached path), lanes from
-    /// [`EpochShedder::self_join_basics`], variance = backend-combined
-    /// lane spread plus [`EpochShedder::sampling_variance`].
+    /// [`EpochShedder::self_join`] (the cached path). Lane `k` sums the
+    /// Prop.-14-corrected diagonals and the `2/(p_e·p_e′)`-scaled cross
+    /// terms of lane `k`; the variance is the backend-combined lane spread
+    /// plus the per-cell Bernoulli sampling plug-ins.
     ///
     /// # Errors
     ///
@@ -329,65 +339,13 @@ impl EpochShedder {
         Ok(e.plus_variance(self.sampling_variance()))
     }
 
-    /// Per-lane basics of [`EpochShedder::size_of_join_sketch`]: the
-    /// `1/(p_e·q)`-scaled cross lanes summed over cells.
-    ///
-    /// # Errors
-    ///
-    /// Rejects `q ∉ (0, 1]` and schema mismatches.
-    pub fn size_of_join_sketch_basics(&self, other: &JoinSketch, q: f64) -> Result<Vec<f64>> {
-        if !(q > 0.0 && q <= 1.0) {
-            return Err(sss_sampling::Error::InvalidProbability(q).into());
-        }
-        let mut lanes = vec![0.0; other.self_join_basics().len()];
-        for c in &self.cells {
-            let scale = 1.0 / (c.probability() * q);
-            for (lane, x) in lanes
-                .iter_mut()
-                .zip(c.summary().size_of_join_basics(other)?)
-            {
-                *lane += scale * x;
-            }
-        }
-        Ok(lanes)
-    }
-
-    /// Typed counterpart of [`EpochShedder::size_of_join_sketch`]: value
-    /// bit-identical to the scalar path; variance = backend-combined lane
-    /// spread plus a two-sided Bernoulli sampling plug-in evaluated at the
-    /// *smallest* cell rate (the dominant noise contributor — a
-    /// deliberate conservative simplification of the per-cell mixture)
-    /// with `other`'s F₂ bounded by `raw_self_join()/q²`.
-    ///
-    /// # Errors
-    ///
-    /// Rejects `q ∉ (0, 1]` and schema mismatches.
-    pub fn size_of_join_sketch_estimate(&self, other: &JoinSketch, q: f64) -> Result<Estimate> {
-        let value = self.size_of_join_sketch(other, q)?;
-        let lanes = self.size_of_join_sketch_basics(other, q)?;
-        let af = self.schema.averaging_factor() as f64;
-        let f2_self = self.self_join()?.max(0.0);
-        let f2_other = other.raw_self_join().max(0.0) / (q * q);
-        let single = (f2_self * f2_other + value * value) / af;
-        let sampling = sss_sampling::bernoulli_size_of_join_variance_plugin(
-            self.min_probability(),
-            q,
-            f2_self,
-            f2_other,
-            value,
-        );
-        Ok(other
-            .combine_lanes(value, lanes, single)
-            .plus_variance(sampling))
-    }
-
     /// Per-lane basics of [`EpochShedder::size_of_join`]: all cell-pair
     /// cross lanes, each scaled by `1/(p_e·p_o)`.
     ///
     /// # Errors
     ///
     /// Schema mismatch between the two shedders' sketches.
-    pub fn size_of_join_basics(&self, other: &EpochShedder) -> Result<Vec<f64>> {
+    fn size_of_join_basics(&self, other: &EpochShedder) -> Result<Vec<f64>> {
         let mut lanes = vec![0.0; self.cells[0].summary().self_join_basics().len()];
         for c in &self.cells {
             for o in &other.cells {
@@ -429,6 +387,131 @@ impl EpochShedder {
             .combine_lanes(value, lanes, single)
             .plus_variance(sampling))
     }
+
+    /// Typed unbiased self-join estimate of a stream split between a
+    /// full-rate sketch `runtime` (`A`, what a sharded runtime accepted)
+    /// and this shedder (`O`, the overflow it was handed): the value is
+    ///
+    /// ```text
+    /// A.raw_self_join() + O.self_join() + 2·Σ_e raw(O_e·A)/p_e
+    /// ```
+    ///
+    /// summed in that order. Lane `k` sums the same three parts of lane
+    /// `k`, so the spread measures the sketch noise of the combined
+    /// estimator; the shedder's Bernoulli sampling plug-in is added on top
+    /// (every lane sees the same sample, so averaging lanes cannot average
+    /// it away).
+    ///
+    /// # Errors
+    ///
+    /// Schema mismatch between `runtime` and the shedder.
+    pub fn self_join_estimate_over(&self, runtime: &JoinSketch) -> Result<Estimate> {
+        let value = self.self_join_over(runtime)?;
+        let mut lanes = runtime.self_join_basics();
+        let shed_lanes = self.self_join_basics()?;
+        let cross = self.cross_basics(runtime)?;
+        for ((lane, s), c) in lanes.iter_mut().zip(shed_lanes).zip(cross) {
+            *lane += s + 2.0 * c;
+        }
+        let single = 2.0 * value * value / runtime.averaging_factor() as f64;
+        Ok(runtime
+            .combine_lanes(value, lanes, single)
+            .plus_variance(self.sampling_variance()))
+    }
+
+    /// Typed unbiased size-of-join estimate between two split streams:
+    /// this one (`A₁` = `runtime`, `O₁` = this shedder) and another
+    /// (`A₂` = `other_runtime`, `O₂` = `other`, `None` when that side never
+    /// overflowed). The product `(A₁+O₁)·(A₂+O₂)` is summed as
+    ///
+    /// ```text
+    /// A₁·A₂ + Σ_e raw(O₁ₑ·A₂)/p_e + Σ_e raw(O₂ₑ·A₁)/p_e + O₁·O₂
+    /// ```
+    ///
+    /// value and lanes alike, the last two terms only with an `other`.
+    /// When only the other side sheds, call this on its shedder: the raw
+    /// products are symmetric to the bit. The sampling plug-in is evaluated
+    /// at each side's smallest cell rate (1 for a side without a shedder),
+    /// with the combined self-join values standing in for the unknown F₂'s.
+    ///
+    /// # Errors
+    ///
+    /// Schema mismatch between any two of the sketches.
+    pub fn size_of_join_estimate_over(
+        &self,
+        runtime: &JoinSketch,
+        other_runtime: &JoinSketch,
+        other: Option<&EpochShedder>,
+    ) -> Result<Estimate> {
+        let add = |lanes: &mut Vec<f64>, extra: Vec<f64>| {
+            for (lane, x) in lanes.iter_mut().zip(extra) {
+                *lane += x;
+            }
+        };
+        let mut value = runtime.raw_size_of_join(other_runtime)?;
+        let mut lanes = runtime.size_of_join_basics(other_runtime)?;
+        value += self.cross(other_runtime)?;
+        add(&mut lanes, self.cross_basics(other_runtime)?);
+        if let Some(o) = other {
+            value += o.cross(runtime)?;
+            add(&mut lanes, o.cross_basics(runtime)?);
+            value += self.size_of_join(o)?;
+            add(&mut lanes, self.size_of_join_basics(o)?);
+        }
+        let f2_self = self.self_join_over(runtime)?.max(0.0);
+        let f2_other = match other {
+            Some(o) => o.self_join_over(other_runtime)?,
+            None => other_runtime.raw_self_join(),
+        }
+        .max(0.0);
+        let sampling = sss_sampling::bernoulli_size_of_join_variance_plugin(
+            self.min_probability(),
+            other.map_or(1.0, EpochShedder::min_probability),
+            f2_self,
+            f2_other,
+            value,
+        );
+        let single = (f2_self * f2_other + value * value) / runtime.averaging_factor() as f64;
+        Ok(runtime
+            .combine_lanes(value, lanes, single)
+            .plus_variance(sampling))
+    }
+
+    /// The value of [`EpochShedder::self_join_estimate_over`]:
+    /// `A·A + O·O + 2·A·O`, in that order.
+    fn self_join_over(&self, runtime: &JoinSketch) -> Result<f64> {
+        let mut value = runtime.raw_self_join();
+        value += self.self_join()?;
+        value += 2.0 * self.cross(runtime)?;
+        Ok(value)
+    }
+
+    /// The cross term against a full-rate sketch of a disjoint segment,
+    /// `Σ_e raw(O_e·A)/p_e`: each cell's sample is independent of `A`, so
+    /// each term is a Proposition 13 estimator with rate 1 on `A`'s side.
+    fn cross(&self, runtime: &JoinSketch) -> Result<f64> {
+        let mut total = 0.0;
+        for c in &self.cells {
+            total += c.summary().raw_size_of_join(runtime)? / c.probability();
+        }
+        Ok(total)
+    }
+
+    /// Per-lane basics of [`EpochShedder::cross`]: the `1/p_e`-scaled cross
+    /// lanes summed over cells.
+    fn cross_basics(&self, runtime: &JoinSketch) -> Result<Vec<f64>> {
+        let mut lanes = vec![0.0; runtime.self_join_basics().len()];
+        for c in &self.cells {
+            let scale = 1.0 / c.probability();
+            for (lane, x) in lanes
+                .iter_mut()
+                .zip(c.summary().size_of_join_basics(runtime)?)
+            {
+                *lane += scale * x;
+            }
+        }
+        Ok(lanes)
+    }
 }
 
 #[cfg(test)]
@@ -460,17 +543,6 @@ mod tests {
         assert_eq!(e.value.to_bits(), shed.self_join().unwrap().to_bits());
         assert!(e.variance.is_finite() && e.variance > 0.0);
         assert_eq!(e.basics.len(), 5);
-
-        let mut other = schema.sketch();
-        for k in 0..5_000u64 {
-            other.update(k % 300, 1);
-        }
-        let es = shed.size_of_join_sketch_estimate(&other, 1.0).unwrap();
-        assert_eq!(
-            es.value.to_bits(),
-            shed.size_of_join_sketch(&other, 1.0).unwrap().to_bits()
-        );
-        assert!(es.variance.is_finite());
 
         let mut shed2 = EpochShedder::new(&schema, 0.5, r.random()).unwrap();
         for k in 0..10_000u64 {
@@ -713,8 +785,8 @@ mod tests {
         assert!(shed.epoch_count() <= 4, "four distinct rates used");
     }
 
-    /// The sketch cross term: a shedded stream joined against a full-rate
-    /// sketch of a disjoint segment is unbiased, and rejects bad `q`.
+    /// The sketch cross term: a shedded stream (behind an empty runtime)
+    /// joined against a full-rate sketch of a disjoint segment is unbiased.
     #[test]
     fn cross_term_against_plain_sketch_is_unbiased() {
         let mut r = rng(6);
@@ -738,18 +810,136 @@ mod tests {
             for k in 15..45u64 {
                 g.update(k, 10);
             }
-            acc += f.size_of_join_sketch(&g, 1.0).unwrap();
+            let over = f.size_of_join_estimate_over(&schema.sketch(), &g, None);
+            acc += over.unwrap().value;
         }
         let mean = acc / reps as f64;
         assert!(
             (mean - truth).abs() / truth < 0.1,
             "mean = {mean}, truth = {truth}"
         );
-        // q outside (0, 1] is rejected up front.
-        let schema = JoinSchema::agms(4, &mut r);
-        let f = EpochShedder::new(&schema, 0.5, r.random()).unwrap();
-        let g = schema.sketch();
-        assert!(f.size_of_join_sketch(&g, 0.0).is_err());
-        assert!(f.size_of_join_sketch(&g, 1.5).is_err());
+    }
+
+    /// A skewed stream of 700 keys plus one heavy key, split as a runtime
+    /// under overload splits it: the heavy key and every third batch into
+    /// the full-rate sketch, the rest into the shedder at three rates from
+    /// `p0` down. Terms of unlike size and full mantissas make summation
+    /// order visible in the bits for about a third of the seeds.
+    fn split(schema: &JoinSchema, p0: f64, seed: u64, offset: u64) -> (JoinSketch, EpochShedder) {
+        let mut runtime = schema.sketch();
+        runtime.update(offset + 1, 3_000);
+        let mut shed = EpochShedder::new(schema, p0, seed).unwrap();
+        for b in 0..30u64 {
+            let batch: Vec<u64> = (0..1_000u64).map(|i| offset + (i * i + b) % 700).collect();
+            if b % 3 == 0 {
+                runtime.update_batch(&batch);
+            } else {
+                let p = [p0, 0.3 * p0, 0.13 * p0][(b / 10) as usize];
+                shed.set_probability(p).unwrap();
+                shed.feed_batch(&batch);
+            }
+        }
+        (runtime, shed)
+    }
+
+    /// The overload estimate keeps the bits of the sums it always summed,
+    /// in their order: `A·A + O·O + 2·Σ_e raw(O_e·A)/p_e` for the self-join,
+    /// and `A₁·A₂ + O₁·A₂ + O₂·A₁ + O₁·O₂` for a join with overflow on one
+    /// side or on both, whichever side's shedder answers a one-sided join.
+    /// Its error state is coherent, and an empty shedder leaves the raw
+    /// runtime estimate.
+    #[test]
+    fn over_estimates_keep_the_engine_sums_bit_for_bit() {
+        let cross = |o: &EpochShedder, a: &JoinSketch| {
+            let mut total = 0.0;
+            for c in &o.cells {
+                total += c.summary().raw_size_of_join(a).unwrap() / c.probability();
+            }
+            total
+        };
+        for seed in 0..8 {
+            let mut r = rng(seed);
+            let schema = if seed % 2 == 0 {
+                JoinSchema::fagms(3, 512, &mut r)
+            } else {
+                JoinSchema::agms(12, &mut r)
+            };
+            let (a1, o1) = split(&schema, 0.8, 11 + seed, 0);
+            let (a2, o2) = split(&schema, 0.5, 12 + seed, 300);
+            assert!(o1.epoch_count() == 3 && o2.epoch_count() == 3);
+
+            let mut sum = a1.raw_self_join();
+            sum += o1.self_join().unwrap();
+            sum += 2.0 * cross(&o1, &a1);
+            let sj = o1.self_join_estimate_over(&a1).unwrap();
+            assert_eq!(sj.value.to_bits(), sum.to_bits(), "seed {seed}");
+            assert_eq!(sj.basics.len(), schema.sketch().self_join_basics().len());
+            assert!(sj.variance.is_finite() && sj.variance > 0.0);
+            let (cheb, clt) = (sj.chebyshev(0.95).unwrap(), sj.clt(0.95).unwrap());
+            assert!(cheb.half_width() > clt.half_width());
+
+            let mut both = a1.raw_size_of_join(&a2).unwrap();
+            both += cross(&o1, &a2);
+            both += cross(&o2, &a1);
+            both += o1.size_of_join(&o2).unwrap();
+            let join = o1.size_of_join_estimate_over(&a1, &a2, Some(&o2)).unwrap();
+            assert_eq!(join.value.to_bits(), both.to_bits(), "seed {seed}");
+            assert!(join.variance.is_finite() && join.variance > 0.0);
+
+            // Overflow on the first side only, and on the second side only
+            // (answered by the second side's shedder, the join unchanged).
+            let mut first = a1.raw_size_of_join(&a2).unwrap();
+            first += cross(&o1, &a2);
+            let one = o1.size_of_join_estimate_over(&a1, &a2, None).unwrap();
+            assert_eq!(one.value.to_bits(), first.to_bits(), "seed {seed}");
+            let mut second = a1.raw_size_of_join(&a2).unwrap();
+            second += cross(&o2, &a1);
+            let rev = o2.size_of_join_estimate_over(&a2, &a1, None).unwrap();
+            assert_eq!(rev.value.to_bits(), second.to_bits(), "seed {seed}");
+            assert!(one.variance.is_finite() && rev.variance.is_finite());
+
+            let mut idle = EpochShedder::new(&schema, 1.0, 13).unwrap();
+            assert_eq!(idle.feed_batch(&[]), 0);
+            let calm = idle.self_join_estimate_over(&a1).unwrap();
+            assert_eq!(calm.value.to_bits(), a1.raw_self_join().to_bits());
+            let nothing = idle.self_join_estimate_over(&schema.sketch()).unwrap();
+            assert_eq!(nothing.value, 0.0);
+        }
+    }
+
+    /// Two split streams join without bias, overflow on one side, and a
+    /// runtime of another schema is refused, not misread.
+    #[test]
+    fn size_of_join_over_split_streams_is_unbiased() {
+        let mut r = rng(8);
+        let schema = JoinSchema::fagms(1, 4096, &mut r);
+        // Side 1: keys 0..1000 ×20, all at full rate.
+        let mut a1 = schema.sketch();
+        for _ in 0..20 {
+            a1.update_batch(&(0..1000u64).collect::<Vec<_>>());
+        }
+        // Side 2: keys 500..1500 ×10, half of the batches overflowing into
+        // a shedder whose rate falls from 1 to 1/4.
+        let mut a2 = schema.sketch();
+        let mut o2 = EpochShedder::new(&schema, 1.0, 99).unwrap();
+        for b in 0..10 {
+            let batch: Vec<u64> = (500..1500u64).collect();
+            if b % 2 == 0 {
+                a2.update_batch(&batch);
+            } else {
+                o2.set_probability([1.0, 0.5, 0.25][b / 4]).unwrap();
+                o2.feed_batch(&batch);
+            }
+        }
+        // Overlap 500..1000: 500 keys × 20 × 10.
+        let truth = 500.0 * 20.0 * 10.0;
+        let est = o2.size_of_join_estimate_over(&a2, &a1, None).unwrap().value;
+        assert!(
+            (est - truth).abs() / truth < 0.2,
+            "est = {est}, truth = {truth}"
+        );
+        let alien = JoinSchema::agms(8, &mut r).sketch();
+        assert!(o2.size_of_join_estimate_over(&a2, &alien, None).is_err());
+        assert!(o2.self_join_estimate_over(&alien).is_err());
     }
 }

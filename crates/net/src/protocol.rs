@@ -51,9 +51,14 @@
 //! {"cmd":"shutdown"}
 //! ```
 //!
-//! `stats` answers the server's gauges, and in `"kernels"` the sign and
+//! `stats` answers the server's gauges — among them the rings'
+//! `queue_high_water` and the snapshot cache's `cache_hits` and
+//! `cache_rebuilds` (partial plus full) — and in `"kernels"` the sign and
 //! bucket kernel path the process picked at run time (`"avx2"` or
 //! `"chunked"`, [`sss_xi::Dispatch::label`]).
+//!
+//! An error is `{"ok":false,"error":"…"}`, the message a JSON string
+//! whatever the client sent.
 //!
 //! A request line is at most [`MAX_QUERY_LINE`] bytes: the server buffers
 //! no more than that (plus one socket read) per connection, refuses a

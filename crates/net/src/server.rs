@@ -905,7 +905,7 @@ fn answer_query(
 ) -> String {
     let req = match protocol::parse_query_line(line) {
         Ok(req) => req,
-        Err(e) => return format!("{{\"ok\":false,\"error\":{e:?}}}"),
+        Err(e) => return error_line(&e),
     };
     let result: std::result::Result<String, String> = match req.cmd.as_str() {
         "self_join" => replica
@@ -975,13 +975,15 @@ fn answer_query(
         }
         "stats" => {
             let pool = stats.pool_stats();
+            let cache = handle.cache_stats();
             Ok(format!(
                 "{{\"ok\":true,\"cmd\":\"stats\",\"tuples\":{},\"batches\":{},\
                  \"tuples_per_sec\":{},\"protocol_errors\":{},\
                  \"connections_accepted\":{},\"connections_open\":{},\
                  \"pool_allocations\":{},\"pool_reuses\":{},\
                  \"replica_version\":{},\"replica_pending\":{},\
-                 \"runtime_tuples\":{},\"kernels\":\"{}\"}}",
+                 \"runtime_tuples\":{},\"queue_high_water\":{},\
+                 \"cache_hits\":{},\"cache_rebuilds\":{},\"kernels\":\"{}\"}}",
                 stats.tuples_ingested(),
                 stats.batches_ingested(),
                 json_num(stats.tuples_per_sec()),
@@ -993,6 +995,9 @@ fn answer_query(
                 replica.version(),
                 replica.pending(),
                 handle.tuples_ingested(),
+                handle.queue_high_water(),
+                cache.hits,
+                cache.partial_rebuilds + cache.full_rebuilds,
                 sss_xi::Dispatch::get().label(),
             ))
         }
@@ -1002,10 +1007,15 @@ fn answer_query(
         }
         other => Err(format!("unknown cmd {other:?}")),
     };
-    match result {
-        Ok(json) => json,
-        Err(e) => format!("{{\"ok\":false,\"error\":{e:?}}}"),
-    }
+    result.unwrap_or_else(|e| error_line(&e))
+}
+
+/// The `{"ok":false,"error":…}` response. Parse errors echo client text,
+/// so the message goes out through the JSON string writer, which escapes
+/// quotes, backslashes and control characters.
+fn error_line(message: &str) -> String {
+    let message = serde_json::to_string(message).expect("a string always serializes");
+    format!("{{\"ok\":false,\"error\":{message}}}")
 }
 
 /// Append `,"half_width_chebyshev":…,"half_width_clt":…` when a

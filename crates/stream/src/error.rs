@@ -16,9 +16,6 @@ pub enum StreamError {
     /// An estimator-layer failure (schema mismatch, invalid probability…)
     /// surfaced through the runtime.
     Estimator(sss_core::Error),
-    /// The builder was finished without a summary prototype (neither
-    /// `.schema(…)` nor `.summary(…)` was called).
-    MissingEstimator,
     /// A runtime configuration parameter is out of range.
     InvalidConfig {
         /// The offending parameter (`"shards"`, `"queue_depth"`, …).
@@ -51,9 +48,6 @@ impl fmt::Display for StreamError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             StreamError::Estimator(e) => write!(f, "estimator error: {e}"),
-            StreamError::MissingEstimator => {
-                write!(f, "engine builder needs .schema(…) or .summary(…)")
-            }
             StreamError::InvalidConfig {
                 parameter,
                 value,

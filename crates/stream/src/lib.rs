@@ -1,4 +1,4 @@
-//! # sss-stream — streaming pipelines around the combined estimators
+//! # sss-stream — the sharded runtime and what drives it
 //!
 //! The operational layer of the reproduction: where `sss-core` owns the
 //! estimator mathematics, this crate owns *running streams through them*:
@@ -11,13 +11,52 @@
 //! * [`snapshot`] — the versioned incremental snapshot cache behind
 //!   `merged()`: repeated at-all-times queries re-clone only shards
 //!   dirtied since the previous query;
-//! * [`engine`] — the DSMS engine over that runtime: transform chain,
-//!   backpressure, and an adaptive overflow shedder, built by
-//!   [`EngineBuilder`]; its join queries return an
-//!   [`Estimate`](sss_core::Estimate) with error bars;
 //! * [`adaptive`] — the quantized rate controller that picks the
 //!   shedding probability `p` on line;
 //! * [`window`] — paned sliding-window sketches.
+//!
+//! The runtime is the engine; a DSMS pipeline is composed from its calls:
+//!
+//! * a sharded pass is [`ShardedRuntime::new`] over one prototype — a
+//!   [`MultiSummary`](sss_core::MultiSummary) answers F₂, F₀, quantiles
+//!   and top-k from one `merged()`, a [`Sampled`](sss_core::Sampled) one
+//!   samples independently on every shard;
+//! * a filter or map stage is the caller's `retain` or `map` before the
+//!   push;
+//! * overload is [`ShardedRuntime::try_push`], which hands full rings'
+//!   tuples back, → [`RateController::observe_batch`] on the overflow →
+//!   [`EpochShedder::set_probability`](sss_core::EpochShedder::set_probability)
+//!   → `feed_batch`. The stream is then the runtime's part plus the
+//!   shedded part, and
+//!   [`EpochShedder::self_join_estimate_over`](sss_core::EpochShedder::self_join_estimate_over)
+//!   answers both, unbiased under any overload pattern:
+//!
+//! ```
+//! use rand::SeedableRng;
+//! use sss_core::{EpochShedder, JoinSchema};
+//! use sss_stream::{ControllerConfig, RateController, RuntimeConfig, ShardedRuntime};
+//!
+//! let schema = JoinSchema::fagms(1, 1024, &mut rand::rngs::StdRng::seed_from_u64(7));
+//! let config = RuntimeConfig { shards: 2, queue_depth: 4, ..Default::default() };
+//! let mut runtime = ShardedRuntime::new(config, &schema.sketch())?;
+//! let mut controller = RateController::new(ControllerConfig::with_capacity(1e6))?;
+//! let mut shedder = EpochShedder::new(&schema, controller.probability(), 7)?;
+//! let mut overflow = Vec::new();
+//! for b in 0..200u64 {
+//!     let mut batch: Vec<u64> = (0..2_000).map(|i| (i * 7 + b) % 500).collect();
+//!     batch.retain(|k| k % 2 == 0); // a filter stage
+//!     overflow.clear();
+//!     let accepted = runtime.try_push(&batch, &mut overflow)?;
+//!     assert_eq!(accepted + overflow.len() as u64, batch.len() as u64);
+//!     let p = controller.observe_batch(overflow.len() as u64, 1e-4);
+//!     shedder.set_probability(p)?;
+//!     shedder.feed_batch(&overflow);
+//! }
+//! let f2 = shedder.self_join_estimate_over(&runtime.merged()?)?;
+//! let truth = 250.0 * 800.0 * 800.0; // 250 even keys, 800 copies each
+//! assert!((f2.value - truth).abs() / truth < 0.25, "{}", f2.value);
+//! # Ok::<(), sss_stream::StreamError>(())
+//! ```
 //!
 //! Measurement apparatus is not part of the runtime crate. The one-shot
 //! helpers and wall-clock structs that used to live here are gone — a
@@ -33,15 +72,27 @@
 //! use sss_stream::Throughput; // removed: use `std::time::Instant`
 //! ```
 //!
-//! Nor does the engine keep side summaries beside its runtime: a
-//! [`MultiSummary`](sss_core::MultiSummary) prototype
-//! (`.summary(spec.summary()?)`) answers top-k, F₀ and quantiles through
-//! `merged()`, so the builder knobs and their "not enabled" errors are
-//! gone:
+//! Nor is there a second front door over the runtime: the builder, its
+//! engine, its stages and its errors are gone.
 //!
 //! ```compile_fail
-//! let builder = sss_stream::EngineBuilder::<sss_core::JoinSketch>::new();
-//! let _ = builder.top_k(10); // removed: `merged()?.top_k(k)` on a `MultiSummary` engine
+//! use sss_stream::EngineBuilder; // removed: `ShardedRuntime::new` over the prototype
+//! ```
+//!
+//! ```compile_fail
+//! use sss_stream::StreamEngine; // removed: the runtime plus an `EpochShedder` for its overflow
+//! ```
+//!
+//! ```compile_fail
+//! use sss_stream::Transform; // removed: `retain` or `map` before the push
+//! ```
+//!
+//! ```compile_fail
+//! use sss_stream::StageStats; // removed: `try_push` returns the accepted count
+//! ```
+//!
+//! ```compile_fail
+//! let _ = sss_stream::StreamError::MissingEstimator; // removed with the builder
 //! ```
 //!
 //! ```compile_fail
@@ -55,7 +106,6 @@
 #![warn(missing_docs)]
 
 pub mod adaptive;
-pub mod engine;
 pub mod error;
 pub mod ring;
 pub mod runtime;
@@ -63,7 +113,6 @@ pub mod snapshot;
 pub mod window;
 
 pub use adaptive::{ControllerConfig, RateController};
-pub use engine::{EngineBuilder, StageStats, StreamEngine, Transform};
 pub use error::{Result, StreamError};
 pub use runtime::{Partition, PoolStats, QueryHandle, ReadReplica, RuntimeConfig, ShardedRuntime};
 pub use snapshot::CacheStats;

@@ -50,10 +50,10 @@
 //! * [`push`](ShardedRuntime::push) blocks when a ring is full
 //!   (backpressure propagates to the source);
 //!   [`try_push`](ShardedRuntime::try_push) never blocks and instead hands
-//!   overflowed tuples back to the caller: the engine routes overload
-//!   into its [`EpochShedder`](sss_core::EpochShedder) (one
-//!   `Sampled<JoinSketch>` cell per rate) and keeps the estimate unbiased
-//!   under sustained overload.
+//!   overflowed tuples back to the caller, who routes them into an
+//!   [`EpochShedder`](sss_core::EpochShedder) (one `Sampled<JoinSketch>`
+//!   cell per rate); its `self_join_estimate_over(&merged)` stays
+//!   unbiased under sustained overload.
 //! * [`merged`](ShardedRuntime::merged) reflects exactly the tuples
 //!   accepted before the call: each snapshot request carries the shard's
 //!   accepted-batch count and the worker answers only once it has applied
@@ -796,8 +796,10 @@ impl<E: Summary> ShardedRuntime<E> {
     /// full are appended to `overflow` instead of enqueued, as offered
     /// (no door has sampled them), and the number of tuples actually
     /// accepted is returned. The caller decides what to do with the
-    /// overflow — the engine routes it through the epoch shedder so the
-    /// combined estimate stays unbiased. (Snapshot traffic rides a
+    /// overflow — fed to an [`EpochShedder`](sss_core::EpochShedder), it
+    /// keeps the combined estimate
+    /// ([`self_join_estimate_over`](sss_core::EpochShedder::self_join_estimate_over)
+    /// of the merged sketch) unbiased. (Snapshot traffic rides a
     /// separate control queue and can never land here — see the module
     /// docs.)
     ///

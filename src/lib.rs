@@ -18,8 +18,8 @@
 //! * [`exact`] — exact streaming aggregates used as ground truth.
 //! * [`datagen`] — Zipf, self-similar, correlated-pair and mini-TPC-H
 //!   workload generators.
-//! * [`stream`] — streaming pipeline substrate: the sharded runtime, the
-//!   DSMS engine over it, adaptive controllers, sliding windows.
+//! * [`stream`] — streaming pipeline substrate: the sharded runtime,
+//!   adaptive controllers, sliding windows.
 //! * [`net`] — the network ingest service: a non-blocking event-loop
 //!   TCP front-end decoding length-prefixed batches straight into the
 //!   sharded runtime's pooled buffers, plus a line-delimited JSON query

@@ -18,7 +18,7 @@ use sketch_sampled_streams::core::{
     SampledMultiSummary, SlimJoin, SlimMultiSummary, SlimQuery, SlimTopK, Summary, TopKQuery,
 };
 use sketch_sampled_streams::sketch::{CountSketchTopK, HyperLogLog, KllSketch, MisraGries};
-use sketch_sampled_streams::stream::{EngineBuilder, ReadReplica, ShardedRuntime, StreamEngine};
+use sketch_sampled_streams::stream::{ReadReplica, ShardedRuntime};
 
 fn rng(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed)
@@ -127,18 +127,14 @@ fn fat_summaries_are_portable_and_project_slim() {
 }
 
 /// The streaming layer is generic over the hierarchy: the runtime accepts
-/// any `Summary`, the engine builder/engine pair carries the summary type
-/// through, the join-specific query surface demands `Summary + JoinQuery`,
-/// and the slim read path demands `Summary + SlimQuery`.
+/// any `Summary` (a sampled composite included), the join-specific query
+/// surface demands `Summary + JoinQuery`, and the slim read path demands
+/// `Summary + SlimQuery`.
 #[test]
 fn streaming_layer_is_generic_over_the_hierarchy() {
     // Pure type-level instantiations — never constructed.
     fn runtime_accepts<E: Summary>() {
         let _ = std::marker::PhantomData::<ShardedRuntime<E>>;
-    }
-    fn engine_accepts<E: Summary>() {
-        let _ = std::marker::PhantomData::<EngineBuilder<E>>;
-        let _ = std::marker::PhantomData::<StreamEngine<E>>;
     }
     fn replica_accepts<E: Summary + SlimQuery>() {
         let _ = std::marker::PhantomData::<ReadReplica<E>>;
@@ -146,8 +142,6 @@ fn streaming_layer_is_generic_over_the_hierarchy() {
     runtime_accepts::<HyperLogLog>();
     runtime_accepts::<KllSketch>();
     runtime_accepts::<SampledMultiSummary>();
-    engine_accepts::<JoinSketch>();
-    engine_accepts::<SampledMultiSummary>();
     replica_accepts::<JoinSketch>();
     replica_accepts::<MultiSummary>();
 }

@@ -1,17 +1,18 @@
 //! Stress test of the bounded-queue → shedding handoff: saturate a
-//! one-shard runtime with a tiny queue and verify the three promises the
-//! engine makes under overload — queue occupancy stays bounded, no tuple
-//! is silently lost (runtime + shedder account for every one), and the
-//! combined estimate stays unbiased because the overflow leg is shedded
-//! at a known probability rather than dropped.
+//! one-shard runtime with a tiny queue, hand what `try_push` refuses to a
+//! controller-driven epoch shedder, and verify the three promises of that
+//! overload leg — queue occupancy stays bounded, no tuple is silently lost
+//! (runtime + shedder account for every one), and the combined estimate
+//! stays unbiased because the overflow is shedded at a known probability
+//! rather than dropped.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sketch_sampled_streams::core::sketch::{JoinSchema, JoinSketch};
-use sketch_sampled_streams::core::{RateGrid, Sampled, Summary};
+use sketch_sampled_streams::core::{EpochShedder, RateGrid, Sampled, Summary};
 use sketch_sampled_streams::exact::ExactAggregator;
 use sketch_sampled_streams::stream::{
-    ControllerConfig, EngineBuilder, Partition, RuntimeConfig, ShardedRuntime,
+    ControllerConfig, Partition, RateController, RuntimeConfig, ShardedRuntime,
 };
 use std::time::Duration;
 
@@ -27,40 +28,49 @@ fn stream_key(i: u64) -> u64 {
 fn overloaded_run(seed: u64) -> (f64, u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let schema = JoinSchema::fagms(1, 2_048, &mut rng);
-    let mut engine = EngineBuilder::new()
-        .shards(1)
-        .queue_depth(1)
-        .seed(seed ^ 0xbacc_0ff5)
-        .schema(&schema)
-        .shedding(ControllerConfig {
-            capacity_tps: 2e4,
-            smoothing: 0.5,
-            hysteresis: 0.1,
-            // Keep p away from the floor where the 1/p variance blowup
-            // would swamp the Monte-Carlo mean.
-            min_p: 0.05,
-            grid: RateGrid::default(),
-        })
-        .build()
-        .unwrap();
+    let config = RuntimeConfig {
+        shards: 1,
+        queue_depth: 1,
+        ..Default::default()
+    };
+    let mut runtime = ShardedRuntime::new(config, &schema.sketch()).unwrap();
+    let mut controller = RateController::new(ControllerConfig {
+        capacity_tps: 2e4,
+        smoothing: 0.5,
+        hysteresis: 0.1,
+        // Keep p away from the floor where the 1/p variance blowup
+        // would swamp the Monte-Carlo mean.
+        min_p: 0.05,
+        grid: RateGrid::default(),
+    })
+    .unwrap();
+    let mut shedder =
+        EpochShedder::new(&schema, controller.probability(), seed ^ 0xbacc_0ff5).unwrap();
     let mut batch = Vec::with_capacity(BATCH);
+    let mut overflow = Vec::new();
     for b in 0..BATCHES {
         batch.clear();
         batch.extend(((b * BATCH) as u64..((b + 1) * BATCH) as u64).map(stream_key));
+        overflow.clear();
+        let accepted = runtime.try_push(&batch, &mut overflow).unwrap();
+        // Invariant 2: every offered tuple is accepted or handed back.
+        assert_eq!(accepted + overflow.len() as u64, BATCH as u64, "batch {b}");
         // Claim the batch arrived in 10 ms: any overflow looks like a
         // flood to the controller and forces aggressive shedding.
-        engine.push_batch(&batch, 1e-2).unwrap();
+        let p = controller.observe_batch(overflow.len() as u64, 1e-2);
+        shedder.set_probability(p).unwrap();
+        shedder.feed_batch(&overflow);
     }
     // Invariant 1: the queue never held more than depth + 1 batches
-    // (one in the channel, one in the worker's hands).
+    // (one in the ring, one in the worker's hands).
     assert!(
-        engine.queue_high_water() <= 2,
+        runtime.queue_high_water() <= 2,
         "queue high-water {} exceeds depth + 1",
-        engine.queue_high_water()
+        runtime.queue_high_water()
     );
-    let shed_seen = engine.shedder().expect("shedding enabled").seen();
-    let est = engine.self_join().unwrap();
-    (est, shed_seen)
+    let merged = runtime.merged().unwrap();
+    let est = shedder.self_join_estimate_over(&merged).unwrap().value;
+    (est, shedder.seen())
 }
 
 #[test]
@@ -77,7 +87,7 @@ fn saturated_engine_bounds_memory_and_stays_unbiased() {
     let mut shed_total = 0u64;
     for rep in 0..reps {
         let (est, shed_seen) = overloaded_run(1_000 + rep);
-        // Invariant 3: each single run is already in the right ballpark.
+        // Each single run is already in the right ballpark.
         assert!(
             (est - truth).abs() / truth < 0.5,
             "rep {rep}: est = {est}, truth = {truth}"
@@ -85,12 +95,13 @@ fn saturated_engine_bounds_memory_and_stays_unbiased() {
         sum += est;
         shed_total += shed_seen;
     }
-    // Invariant 2: overload actually pushed tuples through the shedding
-    // leg — otherwise this test exercises nothing.
+    // Overload actually pushed tuples through the shedding leg —
+    // otherwise this test exercises nothing.
     assert!(
         shed_total > 0,
         "the saturated queue never overflowed into the shedder"
     );
+    // Invariant 3: unbiased.
     let mean = sum / reps as f64;
     assert!(
         (mean - truth).abs() / truth < 0.08,

@@ -11,7 +11,9 @@ use sketch_sampled_streams::moments::planning;
 use sketch_sampled_streams::moments::scheme::Bernoulli;
 use sketch_sampled_streams::moments::FrequencyVector;
 use sketch_sampled_streams::sketch::multiway::{chain_join, MultiwaySchema, Side};
-use sketch_sampled_streams::stream::{ControllerConfig, EngineBuilder, RateController};
+use sketch_sampled_streams::stream::{
+    ControllerConfig, RateController, RuntimeConfig, ShardedRuntime,
+};
 use sketch_sampled_streams::xi::Eh3;
 
 /// Coordinated shedding on a turnstile stream agrees with the exact
@@ -41,10 +43,10 @@ fn coordinated_shedding_tracks_the_net_stream() {
     );
 }
 
-/// The DSMS engine end to end: filter → map → sharded runtime with an
-/// overflow shedder, with the estimate validated against the exact
-/// post-transform stream. A tiny queue guarantees the overflow leg is
-/// actually exercised.
+/// The overload leg end to end: filter → map → sharded runtime, its
+/// overflow shedded by a controller-driven epoch shedder, with the
+/// combined estimate validated against the exact post-transform stream. A
+/// tiny queue guarantees the overflow leg is actually exercised.
 #[test]
 fn engine_estimate_matches_exact_under_overload() {
     fn keep_small(k: u64) -> bool {
@@ -55,38 +57,43 @@ fn engine_estimate_matches_exact_under_overload() {
     }
     let mut rng = StdRng::seed_from_u64(2);
     let schema = JoinSchema::fagms(1, 4096, &mut rng);
-    let mut engine = EngineBuilder::new()
-        .filter("small", keep_small)
-        .map("bucket", bucketize)
-        .shards(1)
-        .queue_depth(1)
-        .seed(2)
-        .schema(&schema)
-        .shedding(ControllerConfig {
-            capacity_tps: 50_000.0,
-            smoothing: 0.5,
-            hysteresis: 0.1,
-            min_p: 0.05,
-            grid: RateGrid::default(),
-        })
-        .build()
-        .unwrap();
+    let config = RuntimeConfig {
+        shards: 1,
+        queue_depth: 1,
+        ..Default::default()
+    };
+    let mut runtime = ShardedRuntime::new(config, &schema.sketch()).unwrap();
+    let mut controller = RateController::new(ControllerConfig {
+        capacity_tps: 50_000.0,
+        smoothing: 0.5,
+        hysteresis: 0.1,
+        min_p: 0.05,
+        grid: RateGrid::default(),
+    })
+    .unwrap();
+    let mut shedder = EpochShedder::new(&schema, controller.probability(), 2).unwrap();
     let mut exact = ExactAggregator::new();
     let gen = ZipfGenerator::new(3_000, 0.5);
+    let mut overflow = Vec::new();
     for _ in 0..40 {
-        let batch = gen.relation(100_000, &mut rng);
-        engine.push_batch(&batch, 1e-2).unwrap();
+        let mut batch = gen.relation(100_000, &mut rng);
+        batch.retain(|&k| keep_small(k));
+        batch.iter_mut().for_each(|k| *k = bucketize(*k));
+        overflow.clear();
+        runtime.try_push(&batch, &mut overflow).unwrap();
+        let p = controller.observe_batch(overflow.len() as u64, 1e-2);
+        shedder.set_probability(p).unwrap();
+        shedder.feed_batch(&overflow);
         for &k in &batch {
-            if keep_small(k) {
-                exact.update(bucketize(k), 1);
-            }
+            exact.update(k, 1);
         }
     }
     assert!(
-        engine.queue_high_water() <= 2,
+        runtime.queue_high_water() <= 2,
         "bounded queue must never hold more than depth + 1 batches"
     );
-    let est = engine.self_join().unwrap();
+    let merged = runtime.merged().unwrap();
+    let est = shedder.self_join_estimate_over(&merged).unwrap().value;
     let truth = exact.self_join();
     assert!(
         (est - truth).abs() / truth < 0.1,
@@ -95,8 +102,8 @@ fn engine_estimate_matches_exact_under_overload() {
 }
 
 /// The README's "One pass, every query" snippet, as written, so it cannot
-/// drift from the API: a `MultiSummary` prototype behind the engine answers
-/// F₂, F₀, quantiles and top-k from one merge.
+/// drift from the API: a `MultiSummary` prototype behind the runtime
+/// answers F₂, F₀, quantiles and top-k from one merge.
 #[test]
 fn readme_one_pass_engine_answers_every_family() -> Result<(), sketch_sampled_streams::Error> {
     // The stream the snippet consumes: 2000 keys × 20 and one heavy key.
@@ -110,18 +117,20 @@ fn readme_one_pass_engine_answers_every_family() -> Result<(), sketch_sampled_st
     use sketch_sampled_streams::core::{
         DistinctQuery, JoinQuery, MultiSpec, QuantileQuery, TopKQuery,
     };
-    use sketch_sampled_streams::stream::EngineBuilder;
+    use sketch_sampled_streams::stream::{RuntimeConfig, ShardedRuntime};
 
     let mut rng = rand::rngs::StdRng::seed_from_u64(9);
     let spec = MultiSpec::new(JoinSchema::fagms(3, 2048, &mut rng), &mut rng);
-    let mut engine = EngineBuilder::new()
-        .shards(2)
-        .summary(spec.summary()?) // join sketch + Misra–Gries + HLL + KLL
-        .build()?;
+    let prototype = spec.summary()?; // join sketch + Misra–Gries + HLL + KLL
+    let config = RuntimeConfig {
+        shards: 2,
+        ..Default::default()
+    };
+    let mut runtime = ShardedRuntime::new(config, &prototype)?;
     for batch in batches {
-        engine.push_batch(batch, 1.0)?; // this batch arrived over 1 s
+        runtime.push(batch)?; // blocks while a shard's ring is full
     }
-    let all = engine.merged()?; // one merge answers every family
+    let all = runtime.merged()?; // one merge answers every family
     let f2 = all.self_join_estimate(); // F₂ with error bars
     let d = all.distinct_estimate(); // F₀
     let (median, (lo, hi)) = all.quantile_with_bounds(0.5)?; // value and rank envelope

@@ -369,6 +369,51 @@ fn query_plane_answers_all_four_families_and_shutdown_snapshots() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// An error response is JSON whatever the client sent: parse errors echo
+/// client bytes, and control characters, quotes and backslashes come back
+/// as JSON escapes a strict parser reads back to the server's message.
+#[test]
+fn query_plane_errors_are_json_strings() {
+    let srv = server(4, 1, Partition::RoundRobin);
+    let mut queries = QueryClient::connect(srv.query_addr()).unwrap();
+    for (line, message) in [
+        ("{\u{1}\u{0}}", "expected a quoted key at: \u{1}\u{0}"),
+        ("{x\ty\rz}", "expected a quoted key at: x\ty\rz"),
+        ("{\"cmd\":\"x\\y\"}", "unknown cmd \"x\\\\y\""),
+    ] {
+        let answer = queries.request(line).unwrap();
+        let error = answer
+            .strip_prefix("{\"ok\":false,\"error\":")
+            .and_then(|rest| rest.strip_suffix('}'))
+            .unwrap_or_else(|| panic!("not an error line: {answer:?}"));
+        let decoded: String = serde_json::from_str(error)
+            .unwrap_or_else(|e| panic!("{error:?} is not a JSON string: {e}"));
+        assert_eq!(decoded, message, "{answer:?}");
+    }
+    srv.shutdown_and_wait().unwrap();
+}
+
+/// `{"cmd":"stats"}` carries the ring's high-water mark and the snapshot
+/// cache's counters: after ingest and one `self_join` at `max_pending = 0`
+/// a batch has occupied a ring and the replica's refresh rebuilt the cache.
+#[test]
+fn stats_line_reports_ring_and_cache_gauges() {
+    let srv = server(6, 2, Partition::RoundRobin);
+    let mut client = IngestClient::connect(srv.ingest_addr()).unwrap();
+    for batch in (0..2_000u64).collect::<Vec<_>>().chunks(100) {
+        client.send_batch(batch).unwrap();
+    }
+    client.sync().unwrap();
+    let mut queries = QueryClient::connect(srv.query_addr()).unwrap();
+    queries.self_join_bits().unwrap();
+    let line = queries.stats_line().unwrap();
+    let gauge = |name| protocol::response_u64(&line, name).expect(name);
+    assert!(gauge("queue_high_water") >= 1, "{line}");
+    assert!(gauge("cache_rebuilds") >= 1, "{line}");
+    assert!(line.contains("\"cache_hits\":"), "{line}");
+    srv.shutdown_and_wait().unwrap();
+}
+
 /// One request line, one frame. At `max_pending = 0` every read
 /// refreshes, so a `quantile` response whose value and `(lo, hi)` came
 /// from two refreshes could straddle an ingest batch. Each wave here is

@@ -14,9 +14,7 @@ use sketch_sampled_streams::core::{
 };
 use sketch_sampled_streams::sketch::Estimate;
 use sketch_sampled_streams::stream::runtime::RUN_TUPLES;
-use sketch_sampled_streams::stream::{
-    EngineBuilder, Partition, ReadReplica, RuntimeConfig, ShardedRuntime,
-};
+use sketch_sampled_streams::stream::{Partition, ReadReplica, RuntimeConfig, ShardedRuntime};
 use sketch_sampled_streams::xi::splitmix64;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
@@ -188,10 +186,10 @@ proptest! {
         prop_assert_eq!(&slim_answers(&decoded), &expect);
     }
 
-    /// The same property through the engine: transforms + sharded runtime
-    /// (no shedding) reproduce a sequential sketch of the post-transform
-    /// stream exactly, and a mid-stream snapshot covers every tuple
-    /// pushed before it.
+    /// The same property with a filter stage in front (`retain` before
+    /// `push`): the sharded runtime reproduces a sequential sketch of the
+    /// filtered stream exactly, and a mid-stream snapshot covers every
+    /// tuple pushed before it.
     #[test]
     fn engine_snapshot_and_final_merge_are_exact(
         keys in stream(),
@@ -205,17 +203,18 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let schema = JoinSchema::fagms(1, 32, &mut rng);
 
-        let mut engine = EngineBuilder::new()
-            .filter("even", drop_odd)
-            .shards(shards)
-            .schema(&schema)
-            .build()
-            .unwrap();
+        let config = RuntimeConfig { shards, ..Default::default() };
+        let mut runtime = ShardedRuntime::new(config, &schema.sketch()).unwrap();
+        let push_filtered = |runtime: &mut ShardedRuntime<JoinSketch>, part: &[u64]| {
+            for chunk in part.chunks(chunk) {
+                let mut batch = chunk.to_vec();
+                batch.retain(|&k| drop_odd(k));
+                runtime.push(&batch).unwrap();
+            }
+        };
         let half = keys.len() / 2;
-        for chunk in keys[..half].chunks(chunk) {
-            engine.push_batch(chunk, 1.0).unwrap();
-        }
-        let mid = engine.merged().unwrap();
+        push_filtered(&mut runtime, &keys[..half]);
+        let mid = runtime.merged().unwrap();
         let transformed: Vec<u64> = keys.iter().copied().filter(|&k| drop_odd(k)).collect();
         let split = keys[..half].iter().filter(|&&k| drop_odd(k)).count();
         prop_assert_eq!(
@@ -223,10 +222,8 @@ proptest! {
             sequential(&schema, &transformed[..split]).raw_self_join().to_bits()
         );
 
-        for chunk in keys[half..].chunks(chunk) {
-            engine.push_batch(chunk, 1.0).unwrap();
-        }
-        let fin = engine.into_merged().unwrap();
+        push_filtered(&mut runtime, &keys[half..]);
+        let fin = runtime.into_merged().unwrap();
         prop_assert_eq!(
             fin.raw_self_join().to_bits(),
             sequential(&schema, &transformed).raw_self_join().to_bits()
@@ -312,9 +309,9 @@ proptest! {
     }
 }
 
-/// One `Sampled` prototype, handed as is to the runtime and to the engine,
-/// over four round-robin shards that each receive the same batch of
-/// distinct keys: every shard must draw its own coins. Shards replaying one coin sequence
+/// One `Sampled` prototype, handed as is to the runtime, over four
+/// round-robin shards that each receive the same batch of distinct keys:
+/// every shard must draw its own coins. Shards replaying one coin sequence
 /// keep identical positions, so every kept key is kept four times over
 /// and the Prop. 14 correction lands ≈ 7.75x above the truth.
 #[test]
@@ -331,26 +328,16 @@ fn one_sampled_prototype_samples_independently_on_every_shard() {
         ..Default::default()
     };
     let mut rt = ShardedRuntime::new(config, &prototype).unwrap();
-    let mut engine = EngineBuilder::new()
-        .shards(shards)
-        .summary(prototype.clone())
-        .build()
-        .unwrap();
     for _ in 0..shards {
         rt.push(&batch).unwrap();
-        engine.push_batch(&batch, 1.0).unwrap();
     }
-    for (path, merged) in [
-        ("ShardedRuntime::new", rt.into_merged().unwrap()),
-        ("EngineBuilder::summary", engine.into_merged().unwrap()),
-    ] {
-        assert_eq!(merged.seen(), 200_000, "{path}");
-        let est = merged.self_join();
-        assert!(
-            (est - truth).abs() / truth < 0.15,
-            "{path}: F₂ {est} against {truth}"
-        );
-    }
+    let merged = rt.into_merged().unwrap();
+    assert_eq!(merged.seen(), 200_000);
+    let est = merged.self_join();
+    assert!(
+        (est - truth).abs() / truth < 0.15,
+        "F₂ {est} against {truth}"
+    );
 }
 
 /// The production summary is not linear (KLL and Misra–Gries merge
