@@ -165,7 +165,7 @@ impl QueryCache {
     pub(crate) fn combined_self_join(&self, cells: &[Sampled<JoinSketch>]) -> f64 {
         let mut total = 0.0;
         for (i, c) in cells.iter().enumerate() {
-            total += bernoulli_self_join(self.diag[i], c.probability(), c.kept() as f64);
+            total += bernoulli_self_join(self.diag[i], c.probability(), c.kept());
             for (j, c2) in cells.iter().enumerate().skip(i + 1) {
                 total += 2.0 * self.cross[i][j] / (c.probability() * c2.probability());
             }

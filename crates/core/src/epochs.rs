@@ -286,9 +286,8 @@ impl EpochShedder {
     fn self_join_basics(&self) -> Result<Vec<f64>> {
         let mut lanes = vec![0.0; self.cells[0].summary().self_join_basics().len()];
         for (i, c) in self.cells.iter().enumerate() {
-            let kept = c.kept() as f64;
             for (lane, d) in lanes.iter_mut().zip(c.summary().self_join_basics()) {
-                *lane += bernoulli_self_join(d, c.probability(), kept);
+                *lane += bernoulli_self_join(d, c.probability(), c.kept());
             }
             for c2 in &self.cells[i + 1..] {
                 let scale = 2.0 / (c.probability() * c2.probability());

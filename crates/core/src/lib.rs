@@ -9,13 +9,21 @@
 //! | Driver | Sampling scheme | Application (paper §VI) |
 //! |---|---|---|
 //! | [`Sampled`] | Bernoulli(p), coin/skip | shedding tuples of a too-fast stream before they reach the summary (any [`Summary`]; `Sampled<JoinSketch>` is the paper's join shedder) |
-//! | [`CoordinatedShedder`] | Bernoulli(p), hash-coordinated | deletion-safe (turnstile) shedding: insert/delete decisions agree per tuple identity |
 //! | [`EpochShedder`] | Bernoulli(p(t)) | unbiased estimates under a **time-varying** rate (adaptive shedding): one `Sampled<JoinSketch>` cell per distinct rate |
 //! | [`IidStreamSketcher`] | with replacement | the stream *is* an i.i.d. sample from a generative model over a known finite population |
 //! | [`ScanSketcher`] | without replacement | a random-order relation scan feeding an online aggregation engine |
 //!
-//! [`cross::size_of_join`] joins any two of these across regimes (e.g. a
-//! shedded live stream against a scanned stored table).
+//! Every driver is insert-only. The turnstile (hash-coordinated) shedder
+//! and the cross-regime join are gone; nothing on the product path issues
+//! a delete:
+//!
+//! ```compile_fail
+//! use sss_core::CoordinatedShedder; // removed: no path deletes; `Sampled` sheds inserts
+//! ```
+//!
+//! ```compile_fail
+//! use sss_core::cross::size_of_join; // removed: each driver answers its own joins
+//! ```
 //!
 //! Each driver owns a [`sketch::JoinSketch`] (AGMS or F-AGMS, selected by a
 //! [`sketch::JoinSchema`]) and the per-scheme bookkeeping (tuples seen /
@@ -58,8 +66,6 @@
 
 pub mod analysis;
 pub mod compaction;
-pub mod coordinated;
-pub mod cross;
 pub mod epochs;
 pub mod error;
 pub mod iid;
@@ -73,8 +79,6 @@ pub mod summary;
 pub mod wire;
 
 pub use compaction::RateGrid;
-pub use coordinated::CoordinatedShedder;
-pub use cross::RatedSketch;
 pub use epochs::EpochShedder;
 pub use error::{Error, Result};
 pub use iid::IidStreamSketcher;

@@ -23,17 +23,15 @@ use crate::summary::Portable;
 use crate::wire;
 use serde::de::DeserializeOwned;
 use serde::Serialize;
-use sss_sketch::{
-    AgmsSketch, CountMinSketch, CountSketchTopK, FagmsSketch, HyperLogLog, KllSketch, MisraGries,
-};
+use sss_sketch::{AgmsSketch, CountSketchTopK, FagmsSketch, HyperLogLog, KllSketch, MisraGries};
 use sss_xi::{BucketFamily, SignFamily};
 
 // Kind discriminant words folded into each fingerprint so that two
 // backends whose remaining configuration words collide (e.g. equal
-// depth/width) still fingerprint apart.
+// depth/width) still fingerprint apart. 0x03 is retired, not reused, so
+// no fingerprint word changes meaning.
 pub(crate) const TAG_AGMS: u64 = 0x01;
 pub(crate) const TAG_FAGMS: u64 = 0x02;
-pub(crate) const TAG_COUNTMIN: u64 = 0x03;
 pub(crate) const TAG_MISRA_GRIES: u64 = 0x04;
 pub(crate) const TAG_CS_TOPK: u64 = 0x05;
 pub(crate) const TAG_HLL: u64 = 0x06;
@@ -72,32 +70,6 @@ where
         let schema = self.schema();
         wire::fingerprint(&[
             TAG_FAGMS,
-            schema.id(),
-            schema.depth() as u64,
-            schema.width() as u64,
-        ])
-    }
-
-    fn encode(&self) -> Result<Vec<u8>> {
-        wire::encode_envelope(Self::KIND, Self::FORMAT, self.fingerprint(), self)
-    }
-
-    fn decode(bytes: &[u8]) -> Result<Self> {
-        wire::decode_envelope(bytes, Self::KIND, Self::FORMAT)
-    }
-}
-
-impl<B> Portable for CountMinSketch<B>
-where
-    B: BucketFamily + Serialize + DeserializeOwned,
-{
-    const KIND: &'static str = "countmin";
-    const FORMAT: u32 = 1;
-
-    fn fingerprint(&self) -> u64 {
-        let schema = self.schema();
-        wire::fingerprint(&[
-            TAG_COUNTMIN,
             schema.id(),
             schema.depth() as u64,
             schema.width() as u64,

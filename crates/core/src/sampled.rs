@@ -102,14 +102,12 @@ use sss_xi::splitmix64;
 /// cleanly with sketching ("the size of the sample is unknown prior to
 /// running the process. This is not a problem anymore when the sample is
 /// sketched"). Keeping this in one place guarantees [`Sampled`], the epoch
-/// compaction diagonals, the sharded merge and the turnstile
-/// [`CoordinatedShedder`](crate::CoordinatedShedder) all apply the exact
-/// same formula. `kept` is a float so the turnstile's signed net count
-/// fits.
+/// compaction diagonals and the sharded merge all apply the exact same
+/// formula.
 #[inline]
-pub fn bernoulli_self_join(raw_self_join: f64, p: f64, kept: f64) -> f64 {
+pub fn bernoulli_self_join(raw_self_join: f64, p: f64, kept: u64) -> f64 {
     let p2 = p * p;
-    raw_self_join / p2 - (1.0 - p) / p2 * kept
+    raw_self_join / p2 - (1.0 - p) / p2 * kept as f64
 }
 
 /// Offered tuples per door walk in [`Sampled::feed_batch`]: bounds its
@@ -334,7 +332,7 @@ impl<S: Summary + JoinQuery> Sampled<S> {
     /// Bernoulli-corrected self-join (F₂) estimate of the full offered
     /// stream (paper Proposition 14): `X = S²/p² − (1−p)/p² · |F′|`.
     pub fn self_join(&self) -> f64 {
-        bernoulli_self_join(self.summary.self_join(), self.p, self.kept as f64)
+        bernoulli_self_join(self.summary.self_join(), self.p, self.kept)
     }
 
     /// Typed corrected self-join estimate: the summary's own lane variance
@@ -342,12 +340,11 @@ impl<S: Summary + JoinQuery> Sampled<S> {
     /// Section VI-A, both stacked into one [`Estimate`].
     pub fn self_join_estimate(&self) -> Estimate {
         let raw = self.summary.self_join_estimate();
-        let kept = self.kept as f64;
-        let value = bernoulli_self_join(raw.value, self.p, kept);
+        let value = bernoulli_self_join(raw.value, self.p, self.kept);
         let basics = raw
             .basics
             .iter()
-            .map(|&b| bernoulli_self_join(b, self.p, kept))
+            .map(|&b| bernoulli_self_join(b, self.p, self.kept))
             .collect();
         let p4 = (self.p * self.p) * (self.p * self.p);
         let sketch_variance = raw.variance / p4;
@@ -713,7 +710,7 @@ mod tests {
         assert_eq!(full.self_join(), full.summary().raw_self_join());
 
         let raw = shed.summary().raw_self_join_estimate();
-        let value = bernoulli_self_join(shed.summary().raw_self_join(), p, shed.kept() as f64);
+        let value = bernoulli_self_join(shed.summary().raw_self_join(), p, shed.kept());
         assert_eq!(shed.self_join().to_bits(), value.to_bits());
         let e = shed.self_join_estimate();
         assert_eq!(e.value.to_bits(), value.to_bits());

@@ -10,7 +10,7 @@
 //!
 //! | fat summary | slim form | kept state |
 //! |---|---|---|
-//! | AGMS / F-AGMS / Count-Min / [`JoinSketch`] | [`SlimJoin`] | per-lane self-join basics + combined [`Estimate`] |
+//! | AGMS / F-AGMS / [`JoinSketch`] | [`SlimJoin`] | per-lane self-join basics + combined [`Estimate`] |
 //! | [`MisraGries`] / [`CountSketchTopK`] | [`SlimTopK`] | ranked candidate list + variance plug-in |
 //! | [`HyperLogLog`] | itself | registers *are* the compact state (documented pass-through) |
 //! | [`KllSketch`] | itself | compactors *are* the compact state (documented pass-through) |
@@ -43,8 +43,7 @@ use crate::wire;
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 use sss_sketch::{
-    AgmsSketch, CountMinSketch, CountSketchTopK, Estimate, FagmsSketch, HyperLogLog, KllSketch,
-    MisraGries,
+    AgmsSketch, CountSketchTopK, Estimate, FagmsSketch, HyperLogLog, KllSketch, MisraGries,
 };
 use sss_xi::{BucketFamily, SignFamily};
 
@@ -415,20 +414,6 @@ where
         SlimJoin::project(
             Portable::fingerprint(self),
             FagmsSketch::self_join_estimate(self),
-        )
-    }
-}
-
-impl<B> SlimQuery for CountMinSketch<B>
-where
-    B: BucketFamily + Send + Sync + 'static + Serialize + DeserializeOwned,
-{
-    type Slim = SlimJoin;
-
-    fn slim(&self) -> SlimJoin {
-        SlimJoin::project(
-            Portable::fingerprint(self),
-            CountMinSketch::self_join_estimate(self),
         )
     }
 }

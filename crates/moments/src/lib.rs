@@ -46,8 +46,12 @@
 //!   Chebyshev and CLT-based, plus the normal CDF/coverage helpers.
 //! * [`planning`] — the inverse questions: minimal averaging for a target
 //!   error, and the sampling floor averaging cannot beat.
-//! * [`tail`] — distribution-dependent bounds (Chernoff) for sample-size
-//!   stability, with exact binomial pmfs pinning them.
+//!
+//! The Chernoff sample-size bounds are gone: nothing called them.
+//!
+//! ```compile_fail
+//! use sss_moments::tail::chernoff_upper; // removed: intervals come from `bounds`
+//! ```
 //!
 //! ## Example: how much accuracy does 1% load shedding cost?
 //!
@@ -76,7 +80,6 @@ pub mod factorial;
 pub mod freq;
 pub mod planning;
 pub mod scheme;
-pub mod tail;
 
 pub use bounds::ConfidenceInterval;
 pub use decompose::VarianceDecomposition;

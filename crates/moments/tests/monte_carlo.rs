@@ -241,6 +241,48 @@ fn wor_combined_size_of_join_matches_theory() {
     assert_moments(empirical(&xs), theory, reps, "wor sj");
 }
 
+/// Propositions 1/9 never ask the two relations to share a sampling
+/// scheme, only independent samples whose frequencies scale linearly: a
+/// Bernoulli-shedded `F` against a without-replacement scan of `G`,
+/// scaled by `1/(p·α)`.
+#[test]
+fn mixed_bernoulli_wor_size_of_join_matches_theory() {
+    let f = workload_f();
+    let g = workload_g();
+    let tf = expand(&f);
+    let tg = expand(&g);
+    let p = 0.4;
+    let mg = 25u64;
+    let sf = Bernoulli::new(p).unwrap();
+    let sg = WithoutReplacement::new(mg, tg.len() as u64).unwrap();
+    let c = 1.0 / (p * sg.rate());
+    let n_avg = 6usize;
+    let reps = 6000;
+    let mut rng = StdRng::seed_from_u64(0xB7);
+    let mut xs = Vec::with_capacity(reps);
+    for _ in 0..reps {
+        let schema = AgmsSchema::<Cw4>::new(n_avg, &mut rng);
+        let mut s = schema.sketch();
+        let mut t = schema.sketch();
+        let mut keep_f = BernoulliSampler::<StdRng>::new(p, &mut rng).unwrap();
+        for &k in &tf {
+            if keep_f.keep() {
+                s.update(k, 1);
+            }
+        }
+        for k in sample_without_replacement(&tg, mg, &mut rng).unwrap() {
+            t.update(k, 1);
+        }
+        xs.push(c * s.size_of_join(&t).unwrap());
+    }
+    let theory = engine::sketch_sample_sj(&sf, &f, &sg, &g, n_avg).unwrap();
+    assert!(
+        (theory.mean - f.dot(&g)).abs() < 1e-9,
+        "the mixed-scheme engine is unbiased"
+    );
+    assert_moments(empirical(&xs), theory, reps, "bernoulli x wor sj");
+}
+
 /// The covariance effect the paper emphasizes: because the `n` averaged
 /// sketches share one sample, the empirical variance at large `n` must
 /// approach the *sampling* variance, not zero.

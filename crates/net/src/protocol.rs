@@ -320,7 +320,9 @@ pub struct QueryRequest {
 /// # Errors
 ///
 /// A human-readable description of the malformation — the server wraps
-/// it into an error response for that line, keeping the connection.
+/// it into an error response for that line, keeping the connection. A
+/// `k` that is not a non-negative whole number, or a `confidence` outside
+/// `(0, 1)`, is a malformation too.
 pub fn parse_query_line(line: &str) -> Result<QueryRequest, String> {
     let body = line.trim();
     let inner = body
@@ -368,8 +370,16 @@ pub fn parse_query_line(line: &str) -> Result<QueryRequest, String> {
                 .map_err(|_| format!("non-numeric value {token:?} for key {key:?}"))?;
             match key {
                 "q" => req.q = Some(number),
-                "k" => req.k = Some(number as u64),
-                "confidence" => req.confidence = Some(number),
+                "k" if number >= 0.0 && number.fract() == 0.0 => req.k = Some(number as u64),
+                "k" => {
+                    return Err(format!(
+                        "\"k\" must be a non-negative whole number, got {token}"
+                    ))
+                }
+                "confidence" if number > 0.0 && number < 1.0 => req.confidence = Some(number),
+                "confidence" => {
+                    return Err(format!("\"confidence\" must be in (0, 1), got {token}"))
+                }
                 _ => {}
             }
             value_part = &value_part[end..];

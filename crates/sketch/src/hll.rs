@@ -28,11 +28,57 @@ pub const MIN_PRECISION: u8 = 4;
 pub const MAX_PRECISION: u8 = 18;
 
 /// A HyperLogLog register array with a seeded 64-bit hash.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, serde::Serialize)]
 pub struct HyperLogLog {
     registers: Vec<u8>,
     precision: u8,
     seed: u64,
+}
+
+// A body is hostile until it has the shape `with_seed` builds and `insert`
+// keeps: a precision in range, `2^precision` registers, and no register
+// above the largest rank `insert` can write. Anything else would index out
+// of bounds or shift past 64 bits on first use.
+impl<'de> serde::Deserialize<'de> for HyperLogLog {
+    fn deserialize<D: serde::Deserializer<'de>>(
+        deserializer: D,
+    ) -> std::result::Result<Self, D::Error> {
+        use serde::de::Error as _;
+        #[derive(serde::Deserialize)]
+        struct Repr {
+            registers: Vec<u8>,
+            precision: u8,
+            seed: u64,
+        }
+        let repr = Repr::deserialize(deserializer)?;
+        if !(MIN_PRECISION..=MAX_PRECISION).contains(&repr.precision) {
+            return Err(D::Error::custom(format!(
+                "HyperLogLog precision must be in {MIN_PRECISION}..={MAX_PRECISION}"
+            )));
+        }
+        if repr.registers.len() != 1 << repr.precision {
+            return Err(D::Error::invalid_length(
+                repr.registers.len(),
+                &"2^precision HyperLogLog registers",
+            ));
+        }
+        if repr.registers.iter().any(|&r| r > max_rank(repr.precision)) {
+            return Err(D::Error::custom(
+                "a HyperLogLog register is above the largest rank",
+            ));
+        }
+        Ok(Self {
+            registers: repr.registers,
+            precision: repr.precision,
+            seed: repr.seed,
+        })
+    }
+}
+
+/// The rank `insert` gives a hash whose `64 − precision` tail bits are all
+/// zero: the largest value a register can hold.
+fn max_rank(precision: u8) -> u8 {
+    64 - precision + 1
 }
 
 impl HyperLogLog {
@@ -90,7 +136,7 @@ impl HyperLogLog {
         // leftmost 1-bit, counting from 1; all-zero tail gets the maximum.
         let tail = h << self.precision;
         let rank = if tail == 0 {
-            64 - self.precision + 1
+            max_rank(self.precision)
         } else {
             tail.leading_zeros() as u8 + 1
         };

@@ -16,6 +16,13 @@
 //! * [`countmin`] — **Count-Min** of Cormode & Muthukrishnan, included as
 //!   the standard non-±1 baseline for the comparison benches.
 //!
+//! The three-way chain-join sketches are gone: no workload, subcommand or
+//! paper result reaches them.
+//!
+//! ```compile_fail
+//! use sss_sketch::multiway::chain_join; // removed: joins are two-way, as in the paper
+//! ```
+//!
 //! ## Seed sharing
 //!
 //! Size-of-join estimation requires the two sketches to be built with the
@@ -56,7 +63,6 @@ pub mod fagms;
 mod fasthash;
 pub mod hll;
 pub mod kll;
-pub mod multiway;
 pub(crate) mod rowkernel;
 mod runs;
 pub mod topk;
@@ -73,7 +79,6 @@ pub use estimate::{Bound, Estimate};
 pub use fagms::{FagmsSchema, FagmsSketch};
 pub use hll::HyperLogLog;
 pub use kll::KllSketch;
-pub use multiway::{chain_join, BinarySketch, MultiwaySchema, UnarySketch};
 pub use runs::KeyRuns;
 pub use topk::{CountSketchTopK, HeavyHitters, MisraGries};
 

@@ -12,8 +12,7 @@
 //!   `merged()`: repeated at-all-times queries re-clone only shards
 //!   dirtied since the previous query;
 //! * [`adaptive`] — the quantized rate controller that picks the
-//!   shedding probability `p` on line;
-//! * [`window`] — paned sliding-window sketches.
+//!   shedding probability `p` on line.
 //!
 //! The runtime is the engine; a DSMS pipeline is composed from its calls:
 //!
@@ -98,6 +97,13 @@
 //! ```compile_fail
 //! let _ = sss_stream::StreamError::TopKDisabled; // removed with the side summaries
 //! ```
+//!
+//! Nor a sliding window: no workload or subcommand asks for one, and the
+//! L2² change statistic it fed is `sss_sketch::Sketch::subtract`.
+//!
+//! ```compile_fail
+//! use sss_stream::PanedWindowSketch; // removed: no caller outside its tests
+//! ```
 
 // `deny` rather than `forbid`: the SPSC ring transport ([`ring`]) is the
 // one audited module allowed to use `unsafe`, mirroring the SIMD kernel
@@ -110,10 +116,8 @@ pub mod error;
 pub mod ring;
 pub mod runtime;
 pub mod snapshot;
-pub mod window;
 
 pub use adaptive::{ControllerConfig, RateController};
 pub use error::{Result, StreamError};
 pub use runtime::{Partition, PoolStats, QueryHandle, ReadReplica, RuntimeConfig, ShardedRuntime};
 pub use snapshot::CacheStats;
-pub use window::PanedWindowSketch;

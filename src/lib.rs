@@ -7,19 +7,20 @@
 //! * [`xi`] — limited-independence ±1 families and bucket hashes.
 //! * [`sampling`] — Bernoulli / with-replacement / without-replacement
 //!   sampling and sampling-only estimators.
-//! * [`sketch`] — AGMS, F-AGMS, Count-Min and multiway-join sketches.
+//! * [`sketch`] — AGMS, F-AGMS and Count-Min sketches, plus the top-k,
+//!   HyperLogLog and KLL summaries.
 //! * [`moments`] — exact expectation/variance formulas, the
-//!   sampling/sketch/interaction variance decomposition, planning and
-//!   tail bounds.
+//!   sampling/sketch/interaction variance decomposition, confidence
+//!   bounds and planning.
 //! * [`core`] — the combined sketch-over-samples estimators and the
 //!   application drivers (load shedding — `Sampled<S>` in front of any
-//!   summary, hash-coordinated and epoch-based —, i.i.d. streams, online
-//!   aggregation scans).
+//!   summary, and epoch-based for a changing rate —, i.i.d. streams,
+//!   online aggregation scans).
 //! * [`exact`] — exact streaming aggregates used as ground truth.
 //! * [`datagen`] — Zipf, self-similar, correlated-pair and mini-TPC-H
 //!   workload generators.
-//! * [`stream`] — streaming pipeline substrate: the sharded runtime,
-//!   adaptive controllers, sliding windows.
+//! * [`stream`] — streaming pipeline substrate: the sharded runtime and
+//!   the adaptive rate controller.
 //! * [`net`] — the network ingest service: a non-blocking event-loop
 //!   TCP front-end decoding length-prefixed batches straight into the
 //!   sharded runtime's pooled buffers, plus a line-delimited JSON query

@@ -8,7 +8,8 @@
 //! build here rather than in downstream code. The runtime bodies pin the
 //! parts of the contract the type system cannot see. That removed names
 //! stay removed can only be proven at compile time: `sss_core::summary`
-//! and the `sss_stream` crate docs carry the `compile_fail` doctests.
+//! and the `sss_core`, `sss_stream`, `sss_sketch` and `sss_moments` crate
+//! docs carry the `compile_fail` doctests.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -61,7 +62,6 @@ fn capabilities_land_on_the_right_backends() {
     join_query::<JoinSketch>();
     join_query::<sketch_sampled_streams::sketch::AgmsSketch>();
     join_query::<sketch_sampled_streams::sketch::FagmsSketch>();
-    join_query::<sketch_sampled_streams::sketch::CountMinSketch>();
     join_query::<MultiSummary>();
 
     topk_query::<MisraGries>();

@@ -92,8 +92,8 @@ proptest! {
             JoinQuery::self_join(&af).to_bits()
         );
         prop_assert_eq!(
-            JoinQuery::self_join_estimate(&cf).value.to_bits(),
-            JoinQuery::self_join(&cf).to_bits()
+            JoinQuery::self_join_estimate(&ff).value.to_bits(),
+            JoinQuery::self_join(&ff).to_bits()
         );
 
         assert_coherent(&af.self_join_estimate());

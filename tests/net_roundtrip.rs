@@ -393,6 +393,48 @@ fn query_plane_errors_are_json_strings() {
     srv.shutdown_and_wait().unwrap();
 }
 
+/// A query field outside its domain gets the error line, which names the
+/// field: a `confidence` outside `(0, 1)` is not answered without its
+/// interval, and a `k` that is negative or fractional is not bent to a
+/// whole one.
+#[test]
+fn out_of_domain_query_fields_are_refused_by_name() {
+    let srv = server(4, 1, Partition::RoundRobin);
+    let mut queries = QueryClient::connect(srv.query_addr()).unwrap();
+    for (line, field) in [
+        ("{\"cmd\":\"self_join\",\"confidence\":1.5}", "confidence"),
+        ("{\"cmd\":\"distinct\",\"confidence\":0}", "confidence"),
+        ("{\"cmd\":\"self_join\",\"confidence\":NaN}", "confidence"),
+        (
+            "{\"cmd\":\"topk\",\"k\":10,\"confidence\":-0.5}",
+            "confidence",
+        ),
+        ("{\"cmd\":\"topk\",\"k\":-3}", "k"),
+        ("{\"cmd\":\"topk\",\"k\":2.5}", "k"),
+        ("{\"cmd\":\"topk\",\"k\":inf}", "k"),
+    ] {
+        let answer = queries.request(line).unwrap();
+        let error = answer
+            .strip_prefix("{\"ok\":false,\"error\":")
+            .and_then(|rest| rest.strip_suffix('}'))
+            .unwrap_or_else(|| panic!("{line} was served: {answer:?}"));
+        let message: String = serde_json::from_str(error).unwrap();
+        assert!(
+            message.starts_with(&format!("\"{field}\" ")),
+            "{line}: {message:?}"
+        );
+    }
+    for line in [
+        "{\"cmd\":\"self_join\",\"confidence\":0.99}",
+        "{\"cmd\":\"topk\",\"k\":0}",
+        "{\"cmd\":\"topk\",\"k\":2e0,\"confidence\":0.5}",
+    ] {
+        let answer = queries.request(line).unwrap();
+        assert!(answer.starts_with("{\"ok\":true,"), "{line}: {answer}");
+    }
+    srv.shutdown_and_wait().unwrap();
+}
+
 /// `{"cmd":"stats"}` carries the ring's high-water mark and the snapshot
 /// cache's counters: after ingest and one `self_join` at `max_pending = 0`
 /// a batch has occupied a ring and the replica's refresh rebuilt the cache.

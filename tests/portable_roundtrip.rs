@@ -5,8 +5,9 @@
 //! (`sss save` | `sss merge-snapshots`) and the slim replica exchange
 //! rest on. Plus the typed failure modes: mismatched configuration
 //! fingerprints refuse to merge, foreign kinds refuse to decode, and a
-//! KLL or Misra–Gries body that no summary could have written refuses to
-//! decode while every body that does decode is safe to keep using.
+//! KLL, Misra–Gries or HyperLogLog body that no summary could have written
+//! refuses to decode while every body that does decode is safe to keep
+//! using.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -379,6 +380,87 @@ fn hostile_misra_gries_bodies_refuse_with_typed_errors() {
         Error::Sketch(sketch_sampled_streams::sketch::Error::WeightOverflow)
     );
     assert_eq!(mg.encode().unwrap(), before);
+}
+
+/// A HyperLogLog body as format 1 writes it, every field the forger's to
+/// choose.
+fn hll_body(registers: &[u8], precision: u8, seed: u64) -> String {
+    format!("{{\"registers\":{registers:?},\"precision\":{precision},\"seed\":{seed}}}")
+}
+
+/// `body` in an `hll` envelope.
+fn hll_envelope(body: &str) -> Vec<u8> {
+    let fingerprint = HyperLogLog::with_seed(10, 5).unwrap().fingerprint();
+    format!("{{\"kind\":\"hll\",\"format\":1,\"fingerprint\":{fingerprint},\"body\":{body}}}")
+        .into_bytes()
+}
+
+/// An honest `multi` summary whose HyperLogLog has precision 10.
+fn honest_multi_hll() -> MultiSummary {
+    let mut rng = StdRng::seed_from_u64(409);
+    let spec = MultiSpec::new(JoinSchema::fagms(2, 32, &mut rng), &mut rng).distinct_precision(10);
+    spec.summary().unwrap()
+}
+
+/// `body` where the honest `multi` envelope of [`honest_multi_hll`] carries
+/// its distinct-count part.
+fn multi_envelope_distinct(body: &str) -> Vec<u8> {
+    let honest = String::from_utf8(honest_multi_hll().encode().unwrap()).unwrap();
+    let from = honest
+        .find("\"distinct\":")
+        .expect("multi body names its parts");
+    let to = honest
+        .find(",\"quantiles\":")
+        .expect("distinct is not last");
+    format!("{}\"distinct\":{body}{}", &honest[..from], &honest[to..]).into_bytes()
+}
+
+/// Every shape the HyperLogLog decode refuses — each of which used to
+/// decode and then panic on first use — comes back as the typed wire
+/// error, from the summary's own envelope and from inside a composite's.
+#[test]
+fn hostile_hll_bodies_refuse_with_typed_errors() {
+    let seed = honest_multi_hll().hll().seed();
+    let mut too_high = vec![0u8; 1 << 10];
+    too_high[7] = 200;
+    let mut one_past_the_top = vec![0u8; 1 << 10];
+    one_past_the_top[1023] = 64 - 10 + 2;
+    let refused = [
+        (
+            "three registers at precision 10",
+            hll_body(&[0, 0, 0], 10, seed),
+        ),
+        ("a register of 200", hll_body(&too_high, 10, seed)),
+        (
+            "a register one above the largest rank",
+            hll_body(&one_past_the_top, 10, seed),
+        ),
+        ("precision 0", hll_body(&[0], 0, seed)),
+        ("precision 19", hll_body(&[], 19, seed)),
+    ];
+    for (what, body) in &refused {
+        let err = HyperLogLog::decode(&hll_envelope(body)).unwrap_err();
+        assert!(matches!(err, Error::Wire { .. }), "{what}: got {err:?}");
+        let err = MultiSummary::decode(&multi_envelope_distinct(body)).unwrap_err();
+        assert!(
+            matches!(err, Error::Wire { .. }),
+            "{what} in multi: got {err:?}"
+        );
+    }
+
+    // The edge of the check is a body a summary can write: every register
+    // at the rank of an all-zero hash tail.
+    let saturated = hll_body(&vec![64 - 10 + 1; 1 << 10], 10, seed);
+    let mut hll = HyperLogLog::decode(&hll_envelope(&saturated)).unwrap();
+    let twin = hll.clone();
+    hll.insert_batch(&(0..5_000u64).collect::<Vec<_>>());
+    hll.merge(&twin).unwrap();
+    assert!(hll.raw_distinct().is_finite());
+    let mut multi = MultiSummary::decode(&multi_envelope_distinct(&saturated)).unwrap();
+    let twin = multi.clone();
+    multi.update_batch(&(0..5_000u64).collect::<Vec<_>>());
+    multi.merge_from(&twin).unwrap();
+    assert!(multi.distinct().is_finite());
 }
 
 /// The composite's own refusals: a snapshot in an older format (format 2

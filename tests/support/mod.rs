@@ -127,7 +127,7 @@ impl ReferenceEpochShedder {
     pub fn self_join(&self) -> Result<f64> {
         let mut total = 0.0;
         for (i, e) in self.epochs.iter().enumerate() {
-            total += bernoulli_self_join(e.sketch.raw_self_join(), e.p, e.kept as f64);
+            total += bernoulli_self_join(e.sketch.raw_self_join(), e.p, e.kept);
             for e2 in &self.epochs[i + 1..] {
                 let cross = e.sketch.raw_size_of_join(&e2.sketch)?;
                 total += 2.0 * cross / (e.p * e2.p);
