@@ -267,12 +267,14 @@ impl TopKQuery for MultiSummary {
         self.join.point_query(key)
     }
 
+    /// The candidates are priced in one batched call
+    /// ([`JoinSketch::point_queries`]), bit for bit the point queries.
     fn top_k(&self, k: usize) -> Vec<(u64, f64)> {
-        let scored = self
-            .heavy
-            .candidates()
-            .into_iter()
-            .map(|key| (key, self.join.point_query(key)))
+        let keys = self.heavy.candidates();
+        let scored = keys
+            .iter()
+            .copied()
+            .zip(self.join.point_queries(&keys))
             .collect();
         ranked(scored, k)
     }
@@ -281,7 +283,15 @@ impl TopKQuery for MultiSummary {
     /// read from the sketch itself (clamped at 0 — the estimate is noisy);
     /// the median or mean over lanes only concentrates further.
     fn frequency_variance(&self) -> f64 {
-        self.join.raw_self_join().max(0.0) / self.join.averaging_factor() as f64
+        self.frequency_variance_at(self.join.raw_self_join())
+    }
+}
+
+impl MultiSummary {
+    /// [`TopKQuery::frequency_variance`] given the join sketch's own `F₂`,
+    /// for a caller that has already read it.
+    pub(crate) fn frequency_variance_at(&self, f2: f64) -> f64 {
+        f2.max(0.0) / self.join.averaging_factor() as f64
     }
 }
 

@@ -133,6 +133,17 @@ impl JoinSketch {
         }
     }
 
+    /// [`point_query`](Self::point_query) of every key of `keys`, in order
+    /// and bit for bit. F-AGMS hashes the whole batch once per row
+    /// ([`FagmsSketch::point_queries`]); AGMS, on no served path, asks
+    /// key by key.
+    pub fn point_queries(&self, keys: &[u64]) -> Vec<f64> {
+        match self {
+            JoinSketch::Agms(s) => keys.iter().map(|&key| s.point_query(key)).collect(),
+            JoinSketch::Fagms(s) => s.point_queries(keys),
+        }
+    }
+
     /// Merge another sketch of the same schema (stream union).
     pub fn merge(&mut self, other: &JoinSketch) -> Result<()> {
         match (self, other) {

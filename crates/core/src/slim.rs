@@ -483,18 +483,22 @@ impl SlimQuery for KllSketch {
 /// The top-k stage is the composite's own answer — its `capacity`
 /// Misra–Gries candidates priced by the join sketch — so the slim form
 /// ranks exactly as the fat one does; a key outside it reads 0 where the
-/// fat form can point-query (the gap [`SlimTopK`] documents).
+/// fat form can point-query (the gap [`SlimTopK`] documents). Its variance
+/// takes `F₂` from the join stage, the same combination of the same lanes
+/// the fat `frequency_variance` reads, so the lanes are summed once.
 impl SlimQuery for MultiSummary {
     type Slim = SlimMultiSummary;
 
     fn slim(&self) -> SlimMultiSummary {
+        let join = self.join().slim();
+        let variance = self.frequency_variance_at(join.self_join());
         SlimMultiSummary {
-            join: self.join().slim(),
             topk: SlimTopK::project(
                 Portable::fingerprint(self.heavy()),
                 TopKQuery::top_k(self, self.heavy().capacity()),
-                TopKQuery::frequency_variance(self),
+                variance,
             ),
+            join,
             distinct: self.hll().slim(),
             quantiles: self.kll().slim(),
             fingerprint: Portable::fingerprint(self),
@@ -608,6 +612,25 @@ mod tests {
             JoinQuery::self_join(&fat).to_bits()
         );
         assert_eq!(slim.top_k(10), TopKQuery::top_k(&fat, 10));
+        // Every candidate, bit for bit, and each priced at its point query
+        // although the projection prices them in one batched call; the
+        // variance from the join stage's F₂ is the fat summary's too.
+        let capacity = fat.heavy().capacity();
+        let bits = |ranked: Vec<(u64, f64)>| -> Vec<(u64, u64)> {
+            ranked.into_iter().map(|(k, e)| (k, e.to_bits())).collect()
+        };
+        assert_eq!(
+            bits(slim.top_k(capacity)),
+            bits(TopKQuery::top_k(&fat, capacity))
+        );
+        assert_eq!(slim.topk().tracked(), capacity);
+        for &(key, est) in &slim.top_k(capacity) {
+            assert_eq!(est.to_bits(), fat.join().point_query(key).to_bits());
+        }
+        assert_eq!(
+            slim.frequency_variance().to_bits(),
+            TopKQuery::frequency_variance(&fat).to_bits()
+        );
         assert_eq!(
             slim.distinct().to_bits(),
             DistinctQuery::distinct(&fat).to_bits()

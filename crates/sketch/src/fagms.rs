@@ -276,9 +276,12 @@ impl<S: SignFamily, B: BucketFamily> FagmsSketch<S, B> {
 
     /// Per-row self-join estimates `Σ_b c_b²`.
     pub fn self_join_rows(&self) -> Vec<f64> {
-        (0..self.schema.depth())
-            .map(|r| self.row(r).iter().map(|&c| c as f64 * c as f64).sum())
-            .collect()
+        // One conversion per counter: `c·c` is `c as f64 * c as f64`.
+        let square = |c: i64, _| {
+            let c = c as f64;
+            c * c
+        };
+        row_sums(&self.counters, &self.counters, self.schema.width, square)
     }
 
     /// Self-join size estimate: median across rows.
@@ -293,15 +296,13 @@ impl<S: SignFamily, B: BucketFamily> FagmsSketch<S, B> {
     /// [`Error::SchemaMismatch`] if `other` was built from another schema.
     pub fn size_of_join_rows(&self, other: &Self) -> Result<Vec<f64>> {
         self.check_schema(other)?;
-        Ok((0..self.schema.depth())
-            .map(|r| {
-                self.row(r)
-                    .iter()
-                    .zip(other.row(r))
-                    .map(|(&s, &t)| s as f64 * t as f64)
-                    .sum()
-            })
-            .collect())
+        let product = |s: i64, t: i64| s as f64 * t as f64;
+        Ok(row_sums(
+            &self.counters,
+            &other.counters,
+            self.schema.width,
+            product,
+        ))
     }
 
     /// Size-of-join estimate: median across rows.
@@ -346,9 +347,11 @@ impl<S: SignFamily, B: BucketFamily> FagmsSketch<S, B> {
     /// the distinct keys of a dictionary, or keys observed by a parallel
     /// space-saving pass); the sketch alone cannot enumerate keys.
     pub fn top_k<I: IntoIterator<Item = u64>>(&self, candidates: I, k: usize) -> Vec<(u64, f64)> {
-        let scored = candidates
-            .into_iter()
-            .map(|key| (key, self.point_query(key)))
+        let keys: Vec<u64> = candidates.into_iter().collect();
+        let scored = keys
+            .iter()
+            .copied()
+            .zip(self.point_queries(&keys))
             .collect();
         crate::topk::ranked(scored, k)
     }
@@ -357,16 +360,39 @@ impl<S: SignFamily, B: BucketFamily> FagmsSketch<S, B> {
     /// median over rows of `ξ(key)·c[h(key)]`.
     pub fn point_query(&self, key: u64) -> f64 {
         let w = self.schema.width;
-        let per_row: Vec<f64> = self
-            .schema
-            .rows
-            .iter()
-            .enumerate()
-            .map(|(r, row)| {
-                (row.sign.sign(key) * self.counters[r * w + row.bucket.bucket(key, w)]) as f64
-            })
-            .collect();
-        estimate::median(&per_row)
+        with_row_scratch(self.schema.rows.len(), |per_row| {
+            for ((r, row), out) in self.schema.rows.iter().enumerate().zip(per_row.iter_mut()) {
+                *out =
+                    (row.sign.sign(key) * self.counters[r * w + row.bucket.bucket(key, w)]) as f64;
+            }
+            estimate::median_in_place(per_row)
+        })
+    }
+
+    /// [`point_query`](Self::point_query) of every key of `keys`, in order
+    /// and bit for bit, priced a row at a time: each row hashes the whole
+    /// batch through its families' `sign_batch` / `bucket_batch` (the
+    /// runtime-dispatched kernels the batched update path hashes with),
+    /// then each key takes the median of its rows.
+    pub fn point_queries(&self, keys: &[u64]) -> Vec<f64> {
+        let w = self.schema.width;
+        let depth = self.schema.rows.len();
+        let mut signs = vec![0; keys.len()];
+        let mut buckets = vec![0; keys.len()];
+        let mut per_row = vec![0.0; keys.len() * depth];
+        for (r, row) in self.schema.rows.iter().enumerate() {
+            row.sign.sign_batch(keys, &mut signs);
+            row.bucket.bucket_batch(keys, w, &mut buckets);
+            let counters = self.row(r);
+            let hashed = signs.iter().zip(&buckets);
+            for (out, (&sign, &bucket)) in per_row.iter_mut().skip(r).step_by(depth).zip(hashed) {
+                *out = (sign * counters[bucket]) as f64;
+            }
+        }
+        per_row
+            .chunks_exact_mut(depth)
+            .map(estimate::median_in_place)
+            .collect()
     }
 
     /// Hash every key of `keys` once: afterwards `cells` holds, key by key,
@@ -423,25 +449,65 @@ impl<S: SignFamily, B: BucketFamily> FagmsSketch<S, B> {
     /// two operations in sequence; the per-tuple heavy-hitter path
     /// ([`CountSketchTopK`](crate::CountSketchTopK)) lives on this.
     pub fn update_and_query(&mut self, key: u64, count: i64) -> f64 {
-        const STACK_ROWS: usize = 16;
         let w = self.schema.width;
-        let depth = self.schema.rows.len();
-        let mut stack = [0.0f64; STACK_ROWS];
-        let mut heap = Vec::new();
-        let per_row: &mut [f64] = if depth <= STACK_ROWS {
-            &mut stack[..depth]
-        } else {
-            heap.resize(depth, 0.0);
-            &mut heap
-        };
-        for (r, row) in self.schema.rows.iter().enumerate() {
-            let sign = row.sign.sign(key);
-            let counter = &mut self.counters[r * w + row.bucket.bucket(key, w)];
-            *counter += count * sign;
-            per_row[r] = (sign * *counter) as f64;
-        }
-        estimate::median_in_place(per_row)
+        with_row_scratch(self.schema.rows.len(), |per_row| {
+            for (r, row) in self.schema.rows.iter().enumerate() {
+                let sign = row.sign.sign(key);
+                let counter = &mut self.counters[r * w + row.bucket.bucket(key, w)];
+                *counter += count * sign;
+                per_row[r] = (sign * *counter) as f64;
+            }
+            estimate::median_in_place(per_row)
+        })
     }
+}
+
+/// Run `f` on `depth` floats of scratch: on the stack at the depths
+/// sketches use, on the heap past them.
+fn with_row_scratch<T>(depth: usize, f: impl FnOnce(&mut [f64]) -> T) -> T {
+    const STACK_ROWS: usize = 16;
+    if depth <= STACK_ROWS {
+        f(&mut [0.0; STACK_ROWS][..depth])
+    } else {
+        f(&mut vec![0.0; depth])
+    }
+}
+
+/// `Σ_b term(s_b, t_b)` for every row of two `depth × width` counter
+/// arrays. Each row is added in bucket order from `-0.0`, exactly as
+/// `Iterator::sum` folds it, so every bit matches the row-by-row sum; but
+/// up to four rows share one pass over the buckets, one accumulator each,
+/// so their dependency chains overlap instead of running back to back.
+fn row_sums(s: &[i64], t: &[i64], width: usize, term: impl Fn(i64, i64) -> f64 + Copy) -> Vec<f64> {
+    let mut sums = Vec::with_capacity(s.len() / width);
+    for (s, t) in s.chunks(4 * width).zip(t.chunks(4 * width)) {
+        match s.len() / width {
+            1 => sums.extend(rows_in_one_pass::<1>(s, t, width, term)),
+            2 => sums.extend(rows_in_one_pass::<2>(s, t, width, term)),
+            3 => sums.extend(rows_in_one_pass::<3>(s, t, width, term)),
+            _ => sums.extend(rows_in_one_pass::<4>(s, t, width, term)),
+        }
+    }
+    sums
+}
+
+/// [`row_sums`] over exactly `R` rows.
+#[inline(always)]
+fn rows_in_one_pass<const R: usize>(
+    s: &[i64],
+    t: &[i64],
+    width: usize,
+    term: impl Fn(i64, i64) -> f64,
+) -> [f64; R] {
+    let s: [&[i64]; R] = std::array::from_fn(|r| &s[r * width..][..width]);
+    let t: [&[i64]; R] = std::array::from_fn(|r| &t[r * width..][..width]);
+    let mut sums = [-0.0f64; R];
+    for b in 0..width {
+        for r in 0..R {
+            sums[r] += term(s[r][b], t[r][b]);
+        }
+    }
+    sums
 }
 
 impl<S: SignFamily, B: BucketFamily> Sketch for FagmsSketch<S, B> {

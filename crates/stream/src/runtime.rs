@@ -15,7 +15,7 @@
 //!  (partition) └─ data ring ─▶ worker 2 ─ owns shard sketch E₂     rings
 //!                      ▲ control queue (snapshot requests)
 //!  merged() ── dirty shards only ──▶ per-shard table ──▶ E₀ ⊕ E₁ ⊕ E₂
-//!  read_replica() ── merged() ─▶ slim() ─▶ Arc ─▶ every reader
+//!  read_replica() ── the cached E₀ ⊕ E₁ ⊕ E₂, lent ─▶ slim() ─▶ Arc ─▶ every reader
 //! ```
 //!
 //! Two perf-critical design decisions (see `DESIGN.md` §4h; the ledger's
@@ -43,9 +43,10 @@
 //!   table and merges the table again in shard order
 //!   ([`snapshot`](crate::snapshot)). A repeated at-all-times query with
 //!   no intervening ingest costs one clone — O(sketch bytes), independent
-//!   of the shard count. [`ReadReplica`]s go one step further: the merged
-//!   result is projected once ([`SlimQuery::slim`]) and every reader
-//!   shares that projection by pointer.
+//!   of the shard count. [`ReadReplica`]s go one step further: the cached
+//!   merged result is projected once, in place ([`SlimQuery::slim`]; no
+//!   copy of it is taken), and every reader shares that projection by
+//!   pointer.
 //!
 //! * [`push`](ShardedRuntime::push) blocks when a ring is full
 //!   (backpressure propagates to the source);
@@ -272,10 +273,16 @@ impl<E: Summary> RuntimeShared<E> {
             .unwrap_or(0)
     }
 
-    /// The incremental at-all-times query. See the module docs: only
-    /// shards whose dirty epoch moved past the cached stamp are asked for
-    /// a fresh clone; the cache installs them and re-merges its table.
+    /// The incremental at-all-times query, as one owned copy.
     fn merged(&self) -> Result<E> {
+        self.with_merged(E::clone)
+    }
+
+    /// The incremental at-all-times query, read in place. See the module
+    /// docs: only shards whose dirty epoch moved past the cached stamp are
+    /// asked for a fresh clone; the cache installs them, re-merges its
+    /// table and lends `read` the result under the cache lock.
+    fn with_merged<T>(&self, read: impl FnOnce(&E) -> T) -> Result<T> {
         // Holding the cache lock for the whole query serializes
         // concurrent handles.
         let mut cache = self.lock_cache();
@@ -300,10 +307,12 @@ impl<E: Summary> RuntimeShared<E> {
             let (version, clone) = self.fetch_snapshot(shard, &rx)?;
             fresh.push((shard, version, clone));
         }
-        // Lent, not cloned: only a rebuild copies the prototype.
-        cache
+        // Lent, not cloned: only a rebuild copies the prototype, and its
+        // lock is released before `read` runs.
+        let merged = cache
             .refresh(&self.lock_prototype(), fresh)
-            .map_err(StreamError::Estimator)
+            .map_err(StreamError::Estimator)?;
+        Ok(read(merged))
     }
 
     /// Wait for a shard's snapshot reply, failing over to
@@ -363,16 +372,16 @@ impl<E: Summary + SlimQuery> RuntimeShared<E> {
                 return Ok(frame);
             }
         }
-        // Stamp the version *before* merging: `merged()` reflects at
-        // least every batch accepted before the call, so the projection
-        // covers ≥ `version` batches and staleness is never understated.
+        // Stamp the version *before* merging: the merge reflects at least
+        // every batch accepted before the call, so the projection covers
+        // ≥ `version` batches and staleness is never understated. The
+        // projection reads the cache's merged result in place.
         let version = self.accepted_total();
-        let fat = self.merged()?;
-        let applied = self.tuples_ingested();
+        let (applied, slim) = self.with_merged(|fat| (self.tuples_ingested(), fat.slim()))?;
         let frame = ReplicaFrame {
             version,
             applied,
-            slim: Arc::new(fat.slim()),
+            slim: Arc::new(slim),
         };
         self.replica.publish(frame.clone());
         Ok(frame)
@@ -861,7 +870,7 @@ impl<E: Summary + JoinQuery> ShardedRuntime<E> {
     ///
     /// [`StreamError::ShardDisconnected`] if a worker thread has died.
     pub fn self_join_estimate(&self) -> Result<Estimate> {
-        Ok(self.merged()?.self_join_estimate())
+        self.shared.with_merged(E::self_join_estimate)
     }
 
     /// Typed at-all-times size-of-join query against another runtime over
@@ -963,7 +972,7 @@ impl<E: Summary + JoinQuery> QueryHandle<E> {
     ///
     /// As for [`QueryHandle::merged`].
     pub fn self_join_estimate(&self) -> Result<Estimate> {
-        Ok(self.merged()?.self_join_estimate())
+        self.shared.with_merged(E::self_join_estimate)
     }
 }
 
@@ -2015,6 +2024,39 @@ mod tests {
         take();
         rt.merged().unwrap();
         assert_eq!(take(), ["merged", "prototype", "shard", "shard"]);
+        rt.merged().unwrap();
+        assert_eq!(take(), ["merged"]);
+    }
+
+    /// The clones a replica refresh pays: one per dirty shard and one of
+    /// the prototype to rebuild, and none of the merged result, which it
+    /// projects in place. A refresh with nothing new clones nothing, and
+    /// `merged()` still hands out one copy.
+    #[test]
+    fn a_replica_refresh_projects_the_merge_without_cloning_it() {
+        use crate::snapshot::tests::CloneLog;
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let config = RuntimeConfig {
+            shards: 2,
+            queue_depth: 4,
+            partition: Partition::RoundRobin,
+        };
+        let mut rt = ShardedRuntime::new(config, &CloneLog::prototype(&log)).unwrap();
+        let take = || {
+            let mut roles = std::mem::take(&mut *log.lock().unwrap());
+            roles.sort_unstable();
+            roles
+        };
+        let mut replica = rt.read_replica(0).unwrap();
+        assert_eq!(*replica.slim(), "prototype", "nothing pushed yet");
+        take();
+        rt.push(&[1]).unwrap();
+        rt.push(&[2]).unwrap();
+        assert!(replica.refresh().unwrap());
+        assert_eq!(*replica.slim(), "merged");
+        assert_eq!(take(), ["prototype", "shard", "shard"]);
+        rt.read_replica(0).unwrap();
+        assert!(take().is_empty(), "the published frame is shared");
         rt.merged().unwrap();
         assert_eq!(take(), ["merged"]);
     }

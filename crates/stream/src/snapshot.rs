@@ -12,15 +12,19 @@
 //!   batch count) after each `update_batch`. A shard whose epoch matches
 //!   the version stamped on its cached clone has not changed since the
 //!   previous query and is not asked for a new clone.
-//! * **Nothing dirty:** the query is one clone of the cached merged
-//!   result — O(sketch bytes), independent of the shard count (the
-//!   ledger's `stream.merged_clean_us`).
+//! * **Nothing dirty:** the cached merged result is served as it is —
+//!   no merge work, independent of the shard count.
 //! * **Otherwise:** the fresh clones replace their entries in the
-//!   per-shard table and the table is merged again in shard order
-//!   (`stream.merged_dirty_us`). Only `merge_from` is asked of the
-//!   summary, so linear sketches, HyperLogLog and KLL all take the same
-//!   path, and the result *is* a from-scratch merge of the current shard
-//!   states — there is nothing to drift.
+//!   per-shard table and the table is merged again in shard order, into
+//!   one copy of the prototype (`stream.merged_dirty_us`). Only
+//!   `merge_from` is asked of the summary, so linear sketches, HyperLogLog
+//!   and KLL all take the same path, and the result *is* a from-scratch
+//!   merge of the current shard states — there is nothing to drift.
+//!
+//! Either way the cache *lends* the merged result. `merged()` copies it
+//! once for its caller — O(sketch bytes), the ledger's
+//! `stream.merged_clean_us` — and a replica refresh projects it in place,
+//! so a refresh copies no merged result at all.
 //!
 //! The cache never talks to workers itself: the runtime fetches fresh
 //! clones for dirty shards (via the control queue) and hands them in via
@@ -36,7 +40,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Queries answered from the cached merged result alone (zero dirty
-    /// shards): one clone, no merge work.
+    /// shards): no merge work.
     pub hits: u64,
     /// Queries that re-cloned a strict subset of the shards and reused
     /// the per-shard table for the rest.
@@ -95,17 +99,21 @@ impl<E: Summary> SnapshotCache<E> {
     ///
     /// `fresh` holds `(shard, version, clone)` for every shard whose live
     /// epoch differed from [`shard_version`](Self::shard_version);
-    /// `prototype` is the empty summary a rebuild merges into. Returns a
-    /// clone of the (now current) merged estimator.
+    /// `prototype` is the empty summary a rebuild merges into. Lends the
+    /// (now current) merged estimator: the caller copies it, or projects
+    /// it in place, under the cache lock.
     pub(crate) fn refresh(
         &mut self,
         prototype: &E,
         fresh: Vec<(usize, u64, E)>,
-    ) -> sss_core::Result<E> {
-        if let (Some(merged), true) = (&self.merged, fresh.is_empty()) {
-            self.stats.hits += 1;
-            return Ok(merged.clone());
-        }
+    ) -> sss_core::Result<&E> {
+        let slot = match (&mut self.merged, fresh.is_empty()) {
+            (Some(merged), true) => {
+                self.stats.hits += 1;
+                return Ok(merged);
+            }
+            (slot, _) => slot,
+        };
         if fresh.len() < self.shards.len() {
             self.stats.partial_rebuilds += 1;
         } else {
@@ -119,8 +127,7 @@ impl<E: Summary> SnapshotCache<E> {
         for entry in self.shards.iter().flatten() {
             merged.merge_from(&entry.clone)?;
         }
-        self.merged = Some(merged.clone());
-        Ok(merged)
+        Ok(slot.insert(merged))
     }
 
     pub(crate) fn stats(&self) -> CacheStats {
@@ -254,10 +261,19 @@ pub(crate) mod tests {
         }
     }
 
-    /// The clones a query pays: a hit copies the cached result and nothing
-    /// else, a rebuild copies the prototype once to merge into.
+    /// The projection names whose state it read and copies nothing.
+    impl sss_core::SlimQuery for CloneLog {
+        type Slim = &'static str;
+
+        fn slim(&self) -> &'static str {
+            self.role
+        }
+    }
+
+    /// The clones the cache pays: a hit none, a rebuild one of the
+    /// prototype to merge into. The merged result is lent, never copied.
     #[test]
-    fn a_hit_clones_no_prototype_and_a_rebuild_clones_it_once() {
+    fn a_hit_clones_nothing_and_a_rebuild_clones_the_prototype_once() {
         let log = Arc::new(Mutex::new(Vec::new()));
         let proto = CloneLog::prototype(&log);
         let mut shard = CloneLog::prototype(&log);
@@ -265,10 +281,11 @@ pub(crate) mod tests {
         let mut cache = SnapshotCache::new(2);
         let take = || std::mem::take(&mut *log.lock().unwrap());
 
-        cache.refresh(&proto, vec![(0, 1, shard)]).unwrap();
-        assert_eq!(take(), ["prototype", "merged"]);
+        let merged = cache.refresh(&proto, vec![(0, 1, shard)]).unwrap();
+        assert_eq!(merged.role, "merged");
+        assert_eq!(take(), ["prototype"]);
         cache.refresh(&proto, vec![]).unwrap();
-        assert_eq!(take(), ["merged"]);
+        assert!(take().is_empty());
     }
 
     /// Both paths — a rebuild (every shard fresh, or only some) and a
@@ -291,7 +308,8 @@ pub(crate) mod tests {
                 &proto,
                 vec![(0, 1, s0.clone()), (1, 1, s1.clone()), (2, 1, s2.clone())],
             )
-            .unwrap();
+            .unwrap()
+            .clone();
         let mut expect = proto.clone();
         for s in [&s0, &s1, &s2] {
             expect.merge_from(s).unwrap();

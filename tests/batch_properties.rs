@@ -18,9 +18,12 @@ use sketch_sampled_streams::core::sketch::JoinSchema;
 use sketch_sampled_streams::core::{MultiSpec, MultiSummary, Portable, Sampled, Summary};
 use sketch_sampled_streams::sketch::topk::HeavyHitters;
 use sketch_sampled_streams::sketch::{
-    AgmsSchema, CountMinSchema, CountSketchTopK, FagmsSchema, KllSketch, MisraGries, Sketch,
+    AgmsSchema, CountMinSchema, CountSketchTopK, FagmsSchema, FagmsSketch, KllSketch, MisraGries,
+    Sketch,
 };
-use sketch_sampled_streams::xi::{BucketFamily, Cw2, Cw2Bucket, Cw4, Eh3, SignFamily, Tabulation};
+use sketch_sampled_streams::xi::{
+    Bch5, BucketFamily, Cw2, Cw2Bucket, Cw4, Eh3, SignFamily, Tabulation,
+};
 
 fn stream() -> impl Strategy<Value = Vec<u64>> {
     prop::collection::vec(any::<u64>(), 1..400)
@@ -219,8 +222,107 @@ fn misra_gries_merge_of_full_tables_grows_the_index() {
     }
 }
 
+/// `Σ_b s_b·t_b` for one row, folded the way a reader writes it: one row
+/// after another, each in bucket order.
+fn row_fold(s: &[i64], t: &[i64]) -> f64 {
+    s.iter().zip(t).map(|(&s, &t)| s as f64 * t as f64).sum()
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// A depth × `width` sketch whose counters reach ±2^40: their squares
+/// pass 2^53, so every partial sum rounds and an F₂ row summed in any
+/// other order would show in its low bits.
+fn heavy_counters<S: SignFamily, B: BucketFamily>(
+    schema: &FagmsSchema<S, B>,
+    rng: &mut StdRng,
+) -> FagmsSketch<S, B> {
+    let mut sketch = schema.sketch();
+    let items: Vec<(u64, i64)> = (0..3 * schema.width())
+        .map(|_| (rng.random(), rng.random_range(-(1i64 << 40)..1i64 << 40)))
+        .collect();
+    sketch.update_batch_counts(&items);
+    sketch
+}
+
+/// Batched pricing against the per-key point query, bit for bit, on an
+/// F-AGMS sketch of the given families and depth.
+fn check_fagms_pricing<S: SignFamily, B: BucketFamily>(
+    depth: usize,
+    keys: &[u64],
+    fed: &[u64],
+    rng: &mut StdRng,
+) {
+    let schema = FagmsSchema::<S, B>::new(depth, 61, rng);
+    let mut sketch = schema.sketch();
+    sketch.update_batch(fed);
+    let one_by_one: Vec<f64> = keys.iter().map(|&k| sketch.point_query(k)).collect();
+    assert_eq!(bits(&sketch.point_queries(keys)), bits(&one_by_one));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// F-AGMS rows summed in one pass over the buckets, up to four rows at
+    /// a time, are the row-by-row folds bit for bit: at every depth from 1
+    /// to 7 (so 5, 6 and 7 take a block of four and a tail), with counters
+    /// whose squares pass 2^53, for the self-join and for the size of join
+    /// — also against an empty sketch, where every product is ±0 and the
+    /// fold's `-0.0` start shows.
+    #[test]
+    fn fagms_rows_in_one_pass_match_the_row_folds(
+        depth in 1usize..8,
+        width in 1usize..300,
+        seed: u64,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let schema = FagmsSchema::<Cw4, Cw2Bucket>::new(depth, width, &mut rng);
+        let s = heavy_counters(&schema, &mut rng);
+        let t = heavy_counters(&schema, &mut rng);
+        let empty = schema.sketch();
+        let folds = |a: &FagmsSketch<Cw4, Cw2Bucket>, b: &FagmsSketch<Cw4, Cw2Bucket>| {
+            (0..depth).map(|r| row_fold(a.row(r), b.row(r))).collect::<Vec<f64>>()
+        };
+        prop_assert_eq!(bits(&s.self_join_rows()), bits(&folds(&s, &s)));
+        prop_assert_eq!(bits(&s.size_of_join_rows(&t).unwrap()), bits(&folds(&s, &t)));
+        prop_assert_eq!(bits(&empty.size_of_join_rows(&t).unwrap()), bits(&folds(&empty, &t)));
+        prop_assert_eq!(bits(&empty.self_join_rows()), bits(&folds(&empty, &empty)));
+    }
+
+    /// Top-k candidates priced in one batched call are the per-key point
+    /// queries bit for bit: on both `JoinSketch` backends, and on F-AGMS
+    /// with a polynomial pair, with EH3 signs and tabulation buckets, and
+    /// with BCH5 signs (the default per-key `sign_batch`), at depths that
+    /// take each of the median's paths — for no keys and for lengths
+    /// around the kernels' eight-key lanes.
+    #[test]
+    fn batched_pricing_matches_point_queries(
+        length in 0usize..8,
+        depth in 1usize..8,
+        seed: u64,
+    ) {
+        const PRICED: [usize; 8] = [0, 1, 7, 8, 9, 23, 256, 259];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let fed = skewed(3000, 400, &mut rng);
+        // Half the priced keys were fed, half most likely not.
+        let keys: Vec<u64> = (0..PRICED[length])
+            .map(|i| if i % 2 == 0 { fed[i] } else { rng.random() })
+            .collect();
+        for schema in [
+            JoinSchema::fagms(depth, 61, &mut rng),
+            JoinSchema::agms(2 * depth + 1, &mut rng),
+        ] {
+            let mut join = schema.sketch();
+            join.update_batch(&fed);
+            let one_by_one: Vec<f64> = keys.iter().map(|&k| join.point_query(k)).collect();
+            prop_assert_eq!(bits(&join.point_queries(&keys)), bits(&one_by_one));
+        }
+        check_fagms_pricing::<Cw2, Cw2Bucket>(depth, &keys, &fed, &mut rng);
+        check_fagms_pricing::<Eh3, Tabulation>(depth, &keys, &fed, &mut rng);
+        check_fagms_pricing::<Bch5, Cw2Bucket>(depth, &keys, &fed, &mut rng);
+    }
 
     /// Top-k: hashing once per distinct key and deciding once per tuple
     /// passes through exactly the states of the per-key loop — for the
