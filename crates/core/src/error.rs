@@ -33,15 +33,15 @@ pub enum Error {
         /// The rejected steps-per-decade value (must be ≥ 1).
         steps_per_decade: u32,
     },
-    /// A wire payload could not be encoded or decoded
-    /// ([`Portable`](crate::Portable)): malformed bytes, an unsupported
-    /// format version, or a serializer refusal.
+    /// A wire payload could not be decoded
+    /// ([`Portable`](crate::Portable)): malformed bytes, or a body no
+    /// summary could have written.
     Wire {
         /// What went wrong, for diagnostics.
         detail: String,
     },
-    /// A wire payload decoded cleanly but carries a different summary kind
-    /// or format than the receiver expected.
+    /// A wire payload carries a different summary kind or format than the
+    /// receiver expected — a JSON-generation payload included.
     WireMismatch {
         /// The kind/format the receiver expected.
         expected: String,
@@ -149,6 +149,14 @@ impl From<sss_sketch::Error> for Error {
 impl From<sss_moments::Error> for Error {
     fn from(e: sss_moments::Error) -> Self {
         Error::Moments(e)
+    }
+}
+
+impl From<sss_xi::CodecError> for Error {
+    fn from(e: sss_xi::CodecError) -> Self {
+        Error::Wire {
+            detail: e.to_string(),
+        }
     }
 }
 

@@ -79,6 +79,7 @@ use crate::summary::{DistinctQuery, JoinQuery, Portable, QuantileQuery, Summary,
 use rand::Rng;
 use sss_sketch::topk::{ranked, HeavyHitters};
 use sss_sketch::{Estimate, HyperLogLog, KllSketch, MisraGries};
+use sss_xi::{Codec, CodecError, Reader, Writer};
 
 /// Frozen configuration (geometries + seeds) for [`MultiSummary`]
 /// construction. Two summaries merge iff they were minted from the same
@@ -157,7 +158,7 @@ impl MultiSpec {
 
 /// The composite summary: F₂ + top-k + F₀ + quantiles from one ingestion
 /// pass. See the module docs.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MultiSummary {
     join: JoinSketch,
     heavy: MisraGries,
@@ -189,6 +190,25 @@ impl MultiSummary {
     /// The constituent quantile sketch (raw, sample-domain).
     pub fn kll(&self) -> &KllSketch {
         &self.quantiles
+    }
+}
+
+/// The four parts' layouts, in order.
+impl Codec for MultiSummary {
+    fn put(&self, w: &mut Writer) {
+        self.join.put(w);
+        self.heavy.put(w);
+        self.distinct.put(w);
+        self.quantiles.put(w);
+    }
+
+    fn take(r: &mut Reader<'_>) -> std::result::Result<Self, CodecError> {
+        Ok(Self {
+            join: JoinSketch::take(r)?,
+            heavy: MisraGries::take(r)?,
+            distinct: HyperLogLog::take(r)?,
+            quantiles: KllSketch::take(r)?,
+        })
     }
 }
 

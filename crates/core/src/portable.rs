@@ -1,7 +1,7 @@
-//! [`Portable`] implementations for every serializable summary backend.
+//! [`Portable`] implementations for every summary backend that travels.
 //!
-//! Each impl pairs the backend's existing serde representation with a
-//! [`crate::wire`] envelope: the kind tag names the concrete shape, the
+//! Each impl names the backend's [`sss_xi::Codec`] body in a
+//! [`crate::wire`] head: the kind tag names the concrete shape, the
 //! format version pins the body layout, and the fingerprint hashes exactly
 //! the configuration its `merge`/`merge_from` compatibility check depends
 //! on — schema identities (which stand in for the random seeds they were
@@ -16,15 +16,12 @@
 //! * [`crate::EpochShedder`] — a list of `Sampled<JoinSketch>` cells, so
 //!   it becomes portable by composition once `Sampled` is.
 
-use crate::error::{Error, Result};
 use crate::multi::MultiSummary;
 use crate::sketch::JoinSketch;
 use crate::summary::Portable;
 use crate::wire;
-use serde::de::DeserializeOwned;
-use serde::Serialize;
 use sss_sketch::{AgmsSketch, CountSketchTopK, FagmsSketch, HyperLogLog, KllSketch, MisraGries};
-use sss_xi::{BucketFamily, SignFamily};
+use sss_xi::{BucketFamily, Codec, SignFamily};
 
 // Kind discriminant words folded into each fingerprint so that two
 // backends whose remaining configuration words collide (e.g. equal
@@ -39,32 +36,24 @@ pub(crate) const TAG_KLL: u64 = 0x07;
 
 impl<F> Portable for AgmsSketch<F>
 where
-    F: SignFamily + Serialize + DeserializeOwned,
+    F: SignFamily + Codec,
 {
     const KIND: &'static str = "agms";
-    const FORMAT: u32 = 1;
+    const FORMAT: u32 = 2;
 
     fn fingerprint(&self) -> u64 {
         let schema = self.schema();
         wire::fingerprint(&[TAG_AGMS, schema.id(), schema.len() as u64])
     }
-
-    fn encode(&self) -> Result<Vec<u8>> {
-        wire::encode_envelope(Self::KIND, Self::FORMAT, self.fingerprint(), self)
-    }
-
-    fn decode(bytes: &[u8]) -> Result<Self> {
-        wire::decode_envelope(bytes, Self::KIND, Self::FORMAT)
-    }
 }
 
 impl<S, B> Portable for FagmsSketch<S, B>
 where
-    S: SignFamily + Serialize + DeserializeOwned,
-    B: BucketFamily + Serialize + DeserializeOwned,
+    S: SignFamily + Codec,
+    B: BucketFamily + Codec,
 {
     const KIND: &'static str = "fagms";
-    const FORMAT: u32 = 1;
+    const FORMAT: u32 = 2;
 
     fn fingerprint(&self) -> u64 {
         let schema = self.schema();
@@ -75,43 +64,21 @@ where
             schema.width() as u64,
         ])
     }
-
-    fn encode(&self) -> Result<Vec<u8>> {
-        wire::encode_envelope(Self::KIND, Self::FORMAT, self.fingerprint(), self)
-    }
-
-    fn decode(bytes: &[u8]) -> Result<Self> {
-        wire::decode_envelope(bytes, Self::KIND, Self::FORMAT)
-    }
 }
 
-/// The backend enum fingerprints like its active variant (plus the
-/// variant's tag), so an AGMS-backed and an F-AGMS-backed [`JoinSketch`]
-/// of coincidentally equal dimensions never claim compatibility.
+/// The backend enum fingerprints like its active variant, whose words start
+/// with the variant's tag, so an AGMS-backed and an F-AGMS-backed
+/// [`JoinSketch`] of coincidentally equal dimensions never claim
+/// compatibility.
 impl Portable for JoinSketch {
     const KIND: &'static str = "join";
-    const FORMAT: u32 = 1;
+    const FORMAT: u32 = 2;
 
     fn fingerprint(&self) -> u64 {
         match self {
-            JoinSketch::Agms(s) => {
-                wire::fingerprint(&[TAG_AGMS, s.schema().id(), s.schema().len() as u64])
-            }
-            JoinSketch::Fagms(s) => wire::fingerprint(&[
-                TAG_FAGMS,
-                s.schema().id(),
-                s.schema().depth() as u64,
-                s.schema().width() as u64,
-            ]),
+            JoinSketch::Agms(s) => s.fingerprint(),
+            JoinSketch::Fagms(s) => s.fingerprint(),
         }
-    }
-
-    fn encode(&self) -> Result<Vec<u8>> {
-        wire::encode_envelope(Self::KIND, Self::FORMAT, self.fingerprint(), self)
-    }
-
-    fn decode(bytes: &[u8]) -> Result<Self> {
-        wire::decode_envelope(bytes, Self::KIND, Self::FORMAT)
     }
 }
 
@@ -119,28 +86,20 @@ impl Portable for JoinSketch {
 /// no randomness to pin — so the fingerprint covers exactly that.
 impl Portable for MisraGries {
     const KIND: &'static str = "misra-gries";
-    const FORMAT: u32 = 1;
+    const FORMAT: u32 = 2;
 
     fn fingerprint(&self) -> u64 {
         wire::fingerprint(&[TAG_MISRA_GRIES, self.capacity() as u64])
-    }
-
-    fn encode(&self) -> Result<Vec<u8>> {
-        wire::encode_envelope(Self::KIND, Self::FORMAT, self.fingerprint(), self)
-    }
-
-    fn decode(bytes: &[u8]) -> Result<Self> {
-        wire::decode_envelope(bytes, Self::KIND, Self::FORMAT)
     }
 }
 
 impl<S, B> Portable for CountSketchTopK<S, B>
 where
-    S: SignFamily + Serialize + DeserializeOwned,
-    B: BucketFamily + Serialize + DeserializeOwned,
+    S: SignFamily + Codec,
+    B: BucketFamily + Codec,
 {
     const KIND: &'static str = "cs-topk";
-    const FORMAT: u32 = 1;
+    const FORMAT: u32 = 2;
 
     fn fingerprint(&self) -> u64 {
         let schema = self.sketch().schema();
@@ -152,32 +111,16 @@ where
             self.capacity() as u64,
         ])
     }
-
-    fn encode(&self) -> Result<Vec<u8>> {
-        wire::encode_envelope(Self::KIND, Self::FORMAT, self.fingerprint(), self)
-    }
-
-    fn decode(bytes: &[u8]) -> Result<Self> {
-        wire::decode_envelope(bytes, Self::KIND, Self::FORMAT)
-    }
 }
 
 /// HyperLogLog merges iff precision *and* hash seed agree (the module
 /// docs' schema identity), so both enter the fingerprint.
 impl Portable for HyperLogLog {
     const KIND: &'static str = "hll";
-    const FORMAT: u32 = 1;
+    const FORMAT: u32 = 2;
 
     fn fingerprint(&self) -> u64 {
         wire::fingerprint(&[TAG_HLL, self.precision() as u64, self.seed()])
-    }
-
-    fn encode(&self) -> Result<Vec<u8>> {
-        wire::encode_envelope(Self::KIND, Self::FORMAT, self.fingerprint(), self)
-    }
-
-    fn decode(bytes: &[u8]) -> Result<Self> {
-        wire::decode_envelope(bytes, Self::KIND, Self::FORMAT)
     }
 }
 
@@ -185,22 +128,15 @@ impl Portable for HyperLogLog {
 /// seeds are private randomness, not shared structure — so only `k`
 /// fingerprints.
 ///
-/// Format 2 carries the sampler seed (and no longer the two cached counts
-/// format 1 wrote); a format-1 body is refused by its head.
+/// Format 3 is format 2's fields (the levels, `k`, the weight, the coin and
+/// the sampler seed) in the binary layout; format 2 was JSON, and format 1
+/// had no sampler seed. An older head is refused before its body is read.
 impl Portable for KllSketch {
     const KIND: &'static str = "kll";
-    const FORMAT: u32 = 2;
+    const FORMAT: u32 = 3;
 
     fn fingerprint(&self) -> u64 {
         wire::fingerprint(&[TAG_KLL, self.k() as u64])
-    }
-
-    fn encode(&self) -> Result<Vec<u8>> {
-        wire::encode_envelope(Self::KIND, Self::FORMAT, self.fingerprint(), self)
-    }
-
-    fn decode(bytes: &[u8]) -> Result<Self> {
-        wire::decode_envelope(bytes, Self::KIND, Self::FORMAT)
     }
 }
 
@@ -208,15 +144,15 @@ impl Portable for KllSketch {
 /// fingerprints — two `MultiSummary`s are wire-compatible iff every part
 /// is, which mirrors `merge_from`'s part-by-part checks exactly.
 ///
-/// Format 3: the quantile part is a format-2 [`KllSketch`] body (format 2
-/// carried a format-1 one; format 1 a `CountSketchTopK` where the
-/// [`MisraGries`] body is). The head refuses an older snapshot before its
-/// body is read, and a body whose parts do not fingerprint to the head's
-/// value — a join sketch paired with another spec's candidates — is refused
-/// after.
+/// Format 4: format 3's parts in the binary layout (format 3 was JSON with
+/// a format-2 [`KllSketch`] body, format 2 carried a format-1 one, format 1
+/// a `CountSketchTopK` where the [`MisraGries`] body is). The head refuses
+/// an older snapshot before its body is read, and a body whose parts do not
+/// fingerprint to the head's value — a join sketch paired with another
+/// spec's candidates — is refused after.
 impl Portable for MultiSummary {
     const KIND: &'static str = "multi";
-    const FORMAT: u32 = 3;
+    const FORMAT: u32 = 4;
 
     fn fingerprint(&self) -> u64 {
         wire::fingerprint(&[
@@ -226,27 +162,12 @@ impl Portable for MultiSummary {
             self.kll().fingerprint(),
         ])
     }
-
-    fn encode(&self) -> Result<Vec<u8>> {
-        wire::encode_envelope(Self::KIND, Self::FORMAT, self.fingerprint(), self)
-    }
-
-    fn decode(bytes: &[u8]) -> Result<Self> {
-        let summary: Self = wire::decode_envelope(bytes, Self::KIND, Self::FORMAT)?;
-        let found = wire::peek(bytes)?.fingerprint;
-        if found != summary.fingerprint() {
-            return Err(Error::FingerprintMismatch {
-                expected: summary.fingerprint(),
-                found,
-            });
-        }
-        Ok(summary)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::Error;
     use crate::sketch::JoinSchema;
     use crate::summary::Summary;
     use rand::rngs::StdRng;
@@ -360,7 +281,8 @@ mod tests {
     }
 
     /// Encoding is deterministic: the same state always yields the same
-    /// bytes (hash-map-backed summaries serialize in sorted key order).
+    /// bytes (hash-map-backed summaries write their entries in sorted key
+    /// order).
     #[test]
     fn encoding_is_deterministic() {
         let mut mg = MisraGries::new(16).unwrap();

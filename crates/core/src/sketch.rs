@@ -15,9 +15,10 @@
 use crate::error::Result;
 use rand::Rng;
 use sss_sketch::{AgmsSchema, AgmsSketch, Estimate, FagmsSchema, FagmsSketch, Sketch as _};
+use sss_xi::{Codec, CodecError, Reader, Writer};
 
 /// Seeds for a join-capable sketch (AGMS or F-AGMS).
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub enum JoinSchema {
     /// Basic AGMS with the given number of averaged counters.
     Agms(AgmsSchema),
@@ -65,13 +66,45 @@ impl JoinSchema {
 }
 
 /// A sketch created from a [`JoinSchema`].
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub enum JoinSketch {
     /// Basic AGMS counters.
     Agms(AgmsSketch),
     /// F-AGMS rows.
     Fagms(FagmsSketch),
 }
+
+// Both enums travel as a backend tag (0 AGMS, 1 F-AGMS) and the backend's
+// own layout.
+macro_rules! tagged_codec {
+    ($enum:ident: $agms:ident, $fagms:ident) => {
+        impl Codec for $enum {
+            fn put(&self, w: &mut Writer) {
+                match self {
+                    $enum::Agms(s) => {
+                        w.u64(0);
+                        s.put(w);
+                    }
+                    $enum::Fagms(s) => {
+                        w.u64(1);
+                        s.put(w);
+                    }
+                }
+            }
+
+            fn take(r: &mut Reader<'_>) -> std::result::Result<Self, CodecError> {
+                match r.u64()? {
+                    0 => $agms::take(r).map($enum::Agms),
+                    1 => $fagms::take(r).map($enum::Fagms),
+                    _ => Err(CodecError::Invalid("an unknown join sketch backend")),
+                }
+            }
+        }
+    };
+}
+
+tagged_codec!(JoinSchema: AgmsSchema, FagmsSchema);
+tagged_codec!(JoinSketch: AgmsSketch, FagmsSketch);
 
 impl JoinSketch {
     /// Add `count` occurrences of `key`.

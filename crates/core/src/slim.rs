@@ -39,13 +39,10 @@ use crate::error::{Error, Result};
 use crate::multi::MultiSummary;
 use crate::sketch::JoinSketch;
 use crate::summary::{DistinctQuery, JoinQuery, Portable, QuantileQuery, SlimQuery, TopKQuery};
-use crate::wire;
-use serde::de::DeserializeOwned;
-use serde::Serialize;
 use sss_sketch::{
     AgmsSketch, CountSketchTopK, Estimate, FagmsSketch, HyperLogLog, KllSketch, MisraGries,
 };
-use sss_xi::{BucketFamily, SignFamily};
+use sss_xi::{BucketFamily, Codec, CodecError, Reader, SignFamily, Writer};
 
 /// The slim join stage: the fat sketch's typed self-join estimate — value,
 /// variance, and the per-lane medians-of-means basics it was combined
@@ -110,66 +107,34 @@ impl JoinQuery for SlimJoin {
     }
 }
 
-// Wire form: all floats as IEEE-754 bits (the variance may legitimately
-// be +∞ for estimators without an error model).
-#[derive(serde::Serialize, serde::Deserialize)]
-struct SlimJoinRepr {
-    value_bits: u64,
-    variance_bits: u64,
-    basics_bits: Vec<u64>,
-    fingerprint: u64,
-}
-
-impl serde::Serialize for SlimJoin {
-    fn serialize<S: serde::Serializer>(
-        &self,
-        serializer: S,
-    ) -> std::result::Result<S::Ok, S::Error> {
-        SlimJoinRepr {
-            value_bits: wire::bits_of(self.estimate.value),
-            variance_bits: wire::bits_of(self.estimate.variance),
-            basics_bits: self
-                .estimate
-                .basics
-                .iter()
-                .map(|&b| wire::bits_of(b))
-                .collect(),
-            fingerprint: self.fingerprint,
-        }
-        .serialize(serializer)
+// The estimate's value, variance and lanes (floats travel as their bits:
+// the variance may legitimately be +∞), then the fat fingerprint.
+impl Codec for SlimJoin {
+    fn put(&self, w: &mut Writer) {
+        w.f64(self.estimate.value);
+        w.f64(self.estimate.variance);
+        w.f64s(&self.estimate.basics);
+        w.u64(self.fingerprint);
     }
-}
 
-impl<'de> serde::Deserialize<'de> for SlimJoin {
-    fn deserialize<D: serde::Deserializer<'de>>(
-        deserializer: D,
-    ) -> std::result::Result<Self, D::Error> {
-        let repr = SlimJoinRepr::deserialize(deserializer)?;
+    fn take(r: &mut Reader<'_>) -> std::result::Result<Self, CodecError> {
         Ok(Self {
             estimate: Estimate {
-                value: wire::f64_of(repr.value_bits),
-                variance: wire::f64_of(repr.variance_bits),
-                basics: repr.basics_bits.into_iter().map(wire::f64_of).collect(),
+                value: r.f64()?,
+                variance: r.f64()?,
+                basics: r.f64s()?,
             },
-            fingerprint: repr.fingerprint,
+            fingerprint: r.u64()?,
         })
     }
 }
 
 impl Portable for SlimJoin {
     const KIND: &'static str = "slim-join";
-    const FORMAT: u32 = 1;
+    const FORMAT: u32 = 2;
 
     fn fingerprint(&self) -> u64 {
         self.fingerprint
-    }
-
-    fn encode(&self) -> Result<Vec<u8>> {
-        wire::encode_envelope(Self::KIND, Self::FORMAT, self.fingerprint, self)
-    }
-
-    fn decode(bytes: &[u8]) -> Result<Self> {
-        wire::decode_envelope(bytes, Self::KIND, Self::FORMAT)
     }
 }
 
@@ -219,66 +184,39 @@ impl TopKQuery for SlimTopK {
     }
 }
 
-#[derive(serde::Serialize, serde::Deserialize)]
-struct SlimTopKRepr {
-    keys: Vec<u64>,
-    est_bits: Vec<u64>,
-    variance_bits: u64,
-    fingerprint: u64,
-}
-
-impl serde::Serialize for SlimTopK {
-    fn serialize<S: serde::Serializer>(
-        &self,
-        serializer: S,
-    ) -> std::result::Result<S::Ok, S::Error> {
-        SlimTopKRepr {
-            keys: self.ranked.iter().map(|&(k, _)| k).collect(),
-            est_bits: self.ranked.iter().map(|&(_, e)| wire::bits_of(e)).collect(),
-            variance_bits: wire::bits_of(self.variance),
-            fingerprint: self.fingerprint,
-        }
-        .serialize(serializer)
+// The ranked candidates as key and estimate columns, then the variance and
+// the fat fingerprint.
+impl Codec for SlimTopK {
+    fn put(&self, w: &mut Writer) {
+        let (keys, estimates): (Vec<u64>, Vec<f64>) = self.ranked.iter().copied().unzip();
+        w.u64s(&keys);
+        w.f64s(&estimates);
+        w.f64(self.variance);
+        w.u64(self.fingerprint);
     }
-}
 
-impl<'de> serde::Deserialize<'de> for SlimTopK {
-    fn deserialize<D: serde::Deserializer<'de>>(
-        deserializer: D,
-    ) -> std::result::Result<Self, D::Error> {
-        let repr = SlimTopKRepr::deserialize(deserializer)?;
-        if repr.keys.len() != repr.est_bits.len() {
-            return Err(serde::de::Error::invalid_length(
-                repr.keys.len(),
-                &"matching key/estimate columns",
+    fn take(r: &mut Reader<'_>) -> std::result::Result<Self, CodecError> {
+        let keys = r.u64s()?;
+        let estimates = r.f64s()?;
+        if keys.len() != estimates.len() {
+            return Err(CodecError::Invalid(
+                "a slim top-k holds matching key/estimate columns",
             ));
         }
         Ok(Self {
-            ranked: repr
-                .keys
-                .into_iter()
-                .zip(repr.est_bits.into_iter().map(wire::f64_of))
-                .collect(),
-            variance: wire::f64_of(repr.variance_bits),
-            fingerprint: repr.fingerprint,
+            ranked: keys.into_iter().zip(estimates).collect(),
+            variance: r.f64()?,
+            fingerprint: r.u64()?,
         })
     }
 }
 
 impl Portable for SlimTopK {
     const KIND: &'static str = "slim-topk";
-    const FORMAT: u32 = 1;
+    const FORMAT: u32 = 2;
 
     fn fingerprint(&self) -> u64 {
         self.fingerprint
-    }
-
-    fn encode(&self) -> Result<Vec<u8>> {
-        wire::encode_envelope(Self::KIND, Self::FORMAT, self.fingerprint, self)
-    }
-
-    fn decode(bytes: &[u8]) -> Result<Self> {
-        wire::decode_envelope(bytes, Self::KIND, Self::FORMAT)
     }
 }
 
@@ -286,7 +224,7 @@ impl Portable for SlimTopK {
 /// HLL and KLL constituents ride along whole (they are their own compact
 /// state), so the composite's space win comes from the join and top-k
 /// stages — which is where the fat space went.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SlimMultiSummary {
     join: SlimJoin,
     topk: SlimTopK,
@@ -371,27 +309,41 @@ impl QuantileQuery for SlimMultiSummary {
     }
 }
 
-/// Format 2: the quantile stage is a format-2 `KllSketch` body.
+/// The four stages' layouts, in order, then the fat fingerprint.
+impl Codec for SlimMultiSummary {
+    fn put(&self, w: &mut Writer) {
+        self.join.put(w);
+        self.topk.put(w);
+        self.distinct.put(w);
+        self.quantiles.put(w);
+        w.u64(self.fingerprint);
+    }
+
+    fn take(r: &mut Reader<'_>) -> std::result::Result<Self, CodecError> {
+        Ok(Self {
+            join: SlimJoin::take(r)?,
+            topk: SlimTopK::take(r)?,
+            distinct: HyperLogLog::take(r)?,
+            quantiles: KllSketch::take(r)?,
+            fingerprint: r.u64()?,
+        })
+    }
+}
+
+/// Format 3: format 2's stages in the binary layout (format 2 was JSON, with
+/// a format-2 `KllSketch` body for the quantile stage).
 impl Portable for SlimMultiSummary {
     const KIND: &'static str = "slim-multi";
-    const FORMAT: u32 = 2;
+    const FORMAT: u32 = 3;
 
     fn fingerprint(&self) -> u64 {
         self.fingerprint
-    }
-
-    fn encode(&self) -> Result<Vec<u8>> {
-        wire::encode_envelope(Self::KIND, Self::FORMAT, self.fingerprint, self)
-    }
-
-    fn decode(bytes: &[u8]) -> Result<Self> {
-        wire::decode_envelope(bytes, Self::KIND, Self::FORMAT)
     }
 }
 
 impl<F> SlimQuery for AgmsSketch<F>
 where
-    F: SignFamily + Send + Sync + 'static + Serialize + DeserializeOwned,
+    F: SignFamily + Send + Sync + 'static + Codec,
 {
     type Slim = SlimJoin;
 
@@ -405,8 +357,8 @@ where
 
 impl<S, B> SlimQuery for FagmsSketch<S, B>
 where
-    S: SignFamily + Send + Sync + 'static + Serialize + DeserializeOwned,
-    B: BucketFamily + Send + Sync + 'static + Serialize + DeserializeOwned,
+    S: SignFamily + Send + Sync + 'static + Codec,
+    B: BucketFamily + Send + Sync + 'static + Codec,
 {
     type Slim = SlimJoin;
 
@@ -446,8 +398,8 @@ impl SlimQuery for MisraGries {
 /// point-query them, the slim one cannot — documented pass-through gap).
 impl<S, B> SlimQuery for CountSketchTopK<S, B>
 where
-    S: SignFamily + Send + Sync + 'static + Serialize + DeserializeOwned,
-    B: BucketFamily + Send + Sync + 'static + Serialize + DeserializeOwned,
+    S: SignFamily + Send + Sync + 'static + Codec,
+    B: BucketFamily + Send + Sync + 'static + Codec,
 {
     type Slim = SlimTopK;
 

@@ -32,7 +32,7 @@
 //!
 //! Two further capabilities make summaries portable across processes:
 //!
-//! * [`Portable`] — versioned, self-describing wire encode/decode with a
+//! * [`Portable`] — a versioned, self-describing binary wire form with a
 //!   configuration fingerprint, so snapshots can be saved, shipped, and
 //!   merged only against like-configured peers.
 //! * [`SlimQuery`] — project a fat update-side summary to its compact
@@ -119,12 +119,13 @@
 
 use crate::error::{Error, Result};
 use crate::sketch::JoinSketch;
+use crate::wire::Head;
 use sss_sampling::Door;
 use sss_sketch::topk::HeavyHitters;
 use sss_sketch::{
     AgmsSketch, CountSketchTopK, Estimate, FagmsSketch, HyperLogLog, KllSketch, MisraGries, Sketch,
 };
-use sss_xi::{BucketFamily, SignFamily};
+use sss_xi::{BucketFamily, Codec, Reader, SignFamily, Writer};
 
 /// A mergeable summary of a keyed stream — the ingestion half of the
 /// estimator contract, shared by join sketches, heavy-hitter summaries,
@@ -345,24 +346,26 @@ pub trait QuantileQuery {
 
 /// A summary with a versioned, self-describing wire form.
 ///
-/// The encoding is a JSON envelope (`crate::wire`) carrying a kind tag, a
-/// format version, and a **configuration fingerprint** hashing everything
-/// merge compatibility depends on — random seeds (via schema identities),
-/// width/depth, precision — ahead of the body. Receivers can
-/// [`peek`](crate::wire::peek) the head without decoding the body, and
-/// [`merge_encoded`](Portable::merge_encoded) refuses payloads whose
-/// fingerprint differs, so only like-configured summaries ever merge.
+/// A payload is a [`wire::Head`](crate::wire::Head) — kind tag, format
+/// version, and a **configuration fingerprint** hashing everything merge
+/// compatibility depends on (random seeds via schema identities,
+/// width/depth, precision) — in front of the summary's [`Codec`] body.
+/// Receivers can [`peek`](crate::wire::peek) the head without decoding the
+/// body, and [`merge_encoded`](Portable::merge_encoded) refuses payloads
+/// whose fingerprint differs, so only like-configured summaries ever merge.
+/// [`decode`](Portable::decode) refuses a body that does not fingerprint
+/// to its head's value, so a head cannot vouch for another configuration.
 ///
-/// Versioning rules (DESIGN.md §4h): a field *added* to a body bumps
-/// [`FORMAT`](Portable::FORMAT) only if old decoders would misread the
-/// payload — the deserializer ignores unknown fields, so purely additive
-/// optional state keeps the version; renames, removals, and semantic
-/// changes bump it, and decoders reject any version other than their own.
+/// Versioning rules (DESIGN.md §4h): a body is its fields in a fixed order
+/// with no names, so *any* change to it — a field added, removed,
+/// reordered or given another meaning — bumps [`FORMAT`](Portable::FORMAT),
+/// and decoders reject any version other than their own.
 ///
 /// `Portable` deliberately does not require [`Summary`]: read-only
-/// projections (e.g. `SlimJoin`) serialize too. Merging through the wire *does* require `Summary`, hence the
-/// bound on [`merge_encoded`](Portable::merge_encoded) alone.
-pub trait Portable: Sized {
+/// projections (e.g. `SlimJoin`) travel too. Merging through the wire
+/// *does* require `Summary`, hence the bound on
+/// [`merge_encoded`](Portable::merge_encoded) alone.
+pub trait Portable: Codec {
     /// Wire kind tag — distinct per concrete summary shape (e.g.
     /// `"fagms"`, `"slim-join"`).
     const KIND: &'static str;
@@ -375,20 +378,43 @@ pub trait Portable: Sized {
     /// this kind are merge-compatible (same seeds/width/depth/precision).
     fn fingerprint(&self) -> u64;
 
-    /// Serialize to the self-describing wire form.
+    /// Encode to the self-describing wire form.
     ///
     /// # Errors
     ///
-    /// [`Error::Wire`] if the serializer refuses the state.
-    fn encode(&self) -> Result<Vec<u8>>;
+    /// None today; the `Result` keeps the signature callers match on.
+    fn encode(&self) -> Result<Vec<u8>> {
+        let mut body = Writer::new();
+        self.put(&mut body);
+        let head = Head {
+            kind: Self::KIND.to_string(),
+            format: Self::FORMAT,
+            fingerprint: self.fingerprint(),
+        };
+        Ok(head.seal(&body.into_bytes()))
+    }
 
-    /// Deserialize from the wire form, validating kind and format.
+    /// Decode from the wire form, validating kind, format and fingerprint.
     ///
     /// # Errors
     ///
     /// [`Error::Wire`] on malformed bytes, [`Error::WireMismatch`] on a
-    /// foreign kind or format version.
-    fn decode(bytes: &[u8]) -> Result<Self>;
+    /// foreign kind or format version, [`Error::FingerprintMismatch`] when
+    /// the body's configuration is not the one its head names.
+    fn decode(bytes: &[u8]) -> Result<Self> {
+        let (head, body) = Head::open(bytes)?;
+        if head.kind != Self::KIND || head.format != Self::FORMAT {
+            return Err(Error::WireMismatch {
+                expected: format!("{} v{}", Self::KIND, Self::FORMAT),
+                found: format!("{} v{}", head.kind, head.format),
+            });
+        }
+        let mut r = Reader::new(body);
+        let summary = Self::take(&mut r)?;
+        r.finish()?;
+        same_fingerprint(summary.fingerprint(), head.fingerprint)?;
+        Ok(summary)
+    }
 
     /// Decode a payload and merge it in, after checking that its
     /// fingerprint matches — the one-call primitive multi-process
@@ -402,17 +428,19 @@ pub trait Portable: Sized {
     where
         Self: Summary,
     {
-        let head = crate::wire::peek(bytes)?;
-        let expected = self.fingerprint();
-        if head.fingerprint != expected {
-            return Err(Error::FingerprintMismatch {
-                expected,
-                found: head.fingerprint,
-            });
-        }
+        same_fingerprint(self.fingerprint(), crate::wire::peek(bytes)?.fingerprint)?;
         let other = Self::decode(bytes)?;
         self.merge_from(&other)
     }
+}
+
+/// [`Error::FingerprintMismatch`] unless a payload's fingerprint is the
+/// one expected.
+fn same_fingerprint(expected: u64, found: u64) -> Result<()> {
+    if expected != found {
+        return Err(Error::FingerprintMismatch { expected, found });
+    }
+    Ok(())
 }
 
 /// A fat update-side summary that can project itself to a compact

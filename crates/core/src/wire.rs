@@ -1,44 +1,43 @@
-//! The snapshot wire format: a self-describing JSON envelope plus the
+//! The head every payload that leaves the process starts with, and the
 //! fingerprint hash every [`Portable`](crate::Portable) implementation
 //! builds on.
 //!
-//! Layout of every payload:
+//! Layout of every payload, in `sss_xi::codec`'s layout:
 //!
-//! ```json
-//! { "kind": "fagms", "format": 1, "fingerprint": 1234, "body": { ... } }
-//! ```
+//! | field | encoding |
+//! |---|---|
+//! | magic | the four bytes `93 53 53 53` (`\x93SSS`) |
+//! | kind | length-prefixed UTF-8 ([`Portable::KIND`](crate::Portable::KIND)) |
+//! | format | varint ([`Portable::FORMAT`](crate::Portable::FORMAT)) |
+//! | fingerprint | varint ([`Portable::fingerprint`](crate::Portable::fingerprint)) |
+//! | body | length-prefixed bytes, the summary's [`Codec`] layout |
 //!
-//! The head fields come first so a receiver can [`peek`] them — route,
-//! version-check, and fingerprint-check a payload — without deserializing
-//! the body (the deserializer ignores unknown fields, so `Head` reads the
-//! same bytes the private `Envelope` does). JSON was chosen over a binary format
-//! deliberately: the vendored serde backend supports it natively, payloads
-//! are debuggable with standard tooling, and snapshot exchange is not a
-//! hot path — the hot read path ships *slim* payloads whose size is tens
-//! of lanes, not the fat counter matrix.
+//! Snapshot files and slim frames carry a body; the network ingest
+//! handshake ships the same head with an empty one, so two processes agree
+//! on kind, format and fingerprint with the machinery snapshot files use.
+//! A receiver can [`peek`] the head — route, version-check and
+//! fingerprint-check a payload — without decoding the body. A body length
+//! the bytes present cannot back is refused, and so are bytes after the
+//! body.
 //!
-//! Two invariants every wire representation in this crate maintains:
+//! A payload of the JSON generation (a `{` where the magic goes) is refused
+//! by its first byte with [`Error::WireMismatch`]; there is no fallback
+//! decoder for it. Encoding a given summary state yields one byte string
+//! (hash-map-backed summaries write their entries in sorted key order), so
+//! round-trip tests can pin bytes.
 //!
-//! * **Determinism** — encoding a given summary state yields one byte
-//!   string (hash maps are serialized in sorted key order), so round-trip
-//!   tests can pin bytes and replica refreshes can be deduplicated by
-//!   comparison.
-//! * **Finite floats** — the JSON writer rejects NaN/±∞, so any `f64`
-//!   that may be non-finite (estimate variances) travels as its IEEE-754
-//!   bit pattern via [`bits_of`]/[`f64_of`].
+//! [`Codec`]: sss_xi::Codec
 
 use crate::error::{Error, Result};
-use serde::de::DeserializeOwned;
-use serde::{Deserialize, Serialize};
-use sss_xi::splitmix64;
+use sss_xi::{splitmix64, CodecError, Reader, Writer};
 
-/// The envelope head: everything a receiver needs before committing to a
+/// The first four bytes of every payload: not ASCII, so no text format
+/// (the JSON generation included) starts with them.
+const MAGIC: [u8; 4] = *b"\x93SSS";
+
+/// A payload head: everything a receiver needs before committing to a
 /// body decode.
-///
-/// Also serializable on its own (see [`encode_head`]): the network ingest
-/// handshake ships a body-less head so two processes can agree on
-/// kind/format/fingerprint before any tuple crosses the wire.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Head {
     /// The summary kind tag ([`Portable::KIND`](crate::Portable::KIND)).
     pub kind: String,
@@ -50,115 +49,59 @@ pub struct Head {
     pub fingerprint: u64,
 }
 
-/// A full envelope around a body `T`.
-#[derive(Debug, Serialize, Deserialize)]
-struct Envelope<T> {
-    kind: String,
-    format: u32,
-    fingerprint: u64,
-    body: T,
-}
+impl Head {
+    /// This head in front of `body`: a whole payload (the handshake's is
+    /// an empty body).
+    pub fn seal(&self, body: &[u8]) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.bytes(self.kind.as_bytes());
+        w.u64(u64::from(self.format));
+        w.u64(self.fingerprint);
+        w.bytes(body);
+        [&MAGIC[..], &w.into_bytes()].concat()
+    }
 
-/// Serialize a body-less [`Head`] — the network handshake payload.
-///
-/// The bytes parse back through [`peek`] (the deserializer never looks
-/// for a body), so a handshake receiver routes and fingerprint-checks a
-/// connection with exactly the machinery it already uses on snapshot
-/// files: one head codec, two transports.
-///
-/// # Errors
-///
-/// [`Error::Wire`] if the serializer refuses the head (it cannot — kept
-/// for signature symmetry with [`encode_envelope`]).
-pub fn encode_head(kind: &str, format: u32, fingerprint: u64) -> Result<Vec<u8>> {
-    let head = Head {
-        kind: kind.to_string(),
-        format,
-        fingerprint,
-    };
-    serde_json::to_string(&head)
-        .map(String::into_bytes)
-        .map_err(|e| Error::Wire {
-            detail: format!("handshake head failed to serialize: {e}"),
-        })
+    /// Split a payload into its head and its body.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::WireMismatch`] for a JSON-generation payload,
+    /// [`Error::Wire`] for any other byte string that is not a head
+    /// followed by exactly the body it declares.
+    pub fn open(bytes: &[u8]) -> Result<(Head, &[u8])> {
+        let Some(rest) = bytes.strip_prefix(&MAGIC) else {
+            return Err(match bytes.first() {
+                Some(b'{') => Error::WireMismatch {
+                    expected: "a binary payload".into(),
+                    found: "a JSON-generation payload".into(),
+                },
+                _ => CodecError::Invalid("not a payload: no magic bytes").into(),
+            });
+        };
+        let mut r = Reader::new(rest);
+        let kind = String::from_utf8(r.bytes()?.to_vec())
+            .map_err(|_| CodecError::Invalid("a kind tag that is not UTF-8"))?;
+        let format = u32::try_from(r.u64()?)
+            .map_err(|_| CodecError::Invalid("a format version past u32"))?;
+        let fingerprint = r.u64()?;
+        let body = r.bytes()?;
+        r.finish()?;
+        let head = Head {
+            kind,
+            format,
+            fingerprint,
+        };
+        Ok((head, body))
+    }
 }
 
 /// Read the head of a payload without decoding its body.
 ///
 /// # Errors
 ///
-/// [`Error::Wire`] if the bytes are not a valid envelope.
+/// As for [`Head::open`].
 pub fn peek(bytes: &[u8]) -> Result<Head> {
-    let text = std::str::from_utf8(bytes).map_err(|e| Error::Wire {
-        detail: format!("payload is not UTF-8: {e}"),
-    })?;
-    serde_json::from_str(text).map_err(|e| Error::Wire {
-        detail: format!("malformed envelope head: {e}"),
-    })
-}
-
-/// Wrap `body` in an envelope and serialize it.
-///
-/// # Errors
-///
-/// [`Error::Wire`] if the serializer refuses the body (non-finite floats
-/// must be pre-converted with [`bits_of`]).
-pub fn encode_envelope<T: Serialize>(
-    kind: &'static str,
-    format: u32,
-    fingerprint: u64,
-    body: T,
-) -> Result<Vec<u8>> {
-    let envelope = Envelope {
-        kind: kind.to_string(),
-        format,
-        fingerprint,
-        body,
-    };
-    serde_json::to_string(&envelope)
-        .map(String::into_bytes)
-        .map_err(|e| Error::Wire {
-            detail: format!("{kind} body failed to serialize: {e}"),
-        })
-}
-
-/// Deserialize an envelope, validating kind and format, and return its
-/// body.
-///
-/// # Errors
-///
-/// [`Error::Wire`] on malformed bytes, [`Error::WireMismatch`] when the
-/// payload carries a different kind or format version.
-pub fn decode_envelope<T: DeserializeOwned>(
-    bytes: &[u8],
-    kind: &'static str,
-    format: u32,
-) -> Result<T> {
-    let head = peek(bytes)?;
-    if head.kind != kind || head.format != format {
-        return Err(Error::WireMismatch {
-            expected: format!("{kind} v{format}"),
-            found: format!("{} v{}", head.kind, head.format),
-        });
-    }
-    let text = std::str::from_utf8(bytes).map_err(|e| Error::Wire {
-        detail: format!("payload is not UTF-8: {e}"),
-    })?;
-    let envelope: Envelope<T> = serde_json::from_str(text).map_err(|e| Error::Wire {
-        detail: format!("{kind} body failed to decode: {e}"),
-    })?;
-    Ok(envelope.body)
-}
-
-/// The `f64` → wire representation: IEEE-754 bits, so NaN/±∞ survive the
-/// JSON writer and values round-trip exactly.
-pub fn bits_of(value: f64) -> u64 {
-    value.to_bits()
-}
-
-/// Inverse of [`bits_of`].
-pub fn f64_of(bits: u64) -> f64 {
-    f64::from_bits(bits)
+    Head::open(bytes).map(|(head, _)| head)
 }
 
 /// An order-sensitive fingerprint combinator: fold every word of a
@@ -267,13 +210,39 @@ impl std::fmt::Display for FrameError {
 mod tests {
     use super::*;
 
+    fn head(kind: &str, format: u32, fingerprint: u64) -> Head {
+        Head {
+            kind: kind.into(),
+            format,
+            fingerprint,
+        }
+    }
+
     #[test]
-    fn head_encodes_and_peeks_without_a_body() {
-        let bytes = encode_head("fagms", 2, 0xfeed_f00d).unwrap();
-        let head = peek(&bytes).unwrap();
-        assert_eq!(head.kind, "fagms");
-        assert_eq!(head.format, 2);
-        assert_eq!(head.fingerprint, 0xfeed_f00d);
+    fn heads_seal_open_and_peek() {
+        let sealed = head("fagms", 2, 0xfeed_f00d).seal(&[]);
+        assert_eq!(peek(&sealed).unwrap(), head("fagms", 2, 0xfeed_f00d));
+        let payload = head("test-kind", 3, u64::MAX).seal(&[1, 2, 3]);
+        let (opened, body) = Head::open(&payload).unwrap();
+        assert_eq!(opened, head("test-kind", 3, u64::MAX));
+        assert_eq!(body, [1, 2, 3]);
+    }
+
+    #[test]
+    fn malformed_payloads_are_typed_errors() {
+        let payload = head("alpha", 1, 7).seal(&[9; 20]);
+        for cut in 0..payload.len() {
+            assert!(
+                matches!(peek(&payload[..cut]), Err(Error::Wire { .. })),
+                "a payload cut at {cut} bytes"
+            );
+        }
+        let mut trailing = payload.clone();
+        trailing.push(0);
+        assert!(matches!(peek(&trailing), Err(Error::Wire { .. })));
+        assert!(matches!(peek(b"not a payload"), Err(Error::Wire { .. })));
+        let json = br#"{"kind":"alpha","format":1,"fingerprint":7,"body":{}}"#;
+        assert!(matches!(peek(json), Err(Error::WireMismatch { .. })));
     }
 
     #[test]
@@ -303,44 +272,6 @@ mod tests {
             let s = err.to_string();
             assert!(s.contains(needle), "{s:?} should contain {needle:?}");
         }
-    }
-
-    #[test]
-    fn envelope_round_trips_and_peeks() {
-        #[derive(Debug, PartialEq, Serialize, Deserialize)]
-        struct Body {
-            xs: Vec<u64>,
-        }
-        let bytes =
-            encode_envelope("test-kind", 3, 0xdead_beef, Body { xs: vec![1, 2, 3] }).unwrap();
-        let head = peek(&bytes).unwrap();
-        assert_eq!(head.kind, "test-kind");
-        assert_eq!(head.format, 3);
-        assert_eq!(head.fingerprint, 0xdead_beef);
-        let body: Body = decode_envelope(&bytes, "test-kind", 3).unwrap();
-        assert_eq!(body, Body { xs: vec![1, 2, 3] });
-    }
-
-    #[test]
-    fn foreign_kind_and_version_are_typed_errors() {
-        let bytes = encode_envelope("alpha", 1, 7, 42u64).unwrap();
-        assert!(matches!(
-            decode_envelope::<u64>(&bytes, "beta", 1),
-            Err(Error::WireMismatch { .. })
-        ));
-        assert!(matches!(
-            decode_envelope::<u64>(&bytes, "alpha", 2),
-            Err(Error::WireMismatch { .. })
-        ));
-        assert!(matches!(peek(b"not json"), Err(Error::Wire { .. })));
-    }
-
-    #[test]
-    fn non_finite_floats_round_trip_as_bits() {
-        for v in [f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0, 1.5e300] {
-            assert_eq!(f64_of(bits_of(v)).to_bits(), v.to_bits());
-        }
-        assert!(f64_of(bits_of(f64::NAN)).is_nan());
     }
 
     #[test]

@@ -9,7 +9,23 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sss_core::sketch::{JoinSchema, JoinSketch};
-use sss_core::Sampled;
+use sss_core::{Portable, Sampled};
+use sss_xi::{Codec, Reader, Writer};
+
+/// A schema in the binary layout (a schema alone is not a snapshot, so it
+/// travels without a head).
+fn ship(schema: &JoinSchema) -> Vec<u8> {
+    let mut w = Writer::new();
+    schema.put(&mut w);
+    w.into_bytes()
+}
+
+fn land(bytes: &[u8]) -> JoinSchema {
+    let mut r = Reader::new(bytes);
+    let schema = JoinSchema::take(&mut r).unwrap();
+    r.finish().unwrap();
+    schema
+}
 
 #[test]
 fn schema_and_sketch_roundtrip_both_backends() {
@@ -18,8 +34,7 @@ fn schema_and_sketch_roundtrip_both_backends() {
         JoinSchema::agms(16, &mut rng),
         JoinSchema::fagms(2, 128, &mut rng),
     ] {
-        let json = serde_json::to_string(&schema).unwrap();
-        let restored: JoinSchema = serde_json::from_str(&json).unwrap();
+        let restored = land(&ship(&schema));
         let mut a = schema.sketch();
         let mut b = restored.sketch();
         for k in 0..1000u64 {
@@ -30,9 +45,9 @@ fn schema_and_sketch_roundtrip_both_backends() {
         assert_eq!(a.raw_self_join(), b.raw_self_join());
         assert!(a.raw_size_of_join(&b).is_ok());
 
-        let sketch_json = serde_json::to_string(&a).unwrap();
-        let a2: JoinSketch = serde_json::from_str(&sketch_json).unwrap();
+        let a2 = JoinSketch::decode(&a.encode().unwrap()).unwrap();
         assert_eq!(a2.raw_self_join(), a.raw_self_join());
+        assert_eq!(a2.encode().unwrap(), a.encode().unwrap());
     }
 }
 
@@ -40,27 +55,26 @@ fn schema_and_sketch_roundtrip_both_backends() {
 fn distributed_shedding_merges_to_one_estimate() {
     let mut rng = StdRng::seed_from_u64(2);
     let schema = JoinSchema::fagms(1, 4096, &mut rng);
-    let schema_json = serde_json::to_string(&schema).unwrap();
+    let schema_bytes = ship(&schema);
     let p = 0.2;
 
     // Three workers shed three partitions of the same logical stream.
     let mut worker_payloads = Vec::new();
     let mut total_kept = 0u64;
     for w in 0..3u64 {
-        let worker_schema: JoinSchema = serde_json::from_str(&schema_json).unwrap();
+        let worker_schema = land(&schema_bytes);
         let mut shed = Sampled::new(worker_schema.sketch(), p, &mut rng).unwrap();
         for i in 0..200_000u64 {
             shed.observe((w * 200_000 + i) % 1000);
         }
         total_kept += shed.kept();
-        worker_payloads.push(serde_json::to_string(shed.summary()).unwrap());
+        worker_payloads.push(shed.summary().encode().unwrap());
     }
 
     // Coordinator: merge and scale once.
-    let mut merged: JoinSketch = serde_json::from_str(&worker_payloads[0]).unwrap();
+    let mut merged = JoinSketch::decode(&worker_payloads[0]).unwrap();
     for payload in &worker_payloads[1..] {
-        let part: JoinSketch = serde_json::from_str(payload).unwrap();
-        merged.merge(&part).unwrap();
+        merged.merge_encoded(payload).unwrap();
     }
     let est = merged.raw_self_join() / (p * p) - (1.0 - p) / (p * p) * total_kept as f64;
 
@@ -75,8 +89,8 @@ fn cross_backend_payloads_do_not_merge() {
     let mut rng = StdRng::seed_from_u64(3);
     let agms = JoinSchema::agms(8, &mut rng).sketch();
     let fagms = JoinSchema::fagms(1, 8, &mut rng).sketch();
-    let a_json = serde_json::to_string(&agms).unwrap();
-    let mut f: JoinSketch = serde_json::from_str(&serde_json::to_string(&fagms).unwrap()).unwrap();
-    let a: JoinSketch = serde_json::from_str(&a_json).unwrap();
+    let mut f = JoinSketch::decode(&fagms.encode().unwrap()).unwrap();
+    let a = JoinSketch::decode(&agms.encode().unwrap()).unwrap();
     assert!(f.merge(&a).is_err());
+    assert!(f.merge_encoded(&agms.encode().unwrap()).is_err());
 }

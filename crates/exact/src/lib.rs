@@ -31,7 +31,7 @@ use std::collections::HashMap;
 /// assert_eq!(f.join(&g), 4.0);          // 2·1 + 1·0 + 1·2
 /// assert_eq!(f.top_k(1), vec![(1, 2)]);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExactAggregator {
     counts: HashMap<u64, i64>,
     total: i64,
@@ -209,14 +209,6 @@ mod tests {
         assert_eq!(a.top_k(3), vec![(9, 3), (4, 2), (7, 2)]);
         assert_eq!(a.top_k(0), vec![]);
         assert_eq!(a.top_k(100).len(), 4);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let a = ExactAggregator::from_keys([1u64, 2, 2]);
-        let json = serde_json::to_string(&a).unwrap();
-        let b: ExactAggregator = serde_json::from_str(&json).unwrap();
-        assert_eq!(a, b);
     }
 
     mod property {

@@ -81,7 +81,7 @@ impl IngestClient {
         client.server_head = wire::peek(&payload)?;
         // Echo (or assert) the head, then wait for the verdict.
         let announced = own_head.unwrap_or_else(|| client.server_head.clone());
-        let hello = wire::encode_head(&announced.kind, announced.format, announced.fingerprint)?;
+        let hello = announced.seal(&[]);
         protocol::write_frame(&mut client.out, protocol::FRAME_HELLO, &hello);
         client.flush()?;
         match client.read_frame()? {
@@ -258,7 +258,7 @@ impl QueryClient {
         let line = self.request("{\"cmd\":\"self_join\"}")?;
         expect_ok(&line)?;
         protocol::response_u64(&line, "value_bits")
-            .map(wire::f64_of)
+            .map(f64::from_bits)
             .ok_or_else(|| response_error("self_join response missing value_bits", &line))
     }
 

@@ -28,7 +28,7 @@
 //!
 //! The handshake reuses the snapshot wire head
 //! ([`sss_core::wire::Head`]): on accept the server sends its summary
-//! kind / format / configuration fingerprint as a body-less JSON head,
+//! kind / format / configuration fingerprint as a head with an empty body,
 //! and the client echoes one back — two processes agree they are
 //! sketching *the same* configured summary before any tuple crosses the
 //! wire, with exactly the machinery snapshot files already use. Every

@@ -7,14 +7,14 @@
 //! counts the type byte plus the payload (so the smallest legal frame
 //! is five bytes on the wire). Frame types:
 //!
-//! | type | name       | payload                                        |
-//! |------|------------|------------------------------------------------|
-//! | 0x01 | `HELLO`    | body-less JSON [`Head`](sss_core::wire::Head)  |
-//! | 0x02 | `BATCH`    | `u32 LE count` + `count × u64 LE` keys         |
-//! | 0x03 | `SYNC`     | `u64 LE` cookie                                |
-//! | 0x81 | `HELLO_OK` | body-less JSON head (the server banner)        |
-//! | 0x83 | `SYNC_OK`  | the echoed `u64 LE` cookie                     |
-//! | 0x7f | `ERROR`    | `u16 LE` code + UTF-8 detail, then close       |
+//! | type | name       | payload                                         |
+//! |------|------------|-------------------------------------------------|
+//! | 0x01 | `HELLO`    | body-less binary [`Head`](sss_core::wire::Head) |
+//! | 0x02 | `BATCH`    | `u32 LE count` + `count × u64 LE` keys          |
+//! | 0x03 | `SYNC`     | `u64 LE` cookie                                 |
+//! | 0x81 | `HELLO_OK` | body-less binary head (the server banner)       |
+//! | 0x83 | `SYNC_OK`  | the echoed `u64 LE` cookie                      |
+//! | 0x7f | `ERROR`    | `u16 LE` code + UTF-8 detail, then close        |
 //!
 //! The server speaks first: on accept it sends `HELLO_OK` carrying its
 //! summary kind/format/configuration fingerprint, and the client must
@@ -69,9 +69,9 @@
 //!
 //! Responses are one JSON object per line; every `f64` that must
 //! round-trip exactly (point estimates compared against oracles) also
-//! travels as its IEEE-754 bit pattern in a sibling `*_bits` field,
-//! the same convention the snapshot wire format uses
-//! ([`sss_core::wire::bits_of`]). The request parser is hand-rolled:
+//! travels as its IEEE-754 bit pattern (`f64::to_bits`) in a sibling
+//! `*_bits` field, as the snapshot layout carries every float. The
+//! request parser is hand-rolled:
 //! the vendored serde backend has no lenient/optional-field
 //! deserialization, and a flat scanner over `"key":value` pairs is
 //! both smaller and easier to fuzz than a derive would be here.

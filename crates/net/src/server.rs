@@ -398,7 +398,7 @@ fn ingest_loop(
     listener
         .set_nonblocking(true)
         .map_err(|e| NetError::io("ingest listener nonblocking", e))?;
-    let banner = wire::encode_head(&head.kind, head.format, head.fingerprint)?;
+    let banner = head.seal(&[]);
     let mut poller = Poller::new().map_err(|e| NetError::io("create ingest poller", e))?;
     poller
         .register(&listener, TOKEN_LISTENER, Interest::READ)
@@ -876,7 +876,7 @@ fn answer_lines(
 
 /// Render a finite float as a JSON number, a non-finite one as `null`
 /// (the sibling `*_bits` field always carries the exact IEEE-754
-/// pattern, the same convention as the snapshot wire format).
+/// pattern).
 fn json_num(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
@@ -891,7 +891,7 @@ fn push_f64_field(out: &mut String, name: &str, value: f64) {
     out.push_str(&format!(
         "\"{name}\":{},\"{name}_bits\":{}",
         json_num(value),
-        wire::bits_of(value)
+        value.to_bits()
     ));
 }
 

@@ -89,32 +89,6 @@ impl SampleCounts {
     }
 }
 
-// Persistence: only the frequency map travels; the total is recomputed on
-// deserialization so a tampered payload cannot desynchronize the two.
-impl serde::Serialize for SampleCounts {
-    fn serialize<S: serde::Serializer>(
-        &self,
-        serializer: S,
-    ) -> std::result::Result<S::Ok, S::Error> {
-        serde::Serialize::serialize(&self.counts, serializer)
-    }
-}
-
-impl<'de> serde::Deserialize<'de> for SampleCounts {
-    fn deserialize<D: serde::Deserializer<'de>>(
-        deserializer: D,
-    ) -> std::result::Result<Self, D::Error> {
-        let counts: HashMap<u64, u64> = serde::Deserialize::deserialize(deserializer)?;
-        let total = counts
-            .values()
-            .try_fold(0u64, |acc, &c| acc.checked_add(c))
-            .ok_or_else(|| {
-                serde::de::Error::custom("sample counts overflow the total tuple counter")
-            })?;
-        Ok(Self { counts, total })
-    }
-}
-
 impl FromIterator<u64> for SampleCounts {
     fn from_iter<I: IntoIterator<Item = u64>>(iter: I) -> Self {
         Self::from_keys(iter)
@@ -176,25 +150,5 @@ mod tests {
         s.extend([2u64, 3]);
         assert_eq!(s.total(), 4);
         assert_eq!(s.get(2), 2);
-    }
-
-    #[test]
-    fn serde_roundtrip_recomputes_total() {
-        let s = SampleCounts::from_keys([1u64, 2, 2, 9, 9, 9]);
-        let json = serde_json::to_string(&s).unwrap();
-        let restored: SampleCounts = serde_json::from_str(&json).unwrap();
-        assert_eq!(restored, s);
-        assert_eq!(restored.total(), 6);
-        // A hand-crafted payload still gets a consistent total.
-        let crafted: SampleCounts = serde_json::from_str(r#"{"5": 3, "6": 4}"#).unwrap();
-        assert_eq!(crafted.total(), 7);
-        assert_eq!(crafted.get(5), 3);
-    }
-
-    #[test]
-    fn serde_rejects_overflowing_totals() {
-        let crafted = format!(r#"{{"1": {}, "2": {}}}"#, u64::MAX, 2u64);
-        let res: std::result::Result<SampleCounts, _> = serde_json::from_str(&crafted);
-        assert!(res.is_err(), "overflowing counts must not deserialize");
     }
 }

@@ -16,7 +16,7 @@ use crate::error::{Error, Result};
 use crate::estimate::{self, Estimate};
 use crate::Sketch;
 use rand::Rng;
-use sss_xi::{DefaultSign, SignFamily};
+use sss_xi::{Codec, CodecError, DefaultSign, Reader, SignFamily, Writer};
 use std::sync::Arc;
 
 /// The shared random seeds (one ±1 family per basic counter) plus a schema
@@ -37,76 +37,44 @@ impl<F> Clone for AgmsSchema<F> {
     }
 }
 
-// Persistence: a schema is its seed list plus identity. Serializing the
+// Persistence: a schema is its seed list plus identity. Shipping the
 // schema (rather than re-randomizing) is what lets sketches built in
 // different processes be merged/joined — the id survives the round trip.
-impl<F: serde::Serialize> serde::Serialize for AgmsSchema<F> {
-    fn serialize<S: serde::Serializer>(
-        &self,
-        serializer: S,
-    ) -> std::result::Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct;
-        let mut st = serializer.serialize_struct("AgmsSchema", 2)?;
-        st.serialize_field("families", self.families.as_ref())?;
-        st.serialize_field("id", &self.id)?;
-        st.end()
+impl<F: Codec> Codec for AgmsSchema<F> {
+    fn put(&self, w: &mut Writer) {
+        w.seq(&self.families[..]);
+        w.u64(self.id);
     }
-}
 
-impl<'de, F: serde::Deserialize<'de>> serde::Deserialize<'de> for AgmsSchema<F> {
-    fn deserialize<D: serde::Deserializer<'de>>(
-        deserializer: D,
-    ) -> std::result::Result<Self, D::Error> {
-        #[derive(serde::Deserialize)]
-        struct Repr<F> {
-            families: Vec<F>,
-            id: u64,
-        }
-        let repr = Repr::<F>::deserialize(deserializer)?;
-        if repr.families.is_empty() {
-            return Err(serde::de::Error::invalid_length(0, &"at least one family"));
-        }
-        Ok(Self {
-            families: repr.families.into(),
-            id: repr.id,
-        })
-    }
-}
-
-impl<F: serde::Serialize> serde::Serialize for AgmsSketch<F> {
-    fn serialize<S: serde::Serializer>(
-        &self,
-        serializer: S,
-    ) -> std::result::Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct;
-        let mut st = serializer.serialize_struct("AgmsSketch", 2)?;
-        st.serialize_field("schema", &self.schema)?;
-        st.serialize_field("counters", &self.counters)?;
-        st.end()
-    }
-}
-
-impl<'de, F: serde::Deserialize<'de>> serde::Deserialize<'de> for AgmsSketch<F> {
-    fn deserialize<D: serde::Deserializer<'de>>(
-        deserializer: D,
-    ) -> std::result::Result<Self, D::Error> {
-        #[derive(serde::Deserialize)]
-        #[serde(bound = "F: serde::Deserialize<'de>")]
-        struct Repr<F> {
-            schema: AgmsSchema<F>,
-            counters: Vec<i64>,
-        }
-        let repr = Repr::<F>::deserialize(deserializer)?;
-        if repr.counters.len() != repr.schema.families.len() {
-            return Err(serde::de::Error::invalid_length(
-                repr.counters.len(),
-                &"one counter per schema family",
+    fn take(r: &mut Reader<'_>) -> std::result::Result<Self, CodecError> {
+        let families: Vec<F> = r.seq()?;
+        if families.is_empty() {
+            return Err(CodecError::Invalid(
+                "an AGMS schema has at least one family",
             ));
         }
         Ok(Self {
-            schema: repr.schema,
-            counters: repr.counters,
+            families: families.into(),
+            id: r.u64()?,
         })
+    }
+}
+
+impl<F: Codec> Codec for AgmsSketch<F> {
+    fn put(&self, w: &mut Writer) {
+        self.schema.put(w);
+        w.i64s(&self.counters);
+    }
+
+    fn take(r: &mut Reader<'_>) -> std::result::Result<Self, CodecError> {
+        let schema = AgmsSchema::take(r)?;
+        let counters = r.i64s()?;
+        if counters.len() != schema.families.len() {
+            return Err(CodecError::Invalid(
+                "an AGMS sketch has one counter per family",
+            ));
+        }
+        Ok(Self { schema, counters })
     }
 }
 

@@ -36,82 +36,6 @@ impl<B> Clone for CountMinSchema<B> {
     }
 }
 
-// Persistence: seeds + width + identity; see the AGMS impls for rationale.
-impl<B: serde::Serialize> serde::Serialize for CountMinSchema<B> {
-    fn serialize<S: serde::Serializer>(
-        &self,
-        serializer: S,
-    ) -> std::result::Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct;
-        let mut st = serializer.serialize_struct("CountMinSchema", 3)?;
-        st.serialize_field("rows", self.rows.as_ref())?;
-        st.serialize_field("width", &self.width)?;
-        st.serialize_field("id", &self.id)?;
-        st.end()
-    }
-}
-
-impl<'de, B: serde::Deserialize<'de>> serde::Deserialize<'de> for CountMinSchema<B> {
-    fn deserialize<D: serde::Deserializer<'de>>(
-        deserializer: D,
-    ) -> std::result::Result<Self, D::Error> {
-        #[derive(serde::Deserialize)]
-        struct Repr<B> {
-            rows: Vec<B>,
-            width: usize,
-            id: u64,
-        }
-        let repr = Repr::<B>::deserialize(deserializer)?;
-        if repr.rows.is_empty() || repr.width == 0 {
-            return Err(serde::de::Error::custom(
-                "Count-Min dimensions must be non-zero",
-            ));
-        }
-        Ok(Self {
-            rows: repr.rows.into(),
-            width: repr.width,
-            id: repr.id,
-        })
-    }
-}
-
-impl<B: serde::Serialize> serde::Serialize for CountMinSketch<B> {
-    fn serialize<S: serde::Serializer>(
-        &self,
-        serializer: S,
-    ) -> std::result::Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct;
-        let mut st = serializer.serialize_struct("CountMinSketch", 2)?;
-        st.serialize_field("schema", &self.schema)?;
-        st.serialize_field("counters", &self.counters)?;
-        st.end()
-    }
-}
-
-impl<'de, B: serde::Deserialize<'de>> serde::Deserialize<'de> for CountMinSketch<B> {
-    fn deserialize<D: serde::Deserializer<'de>>(
-        deserializer: D,
-    ) -> std::result::Result<Self, D::Error> {
-        #[derive(serde::Deserialize)]
-        #[serde(bound = "B: serde::Deserialize<'de>")]
-        struct Repr<B> {
-            schema: CountMinSchema<B>,
-            counters: Vec<i64>,
-        }
-        let repr = Repr::<B>::deserialize(deserializer)?;
-        if repr.counters.len() != repr.schema.rows.len() * repr.schema.width {
-            return Err(serde::de::Error::invalid_length(
-                repr.counters.len(),
-                &"depth × width counters",
-            ));
-        }
-        Ok(Self {
-            schema: repr.schema,
-            counters: repr.counters,
-        })
-    }
-}
-
 impl<B: BucketFamily> CountMinSchema<B> {
     /// Create a schema with the given depth and width.
     ///

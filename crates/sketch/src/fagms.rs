@@ -20,11 +20,13 @@ use crate::error::{Error, Result};
 use crate::estimate::{self, Estimate};
 use crate::Sketch;
 use rand::Rng;
-use sss_xi::{BucketFamily, DefaultBucket, DefaultSign, SignFamily};
+use sss_xi::{
+    BucketFamily, Codec, CodecError, DefaultBucket, DefaultSign, Reader, SignFamily, Writer,
+};
 use std::sync::Arc;
 
 /// Per-row seeds: a bucket hash and a sign family.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 struct Row<S, B> {
     sign: S,
     bucket: B,
@@ -50,88 +52,57 @@ impl<S, B> Clone for FagmsSchema<S, B> {
     }
 }
 
+impl<S: Codec, B: Codec> Codec for Row<S, B> {
+    fn put(&self, w: &mut Writer) {
+        self.sign.put(w);
+        self.bucket.put(w);
+    }
+
+    fn take(r: &mut Reader<'_>) -> std::result::Result<Self, CodecError> {
+        Ok(Self {
+            sign: S::take(r)?,
+            bucket: B::take(r)?,
+        })
+    }
+}
+
 // Persistence: seeds + width + identity; see the AGMS impls for rationale.
-impl<S: serde::Serialize, B: serde::Serialize> serde::Serialize for FagmsSchema<S, B> {
-    fn serialize<Z: serde::Serializer>(
-        &self,
-        serializer: Z,
-    ) -> std::result::Result<Z::Ok, Z::Error> {
-        use serde::ser::SerializeStruct;
-        let mut st = serializer.serialize_struct("FagmsSchema", 3)?;
-        st.serialize_field("rows", self.rows.as_ref())?;
-        st.serialize_field("width", &self.width)?;
-        st.serialize_field("id", &self.id)?;
-        st.end()
+impl<S: Codec, B: Codec> Codec for FagmsSchema<S, B> {
+    fn put(&self, w: &mut Writer) {
+        w.seq(&self.rows[..]);
+        w.usize(self.width);
+        w.u64(self.id);
     }
-}
 
-impl<'de, S, B> serde::Deserialize<'de> for FagmsSchema<S, B>
-where
-    S: serde::Deserialize<'de>,
-    B: serde::Deserialize<'de>,
-{
-    fn deserialize<D: serde::Deserializer<'de>>(
-        deserializer: D,
-    ) -> std::result::Result<Self, D::Error> {
-        #[derive(serde::Deserialize)]
-        #[serde(bound = "S: serde::Deserialize<'de>, B: serde::Deserialize<'de>")]
-        struct Repr<S, B> {
-            rows: Vec<Row<S, B>>,
-            width: usize,
-            id: u64,
-        }
-        let repr = Repr::<S, B>::deserialize(deserializer)?;
-        if repr.rows.is_empty() || repr.width == 0 {
-            return Err(serde::de::Error::custom(
-                "F-AGMS dimensions must be non-zero",
-            ));
+    fn take(r: &mut Reader<'_>) -> std::result::Result<Self, CodecError> {
+        let rows: Vec<Row<S, B>> = r.seq()?;
+        let width = r.usize()?;
+        if rows.is_empty() || width == 0 {
+            return Err(CodecError::Invalid("F-AGMS dimensions must be non-zero"));
         }
         Ok(Self {
-            rows: repr.rows.into(),
-            width: repr.width,
-            id: repr.id,
+            rows: rows.into(),
+            width,
+            id: r.u64()?,
         })
     }
 }
 
-impl<S: serde::Serialize, B: serde::Serialize> serde::Serialize for FagmsSketch<S, B> {
-    fn serialize<Z: serde::Serializer>(
-        &self,
-        serializer: Z,
-    ) -> std::result::Result<Z::Ok, Z::Error> {
-        use serde::ser::SerializeStruct;
-        let mut st = serializer.serialize_struct("FagmsSketch", 2)?;
-        st.serialize_field("schema", &self.schema)?;
-        st.serialize_field("counters", &self.counters)?;
-        st.end()
+impl<S: Codec, B: Codec> Codec for FagmsSketch<S, B> {
+    fn put(&self, w: &mut Writer) {
+        self.schema.put(w);
+        w.i64s(&self.counters);
     }
-}
 
-impl<'de, S, B> serde::Deserialize<'de> for FagmsSketch<S, B>
-where
-    S: serde::Deserialize<'de>,
-    B: serde::Deserialize<'de>,
-{
-    fn deserialize<D: serde::Deserializer<'de>>(
-        deserializer: D,
-    ) -> std::result::Result<Self, D::Error> {
-        #[derive(serde::Deserialize)]
-        #[serde(bound = "S: serde::Deserialize<'de>, B: serde::Deserialize<'de>")]
-        struct Repr<S, B> {
-            schema: FagmsSchema<S, B>,
-            counters: Vec<i64>,
-        }
-        let repr = Repr::<S, B>::deserialize(deserializer)?;
-        if repr.counters.len() != repr.schema.rows.len() * repr.schema.width {
-            return Err(serde::de::Error::invalid_length(
-                repr.counters.len(),
-                &"depth × width counters",
+    fn take(r: &mut Reader<'_>) -> std::result::Result<Self, CodecError> {
+        let schema = FagmsSchema::take(r)?;
+        let counters = r.i64s()?;
+        if Some(counters.len()) != schema.rows.len().checked_mul(schema.width) {
+            return Err(CodecError::Invalid(
+                "an F-AGMS sketch has depth × width counters",
             ));
         }
-        Ok(Self {
-            schema: repr.schema,
-            counters: repr.counters,
-        })
+        Ok(Self { schema, counters })
     }
 }
 

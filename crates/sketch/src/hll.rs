@@ -20,7 +20,7 @@
 //! part is rebuilt by merging the current parts again.
 
 use crate::error::{Error, Result};
-use sss_xi::splitmix64;
+use sss_xi::{splitmix64, Codec, CodecError, Reader, Writer};
 
 /// Smallest accepted precision (m = 16 registers).
 pub const MIN_PRECISION: u8 = 4;
@@ -28,7 +28,7 @@ pub const MIN_PRECISION: u8 = 4;
 pub const MAX_PRECISION: u8 = 18;
 
 /// A HyperLogLog register array with a seeded 64-bit hash.
-#[derive(Debug, Clone, serde::Serialize)]
+#[derive(Debug, Clone)]
 pub struct HyperLogLog {
     registers: Vec<u8>,
     precision: u8,
@@ -39,38 +39,35 @@ pub struct HyperLogLog {
 // keeps: a precision in range, `2^precision` registers, and no register
 // above the largest rank `insert` can write. Anything else would index out
 // of bounds or shift past 64 bits on first use.
-impl<'de> serde::Deserialize<'de> for HyperLogLog {
-    fn deserialize<D: serde::Deserializer<'de>>(
-        deserializer: D,
-    ) -> std::result::Result<Self, D::Error> {
-        use serde::de::Error as _;
-        #[derive(serde::Deserialize)]
-        struct Repr {
-            registers: Vec<u8>,
-            precision: u8,
-            seed: u64,
-        }
-        let repr = Repr::deserialize(deserializer)?;
-        if !(MIN_PRECISION..=MAX_PRECISION).contains(&repr.precision) {
-            return Err(D::Error::custom(format!(
-                "HyperLogLog precision must be in {MIN_PRECISION}..={MAX_PRECISION}"
-            )));
-        }
-        if repr.registers.len() != 1 << repr.precision {
-            return Err(D::Error::invalid_length(
-                repr.registers.len(),
-                &"2^precision HyperLogLog registers",
+impl Codec for HyperLogLog {
+    fn put(&self, w: &mut Writer) {
+        w.bytes(&self.registers);
+        w.u64(u64::from(self.precision));
+        w.u64(self.seed);
+    }
+
+    fn take(r: &mut Reader<'_>) -> std::result::Result<Self, CodecError> {
+        let registers = r.bytes()?;
+        let precision = u8::try_from(r.u64()?)
+            .ok()
+            .filter(|p| (MIN_PRECISION..=MAX_PRECISION).contains(p))
+            .ok_or(CodecError::Invalid(
+                "HyperLogLog precision must be in 4..=18",
+            ))?;
+        if registers.len() != 1 << precision {
+            return Err(CodecError::Invalid(
+                "a HyperLogLog holds 2^precision registers",
             ));
         }
-        if repr.registers.iter().any(|&r| r > max_rank(repr.precision)) {
-            return Err(D::Error::custom(
+        if registers.iter().any(|&r| r > max_rank(precision)) {
+            return Err(CodecError::Invalid(
                 "a HyperLogLog register is above the largest rank",
             ));
         }
         Ok(Self {
-            registers: repr.registers,
-            precision: repr.precision,
-            seed: repr.seed,
+            registers: registers.to_vec(),
+            precision,
+            seed: r.u64()?,
         })
     }
 }
@@ -302,16 +299,5 @@ mod tests {
         let c = hll(11, 1);
         assert_eq!(a.merge(&b), Err(Error::SchemaMismatch));
         assert_eq!(a.merge(&c), Err(Error::SchemaMismatch));
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let mut h = hll(8, 5);
-        h.insert_batch(&[1, 2, 3, 4, 5]);
-        let json = serde_json::to_string(&h).unwrap();
-        let back: HyperLogLog = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.raw_distinct().to_bits(), h.raw_distinct().to_bits());
-        let mut m = back;
-        m.merge(&h).unwrap();
     }
 }

@@ -74,7 +74,7 @@
 //! arithmetic never drifts from the true count `n`.
 
 use crate::error::{Error, Result};
-use sss_xi::splitmix64;
+use sss_xi::{splitmix64, Codec, CodecError, Reader, Writer};
 
 /// Smallest accepted `k` — below this the rank guarantee is vacuous.
 pub const MIN_K: usize = 8;
@@ -115,66 +115,51 @@ pub struct KllSketch {
     cap_total: usize,
 }
 
-// Persistence (format 2): the levels, `k`, the weight, the coin and the
-// sampler seed. Everything else is derived: decoding rebuilds the capacity
-// table and the counts from the levels, refuses levels that could not have
-// come from a summary, and halves any sampling level a forger crowded.
-impl serde::Serialize for KllSketch {
-    fn serialize<S: serde::Serializer>(
-        &self,
-        serializer: S,
-    ) -> std::result::Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct;
-        let mut st = serializer.serialize_struct("KllSketch", 5)?;
-        st.serialize_field("compactors", &self.compactors)?;
-        st.serialize_field("k", &self.k)?;
-        st.serialize_field("n", &self.n)?;
-        st.serialize_field("coin", &self.coin)?;
-        st.serialize_field("seed", &self.seed)?;
-        st.end()
+// Persistence: the levels, `k`, the weight, the coin and the sampler seed.
+// Everything else is derived: decoding rebuilds the capacity table and the
+// counts from the levels, refuses levels that could not have come from a
+// summary, and halves any sampling level a forger crowded. The level count
+// is checked before any level is read.
+impl Codec for KllSketch {
+    fn put(&self, w: &mut Writer) {
+        w.usize(self.compactors.len());
+        self.compactors.iter().for_each(|level| w.u64s(level));
+        w.usize(self.k);
+        w.u64(self.n);
+        w.u64(self.coin);
+        w.u64(self.seed);
     }
-}
 
-impl<'de> serde::Deserialize<'de> for KllSketch {
-    fn deserialize<D: serde::Deserializer<'de>>(
-        deserializer: D,
-    ) -> std::result::Result<Self, D::Error> {
-        #[derive(serde::Deserialize)]
-        struct Repr {
-            compactors: Vec<Vec<u64>>,
-            k: usize,
-            n: u64,
-            coin: u64,
-            seed: u64,
-        }
-        let repr = Repr::deserialize(deserializer)?;
-        if repr.k < MIN_K {
-            return Err(serde::de::Error::custom("KLL k is below the minimum"));
-        }
-        if repr.compactors.is_empty() || repr.compactors.len() > MAX_LEVELS {
-            return Err(serde::de::Error::invalid_length(
-                repr.compactors.len(),
-                &"between 1 and 64 KLL levels",
+    fn take(r: &mut Reader<'_>) -> std::result::Result<Self, CodecError> {
+        let levels = r.count(1)?;
+        if levels == 0 || levels > MAX_LEVELS {
+            return Err(CodecError::Invalid(
+                "a KLL summary has between 1 and 64 levels",
             ));
         }
-        let weight = repr
-            .compactors
+        let compactors = (0..levels)
+            .map(|_| r.u64s())
+            .collect::<std::result::Result<Vec<_>, _>>()?;
+        let k = r.usize()?;
+        if k < MIN_K {
+            return Err(CodecError::Invalid("KLL k is below the minimum"));
+        }
+        let n = r.u64()?;
+        let weight = compactors
             .iter()
             .enumerate()
             .try_fold(0u64, |sum, (h, level)| {
                 sum.checked_add((level.len() as u64).checked_mul(1 << h)?)
             });
-        if weight != Some(repr.n) {
-            return Err(serde::de::Error::custom(
-                "KLL weight does not match its levels",
-            ));
+        if weight != Some(n) {
+            return Err(CodecError::Invalid("KLL weight does not match its levels"));
         }
         let mut s = Self {
-            compactors: repr.compactors,
-            k: repr.k,
-            n: repr.n,
-            coin: repr.coin,
-            seed: repr.seed,
+            compactors,
+            k,
+            n,
+            coin: r.u64()?,
+            seed: r.u64()?,
             base: 0,
             stored: 0,
             capacities: Vec::new(),
@@ -659,19 +644,6 @@ mod tests {
         let mut a = kll(16, 1);
         let b = kll(32, 1);
         assert_eq!(a.merge(&b), Err(Error::SchemaMismatch));
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let mut s = kll(16, 4);
-        s.insert_batch(&(0..1000u64).collect::<Vec<_>>());
-        let json = serde_json::to_string(&s).unwrap();
-        let back: KllSketch = serde_json::from_str(&json).unwrap();
-        assert_eq!(serde_json::to_string(&back).unwrap(), json);
-        assert_eq!(
-            back.raw_quantile(0.5).unwrap(),
-            s.raw_quantile(0.5).unwrap()
-        );
     }
 
     /// The sampler: once levels sit at the capacity floor they hold the

@@ -41,7 +41,9 @@ use crate::fagms::{FagmsSchema, FagmsSketch, RowCells};
 use crate::fasthash::KeyHashMap;
 use crate::runs::{KeyRuns, CHUNK, MULTIPLIER};
 use crate::Sketch;
-use sss_xi::{BucketFamily, DefaultBucket, DefaultSign, SignFamily};
+use sss_xi::{
+    BucketFamily, Codec, CodecError, DefaultBucket, DefaultSign, Reader, SignFamily, Writer,
+};
 
 /// The crate-wide top-k order: `scored` sorted by estimate descending,
 /// ties toward the smaller key, cut to the first `k`.
@@ -357,26 +359,7 @@ impl Clone for MisraGries {
 // encoding of a given summary state is deterministic regardless of the
 // table's entry order (snapshot proptests pin byte-for-byte stability on
 // this).
-impl serde::Serialize for MisraGries {
-    fn serialize<S: serde::Serializer>(
-        &self,
-        serializer: S,
-    ) -> std::result::Result<S::Ok, S::Error> {
-        use serde::ser::SerializeStruct;
-        let mut entries = self.table.pairs();
-        entries.sort_unstable_by_key(|&(k, _)| k);
-        let keys: Vec<u64> = entries.iter().map(|&(k, _)| k).collect();
-        let counts: Vec<u64> = entries.iter().map(|&(_, v)| v).collect();
-        let mut st = serializer.serialize_struct("MisraGries", 5)?;
-        st.serialize_field("capacity", &self.capacity)?;
-        st.serialize_field("offset", &self.offset)?;
-        st.serialize_field("offered", &self.offered)?;
-        st.serialize_field("keys", &keys)?;
-        st.serialize_field("counts", &counts)?;
-        st.end()
-    }
-}
-
+//
 // A body is hostile until it has passed what every state this module can
 // reach satisfies: at most `capacity + CHUNK` distinct keys with positive
 // counters, and `Σ counters + offset·(capacity+1) ≤ offered` — offers add
@@ -384,64 +367,61 @@ impl serde::Serialize for MisraGries {
 // the offset while taking at least `c` from each of `capacity + 1`
 // counters. With that, no later sum of counters can overflow before the
 // offered weight does, and that one is checked where it grows.
-impl<'de> serde::Deserialize<'de> for MisraGries {
-    fn deserialize<D: serde::Deserializer<'de>>(
-        deserializer: D,
-    ) -> std::result::Result<Self, D::Error> {
-        use serde::de::Error as _;
-        #[derive(serde::Deserialize)]
-        struct Repr {
-            capacity: usize,
-            offset: u64,
-            offered: u64,
-            keys: Vec<u64>,
-            counts: Vec<u64>,
-        }
-        let repr = Repr::deserialize(deserializer)?;
-        if !(1..=MAX_CAPACITY).contains(&repr.capacity) {
-            return Err(D::Error::custom(
+impl Codec for MisraGries {
+    fn put(&self, w: &mut Writer) {
+        let mut entries = self.table.pairs();
+        entries.sort_unstable_by_key(|&(k, _)| k);
+        let (keys, counts): (Vec<u64>, Vec<u64>) = entries.into_iter().unzip();
+        w.usize(self.capacity);
+        w.u64(self.offset);
+        w.u64(self.offered);
+        w.u64s(&keys);
+        w.u64s(&counts);
+    }
+
+    fn take(r: &mut Reader<'_>) -> std::result::Result<Self, CodecError> {
+        let capacity = r.usize()?;
+        if !(1..=MAX_CAPACITY).contains(&capacity) {
+            return Err(CodecError::Invalid(
                 "Misra-Gries capacity must be non-zero and at most 2^28",
             ));
         }
-        let held = repr.keys.len();
-        let room = repr.capacity.saturating_add(CHUNK);
-        if held != repr.counts.len() || held > room {
-            return Err(D::Error::invalid_length(
-                held,
-                &"matching key/count columns of at most capacity + chunk entries",
+        let offset = r.u64()?;
+        let offered = r.u64()?;
+        let keys = r.u64s()?;
+        let counts = r.u64s()?;
+        if keys.len() != counts.len() || keys.len() > capacity.saturating_add(CHUNK) {
+            return Err(CodecError::Invalid(
+                "Misra-Gries holds matching key/count columns of at most capacity + chunk entries",
             ));
         }
-        if repr.counts.contains(&0) {
-            return Err(D::Error::custom("Misra-Gries counters are positive"));
+        if counts.contains(&0) {
+            return Err(CodecError::Invalid("Misra-Gries counters are positive"));
         }
-        let accounted = u64::try_from(repr.capacity)
+        let accounted = u64::try_from(capacity)
             .ok()
             .and_then(|capacity| capacity.checked_add(1))
-            .and_then(|shares| shares.checked_mul(repr.offset))
-            .and_then(|cut| {
-                repr.counts
-                    .iter()
-                    .try_fold(cut, |sum, &c| sum.checked_add(c))
-            });
-        if !matches!(accounted, Some(accounted) if accounted <= repr.offered) {
-            return Err(D::Error::custom(
+            .and_then(|shares| shares.checked_mul(offset))
+            .and_then(|cut| counts.iter().try_fold(cut, |sum, &c| sum.checked_add(c)));
+        if !matches!(accounted, Some(accounted) if accounted <= offered) {
+            return Err(CodecError::Invalid(
                 "Misra-Gries counters and offset exceed the offered weight",
             ));
         }
         let mut table = CounterTable::new();
-        for (&key, &count) in repr.keys.iter().zip(&repr.counts) {
+        for (&key, &count) in keys.iter().zip(&counts) {
             let position = table.upsert(key);
             let counter = &mut table.counters[position];
             if counter.count != 0 {
-                return Err(D::Error::custom("Misra-Gries keys are distinct"));
+                return Err(CodecError::Invalid("Misra-Gries keys are distinct"));
             }
             counter.count = count;
         }
         Ok(Self {
             table,
-            capacity: repr.capacity,
-            offset: repr.offset,
-            offered: repr.offered,
+            capacity,
+            offset,
+            offered,
             runs: KeyRuns::default(),
         })
     }
@@ -685,77 +665,47 @@ impl<S, B> Clone for CountSketchTopK<S, B> {
 }
 
 // Persistence: the backing sketch plus the candidate set as parallel
-// key/estimate columns in ascending key order (estimates carried as IEEE-754
-// bit patterns — the vendored JSON writer rejects non-finite floats, and bits
-// round-trip exactly). The lazy min-cache is deliberately *not* serialized:
-// decode marks it dirty and the next admission test rebuilds it, so a decoded
-// summary behaves identically to the in-memory original.
-impl<S: serde::Serialize, B: serde::Serialize> serde::Serialize for CountSketchTopK<S, B> {
-    fn serialize<Z: serde::Serializer>(
-        &self,
-        serializer: Z,
-    ) -> std::result::Result<Z::Ok, Z::Error> {
-        use serde::ser::SerializeStruct;
-        let mut entries: Vec<(u64, u64)> = self
-            .candidates
-            .iter()
-            .map(|(&k, &est)| (k, est.to_bits()))
-            .collect();
+// key/estimate columns in ascending key order. The lazy min-cache is
+// deliberately *not* written: decode marks it dirty and the next admission
+// test rebuilds it, so a decoded summary behaves identically to the
+// in-memory original.
+impl<S: Codec, B: Codec> Codec for CountSketchTopK<S, B> {
+    fn put(&self, w: &mut Writer) {
+        let mut entries: Vec<(u64, f64)> = self.candidates.iter().map(|(&k, &e)| (k, e)).collect();
         entries.sort_unstable_by_key(|&(k, _)| k);
-        let keys: Vec<u64> = entries.iter().map(|&(k, _)| k).collect();
-        let est_bits: Vec<u64> = entries.iter().map(|&(_, b)| b).collect();
-        let mut st = serializer.serialize_struct("CountSketchTopK", 5)?;
-        st.serialize_field("sketch", &self.sketch)?;
-        st.serialize_field("capacity", &self.capacity)?;
-        st.serialize_field("offered", &self.offered)?;
-        st.serialize_field("keys", &keys)?;
-        st.serialize_field("est_bits", &est_bits)?;
-        st.end()
+        let (keys, estimates): (Vec<u64>, Vec<f64>) = entries.into_iter().unzip();
+        self.sketch.put(w);
+        w.usize(self.capacity);
+        w.u64(self.offered);
+        w.u64s(&keys);
+        w.f64s(&estimates);
     }
-}
 
-impl<'de, S, B> serde::Deserialize<'de> for CountSketchTopK<S, B>
-where
-    S: serde::Deserialize<'de>,
-    B: serde::Deserialize<'de>,
-{
-    fn deserialize<D: serde::Deserializer<'de>>(
-        deserializer: D,
-    ) -> std::result::Result<Self, D::Error> {
-        #[derive(serde::Deserialize)]
-        #[serde(bound = "S: serde::Deserialize<'de>, B: serde::Deserialize<'de>")]
-        struct Repr<S, B> {
-            sketch: FagmsSketch<S, B>,
-            capacity: usize,
-            offered: u64,
-            keys: Vec<u64>,
-            est_bits: Vec<u64>,
+    fn take(r: &mut Reader<'_>) -> std::result::Result<Self, CodecError> {
+        let sketch = FagmsSketch::take(r)?;
+        let capacity = r.usize()?;
+        if capacity == 0 {
+            return Err(CodecError::Invalid("top-k capacity must be non-zero"));
         }
-        let repr = Repr::<S, B>::deserialize(deserializer)?;
-        if repr.capacity == 0 {
-            return Err(serde::de::Error::custom("top-k capacity must be non-zero"));
-        }
-        if repr.keys.len() != repr.est_bits.len() || repr.keys.len() > repr.capacity {
-            return Err(serde::de::Error::invalid_length(
-                repr.keys.len(),
-                &"matching key/estimate columns within capacity",
+        let offered = r.u64()?;
+        let keys = r.u64s()?;
+        let estimates = r.f64s()?;
+        if keys.len() != estimates.len() || keys.len() > capacity {
+            return Err(CodecError::Invalid(
+                "top-k holds matching key/estimate columns within capacity",
             ));
         }
-        let mut candidates =
-            KeyHashMap::with_capacity_and_hasher(repr.capacity, Default::default());
-        candidates.extend(
-            repr.keys
-                .into_iter()
-                .zip(repr.est_bits.into_iter().map(f64::from_bits)),
-        );
+        // Reserved for what arrived, not for the claimed capacity.
+        let mut candidates = KeyHashMap::with_capacity_and_hasher(keys.len(), Default::default());
+        candidates.extend(keys.into_iter().zip(estimates));
         Ok(Self {
-            sketch: repr.sketch,
+            sketch,
             candidates,
-            capacity: repr.capacity,
+            capacity,
             min_key: 0,
             min_est: f64::INFINITY,
             min_dirty: true,
-            offered: repr.offered,
+            offered,
             scratch: Scratch::default(),
         })
     }

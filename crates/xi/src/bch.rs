@@ -13,6 +13,7 @@
 //! price is the GF(2⁶⁴) cube on every evaluation (two carry-less
 //! multiplications in portable code).
 
+use crate::codec::{Codec, CodecError, Reader, Writer};
 use crate::family::{FourWise, SignFamily};
 use crate::gf2::gf_cube;
 use rand::Rng;
@@ -26,7 +27,7 @@ use rand::Rng;
 /// AND and one popcount — the absolute cost floor of a ±1 generator. Like
 /// every 3-wise family it fails 4-wise: any four keys XORing to zero (e.g.
 /// {0, 1, 2, 3}) have a deterministic product.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Bch3 {
     s0: bool,
     s1: u64,
@@ -55,7 +56,7 @@ impl SignFamily for Bch3 {
 }
 
 /// 5-wise independent ±1 family; see the module docs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Bch5 {
     s0: bool,
     s1: u64,
@@ -93,6 +94,29 @@ impl SignFamily for Bch5 {
 }
 
 impl FourWise for Bch5 {}
+
+impl Codec for Bch3 {
+    fn put(&self, w: &mut Writer) {
+        w.bool(self.s0);
+        w.u64(self.s1);
+    }
+
+    fn take(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(Self::from_seed(r.bool()?, r.u64()?))
+    }
+}
+
+impl Codec for Bch5 {
+    fn put(&self, w: &mut Writer) {
+        w.bool(self.s0);
+        w.u64(self.s1);
+        w.u64(self.s2);
+    }
+
+    fn take(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(Self::from_seed(r.bool()?, r.u64()?, r.u64()?))
+    }
+}
 
 #[cfg(test)]
 mod tests {

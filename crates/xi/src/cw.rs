@@ -8,6 +8,7 @@
 //!   irrelevant at sketch scales), and
 //! * a **bucket index** from the value modulo the number of buckets.
 
+use crate::codec::{Codec, CodecError, Reader, Writer};
 use crate::family::{BucketFamily, FourWise, SignFamily};
 use crate::kernels::{self, Dispatch};
 use crate::prime::{poly_eval, P61};
@@ -106,7 +107,7 @@ pub fn bucket_scatter_counts(
 /// as a cheap-but-weak ±1 family for ablation experiments. Pairwise
 /// independence is **not** sufficient for the AGMS variance bound, which is
 /// exactly what the `xi_independence` integration test demonstrates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Cw2 {
     coeffs: [u64; 2],
 }
@@ -158,7 +159,7 @@ impl SignFamily for Cw2 {
 }
 
 /// Pairwise-independent bucket hash built on [`Cw2`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Cw2Bucket(Cw2);
 
 impl Cw2Bucket {
@@ -194,7 +195,7 @@ impl BucketFamily for Cw2Bucket {
 /// four distinct `ξ` values has expectation 0 over the seed distribution,
 /// which is the exact property the variance formulas in Propositions 7–10 of
 /// the paper rely on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Cw4 {
     coeffs: [u64; 4],
 }
@@ -244,6 +245,38 @@ impl SignFamily for Cw4 {
 }
 
 impl FourWise for Cw4 {}
+
+// The coefficients, fixed in number; decoding reduces them as
+// `from_coeffs` does, so no body can hand the kernels an unreduced one.
+impl Codec for Cw2 {
+    fn put(&self, w: &mut Writer) {
+        self.coeffs.iter().for_each(|&c| w.u64(c));
+    }
+
+    fn take(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(Self::from_coeffs(r.u64()?, r.u64()?))
+    }
+}
+
+impl Codec for Cw2Bucket {
+    fn put(&self, w: &mut Writer) {
+        self.0.put(w);
+    }
+
+    fn take(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Cw2::take(r).map(Self)
+    }
+}
+
+impl Codec for Cw4 {
+    fn put(&self, w: &mut Writer) {
+        self.coeffs.iter().for_each(|&c| w.u64(c));
+    }
+
+    fn take(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(Self::from_coeffs([r.u64()?, r.u64()?, r.u64()?, r.u64()?]))
+    }
+}
 
 #[cfg(test)]
 mod tests {

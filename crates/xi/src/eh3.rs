@@ -16,12 +16,13 @@
 //! popcounts — which is why it is the fastest practical generator for
 //! sketching very fast streams.
 
+use crate::codec::{Codec, CodecError, Reader, Writer};
 use crate::family::SignFamily;
 use crate::kernels::{self, Dispatch, EVEN_BITS};
 use rand::Rng;
 
 /// 3-wise independent ±1 family; see the module docs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Eh3 {
     s0: bool,
     s: u64,
@@ -47,6 +48,17 @@ impl Eh3 {
         let pairs = key & (key >> 1) & EVEN_BITS;
         let quad = pairs.count_ones() as u64 & 1;
         (self.s0 as u64) ^ linear ^ quad
+    }
+}
+
+impl Codec for Eh3 {
+    fn put(&self, w: &mut Writer) {
+        w.bool(self.s0);
+        w.u64(self.s);
+    }
+
+    fn take(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(Self::from_seed(r.bool()?, r.u64()?))
     }
 }
 

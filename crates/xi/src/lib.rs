@@ -48,6 +48,7 @@
 #![warn(missing_docs)]
 
 pub mod bch;
+pub mod codec;
 pub mod cw;
 pub mod eh3;
 pub mod family;
@@ -57,6 +58,7 @@ pub mod prime;
 pub mod tabulation;
 
 pub use bch::{Bch3, Bch5};
+pub use codec::{Codec, CodecError, Reader, Writer};
 pub use cw::{
     bucket_scatter, bucket_scatter_counts, signed_scatter, signed_scatter_counts, Cw2, Cw2Bucket,
     Cw4,

@@ -12,6 +12,7 @@
 //! bucket index (remaining bits), so a tabulation-based F-AGMS row needs one
 //! table evaluation per update.
 
+use crate::codec::{Codec, CodecError, Reader, Writer};
 use crate::family::{BucketFamily, SignFamily};
 use crate::kernels;
 use rand::Rng;
@@ -71,33 +72,16 @@ impl SignFamily for Tabulation {
     }
 }
 
-// Manual serde impls: serde does not derive for `[[u64; 256]; 8]`, so the
-// tables travel as one flat 2048-word sequence.
-impl serde::Serialize for Tabulation {
-    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        use serde::ser::SerializeSeq;
-        let mut seq = serializer.serialize_seq(Some(8 * 256))?;
-        for table in self.tables.iter() {
-            for word in table {
-                seq.serialize_element(word)?;
-            }
-        }
-        seq.end()
+// The 2048 table words in order, fixed in number.
+impl Codec for Tabulation {
+    fn put(&self, w: &mut Writer) {
+        self.tables.iter().flatten().for_each(|&word| w.u64(word));
     }
-}
 
-impl<'de> serde::Deserialize<'de> for Tabulation {
-    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let flat: Vec<u64> = serde::Deserialize::deserialize(deserializer)?;
-        if flat.len() != 8 * 256 {
-            return Err(serde::de::Error::invalid_length(
-                flat.len(),
-                &"exactly 2048 table words (8 tables × 256 entries)",
-            ));
-        }
+    fn take(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         let mut tables = Box::new([[0u64; 256]; 8]);
-        for (i, chunk) in flat.chunks_exact(256).enumerate() {
-            tables[i].copy_from_slice(chunk);
+        for slot in tables.iter_mut().flatten() {
+            *slot = r.u64()?;
         }
         Ok(Self { tables })
     }

@@ -3,10 +3,11 @@
 //! Demonstrates the two composition properties production deployments rely
 //! on:
 //!
-//! 1. **Serde persistence** — the coordinator serializes the sketch schema
-//!    once; workers (separate processes in real life, simulated here)
-//!    deserialize it, shed-and-sketch their partition, and return their
-//!    serialized sketches.
+//! 1. **Portable snapshots** — the coordinator ships the sketch schema
+//!    once, as the `Portable` bytes of an empty sketch; workers (separate
+//!    processes in real life, simulated here) decode it, shed-and-sketch
+//!    their partition, and return their sketches' `Portable` bytes, which
+//!    the coordinator merges through the fingerprint-checked wire path.
 //! 2. **Linearity + Bernoulli composition** — merged worker sketches are
 //!    exactly the sketch of a p-sample of the union stream, so the usual
 //!    Proposition 14 scaling applies once at the coordinator.
@@ -21,7 +22,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sketch_sampled_streams::core::sketch::{JoinSchema, JoinSketch};
-use sketch_sampled_streams::core::Sampled;
+use sketch_sampled_streams::core::{Portable, Sampled};
 use sketch_sampled_streams::datagen::ZipfGenerator;
 use sketch_sampled_streams::exact::ExactAggregator;
 use sketch_sampled_streams::stream::{RuntimeConfig, ShardedRuntime};
@@ -51,20 +52,21 @@ fn main() {
 
     // --- The wire protocol: coordinator → workers → coordinator ---------
     let schema = JoinSchema::fagms(1, 5000, &mut rng);
-    let schema_wire = serde_json::to_string(&schema).expect("schema serializes");
-    println!("schema payload: {} bytes of JSON", schema_wire.len());
+    let schema_wire = schema.sketch().encode().expect("empty sketch encodes");
+    println!(
+        "schema payload: {} bytes (an empty sketch)",
+        schema_wire.len()
+    );
 
-    let mut returned: Vec<(String, u64)> = Vec::new();
+    let mut returned: Vec<(Vec<u8>, u64)> = Vec::new();
     for (w, part) in partitions.iter().enumerate() {
         // Each "worker" restores the schema and sheds its partition.
-        let worker_schema: JoinSchema =
-            serde_json::from_str(&schema_wire).expect("schema deserializes");
-        let mut shed =
-            Sampled::new(worker_schema.sketch(), p, &mut rng).expect("valid probability");
+        let empty = JoinSketch::decode(&schema_wire).expect("schema decodes");
+        let mut shed = Sampled::new(empty, p, &mut rng).expect("valid probability");
         for &k in part {
             shed.observe(k);
         }
-        let payload = serde_json::to_string(shed.summary()).expect("sketch serializes");
+        let payload = shed.summary().encode().expect("sketch encodes");
         println!(
             "worker {w}: kept {} tuples, sketch payload {} bytes",
             shed.kept(),
@@ -74,11 +76,10 @@ fn main() {
     }
 
     // Coordinator: merge, then scale once for the union.
-    let mut merged: JoinSketch = serde_json::from_str(&returned[0].0).expect("sketch deserializes");
+    let mut merged = JoinSketch::decode(&returned[0].0).expect("sketch decodes");
     let mut kept_total = returned[0].1;
     for (payload, kept) in &returned[1..] {
-        let part: JoinSketch = serde_json::from_str(payload).expect("sketch deserializes");
-        merged.merge(&part).expect("same schema");
+        merged.merge_encoded(payload).expect("same schema");
         kept_total += kept;
     }
     let est = merged.raw_self_join() / (p * p) - (1.0 - p) / (p * p) * kept_total as f64;

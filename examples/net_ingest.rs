@@ -8,8 +8,8 @@
 //! `TcpStream`, showing everything an embedding in another language (or
 //! another process with no dependency on this crate) needs to implement:
 //!
-//! 1. read the server's `HELLO_OK` banner frame (a JSON envelope head:
-//!    kind, format, configuration fingerprint),
+//! 1. read the server's `HELLO_OK` banner frame (a payload head with an
+//!    empty body: kind, format, configuration fingerprint),
 //! 2. echo it back as `HELLO` and wait for the empty `HELLO_OK` ack —
 //!    a mismatched client is rejected *here*, with a typed error code,
 //!    before any data moves,
@@ -35,7 +35,7 @@ use std::net::TcpStream;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sketch_sampled_streams::core::sketch::JoinSchema;
-use sketch_sampled_streams::core::{DistinctQuery, JoinQuery, MultiSpec};
+use sketch_sampled_streams::core::{wire, DistinctQuery, JoinQuery, MultiSpec};
 use sketch_sampled_streams::net::{RunningServer, ServerConfig};
 
 // The protocol constants, restated locally the way a foreign-language
@@ -79,7 +79,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    summary it maintains.
     let (tag, banner) = read_frame(&mut wire)?;
     assert_eq!(tag, FRAME_HELLO_OK);
-    println!("banner        {}", String::from_utf8_lossy(&banner));
+    let head = wire::peek(&banner)?;
+    println!(
+        "banner        {} v{}, fingerprint {:#018x} ({} bytes)",
+        head.kind,
+        head.format,
+        head.fingerprint,
+        banner.len()
+    );
 
     // 2. Echoing the banner *is* a correct handshake (a real foreign
     //    client would compare kind/format/fingerprint against its own

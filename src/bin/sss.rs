@@ -42,8 +42,8 @@
 //! interval, both centered on the same bit-identical point estimate.
 //!
 //! `save` sketches a key file into a **portable snapshot**: the F-AGMS
-//! join sketch's versioned wire envelope (kind + format + configuration
-//! fingerprint + state), or with `--kind=multi` the whole `MultiSummary`
+//! join sketch's versioned binary payload (kind + format + configuration
+//! fingerprint head, then its state), or with `--kind=multi` the whole `MultiSummary`
 //! that `serve` with the same `--depth/--width/--seed` runs. `load` reads
 //! one back and answers the self-join query (a `multi` snapshot also its
 //! distinct count and top keys); `merge-snapshots` combines snapshots
@@ -394,7 +394,7 @@ fn write_snapshot(path: &str, bytes: &[u8]) -> Result<()> {
 }
 
 /// `sss save <file> <out.sss>`: sketch the key file and write the
-/// summary's portable wire envelope. Processes that agree on
+/// summary's portable payload. Processes that agree on
 /// `--depth/--width/--seed` produce fingerprint-compatible snapshots
 /// that `merge-snapshots` will combine.
 fn run_save<S: Summary + Portable>(args: &[String], mut summary: S) -> Result<()> {
@@ -412,23 +412,31 @@ fn run_save<S: Summary + Portable>(args: &[String], mut summary: S) -> Result<()
     Ok(())
 }
 
-/// `sss load <snapshot.sss>`: peek the envelope head, decode the
+/// `sss load <snapshot.sss>`: peek the payload head, decode the
 /// sketch, and answer the self-join query — plus the slim projection's
 /// size, to show what a read replica of this snapshot would ship. The
-/// envelope kind picks the decoder: `join` snapshots come from `save` /
+/// head's kind picks the decoder: `join` snapshots come from `save` /
 /// `merge-snapshots`, `multi` snapshots from `serve --snapshot=` (and
 /// answer all four query families).
 fn run_load(args: &[String], confidence: Option<f64>) -> Result<()> {
     let path = &args[1];
     let bytes = read_snapshot(path)?;
-    let head = wire::peek(&bytes)?;
-    println!("kind        {}", head.kind);
-    println!("format      {}", head.format);
-    println!("fingerprint {:#018x}", head.fingerprint);
-    println!("bytes       {}", bytes.len());
-    if head.kind == MultiSummary::KIND {
+    // Decoded before anything is printed: a head whose body is another
+    // configuration's is refused, not reported.
+    let print_head = |kind: &str, format: u32, fingerprint: u64| {
+        println!("kind        {kind}");
+        println!("format      {format}");
+        println!("fingerprint {fingerprint:#018x}");
+        println!("bytes       {}", bytes.len());
+    };
+    if wire::peek(&bytes)?.kind == MultiSummary::KIND {
         use sketch_sampled_streams::core::{DistinctQuery as _, TopKQuery as _};
         let summary = MultiSummary::decode(&bytes)?;
+        print_head(
+            MultiSummary::KIND,
+            MultiSummary::FORMAT,
+            summary.fingerprint(),
+        );
         let est = summary.self_join_estimate();
         println!("self_join   {:.2}", est.value);
         if let Some(level) = confidence {
@@ -442,6 +450,7 @@ fn run_load(args: &[String], confidence: Option<f64>) -> Result<()> {
         return Ok(());
     }
     let sketch = JoinSketch::decode(&bytes)?;
+    print_head(JoinSketch::KIND, JoinSketch::FORMAT, sketch.fingerprint());
     let est = sketch.self_join_estimate();
     println!("self_join   {:.2}", est.value);
     if let Some(level) = confidence {

@@ -1,5 +1,6 @@
 //! End-to-end tests of the `sss` command-line tool.
 
+use sketch_sampled_streams::core::wire::Head;
 use std::io::Write;
 use std::process::Command;
 
@@ -405,40 +406,61 @@ fn multi_snapshots_save_merge_and_load_across_processes() {
         .unwrap();
     assert_eq!(mixed.status.code(), Some(1));
 
-    // A snapshot in the parent's format (format 2: a KLL body without the
-    // sampler seed) is refused from its head — `load` and `merge-snapshots`
-    // say which format they found and exit 1, on either side of a merge.
-    let current = std::fs::read_to_string(path("a.sss")).unwrap();
-    assert!(
-        current.contains("\"format\":3"),
-        "multi snapshots are format 3"
-    );
+    // A snapshot in an older format is refused: `load` and
+    // `merge-snapshots` say which format they found and exit 1, on either
+    // side of a merge. A binary head naming format 3 is refused by its
+    // format; a file of the JSON generation (format 3 and before) by its
+    // first byte.
+    let current = std::fs::read(path("a.sss")).unwrap();
+    let (head, body) = Head::open(&current).unwrap();
+    assert_eq!(head.format, 4, "multi snapshots are format 4");
+    let v3 = Head {
+        format: 3,
+        ..head.clone()
+    };
+    std::fs::write(path("a-v3.sss"), v3.seal(body)).unwrap();
     std::fs::write(
-        path("a-v2.sss"),
-        current.replacen("\"format\":3", "\"format\":2", 1),
+        path("a-json.sss"),
+        format!(
+            "{{\"kind\":\"multi\",\"format\":3,\"fingerprint\":{},\"body\":{{\"join\":{{}}}}}}",
+            v3.fingerprint
+        ),
     )
     .unwrap();
-    let refusals = [
-        vec!["load".to_string(), path("a-v2.sss")],
-        vec![
-            "merge-snapshots".to_string(),
-            path("a-v2.sss"),
-            path("b.sss"),
-        ],
-        vec![
-            "merge-snapshots".to_string(),
-            path("b.sss"),
-            path("a-v2.sss"),
-        ],
-    ];
-    for args in refusals {
-        let out = sss().args(&args).output().unwrap();
-        assert_eq!(out.status.code(), Some(1), "{args:?}");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            stderr.contains("multi v2") && stderr.contains("multi v3"),
-            "{args:?}: {stderr}"
-        );
+    for (old, says) in [
+        ("a-v3.sss", ["multi v3", "multi v4"]),
+        ("a-json.sss", ["JSON", "binary"]),
+    ] {
+        let refusals = [
+            vec!["load".to_string(), path(old)],
+            vec!["merge-snapshots".to_string(), path(old), path("b.sss")],
+            vec!["merge-snapshots".to_string(), path("b.sss"), path(old)],
+        ];
+        for args in refusals {
+            let out = sss().args(&args).output().unwrap();
+            assert_eq!(out.status.code(), Some(1), "{args:?}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                stderr.starts_with("error:") && says.iter().all(|s| stderr.contains(s)),
+                "{args:?}: {stderr}"
+            );
+        }
+    }
+
+    // A truncated snapshot is refused as well, not a panic; and so is a
+    // head that names another configuration than its body, before `load`
+    // prints a fingerprint the body does not have.
+    let other = Head {
+        fingerprint: head.fingerprint ^ 1,
+        ..head
+    };
+    std::fs::write(path("a-cut.sss"), &current[..100]).unwrap();
+    std::fs::write(path("a-other.sss"), other.seal(body)).unwrap();
+    for bad in ["a-cut.sss", "a-other.sss"] {
+        let out = sss().args(["load", &path(bad)]).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{bad}");
+        assert!(out.stdout.is_empty(), "{bad}");
+        assert!(String::from_utf8_lossy(&out.stderr).starts_with("error:"));
     }
 }
 

@@ -488,9 +488,8 @@ fn quantile_responses_never_straddle_frames_under_ingest() {
         if !line.contains("\"ok\":true") {
             return; // nothing ingested yet: no value to report
         }
-        let field = |name: &str| {
-            sss_core::wire::f64_of(protocol::response_u64(&line, name).expect("bits field"))
-        };
+        let field =
+            |name: &str| f64::from_bits(protocol::response_u64(&line, name).expect("bits field"));
         let (lo, value, hi) = (field("lo_bits"), field("value_bits"), field("hi_bits"));
         assert!(lo <= value && value <= hi, "straddled: {line}");
         *answered += 1;

@@ -1,18 +1,19 @@
 //! Test helper: a KLL summary's level structure, read off its own snapshot
 //! (public API only), and the sampler's invariant stated over it.
 
+use sketch_sampled_streams::core::wire::Head;
 use sketch_sampled_streams::core::Portable;
 use sketch_sampled_streams::sketch::KllSketch;
+use sketch_sampled_streams::xi::Reader;
 
-/// How many items each level holds (`"compactors":[[..],[..]],"k":..`).
+/// How many items each level holds: the body's leading field is the
+/// level count, then each level's items.
 pub fn level_sizes(kll: &KllSketch) -> Vec<usize> {
-    let text = String::from_utf8(kll.encode().unwrap()).unwrap();
-    let from = text.find("\"compactors\":[[").unwrap() + "\"compactors\":[[".len();
-    let to = from + text[from..].find("]],\"k\"").unwrap();
-    text[from..to]
-        .split("],[")
-        .map(|level| level.split(',').filter(|item| !item.is_empty()).count())
-        .collect()
+    let bytes = kll.encode().unwrap();
+    let (_, body) = Head::open(&bytes).unwrap();
+    let mut r = Reader::new(body);
+    let levels = r.count(1).unwrap();
+    (0..levels).map(|_| r.u64s().unwrap().len()).collect()
 }
 
 /// How many of `levels` levels sample: those whose capacity formula
