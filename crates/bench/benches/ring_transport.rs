@@ -1,7 +1,7 @@
 //! Microbenchmarks of the SPSC ring transport underneath the sharded
 //! runtime.
 //!
-//! Three cases isolate the layers the runtime composes:
+//! Two cases isolate the layers the runtime composes:
 //!
 //! * `spsc_uncontended` — one thread pushes and pops `u64`s through a
 //!   [`ring`](sss_stream::ring::ring): the raw slot protocol (two atomic
@@ -10,16 +10,10 @@
 //!   a consumer thread through the ring while a recycle ring returns
 //!   buffers, the exact buffer circulation of the runtime's ingest lane:
 //!   steady state allocates nothing.
-//! * `control_queue` — out-of-band [`ControlQueue`] sends against an
-//!   idle parked worker, the path a snapshot request takes: the cost is
-//!   one mutex push plus one wake.
-//!
-//! [`ControlQueue`]: sss_stream::ring::ControlQueue
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use sss_stream::ring::{ring, ControlQueue};
+use sss_stream::ring::ring;
 use std::hint::black_box;
-use std::sync::Arc;
 use std::thread;
 
 const DEPTH: usize = 8;
@@ -80,45 +74,5 @@ fn spsc_cross_thread(c: &mut Criterion) {
     group.finish();
 }
 
-fn control_queue(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ring_transport");
-    group.throughput(Throughput::Elements(256));
-    group.bench_function("control_queue", |b| {
-        b.iter(|| {
-            let (tx, mut rx) = ring::<u64>(DEPTH);
-            let ctrl = Arc::new(ControlQueue::<u64>::new(rx.parker()));
-            let worker_ctrl = Arc::clone(&ctrl);
-            let worker = thread::spawn(move || {
-                let mut seen = 0u64;
-                loop {
-                    while let Some(msg) = worker_ctrl.try_recv() {
-                        seen += msg;
-                    }
-                    match rx.try_pop() {
-                        Some(_) => {}
-                        None if rx.is_closed() => break,
-                        None => thread::yield_now(),
-                    }
-                }
-                while let Some(msg) = worker_ctrl.try_recv() {
-                    seen += msg;
-                }
-                seen
-            });
-            for i in 0..256u64 {
-                ctrl.send(i);
-            }
-            drop(tx);
-            black_box(worker.join().expect("worker exits cleanly"))
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(
-    ring_transport,
-    spsc_uncontended,
-    spsc_cross_thread,
-    control_queue
-);
+criterion_group!(ring_transport, spsc_uncontended, spsc_cross_thread);
 criterion_main!(ring_transport);

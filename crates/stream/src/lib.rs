@@ -6,11 +6,13 @@
 //! * [`runtime`] — the persistent sharded runtime: a pool of shard
 //!   workers behind bounded queues, merging to the sequential sketch bit
 //!   for bit (the paper's §VI-C multi-core observation, made long-lived);
-//! * [`ring`] — the lock-free SPSC ring buffers and the out-of-band
-//!   control queue the runtime's ingest lanes are built from;
+//! * [`ring`] — the lock-free SPSC ring buffers the runtime's ingest
+//!   lanes are built from, and the lock-free [`Watch`](ring::Watch) a
+//!   worker checks its ring through before it takes its shard's lock;
 //! * [`snapshot`] — the versioned incremental snapshot cache behind
-//!   `merged()`: repeated at-all-times queries re-clone only shards
-//!   dirtied since the previous query;
+//!   `merged()`: a repeated at-all-times query is served from the cached
+//!   merge until a shard has applied past it, and a rebuild merges the
+//!   live shards, caught up by the query itself, without copying one;
 //! * [`adaptive`] — the quantized rate controller that picks the
 //!   shedding probability `p` on line.
 //!

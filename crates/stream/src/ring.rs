@@ -54,7 +54,6 @@
 //! shrink their iteration counts under `cfg(miri)`).
 
 use std::cell::UnsafeCell;
-use std::collections::VecDeque;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -189,9 +188,9 @@ struct Shared<T> {
     closed: AtomicBool,
     /// Park slot of a producer blocked on a full ring.
     producer: Parker,
-    /// Park slot of a consumer blocked on an empty ring. Shared with the
-    /// runtime's control path (see [`Consumer::parker`]).
-    consumer: Arc<Parker>,
+    /// Park slot of a consumer blocked on an empty ring, or of the one
+    /// thread waiting on it through a [`Watch`].
+    consumer: Parker,
 }
 
 // SAFETY: the ring moves `T` values across threads (so `T: Send` is
@@ -278,7 +277,7 @@ pub fn ring<T>(capacity: usize) -> (Producer<T>, Consumer<T>) {
         tail: CachePadded(AtomicUsize::new(0)),
         closed: AtomicBool::new(false),
         producer: Parker::new(),
-        consumer: Arc::new(Parker::new()),
+        consumer: Parker::new(),
     });
     (
         Producer {
@@ -438,12 +437,43 @@ impl<T> Consumer<T> {
         self.len() == 0
     }
 
-    /// This consumer's park slot, shared so an out-of-band signal (the
-    /// runtime's snapshot control queue) can wake a worker parked on an
-    /// empty data ring. The waiter must fold the out-of-band condition
-    /// into the `ready` closure it passes to [`Backoff::snooze`].
-    pub fn parker(&self) -> Arc<Parker> {
-        Arc::clone(&self.shared.consumer)
+    /// A lock-free look at this ring for a thread that does not hold the
+    /// consumer (see [`Watch`]).
+    pub fn watch(&self) -> Watch<T> {
+        Watch {
+            shared: Arc::clone(&self.shared),
+        }
+    }
+}
+
+/// A lock-free look at a ring whose [`Consumer`] sits behind a lock that
+/// several threads take in turn: whether a value waits, whether the
+/// producer hung up, and the consumer side's park slot to wait on until
+/// either changes. The runtime's shard worker checks its data ring
+/// through one before it takes the shard lock, so an idle worker never
+/// touches that lock.
+pub struct Watch<T> {
+    shared: Arc<Shared<T>>,
+}
+
+impl<T> Watch<T> {
+    /// Whether the ring holds no values right now.
+    pub fn is_empty(&self) -> bool {
+        let s = &*self.shared;
+        s.tail.0.load(Ordering::Acquire) == s.head.0.load(Ordering::Acquire)
+    }
+
+    /// Whether either side has hung up (the ring may still hold values).
+    pub fn is_closed(&self) -> bool {
+        self.shared.closed.load(Ordering::SeqCst)
+    }
+
+    /// Wait one step of `backoff` for a value or a hang-up. Only one
+    /// thread may wait on a ring's consumer side.
+    pub fn snooze(&self, backoff: &mut Backoff) {
+        backoff.snooze(&self.shared.consumer, || {
+            self.is_closed() || !self.is_empty()
+        });
     }
 }
 
@@ -472,52 +502,10 @@ impl<T> std::fmt::Debug for Consumer<T> {
     }
 }
 
-/// A multi-producer control queue sharing a worker's [`Parker`]: the
-/// runtime's out-of-band lane for snapshot requests, deliberately **not**
-/// the SPSC ring (control is many-producers-to-one-worker and must never
-/// compete with data for ring slots — that separation is what makes
-/// "snapshot routed through the overflow leg" unrepresentable).
-///
-/// A mutex guards the queue; that is fine because control traffic is one
-/// message per *query*, not per batch.
-#[derive(Debug)]
-pub struct ControlQueue<M> {
-    queue: Mutex<VecDeque<M>>,
-    /// The worker's park slot (the data-ring consumer's), so a control
-    /// message can wake a worker parked on an empty data ring.
-    waker: Arc<Parker>,
-}
-
-impl<M> ControlQueue<M> {
-    /// A control queue waking `waker` (the worker's data-ring parker) on
-    /// every message.
-    pub fn new(waker: Arc<Parker>) -> Self {
-        Self {
-            queue: Mutex::new(VecDeque::new()),
-            waker,
-        }
-    }
-
-    /// Enqueue a control message and wake the worker if it is parked.
-    pub fn send(&self, msg: M) {
-        self.queue.lock().expect("control queue").push_back(msg);
-        self.waker.wake();
-    }
-
-    /// Dequeue the oldest control message, if any.
-    pub fn try_recv(&self) -> Option<M> {
-        self.queue.lock().expect("control queue").pop_front()
-    }
-
-    /// Whether a control message is waiting (used in park re-checks).
-    pub fn is_ready(&self) -> bool {
-        !self.queue.lock().expect("control queue").is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::VecDeque;
     use std::sync::atomic::AtomicU64;
 
     /// Iteration counts shrink under Miri (it interprets every memory
@@ -664,30 +652,27 @@ mod tests {
         assert_eq!(got, (0..rounds).collect::<Vec<_>>());
     }
 
-    /// The control queue wakes a worker parked on an empty data ring.
+    /// A thread waiting through a [`Watch`] is woken by a push even
+    /// though the consumer it pops with sits behind a mutex.
     #[test]
-    fn control_queue_wakes_a_parked_worker() {
-        let (tx, mut rx) = ring::<u64>(4);
-        let ctrl = Arc::new(ControlQueue::<&'static str>::new(rx.parker()));
-        let worker_ctrl = Arc::clone(&ctrl);
+    fn a_watch_wakes_on_a_push_to_a_locked_consumer() {
+        let (mut tx, rx) = ring::<u64>(4);
+        let watch = rx.watch();
+        let rx = Arc::new(Mutex::new(rx));
+        let worker_rx = Arc::clone(&rx);
         let worker = std::thread::spawn(move || {
             let mut backoff = Backoff::new();
-            loop {
-                if let Some(msg) = worker_ctrl.try_recv() {
-                    return msg;
-                }
-                if rx.try_pop().is_some() || rx.is_closed() {
-                    continue;
-                }
-                let parker = rx.parker();
-                backoff.snooze(&parker, || worker_ctrl.is_ready() || rx.is_closed());
+            while watch.is_empty() {
+                watch.snooze(&mut backoff);
             }
+            worker_rx.lock().unwrap().try_pop()
         });
         // Give the worker time to escalate all the way to parking.
         std::thread::sleep(Duration::from_millis(if cfg!(miri) { 1 } else { 20 }));
-        ctrl.send("snapshot");
-        assert_eq!(worker.join().unwrap(), "snapshot");
+        tx.try_push(7).unwrap();
+        assert_eq!(worker.join().unwrap(), Some(7));
         drop(tx);
+        assert!(rx.lock().unwrap().watch().is_closed());
     }
 
     /// Model-based check: a random push/pop interleaving agrees with a

@@ -10,11 +10,10 @@
 //! [`ShardedRuntime::new`] → `push` → [`ShardedRuntime::into_merged`]).
 //!
 //! ```text
-//!              ┌─ data ring ─▶ worker 0 ─ owns shard sketch E₀
-//! push_batch ──┼─ data ring ─▶ worker 1 ─ owns shard sketch E₁   ⇠ recycle
-//!  (partition) └─ data ring ─▶ worker 2 ─ owns shard sketch E₂     rings
-//!                      ▲ control queue (snapshot requests)
-//!  merged() ── dirty shards only ──▶ per-shard table ──▶ E₀ ⊕ E₁ ⊕ E₂
+//!              ┌─ data ring ─▶ worker 0 ─┐
+//! push_batch ──┼─ data ring ─▶ worker 1 ─┼─ each applies runs to its shard core,  ⇠ recycle
+//!  (partition) └─ data ring ─▶ worker 2 ─┘  Mutex<Option<ShardCore>> (E₀, E₁, E₂)    rings
+//!  merged() ── lock shard s, apply what is queued below its floor, merge it in ──▶ E₀ ⊕ E₁ ⊕ E₂
 //!  read_replica() ── the cached E₀ ⊕ E₁ ⊕ E₂, lent ─▶ slim() ─▶ Arc ─▶ every reader
 //! ```
 //!
@@ -23,29 +22,26 @@
 //!
 //! * **Transport** — each shard lane is a pair of lock-free SPSC
 //!   [`ring`] buffers: a *data* ring carrying batch buffers (keys plus
-//!   an offered count, no command enum) to the worker, and a reverse
+//!   an offered count, no command enum) to the shard, and a reverse
 //!   *recycle* ring returning emptied buffers to the producer. Steady-state ingest
 //!   therefore performs **zero heap allocations per batch**
 //!   ([`ShardedRuntime::pool_stats`] proves it) and a push is a handful
 //!   of atomics, not a `sync_channel` futex round-trip. The rings are
-//!   **bounded** (`queue_depth` batches each), and a worker coalesces
-//!   what is queued into runs of at most [`RUN_TUPLES`] tuples plus one
-//!   batch, so a shard holds `O(queue_depth · max(batch, RUN_TUPLES))`
-//!   tuples in buffers however fast the producer is (see `shard_worker`).
-//! * **Queries** — snapshot requests travel on a separate per-shard
-//!   control queue, so a query can *never* be routed through the data
-//!   ring's overflow leg (the old transport had a dead
-//!   `Full(Cmd::Snapshot)` match arm to that effect; the split makes the
-//!   confusion unrepresentable at the type level). Each worker bumps a
-//!   per-shard **dirty epoch** after every applied batch, and
-//!   [`merged`](ShardedRuntime::merged) re-clones only shards whose epoch
-//!   moved since the previous query, installs the clones in a per-shard
-//!   table and merges the table again in shard order
-//!   ([`snapshot`](crate::snapshot)). A repeated at-all-times query with
-//!   no intervening ingest costs one clone — O(sketch bytes), independent
-//!   of the shard count. [`ReadReplica`]s go one step further: the cached
-//!   merged result is projected once, in place ([`SlimQuery::slim`]; no
-//!   copy of it is taken), and every reader shares that projection by
+//!   **bounded** (`queue_depth` batches each), and a run coalesces what
+//!   is queued up to at most [`RUN_TUPLES`] tuples plus one batch, so a
+//!   shard holds `O(queue_depth · max(batch, RUN_TUPLES))` tuples in
+//!   buffers however fast the producer is (see `ShardCore::apply_run`).
+//! * **Queries** — a shard's summary, the consumer ends of its rings and
+//!   its run buffer are one *shard core* behind a mutex, under which the
+//!   worker applies each run. A query takes the shard locks in shard
+//!   order, applies what is still queued below its floor itself (the same
+//!   `apply_run`, so the same runs and bits) and merges the live summary
+//!   into one copy of the prototype: no request, no copy of a shard, no
+//!   wake-up to wait for. The cache ([`snapshot`](crate::snapshot)) serves
+//!   that merge until a shard's accepted-batch count moves past it, so a
+//!   repeated query with no intervening ingest costs one copy of the
+//!   answer. [`ReadReplica`]s project the cached merge once, in place
+//!   ([`SlimQuery::slim`]), and every reader shares the projection by
 //!   pointer.
 //!
 //! * [`push`](ShardedRuntime::push) blocks when a ring is full
@@ -55,10 +51,11 @@
 //!   [`EpochShedder`](sss_core::EpochShedder) (one `Sampled<JoinSketch>`
 //!   cell per rate); its `self_join_estimate_over(&merged)` stays
 //!   unbiased under sustained overload.
-//! * [`merged`](ShardedRuntime::merged) reflects exactly the tuples
-//!   accepted before the call: each snapshot request carries the shard's
-//!   accepted-batch count and the worker answers only once it has applied
-//!   at least that many — the at-all-times query, without a full barrier.
+//! * [`merged`](ShardedRuntime::merged) reflects at least every tuple
+//!   accepted before the call — the at-all-times query, without a barrier.
+//! * A summary that panics, on the worker or on a query applying a run,
+//!   empties its shard core, which closes the shard's rings: every later
+//!   push or query needing the shard is [`StreamError::ShardDisconnected`].
 //! * [`query_handle`](ShardedRuntime::query_handle) returns a cloneable
 //!   [`QueryHandle`] so queries can run from other threads *while* the
 //!   owner keeps pushing — the read-path/write-path separation SF-sketch
@@ -90,15 +87,16 @@
 //! ```
 
 use crate::error::{Result, StreamError};
-use crate::ring::{self, Backoff, ControlQueue};
-use crate::snapshot::{CacheStats, ReplicaFrame, ReplicaHub, SnapshotCache};
+use crate::ring::{self, Backoff};
+use crate::snapshot::{CacheStats, ReplicaFrame, ReplicaHub, SnapshotCache, Stamp};
 use sss_core::{Estimate, JoinQuery, SlimQuery, Summary};
 use sss_sampling::{staleness_variance_plugin, Door};
 use sss_xi::splitmix64;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// How [`ShardedRuntime::push`] routes tuples to shard workers.
 ///
@@ -158,16 +156,16 @@ impl RuntimeConfig {
     }
 }
 
-/// A snapshot request on a shard's control queue: "reply with your
-/// estimator once you have applied at least `min` batches". Carrying the
-/// floor instead of queueing behind data gives the same exactness as the
-/// old in-band barrier — every batch accepted before the query is
-/// reflected — without a `Cmd` enum sharing the data path.
-struct SnapshotReq<E> {
-    /// The shard's accepted-batch count at request time.
-    min: u64,
-    /// Where to send `(applied_epoch, clone)` once `applied ≥ min`.
-    reply: mpsc::Sender<(u64, E)>,
+/// A shard's summary with the consumer ends of its lane: everything that
+/// applying a run touches, so whoever holds the shard lock — the worker,
+/// or a query catching the shard up — applies runs the same way.
+struct ShardCore<E> {
+    est: E,
+    data: ring::Consumer<Batch>,
+    recycle: ring::Producer<Vec<u64>>,
+    /// The coalesced run; empty between runs. The shard's one buffer that
+    /// grows past what a producer put in a batch.
+    run: Vec<u64>,
 }
 
 /// Per-shard state shared between the producer, the worker, and queriers.
@@ -175,33 +173,76 @@ struct ShardState<E> {
     /// Batches successfully enqueued on this shard's data ring
     /// (producer-bumped, immediately after the ring push).
     accepted: AtomicU64,
-    /// Batches the worker has claimed off the data ring. The occupancy
-    /// gauges read `accepted − applied` as "batches still queued", so the
-    /// worker bumps this as buffers *leave the ring* (a coalesced run
-    /// claims each buffer on pop), keeping the structural
-    /// `≤ depth + 1` high-water bound. Snapshot floors never read this:
-    /// they use the worker-local counter, which only advances after
-    /// `update_admitted` lands.
+    /// Batches popped off the data ring, under the core lock and in the
+    /// critical section that applies them: under the lock, what the
+    /// summary reflects; without it, `accepted − applied` is the
+    /// occupancy gauge (high water `≤ depth + 1`).
     applied: AtomicU64,
-    /// Tuples offered to this shard that the worker has applied: a
-    /// batch's offered count, kept or not (the door's `seen`), bumped
-    /// after `update_admitted`, so the gauge counts work done rather than
-    /// work promised.
+    /// Tuples offered to this shard that are applied: a batch's offered
+    /// count, kept or not (the door's `seen`), bumped after
+    /// `update_admitted` under the core lock, so the gauge counts work
+    /// done rather than work promised.
     ingested: AtomicU64,
-    /// Cleared when the worker exits (normally or by panic), so queriers
-    /// waiting on a snapshot reply can fail over to
-    /// [`StreamError::ShardDisconnected`] instead of waiting forever.
-    live: AtomicBool,
-    /// The out-of-band snapshot lane, waking the worker through its
-    /// data-ring parker.
-    ctrl: ControlQueue<SnapshotReq<E>>,
+    /// The floor of the query waiting for or holding the core lock (at
+    /// most one: queries serialize on the cache lock), else `u64::MAX`.
+    /// A busy worker applies runs up to it, keeping the summary in its own
+    /// cache, then leaves the lock to the query; an idle one is not waited
+    /// for — the query applies the runs itself.
+    query_floor: AtomicU64,
+    /// `None` once the shard is dead (a summary panicked) or
+    /// [`into_merged`](ShardedRuntime::into_merged) took it.
+    core: Mutex<Option<ShardCore<E>>>,
+}
+
+impl<E: Summary> ShardState<E> {
+    /// Lock the shard core, recovering from poison: a querier that panics
+    /// in `merge_from` held the lock but only read the summary. A panic
+    /// while applying never poisons it (see
+    /// [`apply_next`](Self::apply_next)).
+    fn lock_core(&self) -> MutexGuard<'_, Option<ShardCore<E>>> {
+        self.core.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Under the core lock: apply the run at the head of the data ring, if
+    /// one is queued. A summary that panics empties the core.
+    fn apply_next(&self, core: &mut Option<ShardCore<E>>) -> bool {
+        let Some(live) = core else {
+            return false;
+        };
+        let Some(head) = live.data.try_pop() else {
+            return false;
+        };
+        let run = AssertUnwindSafe(|| live.apply_run(head, &self.applied, &self.ingested));
+        if catch_unwind(run).is_err() {
+            *core = None;
+            return false;
+        }
+        true
+    }
+}
+
+/// Posts a query's floor in its shard's `query_floor` for as long as it
+/// lives.
+struct Waiting<'a>(&'a AtomicU64);
+
+impl<'a> Waiting<'a> {
+    fn new(query_floor: &'a AtomicU64, floor: u64) -> Self {
+        query_floor.store(floor, Ordering::Release);
+        Self(query_floor)
+    }
+}
+
+impl Drop for Waiting<'_> {
+    fn drop(&mut self) {
+        self.0.store(u64::MAX, Ordering::Release);
+    }
 }
 
 /// State shared by the runtime, its workers, and every [`QueryHandle`].
 struct RuntimeShared<E> {
     config: RuntimeConfig,
     /// The empty estimator the shards' copies came from (schema seeds),
-    /// and the zero their snapshots merge into. Under a mutex so only
+    /// and the zero their states merge into. Under a mutex so only
     /// `E: Send` is required of the estimator.
     prototype: Mutex<E>,
     shards: Vec<ShardState<E>>,
@@ -221,19 +262,10 @@ struct RuntimeShared<E> {
 impl<E: Summary> RuntimeShared<E> {
     /// Lock the snapshot cache, recovering from poison. A querier thread
     /// can panic while holding this lock (estimator `Clone`/`merge_from`
-    /// run user code), possibly leaving a half-refreshed cache behind.
-    /// The cache is pure derived state, so recovery is to reset it and
-    /// let the next query rebuild from the live shards — subsequent
-    /// queries must degrade to a full re-merge, never to a panic.
+    /// run user code), but a rebuild installs its merge only once it is
+    /// whole, so a poisoned cache is still a consistent one.
     fn lock_cache(&self) -> MutexGuard<'_, SnapshotCache<E>> {
-        match self.cache.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => {
-                let mut guard = poisoned.into_inner();
-                *guard = SnapshotCache::new(self.config.shards);
-                guard
-            }
-        }
+        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Lock the prototype, recovering from poison. The prototype is only
@@ -275,66 +307,49 @@ impl<E: Summary> RuntimeShared<E> {
 
     /// The incremental at-all-times query, as one owned copy.
     fn merged(&self) -> Result<E> {
-        self.with_merged(E::clone)
+        self.with_merged(|merged, _| merged.clone())
     }
 
     /// The incremental at-all-times query, read in place. See the module
-    /// docs: only shards whose dirty epoch moved past the cached stamp are
-    /// asked for a fresh clone; the cache installs them, re-merges its
-    /// table and lends `read` the result under the cache lock.
-    fn with_merged<T>(&self, read: impl FnOnce(&E) -> T) -> Result<T> {
+    /// docs: the cached merge is served while every shard's floor is at or
+    /// below what it reflects; otherwise each shard in turn is caught up
+    /// to its floor under its lock and merged into one copy of the
+    /// prototype, which the cache keeps. `read` gets the merge, under the
+    /// cache lock, with what it reflects.
+    fn with_merged<T>(&self, read: impl FnOnce(&E, Stamp) -> T) -> Result<T> {
         // Holding the cache lock for the whole query serializes
         // concurrent handles.
         let mut cache = self.lock_cache();
-        let mut fetches = Vec::new();
-        for (shard, state) in self.shards.iter().enumerate() {
-            let target = state.accepted.load(Ordering::Acquire);
-            let clean = cache
-                .shard_version(shard)
-                .map_or(target == 0, |v| v >= target);
-            if clean {
-                continue;
+        let floors: Vec<u64> = self
+            .shards
+            .iter()
+            .map(|s| s.accepted.load(Ordering::Acquire))
+            .collect();
+        if let Some((merged, stamp)) = cache.hit(&floors) {
+            return Ok(read(merged, stamp));
+        }
+        let mut merged = self.lock_prototype().clone();
+        let mut stamps = Vec::with_capacity(floors.len());
+        for (shard, (state, &floor)) in self.shards.iter().zip(&floors).enumerate() {
+            let _waiting = Waiting::new(&state.query_floor, floor);
+            let mut core = state.lock_core();
+            while state.applied.load(Ordering::Relaxed) < floor && state.apply_next(&mut core) {}
+            let live = core
+                .as_ref()
+                .ok_or(StreamError::ShardDisconnected { shard })?;
+            let stamp = Stamp {
+                batches: state.applied.load(Ordering::Relaxed),
+                tuples: state.ingested.load(Ordering::Relaxed),
+            };
+            // A shard that has applied no batch holds no tuple: it is
+            // left out rather than merged as an empty copy.
+            if stamp.batches > 0 {
+                merged.merge_from(&live.est)?;
             }
-            let (tx, rx) = mpsc::channel();
-            state.ctrl.send(SnapshotReq {
-                min: target,
-                reply: tx,
-            });
-            fetches.push((shard, rx));
+            stamps.push(stamp);
         }
-        let mut fresh = Vec::with_capacity(fetches.len());
-        for (shard, rx) in fetches {
-            let (version, clone) = self.fetch_snapshot(shard, &rx)?;
-            fresh.push((shard, version, clone));
-        }
-        // Lent, not cloned: only a rebuild copies the prototype, and its
-        // lock is released before `read` runs.
-        let merged = cache
-            .refresh(&self.lock_prototype(), fresh)
-            .map_err(StreamError::Estimator)?;
-        Ok(read(merged))
-    }
-
-    /// Wait for a shard's snapshot reply, failing over to
-    /// [`StreamError::ShardDisconnected`] if the worker dies.
-    fn fetch_snapshot(&self, shard: usize, rx: &mpsc::Receiver<(u64, E)>) -> Result<(u64, E)> {
-        loop {
-            match rx.recv_timeout(Duration::from_millis(50)) {
-                Ok(reply) => return Ok(reply),
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    if !self.shards[shard].live.load(Ordering::SeqCst) {
-                        // The worker may have replied in its dying
-                        // breath; one last non-blocking look.
-                        return rx
-                            .try_recv()
-                            .map_err(|_| StreamError::ShardDisconnected { shard });
-                    }
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    return Err(StreamError::ShardDisconnected { shard });
-                }
-            }
-        }
+        let (merged, stamp) = cache.install(merged, stamps, &floors);
+        Ok(read(merged, stamp))
     }
 
     fn cache_stats(&self) -> CacheStats {
@@ -372,17 +387,14 @@ impl<E: Summary + SlimQuery> RuntimeShared<E> {
                 return Ok(frame);
             }
         }
-        // Stamp the version *before* merging: the merge reflects at least
-        // every batch accepted before the call, so the projection covers
-        // ≥ `version` batches and staleness is never understated. The
-        // projection reads the cache's merged result in place.
-        let version = self.accepted_total();
-        let (applied, slim) = self.with_merged(|fat| (self.tuples_ingested(), fat.slim()))?;
-        let frame = ReplicaFrame {
-            version,
-            applied,
-            slim: Arc::new(slim),
-        };
+        // The frame is stamped with the batches and tuples of the shard
+        // states actually merged, read under their locks: at least every
+        // batch accepted before the call, and nothing applied after.
+        let frame = self.with_merged(|fat, stamp| ReplicaFrame {
+            version: stamp.batches,
+            applied: stamp.tuples,
+            slim: Arc::new(fat.slim()),
+        })?;
         self.replica.publish(frame.clone());
         Ok(frame)
     }
@@ -446,7 +458,7 @@ pub struct PoolStats {
 pub struct ShardedRuntime<E: Summary> {
     shared: Arc<RuntimeShared<E>>,
     lanes: Vec<IngestLane>,
-    handles: Vec<JoinHandle<E>>,
+    handles: Vec<JoinHandle<()>>,
     /// Next shard for [`Partition::RoundRobin`].
     cursor: usize,
     /// Per-shard scatter buffers for [`Partition::Hash`]; these circulate
@@ -466,36 +478,39 @@ impl<E: Summary> ShardedRuntime<E> {
     pub fn new(config: RuntimeConfig, prototype: &E) -> Result<Self> {
         config.validate()?;
         let mut lanes = Vec::with_capacity(config.shards);
-        let mut consumers = Vec::with_capacity(config.shards);
+        let mut watches = Vec::with_capacity(config.shards);
         let mut states = Vec::with_capacity(config.shards);
         for shard in 0..config.shards {
-            let worker_est = prototype.for_shard(shard);
+            let est = prototype.for_shard(shard);
             let (data_tx, data_rx) = ring::ring::<Batch>(config.queue_depth);
             // The recycle ring holds every buffer that can circulate:
-            // `queue_depth` in the data ring + one in the worker's hands
-            // + one being filled by the producer, with headroom so the
-            // worker never has to drop a buffer on a full recycle ring.
+            // `queue_depth` in the data ring + one being applied + one
+            // being filled by the producer, with headroom so a run never
+            // has to drop a buffer on a full recycle ring.
             let (recycle_tx, recycle_rx) = ring::ring::<Vec<u64>>(config.queue_depth + 4);
-            states.push(ShardState {
-                accepted: AtomicU64::new(0),
-                applied: AtomicU64::new(0),
-                ingested: AtomicU64::new(0),
-                live: AtomicBool::new(true),
-                // Control messages wake the worker through the same
-                // parker it uses when the data ring runs empty.
-                ctrl: ControlQueue::new(data_rx.parker()),
-            });
             lanes.push(IngestLane {
                 data: data_tx,
                 recycle: recycle_rx,
                 spare: Vec::new(),
-                door: worker_est.door(),
+                door: est.door(),
             });
-            consumers.push((worker_est, data_rx, recycle_tx));
+            watches.push(data_rx.watch());
+            states.push(ShardState {
+                accepted: AtomicU64::new(0),
+                applied: AtomicU64::new(0),
+                ingested: AtomicU64::new(0),
+                query_floor: AtomicU64::new(u64::MAX),
+                core: Mutex::new(Some(ShardCore {
+                    est,
+                    data: data_rx,
+                    recycle: recycle_tx,
+                    run: Vec::new(),
+                })),
+            });
         }
         let shared = Arc::new(RuntimeShared {
             config,
-            // The merge zero the shard snapshots merge into.
+            // The merge zero the shard states merge into.
             prototype: Mutex::new(prototype.clone()),
             shards: states,
             cache: Mutex::new(SnapshotCache::new(config.shards)),
@@ -504,11 +519,11 @@ impl<E: Summary> ShardedRuntime<E> {
             started: Instant::now(),
         });
         let mut handles = Vec::with_capacity(config.shards);
-        for (shard, (worker_est, data_rx, recycle_tx)) in consumers.into_iter().enumerate() {
+        for (shard, watch) in watches.into_iter().enumerate() {
             let worker_shared = Arc::clone(&shared);
             let handle = std::thread::Builder::new()
                 .name(format!("sss-shard-{shard}"))
-                .spawn(move || shard_worker(shard, worker_est, data_rx, recycle_tx, worker_shared))
+                .spawn(move || shard_worker(&worker_shared.shards[shard], &watch))
                 .expect("spawning a shard worker thread");
             handles.push(handle);
         }
@@ -555,7 +570,7 @@ impl<E: Summary> ShardedRuntime<E> {
     /// counter *after* applying a run, so this lags
     /// [`push`](Self::push) while batches sit in rings. After a
     /// [`merged`](Self::merged) call returns, the gauge covers every tuple
-    /// accepted before it (the snapshot floor quiesces each shard).
+    /// accepted before it (the query catches each shard up to its floor).
     pub fn tuples_ingested(&self) -> u64 {
         self.shared.tuples_ingested()
     }
@@ -769,7 +784,7 @@ impl<E: Summary> ShardedRuntime<E> {
     ///
     /// # Errors
     ///
-    /// [`StreamError::ShardDisconnected`] if a worker thread has died.
+    /// [`StreamError::ShardDisconnected`] if a shard's summary panicked.
     pub fn push_loaned(&mut self, mut batch: Vec<u64>) -> Result<()> {
         if batch.is_empty() {
             self.lanes[self.cursor].spare.push(batch);
@@ -796,7 +811,7 @@ impl<E: Summary> ShardedRuntime<E> {
     ///
     /// # Errors
     ///
-    /// [`StreamError::ShardDisconnected`] if a worker thread has died.
+    /// [`StreamError::ShardDisconnected`] if a shard's summary panicked.
     pub fn push(&mut self, keys: &[u64]) -> Result<()> {
         self.offer(keys, None).map(drop)
     }
@@ -808,21 +823,20 @@ impl<E: Summary> ShardedRuntime<E> {
     /// overflow — fed to an [`EpochShedder`](sss_core::EpochShedder), it
     /// keeps the combined estimate
     /// ([`self_join_estimate_over`](sss_core::EpochShedder::self_join_estimate_over)
-    /// of the merged sketch) unbiased. (Snapshot traffic rides a
-    /// separate control queue and can never land here — see the module
-    /// docs.)
+    /// of the merged sketch) unbiased. (A query never rides the data
+    /// ring, so it can never land here — see the module docs.)
     ///
     /// # Errors
     ///
-    /// [`StreamError::ShardDisconnected`] if a worker thread has died.
+    /// [`StreamError::ShardDisconnected`] if a shard's summary panicked.
     pub fn try_push(&mut self, keys: &[u64], overflow: &mut Vec<u64>) -> Result<u64> {
         self.offer(keys, Some(overflow))
     }
 
     /// Merge the shard estimators as of *now*: every batch accepted by
     /// [`push`](Self::push)/[`try_push`](Self::try_push) before this call
-    /// is reflected, because each snapshot request carries the shard's
-    /// accepted-batch floor.
+    /// is reflected, because the query applies whatever of each shard's
+    /// accepted batches its worker has not yet.
     ///
     /// The runtime keeps running; this is the at-all-times query, served
     /// through the incremental snapshot cache (shards untouched since the
@@ -830,29 +844,36 @@ impl<E: Summary> ShardedRuntime<E> {
     ///
     /// # Errors
     ///
-    /// [`StreamError::ShardDisconnected`] if a worker thread has died.
+    /// [`StreamError::ShardDisconnected`] if a shard's summary panicked.
     pub fn merged(&self) -> Result<E> {
         self.shared.merged()
     }
 
     /// Shut the pool down and merge the final shard estimators. Cheaper
-    /// than [`merged`](Self::merged) (no clones — workers hand back their
-    /// sketches) and the natural end-of-stream call.
+    /// than [`merged`](Self::merged) (no copy of the answer: the shards
+    /// are taken, not read) and the natural end-of-stream call.
     ///
     /// # Errors
     ///
-    /// [`StreamError::ShardDisconnected`] if a worker thread panicked.
+    /// [`StreamError::ShardDisconnected`] if a shard's summary panicked.
     pub fn into_merged(mut self) -> Result<E> {
         // Dropping the lanes closes the data rings — the shutdown signal…
         self.lanes.clear();
-        // …after which each worker drains its ring and returns its shard.
-        let handles = std::mem::take(&mut self.handles);
-        let mut merged = self.shared.lock_prototype().clone();
-        for (shard, handle) in handles.into_iter().enumerate() {
-            let shard_est = handle
+        // …after which each worker drains its ring and exits.
+        for (shard, handle) in std::mem::take(&mut self.handles).into_iter().enumerate() {
+            handle
                 .join()
                 .map_err(|_| StreamError::ShardDisconnected { shard })?;
-            merged.merge_from(&shard_est)?;
+        }
+        // Each worker left its ring drained, or its shard dead. The shards
+        // are taken: a handle that needs one later finds it disconnected.
+        let mut merged = self.shared.lock_prototype().clone();
+        for (shard, state) in self.shared.shards.iter().enumerate() {
+            let live = state
+                .lock_core()
+                .take()
+                .ok_or(StreamError::ShardDisconnected { shard })?;
+            merged.merge_from(&live.est)?;
         }
         Ok(merged)
     }
@@ -868,9 +889,10 @@ impl<E: Summary + JoinQuery> ShardedRuntime<E> {
     ///
     /// # Errors
     ///
-    /// [`StreamError::ShardDisconnected`] if a worker thread has died.
+    /// [`StreamError::ShardDisconnected`] if a shard's summary panicked.
     pub fn self_join_estimate(&self) -> Result<Estimate> {
-        self.shared.with_merged(E::self_join_estimate)
+        self.shared
+            .with_merged(|merged, _| merged.self_join_estimate())
     }
 
     /// Typed at-all-times size-of-join query against another runtime over
@@ -879,7 +901,7 @@ impl<E: Summary + JoinQuery> ShardedRuntime<E> {
     ///
     /// # Errors
     ///
-    /// [`StreamError::ShardDisconnected`] if a worker thread has died, or
+    /// [`StreamError::ShardDisconnected`] if a shard's summary panicked, or
     /// an estimator error (schema mismatch between the runtimes).
     pub fn size_of_join_estimate(&self, other: &ShardedRuntime<E>) -> Result<Estimate> {
         self.merged()?
@@ -916,9 +938,9 @@ impl<E: Summary> std::fmt::Debug for ShardedRuntime<E> {
 ///
 /// A handle outlives the runtime: after
 /// [`into_merged`](ShardedRuntime::into_merged) (or drop) it still serves
-/// queries whose cached snapshot is current, and reports
-/// [`StreamError::ShardDisconnected`] when a fresh shard clone would be
-/// needed.
+/// queries whose cached merge is current, and reports
+/// [`StreamError::ShardDisconnected`] when a shard would have to be merged
+/// again.
 pub struct QueryHandle<E: Summary> {
     shared: Arc<RuntimeShared<E>>,
 }
@@ -928,8 +950,9 @@ impl<E: Summary> QueryHandle<E> {
     ///
     /// # Errors
     ///
-    /// [`StreamError::ShardDisconnected`] if a fresh shard snapshot is
-    /// needed and that worker is gone.
+    /// [`StreamError::ShardDisconnected`] if a shard must be merged again
+    /// and it is dead or taken by
+    /// [`into_merged`](ShardedRuntime::into_merged).
     pub fn merged(&self) -> Result<E> {
         self.shared.merged()
     }
@@ -972,7 +995,8 @@ impl<E: Summary + JoinQuery> QueryHandle<E> {
     ///
     /// As for [`QueryHandle::merged`].
     pub fn self_join_estimate(&self) -> Result<Estimate> {
-        self.shared.with_merged(E::self_join_estimate)
+        self.shared
+            .with_merged(|merged, _| merged.self_join_estimate())
     }
 }
 
@@ -1000,7 +1024,7 @@ impl<E: Summary + SlimQuery> ShardedRuntime<E> {
     /// # Errors
     ///
     /// [`StreamError::ShardDisconnected`] if the initial projection needs
-    /// a shard whose worker died.
+    /// a dead shard.
     pub fn read_replica(&self, max_pending: u64) -> Result<ReadReplica<E>> {
         ReadReplica::open(Arc::clone(&self.shared), max_pending)
     }
@@ -1023,8 +1047,8 @@ impl<E: Summary + SlimQuery> QueryHandle<E> {
 /// A slim read replica on a [`ShardedRuntime`] — stage two of the
 /// two-stage read path.
 ///
-/// Instead of cloning and merging the fat shard estimators on every
-/// query (the [`merged`](ShardedRuntime::merged) path), a replica holds a
+/// Instead of merging the fat shard estimators and copying the result on
+/// every query (the [`merged`](ShardedRuntime::merged) path), a replica holds a
 /// pointer to a [`SlimQuery::Slim`] projection and swaps it for the one in
 /// the runtime's shared frame hub only when the accepted-batch counter has
 /// advanced past `max_pending`. N replicas across N query threads share
@@ -1042,9 +1066,9 @@ pub struct ReadReplica<E: Summary + SlimQuery> {
     shared: Arc<RuntimeShared<E>>,
     /// Accepted-batch staleness tolerated before a refresh is forced.
     max_pending: u64,
-    /// Accepted-batch floor of the adopted frame.
+    /// Batches the adopted frame's merge reflects.
     version: u64,
-    /// Tuples applied when the adopted frame was projected.
+    /// Offered tuples the adopted frame's merge reflects.
     applied: u64,
     slim: Arc<E::Slim>,
 }
@@ -1079,8 +1103,8 @@ impl<E: Summary + SlimQuery> ReadReplica<E> {
     ///
     /// # Errors
     ///
-    /// [`StreamError::ShardDisconnected`] if a refresh needs a shard
-    /// whose worker died.
+    /// [`StreamError::ShardDisconnected`] if a refresh needs a dead
+    /// shard.
     pub fn refresh(&mut self) -> Result<bool> {
         let target = self.shared.accepted_total();
         if target.saturating_sub(self.version) <= self.max_pending {
@@ -1108,7 +1132,8 @@ impl<E: Summary + SlimQuery> ReadReplica<E> {
         &self.slim
     }
 
-    /// Accepted-batch floor of the adopted frame.
+    /// Batches the adopted frame's merge reflects: at least every batch
+    /// accepted before it was projected.
     pub fn version(&self) -> u64 {
         self.version
     }
@@ -1217,139 +1242,96 @@ impl<E: Summary + SlimQuery> std::fmt::Debug for ReadReplica<E> {
     }
 }
 
-/// The most keys a shard worker coalesces before it stops popping the
-/// ring and applies the run: 2^16 keys are 512 KiB, a run that stays in L2
-/// next to the summary's counters. One `update_admitted` call sees fewer
-/// than this plus one producer batch. The bound is on *kept* keys, the
-/// ones on the ring: behind a [`door`](Summary::door) at rate `p` a run
-/// stands for about `1/p` times as many offered tuples.
+/// The most keys a run coalesces before it stops popping the ring and
+/// applies: 2^16 keys are 512 KiB, a run that stays in L2 next to the
+/// summary's counters. One `update_admitted` call sees fewer than this
+/// plus one producer batch. The bound is on *kept* keys, the ones on the
+/// ring: behind a [`door`](Summary::door) at rate `p` a run stands for
+/// about `1/p` times as many offered tuples.
 pub const RUN_TUPLES: usize = 1 << 16;
 
-/// The shard worker loop: apply batches from the data ring (recycling
-/// their buffers), answer control-queue snapshot requests once the
-/// requested floor is reached, and return the final estimator when the
-/// producer hangs up.
-fn shard_worker<E: Summary>(
-    shard: usize,
-    mut est: E,
-    mut data: ring::Consumer<Batch>,
-    mut recycle: ring::Producer<Vec<u64>>,
-    shared: Arc<RuntimeShared<E>>,
-) -> E {
-    /// Clears the shard's `live` flag on every exit path, panics
-    /// included, so queriers never wait on a ghost.
-    struct LiveGuard<'a>(&'a AtomicBool);
-    impl Drop for LiveGuard<'_> {
-        fn drop(&mut self) {
-            self.0.store(false, Ordering::SeqCst);
-        }
-    }
-
-    /// Answer every pending request whose floor is reached. Requests are
-    /// served in arrival order but never block one another: a request
-    /// with a lower floor is not stuck behind an unsatisfiable one.
-    fn serve<E: Summary>(pending: &mut Vec<SnapshotReq<E>>, applied: u64, est: &E) {
-        let mut i = 0;
-        while i < pending.len() {
-            if pending[i].min <= applied {
-                let req = pending.swap_remove(i);
-                // A dropped receiver just means the querier gave up.
-                let _ = req.reply.send((applied, est.clone()));
-            } else {
-                i += 1;
-            }
-        }
-    }
-
-    let state = &shared.shards[shard];
-    let _live = LiveGuard(&state.live);
-    let parker = data.parker();
-    let mut pending: Vec<SnapshotReq<E>> = Vec::new();
-    let mut applied = 0u64;
-    let mut backoff = Backoff::new();
-
-    // Apply what is queued as one batched update, up to `RUN_TUPLES`:
-    // `first` grows by the contents of the ring buffers waiting behind it
-    // until it holds that many keys, then a single `update_admitted` spans
-    // the coalesced run with the sum of the batches' offered counts. Update
-    // order is exactly ring order, so summary state is bit-identical to
-    // batch-at-a-time applies; what changes is kernel amortization (the
-    // sketch row kernels cost per *call*, and a backlogged worker would
-    // otherwise pay that per producer batch). Snapshot floors are
-    // unaffected: the local `applied` advances past a floor in one jump
-    // after the update lands, and a floor is a minimum, never an
-    // exact-prefix request. The budget is what bounds the run: the
-    // producer refills the ring while the loop pops, so without it a
-    // producer that never waits for an answer made the run grow with the
-    // stream. With it a run is shorter than `RUN_TUPLES` plus one producer
-    // batch, a request arriving mid-drain waits for one such run, and a
-    // buffer goes back to the pool holding at most the larger of
-    // `2 * RUN_TUPLES` and what a producer put in it.
-    // The atomic gauge counter is bumped per *pop* (not per apply): the
-    // producer refills slots the drain frees, and counting claimed buffers
-    // as still-queued would let `accepted − applied` read up to twice the
-    // ring depth, breaking the documented `≤ depth + 1` high-water bound.
-    let mut apply_run =
-        |est: &mut E, head: Batch, applied: &mut u64, data: &mut ring::Consumer<Batch>| {
-            let Batch {
-                keys: mut first,
-                mut offered,
-            } = head;
-            let mut batches = 1u64;
-            state.applied.store(*applied + batches, Ordering::Release);
-            while first.len() < RUN_TUPLES {
-                let Some(mut next) = data.try_pop() else {
-                    break;
-                };
-                first.append(&mut next.keys);
-                offered += next.offered;
-                batches += 1;
-                state.applied.store(*applied + batches, Ordering::Release);
-                // A full recycle ring (only possible if the producer stopped
-                // taking buffers back) just drops the buffer.
-                let _ = recycle.try_push(next.keys);
-            }
-            est.update_admitted(&first, offered);
-            *applied += batches;
-            state.ingested.fetch_add(offered, Ordering::AcqRel);
-            state.applied.store(*applied, Ordering::Release);
-            first.clear();
-            if batches > 1 {
-                // Appending may have grown the head buffer past what any
-                // producer asked of it (a short head, a long batch behind it).
-                first.shrink_to(2 * RUN_TUPLES);
-            }
-            let _ = recycle.try_push(first);
+impl<E: Summary> ShardCore<E> {
+    /// Apply `head` and what is queued behind it as one batched update, up
+    /// to `RUN_TUPLES`: a lone batch from its own buffer, a longer run
+    /// copied into the shard's run buffer (so a pooled buffer never grows),
+    /// with the sum of the batches' offered counts. Update order is ring
+    /// order, so summary state is bit-identical to batch-at-a-time applies;
+    /// the sketch row kernels, which cost per *call*, are amortized. The
+    /// budget bounds the run, which a producer refilling the ring would
+    /// otherwise grow with the stream. `applied` is bumped per *pop*, so
+    /// `accepted − applied` never counts claimed buffers as queued.
+    fn apply_run(&mut self, head: Batch, applied: &AtomicU64, ingested: &AtomicU64) {
+        let claim = || applied.store(applied.load(Ordering::Relaxed) + 1, Ordering::Release);
+        claim();
+        let Batch { keys, mut offered } = head;
+        let mut next = if keys.len() < RUN_TUPLES {
+            self.data.try_pop()
+        } else {
+            None
         };
-
-    loop {
-        while let Some(req) = state.ctrl.try_recv() {
-            pending.push(req);
+        if next.is_none() {
+            self.est.update_admitted(&keys, offered);
+            self.give_back(keys);
+        } else {
+            self.run.extend_from_slice(&keys);
+            self.give_back(keys);
+            while let Some(batch) = next {
+                claim();
+                self.run.extend_from_slice(&batch.keys);
+                offered += batch.offered;
+                self.give_back(batch.keys);
+                next = if self.run.len() < RUN_TUPLES {
+                    self.data.try_pop()
+                } else {
+                    None
+                };
+            }
+            self.est.update_admitted(&self.run, offered);
+            self.run.clear();
         }
-        serve(&mut pending, applied, &est);
-        match data.try_pop() {
-            Some(buf) => {
-                apply_run(&mut est, buf, &mut applied, &mut data);
-                backoff.reset();
+        ingested.fetch_add(offered, Ordering::AcqRel);
+    }
+
+    /// Return an applied batch's buffer to the producer's pool. A full
+    /// recycle ring (only possible if the producer stopped taking buffers
+    /// back) just drops it.
+    fn give_back(&mut self, mut keys: Vec<u64>) {
+        keys.clear();
+        let _ = self.recycle.try_push(keys);
+    }
+}
+
+/// The shard worker loop: apply runs off the data ring under the shard
+/// lock until the producer hangs up and the ring is drained, or the shard
+/// dies. The ring is checked without the lock, so an idle worker spins,
+/// yields and parks without touching it; a query waiting for the lock
+/// gets it as soon as the shard reflects the query's floor.
+fn shard_worker<E: Summary>(state: &ShardState<E>, watch: &ring::Watch<Batch>) {
+    let mut backoff = Backoff::new();
+    loop {
+        // `closed` first: a producer's last push happens-before its hang-up.
+        let closed = watch.is_closed();
+        if watch.is_empty() {
+            if closed {
+                return;
             }
-            None if data.is_closed() => {
-                // The producer hung up: drain what it pushed before
-                // closing, then answer any last requests (every floor is
-                // reachable now — nothing more can be accepted).
-                while let Some(buf) = data.try_pop() {
-                    apply_run(&mut est, buf, &mut applied, &mut data);
-                }
-                while let Some(req) = state.ctrl.try_recv() {
-                    pending.push(req);
-                }
-                serve(&mut pending, applied, &est);
-                return est;
-            }
-            None => {
-                backoff.snooze(&parker, || {
-                    state.ctrl.is_ready() || !data.is_empty() || data.is_closed()
-                });
-            }
+            watch.snooze(&mut backoff);
+            continue;
+        }
+        let mut core = state.lock_core();
+        if core.is_none() {
+            return;
+        }
+        if state.applied.load(Ordering::Relaxed) >= state.query_floor.load(Ordering::Acquire) {
+            // A query wants the lock and the shard reflects its floor: let
+            // it in before another run starts, then wait for it on the
+            // lock, not on the CPU.
+            drop(core);
+            std::thread::yield_now();
+            continue;
+        }
+        if state.apply_next(&mut core) {
+            backoff.reset();
         }
     }
 }
@@ -1360,6 +1342,8 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sss_core::sketch::{JoinSchema, JoinSketch};
+    use std::sync::atomic::AtomicBool;
+    use std::time::Duration;
 
     fn stream() -> Vec<u64> {
         (0..50_000u64).map(|i| (i * 2654435761) % 4000).collect()
@@ -1670,9 +1654,9 @@ mod tests {
     }
 
     /// Regression for the old transport's dead `Full(Cmd::Snapshot)` arm:
-    /// snapshots ride a control queue that shares nothing with the data
-    /// ring, so a query succeeds — exactly and promptly — while the data
-    /// ring is full and `try_push` is shedding overflow.
+    /// a query never rides the data ring, so it succeeds — exactly and
+    /// promptly, applying the backlog itself — while the data ring is full
+    /// and `try_push` is shedding overflow.
     #[test]
     fn snapshots_never_ride_the_data_queue() {
         let mut rng = StdRng::seed_from_u64(9);
@@ -1709,11 +1693,7 @@ mod tests {
             merged.self_join().to_bits(),
             expect.raw_self_join().to_bits()
         );
-        assert_eq!(
-            rt.cache_stats().full_rebuilds,
-            1,
-            "the one shard was cloned"
-        );
+        assert_eq!(rt.cache_stats().full_rebuilds, 1, "the one shard was dirty");
         assert_eq!(rt.queue_occupancy(), 0, "query quiesced the shard");
     }
 
@@ -1744,7 +1724,7 @@ mod tests {
         let stats = rt.cache_stats();
         assert_eq!(stats.partial_rebuilds, 1, "first query built the cache");
         assert_eq!(stats.hits, 1, "second query was served from it");
-        assert_eq!(stats.shards_refreshed, 0, "no shard was ever cloned");
+        assert_eq!(stats.shards_refreshed, 0, "no shard was ever dirty");
     }
 
     /// Repeated queries with no intervening ingest are cache hits,
@@ -1795,7 +1775,7 @@ mod tests {
         assert_eq!(
             stats.shards_refreshed,
             config.shards as u64 + 1,
-            "first query cloned every shard, the second rebuild cloned one"
+            "every shard was dirty for the first query, one for the second"
         );
     }
 
@@ -1976,8 +1956,8 @@ mod tests {
         for chunk in keys.chunks(512) {
             rt.push(chunk).unwrap();
         }
-        // Populate the cache so the armed query needs no fresh worker
-        // clones — the panic must land on the querier, not a worker.
+        // Populate the cache so the armed query is a hit whose one clone
+        // is the answer's — the panic lands on the querier, not a shard.
         let first = rt.merged().unwrap();
         bomb.store(true, Ordering::SeqCst);
         assert!(
@@ -2002,8 +1982,8 @@ mod tests {
     }
 
     /// The clones `merged()` pays: a clean query copies its answer and
-    /// nothing else; a rebuild adds one copy per dirty shard and one of
-    /// the prototype to merge into.
+    /// nothing else; a rebuild adds one copy of the prototype to merge
+    /// into, and none of any shard.
     #[test]
     fn merged_clones_the_prototype_only_to_rebuild() {
         use crate::snapshot::tests::CloneLog;
@@ -2023,14 +2003,14 @@ mod tests {
         };
         take();
         rt.merged().unwrap();
-        assert_eq!(take(), ["merged", "prototype", "shard", "shard"]);
+        assert_eq!(take(), ["merged", "prototype"]);
         rt.merged().unwrap();
         assert_eq!(take(), ["merged"]);
     }
 
-    /// The clones a replica refresh pays: one per dirty shard and one of
-    /// the prototype to rebuild, and none of the merged result, which it
-    /// projects in place. A refresh with nothing new clones nothing, and
+    /// The clones a replica refresh pays: one of the prototype to rebuild,
+    /// none of a shard, and none of the merged result, which it projects
+    /// in place. A refresh with nothing new clones nothing, and
     /// `merged()` still hands out one copy.
     #[test]
     fn a_replica_refresh_projects_the_merge_without_cloning_it() {
@@ -2054,7 +2034,7 @@ mod tests {
         rt.push(&[2]).unwrap();
         assert!(replica.refresh().unwrap());
         assert_eq!(*replica.slim(), "merged");
-        assert_eq!(take(), ["prototype", "shard", "shard"]);
+        assert_eq!(take(), ["prototype"]);
         rt.read_replica(0).unwrap();
         assert!(take().is_empty(), "the published frame is shared");
         rt.merged().unwrap();

@@ -8,30 +8,28 @@
 //! state actually changes between queries. The cache makes a query pay
 //! for what changed:
 //!
-//! * Every shard worker bumps a **dirty-epoch** counter (its applied
-//!   batch count) after each `update_batch`. A shard whose epoch matches
-//!   the version stamped on its cached clone has not changed since the
-//!   previous query and is not asked for a new clone.
+//! * The cache keeps the merged result with a [`Stamp`] per shard: the
+//!   batches (and offered tuples) that shard had applied when it was
+//!   merged in. A query reads each shard's accepted-batch count as its
+//!   floor; a shard whose stamp is below its floor is *dirty*.
 //! * **Nothing dirty:** the cached merged result is served as it is —
 //!   no merge work, independent of the shard count.
-//! * **Otherwise:** the fresh clones replace their entries in the
-//!   per-shard table and the table is merged again in shard order, into
-//!   one copy of the prototype (`stream.merged_dirty_us`). Only
-//!   `merge_from` is asked of the summary, so linear sketches, HyperLogLog
-//!   and KLL all take the same path, and the result *is* a from-scratch
-//!   merge of the current shard states — there is nothing to drift.
+//! * **Otherwise:** the runtime merges every shard's live state again, in
+//!   shard order, into one copy of the prototype (`stream.merged_dirty_us`)
+//!   and installs it with the new stamps. Only `merge_from` is asked of
+//!   the summary, so linear sketches, HyperLogLog and KLL all take the
+//!   same path, and the result *is* a from-scratch merge of the current
+//!   shard states — there is nothing to drift.
 //!
 //! Either way the cache *lends* the merged result. `merged()` copies it
 //! once for its caller — O(sketch bytes), the ledger's
 //! `stream.merged_clean_us` — and a replica refresh projects it in place,
 //! so a refresh copies no merged result at all.
 //!
-//! The cache never talks to workers itself: the runtime fetches fresh
-//! clones for dirty shards (via the control queue) and hands them in via
-//! `SnapshotCache::refresh`, so this module is pure bookkeeping and
-//! stays trivially safe code.
+//! The cache never touches a shard itself: the runtime catches each shard
+//! up and merges it under the shard's lock, and hands the whole merge in
+//! via `SnapshotCache::install`, so this module is pure bookkeeping.
 
-use sss_core::Summary;
 use std::any::Any;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -42,14 +40,13 @@ pub struct CacheStats {
     /// Queries answered from the cached merged result alone (zero dirty
     /// shards): no merge work.
     pub hits: u64,
-    /// Queries that re-cloned a strict subset of the shards and reused
-    /// the per-shard table for the rest.
+    /// Rebuilds for which a strict subset of the shards was dirty.
     pub partial_rebuilds: u64,
-    /// Queries that re-cloned every shard.
+    /// Rebuilds for which every shard was dirty.
     pub full_rebuilds: u64,
-    /// Total shard clones taken across all rebuilds — the work actually
-    /// paid, to compare against `queries × shards` a full barrier would
-    /// have paid.
+    /// Dirty shards summed over all rebuilds — the shards a rebuild had to
+    /// bring past their last stamp, to compare against `queries × shards`
+    /// a full barrier would have paid.
     pub shards_refreshed: u64,
 }
 
@@ -60,74 +57,74 @@ impl CacheStats {
     }
 }
 
-/// Per-shard cached state: the version (dirty-epoch) at which `clone`
-/// was taken.
-struct ShardEntry<E> {
-    version: u64,
-    clone: E,
+/// What a merged result reflects: batches and offered tuples applied by
+/// the shard states merged into it, one shard's or summed over all.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Stamp {
+    pub(crate) batches: u64,
+    pub(crate) tuples: u64,
 }
 
 /// The incremental snapshot cache. One per runtime, guarded by the
 /// runtime's query mutex (queries may come from several
 /// [`QueryHandle`](crate::QueryHandle)s concurrently).
 pub(crate) struct SnapshotCache<E> {
-    /// Last integrated clone per shard; `None` until first queried.
-    shards: Vec<Option<ShardEntry<E>>>,
-    /// The merged result as of the versions recorded in `shards`.
+    /// Per shard, what it had applied when it was merged into `merged`.
+    stamps: Vec<Stamp>,
+    /// The merged result; `None` until the first query.
     merged: Option<E>,
     stats: CacheStats,
 }
 
-impl<E: Summary> SnapshotCache<E> {
+impl<E> SnapshotCache<E> {
     pub(crate) fn new(shards: usize) -> Self {
         Self {
-            shards: (0..shards).map(|_| None).collect(),
+            stamps: vec![Stamp::default(); shards],
             merged: None,
             stats: CacheStats::default(),
         }
     }
 
-    /// The stamped version of `shard`'s cached clone, or `None` if the
-    /// shard has never been integrated. The runtime compares this with
-    /// the worker's live dirty epoch to decide whether the shard needs a
-    /// fresh clone.
-    pub(crate) fn shard_version(&self, shard: usize) -> Option<u64> {
-        self.shards[shard].as_ref().map(|e| e.version)
+    /// Shards whose stamp is below their floor.
+    fn dirty(&self, floors: &[u64]) -> usize {
+        self.stamps
+            .iter()
+            .zip(floors)
+            .filter(|(stamp, &floor)| stamp.batches < floor)
+            .count()
     }
 
-    /// Serve a query given fresh clones for exactly the dirty shards.
-    ///
-    /// `fresh` holds `(shard, version, clone)` for every shard whose live
-    /// epoch differed from [`shard_version`](Self::shard_version);
-    /// `prototype` is the empty summary a rebuild merges into. Lends the
-    /// (now current) merged estimator: the caller copies it, or projects
-    /// it in place, under the cache lock.
-    pub(crate) fn refresh(
-        &mut self,
-        prototype: &E,
-        fresh: Vec<(usize, u64, E)>,
-    ) -> sss_core::Result<&E> {
-        let slot = match (&mut self.merged, fresh.is_empty()) {
-            (Some(merged), true) => {
-                self.stats.hits += 1;
-                return Ok(merged);
-            }
-            (slot, _) => slot,
-        };
-        if fresh.len() < self.shards.len() {
+    fn total(&self) -> Stamp {
+        self.stamps.iter().fold(Stamp::default(), |sum, s| Stamp {
+            batches: sum.batches + s.batches,
+            tuples: sum.tuples + s.tuples,
+        })
+    }
+
+    /// The cached merge and what it reflects, counted as a hit, if it
+    /// covers every shard's floor (its accepted-batch count).
+    pub(crate) fn hit(&mut self, floors: &[u64]) -> Option<(&E, Stamp)> {
+        if self.merged.is_none() || self.dirty(floors) > 0 {
+            return None;
+        }
+        self.stats.hits += 1;
+        let total = self.total();
+        self.merged.as_ref().map(|merged| (merged, total))
+    }
+
+    /// Install a rebuild that missed [`hit`](Self::hit) at `floors`:
+    /// `merged` reflects `stamps`, shard by shard. Lends it back.
+    pub(crate) fn install(&mut self, merged: E, stamps: Vec<Stamp>, floors: &[u64]) -> (&E, Stamp) {
+        let dirty = self.dirty(floors);
+        if dirty < self.stamps.len() {
             self.stats.partial_rebuilds += 1;
         } else {
             self.stats.full_rebuilds += 1;
         }
-        self.stats.shards_refreshed += fresh.len() as u64;
-        for (shard, version, clone) in fresh {
-            self.shards[shard] = Some(ShardEntry { version, clone });
-        }
-        let mut merged = prototype.clone();
-        for entry in self.shards.iter().flatten() {
-            merged.merge_from(&entry.clone)?;
-        }
-        Ok(slot.insert(merged))
+        self.stats.shards_refreshed += dirty as u64;
+        self.stamps = stamps;
+        let total = self.total();
+        (self.merged.insert(merged), total)
     }
 
     pub(crate) fn stats(&self) -> CacheStats {
@@ -136,19 +133,20 @@ impl<E: Summary> SnapshotCache<E> {
 }
 
 /// One published slim snapshot: the merged summary's slim projection,
-/// stamped with the accepted-batch total it reflects.
+/// stamped with the batches and tuples that merge reflects.
 ///
 /// The projection sits behind an [`Arc`], so N concurrent readers adopt
 /// a frame by pointer and query the one shared value. The slot is
 /// type-erased because the hub lives in a runtime generic over plain
-/// [`Summary`]; the runtime's `SlimQuery` block, the only code that
+/// [`Summary`](sss_core::Summary); the runtime's `SlimQuery` block, the only code that
 /// publishes or adopts frames, downcasts it back to `E::Slim`.
 #[derive(Clone)]
 pub(crate) struct ReplicaFrame {
-    /// Sum of every shard's accepted-batch counter when the frame was
-    /// projected — the staleness yardstick readers compare against.
+    /// Batches the merged shard states had applied, summed over the
+    /// shards: at least every batch accepted before the projection — the
+    /// staleness yardstick readers compare against the accepted total.
     pub(crate) version: u64,
-    /// Tuples applied across all shards at projection time — the
+    /// Offered tuples the merged shard states had applied — the
     /// denominator of the staleness variance plug-in.
     pub(crate) applied: u64,
     /// The slim projection ([`sss_core::SlimQuery::slim`]).
@@ -210,15 +208,7 @@ impl ReplicaHub {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use sss_core::sketch::{JoinSchema, JoinSketch};
-
-    fn shard_sketch(schema: &JoinSchema, keys: &[u64]) -> JoinSketch {
-        let mut s = schema.sketch();
-        s.update_batch(keys);
-        s
-    }
+    use sss_core::Summary;
 
     /// A summary double that logs whose clone was taken: the prototype's
     /// (never updated or merged into), a shard's (updated), or a merge
@@ -270,83 +260,35 @@ pub(crate) mod tests {
         }
     }
 
-    /// The clones the cache pays: a hit none, a rebuild one of the
-    /// prototype to merge into. The merged result is lent, never copied.
-    #[test]
-    fn a_hit_clones_nothing_and_a_rebuild_clones_the_prototype_once() {
-        let log = Arc::new(Mutex::new(Vec::new()));
-        let proto = CloneLog::prototype(&log);
-        let mut shard = CloneLog::prototype(&log);
-        shard.update_batch(&[1]);
-        let mut cache = SnapshotCache::new(2);
-        let take = || std::mem::take(&mut *log.lock().unwrap());
-
-        let merged = cache.refresh(&proto, vec![(0, 1, shard)]).unwrap();
-        assert_eq!(merged.role, "merged");
-        assert_eq!(take(), ["prototype"]);
-        cache.refresh(&proto, vec![]).unwrap();
-        assert!(take().is_empty());
+    fn stamp(batches: u64, tuples: u64) -> Stamp {
+        Stamp { batches, tuples }
     }
 
-    /// Both paths — a rebuild (every shard fresh, or only some) and a
-    /// hit — produce results bit-identical to a from-scratch merge of the
-    /// same shard states.
+    /// A hit needs a merge whose stamps cover every floor; a rebuild
+    /// counts the shards that were behind theirs, and is partial unless
+    /// all of them were. What the cache lends is summed from its stamps.
     #[test]
-    fn both_paths_match_a_fresh_merge() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let schema = JoinSchema::fagms(2, 128, &mut rng);
-        let proto = schema.sketch();
-        let mut cache = SnapshotCache::new(3);
+    fn a_hit_needs_a_merge_that_covers_every_floor() {
+        let mut cache = SnapshotCache::new(2);
+        assert!(cache.hit(&[0, 0]).is_none(), "nothing merged yet");
+        cache.install("empty", vec![stamp(0, 0); 2], &[0, 0]);
+        assert_eq!(cache.hit(&[0, 0]), Some((&"empty", stamp(0, 0))));
+        assert!(cache.hit(&[1, 0]).is_none());
 
-        let s0 = shard_sketch(&schema, &[1, 2, 3]);
-        let s1 = shard_sketch(&schema, &[40, 50]);
-        let s2 = shard_sketch(&schema, &[600]);
-
-        // First query: every shard is fresh.
-        let m1 = cache
-            .refresh(
-                &proto,
-                vec![(0, 1, s0.clone()), (1, 1, s1.clone()), (2, 1, s2.clone())],
-            )
-            .unwrap()
-            .clone();
-        let mut expect = proto.clone();
-        for s in [&s0, &s1, &s2] {
-            expect.merge_from(s).unwrap();
-        }
-        assert_eq!(
-            m1.raw_self_join().to_bits(),
-            expect.raw_self_join().to_bits()
-        );
-        assert_eq!(cache.stats().full_rebuilds, 1);
-
-        // No dirt: cache hit, bit-identical to the previous answer.
-        let m2 = cache.refresh(&proto, vec![]).unwrap();
-        assert_eq!(m2.raw_self_join().to_bits(), m1.raw_self_join().to_bits());
-        assert_eq!(cache.stats().hits, 1);
-
-        // Shard 1 advances: only its table entry is replaced.
-        let s1b = shard_sketch(&schema, &[40, 50, 60, 70]);
-        let m3 = cache.refresh(&proto, vec![(1, 2, s1b.clone())]).unwrap();
-        let mut expect3 = proto.clone();
-        for s in [&s0, &s1b, &s2] {
-            expect3.merge_from(s).unwrap();
-        }
-        assert_eq!(
-            m3.raw_self_join().to_bits(),
-            expect3.raw_self_join().to_bits()
-        );
+        let lent = cache.install("one", vec![stamp(2, 20), stamp(0, 0)], &[1, 0]);
+        assert_eq!(lent, (&"one", stamp(2, 20)));
+        assert_eq!(cache.hit(&[2, 0]), Some((&"one", stamp(2, 20))));
+        cache.install("both", vec![stamp(3, 30), stamp(1, 5)], &[3, 1]);
         assert_eq!(
             cache.stats(),
             CacheStats {
-                hits: 1,
-                partial_rebuilds: 1,
+                hits: 2,
+                partial_rebuilds: 2,
                 full_rebuilds: 1,
-                shards_refreshed: 4,
+                shards_refreshed: 3,
             }
         );
-        assert_eq!(cache.shard_version(0), Some(1));
-        assert_eq!(cache.shard_version(1), Some(2));
+        assert_eq!(cache.hit(&[3, 1]), Some((&"both", stamp(4, 35))));
     }
 
     /// The replica hub: publish is monotone in the version, frames are
@@ -377,47 +319,5 @@ pub(crate) mod tests {
         // The refresh guard is just a mutex — hold and release.
         drop(hub.begin_refresh());
         let _second = hub.begin_refresh();
-    }
-
-    /// Many rounds of random dirtying: re-merging the table never drifts
-    /// from a from-scratch merge, bit for bit.
-    #[test]
-    fn incremental_never_drifts_from_scratch() {
-        let mut rng = StdRng::seed_from_u64(12);
-        let schema = JoinSchema::agms(32, &mut rng);
-        let proto = schema.sketch();
-        const SHARDS: usize = 4;
-        let mut cache = SnapshotCache::new(SHARDS);
-        let mut live: Vec<Vec<u64>> = vec![Vec::new(); SHARDS];
-        let mut versions = [0u64; SHARDS];
-
-        let mut state = 99u64;
-        let mut rand = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            state >> 33
-        };
-        for round in 0..60 {
-            // Dirty a random subset of shards.
-            let mut fresh = Vec::new();
-            for shard in 0..SHARDS {
-                if rand() % 3 == 0 || round == 0 {
-                    live[shard].push(rand());
-                    versions[shard] += 1;
-                    fresh.push((shard, versions[shard], shard_sketch(&schema, &live[shard])));
-                }
-            }
-            let merged = cache.refresh(&proto, fresh).unwrap();
-            let mut expect = proto.clone();
-            for keys in &live {
-                expect.merge_from(&shard_sketch(&schema, keys)).unwrap();
-            }
-            assert_eq!(
-                merged.raw_self_join().to_bits(),
-                expect.raw_self_join().to_bits(),
-                "round {round}"
-            );
-        }
-        assert!(cache.stats().hits > 0, "some rounds dirtied nothing");
-        assert!(cache.stats().partial_rebuilds > 0);
     }
 }

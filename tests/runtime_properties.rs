@@ -9,15 +9,18 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sketch_sampled_streams::core::sketch::{JoinSchema, JoinSketch};
 use sketch_sampled_streams::core::{
-    DistinctQuery, JoinQuery, MultiSpec, MultiSummary, Portable, QuantileQuery, Sampled,
+    DistinctQuery, JoinQuery, MultiSpec, MultiSummary, Portable, QuantileQuery, Sampled, SlimJoin,
     SlimMultiSummary, SlimQuery, Summary, TopKQuery,
 };
 use sketch_sampled_streams::sketch::Estimate;
 use sketch_sampled_streams::stream::runtime::RUN_TUPLES;
-use sketch_sampled_streams::stream::{Partition, ReadReplica, RuntimeConfig, ShardedRuntime};
+use sketch_sampled_streams::stream::{
+    Partition, ReadReplica, RuntimeConfig, ShardedRuntime, StreamError,
+};
 use sketch_sampled_streams::xi::splitmix64;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Mutex};
+use std::time::{Duration, Instant};
 
 fn stream() -> impl Strategy<Value = Vec<u64>> {
     prop::collection::vec(any::<u64>(), 1..400)
@@ -343,8 +346,8 @@ fn one_sampled_prototype_samples_independently_on_every_shard() {
 /// The production summary is not linear (KLL and Misra–Gries merge
 /// order-sensitively), so its rebuilds are pinned by bytes: on three
 /// round-robin shards one push dirties one shard, exactly that shard is
-/// re-cloned, and the re-merged table `encode()`s equal to a from-scratch
-/// merge of the three shard states in shard order.
+/// counted as refreshed, and the merge of the live shards `encode()`s
+/// equal to a from-scratch merge of the three shard states in shard order.
 #[test]
 fn one_dirty_shard_is_recloned_and_the_remerge_equals_from_scratch() {
     let proto = multi_spec(14).summary().unwrap();
@@ -460,12 +463,32 @@ impl Summary for GatedCounter {
     }
 }
 
+/// Every buffer in the runtime's pool, by capacity: loans until the pool
+/// runs dry, then hands them all back.
+fn pooled_capacities<E: Summary>(rt: &mut ShardedRuntime<E>) -> Vec<usize> {
+    let mut held = Vec::new();
+    loop {
+        let allocations = rt.pool_stats().allocations;
+        let buf = rt.loan_batch_buf(0);
+        let fresh = rt.pool_stats().allocations > allocations;
+        held.push(buf);
+        if fresh {
+            break;
+        }
+    }
+    let capacities = held[..held.len() - 1].iter().map(Vec::capacity).collect();
+    for buf in held {
+        rt.push_loaned(buf).unwrap();
+    }
+    capacities
+}
+
 /// The coalesced run has a cap. A producer that only pushes fills the ring
 /// with four times `RUN_TUPLES` while the worker is busy; the worker then
 /// takes it in runs no longer than the budget plus one batch (it used to
-/// take all of it, and whatever arrived meanwhile, as one slice), and a
-/// head buffer that a long batch behind it grew goes back to the pool
-/// shrunk.
+/// take all of it, and whatever arrived meanwhile, as one slice). A run is
+/// built in the shard's own buffer, so no pooled buffer ever holds more
+/// than the largest batch a producer put in it.
 #[test]
 fn a_push_only_producer_cannot_grow_the_coalesced_run() {
     const BATCH: usize = 4096;
@@ -493,10 +516,13 @@ fn a_push_only_producer_cannot_grow_the_coalesced_run() {
     let longest = proto.longest.load(Ordering::SeqCst);
     assert!(longest > BATCH, "nothing was coalesced: {longest}");
     assert!(longest < RUN_TUPLES + BATCH, "a run of {longest} tuples");
+    let pooled = pooled_capacities(&mut rt);
+    assert!(pooled.len() > 1);
+    assert!(pooled.iter().all(|&c| c <= BATCH), "{pooled:?}");
 
     // A one-tuple head with 3 · RUN_TUPLES behind it: the run may be that
-    // long (one producer batch past the budget), the head's buffer may not
-    // stay that large.
+    // long (one producer batch past the budget), a pooled buffer may not
+    // grow past the batch.
     proto.armed.store(true, Ordering::SeqCst);
     rt.push(&batch).unwrap();
     proto.gate.wait();
@@ -509,16 +535,375 @@ fn a_push_only_producer_cannot_grow_the_coalesced_run() {
         3 * RUN_TUPLES + 1,
         "head and the batch behind it are one run"
     );
-    let mut oversized = 0;
-    let mut held = Vec::new();
-    loop {
-        let allocations = rt.pool_stats().allocations;
-        let buf = rt.loan_batch_buf(0);
-        if rt.pool_stats().allocations > allocations {
+    let pooled = pooled_capacities(&mut rt);
+    assert!(pooled.iter().all(|&c| c <= 3 * RUN_TUPLES), "{pooled:?}");
+}
+
+/// A summary double that logs whose clone was taken: the prototype's
+/// (never updated or merged into), a shard's (updated), or a merge
+/// result's. Its projection names whose state it read.
+struct CloneLog {
+    role: &'static str,
+    log: Arc<Mutex<Vec<&'static str>>>,
+}
+
+impl Clone for CloneLog {
+    fn clone(&self) -> Self {
+        self.log.lock().unwrap().push(self.role);
+        Self {
+            role: self.role,
+            log: Arc::clone(&self.log),
+        }
+    }
+}
+
+impl Summary for CloneLog {
+    fn update(&mut self, _key: u64, _count: i64) {
+        self.role = "shard";
+    }
+
+    fn update_batch(&mut self, _keys: &[u64]) {
+        self.role = "shard";
+    }
+
+    fn merge_from(&mut self, _other: &Self) -> sketch_sampled_streams::core::Result<()> {
+        self.role = "merged";
+        Ok(())
+    }
+}
+
+impl SlimQuery for CloneLog {
+    type Slim = &'static str;
+
+    fn slim(&self) -> &'static str {
+        self.role
+    }
+}
+
+/// No query clones a shard: a rebuild clones the prototype once, to merge
+/// the live shards into, and a hit clones nothing. `merged()` adds one copy
+/// of the answer; a replica projects the cached merge in place.
+#[test]
+fn a_rebuild_clones_the_prototype_once_and_no_shard() {
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let proto = CloneLog {
+        role: "prototype",
+        log: Arc::clone(&log),
+    };
+    let config = RuntimeConfig {
+        shards: 3,
+        queue_depth: 4,
+        partition: Partition::RoundRobin,
+    };
+    let mut rt = ShardedRuntime::new(config, &proto).unwrap();
+    let take = || {
+        let mut roles = std::mem::take(&mut *log.lock().unwrap());
+        roles.sort_unstable();
+        roles
+    };
+    for key in 0..3 {
+        rt.push(&[key]).unwrap();
+    }
+    take();
+    rt.merged().unwrap();
+    assert_eq!(take(), ["merged", "prototype"], "rebuild");
+    let mut replica = rt.read_replica(0).unwrap();
+    assert_eq!(*replica.slim(), "merged");
+    assert!(take().is_empty(), "a hit projected in place");
+    rt.push(&[3]).unwrap();
+    assert!(replica.refresh().unwrap());
+    assert_eq!(take(), ["prototype"], "rebuild, projected in place");
+    rt.merged().unwrap();
+    assert_eq!(take(), ["merged"], "a hit copies only the answer");
+    assert_eq!(rt.cache_stats().queries(), 4);
+}
+
+/// A join sketch that also counts its tuples, so an answer says how much
+/// of the stream it covers; its projection carries both.
+#[derive(Clone)]
+struct Counted {
+    sketch: JoinSketch,
+    tuples: u64,
+}
+
+impl Summary for Counted {
+    fn update(&mut self, key: u64, count: i64) {
+        self.sketch.update(key, count);
+        self.tuples += count.max(0) as u64;
+    }
+
+    fn update_batch(&mut self, keys: &[u64]) {
+        self.sketch.update_batch(keys);
+        self.tuples += keys.len() as u64;
+    }
+
+    fn merge_from(&mut self, other: &Self) -> sketch_sampled_streams::core::Result<()> {
+        self.tuples += other.tuples;
+        self.sketch.merge_from(&other.sketch)
+    }
+}
+
+impl SlimQuery for Counted {
+    type Slim = (u64, SlimJoin);
+
+    fn slim(&self) -> (u64, SlimJoin) {
+        (self.tuples, self.sketch.slim())
+    }
+}
+
+/// A `QueryHandle` thread polls `merged()` and a replica while the owner
+/// pushes. Every answer covers at least the batches accepted before it
+/// was asked; on one shard it is exactly the sequential sketch of a
+/// batch-boundary prefix. On three shards, with both partitions, the final
+/// merge is byte-equal to the sequential sketch.
+#[test]
+fn polling_under_ingest_covers_what_was_accepted() {
+    const BATCH: usize = 64;
+    const BATCHES: usize = 300;
+    let keys: Vec<u64> = (0..(BATCH * BATCHES) as u64)
+        .map(|i| splitmix64(i) % 1000)
+        .collect();
+    let schema = JoinSchema::fagms(1, 256, &mut StdRng::seed_from_u64(31));
+    let prefixes: Arc<Vec<(Vec<u8>, [u64; 2])>> = Arc::new(
+        (0..=BATCHES)
+            .map(|j| {
+                let sketch = sequential(&schema, &keys[..j * BATCH]);
+                (
+                    sketch.encode().unwrap(),
+                    bits(&sketch.raw_self_join_estimate()),
+                )
+            })
+            .collect(),
+    );
+    let proto = Counted {
+        sketch: schema.sketch(),
+        tuples: 0,
+    };
+    for (shards, partition) in [
+        (1, Partition::RoundRobin),
+        (3, Partition::RoundRobin),
+        (3, Partition::Hash),
+    ] {
+        let config = RuntimeConfig {
+            shards,
+            queue_depth: 4,
+            partition,
+        };
+        let mut rt = ShardedRuntime::new(config, &proto).unwrap();
+        let handle = rt.query_handle();
+        let pushed = Arc::new(AtomicUsize::new(0));
+        let poller = {
+            let pushed = Arc::clone(&pushed);
+            let prefixes = Arc::clone(&prefixes);
+            std::thread::spawn(move || {
+                let mut replica = handle.read_replica(0).unwrap();
+                let mut polls = 0;
+                loop {
+                    let before = pushed.load(Ordering::SeqCst);
+                    let merged = handle.merged().unwrap();
+                    assert!(merged.tuples >= (before * BATCH) as u64);
+                    if shards == 1 {
+                        let j = merged.tuples as usize / BATCH;
+                        assert_eq!(merged.tuples as usize, j * BATCH);
+                        assert_eq!(merged.sketch.encode().unwrap(), prefixes[j].0);
+                    }
+                    let before = pushed.load(Ordering::SeqCst);
+                    replica.refresh().unwrap();
+                    let (tuples, slim) = replica.slim();
+                    assert!(*tuples >= (before * BATCH) as u64);
+                    if shards == 1 {
+                        let j = *tuples as usize / BATCH;
+                        assert_eq!(bits(&slim.self_join_estimate()), prefixes[j].1);
+                    }
+                    polls += 1;
+                    if before == BATCHES {
+                        return polls;
+                    }
+                }
+            })
+        };
+        for (i, batch) in keys.chunks(BATCH).enumerate() {
+            rt.push(batch).unwrap();
+            pushed.store(i + 1, Ordering::SeqCst);
+        }
+        assert!(poller.join().unwrap() > 0);
+        let fin = rt.into_merged().unwrap();
+        assert_eq!(fin.tuples, keys.len() as u64);
+        assert_eq!(
+            fin.sketch.encode().unwrap(),
+            prefixes[BATCHES].0,
+            "{shards} shards, {partition:?}"
+        );
+    }
+}
+
+/// A join sketch whose `merge_from`, while `armed`, holds the querier
+/// until the test lets it go.
+#[derive(Clone)]
+struct HeldMerge {
+    sketch: JoinSketch,
+    armed: Arc<AtomicBool>,
+    gate: Arc<Barrier>,
+}
+
+impl Summary for HeldMerge {
+    fn update(&mut self, key: u64, count: i64) {
+        self.sketch.update(key, count);
+    }
+
+    fn update_batch(&mut self, keys: &[u64]) {
+        self.sketch.update_batch(keys);
+    }
+
+    fn merge_from(&mut self, other: &Self) -> sketch_sampled_streams::core::Result<()> {
+        if self.armed.swap(false, Ordering::SeqCst) {
+            self.gate.wait(); // the querier is in here
+            self.gate.wait(); // the test has pushed behind it
+        }
+        self.sketch.merge_from(&other.sketch)
+    }
+}
+
+impl SlimQuery for HeldMerge {
+    type Slim = SlimJoin;
+
+    fn slim(&self) -> SlimJoin {
+        self.sketch.slim()
+    }
+}
+
+/// A replica frame counts only what it merged. The querier is held inside
+/// `merge_from` while the producer pushes one more batch; the frame must
+/// not count that batch's tuples as applied, or the replica prices too
+/// little staleness once the batch lands.
+#[test]
+fn a_replica_frame_counts_only_the_tuples_it_merged() {
+    let schema = JoinSchema::fagms(1, 256, &mut StdRng::seed_from_u64(32));
+    let proto = HeldMerge {
+        sketch: schema.sketch(),
+        armed: Arc::new(AtomicBool::new(false)),
+        gate: Arc::new(Barrier::new(2)),
+    };
+    let mut rt = ShardedRuntime::new(RuntimeConfig::default(), &proto).unwrap();
+    let keys: Vec<u64> = (0..2048u64).map(|i| i % 300).collect();
+    rt.push(&keys[..1024]).unwrap();
+    proto.armed.store(true, Ordering::SeqCst);
+    let handle = rt.query_handle();
+    let querier = std::thread::spawn(move || handle.read_replica(u64::MAX).unwrap());
+    proto.gate.wait();
+    rt.push(&keys[1024..]).unwrap();
+    // Time for a worker that is free to apply the batch to do so.
+    let deadline = Instant::now() + Duration::from_millis(250);
+    while rt.tuples_ingested() < 2048 && Instant::now() < deadline {
+        std::thread::yield_now();
+    }
+    proto.gate.wait();
+    let mut replica = querier.join().unwrap();
+    assert_eq!(replica.version(), 1, "the frame merged one batch");
+    rt.merged().unwrap();
+    assert_eq!(rt.tuples_ingested(), 2048);
+    let bare = replica.slim().self_join_estimate();
+    let priced = replica.self_join_estimate().unwrap();
+    assert_eq!(replica.version(), 1, "max_pending = MAX: no refresh");
+    assert_eq!(priced.value.to_bits(), bare.value.to_bits());
+    assert!(
+        priced.variance > bare.variance,
+        "1024 tuples past the frame must widen the bar: {} vs {}",
+        priced.variance,
+        bare.variance
+    );
+}
+
+/// A summary that counts tuples and panics on `u64::MAX`, noting the
+/// thread that applied it.
+#[derive(Clone)]
+struct Fuse {
+    tuples: u64,
+    fired_on: Arc<Mutex<Option<String>>>,
+}
+
+impl Summary for Fuse {
+    fn update(&mut self, key: u64, _count: i64) {
+        self.update_batch(&[key]);
+    }
+
+    fn update_batch(&mut self, keys: &[u64]) {
+        if keys.contains(&u64::MAX) {
+            let name = std::thread::current().name().unwrap_or("").to_string();
+            *self.fired_on.lock().unwrap() = Some(name);
+            panic!("injected summary panic");
+        }
+        self.tuples += keys.len() as u64;
+    }
+
+    fn merge_from(&mut self, other: &Self) -> sketch_sampled_streams::core::Result<()> {
+        self.tuples += other.tuples;
+        Ok(())
+    }
+}
+
+impl SlimQuery for Fuse {
+    type Slim = u64;
+
+    fn slim(&self) -> u64 {
+        self.tuples
+    }
+}
+
+/// A summary panic kills its shard whichever thread applied the batch —
+/// the worker, or a query catching an idle shard up. Every later push,
+/// `merged()`, replica refresh and `into_merged` is `ShardDisconnected`:
+/// nothing panics or hangs, and no partial merge is cached.
+#[test]
+fn a_summary_panic_on_either_applying_thread_kills_only_its_shard() {
+    let disconnected =
+        |r: Result<(), StreamError>| matches!(r, Err(StreamError::ShardDisconnected { shard: 0 }));
+    for by_query in [false, true] {
+        // A query beats a parked worker to a fresh batch almost always;
+        // a round the worker won is run again.
+        for attempt in 0.. {
+            assert!(attempt < 50, "the worker won every race");
+            let proto = Fuse {
+                tuples: 0,
+                fired_on: Arc::new(Mutex::new(None)),
+            };
+            let config = RuntimeConfig {
+                shards: 2,
+                queue_depth: 4,
+                partition: Partition::RoundRobin,
+            };
+            let mut rt = ShardedRuntime::new(config, &proto).unwrap();
+            rt.push(&[1, 2]).unwrap();
+            rt.push(&[3]).unwrap();
+            let mut replica = rt.read_replica(0).unwrap();
+            assert_eq!(*replica.slim(), 3);
+            let queries = rt.cache_stats().queries();
+            // Let both workers go idle and park.
+            std::thread::sleep(Duration::from_millis(20));
+            rt.push(&[u64::MAX]).unwrap();
+            if by_query {
+                assert!(disconnected(rt.merged().map(drop)));
+            } else {
+                while proto.fired_on.lock().unwrap().is_none() {
+                    std::thread::yield_now();
+                }
+            }
+            let fired_on = proto.fired_on.lock().unwrap().clone().unwrap();
+            if by_query && fired_on == "sss-shard-0" {
+                continue;
+            }
+            assert_eq!(fired_on == "sss-shard-0", !by_query, "{fired_on}");
+
+            assert!(disconnected(rt.merged().map(drop)));
+            assert!(disconnected(replica.refresh().map(drop)));
+            assert_eq!(*replica.slim(), 3, "the last whole frame stays");
+            assert_eq!(rt.cache_stats().queries(), queries, "nothing cached");
+            // Round-robin: shard 1 takes the next push, shard 0 refuses one.
+            rt.push(&[4]).unwrap();
+            assert!(disconnected(rt.push(&[5])));
+            assert!(disconnected(rt.merged().map(drop)));
+            assert!(disconnected(rt.into_merged().map(drop)));
             break;
         }
-        oversized += usize::from(buf.capacity() > 2 * RUN_TUPLES);
-        held.push(buf);
     }
-    assert_eq!(oversized, 1, "only the buffer the producer itself filled");
 }

@@ -6,8 +6,8 @@
 //! order-insensitive: commutative bit-for-bit for the monotone register
 //! maximum (HLL), and guarantee-preserving in either order for the lossy
 //! compactor (KLL). Neither merge has an inverse, which is why the
-//! snapshot cache rebuilds a merged view from its per-shard table and
-//! never patches one: the last two tests run that through the runtime.
+//! snapshot cache rebuilds a merged view from the live shards and never
+//! patches one: the last two tests run that through the runtime.
 
 use proptest::prelude::*;
 use sketch_sampled_streams::core::{DistinctQuery, Portable, QuantileQuery, Summary};
@@ -182,7 +182,7 @@ proptest! {
 }
 
 /// Rebuilds stay exact for non-linear summaries: with a HyperLogLog
-/// prototype every post-ingest query re-merges the per-shard table (the
+/// prototype every post-ingest query re-merges the live shards (the
 /// only operation asked of the summary is `merge_from`), while quiet
 /// queries still hit the cache.
 #[test]
@@ -219,7 +219,7 @@ fn snapshot_cache_falls_back_to_full_rebuilds_for_hll() {
     assert_eq!(merged.distinct().to_bits(), whole.distinct().to_bits());
     let stats = rt.cache_stats();
     assert_eq!(stats.partial_rebuilds + stats.full_rebuilds, 2);
-    assert_eq!(stats.shards_refreshed, 2, "one shard cloned per rebuild");
+    assert_eq!(stats.shards_refreshed, 2, "one shard dirty per rebuild");
 
     // No intervening ingest: pure cache hit, bit-identical answer.
     let again = rt.merged().unwrap();
