@@ -14,7 +14,11 @@
 //! | [`MisraGries`] / [`CountSketchTopK`] | [`SlimTopK`] | ranked candidate list + variance plug-in |
 //! | [`HyperLogLog`] | itself | registers *are* the compact state (documented pass-through) |
 //! | [`KllSketch`] | itself | compactors *are* the compact state (documented pass-through) |
-//! | [`MultiSummary`] | [`SlimMultiSummary`] | all of the above |
+//! | [`MultiSummary`] | [`SlimMultiSummary`] | all of the above: `slim()` projects the four at once; a replica frame ([`SlimQuery::frame`]) shares the merge and projects each family the first time it is asked |
+//!
+//! `slim()` is the eager whole projection, which the CLI prints and the
+//! codec ships; a runtime's replica frame takes the SF-sketch split one
+//! step further, building only what its readers ask for.
 //!
 //! **Answer contract.** Every query a slim form answers is bit-identical
 //! to the fat summary's answer at projection time. Queries that
@@ -43,6 +47,7 @@ use sss_sketch::{
     AgmsSketch, CountSketchTopK, Estimate, FagmsSketch, HyperLogLog, KllSketch, MisraGries,
 };
 use sss_xi::{BucketFamily, Codec, CodecError, Reader, SignFamily, Writer};
+use std::sync::{Arc, OnceLock};
 
 /// The slim join stage: the fat sketch's typed self-join estimate — value,
 /// variance, and the per-lane medians-of-means basics it was combined
@@ -224,107 +229,163 @@ impl Portable for SlimTopK {
 /// HLL and KLL constituents ride along whole (they are their own compact
 /// state), so the composite's space win comes from the join and top-k
 /// stages — which is where the fat space went.
+///
+/// Two ways to get one, with the same answers and bytes either way:
+/// [`MultiSummary`]'s [`slim`](SlimQuery::slim) (and
+/// [`decode`](Portable::decode)) fills all four stages at once and holds
+/// no fat state; a replica frame ([`SlimQuery::frame`]) shares the merge
+/// with the runtime's cache and fills the join stage on the first
+/// `self_join`, the top-k stage on the first `top_k`/`frequency` (its
+/// variance from the frame's own join stage), once, whichever thread asks
+/// first — HyperLogLog and KLL it reads from the merge in place.
 #[derive(Debug, Clone)]
 pub struct SlimMultiSummary {
-    join: SlimJoin,
-    topk: SlimTopK,
-    distinct: HyperLogLog,
-    quantiles: KllSketch,
+    join: OnceLock<SlimJoin>,
+    topk: OnceLock<SlimTopK>,
+    whole: Whole,
     fingerprint: u64,
+}
+
+/// What a [`SlimMultiSummary`] reads HLL and KLL from, and projects its
+/// join and top-k stages from while they are empty.
+#[derive(Debug, Clone)]
+enum Whole {
+    /// A frame over a merge shared with the cache that made it.
+    Shared(Arc<MultiSummary>),
+    /// An eager or decoded projection: both stages filled, nothing fat held.
+    Owned {
+        distinct: HyperLogLog,
+        quantiles: KllSketch,
+    },
 }
 
 impl SlimMultiSummary {
     /// The slim join stage.
     pub fn join(&self) -> &SlimJoin {
-        &self.join
+        self.join.get_or_init(|| self.merge().join().slim())
     }
 
     /// The slim top-k stage.
     pub fn topk(&self) -> &SlimTopK {
-        &self.topk
+        self.topk
+            .get_or_init(|| topk_stage(self.merge(), self.join().self_join()))
+    }
+
+    /// Fill every stage not asked for yet, so that later asks of this frame
+    /// find them ready.
+    pub fn finish(&self) {
+        self.topk();
+    }
+
+    /// The merge a frame projects from: only a frame has empty stages.
+    fn merge(&self) -> &MultiSummary {
+        match &self.whole {
+            Whole::Shared(merged) => merged,
+            Whole::Owned { .. } => unreachable!("an owned projection is filled whole"),
+        }
+    }
+
+    fn hll(&self) -> &HyperLogLog {
+        match &self.whole {
+            Whole::Shared(merged) => merged.hll(),
+            Whole::Owned { distinct, .. } => distinct,
+        }
+    }
+
+    fn kll(&self) -> &KllSketch {
+        match &self.whole {
+            Whole::Shared(merged) => merged.kll(),
+            Whole::Owned { quantiles, .. } => quantiles,
+        }
     }
 }
 
 impl JoinQuery for SlimMultiSummary {
     fn self_join(&self) -> f64 {
-        self.join.self_join()
+        self.join().self_join()
     }
 
     fn size_of_join(&self, other: &Self) -> Result<f64> {
-        self.join.size_of_join(&other.join)
+        self.join().size_of_join(other.join())
     }
 
     fn self_join_estimate(&self) -> Estimate {
-        self.join.self_join_estimate()
+        self.join().self_join_estimate()
     }
 
     fn size_of_join_estimate(&self, other: &Self) -> Result<Estimate> {
-        self.join.size_of_join_estimate(&other.join)
+        self.join().size_of_join_estimate(other.join())
     }
 }
 
 impl TopKQuery for SlimMultiSummary {
     fn frequency(&self, key: u64) -> f64 {
-        self.topk.frequency(key)
+        self.topk().frequency(key)
     }
 
     fn top_k(&self, k: usize) -> Vec<(u64, f64)> {
-        self.topk.top_k(k)
+        self.topk().top_k(k)
     }
 
     fn frequency_variance(&self) -> f64 {
-        self.topk.frequency_variance()
+        self.topk().frequency_variance()
     }
 }
 
 impl DistinctQuery for SlimMultiSummary {
     fn distinct(&self) -> f64 {
-        DistinctQuery::distinct(&self.distinct)
+        DistinctQuery::distinct(self.hll())
     }
 
     fn distinct_estimate(&self) -> Estimate {
-        DistinctQuery::distinct_estimate(&self.distinct)
+        DistinctQuery::distinct_estimate(self.hll())
     }
 }
 
 impl QuantileQuery for SlimMultiSummary {
     fn quantile(&self, q: f64) -> Result<f64> {
-        QuantileQuery::quantile(&self.quantiles, q)
+        QuantileQuery::quantile(self.kll(), q)
     }
 
     fn quantiles(&self, ranks: &[f64]) -> Result<Vec<f64>> {
-        QuantileQuery::quantiles(&self.quantiles, ranks)
+        QuantileQuery::quantiles(self.kll(), ranks)
     }
 
     fn rank(&self, value: u64) -> f64 {
-        QuantileQuery::rank(&self.quantiles, value)
+        QuantileQuery::rank(self.kll(), value)
     }
 
     fn rank_error(&self) -> f64 {
-        QuantileQuery::rank_error(&self.quantiles)
+        QuantileQuery::rank_error(self.kll())
     }
 
     fn stream_len(&self) -> u64 {
-        QuantileQuery::stream_len(&self.quantiles)
+        QuantileQuery::stream_len(self.kll())
     }
 }
 
-/// The four stages' layouts, in order, then the fat fingerprint.
+/// The four stages' layouts, in order, then the fat fingerprint. A frame
+/// fills its stages to encode them.
 impl Codec for SlimMultiSummary {
     fn put(&self, w: &mut Writer) {
-        self.join.put(w);
-        self.topk.put(w);
-        self.distinct.put(w);
-        self.quantiles.put(w);
+        self.join().put(w);
+        self.topk().put(w);
+        self.hll().put(w);
+        self.kll().put(w);
         w.u64(self.fingerprint);
     }
 
     fn take(r: &mut Reader<'_>) -> std::result::Result<Self, CodecError> {
-        Ok(Self {
-            join: SlimJoin::take(r)?,
-            topk: SlimTopK::take(r)?,
+        let join = SlimJoin::take(r)?.into();
+        let topk = SlimTopK::take(r)?.into();
+        let whole = Whole::Owned {
             distinct: HyperLogLog::take(r)?,
             quantiles: KllSketch::take(r)?,
+        };
+        Ok(Self {
+            join,
+            topk,
+            whole,
             fingerprint: r.u64()?,
         })
     }
@@ -436,24 +497,40 @@ impl SlimQuery for KllSketch {
 /// Misra–Gries candidates priced by the join sketch — so the slim form
 /// ranks exactly as the fat one does; a key outside it reads 0 where the
 /// fat form can point-query (the gap [`SlimTopK`] documents). Its variance
-/// takes `F₂` from the join stage, the same combination of the same lanes
-/// the fat `frequency_variance` reads, so the lanes are summed once.
+/// takes `F₂` (`f2`) from the join stage, the same combination of the same
+/// lanes the fat `frequency_variance` reads, so the lanes are summed once.
+fn topk_stage(fat: &MultiSummary, f2: f64) -> SlimTopK {
+    SlimTopK::project(
+        Portable::fingerprint(fat.heavy()),
+        TopKQuery::top_k(fat, fat.heavy().capacity()),
+        fat.frequency_variance_at(f2),
+    )
+}
+
+/// `slim` projects all four stages at once; a replica frame shares the
+/// merge and projects each stage on first ask (see [`SlimMultiSummary`]).
 impl SlimQuery for MultiSummary {
     type Slim = SlimMultiSummary;
 
     fn slim(&self) -> SlimMultiSummary {
         let join = self.join().slim();
-        let variance = self.frequency_variance_at(join.self_join());
         SlimMultiSummary {
-            topk: SlimTopK::project(
-                Portable::fingerprint(self.heavy()),
-                TopKQuery::top_k(self, self.heavy().capacity()),
-                variance,
-            ),
-            join,
-            distinct: self.hll().slim(),
-            quantiles: self.kll().slim(),
+            topk: topk_stage(self, join.self_join()).into(),
+            join: join.into(),
+            whole: Whole::Owned {
+                distinct: self.hll().slim(),
+                quantiles: self.kll().slim(),
+            },
             fingerprint: Portable::fingerprint(self),
+        }
+    }
+
+    fn frame(merged: &Arc<Self>) -> SlimMultiSummary {
+        SlimMultiSummary {
+            join: OnceLock::new(),
+            topk: OnceLock::new(),
+            whole: Whole::Shared(Arc::clone(merged)),
+            fingerprint: Portable::fingerprint(&**merged),
         }
     }
 }

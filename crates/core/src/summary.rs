@@ -126,6 +126,7 @@ use sss_sketch::{
     AgmsSketch, CountSketchTopK, Estimate, FagmsSketch, HyperLogLog, KllSketch, MisraGries, Sketch,
 };
 use sss_xi::{BucketFamily, Codec, Reader, SignFamily, Writer};
+use std::sync::Arc;
 
 /// A mergeable summary of a keyed stream — the ingestion half of the
 /// estimator contract, shared by join sketches, heavy-hitter summaries,
@@ -133,8 +134,9 @@ use sss_xi::{BucketFamily, Codec, Reader, SignFamily, Writer};
 ///
 /// `Clone` is required so a concurrent runtime can snapshot shard state
 /// without draining it; `Send + 'static` so shards can live on worker
-/// threads.
-pub trait Summary: Clone + Send + 'static {
+/// threads; `Sync` so a merge can be shared, behind an `Arc`, by the
+/// runtime's cache and the replica frames readers on other threads hold.
+pub trait Summary: Clone + Send + Sync + 'static {
     /// Add `count` occurrences of `key` (negative counts model deletions
     /// for turnstile-capable summaries; insert-only summaries may ignore
     /// them — see the implementor's docs).
@@ -460,6 +462,14 @@ pub trait SlimQuery: Summary {
 
     /// Project the current state to its read-replica form.
     fn slim(&self) -> Self::Slim;
+
+    /// The frame a runtime's replica hub publishes over `merged`, a merge
+    /// it shares with the runtime's cache. By default the eager
+    /// [`slim`](SlimQuery::slim); [`crate::MultiSummary`] keeps the merge
+    /// and projects each query family the first time it is asked.
+    fn frame(merged: &Arc<Self>) -> Self::Slim {
+        merged.slim()
+    }
 }
 
 impl<F> Summary for AgmsSketch<F>

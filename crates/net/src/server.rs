@@ -696,6 +696,8 @@ struct QueryConn {
     /// one read a turn, and then the connection is dropped whether or not
     /// the peer has closed.
     refused: Option<usize>,
+    /// Write interest currently armed with the poller.
+    armed_write: bool,
 }
 
 impl QueryConn {
@@ -762,6 +764,7 @@ fn query_loop(
                                 out: Vec::new(),
                                 out_pos: 0,
                                 refused: None,
+                                armed_write: false,
                             };
                             if poller.register(&conn.stream, token, Interest::READ).is_ok() {
                                 conns.insert(token, conn);
@@ -823,13 +826,22 @@ fn query_loop(
                 }
             } else {
                 let want_write = conn.out_pos < conn.out.len();
-                let interest = if want_write {
-                    Interest::READ_WRITE
-                } else {
-                    Interest::READ
-                };
-                let _ = poller.modify(&conn.stream, ev.token, interest);
+                if want_write != conn.armed_write {
+                    conn.armed_write = want_write;
+                    let interest = if want_write {
+                        Interest::READ_WRITE
+                    } else {
+                        Interest::READ
+                    };
+                    let _ = poller.modify(&conn.stream, ev.token, interest);
+                }
             }
+        }
+        // This turn's answers are out: project what the frame's readers
+        // have not asked for yet while its merge is still in cache, so a
+        // later ask of this frame finds it ready.
+        if !events.is_empty() {
+            replica.slim().finish();
         }
     }
 

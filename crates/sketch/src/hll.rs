@@ -161,10 +161,9 @@ impl HyperLogLog {
         if self.precision != other.precision || self.seed != other.seed {
             return Err(Error::SchemaMismatch);
         }
+        // A branch-free max, which the compiler turns into vector maxima.
         for (r, &o) in self.registers.iter_mut().zip(&other.registers) {
-            if *r < o {
-                *r = o;
-            }
+            *r = (*r).max(o);
         }
         Ok(())
     }
@@ -179,10 +178,14 @@ impl HyperLogLog {
     /// with a 64-bit hash.
     pub fn raw_distinct(&self) -> f64 {
         let m = self.registers.len() as f64;
+        // `2^-r` for every rank a register can hold (at most 61): one
+        // division per rank rather than per register, summed in register
+        // order, so the sum is the same bits.
+        let inverse: [f64; 64] = std::array::from_fn(|r| 1.0 / (1u64 << r) as f64);
         let mut inverse_sum = 0.0f64;
         let mut zeros = 0u64;
         for &r in &self.registers {
-            inverse_sum += 1.0 / (1u64 << r) as f64;
+            inverse_sum += inverse[usize::from(r)];
             if r == 0 {
                 zeros += 1;
             }

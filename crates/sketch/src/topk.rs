@@ -313,14 +313,29 @@ impl CounterTable {
         self.reindex();
     }
 
+    /// Make room for `more` counters: one re-index, if any, now rather than
+    /// one per doubling while they arrive.
+    fn reserve(&mut self, more: usize) {
+        let held = self.counters.len() + more;
+        self.counters.reserve(more);
+        if 2 * held > self.slots.len() {
+            self.reindex_for(held);
+        }
+    }
+
     /// Index every counter afresh: in slots twice as many when they would
     /// be more than half full, otherwise under the next stamp — which
     /// empties every slot without writing it, until the stamp outgrows the
     /// bits above the position.
-    #[inline(never)]
     fn reindex(&mut self) {
-        if 2 * self.counters.len() > self.slots.len() {
-            self.slots = vec![0; (2 * self.counters.len()).next_power_of_two()];
+        self.reindex_for(self.counters.len());
+    }
+
+    /// [`reindex`](Self::reindex), sizing the slots for `held` counters.
+    #[inline(never)]
+    fn reindex_for(&mut self, held: usize) {
+        if 2 * held > self.slots.len() {
+            self.slots = vec![0; (2 * held).next_power_of_two()];
             self.stamp = 1;
         } else {
             self.stamp += 1;
@@ -557,6 +572,12 @@ impl HeavyHitters for MisraGries {
     /// Pointwise counter addition followed by one compaction — the
     /// Agarwal et al. merge; the undercount bounds (`offset`s) add.
     ///
+    /// Into a summary that holds no counters (a runtime's empty prototype)
+    /// the addition is a copy of the other table, index and all; otherwise
+    /// the index is sized for both tables before the other's counters are
+    /// added. Either way the counter list is in the order adding them one
+    /// by one leaves it, so the compaction keeps the same counters.
+    ///
     /// # Errors
     ///
     /// [`Error::SchemaMismatch`] on different capacities,
@@ -570,9 +591,14 @@ impl HeavyHitters for MisraGries {
             .offered
             .checked_add(other.offered)
             .ok_or(Error::WeightOverflow)?;
-        for counter in &other.table.counters {
-            let position = self.table.upsert(counter.key);
-            self.table.counters[position].count += counter.count;
+        if self.table.counters.is_empty() {
+            self.table.clone_from(&other.table);
+        } else {
+            self.table.reserve(other.table.counters.len());
+            for counter in &other.table.counters {
+                let position = self.table.upsert(counter.key);
+                self.table.counters[position].count += counter.count;
+            }
         }
         self.offset += other.offset;
         self.compact();

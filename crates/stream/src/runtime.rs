@@ -14,7 +14,7 @@
 //! push_batch ──┼─ data ring ─▶ worker 1 ─┼─ each applies runs to its shard core,  ⇠ recycle
 //!  (partition) └─ data ring ─▶ worker 2 ─┘  Mutex<Option<ShardCore>> (E₀, E₁, E₂)    rings
 //!  merged() ── lock shard s, apply what is queued below its floor, merge it in ──▶ E₀ ⊕ E₁ ⊕ E₂
-//!  read_replica() ── the cached E₀ ⊕ E₁ ⊕ E₂, lent ─▶ slim() ─▶ Arc ─▶ every reader
+//!  read_replica() ── the cached Arc<E₀ ⊕ E₁ ⊕ E₂>, shared ─▶ frame() ─▶ Arc ─▶ every reader
 //! ```
 //!
 //! Two perf-critical design decisions (see `DESIGN.md` §4h; the ledger's
@@ -40,9 +40,9 @@
 //!   wake-up to wait for. The cache ([`snapshot`](crate::snapshot)) serves
 //!   that merge until a shard's accepted-batch count moves past it, so a
 //!   repeated query with no intervening ingest costs one copy of the
-//!   answer. [`ReadReplica`]s project the cached merge once, in place
-//!   ([`SlimQuery::slim`]), and every reader shares the projection by
-//!   pointer.
+//!   answer. [`ReadReplica`]s share one frame over the cached merge
+//!   ([`SlimQuery::frame`]) by pointer, and the frame projects what its
+//!   readers ask for, once.
 //!
 //! * [`push`](ShardedRuntime::push) blocks when a ring is full
 //!   (backpressure propagates to the source);
@@ -307,16 +307,16 @@ impl<E: Summary> RuntimeShared<E> {
 
     /// The incremental at-all-times query, as one owned copy.
     fn merged(&self) -> Result<E> {
-        self.with_merged(|merged, _| merged.clone())
+        self.with_merged(|merged, _| E::clone(merged))
     }
 
     /// The incremental at-all-times query, read in place. See the module
     /// docs: the cached merge is served while every shard's floor is at or
     /// below what it reflects; otherwise each shard in turn is caught up
     /// to its floor under its lock and merged into one copy of the
-    /// prototype, which the cache keeps. `read` gets the merge, under the
-    /// cache lock, with what it reflects.
-    fn with_merged<T>(&self, read: impl FnOnce(&E, Stamp) -> T) -> Result<T> {
+    /// prototype, which the cache keeps. `read` gets the merge the cache
+    /// shares, under the cache lock, with what it reflects.
+    fn with_merged<T>(&self, read: impl FnOnce(&Arc<E>, Stamp) -> T) -> Result<T> {
         // Holding the cache lock for the whole query serializes
         // concurrent handles.
         let mut cache = self.lock_cache();
@@ -393,7 +393,7 @@ impl<E: Summary + SlimQuery> RuntimeShared<E> {
         let frame = self.with_merged(|fat, stamp| ReplicaFrame {
             version: stamp.batches,
             applied: stamp.tuples,
-            slim: Arc::new(fat.slim()),
+            slim: Arc::new(E::frame(fat)),
         })?;
         self.replica.publish(frame.clone());
         Ok(frame)
@@ -1053,8 +1053,9 @@ impl<E: Summary + SlimQuery> QueryHandle<E> {
 /// the runtime's shared frame hub only when the accepted-batch counter has
 /// advanced past `max_pending`. N replicas across N query threads share
 /// one hub: per version, exactly one of them (single-flight) pays the
-/// fat merge + slim projection, and everyone else pays a pointer bump and
-/// reads the same projection.
+/// fat merge, everyone else pays a pointer bump and reads the same frame,
+/// and each part of the frame is projected once, when first asked
+/// ([`SlimQuery::frame`]).
 ///
 /// `*_estimate()` answers carry the slim projection's sketch variance
 /// **plus** a staleness term

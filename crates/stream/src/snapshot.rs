@@ -8,7 +8,7 @@
 //! state actually changes between queries. The cache makes a query pay
 //! for what changed:
 //!
-//! * The cache keeps the merged result with a [`Stamp`] per shard: the
+//! * The cache keeps the merged result with a `Stamp` per shard: the
 //!   batches (and offered tuples) that shard had applied when it was
 //!   merged in. A query reads each shard's accepted-batch count as its
 //!   floor; a shard whose stamp is below its floor is *dirty*.
@@ -21,10 +21,12 @@
 //!   same path, and the result *is* a from-scratch merge of the current
 //!   shard states — there is nothing to drift.
 //!
-//! Either way the cache *lends* the merged result. `merged()` copies it
-//! once for its caller — O(sketch bytes), the ledger's
-//! `stream.merged_clean_us` — and a replica refresh projects it in place,
-//! so a refresh copies no merged result at all.
+//! Either way the cache *lends* the merged result, which it keeps behind
+//! an [`Arc`]. `merged()` copies it once for its caller — O(sketch bytes),
+//! the ledger's `stream.merged_clean_us` — and a replica frame holds the
+//! same `Arc` and projects from it per query family
+//! ([`SlimQuery::frame`](sss_core::SlimQuery::frame)), so a refresh copies
+//! no merged result at all.
 //!
 //! The cache never touches a shard itself: the runtime catches each shard
 //! up and merges it under the shard's lock, and hands the whole merge in
@@ -71,8 +73,9 @@ pub(crate) struct Stamp {
 pub(crate) struct SnapshotCache<E> {
     /// Per shard, what it had applied when it was merged into `merged`.
     stamps: Vec<Stamp>,
-    /// The merged result; `None` until the first query.
-    merged: Option<E>,
+    /// The merged result, shared with the replica frames projected from
+    /// it; `None` until the first query.
+    merged: Option<Arc<E>>,
     stats: CacheStats,
 }
 
@@ -103,7 +106,7 @@ impl<E> SnapshotCache<E> {
 
     /// The cached merge and what it reflects, counted as a hit, if it
     /// covers every shard's floor (its accepted-batch count).
-    pub(crate) fn hit(&mut self, floors: &[u64]) -> Option<(&E, Stamp)> {
+    pub(crate) fn hit(&mut self, floors: &[u64]) -> Option<(&Arc<E>, Stamp)> {
         if self.merged.is_none() || self.dirty(floors) > 0 {
             return None;
         }
@@ -114,7 +117,12 @@ impl<E> SnapshotCache<E> {
 
     /// Install a rebuild that missed [`hit`](Self::hit) at `floors`:
     /// `merged` reflects `stamps`, shard by shard. Lends it back.
-    pub(crate) fn install(&mut self, merged: E, stamps: Vec<Stamp>, floors: &[u64]) -> (&E, Stamp) {
+    pub(crate) fn install(
+        &mut self,
+        merged: E,
+        stamps: Vec<Stamp>,
+        floors: &[u64],
+    ) -> (&Arc<E>, Stamp) {
         let dirty = self.dirty(floors);
         if dirty < self.stamps.len() {
             self.stats.partial_rebuilds += 1;
@@ -124,7 +132,7 @@ impl<E> SnapshotCache<E> {
         self.stats.shards_refreshed += dirty as u64;
         self.stamps = stamps;
         let total = self.total();
-        (self.merged.insert(merged), total)
+        (self.merged.insert(Arc::new(merged)), total)
     }
 
     pub(crate) fn stats(&self) -> CacheStats {
@@ -132,11 +140,12 @@ impl<E> SnapshotCache<E> {
     }
 }
 
-/// One published slim snapshot: the merged summary's slim projection,
-/// stamped with the batches and tuples that merge reflects.
+/// One published slim snapshot: the merged summary's frame
+/// ([`SlimQuery::frame`](sss_core::SlimQuery::frame)), stamped with the
+/// batches and tuples that merge reflects.
 ///
-/// The projection sits behind an [`Arc`], so N concurrent readers adopt
-/// a frame by pointer and query the one shared value. The slot is
+/// The frame sits behind an [`Arc`], so N concurrent readers adopt it by
+/// pointer and query the one shared value. The slot is
 /// type-erased because the hub lives in a runtime generic over plain
 /// [`Summary`](sss_core::Summary); the runtime's `SlimQuery` block, the only code that
 /// publishes or adopts frames, downcasts it back to `E::Slim`.
@@ -149,7 +158,7 @@ pub(crate) struct ReplicaFrame {
     /// Offered tuples the merged shard states had applied — the
     /// denominator of the staleness variance plug-in.
     pub(crate) applied: u64,
-    /// The slim projection ([`sss_core::SlimQuery::slim`]).
+    /// The frame ([`sss_core::SlimQuery::frame`]).
     pub(crate) slim: Arc<dyn Any + Send + Sync>,
 }
 
@@ -159,14 +168,15 @@ pub(crate) struct ReplicaFrame {
 ///
 /// Slim states deliberately cannot merge (`(a+b)² ≠ a² + b²`), so deltas
 /// are *whole frames*: a refresh merges fat state through the
-/// [`SnapshotCache`], projects once, and publishes the projection; every
-/// reader whose local version lags adopts the shared pointer.
-/// The `refreshing` mutex makes the expensive projection single-flight —
+/// [`SnapshotCache`] and publishes a frame over that merge; every reader
+/// whose local version lags adopts the shared pointer, and each part of
+/// the frame is projected once, by whichever reader asks for it first.
+/// The `refreshing` mutex makes the expensive merge single-flight —
 /// concurrent stale readers elect one refresher and the rest pick up the
 /// frame it publishes.
 pub(crate) struct ReplicaHub {
     frame: Mutex<Option<ReplicaFrame>>,
-    /// Held for the duration of a fat merge + projection; see above.
+    /// Held for the duration of a fat merge; see above.
     refreshing: Mutex<()>,
 }
 
@@ -266,18 +276,22 @@ pub(crate) mod tests {
 
     /// A hit needs a merge whose stamps cover every floor; a rebuild
     /// counts the shards that were behind theirs, and is partial unless
-    /// all of them were. What the cache lends is summed from its stamps.
+    /// all of them were. What the cache lends is summed from its stamps,
+    /// and a hit lends the installed merge itself, not a copy.
     #[test]
     fn a_hit_needs_a_merge_that_covers_every_floor() {
         let mut cache = SnapshotCache::new(2);
         assert!(cache.hit(&[0, 0]).is_none(), "nothing merged yet");
         cache.install("empty", vec![stamp(0, 0); 2], &[0, 0]);
-        assert_eq!(cache.hit(&[0, 0]), Some((&"empty", stamp(0, 0))));
+        assert_eq!(cache.hit(&[0, 0]), Some((&Arc::new("empty"), stamp(0, 0))));
         assert!(cache.hit(&[1, 0]).is_none());
 
-        let lent = cache.install("one", vec![stamp(2, 20), stamp(0, 0)], &[1, 0]);
-        assert_eq!(lent, (&"one", stamp(2, 20)));
-        assert_eq!(cache.hit(&[2, 0]), Some((&"one", stamp(2, 20))));
+        let (lent, total) = cache.install("one", vec![stamp(2, 20), stamp(0, 0)], &[1, 0]);
+        let lent = Arc::clone(lent);
+        assert_eq!((*lent, total), ("one", stamp(2, 20)));
+        let (hit, total) = cache.hit(&[2, 0]).unwrap();
+        assert!(Arc::ptr_eq(hit, &lent));
+        assert_eq!(total, stamp(2, 20));
         cache.install("both", vec![stamp(3, 30), stamp(1, 5)], &[3, 1]);
         assert_eq!(
             cache.stats(),
@@ -288,7 +302,7 @@ pub(crate) mod tests {
                 shards_refreshed: 3,
             }
         );
-        assert_eq!(cache.hit(&[3, 1]), Some((&"both", stamp(4, 35))));
+        assert_eq!(cache.hit(&[3, 1]), Some((&Arc::new("both"), stamp(4, 35))));
     }
 
     /// The replica hub: publish is monotone in the version, frames are

@@ -74,6 +74,26 @@ use sketch_sampled_streams::stream::runtime::RuntimeConfig;
 use sketch_sampled_streams::stream::Partition;
 use sketch_sampled_streams::{Error, Result};
 
+/// `println!`, except that a closed stdout (`sss load x.sss | head -1`)
+/// ends the command quietly with success: the reader has what it wanted.
+/// Any other write error is reported, with exit status 1.
+macro_rules! out {
+    ($($arg:tt)*) => {{
+        use std::io::Write as _;
+        if let Err(e) = writeln!(std::io::stdout(), $($arg)*) {
+            stdout_failed(e)
+        }
+    }};
+}
+
+fn stdout_failed(e: std::io::Error) -> ! {
+    if e.kind() == std::io::ErrorKind::BrokenPipe {
+        std::process::exit(0);
+    }
+    eprintln!("error: writing to stdout: {e}");
+    std::process::exit(1)
+}
+
 /// The parsed value of `--name=<v>`, `None` when the flag is absent. A
 /// flag that is present but does not parse is a usage error (exit 2,
 /// stderr names the flag) — never a silent fallback to the default. Every
@@ -145,14 +165,14 @@ fn usage() -> ExitCode {
 /// `± ∞ (no error state)` for estimates with unknown variance instead
 /// of printing a raw `inf`.
 fn print_intervals(est: &sketch_sampled_streams::core::Estimate, level: f64) {
-    println!(
+    out!(
         "interval   {} [chebyshev {:.0}%]",
         est.chebyshev(level)
             .expect("level validated in (0,1)")
             .describe(est.value),
         100.0 * level
     );
-    println!(
+    out!(
         "interval   {} [clt {:.0}%]",
         est.clt(level)
             .expect("level validated in (0,1)")
@@ -175,16 +195,16 @@ fn run_selfjoin(
         shed.observe(k);
     }
     let est = shed.self_join();
-    println!("tuples     {}", keys.len());
-    println!("sketched   {}", shed.kept());
-    println!("estimate   {est:.2}");
+    out!("tuples     {}", keys.len());
+    out!("sketched   {}", shed.kept());
+    out!("estimate   {est:.2}");
     if let Some(level) = confidence {
         print_intervals(&shed.self_join_estimate(), level);
     }
     if has_flag(args, "exact") {
         let truth = exact_self_join(&keys);
-        println!("exact      {truth:.2}");
-        println!(
+        out!("exact      {truth:.2}");
+        out!(
             "rel_error  {:.4}%",
             100.0 * (est - truth).abs() / truth.max(1.0)
         );
@@ -212,16 +232,16 @@ fn run_join(
         gs.observe(k);
     }
     let est = fs.size_of_join(&gs)?;
-    println!("tuples     {} ⋈ {}", f_keys.len(), g_keys.len());
-    println!("sketched   {} + {}", fs.kept(), gs.kept());
-    println!("estimate   {est:.2}");
+    out!("tuples     {} ⋈ {}", f_keys.len(), g_keys.len());
+    out!("sketched   {} + {}", fs.kept(), gs.kept());
+    out!("estimate   {est:.2}");
     if let Some(level) = confidence {
         print_intervals(&fs.size_of_join_estimate(&gs)?, level);
     }
     if has_flag(args, "exact") {
         let truth = exact_join(&f_keys, &g_keys);
-        println!("exact      {truth:.2}");
-        println!(
+        out!("exact      {truth:.2}");
+        out!(
             "rel_error  {:.4}%",
             100.0 * (est - truth).abs() / truth.max(1.0)
         );
@@ -242,8 +262,8 @@ fn run_topk(args: &[String], p: f64, seed: u64, confidence: Option<f64>) -> Resu
     let schema = FagmsSchema::new(depth, width, &mut rng);
     let mut tracker = Sampled::count_sketch(&schema, capacity, p, &mut rng)?;
     tracker.feed_batch(&keys);
-    println!("tuples     {}", keys.len());
-    println!("sketched   {}", tracker.kept());
+    out!("tuples     {}", keys.len());
+    out!("sketched   {}", tracker.kept());
     let exact = has_flag(args, "exact").then(|| ExactAggregator::from_keys(keys.iter().copied()));
     let top = tracker.top_k(k);
     for (rank, (key, est)) in top.iter().enumerate() {
@@ -261,13 +281,13 @@ fn run_topk(args: &[String], p: f64, seed: u64, confidence: Option<f64>) -> Resu
         if let Some(truth) = &exact {
             line.push_str(&format!(" (exact {})", truth.get(*key)));
         }
-        println!("{line}");
+        out!("{line}");
     }
     if let Some(truth) = &exact {
         let true_top: std::collections::HashSet<u64> =
             truth.top_k(k).into_iter().map(|(key, _)| key).collect();
         let hits = top.iter().filter(|(key, _)| true_top.contains(key)).count();
-        println!(
+        out!(
             "recall     {:.4} ({hits}/{} of the exact top-{k})",
             hits as f64 / true_top.len().max(1) as f64,
             true_top.len()
@@ -284,16 +304,16 @@ fn run_distinct(args: &[String], p: f64, seed: u64, confidence: Option<f64>) -> 
     let mut counter = Sampled::hyperloglog(precision, p, &mut rng)?;
     counter.feed_batch(&keys);
     let est = counter.distinct_estimate();
-    println!("tuples     {}", keys.len());
-    println!("sketched   {}", counter.kept());
-    println!("estimate   {:.2}", est.value);
+    out!("tuples     {}", keys.len());
+    out!("sketched   {}", counter.kept());
+    out!("estimate   {:.2}", est.value);
     if let Some(level) = confidence {
         print_intervals(&est, level);
     }
     if has_flag(args, "exact") {
         let truth = ExactAggregator::from_keys(keys.iter().copied()).distinct() as f64;
-        println!("exact      {truth:.2}");
-        println!(
+        out!("exact      {truth:.2}");
+        out!(
             "rel_error  {:.4}%",
             100.0 * (est.value - truth).abs() / truth.max(1.0)
         );
@@ -308,8 +328,8 @@ fn run_quantiles(args: &[String], p: f64, seed: u64) -> Result<()> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut summary = Sampled::kll(k, p, &mut rng)?;
     summary.feed_batch(&keys);
-    println!("tuples     {}", keys.len());
-    println!("sketched   {}", summary.kept());
+    out!("tuples     {}", keys.len());
+    out!("sketched   {}", summary.kept());
     // `--at=q` narrows the report to one quantile; the default covers the
     // operational trio.
     let ranks: Vec<f64> = match flag(args, "at") {
@@ -331,7 +351,7 @@ fn run_quantiles(args: &[String], p: f64, seed: u64) -> Result<()> {
             let idx = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len()) - 1;
             line.push_str(&format!(" (exact {})", sorted[idx]));
         }
-        println!("{line}");
+        out!("{line}");
     }
     Ok(())
 }
@@ -348,25 +368,25 @@ fn run_multi(args: &[String], p: f64, seed: u64, confidence: Option<f64>) -> Res
     // The one pass: every query below is answered from this single
     // Bernoulli-sampled ingestion.
     s.feed_batch(&keys);
-    println!("tuples     {}", keys.len());
-    println!("sketched   {}", s.kept());
+    out!("tuples     {}", keys.len());
+    out!("sketched   {}", s.kept());
     let exact = has_flag(args, "exact").then(|| ExactAggregator::from_keys(keys.iter().copied()));
     let sj = s.self_join_estimate();
-    println!("self_join  {:.2}", sj.value);
+    out!("self_join  {:.2}", sj.value);
     if let Some(level) = confidence {
         print_intervals(&sj, level);
     }
     if let Some(truth) = &exact {
-        println!("           (exact {:.2})", truth.self_join());
+        out!("           (exact {:.2})", truth.self_join());
     }
     let d = s.distinct_estimate();
-    println!("distinct   {:.2}", d.value);
+    out!("distinct   {:.2}", d.value);
     if let Some(truth) = &exact {
-        println!("           (exact {})", truth.distinct());
+        out!("           (exact {})", truth.distinct());
     }
     for (label, q) in [("median", 0.5), ("p99", 0.99)] {
         let (value, (lo, hi)) = s.quantile_with_bounds(q)?;
-        println!("{label:<10} {value:.2} ∈ [{lo:.2}, {hi:.2}]");
+        out!("{label:<10} {value:.2} ∈ [{lo:.2}, {hi:.2}]");
     }
     let top = s.top_k(k);
     for (rank, (key, est)) in top.iter().enumerate() {
@@ -374,7 +394,7 @@ fn run_multi(args: &[String], p: f64, seed: u64, confidence: Option<f64>) -> Res
         if let Some(truth) = &exact {
             line.push_str(&format!(" (exact {})", truth.get(*key)));
         }
-        println!("{line}");
+        out!("{line}");
     }
     Ok(())
 }
@@ -403,12 +423,12 @@ fn run_save<S: Summary + Portable>(args: &[String], mut summary: S) -> Result<()
     summary.update_batch(&keys);
     let bytes = summary.encode()?;
     write_snapshot(out, &bytes)?;
-    println!("tuples      {}", keys.len());
-    println!("kind        {}", S::KIND);
-    println!("format      {}", S::FORMAT);
-    println!("fingerprint {:#018x}", summary.fingerprint());
-    println!("bytes       {}", bytes.len());
-    println!("saved       {out}");
+    out!("tuples      {}", keys.len());
+    out!("kind        {}", S::KIND);
+    out!("format      {}", S::FORMAT);
+    out!("fingerprint {:#018x}", summary.fingerprint());
+    out!("bytes       {}", bytes.len());
+    out!("saved       {out}");
     Ok(())
 }
 
@@ -424,10 +444,10 @@ fn run_load(args: &[String], confidence: Option<f64>) -> Result<()> {
     // Decoded before anything is printed: a head whose body is another
     // configuration's is refused, not reported.
     let print_head = |kind: &str, format: u32, fingerprint: u64| {
-        println!("kind        {kind}");
-        println!("format      {format}");
-        println!("fingerprint {fingerprint:#018x}");
-        println!("bytes       {}", bytes.len());
+        out!("kind        {kind}");
+        out!("format      {format}");
+        out!("fingerprint {fingerprint:#018x}");
+        out!("bytes       {}", bytes.len());
     };
     if wire::peek(&bytes)?.kind == MultiSummary::KIND {
         use sketch_sampled_streams::core::{DistinctQuery as _, TopKQuery as _};
@@ -438,26 +458,26 @@ fn run_load(args: &[String], confidence: Option<f64>) -> Result<()> {
             summary.fingerprint(),
         );
         let est = summary.self_join_estimate();
-        println!("self_join   {:.2}", est.value);
+        out!("self_join   {:.2}", est.value);
         if let Some(level) = confidence {
             print_intervals(&est, level);
         }
-        println!("distinct    {:.2}", summary.distinct_estimate().value);
+        out!("distinct    {:.2}", summary.distinct_estimate().value);
         for (rank, (key, _)) in summary.top_k(5).iter().enumerate() {
             let est = summary.frequency_estimate(*key);
-            println!("top{:<3}     key {key}: {:.2}", rank + 1, est.value);
+            out!("top{:<3}     key {key}: {:.2}", rank + 1, est.value);
         }
         return Ok(());
     }
     let sketch = JoinSketch::decode(&bytes)?;
     print_head(JoinSketch::KIND, JoinSketch::FORMAT, sketch.fingerprint());
     let est = sketch.self_join_estimate();
-    println!("self_join   {:.2}", est.value);
+    out!("self_join   {:.2}", est.value);
     if let Some(level) = confidence {
         print_intervals(&est, level);
     }
     let slim_bytes = sketch.slim().encode()?;
-    println!(
+    out!(
         "slim        {} bytes ({:.1}% of fat)",
         slim_bytes.len(),
         100.0 * slim_bytes.len() as f64 / bytes.len().max(1) as f64
@@ -489,22 +509,22 @@ fn merge_snapshots_as<S: Summary + Portable + JoinQuery>(
     confidence: Option<f64>,
 ) -> Result<()> {
     let mut merged = S::decode(first)?;
-    println!("loaded      {} ({} bytes)", inputs[0], first.len());
+    out!("loaded      {} ({} bytes)", inputs[0], first.len());
     for path in &inputs[1..] {
         let bytes = read_snapshot(path)?;
         merged.merge_encoded(&bytes)?;
-        println!("merged      {path} ({} bytes)", bytes.len());
+        out!("merged      {path} ({} bytes)", bytes.len());
     }
-    println!("fingerprint {:#018x}", merged.fingerprint());
+    out!("fingerprint {:#018x}", merged.fingerprint());
     let est = merged.self_join_estimate();
-    println!("self_join   {:.2}", est.value);
+    out!("self_join   {:.2}", est.value);
     if let Some(level) = confidence {
         print_intervals(&est, level);
     }
     if let Some(out) = args.iter().find_map(|a| a.strip_prefix("--out=")) {
         let bytes = merged.encode()?;
         write_snapshot(out, &bytes)?;
-        println!("saved       {out} ({} bytes)", bytes.len());
+        out!("saved       {out} ({} bytes)", bytes.len());
     }
     Ok(())
 }
@@ -550,26 +570,27 @@ fn run_serve(args: &[String]) -> Result<()> {
     let srv = RunningServer::start(config, &spec)?;
     // Machine-parseable banner: scripts (and the CI smoke test) scrape
     // the ephemeral ports from these lines, so flush before blocking.
-    println!("ingest      {}", srv.ingest_addr());
-    println!("query       {}", srv.query_addr());
-    println!("fingerprint {fingerprint:#018x}");
+    out!("ingest      {}", srv.ingest_addr());
+    out!("query       {}", srv.query_addr());
+    out!("fingerprint {fingerprint:#018x}");
     use std::io::Write as _;
     std::io::stdout().flush().ok();
 
     let stats = srv.stats();
     let merged = srv.wait()?;
-    println!("tuples      {}", stats.tuples_ingested());
-    println!("batches     {}", stats.batches_ingested());
+    out!("tuples      {}", stats.tuples_ingested());
+    out!("batches     {}", stats.batches_ingested());
     let pool = stats.pool_stats();
-    println!(
+    out!(
         "pool        {} allocations, {} reuses",
-        pool.allocations, pool.reuses
+        pool.allocations,
+        pool.reuses
     );
-    println!("self_join   {:.2}", merged.self_join_estimate().value);
+    out!("self_join   {:.2}", merged.self_join_estimate().value);
     use sketch_sampled_streams::core::DistinctQuery as _;
-    println!("distinct    {:.2}", merged.distinct_estimate().value);
+    out!("distinct    {:.2}", merged.distinct_estimate().value);
     if let Some(path) = snapshot {
-        println!("snapshot    {}", path.display());
+        out!("snapshot    {}", path.display());
     }
     Ok(())
 }
@@ -591,12 +612,12 @@ fn run_bench_client(args: &[String]) -> Result<()> {
         seed: arg_value(args, "seed", 7),
     };
     let report = net::run_load(addr.as_str(), &cfg)?;
-    println!("connections {}", cfg.connections);
-    println!("tuples      {}", report.tuples);
-    println!("elapsed     {:.3}s", report.elapsed.as_secs_f64());
-    println!("tuples/s    {:.0}", report.tuples_per_sec);
+    out!("connections {}", cfg.connections);
+    out!("tuples      {}", report.tuples);
+    out!("elapsed     {:.3}s", report.elapsed.as_secs_f64());
+    out!("tuples/s    {:.0}", report.tuples_per_sec);
     for (i, tps) in report.per_connection_tps.iter().enumerate() {
-        println!("conn{i:<3}     {tps:.0} tuples/s");
+        out!("conn{i:<3}     {tps:.0} tuples/s");
     }
 
     let query_addr = args.iter().find_map(|a| a.strip_prefix("--query-addr="));
@@ -633,7 +654,7 @@ fn run_bench_client(args: &[String]) -> Result<()> {
                 exact: truth,
             });
         };
-        println!("check       estimate {estimate:.2} ± {half_width:.2}, exact {truth:.2}");
+        out!("check       estimate {estimate:.2} ± {half_width:.2}, exact {truth:.2}");
         if (estimate - truth).abs() > half_width {
             return Err(Error::CheckFailed {
                 what: "self_join",
@@ -642,7 +663,7 @@ fn run_bench_client(args: &[String]) -> Result<()> {
                 exact: truth,
             });
         }
-        println!("check       ok (within chebyshev 99%)");
+        out!("check       ok (within chebyshev 99%)");
     }
     if has_flag(args, "shutdown") {
         let Some(query_addr) = query_addr else {
@@ -656,7 +677,7 @@ fn run_bench_client(args: &[String]) -> Result<()> {
         };
         let mut queries = QueryClient::connect(query_addr)?;
         queries.shutdown()?;
-        println!("shutdown    requested");
+        out!("shutdown    requested");
     }
     Ok(())
 }

@@ -81,8 +81,8 @@ fn capabilities_land_on_the_right_backends() {
 /// `SlimTopK` and `SlimMultiSummary` hold capabilities although none of
 /// them is a `Summary` (they have no `update`, and slim lane aggregates
 /// cannot merge: `(a+b)² ≠ a² + b²`). `Summary` itself still requires
-/// `Clone + Send + 'static` — the properties the sharded runtime's
-/// worker threads and snapshot cache rely on.
+/// `Clone + Send + Sync + 'static` — the properties the sharded runtime's
+/// worker threads, snapshot cache and shared replica frames rely on.
 #[test]
 fn capabilities_are_standalone_and_slim_replicas_hold_them() {
     // Capabilities without `Summary`: these instantiations would not
@@ -101,10 +101,12 @@ fn capabilities_are_standalone_and_slim_replicas_hold_them() {
     portable::<SlimMultiSummary>();
 
     // The ingestion contract keeps its runtime-facing supertraits.
-    fn summary_is_clone_send_static<T: Summary>() {
+    fn summary_is_clone_send_sync_static<T: Summary>() {
         clone_send_static::<T>();
+        fn sync<T: Sync>() {}
+        sync::<T>();
     }
-    summary_is_clone_send_static::<MultiSummary>();
+    summary_is_clone_send_sync_static::<MultiSummary>();
 }
 
 /// Every fat update-side summary projects to a slim read replica, and

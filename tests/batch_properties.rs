@@ -18,11 +18,11 @@ use sketch_sampled_streams::core::sketch::JoinSchema;
 use sketch_sampled_streams::core::{MultiSpec, MultiSummary, Portable, Sampled, Summary};
 use sketch_sampled_streams::sketch::topk::HeavyHitters;
 use sketch_sampled_streams::sketch::{
-    AgmsSchema, CountMinSchema, CountSketchTopK, FagmsSchema, FagmsSketch, KllSketch, MisraGries,
-    Sketch,
+    AgmsSchema, CountMinSchema, CountSketchTopK, FagmsSchema, FagmsSketch, HyperLogLog, KllSketch,
+    MisraGries, Sketch,
 };
 use sketch_sampled_streams::xi::{
-    Bch5, BucketFamily, Cw2, Cw2Bucket, Cw4, Eh3, SignFamily, Tabulation,
+    Bch5, BucketFamily, Codec, Cw2, Cw2Bucket, Cw4, Eh3, Reader, SignFamily, Tabulation, Writer,
 };
 
 fn stream() -> impl Strategy<Value = Vec<u64>> {
@@ -289,6 +289,56 @@ proptest! {
         prop_assert_eq!(bits(&s.size_of_join_rows(&t).unwrap()), bits(&folds(&s, &t)));
         prop_assert_eq!(bits(&empty.size_of_join_rows(&t).unwrap()), bits(&folds(&empty, &t)));
         prop_assert_eq!(bits(&empty.self_join_rows()), bits(&folds(&empty, &empty)));
+    }
+
+    /// HyperLogLog's distinct estimate, which sums `2^-r` from a table of
+    /// the ranks in register order, is bit for bit the per-register
+    /// division `1 / 2^r` summed in the same order: over random register
+    /// arrays at every precision up to 14, with a random share of empty
+    /// registers, so both the harmonic mean and linear counting answer.
+    #[test]
+    fn hll_distinct_matches_the_division_form(
+        precision in 4u8..=14,
+        empty_share in 0.0f64..1.0,
+        seed: u64,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let registers: Vec<u8> = (0..1usize << precision)
+            .map(|_| {
+                if rng.random_bool(empty_share) {
+                    0
+                } else {
+                    rng.random_range(1..=64 - precision + 1)
+                }
+            })
+            .collect();
+        let mut body = Writer::new();
+        body.bytes(&registers);
+        body.u64(u64::from(precision));
+        body.u64(seed);
+        let body = body.into_bytes();
+        let hll = HyperLogLog::take(&mut Reader::new(&body)).unwrap();
+
+        let m = registers.len() as f64;
+        let mut inverse_sum = 0.0f64;
+        let mut zeros = 0u64;
+        for &r in &registers {
+            inverse_sum += 1.0 / (1u64 << r) as f64;
+            zeros += u64::from(r == 0);
+        }
+        let alpha = match registers.len() {
+            16 => 0.673,
+            32 => 0.697,
+            64 => 0.709,
+            len => 0.7213 / (1.0 + 1.079 / len as f64),
+        };
+        let raw = alpha * m * m / inverse_sum;
+        let expect = if raw <= 2.5 * m && zeros > 0 {
+            m * (m / zeros as f64).ln()
+        } else {
+            raw
+        };
+        prop_assert_eq!(hll.raw_distinct().to_bits(), expect.to_bits());
     }
 
     /// Top-k candidates priced in one batched call are the per-key point

@@ -224,6 +224,33 @@ fn topk_reports_heavy_keys_with_recall() {
     );
 }
 
+/// A reader that closes the pipe after one line (`sss topk … | head -1`)
+/// ends the command quietly: exit 0, nothing on stderr. The answer is far
+/// longer than a pipe buffer, so the command is still writing when the
+/// pipe closes.
+#[test]
+fn a_closed_stdout_ends_the_command_quietly() {
+    use std::io::BufRead;
+    let dir = std::env::temp_dir().join("sss-cli-test-closed-stdout");
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("keys.txt");
+    write_keys(&file, (0..20_000u64).map(|i| i % 5_000));
+    let mut child = sss()
+        .args(["topk", file.to_str().unwrap(), "--k=5000"])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut first = String::new();
+    std::io::BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut first)
+        .unwrap();
+    assert!(first.starts_with("tuples"), "{first:?}");
+    let out = child.wait_with_output().unwrap();
+    assert!(out.status.success(), "{:?}", out.status);
+    assert_eq!(String::from_utf8_lossy(&out.stderr), "");
+}
+
 #[test]
 fn distinct_estimates_cardinality() {
     let dir = std::env::temp_dir().join("sss-cli-test-distinct");

@@ -12,7 +12,7 @@ use sss_net::protocol;
 use sss_net::{IngestClient, NetError, QueryClient, RunningServer, ServerConfig};
 use sss_stream::runtime::RuntimeConfig;
 use sss_stream::{Partition, ShardedRuntime};
-use sss_xi::Dispatch;
+use sss_xi::{splitmix64, Dispatch};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 
@@ -453,6 +453,50 @@ fn stats_line_reports_ring_and_cache_gauges() {
     assert!(gauge("queue_high_water") >= 1, "{line}");
     assert!(gauge("cache_rebuilds") >= 1, "{line}");
     assert!(line.contains("\"cache_hits\":"), "{line}");
+    srv.shutdown_and_wait().unwrap();
+}
+
+/// A pipelined burst of query lines whose answers (≈ 16 MiB) overflow the
+/// socket buffers is answered in full and in order: the server arms write
+/// interest while its answers back up and disarms it once they are out,
+/// after which the connection still answers.
+#[test]
+fn a_pipelined_query_burst_is_answered_in_full_and_in_order() {
+    use std::io::BufRead;
+    let srv = server(7, 1, Partition::RoundRobin);
+    let mut client = IngestClient::connect(srv.ingest_addr()).unwrap();
+    // 256 keys, so every one of the 256 Misra–Gries counters holds one and
+    // a `topk` of 256 answers ≈ 16 KiB.
+    let keys: Vec<u64> = (0..40_000u64).map(|i| splitmix64(i) % 256).collect();
+    for batch in keys.chunks(512) {
+        client.send_batch(batch).unwrap();
+    }
+    client.sync().unwrap();
+
+    const ROUNDS: usize = 1_000;
+    let mut stream = TcpStream::connect(srv.query_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(60)))
+        .unwrap();
+    let burst: String = (0..ROUNDS)
+        .map(|i| format!("{{\"cmd\":\"topk\",\"k\":256}}\n{{\"cmd\":\"round{i}\"}}\n"))
+        .collect();
+    stream.write_all(burst.as_bytes()).unwrap();
+    let mut lines = std::io::BufReader::new(stream.try_clone().unwrap()).lines();
+    let mut next = || lines.next().expect("an answer per line").unwrap();
+    let topk = next();
+    assert!(topk.matches("\"key\":").count() == 256, "{topk}");
+    for i in 0..ROUNDS {
+        if i > 0 {
+            assert_eq!(next(), topk, "round {i}");
+        }
+        assert_eq!(
+            next(),
+            format!("{{\"ok\":false,\"error\":\"unknown cmd \\\"round{i}\\\"\"}}")
+        );
+    }
+    stream.write_all(b"{\"cmd\":\"distinct\"}\n").unwrap();
+    assert!(next().starts_with("{\"ok\":true,\"cmd\":\"distinct\""));
     srv.shutdown_and_wait().unwrap();
 }
 

@@ -12,7 +12,7 @@ use sketch_sampled_streams::core::{
     DistinctQuery, JoinQuery, MultiSpec, MultiSummary, Portable, QuantileQuery, Sampled, SlimJoin,
     SlimMultiSummary, SlimQuery, Summary, TopKQuery,
 };
-use sketch_sampled_streams::sketch::Estimate;
+use sketch_sampled_streams::sketch::{Estimate, HeavyHitters, MisraGries};
 use sketch_sampled_streams::stream::runtime::RUN_TUPLES;
 use sketch_sampled_streams::stream::{
     Partition, ReadReplica, RuntimeConfig, ShardedRuntime, StreamError,
@@ -431,6 +431,146 @@ fn reads_through_one_slim_borrow_come_from_one_frame() {
         "the newer frame's median {moved} is outside ({lo}, {hi})"
     );
 }
+
+/// One query family's answers from a projection, as bits: 0 is the join,
+/// 1 top-k, 2 distinct, 3 quantiles.
+fn family(slim: &SlimMultiSummary, which: usize) -> Vec<u64> {
+    match which {
+        0 => bits(&slim.self_join_estimate()).to_vec(),
+        1 => {
+            let mut out = vec![slim.frequency_variance().to_bits()];
+            for (key, value) in slim.top_k(TOP) {
+                out.extend([key, value.to_bits(), slim.frequency(key).to_bits()]);
+            }
+            out.push(slim.frequency(u64::MAX).to_bits());
+            out
+        }
+        2 => bits(&slim.distinct_estimate()).to_vec(),
+        _ => {
+            let (value, (lo, hi)) = slim.quantile_with_bounds(0.5).unwrap();
+            let mut out = vec![value.to_bits(), lo.to_bits(), hi.to_bits()];
+            out.extend(QUANTILES.map(|q| slim.quantile(q).unwrap().to_bits()));
+            out.push(slim.stream_len());
+            out
+        }
+    }
+}
+
+/// A replica frame projects each family the first time it is asked. On one
+/// and three shards, with both partitions, the four families of a fresh
+/// frame asked in every order — and different families asked of one frame
+/// from two replicas on two threads at once — answer bit for bit as the
+/// eager `slim()` of `merged()` at the same state, and the frame encodes to
+/// the eager slim's bytes.
+#[test]
+fn a_lazy_frame_answers_each_family_as_the_eager_slim_in_any_order() {
+    let keys: Vec<u64> = (0..6000u64).map(|i| splitmix64(i) % 700).collect();
+    let orders: Vec<[usize; 4]> = (0..256usize)
+        .map(|n| [n & 3, n >> 2 & 3, n >> 4 & 3, n >> 6 & 3])
+        .filter(|o| (0..4).all(|f| o.contains(&f)))
+        .collect();
+    assert_eq!(orders.len(), 24);
+    for shards in [1, 3] {
+        for partition in [Partition::RoundRobin, Partition::Hash] {
+            let config = RuntimeConfig {
+                shards,
+                queue_depth: 4,
+                partition,
+            };
+            let fed = || {
+                let mut rt =
+                    ShardedRuntime::new(config, &multi_spec(40).summary().unwrap()).unwrap();
+                for batch in keys.chunks(512) {
+                    rt.push(batch).unwrap();
+                }
+                rt
+            };
+            let eager = fed().merged().unwrap().slim();
+            let expect: Vec<Vec<u64>> = (0..4).map(|f| family(&eager, f)).collect();
+            let bytes = eager.encode().unwrap();
+            for order in &orders {
+                let rt = fed();
+                let replica = rt.read_replica(0).unwrap();
+                for &f in order {
+                    assert_eq!(family(replica.slim(), f), expect[f], "{order:?}");
+                }
+                assert_eq!(replica.slim().encode().unwrap(), bytes);
+            }
+
+            let rt = fed();
+            let barrier = Arc::new(Barrier::new(2));
+            let readers: Vec<_> = [[1, 2, 0, 3], [3, 0, 1, 2]]
+                .into_iter()
+                .map(|order| {
+                    let handle = rt.query_handle();
+                    let barrier = Arc::clone(&barrier);
+                    std::thread::spawn(move || {
+                        let replica = handle.read_replica(0).unwrap();
+                        barrier.wait();
+                        let answers: Vec<Vec<u64>> =
+                            order.map(|f| family(replica.slim(), f)).to_vec();
+                        (order, answers, replica.slim().encode().unwrap())
+                    })
+                })
+                .collect();
+            for reader in readers {
+                let (order, answers, encoded) = reader.join().unwrap();
+                for (f, answer) in order.iter().zip(answers) {
+                    assert_eq!(answer, expect[*f], "{shards} shards, {partition:?}");
+                }
+                assert_eq!(encoded, bytes);
+            }
+        }
+    }
+}
+
+/// FNV-1a over a byte stream: a golden value for bytes a test pins.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// `MisraGries::merge` into an empty summary, into one holding counters,
+/// and into one whose counters all compacted away (a non-zero offset):
+/// `encode()` and `candidates()` equal what the one-by-one counter merge
+/// produced (golden hashes). The merged-in summary holds more than
+/// `capacity` counters, so the merge's compaction has something to cut.
+#[test]
+fn misra_gries_merges_keep_their_golden_bytes() {
+    let fed = |keys: Vec<u64>| {
+        let mut mg = MisraGries::new(64).unwrap();
+        Summary::update_batch(&mut mg, &keys);
+        mg
+    };
+    let other = fed((0..3000u64).map(|i| splitmix64(i) % 900).collect());
+    assert!(other.held() > 64);
+    let holding = fed((0..2500u64).map(|i| splitmix64(i ^ 7) % 300).collect());
+    assert!(holding.held() > 0);
+    let gone = fed((0..2 * MisraGries::CHUNK as u64).collect());
+    assert_eq!(gone.held(), 0);
+    assert!(gone.error_bound() > 0);
+    let hashes: Vec<[u64; 2]> = [MisraGries::new(64).unwrap(), holding, gone]
+        .into_iter()
+        .map(|mut into| {
+            into.merge_from(&other).unwrap();
+            let candidates = into.candidates();
+            [
+                fnv1a(into.encode().unwrap()),
+                fnv1a(candidates.iter().flat_map(|k| k.to_le_bytes())),
+            ]
+        })
+        .collect();
+    assert_eq!(hashes, GOLDEN_MG_MERGES, "{hashes:#x?}");
+}
+
+/// `[encode(), candidates()]` hashes of the three merges, taken when the
+/// merge still added the other table's counters one by one.
+const GOLDEN_MG_MERGES: [[u64; 2]; 3] = [
+    [0x31ab_6498_d2b8_abce, 0x8fa8_8702_1360_9488],
+    [0x34c3_8110_e796_94a5, 0xe554_7cc2_228d_79d4],
+    [0xf2a1_cf61_2de9_e19c, 0x8fa8_8702_1360_9488],
+];
 
 /// A summary that counts tuples, records the longest slice `update_batch`
 /// was handed, and — while `armed` — holds the worker inside one call until
