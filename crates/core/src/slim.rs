@@ -37,7 +37,8 @@
 //! **Slim states do not merge.** `(a+b)² ≠ a² + b²`: a lane aggregate of
 //! a union cannot be recovered from the unions' lane aggregates. The
 //! two-stage read path therefore always merges *fat* state first and
-//! projects after — see `sss-stream`'s replica hub.
+//! projects after — see `sss-stream`'s snapshot cache, which keeps the
+//! replica frame beside the merge it projects.
 
 use crate::error::{Error, Result};
 use crate::multi::MultiSummary;

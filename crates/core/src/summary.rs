@@ -463,8 +463,8 @@ pub trait SlimQuery: Summary {
     /// Project the current state to its read-replica form.
     fn slim(&self) -> Self::Slim;
 
-    /// The frame a runtime's replica hub publishes over `merged`, a merge
-    /// it shares with the runtime's cache. By default the eager
+    /// The replica frame a runtime's cache keeps over `merged`, a merge
+    /// it shares with that cache. By default the eager
     /// [`slim`](SlimQuery::slim); [`crate::MultiSummary`] keeps the merge
     /// and projects each query family the first time it is asked.
     fn frame(merged: &Arc<Self>) -> Self::Slim {

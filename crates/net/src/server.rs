@@ -1,28 +1,36 @@
 //! The ingest service: an event-loop front end over
 //! [`ShardedRuntime<MultiSummary>`].
 //!
-//! Two planes, two threads, two listeners:
+//! Two planes, two threads, two listeners, one connection loop:
 //!
 //! * The **ingest thread** owns the sharded runtime and a [`Poller`]
 //!   over the ingest listener plus every ingest connection. Batch
 //!   frames are decoded *directly into* pooled buffers loaned from the
 //!   shard recycle rings ([`loan_batch_buf`](sss_stream::ShardedRuntime::loan_batch_buf) →
 //!   [`protocol::decode_batch_into`] →
-//!   [`push_loaned`](sss_stream::ShardedRuntime::push_loaned)), so the steady-state path from
-//!   socket to shard ring performs zero heap allocations per batch —
-//!   the invariant [`pool_stats`](sss_stream::ShardedRuntime::pool_stats) proves in-process,
-//!   extended across the socket boundary and mirrored into
-//!   [`ServerStats`]. When every shard ring is full the loop blocks in
-//!   `push_loaned` — backpressure propagates to the TCP receive
-//!   windows of every client rather than buffering unboundedly.
+//!   [`push_loaned`](sss_stream::ShardedRuntime::push_loaned)), so the
+//!   steady-state path from socket to shard ring performs zero heap
+//!   allocations per batch — the invariant
+//!   [`pool_stats`](sss_stream::QueryHandle::pool_stats) proves, which
+//!   [`ServerStats`] reads from the runtime's own counters. When every
+//!   shard ring is full the loop blocks in `push_loaned` — backpressure
+//!   propagates to the TCP receive windows of every client rather than
+//!   buffering unboundedly.
 //! * The **query thread** owns a [`ReadReplica`] opened from the
-//!   runtime's query handle and a second poller over the query
-//!   listener. Every query line refreshes the replica once and is
-//!   answered from that one slim projection (single-flight refresh
-//!   through the shared frame hub, adopted by pointer), so a slow
-//!   or chatty query client never blocks ingest, and sustained ingest
-//!   costs a query only the staleness the replica's `max_pending`
-//!   budget allows — with the estimate's error bar widened to match.
+//!   runtime's read side and a second poller over the query listener.
+//!   Every query line refreshes the replica once and is answered from
+//!   that one slim projection (single-flight refresh of the frame the
+//!   runtime's cache keeps, adopted by pointer), so a slow or chatty query
+//!   client never blocks ingest, and sustained ingest costs a query only
+//!   the staleness the replica's `max_pending` budget allows — with the
+//!   estimate's error bar widened to match.
+//!
+//! Both threads run the same loop (`serve`) over their own poller; a plane
+//! only says what its bytes mean. The loop bounds what any client can
+//! cost: a connection holding 1 MiB (`OUT_LIMIT`) of unsent answers is
+//! neither read nor answered until its peer reads them, so a client that
+//! never reads stalls only itself. A client that shuts its write half is
+//! answered in full before the connection closes.
 //!
 //! A graceful shutdown (the query-plane `{"cmd":"shutdown"}`, or
 //! [`RunningServer::shutdown_and_wait`]) stops accepting, drains the
@@ -33,14 +41,14 @@
 
 use crate::error::{NetError, Result};
 use crate::protocol::{self, FrameReader};
-use crate::sys::{Event, Interest, Poller};
+use crate::sys::{Interest, Poller};
 use sss_core::wire::{self, FrameError};
 use sss_core::{MultiSpec, MultiSummary, Portable, QuantileQuery};
 use sss_stream::runtime::RuntimeConfig;
 use sss_stream::{QueryHandle, ReadReplica, ShardedRuntime};
 use std::collections::HashMap;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{ErrorKind, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -51,8 +59,12 @@ use std::time::{Duration, Instant};
 const TOKEN_LISTENER: u64 = 0;
 /// Event-loop tick: the latency bound on noticing the shutdown flag.
 const TICK: Duration = Duration::from_millis(25);
-/// Socket read chunk per readiness event (per loop turn, for fairness).
+/// Socket read chunk per read call.
 const READ_CHUNK: usize = 64 << 10;
+/// Unsent output at which a connection is neither read nor answered
+/// further until its peer reads: what a client that never reads can cost
+/// the server, whatever its requests would expand to.
+const OUT_LIMIT: usize = 1 << 20;
 /// What a refused query connection may still send before it is dropped:
 /// room for an honest mistake (a snapshot pasted into the query port) to
 /// read its refusal, an end to what a flood costs the query thread.
@@ -105,23 +117,24 @@ struct StatsInner {
     protocol_errors: AtomicU64,
     connections_accepted: AtomicU64,
     connections_open: AtomicU64,
-    pool_allocations: AtomicU64,
-    pool_reuses: AtomicU64,
 }
 
 /// A cloneable view of the service gauges (see the invariants on the
 /// internal accumulator docs: monotonic across reconnects, partial
-/// batches never counted).
+/// batches never counted), and of the runtime's read side.
 #[derive(Debug, Clone)]
 pub struct ServerStats {
     inner: Arc<StatsInner>,
+    /// The runtime's read side; it outlives the runtime.
+    runtime: QueryHandle<MultiSummary>,
     started: Instant,
 }
 
 impl ServerStats {
-    fn new() -> Self {
+    fn new(runtime: QueryHandle<MultiSummary>) -> Self {
         Self {
             inner: Arc::new(StatsInner::default()),
+            runtime,
             started: Instant::now(),
         }
     }
@@ -164,72 +177,13 @@ impl ServerStats {
         self.inner.connections_open.load(Ordering::Acquire)
     }
 
-    /// The runtime's batch-buffer pool counters, mirrored out of the
-    /// ingest thread after every accepted batch — the zero-allocations
-    /// evidence, observable over the query plane while ingest runs.
+    /// The runtime's batch-buffer pool counters
+    /// ([`QueryHandle::pool_stats`]) — the zero-allocations evidence,
+    /// observable over the query plane while ingest runs, and after the
+    /// server stopped.
     pub fn pool_stats(&self) -> sss_stream::PoolStats {
-        sss_stream::PoolStats {
-            allocations: self.inner.pool_allocations.load(Ordering::Acquire),
-            reuses: self.inner.pool_reuses.load(Ordering::Acquire),
-        }
+        self.runtime.pool_stats()
     }
-}
-
-/// One ingest connection's state.
-struct Conn {
-    stream: TcpStream,
-    reader: FrameReader,
-    out: Vec<u8>,
-    out_pos: usize,
-    /// Handshake completed: `BATCH`/`SYNC` frames are admissible.
-    hello_done: bool,
-    /// Close once the out-buffer drains (set after queueing an `ERROR`).
-    closing: bool,
-    /// Write interest currently armed with the poller.
-    armed_write: bool,
-}
-
-impl Conn {
-    fn new(stream: TcpStream) -> Self {
-        Self {
-            stream,
-            reader: FrameReader::new(),
-            out: Vec::new(),
-            out_pos: 0,
-            hello_done: false,
-            closing: false,
-            armed_write: false,
-        }
-    }
-
-    /// Push buffered response bytes; `Ok(true)` when fully drained.
-    fn flush(&mut self) -> std::io::Result<bool> {
-        while self.out_pos < self.out.len() {
-            match self.stream.write(&self.out[self.out_pos..]) {
-                Ok(0) => {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::WriteZero,
-                        "peer stopped reading",
-                    ))
-                }
-                Ok(n) => self.out_pos += n,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(false),
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
-        }
-        self.out.clear();
-        self.out_pos = 0;
-        Ok(true)
-    }
-}
-
-/// What the per-connection frame pump decided.
-enum Verdict {
-    /// Keep serving this connection.
-    Keep,
-    /// Drop it now (peer gone, or socket error).
-    Drop,
 }
 
 /// A started service: two background threads, two bound listeners.
@@ -277,35 +231,48 @@ impl RunningServer {
         };
         let runtime = ShardedRuntime::new(config.runtime, &prototype)?;
         let replica = runtime.read_replica(config.max_pending)?;
-        let query_handle = runtime.query_handle();
-
-        let stats = ServerStats::new();
+        let stats = ServerStats::new(runtime.query_handle());
         let shutdown = Arc::new(AtomicBool::new(false));
 
         let ingest = {
-            let stats = Arc::clone(&stats.inner);
+            let mut plane = Ingest {
+                runtime,
+                banner: head.seal(&[]),
+                head,
+                stats: Arc::clone(&stats.inner),
+            };
             let shutdown = Arc::clone(&shutdown);
             let snapshot_path = config.snapshot_path.clone();
             std::thread::Builder::new()
                 .name("sss-net-ingest".to_string())
                 .spawn(move || {
-                    ingest_loop(
-                        ingest_listener,
-                        runtime,
-                        head,
-                        stats,
-                        shutdown,
-                        snapshot_path,
-                    )
+                    serve(ingest_listener, &mut plane, &shutdown)
+                        .map_err(|e| NetError::io("ingest event loop", e))?;
+                    // The listener is closed; dropping the lanes closes the
+                    // data rings, and each worker drains its ring first.
+                    let summary = plane.runtime.into_merged()?;
+                    if let Some(path) = snapshot_path {
+                        let bytes = summary.encode()?;
+                        std::fs::write(&path, bytes)
+                            .map_err(|e| NetError::io("write final snapshot", e))?;
+                    }
+                    Ok(summary)
                 })
                 .map_err(|e| NetError::io("spawn ingest thread", e))?
         };
         let query = {
-            let stats = stats.clone();
-            let shutdown = Arc::clone(&shutdown);
+            let mut plane = Queries {
+                replica,
+                stats: stats.clone(),
+                shutdown: Arc::clone(&shutdown),
+            };
             std::thread::Builder::new()
                 .name("sss-net-query".to_string())
-                .spawn(move || query_loop(query_listener, query_handle, replica, stats, shutdown))
+                .spawn(move || {
+                    let shutdown = Arc::clone(&plane.shutdown);
+                    serve(query_listener, &mut plane, &shutdown)
+                        .map_err(|e| NetError::io("query event loop", e))
+                })
                 .map_err(|e| NetError::io("spawn query thread", e))?
         };
 
@@ -385,211 +352,296 @@ impl Drop for RunningServer {
     }
 }
 
-/// The ingest plane: accept, handshake, decode into loaned buffers,
-/// push, until shutdown; then drain and merge.
-fn ingest_loop(
-    listener: TcpListener,
-    mut runtime: ShardedRuntime<MultiSummary>,
-    head: wire::Head,
-    stats: Arc<StatsInner>,
-    shutdown: Arc<AtomicBool>,
-    snapshot_path: Option<PathBuf>,
-) -> Result<MultiSummary> {
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| NetError::io("ingest listener nonblocking", e))?;
-    let banner = head.seal(&[]);
-    let mut poller = Poller::new().map_err(|e| NetError::io("create ingest poller", e))?;
-    poller
-        .register(&listener, TOKEN_LISTENER, Interest::READ)
-        .map_err(|e| NetError::io("register ingest listener", e))?;
+/// What a plane makes of the bytes its connections send; [`serve`] does
+/// the sockets.
+trait Plane {
+    /// A connection's input not yet answered.
+    type Input: Default;
+    /// Queue what a new connection is sent before anything is read.
+    fn greet(&mut self, _out: &mut Vec<u8>) {}
+    /// Keep bytes read from a connection.
+    fn extend(input: &mut Self::Input, bytes: &[u8]);
+    /// Answer the first complete request in `input` into `out`.
+    fn answer(&mut self, input: &mut Self::Input, out: &mut Vec<u8>) -> Step;
+    /// A connection is gone. `input` is what it left unanswered, unless
+    /// the plane closed it.
+    fn gone(&mut self, _input: Option<&Self::Input>) {}
+    /// Every connection ready this turn has been served.
+    fn turn_done(&mut self) {}
+}
 
-    let mut conns: HashMap<u64, Conn> = HashMap::new();
-    let mut next_token: u64 = 1;
-    let mut events: Vec<Event> = Vec::new();
-    let mut scratch = vec![0u8; READ_CHUNK];
+/// What [`Plane::answer`] did.
+enum Step {
+    /// No complete request is buffered.
+    Idle,
+    /// One request answered.
+    Answered,
+    /// The last answer: the connection closes once it is out, and what the
+    /// peer still sends is discarded, at most this many bytes of it.
+    Close(usize),
+}
 
-    while !shutdown.load(Ordering::Acquire) {
-        poller
-            .wait(&mut events, Some(TICK))
-            .map_err(|e| NetError::io("ingest poll", e))?;
-        for &ev in &events {
-            if ev.token == TOKEN_LISTENER {
-                accept_all(
-                    &listener,
-                    &mut poller,
-                    &mut conns,
-                    &mut next_token,
-                    &banner,
-                    &stats,
-                );
-                continue;
-            }
-            let Some(conn) = conns.get_mut(&ev.token) else {
-                continue; // closed earlier this turn
-            };
-            let mut verdict = Verdict::Keep;
-            if ev.readable || ev.hangup {
-                verdict = pump_connection(conn, &mut runtime, &head, &stats, &mut scratch);
-            }
-            if matches!(verdict, Verdict::Keep) && (ev.writable || !conn.out.is_empty()) {
-                match conn.flush() {
-                    Ok(true) if conn.closing => verdict = Verdict::Drop,
-                    Ok(_) => {}
-                    Err(_) => verdict = Verdict::Drop,
-                }
-            }
-            match verdict {
-                Verdict::Drop => {
-                    let conn = conns.remove(&ev.token).expect("checked above");
-                    let _ = poller.deregister(&conn.stream);
-                    stats.connections_open.fetch_sub(1, Ordering::AcqRel);
-                }
-                Verdict::Keep => {
-                    let want_write = conn.out_pos < conn.out.len();
-                    if want_write != conn.armed_write {
-                        conn.armed_write = want_write;
-                        let interest = if want_write {
-                            Interest::READ_WRITE
-                        } else {
-                            Interest::READ
-                        };
-                        let _ = poller.modify(&conn.stream, ev.token, interest);
-                    }
-                }
-            }
+/// One connection, on either plane.
+struct Conn<I> {
+    stream: TcpStream,
+    input: I,
+    out: Vec<u8>,
+    out_pos: usize,
+    /// The peer shut its write half: nothing more is read.
+    eof: bool,
+    /// Set by [`Step::Close`]: nothing more is answered, the write half
+    /// shuts once `out` drains (closing only the write half lets the peer
+    /// read its last answer; closing both on unread input would reset it),
+    /// and this many more bytes are read and discarded.
+    closing: Option<usize>,
+    /// Interest currently armed with the poller.
+    armed: Interest,
+}
+
+impl<I> Conn<I> {
+    fn unsent(&self) -> usize {
+        self.out.len() - self.out_pos
+    }
+
+    /// Read only what can be answered or discarded, and only while the
+    /// peer reads what it is sent.
+    fn reading(&self) -> bool {
+        !self.eof && self.closing != Some(0) && self.unsent() < OUT_LIMIT
+    }
+
+    fn interest(&self) -> Interest {
+        Interest {
+            readable: self.reading(),
+            writable: self.unsent() > 0,
         }
     }
 
-    // Graceful drain: best-effort flush of pending responses, then let
-    // the rings empty through into_merged (dropping the lanes closes
-    // the data rings; each worker drains before exiting).
-    for (_, mut conn) in conns.drain() {
-        let _ = conn.flush();
+    /// Push buffered output until the socket would block.
+    fn flush(&mut self) -> std::io::Result<()> {
+        while self.out_pos < self.out.len() {
+            match self.stream.write(&self.out[self.out_pos..]) {
+                Ok(0) => return Err(ErrorKind::WriteZero.into()),
+                Ok(n) => self.out_pos += n,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(()),
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            }
+        }
+        self.out.clear();
+        self.out_pos = 0;
+        Ok(())
     }
-    drop(poller);
-    drop(listener);
-    mirror_pool(&stats, &runtime);
-    let summary = runtime.into_merged()?;
-    if let Some(path) = snapshot_path {
-        let bytes = summary.encode()?;
-        std::fs::write(&path, bytes).map_err(|e| NetError::io("write final snapshot", e))?;
+
+    /// Serve the connection after a readiness event: answer what is
+    /// complete while the output has room, write what the socket takes,
+    /// and read more only once everything complete is answered. `false`
+    /// when it is done with: input ended, every complete request
+    /// answered and every answer sent — or an I/O error.
+    fn drive<P: Plane<Input = I>>(
+        &mut self,
+        plane: &mut P,
+        mut readable: bool,
+        scratch: &mut [u8],
+    ) -> bool {
+        loop {
+            let mut idle = self.closing.is_some();
+            while !idle && self.unsent() < OUT_LIMIT {
+                match plane.answer(&mut self.input, &mut self.out) {
+                    Step::Idle => idle = true,
+                    Step::Answered => {}
+                    Step::Close(discard) => {
+                        self.closing = Some(discard);
+                        idle = true;
+                    }
+                }
+            }
+            if self.flush().is_err() {
+                return false;
+            }
+            if !idle {
+                if self.unsent() < OUT_LIMIT {
+                    continue; // the socket took it: answer on
+                }
+                return true; // until the peer reads
+            }
+            if !readable || !self.reading() {
+                break;
+            }
+            match self.stream.read(scratch) {
+                Ok(0) => self.eof = true,
+                Ok(n) => {
+                    match &mut self.closing {
+                        Some(left) => *left = left.saturating_sub(n),
+                        None => P::extend(&mut self.input, &scratch[..n]),
+                    }
+                    // A short read emptied the socket; level-triggered
+                    // polling reports anything that arrives after it.
+                    readable = n == scratch.len();
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == ErrorKind::WouldBlock => readable = false,
+                Err(_) => return false,
+            }
+        }
+        if self.unsent() > 0 {
+            return true;
+        }
+        match self.closing {
+            Some(left) if left > 0 && !self.eof => {
+                let _ = self.stream.shutdown(Shutdown::Write);
+                true
+            }
+            Some(_) => false,
+            None => !self.eof,
+        }
     }
-    Ok(summary)
 }
 
-/// Drain the accept queue, registering each new connection and queueing
-/// its banner.
-fn accept_all(
-    listener: &TcpListener,
-    poller: &mut Poller,
-    conns: &mut HashMap<u64, Conn>,
-    next_token: &mut u64,
-    banner: &[u8],
-    stats: &StatsInner,
-) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
+/// One plane's event loop: accept, read, answer and write until
+/// `shutdown`, then a best-effort flush of what is unsent. Level-triggered
+/// polling re-reports whatever a turn leaves: a pending accept, unread
+/// bytes, room to write.
+fn serve<P: Plane>(
+    listener: TcpListener,
+    plane: &mut P,
+    shutdown: &AtomicBool,
+) -> std::io::Result<()> {
+    listener.set_nonblocking(true)?;
+    let mut poller = Poller::new()?;
+    poller.register(&listener, TOKEN_LISTENER, Interest::READ)?;
+    let mut conns: HashMap<u64, Conn<P::Input>> = HashMap::new();
+    let mut next_token = TOKEN_LISTENER + 1;
+    let mut events = Vec::new();
+    let mut scratch = vec![0u8; READ_CHUNK];
+
+    while !shutdown.load(Ordering::Acquire) {
+        poller.wait(&mut events, Some(TICK))?;
+        for ev in &events {
+            let mut token = ev.token;
+            if token == TOKEN_LISTENER {
+                // One accept a turn; the listener reports the rest again.
+                let Ok((stream, _peer)) = listener.accept() else {
+                    continue;
+                };
                 if stream.set_nonblocking(true).is_err() {
                     continue;
                 }
                 let _ = stream.set_nodelay(true);
-                let token = *next_token;
-                *next_token += 1;
-                let mut conn = Conn::new(stream);
-                // The server speaks first: the banner head goes out
-                // before any client frame is read.
-                protocol::write_frame(&mut conn.out, protocol::FRAME_HELLO_OK, banner);
-                let drained = conn.flush().unwrap_or(false);
-                conn.armed_write = !drained;
-                let interest = if drained {
-                    Interest::READ
-                } else {
-                    Interest::READ_WRITE
-                };
-                if poller.register(&conn.stream, token, interest).is_err() {
+                token = next_token;
+                next_token += 1;
+                if poller.register(&stream, token, Interest::READ).is_err() {
                     continue;
                 }
-                stats.connections_accepted.fetch_add(1, Ordering::AcqRel);
-                stats.connections_open.fetch_add(1, Ordering::AcqRel);
+                let mut conn = Conn {
+                    stream,
+                    input: P::Input::default(),
+                    out: Vec::new(),
+                    out_pos: 0,
+                    eof: false,
+                    closing: None,
+                    armed: Interest::READ,
+                };
+                plane.greet(&mut conn.out);
                 conns.insert(token, conn);
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => break,
+            let Some(conn) = conns.get_mut(&token) else {
+                continue; // closed earlier this turn
+            };
+            // An error, or both halves shut: nothing left to answer to.
+            let keep = !ev.hangup && conn.drive(plane, ev.readable, &mut scratch);
+            if keep {
+                let interest = conn.interest();
+                if interest != conn.armed {
+                    conn.armed = interest;
+                    let _ = poller.modify(&conn.stream, token, interest);
+                }
+            } else if let Some(conn) = conns.remove(&token) {
+                let _ = poller.deregister(&conn.stream);
+                plane.gone(conn.closing.is_none().then_some(&conn.input));
+            }
+        }
+        if !events.is_empty() {
+            plane.turn_done();
         }
     }
+
+    for conn in conns.values_mut() {
+        let _ = conn.flush();
+    }
+    Ok(())
 }
 
-/// Read what the socket has, decode complete frames, apply them.
-fn pump_connection(
-    conn: &mut Conn,
-    runtime: &mut ShardedRuntime<MultiSummary>,
-    head: &wire::Head,
-    stats: &StatsInner,
-    scratch: &mut [u8],
-) -> Verdict {
-    let mut peer_gone = false;
-    loop {
-        match conn.stream.read(scratch) {
-            Ok(0) => {
-                peer_gone = true;
-                break;
-            }
-            Ok(n) => {
-                conn.reader.extend(&scratch[..n]);
-                // Fairness: one chunk per loop turn; level-triggered
-                // polling re-reports any remainder.
-                if n < scratch.len() {
-                    break;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                peer_gone = true;
-                break;
+/// The ingest plane: handshake, decode each batch into a buffer loaned
+/// from the runtime, push it.
+struct Ingest {
+    runtime: ShardedRuntime<MultiSummary>,
+    head: wire::Head,
+    /// The server's head, sent first on every connection.
+    banner: Vec<u8>,
+    stats: Arc<StatsInner>,
+}
+
+/// An ingest connection's input.
+#[derive(Default)]
+struct Frames {
+    reader: FrameReader,
+    /// Handshake completed: `BATCH`/`SYNC` frames are admissible.
+    hello_done: bool,
+}
+
+impl Plane for Ingest {
+    type Input = Frames;
+
+    fn greet(&mut self, out: &mut Vec<u8>) {
+        // The server speaks first: the banner head goes out before any
+        // client frame is read.
+        protocol::write_frame(out, protocol::FRAME_HELLO_OK, &self.banner);
+        self.stats
+            .connections_accepted
+            .fetch_add(1, Ordering::AcqRel);
+        self.stats.connections_open.fetch_add(1, Ordering::AcqRel);
+    }
+
+    fn extend(input: &mut Frames, bytes: &[u8]) {
+        input.reader.extend(bytes);
+    }
+
+    fn answer(&mut self, input: &mut Frames, out: &mut Vec<u8>) -> Step {
+        match self.apply_frame(input, out) {
+            Ok(true) => Step::Answered,
+            Ok(false) => Step::Idle,
+            Err(frame_error) => {
+                // One typed violation: report it on this connection, close
+                // only this connection. Everything else keeps streaming.
+                self.stats.protocol_errors.fetch_add(1, Ordering::AcqRel);
+                let code = error_code(&frame_error);
+                protocol::write_error(out, code, &frame_error.to_string());
+                Step::Close(0)
             }
         }
     }
 
-    if !conn.closing {
-        if let Err(frame_error) = drain_frames(conn, runtime, head, stats) {
-            // One typed violation: report it on this connection, close
-            // only this connection. Everything else keeps streaming.
-            stats.protocol_errors.fetch_add(1, Ordering::AcqRel);
-            let code = error_code(&frame_error);
-            protocol::write_error(&mut conn.out, code, &frame_error.to_string());
-            conn.closing = true;
-        }
-    }
-
-    if peer_gone {
+    fn gone(&mut self, input: Option<&Frames>) {
+        self.stats.connections_open.fetch_sub(1, Ordering::AcqRel);
         // A disconnect mid-frame is itself a typed protocol error —
         // partially transferred batches are never counted as ingested.
-        if let Err(truncated) = conn.reader.finish() {
-            if !conn.closing {
-                stats.protocol_errors.fetch_add(1, Ordering::AcqRel);
-            }
-            let _ = truncated; // the evidence: FrameError::TruncatedStream
+        if input.is_some_and(|input| input.reader.finish().is_err()) {
+            self.stats.protocol_errors.fetch_add(1, Ordering::AcqRel);
         }
-        return Verdict::Drop;
     }
-    Verdict::Keep
 }
 
-/// Apply every complete frame buffered on `conn`.
-fn drain_frames(
-    conn: &mut Conn,
-    runtime: &mut ShardedRuntime<MultiSummary>,
-    head: &wire::Head,
-    stats: &StatsInner,
-) -> std::result::Result<(), FrameError> {
-    loop {
-        let Some((tag, payload)) = conn.reader.next_frame()? else {
-            return Ok(());
+impl Ingest {
+    /// Apply the first complete frame buffered on a connection, if any.
+    fn apply_frame(
+        &mut self,
+        input: &mut Frames,
+        out: &mut Vec<u8>,
+    ) -> std::result::Result<bool, FrameError> {
+        let Some((tag, payload)) = input.reader.next_frame()? else {
+            return Ok(false);
         };
+        let head = &self.head;
         match tag {
             protocol::FRAME_HELLO => {
                 let client_head = wire::peek(payload).map_err(|_| FrameError::Rejected {
@@ -614,52 +666,48 @@ fn drain_frames(
                         ),
                     });
                 }
-                conn.hello_done = true;
+                input.hello_done = true;
                 // Ack so the client's connect() is synchronous — it
                 // knows the handshake verdict before sending a batch.
-                protocol::write_frame(&mut conn.out, protocol::FRAME_HELLO_OK, &[]);
+                protocol::write_frame(out, protocol::FRAME_HELLO_OK, &[]);
             }
             protocol::FRAME_BATCH => {
-                if !conn.hello_done {
+                if !input.hello_done {
                     return Err(FrameError::HandshakeRequired);
                 }
                 let hint = payload.len() / 8;
-                let mut batch = runtime.loan_batch_buf(hint);
-                match protocol::decode_batch_into(payload, &mut batch) {
-                    Ok(()) => {
-                        let tuples = batch.len() as u64;
-                        if runtime.push_loaned(batch).is_err() {
-                            // A dead shard worker is a server-side
-                            // failure, not a client protocol error.
-                            return Err(FrameError::Rejected {
-                                code: protocol::ERR_PROTOCOL,
-                                detail: "ingest runtime unavailable".to_string(),
-                            });
-                        }
-                        stats.tuples.fetch_add(tuples, Ordering::AcqRel);
-                        stats.batches.fetch_add(1, Ordering::AcqRel);
-                        mirror_pool(stats, runtime);
-                    }
-                    Err(e) => {
-                        // Return the loaned buffer before reporting.
-                        batch.clear();
-                        let _ = runtime.push_loaned(batch);
-                        return Err(e);
-                    }
+                let mut batch = self.runtime.loan_batch_buf(hint);
+                if let Err(e) = protocol::decode_batch_into(payload, &mut batch) {
+                    // Return the loaned buffer before reporting.
+                    batch.clear();
+                    let _ = self.runtime.push_loaned(batch);
+                    return Err(e);
                 }
+                let tuples = batch.len() as u64;
+                if self.runtime.push_loaned(batch).is_err() {
+                    // A dead shard worker is a server-side failure, not a
+                    // client protocol error.
+                    return Err(FrameError::Rejected {
+                        code: protocol::ERR_PROTOCOL,
+                        detail: "ingest runtime unavailable".to_string(),
+                    });
+                }
+                self.stats.tuples.fetch_add(tuples, Ordering::AcqRel);
+                self.stats.batches.fetch_add(1, Ordering::AcqRel);
             }
             protocol::FRAME_SYNC => {
-                if !conn.hello_done {
+                if !input.hello_done {
                     return Err(FrameError::HandshakeRequired);
                 }
                 let cookie = protocol::decode_sync(payload)?;
-                protocol::write_sync(&mut conn.out, protocol::FRAME_SYNC_OK, cookie);
+                protocol::write_sync(out, protocol::FRAME_SYNC_OK, cookie);
             }
             other => {
                 // Server-to-client frames arriving at the server.
                 return Err(FrameError::UnknownType { tag: other });
             }
         }
+        Ok(true)
     }
 }
 
@@ -671,218 +719,52 @@ fn error_code(e: &FrameError) -> u16 {
     }
 }
 
-/// Mirror the runtime's pool counters into the shared stats so the
-/// query plane (and the acceptance bench) can observe the
-/// zero-allocations invariant while ingest runs.
-fn mirror_pool(stats: &StatsInner, runtime: &ShardedRuntime<MultiSummary>) {
-    let pool = runtime.pool_stats();
-    stats
-        .pool_allocations
-        .store(pool.allocations, Ordering::Release);
-    stats.pool_reuses.store(pool.reuses, Ordering::Release);
-}
-
-/// One query connection's state: a line buffer in, a response buffer
-/// out.
-struct QueryConn {
-    stream: TcpStream,
-    inbuf: Vec<u8>,
-    out: Vec<u8>,
-    out_pos: usize,
-    /// Set when the connection sent a line longer than
-    /// [`protocol::MAX_QUERY_LINE`]. It has its refusal and the write half
-    /// closes once that is out; the rest of the line is read and discarded
-    /// so the refusal is not lost to a reset — this many more bytes of it,
-    /// one read a turn, and then the connection is dropped whether or not
-    /// the peer has closed.
-    refused: Option<usize>,
-    /// Write interest currently armed with the poller.
-    armed_write: bool,
-}
-
-impl QueryConn {
-    fn flush(&mut self) -> std::io::Result<bool> {
-        while self.out_pos < self.out.len() {
-            match self.stream.write(&self.out[self.out_pos..]) {
-                Ok(0) => {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::WriteZero,
-                        "peer stopped reading",
-                    ))
-                }
-                Ok(n) => self.out_pos += n,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(false),
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
-        }
-        self.out.clear();
-        self.out_pos = 0;
-        Ok(true)
-    }
-}
-
 /// The query plane: newline-delimited JSON over the slim replica.
-fn query_loop(
-    listener: TcpListener,
-    handle: QueryHandle<MultiSummary>,
-    mut replica: ReadReplica<MultiSummary>,
+struct Queries {
+    replica: ReadReplica<MultiSummary>,
     stats: ServerStats,
     shutdown: Arc<AtomicBool>,
-) -> Result<()> {
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| NetError::io("query listener nonblocking", e))?;
-    let mut poller = Poller::new().map_err(|e| NetError::io("create query poller", e))?;
-    poller
-        .register(&listener, TOKEN_LISTENER, Interest::READ)
-        .map_err(|e| NetError::io("register query listener", e))?;
-
-    let mut conns: HashMap<u64, QueryConn> = HashMap::new();
-    let mut next_token: u64 = 1;
-    let mut events: Vec<Event> = Vec::new();
-    let mut scratch = vec![0u8; READ_CHUNK];
-
-    while !shutdown.load(Ordering::Acquire) {
-        poller
-            .wait(&mut events, Some(TICK))
-            .map_err(|e| NetError::io("query poll", e))?;
-        for &ev in &events {
-            if ev.token == TOKEN_LISTENER {
-                loop {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            if stream.set_nonblocking(true).is_err() {
-                                continue;
-                            }
-                            let _ = stream.set_nodelay(true);
-                            let token = next_token;
-                            next_token += 1;
-                            let conn = QueryConn {
-                                stream,
-                                inbuf: Vec::new(),
-                                out: Vec::new(),
-                                out_pos: 0,
-                                refused: None,
-                                armed_write: false,
-                            };
-                            if poller.register(&conn.stream, token, Interest::READ).is_ok() {
-                                conns.insert(token, conn);
-                            }
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                        Err(_) => break,
-                    }
-                }
-                continue;
-            }
-            let Some(conn) = conns.get_mut(&ev.token) else {
-                continue;
-            };
-            let mut drop_conn = false;
-            if ev.readable || ev.hangup {
-                loop {
-                    match conn.stream.read(&mut scratch) {
-                        Ok(0) => {
-                            drop_conn = true;
-                            break;
-                        }
-                        Ok(n) => {
-                            if let Some(left) = &mut conn.refused {
-                                *left = left.saturating_sub(n);
-                                drop_conn = *left == 0;
-                                break;
-                            }
-                            conn.inbuf.extend_from_slice(&scratch[..n]);
-                            answer_lines(conn, &mut replica, &handle, &stats, &shutdown);
-                            if n < scratch.len() {
-                                break;
-                            }
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                        Err(_) => {
-                            drop_conn = true;
-                            break;
-                        }
-                    }
-                }
-            }
-            if !drop_conn && !conn.out.is_empty() {
-                match conn.flush() {
-                    // Closing only the write half lets the peer read its
-                    // refusal; closing both on unread input would reset it.
-                    Ok(true) if conn.refused.is_some() => {
-                        let _ = conn.stream.shutdown(std::net::Shutdown::Write);
-                    }
-                    Ok(_) => {}
-                    Err(_) => drop_conn = true,
-                }
-            }
-            if drop_conn || ev.hangup {
-                if let Some(conn) = conns.remove(&ev.token) {
-                    let _ = poller.deregister(&conn.stream);
-                }
-            } else {
-                let want_write = conn.out_pos < conn.out.len();
-                if want_write != conn.armed_write {
-                    conn.armed_write = want_write;
-                    let interest = if want_write {
-                        Interest::READ_WRITE
-                    } else {
-                        Interest::READ
-                    };
-                    let _ = poller.modify(&conn.stream, ev.token, interest);
-                }
-            }
-        }
-        // This turn's answers are out: project what the frame's readers
-        // have not asked for yet while its merge is still in cache, so a
-        // later ask of this frame finds it ready.
-        if !events.is_empty() {
-            replica.slim().finish();
-        }
-    }
-
-    for (_, mut conn) in conns.drain() {
-        let _ = conn.flush();
-    }
-    Ok(())
 }
 
-/// Answer every complete line buffered so far, after each socket read so
-/// the buffer never holds more than one read beyond the longest legal line;
-/// a line longer than that is refused once and the buffer released.
-fn answer_lines(
-    conn: &mut QueryConn,
-    replica: &mut ReadReplica<MultiSummary>,
-    handle: &QueryHandle<MultiSummary>,
-    stats: &ServerStats,
-    shutdown: &AtomicBool,
-) {
-    loop {
-        let nl = conn.inbuf.iter().position(|&b| b == b'\n');
-        if nl.unwrap_or(conn.inbuf.len()) > protocol::MAX_QUERY_LINE {
-            conn.out.extend_from_slice(
+impl Plane for Queries {
+    /// The bytes after the last answered line: at most one read beyond
+    /// the longest legal line, because a line is answered before the next
+    /// read and a longer one is refused.
+    type Input = Vec<u8>;
+
+    fn extend(input: &mut Vec<u8>, bytes: &[u8]) {
+        input.extend_from_slice(bytes);
+    }
+
+    fn answer(&mut self, input: &mut Vec<u8>, out: &mut Vec<u8>) -> Step {
+        let nl = input.iter().position(|&b| b == b'\n');
+        if nl.unwrap_or(input.len()) > protocol::MAX_QUERY_LINE {
+            out.extend_from_slice(
                 format!(
                     "{{\"ok\":false,\"error\":\"query line exceeds {} bytes\"}}\n",
                     protocol::MAX_QUERY_LINE
                 )
                 .as_bytes(),
             );
-            conn.inbuf = Vec::new();
-            conn.refused = Some(REFUSED_DRAIN);
-            return;
+            *input = Vec::new();
+            return Step::Close(REFUSED_DRAIN);
         }
         let Some(nl) = nl else {
-            return;
+            return Step::Idle;
         };
-        let line: Vec<u8> = conn.inbuf.drain(..=nl).collect();
-        let line = String::from_utf8_lossy(&line[..nl]);
-        let response = answer_query(line.trim(), replica, handle, stats, shutdown);
-        conn.out.extend_from_slice(response.as_bytes());
-        conn.out.push(b'\n');
+        let line = String::from_utf8_lossy(&input[..nl]);
+        let response = answer_query(line.trim(), &mut self.replica, &self.stats, &self.shutdown);
+        input.drain(..=nl);
+        out.extend_from_slice(response.as_bytes());
+        out.push(b'\n');
+        Step::Answered
+    }
+
+    fn turn_done(&mut self) {
+        // This turn's answers are out: project what the frame's readers
+        // have not asked for yet while its merge is still in cache, so a
+        // later ask of this frame finds it ready.
+        self.replica.slim().finish();
     }
 }
 
@@ -911,7 +793,6 @@ fn push_f64_field(out: &mut String, name: &str, value: f64) {
 fn answer_query(
     line: &str,
     replica: &mut ReadReplica<MultiSummary>,
-    handle: &QueryHandle<MultiSummary>,
     stats: &ServerStats,
     shutdown: &AtomicBool,
 ) -> String {
@@ -987,6 +868,7 @@ fn answer_query(
         }
         "stats" => {
             let pool = stats.pool_stats();
+            let handle = &stats.runtime;
             let cache = handle.cache_stats();
             Ok(format!(
                 "{{\"ok\":true,\"cmd\":\"stats\",\"tuples\":{},\"batches\":{},\

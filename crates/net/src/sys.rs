@@ -38,8 +38,10 @@ pub struct Event {
     pub readable: bool,
     /// The descriptor has buffer space to write.
     pub writable: bool,
-    /// The peer hung up or the descriptor errored; the connection
-    /// should be drained and closed.
+    /// The descriptor errored, or both directions are shut: there is no
+    /// one left to answer, and the connection is dropped at once. A peer
+    /// that shuts only its write half is not a hang-up: it reads as
+    /// end of input, and its answers still go out.
     pub hangup: bool,
 }
 
@@ -97,7 +99,6 @@ mod imp {
     const EPOLLOUT: u32 = 0x004;
     const EPOLLERR: u32 = 0x008;
     const EPOLLHUP: u32 = 0x010;
-    const EPOLLRDHUP: u32 = 0x2000;
 
     // The kernel ABI: packed on x86-64 (no padding between the 32-bit
     // event mask and the 64-bit data word), naturally aligned elsewhere.
@@ -138,7 +139,7 @@ mod imp {
         }
 
         fn ctl(&self, op: i32, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            let mut mask = EPOLLRDHUP;
+            let mut mask = 0;
             if interest.readable {
                 mask |= EPOLLIN;
             }
@@ -205,7 +206,7 @@ mod imp {
                     token,
                     readable: mask & EPOLLIN != 0,
                     writable: mask & EPOLLOUT != 0,
-                    hangup: mask & (EPOLLERR | EPOLLHUP | EPOLLRDHUP) != 0,
+                    hangup: mask & (EPOLLERR | EPOLLHUP) != 0,
                 });
             }
             Ok(events.len())

@@ -10,11 +10,12 @@
 //! [`ShardedRuntime::new`] → `push` → [`ShardedRuntime::into_merged`]).
 //!
 //! ```text
-//!              ┌─ data ring ─▶ worker 0 ─┐
-//! push_batch ──┼─ data ring ─▶ worker 1 ─┼─ each applies runs to its shard core,  ⇠ recycle
-//!  (partition) └─ data ring ─▶ worker 2 ─┘  Mutex<Option<ShardCore>> (E₀, E₁, E₂)    rings
-//!  merged() ── lock shard s, apply what is queued below its floor, merge it in ──▶ E₀ ⊕ E₁ ⊕ E₂
-//!  read_replica() ── the cached Arc<E₀ ⊕ E₁ ⊕ E₂>, shared ─▶ frame() ─▶ Arc ─▶ every reader
+//!  ShardedRuntime: the write side        ┌─ data ring ─▶ worker 0 ─┐
+//!  push_batch (partition) ───────────────┼─ data ring ─▶ worker 1 ─┼─ each applies runs to its  ⇠ recycle
+//!                                        └─ data ring ─▶ worker 2 ─┘  shard core (E₀, E₁, E₂)     rings
+//!  QueryHandle: the read side (the runtime derefs to it), one cache lock:
+//!  merged() ── lock shard s, apply what is queued below its floor, merge it in ──▶ Arc<E₀ ⊕ E₁ ⊕ E₂>
+//!  read_replica() ── the frame() over that Arc, kept beside it ──▶ Arc ──▶ every reader
 //! ```
 //!
 //! Two perf-critical design decisions (see `DESIGN.md` §4h; the ledger's
@@ -25,7 +26,7 @@
 //!   an offered count, no command enum) to the shard, and a reverse
 //!   *recycle* ring returning emptied buffers to the producer. Steady-state ingest
 //!   therefore performs **zero heap allocations per batch**
-//!   ([`ShardedRuntime::pool_stats`] proves it) and a push is a handful
+//!   ([`QueryHandle::pool_stats`] proves it) and a push is a handful
 //!   of atomics, not a `sync_channel` futex round-trip. The rings are
 //!   **bounded** (`queue_depth` batches each), and a run coalesces what
 //!   is queued up to at most [`RUN_TUPLES`] tuples plus one batch, so a
@@ -40,9 +41,9 @@
 //!   wake-up to wait for. The cache ([`snapshot`](crate::snapshot)) serves
 //!   that merge until a shard's accepted-batch count moves past it, so a
 //!   repeated query with no intervening ingest costs one copy of the
-//!   answer. [`ReadReplica`]s share one frame over the cached merge
-//!   ([`SlimQuery::frame`]) by pointer, and the frame projects what its
-//!   readers ask for, once.
+//!   answer. The cache also keeps the one replica frame over that merge
+//!   ([`SlimQuery::frame`]), under the same lock: [`ReadReplica`]s share it
+//!   by pointer, and it projects what its readers ask for, once.
 //!
 //! * [`push`](ShardedRuntime::push) blocks when a ring is full
 //!   (backpressure propagates to the source);
@@ -51,14 +52,15 @@
 //!   [`EpochShedder`](sss_core::EpochShedder) (one `Sampled<JoinSketch>`
 //!   cell per rate); its `self_join_estimate_over(&merged)` stays
 //!   unbiased under sustained overload.
-//! * [`merged`](ShardedRuntime::merged) reflects at least every tuple
+//! * [`merged`](QueryHandle::merged) reflects at least every tuple
 //!   accepted before the call — the at-all-times query, without a barrier.
 //! * A summary that panics, on the worker or on a query applying a run,
 //!   empties its shard core, which closes the shard's rings: every later
 //!   push or query needing the shard is [`StreamError::ShardDisconnected`].
-//! * [`query_handle`](ShardedRuntime::query_handle) returns a cloneable
-//!   [`QueryHandle`] so queries can run from other threads *while* the
-//!   owner keeps pushing — the read-path/write-path separation SF-sketch
+//! * Every query is a [`QueryHandle`] method. The runtime holds one and
+//!   derefs to it, and [`query_handle`](ShardedRuntime::query_handle)
+//!   clones it so queries can run from other threads *while* the owner
+//!   keeps pushing — the one write side and one read side SF-sketch
 //!   (arXiv 1701.04148) argues for, with Huang–Tai–Yi (arXiv 1412.1763)
 //!   continuous-tracking polling as the motivating workload.
 //!
@@ -88,7 +90,7 @@
 
 use crate::error::{Result, StreamError};
 use crate::ring::{self, Backoff};
-use crate::snapshot::{CacheStats, ReplicaFrame, ReplicaHub, SnapshotCache, Stamp};
+use crate::snapshot::{CacheStats, ReplicaFrame, SnapshotCache, Stamp};
 use sss_core::{Estimate, JoinQuery, SlimQuery, Summary};
 use sss_sampling::{staleness_variance_plugin, Door};
 use sss_xi::splitmix64;
@@ -246,24 +248,26 @@ struct RuntimeShared<E> {
     /// `E: Send` is required of the estimator.
     prototype: Mutex<E>,
     shards: Vec<ShardState<E>>,
-    /// The incremental snapshot cache; its mutex also serializes
-    /// concurrent queries from multiple handles.
+    /// The incremental snapshot cache, which also keeps the replica frame
+    /// over its merge; its mutex serializes concurrent queries from
+    /// multiple handles.
     cache: Mutex<SnapshotCache<E>>,
-    /// The slim read-replica exchange point: one refresher projects the
-    /// merged fat state, N [`ReadReplica`]s share the published projection.
-    replica: ReplicaHub,
     /// Highest `accepted − applied` any shard ever reached (≤ depth + 1).
     high_water: AtomicUsize,
+    /// The [`PoolStats`] counters; only the producer bumps them.
+    pool_allocations: AtomicU64,
+    pool_reuses: AtomicU64,
     /// Monotonic construction timestamp — the denominator of
-    /// [`ShardedRuntime::tuples_per_sec`].
+    /// [`QueryHandle::tuples_per_sec`].
     started: Instant,
 }
 
 impl<E: Summary> RuntimeShared<E> {
     /// Lock the snapshot cache, recovering from poison. A querier thread
     /// can panic while holding this lock (estimator `Clone`/`merge_from`
-    /// run user code), but a rebuild installs its merge only once it is
-    /// whole, so a poisoned cache is still a consistent one.
+    /// and the frame projection run user code), but a rebuild installs its
+    /// merge, and a refresh its frame, only once whole, so a poisoned
+    /// cache is still a consistent one.
     fn lock_cache(&self) -> MutexGuard<'_, SnapshotCache<E>> {
         self.cache.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -275,128 +279,6 @@ impl<E: Summary> RuntimeShared<E> {
         self.prototype
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn tuples_ingested(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.ingested.load(Ordering::Acquire))
-            .sum()
-    }
-
-    fn tuples_per_sec(&self) -> f64 {
-        let secs = self.started.elapsed().as_secs_f64();
-        if secs > 0.0 {
-            self.tuples_ingested() as f64 / secs
-        } else {
-            0.0
-        }
-    }
-
-    fn queue_occupancy(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.accepted
-                    .load(Ordering::Acquire)
-                    .saturating_sub(s.applied.load(Ordering::Acquire)) as usize
-            })
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// The incremental at-all-times query, as one owned copy.
-    fn merged(&self) -> Result<E> {
-        self.with_merged(|merged, _| E::clone(merged))
-    }
-
-    /// The incremental at-all-times query, read in place. See the module
-    /// docs: the cached merge is served while every shard's floor is at or
-    /// below what it reflects; otherwise each shard in turn is caught up
-    /// to its floor under its lock and merged into one copy of the
-    /// prototype, which the cache keeps. `read` gets the merge the cache
-    /// shares, under the cache lock, with what it reflects.
-    fn with_merged<T>(&self, read: impl FnOnce(&Arc<E>, Stamp) -> T) -> Result<T> {
-        // Holding the cache lock for the whole query serializes
-        // concurrent handles.
-        let mut cache = self.lock_cache();
-        let floors: Vec<u64> = self
-            .shards
-            .iter()
-            .map(|s| s.accepted.load(Ordering::Acquire))
-            .collect();
-        if let Some((merged, stamp)) = cache.hit(&floors) {
-            return Ok(read(merged, stamp));
-        }
-        let mut merged = self.lock_prototype().clone();
-        let mut stamps = Vec::with_capacity(floors.len());
-        for (shard, (state, &floor)) in self.shards.iter().zip(&floors).enumerate() {
-            let _waiting = Waiting::new(&state.query_floor, floor);
-            let mut core = state.lock_core();
-            while state.applied.load(Ordering::Relaxed) < floor && state.apply_next(&mut core) {}
-            let live = core
-                .as_ref()
-                .ok_or(StreamError::ShardDisconnected { shard })?;
-            let stamp = Stamp {
-                batches: state.applied.load(Ordering::Relaxed),
-                tuples: state.ingested.load(Ordering::Relaxed),
-            };
-            // A shard that has applied no batch holds no tuple: it is
-            // left out rather than merged as an empty copy.
-            if stamp.batches > 0 {
-                merged.merge_from(&live.est)?;
-            }
-            stamps.push(stamp);
-        }
-        let (merged, stamp) = cache.install(merged, stamps, &floors);
-        Ok(read(merged, stamp))
-    }
-
-    fn cache_stats(&self) -> CacheStats {
-        self.lock_cache().stats()
-    }
-
-    /// Sum of every shard's accepted-batch counter — the staleness
-    /// yardstick of the replica frames (monotone; each shard's counter is
-    /// bumped by the producer at enqueue time).
-    fn accepted_total(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.accepted.load(Ordering::Acquire))
-            .sum()
-    }
-}
-
-impl<E: Summary + SlimQuery> RuntimeShared<E> {
-    /// Ensure the hub carries a frame reflecting at least `min_version`
-    /// accepted batches, projecting a fresh one if not. Single-flight:
-    /// concurrent stale readers elect one refresher (the `begin_refresh`
-    /// guard) and everyone else adopts the frame that refresher
-    /// published.
-    fn ensure_replica(&self, min_version: u64) -> Result<ReplicaFrame> {
-        if let Some(frame) = self.replica.frame() {
-            if frame.version >= min_version {
-                return Ok(frame);
-            }
-        }
-        let _refresh = self.replica.begin_refresh();
-        // Double-check under the refresh lock: the previous holder may
-        // have published exactly what we need.
-        if let Some(frame) = self.replica.frame() {
-            if frame.version >= min_version {
-                return Ok(frame);
-            }
-        }
-        // The frame is stamped with the batches and tuples of the shard
-        // states actually merged, read under their locks: at least every
-        // batch accepted before the call, and nothing applied after.
-        let frame = self.with_merged(|fat, stamp| ReplicaFrame {
-            version: stamp.batches,
-            applied: stamp.tuples,
-            slim: Arc::new(E::frame(fat)),
-        })?;
-        self.replica.publish(frame.clone());
-        Ok(frame)
     }
 }
 
@@ -417,7 +299,7 @@ struct IngestLane {
     door: Option<Door>,
 }
 
-/// Batch-buffer pool accounting ([`ShardedRuntime::pool_stats`]): in
+/// Batch-buffer pool accounting ([`QueryHandle::pool_stats`]): in
 /// steady state `reuses` grows with every batch while `allocations`
 /// stays at its warm-up value — the observable form of the zero
 /// allocations / batch claim.
@@ -456,7 +338,8 @@ pub struct PoolStats {
 /// assert_eq!(merged.raw_self_join(), seq.raw_self_join());
 /// ```
 pub struct ShardedRuntime<E: Summary> {
-    shared: Arc<RuntimeShared<E>>,
+    /// The read side; the runtime derefs to it.
+    query: QueryHandle<E>,
     lanes: Vec<IngestLane>,
     handles: Vec<JoinHandle<()>>,
     /// Next shard for [`Partition::RoundRobin`].
@@ -465,7 +348,6 @@ pub struct ShardedRuntime<E: Summary> {
     /// through the pool too (a filled one is pushed as-is and replaced by
     /// a recycled buffer).
     scatter: Vec<Vec<u64>>,
-    pool: PoolStats,
 }
 
 impl<E: Summary> ShardedRuntime<E> {
@@ -514,8 +396,9 @@ impl<E: Summary> ShardedRuntime<E> {
             prototype: Mutex::new(prototype.clone()),
             shards: states,
             cache: Mutex::new(SnapshotCache::new(config.shards)),
-            replica: ReplicaHub::new(),
             high_water: AtomicUsize::new(0),
+            pool_allocations: AtomicU64::new(0),
+            pool_reuses: AtomicU64::new(0),
             started: Instant::now(),
         });
         let mut handles = Vec::with_capacity(config.shards);
@@ -528,110 +411,43 @@ impl<E: Summary> ShardedRuntime<E> {
             handles.push(handle);
         }
         Ok(Self {
-            shared,
+            query: QueryHandle { shared },
             lanes,
             handles,
             cursor: 0,
             scatter: vec![Vec::new(); config.shards],
-            pool: PoolStats::default(),
         })
-    }
-
-    /// The configured shard count.
-    pub fn shards(&self) -> usize {
-        self.shared.config.shards
-    }
-
-    /// The configured per-shard data-ring depth, in batches.
-    pub fn queue_depth(&self) -> usize {
-        self.shared.config.queue_depth
-    }
-
-    /// The highest number of batches ever enqueued-or-in-flight on any
-    /// single shard — never exceeds `queue_depth + 1` (one batch may be
-    /// mid-application when the ring refills).
-    pub fn queue_high_water(&self) -> usize {
-        self.shared.high_water.load(Ordering::Acquire)
-    }
-
-    /// Point-in-time occupancy gauge beside the
-    /// [`queue_high_water`](Self::queue_high_water) watermark: batches
-    /// currently enqueued-or-in-flight on the *most loaded* shard. Zero
-    /// after a quiescing [`merged`](Self::merged) call returns.
-    pub fn queue_occupancy(&self) -> usize {
-        self.shared.queue_occupancy()
-    }
-
-    /// Tuples applied to shard sketches so far, summed over all workers.
-    ///
-    /// These are *offered* tuples: behind a [`door`](Summary::door) the
-    /// count includes the ones it dropped, so it equals a merged
-    /// [`Sampled`](sss_core::Sampled)'s `seen`. Each worker bumps its
-    /// counter *after* applying a run, so this lags
-    /// [`push`](Self::push) while batches sit in rings. After a
-    /// [`merged`](Self::merged) call returns, the gauge covers every tuple
-    /// accepted before it (the query catches each shard up to its floor).
-    pub fn tuples_ingested(&self) -> u64 {
-        self.shared.tuples_ingested()
-    }
-
-    /// Offered tuples applied by one worker (panics if
-    /// `shard >= shards()`). The spread across shards shows how well the
-    /// partition policy balances the load.
-    pub fn shard_tuples_ingested(&self, shard: usize) -> u64 {
-        self.shared.shards[shard].ingested.load(Ordering::Acquire)
-    }
-
-    /// Merged ingest throughput gauge: offered tuples applied per second of
-    /// monotonic wall-clock time since the pool was constructed
-    /// ([`Instant`] captured in `new`, so system clock adjustments never
-    /// skew it). Pair with [`queue_high_water`](Self::queue_high_water)
-    /// when deciding whether a pipeline needs more shards or a lower
-    /// sampling rate.
-    pub fn tuples_per_sec(&self) -> f64 {
-        self.shared.tuples_per_sec()
-    }
-
-    /// Snapshot-cache counters: how many queries were served from cache,
-    /// and how many rebuilt it from some or from all of the shards.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.shared.cache_stats()
-    }
-
-    /// Batch-buffer pool counters — the zero-allocations-per-batch
-    /// evidence (see [`PoolStats`]).
-    pub fn pool_stats(&self) -> PoolStats {
-        self.pool
     }
 
     /// A cloneable handle answering queries concurrently with ingest —
     /// valid (for cache-served queries) even after the runtime itself is
-    /// gone.
+    /// gone. The runtime answers through its own handle: every query
+    /// method is [`QueryHandle`]'s, reached through `Deref`.
     pub fn query_handle(&self) -> QueryHandle<E> {
-        QueryHandle {
-            shared: Arc::clone(&self.shared),
-        }
+        self.query.clone()
     }
 
     /// Take a cleared batch buffer: spare stack, then the recycle ring,
     /// then (warm-up only) a fresh allocation.
     fn take_buf(&mut self, shard: usize, hint: usize) -> Vec<u64> {
         let lane = &mut self.lanes[shard];
-        if let Some(buf) = lane.spare.pop().or_else(|| lane.recycle.try_pop()) {
-            self.pool.reuses += 1;
-            buf
-        } else {
-            self.pool.allocations += 1;
-            Vec::with_capacity(hint)
-        }
+        let shared = &self.query.shared;
+        let (count, buf) = match lane.spare.pop().or_else(|| lane.recycle.try_pop()) {
+            Some(buf) => (&shared.pool_reuses, buf),
+            None => (&shared.pool_allocations, Vec::with_capacity(hint)),
+        };
+        // Only this thread writes the counter: no read-modify-write.
+        count.store(count.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+        buf
     }
 
     /// Record a successful enqueue on `shard` in the occupancy gauges.
     fn note_enqueued(&self, shard: usize) {
-        let state = &self.shared.shards[shard];
+        let state = &self.query.shared.shards[shard];
         let accepted = state.accepted.fetch_add(1, Ordering::AcqRel) + 1;
         let occupancy = accepted.saturating_sub(state.applied.load(Ordering::Acquire)) as usize;
-        self.shared
+        self.query
+            .shared
             .high_water
             .fetch_max(occupancy, Ordering::AcqRel);
     }
@@ -641,7 +457,7 @@ impl<E: Summary> ShardedRuntime<E> {
     /// so adversarially clustered keys still spread (the sketch hash
     /// families are independent of it).
     fn scatter_keys(&mut self, keys: &[u64]) {
-        let shards = self.shared.config.shards as u64;
+        let shards = self.query.shared.config.shards as u64;
         for &k in keys {
             self.scatter[(splitmix64(k) % shards) as usize].push(k);
         }
@@ -709,7 +525,7 @@ impl<E: Summary> ShardedRuntime<E> {
         if keys.is_empty() {
             return Ok(0);
         }
-        match self.shared.config.partition {
+        match self.query.shared.config.partition {
             Partition::RoundRobin => {
                 let shard = self.next_shard();
                 if self.overflowed(shard, keys, &mut overflow) {
@@ -757,7 +573,7 @@ impl<E: Summary> ShardedRuntime<E> {
     ///
     /// The buffer is drawn from the recycle ring of the shard the next
     /// `push_loaned` will target (falling back to a fresh allocation only
-    /// during warm-up — [`pool_stats`](Self::pool_stats) accounts for
+    /// during warm-up — [`pool_stats`](QueryHandle::pool_stats) accounts for
     /// both), so a caller that *fills* the loan in place — say, a network
     /// server decoding a wire frame's keys straight into it — extends the
     /// zero-allocations-per-batch invariant across the socket boundary:
@@ -790,7 +606,7 @@ impl<E: Summary> ShardedRuntime<E> {
             self.lanes[self.cursor].spare.push(batch);
             return Ok(());
         }
-        match self.shared.config.partition {
+        match self.query.shared.config.partition {
             Partition::RoundRobin => {
                 let shard = self.next_shard();
                 let batch = self.admit_owned(shard, batch);
@@ -833,24 +649,8 @@ impl<E: Summary> ShardedRuntime<E> {
         self.offer(keys, Some(overflow))
     }
 
-    /// Merge the shard estimators as of *now*: every batch accepted by
-    /// [`push`](Self::push)/[`try_push`](Self::try_push) before this call
-    /// is reflected, because the query applies whatever of each shard's
-    /// accepted batches its worker has not yet.
-    ///
-    /// The runtime keeps running; this is the at-all-times query, served
-    /// through the incremental snapshot cache (shards untouched since the
-    /// previous query cost nothing — [`cache_stats`](Self::cache_stats)).
-    ///
-    /// # Errors
-    ///
-    /// [`StreamError::ShardDisconnected`] if a shard's summary panicked.
-    pub fn merged(&self) -> Result<E> {
-        self.shared.merged()
-    }
-
     /// Shut the pool down and merge the final shard estimators. Cheaper
-    /// than [`merged`](Self::merged) (no copy of the answer: the shards
+    /// than [`merged`](QueryHandle::merged) (no copy of the answer: the shards
     /// are taken, not read) and the natural end-of-stream call.
     ///
     /// # Errors
@@ -867,8 +667,8 @@ impl<E: Summary> ShardedRuntime<E> {
         }
         // Each worker left its ring drained, or its shard dead. The shards
         // are taken: a handle that needs one later finds it disconnected.
-        let mut merged = self.shared.lock_prototype().clone();
-        for (shard, state) in self.shared.shards.iter().enumerate() {
+        let mut merged = self.query.shared.lock_prototype().clone();
+        for (shard, state) in self.query.shared.shards.iter().enumerate() {
             let live = state
                 .lock_core()
                 .take()
@@ -876,37 +676,6 @@ impl<E: Summary> ShardedRuntime<E> {
             merged.merge_from(&live.est)?;
         }
         Ok(merged)
-    }
-}
-
-impl<E: Summary + JoinQuery> ShardedRuntime<E> {
-    /// Typed at-all-times self-join query: merge the shards as of now and
-    /// return the merged estimator's [`Estimate`]. The error bar is
-    /// computed on the *combined* sketch — by linearity the merge is
-    /// bit-identical to sequential sketching, so the merged lanes carry
-    /// exactly the sketch noise of the answer (per-shard error bars would
-    /// measure the noise of partial streams instead).
-    ///
-    /// # Errors
-    ///
-    /// [`StreamError::ShardDisconnected`] if a shard's summary panicked.
-    pub fn self_join_estimate(&self) -> Result<Estimate> {
-        self.shared
-            .with_merged(|merged, _| merged.self_join_estimate())
-    }
-
-    /// Typed at-all-times size-of-join query against another runtime over
-    /// the same schema, with the error bar computed on the two combined
-    /// sketches (see [`ShardedRuntime::self_join_estimate`]).
-    ///
-    /// # Errors
-    ///
-    /// [`StreamError::ShardDisconnected`] if a shard's summary panicked, or
-    /// an estimator error (schema mismatch between the runtimes).
-    pub fn size_of_join_estimate(&self, other: &ShardedRuntime<E>) -> Result<Estimate> {
-        self.merged()?
-            .size_of_join_estimate(&other.merged()?)
-            .map_err(StreamError::Estimator)
     }
 }
 
@@ -920,83 +689,280 @@ impl<E: Summary> Drop for ShardedRuntime<E> {
     }
 }
 
+impl<E: Summary> std::ops::Deref for ShardedRuntime<E> {
+    type Target = QueryHandle<E>;
+
+    fn deref(&self) -> &QueryHandle<E> {
+        &self.query
+    }
+}
+
 impl<E: Summary> std::fmt::Debug for ShardedRuntime<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedRuntime")
-            .field("config", &self.shared.config)
+            .field("config", &self.query.shared.config)
             .field("tuples_ingested", &self.tuples_ingested())
             .field("queue_high_water", &self.queue_high_water())
-            .field("pool", &self.pool)
+            .field("pool", &self.pool_stats())
             .finish()
     }
 }
 
-/// A cloneable read-side handle on a [`ShardedRuntime`]: answers
-/// at-all-times queries through the same incremental snapshot cache,
-/// concurrently with the owner's ingest (queries from multiple handles
-/// serialize on the cache).
+/// The read side of a [`ShardedRuntime`]: every query and gauge, answered
+/// through the incremental snapshot cache concurrently with the owner's
+/// ingest (queries from multiple handles serialize on the cache). The
+/// runtime holds one and derefs to it, so `rt.merged()` and
+/// `rt.query_handle().merged()` are the same call; a clone is as cheap as
+/// an `Arc`.
 ///
 /// A handle outlives the runtime: after
 /// [`into_merged`](ShardedRuntime::into_merged) (or drop) it still serves
-/// queries whose cached merge is current, and reports
-/// [`StreamError::ShardDisconnected`] when a shard would have to be merged
-/// again.
+/// queries whose cached merge is current, reads the runtime's last gauges,
+/// and reports [`StreamError::ShardDisconnected`] when a shard would have
+/// to be merged again.
 pub struct QueryHandle<E: Summary> {
     shared: Arc<RuntimeShared<E>>,
 }
 
 impl<E: Summary> QueryHandle<E> {
-    /// The at-all-times query — see [`ShardedRuntime::merged`].
+    /// The configured shard count.
+    pub fn shards(&self) -> usize {
+        self.shared.config.shards
+    }
+
+    /// The configured per-shard data-ring depth, in batches.
+    pub fn queue_depth(&self) -> usize {
+        self.shared.config.queue_depth
+    }
+
+    /// The highest number of batches ever enqueued-or-in-flight on any
+    /// single shard — never exceeds `queue_depth + 1` (one batch may be
+    /// mid-application when the ring refills).
+    pub fn queue_high_water(&self) -> usize {
+        self.shared.high_water.load(Ordering::Acquire)
+    }
+
+    /// Point-in-time occupancy gauge beside the
+    /// [`queue_high_water`](Self::queue_high_water) watermark: batches
+    /// currently enqueued-or-in-flight on the *most loaded* shard. Zero
+    /// after a quiescing [`merged`](Self::merged) call returns.
+    pub fn queue_occupancy(&self) -> usize {
+        self.shared
+            .shards
+            .iter()
+            .map(|s| {
+                s.accepted
+                    .load(Ordering::Acquire)
+                    .saturating_sub(s.applied.load(Ordering::Acquire)) as usize
+            })
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Tuples applied to shard sketches so far, summed over all workers.
+    ///
+    /// These are *offered* tuples: behind a [`door`](Summary::door) the
+    /// count includes the ones it dropped, so it equals a merged
+    /// [`Sampled`](sss_core::Sampled)'s `seen`. Each worker bumps its
+    /// counter *after* applying a run, so this lags
+    /// [`push`](ShardedRuntime::push) while batches sit in rings. After a
+    /// [`merged`](Self::merged) call returns, the gauge covers every tuple
+    /// accepted before it (the query catches each shard up to its floor).
+    pub fn tuples_ingested(&self) -> u64 {
+        self.shared
+            .shards
+            .iter()
+            .map(|s| s.ingested.load(Ordering::Acquire))
+            .sum()
+    }
+
+    /// Offered tuples applied by one worker (panics if
+    /// `shard >= shards()`). The spread across shards shows how well the
+    /// partition policy balances the load.
+    pub fn shard_tuples_ingested(&self, shard: usize) -> u64 {
+        self.shared.shards[shard].ingested.load(Ordering::Acquire)
+    }
+
+    /// Merged ingest throughput gauge: offered tuples applied per second of
+    /// monotonic wall-clock time since the pool was constructed
+    /// ([`Instant`] captured in `new`, so system clock adjustments never
+    /// skew it). Pair with [`queue_high_water`](Self::queue_high_water)
+    /// when deciding whether a pipeline needs more shards or a lower
+    /// sampling rate.
+    pub fn tuples_per_sec(&self) -> f64 {
+        let secs = self.shared.started.elapsed().as_secs_f64();
+        if secs > 0.0 {
+            self.tuples_ingested() as f64 / secs
+        } else {
+            0.0
+        }
+    }
+
+    /// Snapshot-cache counters: how many queries were served from cache,
+    /// and how many rebuilt it from some or from all of the shards.
+    pub fn cache_stats(&self) -> CacheStats {
+        self.shared.lock_cache().stats()
+    }
+
+    /// Batch-buffer pool counters — the zero-allocations-per-batch
+    /// evidence (see [`PoolStats`]).
+    pub fn pool_stats(&self) -> PoolStats {
+        PoolStats {
+            allocations: self.shared.pool_allocations.load(Ordering::Relaxed),
+            reuses: self.shared.pool_reuses.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Merge the shard estimators as of *now*: every batch accepted by
+    /// [`push`](ShardedRuntime::push)/[`try_push`](ShardedRuntime::try_push)
+    /// before this call is reflected, because the query applies whatever
+    /// of each shard's accepted batches its worker has not yet.
+    ///
+    /// The runtime keeps running; this is the at-all-times query, served
+    /// through the incremental snapshot cache (shards untouched since the
+    /// previous query cost nothing — [`cache_stats`](Self::cache_stats)).
     ///
     /// # Errors
     ///
     /// [`StreamError::ShardDisconnected`] if a shard must be merged again
-    /// and it is dead or taken by
-    /// [`into_merged`](ShardedRuntime::into_merged).
+    /// and its summary panicked or
+    /// [`into_merged`](ShardedRuntime::into_merged) took it.
     pub fn merged(&self) -> Result<E> {
-        self.shared.merged()
+        self.with_merged(&mut self.shared.lock_cache(), |merged, _| E::clone(merged))
     }
 
-    /// Snapshot-cache counters — see [`ShardedRuntime::cache_stats`].
-    pub fn cache_stats(&self) -> CacheStats {
-        self.shared.cache_stats()
+    /// The incremental at-all-times query, read in place under the cache
+    /// lock the caller holds for the whole query, which serializes
+    /// concurrent handles. See the module docs: the cached merge is
+    /// served while every shard's floor is at or below what it reflects;
+    /// otherwise each shard in turn is caught up to its floor under its
+    /// lock and merged into one copy of the prototype, which the cache
+    /// keeps. `read` gets the merge the cache shares, with what it
+    /// reflects.
+    fn with_merged<T>(
+        &self,
+        cache: &mut SnapshotCache<E>,
+        read: impl FnOnce(&Arc<E>, Stamp) -> T,
+    ) -> Result<T> {
+        let floors: Vec<u64> = self
+            .shared
+            .shards
+            .iter()
+            .map(|s| s.accepted.load(Ordering::Acquire))
+            .collect();
+        if let Some((merged, stamp)) = cache.hit(&floors) {
+            return Ok(read(merged, stamp));
+        }
+        let mut merged = self.shared.lock_prototype().clone();
+        let mut stamps = Vec::with_capacity(floors.len());
+        for (shard, (state, &floor)) in self.shared.shards.iter().zip(&floors).enumerate() {
+            let _waiting = Waiting::new(&state.query_floor, floor);
+            let mut core = state.lock_core();
+            while state.applied.load(Ordering::Relaxed) < floor && state.apply_next(&mut core) {}
+            let live = core
+                .as_ref()
+                .ok_or(StreamError::ShardDisconnected { shard })?;
+            let stamp = Stamp {
+                batches: state.applied.load(Ordering::Relaxed),
+                tuples: state.ingested.load(Ordering::Relaxed),
+            };
+            // A shard that has applied no batch holds no tuple: it is
+            // left out rather than merged as an empty copy.
+            if stamp.batches > 0 {
+                merged.merge_from(&live.est)?;
+            }
+            stamps.push(stamp);
+        }
+        let (merged, stamp) = cache.install(merged, stamps, &floors);
+        Ok(read(merged, stamp))
     }
 
-    /// Tuples applied so far — see [`ShardedRuntime::tuples_ingested`].
-    pub fn tuples_ingested(&self) -> u64 {
-        self.shared.tuples_ingested()
-    }
-
-    /// Throughput gauge — see [`ShardedRuntime::tuples_per_sec`].
-    pub fn tuples_per_sec(&self) -> f64 {
-        self.shared.tuples_per_sec()
-    }
-
-    /// Point-in-time occupancy — see
-    /// [`ShardedRuntime::queue_occupancy`].
-    pub fn queue_occupancy(&self) -> usize {
-        self.shared.queue_occupancy()
-    }
-
-    /// High-water occupancy mark — see
-    /// [`ShardedRuntime::queue_high_water`]. Useful after
-    /// [`into_merged`](ShardedRuntime::into_merged), which consumes the
-    /// runtime but leaves the shared gauges readable through the handle.
-    pub fn queue_high_water(&self) -> usize {
-        self.shared.high_water.load(Ordering::Acquire)
+    /// Sum of every shard's accepted-batch counter — the staleness
+    /// yardstick of the replica frames (monotone; each shard's counter is
+    /// bumped by the producer at enqueue time).
+    fn accepted_total(&self) -> u64 {
+        self.shared
+            .shards
+            .iter()
+            .map(|s| s.accepted.load(Ordering::Acquire))
+            .sum()
     }
 }
 
 impl<E: Summary + JoinQuery> QueryHandle<E> {
-    /// Typed self-join query — see
-    /// [`ShardedRuntime::self_join_estimate`].
+    /// Typed at-all-times self-join query: merge the shards as of now and
+    /// return the merged estimator's [`Estimate`]. The error bar is
+    /// computed on the *combined* sketch — by linearity the merge is
+    /// bit-identical to sequential sketching, so the merged lanes carry
+    /// exactly the sketch noise of the answer (per-shard error bars would
+    /// measure the noise of partial streams instead).
     ///
     /// # Errors
     ///
-    /// As for [`QueryHandle::merged`].
+    /// As for [`merged`](Self::merged).
     pub fn self_join_estimate(&self) -> Result<Estimate> {
-        self.shared
-            .with_merged(|merged, _| merged.self_join_estimate())
+        self.with_merged(&mut self.shared.lock_cache(), |merged, _| {
+            merged.self_join_estimate()
+        })
+    }
+
+    /// Typed at-all-times size-of-join query against another runtime over
+    /// the same schema, with the error bar computed on the two combined
+    /// sketches (see [`self_join_estimate`](Self::self_join_estimate)).
+    ///
+    /// # Errors
+    ///
+    /// As for [`merged`](Self::merged), or an estimator error (schema
+    /// mismatch between the runtimes).
+    pub fn size_of_join_estimate(&self, other: &QueryHandle<E>) -> Result<Estimate> {
+        self.merged()?
+            .size_of_join_estimate(&other.merged()?)
+            .map_err(StreamError::Estimator)
+    }
+}
+
+impl<E: Summary + SlimQuery> QueryHandle<E> {
+    /// Open a slim read replica — the two-stage read path. See
+    /// [`ReadReplica`]. Every replica opened on a runtime, through any
+    /// clone of its handle, shares the one frame its cache keeps, so N
+    /// readers trigger at most one fat merge per version.
+    ///
+    /// # Errors
+    ///
+    /// [`StreamError::ShardDisconnected`] if the initial projection needs
+    /// a dead shard.
+    pub fn read_replica(&self, max_pending: u64) -> Result<ReadReplica<E>> {
+        let floor = self.accepted_total().saturating_sub(max_pending);
+        let frame = self.ensure_replica(floor)?;
+        Ok(ReadReplica {
+            handle: self.clone(),
+            max_pending,
+            version: frame.version,
+            applied: frame.applied,
+            slim: frame_slim::<E>(frame),
+        })
+    }
+
+    /// The cached frame if it reflects at least `min_version` accepted
+    /// batches, with no catch-up and no cache count; otherwise a frame
+    /// over the merge [`with_merged`](Self::with_merged) serves, kept in
+    /// the cache beside it. One cache lock covers both, so concurrent
+    /// stale readers elect one refresher and the rest adopt its frame.
+    fn ensure_replica(&self, min_version: u64) -> Result<ReplicaFrame> {
+        let mut cache = self.shared.lock_cache();
+        if let Some(frame) = cache.frame(min_version) {
+            return Ok(frame);
+        }
+        // The frame is stamped with the batches and tuples of the shard
+        // states actually merged, read under their locks: at least every
+        // batch accepted before the call, and nothing applied after.
+        let frame = self.with_merged(&mut cache, |fat, stamp| ReplicaFrame {
+            version: stamp.batches,
+            applied: stamp.tuples,
+            slim: Arc::new(E::frame(fat)),
+        })?;
+        cache.keep_frame(frame.clone());
+        Ok(frame)
     }
 }
 
@@ -1017,45 +983,18 @@ impl<E: Summary> std::fmt::Debug for QueryHandle<E> {
     }
 }
 
-impl<E: Summary + SlimQuery> ShardedRuntime<E> {
-    /// Open a slim read replica on this runtime — the two-stage read
-    /// path. See [`ReadReplica`].
-    ///
-    /// # Errors
-    ///
-    /// [`StreamError::ShardDisconnected`] if the initial projection needs
-    /// a dead shard.
-    pub fn read_replica(&self, max_pending: u64) -> Result<ReadReplica<E>> {
-        ReadReplica::open(Arc::clone(&self.shared), max_pending)
-    }
-}
-
-impl<E: Summary + SlimQuery> QueryHandle<E> {
-    /// Open a slim read replica — see [`ShardedRuntime::read_replica`].
-    /// Every clone of the handle can open its own replica; they all share
-    /// the runtime's single frame hub, so N readers trigger at most one
-    /// fat projection per version.
-    ///
-    /// # Errors
-    ///
-    /// As for [`ShardedRuntime::read_replica`].
-    pub fn read_replica(&self, max_pending: u64) -> Result<ReadReplica<E>> {
-        ReadReplica::open(Arc::clone(&self.shared), max_pending)
-    }
-}
-
 /// A slim read replica on a [`ShardedRuntime`] — stage two of the
 /// two-stage read path.
 ///
 /// Instead of merging the fat shard estimators and copying the result on
-/// every query (the [`merged`](ShardedRuntime::merged) path), a replica holds a
-/// pointer to a [`SlimQuery::Slim`] projection and swaps it for the one in
-/// the runtime's shared frame hub only when the accepted-batch counter has
-/// advanced past `max_pending`. N replicas across N query threads share
-/// one hub: per version, exactly one of them (single-flight) pays the
-/// fat merge, everyone else pays a pointer bump and reads the same frame,
-/// and each part of the frame is projected once, when first asked
-/// ([`SlimQuery::frame`]).
+/// every query (the [`merged`](QueryHandle::merged) path), a replica holds
+/// a pointer to a [`SlimQuery::Slim`] projection and swaps it for the
+/// frame the runtime's cache keeps only when the accepted-batch counter
+/// has advanced past `max_pending`. N replicas across N query threads
+/// share that frame: per version, exactly one of them (single-flight,
+/// under the cache lock) pays the fat merge, everyone else pays a pointer
+/// bump and reads the same frame, and each part of the frame is projected
+/// once, when first asked ([`SlimQuery::frame`]).
 ///
 /// `*_estimate()` answers carry the slim projection's sketch variance
 /// **plus** a staleness term
@@ -1064,7 +1003,7 @@ impl<E: Summary + SlimQuery> QueryHandle<E> {
 /// ingest reports honestly wider error bars rather than a silently stale
 /// point value.
 pub struct ReadReplica<E: Summary + SlimQuery> {
-    shared: Arc<RuntimeShared<E>>,
+    handle: QueryHandle<E>,
     /// Accepted-batch staleness tolerated before a refresh is forced.
     max_pending: u64,
     /// Batches the adopted frame's merge reflects.
@@ -1074,29 +1013,17 @@ pub struct ReadReplica<E: Summary + SlimQuery> {
     slim: Arc<E::Slim>,
 }
 
-/// The typed projection in a hub frame. The slot is type-erased (see
-/// [`ReplicaFrame`]), but a runtime's hub is written only by its own
-/// `ensure_replica`, which stores an `E::Slim`.
+/// The typed projection in a cached frame. The slot is type-erased (see
+/// [`ReplicaFrame`]), but a runtime's cache is given frames only by its
+/// own `ensure_replica`, which stores an `E::Slim`.
 fn frame_slim<E: SlimQuery>(frame: ReplicaFrame) -> Arc<E::Slim> {
     frame
         .slim
         .downcast()
-        .expect("a runtime's replica hub holds only its own E::Slim")
+        .expect("a runtime's cache holds only its own E::Slim")
 }
 
 impl<E: Summary + SlimQuery> ReadReplica<E> {
-    fn open(shared: Arc<RuntimeShared<E>>, max_pending: u64) -> Result<Self> {
-        let floor = shared.accepted_total().saturating_sub(max_pending);
-        let frame = shared.ensure_replica(floor)?;
-        Ok(Self {
-            shared,
-            max_pending,
-            version: frame.version,
-            applied: frame.applied,
-            slim: frame_slim::<E>(frame),
-        })
-    }
-
     /// Bring the local slim state within `max_pending` accepted batches
     /// of the ingest frontier. Returns `true` if a newer frame was
     /// adopted. At most one caller per version pays the fat projection;
@@ -1107,12 +1034,12 @@ impl<E: Summary + SlimQuery> ReadReplica<E> {
     /// [`StreamError::ShardDisconnected`] if a refresh needs a dead
     /// shard.
     pub fn refresh(&mut self) -> Result<bool> {
-        let target = self.shared.accepted_total();
+        let target = self.handle.accepted_total();
         if target.saturating_sub(self.version) <= self.max_pending {
             return Ok(false);
         }
         let frame = self
-            .shared
+            .handle
             .ensure_replica(target.saturating_sub(self.max_pending))?;
         if frame.version <= self.version {
             return Ok(false);
@@ -1141,7 +1068,7 @@ impl<E: Summary + SlimQuery> ReadReplica<E> {
 
     /// Accepted batches past this replica's frame right now.
     pub fn pending(&self) -> u64 {
-        self.shared.accepted_total().saturating_sub(self.version)
+        self.handle.accepted_total().saturating_sub(self.version)
     }
 }
 
@@ -1155,7 +1082,7 @@ where
     /// error bar by the staleness plug-in for the tuples that arrived
     /// since the frame was projected. When the replica is fresh the value
     /// is bit-identical to
-    /// [`ShardedRuntime::self_join_estimate`] on the same state.
+    /// [`QueryHandle::self_join_estimate`] on the same state.
     ///
     /// # Errors
     ///
@@ -1163,7 +1090,7 @@ where
     pub fn self_join_estimate(&mut self) -> Result<Estimate> {
         self.refresh()?;
         let est = self.slim.self_join_estimate();
-        let pending = self.shared.tuples_ingested().saturating_sub(self.applied);
+        let pending = self.handle.tuples_ingested().saturating_sub(self.applied);
         let extra = staleness_variance_plugin(est.value, self.applied, pending);
         Ok(est.plus_variance(extra))
     }

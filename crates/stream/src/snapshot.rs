@@ -1,6 +1,7 @@
 //! Versioned incremental snapshot cache behind
-//! [`ShardedRuntime::merged`](crate::ShardedRuntime::merged), and the hub
-//! that hands its slim projection to readers.
+//! [`QueryHandle::merged`](crate::QueryHandle::merged), and the replica
+//! frame over its merge that every [`ReadReplica`](crate::ReadReplica)
+//! shares.
 //!
 //! The paper's at-all-times query model (and Huang–Tai–Yi's continuous
 //! tracking argument, arXiv 1412.1763) means `merged()` runs *while* the
@@ -28,15 +29,25 @@
 //! ([`SlimQuery::frame`](sss_core::SlimQuery::frame)), so a refresh copies
 //! no merged result at all.
 //!
+//! The cache keeps that frame beside the merge, stamped with what the
+//! merge reflects, until the next `install` replaces the merge. Slim
+//! states deliberately cannot merge (`(a+b)² ≠ a² + b²`), so a replica
+//! moves from whole frame to whole frame: a reader whose version lags
+//! takes the cache lock once, adopts the kept frame by pointer if it is
+//! recent enough, and otherwise refreshes the merge and projects the new
+//! frame under that same lock, which makes the refresh single-flight.
+//!
 //! The cache never touches a shard itself: the runtime catches each shard
 //! up and merges it under the shard's lock, and hands the whole merge in
 //! via `SnapshotCache::install`, so this module is pure bookkeeping.
 
 use std::any::Any;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 
 /// Counters describing how the cache served queries so far — exposed as
-/// [`ShardedRuntime::cache_stats`](crate::ShardedRuntime::cache_stats).
+/// [`QueryHandle::cache_stats`](crate::QueryHandle::cache_stats). A
+/// reader adopting the kept replica frame is not a query here: it merges
+/// nothing and reads no shard.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Queries answered from the cached merged result alone (zero dirty
@@ -76,6 +87,8 @@ pub(crate) struct SnapshotCache<E> {
     /// The merged result, shared with the replica frames projected from
     /// it; `None` until the first query.
     merged: Option<Arc<E>>,
+    /// The replica frame over `merged`, once a reader asked for one.
+    frame: Option<ReplicaFrame>,
     stats: CacheStats,
 }
 
@@ -84,6 +97,7 @@ impl<E> SnapshotCache<E> {
         Self {
             stamps: vec![Stamp::default(); shards],
             merged: None,
+            frame: None,
             stats: CacheStats::default(),
         }
     }
@@ -116,7 +130,8 @@ impl<E> SnapshotCache<E> {
     }
 
     /// Install a rebuild that missed [`hit`](Self::hit) at `floors`:
-    /// `merged` reflects `stamps`, shard by shard. Lends it back.
+    /// `merged` reflects `stamps`, shard by shard. Lends it back, and drops
+    /// the frame over the merge it replaces.
     pub(crate) fn install(
         &mut self,
         merged: E,
@@ -131,6 +146,7 @@ impl<E> SnapshotCache<E> {
         }
         self.stats.shards_refreshed += dirty as u64;
         self.stamps = stamps;
+        self.frame = None;
         let total = self.total();
         (self.merged.insert(Arc::new(merged)), total)
     }
@@ -138,17 +154,29 @@ impl<E> SnapshotCache<E> {
     pub(crate) fn stats(&self) -> CacheStats {
         self.stats
     }
+
+    /// The kept replica frame, if it reflects at least `min_version`
+    /// batches.
+    pub(crate) fn frame(&self, min_version: u64) -> Option<ReplicaFrame> {
+        self.frame.clone().filter(|f| f.version >= min_version)
+    }
+
+    /// Keep `frame`, projected from the current merge, for the readers
+    /// after this one.
+    pub(crate) fn keep_frame(&mut self, frame: ReplicaFrame) {
+        self.frame = Some(frame);
+    }
 }
 
-/// One published slim snapshot: the merged summary's frame
-/// ([`SlimQuery::frame`](sss_core::SlimQuery::frame)), stamped with the
+/// The replica frame: the merged summary's
+/// [`SlimQuery::frame`](sss_core::SlimQuery::frame), stamped with the
 /// batches and tuples that merge reflects.
 ///
 /// The frame sits behind an [`Arc`], so N concurrent readers adopt it by
-/// pointer and query the one shared value. The slot is
-/// type-erased because the hub lives in a runtime generic over plain
-/// [`Summary`](sss_core::Summary); the runtime's `SlimQuery` block, the only code that
-/// publishes or adopts frames, downcasts it back to `E::Slim`.
+/// pointer and query the one shared value. The slot is type-erased because
+/// the cache lives in a runtime generic over plain
+/// [`Summary`](sss_core::Summary); the runtime's `SlimQuery` block, the
+/// only code that keeps or adopts frames, downcasts it back to `E::Slim`.
 #[derive(Clone)]
 pub(crate) struct ReplicaFrame {
     /// Batches the merged shard states had applied, summed over the
@@ -162,63 +190,11 @@ pub(crate) struct ReplicaFrame {
     pub(crate) slim: Arc<dyn Any + Send + Sync>,
 }
 
-/// The slim-replica exchange point between the (single) refresher that
-/// projects the merged fat state and the N readers serving `*_estimate()`
-/// queries.
-///
-/// Slim states deliberately cannot merge (`(a+b)² ≠ a² + b²`), so deltas
-/// are *whole frames*: a refresh merges fat state through the
-/// [`SnapshotCache`] and publishes a frame over that merge; every reader
-/// whose local version lags adopts the shared pointer, and each part of
-/// the frame is projected once, by whichever reader asks for it first.
-/// The `refreshing` mutex makes the expensive merge single-flight —
-/// concurrent stale readers elect one refresher and the rest pick up the
-/// frame it publishes.
-pub(crate) struct ReplicaHub {
-    frame: Mutex<Option<ReplicaFrame>>,
-    /// Held for the duration of a fat merge; see above.
-    refreshing: Mutex<()>,
-}
-
-impl ReplicaHub {
-    pub(crate) fn new() -> Self {
-        Self {
-            frame: Mutex::new(None),
-            refreshing: Mutex::new(()),
-        }
-    }
-
-    /// The latest published frame, if any. Lock-poisoning on either mutex
-    /// is survivable: frames are immutable once published, so a poisoned
-    /// guard still reads a consistent frame.
-    pub(crate) fn frame(&self) -> Option<ReplicaFrame> {
-        self.frame
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
-    }
-
-    /// Publish a frame, keeping whichever reflects more accepted batches
-    /// (two racing refreshers can finish out of order).
-    pub(crate) fn publish(&self, frame: ReplicaFrame) {
-        let mut slot = self.frame.lock().unwrap_or_else(PoisonError::into_inner);
-        if !slot.as_ref().is_some_and(|f| f.version > frame.version) {
-            *slot = Some(frame);
-        }
-    }
-
-    /// Serialize refreshers; the guard's lifetime brackets the fat merge.
-    pub(crate) fn begin_refresh(&self) -> MutexGuard<'_, ()> {
-        self.refreshing
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
     use sss_core::Summary;
+    use std::sync::Mutex;
 
     /// A summary double that logs whose clone was taken: the prototype's
     /// (never updated or merged into), a shard's (updated), or a merge
@@ -277,7 +253,8 @@ pub(crate) mod tests {
     /// A hit needs a merge whose stamps cover every floor; a rebuild
     /// counts the shards that were behind theirs, and is partial unless
     /// all of them were. What the cache lends is summed from its stamps,
-    /// and a hit lends the installed merge itself, not a copy.
+    /// and a hit lends the installed merge itself, not a copy. A kept
+    /// frame is served while it is recent enough, and goes with its merge.
     #[test]
     fn a_hit_needs_a_merge_that_covers_every_floor() {
         let mut cache = SnapshotCache::new(2);
@@ -292,6 +269,14 @@ pub(crate) mod tests {
         let (hit, total) = cache.hit(&[2, 0]).unwrap();
         assert!(Arc::ptr_eq(hit, &lent));
         assert_eq!(total, stamp(2, 20));
+        cache.keep_frame(ReplicaFrame {
+            version: 2,
+            applied: 20,
+            slim: Arc::new("frame"),
+        });
+        let frame = cache.frame(2).expect("recent enough");
+        assert_eq!(frame.slim.downcast_ref::<&str>(), Some(&"frame"));
+        assert!(cache.frame(3).is_none(), "too old");
         cache.install("both", vec![stamp(3, 30), stamp(1, 5)], &[3, 1]);
         assert_eq!(
             cache.stats(),
@@ -303,35 +288,6 @@ pub(crate) mod tests {
             }
         );
         assert_eq!(cache.hit(&[3, 1]), Some((&Arc::new("both"), stamp(4, 35))));
-    }
-
-    /// The replica hub: publish is monotone in the version, frames are
-    /// shared (not copied), and racing refreshers single-flight through
-    /// `begin_refresh`.
-    #[test]
-    fn replica_hub_publishes_monotonically() {
-        let hub = ReplicaHub::new();
-        assert!(hub.frame().is_none());
-        hub.publish(ReplicaFrame {
-            version: 5,
-            applied: 100,
-            slim: Arc::new(vec![1u8, 2, 3]),
-        });
-        // An older frame from a slow racer does not regress the slot.
-        hub.publish(ReplicaFrame {
-            version: 3,
-            applied: 60,
-            slim: Arc::new(vec![9u8]),
-        });
-        let f = hub.frame().unwrap();
-        assert_eq!(f.version, 5);
-        assert_eq!(f.applied, 100);
-        assert_eq!(f.slim.downcast_ref::<Vec<u8>>(), Some(&vec![1, 2, 3]));
-        // Two readers share one projection.
-        let g = hub.frame().unwrap();
-        assert!(Arc::ptr_eq(&f.slim, &g.slim));
-        // The refresh guard is just a mutex — hold and release.
-        drop(hub.begin_refresh());
-        let _second = hub.begin_refresh();
+        assert!(cache.frame(0).is_none(), "a new merge drops the old frame");
     }
 }

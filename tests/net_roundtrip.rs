@@ -566,16 +566,14 @@ impl Drop for Served {
     }
 }
 
-/// A query client that never sends a newline is refused once and closed:
-/// 1 MiB of it gets the one-line refusal, not a 1 MiB buffer in the server
-/// (a child process, so its memory is its own), 16 MiB of it gets dropped
-/// on the way, and another client's queries keep being answered.
-#[test]
-fn newline_free_query_flood_is_refused_without_buffering() {
-    use std::io::{BufRead, BufReader};
-    use std::process::{Command, Stdio};
-    const FLOOD: usize = 1 << 20;
+/// What a spawned `sss serve` prints after its banner.
+type Banner = std::io::Lines<std::io::BufReader<std::process::ChildStdout>>;
 
+/// A spawned one-shard `sss serve` (a child process, so its memory is its
+/// own), the rest of its stdout, and its ingest and query addresses.
+fn serve_child() -> (Served, Banner, String, String) {
+    use std::io::BufRead;
+    use std::process::{Command, Stdio};
     let mut child = Served(
         Command::new(env!("CARGO_BIN_EXE_sss"))
             .args(["serve", "--ingest=127.0.0.1:0", "--query=127.0.0.1:0"])
@@ -585,18 +583,35 @@ fn newline_free_query_flood_is_refused_without_buffering() {
             .spawn()
             .unwrap(),
     );
-    let mut banner = BufReader::new(child.0.stdout.take().unwrap()).lines();
-    let mut query_addr = None;
+    let mut banner = std::io::BufReader::new(child.0.stdout.take().unwrap()).lines();
+    let (mut ingest, mut query) = (None, None);
     for line in banner.by_ref() {
         let line = line.unwrap();
+        if let Some(addr) = line.strip_prefix("ingest") {
+            ingest = Some(addr.trim().to_string());
+        }
         if let Some(addr) = line.strip_prefix("query") {
-            query_addr = Some(addr.trim().to_string());
+            query = Some(addr.trim().to_string());
         }
         if line.starts_with("fingerprint") {
             break;
         }
     }
-    let query_addr = query_addr.expect("banner carries the query address");
+    let ingest = ingest.expect("banner carries the ingest address");
+    let query = query.expect("banner carries the query address");
+    (child, banner, ingest, query)
+}
+
+/// A query client that never sends a newline is refused once and closed:
+/// 1 MiB of it gets the one-line refusal, not a 1 MiB buffer in the server
+/// (a child process, so its memory is its own), 16 MiB of it gets dropped
+/// on the way, and another client's queries keep being answered.
+#[test]
+fn newline_free_query_flood_is_refused_without_buffering() {
+    use std::io::{BufRead, BufReader};
+    const FLOOD: usize = 1 << 20;
+
+    let (mut child, banner, _, query_addr) = serve_child();
 
     let mut bystander = QueryClient::connect(query_addr.as_str()).unwrap();
     let distinct = "{\"cmd\":\"distinct\"}";
@@ -651,6 +666,125 @@ fn newline_free_query_flood_is_refused_without_buffering() {
     // The server prints its closing gauges; read them so it can.
     banner.for_each(drop);
     assert!(child.0.wait().unwrap().success());
+}
+
+/// A query client that sends and never reads costs the server a bounded
+/// buffer, not the answers its requests expand to: 256 KiB of `topk` lines
+/// would be ≈ 160 MiB of answers. The server stops reading it once 1 MiB
+/// of answers waits, keeps answering everyone else, and picks up where it
+/// stopped once the client reads.
+#[test]
+fn a_query_client_that_never_reads_is_answered_in_bounded_memory() {
+    use std::io::{BufRead, BufReader};
+    use std::time::{Duration, Instant};
+    const FLOOD: usize = 256 << 10;
+
+    let (mut child, banner, ingest_addr, query_addr) = serve_child();
+    // Every one of 256 keys is a Misra–Gries candidate, so a `topk` of 256
+    // answers ≈ 14.5 KB to a 23-byte line.
+    let mut client = IngestClient::connect(ingest_addr.as_str()).unwrap();
+    let keys: Vec<u64> = (0..40_000u64).map(|i| splitmix64(i) % 256).collect();
+    for batch in keys.chunks(512) {
+        client.send_batch(batch).unwrap();
+    }
+    client.sync().unwrap();
+    client.finish().unwrap();
+
+    let topk = "{\"cmd\":\"topk\",\"k\":256}\n";
+    let mut flood = TcpStream::connect(query_addr.as_str()).unwrap();
+    flood
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    flood.write_all(topk.as_bytes()).unwrap();
+    let mut answers = BufReader::new(flood.try_clone().unwrap());
+    let mut first = String::new();
+    answers.read_line(&mut first).unwrap();
+    assert_eq!(first.matches("\"key\":").count(), 256, "{first}");
+    let mut bystander = QueryClient::connect(query_addr.as_str()).unwrap();
+    let distinct = "{\"cmd\":\"distinct\"}";
+    assert!(bystander.request(distinct).unwrap().contains("\"ok\":true"));
+    let before = resident_kib(child.0.id());
+
+    // The writes block once the server stops reading, so they run beside
+    // the reads below.
+    let lines = FLOOD / topk.len();
+    let mut writer = flood.try_clone().unwrap();
+    let flooding =
+        std::thread::spawn(move || writer.write_all(topk.repeat(lines).as_bytes()).unwrap());
+    std::thread::sleep(Duration::from_millis(200));
+    let asked = Instant::now();
+    assert!(bystander.request(distinct).unwrap().contains("\"ok\":true"));
+    let waited = asked.elapsed();
+    std::thread::sleep(Duration::from_millis(800));
+    if let (Some(before), Some(after)) = (before, resident_kib(child.0.id())) {
+        assert!(
+            after < before + (16 << 10),
+            "server grew {before} -> {after} KiB under an unread flood"
+        );
+    }
+    assert!(
+        waited < Duration::from_millis(500),
+        "a bystander waited {waited:?} behind the flood"
+    );
+
+    let mut line = String::new();
+    for i in 0..lines {
+        line.clear();
+        answers.read_line(&mut line).unwrap();
+        assert_eq!(line, first, "answer {i} of {lines}");
+    }
+    flooding.join().unwrap();
+    assert!(bystander.request(distinct).unwrap().contains("\"ok\":true"));
+    bystander.shutdown().unwrap();
+    banner.for_each(drop);
+    assert!(child.0.wait().unwrap().success());
+}
+
+/// A client that shuts its write half after its last request still gets
+/// every answer, then end of stream: on the query plane 500 `topk` lines
+/// whose answers outlast the socket buffers, on the ingest plane a `SYNC`.
+#[test]
+fn a_half_closed_client_gets_every_answer() {
+    use std::io::{BufRead, BufReader};
+    const LINES: usize = 500;
+    let srv = server(8, 1, Partition::RoundRobin);
+    let mut client = IngestClient::connect(srv.ingest_addr()).unwrap();
+    let keys: Vec<u64> = (0..40_000u64).map(|i| splitmix64(i) % 256).collect();
+    for batch in keys.chunks(512) {
+        client.send_batch(batch).unwrap();
+    }
+    client.sync().unwrap();
+
+    let mut queries = TcpStream::connect(srv.query_addr()).unwrap();
+    queries
+        .set_read_timeout(Some(std::time::Duration::from_secs(60)))
+        .unwrap();
+    let topk = "{\"cmd\":\"topk\",\"k\":256}\n";
+    queries.write_all(topk.repeat(LINES).as_bytes()).unwrap();
+    queries.shutdown(std::net::Shutdown::Write).unwrap();
+    let answers: Vec<String> = BufReader::new(queries)
+        .lines()
+        .map(|line| line.unwrap())
+        .collect();
+    assert_eq!(answers.len(), LINES, "then end of stream");
+    assert_eq!(answers[0].matches("\"key\":").count(), 256);
+    assert!(answers.iter().all(|a| *a == answers[0]));
+
+    let mut ingest = TcpStream::connect(srv.ingest_addr()).unwrap();
+    raw_handshake(&mut ingest);
+    let mut frames = Vec::new();
+    protocol::write_batch(&mut frames, &[1, 2, 3]);
+    protocol::write_sync(&mut frames, protocol::FRAME_SYNC, 77);
+    ingest.write_all(&frames).unwrap();
+    ingest.shutdown(std::net::Shutdown::Write).unwrap();
+    let (tag, payload) = read_raw_frame(&mut ingest).expect("the SYNC is answered");
+    assert_eq!(tag, protocol::FRAME_SYNC_OK);
+    assert_eq!(protocol::decode_sync(&payload).unwrap(), 77);
+    let mut rest = Vec::new();
+    ingest.read_to_end(&mut rest).unwrap();
+    assert!(rest.is_empty(), "then end of stream");
+    client.finish().unwrap();
+    srv.shutdown_and_wait().unwrap();
 }
 
 proptest! {

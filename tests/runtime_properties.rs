@@ -406,6 +406,106 @@ fn read_replicas_hold_the_same_projection_by_pointer() {
     assert_eq!(rt.cache_stats().queries(), queries, "no fat merge for c");
 }
 
+/// The runtime keeps one replica frame, beside its merge, for every
+/// reader. Four replicas poll on four threads while the owner pushes, at
+/// `max_pending` 0 and 8: no replica's version goes back, replicas at one
+/// version hold one frame by address, and every version any of them saw
+/// cost exactly one rebuild of the merge and nothing else the cache counts.
+#[test]
+fn replicas_polling_under_ingest_share_one_frame_per_version() {
+    let keys: Vec<u64> = (0..60_000u64).map(|i| splitmix64(i) % 3000).collect();
+    for max_pending in [0, 8] {
+        let config = RuntimeConfig {
+            shards: 2,
+            queue_depth: 4,
+            partition: Partition::RoundRobin,
+        };
+        let mut rt = ShardedRuntime::new(config, &multi_spec(17).summary().unwrap()).unwrap();
+        let done = Arc::new(AtomicBool::new(false));
+        let barrier = Arc::new(Barrier::new(5));
+        let readers: Vec<_> = (0..4)
+            .map(|_| {
+                let handle = rt.query_handle();
+                let (done, barrier) = (Arc::clone(&done), Arc::clone(&barrier));
+                std::thread::spawn(move || {
+                    let mut replica = handle.read_replica(max_pending).unwrap();
+                    let mut seen = vec![(replica.version(), replica.slim() as *const _ as usize)];
+                    barrier.wait();
+                    while !done.load(Ordering::Acquire) {
+                        replica.refresh().unwrap();
+                        let now = (replica.version(), replica.slim() as *const _ as usize);
+                        assert!(now.0 >= seen.last().unwrap().0, "a version went back");
+                        if now != *seen.last().unwrap() {
+                            seen.push(now);
+                        }
+                    }
+                    seen
+                })
+            })
+            .collect();
+        barrier.wait();
+        for batch in keys.chunks(300) {
+            rt.push(batch).unwrap();
+        }
+        done.store(true, Ordering::Release);
+        let mut frames = std::collections::BTreeMap::new();
+        for reader in readers {
+            for (version, frame) in reader.join().unwrap() {
+                let first = *frames.entry(version).or_insert(frame);
+                assert_eq!(first, frame, "version {version} has two frames");
+            }
+        }
+        assert!(frames.len() > 2, "the replicas saw ingest: {frames:?}");
+        let stats = rt.cache_stats();
+        assert_eq!(stats.hits, 0, "max_pending {max_pending}");
+        assert_eq!(
+            stats.queries(),
+            frames.len() as u64,
+            "one rebuild per version, max_pending {max_pending}"
+        );
+    }
+}
+
+/// A replica past its budget adopts the frame the cache keeps when that
+/// frame is recent enough: by pointer, with no merge and no cache count.
+#[test]
+fn a_refresh_within_the_kept_frame_adopts_it_without_a_query() {
+    let proto = multi_spec(18).summary().unwrap();
+    let mut rt = ShardedRuntime::new(RuntimeConfig::default(), &proto).unwrap();
+    let mut lax = rt.read_replica(8).unwrap();
+    let keys: Vec<u64> = (0..1500u64).collect();
+    for batch in keys.chunks(100) {
+        rt.push(batch).unwrap();
+    }
+    let eager = rt.read_replica(0).unwrap();
+    assert_eq!(eager.version(), 15);
+    for batch in keys.chunks(300) {
+        rt.push(batch).unwrap();
+    }
+    let queries = rt.cache_stats().queries();
+    assert_eq!(lax.pending(), 20);
+    assert!(lax.refresh().unwrap());
+    assert_eq!(lax.version(), 15, "the kept frame covers 20 - 8");
+    assert!(std::ptr::eq(lax.slim(), eager.slim()));
+    assert_eq!(rt.cache_stats().queries(), queries);
+}
+
+/// The pool counters live with the runtime's read side, so a handle taken
+/// before [`ShardedRuntime::into_merged`] reads the last of them after.
+#[test]
+fn a_query_handle_reports_the_last_pool_stats_after_into_merged() {
+    let schema = JoinSchema::fagms(2, 64, &mut StdRng::seed_from_u64(19));
+    let mut rt = ShardedRuntime::new(RuntimeConfig::default(), &schema.sketch()).unwrap();
+    let handle = rt.query_handle();
+    for batch in (0..20_000u64).collect::<Vec<_>>().chunks(100) {
+        rt.push(batch).unwrap();
+    }
+    let last = rt.pool_stats();
+    assert!(last.allocations > 0 && last.reuses > 0, "{last:?}");
+    rt.into_merged().unwrap();
+    assert_eq!(handle.pool_stats(), last);
+}
+
 /// One borrow of `slim()` is one frame: a push between two reads cannot
 /// move it, so a value and its envelope agree. Refreshing reads on either
 /// side of the push land on two versions — what a response built from two
