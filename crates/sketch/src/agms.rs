@@ -279,18 +279,6 @@ impl<F: SignFamily> AgmsSketch<F> {
     }
 }
 
-impl<F: sss_xi::RangeSummable> AgmsSketch<F> {
-    /// Add `count` occurrences of **every** key in `[lo, hi)` in
-    /// O(counters · log²(hi−lo)) time — the range-update capability that
-    /// range-summable families (EH3) buy. Equivalent to, but exponentially
-    /// faster than, calling [`Sketch::update`] for each key.
-    pub fn update_range(&mut self, lo: u64, hi: u64, count: i64) {
-        for (counter, family) in self.counters.iter_mut().zip(self.schema.families.iter()) {
-            *counter += count * family.range_sum(lo, hi);
-        }
-    }
-}
-
 impl<F: SignFamily> Sketch for AgmsSketch<F> {
     #[inline]
     fn update(&mut self, key: u64, count: i64) {
@@ -302,8 +290,8 @@ impl<F: SignFamily> Sketch for AgmsSketch<F> {
     // Family-major batched kernel: a whole batch contributes `Σᵢ ξ(kᵢ)` to
     // each counter, so every family makes one fused pass over the keys with
     // its seed hot and never materializes a per-key sign. The sums come
-    // from the runtime-dispatched `sss_xi::kernels` sign kernels via the
-    // family's `sign_sum`/`sign_dot` overrides. Bit-identical to per-key
+    // from the runtime-dispatched `sss_xi::kernels` sign kernels through
+    // the family's `sign_sum`/`sign_dot`. Bit-identical to per-key
     // updates because integer addition commutes.
     fn update_batch(&mut self, keys: &[u64]) {
         for (counter, family) in self.counters.iter_mut().zip(self.schema.families.iter()) {
@@ -470,47 +458,6 @@ mod tests {
         let est = s.size_of_join(&t).unwrap();
         assert!(
             (est - truth).abs() / truth < 0.5,
-            "est = {est}, truth = {truth}"
-        );
-    }
-
-    /// Range updates (EH3 backend) must equal per-key updates exactly.
-    #[test]
-    fn range_update_equals_pointwise() {
-        use sss_xi::Eh3;
-        let schema = AgmsSchema::<Eh3>::new(16, &mut rng(40));
-        let mut ranged = schema.sketch();
-        let mut pointwise = schema.sketch();
-        for (lo, hi, c) in [
-            (0u64, 100u64, 3i64),
-            (57, 1031, -2),
-            (1 << 33, (1 << 33) + 500, 7),
-        ] {
-            ranged.update_range(lo, hi, c);
-            for k in lo..hi {
-                pointwise.update(k, c);
-            }
-        }
-        assert_eq!(ranged.raw_counters(), pointwise.raw_counters());
-    }
-
-    /// A histogram-style workload through range updates: the self-join
-    /// estimate still concentrates.
-    #[test]
-    fn range_update_self_join_estimate() {
-        use sss_xi::Eh3;
-        let schema = AgmsSchema::<Eh3>::new(512, &mut rng(41));
-        let mut s = schema.sketch();
-        // 50 buckets of width 100, bucket b has weight b+1.
-        let mut truth = 0f64;
-        for b in 0..50u64 {
-            let w = (b + 1) as i64;
-            s.update_range(b * 100, (b + 1) * 100, w);
-            truth += 100.0 * (w * w) as f64;
-        }
-        let est = s.self_join();
-        assert!(
-            (est - truth).abs() / truth < 0.25,
             "est = {est}, truth = {truth}"
         );
     }

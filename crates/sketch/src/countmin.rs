@@ -235,29 +235,22 @@ impl<B: BucketFamily> Sketch for CountMinSketch<B> {
         }
     }
 
-    // Row-major batched kernel. Each row's polynomial-vs-generic dispatch
-    // lives in `crate::rowkernel`: polynomial bucket hashes (the default)
-    // go through the fused `bucket_scatter` kernel — lane-parallel hashing,
-    // a magic-number remainder instead of a hardware divide, an immediate
-    // scatter — and other families take the generic buffered path.
+    // Row-major batched kernel: each row goes through the fused
+    // `bucket_scatter` kernel — lane-parallel hashing, a magic-number
+    // remainder instead of a hardware divide, an immediate scatter.
     // Bit-identical to per-key updates because integer counter increments
     // commute.
     fn update_batch(&mut self, keys: &[u64]) {
         let w = self.schema.width;
-        for (r, row) in self.schema.rows.iter().enumerate() {
-            crate::rowkernel::bucket_row_keys(row, w, keys, &mut self.counters[r * w..(r + 1) * w]);
+        for (row, counters) in self.schema.rows.iter().zip(self.counters.chunks_mut(w)) {
+            sss_xi::bucket_scatter(row.coeffs(), w, keys, counters);
         }
     }
 
     fn update_batch_counts(&mut self, items: &[(u64, i64)]) {
         let w = self.schema.width;
-        for (r, row) in self.schema.rows.iter().enumerate() {
-            crate::rowkernel::bucket_row_items(
-                row,
-                w,
-                items,
-                &mut self.counters[r * w..(r + 1) * w],
-            );
+        for (row, counters) in self.schema.rows.iter().zip(self.counters.chunks_mut(w)) {
+            sss_xi::bucket_scatter_counts(row.coeffs(), w, items, counters);
         }
     }
 

@@ -491,35 +491,22 @@ impl<S: SignFamily, B: BucketFamily> Sketch for FagmsSketch<S, B> {
         }
     }
 
-    // Row-major batched kernel. Each row's polynomial-vs-generic dispatch
-    // lives in `crate::rowkernel`: CW rows (the default configuration) take
-    // the fused `signed_scatter` kernel — shared lane evaluation, runtime
-    // CPU dispatch, immediate scatter — and other families take the generic
-    // buffered path. Both are bit-identical to per-key updates because
-    // integer counter increments commute.
+    // Row-major batched kernel: each row hands the whole batch and its two
+    // coefficient vectors to the fused `signed_scatter` kernel — shared lane
+    // evaluation, runtime CPU dispatch, immediate scatter. Bit-identical to
+    // per-key updates because integer counter increments commute.
     fn update_batch(&mut self, keys: &[u64]) {
         let w = self.schema.width;
-        for (r, row) in self.schema.rows.iter().enumerate() {
-            crate::rowkernel::signed_row_keys(
-                &row.sign,
-                &row.bucket,
-                w,
-                keys,
-                &mut self.counters[r * w..(r + 1) * w],
-            );
+        for (row, counters) in self.schema.rows.iter().zip(self.counters.chunks_mut(w)) {
+            sss_xi::signed_scatter(row.sign.coeffs(), row.bucket.coeffs(), w, keys, counters);
         }
     }
 
     fn update_batch_counts(&mut self, items: &[(u64, i64)]) {
         let w = self.schema.width;
-        for (r, row) in self.schema.rows.iter().enumerate() {
-            crate::rowkernel::signed_row_items(
-                &row.sign,
-                &row.bucket,
-                w,
-                items,
-                &mut self.counters[r * w..(r + 1) * w],
-            );
+        for (row, counters) in self.schema.rows.iter().zip(self.counters.chunks_mut(w)) {
+            let (sc, bc) = (row.sign.coeffs(), row.bucket.coeffs());
+            sss_xi::signed_scatter_counts(sc, bc, w, items, counters);
         }
     }
 

@@ -63,14 +63,8 @@ pub mod fagms;
 mod fasthash;
 pub mod hll;
 pub mod kll;
-pub(crate) mod rowkernel;
 mod runs;
 pub mod topk;
-
-/// Keys per stack-buffered chunk of the batched update kernels: large
-/// enough to amortize the per-row ξ setup, small enough that the sign and
-/// bucket scratch buffers stay on the stack.
-pub(crate) const BATCH_CHUNK: usize = 256;
 
 pub use agms::{AgmsSchema, AgmsSketch};
 pub use countmin::{CountMinSchema, CountMinSketch};

@@ -9,7 +9,7 @@
 //! * a **bucket index** from the value modulo the number of buckets.
 
 use crate::codec::{Codec, CodecError, Reader, Writer};
-use crate::family::{BucketFamily, FourWise, SignFamily};
+use crate::family::{BucketFamily, SignFamily};
 use crate::kernels::{self, Dispatch};
 use crate::prime::{poly_eval, P61};
 use rand::Rng;
@@ -103,10 +103,11 @@ pub fn bucket_scatter_counts(
 
 /// Pairwise-independent family: `h(x) = a + b·x mod (2⁶¹ − 1)`.
 ///
-/// Used for the bucket hashes of F-AGMS / Count-Min (see [`Cw2Bucket`]) and
-/// as a cheap-but-weak ±1 family for ablation experiments. Pairwise
-/// independence is **not** sufficient for the AGMS variance bound, which is
-/// exactly what the `xi_independence` integration test demonstrates.
+/// Used for the bucket hashes of F-AGMS / Count-Min (see [`Cw2Bucket`]).
+/// As a ±1 family it is only pairwise independent, which is **not**
+/// sufficient for the AGMS variance bound: the integration test
+/// `crates/xi/tests/ablation.rs::four_wise_families_match_the_variance_formula`
+/// reads its `Var[S²]` ≈ 32 on four keys where the 4-wise formula gives 24.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Cw2 {
     coeffs: [u64; 2],
@@ -128,25 +129,8 @@ impl Cw2 {
 }
 
 impl SignFamily for Cw2 {
-    #[inline]
-    fn sign(&self, key: u64) -> i64 {
-        1 - 2 * ((self.hash(key) & 1) as i64)
-    }
-
-    fn sign_batch(&self, keys: &[u64], out: &mut [i64]) {
-        kernels::sign_batch(Dispatch::get(), &self.coeffs, keys, out);
-    }
-
-    fn sign_sum(&self, keys: &[u64]) -> i64 {
-        kernels::sign_sum(Dispatch::get(), &self.coeffs, keys)
-    }
-
-    fn sign_dot(&self, items: &[(u64, i64)]) -> i64 {
-        kernels::sign_dot(Dispatch::get(), &self.coeffs, items)
-    }
-
-    fn poly_coeffs(&self) -> Option<&[u64]> {
-        Some(&self.coeffs)
+    fn coeffs(&self) -> &[u64] {
+        &self.coeffs
     }
 
     fn random<R: Rng + ?Sized>(rng: &mut R) -> Self {
@@ -170,18 +154,8 @@ impl Cw2Bucket {
 }
 
 impl BucketFamily for Cw2Bucket {
-    #[inline]
-    fn bucket(&self, key: u64, width: usize) -> usize {
-        debug_assert!(width > 0, "bucket width must be non-zero");
-        (self.0.hash(key) % width as u64) as usize
-    }
-
-    fn bucket_batch(&self, keys: &[u64], width: usize, out: &mut [usize]) {
-        kernels::bucket_batch(Dispatch::get(), &self.0.coeffs, width, keys, out);
-    }
-
-    fn poly_coeffs(&self) -> Option<&[u64]> {
-        Some(&self.0.coeffs)
+    fn coeffs(&self) -> &[u64] {
+        &self.0.coeffs
     }
 
     fn random<R: Rng + ?Sized>(rng: &mut R) -> Self {
@@ -216,25 +190,8 @@ impl Cw4 {
 }
 
 impl SignFamily for Cw4 {
-    #[inline]
-    fn sign(&self, key: u64) -> i64 {
-        1 - 2 * ((self.hash(key) & 1) as i64)
-    }
-
-    fn sign_batch(&self, keys: &[u64], out: &mut [i64]) {
-        kernels::sign_batch(Dispatch::get(), &self.coeffs, keys, out);
-    }
-
-    fn sign_sum(&self, keys: &[u64]) -> i64 {
-        kernels::sign_sum(Dispatch::get(), &self.coeffs, keys)
-    }
-
-    fn sign_dot(&self, items: &[(u64, i64)]) -> i64 {
-        kernels::sign_dot(Dispatch::get(), &self.coeffs, items)
-    }
-
-    fn poly_coeffs(&self) -> Option<&[u64]> {
-        Some(&self.coeffs)
+    fn coeffs(&self) -> &[u64] {
+        &self.coeffs
     }
 
     fn random<R: Rng + ?Sized>(rng: &mut R) -> Self {
@@ -243,8 +200,6 @@ impl SignFamily for Cw4 {
         }
     }
 }
-
-impl FourWise for Cw4 {}
 
 // The coefficients, fixed in number; decoding reduces them as
 // `from_coeffs` does, so no body can hand the kernels an unreduced one.
@@ -367,8 +322,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(71);
         let sign = Cw4::random(&mut rng);
         let bucket = Cw2Bucket::random(&mut rng);
-        let sc = sign.poly_coeffs().unwrap();
-        let bc = bucket.poly_coeffs().unwrap();
+        let (sc, bc) = (sign.coeffs(), bucket.coeffs());
         let keys: Vec<u64> = (0..203u64)
             .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
             .chain([0, u64::MAX])

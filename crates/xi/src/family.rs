@@ -1,6 +1,24 @@
-//! Core traits implemented by every random-variable family.
+//! The two family traits, implemented by the Carter–Wegman types only.
+//!
+//! Every family here is a polynomial over GF(2⁶¹−1): a type supplies its
+//! coefficient vector and a seeded constructor, and every evaluation —
+//! per key or batched through [`crate::kernels`] — is written once, on
+//! the trait. Both traits are sealed, so no type outside this crate can
+//! implement them.
 
+use crate::kernels::{self, Dispatch};
+use crate::prime::poly_eval;
 use rand::Rng;
+
+mod sealed {
+    /// The private supertrait that seals [`super::SignFamily`] and
+    /// [`super::BucketFamily`].
+    pub trait Sealed {}
+
+    impl Sealed for crate::Cw2 {}
+    impl Sealed for crate::Cw2Bucket {}
+    impl Sealed for crate::Cw4 {}
+}
 
 /// A family of {+1, −1} random variables indexed by a `u64` key.
 ///
@@ -9,176 +27,118 @@ use rand::Rng;
 /// independence (see the implementors) is a property of the *distribution
 /// over seeds*, which is why sketch estimators average over many
 /// independently-seeded families.
-pub trait SignFamily {
+///
+/// The sign is the low bit of the family's polynomial at the key. Every
+/// batched method runs the runtime-dispatched [`crate::kernels`] and is
+/// bit-identical to the per-key [`sign`](SignFamily::sign).
+pub trait SignFamily: sealed::Sealed {
+    /// The polynomial's coefficients over GF(2⁶¹−1), lowest degree first.
+    fn coeffs(&self) -> &[u64];
+
+    /// Construct a family with a fresh random seed drawn from `rng`.
+    fn random<R: Rng + ?Sized>(rng: &mut R) -> Self
+    where
+        Self: Sized;
+
     /// The value ξ(key) ∈ {+1, −1}.
-    fn sign(&self, key: u64) -> i64;
+    #[inline]
+    fn sign(&self, key: u64) -> i64 {
+        1 - 2 * ((poly_eval(self.coeffs(), key) & 1) as i64)
+    }
 
     /// Fill `out[i] = self.sign(keys[i])` for a whole batch of keys.
-    ///
-    /// The default walks the keys one by one, so every family works
-    /// unchanged; families with a vectorizable evaluation (the polynomial
-    /// constructions) override this to amortize per-evaluation setup and
-    /// run several keys' worth of arithmetic in parallel. Overrides must be
-    /// bit-identical to the per-key path.
     ///
     /// # Panics
     ///
     /// Panics if `keys.len() != out.len()`.
     fn sign_batch(&self, keys: &[u64], out: &mut [i64]) {
-        assert_eq!(
-            keys.len(),
-            out.len(),
-            "sign_batch needs one output slot per key"
-        );
-        for (o, &k) in out.iter_mut().zip(keys) {
-            *o = self.sign(k);
-        }
+        kernels::sign_batch(Dispatch::get(), self.coeffs(), keys, out);
     }
 
     /// `Σᵢ sign(keys[i])` — the net increment a single AGMS counter
-    /// receives from a batch of unit-count tuples.
-    ///
-    /// Folding the sum into the evaluation loop (instead of materializing
-    /// per-key signs through [`SignFamily::sign_batch`]) is what makes the
-    /// batched AGMS kernel profitable: the per-key output traffic
-    /// disappears entirely. Overrides must return exactly what the
-    /// per-key default returns.
+    /// receives from a batch of unit-count tuples. The sum folds into the
+    /// evaluation loop, so no per-key sign is materialized.
     fn sign_sum(&self, keys: &[u64]) -> i64 {
-        keys.iter().map(|&k| self.sign(k)).sum()
+        kernels::sign_sum(Dispatch::get(), self.coeffs(), keys)
     }
 
     /// `Σᵢ counts·sign(key)` over `(key, count)` pairs — the weighted twin
     /// of [`SignFamily::sign_sum`] used by count-carrying batch updates.
     fn sign_dot(&self, items: &[(u64, i64)]) -> i64 {
-        items.iter().map(|&(k, c)| c * self.sign(k)).sum()
+        kernels::sign_dot(Dispatch::get(), self.coeffs(), items)
     }
 
-    /// The coefficient vector (lowest degree first) if this family is a
-    /// Carter–Wegman polynomial over GF(2⁶¹−1), else `None`.
-    ///
-    /// Batched sketch kernels use this to fuse sign and bucket evaluation
-    /// of a whole row into a single pass over the keys (see
-    /// `sss_xi::cw::signed_scatter`); non-polynomial families take the
-    /// generic buffered path instead.
+    /// [`coeffs`](SignFamily::coeffs), always `Some`. The `Option` is kept
+    /// only because the benchmark ledger's kernel row (`ledger/src/layers.rs`)
+    /// calls `.expect` on it; it goes when that caller reads `coeffs`.
     fn poly_coeffs(&self) -> Option<&[u64]> {
-        None
+        Some(self.coeffs())
     }
+}
+
+/// A family of hash functions mapping a `u64` key to a bucket index:
+/// the family's polynomial at the key, modulo the width.
+///
+/// Pairwise independence of the bucket hash is what the F-AGMS and Count-Min
+/// analyses require.
+pub trait BucketFamily: sealed::Sealed {
+    /// The polynomial's coefficients over GF(2⁶¹−1), lowest degree first.
+    fn coeffs(&self) -> &[u64];
 
     /// Construct a family with a fresh random seed drawn from `rng`.
     fn random<R: Rng + ?Sized>(rng: &mut R) -> Self
     where
         Self: Sized;
-}
 
-/// A family of hash functions mapping a `u64` key to a bucket index.
-///
-/// Pairwise independence of the bucket hash is what the F-AGMS and Count-Min
-/// analyses require; all implementors here provide at least that.
-pub trait BucketFamily {
     /// Hash `key` into `0..width`. `width` must be non-zero.
-    fn bucket(&self, key: u64, width: usize) -> usize;
+    #[inline]
+    fn bucket(&self, key: u64, width: usize) -> usize {
+        debug_assert!(width > 0, "bucket width must be non-zero");
+        (poly_eval(self.coeffs(), key) % width as u64) as usize
+    }
 
-    /// Fill `out[i] = self.bucket(keys[i], width)` for a whole batch.
-    ///
-    /// Same contract as [`SignFamily::sign_batch`]: the default is the
-    /// per-key loop, overrides must be bit-identical to it.
+    /// Fill `out[i] = self.bucket(keys[i], width)` for a whole batch,
+    /// bit-identically to the per-key loop.
     ///
     /// # Panics
     ///
-    /// Panics if `keys.len() != out.len()`.
+    /// Panics if `keys.len() != out.len()` or `width == 0`.
     fn bucket_batch(&self, keys: &[u64], width: usize, out: &mut [usize]) {
-        assert_eq!(
-            keys.len(),
-            out.len(),
-            "bucket_batch needs one output slot per key"
-        );
-        for (o, &k) in out.iter_mut().zip(keys) {
-            *o = self.bucket(k, width);
-        }
+        kernels::bucket_batch(Dispatch::get(), self.coeffs(), width, keys, out);
     }
 
-    /// The coefficient vector (lowest degree first) if this family hashes
-    /// through a Carter–Wegman polynomial over GF(2⁶¹−1) and derives the
-    /// bucket as `hash % width`, else `None`. Same fusion hook as
-    /// [`SignFamily::poly_coeffs`].
+    /// [`coeffs`](BucketFamily::coeffs), always `Some`; kept as an `Option`
+    /// for the same caller as [`SignFamily::poly_coeffs`].
     fn poly_coeffs(&self) -> Option<&[u64]> {
-        None
+        Some(self.coeffs())
     }
-
-    /// Construct a family with a fresh random seed drawn from `rng`.
-    fn random<R: Rng + ?Sized>(rng: &mut R) -> Self
-    where
-        Self: Sized;
 }
-
-/// A sign family whose sums over key ranges are computable in
-/// polylogarithmic time.
-///
-/// Range summability is what lets a sketch ingest an entire interval of
-/// keys (a range predicate, a histogram bucket) without touching each key:
-/// `S += count · Σ_{i ∈ [lo, hi)} ξᵢ`. EH3 is the classic range-summable
-/// family; the polynomial families are not known to be.
-pub trait RangeSummable: SignFamily {
-    /// `Σ_{i ∈ [lo, hi)} ξ(i)`; 0 when the range is empty.
-    fn range_sum(&self, lo: u64, hi: u64) -> i64;
-}
-
-/// Marker trait asserting (at least) 4-wise independence over seeds.
-///
-/// The AGMS variance formulas (Propositions 7–8 of the paper) assume
-/// `E[ξᵢξⱼξₖξₗ] = 0` for distinct indices; families tagged with this trait
-/// guarantee it exactly. 3-wise families such as [`crate::Eh3`] work well in
-/// practice but are deliberately *not* tagged.
-pub trait FourWise: SignFamily {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Bch5, Cw2, Cw4, Eh3, Tabulation};
+    use crate::{Cw2, Cw2Bucket, Cw4};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn check_sign_range<F: SignFamily>(seed: u64) {
+    fn test_keys() -> Vec<u64> {
+        (0..301u64)
+            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .chain([0, u64::MAX, 1 << 63])
+            .collect()
+    }
+
+    /// Every sign is ±1, a family is deterministic, and two seeds disagree
+    /// on about half the keys.
+    fn check_signs<F: SignFamily>(seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let f = F::random(&mut rng);
-        for key in (0..10_000u64).chain([u64::MAX, u64::MAX - 1, 1 << 63]) {
-            let s = f.sign(key);
+        let (a, b) = (F::random(&mut rng), F::random(&mut rng));
+        for key in (0..10_000u64).chain(test_keys()) {
+            let s = a.sign(key);
             assert!(s == 1 || s == -1, "sign must be ±1, got {s} for key {key}");
+            assert_eq!(s, a.sign(key));
         }
-    }
-
-    #[test]
-    fn all_families_emit_plus_minus_one() {
-        check_sign_range::<Cw2>(1);
-        check_sign_range::<Cw4>(2);
-        check_sign_range::<Eh3>(3);
-        check_sign_range::<Bch5>(4);
-        check_sign_range::<Tabulation>(5);
-    }
-
-    fn check_determinism<F: SignFamily>(seed: u64) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let f = F::random(&mut rng);
-        for key in 0..1000u64 {
-            assert_eq!(f.sign(key), f.sign(key));
-        }
-    }
-
-    #[test]
-    fn families_are_deterministic_given_seed() {
-        check_determinism::<Cw2>(11);
-        check_determinism::<Cw4>(12);
-        check_determinism::<Eh3>(13);
-        check_determinism::<Bch5>(14);
-        check_determinism::<Tabulation>(15);
-    }
-
-    fn check_seeds_differ<F: SignFamily>(seed: u64) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let a = F::random(&mut rng);
-        let b = F::random(&mut rng);
         let differing = (0..4096u64).filter(|&k| a.sign(k) != b.sign(k)).count();
-        // Two independent draws should disagree on roughly half the keys.
         assert!(
             (1024..3072).contains(&differing),
             "families from different seeds look identical or anti-identical ({differing}/4096)"
@@ -186,53 +146,26 @@ mod tests {
     }
 
     #[test]
-    fn different_seeds_give_different_families() {
-        check_seeds_differ::<Cw2>(21);
-        check_seeds_differ::<Cw4>(22);
-        check_seeds_differ::<Eh3>(23);
-        check_seeds_differ::<Bch5>(24);
-        check_seeds_differ::<Tabulation>(25);
+    fn signs_are_balanced_deterministic_and_seed_dependent() {
+        check_signs::<Cw2>(1);
+        check_signs::<Cw4>(2);
     }
 
-    fn check_sign_batch<F: SignFamily>(seed: u64) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let f = F::random(&mut rng);
-        let keys: Vec<u64> = (0..301u64)
-            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            .chain([0, u64::MAX])
-            .collect();
-        // Odd lengths exercise the lane remainder of overridden impls.
-        for len in [0usize, 1, 3, 4, 5, 17, keys.len()] {
-            let mut out = vec![0i64; len];
-            f.sign_batch(&keys[..len], &mut out);
-            for (i, &s) in out.iter().enumerate() {
-                assert_eq!(s, f.sign(keys[i]), "len {len}, index {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn sign_batch_matches_per_key_for_all_families() {
-        check_sign_batch::<Cw2>(31);
-        check_sign_batch::<Cw4>(32);
-        check_sign_batch::<Eh3>(33);
-        check_sign_batch::<Bch5>(34);
-        check_sign_batch::<Tabulation>(35);
-    }
-
-    fn check_sign_sum<F: SignFamily>(seed: u64) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let f = F::random(&mut rng);
-        let keys: Vec<u64> = (0..301u64)
-            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            .chain([0, u64::MAX])
-            .collect();
+    /// The batched entry points equal the per-key sign on every tail length.
+    fn check_batches<F: SignFamily>(seed: u64) {
+        let f = F::random(&mut StdRng::seed_from_u64(seed));
+        let keys = test_keys();
         let items: Vec<(u64, i64)> = keys
             .iter()
             .enumerate()
             .map(|(i, &k)| (k, (i as i64 % 7) - 3))
             .collect();
         for len in [0usize, 1, 3, 4, 5, 17, keys.len()] {
+            let mut out = vec![0i64; len];
+            f.sign_batch(&keys[..len], &mut out);
+            for (i, &s) in out.iter().enumerate() {
+                assert_eq!(s, f.sign(keys[i]), "len {len}, index {i}");
+            }
             let want_sum: i64 = keys[..len].iter().map(|&k| f.sign(k)).sum();
             assert_eq!(f.sign_sum(&keys[..len]), want_sum, "len {len}");
             let want_dot: i64 = items[..len].iter().map(|&(k, c)| c * f.sign(k)).sum();
@@ -241,42 +174,26 @@ mod tests {
     }
 
     #[test]
-    fn sign_sum_and_dot_match_per_key_for_all_families() {
-        check_sign_sum::<Cw2>(41);
-        check_sign_sum::<Cw4>(42);
-        check_sign_sum::<Eh3>(43);
-        check_sign_sum::<Bch5>(44);
-        check_sign_sum::<Tabulation>(45);
+    fn sign_batches_match_per_key() {
+        check_batches::<Cw2>(31);
+        check_batches::<Cw4>(32);
     }
 
     #[test]
-    fn poly_coeffs_identifies_polynomial_families() {
+    fn poly_coeffs_are_the_coefficients() {
         let mut rng = StdRng::seed_from_u64(46);
-        assert_eq!(
-            Cw2::random(&mut rng).poly_coeffs().map(<[u64]>::len),
-            Some(2)
-        );
-        assert_eq!(
-            Cw4::random(&mut rng).poly_coeffs().map(<[u64]>::len),
-            Some(4)
-        );
-        assert!(Eh3::random(&mut rng).poly_coeffs().is_none());
-        assert!(Bch5::random(&mut rng).poly_coeffs().is_none());
-        let tab = <Tabulation as SignFamily>::random(&mut rng);
-        assert!(SignFamily::poly_coeffs(&tab).is_none());
-        assert!(BucketFamily::poly_coeffs(&tab).is_none());
-        use crate::{BucketFamily, Cw2Bucket};
-        assert_eq!(
-            Cw2Bucket::random(&mut rng).poly_coeffs().map(<[u64]>::len),
-            Some(2)
-        );
+        let cw2 = Cw2::random(&mut rng);
+        assert_eq!(cw2.poly_coeffs(), Some(cw2.coeffs()));
+        assert_eq!(cw2.coeffs().len(), 2);
+        assert_eq!(Cw4::random(&mut rng).coeffs().len(), 4);
+        let bucket = Cw2Bucket::random(&mut rng);
+        assert_eq!(bucket.poly_coeffs(), Some(bucket.coeffs()));
+        assert_eq!(bucket.coeffs().len(), 2);
     }
 
     #[test]
     fn bucket_batch_matches_per_key() {
-        use crate::{BucketFamily, Cw2Bucket};
-        let mut rng = StdRng::seed_from_u64(36);
-        let f = Cw2Bucket::random(&mut rng);
+        let f = Cw2Bucket::random(&mut StdRng::seed_from_u64(36));
         let keys: Vec<u64> = (0..131u64).map(|i| i * 2_654_435_761).collect();
         for width in [1usize, 2, 1000, 5000] {
             let mut out = vec![0usize; keys.len()];
@@ -290,8 +207,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "one output slot per key")]
     fn sign_batch_rejects_mismatched_lengths() {
-        let mut rng = StdRng::seed_from_u64(37);
-        let f = Cw4::random(&mut rng);
+        let f = Cw4::random(&mut StdRng::seed_from_u64(37));
         let mut out = [0i64; 1];
         f.sign_batch(&[1, 2], &mut out);
     }

@@ -1,9 +1,9 @@
 //! Vectorized batch kernels with runtime CPU dispatch.
 //!
 //! Every hot per-tuple operation in this workspace — Carter–Wegman sign
-//! evaluation, the fused sign+bucket row scatter, EH3 parity, tabulation
-//! lookups — is a pure function of `(seed, key)`, which makes the batch
-//! versions embarrassingly data-parallel. This module centralizes those
+//! evaluation and the fused sign+bucket row scatter — is a pure function
+//! of `(seed, key)`, which makes the batch versions embarrassingly
+//! data-parallel. This module centralizes those
 //! batch loops in one place and provides two implementations per kernel:
 //!
 //! * a **chunked** path: fixed-width-8 array inner loops that LLVM can
@@ -21,7 +21,7 @@
 //!
 //! Every path — chunked and AVX2 alike — must produce results that are
 //! **bit-identical** to the scalar per-key reference (`poly_eval` low-bit
-//! signs, `Eh3::bit`, `Tabulation::hash`). Sketch state is compared
+//! signs and `poly_eval % width` buckets). Sketch state is compared
 //! byte-for-byte across machines and across resumed test runs, so a kernel
 //! that is merely "statistically equivalent" would silently break every
 //! golden test the moment dispatch picks a different path. The AVX2 code
@@ -38,10 +38,6 @@ use crate::prime::{horner_lanes_reduced, poly_eval, FixedMod, P61};
 /// lanes are exactly two 256-bit vectors for the AVX2 path, so both paths
 /// share one chunking granularity (and therefore one tail-handling story).
 pub const CHUNK: usize = 8;
-
-/// Bit mask selecting the even-indexed bits (bit 0, 2, 4, …) — the EH3
-/// quadratic form pairs bit `2j` with bit `2j+1`.
-pub(crate) const EVEN_BITS: u64 = 0x5555_5555_5555_5555;
 
 /// Which kernel implementation a [`Dispatch`] resolved to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -474,245 +470,6 @@ pub fn bucket_scatter_counts(
 }
 
 // ---------------------------------------------------------------------------
-// EH3 kernels
-// ---------------------------------------------------------------------------
-
-/// The EH3 bit `⟨s, k⟩ ⊕ q(k)` (everything except the `s₀` flip) as a
-/// single masked parity: `parity(a) ⊕ parity(b) = parity(a ⊕ b)`, so the
-/// linear term `⟨s, k⟩ = parity(s & k)` and the quadratic form
-/// `q(k) = parity(k & (k≫1) & EVEN_BITS)` fuse into one `count_ones`.
-#[inline]
-fn eh3_t(s: u64, k: u64) -> u64 {
-    ((s & k) ^ (k & (k >> 1) & EVEN_BITS)).count_ones() as u64 & 1
-}
-
-/// `t(k)` for 8 keys on whichever path `d` resolved to.
-#[inline]
-fn eh3_t8(d: Dispatch, s: u64, keys: &[u64; CHUNK]) -> [u64; CHUNK] {
-    match d.path {
-        Path::Chunked => {
-            let mut t = [0u64; CHUNK];
-            for l in 0..CHUNK {
-                t[l] = eh3_t(s, keys[l]);
-            }
-            t
-        }
-        #[cfg(target_arch = "x86_64")]
-        Path::Avx2(token) => avx2::eh3_t8(token, s, keys),
-    }
-}
-
-/// `Σᵢ sign(keys[i])` for the EH3 seed `(s₀, s)`.
-///
-/// The `s₀` flip is hoisted out of the loop entirely: if `o` keys have
-/// `t(k) = 1` among `n`, the number of −1 signs is `o` when `s₀ = 0` and
-/// `n − o` when `s₀ = 1`.
-pub fn eh3_sign_sum(d: Dispatch, s0: bool, s: u64, keys: &[u64]) -> i64 {
-    let mut t_odd = 0u64;
-    let mut chunks = keys.chunks_exact(CHUNK);
-    for kc in chunks.by_ref() {
-        let ks: &[u64; CHUNK] = kc.try_into().expect("chunks_exact yields full chunks");
-        let t = eh3_t8(d, s, ks);
-        for v in t {
-            t_odd += v;
-        }
-    }
-    for &k in chunks.remainder() {
-        t_odd += eh3_t(s, k);
-    }
-    let n = keys.len() as u64;
-    let minus = if s0 { n - t_odd } else { t_odd };
-    n as i64 - 2 * minus as i64
-}
-
-/// Forced-portable [`eh3_sign_sum`].
-pub fn eh3_sign_sum_chunked(s0: bool, s: u64, keys: &[u64]) -> i64 {
-    eh3_sign_sum(Dispatch::chunked(), s0, s, keys)
-}
-
-/// `Σᵢ countᵢ·sign(keyᵢ)` for the EH3 seed `(s₀, s)`.
-pub fn eh3_sign_dot(d: Dispatch, s0: bool, s: u64, items: &[(u64, i64)]) -> i64 {
-    let flip = s0 as u64;
-    let mut dot = 0i64;
-    let mut chunks = items.chunks_exact(CHUNK);
-    for ic in chunks.by_ref() {
-        let ks: [u64; CHUNK] = std::array::from_fn(|l| ic[l].0);
-        let t = eh3_t8(d, s, &ks);
-        for l in 0..CHUNK {
-            dot += (1 - 2 * ((t[l] ^ flip) as i64)) * ic[l].1;
-        }
-    }
-    for &(k, count) in chunks.remainder() {
-        dot += (1 - 2 * ((eh3_t(s, k) ^ flip) as i64)) * count;
-    }
-    dot
-}
-
-/// Forced-portable [`eh3_sign_dot`].
-pub fn eh3_sign_dot_chunked(s0: bool, s: u64, items: &[(u64, i64)]) -> i64 {
-    eh3_sign_dot(Dispatch::chunked(), s0, s, items)
-}
-
-/// Fill `out[i]` with the EH3 ±1 sign of every key.
-///
-/// # Panics
-///
-/// Panics if `keys.len() != out.len()`.
-pub fn eh3_sign_batch(d: Dispatch, s0: bool, s: u64, keys: &[u64], out: &mut [i64]) {
-    assert_eq!(
-        keys.len(),
-        out.len(),
-        "sign_batch needs one output slot per key"
-    );
-    let flip = s0 as u64;
-    let mut key_chunks = keys.chunks_exact(CHUNK);
-    let mut out_chunks = out.chunks_exact_mut(CHUNK);
-    for (kc, oc) in key_chunks.by_ref().zip(out_chunks.by_ref()) {
-        let ks: &[u64; CHUNK] = kc.try_into().expect("chunks_exact yields full chunks");
-        let t = eh3_t8(d, s, ks);
-        for (o, v) in oc.iter_mut().zip(t) {
-            *o = 1 - 2 * ((v ^ flip) as i64);
-        }
-    }
-    for (o, &k) in out_chunks
-        .into_remainder()
-        .iter_mut()
-        .zip(key_chunks.remainder())
-    {
-        *o = 1 - 2 * ((eh3_t(s, k) ^ flip) as i64);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Tabulation kernels
-// ---------------------------------------------------------------------------
-
-/// Hash 8 keys through the tabulation tables with table-major traversal:
-/// the inner 8-lane loop reads one table per step, so the 2 KiB table stays
-/// hot in L1 while eight independent XOR chains hide the load latency.
-#[inline]
-fn tab_hash8(tables: &[[u64; 256]; 8], keys: &[u64; CHUNK]) -> [u64; CHUNK] {
-    let mut acc = [0u64; CHUNK];
-    for (b, table) in tables.iter().enumerate() {
-        for l in 0..CHUNK {
-            acc[l] ^= table[((keys[l] >> (8 * b)) & 0xFF) as usize];
-        }
-    }
-    acc
-}
-
-/// Scalar tabulation hash, byte-serial; the tail/reference evaluation.
-#[inline]
-fn tab_hash1(tables: &[[u64; 256]; 8], key: u64) -> u64 {
-    let mut acc = 0u64;
-    for (b, table) in tables.iter().enumerate() {
-        acc ^= table[((key >> (8 * b)) & 0xFF) as usize];
-    }
-    acc
-}
-
-/// `Σᵢ sign(keys[i])` for a tabulation family (sign = low hash bit).
-///
-/// There is no SIMD path: without AVX2 gather (which loses to L1 loads at
-/// these table sizes) the lookups are irreducibly scalar, so the chunked
-/// form — which pipelines eight independent lookup chains — is the fast
-/// path on every CPU.
-pub fn tab_sign_sum(tables: &[[u64; 256]; 8], keys: &[u64]) -> i64 {
-    let mut odd = 0u64;
-    let mut chunks = keys.chunks_exact(CHUNK);
-    for kc in chunks.by_ref() {
-        let ks: &[u64; CHUNK] = kc.try_into().expect("chunks_exact yields full chunks");
-        let h = tab_hash8(tables, ks);
-        for v in h {
-            odd += v & 1;
-        }
-    }
-    for &k in chunks.remainder() {
-        odd += tab_hash1(tables, k) & 1;
-    }
-    keys.len() as i64 - 2 * odd as i64
-}
-
-/// `Σᵢ countᵢ·sign(keyᵢ)` for a tabulation family.
-pub fn tab_sign_dot(tables: &[[u64; 256]; 8], items: &[(u64, i64)]) -> i64 {
-    let mut dot = 0i64;
-    let mut chunks = items.chunks_exact(CHUNK);
-    for ic in chunks.by_ref() {
-        let ks: [u64; CHUNK] = std::array::from_fn(|l| ic[l].0);
-        let h = tab_hash8(tables, &ks);
-        for l in 0..CHUNK {
-            dot += (1 - 2 * ((h[l] & 1) as i64)) * ic[l].1;
-        }
-    }
-    for &(k, count) in chunks.remainder() {
-        dot += (1 - 2 * ((tab_hash1(tables, k) & 1) as i64)) * count;
-    }
-    dot
-}
-
-/// Fill `out[i]` with the tabulation ±1 sign of every key.
-///
-/// # Panics
-///
-/// Panics if `keys.len() != out.len()`.
-pub fn tab_sign_batch(tables: &[[u64; 256]; 8], keys: &[u64], out: &mut [i64]) {
-    assert_eq!(
-        keys.len(),
-        out.len(),
-        "sign_batch needs one output slot per key"
-    );
-    let mut key_chunks = keys.chunks_exact(CHUNK);
-    let mut out_chunks = out.chunks_exact_mut(CHUNK);
-    for (kc, oc) in key_chunks.by_ref().zip(out_chunks.by_ref()) {
-        let ks: &[u64; CHUNK] = kc.try_into().expect("chunks_exact yields full chunks");
-        let h = tab_hash8(tables, ks);
-        for (o, v) in oc.iter_mut().zip(h) {
-            *o = 1 - 2 * ((v & 1) as i64);
-        }
-    }
-    for (o, &k) in out_chunks
-        .into_remainder()
-        .iter_mut()
-        .zip(key_chunks.remainder())
-    {
-        *o = 1 - 2 * ((tab_hash1(tables, k) & 1) as i64);
-    }
-}
-
-/// Fill `out[i] = (hash(keys[i]) >> 1) % width` — the tabulation bucket
-/// derivation (bits above the sign bit, plain hardware remainder because
-/// the 63-bit shifted hash exceeds [`FixedMod`]'s 2⁶¹ input bound).
-///
-/// # Panics
-///
-/// Panics if `keys.len() != out.len()` or `width == 0`.
-pub fn tab_bucket_batch(tables: &[[u64; 256]; 8], width: usize, keys: &[u64], out: &mut [usize]) {
-    assert_eq!(
-        keys.len(),
-        out.len(),
-        "bucket_batch needs one output slot per key"
-    );
-    assert!(width > 0, "bucket width must be non-zero");
-    let w = width as u64;
-    let mut key_chunks = keys.chunks_exact(CHUNK);
-    let mut out_chunks = out.chunks_exact_mut(CHUNK);
-    for (kc, oc) in key_chunks.by_ref().zip(out_chunks.by_ref()) {
-        let ks: &[u64; CHUNK] = kc.try_into().expect("chunks_exact yields full chunks");
-        let h = tab_hash8(tables, ks);
-        for (o, v) in oc.iter_mut().zip(h) {
-            *o = ((v >> 1) % w) as usize;
-        }
-    }
-    for (o, &k) in out_chunks
-        .into_remainder()
-        .iter_mut()
-        .zip(key_chunks.remainder())
-    {
-        *o = ((tab_hash1(tables, k) >> 1) % w) as usize;
-    }
-}
-
-// ---------------------------------------------------------------------------
 // AVX2 path (the single audited unsafe module)
 // ---------------------------------------------------------------------------
 
@@ -738,7 +495,8 @@ pub(crate) mod avx2 {
     use std::arch::x86_64::{
         __m256i, _mm256_add_epi64, _mm256_and_si256, _mm256_andnot_si256, _mm256_cmpgt_epi64,
         _mm256_loadu_si256, _mm256_mul_epu32, _mm256_or_si256, _mm256_set1_epi64x,
-        _mm256_slli_epi64, _mm256_srli_epi64, _mm256_storeu_si256, _mm256_xor_si256,
+        _mm256_slli_epi64, _mm256_srli_epi64, _mm256_storeu_si256, _mm256_sub_epi64,
+        _mm256_xor_si256,
     };
 
     /// Proof token that the running CPU supports AVX2.
@@ -808,8 +566,9 @@ pub(crate) mod avx2 {
         _mm256_add_epi64(_mm256_and_si256(r, p61), _mm256_srli_epi64(r, 61))
     }
 
-    /// Canonicalize 4 lanes `< 2⁶³` to `[0, P61)`: the same two folds plus
-    /// conditional subtract as the scalar `reduce128` tail.
+    /// Canonicalize 4 lanes (any u64: after the first fold a lane is below
+    /// 2⁶¹ + 8) to `[0, P61)`: the same two folds plus conditional subtract
+    /// as the scalar `reduce128` tail.
     ///
     /// # Safety
     ///
@@ -823,50 +582,22 @@ pub(crate) mod avx2 {
         // f2 < 2⁶² so a signed compare is an unsigned compare; subtract
         // P61 from every lane where f2 >= P61.
         let lt = _mm256_cmpgt_epi64(p61, f2);
-        _mm256_sub_epi64_portable(f2, _mm256_andnot_si256(lt, p61))
+        _mm256_sub_epi64(f2, _mm256_andnot_si256(lt, p61))
     }
 
-    /// `_mm256_sub_epi64` under a name that records why it is here (the
-    /// conditional-subtract tail of the canonical reduction).
+    /// One Horner evaluation of `coeffs` at 8 keys already reduced into
+    /// two 4-lane registers, canonical results.
     ///
     /// # Safety
     ///
     /// Requires AVX2 (call only while holding an [`Avx2Token`]).
     #[target_feature(enable = "avx2")]
     #[inline]
-    unsafe fn _mm256_sub_epi64_portable(a: __m256i, b: __m256i) -> __m256i {
-        std::arch::x86_64::_mm256_sub_epi64(a, b)
-    }
-
-    /// Reduce 4 lanes of arbitrary u64 keys to canonical residues mod
-    /// 2⁶¹−1 — the vector twin of the scalar `k % P61` key preparation.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2 (call only while holding an [`Avx2Token`]).
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    unsafe fn keys_mod_p(v: __m256i) -> __m256i {
-        canonicalize(v)
-    }
-
-    /// One 8-key Horner evaluation across two 4-lane registers.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2; `keys` must point at 8 readable u64s.
-    #[target_feature(enable = "avx2")]
-    unsafe fn horner8_impl(coeffs: &[u64], keys: &[u64; CHUNK]) -> [u64; CHUNK] {
+    unsafe fn horner(coeffs: &[u64], x0: __m256i, x1: __m256i) -> [u64; CHUNK] {
         let mut out = [0u64; CHUNK];
         let Some((&last, rest)) = coeffs.split_last() else {
             return out;
         };
-        // SAFETY: `keys` is a [u64; 8], so both 32-byte unaligned loads are
-        // in bounds; loadu has no alignment requirement.
-        let k0 = _mm256_loadu_si256(keys.as_ptr().cast());
-        let k1 = _mm256_loadu_si256(keys.as_ptr().add(4).cast());
-        let x0 = keys_mod_p(k0);
-        let x1 = keys_mod_p(k1);
         let mut a0 = _mm256_set1_epi64x(last as i64);
         let mut a1 = a0;
         for &c in rest.iter().rev() {
@@ -881,6 +612,21 @@ pub(crate) mod avx2 {
         out
     }
 
+    /// One 8-key Horner evaluation. The keys are reduced by
+    /// [`canonicalize`], the vector twin of the scalar `k % P61`.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2; `keys` must point at 8 readable u64s.
+    #[target_feature(enable = "avx2")]
+    unsafe fn horner8_impl(coeffs: &[u64], keys: &[u64; CHUNK]) -> [u64; CHUNK] {
+        // SAFETY: `keys` is a [u64; 8], so both 32-byte unaligned loads are
+        // in bounds; loadu has no alignment requirement.
+        let x0 = canonicalize(_mm256_loadu_si256(keys.as_ptr().cast()));
+        let x1 = canonicalize(_mm256_loadu_si256(keys.as_ptr().add(4).cast()));
+        horner(coeffs, x0, x1)
+    }
+
     /// Two-polynomial variant sharing the reduced keys.
     ///
     /// # Safety
@@ -893,63 +639,9 @@ pub(crate) mod avx2 {
         keys: &[u64; CHUNK],
     ) -> ([u64; CHUNK], [u64; CHUNK]) {
         // SAFETY: `keys` is a [u64; 8]; see `horner8_impl`.
-        let k0 = _mm256_loadu_si256(keys.as_ptr().cast());
-        let k1 = _mm256_loadu_si256(keys.as_ptr().add(4).cast());
-        let x0 = keys_mod_p(k0);
-        let x1 = keys_mod_p(k1);
-        let eval = |coeffs: &[u64]| -> [u64; CHUNK] {
-            let mut out = [0u64; CHUNK];
-            let Some((&last, rest)) = coeffs.split_last() else {
-                return out;
-            };
-            let mut a0 = _mm256_set1_epi64x(last as i64);
-            let mut a1 = a0;
-            for &c in rest.iter().rev() {
-                let cv = _mm256_set1_epi64x(c as i64);
-                a0 = _mm256_add_epi64(mul_reduce_partial(a0, x0), cv);
-                a1 = _mm256_add_epi64(mul_reduce_partial(a1, x1), cv);
-            }
-            // SAFETY: `out` is a [u64; 8]; see `horner8_impl`.
-            _mm256_storeu_si256(out.as_mut_ptr().cast(), canonicalize(a0));
-            _mm256_storeu_si256(out.as_mut_ptr().add(4).cast(), canonicalize(a1));
-            out
-        };
-        (eval(sc), eval(bc))
-    }
-
-    /// EH3 `t(k)` bits for 8 keys: mask, XOR-fuse the linear and quadratic
-    /// parts, then a log-fold parity (baseline x86-64 has no vector
-    /// popcount; parity only needs the XOR of all bits, which six
-    /// shift-XOR steps deliver per lane).
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2; `keys` must point at 8 readable u64s.
-    #[target_feature(enable = "avx2")]
-    unsafe fn eh3_t8_impl(s: u64, keys: &[u64; CHUNK]) -> [u64; CHUNK] {
-        let sv = _mm256_set1_epi64x(s as i64);
-        let even = _mm256_set1_epi64x(super::EVEN_BITS as i64);
-        let one = _mm256_set1_epi64x(1);
-        let mut out = [0u64; CHUNK];
-        for half in 0..2 {
-            // SAFETY: `keys`/`out` are [u64; 8]; each half touches 4 lanes.
-            let k = _mm256_loadu_si256(keys.as_ptr().add(4 * half).cast());
-            let quad = _mm256_and_si256(_mm256_and_si256(k, _mm256_srli_epi64(k, 1)), even);
-            let mut m = _mm256_xor_si256(_mm256_and_si256(sv, k), quad);
-            // Parity via xor-fold: after folding the top half into the
-            // bottom six times, bit 0 holds the XOR of all 64 bits.
-            m = _mm256_xor_si256(m, _mm256_srli_epi64(m, 32));
-            m = _mm256_xor_si256(m, _mm256_srli_epi64(m, 16));
-            m = _mm256_xor_si256(m, _mm256_srli_epi64(m, 8));
-            m = _mm256_xor_si256(m, _mm256_srli_epi64(m, 4));
-            m = _mm256_xor_si256(m, _mm256_srli_epi64(m, 2));
-            m = _mm256_xor_si256(m, _mm256_srli_epi64(m, 1));
-            _mm256_storeu_si256(
-                out.as_mut_ptr().add(4 * half).cast(),
-                _mm256_and_si256(m, one),
-            );
-        }
-        out
+        let x0 = canonicalize(_mm256_loadu_si256(keys.as_ptr().cast()));
+        let x1 = canonicalize(_mm256_loadu_si256(keys.as_ptr().add(4).cast()));
+        (horner(sc, x0, x1), horner(bc, x0, x1))
     }
 
     /// Safe-to-call wrapper: the token witnesses AVX2 support.
@@ -971,13 +663,6 @@ pub(crate) mod avx2 {
     ) -> ([u64; CHUNK], [u64; CHUNK]) {
         // SAFETY: as in `horner8`.
         unsafe { horner8_pair_impl(sc, bc, keys) }
-    }
-
-    /// Safe-to-call wrapper: the token witnesses AVX2 support.
-    #[inline]
-    pub(crate) fn eh3_t8(_token: Avx2Token, s: u64, keys: &[u64; CHUNK]) -> [u64; CHUNK] {
-        // SAFETY: as in `horner8`.
-        unsafe { eh3_t8_impl(s, keys) }
     }
 }
 
@@ -1077,73 +762,6 @@ mod tests {
                     let mut got = vec![0i64; width];
                     bucket_scatter_counts(d, bc, width, &items[..len], &mut got);
                     assert_eq!(got, want, "bucket counts width {width} len {len}");
-                }
-            }
-        }
-    }
-
-    /// The fused single-popcount `t(k)` must equal the two-popcount
-    /// definition `⟨s,k⟩ ⊕ q(k)` bit for bit.
-    #[test]
-    fn eh3_fused_parity_matches_definition() {
-        let seeds = [0u64, 1, 0b1010, 0xDEAD_BEEF_CAFE_F00D, u64::MAX];
-        for &s in &seeds {
-            for &k in &test_keys() {
-                let linear = (s & k).count_ones() as u64 & 1;
-                let quad = (k & (k >> 1) & EVEN_BITS).count_ones() as u64 & 1;
-                assert_eq!(eh3_t(s, k), linear ^ quad, "s={s:#x} k={k:#x}");
-            }
-        }
-    }
-
-    #[test]
-    fn eh3_kernels_match_scalar_reference() {
-        let keys = test_keys();
-        let items = test_items(&keys);
-        let seeds = [(false, 0u64), (true, 0b11), (false, u64::MAX), (true, 42)];
-        for d in [Dispatch::chunked(), Dispatch::get()] {
-            for &(s0, s) in &seeds {
-                let f = crate::Eh3::from_seed(s0, s);
-                use crate::SignFamily;
-                for len in [0usize, 1, 7, 8, 9, 16, 17, keys.len()] {
-                    let want_sum: i64 = keys[..len].iter().map(|&k| f.sign(k)).sum();
-                    assert_eq!(eh3_sign_sum(d, s0, s, &keys[..len]), want_sum, "len {len}");
-                    let want_dot: i64 = items[..len].iter().map(|&(k, c)| c * f.sign(k)).sum();
-                    assert_eq!(eh3_sign_dot(d, s0, s, &items[..len]), want_dot, "len {len}");
-                    let mut out = vec![0i64; len];
-                    eh3_sign_batch(d, s0, s, &keys[..len], &mut out);
-                    for (i, &v) in out.iter().enumerate() {
-                        assert_eq!(v, f.sign(keys[i]), "len {len} index {i}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn tab_kernels_match_scalar_reference() {
-        use crate::{BucketFamily, SignFamily, Tabulation};
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let mut rng = StdRng::seed_from_u64(1234);
-        let t = <Tabulation as SignFamily>::random(&mut rng);
-        let keys = test_keys();
-        let items = test_items(&keys);
-        for len in [0usize, 1, 7, 8, 9, keys.len()] {
-            let want_sum: i64 = keys[..len].iter().map(|&k| t.sign(k)).sum();
-            assert_eq!(tab_sign_sum(&t.tables, &keys[..len]), want_sum, "len {len}");
-            let want_dot: i64 = items[..len].iter().map(|&(k, c)| c * t.sign(k)).sum();
-            assert_eq!(tab_sign_dot(&t.tables, &items[..len]), want_dot);
-            let mut out = vec![0i64; len];
-            tab_sign_batch(&t.tables, &keys[..len], &mut out);
-            for (i, &v) in out.iter().enumerate() {
-                assert_eq!(v, t.sign(keys[i]));
-            }
-            for width in [1usize, 3, 5000] {
-                let mut out = vec![0usize; len];
-                tab_bucket_batch(&t.tables, width, &keys[..len], &mut out);
-                for (i, &b) in out.iter().enumerate() {
-                    assert_eq!(b, t.bucket(keys[i], width), "width {width}");
                 }
             }
         }

@@ -9,24 +9,75 @@
 //! * **2-wise (pairwise) independence** suffices for the bucket hashes used
 //!   by F-AGMS (Count-Sketch) and Count-Min.
 //!
-//! This crate provides the generator constructions studied in Rusu & Dobra,
-//! *"Pseudo-random number generation for sketch-based estimations"* (TODS
-//! 2007), which is the substrate used by the experimental testbed of
-//! *"Sketching Sampled Data Streams"* (ICDE 2009):
+//! This crate provides the Carter–Wegman polynomial families over
+//! GF(2⁶¹−1), the ones every sketch of *"Sketching Sampled Data Streams"*
+//! (ICDE 2009) runs on:
 //!
-//! | Type | Construction | Independence |
-//! |---|---|---|
-//! | [`Cw2`] | linear polynomial over GF(2⁶¹−1) | 2-wise |
-//! | [`Cw4`] | cubic polynomial over GF(2⁶¹−1) | 4-wise |
-//! | [`Bch3`] | dual extended-Hamming parity (`s₀ ⊕ ⟨s₁, i⟩`) | 3-wise |
-//! | [`Eh3`] | extended Hamming code parity + quadratic form | 3-wise, **range-summable** |
-//! | [`Bch5`] | dual BCH code parity (`s₀ ⊕ s₁·i ⊕ s₂·i³` over GF(2⁶⁴)) | 5-wise |
-//! | [`Tabulation`] | simple tabulation hashing | 3-wise (≈4-wise behaviour) |
+//! | Type | Construction | Independence | Role |
+//! |---|---|---|---|
+//! | [`Cw4`] | cubic polynomial | 4-wise | the ±1 signs ξ |
+//! | [`Cw2Bucket`] | linear polynomial, `mod width` | 2-wise | F-AGMS / Count-Min buckets |
+//! | [`Cw2`] | linear polynomial | 2-wise | a ±1 family too weak for AGMS |
 //!
 //! Every family is cheap to seed (a few machine words), deterministic given
 //! its seed, and generates each `ξᵢ` *on demand* from the key — the defining
 //! property that lets sketches summarize domains of size 2⁶⁴ in a handful of
-//! counters.
+//! counters. The batched evaluations run the runtime-dispatched
+//! [`kernels`].
+//!
+//! The other constructions compared by Rusu & Dobra, *"Pseudo-random
+//! number generation for sketch-based estimations"* (TODS 2007) — EH3,
+//! BCH and tabulation — are not here: that comparison is the paper's
+//! reference \[17\], not one of its results. Code naming them no longer
+//! compiles:
+//!
+//! ```compile_fail
+//! use sss_xi::Eh3; // removed: the sketches run on Cw4 signs
+//! ```
+//!
+//! ```compile_fail
+//! use sss_xi::Bch5; // removed: the sketches run on Cw4 signs
+//! ```
+//!
+//! ```compile_fail
+//! use sss_xi::Bch3; // removed: the sketches run on Cw4 signs
+//! ```
+//!
+//! ```compile_fail
+//! use sss_xi::gf2; // removed with BCH, its only user
+//! ```
+//!
+//! ```compile_fail
+//! use sss_xi::Tabulation; // removed: the sketches run on Cw4 signs and Cw2Bucket buckets
+//! ```
+//!
+//! ```compile_fail
+//! use sss_xi::RangeSummable; // removed with EH3, the one range-summable family
+//! ```
+//!
+//! ```compile_fail
+//! use sss_xi::FourWise; // removed: no bound used it; Cw4 is the 4-wise family
+//! ```
+//!
+//! Both family traits are sealed: a type outside this crate cannot
+//! implement them.
+//!
+//! ```compile_fail
+//! use rand::Rng;
+//! use sss_xi::SignFamily;
+//!
+//! struct Mine;
+//!
+//! impl SignFamily for Mine {
+//!     fn coeffs(&self) -> &[u64] {
+//!         &[1, 2, 3, 4]
+//!     }
+//!
+//!     fn random<R: Rng + ?Sized>(_rng: &mut R) -> Self {
+//!         Mine
+//!     }
+//! }
+//! ```
 //!
 //! ## Example
 //!
@@ -47,33 +98,22 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bch;
 pub mod codec;
 pub mod cw;
-pub mod eh3;
 pub mod family;
-pub mod gf2;
 pub mod kernels;
 pub mod prime;
-pub mod tabulation;
 
-pub use bch::{Bch3, Bch5};
 pub use codec::{Codec, CodecError, Reader, Writer};
 pub use cw::{
     bucket_scatter, bucket_scatter_counts, signed_scatter, signed_scatter_counts, Cw2, Cw2Bucket,
     Cw4,
 };
-pub use eh3::Eh3;
-pub use family::{BucketFamily, FourWise, RangeSummable, SignFamily};
+pub use family::{BucketFamily, SignFamily};
 pub use kernels::Dispatch;
-pub use tabulation::Tabulation;
 
-/// The default 4-wise-independent sign family used throughout the workspace.
-///
-/// CW4 is the only construction here with a *proven* 4-wise guarantee and a
-/// branch-free evaluation, which makes it the safe default; swap in [`Eh3`]
-/// or [`Bch5`] when update speed matters more than the formal guarantee (see
-/// the `xi_families` Criterion bench for the trade-off on your machine).
+/// The 4-wise-independent sign family every sketch defaults to: the
+/// independence the paper's variance formulas (Propositions 7–8) assume.
 pub type DefaultSign = Cw4;
 
 /// The default pairwise-independent bucket hash used by F-AGMS and Count-Min.

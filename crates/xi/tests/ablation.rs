@@ -2,87 +2,50 @@
 //!
 //! The AGMS self-join estimator `X = S²` is unbiased under *pairwise*
 //! independence, but its variance formula `2(F₂² − F₄)` needs 4-wise
-//! independence. EH3 is only 3-wise and has a deterministic defect on
-//! affine key subspaces (`ξ₀ξ₁ξ₂ξ₃ ≡ −1`); these tests quantify the
-//! consequence exactly and confirm the 4-wise families are immune — the
-//! empirical counterpart of the generator study in Rusu & Dobra (TODS
-//! 2007) that underlies the paper's testbed.
+//! independence. CW2 — a linear polynomial, only pairwise independent —
+//! shows the consequence: on four adjacent keys its `Var[S²]` sits
+//! visibly off the formula, while CW4 matches it.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sss_xi::{Bch5, Cw4, Eh3, SignFamily};
+use sss_xi::{Cw2, Cw4, SignFamily};
 
-/// The adversarial workload: unit frequency on keys {0, 1, 2, 3}.
+/// The workload: unit frequency on keys {0, 1, 2, 3}.
 /// F₂ = 4, F₄ = 4, so the 4-wise variance of S² is 2(16 − 4) = 24.
 const KEYS: [u64; 4] = [0, 1, 2, 3];
 const FOUR_WISE_VARIANCE: f64 = 24.0;
 
-/// Exact Var[S²] for EH3 on the adversarial keys, by enumerating the full
-/// effective seed space (the keys only use 2 bits, but include all 8 seed
-/// bits they could touch).
-#[test]
-fn eh3_variance_deviates_exactly() {
+/// Monte-Carlo `(E[S²], Var[S²])` over independently seeded families.
+fn moments<F: SignFamily>(seed: u64) -> (f64, f64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let trials = 60_000;
     let mut sum = 0f64;
     let mut sum_sq = 0f64;
-    let mut count = 0f64;
-    for s in 0u64..256 {
-        for s0 in [false, true] {
-            let f = Eh3::from_seed(s0, s);
-            let sk: i64 = KEYS.iter().map(|&k| f.sign(k)).sum();
-            let x = (sk * sk) as f64;
-            sum += x;
-            sum_sq += x * x;
-            count += 1.0;
-        }
+    for _ in 0..trials {
+        let f = F::random(&mut rng);
+        let s: i64 = KEYS.iter().map(|&k| f.sign(k)).sum();
+        let x = (s * s) as f64;
+        sum += x;
+        sum_sq += x * x;
     }
-    let mean = sum / count;
-    let var = sum_sq / count - mean * mean;
-    // Unbiasedness needs only pairwise independence — it must survive.
-    assert!((mean - 4.0).abs() < 1e-9, "E[S²] = {mean}");
-    // With ξ₀ξ₁ξ₂ξ₃ ≡ −1, an odd number of the four signs is −1 in every
-    // seed, so S = ±2 and S² ≡ 4 *deterministically*: the variance is
-    // exactly 0 instead of 24. (Here the defect flatters the estimator;
-    // on the mirrored workload it inflates the variance instead — the
-    // point is that the 4-wise formula simply does not apply.)
-    assert!(
-        var.abs() < 1e-9,
-        "EH3 variance on the affine subspace is exactly 0, got {var}"
-    );
+    let mean = sum / trials as f64;
+    (mean, sum_sq / trials as f64 - mean * mean)
 }
 
-/// The same enumeration logic, Monte-Carlo for the 4-wise families: their
-/// Var[S²] must match 2(F₂² − F₄) = 24 closely.
+/// CW4's `Var[S²]` matches 2(F₂² − F₄) = 24; CW2's is unbiased but its
+/// variance is not the formula's (≈ 32 on these keys).
 #[test]
 fn four_wise_families_match_the_variance_formula() {
-    fn empirical_variance<F: SignFamily>(seed: u64) -> f64 {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let trials = 60_000;
-        let mut sum = 0f64;
-        let mut sum_sq = 0f64;
-        for _ in 0..trials {
-            let f = F::random(&mut rng);
-            let s: i64 = KEYS.iter().map(|&k| f.sign(k)).sum();
-            let x = (s * s) as f64;
-            sum += x;
-            sum_sq += x * x;
-        }
-        let mean = sum / trials as f64;
-        sum_sq / trials as f64 - mean * mean
-    }
-    let cw4 = empirical_variance::<Cw4>(1);
-    let bch5 = empirical_variance::<Bch5>(2);
+    let (_, cw4) = moments::<Cw4>(1);
     assert!(
         (cw4 - FOUR_WISE_VARIANCE).abs() < 1.5,
         "CW4 variance {cw4} vs theory {FOUR_WISE_VARIANCE}"
     );
+    let (mean, cw2) = moments::<Cw2>(3);
+    // Unbiasedness needs only pairwise independence: it survives.
+    assert!((mean - 4.0).abs() < 0.1, "CW2 E[S²] = {mean}");
     assert!(
-        (bch5 - FOUR_WISE_VARIANCE).abs() < 1.5,
-        "BCH5 variance {bch5} vs theory {FOUR_WISE_VARIANCE}"
-    );
-    // EH3, measured the same way for a like-for-like comparison, deviates.
-    let eh3 = empirical_variance::<Eh3>(3);
-    assert!(
-        (eh3 - FOUR_WISE_VARIANCE).abs() > 4.0,
-        "EH3 variance {eh3} should be visibly off {FOUR_WISE_VARIANCE}"
+        (cw2 - FOUR_WISE_VARIANCE).abs() > 4.0,
+        "CW2 variance {cw2} should be visibly off {FOUR_WISE_VARIANCE}"
     );
 }

@@ -1,6 +1,6 @@
 //! Property-based tests of the batched update kernels: `update_batch` /
 //! `update_batch_counts` must be bit-identical to the sequential per-key
-//! path for every sketch backend and ξ family combination, and the
+//! path for every sketch backend and CW family pair, and the
 //! skip-sampled `feed_batch` must reproduce `observe` exactly.
 //!
 //! The order-dependent summaries are held to the same bar by *state*, not
@@ -22,7 +22,7 @@ use sketch_sampled_streams::sketch::{
     MisraGries, Sketch,
 };
 use sketch_sampled_streams::xi::{
-    Bch5, BucketFamily, Codec, Cw2, Cw2Bucket, Cw4, Eh3, Reader, SignFamily, Tabulation, Writer,
+    BucketFamily, Codec, Cw2, Cw2Bucket, Cw4, Reader, SignFamily, Writer,
 };
 
 fn stream() -> impl Strategy<Value = Vec<u64>> {
@@ -343,10 +343,9 @@ proptest! {
 
     /// Top-k candidates priced in one batched call are the per-key point
     /// queries bit for bit: on both `JoinSketch` backends, and on F-AGMS
-    /// with a polynomial pair, with EH3 signs and tabulation buckets, and
-    /// with BCH5 signs (the default per-key `sign_batch`), at depths that
-    /// take each of the median's paths — for no keys and for lengths
-    /// around the kernels' eight-key lanes.
+    /// with CW2 signs and with two more independently seeded CW4 pairs, at
+    /// depths that take each of the median's paths — for no keys and for
+    /// lengths around the kernels' eight-key lanes.
     #[test]
     fn batched_pricing_matches_point_queries(
         length in 0usize..8,
@@ -370,21 +369,20 @@ proptest! {
             prop_assert_eq!(bits(&join.point_queries(&keys)), bits(&one_by_one));
         }
         check_fagms_pricing::<Cw2, Cw2Bucket>(depth, &keys, &fed, &mut rng);
-        check_fagms_pricing::<Eh3, Tabulation>(depth, &keys, &fed, &mut rng);
-        check_fagms_pricing::<Bch5, Cw2Bucket>(depth, &keys, &fed, &mut rng);
+        for _ in 0..2 {
+            check_fagms_pricing::<Cw4, Cw2Bucket>(depth, &keys, &fed, &mut rng);
+        }
     }
 
     /// Top-k: hashing once per distinct key and deciding once per tuple
-    /// passes through exactly the states of the per-key loop — for the
-    /// polynomial default pair and for a pair with no polynomial form
-    /// (EH3 signs, tabulation buckets) at a depth past the median's
-    /// comparison networks.
+    /// passes through exactly the states of the per-key loop — at depth 5
+    /// and at depth 7, past the median's comparison networks.
     #[test]
     fn topk_offer_batch_matches_offer_loop(length in 0usize..6, cut in 1usize..3000, seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
         let keys = skewed(LENGTHS[length], 500, &mut rng);
         check_topk_batch::<Cw4, Cw2Bucket>(5, &keys, cut, &mut rng);
-        check_topk_batch::<Eh3, Tabulation>(7, &keys, cut, &mut rng);
+        check_topk_batch::<Cw4, Cw2Bucket>(7, &keys, cut, &mut rng);
     }
 
     /// Misra–Gries: gathering a chunk in the counter table one probe per
@@ -503,8 +501,7 @@ proptest! {
     }
 
     /// AGMS: the family-major `sign_sum` kernel is bit-identical to the
-    /// per-key loop for both a polynomial (CW4) and a non-polynomial
-    /// (EH3) sign family.
+    /// per-key loop for both CW degrees (CW4 and CW2).
     #[test]
     fn agms_update_batch_matches_scalar(keys in stream(), split in 0usize..400, seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -514,7 +511,7 @@ proptest! {
         check_unit_batch(&mut scalar, &mut batched, &keys, split);
         prop_assert_eq!(scalar.raw_counters(), batched.raw_counters());
 
-        let schema = AgmsSchema::<Eh3>::new(16, &mut rng);
+        let schema = AgmsSchema::<Cw2>::new(16, &mut rng);
         let (mut scalar, mut batched) = (schema.sketch(), schema.sketch());
         check_unit_batch(&mut scalar, &mut batched, &keys, split);
         prop_assert_eq!(scalar.raw_counters(), batched.raw_counters());
@@ -531,9 +528,8 @@ proptest! {
         prop_assert_eq!(scalar.raw_counters(), batched.raw_counters());
     }
 
-    /// F-AGMS: the fused `signed_scatter` row kernel (CW sign + CW bucket)
-    /// and the buffered fallback (non-polynomial sign) are both
-    /// bit-identical to the scalar path.
+    /// F-AGMS: the fused `signed_scatter` row kernel is bit-identical to
+    /// the scalar path, for both CW sign degrees.
     #[test]
     fn fagms_update_batch_matches_scalar(keys in stream(), split in 0usize..400, seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -554,8 +550,8 @@ proptest! {
             prop_assert_eq!(scalar.row(r), batched.row(r));
         }
 
-        // Non-polynomial sign family → generic buffered fallback.
-        let schema = FagmsSchema::<Eh3, Cw2Bucket>::new(3, 64, &mut rng);
+        // A second, independently seeded CW4 pair.
+        let schema = FagmsSchema::<Cw4, Cw2Bucket>::new(3, 64, &mut rng);
         let (mut scalar, mut batched) = (schema.sketch(), schema.sketch());
         check_unit_batch(&mut scalar, &mut batched, &keys, split);
         for r in 0..schema.depth() {
@@ -575,8 +571,7 @@ proptest! {
         }
     }
 
-    /// Count-Min: the `bucket_scatter` kernel (CW bucket) and the
-    /// buffered fallback (tabulation bucket) match the scalar path,
+    /// Count-Min: the `bucket_scatter` kernels match the scalar path,
     /// including negative counts.
     #[test]
     fn countmin_update_batch_matches_scalar(
@@ -601,8 +596,8 @@ proptest! {
             prop_assert_eq!(scalar.row(r), batched.row(r));
         }
 
-        // Non-polynomial bucket family → generic buffered fallback.
-        let schema = CountMinSchema::<Tabulation>::new(3, 64, &mut rng);
+        // A second, independently seeded bucket family.
+        let schema = CountMinSchema::<Cw2Bucket>::new(3, 64, &mut rng);
         let (mut scalar, mut batched) = (schema.sketch(), schema.sketch());
         check_unit_batch(&mut scalar, &mut batched, &keys, split);
         for r in 0..schema.depth() {

@@ -1,7 +1,7 @@
 //! Property-based bit-identity tests for the `sss_xi::kernels` fast paths:
 //! every batched entry point — chunked and, on an x86-64 host with AVX2,
 //! the vectorized path behind [`Dispatch::get`] — must agree **exactly**
-//! with the per-key scalar reference for all sign and bucket families, on
+//! with the per-key scalar reference for the CW sign and bucket families, on
 //! arbitrary keys and signed counts, including empty batches and lengths
 //! that are not a multiple of the kernel width (tails). Every case runs on
 //! both dispatches, so the portable path stays covered on AVX2 hosts.
@@ -11,7 +11,7 @@ use proptest::test_runner::TestCaseError;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sketch_sampled_streams::xi::kernels::{self, Dispatch};
-use sketch_sampled_streams::xi::{BucketFamily, Cw2, Cw2Bucket, Cw4, Eh3, SignFamily, Tabulation};
+use sketch_sampled_streams::xi::{BucketFamily, Cw2, Cw2Bucket, Cw4, SignFamily};
 
 /// Arbitrary keys; `0..200` covers empty batches and every tail length
 /// modulo the width-8 chunking.
@@ -31,14 +31,14 @@ fn paths() -> [Dispatch; 2] {
     [Dispatch::chunked(), Dispatch::get()]
 }
 
-/// All fast sign paths of a polynomial (Carter–Wegman) family against the
-/// per-key scalar loop.
+/// All fast sign paths of a Carter–Wegman family against the per-key
+/// scalar loop.
 fn check_poly_sign<F: SignFamily>(
     f: &F,
     keys: &[u64],
     items: &[(u64, i64)],
 ) -> Result<(), TestCaseError> {
-    let coeffs = f.poly_coeffs().expect("CW family is polynomial");
+    let coeffs = f.coeffs();
     let sum: i64 = keys.iter().map(|&k| f.sign(k)).sum();
     let dot: i64 = items.iter().map(|&(k, c)| f.sign(k) * c).sum();
     let signs: Vec<i64> = keys.iter().map(|&k| f.sign(k)).collect();
@@ -51,7 +51,7 @@ fn check_poly_sign<F: SignFamily>(
         kernels::sign_batch(d, coeffs, keys, &mut out);
         prop_assert_eq!(&out, &signs);
     }
-    // The trait overrides route through Dispatch::get(); pin them too.
+    // The trait methods route through Dispatch::get(); pin them too.
     prop_assert_eq!(f.sign_sum(keys), sum);
     prop_assert_eq!(f.sign_dot(items), dot);
     Ok(())
@@ -75,56 +75,7 @@ proptest! {
         check_poly_sign(&cw4, &keys, &items)?;
     }
 
-    /// EH3 sign kernels: the fused popcount-parity evaluation equals the
-    /// per-key `sign()` definition on every path.
-    #[test]
-    fn eh3_sign_kernels_are_bit_identical(
-        keys in keys_strategy(),
-        items in items_strategy(),
-        seed: u64,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let f = <Eh3 as SignFamily>::random(&mut rng);
-        let (s0, s) = f.seeds();
-        let sum: i64 = keys.iter().map(|&k| f.sign(k)).sum();
-        let dot: i64 = items.iter().map(|&(k, c)| f.sign(k) * c).sum();
-        let signs: Vec<i64> = keys.iter().map(|&k| f.sign(k)).collect();
-        prop_assert_eq!(kernels::eh3_sign_sum_chunked(s0, s, &keys), sum);
-        prop_assert_eq!(kernels::eh3_sign_dot_chunked(s0, s, &items), dot);
-        for d in paths() {
-            prop_assert_eq!(kernels::eh3_sign_sum(d, s0, s, &keys), sum);
-            prop_assert_eq!(kernels::eh3_sign_dot(d, s0, s, &items), dot);
-            let mut out = vec![0i64; keys.len()];
-            kernels::eh3_sign_batch(d, s0, s, &keys, &mut out);
-            prop_assert_eq!(&out, &signs);
-        }
-        prop_assert_eq!(f.sign_sum(&keys), sum);
-        prop_assert_eq!(f.sign_dot(&items), dot);
-    }
-
-    /// Tabulation sign kernels: the table-major 8-lane traversal equals
-    /// the per-key XOR chain (tabulation has no SIMD arm by design).
-    #[test]
-    fn tabulation_sign_kernels_are_bit_identical(
-        keys in keys_strategy(),
-        items in items_strategy(),
-        seed: u64,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let f = <Tabulation as SignFamily>::random(&mut rng);
-        let sum: i64 = keys.iter().map(|&k| SignFamily::sign(&f, k)).sum();
-        let dot: i64 = items.iter().map(|&(k, c)| SignFamily::sign(&f, k) * c).sum();
-        let signs: Vec<i64> = keys.iter().map(|&k| SignFamily::sign(&f, k)).collect();
-        prop_assert_eq!(kernels::tab_sign_sum(f.tables(), &keys), sum);
-        prop_assert_eq!(kernels::tab_sign_dot(f.tables(), &items), dot);
-        let mut out = vec![0i64; keys.len()];
-        kernels::tab_sign_batch(f.tables(), &keys, &mut out);
-        prop_assert_eq!(&out, &signs);
-        prop_assert_eq!(f.sign_sum(&keys), sum);
-        prop_assert_eq!(f.sign_dot(&items), dot);
-    }
-
-    /// Both bucket families: batched bucket computation equals the per-key
+    /// The CW2 bucket family: batched bucket computation equals the per-key
     /// `bucket()` on every path, for widths from degenerate to large.
     #[test]
     fn bucket_kernels_are_bit_identical(
@@ -134,7 +85,7 @@ proptest! {
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let cwb = <Cw2Bucket as BucketFamily>::random(&mut rng);
-        let coeffs = cwb.poly_coeffs().expect("CW bucket family is polynomial");
+        let coeffs = cwb.coeffs();
         let expect: Vec<usize> = keys.iter().map(|&k| cwb.bucket(k, width)).collect();
         for d in paths() {
             let mut out = vec![0usize; keys.len()];
@@ -143,15 +94,6 @@ proptest! {
         }
         let mut out = vec![0usize; keys.len()];
         cwb.bucket_batch(&keys, width, &mut out);
-        prop_assert_eq!(&out, &expect);
-
-        let tab = <Tabulation as BucketFamily>::random(&mut rng);
-        let expect: Vec<usize> = keys
-            .iter()
-            .map(|&k| BucketFamily::bucket(&tab, k, width))
-            .collect();
-        let mut out = vec![0usize; keys.len()];
-        kernels::tab_bucket_batch(tab.tables(), width, &keys, &mut out);
         prop_assert_eq!(&out, &expect);
     }
 
@@ -169,8 +111,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let sign = <Cw4 as SignFamily>::random(&mut rng);
         let bucket = <Cw2Bucket as BucketFamily>::random(&mut rng);
-        let sc = sign.poly_coeffs().expect("CW4 is polynomial");
-        let bc = bucket.poly_coeffs().expect("CW bucket family is polynomial");
+        let (sc, bc) = (sign.coeffs(), bucket.coeffs());
 
         let mut expect = vec![0i64; width];
         for &k in &keys {
