@@ -94,7 +94,10 @@ fn fills<S: Summary + Portable>(empty: &S, keys: &[u64]) -> Vec<S> {
     ]
 }
 
-fn row<S: Portable>(kind: &'static str, fed: &[S]) -> (&'static str, Vec<u64>) {
+/// A kind and its hashes, one per fill.
+type Row = (&'static str, Vec<u64>);
+
+fn row<S: Portable>(kind: &'static str, fed: &[S]) -> Row {
     (kind, fed.iter().map(hash).collect())
 }
 
@@ -111,8 +114,6 @@ where
     }
     out
 }
-
-type Row = (&'static str, Vec<u64>);
 
 #[test]
 fn every_portable_kind_keeps_its_golden_bytes() {
