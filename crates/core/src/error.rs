@@ -28,11 +28,6 @@ pub enum Error {
     /// The two drivers of a size-of-join estimate disagree on a shared
     /// resource (sketch schema).
     IncompatibleEstimators,
-    /// A rate-quantization grid was configured with no resolution.
-    InvalidGrid {
-        /// The rejected steps-per-decade value (must be ≥ 1).
-        steps_per_decade: u32,
-    },
     /// A wire payload could not be decoded
     /// ([`Portable`](crate::Portable)): malformed bytes, or a body no
     /// summary could have written.
@@ -91,12 +86,6 @@ impl fmt::Display for Error {
                 write!(
                     f,
                     "size-of-join requires both estimators to share a sketch schema"
-                )
-            }
-            Error::InvalidGrid { steps_per_decade } => {
-                write!(
-                    f,
-                    "rate grid needs at least one step per decade, got {steps_per_decade}"
                 )
             }
             Error::Wire { detail } => {

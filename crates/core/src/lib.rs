@@ -9,7 +9,6 @@
 //! | Driver | Sampling scheme | Application (paper §VI) |
 //! |---|---|---|
 //! | [`Sampled`] | Bernoulli(p), coin/skip | shedding tuples of a too-fast stream before they reach the summary (any [`Summary`]; `Sampled<JoinSketch>` is the paper's join shedder) |
-//! | [`EpochShedder`] | Bernoulli(p(t)) | unbiased estimates under a **time-varying** rate (adaptive shedding): one `Sampled<JoinSketch>` cell per distinct rate |
 //! | [`IidStreamSketcher`] | with replacement | the stream *is* an i.i.d. sample from a generative model over a known finite population |
 //! | [`ScanSketcher`] | without replacement | a random-order relation scan feeding an online aggregation engine |
 //!
@@ -23,6 +22,24 @@
 //!
 //! ```compile_fail
 //! use sss_core::cross::size_of_join; // removed: each driver answers its own joins
+//! ```
+//!
+//! Nor is there a second shedder for a rate that changes: the per-rate
+//! cells, their rate grid and the lane combinator they needed are gone.
+//! Shedding is one [`Sampled`] at one `p`:
+//!
+//! ```compile_fail
+//! use sss_core::EpochShedder; // removed: one `Sampled` at one `p`
+//! ```
+//!
+//! ```compile_fail
+//! use sss_core::RateGrid; // removed with the per-rate cells
+//! ```
+//!
+//! ```compile_fail
+//! # fn f(s: &sss_core::JoinSketch) {
+//! let _ = s.self_join_basics(); // removed: its one caller was the per-rate cells
+//! # }
 //! ```
 //!
 //! Each driver owns a [`sketch::JoinSketch`] (AGMS or F-AGMS, selected by a
@@ -65,8 +82,6 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
-pub mod compaction;
-pub mod epochs;
 pub mod error;
 pub mod iid;
 pub mod multi;
@@ -78,12 +93,10 @@ pub mod slim;
 pub mod summary;
 pub mod wire;
 
-pub use compaction::RateGrid;
-pub use epochs::EpochShedder;
 pub use error::{Error, Result};
 pub use iid::IidStreamSketcher;
 pub use multi::{MultiSpec, MultiSummary, SampledMultiSummary};
-pub use sampled::{bernoulli_distinct_estimate, bernoulli_self_join, Sampled};
+pub use sampled::{bernoulli_distinct_estimate, Sampled};
 pub use scan::ScanSketcher;
 pub use sketch::{JoinSchema, JoinSketch};
 pub use slim::{SlimJoin, SlimMultiSummary, SlimTopK};

@@ -13,8 +13,6 @@
 //! * [`crate::Sampled`] — not yet; snapshot the *inner* summary instead.
 //!   Its sampler state is plain words (`p`, seed, counter position,
 //!   `seen`, `kept`, pending gap), so serialising it is ROADMAP item 5(a).
-//! * [`crate::EpochShedder`] — a list of `Sampled<JoinSketch>` cells, so
-//!   it becomes portable by composition once `Sampled` is.
 
 use crate::multi::MultiSummary;
 use crate::sketch::JoinSketch;

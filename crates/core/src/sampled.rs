@@ -42,9 +42,9 @@
 //! }
 //! ```
 //!
-//! A rate that changes over time is a list of these:
-//! [`EpochShedder`](crate::EpochShedder) holds one `Sampled<JoinSketch>`
-//! cell per distinct rate and adds only the cross-cell terms.
+//! This is the system's one shedder: one rate `p` for the life of the
+//! summary. How low `p` may go for an accuracy target is answered offline
+//! by [`max_shedding_rate`](crate::analysis::max_shedding_rate).
 //!
 //! ## F₀ under sampling: what is (and isn't) correctable
 //!
@@ -101,11 +101,10 @@ use sss_xi::splitmix64;
 /// `|F′|` is known exactly, which is why Bernoulli sampling composes so
 /// cleanly with sketching ("the size of the sample is unknown prior to
 /// running the process. This is not a problem anymore when the sample is
-/// sketched"). Keeping this in one place guarantees [`Sampled`], the epoch
-/// compaction diagonals and the sharded merge all apply the exact same
-/// formula.
+/// sketched"). Keeping this in one place guarantees every [`Sampled`]
+/// answer — scalar, typed and per lane — applies the exact same formula.
 #[inline]
-pub fn bernoulli_self_join(raw_self_join: f64, p: f64, kept: u64) -> f64 {
+fn bernoulli_self_join(raw_self_join: f64, p: f64, kept: u64) -> f64 {
     let p2 = p * p;
     raw_self_join / p2 - (1.0 - p) / p2 * kept as f64
 }
@@ -246,11 +245,6 @@ impl<S: Summary> Sampled<S> {
             }
         }
         self.kept - kept_before
-    }
-
-    /// The inclusion probability `p`.
-    pub fn probability(&self) -> f64 {
-        self.p
     }
 
     /// Tuples offered so far.

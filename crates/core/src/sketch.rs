@@ -208,26 +208,6 @@ impl JoinSketch {
         }
     }
 
-    /// The independent per-lane basic self-join estimates: `Sₖ²` per AGMS
-    /// counter, `Σ_b c_b²` per F-AGMS row. `raw_self_join()` is the
-    /// mean (AGMS) or median (F-AGMS) of these lanes.
-    pub fn self_join_basics(&self) -> Vec<f64> {
-        match self {
-            JoinSketch::Agms(s) => s.self_join_basics(),
-            JoinSketch::Fagms(s) => s.self_join_rows(),
-        }
-    }
-
-    /// The independent per-lane basic size-of-join estimates against
-    /// another sketch of the same schema.
-    pub fn size_of_join_basics(&self, other: &JoinSketch) -> Result<Vec<f64>> {
-        match (self, other) {
-            (JoinSketch::Agms(a), JoinSketch::Agms(b)) => Ok(a.size_of_join_basics(b)?),
-            (JoinSketch::Fagms(a), JoinSketch::Fagms(b)) => Ok(a.size_of_join_rows(b)?),
-            _ => Err(sss_sketch::Error::SchemaMismatch.into()),
-        }
-    }
-
     /// Typed raw self-join estimate with empirical error state; the value
     /// is bit-identical to [`JoinSketch::raw_self_join`].
     pub fn raw_self_join_estimate(&self) -> Estimate {
@@ -245,28 +225,6 @@ impl JoinSketch {
             (JoinSketch::Fagms(a), JoinSketch::Fagms(b)) => Ok(a.size_of_join_estimate(b)?),
             _ => Err(sss_sketch::Error::SchemaMismatch.into()),
         }
-    }
-
-    /// Combine per-lane basic estimates of a *composite* estimator (e.g.
-    /// merged-sketch lanes plus shedder correction lanes) with this
-    /// backend's combining semantics: sample-variance-of-mean for AGMS,
-    /// conservative median variance for F-AGMS.
-    ///
-    /// `value` overrides the combined point estimate so callers keep their
-    /// exact legacy floating-point path; `single_lane_variance` is the
-    /// analytic fallback used when the lanes carry no empirical spread
-    /// (fewer than two lanes).
-    pub fn combine_lanes(
-        &self,
-        value: f64,
-        lanes: Vec<f64>,
-        single_lane_variance: f64,
-    ) -> Estimate {
-        let e = match self {
-            JoinSketch::Agms(_) => Estimate::from_mean(lanes),
-            JoinSketch::Fagms(_) => Estimate::from_median(lanes),
-        };
-        e.with_value(value).or_variance(single_lane_variance)
     }
 }
 

@@ -51,8 +51,8 @@
 //! ```
 //!
 //! So are the single-capability Bernoulli front ends that
-//! [`crate::Sampled`] replaced, and the uncompacted epoch shedder, which
-//! is now a test oracle under `tests/support/`:
+//! [`crate::Sampled`] replaced, and both epoch shedders (the uncompacted
+//! one and its compacted successor):
 //!
 //! ```compile_fail
 //! use sss_core::LoadSheddingSketcher; // removed: `Sampled::new(schema.sketch(), p, rng)`
@@ -63,7 +63,7 @@
 //! ```
 //!
 //! ```compile_fail
-//! use sss_core::ReferenceEpochShedder; // removed: use `sss_core::EpochShedder`
+//! use sss_core::ReferenceEpochShedder; // removed: shed with one `sss_core::Sampled`
 //! ```
 //!
 //! [`Summary`] has no retraction pair either (a merged view is rebuilt by

@@ -44,13 +44,17 @@
 //!   decomposition behind Figures 1–2.
 //! * [`bounds`] — confidence intervals from (mean, variance) pairs:
 //!   Chebyshev and CLT-based, plus the normal CDF/coverage helpers.
-//! * [`planning`] — the inverse questions: minimal averaging for a target
-//!   error, and the sampling floor averaging cannot beat.
 //!
-//! The Chernoff sample-size bounds are gone: nothing called them.
+//! The Chernoff sample-size bounds are gone: nothing called them. Nor is
+//! there a planning module: its inverse questions (minimal averaging for
+//! a target error, the sampling floor) had no caller outside one test.
 //!
 //! ```compile_fail
 //! use sss_moments::tail::chernoff_upper; // removed: intervals come from `bounds`
+//! ```
+//!
+//! ```compile_fail
+//! use sss_moments::planning; // removed: no product caller
 //! ```
 //!
 //! ## Example: how much accuracy does 1% load shedding cost?
@@ -78,7 +82,6 @@ pub mod decompose;
 pub mod engine;
 pub mod factorial;
 pub mod freq;
-pub mod planning;
 pub mod scheme;
 
 pub use bounds::ConfidenceInterval;

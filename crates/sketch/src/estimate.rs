@@ -227,17 +227,6 @@ impl Estimate {
         }
     }
 
-    /// Override the point estimate, keeping variance and basics.
-    ///
-    /// Used where the legacy scalar path computes the combined value
-    /// through a different (mathematically equal but not bit-identical)
-    /// floating-point expression than combining `basics` would.
-    #[must_use]
-    pub fn with_value(mut self, value: f64) -> Self {
-        self.value = value;
-        self
-    }
-
     /// Override the variance, keeping value and basics.
     #[must_use]
     pub fn with_variance(mut self, variance: f64) -> Self {
@@ -464,7 +453,7 @@ mod tests {
         let e = Estimate::from_mean(vec![1.0, 3.0]).plus_variance(10.0);
         // sample variance 2 / n 2 = 1, plus 10.
         assert!((e.variance - 11.0).abs() < 1e-12);
-        let e = e.with_value(2.5).with_variance(4.0);
-        assert_eq!((e.value, e.variance), (2.5, 4.0));
+        let e = e.with_variance(4.0);
+        assert_eq!((e.value, e.variance), (2.0, 4.0));
     }
 }

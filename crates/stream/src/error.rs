@@ -31,17 +31,6 @@ pub enum StreamError {
         /// Index of the dead shard.
         shard: usize,
     },
-    /// A [`ControllerConfig`](crate::ControllerConfig) parameter is out of
-    /// range (the controller's parameters are reals, so
-    /// [`InvalidConfig`](StreamError::InvalidConfig) cannot carry them).
-    InvalidController {
-        /// The offending field (`"capacity_tps"`, `"smoothing"`, …).
-        parameter: &'static str,
-        /// What the configuration said.
-        value: f64,
-        /// Why it is rejected.
-        reason: &'static str,
-    },
 }
 
 impl fmt::Display for StreamError {
@@ -59,14 +48,6 @@ impl fmt::Display for StreamError {
             StreamError::ShardDisconnected { shard } => {
                 write!(f, "shard worker {shard} disconnected")
             }
-            StreamError::InvalidController {
-                parameter,
-                value,
-                reason,
-            } => write!(
-                f,
-                "invalid rate controller config: {parameter} = {value} ({reason})"
-            ),
         }
     }
 }

@@ -12,9 +12,7 @@
 //! * [`snapshot`] — the versioned incremental snapshot cache behind
 //!   `merged()`: a repeated at-all-times query is served from the cached
 //!   merge until a shard has applied past it, and a rebuild merges the
-//!   live shards, caught up by the query itself, without copying one;
-//! * [`adaptive`] — the quantized rate controller that picks the
-//!   shedding probability `p` on line.
+//!   live shards, caught up by the query itself, without copying one.
 //!
 //! The runtime is the engine; a DSMS pipeline is composed from its calls:
 //!
@@ -24,39 +22,38 @@
 //!   samples independently on every shard;
 //! * a filter or map stage is the caller's `retain` or `map` before the
 //!   push;
-//! * overload is [`ShardedRuntime::try_push`], which hands full rings'
-//!   tuples back, → [`RateController::observe_batch`] on the overflow →
-//!   [`EpochShedder::set_probability`](sss_core::EpochShedder::set_probability)
-//!   → `feed_batch`. The stream is then the runtime's part plus the
-//!   shedded part, and
-//!   [`EpochShedder::self_join_estimate_over`](sss_core::EpochShedder::self_join_estimate_over)
-//!   answers both, unbiased under any overload pattern:
+//! * overload is backpressure: [`push`](ShardedRuntime::push) and
+//!   [`push_loaned`](ShardedRuntime::push_loaned) wait while a shard's
+//!   ring is full, and nothing is dropped. Shedding is the paper's one
+//!   mechanism (§VI-A): a [`Sampled`](sss_core::Sampled) prototype at one
+//!   rate `p`, its coins drawn in the producer lane, corrected on the way
+//!   out by Props. 13–14. How low `p` may go for an accuracy target is
+//!   answered offline by
+//!   [`max_shedding_rate`](sss_core::analysis::max_shedding_rate).
 //!
+//! The overload leg that split a full-rate runtime from a separate
+//! shedder for its overflow is gone — the non-blocking push, the rate
+//! controller and the per-rate cells it drove:
+//!
+//! ```compile_fail
+//! use sss_stream::RateController; // removed: shed at one `p` with a `Sampled` prototype
 //! ```
-//! use rand::SeedableRng;
-//! use sss_core::{EpochShedder, JoinSchema};
-//! use sss_stream::{ControllerConfig, RateController, RuntimeConfig, ShardedRuntime};
 //!
-//! let schema = JoinSchema::fagms(1, 1024, &mut rand::rngs::StdRng::seed_from_u64(7));
-//! let config = RuntimeConfig { shards: 2, queue_depth: 4, ..Default::default() };
-//! let mut runtime = ShardedRuntime::new(config, &schema.sketch())?;
-//! let mut controller = RateController::new(ControllerConfig::with_capacity(1e6))?;
-//! let mut shedder = EpochShedder::new(&schema, controller.probability(), 7)?;
+//! ```compile_fail
+//! use sss_stream::ControllerConfig; // removed with the rate controller
+//! ```
+//!
+//! ```compile_fail
+//! # fn f(rt: &mut sss_stream::ShardedRuntime<sss_core::JoinSketch>) {
 //! let mut overflow = Vec::new();
-//! for b in 0..200u64 {
-//!     let mut batch: Vec<u64> = (0..2_000).map(|i| (i * 7 + b) % 500).collect();
-//!     batch.retain(|k| k % 2 == 0); // a filter stage
-//!     overflow.clear();
-//!     let accepted = runtime.try_push(&batch, &mut overflow)?;
-//!     assert_eq!(accepted + overflow.len() as u64, batch.len() as u64);
-//!     let p = controller.observe_batch(overflow.len() as u64, 1e-4);
-//!     shedder.set_probability(p)?;
-//!     shedder.feed_batch(&overflow);
+//! rt.try_push(&[1, 2, 3], &mut overflow); // removed: `push` blocks, nothing is handed back
+//! # }
+//! ```
+//!
+//! ```compile_fail
+//! fn f(e: &sss_stream::StreamError) -> bool {
+//!     matches!(e, sss_stream::StreamError::InvalidController { .. }) // removed with the rate controller
 //! }
-//! let f2 = shedder.self_join_estimate_over(&runtime.merged()?)?;
-//! let truth = 250.0 * 800.0 * 800.0; // 250 even keys, 800 copies each
-//! assert!((f2.value - truth).abs() / truth < 0.25, "{}", f2.value);
-//! # Ok::<(), sss_stream::StreamError>(())
 //! ```
 //!
 //! Measurement apparatus is not part of the runtime crate. The one-shot
@@ -81,7 +78,7 @@
 //! ```
 //!
 //! ```compile_fail
-//! use sss_stream::StreamEngine; // removed: the runtime plus an `EpochShedder` for its overflow
+//! use sss_stream::StreamEngine; // removed: `ShardedRuntime::new` over the prototype
 //! ```
 //!
 //! ```compile_fail
@@ -89,7 +86,7 @@
 //! ```
 //!
 //! ```compile_fail
-//! use sss_stream::StageStats; // removed: `try_push` returns the accepted count
+//! use sss_stream::StageStats; // removed: the runtime's own gauges (`tuples_ingested`, …)
 //! ```
 //!
 //! ```compile_fail
@@ -113,13 +110,11 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adaptive;
 pub mod error;
 pub mod ring;
 pub mod runtime;
 pub mod snapshot;
 
-pub use adaptive::{ControllerConfig, RateController};
 pub use error::{Result, StreamError};
 pub use runtime::{Partition, PoolStats, QueryHandle, ReadReplica, RuntimeConfig, ShardedRuntime};
 pub use snapshot::CacheStats;

@@ -356,11 +356,6 @@ impl<T> Producer<T> {
         self.len() == 0
     }
 
-    /// Whether a [`Producer::try_push`] right now would report full.
-    pub fn is_full(&self) -> bool {
-        self.len() >= self.shared.capacity
-    }
-
     /// The logical capacity the ring was created with.
     pub fn capacity(&self) -> usize {
         self.shared.capacity
@@ -520,7 +515,6 @@ mod tests {
         assert!(tx.try_push(1).is_ok());
         assert!(tx.try_push(2).is_ok());
         assert!(tx.try_push(3).is_ok());
-        assert!(tx.is_full());
         match tx.try_push(4) {
             Err(PushError::Full(4)) => {}
             other => panic!("expected Full(4), got {other:?}"),

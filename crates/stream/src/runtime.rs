@@ -45,13 +45,12 @@
 //!   ([`SlimQuery::frame`]), under the same lock: [`ReadReplica`]s share it
 //!   by pointer, and it projects what its readers ask for, once.
 //!
-//! * [`push`](ShardedRuntime::push) blocks when a ring is full
-//!   (backpressure propagates to the source);
-//!   [`try_push`](ShardedRuntime::try_push) never blocks and instead hands
-//!   overflowed tuples back to the caller, who routes them into an
-//!   [`EpochShedder`](sss_core::EpochShedder) (one `Sampled<JoinSketch>`
-//!   cell per rate); its `self_join_estimate_over(&merged)` stays
-//!   unbiased under sustained overload.
+//! * [`push`](ShardedRuntime::push) and
+//!   [`push_loaned`](ShardedRuntime::push_loaned) block when a ring is
+//!   full, so backpressure propagates to the source and nothing is
+//!   dropped. Shedding is the paper's one mechanism: a
+//!   [`Sampled`](sss_core::Sampled) prototype at one rate `p`, its coins
+//!   drawn in the producer lane before the hop.
 //! * [`merged`](QueryHandle::merged) reflects at least every tuple
 //!   accepted before the call — the at-all-times query, without a barrier.
 //! * A summary that panics, on the worker or on a query applying a run,
@@ -493,22 +492,8 @@ impl<E: Summary> ShardedRuntime<E> {
         Batch { keys, offered }
     }
 
-    /// Whether `shard`'s ring is full while the caller takes `overflow`;
-    /// if so `keys` went there instead. The check comes before the door
-    /// sees the keys, so a door spends no coin on tuples handed back.
-    fn overflowed(&self, shard: usize, keys: &[u64], overflow: &mut Option<&mut Vec<u64>>) -> bool {
-        match overflow {
-            Some(overflow) if self.lanes[shard].data.is_full() => {
-                overflow.extend_from_slice(keys);
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Blocking enqueue of a finished batch on `shard`. It cannot block
-    /// after [`overflowed`](Self::overflowed) said no: only this thread
-    /// fills the ring.
+    /// Enqueue a finished batch on `shard`, blocking while its ring is
+    /// full.
     fn send_blocking(&mut self, shard: usize, batch: Batch) -> Result<()> {
         match self.lanes[shard].data.push(batch) {
             Ok(()) => {
@@ -519,52 +504,21 @@ impl<E: Summary> ShardedRuntime<E> {
         }
     }
 
-    /// The tuples of one [`push`](Self::push) or, with `overflow`,
-    /// [`try_push`](Self::try_push). Returns the tuples accepted.
-    fn offer(&mut self, keys: &[u64], mut overflow: Option<&mut Vec<u64>>) -> Result<u64> {
-        if keys.is_empty() {
-            return Ok(0);
-        }
-        match self.query.shared.config.partition {
-            Partition::RoundRobin => {
-                let shard = self.next_shard();
-                if self.overflowed(shard, keys, &mut overflow) {
-                    return Ok(0);
-                }
-                let batch = self.admit_copy(shard, keys);
-                self.send_blocking(shard, batch)?;
-                Ok(keys.len() as u64)
-            }
-            Partition::Hash => self.offer_scattered(keys, overflow),
-        }
-    }
-
     /// Scatter `keys` by hash and send each shard its part: the filled
     /// scatter buffer itself, compacted by the shard's door, with a pooled
-    /// buffer put in its place (one copy in all). Returns the tuples
-    /// accepted; with `overflow`, a part whose ring is full goes there.
-    fn offer_scattered(
-        &mut self,
-        keys: &[u64],
-        mut overflow: Option<&mut Vec<u64>>,
-    ) -> Result<u64> {
+    /// buffer put in its place (one copy in all).
+    fn offer_scattered(&mut self, keys: &[u64]) -> Result<()> {
         self.scatter_keys(keys);
-        let mut accepted = 0;
         for shard in 0..self.shards() {
             if self.scatter[shard].is_empty() {
                 continue;
             }
-            if self.overflowed(shard, &self.scatter[shard], &mut overflow) {
-                self.scatter[shard].clear();
-                continue;
-            }
             let part = std::mem::take(&mut self.scatter[shard]);
-            accepted += part.len() as u64;
             let batch = self.admit_owned(shard, part);
             self.send_blocking(shard, batch)?;
             self.scatter[shard] = self.take_buf(shard, keys.len());
         }
-        Ok(accepted)
+        Ok(())
     }
 
     /// Borrow a cleared batch buffer from the pool — the **loan half** of
@@ -613,7 +567,7 @@ impl<E: Summary> ShardedRuntime<E> {
                 self.send_blocking(shard, batch)
             }
             Partition::Hash => {
-                self.offer_scattered(&batch, None)?;
+                self.offer_scattered(&batch)?;
                 batch.clear();
                 self.lanes[self.cursor].spare.push(batch);
                 Ok(())
@@ -629,24 +583,17 @@ impl<E: Summary> ShardedRuntime<E> {
     ///
     /// [`StreamError::ShardDisconnected`] if a shard's summary panicked.
     pub fn push(&mut self, keys: &[u64]) -> Result<()> {
-        self.offer(keys, None).map(drop)
-    }
-
-    /// Feed one batch **without blocking**: tuples whose shard ring is
-    /// full are appended to `overflow` instead of enqueued, as offered
-    /// (no door has sampled them), and the number of tuples actually
-    /// accepted is returned. The caller decides what to do with the
-    /// overflow — fed to an [`EpochShedder`](sss_core::EpochShedder), it
-    /// keeps the combined estimate
-    /// ([`self_join_estimate_over`](sss_core::EpochShedder::self_join_estimate_over)
-    /// of the merged sketch) unbiased. (A query never rides the data
-    /// ring, so it can never land here — see the module docs.)
-    ///
-    /// # Errors
-    ///
-    /// [`StreamError::ShardDisconnected`] if a shard's summary panicked.
-    pub fn try_push(&mut self, keys: &[u64], overflow: &mut Vec<u64>) -> Result<u64> {
-        self.offer(keys, Some(overflow))
+        if keys.is_empty() {
+            return Ok(());
+        }
+        match self.query.shared.config.partition {
+            Partition::RoundRobin => {
+                let shard = self.next_shard();
+                let batch = self.admit_copy(shard, keys);
+                self.send_blocking(shard, batch)
+            }
+            Partition::Hash => self.offer_scattered(keys),
+        }
     }
 
     /// Shut the pool down and merge the final shard estimators. Cheaper
@@ -814,7 +761,7 @@ impl<E: Summary> QueryHandle<E> {
     }
 
     /// Merge the shard estimators as of *now*: every batch accepted by
-    /// [`push`](ShardedRuntime::push)/[`try_push`](ShardedRuntime::try_push)
+    /// [`push`](ShardedRuntime::push)/[`push_loaned`](ShardedRuntime::push_loaned)
     /// before this call is reflected, because the query applies whatever
     /// of each shard's accepted batches its worker has not yet.
     ///
@@ -1344,44 +1291,6 @@ mod tests {
     }
 
     #[test]
-    fn try_push_hands_back_overflow_and_bounds_the_queue() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let schema = JoinSchema::fagms(1, 256, &mut rng);
-        let config = RuntimeConfig {
-            shards: 1,
-            queue_depth: 1,
-            partition: Partition::RoundRobin,
-        };
-        let mut rt = ShardedRuntime::new(config, &schema.sketch()).unwrap();
-        let batch: Vec<u64> = (0..100u64).collect();
-        let mut overflow = Vec::new();
-        let mut accepted = 0u64;
-        // Hammer a depth-1 ring with more batches than one worker can
-        // drain between our sends: some must overflow.
-        for _ in 0..20_000 {
-            accepted += rt.try_push(&batch, &mut overflow).unwrap();
-        }
-        assert!(rt.queue_high_water() <= rt.queue_depth() + 1);
-        assert_eq!(
-            accepted + overflow.len() as u64,
-            20_000 * batch.len() as u64,
-            "every tuple is either accepted or handed back"
-        );
-        // The merged sketch summarizes exactly the accepted tuples: the
-        // accepted multiset is `accepted/100` whole copies of the batch.
-        let merged = rt.into_merged().unwrap();
-        let copies = accepted / batch.len() as u64;
-        let mut expect = schema.sketch();
-        for _ in 0..copies {
-            expect.update_batch(&batch);
-        }
-        assert_eq!(
-            merged.raw_self_join().to_bits(),
-            expect.raw_self_join().to_bits()
-        );
-    }
-
-    #[test]
     fn blocking_push_never_drops_under_a_tiny_queue() {
         let mut rng = StdRng::seed_from_u64(4);
         let schema = JoinSchema::fagms(1, 256, &mut rng);
@@ -1435,9 +1344,6 @@ mod tests {
         ));
         let mut rt = ShardedRuntime::new(RuntimeConfig::default(), &schema.sketch()).unwrap();
         rt.push(&[]).unwrap();
-        let mut overflow = Vec::new();
-        assert_eq!(rt.try_push(&[], &mut overflow).unwrap(), 0);
-        assert!(overflow.is_empty());
         assert_eq!(rt.into_merged().unwrap().raw_self_join(), 0.0);
     }
 
@@ -1583,8 +1489,8 @@ mod tests {
 
     /// Regression for the old transport's dead `Full(Cmd::Snapshot)` arm:
     /// a query never rides the data ring, so it succeeds — exactly and
-    /// promptly, applying the backlog itself — while the data ring is full
-    /// and `try_push` is shedding overflow.
+    /// promptly, applying the backlog itself — while blocking pushes keep
+    /// the data ring full.
     #[test]
     fn snapshots_never_ride_the_data_queue() {
         let mut rng = StdRng::seed_from_u64(9);
@@ -1600,21 +1506,21 @@ mod tests {
         };
         let mut rt = ShardedRuntime::new(config, &proto).unwrap();
         let batch: Vec<u64> = (0..64u64).collect();
-        let mut overflow = Vec::new();
-        let mut accepted = 0u64;
-        // The worker sleeps 2 ms per batch: hammering it back-to-back
-        // must fill the depth-1 ring and overflow.
+        // The worker sleeps 2 ms per batch: pushing back-to-back fills the
+        // depth-1 ring behind the batch in flight, and each push waits.
         for _ in 0..40 {
-            accepted += rt.try_push(&batch, &mut overflow).unwrap();
+            rt.push(&batch).unwrap();
         }
-        assert!(!overflow.is_empty(), "the data ring did saturate");
-        // A query through the full data ring: answered (not shed, not
-        // stuck behind the overflow leg), covering exactly the accepted
-        // tuples.
+        assert_eq!(
+            rt.queue_high_water(),
+            rt.queue_depth() + 1,
+            "the data ring did saturate"
+        );
+        // A query behind the full data ring: answered, not stuck, covering
+        // exactly the accepted tuples.
         let merged = rt.merged().unwrap();
-        let copies = accepted / batch.len() as u64;
         let mut expect = schema.sketch();
-        for _ in 0..copies {
+        for _ in 0..40 {
             expect.update_batch(&batch);
         }
         assert_eq!(

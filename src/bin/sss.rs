@@ -687,6 +687,17 @@ fn main() -> ExitCode {
     let Some(cmd) = args.first() else {
         return usage();
     };
+    // A command that samples nothing must not accept a rate it would
+    // ignore: `save --p=0.1` would write an unsampled sketch.
+    if matches!(
+        cmd.as_str(),
+        "save" | "load" | "merge-snapshots" | "serve" | "bench-client"
+    ) {
+        if let Some(raw) = args.iter().find(|a| *a == "--p" || a.starts_with("--p=")) {
+            eprintln!("error: {raw}: `sss {cmd}` samples nothing and takes no --p");
+            return usage();
+        }
+    }
     let depth: usize = arg_value(&args, "depth", 3);
     let width: usize = arg_value(&args, "width", 5000);
     let seed: u64 = arg_value(&args, "seed", 1);

@@ -10,17 +10,15 @@
 //! * [`sketch`] — AGMS, F-AGMS and Count-Min sketches, plus the top-k,
 //!   HyperLogLog and KLL summaries.
 //! * [`moments`] — exact expectation/variance formulas, the
-//!   sampling/sketch/interaction variance decomposition, confidence
-//!   bounds and planning.
+//!   sampling/sketch/interaction variance decomposition and confidence
+//!   bounds.
 //! * [`core`] — the combined sketch-over-samples estimators and the
-//!   application drivers (load shedding — `Sampled<S>` in front of any
-//!   summary, and epoch-based for a changing rate —, i.i.d. streams,
-//!   online aggregation scans).
+//!   application drivers (load shedding — `Sampled<S>` at one rate in
+//!   front of any summary —, i.i.d. streams, online aggregation scans).
 //! * [`exact`] — exact streaming aggregates used as ground truth.
 //! * [`datagen`] — Zipf, self-similar, correlated-pair and mini-TPC-H
 //!   workload generators.
-//! * [`stream`] — streaming pipeline substrate: the sharded runtime and
-//!   the adaptive rate controller.
+//! * [`stream`] — streaming pipeline substrate: the sharded runtime.
 //! * [`net`] — the network ingest service: a non-blocking event-loop
 //!   TCP front-end decoding length-prefixed batches straight into the
 //!   sharded runtime's pooled buffers, plus a line-delimited JSON query

@@ -585,6 +585,59 @@ fn unparseable_flag_values_are_usage_errors() {
     );
 }
 
+/// `--p` on a command that samples nothing is a usage error naming the
+/// flag: `save --p=0.1` used to write an unsampled sketch and exit 0, and
+/// `serve --p=0.1` served at p = 1.
+#[test]
+fn p_on_a_command_that_samples_nothing_is_a_usage_error() {
+    use std::process::Stdio;
+    use std::time::{Duration, Instant};
+    let dir = std::env::temp_dir().join("sss-cli-test-p-unused");
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("keys.txt");
+    write_keys(&file, 0..100u64);
+    let (file, out) = (file.to_str().unwrap(), dir.join("out.sss"));
+    let out = out.to_str().unwrap();
+    for args in [
+        vec!["save", file, out, "--p=0.1"],
+        vec!["save", file, out, "--kind=multi", "--p=1"],
+        vec!["load", out, "--p=0.1"],
+        vec!["merge-snapshots", out, out, "--p=0.1"],
+        vec!["bench-client", "127.0.0.1:1", "--p=0.1"],
+        vec![
+            "serve",
+            "--ingest=127.0.0.1:0",
+            "--query=127.0.0.1:0",
+            "--p=0.1",
+        ],
+    ] {
+        let mut child = sss()
+            .args(&args)
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap();
+        // A server that took the flag would run until told to stop.
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while child.try_wait().unwrap().is_none() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        if child.try_wait().unwrap().is_none() {
+            child.kill().unwrap();
+            child.wait().unwrap();
+            panic!("{args:?} kept running");
+        }
+        let done = child.wait_with_output().unwrap();
+        let stderr = String::from_utf8_lossy(&done.stderr);
+        assert_eq!(done.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("error: --p"),
+            "{args:?}: stderr should name --p: {stderr}"
+        );
+    }
+}
+
 /// The exact `sss serve` lines the ledger spawns still parse: the server
 /// comes up, prints its banner, and drains on a client `shutdown`.
 #[test]

@@ -8,13 +8,11 @@
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use sketch_sampled_streams::core::sketch::{JoinSchema, JoinSketch};
-use sketch_sampled_streams::core::{EpochShedder, JoinQuery, Sampled};
+use rand::SeedableRng;
+use sketch_sampled_streams::core::sketch::JoinSchema;
+use sketch_sampled_streams::core::{JoinQuery, Sampled};
 use sketch_sampled_streams::sketch::{AgmsSchema, CountMinSchema, Estimate, FagmsSchema};
-use sketch_sampled_streams::stream::{
-    ControllerConfig, RateController, RuntimeConfig, ShardedRuntime,
-};
+use sketch_sampled_streams::stream::{RuntimeConfig, ShardedRuntime};
 
 /// Shared coherence checks: finite-value intervals centered on the point
 /// estimate, Chebyshev at least as wide as CLT.
@@ -101,8 +99,8 @@ proptest! {
         assert_coherent(&af.size_of_join_estimate(&ag).unwrap());
     }
 
-    /// Shedding drivers: `Sampled<JoinSketch>` and `EpochShedder` (with
-    /// rate changes mid-stream) report bit-identical typed values.
+    /// The shedding driver, `Sampled<JoinSketch>`, reports bit-identical
+    /// typed values.
     #[test]
     fn shedder_estimates_are_bit_identical(
         seed in 0u64..1000,
@@ -129,37 +127,11 @@ proptest! {
         let ej = shed.size_of_join_estimate(&other).unwrap();
         prop_assert_eq!(ej.value.to_bits(), shed.size_of_join(&other).unwrap().to_bits());
         assert_coherent(&ej);
-
-        // Epoch shedder with a mid-stream rate change.
-        let mut epochs = EpochShedder::new(&schema, p, rng.random()).unwrap();
-        let mut epochs2 = EpochShedder::new(&schema, 1.0, rng.random()).unwrap();
-        let half = stream.len() / 2;
-        epochs.feed_batch(&stream[..half]);
-        epochs.set_probability((p * 0.7).max(0.05)).unwrap();
-        epochs.feed_batch(&stream[half..]);
-        epochs2.feed_batch(&stream);
-        let ee = epochs.self_join_estimate().unwrap();
-        prop_assert_eq!(ee.value.to_bits(), epochs.self_join().unwrap().to_bits());
-        assert_coherent(&ee);
-        let ej = epochs.size_of_join_estimate(&epochs2).unwrap();
-        prop_assert_eq!(ej.value.to_bits(), epochs.size_of_join(&epochs2).unwrap().to_bits());
-        assert_coherent(&ej);
-
-        // Behind an empty runtime the overload estimates are the shedder's
-        // own.
-        let empty = schema.sketch();
-        let over = epochs.self_join_estimate_over(&empty).unwrap();
-        prop_assert_eq!(over.value.to_bits(), epochs.self_join().unwrap().to_bits());
-        assert_coherent(&over);
-        let over = epochs
-            .size_of_join_estimate_over(&empty, &empty, Some(&epochs2))
-            .unwrap();
-        prop_assert_eq!(over.value.to_bits(), epochs.size_of_join(&epochs2).unwrap().to_bits());
     }
 
-    /// The stream layer: the sharded runtime, and the runtime with its
-    /// overflow shedded, report typed values that are their scalar sums
-    /// bit for bit, and a sharded shed matches its scalar correction.
+    /// The stream layer: the sharded runtime reports typed values that are
+    /// its scalar answers bit for bit, and a sharded shed matches its
+    /// scalar correction.
     #[test]
     fn stream_layer_estimates_are_bit_identical(
         seed in 0u64..1000,
@@ -184,31 +156,6 @@ proptest! {
         assert_coherent(&e);
         let ej = rt.size_of_join_estimate(&rt2).unwrap();
         prop_assert_eq!(ej.value.to_bits(), seq.raw_self_join().to_bits());
-
-        // A saturated depth-1 ring whose overflow a controller sheds: the
-        // combined estimate is `A·A + O·O + 2·A·O`, and the join against the
-        // calm runtime `A·B + O·B`, summed in that order.
-        let tight = RuntimeConfig { shards: 1, queue_depth: 1, ..Default::default() };
-        let mut overloaded = ShardedRuntime::new(tight, &schema.sketch()).unwrap();
-        let mut controller = RateController::new(ControllerConfig::default()).unwrap();
-        let mut shedder = EpochShedder::new(&schema, controller.probability(), seed).unwrap();
-        let mut overflow = Vec::new();
-        for chunk in stream.chunks(61) {
-            overflow.clear();
-            overloaded.try_push(chunk, &mut overflow).unwrap();
-            let p = controller.observe_batch(overflow.len() as u64, 1e-6);
-            shedder.set_probability(p).unwrap();
-            shedder.feed_batch(&overflow);
-        }
-        let (a, calm, empty) = (overloaded.merged().unwrap(), rt.merged().unwrap(), schema.sketch());
-        let cross = |b: &JoinSketch| shedder.size_of_join_estimate_over(&empty, b, None).unwrap().value;
-        let e = shedder.self_join_estimate_over(&a).unwrap();
-        let sum = a.raw_self_join() + shedder.self_join().unwrap() + 2.0 * cross(&a);
-        prop_assert_eq!(e.value.to_bits(), sum.to_bits());
-        assert_coherent(&e);
-        let ej = shedder.size_of_join_estimate_over(&a, &calm, None).unwrap();
-        let sum = a.raw_size_of_join(&calm).unwrap() + cross(&calm);
-        prop_assert_eq!(ej.value.to_bits(), sum.to_bits());
 
         // Parallel shedding: one `Sampled` prototype, its own coins on
         // every shard, merged; the typed value is the scalar correction.

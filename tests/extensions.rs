@@ -1,77 +1,6 @@
-//! Integration tests for the engineering around the paper's estimators —
-//! the overload leg, the rate controller, the one-pass composite and the
-//! planner — exercised together through the public facade.
-
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use sketch_sampled_streams::core::sketch::JoinSchema;
-use sketch_sampled_streams::core::{EpochShedder, RateGrid};
-use sketch_sampled_streams::datagen::ZipfGenerator;
-use sketch_sampled_streams::exact::ExactAggregator;
-use sketch_sampled_streams::moments::planning;
-use sketch_sampled_streams::moments::scheme::Bernoulli;
-use sketch_sampled_streams::moments::FrequencyVector;
-use sketch_sampled_streams::stream::{
-    ControllerConfig, RateController, RuntimeConfig, ShardedRuntime,
-};
-
-/// The overload leg end to end: filter → map → sharded runtime, its
-/// overflow shedded by a controller-driven epoch shedder, with the
-/// combined estimate validated against the exact post-transform stream. A
-/// tiny queue guarantees the overflow leg is actually exercised.
-#[test]
-fn engine_estimate_matches_exact_under_overload() {
-    fn keep_small(k: u64) -> bool {
-        k < 1_500
-    }
-    fn bucketize(k: u64) -> u64 {
-        k / 3
-    }
-    let mut rng = StdRng::seed_from_u64(2);
-    let schema = JoinSchema::fagms(1, 4096, &mut rng);
-    let config = RuntimeConfig {
-        shards: 1,
-        queue_depth: 1,
-        ..Default::default()
-    };
-    let mut runtime = ShardedRuntime::new(config, &schema.sketch()).unwrap();
-    let mut controller = RateController::new(ControllerConfig {
-        capacity_tps: 50_000.0,
-        smoothing: 0.5,
-        hysteresis: 0.1,
-        min_p: 0.05,
-        grid: RateGrid::default(),
-    })
-    .unwrap();
-    let mut shedder = EpochShedder::new(&schema, controller.probability(), 2).unwrap();
-    let mut exact = ExactAggregator::new();
-    let gen = ZipfGenerator::new(3_000, 0.5);
-    let mut overflow = Vec::new();
-    for _ in 0..40 {
-        let mut batch = gen.relation(100_000, &mut rng);
-        batch.retain(|&k| keep_small(k));
-        batch.iter_mut().for_each(|k| *k = bucketize(*k));
-        overflow.clear();
-        runtime.try_push(&batch, &mut overflow).unwrap();
-        let p = controller.observe_batch(overflow.len() as u64, 1e-2);
-        shedder.set_probability(p).unwrap();
-        shedder.feed_batch(&overflow);
-        for &k in &batch {
-            exact.update(k, 1);
-        }
-    }
-    assert!(
-        runtime.queue_high_water() <= 2,
-        "bounded queue must never hold more than depth + 1 batches"
-    );
-    let merged = runtime.merged().unwrap();
-    let est = shedder.self_join_estimate_over(&merged).unwrap().value;
-    let truth = exact.self_join();
-    assert!(
-        (est - truth).abs() / truth < 0.1,
-        "est = {est}, truth = {truth}"
-    );
-}
+//! Integration test for the engineering around the paper's estimators:
+//! the one-pass composite behind the sharded runtime, exercised through
+//! the public facade exactly as the README shows it.
 
 /// The README's "One pass, every query" snippet, as written, so it cannot
 /// drift from the API: a `MultiSummary` prototype behind the runtime
@@ -118,80 +47,4 @@ fn readme_one_pass_engine_answers_every_family() -> Result<(), sketch_sampled_st
     assert!(lo <= median && median <= hi);
     assert_eq!(top.first().map(|&(key, _)| key), Some(7));
     Ok(())
-}
-
-/// Epoch shedding with rates driven by a controller stays unbiased over a
-/// bursty schedule (the adaptive_shedding example, as an assertion).
-#[test]
-fn controller_plus_epochs_is_unbiased_over_bursts() {
-    let mut rng = StdRng::seed_from_u64(3);
-    let schema = JoinSchema::fagms(1, 5000, &mut rng);
-    let mut controller = RateController::new(ControllerConfig {
-        capacity_tps: 1_000_000.0,
-        smoothing: 0.5,
-        hysteresis: 0.15,
-        min_p: 1e-3,
-        grid: RateGrid::default(),
-    })
-    .unwrap();
-    let mut shedder = EpochShedder::new(&schema, 1.0, rng.random()).unwrap();
-    let mut exact = ExactAggregator::new();
-    let gen = ZipfGenerator::new(5_000, 0.6);
-    for (rate, batches) in [(5e5, 5), (2e7, 5), (5e5, 5)] {
-        for _ in 0..batches {
-            let batch = gen.relation(100_000, &mut rng);
-            let p = controller.observe_batch(rate as u64, 1.0);
-            shedder.set_probability(p).unwrap();
-            for &k in &batch {
-                shedder.observe(k);
-                exact.update(k, 1);
-            }
-        }
-    }
-    assert!(
-        shedder.epoch_count() >= 2,
-        "the burst must open a new epoch"
-    );
-    let est = shedder.self_join().unwrap();
-    let truth = exact.self_join();
-    assert!(
-        (est - truth).abs() / truth < 0.1,
-        "est = {est}, truth = {truth}"
-    );
-}
-
-/// The planner's recommended sketch size actually delivers its target on a
-/// real (simulated) run.
-#[test]
-fn planner_sizes_a_real_sketch_correctly() {
-    let mut rng = StdRng::seed_from_u64(4);
-    let profile = FrequencyVector::from_counts(vec![50u32; 2_000]);
-    let scheme = Bernoulli::new(0.2).unwrap();
-    let target = 0.08;
-    let n = planning::averages_for_error(&scheme, &profile, target)
-        .unwrap()
-        .expect("achievable");
-    // Build exactly the recommended sketch and measure over repetitions.
-    let truth = profile.self_join();
-    let reps = 60;
-    let mut sq_err = 0.0;
-    for _ in 0..reps {
-        let schema = JoinSchema::fagms(1, n, &mut rng);
-        let mut shed =
-            sketch_sampled_streams::core::Sampled::new(schema.sketch(), 0.2, &mut rng).unwrap();
-        for key in 0..2_000u64 {
-            for _ in 0..50 {
-                shed.observe(key);
-            }
-        }
-        let rel = (shed.self_join() - truth) / truth;
-        sq_err += rel * rel;
-    }
-    let rmse = (sq_err / reps as f64).sqrt();
-    // F-AGMS beats the AGMS-based bound in practice; allow 1.5× slack for
-    // measurement noise, but the planner must be in the right regime.
-    assert!(
-        rmse < 1.5 * target,
-        "planned n = {n}: rmse {rmse} vs target {target}"
-    );
 }

@@ -1147,3 +1147,65 @@ fn a_summary_panic_on_either_applying_thread_kills_only_its_shard() {
         }
     }
 }
+
+/// A join sketch whose batched update sleeps 1 ms, so a depth-1 ring fills
+/// behind it.
+#[derive(Clone)]
+struct Sluggish(JoinSketch);
+
+impl Summary for Sluggish {
+    fn update(&mut self, key: u64, count: i64) {
+        self.0.update(key, count);
+    }
+
+    fn update_batch(&mut self, keys: &[u64]) {
+        std::thread::sleep(Duration::from_millis(1));
+        self.0.update_batch(keys);
+    }
+
+    fn merge_from(&mut self, other: &Self) -> sketch_sampled_streams::core::Result<()> {
+        self.0.merge_from(&other.0)
+    }
+}
+
+/// Backpressure on the blocking path. A depth-1 runtime behind a summary
+/// that sleeps per batch, at 1 and 2 shards under both partitions, fed
+/// through `push` and through `loan_batch_buf` + `push_loaned`: no shard
+/// ever holds more than `queue_depth + 1` batches, every offered tuple is
+/// applied, and the merge is the sequential sketch bit for bit.
+#[test]
+fn a_saturated_depth_one_runtime_blocks_and_keeps_every_tuple() {
+    let schema = JoinSchema::fagms(1, 256, &mut StdRng::seed_from_u64(37));
+    let keys: Vec<u64> = (0..12_000u64).map(|i| splitmix64(i) % 1_000).collect();
+    let expect = sequential(&schema, &keys).raw_self_join().to_bits();
+    for shards in [1, 2] {
+        for partition in [Partition::RoundRobin, Partition::Hash] {
+            for loaned in [false, true] {
+                let case = format!("{shards} shards, {partition:?}, loaned {loaned}");
+                let config = RuntimeConfig {
+                    shards,
+                    queue_depth: 1,
+                    partition,
+                };
+                let mut rt = ShardedRuntime::new(config, &Sluggish(schema.sketch())).unwrap();
+                for batch in keys.chunks(200) {
+                    if loaned {
+                        let mut buf = rt.loan_batch_buf(batch.len());
+                        buf.extend_from_slice(batch);
+                        rt.push_loaned(buf).unwrap();
+                    } else {
+                        rt.push(batch).unwrap();
+                    }
+                }
+                assert!(
+                    rt.queue_high_water() <= rt.queue_depth() + 1,
+                    "{case}: high-water {}",
+                    rt.queue_high_water()
+                );
+                let merged = rt.merged().unwrap();
+                assert_eq!(rt.tuples_ingested(), keys.len() as u64, "{case}");
+                assert_eq!(merged.0.raw_self_join().to_bits(), expect, "{case}");
+            }
+        }
+    }
+}
