@@ -244,20 +244,29 @@ impl Summary for MultiSummary {
     }
 
     fn merge_from(&mut self, other: &Self) -> Result<()> {
-        // The fingerprint is the parts' merge conditions (schema identity
-        // and geometry, capacity, precision and seed, `k`), chained.
-        if Portable::fingerprint(self) != Portable::fingerprint(other) {
-            return Err(sss_sketch::Error::SchemaMismatch.into());
-        }
-        let offered = (self.heavy.items_offered()).checked_add(other.heavy.items_offered());
-        let ranked = self.quantiles.len().checked_add(other.quantiles.len());
-        if offered.and(ranked).is_none() {
-            return Err(sss_sketch::Error::WeightOverflow.into());
-        }
+        self.check_merge(other)?;
         self.join.merge_from(&other.join)?;
         self.heavy.merge_from(&other.heavy)?;
         self.distinct.merge_from(&other.distinct)?;
         self.quantiles.merge_from(&other.quantiles)
+    }
+
+    /// The join counters and HLL registers are copied (`0 + c = c`,
+    /// `max(0, r) = r`); Misra–Gries and KLL merge into the zero's empty
+    /// parts as [`merge_from`](Summary::merge_from) would, compaction
+    /// included.
+    fn merged_into(&self, zero: &Self) -> Result<Self> {
+        zero.check_merge(self)?;
+        let mut heavy = zero.heavy.clone();
+        let mut quantiles = zero.quantiles.clone();
+        heavy.merge_from(&self.heavy)?;
+        quantiles.merge_from(&self.quantiles)?;
+        Ok(Self {
+            join: self.join.clone(),
+            heavy,
+            distinct: self.distinct.clone(),
+            quantiles,
+        })
     }
 }
 
@@ -308,6 +317,21 @@ impl TopKQuery for MultiSummary {
 }
 
 impl MultiSummary {
+    /// Whatever a part could refuse to merge `other` into `self`.
+    fn check_merge(&self, other: &Self) -> Result<()> {
+        // The fingerprint is the parts' merge conditions (schema identity
+        // and geometry, capacity, precision and seed, `k`), chained.
+        if Portable::fingerprint(self) != Portable::fingerprint(other) {
+            return Err(sss_sketch::Error::SchemaMismatch.into());
+        }
+        let offered = (self.heavy.items_offered()).checked_add(other.heavy.items_offered());
+        let ranked = self.quantiles.len().checked_add(other.quantiles.len());
+        if offered.and(ranked).is_none() {
+            return Err(sss_sketch::Error::WeightOverflow.into());
+        }
+        Ok(())
+    }
+
     /// [`TopKQuery::frequency_variance`] given the join sketch's own `F₂`,
     /// for a caller that has already read it.
     pub(crate) fn frequency_variance_at(&self, f2: f64) -> f64 {

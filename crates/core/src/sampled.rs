@@ -320,6 +320,22 @@ impl<S: Summary> Summary for Sampled<S> {
         self.kept += other.kept;
         Ok(())
     }
+
+    /// The inner summary's [`merged_into`](Summary::merged_into); `p`, the
+    /// seed and the door are the zero's, as a merge into it keeps them.
+    fn merged_into(&self, zero: &Self) -> Result<Self> {
+        if zero.p != self.p {
+            return Err(Error::IncompatibleEstimators);
+        }
+        Ok(Self {
+            summary: self.summary.merged_into(&zero.summary)?,
+            door: zero.door.clone(),
+            p: zero.p,
+            seed: zero.seed,
+            seen: zero.seen + self.seen,
+            kept: zero.kept + self.kept,
+        })
+    }
 }
 
 impl<S: Summary + JoinQuery> Sampled<S> {

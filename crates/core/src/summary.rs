@@ -108,7 +108,8 @@
 //!   for the linear sketches, guarantee-preserving for the (order-lossy)
 //!   heavy-hitter/quantile summaries — so a sharded runtime can partition
 //!   tuples arbitrarily, and its snapshot cache can rebuild a merged view
-//!   by re-merging per-shard clones in shard order.
+//!   by folding the live shard states in shard order, the first through
+//!   [`merged_into`](Summary::merged_into).
 //!
 //! Why bit-identity is load-bearing: every pre-redesign query path
 //! (scalar vs typed, scalar vs batched, merged vs single-stream) is pinned
@@ -154,6 +155,20 @@ pub trait Summary: Clone + Send + Sync + 'static {
     /// Schema mismatch (different random seeds, or structurally
     /// incompatible summaries) — merged state would be meaningless.
     fn merge_from(&mut self, other: &Self) -> Result<()>;
+
+    /// `zero ⊕ self`, bit for bit, where `zero` is an empty summary of the
+    /// same schema (a sharded runtime's prototype): the fold of shard
+    /// states starts here, so a summary whose merge into an empty one is a
+    /// copy pays for one copy, not a copy and an add.
+    ///
+    /// # Errors
+    ///
+    /// As for [`merge_from`](Summary::merge_from).
+    fn merged_into(&self, zero: &Self) -> Result<Self> {
+        let mut merged = zero.clone();
+        merged.merge_from(self)?;
+        Ok(merged)
+    }
 
     /// The copy shard `shard` of a sharded runtime starts from: a clone,
     /// except where a summary carries private randomness that shards must
@@ -561,6 +576,14 @@ impl Summary for JoinSketch {
 
     fn merge_from(&mut self, other: &Self) -> Result<()> {
         self.merge(other)
+    }
+
+    /// A copy: the counters of an empty sketch are zeros, and `0 + c = c`.
+    fn merged_into(&self, zero: &Self) -> Result<Self> {
+        if Portable::fingerprint(self) != Portable::fingerprint(zero) {
+            return Err(sss_sketch::Error::SchemaMismatch.into());
+        }
+        Ok(self.clone())
     }
 }
 

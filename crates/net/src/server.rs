@@ -47,6 +47,7 @@ use sss_core::{MultiSpec, MultiSummary, Portable, QuantileQuery};
 use sss_stream::runtime::RuntimeConfig;
 use sss_stream::{QueryHandle, ReadReplica, ShardedRuntime};
 use std::collections::HashMap;
+use std::fmt::{self, Write as _};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -768,25 +769,31 @@ impl Plane for Queries {
     }
 }
 
-/// Render a finite float as a JSON number, a non-finite one as `null`
+/// A float rendered as a JSON number when finite and as `null` when not
 /// (the sibling `*_bits` field always carries the exact IEEE-754
-/// pattern).
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
+/// pattern), written straight into the line.
+struct JsonNum(f64);
+
+impl fmt::Display for JsonNum {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.0.is_finite() {
+            write!(f, "{}", self.0)
+        } else {
+            f.write_str("null")
+        }
     }
 }
 
 /// Append `"name":value,"name_bits":bits` for an exact-round-trip
 /// float field.
 fn push_f64_field(out: &mut String, name: &str, value: f64) {
-    out.push_str(&format!(
+    // Writing into a `String` cannot fail.
+    let _ = write!(
+        out,
         "\"{name}\":{},\"{name}_bits\":{}",
-        json_num(value),
+        JsonNum(value),
         value.to_bits()
-    ));
+    );
 }
 
 /// Answer one query-plane request line.
@@ -835,7 +842,7 @@ fn answer_query(
                 .and_then(|_| {
                     let (value, (lo, hi)) = replica.slim().quantile_with_bounds(q)?;
                     let mut out = String::from("{\"ok\":true,\"cmd\":\"quantile\",");
-                    out.push_str(&format!("\"q\":{},", json_num(q)));
+                    let _ = write!(out, "\"q\":{},", JsonNum(q));
                     push_f64_field(&mut out, "value", value);
                     out.push(',');
                     push_f64_field(&mut out, "lo", lo);
@@ -856,7 +863,7 @@ fn answer_query(
                         if i > 0 {
                             out.push(',');
                         }
-                        out.push_str(&format!("{{\"key\":{key},"));
+                        let _ = write!(out, "{{\"key\":{key},");
                         push_f64_field(&mut out, "value", est.value);
                         push_intervals(&mut out, est, req.confidence);
                         out.push('}');
@@ -880,7 +887,7 @@ fn answer_query(
                  \"cache_hits\":{},\"cache_rebuilds\":{},\"kernels\":\"{}\"}}",
                 stats.tuples_ingested(),
                 stats.batches_ingested(),
-                json_num(stats.tuples_per_sec()),
+                JsonNum(stats.tuples_per_sec()),
                 stats.protocol_errors(),
                 stats.connections_accepted(),
                 stats.connections_open(),
@@ -917,11 +924,56 @@ fn error_line(message: &str) -> String {
 fn push_intervals(out: &mut String, est: &sss_core::Estimate, confidence: Option<f64>) {
     let Some(level) = confidence else { return };
     if let (Ok(cheb), Ok(clt)) = (est.chebyshev(level), est.clt(level)) {
-        out.push_str(&format!(
+        let _ = write!(
+            out,
             ",\"confidence\":{},\"half_width_chebyshev\":{},\"half_width_clt\":{}",
-            json_num(level),
-            json_num(cheb.half_width()),
-            json_num(clt.half_width())
-        ));
+            JsonNum(level),
+            JsonNum(cheb.half_width()),
+            JsonNum(clt.half_width())
+        );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A field renders as `format!` of the float did before it was written
+    /// in place: Rust's shortest round-trip digits for a finite value
+    /// (`-0` for negative zero), `null` for NaN and both infinities, and
+    /// the exact bits beside it.
+    #[test]
+    fn float_fields_render_in_place_as_before() {
+        let cases: [(f64, &str); 8] = [
+            (0.5, "0.5"),
+            (4268950.0, "4268950"),
+            (10098.948861726185, "10098.948861726185"),
+            (1e-7, "0.0000001"),
+            (-0.0, "-0"),
+            (f64::NAN, "null"),
+            (f64::INFINITY, "null"),
+            (f64::NEG_INFINITY, "null"),
+        ];
+        for (value, text) in cases {
+            let mut out = String::from("{");
+            push_f64_field(&mut out, "value", value);
+            assert_eq!(
+                out,
+                format!("{{\"value\":{text},\"value_bits\":{}", value.to_bits()),
+                "{value:?}"
+            );
+        }
+        let est = sss_core::Estimate {
+            value: 100.0,
+            variance: 16.0,
+            basics: Vec::new(),
+        };
+        let clt = est.clt(0.75).unwrap().half_width();
+        let mut out = String::new();
+        push_intervals(&mut out, &est, Some(0.75));
+        assert_eq!(
+            out,
+            format!(",\"confidence\":0.75,\"half_width_chebyshev\":8,\"half_width_clt\":{clt}")
+        );
     }
 }

@@ -15,17 +15,21 @@
 //!   floor; a shard whose stamp is below its floor is *dirty*.
 //! * **Nothing dirty:** the cached merged result is served as it is —
 //!   no merge work, independent of the shard count.
-//! * **Otherwise:** the runtime merges every shard's live state again, in
-//!   shard order, into one copy of the prototype (`stream.merged_dirty_us`)
-//!   and installs it with the new stamps. Only `merge_from` is asked of
-//!   the summary, so linear sketches, HyperLogLog and KLL all take the
-//!   same path, and the result *is* a from-scratch merge of the current
-//!   shard states — there is nothing to drift.
+//! * **Otherwise:** the runtime folds every shard's live state again, in
+//!   shard order, into the prototype (`stream.merged_dirty_us`) and
+//!   installs the result with the new stamps. The first live shard enters
+//!   through [`merged_into`](sss_core::Summary::merged_into), which is one
+//!   copy of its state where the summary can copy (the join counters, the
+//!   HyperLogLog registers), the rest through `merge_from`, so linear
+//!   sketches, HyperLogLog and KLL all take the same path, and the result
+//!   *is* a from-scratch merge of the current shard states — there is
+//!   nothing to drift.
 //!
 //! Either way the cache *lends* the merged result, which it keeps behind
-//! an [`Arc`]. `merged()` copies it once for its caller — O(sketch bytes),
-//! the ledger's `stream.merged_clean_us` — and a replica frame holds the
-//! same `Arc` and projects from it per query family
+//! an [`Arc`]. `merged()` hands its caller that `Arc` — a clean query
+//! copies nothing, and the ledger's `stream.merged_clean_us` times a
+//! pointer bump — and a replica frame holds the same `Arc` and projects
+//! from it per query family
 //! ([`SlimQuery::frame`](sss_core::SlimQuery::frame)), so a refresh copies
 //! no merged result at all.
 //!

@@ -31,7 +31,7 @@ fn readme_one_pass_engine_answers_every_family() -> Result<(), sketch_sampled_st
     for batch in batches {
         runtime.push(batch)?; // blocks while a shard's ring is full
     }
-    let all = runtime.merged()?; // one merge answers every family
+    let all = runtime.merged()?; // one merge answers every family, lent as an `Arc`
     let f2 = all.self_join_estimate(); // F₂ with error bars
     let d = all.distinct_estimate(); // F₀
     let (median, (lo, hi)) = all.quantile_with_bounds(0.5)?; // value and rank envelope

@@ -8,11 +8,21 @@
 //! compactor (KLL). Neither merge has an inverse, which is why the
 //! snapshot cache rebuilds a merged view from the live shards and never
 //! patches one: the last two tests run that through the runtime.
+//!
+//! That rebuild starts from the first live shard's `merged_into` the
+//! prototype, which must be the merge into it bit for bit:
+//! `merged_into_is_a_merge_into_the_zero` holds it for the summaries that
+//! override it.
 
 use proptest::prelude::*;
-use sketch_sampled_streams::core::{DistinctQuery, Portable, QuantileQuery, Summary};
-use sketch_sampled_streams::sketch::{HyperLogLog, KllSketch};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use sketch_sampled_streams::core::{
+    DistinctQuery, JoinSchema, MultiSpec, Portable, QuantileQuery, Sampled, Summary,
+};
+use sketch_sampled_streams::sketch::{HyperLogLog, KllSketch, MisraGries};
 use sketch_sampled_streams::stream::{RuntimeConfig, ShardedRuntime};
+use sketch_sampled_streams::xi::splitmix64;
 
 #[path = "support/kll_levels.rs"]
 mod kll_levels;
@@ -179,6 +189,100 @@ proptest! {
             }
         }
     }
+}
+
+/// A feed's length: empty, ending on a Misra–Gries chunk boundary, or
+/// ending mid-chunk.
+fn feed_len() -> impl Strategy<Value = usize> {
+    let chunk = MisraGries::CHUNK;
+    (0..3u8, 1..4usize, 1..4 * chunk).prop_map(move |(kind, chunks, len)| match kind {
+        0 => 0,
+        1 => chunks * chunk,
+        _ => len,
+    })
+}
+
+/// `zero ⊕ x` the long way: a copy of the zero, then a merge into it.
+fn merged_by_hand<S: Summary>(x: &S, zero: &S) -> S {
+    let mut merged = zero.clone();
+    merged.merge_from(x).unwrap();
+    merged
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// `x.merged_into(&zero)` is `zero.clone()` then `merge_from(&x)`:
+    /// byte for byte through `encode()` for the join sketch (both
+    /// backends) and the composite, whose Misra–Gries part may have just
+    /// compacted; field for field, and the inner summary's bytes, for the
+    /// sampled composite, whose shard copy draws other coins than the
+    /// zero it merges into.
+    #[test]
+    fn merged_into_is_a_merge_into_the_zero(
+        len in feed_len(),
+        domain in 1..5_000u64,
+        seed in any::<u64>(),
+    ) {
+        let keys: Vec<u64> = (0..len as u64)
+            .map(|i| splitmix64(seed ^ i) % domain)
+            .collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        for schema in [JoinSchema::fagms(3, 256, &mut rng), JoinSchema::agms(64, &mut rng)] {
+            let zero = schema.sketch();
+            let mut x = zero.clone();
+            x.update_batch(&keys);
+            prop_assert_eq!(
+                x.merged_into(&zero).unwrap().encode().unwrap(),
+                merged_by_hand(&x, &zero).encode().unwrap()
+            );
+        }
+
+        let spec = MultiSpec::new(JoinSchema::fagms(3, 256, &mut rng), &mut rng).top_k(16);
+        let zero = spec.summary().unwrap();
+        let mut x = zero.clone();
+        x.update_batch(&keys);
+        prop_assert_eq!(
+            x.merged_into(&zero).unwrap().encode().unwrap(),
+            merged_by_hand(&x, &zero).encode().unwrap()
+        );
+
+        let zero = spec.sampled(0.25, &mut rng).unwrap();
+        let mut x = zero.for_shard(1);
+        // The kept keys as a door would hand them over, out of 4× as many
+        // offered tuples.
+        x.update_admitted(&keys, 4 * keys.len() as u64);
+        let (fast, slow) = (x.merged_into(&zero).unwrap(), merged_by_hand(&x, &zero));
+        prop_assert_eq!(format!("{fast:?}"), format!("{slow:?}"));
+        prop_assert_eq!((fast.seen(), fast.kept()), (slow.seen(), slow.kept()));
+        prop_assert_eq!(
+            fast.summary().encode().unwrap(),
+            slow.summary().encode().unwrap()
+        );
+    }
+}
+
+/// `merged_into` refuses what `merge_from` refuses: another schema, another
+/// spec, another sampling rate.
+#[test]
+fn merged_into_refuses_what_a_merge_refuses() {
+    let mut rng = StdRng::seed_from_u64(5);
+    let fagms = JoinSchema::fagms(2, 64, &mut rng).sketch();
+    let agms = JoinSchema::agms(64, &mut rng).sketch();
+    let other_fagms = JoinSchema::fagms(2, 64, &mut rng).sketch();
+    assert!(fagms.merged_into(&agms).is_err());
+    assert!(fagms.merged_into(&other_fagms).is_err());
+
+    let spec = MultiSpec::new(JoinSchema::fagms(2, 64, &mut rng), &mut rng);
+    let multi = spec.summary().unwrap();
+    assert!(multi
+        .merged_into(&spec.clone().top_k(8).summary().unwrap())
+        .is_err());
+
+    let sampled = spec.sampled(0.5, &mut rng).unwrap();
+    let other_rate = Sampled::new(spec.summary().unwrap(), 0.25, &mut rng).unwrap();
+    assert!(sampled.merged_into(&other_rate).is_err());
+    assert!(sampled.merged_into(&sampled).is_ok());
 }
 
 /// Rebuilds stay exact for non-linear summaries: with a HyperLogLog
