@@ -8,13 +8,17 @@
 //! fed by `push` in 512-tuple batches, whose producer tosses the coins
 //! before the ring so only kept keys cross it. Pushes are asynchronous;
 //! behind a bounded ring the loop runs at the slower of producer and
-//! worker, which is the rate a source sees.
+//! worker, which is the rate a source sees. The `door/admit` lines time the
+//! door alone: each iteration offers the stream in 4096-key slices to
+//! `Door::admit`, so `1e9 / elements_per_sec` is its cost per offered
+//! tuple, and that times `1/p` its cost per kept key.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sss_core::sketch::JoinSchema;
 use sss_core::Sampled;
+use sss_sampling::Door;
 use sss_stream::{RuntimeConfig, ShardedRuntime};
 use std::hint::black_box;
 
@@ -30,6 +34,20 @@ fn benches(c: &mut Criterion) {
     let agms = JoinSchema::agms(64, &mut rng);
     // The cheap-update backend of the paper's experiments.
     let fagms = JoinSchema::fagms(1, 5000, &mut rng);
+
+    for p in [0.1, 0.01] {
+        group.bench_function(BenchmarkId::new("door/admit", p), |b| {
+            let mut door = Door::new(p, 7).expect("valid probability");
+            let mut kept = Vec::with_capacity(4096);
+            b.iter(|| {
+                for slice in keys.chunks(4096) {
+                    kept.clear();
+                    door.admit(black_box(slice), &mut kept);
+                }
+                black_box(kept.len())
+            })
+        });
+    }
 
     for (name, schema) in [("agms64", &agms), ("fagms5000", &fagms)] {
         group.bench_function(BenchmarkId::new(format!("{name}/full"), 1.0), |b| {

@@ -14,6 +14,7 @@
 
 use crate::error::{Error, Result};
 use rand::{Rng, RngCore, SeedableRng};
+use sss_xi::kernels::{self, Dispatch, GAP_LANES};
 use sss_xi::{splitmix64, GOLDEN_GAMMA};
 
 /// Per-tuple coin-flip Bernoulli sampler.
@@ -170,21 +171,17 @@ impl<R: Rng> GeometricSkip<R> {
         self.p
     }
 
-    /// The number of tuples to skip before the next kept tuple.
+    /// The number of tuples to skip before the next kept tuple: one draw,
+    /// `(ln(1 − U) / ln(1 − p)) as u64` for the `U` that `rand` makes of
+    /// the next word ([`kernels::geometric_gap`]). `1 − U ∈ (0, 1]`, so the
+    /// quotient is `≥ 0` (`−0.0` at `U = 0`), and the saturating cast is
+    /// its floor, or `u64::MAX` for a quotient `≥ 2⁶⁴`.
     #[inline]
     pub fn next_gap(&mut self) -> u64 {
         if self.p >= 1.0 {
             return 0;
         }
-        // U ∈ (0, 1]; ln U ≤ 0; log_q < 0 — the ratio is the geometric draw.
-        let u: f64 = 1.0 - self.rng.random::<f64>();
-        let g = (u.ln() / self.log_q).floor();
-        // Guard against numeric overflow for astronomically unlikely draws.
-        if g >= u64::MAX as f64 {
-            u64::MAX
-        } else {
-            g as u64
-        }
+        kernels::geometric_gap(self.rng.next_u64(), self.log_q)
     }
 
     /// Iterator over the (0-based) positions of kept tuples in an infinite
@@ -213,8 +210,14 @@ impl<R: Rng> GeometricSkip<R> {
 /// Every method walks the same gaps in the same order, one draw per kept
 /// tuple, so the kept positions do not depend on how the stream is cut
 /// into slices or which method offers each slice; a slice costs work per
-/// *kept* key. The state is a few plain words: a copy taken before a
-/// slice and put back after undoes the slice.
+/// *kept* key. [`keep`](Door::keep) draws one gap at a time with
+/// [`GeometricSkip::next_gap`]. [`admit`](Door::admit) and
+/// [`retain`](Door::retain) draw [`GAP_LANES`] at a time with
+/// [`kernels::geometric_gaps`], which equals those draws bit for bit, and
+/// at the end of the slice rewind the counter over the draws they did not
+/// use. The state is two plain words, the counter and the pending gap
+/// (plus the rate): a copy taken before a slice and put back after undoes
+/// the slice.
 #[derive(Debug, Clone)]
 pub struct Door {
     skip: GeometricSkip<CounterRng>,
@@ -248,32 +251,57 @@ impl Door {
             out.extend_from_slice(keys);
             return;
         }
-        self.walk(keys.len(), |pos| out.push(keys[pos]));
+        self.walk(keys.len(), |at| out.extend(at.iter().map(|&pos| keys[pos])));
     }
 
     /// Offer the keys in `buf` and compact it, in place, to the kept ones.
     pub fn retain(&mut self, buf: &mut Vec<u64>) {
+        if self.skip.probability() >= 1.0 {
+            return;
+        }
         let mut kept = 0;
-        self.walk(buf.len(), |pos| {
-            buf[kept] = buf[pos];
-            kept += 1;
+        self.walk(buf.len(), |at| {
+            for &pos in at {
+                buf[kept] = buf[pos];
+                kept += 1;
+            }
         });
         buf.truncate(kept);
     }
 
-    /// Hand `keep` each kept position of the next `n` offered tuples,
-    /// jumping the skipped ones.
+    /// Hand `keep` the kept positions of the next `n` offered tuples, a
+    /// block at a time, jumping the skipped ones. Gaps come [`GAP_LANES`]
+    /// per kernel call; the counter ends just past the last gap used, as if
+    /// each had been drawn alone. Only for `p < 1`, whose gaps are draws.
     #[inline]
-    fn walk(&mut self, n: usize, mut keep: impl FnMut(usize)) {
+    fn walk(&mut self, n: usize, mut keep: impl FnMut(&[usize])) {
         let n = n as u64;
-        let mut pos = 0u64;
-        while self.gap < n - pos {
-            pos += self.gap;
-            keep(pos as usize);
-            pos += 1;
-            self.gap = self.skip.next_gap();
+        if self.gap >= n {
+            self.gap -= n;
+            return;
         }
-        self.gap -= n - pos;
+        let d = Dispatch::get();
+        let mut state = self.skip.rng.state;
+        let mut gaps = [0u64; GAP_LANES];
+        let mut kept = [0usize; GAP_LANES];
+        let mut pos = self.gap;
+        loop {
+            kernels::geometric_gaps(d, state, self.skip.log_q, &mut gaps);
+            for (j, &gap) in gaps.iter().enumerate() {
+                kept[j] = pos as usize;
+                let rest = n - pos - 1;
+                if gap >= rest {
+                    keep(&kept[..=j]);
+                    self.gap = gap - rest;
+                    let used = j as u64 + 1;
+                    self.skip.rng.state = state.wrapping_add(used.wrapping_mul(GOLDEN_GAMMA));
+                    return;
+                }
+                pos += gap + 1;
+            }
+            keep(&kept);
+            state = state.wrapping_add((GAP_LANES as u64).wrapping_mul(GOLDEN_GAMMA));
+        }
     }
 }
 
@@ -427,35 +455,112 @@ mod tests {
     }
 
     /// `keep`, `admit` and `retain` walk one gap sequence: however the
-    /// stream is cut and whichever method offers each slice, the kept keys
-    /// are those of the per-tuple loop.
+    /// stream is cut and whichever methods offer the slices, in every
+    /// order of the three, the kept keys are those of the per-tuple loop.
+    /// The cuts straddle the kernel's 16-gap blocks; the stream is long
+    /// enough at every rate for gaps to carry across many slices.
     #[test]
     fn door_methods_agree_across_any_cut() {
-        let keys: Vec<u64> = (0..5_000u64).map(|i| i * 7 + 1).collect();
-        for p in [1.0, 0.3, 0.01] {
+        const CUTS: [usize; 9] = [0, 1, 7, 8, 9, 15, 16, 17, 4095];
+        for p in [1.0f64, 0.5, 0.3, 0.1, 0.01, 1e-3, 1e-6] {
+            let n = (40.0 / p).clamp(20_000.0, 3_000_000.0) as u64;
+            let keys: Vec<u64> = (0..n).map(|i| i * 7 + 1).collect();
             let mut one = Door::new(p, 9).unwrap();
             let expect: Vec<u64> = keys.iter().copied().filter(|_| one.keep()).collect();
-            let mut door = Door::new(p, 9).unwrap();
-            let mut kept = Vec::new();
-            let mut rest = keys.as_slice();
-            for (i, size) in [0usize, 1, 7, 0, 255, 256, 1000].iter().cycle().enumerate() {
-                if rest.is_empty() {
-                    break;
-                }
-                let (slice, tail) = rest.split_at((*size).min(rest.len()));
-                match i % 3 {
-                    0 => door.admit(slice, &mut kept),
-                    1 => {
-                        let mut buf = slice.to_vec();
-                        door.retain(&mut buf);
-                        kept.extend(buf);
+            for mix in 0..27 {
+                let order = [mix % 3, mix / 3 % 3, mix / 9];
+                let mut door = Door::new(p, 9).unwrap();
+                let mut kept = Vec::new();
+                let mut rest = keys.as_slice();
+                for i in 0.. {
+                    if rest.is_empty() {
+                        break;
                     }
-                    _ => kept.extend(slice.iter().copied().filter(|_| door.keep())),
+                    let (slice, tail) = rest.split_at(CUTS[i % 9].min(rest.len()));
+                    // i / 9 shifts the order each round, so every method
+                    // meets every cut length.
+                    match order[(i + i / 9) % 3] {
+                        0 => door.admit(slice, &mut kept),
+                        1 => {
+                            let mut buf = slice.to_vec();
+                            door.retain(&mut buf);
+                            kept.extend(buf);
+                        }
+                        _ => kept.extend(slice.iter().copied().filter(|_| door.keep())),
+                    }
+                    rest = tail;
                 }
-                rest = tail;
+                assert_eq!(kept, expect, "p = {p}, order {order:?}");
             }
-            assert_eq!(kept, expect, "p = {p}");
         }
+    }
+
+    /// Replays fixed words as a generator.
+    struct Words(Vec<u64>);
+
+    impl RngCore for Words {
+        fn next_u64(&mut self) -> u64 {
+            self.0.pop().expect("a word per draw")
+        }
+    }
+
+    /// The gap as it was computed before the saturating cast replaced the
+    /// explicit floor and overflow guard.
+    fn floor_gap(r: u64, log_q: f64) -> u64 {
+        let u = 1.0 - (r >> 11) as f64 / (1u64 << 53) as f64;
+        let g = (u.ln() / log_q).floor();
+        if g >= u64::MAX as f64 {
+            u64::MAX
+        } else {
+            g as u64
+        }
+    }
+
+    /// `next_gap`'s saturating cast equals the floor-and-guard form on the
+    /// draws where they could differ: `U = 0` (quotient `−0.0`),
+    /// `U = 1 − 2⁻⁵³` (the longest gap), quotients within `10⁻¹²` of an
+    /// integer, and quotients past `2⁶⁴` (`p = 10⁻³⁰⁰`).
+    #[test]
+    fn next_gap_edge_draws() {
+        let mut words = vec![0, u64::MAX, 1 << 11, (1 << 11) - 1];
+        let mut near_integer = 0;
+        for p in [0.5f64, 0.3, 0.1, 0.01, 1e-6, 1e-300] {
+            let log_q = (-p).ln_1p();
+            // The words whose quotients straddle each integer gap n.
+            let mut cases = words.clone();
+            for n in [1u32, 2, 3, 5, 10, 52, 53, 100, 1000, 1 << 20] {
+                let u = (f64::from(n) * log_q).exp();
+                if u < 1e-15 {
+                    continue;
+                }
+                let k = ((1.0 - u) * (1u64 << 53) as f64).round() as u64;
+                for k in k.saturating_sub(3)..=(k + 3).min((1 << 53) - 1) {
+                    let r = k << 11;
+                    let q = (1.0 - k as f64 / (1u64 << 53) as f64).ln() / log_q;
+                    near_integer += ((q - q.round()).abs() < 1e-12) as u32;
+                    cases.push(r);
+                }
+            }
+            let mut skip = GeometricSkip::with_rng(p, Words(cases.clone())).unwrap();
+            for &r in cases.iter().rev() {
+                let gap = skip.next_gap();
+                assert_eq!(gap, floor_gap(r, log_q), "p = {p}, r = {r:#x}");
+                assert_eq!(gap, kernels::geometric_gap(r, log_q));
+                if r >> 11 == 0 {
+                    assert_eq!(gap, 0, "U = 0 keeps the next tuple");
+                } else if p == 1e-300 {
+                    assert_eq!(gap, u64::MAX, "the quotient saturates");
+                }
+            }
+            words.push(splitmix64(p.to_bits()));
+        }
+        assert!(
+            near_integer >= 10,
+            "{near_integer} quotients near an integer"
+        );
+        // U = 1 − 2⁻⁵³ at p = ½: ln 2⁻⁵³ / ln ½ rounds to exactly 53.
+        let mut skip = GeometricSkip::with_rng(0.5, Words(vec![u64::MAX])).unwrap();
+        assert_eq!(skip.next_gap(), 53);
     }
 
     #[test]

@@ -1262,6 +1262,7 @@ mod tests {
     use rand::SeedableRng;
     use sss_core::sketch::{JoinSchema, JoinSketch};
     use std::sync::atomic::AtomicBool;
+    use std::sync::Barrier;
     use std::time::Duration;
 
     fn stream() -> Vec<u64> {
@@ -1501,12 +1502,15 @@ mod tests {
         assert!((est - 2e7).abs() / 2e7 < 0.15, "est = {est}");
     }
 
-    /// An estimator that sleeps per batch: deterministically saturates
-    /// tiny rings.
+    /// An estimator that sleeps per batch, and holds its first batch until
+    /// the test has met it twice at `gate`: the worker is then inside the
+    /// apply with its ring empty, and stays there while the test fills it.
     #[derive(Clone)]
     struct SlowSketch {
         inner: JoinSketch,
         delay: Duration,
+        armed: Arc<AtomicBool>,
+        gate: Arc<Barrier>,
     }
 
     impl Summary for SlowSketch {
@@ -1514,6 +1518,10 @@ mod tests {
             self.inner.update(key, count);
         }
         fn update_batch(&mut self, keys: &[u64]) {
+            if self.armed.swap(false, Ordering::SeqCst) {
+                self.gate.wait(); // the worker holds the batch it popped
+                self.gate.wait(); // the test has filled the ring
+            }
             std::thread::sleep(self.delay);
             self.inner.update_batch(keys);
         }
@@ -1542,6 +1550,8 @@ mod tests {
         let proto = SlowSketch {
             inner: schema.sketch(),
             delay: Duration::from_millis(2),
+            armed: Arc::new(AtomicBool::new(true)),
+            gate: Arc::new(Barrier::new(2)),
         };
         let config = RuntimeConfig {
             shards: 1,
@@ -1550,16 +1560,26 @@ mod tests {
         };
         let mut rt = ShardedRuntime::new(config, &proto).unwrap();
         let batch: Vec<u64> = (0..64u64).collect();
-        // The worker sleeps 2 ms per batch: pushing back-to-back fills the
-        // depth-1 ring behind the batch in flight, and each push waits.
-        for _ in 0..40 {
+        // The worker holds batch 1; batch 2 fills the depth-1 ring behind
+        // it, with no race: the worker cannot pop it until the gate opens.
+        rt.push(&batch).unwrap();
+        proto.gate.wait();
+        rt.push(&batch).unwrap();
+        let behind = rt.queue_occupancy();
+        // Open the gate before asserting, so a failure does not leave the
+        // worker waiting at it.
+        proto.gate.wait();
+        assert_eq!(
+            behind,
+            rt.queue_depth(),
+            "the data ring is full behind the batch in flight"
+        );
+        // The worker sleeps 2 ms per batch: pushing back-to-back keeps the
+        // ring full, and each push waits.
+        for _ in 2..40 {
             rt.push(&batch).unwrap();
         }
-        assert_eq!(
-            rt.queue_high_water(),
-            rt.queue_depth() + 1,
-            "the data ring did saturate"
-        );
+        assert!(rt.queue_high_water() <= rt.queue_depth() + 1);
         // A query behind the full data ring: answered, not stuck, covering
         // exactly the accepted tuples.
         let merged = rt.merged().unwrap();

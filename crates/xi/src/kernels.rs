@@ -1,8 +1,9 @@
 //! Vectorized batch kernels with runtime CPU dispatch.
 //!
 //! Every hot per-tuple operation in this workspace — Carter–Wegman sign
-//! evaluation and the fused sign+bucket row scatter — is a pure function
-//! of `(seed, key)`, which makes the batch versions embarrassingly
+//! evaluation, the fused sign+bucket row scatter, and the Bernoulli
+//! sampler's geometric gaps — is a pure function of `(seed, key)` or
+//! `(seed, draw index)`, which makes the batch versions embarrassingly
 //! data-parallel. This module centralizes those
 //! batch loops in one place and provides two implementations per kernel:
 //!
@@ -11,8 +12,8 @@
 //!   where it cannot), compiled for every target; and
 //! * an **AVX2** path, compiled on every x86-64 build: explicit
 //!   `std::arch` intrinsics in the single audited `avx2` submodule,
-//!   selected *at runtime* via `is_x86_feature_detected!` so the same
-//!   binary still runs correctly on x86-64 parts without AVX2.
+//!   selected *at runtime* via `is_x86_feature_detected!` (AVX2 and FMA)
+//!   so the same binary still runs correctly on x86-64 parts without them.
 //!
 //! The selection is memoized in a [`Dispatch`] value; callers grab it once
 //! per batch (an atomic load) and thread it through the kernels.
@@ -27,9 +28,13 @@
 //! golden test the moment dispatch picks a different path. The AVX2 code
 //! achieves this by performing literally the same reduction sequence as
 //! the scalar field arithmetic (two lazy folds per product, one canonical
-//! fold at the end), not a rearranged one.
+//! fold at the end), not a rearranged one. The gap kernel cannot repeat the
+//! platform `ln`, so it proves instead which lanes its own logarithm
+//! decides exactly and recomputes the rest with the reference (see
+//! [`geometric_gaps`]).
 
 use crate::prime::{horner_lanes_reduced, poly_eval, FixedMod, P61};
+use crate::{splitmix64, GOLDEN_GAMMA};
 
 /// Number of keys processed per inner-loop iteration by the chunked kernels.
 ///
@@ -470,6 +475,70 @@ pub fn bucket_scatter_counts(
 }
 
 // ---------------------------------------------------------------------------
+// Geometric gap kernel
+// ---------------------------------------------------------------------------
+
+/// Gaps one [`geometric_gaps`] call draws: four 4-lane vectors on the
+/// AVX2 path, whose latency chains (a division, a polynomial) overlap.
+pub const GAP_LANES: usize = 16;
+
+/// `2⁻⁵³`, the step of a 53-bit uniform in `[0, 1)`.
+const UNIT53: f64 = 1.0 / (1u64 << 53) as f64;
+
+/// The reference geometric gap of one random word `r` at
+/// `log_q = ln(1 − p) < 0`: `(ln(1 − U) / log_q) as u64` with
+/// `U = (r >> 11)·2⁻⁵³`, the uniform `rand` draws from `r`.
+///
+/// `1 − U` lies in `(0, 1]` and is exact, so the quotient is `≥ 0` (or
+/// `−0.0` when `U = 0`). The saturating cast truncates it, which is its
+/// floor, and sends anything `≥ 2⁶⁴` to `u64::MAX`.
+#[inline]
+pub fn geometric_gap(r: u64, log_q: f64) -> u64 {
+    let u = 1.0 - (r >> 11) as f64 * UNIT53;
+    (u.ln() / log_q) as u64
+}
+
+/// Fill `out[j]` with draw `j` of a SplitMix64 counter stream whose next
+/// state is `state`: `geometric_gap(splitmix64(state + j·γ), log_q)`,
+/// bit for bit, on whichever path `d` resolved to. Returns how many lanes
+/// the fast path handed to the exact fallback (always 0 on the portable
+/// path, which computes the reference lane by lane). The caller advances
+/// its counter by the draws it consumes.
+///
+/// # Error argument
+///
+/// The AVX2 path computes `x = ln₄(1 − U) · (1/log_q)`, where `1 − U` is
+/// built exactly and `ln₄` splits it as `2ᵉ·f` with `f ∈ [√½, √2)` and
+/// sums `e·ln 2` and `s·Σₖ₌₀⁷ (2/(2k+1))·s²ᵏ`, `s = (f − 1)/(f + 1)`.
+/// `f − 1` is exact, the series remainder is below `s¹⁶/17 < 2⁻⁴⁴·⁸`
+/// relative (`s² < 0.0295`), and each rounding adds a few units of
+/// `2⁻⁵³`, so `ln₄` is within `2⁻⁴⁴` relative of `ln` (a unit test
+/// measures it over a million draws). Assume only that `ln₄` and the
+/// platform `ln` are each within `2⁻⁴⁰` relative. Then both quotients lie
+/// within `(2⁻⁴⁰ + 2⁻⁵²)·x` of the true `ln(1 − U)/log_q`, so the
+/// reference quotient lies within `2⁻³⁸·x` of `x`. A lane keeps `⌊x⌋`
+/// only when `x < 2⁵²` and `x` is farther than `2⁻³⁰ + 2⁻³⁸·x` from the
+/// nearest integer: no integer then lies between the two quotients, and
+/// their floors agree. Every other lane — `x` near an integer, `x ≥ 2⁵²`
+/// (an integer itself), `U = 0` (`x = 0`), and the NaN or infinite `x` of
+/// a `log_q` whose reciprocal overflows — is recomputed with
+/// [`geometric_gap`]. A lane is sent back with probability about
+/// `2⁻²⁹ + 2⁻³⁷·x`.
+pub fn geometric_gaps(d: Dispatch, state: u64, log_q: f64, out: &mut [u64; GAP_LANES]) -> usize {
+    match d.path {
+        Path::Chunked => {
+            for (j, gap) in out.iter_mut().enumerate() {
+                let at = state.wrapping_add((j as u64).wrapping_mul(GOLDEN_GAMMA));
+                *gap = geometric_gap(splitmix64(at), log_q);
+            }
+            0
+        }
+        #[cfg(target_arch = "x86_64")]
+        Path::Avx2(token) => avx2::geometric_gaps(token, state, log_q, out),
+    }
+}
+
+// ---------------------------------------------------------------------------
 // AVX2 path (the single audited unsafe module)
 // ---------------------------------------------------------------------------
 
@@ -477,40 +546,50 @@ pub fn bucket_scatter_counts(
 ///
 /// This is the only module in the workspace that uses `unsafe` (scoped
 /// `#[allow]` under the crate-level `#![deny(unsafe_code)]`), and the only
-/// unsafety in it is (a) calling `#[target_feature(enable = "avx2")]`
-/// functions and (b) unaligned vector load/store through raw pointers.
-/// Reachability of (a) is gated by [`Avx2Token`], which can only be
-/// constructed after `is_x86_feature_detected!("avx2")` returns true.
+/// unsafety in it is (a) calling `#[target_feature(enable = "avx2")]` and
+/// `#[target_feature(enable = "avx2,fma")]` functions and (b) unaligned
+/// vector load/store through raw pointers. Reachability of (a) is gated by
+/// [`Avx2Token`], which can only be constructed after
+/// `is_x86_feature_detected!` reports both AVX2 and FMA.
 ///
 /// Bit-identity with the scalar field arithmetic is by construction: every
 /// 64×64→128 product is reduced with the same two lazy folds as
 /// `reduce128_partial` and canonicalized with the same two folds plus
 /// conditional subtract as `reduce128`, so each lane computes literally
-/// the same u64 sequence as one scalar Horner chain.
+/// the same u64 sequence as one scalar Horner chain. The gap kernel's
+/// bit-identity is by proof and fallback (see [`super::geometric_gaps`]).
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 pub(crate) mod avx2 {
-    use super::CHUNK;
+    use super::{geometric_gap, CHUNK, GAP_LANES};
     use crate::prime::P61;
+    use crate::{splitmix64, GOLDEN_GAMMA};
     use std::arch::x86_64::{
-        __m256i, _mm256_add_epi64, _mm256_and_si256, _mm256_andnot_si256, _mm256_cmpgt_epi64,
-        _mm256_loadu_si256, _mm256_mul_epu32, _mm256_or_si256, _mm256_set1_epi64x,
-        _mm256_slli_epi64, _mm256_srli_epi64, _mm256_storeu_si256, _mm256_sub_epi64,
-        _mm256_xor_si256,
+        __m256d, __m256i, _mm256_add_epi64, _mm256_add_pd, _mm256_and_si256, _mm256_andnot_pd,
+        _mm256_andnot_si256, _mm256_castpd_si256, _mm256_castsi256_pd, _mm256_cmp_pd,
+        _mm256_cmpgt_epi64, _mm256_div_pd, _mm256_fmadd_pd, _mm256_fnmadd_pd, _mm256_loadu_si256,
+        _mm256_movemask_pd, _mm256_mul_epu32, _mm256_mul_pd, _mm256_or_si256, _mm256_round_pd,
+        _mm256_set1_epi64x, _mm256_set1_pd, _mm256_slli_epi64, _mm256_srli_epi64,
+        _mm256_storeu_si256, _mm256_sub_epi64, _mm256_sub_pd, _mm256_xor_si256, _CMP_GT_OQ,
+        _MM_FROUND_NO_EXC, _MM_FROUND_TO_NEAREST_INT, _MM_FROUND_TO_ZERO,
     };
 
-    /// Proof token that the running CPU supports AVX2.
+    /// Proof token that the running CPU supports AVX2 and FMA.
     ///
     /// The only constructor is [`Avx2Token::probe`], so holding a token is
     /// a compile-time-checkable witness that the `target_feature` calls
-    /// below are sound on this machine.
+    /// below are sound on this machine. Every x86-64 part with AVX2 that
+    /// this workspace targets also has FMA; one without gets the chunked
+    /// path for every kernel.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub(crate) struct Avx2Token(());
 
     impl Avx2Token {
-        /// `Some` iff the CPU reports AVX2 support.
+        /// `Some` iff the CPU reports AVX2 and FMA support.
         pub(crate) fn probe() -> Option<Self> {
-            if std::arch::is_x86_feature_detected!("avx2") {
+            if std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("fma")
+            {
                 Some(Self(()))
             } else {
                 None
@@ -664,6 +743,254 @@ pub(crate) mod avx2 {
         // SAFETY: as in `horner8`.
         unsafe { horner8_pair_impl(sc, bc, keys) }
     }
+
+    /// SplitMix64's two multipliers.
+    const MIX1: u64 = 0xbf58_476d_1ce4_e5b9;
+    const MIX2: u64 = 0x94d0_49bb_1331_11eb;
+    /// `2⁵²`: OR-ing a small integer `n` into its bits makes the float
+    /// `2⁵² + n`.
+    const TWO52: f64 = 4_503_599_627_370_496.0;
+    /// `0x3fe6a09e667f3bcd` is `√½`; adding `ONE − SQRT_HALF` to the bits
+    /// of `v > 0` carries into the exponent exactly when `v`'s mantissa is
+    /// at least `√2`.
+    const SQRT_HALF_BITS: u64 = 0x3fe6_a09e_667f_3bcd;
+    const ONE_BITS: u64 = 0x3ff0_0000_0000_0000;
+    const MANTISSA: u64 = (1 << 52) - 1;
+    /// `2/(2k+1)` for `k = 7, 6, …, 0`: `ln f = s·Σₖ (2/(2k+1))·s²ᵏ`, the
+    /// atanh series, highest power first for Horner's rule.
+    const ATANH: [f64; 8] = [
+        2.0 / 15.0,
+        2.0 / 13.0,
+        2.0 / 11.0,
+        2.0 / 9.0,
+        2.0 / 7.0,
+        2.0 / 5.0,
+        2.0 / 3.0,
+        2.0,
+    ];
+
+    /// `(j + 1)·γ` per lane: SplitMix64 adds `γ` to draw `j`'s counter
+    /// `state + j·γ` before it mixes.
+    const COUNTER_STEPS: [u64; GAP_LANES] = {
+        let mut steps = [0u64; GAP_LANES];
+        let mut j = 0;
+        while j < GAP_LANES {
+            steps[j] = ((j + 1) as u64).wrapping_mul(GOLDEN_GAMMA);
+            j += 1;
+        }
+        steps
+    };
+
+    /// The low 64 bits of `a·m` per lane, from 32-bit partials:
+    /// `lo(a)·lo(m) + ((lo(a)·hi(m) + hi(a)·lo(m)) << 32)`.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 (call only while holding an [`Avx2Token`]).
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn mul_lo(a: __m256i, m: u64) -> __m256i {
+        let m_lo = _mm256_set1_epi64x(m as i64);
+        let m_hi = _mm256_set1_epi64x((m >> 32) as i64);
+        let cross = _mm256_add_epi64(
+            _mm256_mul_epu32(a, m_hi),
+            _mm256_mul_epu32(_mm256_srli_epi64(a, 32), m_lo),
+        );
+        _mm256_add_epi64(_mm256_mul_epu32(a, m_lo), _mm256_slli_epi64(cross, 32))
+    }
+
+    /// SplitMix64's finalizer on `z = x + γ`, per lane: the scalar
+    /// `splitmix64(x)` after its increment. Each step runs on every vector
+    /// before the next, so the multiplies' latency overlaps.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 (call only while holding an [`Avx2Token`]).
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn mix(mut z: [__m256i; VECS]) -> [__m256i; VECS] {
+        for zi in &mut z {
+            *zi = mul_lo(_mm256_xor_si256(*zi, _mm256_srli_epi64(*zi, 30)), MIX1);
+        }
+        for zi in &mut z {
+            *zi = mul_lo(_mm256_xor_si256(*zi, _mm256_srli_epi64(*zi, 27)), MIX2);
+        }
+        for zi in &mut z {
+            *zi = _mm256_xor_si256(*zi, _mm256_srli_epi64(*zi, 31));
+        }
+        z
+    }
+
+    /// `1 − U` per lane for the uniform `U = (r >> 11)·2⁻⁵³` of the word
+    /// `r`, exactly: with `U = hi·2⁻³² + lo·2⁻⁵³` (`hi = r >> 32`, `lo`
+    /// the next 21 bits), the floats `2⁵² + hi` and `2⁵² + lo` are bit
+    /// patterns, and each fused step's exact result is representable, so
+    /// it is not rounded: `t = 1.5 − hi·2⁻³²`, then `t − 0.5 − lo·2⁻⁵³`.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 and FMA (call only while holding an [`Avx2Token`]).
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    unsafe fn one_minus_uniform(r: __m256i) -> __m256d {
+        let two52 = _mm256_set1_epi64x(TWO52.to_bits() as i64);
+        let hi = _mm256_castsi256_pd(_mm256_or_si256(_mm256_srli_epi64(r, 32), two52));
+        let lo = _mm256_castsi256_pd(_mm256_or_si256(
+            _mm256_and_si256(_mm256_srli_epi64(r, 11), _mm256_set1_epi64x((1 << 21) - 1)),
+            two52,
+        ));
+        let t = _mm256_fnmadd_pd(
+            hi,
+            _mm256_set1_pd(1.0 / (1u64 << 32) as f64),
+            _mm256_set1_pd(1.5 + (1u64 << 20) as f64),
+        );
+        _mm256_fnmadd_pd(lo, _mm256_set1_pd(super::UNIT53), t)
+    }
+
+    /// Vectors per gap block. Each step below runs on all of them before
+    /// the next starts, so their latency chains overlap.
+    const VECS: usize = GAP_LANES / 4;
+
+    /// `ln v` per lane for `v ∈ [2⁻⁵³, 1]`, within `2⁻⁴⁴` relative: `v` is
+    /// split as `2ᵉ·f`, `f ∈ [√½, √2)`, and
+    /// `ln v = e·ln 2 + s·Σₖ₌₀⁷ (2/(2k+1))·s²ᵏ` with `s = (f − 1)/(f + 1)`.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 and FMA (call only while holding an [`Avx2Token`]).
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    unsafe fn ln4(v: [__m256d; VECS]) -> [__m256d; VECS] {
+        let mut e = [_mm256_set1_pd(0.0); VECS];
+        let mut s = [_mm256_set1_pd(0.0); VECS];
+        for i in 0..VECS {
+            let ix = _mm256_add_epi64(
+                _mm256_castpd_si256(v[i]),
+                _mm256_set1_epi64x((ONE_BITS - SQRT_HALF_BITS) as i64),
+            );
+            // `e`: the biased exponent, a small integer, made a float.
+            e[i] = _mm256_sub_pd(
+                _mm256_castsi256_pd(_mm256_or_si256(
+                    _mm256_srli_epi64(ix, 52),
+                    _mm256_set1_epi64x(TWO52.to_bits() as i64),
+                )),
+                _mm256_set1_pd(TWO52 + 1023.0),
+            );
+            let f = _mm256_castsi256_pd(_mm256_add_epi64(
+                _mm256_and_si256(ix, _mm256_set1_epi64x(MANTISSA as i64)),
+                _mm256_set1_epi64x(SQRT_HALF_BITS as i64),
+            ));
+            // f − 1 is exact (Sterbenz): near v = 1 the log keeps its digits.
+            let g = _mm256_sub_pd(f, _mm256_set1_pd(1.0));
+            s[i] = _mm256_div_pd(g, _mm256_add_pd(g, _mm256_set1_pd(2.0)));
+        }
+        let mut z = s;
+        for zi in &mut z {
+            *zi = _mm256_mul_pd(*zi, *zi);
+        }
+        let mut poly = [_mm256_set1_pd(ATANH[0]); VECS];
+        for &c in &ATANH[1..] {
+            for i in 0..VECS {
+                poly[i] = _mm256_fmadd_pd(poly[i], z[i], _mm256_set1_pd(c));
+            }
+        }
+        let mut out = [_mm256_set1_pd(0.0); VECS];
+        for i in 0..VECS {
+            let ln_f = _mm256_mul_pd(s[i], poly[i]);
+            out[i] = _mm256_fmadd_pd(e[i], _mm256_set1_pd(std::f64::consts::LN_2), ln_f);
+        }
+        out
+    }
+
+    /// Sixteen gaps (see [`super::geometric_gaps`]); returns the lanes
+    /// recomputed by the reference.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 and FMA (call only while holding an [`Avx2Token`]).
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn geometric_gaps_impl(state: u64, log_q: f64, out: &mut [u64; GAP_LANES]) -> usize {
+        let inv = _mm256_set1_pd(1.0 / log_q);
+        let base = _mm256_set1_epi64x(state as i64);
+        let mut counters = [base; VECS];
+        for (i, z) in counters.iter_mut().enumerate() {
+            // SAFETY: `COUNTER_STEPS` has 4·VECS entries, so the 32-byte
+            // unaligned load at 4i is in bounds.
+            *z = _mm256_add_epi64(
+                base,
+                _mm256_loadu_si256(COUNTER_STEPS.as_ptr().add(4 * i).cast()),
+            );
+        }
+        let mut one_minus_u = [_mm256_set1_pd(0.0); VECS];
+        for (v, r) in one_minus_u.iter_mut().zip(mix(counters)) {
+            *v = one_minus_uniform(r);
+        }
+        let logs = ln4(one_minus_u);
+        let mut exact = 0u32;
+        for (i, &ln) in logs.iter().enumerate() {
+            let x = _mm256_mul_pd(ln, inv);
+            let near = _mm256_round_pd(x, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+            let dist = _mm256_andnot_pd(_mm256_set1_pd(-0.0), _mm256_sub_pd(x, near));
+            let margin = _mm256_fmadd_pd(
+                x,
+                _mm256_set1_pd(f64::from_bits(0x3d90_0000_0000_0000)), // 2⁻³⁸
+                _mm256_set1_pd(f64::from_bits(0x3e10_0000_0000_0000)), // 2⁻³⁰
+            );
+            // An x ≥ 2⁵² is an integer (dist = 0), an infinite one makes
+            // dist NaN, and an ordered compare leaves a NaN lane undecided.
+            let decided = _mm256_cmp_pd(dist, margin, _CMP_GT_OQ);
+            // A decided x lies in (0, 2⁵²): its truncation plus 2⁵² is
+            // exact, and the low bits of that float are the integer.
+            let whole = _mm256_add_pd(
+                _mm256_round_pd(x, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC),
+                _mm256_set1_pd(TWO52),
+            );
+            let gaps = _mm256_sub_epi64(
+                _mm256_castpd_si256(whole),
+                _mm256_set1_epi64x(TWO52.to_bits() as i64),
+            );
+            // SAFETY: `out` holds 4·VECS u64s; the 32-byte unaligned store
+            // at 4i is in bounds.
+            _mm256_storeu_si256(out.as_mut_ptr().add(4 * i).cast(), gaps);
+            exact |= ((!_mm256_movemask_pd(decided) & 0xf) as u32) << (4 * i);
+        }
+        let sent_back = exact.count_ones() as usize;
+        while exact != 0 {
+            let j = exact.trailing_zeros() as usize;
+            let at = state.wrapping_add((j as u64).wrapping_mul(GOLDEN_GAMMA));
+            out[j] = geometric_gap(splitmix64(at), log_q);
+            exact &= exact - 1;
+        }
+        sent_back
+    }
+
+    /// Safe-to-call wrapper: the token witnesses AVX2 and FMA support.
+    #[inline]
+    pub(crate) fn geometric_gaps(
+        _token: Avx2Token,
+        state: u64,
+        log_q: f64,
+        out: &mut [u64; GAP_LANES],
+    ) -> usize {
+        // SAFETY: an Avx2Token exists only if is_x86_feature_detected!
+        // reported AVX2 and FMA, so the target-feature call is sound.
+        unsafe { geometric_gaps_impl(state, log_q, out) }
+    }
+
+    /// The gap kernel's logarithm on four values, for the tests that
+    /// measure its error.
+    #[cfg(test)]
+    pub(super) fn ln_lanes(_token: Avx2Token, v: [f64; 4]) -> [f64; 4] {
+        use std::arch::x86_64::{_mm256_loadu_pd, _mm256_storeu_pd};
+        let mut out = [0.0; 4];
+        // SAFETY: the token witnesses AVX2 and FMA; both arrays hold four
+        // f64s, so the unaligned load and store are in bounds.
+        unsafe {
+            let [ln, ..] = ln4([_mm256_loadu_pd(v.as_ptr()); VECS]);
+            _mm256_storeu_pd(out.as_mut_ptr(), ln);
+        }
+        out
+    }
 }
 
 #[cfg(test)]
@@ -780,6 +1107,70 @@ mod tests {
         for d in [Dispatch::chunked(), Dispatch::get()] {
             assert_eq!(sign_sum(d, &coeffs, &keys), want);
         }
+    }
+
+    /// Sixteen gaps per call on every path equal the reference, from
+    /// counters that wrap around `u64`, at rates from ½ to 10⁻³⁰⁰ (where
+    /// every lane is sent back) and 1 (no lane is decided by the fast path).
+    #[test]
+    fn gap_kernel_matches_reference() {
+        for p in [0.5f64, 0.1, 0.01, 1e-6, 1e-300, 1.0] {
+            let log_q = (-p).ln_1p();
+            for start in [
+                0,
+                12345,
+                7u64.wrapping_mul(GOLDEN_GAMMA).wrapping_neg(),
+                u64::MAX,
+            ] {
+                let mut state = start;
+                for _ in 0..500 {
+                    for d in [Dispatch::chunked(), Dispatch::get()] {
+                        let mut got = [0u64; GAP_LANES];
+                        geometric_gaps(d, state, log_q, &mut got);
+                        for (j, &gap) in got.iter().enumerate() {
+                            let at = state.wrapping_add((j as u64).wrapping_mul(GOLDEN_GAMMA));
+                            assert_eq!(gap, geometric_gap(splitmix64(at), log_q), "p {p}");
+                        }
+                    }
+                    state = state.wrapping_add((GAP_LANES as u64).wrapping_mul(GOLDEN_GAMMA));
+                }
+            }
+        }
+    }
+
+    /// The logarithm behind the AVX2 gaps is within `2⁻⁴⁴` relative of
+    /// the platform's, on the exponent seams, at both ends of `(0, 1]`
+    /// and over a million 53-bit uniforms.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn fast_log_is_within_its_stated_bound() {
+        let Some(token) = avx2::Avx2Token::probe() else {
+            return;
+        };
+        let sqrt_half = std::f64::consts::FRAC_1_SQRT_2;
+        let mut values = vec![1.0, 1.0 - UNIT53, UNIT53, 2.0 * UNIT53, 0.5, 0.25];
+        for x in [sqrt_half, 0.5 * sqrt_half, 1e-10] {
+            values.extend([
+                x,
+                f64::from_bits(x.to_bits() - 1),
+                f64::from_bits(x.to_bits() + 1),
+            ]);
+        }
+        values.extend((0..1u64 << 20).map(|i| 1.0 - (splitmix64(i) >> 11) as f64 * UNIT53));
+        let mut worst = 0.0f64;
+        for chunk in values.chunks(4) {
+            let mut v = [1.0; 4];
+            v[..chunk.len()].copy_from_slice(chunk);
+            for (fast, x) in avx2::ln_lanes(token, v).into_iter().zip(v) {
+                let exact = x.ln();
+                if exact != 0.0 {
+                    worst = worst.max(((fast - exact) / exact).abs());
+                } else {
+                    assert_eq!(fast, 0.0);
+                }
+            }
+        }
+        assert!(worst < 2f64.powi(-44), "worst relative error {worst:e}");
     }
 
     #[test]

@@ -4,14 +4,20 @@
 //! with the per-key scalar reference for the CW sign and bucket families, on
 //! arbitrary keys and signed counts, including empty batches and lengths
 //! that are not a multiple of the kernel width (tails). Every case runs on
-//! both dispatches, so the portable path stays covered on AVX2 hosts.
+//! both dispatches, so the portable path stays covered on AVX2 hosts. The
+//! Bernoulli sampler's gap kernel must equal its reference draw by draw:
+//! ten million draws per rate, and draws forced onto and next to integer
+//! quotients, where the AVX2 path hands lanes to its exact fallback.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sketch_sampled_streams::xi::kernels::{self, Dispatch};
-use sketch_sampled_streams::xi::{BucketFamily, Cw2, Cw2Bucket, Cw4, SignFamily};
+use sketch_sampled_streams::sampling::{CounterRng, GeometricSkip};
+use sketch_sampled_streams::xi::kernels::{self, Dispatch, GAP_LANES};
+use sketch_sampled_streams::xi::{
+    splitmix64, BucketFamily, Cw2, Cw2Bucket, Cw4, SignFamily, GOLDEN_GAMMA,
+};
 
 /// Arbitrary keys; `0..200` covers empty batches and every tail length
 /// modulo the width-8 chunking.
@@ -136,5 +142,134 @@ proptest! {
         let mut got = vec![0i64; width];
         kernels::bucket_scatter(Dispatch::get(), bc, width, &keys, &mut got);
         prop_assert_eq!(&got, &expect);
+    }
+}
+
+/// The reference gaps of the block of draws whose first counter is `state`.
+fn reference_gaps(state: u64, log_q: f64) -> [u64; GAP_LANES] {
+    std::array::from_fn(|j| {
+        let at = state.wrapping_add((j as u64).wrapping_mul(GOLDEN_GAMMA));
+        kernels::geometric_gap(splitmix64(at), log_q)
+    })
+}
+
+/// Ten million consecutive draws at `p` on both paths equal the reference,
+/// from a counter that wraps around `u64` after its hundredth block; the
+/// first 16 000 also equal `GeometricSkip<CounterRng>::next_gap`, the
+/// scalar draw that `Door::keep` makes.
+fn gaps_match_reference_at(p: f64) {
+    const DRAWS: u64 = 10_000_000;
+    let log_q = (-p).ln_1p();
+    let step = (GAP_LANES as u64).wrapping_mul(GOLDEN_GAMMA);
+    let start = 100u64.wrapping_mul(step).wrapping_neg() ^ (p.to_bits() & 0xff);
+    let mut skip = GeometricSkip::with_rng(p, CounterRng::seed_from_u64(start)).unwrap();
+    let mut state = start;
+    let mut got = [0u64; GAP_LANES];
+    for block in 0..DRAWS / GAP_LANES as u64 {
+        let want = reference_gaps(state, log_q);
+        for d in paths() {
+            kernels::geometric_gaps(d, state, log_q, &mut got);
+            assert_eq!(got, want, "p {p}, {} block {block}", d.label());
+        }
+        if block < 1000 {
+            let scalar: [u64; GAP_LANES] = std::array::from_fn(|_| skip.next_gap());
+            assert_eq!(scalar, want, "p {p}, block {block}");
+        }
+        state = state.wrapping_add(step);
+    }
+    assert!(state < start, "the counter wrapped");
+}
+
+#[test]
+fn gap_kernel_is_exact_at_one_half() {
+    gaps_match_reference_at(0.5);
+}
+
+#[test]
+fn gap_kernel_is_exact_at_one_tenth() {
+    gaps_match_reference_at(0.1);
+}
+
+#[test]
+fn gap_kernel_is_exact_at_one_hundredth() {
+    gaps_match_reference_at(0.01);
+}
+
+#[test]
+fn gap_kernel_is_exact_at_one_thousandth() {
+    gaps_match_reference_at(1e-3);
+}
+
+#[test]
+fn gap_kernel_is_exact_at_one_millionth() {
+    gaps_match_reference_at(1e-6);
+}
+
+/// SplitMix64 inverted: the counter whose draw is `r`. Each xor-shift is
+/// undone by xoring the shifted value back in, each odd multiplier by its
+/// inverse mod 2⁶⁴ (Newton's iteration doubles the correct low bits).
+fn counter_of(r: u64) -> u64 {
+    fn inverse(c: u64) -> u64 {
+        let mut x = c;
+        for _ in 0..6 {
+            x = x.wrapping_mul(2u64.wrapping_sub(c.wrapping_mul(x)));
+        }
+        x
+    }
+    let mut z = r;
+    z ^= (z >> 31) ^ (z >> 62);
+    z = z.wrapping_mul(inverse(0x94d0_49bb_1331_11eb));
+    z ^= (z >> 27) ^ (z >> 54);
+    z = z.wrapping_mul(inverse(0xbf58_476d_1ce4_e5b9));
+    z ^= (z >> 30) ^ (z >> 60);
+    z.wrapping_sub(GOLDEN_GAMMA)
+}
+
+/// Draws forced onto and next to integer quotients, one per call, in
+/// every lane: the uniform `1 − 2⁻ⁿ` at `p = ½` (a quotient of exactly
+/// `n`), `U = 0`, and the nine words around each boundary `(1 − p)ⁿ` at
+/// every rate. Every gap equals the reference, and on the AVX2 path the
+/// exact quotients are handed to the fallback.
+#[test]
+fn gap_kernel_falls_back_on_integer_quotients() {
+    let mut forced = 0;
+    let mut sent_back = 0;
+    let mut check = |p: f64, k: u64, exact: bool| {
+        let log_q = (-p).ln_1p();
+        let r = (k << 11) | 0x5a5;
+        assert_eq!(splitmix64(counter_of(r)), r);
+        let lane = forced % GAP_LANES as u64;
+        let state = counter_of(r).wrapping_sub(lane.wrapping_mul(GOLDEN_GAMMA));
+        let want = reference_gaps(state, log_q);
+        for d in paths() {
+            let mut got = [0u64; GAP_LANES];
+            let back = kernels::geometric_gaps(d, state, log_q, &mut got);
+            assert_eq!(got, want, "p {p}, k {k:#x}, {}", d.label());
+            if d.is_accelerated() {
+                assert!(!exact || back > 0, "p {p}, k {k:#x}: no fallback");
+                sent_back += back;
+            }
+        }
+        forced += 1;
+    };
+    for n in 1..=52u32 {
+        check(0.5, (1u64 << 53) - (1u64 << (53 - n)), true);
+    }
+    for p in [0.5, 0.1, 0.01, 1e-3, 1e-6] {
+        check(p, 0, true);
+        let log_q = (-p).ln_1p();
+        for n in [1u64, 2, 3, 7, 10, 100, 1_000, 100_000, 10_000_000] {
+            let u = (n as f64 * log_q).exp();
+            if u < 1e-15 {
+                continue;
+            }
+            let k = ((1.0 - u) * (1u64 << 53) as f64).round() as u64;
+            for k in k.saturating_sub(4)..=(k + 4).min((1 << 53) - 1) {
+                check(p, k, false);
+            }
+        }
+    }
+    if Dispatch::get().is_accelerated() {
+        assert!(sent_back >= 57, "{sent_back} lanes sent back");
     }
 }
