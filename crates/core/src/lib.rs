@@ -47,15 +47,18 @@
 //! kept / scanned), and exposes unbiased `self_join()` and
 //! `size_of_join()` estimates at any point in the stream.
 //!
-//! The exact error analysis (the variance of each estimate, confidence
-//! intervals) is available through [`analysis`] whenever the true frequency
-//! vector is known — which is how the experiment harness validates the
-//! drivers — and is predicted by the `sss-moments` engine in general.
-//! When the truth is *not* known (the live-query case), every query path
-//! also offers a `*_estimate()` variant returning an [`Estimate`] whose
-//! variance is measured from the sketch's own independent lanes plus a
-//! plug-in for the shared sampling noise, with Chebyshev/CLT intervals via
-//! [`Estimate::interval`].
+//! When the true frequency vector is known, the `sss-moments` engine gives
+//! the exact mean and variance of each estimate, and [`analysis`] plans
+//! how aggressively a stream can be shed. When the truth is *not* known
+//! (the live-query case), every query path also offers a `*_estimate()`
+//! variant returning an [`Estimate`] whose variance is measured from the
+//! sketch's own independent lanes plus a plug-in for the shared sampling
+//! noise, with intervals from [`Estimate::chebyshev`] and
+//! [`Estimate::clt`]. Neither layer has an enum choosing the tail bound:
+//!
+//! ```compile_fail
+//! use sss_core::analysis::BoundKind; // removed: call sss_moments::bounds::{chebyshev, normal}
+//! ```
 //!
 //! ## Quick example: 10× load shedding
 //!
@@ -100,7 +103,7 @@ pub use sampled::{bernoulli_distinct_estimate, Sampled};
 pub use scan::ScanSketcher;
 pub use sketch::{JoinSchema, JoinSketch};
 pub use slim::{SlimJoin, SlimMultiSummary, SlimTopK};
-pub use sss_sketch::{Bound, Estimate};
+pub use sss_sketch::Estimate;
 pub use summary::{
     DistinctQuery, JoinQuery, Portable, QuantileQuery, SlimQuery, Summary, TopKQuery,
 };

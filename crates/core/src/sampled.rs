@@ -75,9 +75,8 @@
 //! true rank `q` has standard deviation `≈ √(q(1−q)(1−p)/kept)`, which
 //! [`Sampled::quantile_bounds`] adds (at 3σ) to the backend's own rank
 //! error before converting ranks back to value bounds. The *value-domain*
-//! variance is unknowable without a density model, so
-//! [`Sampled::quantile_estimate`] returns an honest [`Estimate::point`]
-//! and callers are pointed at the rank-based bounds.
+//! variance is unknowable without a density model, so a quantile's error
+//! bar is the rank-based bounds, not an [`Estimate`].
 
 use crate::error::{Error, Result};
 use crate::summary::{rank_band, DistinctQuery, JoinQuery, QuantileQuery, Summary, TopKQuery};
@@ -464,19 +463,6 @@ impl<S: Summary + QuantileQuery> Sampled<S> {
         self.summary.quantile(q)
     }
 
-    /// Typed quantile estimate. The value-domain variance of a quantile is
-    /// unknowable without a density model, so this is an honest
-    /// [`Estimate::point`] (infinite variance); use
-    /// [`quantile_bounds`](Sampled::quantile_bounds) for the rank-based
-    /// error bar.
-    ///
-    /// # Errors
-    ///
-    /// Invalid `q`, or nothing sampled yet.
-    pub fn quantile_estimate(&self, q: f64) -> Result<Estimate> {
-        Ok(Estimate::point(self.quantile(q)?))
-    }
-
     /// The summary's rank error widened by the sampling noise: backend ε
     /// plus `3·√(q(1−q)(1−p)/kept)` — the 3σ binomial rank jitter of the
     /// sample itself (zero at `p = 1`).
@@ -851,9 +837,6 @@ mod tests {
             );
             let (lo, hi) = q.quantile_bounds(target).unwrap();
             assert!(lo <= est && est <= hi);
-            // The honest point estimate: no density model, no variance.
-            let typed = q.quantile_estimate(target).unwrap();
-            assert!(typed.variance.is_infinite());
         }
         // Sampling widens the rank error beyond the backend's own ε.
         assert!(q.rank_error(0.5) > q.summary().rank_error());

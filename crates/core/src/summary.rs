@@ -79,8 +79,8 @@
 //! fn gone<S: Summary>(s: &S) -> bool { s.supports_retract() }
 //! ```
 //!
-//! Count-Min stays in `sss-sketch` as the benches' non-±1 baseline, but is
-//! no [`Summary`]: it answers no served query.
+//! Count-Min is gone from the workspace (the paper sketches with ±1
+//! families only), so no [`Summary`] can name it.
 //!
 //! ```compile_fail
 //! fn summary<S: sss_core::Summary>() {}

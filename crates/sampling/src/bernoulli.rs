@@ -76,15 +76,6 @@ impl<R: Rng> BernoulliSampler<R> {
         }
         self.rng.random::<f64>() < self.p
     }
-
-    /// Filter an iterator of items, keeping each independently with
-    /// probability `p`.
-    pub fn filter_iter<I>(mut self, iter: I) -> impl Iterator<Item = I::Item>
-    where
-        I: IntoIterator,
-    {
-        iter.into_iter().filter(move |_| self.keep())
-    }
 }
 
 /// A counter generator: output `j` is `splitmix64(seed + j·γ)` with `γ`
@@ -561,12 +552,5 @@ mod tests {
         // U = 1 − 2⁻⁵³ at p = ½: ln 2⁻⁵³ / ln ½ rounds to exactly 53.
         let mut skip = GeometricSkip::with_rng(0.5, Words(vec![u64::MAX])).unwrap();
         assert_eq!(skip.next_gap(), 53);
-    }
-
-    #[test]
-    fn filter_iter_keeps_order() {
-        let s = BernoulliSampler::<StdRng>::new(0.5, &mut rng(9)).unwrap();
-        let kept: Vec<u64> = s.filter_iter(0..1000u64).collect();
-        assert!(kept.windows(2).all(|w| w[0] < w[1]));
     }
 }

@@ -66,12 +66,6 @@ impl SamplingFractions {
     pub fn alpha2(&self) -> f64 {
         (self.sample - 1) as f64 / self.population as f64
     }
-
-    /// Whether the sample covers the whole population (WOR variance → 0).
-    #[inline]
-    pub fn is_full(&self) -> bool {
-        self.sample == self.population
-    }
 }
 
 #[cfg(test)]
@@ -84,7 +78,6 @@ mod tests {
         assert_eq!(f.alpha(), 0.1);
         assert!((f.alpha1() - 9.0 / 99.0).abs() < 1e-15);
         assert!((f.alpha2() - 9.0 / 100.0).abs() < 1e-15);
-        assert!(!f.is_full());
     }
 
     #[test]
@@ -92,7 +85,6 @@ mod tests {
         let f = SamplingFractions::new(100, 100).unwrap();
         assert_eq!(f.alpha(), 1.0);
         assert_eq!(f.alpha1(), 1.0);
-        assert!(f.is_full());
         // α₂ < 1 even for a full sample — this is what keeps the WR
         // variance non-zero when the whole population is resampled.
         assert!((f.alpha2() - 0.99).abs() < 1e-15);

@@ -9,7 +9,6 @@
 //! variance formulas in `sss-moments` feasible at scale: simulating a
 //! 10⁶-tuple sample costs O(|domain|) instead of O(m) hash updates.
 
-use crate::counts::SampleCounts;
 use crate::error::{Error, Result};
 use rand::Rng;
 
@@ -87,15 +86,6 @@ impl MultinomialFrequencies {
             remaining_mass -= f;
         }
         out
-    }
-
-    /// One realization, as a [`SampleCounts`] keyed by domain index.
-    pub fn draw_counts<R: Rng + ?Sized>(&self, rng: &mut R) -> SampleCounts {
-        let mut s = SampleCounts::new();
-        for (i, c) in self.draw(rng).into_iter().enumerate() {
-            s.insert_many(i as u64, c);
-        }
-        s
     }
 }
 
@@ -269,12 +259,5 @@ mod tests {
     #[test]
     fn multinomial_rejects_zero_population() {
         assert!(MultinomialFrequencies::new(vec![0, 0], 5).is_err());
-    }
-
-    #[test]
-    fn draw_counts_matches_draw_totals() {
-        let mf = MultinomialFrequencies::new(vec![3, 7, 2], 24).unwrap();
-        let c = mf.draw_counts(&mut rng(8));
-        assert_eq!(c.total(), 24);
     }
 }

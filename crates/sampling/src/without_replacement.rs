@@ -132,7 +132,7 @@ where
 /// A randomly-ordered scan whose prefixes are without-replacement samples.
 ///
 /// Construct once (shuffles the relation), then either iterate tuple by
-/// tuple or take snapshots at chosen fractions. This is the substrate for
+/// tuple or take prefixes of chosen lengths. This is the substrate for
 /// the online-aggregation experiments (Figures 7–8 of the paper).
 #[derive(Debug, Clone)]
 pub struct PrefixScan {
@@ -143,12 +143,6 @@ impl PrefixScan {
     /// Shuffle `relation` into a random scan order.
     pub fn new<R: Rng + ?Sized>(mut relation: Vec<u64>, rng: &mut R) -> Self {
         relation.shuffle(rng);
-        Self { tuples: relation }
-    }
-
-    /// Build from a relation that is *already* in random order (e.g. the
-    /// output of a previous shuffle persisted to disk).
-    pub fn assume_random_order(relation: Vec<u64>) -> Self {
         Self { tuples: relation }
     }
 
@@ -180,16 +174,6 @@ impl PrefixScan {
             });
         }
         Ok(&self.tuples[..m])
-    }
-
-    /// The prefix covering the given `fraction ∈ [0, 1]` of the relation
-    /// (rounded to the nearest tuple).
-    pub fn prefix_fraction(&self, fraction: f64) -> Result<&[u64]> {
-        if !(0.0..=1.0).contains(&fraction) || fraction.is_nan() {
-            return Err(Error::InvalidProbability(fraction));
-        }
-        let m = (fraction * self.tuples.len() as f64).round() as usize;
-        self.prefix(m.min(self.tuples.len()))
     }
 }
 
@@ -323,10 +307,6 @@ mod tests {
         let p50 = scan.prefix(50).unwrap().to_vec();
         assert_eq!(&p50[..10], &p10[..], "prefixes must nest");
         assert!(scan.prefix(101).is_err());
-        assert_eq!(scan.prefix_fraction(0.25).unwrap().len(), 25);
-        assert_eq!(scan.prefix_fraction(1.0).unwrap().len(), 100);
-        assert_eq!(scan.prefix_fraction(0.0).unwrap().len(), 0);
-        assert!(scan.prefix_fraction(1.5).is_err());
     }
 
     #[test]

@@ -140,19 +140,6 @@ fn median_variance_factor(n: usize) -> f64 {
     }
 }
 
-/// Which tail bound converts an [`Estimate`]'s variance into an interval.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Bound {
-    /// Distribution-free Chebyshev bound: valid for any estimator with the
-    /// reported variance, at the cost of wide intervals
-    /// (`k = 1/√(1 − confidence)` standard errors).
-    Chebyshev,
-    /// Central-limit-theorem normal bound: tight (`z ≈ 1.96` at 95%) but
-    /// relies on the combined estimator being approximately Gaussian,
-    /// which holds when many independent basics are averaged/medianed.
-    Clt,
-}
-
 /// A query answer with error state: the combined point estimate, the
 /// per-lane basic estimates it was combined from, and an empirical variance
 /// of the combined value.
@@ -176,16 +163,15 @@ pub struct Estimate {
     /// carries no spread information (single lane, no analytic fallback).
     pub variance: f64,
     /// The independent per-lane basic estimates `value` was combined from
-    /// (one per AGMS counter or F-AGMS row). Empty for point estimates
-    /// without lane structure (e.g. Count-Min minimum, trait default).
+    /// (one per AGMS counter or F-AGMS row). Empty for estimates without
+    /// lane structure (a HyperLogLog count, a query-trait default).
     pub basics: Vec<f64>,
 }
 
 impl Estimate {
     /// An estimate with no error state: infinite variance, no basics.
-    /// This is what the `JoinEstimator` trait defaults in `sss-core`
-    /// report for external estimator implementations that predate
-    /// [`Estimate`].
+    /// `sss-core`'s query-trait defaults report it for implementations
+    /// that carry no error model.
     pub fn point(value: f64) -> Self {
         Estimate {
             value,
@@ -227,13 +213,6 @@ impl Estimate {
         }
     }
 
-    /// Override the variance, keeping value and basics.
-    #[must_use]
-    pub fn with_variance(mut self, variance: f64) -> Self {
-        self.variance = variance;
-        self
-    }
-
     /// Add an independent variance contribution (e.g. sampling noise shared
     /// across lanes, which the cross-lane spread cannot see).
     #[must_use]
@@ -252,11 +231,6 @@ impl Estimate {
         self
     }
 
-    /// Standard error: √variance (0 clamps negative rounding noise).
-    pub fn std_error(&self) -> f64 {
-        self.moments().std()
-    }
-
     /// View as `sss_moments::Moments` for interoperability with the exact
     /// error-analysis machinery.
     pub fn moments(&self) -> Moments {
@@ -266,8 +240,9 @@ impl Estimate {
         }
     }
 
-    /// Confidence interval around `value` at the given confidence level in
-    /// `(0, 1)`, using the requested tail bound.
+    /// Distribution-free Chebyshev interval around `value` at the given
+    /// confidence level in `(0, 1)`: valid for any estimator with the
+    /// reported variance, `k = 1/√(1 − confidence)` standard errors wide.
     ///
     /// # Errors
     ///
@@ -275,33 +250,30 @@ impl Estimate {
     /// `confidence` is outside the open interval `(0, 1)` or NaN — this is
     /// the public query path, so out-of-range levels are a typed error,
     /// not a panic.
-    pub fn interval(&self, confidence: f64, bound: Bound) -> crate::Result<ConfidenceInterval> {
+    pub fn chebyshev(&self, confidence: f64) -> crate::Result<ConfidenceInterval> {
+        let m = self.checked_moments(confidence)?;
+        Ok(bounds::chebyshev(self.value, &m, confidence))
+    }
+
+    /// Central-limit-theorem normal interval around `value`: tight
+    /// (`z ≈ 1.96` at 95%) but relies on the combined estimator being
+    /// approximately Gaussian, which holds when many independent basics
+    /// are averaged or medianed.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`Estimate::chebyshev`].
+    pub fn clt(&self, confidence: f64) -> crate::Result<ConfidenceInterval> {
+        let m = self.checked_moments(confidence)?;
+        Ok(bounds::normal(self.value, &m, confidence))
+    }
+
+    /// [`Estimate::moments`], once `confidence` is checked to lie in `(0, 1)`.
+    fn checked_moments(&self, confidence: f64) -> crate::Result<Moments> {
         if !(confidence > 0.0 && confidence < 1.0) {
             return Err(crate::Error::InvalidConfidence(confidence));
         }
-        let m = self.moments();
-        Ok(match bound {
-            Bound::Chebyshev => bounds::chebyshev(self.value, &m, confidence),
-            Bound::Clt => bounds::normal(self.value, &m, confidence),
-        })
-    }
-
-    /// Shorthand for [`Estimate::interval`] with [`Bound::Chebyshev`].
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Estimate::interval`].
-    pub fn chebyshev(&self, confidence: f64) -> crate::Result<ConfidenceInterval> {
-        self.interval(confidence, Bound::Chebyshev)
-    }
-
-    /// Shorthand for [`Estimate::interval`] with [`Bound::Clt`].
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Estimate::interval`].
-    pub fn clt(&self, confidence: f64) -> crate::Result<ConfidenceInterval> {
-        self.interval(confidence, Bound::Clt)
+        Ok(self.moments())
     }
 }
 
@@ -414,7 +386,6 @@ mod tests {
             variance: 25.0,
             basics: vec![],
         };
-        assert_eq!(e.std_error(), 5.0);
         let clt = e.clt(0.95).unwrap();
         let cheb = e.chebyshev(0.95).unwrap();
         assert!(clt.contains(100.0) && cheb.contains(100.0));
@@ -441,11 +412,12 @@ mod tests {
             basics: vec![],
         };
         for bad in [0.0, 1.0, -0.5, 1.5, f64::NAN] {
-            let err = e.interval(bad, Bound::Chebyshev).unwrap_err();
-            assert!(matches!(err, crate::Error::InvalidConfidence(_)), "{bad}");
-            assert!(e.clt(bad).is_err(), "{bad}");
+            for got in [e.chebyshev(bad), e.clt(bad)] {
+                let err = got.unwrap_err();
+                assert!(matches!(err, crate::Error::InvalidConfidence(_)), "{bad}");
+            }
         }
-        assert!(e.interval(0.5, Bound::Clt).is_ok());
+        assert!(e.chebyshev(0.5).is_ok() && e.clt(0.5).is_ok());
     }
 
     #[test]
@@ -453,7 +425,5 @@ mod tests {
         let e = Estimate::from_mean(vec![1.0, 3.0]).plus_variance(10.0);
         // sample variance 2 / n 2 = 1, plus 10.
         assert!((e.variance - 11.0).abs() < 1e-12);
-        let e = e.with_variance(4.0);
-        assert_eq!((e.value, e.variance), (2.0, 4.0));
     }
 }

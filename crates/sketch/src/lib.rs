@@ -13,14 +13,22 @@
 //!   adds `ξ(key)` there. A row behaves like averaging `width` basic AGMS
 //!   estimators but costs O(1) per update; rows are combined by median.
 //!   This is the sketch used in all the paper's experiments.
-//! * [`countmin`] — **Count-Min** of Cormode & Muthukrishnan, included as
-//!   the standard non-±1 baseline for the comparison benches.
 //!
 //! The three-way chain-join sketches are gone: no workload, subcommand or
-//! paper result reaches them.
+//! paper result reaches them. So is Count-Min: the paper sketches with ±1
+//! families only. [`Estimate`] has one method per tail bound, and no enum
+//! choosing between them.
 //!
 //! ```compile_fail
 //! use sss_sketch::multiway::chain_join; // removed: joins are two-way, as in the paper
+//! ```
+//!
+//! ```compile_fail
+//! use sss_sketch::CountMinSketch; // removed: the paper's sketches are AGMS and F-AGMS
+//! ```
+//!
+//! ```compile_fail
+//! use sss_sketch::Bound; // removed: call Estimate::chebyshev or Estimate::clt
 //! ```
 //!
 //! ## Seed sharing
@@ -56,7 +64,6 @@
 #![warn(missing_docs)]
 
 pub mod agms;
-pub mod countmin;
 pub mod error;
 pub mod estimate;
 pub mod fagms;
@@ -67,9 +74,8 @@ mod runs;
 pub mod topk;
 
 pub use agms::{AgmsSchema, AgmsSketch};
-pub use countmin::{CountMinSchema, CountMinSketch};
 pub use error::{Error, Result};
-pub use estimate::{Bound, Estimate};
+pub use estimate::Estimate;
 pub use fagms::{FagmsSchema, FagmsSketch};
 pub use hll::HyperLogLog;
 pub use kll::KllSketch;

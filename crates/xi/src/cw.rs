@@ -75,35 +75,9 @@ pub fn signed_scatter_counts(
     );
 }
 
-/// Fused Count-Min row kernel: `counters[hash(key) % width] += 1` per key.
-/// Same lane evaluation and `FixedMod` remainder as [`signed_scatter`],
-/// minus the sign polynomial.
-///
-/// # Panics
-///
-/// Panics if `width == 0` or `counters.len() < width`.
-pub fn bucket_scatter(bucket_coeffs: &[u64], width: usize, keys: &[u64], counters: &mut [i64]) {
-    kernels::bucket_scatter(Dispatch::get(), bucket_coeffs, width, keys, counters);
-}
-
-/// Count-carrying twin of [`bucket_scatter`]:
-/// `counters[hash(key) % width] += count` per `(key, count)`.
-///
-/// # Panics
-///
-/// Panics if `width == 0` or `counters.len() < width`.
-pub fn bucket_scatter_counts(
-    bucket_coeffs: &[u64],
-    width: usize,
-    items: &[(u64, i64)],
-    counters: &mut [i64],
-) {
-    kernels::bucket_scatter_counts(Dispatch::get(), bucket_coeffs, width, items, counters);
-}
-
 /// Pairwise-independent family: `h(x) = a + b·x mod (2⁶¹ − 1)`.
 ///
-/// Used for the bucket hashes of F-AGMS / Count-Min (see [`Cw2Bucket`]).
+/// Used for the bucket hashes of F-AGMS (see [`Cw2Bucket`]).
 /// As a ±1 family it is only pairwise independent, which is **not**
 /// sufficient for the AGMS variance bound: the integration test
 /// `crates/xi/tests/ablation.rs::four_wise_families_match_the_variance_formula`
@@ -349,22 +323,6 @@ mod tests {
                 let mut got = vec![0i64; width];
                 signed_scatter_counts(sc, bc, width, &items[..len], &mut got);
                 assert_eq!(got, want, "signed counts width {width} len {len}");
-
-                let mut want = vec![0i64; width];
-                for &k in &keys[..len] {
-                    want[bucket.bucket(k, width)] += 1;
-                }
-                let mut got = vec![0i64; width];
-                bucket_scatter(bc, width, &keys[..len], &mut got);
-                assert_eq!(got, want, "bucket width {width} len {len}");
-
-                let mut want = vec![0i64; width];
-                for &(k, c) in &items[..len] {
-                    want[bucket.bucket(k, width)] += c;
-                }
-                let mut got = vec![0i64; width];
-                bucket_scatter_counts(bc, width, &items[..len], &mut got);
-                assert_eq!(got, want, "bucket counts width {width} len {len}");
             }
         }
     }
@@ -384,13 +342,6 @@ mod tests {
         }
         let mut got = vec![0i64; width];
         signed_scatter(&sc, &bc, width, &keys, &mut got);
-        assert_eq!(got, want);
-        let mut got = vec![0i64; width];
-        bucket_scatter(&bc, width, &keys, &mut got);
-        let mut want = vec![0i64; width];
-        for &k in &keys {
-            want[(poly_eval(&bc, k) % width as u64) as usize] += 1;
-        }
         assert_eq!(got, want);
     }
 

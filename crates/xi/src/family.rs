@@ -79,8 +79,8 @@ pub trait SignFamily: sealed::Sealed {
 /// A family of hash functions mapping a `u64` key to a bucket index:
 /// the family's polynomial at the key, modulo the width.
 ///
-/// Pairwise independence of the bucket hash is what the F-AGMS and Count-Min
-/// analyses require.
+/// Pairwise independence of the bucket hash is what the F-AGMS analysis
+/// requires.
 pub trait BucketFamily: sealed::Sealed {
     /// The polynomial's coefficients over GF(2⁶¹−1), lowest degree first.
     fn coeffs(&self) -> &[u64];

@@ -399,81 +399,6 @@ pub fn signed_scatter_counts(
     }
 }
 
-/// Fused Count-Min row kernel: `counters[hash(key) % width] += 1` per key.
-/// Same lane evaluation and [`FixedMod`] remainder as [`signed_scatter`],
-/// minus the sign polynomial.
-///
-/// # Panics
-///
-/// Panics if `width == 0` or `counters.len() < width`.
-pub fn bucket_scatter(
-    d: Dispatch,
-    bucket_coeffs: &[u64],
-    width: usize,
-    keys: &[u64],
-    counters: &mut [i64],
-) {
-    assert!(width > 0, "bucket width must be non-zero");
-    assert!(counters.len() >= width, "counter row narrower than width");
-    let mut bbuf = [0u64; 8];
-    let Some(bn) = reduced_coeffs(bucket_coeffs, &mut bbuf) else {
-        for &k in keys {
-            counters[(poly_eval(bucket_coeffs, k) % width as u64) as usize] += 1;
-        }
-        return;
-    };
-    let bc = &bbuf[..bn];
-    let wm = FixedMod::new(width as u64);
-    let mut chunks = keys.chunks_exact(CHUNK);
-    for kc in chunks.by_ref() {
-        let ks: &[u64; CHUNK] = kc.try_into().expect("chunks_exact yields full chunks");
-        let hb = hash8(d, bc, ks);
-        for v in hb {
-            counters[wm.rem(v) as usize] += 1;
-        }
-    }
-    for &k in chunks.remainder() {
-        counters[wm.rem(poly_eval(bc, k)) as usize] += 1;
-    }
-}
-
-/// Count-carrying twin of [`bucket_scatter`]:
-/// `counters[hash(key) % width] += count` per `(key, count)`.
-///
-/// # Panics
-///
-/// Panics if `width == 0` or `counters.len() < width`.
-pub fn bucket_scatter_counts(
-    d: Dispatch,
-    bucket_coeffs: &[u64],
-    width: usize,
-    items: &[(u64, i64)],
-    counters: &mut [i64],
-) {
-    assert!(width > 0, "bucket width must be non-zero");
-    assert!(counters.len() >= width, "counter row narrower than width");
-    let mut bbuf = [0u64; 8];
-    let Some(bn) = reduced_coeffs(bucket_coeffs, &mut bbuf) else {
-        for &(k, count) in items {
-            counters[(poly_eval(bucket_coeffs, k) % width as u64) as usize] += count;
-        }
-        return;
-    };
-    let bc = &bbuf[..bn];
-    let wm = FixedMod::new(width as u64);
-    let mut chunks = items.chunks_exact(CHUNK);
-    for ic in chunks.by_ref() {
-        let ks: [u64; CHUNK] = std::array::from_fn(|l| ic[l].0);
-        let hb = hash8(d, bc, &ks);
-        for l in 0..CHUNK {
-            counters[wm.rem(hb[l]) as usize] += ic[l].1;
-        }
-    }
-    for &(k, count) in chunks.remainder() {
-        counters[wm.rem(poly_eval(bc, k)) as usize] += count;
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Geometric gap kernel
 // ---------------------------------------------------------------------------
@@ -1073,22 +998,6 @@ mod tests {
                     let mut got = vec![0i64; width];
                     signed_scatter_counts(d, sc, bc, width, &items[..len], &mut got);
                     assert_eq!(got, want, "signed counts width {width} len {len}");
-
-                    let mut want = vec![0i64; width];
-                    for &k in &keys[..len] {
-                        want[(poly_eval(bc, k) % width as u64) as usize] += 1;
-                    }
-                    let mut got = vec![0i64; width];
-                    bucket_scatter(d, bc, width, &keys[..len], &mut got);
-                    assert_eq!(got, want, "bucket width {width} len {len}");
-
-                    let mut want = vec![0i64; width];
-                    for &(k, c) in &items[..len] {
-                        want[(poly_eval(bc, k) % width as u64) as usize] += c;
-                    }
-                    let mut got = vec![0i64; width];
-                    bucket_scatter_counts(d, bc, width, &items[..len], &mut got);
-                    assert_eq!(got, want, "bucket counts width {width} len {len}");
                 }
             }
         }

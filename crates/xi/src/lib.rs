@@ -7,7 +7,7 @@
 //! * **4-wise independence** suffices for the variance bounds of the AGMS
 //!   size-of-join and self-join estimators (Alon, Matias & Szegedy, STOC'96).
 //! * **2-wise (pairwise) independence** suffices for the bucket hashes used
-//!   by F-AGMS (Count-Sketch) and Count-Min.
+//!   by F-AGMS (Count-Sketch).
 //!
 //! This crate provides the Carter–Wegman polynomial families over
 //! GF(2⁶¹−1), the ones every sketch of *"Sketching Sampled Data Streams"*
@@ -16,7 +16,7 @@
 //! | Type | Construction | Independence | Role |
 //! |---|---|---|---|
 //! | [`Cw4`] | cubic polynomial | 4-wise | the ±1 signs ξ |
-//! | [`Cw2Bucket`] | linear polynomial, `mod width` | 2-wise | F-AGMS / Count-Min buckets |
+//! | [`Cw2Bucket`] | linear polynomial, `mod width` | 2-wise | F-AGMS buckets |
 //! | [`Cw2`] | linear polynomial | 2-wise | a ±1 family too weak for AGMS |
 //!
 //! Every family is cheap to seed (a few machine words), deterministic given
@@ -57,6 +57,13 @@
 //!
 //! ```compile_fail
 //! use sss_xi::FourWise; // removed: no bound used it; Cw4 is the 4-wise family
+//! ```
+//!
+//! The unsigned bucket kernels went with Count-Min, their one sketch: every
+//! row kernel carries a ±1 sign.
+//!
+//! ```compile_fail
+//! use sss_xi::bucket_scatter; // removed with Count-Min; rows run signed_scatter
 //! ```
 //!
 //! Both family traits are sealed: a type outside this crate cannot
@@ -105,10 +112,7 @@ pub mod kernels;
 pub mod prime;
 
 pub use codec::{Codec, CodecError, Reader, Writer};
-pub use cw::{
-    bucket_scatter, bucket_scatter_counts, signed_scatter, signed_scatter_counts, Cw2, Cw2Bucket,
-    Cw4,
-};
+pub use cw::{signed_scatter, signed_scatter_counts, Cw2, Cw2Bucket, Cw4};
 pub use family::{BucketFamily, SignFamily};
 pub use kernels::Dispatch;
 
@@ -116,7 +120,7 @@ pub use kernels::Dispatch;
 /// independence the paper's variance formulas (Propositions 7–8) assume.
 pub type DefaultSign = Cw4;
 
-/// The default pairwise-independent bucket hash used by F-AGMS and Count-Min.
+/// The default pairwise-independent bucket hash used by F-AGMS.
 pub type DefaultBucket = Cw2Bucket;
 
 /// SplitMix64's increment: `2⁶⁴/φ`, rounded to odd.

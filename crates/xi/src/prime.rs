@@ -55,13 +55,6 @@ pub fn poly_eval(coeffs: &[u64], x: u64) -> u64 {
     acc
 }
 
-/// Number of Horner chains evaluated in parallel by [`poly_eval_batch`].
-///
-/// Each chain is a serial multiply→reduce dependency, so a single key
-/// cannot saturate the multiplier; four independent chains keep it busy
-/// while staying within the register budget on x86-64 and aarch64.
-pub const POLY_LANES: usize = 4;
-
 /// Reduce a 128-bit value modulo 2⁶¹ − 1 *partially*: two folds, no final
 /// conditional subtraction. The result is < 2⁶² and congruent to `x`.
 ///
@@ -142,55 +135,6 @@ impl FixedMod {
     }
 }
 
-/// Evaluate the polynomial `c[0] + c[1]·x + … + c[d]·xᵈ` at every key of a
-/// batch, writing `out[i] = poly_eval(coeffs, keys[i])` bit for bit.
-///
-/// Compared to calling [`poly_eval`] per key this amortizes the coefficient
-/// reduction (`c % P61` once per batch instead of once per key), defers the
-/// canonicalizing subtraction to the end of each Horner chain, and runs
-/// [`POLY_LANES`] independent chains so the serial multiply latency of one
-/// key overlaps with the others.
-///
-/// # Panics
-///
-/// Panics if `keys.len() != out.len()`.
-pub fn poly_eval_batch(coeffs: &[u64], keys: &[u64], out: &mut [u64]) {
-    assert_eq!(
-        keys.len(),
-        out.len(),
-        "poly_eval_batch needs one output slot per key"
-    );
-    // Reduce the coefficients once for the whole batch. Degrees above 7
-    // never occur in this workspace (CW4 is cubic), but fall back to the
-    // scalar path rather than allocate.
-    let mut reduced = [0u64; 8];
-    if coeffs.len() > reduced.len() {
-        for (o, &k) in out.iter_mut().zip(keys) {
-            *o = poly_eval(coeffs, k);
-        }
-        return;
-    }
-    for (r, &c) in reduced.iter_mut().zip(coeffs) {
-        *r = c % P61;
-    }
-    let reduced = &reduced[..coeffs.len()];
-
-    let mut key_chunks = keys.chunks_exact(POLY_LANES);
-    let mut out_chunks = out.chunks_exact_mut(POLY_LANES);
-    for (kc, oc) in key_chunks.by_ref().zip(out_chunks.by_ref()) {
-        let lanes: &[u64; POLY_LANES] = kc.try_into().expect("chunks_exact yields full chunks");
-        let xs = lanes.map(|k| k % P61);
-        oc.copy_from_slice(&horner_lanes_reduced(reduced, &xs));
-    }
-    for (o, &k) in out_chunks
-        .into_remainder()
-        .iter_mut()
-        .zip(key_chunks.remainder())
-    {
-        *o = poly_eval(reduced, k);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -245,53 +189,6 @@ mod tests {
             ((3 + 5 * x % p + 7 * (x * x % p) % p + 11 * (x * x % p * x % p) % p) % p) as u64
         };
         assert_eq!(poly_eval(&coeffs, x), direct);
-    }
-
-    #[test]
-    fn batch_is_bit_identical_to_scalar() {
-        // Exercise every chunk-remainder split and unreduced keys.
-        let coeffs = [7u64, 0, P61 - 1, 1 << 60];
-        let keys: Vec<u64> = (0..23u64)
-            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            .chain([0, 1, P61 - 1, P61, P61 + 1, u64::MAX])
-            .collect();
-        for len in 0..keys.len() {
-            let mut out = vec![0u64; len];
-            poly_eval_batch(&coeffs, &keys[..len], &mut out);
-            for (i, &o) in out.iter().enumerate() {
-                assert_eq!(o, poly_eval(&coeffs, keys[i]), "len {len}, index {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn batch_handles_unreduced_coefficients() {
-        let coeffs = [u64::MAX, P61 + 3, 1 << 62];
-        let keys = [5u64, 1 << 61, u64::MAX];
-        let mut out = [0u64; 3];
-        poly_eval_batch(&coeffs, &keys, &mut out);
-        for (i, &o) in out.iter().enumerate() {
-            assert_eq!(o, poly_eval(&coeffs, keys[i]));
-        }
-    }
-
-    #[test]
-    fn batch_falls_back_beyond_lane_budget() {
-        // Degree > 7 takes the scalar fallback; results must still match.
-        let coeffs: Vec<u64> = (1..=12u64).collect();
-        let keys: Vec<u64> = (0..9u64).map(|i| i * 997).collect();
-        let mut out = vec![0u64; keys.len()];
-        poly_eval_batch(&coeffs, &keys, &mut out);
-        for (i, &o) in out.iter().enumerate() {
-            assert_eq!(o, poly_eval(&coeffs, keys[i]));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "one output slot per key")]
-    fn batch_rejects_mismatched_lengths() {
-        let mut out = [0u64; 2];
-        poly_eval_batch(&[1, 2], &[1, 2, 3], &mut out);
     }
 
     #[test]

@@ -9,11 +9,11 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sketch_sampled_streams::core::analysis::{self, BoundKind};
+use sketch_sampled_streams::core::analysis;
 use sketch_sampled_streams::core::sketch::JoinSchema;
 use sketch_sampled_streams::core::Sampled;
 use sketch_sampled_streams::datagen::ZipfGenerator;
-use sketch_sampled_streams::moments::FrequencyVector;
+use sketch_sampled_streams::moments::{bounds, FrequencyVector};
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(2009);
@@ -58,7 +58,7 @@ fn main() {
     println!("\nanalytical 95% confidence intervals (CLT):");
     for p in [1.0, 0.1, 0.01] {
         let m = analysis::shedding_self_join(&freqs, p, &schema).unwrap();
-        let ci = analysis::confidence_interval(truth, &m, 0.95, BoundKind::Normal);
+        let ci = bounds::normal(truth, &m, 0.95);
         println!(
             "  p = {:>5}: F₂ ± {:>12.0}  ({:.2}% relative)",
             p,

@@ -7,8 +7,7 @@
 //! * [`xi`] — limited-independence ±1 families and bucket hashes.
 //! * [`sampling`] — Bernoulli / with-replacement / without-replacement
 //!   sampling and sampling-only estimators.
-//! * [`sketch`] — AGMS, F-AGMS and Count-Min sketches, plus the top-k,
-//!   HyperLogLog and KLL summaries.
+//! * [`sketch`] — AGMS and F-AGMS sketches; top-k, HyperLogLog and KLL.
 //! * [`moments`] — exact expectation/variance formulas, the
 //!   sampling/sketch/interaction variance decomposition and confidence
 //!   bounds.

@@ -18,8 +18,8 @@ use sketch_sampled_streams::core::sketch::JoinSchema;
 use sketch_sampled_streams::core::{MultiSpec, MultiSummary, Portable, Sampled, Summary};
 use sketch_sampled_streams::sketch::topk::HeavyHitters;
 use sketch_sampled_streams::sketch::{
-    AgmsSchema, CountMinSchema, CountSketchTopK, FagmsSchema, FagmsSketch, HyperLogLog, KllSketch,
-    MisraGries, Sketch,
+    AgmsSchema, CountSketchTopK, FagmsSchema, FagmsSketch, HyperLogLog, KllSketch, MisraGries,
+    Sketch,
 };
 use sketch_sampled_streams::xi::{
     BucketFamily, Codec, Cw2, Cw2Bucket, Cw4, Reader, SignFamily, Writer,
@@ -566,40 +566,6 @@ proptest! {
         let schema = FagmsSchema::<Cw4, Cw2Bucket>::new(4, 32, &mut rng);
         let (mut scalar, mut batched) = (schema.sketch(), schema.sketch());
         check_counted_batch(&mut scalar, &mut batched, &items, split);
-        for r in 0..schema.depth() {
-            prop_assert_eq!(scalar.row(r), batched.row(r));
-        }
-    }
-
-    /// Count-Min: the `bucket_scatter` kernels match the scalar path,
-    /// including negative counts.
-    #[test]
-    fn countmin_update_batch_matches_scalar(
-        keys in stream(),
-        items in counted_stream(),
-        split in 0usize..400,
-        seed: u64,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-
-        let schema = CountMinSchema::<Cw2Bucket>::new(3, 64, &mut rng);
-        let (mut scalar, mut batched) = (schema.sketch(), schema.sketch());
-        check_unit_batch(&mut scalar, &mut batched, &keys, split);
-        for r in 0..schema.depth() {
-            prop_assert_eq!(scalar.row(r), batched.row(r));
-        }
-
-        let schema = CountMinSchema::<Cw2Bucket>::new(3, 64, &mut rng);
-        let (mut scalar, mut batched) = (schema.sketch(), schema.sketch());
-        check_counted_batch(&mut scalar, &mut batched, &items, split);
-        for r in 0..schema.depth() {
-            prop_assert_eq!(scalar.row(r), batched.row(r));
-        }
-
-        // A second, independently seeded bucket family.
-        let schema = CountMinSchema::<Cw2Bucket>::new(3, 64, &mut rng);
-        let (mut scalar, mut batched) = (schema.sketch(), schema.sketch());
-        check_unit_batch(&mut scalar, &mut batched, &keys, split);
         for r in 0..schema.depth() {
             prop_assert_eq!(scalar.row(r), batched.row(r));
         }

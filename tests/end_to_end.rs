@@ -4,11 +4,11 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sketch_sampled_streams::core::analysis::{self, BoundKind};
+use sketch_sampled_streams::core::analysis;
 use sketch_sampled_streams::core::sketch::JoinSchema;
 use sketch_sampled_streams::core::{IidStreamSketcher, Sampled, ScanSketcher};
 use sketch_sampled_streams::datagen::{TpchGenerator, ZipfGenerator};
-use sketch_sampled_streams::moments::FrequencyVector;
+use sketch_sampled_streams::moments::{bounds, FrequencyVector};
 use sketch_sampled_streams::sampling::without_replacement::PrefixScan;
 
 #[test]
@@ -43,7 +43,7 @@ fn predicted_confidence_interval_covers_realized_estimates() {
     let schema = JoinSchema::fagms(1, 2000, &mut rng);
     let p = 0.2;
     let moments = analysis::shedding_self_join(&freqs, p, &schema).unwrap();
-    let ci = analysis::confidence_interval(truth, &moments, 0.99, BoundKind::Normal);
+    let ci = bounds::normal(truth, &moments, 0.99);
 
     // 30 independent runs: nearly all must land inside the 99% interval.
     let mut inside = 0;
