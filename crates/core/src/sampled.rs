@@ -403,6 +403,26 @@ impl<S: Summary + JoinQuery> Sampled<S> {
     }
 }
 
+/// The corrected answers above, for code generic over [`JoinQuery`] — a
+/// sharded runtime's join queries among them.
+impl<S: Summary + JoinQuery> JoinQuery for Sampled<S> {
+    fn self_join(&self) -> f64 {
+        Sampled::self_join(self)
+    }
+
+    fn size_of_join(&self, other: &Self) -> Result<f64> {
+        Sampled::size_of_join(self, other)
+    }
+
+    fn self_join_estimate(&self) -> Estimate {
+        Sampled::self_join_estimate(self)
+    }
+
+    fn size_of_join_estimate(&self, other: &Self) -> Result<Estimate> {
+        Sampled::size_of_join_estimate(self, other)
+    }
+}
+
 impl<S: Summary + TopKQuery> Sampled<S> {
     /// Typed full-stream frequency estimate for one key: the summary's raw
     /// sample-frequency estimate scaled by `1/p`, with the summary noise

@@ -245,9 +245,7 @@ impl<F: SignFamily> AgmsSketch<F> {
     /// `−2F₄` term, so it over-covers).
     pub fn self_join_estimate(&self) -> Estimate {
         let n = self.counters.len() as f64;
-        let e = Estimate::from_mean(self.self_join_basics());
-        let plugin = 2.0 * e.value * e.value / n;
-        e.or_variance(plugin)
+        Estimate::from_mean(self.self_join_basics()).or_variance(|v| 2.0 * v * v / n)
     }
 
     /// Point estimate of the frequency of `key`: the mean over counters of
@@ -274,8 +272,7 @@ impl<F: SignFamily> AgmsSketch<F> {
     pub fn size_of_join_estimate(&self, other: &Self) -> Result<Estimate> {
         let n = self.counters.len() as f64;
         let e = Estimate::from_mean(self.size_of_join_basics(other)?);
-        let plugin = (self.self_join() * other.self_join() + e.value * e.value) / n;
-        Ok(e.or_variance(plugin))
+        Ok(e.or_variance(|v| (self.self_join() * other.self_join() + v * v) / n))
     }
 }
 

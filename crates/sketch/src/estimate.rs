@@ -222,11 +222,12 @@ impl Estimate {
     }
 
     /// Replace a non-finite empirical variance with an analytic plug-in
-    /// bound. Leaves finite variances untouched.
+    /// bound, `fallback(value)`. Leaves finite variances untouched, and
+    /// then never computes the bound.
     #[must_use]
-    pub fn or_variance(mut self, fallback: f64) -> Self {
+    pub fn or_variance(mut self, fallback: impl FnOnce(f64) -> f64) -> Self {
         if !self.variance.is_finite() {
-            self.variance = fallback;
+            self.variance = fallback(self.value);
         }
         self
     }
@@ -372,11 +373,12 @@ mod tests {
         let e = Estimate::from_mean(vec![7.0]);
         assert_eq!(e.value, 7.0);
         assert!(e.variance.is_infinite());
-        let e = e.or_variance(12.5);
+        let e = e.or_variance(|v| v + 5.5);
         assert_eq!(e.variance, 12.5);
-        // A finite empirical variance is not overridden.
-        let kept = Estimate::from_mean(vec![1.0, 2.0]).or_variance(99.0);
-        assert!(kept.variance < 99.0);
+        // A finite empirical variance is not overridden, and the plug-in
+        // is not computed.
+        let kept = Estimate::from_mean(vec![1.0, 2.0]).or_variance(|_| unreachable!());
+        assert_eq!(kept.variance, 0.25);
     }
 
     #[test]

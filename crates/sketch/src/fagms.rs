@@ -21,7 +21,8 @@ use crate::estimate::{self, Estimate};
 use crate::Sketch;
 use rand::Rng;
 use sss_xi::{
-    BucketFamily, Codec, CodecError, DefaultBucket, DefaultSign, Reader, SignFamily, Writer,
+    kernels, BucketFamily, Codec, CodecError, DefaultBucket, DefaultSign, Dispatch, Reader,
+    SignFamily, Writer,
 };
 use std::sync::Arc;
 
@@ -245,14 +246,25 @@ impl<S: SignFamily, B: BucketFamily> FagmsSketch<S, B> {
         }
     }
 
-    /// Per-row self-join estimates `Σ_b c_b²`.
+    /// Per-row self-join estimates `Σ_b c_b²`: each row's exact integer
+    /// sum ([`sss_xi::kernels::square_sum`]) rounded once, which is the f64
+    /// fold's every bit while the counters and sums stay in the kernel's
+    /// range, and the f64 fold itself for a sketch where some row does not.
     pub fn self_join_rows(&self) -> Vec<f64> {
-        // One conversion per counter: `c·c` is `c as f64 * c as f64`.
-        let square = |c: i64, _| {
-            let c = c as f64;
-            c * c
-        };
-        row_sums(&self.counters, &self.counters, self.schema.width, square)
+        let d = Dispatch::get();
+        let exact: Option<Vec<f64>> = self
+            .counters
+            .chunks(self.schema.width)
+            .map(|row| kernels::square_sum(d, row).map(|sum| sum as f64))
+            .collect();
+        exact.unwrap_or_else(|| {
+            // One conversion per counter: `c·c` is `c as f64 * c as f64`.
+            let square = |c: i64, _| {
+                let c = c as f64;
+                c * c
+            };
+            row_sums(&self.counters, &self.counters, self.schema.width, square)
+        })
     }
 
     /// Self-join size estimate: median across rows.
@@ -289,9 +301,7 @@ impl<S: SignFamily, B: BucketFamily> FagmsSketch<S, B> {
     /// back to the analytic per-row bound `2·F₂²/width`.
     pub fn self_join_estimate(&self) -> Estimate {
         let width = self.schema.width() as f64;
-        let e = Estimate::from_median(self.self_join_rows());
-        let plugin = 2.0 * e.value * e.value / width;
-        e.or_variance(plugin)
+        Estimate::from_median(self.self_join_rows()).or_variance(|v| 2.0 * v * v / width)
     }
 
     /// Typed size-of-join estimate: value bit-identical to
@@ -304,8 +314,7 @@ impl<S: SignFamily, B: BucketFamily> FagmsSketch<S, B> {
     pub fn size_of_join_estimate(&self, other: &Self) -> Result<Estimate> {
         let width = self.schema.width() as f64;
         let e = Estimate::from_median(self.size_of_join_rows(other)?);
-        let plugin = (self.self_join() * other.self_join() + e.value * e.value) / width;
-        Ok(e.or_variance(plugin))
+        Ok(e.or_variance(|v| (self.self_join() * other.self_join() + v * v) / width))
     }
 
     /// The estimated `k` most frequent keys among `candidates`, sorted by

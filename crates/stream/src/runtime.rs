@@ -16,6 +16,7 @@
 //!  QueryHandle: the read side (the runtime derefs to it), one cache lock:
 //!  merged() ── lock shard s, apply what is queued below its floor, merge it in ──▶ Arc<E₀ ⊕ E₁ ⊕ E₂>
 //!  read_replica() ── the frame() over that Arc, kept beside it ──▶ Arc ──▶ every reader
+//!  fresh F₂ at one shard ── lock shard 0, apply what is queued below its floor ──▶ E₀'s own estimate
 //! ```
 //!
 //! Two perf-critical design decisions (see `DESIGN.md` §4h; the ledger's
@@ -46,7 +47,10 @@
 //!   repeated query with no intervening ingest copies nothing. The cache
 //!   also keeps the one replica frame over that merge
 //!   ([`SlimQuery::frame`]), under the same lock: [`ReadReplica`]s share it
-//!   by pointer, and it projects what its readers ask for, once.
+//!   by pointer, and it projects what its readers ask for, once. A fresh
+//!   F₂ answer at one shard skips all of that: the merge of one shard's
+//!   join counters is those counters (§VI-C), so it is read off the
+//!   caught-up shard under its lock, with no fold, cache install or frame.
 //!
 //! * [`push`](ShardedRuntime::push) and
 //!   [`push_loaned`](ShardedRuntime::push_loaned) block when a ring is
@@ -210,6 +214,17 @@ impl<E: Summary> ShardState<E> {
     /// [`apply_next`](Self::apply_next)).
     fn lock_core(&self) -> MutexGuard<'_, Option<ShardCore<E>>> {
         self.core.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Post `floor`, lock the core and apply what is queued below it: the
+    /// summary then reflects at least the first `floor` accepted batches
+    /// (unless the shard is dead). The worker yields the lock to the
+    /// posted floor; an idle one is not waited for.
+    fn caught_up(&self, floor: u64) -> MutexGuard<'_, Option<ShardCore<E>>> {
+        let _waiting = Waiting::new(&self.query_floor, floor);
+        let mut core = self.lock_core();
+        while self.applied.load(Ordering::Relaxed) < floor && self.apply_next(&mut core) {}
+        core
     }
 
     /// Under the core lock: apply the run at the head of the data ring, if
@@ -834,9 +849,7 @@ impl<E: Summary> QueryHandle<E> {
         let mut fold = Fold::new(&self.shared.prototype);
         let mut stamps = Vec::with_capacity(floors.len());
         for (shard, (state, &floor)) in self.shared.shards.iter().zip(&floors).enumerate() {
-            let _waiting = Waiting::new(&state.query_floor, floor);
-            let mut core = state.lock_core();
-            while state.applied.load(Ordering::Relaxed) < floor && state.apply_next(&mut core) {}
+            let core = state.caught_up(floor);
             let live = core
                 .as_ref()
                 .ok_or(StreamError::ShardDisconnected { shard })?;
@@ -885,11 +898,48 @@ impl<E: Summary + JoinQuery> QueryHandle<E> {
     /// exactly the sketch noise of the answer (per-shard error bars would
     /// measure the noise of partial streams instead).
     ///
+    /// At one shard the answer is read off the shard itself, caught up
+    /// under its lock: the same bits as the merge's, without the merge
+    /// (see the module docs).
+    ///
     /// # Errors
     ///
     /// As for [`merged`](Self::merged).
     pub fn self_join_estimate(&self) -> Result<Estimate> {
-        Ok(self.merged()?.self_join_estimate())
+        match self.one_shard_self_join(0) {
+            Some(answer) => Ok(answer?.0),
+            None => Ok(self.merged()?.self_join_estimate()),
+        }
+    }
+
+    /// At one shard, the F₂ estimate of the shard's state once it reflects
+    /// all but `max_pending` of its accepted batches, with the offered
+    /// tuples that state had applied: the cached merge's answer when the
+    /// merge is recent enough, else the shard's own, read under its lock
+    /// after the catch-up. Linearity makes the two the same bits, so no
+    /// fold, cache install or frame is needed. `None` at more than one
+    /// shard, where F₂ of a sum needs the summed counters.
+    fn one_shard_self_join(&self, max_pending: u64) -> Option<Result<(Estimate, u64)>> {
+        let [state] = &self.shared.shards[..] else {
+            return None;
+        };
+        // Held throughout, as by every query: one posted floor per shard.
+        let mut cache = self.shared.lock_cache();
+        let floor = state
+            .accepted
+            .load(Ordering::Acquire)
+            .saturating_sub(max_pending);
+        if let Some((merged, stamp)) = cache.hit(&[floor]) {
+            return Some(Ok((merged.self_join_estimate(), stamp.tuples)));
+        }
+        let core = state.caught_up(floor);
+        Some(match core.as_ref() {
+            Some(live) => Ok((
+                live.est.self_join_estimate(),
+                state.ingested.load(Ordering::Relaxed),
+            )),
+            None => Err(StreamError::ShardDisconnected { shard: 0 }),
+        })
     }
 
     /// Typed at-all-times size-of-join query against another runtime over
@@ -990,6 +1040,14 @@ impl<E: Summary> std::fmt::Debug for QueryHandle<E> {
 /// accepted since the frame was projected, so a replica lagging behind
 /// ingest reports honestly wider error bars rather than a silently stale
 /// point value.
+///
+/// One answer bypasses the frame: on a one-shard runtime, a
+/// [`self_join_estimate`](ReadReplica::self_join_estimate) past
+/// `max_pending` is read off the caught-up shard itself, as
+/// [`QueryHandle::self_join_estimate`] is, and adopts no frame. So
+/// [`version`](ReadReplica::version) and [`pending`](ReadReplica::pending)
+/// describe the frame the other families answer from, not that F₂
+/// answer.
 pub struct ReadReplica<E: Summary + SlimQuery> {
     handle: QueryHandle<E>,
     /// Accepted-batch staleness tolerated before a refresh is forced.
@@ -1049,12 +1107,14 @@ impl<E: Summary + SlimQuery> ReadReplica<E> {
     }
 
     /// Batches the adopted frame's merge reflects: at least every batch
-    /// accepted before it was projected.
+    /// accepted before it was projected. A fresh F₂ answer read off a lone
+    /// shard adopts no frame and leaves this where it was.
     pub fn version(&self) -> u64 {
         self.version
     }
 
-    /// Accepted batches past this replica's frame right now.
+    /// Accepted batches past this replica's frame right now: the frame's
+    /// staleness, not that of a one-shard F₂ answer, which is caught up.
     pub fn pending(&self) -> u64 {
         self.handle.accepted_total().saturating_sub(self.version)
     }
@@ -1062,27 +1122,37 @@ impl<E: Summary + SlimQuery> ReadReplica<E> {
 
 impl<E> ReadReplica<E>
 where
-    E: Summary + SlimQuery,
+    E: Summary + SlimQuery + JoinQuery,
     E::Slim: JoinQuery,
 {
-    /// Staleness-aware self-join query from the slim replica: refresh if
-    /// past `max_pending`, answer from local slim state, and widen the
-    /// error bar by the staleness plug-in for the tuples pushed since the
-    /// frame was projected, whether a worker has applied them yet or not. When the replica is fresh the value
-    /// is bit-identical to
+    /// Staleness-aware self-join query. Within `max_pending` it answers
+    /// from the frame. Past it, a one-shard runtime answers from the
+    /// shard, caught up to `max_pending` batches behind (see
+    /// [`QueryHandle::self_join_estimate`]); more shards refresh the frame
+    /// and answer from it. Either way the error bar widens by the
+    /// staleness plug-in for the tuples pushed since the state answered
+    /// from, whether a worker has applied them yet or not. With nothing
+    /// pending the answer is bit-identical to
     /// [`QueryHandle::self_join_estimate`] on the same state.
     ///
     /// # Errors
     ///
     /// As for [`refresh`](ReadReplica::refresh).
     pub fn self_join_estimate(&mut self) -> Result<Estimate> {
-        self.refresh()?;
-        let est = self.slim.self_join_estimate();
-        let pending = self
-            .handle
-            .accepted_tuples_total()
-            .saturating_sub(self.applied);
-        let extra = staleness_variance_plugin(est.value, self.applied, pending);
+        let in_place = if self.pending() > self.max_pending {
+            self.handle.one_shard_self_join(self.max_pending)
+        } else {
+            None
+        };
+        let (est, applied) = match in_place {
+            Some(answer) => answer?,
+            None => {
+                self.refresh()?;
+                (self.slim.self_join_estimate(), self.applied)
+            }
+        };
+        let pending = self.handle.accepted_tuples_total().saturating_sub(applied);
+        let extra = staleness_variance_plugin(est.value, applied, pending);
         Ok(est.plus_variance(extra))
     }
 }

@@ -4,7 +4,8 @@
 //! evaluation, the fused sign+bucket row scatter, and the Bernoulli
 //! sampler's geometric gaps — is a pure function of `(seed, key)` or
 //! `(seed, draw index)`, which makes the batch versions embarrassingly
-//! data-parallel. This module centralizes those
+//! data-parallel; the F-AGMS read's row sum of squares ([`square_sum`])
+//! is an exact integer sum. This module centralizes those
 //! batch loops in one place and provides two implementations per kernel:
 //!
 //! * a **chunked** path: fixed-width-8 array inner loops that LLVM can
@@ -31,7 +32,7 @@
 //! fold at the end), not a rearranged one. The gap kernel cannot repeat the
 //! platform `ln`, so it proves instead which lanes its own logarithm
 //! decides exactly and recomputes the rest with the reference (see
-//! [`geometric_gaps`]).
+//! [`geometric_gaps`]). The square sum is exact on every path, or `None`.
 
 use crate::prime::{horner_lanes_reduced, poly_eval, FixedMod, P61};
 use crate::{splitmix64, GOLDEN_GAMMA};
@@ -464,6 +465,63 @@ pub fn geometric_gaps(d: Dispatch, state: u64, log_q: f64, out: &mut [u64; GAP_L
 }
 
 // ---------------------------------------------------------------------------
+// Exact square sum
+// ---------------------------------------------------------------------------
+
+/// [`square_sum`] declines a counter with `|c|` at or above this.
+const SQUARE_LIMIT: i64 = 1 << 26;
+
+/// [`square_sum`] declines a sum at or above this: `2⁵³`.
+const SQUARE_SUM_LIMIT: u64 = 1 << 53;
+
+/// Counters one [`square_sum`] block adds in 64-bit lanes before the sum
+/// is checked: `2048` squares below `2⁵²` stay below `2⁶³`.
+const SQUARE_BLOCK: usize = 2048;
+
+/// `|c| < 2²⁶`, branch-free: `c + 2²⁶ − 1` lands in `[0, 2²⁷ − 2]` as an
+/// unsigned word exactly then (`i64::MIN` and `i64::MAX` wrap far out).
+#[inline]
+fn square_fits(c: i64) -> bool {
+    (c.wrapping_add(SQUARE_LIMIT - 1) as u64) < (2 * SQUARE_LIMIT - 1) as u64
+}
+
+/// `Σ c²` over `counters` in exact integers, on whichever path `d`
+/// resolved to; `None` when some `|c| ≥ 2²⁶` or the sum is `≥ 2⁵³`.
+///
+/// Below both limits every square is below `2⁵²` and every partial sum
+/// below `2⁵³`, so an f64 loop adding `c as f64 * c as f64` in any order
+/// is exact too: `Some(s)` as f64 is that loop's result, bit for bit (an
+/// empty or all-zero slice gives `+0.0`, as `-0.0 + 0.0` does). A caller
+/// keeps its f64 loop for `None`.
+pub fn square_sum(d: Dispatch, counters: &[i64]) -> Option<u64> {
+    let mut total = 0u64;
+    for block in counters.chunks(SQUARE_BLOCK) {
+        total += match d.path {
+            Path::Chunked => square_block(block)?,
+            #[cfg(target_arch = "x86_64")]
+            Path::Avx2(token) => avx2::square_block(token, block)?,
+        };
+        if total >= SQUARE_SUM_LIMIT {
+            return None;
+        }
+    }
+    Some(total)
+}
+
+/// The portable [`square_sum`] block: `Σ c²` of at most [`SQUARE_BLOCK`]
+/// counters, or `None` when one of them does not fit. The squares wrap
+/// instead of overflowing; an out-of-range block's sum is discarded.
+fn square_block(block: &[i64]) -> Option<u64> {
+    let mut fits = true;
+    let mut sum = 0u64;
+    for &c in block {
+        fits &= square_fits(c);
+        sum = sum.wrapping_add(c.wrapping_mul(c) as u64);
+    }
+    fits.then_some(sum)
+}
+
+// ---------------------------------------------------------------------------
 // AVX2 path (the single audited unsafe module)
 // ---------------------------------------------------------------------------
 
@@ -486,17 +544,18 @@ pub fn geometric_gaps(d: Dispatch, state: u64, log_q: f64, out: &mut [u64; GAP_L
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 pub(crate) mod avx2 {
-    use super::{geometric_gap, CHUNK, GAP_LANES};
+    use super::{geometric_gap, CHUNK, GAP_LANES, SQUARE_LIMIT};
     use crate::prime::P61;
     use crate::{splitmix64, GOLDEN_GAMMA};
     use std::arch::x86_64::{
         __m256d, __m256i, _mm256_add_epi64, _mm256_add_pd, _mm256_and_si256, _mm256_andnot_pd,
         _mm256_andnot_si256, _mm256_castpd_si256, _mm256_castsi256_pd, _mm256_cmp_pd,
         _mm256_cmpgt_epi64, _mm256_div_pd, _mm256_fmadd_pd, _mm256_fnmadd_pd, _mm256_loadu_si256,
-        _mm256_movemask_pd, _mm256_mul_epu32, _mm256_mul_pd, _mm256_or_si256, _mm256_round_pd,
-        _mm256_set1_epi64x, _mm256_set1_pd, _mm256_slli_epi64, _mm256_srli_epi64,
-        _mm256_storeu_si256, _mm256_sub_epi64, _mm256_sub_pd, _mm256_xor_si256, _CMP_GT_OQ,
-        _MM_FROUND_NO_EXC, _MM_FROUND_TO_NEAREST_INT, _MM_FROUND_TO_ZERO,
+        _mm256_movemask_pd, _mm256_mul_epi32, _mm256_mul_epu32, _mm256_mul_pd, _mm256_or_si256,
+        _mm256_round_pd, _mm256_set1_epi64x, _mm256_set1_pd, _mm256_setzero_si256,
+        _mm256_slli_epi64, _mm256_srli_epi64, _mm256_storeu_si256, _mm256_sub_epi64, _mm256_sub_pd,
+        _mm256_testz_si256, _mm256_xor_si256, _CMP_GT_OQ, _MM_FROUND_NO_EXC,
+        _MM_FROUND_TO_NEAREST_INT, _MM_FROUND_TO_ZERO,
     };
 
     /// Proof token that the running CPU supports AVX2 and FMA.
@@ -900,6 +959,62 @@ pub(crate) mod avx2 {
         // SAFETY: an Avx2Token exists only if is_x86_feature_detected!
         // reported AVX2 and FMA, so the target-feature call is sound.
         unsafe { geometric_gaps_impl(state, log_q, out) }
+    }
+
+    /// Counters per step of [`square_block_impl`]: four vectors, one
+    /// accumulator each, so the adds do not wait on one another.
+    const SQUARE_STEP: usize = 16;
+
+    /// The AVX2 [`super::square_sum`] block: `vpmuldq` squares the low
+    /// 32 bits of four counters at once, sign-extended, which is `c²` for
+    /// every `|c| < 2²⁶`, into 64-bit lanes that at most
+    /// [`super::SQUARE_BLOCK`] squares below `2⁵²` cannot overflow. The
+    /// range test is [`super::square_fits`] per lane: the biased counter,
+    /// sign-flipped so that the signed `vpcmpgtq` compares unsigned words.
+    /// The last `len % 16` counters take the portable block.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 (call only while holding an [`Avx2Token`]).
+    #[target_feature(enable = "avx2")]
+    unsafe fn square_block_impl(block: &[i64]) -> Option<u64> {
+        let bias = _mm256_set1_epi64x(SQUARE_LIMIT - 1);
+        let sign = _mm256_set1_epi64x(i64::MIN);
+        let top = _mm256_set1_epi64x((2 * SQUARE_LIMIT - 2) ^ i64::MIN);
+        let mut sums = [_mm256_setzero_si256(); SQUARE_STEP / 4];
+        let mut outside = _mm256_setzero_si256();
+        let mut steps = block.chunks_exact(SQUARE_STEP);
+        for step in steps.by_ref() {
+            for (i, sum) in sums.iter_mut().enumerate() {
+                // SAFETY: `step` holds 16 i64s, so the 32-byte unaligned
+                // load at 4i is in bounds.
+                let c = _mm256_loadu_si256(step.as_ptr().add(4 * i).cast());
+                let biased = _mm256_xor_si256(_mm256_add_epi64(c, bias), sign);
+                outside = _mm256_or_si256(outside, _mm256_cmpgt_epi64(biased, top));
+                *sum = _mm256_add_epi64(*sum, _mm256_mul_epi32(c, c));
+            }
+        }
+        let tail = super::square_block(steps.remainder());
+        if _mm256_testz_si256(outside, outside) == 0 {
+            return None;
+        }
+        let total = _mm256_add_epi64(
+            _mm256_add_epi64(sums[0], sums[1]),
+            _mm256_add_epi64(sums[2], sums[3]),
+        );
+        let mut lanes = [0u64; 4];
+        // SAFETY: `lanes` holds four u64s; the unaligned store is in
+        // bounds.
+        _mm256_storeu_si256(lanes.as_mut_ptr().cast(), total);
+        Some(lanes.iter().sum::<u64>() + tail?)
+    }
+
+    /// Safe-to-call wrapper: the token witnesses AVX2 support.
+    #[inline]
+    pub(crate) fn square_block(_token: Avx2Token, block: &[i64]) -> Option<u64> {
+        // SAFETY: an Avx2Token exists only if is_x86_feature_detected!
+        // reported AVX2, so the target-feature call is sound.
+        unsafe { square_block_impl(block) }
     }
 
     /// The gap kernel's logarithm on four values, for the tests that

@@ -7,7 +7,9 @@
 //! both dispatches, so the portable path stays covered on AVX2 hosts. The
 //! Bernoulli sampler's gap kernel must equal its reference draw by draw:
 //! ten million draws per rate, and draws forced onto and next to integer
-//! quotients, where the AVX2 path hands lanes to its exact fallback.
+//! quotients, where the AVX2 path hands lanes to its exact fallback. The
+//! exact row square sum must equal an `i128` reference and today's f64
+//! row fold, and decline exactly at its two guards.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -134,6 +136,117 @@ proptest! {
         kernels::signed_scatter_counts(Dispatch::get(), sc, bc, width, &items, &mut got);
         prop_assert_eq!(&got, &expect);
     }
+}
+
+/// The F-AGMS row fold the exact square sum stands in for: `c as f64 *
+/// c as f64` added in counter order from `-0.0`, as `Iterator::sum` does.
+fn f64_square_fold(row: &[i64]) -> f64 {
+    row.iter()
+        .map(|&c| {
+            let c = c as f64;
+            c * c
+        })
+        .sum()
+}
+
+/// `Σ c²` in `i128`, declined as the kernel declines it.
+fn reference_square_sum(row: &[i64]) -> Option<u64> {
+    if row.iter().any(|c| c.unsigned_abs() >= 1 << 26) {
+        return None;
+    }
+    let sum: i128 = row.iter().map(|&c| i128::from(c) * i128::from(c)).sum();
+    (sum < 1 << 53).then_some(sum as u64)
+}
+
+/// Both paths give `want`, and an accepted sum is the f64 fold's bits.
+fn check_square_sum(row: &[i64], want: Option<u64>) -> Result<(), TestCaseError> {
+    for d in paths() {
+        let got = kernels::square_sum(d, row);
+        prop_assert_eq!(got, want, "{} path, width {}", d.label(), row.len());
+        if let Some(sum) = got {
+            prop_assert_eq!((sum as f64).to_bits(), f64_square_fold(row).to_bits());
+        }
+    }
+    Ok(())
+}
+
+/// A counter that mostly stays small, sometimes reaches `2²²`, and where
+/// `outlier` says so is any `i64` at all.
+fn counters_strategy() -> impl Strategy<Value = Vec<i64>> {
+    let counter = (0u8..9, -300i64..300, -(1i64 << 22)..(1 << 22))
+        .prop_map(|(pick, small, mid)| if pick == 0 { mid } else { small });
+    let outlier = (0u8..5, any::<u64>(), any::<i64>());
+    (prop::collection::vec(counter, 0..3000), outlier).prop_map(|(mut row, (pick, at, c))| {
+        if pick == 0 && !row.is_empty() {
+            let len = row.len() as u64;
+            row[(at % len) as usize] = c;
+        }
+        row
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The exact square sum equals the `i128` reference on both paths, and
+    /// whenever it answers, today's f64 row fold to the bit.
+    #[test]
+    fn square_sum_is_exact_and_is_the_f64_fold(row in counters_strategy()) {
+        check_square_sum(&row, reference_square_sum(&row))?;
+    }
+}
+
+/// Counters whose squares add to `target`, greedily from `2²⁶ − 1` down,
+/// alternating in sign.
+fn squares_summing_to(mut target: u64) -> Vec<i64> {
+    let mut out = Vec::new();
+    while target > 0 {
+        let mut c = ((target as f64).sqrt() as u64).min((1 << 26) - 1);
+        while c * c > target {
+            c -= 1;
+        }
+        while c + 1 < 1 << 26 && (c + 1) * (c + 1) <= target {
+            c += 1;
+        }
+        target -= c * c;
+        let sign = if out.len() % 2 == 0 { 1 } else { -1 };
+        out.push(sign * c as i64);
+    }
+    out
+}
+
+/// The two guards, each on both sides of its seam, on a row of two full
+/// 2048-counter blocks and a tail that is not a multiple of 16: counters
+/// at `±(2²⁶ − 1)` pass and `±2²⁶`, `i64::MIN` and `2³²` (whose low half
+/// squares to 0) do not, at every lane, step and block seam; sums spread
+/// over both blocks pass at `2⁵³ − 1` and not at `2⁵³`; an all-zero row is
+/// `+0.0`.
+#[test]
+fn square_sum_declines_exactly_at_its_guards() -> Result<(), TestCaseError> {
+    const WIDTH: usize = 4099;
+    let limit = 1i64 << 26;
+    let zeros = vec![0i64; WIDTH];
+    check_square_sum(&zeros, Some(0))?;
+    assert_eq!(f64_square_fold(&zeros).to_bits(), 0.0f64.to_bits());
+    for at in [0, 3, 4, 15, 16, 2047, 2048, 4095, 4096, 4098] {
+        let mut row = zeros.clone();
+        for c in [limit - 1, 1 - limit] {
+            row[at] = c;
+            check_square_sum(&row, Some((c * c) as u64))?;
+        }
+        for c in [limit, -limit, i64::MIN, i64::MAX, 1 << 32, -(1 << 32)] {
+            row[at] = c;
+            check_square_sum(&row, None)?;
+        }
+    }
+    for target in [(1u64 << 53) - 1, 1 << 53] {
+        let mut row = zeros.clone();
+        for (i, c) in squares_summing_to(target).into_iter().enumerate() {
+            row[7 + 601 * i] = c;
+        }
+        check_square_sum(&row, (target < 1 << 53).then_some(target))?;
+    }
+    Ok(())
 }
 
 /// The reference gaps of the block of draws whose first counter is `state`.

@@ -5,6 +5,7 @@
 //! (counter adds commute) checked end to end through the public facade.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sketch_sampled_streams::core::sketch::{JoinSchema, JoinSketch};
@@ -231,6 +232,96 @@ proptest! {
             fin.raw_self_join().to_bits(),
             sequential(&schema, &transformed).raw_self_join().to_bits()
         );
+    }
+}
+
+/// An estimate's value, variance and every basic, as bits.
+fn every_bit(est: &Estimate) -> Vec<u64> {
+    [est.value, est.variance]
+        .iter()
+        .chain(&est.basics)
+        .map(|x| x.to_bits())
+        .collect()
+}
+
+fn rebuilds<E: Summary>(rt: &ShardedRuntime<E>) -> u64 {
+    let stats = rt.cache_stats();
+    stats.partial_rebuilds + stats.full_rebuilds
+}
+
+/// Push `keys` in `chunk`s into a one-shard runtime. After each chunk, a
+/// fresh F₂ read through the handle, then through `replica_read` (a
+/// replica's, where `E` has one), rebuilds no cached merge and answers
+/// what `merged()` then answers, bit for bit. A handle read served by that
+/// now-current merge answers the same, even once `into_merged` has taken
+/// the shard.
+fn fresh_one_shard_reads_match_the_merge<E: Summary + JoinQuery>(
+    mut rt: ShardedRuntime<E>,
+    keys: &[u64],
+    chunk: usize,
+    mut replica_read: impl FnMut() -> Option<Estimate>,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(rt.shards(), 1);
+    for part in keys.chunks(chunk) {
+        rt.push(part).unwrap();
+        let before = rebuilds(&rt);
+        let fresh = every_bit(&rt.self_join_estimate().unwrap());
+        let replica = replica_read().map(|est| every_bit(&est));
+        prop_assert_eq!(
+            rebuilds(&rt),
+            before,
+            "a fresh one-shard read rebuilt the merge"
+        );
+        let merged = every_bit(&JoinQuery::self_join_estimate(&*rt.merged().unwrap()));
+        prop_assert_eq!(&fresh, &merged);
+        if let Some(replica) = replica {
+            prop_assert_eq!(&replica, &merged);
+        }
+        prop_assert_eq!(&every_bit(&rt.self_join_estimate().unwrap()), &merged);
+    }
+    let handle = rt.query_handle();
+    let merged = every_bit(&JoinQuery::self_join_estimate(&*rt.merged().unwrap()));
+    rt.into_merged().unwrap();
+    prop_assert_eq!(every_bit(&handle.self_join_estimate().unwrap()), merged);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// On one shard a fresh `self_join` — the handle's, and a
+    /// `max_pending = 0` replica's — is read off the caught-up shard
+    /// without a fold. For the composite, the sampled composite and a
+    /// bare join sketch (depth 1 included, where the variance is the
+    /// plug-in) it equals `merged().self_join_estimate()` in value,
+    /// variance and every basic, and rebuilds no cached merge.
+    #[test]
+    fn a_fresh_one_shard_self_join_is_the_merges_answer(
+        keys in prop::collection::vec(0..500u64, 1..400),
+        chunk in 1usize..97,
+        depth in 1usize..4,
+        seed: u64,
+    ) {
+        let config = RuntimeConfig { shards: 1, queue_depth: 4, partition: Partition::RoundRobin };
+
+        let rt = ShardedRuntime::new(config, &multi_spec(seed).summary().unwrap()).unwrap();
+        let mut replica = rt.read_replica(0).unwrap();
+        fresh_one_shard_reads_match_the_merge(rt, &keys, chunk, || {
+            Some(replica.self_join_estimate().unwrap())
+        })?;
+
+        let sampled = multi_spec(seed)
+            .sampled(0.3, &mut StdRng::seed_from_u64(seed ^ 1))
+            .unwrap();
+        let rt = ShardedRuntime::new(config, &sampled).unwrap();
+        fresh_one_shard_reads_match_the_merge(rt, &keys, chunk, || None)?;
+
+        let schema = JoinSchema::fagms(depth, 64, &mut StdRng::seed_from_u64(seed));
+        let rt = ShardedRuntime::new(config, &schema.sketch()).unwrap();
+        let mut replica = rt.read_replica(0).unwrap();
+        fresh_one_shard_reads_match_the_merge(rt, &keys, chunk, || {
+            Some(replica.self_join_estimate().unwrap())
+        })?;
     }
 }
 
@@ -1001,6 +1092,27 @@ impl Summary for HeldMerge {
             self.gate.wait(); // the test has pushed behind it
         }
         self.sketch.merge_from(&other.sketch)
+    }
+}
+
+impl JoinQuery for HeldMerge {
+    fn self_join(&self) -> f64 {
+        self.sketch.self_join()
+    }
+
+    fn size_of_join(&self, other: &Self) -> sketch_sampled_streams::core::Result<f64> {
+        self.sketch.size_of_join(&other.sketch)
+    }
+
+    fn self_join_estimate(&self) -> Estimate {
+        self.sketch.self_join_estimate()
+    }
+
+    fn size_of_join_estimate(
+        &self,
+        other: &Self,
+    ) -> sketch_sampled_streams::core::Result<Estimate> {
+        self.sketch.size_of_join_estimate(&other.sketch)
     }
 }
 
