@@ -58,7 +58,9 @@
 //! `"chunked"`, [`sss_xi::Dispatch::label`]).
 //!
 //! An error is `{"ok":false,"error":"…"}`, the message a JSON string
-//! whatever the client sent.
+//! whatever the client sent: `"`, `\\`, newline, carriage return and tab
+//! go out as their two-character escapes, the other C0 controls as a
+//! lowercase `\u00XX`, and every other character as it is.
 //!
 //! A request line is at most [`MAX_QUERY_LINE`] bytes: the server buffers
 //! no more than that (plus one socket read) per connection, refuses a
@@ -70,13 +72,15 @@
 //! Responses are one JSON object per line; every `f64` that must
 //! round-trip exactly (point estimates compared against oracles) also
 //! travels as its IEEE-754 bit pattern (`f64::to_bits`) in a sibling
-//! `*_bits` field, as the snapshot layout carries every float. The
-//! request parser is hand-rolled:
-//! the vendored serde backend has no lenient/optional-field
-//! deserialization, and a flat scanner over `"key":value` pairs is
-//! both smaller and easier to fuzz than a derive would be here.
+//! `*_bits` field, as the snapshot layout carries every float. This module
+//! owns the whole line format: the request parser, a flat scanner over
+//! `"key":value` pairs, and the response renderers beside it, both written
+//! by hand with no JSON library behind them.
 
 use sss_core::wire::FrameError;
+use sss_core::Estimate;
+use std::fmt::{self, Write as _};
+use std::str::FromStr;
 
 /// Client → server: the echoed handshake head.
 pub const FRAME_HELLO: u8 = 0x01;
@@ -312,17 +316,18 @@ pub struct QueryRequest {
     pub confidence: Option<f64>,
 }
 
-/// Parse one flat JSON request line (see the module docs for why this
-/// is hand-rolled rather than a serde derive). Unknown keys are
-/// ignored; duplicate keys keep the last value, as JSON parsers
-/// conventionally do.
+/// Parse one flat JSON request line. Unknown keys are ignored, whatever
+/// JSON scalar they carry; duplicate keys keep the last value, as JSON
+/// parsers conventionally do. A string ends at its first unescaped quote
+/// and is kept as written, escapes and all.
 ///
 /// # Errors
 ///
 /// A human-readable description of the malformation — the server wraps
 /// it into an error response for that line, keeping the connection. A
-/// `k` that is not a non-negative whole number, or a `confidence` outside
-/// `(0, 1)`, is a malformation too.
+/// value that is not a JSON scalar (a nested object or array), a `q`, `k`
+/// or `confidence` that is not a number, a `k` that is not a non-negative
+/// whole number, or a `confidence` outside `(0, 1)`, is a malformation too.
 pub fn parse_query_line(line: &str) -> Result<QueryRequest, String> {
     let body = line.trim();
     let inner = body
@@ -336,20 +341,17 @@ pub fn parse_query_line(line: &str) -> Result<QueryRequest, String> {
         let after_quote = rest
             .strip_prefix('"')
             .ok_or_else(|| format!("expected a quoted key at: {rest:.20}"))?;
-        let key_end = after_quote
-            .find('"')
-            .ok_or_else(|| "unterminated key".to_string())?;
+        let key_end = string_end(after_quote).ok_or_else(|| "unterminated key".to_string())?;
         let key = &after_quote[..key_end];
         let after_key = after_quote[key_end + 1..].trim_start();
-        let mut value_part = after_key
+        let value_part = after_key
             .strip_prefix(':')
             .ok_or_else(|| format!("missing ':' after key {key:?}"))?
             .trim_start();
         // Value: a quoted string or a bare JSON scalar up to the next
         // top-level comma (requests have no nested containers).
-        if let Some(after) = value_part.strip_prefix('"') {
-            let end = after
-                .find('"')
+        let after_value = if let Some(after) = value_part.strip_prefix('"') {
+            let end = string_end(after)
                 .ok_or_else(|| format!("unterminated string value for {key:?}"))?;
             match key {
                 "cmd" => req.cmd = after[..end].to_string(),
@@ -358,41 +360,44 @@ pub fn parse_query_line(line: &str) -> Result<QueryRequest, String> {
                 }
                 _ => {}
             }
-            value_part = after[end + 1..].trim_start();
+            &after[end + 1..]
         } else {
             let end = value_part.find(',').unwrap_or(value_part.len());
             let token = value_part[..end].trim();
             if token.is_empty() {
                 return Err(format!("missing value for key {key:?}"));
             }
-            let number = token
-                .parse::<f64>()
-                .map_err(|_| format!("non-numeric value {token:?} for key {key:?}"))?;
+            let number = || {
+                token
+                    .parse::<f64>()
+                    .map_err(|_| format!("non-numeric value {token:?} for key {key:?}"))
+            };
             match key {
-                "q" => req.q = Some(number),
-                "k" if number >= 0.0 && number.fract() == 0.0 => req.k = Some(number as u64),
-                "k" => {
-                    return Err(format!(
-                        "\"k\" must be a non-negative whole number, got {token}"
-                    ))
+                "q" => req.q = Some(number()?),
+                "k" => match number()? {
+                    n if n >= 0.0 && n.fract() == 0.0 => req.k = Some(n as u64),
+                    _ => {
+                        return Err(format!(
+                            "\"k\" must be a non-negative whole number, got {token}"
+                        ))
+                    }
+                },
+                "confidence" => match number()? {
+                    c if c > 0.0 && c < 1.0 => req.confidence = Some(c),
+                    _ => return Err(format!("\"confidence\" must be in (0, 1), got {token}")),
+                },
+                _ if matches!(token, "true" | "false" | "null") => {}
+                _ => {
+                    number()?;
                 }
-                "confidence" if number > 0.0 && number < 1.0 => req.confidence = Some(number),
-                "confidence" => {
-                    return Err(format!("\"confidence\" must be in (0, 1), got {token}"))
-                }
-                _ => {}
             }
-            value_part = &value_part[end..];
-        }
-        rest = match value_part.strip_prefix(',') {
+            &value_part[end..]
+        };
+        let after_value = after_value.trim_start();
+        rest = match after_value.strip_prefix(',') {
             Some(r) => r.trim_start(),
-            None => {
-                let trailing = value_part.trim();
-                if !trailing.is_empty() {
-                    return Err(format!("trailing bytes after value: {trailing:.20}"));
-                }
-                ""
-            }
+            None if after_value.is_empty() => "",
+            None => return Err(format!("trailing bytes after value: {after_value:.20}")),
         };
     }
     if req.cmd.is_empty() {
@@ -401,10 +406,31 @@ pub fn parse_query_line(line: &str) -> Result<QueryRequest, String> {
     Ok(req)
 }
 
+/// The byte offset of the quote that ends a JSON string whose opening
+/// quote is already consumed: the first `"` not escaped by a backslash.
+fn string_end(s: &str) -> Option<usize> {
+    let mut escaped = false;
+    s.bytes().position(|b| {
+        let end = b == b'"' && !escaped;
+        escaped = b == b'\\' && !escaped;
+        end
+    })
+}
+
 /// Extract a numeric field from a flat JSON response line — the client
 /// side of the hand-rolled convention. Returns `None` when the field
 /// is absent or non-numeric.
 pub fn response_f64(line: &str, field: &str) -> Option<f64> {
+    response_field(line, field)
+}
+
+/// Extract a `u64` field (typically `*_bits` IEEE-754 payloads) from a
+/// flat JSON response line.
+pub fn response_u64(line: &str, field: &str) -> Option<u64> {
+    response_field(line, field)
+}
+
+fn response_field<T: FromStr>(line: &str, field: &str) -> Option<T> {
     let needle = format!("\"{field}\":");
     let at = line.find(&needle)? + needle.len();
     let rest = &line[at..];
@@ -412,14 +438,86 @@ pub fn response_f64(line: &str, field: &str) -> Option<f64> {
     rest[..end].trim().parse().ok()
 }
 
-/// Extract a `u64` field (typically `*_bits` IEEE-754 payloads) from a
-/// flat JSON response line.
-pub fn response_u64(line: &str, field: &str) -> Option<u64> {
-    let needle = format!("\"{field}\":");
-    let at = line.find(&needle)? + needle.len();
-    let rest = &line[at..];
-    let end = rest.find([',', '}', ']']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
+/// A float rendered as a JSON number when finite and as `null` when not
+/// (the sibling `*_bits` field always carries the exact IEEE-754
+/// pattern), written straight into the line.
+pub(crate) struct JsonNum(pub(crate) f64);
+
+impl fmt::Display for JsonNum {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.0.is_finite() {
+            write!(f, "{}", self.0)
+        } else {
+            f.write_str("null")
+        }
+    }
+}
+
+/// Append `"name":value,"name_bits":bits` for an exact-round-trip
+/// float field.
+pub(crate) fn push_f64_field(out: &mut String, name: &str, value: f64) {
+    // Writing into a `String` cannot fail.
+    let _ = write!(
+        out,
+        "\"{name}\":{},\"{name}_bits\":{}",
+        JsonNum(value),
+        value.to_bits()
+    );
+}
+
+/// `{"ok":true,"cmd":…,"value":…,"variance":…}` with the `*_bits`
+/// siblings, and the intervals when a confidence level was requested.
+pub(crate) fn estimate_line(cmd: &str, est: &Estimate, confidence: Option<f64>) -> String {
+    let mut out = format!("{{\"ok\":true,\"cmd\":\"{cmd}\",");
+    push_f64_field(&mut out, "value", est.value);
+    out.push(',');
+    push_f64_field(&mut out, "variance", est.variance);
+    push_intervals(&mut out, est, confidence);
+    out.push('}');
+    out
+}
+
+/// Append `,"confidence":…,"half_width_chebyshev":…,"half_width_clt":…`
+/// when a confidence level was requested and the estimate carries variance.
+pub(crate) fn push_intervals(out: &mut String, est: &Estimate, confidence: Option<f64>) {
+    let Some(level) = confidence else { return };
+    if let (Ok(cheb), Ok(clt)) = (est.chebyshev(level), est.clt(level)) {
+        let _ = write!(
+            out,
+            ",\"confidence\":{},\"half_width_chebyshev\":{},\"half_width_clt\":{}",
+            JsonNum(level),
+            JsonNum(cheb.half_width()),
+            JsonNum(clt.half_width())
+        );
+    }
+}
+
+/// The `{"ok":false,"error":…}` response. Parse errors echo client text,
+/// so the message goes out as a JSON string (module docs).
+pub(crate) fn error_line(message: &str) -> String {
+    let mut out = String::from("{\"ok\":false,\"error\":");
+    push_json_str(&mut out, message);
+    out.push('}');
+    out
+}
+
+/// Append `s` as a JSON string, escaped as the module docs say.
+fn push_json_str(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if c < ' ' => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
 }
 
 #[cfg(test)]
@@ -527,6 +625,10 @@ mod tests {
             r#"{"cmd":}"#,
             r#"{"cmd":"x" junk}"#,
             r#"{"cmd":"x","q":"not a number"}"#,
+            r#"{"cmd":"stats","x":[1]}"#,
+            r#"{"cmd":"stats","x":{"y":1}}"#,
+            r#"{"cmd":"stats","x":junk}"#,
+            r#"{"cmd":5}"#,
         ] {
             assert!(parse_query_line(bad).is_err(), "{bad:?} should not parse");
         }
@@ -538,5 +640,44 @@ mod tests {
         assert_eq!(response_f64(line, "value"), Some(12.5));
         assert_eq!(response_u64(line, "value_bits"), Some(4622945017495814144));
         assert_eq!(response_f64(line, "missing"), None);
+    }
+
+    /// A field renders as `format!` of the float did before it was written
+    /// in place: Rust's shortest round-trip digits for a finite value
+    /// (`-0` for negative zero), `null` for NaN and both infinities, and
+    /// the exact bits beside it.
+    #[test]
+    fn float_fields_render_in_place_as_before() {
+        let cases: [(f64, &str); 8] = [
+            (0.5, "0.5"),
+            (4268950.0, "4268950"),
+            (10098.948861726185, "10098.948861726185"),
+            (1e-7, "0.0000001"),
+            (-0.0, "-0"),
+            (f64::NAN, "null"),
+            (f64::INFINITY, "null"),
+            (f64::NEG_INFINITY, "null"),
+        ];
+        for (value, text) in cases {
+            let mut out = String::from("{");
+            push_f64_field(&mut out, "value", value);
+            assert_eq!(
+                out,
+                format!("{{\"value\":{text},\"value_bits\":{}", value.to_bits()),
+                "{value:?}"
+            );
+        }
+        let est = Estimate {
+            value: 100.0,
+            variance: 16.0,
+            basics: Vec::new(),
+        };
+        let clt = est.clt(0.75).unwrap().half_width();
+        let mut out = String::new();
+        push_intervals(&mut out, &est, Some(0.75));
+        assert_eq!(
+            out,
+            format!(",\"confidence\":0.75,\"half_width_chebyshev\":8,\"half_width_clt\":{clt}")
+        );
     }
 }

@@ -42,14 +42,14 @@
 //! hands the merged [`MultiSummary`] back to the embedder.
 
 use crate::error::{NetError, Result};
-use crate::protocol::{self, FrameReader};
+use crate::protocol::{self, error_line, push_f64_field, push_intervals, FrameReader, JsonNum};
 use crate::sys::{Interest, Poller};
 use sss_core::wire::{self, FrameError};
 use sss_core::{MultiSpec, MultiSummary, Portable, QuantileQuery};
 use sss_stream::runtime::RuntimeConfig;
 use sss_stream::{QueryHandle, ReadReplica, ShardedRuntime};
 use std::collections::HashMap;
-use std::fmt::{self, Write as _};
+use std::fmt::Write as _;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -742,13 +742,9 @@ impl Plane for Queries {
     fn answer(&mut self, input: &mut Vec<u8>, out: &mut Vec<u8>) -> Step {
         let nl = input.iter().position(|&b| b == b'\n');
         if nl.unwrap_or(input.len()) > protocol::MAX_QUERY_LINE {
-            out.extend_from_slice(
-                format!(
-                    "{{\"ok\":false,\"error\":\"query line exceeds {} bytes\"}}\n",
-                    protocol::MAX_QUERY_LINE
-                )
-                .as_bytes(),
-            );
+            let refusal = format!("query line exceeds {} bytes", protocol::MAX_QUERY_LINE);
+            out.extend_from_slice(error_line(&refusal).as_bytes());
+            out.push(b'\n');
             *input = Vec::new();
             return Step::Close(REFUSED_DRAIN);
         }
@@ -775,33 +771,6 @@ impl Plane for Queries {
     }
 }
 
-/// A float rendered as a JSON number when finite and as `null` when not
-/// (the sibling `*_bits` field always carries the exact IEEE-754
-/// pattern), written straight into the line.
-struct JsonNum(f64);
-
-impl fmt::Display for JsonNum {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.0.is_finite() {
-            write!(f, "{}", self.0)
-        } else {
-            f.write_str("null")
-        }
-    }
-}
-
-/// Append `"name":value,"name_bits":bits` for an exact-round-trip
-/// float field.
-fn push_f64_field(out: &mut String, name: &str, value: f64) {
-    // Writing into a `String` cannot fail.
-    let _ = write!(
-        out,
-        "\"{name}\":{},\"{name}_bits\":{}",
-        JsonNum(value),
-        value.to_bits()
-    );
-}
-
 /// Answer one query-plane request line.
 fn answer_query(
     line: &str,
@@ -816,27 +785,11 @@ fn answer_query(
     let result: std::result::Result<String, String> = match req.cmd.as_str() {
         "self_join" => replica
             .self_join_estimate()
-            .map(|est| {
-                let mut out = String::from("{\"ok\":true,\"cmd\":\"self_join\",");
-                push_f64_field(&mut out, "value", est.value);
-                out.push(',');
-                push_f64_field(&mut out, "variance", est.variance);
-                push_intervals(&mut out, &est, req.confidence);
-                out.push('}');
-                out
-            })
+            .map(|est| protocol::estimate_line("self_join", &est, req.confidence))
             .map_err(|e| e.to_string()),
         "distinct" => replica
             .distinct_estimate()
-            .map(|est| {
-                let mut out = String::from("{\"ok\":true,\"cmd\":\"distinct\",");
-                push_f64_field(&mut out, "value", est.value);
-                out.push(',');
-                push_f64_field(&mut out, "variance", est.variance);
-                push_intervals(&mut out, &est, req.confidence);
-                out.push('}');
-                out
-            })
+            .map(|est| protocol::estimate_line("distinct", &est, req.confidence))
             .map_err(|e| e.to_string()),
         "quantile" => {
             let q = req.q.unwrap_or(0.5);
@@ -915,71 +868,4 @@ fn answer_query(
         other => Err(format!("unknown cmd {other:?}")),
     };
     result.unwrap_or_else(|e| error_line(&e))
-}
-
-/// The `{"ok":false,"error":…}` response. Parse errors echo client text,
-/// so the message goes out through the JSON string writer, which escapes
-/// quotes, backslashes and control characters.
-fn error_line(message: &str) -> String {
-    let message = serde_json::to_string(message).expect("a string always serializes");
-    format!("{{\"ok\":false,\"error\":{message}}}")
-}
-
-/// Append `,"half_width_chebyshev":…,"half_width_clt":…` when a
-/// confidence level was requested and the estimate carries variance.
-fn push_intervals(out: &mut String, est: &sss_core::Estimate, confidence: Option<f64>) {
-    let Some(level) = confidence else { return };
-    if let (Ok(cheb), Ok(clt)) = (est.chebyshev(level), est.clt(level)) {
-        let _ = write!(
-            out,
-            ",\"confidence\":{},\"half_width_chebyshev\":{},\"half_width_clt\":{}",
-            JsonNum(level),
-            JsonNum(cheb.half_width()),
-            JsonNum(clt.half_width())
-        );
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// A field renders as `format!` of the float did before it was written
-    /// in place: Rust's shortest round-trip digits for a finite value
-    /// (`-0` for negative zero), `null` for NaN and both infinities, and
-    /// the exact bits beside it.
-    #[test]
-    fn float_fields_render_in_place_as_before() {
-        let cases: [(f64, &str); 8] = [
-            (0.5, "0.5"),
-            (4268950.0, "4268950"),
-            (10098.948861726185, "10098.948861726185"),
-            (1e-7, "0.0000001"),
-            (-0.0, "-0"),
-            (f64::NAN, "null"),
-            (f64::INFINITY, "null"),
-            (f64::NEG_INFINITY, "null"),
-        ];
-        for (value, text) in cases {
-            let mut out = String::from("{");
-            push_f64_field(&mut out, "value", value);
-            assert_eq!(
-                out,
-                format!("{{\"value\":{text},\"value_bits\":{}", value.to_bits()),
-                "{value:?}"
-            );
-        }
-        let est = sss_core::Estimate {
-            value: 100.0,
-            variance: 16.0,
-            basics: Vec::new(),
-        };
-        let clt = est.clt(0.75).unwrap().half_width();
-        let mut out = String::new();
-        push_intervals(&mut out, &est, Some(0.75));
-        assert_eq!(
-            out,
-            format!(",\"confidence\":0.75,\"half_width_chebyshev\":8,\"half_width_clt\":{clt}")
-        );
-    }
 }
