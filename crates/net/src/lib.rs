@@ -22,9 +22,9 @@
 //! The event loop is hand-rolled ([`sys`]): epoll on Linux, `poll(2)` on
 //! other unix — the workspace is offline/vendored, so there is no tokio
 //! and no `libc` crate; the [`sys`] module is the crate's one audited
-//! `unsafe` island (the same policy as `sss-stream::ring` and the
-//! `sss-xi` SIMD kernels), declaring the four syscall entry points
-//! against the libc the binary already links.
+//! `unsafe` island (the same policy as the `sss-xi` SIMD kernels),
+//! declaring the four syscall entry points against the libc the binary
+//! already links.
 //!
 //! The handshake reuses the snapshot wire head
 //! ([`sss_core::wire::Head`]): on accept the server sends its summary

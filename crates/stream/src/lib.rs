@@ -6,9 +6,10 @@
 //! * [`runtime`] — the persistent sharded runtime: a pool of shard
 //!   workers behind bounded queues, merging to the sequential sketch bit
 //!   for bit (the paper's §VI-C multi-core observation, made long-lived);
-//! * [`ring`] — the lock-free SPSC ring buffers the runtime's ingest
-//!   lanes are built from, and the lock-free [`Watch`](ring::Watch) a
-//!   worker checks its ring through before it takes its shard's lock;
+//! * `ring` (private) — the bounded rings a shard's ingest lane is built
+//!   from, one carrying batches to the shard and one its emptied buffers
+//!   back: each a `Mutex<VecDeque>` with two `Condvar`s, on which an idle
+//!   worker sleeps without taking its shard's lock;
 //! * [`snapshot`] — the versioned incremental snapshot cache behind
 //!   `merged()`: a repeated at-all-times query is served from the cached
 //!   merge until a shard has applied past it, and a rebuild folds the
@@ -104,15 +105,25 @@
 //! ```compile_fail
 //! use sss_stream::PanedWindowSketch; // removed: no caller outside its tests
 //! ```
+//!
+//! Nor a lock-free ring: the rings are std's `Mutex` and `Condvar`, the
+//! spin → yield → park backoff is gone, and the module is private.
+//!
+//! ```compile_fail
+//! use sss_stream::ring::Backoff; // removed: a worker sleeps on its ring's condvar
+//! ```
+//!
+//! ```compile_fail
+//! use sss_stream::ring::ring; // removed: the rings are private to the runtime
+//! ```
 
-// `deny` rather than `forbid`: the SPSC ring transport ([`ring`]) is the
-// one audited module allowed to use `unsafe`, mirroring the SIMD kernel
-// policy of `sss-xi`. Everything else in the crate stays safe code.
-#![deny(unsafe_code)]
+// `forbid`: the crate is safe code throughout, its ingest rings included
+// (std's `Mutex` and `Condvar`), and no module may opt back in.
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod error;
-pub mod ring;
+mod ring;
 pub mod runtime;
 pub mod snapshot;
 

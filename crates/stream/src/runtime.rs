@@ -19,16 +19,18 @@
 //!  fresh F₂ at one shard ── lock shard 0, apply what is queued below its floor ──▶ E₀'s own estimate
 //! ```
 //!
-//! Two perf-critical design decisions (see `DESIGN.md` §4h; the ledger's
-//! `stream.*` rows measure both):
+//! Two design decisions (see `DESIGN.md` §4h; the ledger's `stream.*`
+//! rows measure both):
 //!
-//! * **Transport** — each shard lane is a pair of lock-free SPSC
-//!   [`ring`] buffers: a *data* ring carrying batch buffers (keys plus
-//!   an offered count, no command enum) to the shard, and a reverse
-//!   *recycle* ring returning emptied buffers to the producer. Steady-state ingest
-//!   therefore performs **zero heap allocations per batch**
-//!   ([`QueryHandle::pool_stats`] proves it) and a push is a handful
-//!   of atomics, not a `sync_channel` futex round-trip. The rings are
+//! * **Transport** — each shard lane is a pair of bounded rings, each a
+//!   `Mutex<VecDeque>` with two `Condvar`s: a *data* ring carrying batch
+//!   buffers (keys plus an offered count, no command enum) to the shard,
+//!   and a reverse *recycle* ring returning emptied buffers to the
+//!   producer. Steady-state ingest therefore performs **zero heap
+//!   allocations per batch** ([`QueryHandle::pool_stats`] proves it). A
+//!   batch carries hundreds of keys or more, so one short lock per push or
+//!   pop is noise beside the sketch work, and an idle worker sleeps on its
+//!   data ring until a push or a hang-up wakes it. The rings are
 //!   **bounded** (`queue_depth` batches each), and a run coalesces what
 //!   is queued up to at most [`RUN_TUPLES`] tuples plus one batch, so a
 //!   shard holds `O(queue_depth · max(batch, RUN_TUPLES))` tuples in
@@ -95,7 +97,7 @@
 //! ```
 
 use crate::error::{Result, StreamError};
-use crate::ring::{self, Backoff};
+use crate::ring;
 use crate::snapshot::{CacheStats, ReplicaFrame, SnapshotCache, Stamp};
 use sss_core::{Estimate, JoinQuery, SlimQuery, Summary};
 use sss_sampling::{staleness_variance_plugin, Door};
@@ -407,12 +409,12 @@ impl<E: Summary> ShardedRuntime<E> {
         let mut states = Vec::with_capacity(config.shards);
         for shard in 0..config.shards {
             let est = prototype.for_shard(shard);
-            let (data_tx, data_rx) = ring::ring::<Batch>(config.queue_depth);
+            let (data_tx, data_rx) = ring::bounded::<Batch>(config.queue_depth);
             // The recycle ring holds every buffer that can circulate:
             // `queue_depth` in the data ring + one being applied + one
             // being filled by the producer, with headroom so a run never
             // has to drop a buffer on a full recycle ring.
-            let (recycle_tx, recycle_rx) = ring::ring::<Vec<u64>>(config.queue_depth + 4);
+            let (recycle_tx, recycle_rx) = ring::bounded::<Vec<u64>>(config.queue_depth + 4);
             lanes.push(IngestLane {
                 data: data_tx,
                 recycle: recycle_rx,
@@ -1292,21 +1294,12 @@ impl<E: Summary> ShardCore<E> {
 
 /// The shard worker loop: apply runs off the data ring under the shard
 /// lock until the producer hangs up and the ring is drained, or the shard
-/// dies. The ring is checked without the lock, so an idle worker spins,
-/// yields and parks without touching it; a query waiting for the lock
-/// gets it as soon as the shard reflects the query's floor.
+/// dies. The worker sleeps on the ring's [`Watch`](ring::Watch), not on
+/// the shard lock, so an idle worker neither wakes nor touches that lock;
+/// a query waiting for the lock gets it as soon as the shard reflects the
+/// query's floor. Locks nest one way only: the shard core, then a ring.
 fn shard_worker<E: Summary>(state: &ShardState<E>, watch: &ring::Watch<Batch>) {
-    let mut backoff = Backoff::new();
-    loop {
-        // `closed` first: a producer's last push happens-before its hang-up.
-        let closed = watch.is_closed();
-        if watch.is_empty() {
-            if closed {
-                return;
-            }
-            watch.snooze(&mut backoff);
-            continue;
-        }
+    while watch.wait() {
         let mut core = state.lock_core();
         if core.is_none() {
             return;
@@ -1319,9 +1312,7 @@ fn shard_worker<E: Summary>(state: &ShardState<E>, watch: &ring::Watch<Batch>) {
             std::thread::yield_now();
             continue;
         }
-        if state.apply_next(&mut core) {
-            backoff.reset();
-        }
+        state.apply_next(&mut core);
     }
 }
 

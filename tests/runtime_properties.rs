@@ -1321,3 +1321,61 @@ fn a_saturated_depth_one_runtime_blocks_and_keeps_every_tuple() {
         }
     }
 }
+
+/// Voluntary context switches of each `sss-shard-*` thread of this
+/// process, by thread id.
+#[cfg(target_os = "linux")]
+fn shard_worker_switches() -> std::collections::BTreeMap<String, u64> {
+    let tasks = std::fs::read_dir("/proc/self/task").expect("procfs");
+    tasks
+        .filter_map(|task| {
+            let dir = task.ok()?.path();
+            let comm = std::fs::read_to_string(dir.join("comm")).ok()?;
+            let status = std::fs::read_to_string(dir.join("status")).ok()?;
+            let switches = status
+                .lines()
+                .find_map(|line| line.strip_prefix("voluntary_ctxt_switches:"))?;
+            let tid = dir.file_name()?.to_string_lossy().into_owned();
+            comm.starts_with("sss-shard")
+                .then_some((tid, switches.trim().parse().ok()?))
+        })
+        .collect()
+}
+
+/// An idle shard worker sleeps until a batch or a hang-up wakes it: after
+/// a push and a query, a two-shard runtime's workers make at most a few
+/// voluntary context switches in 300 ms of idleness (a worker that polled
+/// on a timer would make hundreds). The workers are told apart from other
+/// tests' by the thread ids that `new` added.
+#[cfg(target_os = "linux")]
+#[test]
+fn an_idle_runtime_leaves_its_shard_workers_asleep() {
+    let schema = JoinSchema::fagms(1, 64, &mut StdRng::seed_from_u64(43));
+    let config = RuntimeConfig {
+        shards: 2,
+        queue_depth: 4,
+        partition: Partition::RoundRobin,
+    };
+    for attempt in 0.. {
+        assert!(attempt < 20, "other tests kept spawning shard workers");
+        let before = shard_worker_switches();
+        let mut rt = ShardedRuntime::new(config, &schema.sketch()).unwrap();
+        let ours: Vec<String> = shard_worker_switches()
+            .into_keys()
+            .filter(|tid| !before.contains_key(tid))
+            .collect();
+        if ours.len() != 2 {
+            continue;
+        }
+        rt.push(&[1, 2, 3]).unwrap();
+        rt.merged().unwrap();
+        let start = shard_worker_switches();
+        std::thread::sleep(Duration::from_millis(300));
+        let end = shard_worker_switches();
+        for tid in &ours {
+            let woke = end[tid] - start[tid];
+            assert!(woke <= 5, "shard worker {tid} woke {woke} times in 300 ms");
+        }
+        return;
+    }
+}
