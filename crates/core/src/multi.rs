@@ -283,6 +283,16 @@ impl JoinQuery for MultiSummary {
         JoinQuery::self_join_estimate(&self.join)
     }
 
+    /// The join sketches' sum, once the parts would merge.
+    fn self_join_estimate_of_sum(parts: &[&Self]) -> Option<Estimate> {
+        let (first, rest) = parts.split_first()?;
+        if rest.iter().any(|part| first.check_merge(part).is_err()) {
+            return None;
+        }
+        let joins: Vec<&JoinSketch> = parts.iter().map(|part| &part.join).collect();
+        JoinQuery::self_join_estimate_of_sum(&joins)
+    }
+
     fn size_of_join_estimate(&self, other: &Self) -> Result<Estimate> {
         JoinQuery::size_of_join_estimate(&self.join, &other.join)
     }

@@ -348,21 +348,12 @@ impl<S: Summary + JoinQuery> Sampled<S> {
     /// scaled by `1/p⁴` plus the sampling variance plug-in of the paper's
     /// Section VI-A, both stacked into one [`Estimate`].
     pub fn self_join_estimate(&self) -> Estimate {
-        let raw = self.summary.self_join_estimate();
-        let value = bernoulli_self_join(raw.value, self.p, self.kept);
-        let basics = raw
-            .basics
-            .iter()
-            .map(|&b| bernoulli_self_join(b, self.p, self.kept))
-            .collect();
-        let p4 = (self.p * self.p) * (self.p * self.p);
-        let sketch_variance = raw.variance / p4;
-        let sampling_variance = bernoulli_self_join_variance_plugin(self.p, self.seen, value);
-        Estimate {
-            value,
-            variance: sketch_variance + sampling_variance,
-            basics,
-        }
+        corrected_self_join(
+            self.summary.self_join_estimate(),
+            self.p,
+            self.kept,
+            self.seen,
+        )
     }
 
     /// Bernoulli-corrected size-of-join estimate against another sampled
@@ -403,6 +394,27 @@ impl<S: Summary + JoinQuery> Sampled<S> {
     }
 }
 
+/// Proposition 14's correction of `raw`, an F₂ estimate of the `kept`
+/// keys a Bernoulli(`p`) door admitted out of `seen`: the value and every
+/// basic corrected, the sketch variance scaled by `1/p⁴`, and the
+/// sampling variance plug-in of the paper's Section VI-A stacked on it.
+fn corrected_self_join(raw: Estimate, p: f64, kept: u64, seen: u64) -> Estimate {
+    let value = bernoulli_self_join(raw.value, p, kept);
+    let basics = raw
+        .basics
+        .iter()
+        .map(|&b| bernoulli_self_join(b, p, kept))
+        .collect();
+    let p4 = (p * p) * (p * p);
+    let sketch_variance = raw.variance / p4;
+    let sampling_variance = bernoulli_self_join_variance_plugin(p, seen, value);
+    Estimate {
+        value,
+        variance: sketch_variance + sampling_variance,
+        basics,
+    }
+}
+
 /// The corrected answers above, for code generic over [`JoinQuery`] — a
 /// sharded runtime's join queries among them.
 impl<S: Summary + JoinQuery> JoinQuery for Sampled<S> {
@@ -416,6 +428,21 @@ impl<S: Summary + JoinQuery> JoinQuery for Sampled<S> {
 
     fn self_join_estimate(&self) -> Estimate {
         Sampled::self_join_estimate(self)
+    }
+
+    /// The summaries' sum, corrected with the parts' `kept` and `seen`
+    /// summed, as a merge sums them. Parts sampled at different rates do
+    /// not merge.
+    fn self_join_estimate_of_sum(parts: &[&Self]) -> Option<Estimate> {
+        let (first, rest) = parts.split_first()?;
+        if rest.iter().any(|part| part.p != first.p) {
+            return None;
+        }
+        let summaries: Vec<&S> = parts.iter().map(|part| &part.summary).collect();
+        let raw = S::self_join_estimate_of_sum(&summaries)?;
+        let kept = parts.iter().map(|part| part.kept).sum();
+        let seen = parts.iter().map(|part| part.seen).sum();
+        Some(corrected_self_join(raw, first.p, kept, seen))
     }
 
     fn size_of_join_estimate(&self, other: &Self) -> Result<Estimate> {

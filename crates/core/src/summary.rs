@@ -226,6 +226,22 @@ pub trait JoinQuery {
         Estimate::point(self.self_join())
     }
 
+    /// The [`self_join_estimate`](JoinQuery::self_join_estimate) of the
+    /// merge of `parts`, in order, read without building it: bit for bit
+    /// what folding them with [`merge_from`](Summary::merge_from) and
+    /// asking the result would answer. A sharded runtime reads a fresh F₂
+    /// off its shards through this, under their locks.
+    ///
+    /// `None` when the summary cannot read a sum in place (the default),
+    /// when `parts` is empty, or when the parts would not merge; the
+    /// caller then folds them.
+    fn self_join_estimate_of_sum(_parts: &[&Self]) -> Option<Estimate>
+    where
+        Self: Sized,
+    {
+        None
+    }
+
     /// Typed size-of-join estimate with error state; defaults to a
     /// zero-information [`Estimate::point`] like
     /// [`self_join_estimate`](JoinQuery::self_join_estimate).
@@ -560,6 +576,10 @@ where
         FagmsSketch::self_join_estimate(self)
     }
 
+    fn self_join_estimate_of_sum(parts: &[&Self]) -> Option<Estimate> {
+        FagmsSketch::self_join_estimate_of_sum(parts)
+    }
+
     fn size_of_join_estimate(&self, other: &Self) -> Result<Estimate> {
         Ok(FagmsSketch::size_of_join_estimate(self, other)?)
     }
@@ -598,6 +618,18 @@ impl JoinQuery for JoinSketch {
 
     fn self_join_estimate(&self) -> Estimate {
         self.raw_self_join_estimate()
+    }
+
+    /// Read in place over F-AGMS rows; AGMS parts fold.
+    fn self_join_estimate_of_sum(parts: &[&Self]) -> Option<Estimate> {
+        let rows: Option<Vec<_>> = parts
+            .iter()
+            .map(|part| match part {
+                JoinSketch::Fagms(s) => Some(s),
+                JoinSketch::Agms(_) => None,
+            })
+            .collect();
+        FagmsSketch::self_join_estimate_of_sum(&rows?)
     }
 
     fn size_of_join_estimate(&self, other: &Self) -> Result<Estimate> {

@@ -24,8 +24,9 @@
 //!   client never blocks ingest, and sustained ingest costs a query only
 //!   the staleness the replica's `max_pending` budget allows — with the
 //!   estimate's error bar widened to match. The exception is a
-//!   `self_join` on one shard: it is read off the caught-up shard in
-//!   place, and the frame is refreshed after the turn's answers are out.
+//!   `self_join`, at any shard count: it is read off the caught-up shards
+//!   in place (their summed join rows), and the frame is refreshed after
+//!   the turn's answers are out.
 //!
 //! Both threads run the same loop (`serve`) over their own poller; a plane
 //! only says what its bytes mean. The loop bounds what any client can
@@ -760,12 +761,12 @@ impl Plane for Queries {
     }
 
     fn turn_done(&mut self) {
-        // This turn's answers are out. A one-shard `self_join` read the
-        // shard in place and left the frame behind, so bring the frame up
-        // to date now (a no-op when it is current; an error shows on the
-        // next query that needs the frame), then project what its readers
-        // have not asked for yet while its merge is still in cache, so a
-        // later ask of this frame finds it ready.
+        // This turn's answers are out. A `self_join` read the shards in
+        // place and left the frame behind, so bring the frame up to date
+        // now (a no-op when it is current; an error shows on the next
+        // query that needs the frame), then project what its readers have
+        // not asked for yet while its merge is still in cache, so a later
+        // ask of this frame finds it ready.
         let _ = self.replica.refresh();
         self.replica.slim().finish();
     }

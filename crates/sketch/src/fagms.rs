@@ -251,20 +251,43 @@ impl<S: SignFamily, B: BucketFamily> FagmsSketch<S, B> {
     /// fold's every bit while the counters and sums stay in the kernel's
     /// range, and the f64 fold itself for a sketch where some row does not.
     pub fn self_join_rows(&self) -> Vec<f64> {
-        let d = Dispatch::get();
+        self.self_join_rows_on(Dispatch::get())
+    }
+
+    /// [`self_join_rows`](Self::self_join_rows) on the kernel path `d`.
+    fn self_join_rows_on(&self, d: Dispatch) -> Vec<f64> {
         let exact: Option<Vec<f64>> = self
             .counters
             .chunks(self.schema.width)
-            .map(|row| kernels::square_sum(d, row).map(|sum| sum as f64))
+            .map(|row| exact_square_sum(d, row))
             .collect();
-        exact.unwrap_or_else(|| {
-            // One conversion per counter: `c·c` is `c as f64 * c as f64`.
-            let square = |c: i64, _| {
-                let c = c as f64;
-                c * c
-            };
-            row_sums(&self.counters, &self.counters, self.schema.width, square)
-        })
+        exact.unwrap_or_else(|| folded_squares(&self.counters, self.schema.width))
+    }
+
+    /// [`self_join_rows`](Self::self_join_rows) of the merge of `parts`,
+    /// without building it: each row of the parts is summed into one
+    /// buffer with [`merge`](Sketch::merge)'s `+`, and the summed rows are
+    /// squared as a merged sketch's are, guards and fallback included.
+    /// `None` for no parts or parts of different schemas.
+    fn self_join_rows_of_sum(d: Dispatch, parts: &[&Self]) -> Option<Vec<f64>> {
+        let (first, rest) = parts.split_first()?;
+        if rest.iter().any(|part| first.check_schema(part).is_err()) {
+            return None;
+        }
+        let mut row = vec![0; first.schema.width];
+        let exact: Option<Vec<f64>> = (0..first.schema.depth())
+            .map(|r| {
+                sum_rows(&mut row, first.row(r), rest.iter().map(|part| part.row(r)));
+                exact_square_sum(d, &row)
+            })
+            .collect();
+        Some(exact.unwrap_or_else(|| {
+            let mut sum = first.counters.clone();
+            for part in rest {
+                add_counters(&mut sum, &part.counters);
+            }
+            folded_squares(&sum, first.schema.width)
+        }))
     }
 
     /// Self-join size estimate: median across rows.
@@ -300,8 +323,21 @@ impl<S: SignFamily, B: BucketFamily> FagmsSketch<S, B> {
     /// near-Gaussian). A depth-1 sketch has no cross-row spread and falls
     /// back to the analytic per-row bound `2·F₂²/width`.
     pub fn self_join_estimate(&self) -> Estimate {
+        self.self_join_estimate_from(self.self_join_rows())
+    }
+
+    /// The merge of `parts`' [`self_join_estimate`](Self::self_join_estimate),
+    /// every bit, read off the parts' counters: no merged sketch is built
+    /// (F₂ of a union needs only its summed rows). `None` for no parts or
+    /// parts of different schemas.
+    pub fn self_join_estimate_of_sum(parts: &[&Self]) -> Option<Estimate> {
+        let rows = Self::self_join_rows_of_sum(Dispatch::get(), parts)?;
+        Some(parts[0].self_join_estimate_from(rows))
+    }
+
+    fn self_join_estimate_from(&self, rows: Vec<f64>) -> Estimate {
         let width = self.schema.width() as f64;
-        Estimate::from_median(self.self_join_rows()).or_variance(|v| 2.0 * v * v / width)
+        Estimate::from_median(rows).or_variance(|v| 2.0 * v * v / width)
     }
 
     /// Typed size-of-join estimate: value bit-identical to
@@ -453,6 +489,43 @@ fn with_row_scratch<T>(depth: usize, f: impl FnOnce(&mut [f64]) -> T) -> T {
     }
 }
 
+/// One row's `Σ_b c_b²`, exact and rounded once, or `None` where
+/// [`kernels::square_sum`] declines.
+fn exact_square_sum(d: Dispatch, row: &[i64]) -> Option<f64> {
+    kernels::square_sum(d, row).map(|sum| sum as f64)
+}
+
+/// Every row's `Σ_b c_b²` as the f64 fold, one conversion per counter:
+/// `c·c` is `c as f64 * c as f64`.
+fn folded_squares(counters: &[i64], width: usize) -> Vec<f64> {
+    let square = |c: i64, _| {
+        let c = c as f64;
+        c * c
+    };
+    row_sums(counters, counters, width, square)
+}
+
+/// Add `other`'s counters into `counters`: the `+` of a merge.
+fn add_counters(counters: &mut [i64], other: &[i64]) {
+    for (c, o) in counters.iter_mut().zip(other) {
+        *c += o;
+    }
+}
+
+/// `sum = first + rest[0] + rest[1] + …`, counter by counter with a
+/// merge's `+`; the first addition writes `sum` in the same pass.
+fn sum_rows<'a>(sum: &mut [i64], first: &[i64], mut rest: impl Iterator<Item = &'a [i64]>) {
+    match rest.next() {
+        Some(second) => {
+            for ((s, a), b) in sum.iter_mut().zip(first).zip(second) {
+                *s = a + b;
+            }
+        }
+        None => sum.copy_from_slice(first),
+    }
+    rest.for_each(|row| add_counters(sum, row));
+}
+
 /// `Σ_b term(s_b, t_b)` for every row of two `depth × width` counter
 /// arrays. Each row is added in bucket order from `-0.0`, exactly as
 /// `Iterator::sum` folds it, so every bit matches the row-by-row sum; but
@@ -521,9 +594,7 @@ impl<S: SignFamily, B: BucketFamily> Sketch for FagmsSketch<S, B> {
 
     fn merge(&mut self, other: &Self) -> Result<()> {
         self.check_schema(other)?;
-        for (c, o) in self.counters.iter_mut().zip(&other.counters) {
-            *c += o;
-        }
+        add_counters(&mut self.counters, &other.counters);
         Ok(())
     }
 
@@ -690,6 +761,90 @@ mod tests {
         }
         batched.update_batch_counts(&items);
         assert_eq!(scalar.counters, batched.counters);
+    }
+
+    /// An estimate's value, variance and every basic, as bits.
+    fn every_bit(e: &Estimate) -> Vec<u64> {
+        [e.value, e.variance]
+            .iter()
+            .chain(&e.basics)
+            .map(|x| x.to_bits())
+            .collect()
+    }
+
+    /// Two parts whose rows are small noise plus `big` counters of about
+    /// `magnitude` each (odd, so squares and sums round past 2⁵³).
+    fn big_parts(schema: &Schema, big: usize, magnitude: i64) -> [FagmsSketch; 2] {
+        let mut r = rng(61);
+        std::array::from_fn(|_| {
+            let mut s = schema.sketch();
+            for (i, c) in s.counters.iter_mut().enumerate() {
+                let noise = r.random_range(-999..=999);
+                *c = if i % schema.width() < big {
+                    magnitude + 2 * noise + 1
+                } else {
+                    noise
+                };
+            }
+            s
+        })
+    }
+
+    /// A sum is guarded on its summed rows, not on its parts. Every part's
+    /// counters and row sums are inside `square_sum`'s range, but a summed
+    /// counter is not (case one) or a summed row's `Σc²` is not (case
+    /// two), so the merge falls back to the f64 fold, which rounds apart
+    /// from the exact sum. On both kernel paths the sum's rows and
+    /// estimate are merge-then-estimate's, bit for bit.
+    #[test]
+    fn a_sum_is_guarded_on_its_summed_rows() {
+        let schema = Schema::new(3, 64, &mut rng(60));
+        // One counter of ≈ 2^25.6 per part row: the sum's is ≈ 2^26.6.
+        // Eight of ≈ 2^24.5 per part row: the sum's Σc² is ≈ 2^54.
+        for (case, big, magnitude) in [("counter", 1, 3 << 24), ("row sum", 8, 23_726_566)] {
+            let parts = big_parts(&schema, big, magnitude);
+            let mut merged = parts[0].clone();
+            merged.merge(&parts[1]).unwrap();
+            let refs = [&parts[0], &parts[1]];
+            for d in [Dispatch::chunked(), Dispatch::get()] {
+                for (part, r) in parts.iter().flat_map(|p| (0..3).map(move |r| (p, r))) {
+                    let part_row = part.row(r);
+                    assert!(part_row.iter().all(|c| c.abs() < 1 << 26), "{case}");
+                    assert!(kernels::square_sum(d, part_row).is_some(), "{case}");
+                }
+                let declined = (0..3).filter(|&r| kernels::square_sum(d, merged.row(r)).is_none());
+                assert_eq!(declined.count(), 3, "{case}: every summed row declines");
+                let rows = FagmsSketch::self_join_rows_of_sum(d, &refs).unwrap();
+                let want = merged.self_join_rows_on(d);
+                let bits = |rows: &[f64]| rows.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&rows), bits(&want), "{case}");
+                assert_eq!(
+                    every_bit(&merged.self_join_estimate_from(rows)),
+                    every_bit(&merged.self_join_estimate_from(want)),
+                    "{case}"
+                );
+            }
+            // The f64 fold is not the exact sum rounded once here, so an
+            // exact read of the summed rows would answer other bits.
+            let exact = (0..3).map(|r| {
+                let row = merged.row(r);
+                row.iter()
+                    .map(|&c| i128::from(c) * i128::from(c))
+                    .sum::<i128>() as f64
+            });
+            let folded = merged.self_join_rows();
+            assert!(exact.zip(&folded).any(|(e, f)| e != *f), "{case}");
+            let of_sum = FagmsSketch::self_join_estimate_of_sum(&refs).unwrap();
+            assert_eq!(every_bit(&of_sum), every_bit(&merged.self_join_estimate()));
+            let one = FagmsSketch::self_join_estimate_of_sum(&refs[..1]).unwrap();
+            assert_eq!(every_bit(&one), every_bit(&parts[0].self_join_estimate()));
+        }
+        let stranger = Schema::new(3, 64, &mut rng(62)).sketch();
+        let sketch = schema.sketch();
+        assert!(FagmsSketch::self_join_estimate_of_sum(&[&sketch, &stranger]).is_none());
+        assert!(
+            FagmsSketch::<DefaultSign, DefaultBucket>::self_join_estimate_of_sum(&[]).is_none()
+        );
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!  QueryHandle: the read side (the runtime derefs to it), one cache lock:
 //!  merged() ── lock shard s, apply what is queued below its floor, merge it in ──▶ Arc<E₀ ⊕ E₁ ⊕ E₂>
 //!  read_replica() ── the frame() over that Arc, kept beside it ──▶ Arc ──▶ every reader
-//!  fresh F₂ at one shard ── lock shard 0, apply what is queued below its floor ──▶ E₀'s own estimate
+//!  fresh F₂ ── lock shards 0…S−1 in order, catch each up, keep every lock ──▶ F₂ of the summed join rows
 //! ```
 //!
 //! Two design decisions (see `DESIGN.md` §4h; the ledger's `stream.*`
@@ -50,9 +50,14 @@
 //!   also keeps the one replica frame over that merge
 //!   ([`SlimQuery::frame`]), under the same lock: [`ReadReplica`]s share it
 //!   by pointer, and it projects what its readers ask for, once. A fresh
-//!   F₂ answer at one shard skips all of that: the merge of one shard's
-//!   join counters is those counters (§VI-C), so it is read off the
-//!   caught-up shard under its lock, with no fold, cache install or frame.
+//!   F₂ answer skips all of that at any shard count: the merge's join
+//!   counters are the shards' counters summed (§VI-C), and F₂ needs
+//!   nothing else, so it is read off the caught-up shards under their
+//!   locks — one shard's own estimate, more shards' summed rows
+//!   ([`JoinQuery::self_join_estimate_of_sum`]) — with no fold, cache
+//!   install or frame. That read holds every shard lock at once, taken in
+//!   shard order under the cache lock; a worker only ever takes its own
+//!   shard's, so the locks cannot deadlock.
 //!
 //! * [`push`](ShardedRuntime::push) and
 //!   [`push_loaned`](ShardedRuntime::push_loaned) block when a ring is
@@ -900,48 +905,67 @@ impl<E: Summary + JoinQuery> QueryHandle<E> {
     /// exactly the sketch noise of the answer (per-shard error bars would
     /// measure the noise of partial streams instead).
     ///
-    /// At one shard the answer is read off the shard itself, caught up
-    /// under its lock: the same bits as the merge's, without the merge
-    /// (see the module docs).
+    /// The answer is read off the shards themselves, each caught up under
+    /// its lock: the same bits as the merge's, without the merge (see the
+    /// module docs). A summary that reads no sum in place
+    /// ([`JoinQuery::self_join_estimate_of_sum`] is `None`) answers from
+    /// the merge at more than one shard.
     ///
     /// # Errors
     ///
     /// As for [`merged`](Self::merged).
     pub fn self_join_estimate(&self) -> Result<Estimate> {
-        match self.one_shard_self_join(0) {
+        match self.fresh_self_join(0) {
             Some(answer) => Ok(answer?.0),
             None => Ok(self.merged()?.self_join_estimate()),
         }
     }
 
-    /// At one shard, the F₂ estimate of the shard's state once it reflects
-    /// all but `max_pending` of its accepted batches, with the offered
-    /// tuples that state had applied: the cached merge's answer when the
-    /// merge is recent enough, else the shard's own, read under its lock
-    /// after the catch-up. Linearity makes the two the same bits, so no
-    /// fold, cache install or frame is needed. `None` at more than one
-    /// shard, where F₂ of a sum needs the summed counters.
-    fn one_shard_self_join(&self, max_pending: u64) -> Option<Result<(Estimate, u64)>> {
-        let [state] = &self.shared.shards[..] else {
-            return None;
-        };
+    /// The F₂ estimate of the shards' state once caught up, with the
+    /// offered tuples that state had applied: the cached merge's answer
+    /// when the merge is recent enough, else read in place under every
+    /// shard's lock — one shard's own estimate, more shards'
+    /// [`JoinQuery::self_join_estimate_of_sum`]. Linearity makes either
+    /// the merge's bits, so no fold, cache install or frame is needed. One
+    /// shard is caught up to all but `max_pending` of its accepted
+    /// batches, more shards to all of theirs. `None` when `E` reads no sum
+    /// in place: the locks are dropped and the caller folds.
+    fn fresh_self_join(&self, max_pending: u64) -> Option<Result<(Estimate, u64)>> {
+        let shards = &self.shared.shards;
+        let slack = if shards.len() == 1 { max_pending } else { 0 };
         // Held throughout, as by every query: one posted floor per shard.
+        // The shard locks nest inside it in shard order, and a worker
+        // only ever takes its own, so holding them all cannot deadlock.
         let mut cache = self.shared.lock_cache();
-        let floor = state
-            .accepted
-            .load(Ordering::Acquire)
-            .saturating_sub(max_pending);
-        if let Some((merged, stamp)) = cache.hit(&[floor]) {
+        let floors: Vec<u64> = shards
+            .iter()
+            .map(|s| s.accepted.load(Ordering::Acquire).saturating_sub(slack))
+            .collect();
+        if let Some((merged, stamp)) = cache.hit(&floors) {
             return Some(Ok((merged.self_join_estimate(), stamp.tuples)));
         }
-        let core = state.caught_up(floor);
-        Some(match core.as_ref() {
-            Some(live) => Ok((
-                live.est.self_join_estimate(),
-                state.ingested.load(Ordering::Relaxed),
-            )),
-            None => Err(StreamError::ShardDisconnected { shard: 0 }),
-        })
+        let mut cores = Vec::with_capacity(shards.len());
+        for (shard, (state, &floor)) in shards.iter().zip(&floors).enumerate() {
+            let core = state.caught_up(floor);
+            if core.is_none() {
+                return Some(Err(StreamError::ShardDisconnected { shard }));
+            }
+            cores.push(core);
+        }
+        let parts: Vec<&E> = cores
+            .iter()
+            .flat_map(|core| core.as_ref())
+            .map(|live| &live.est)
+            .collect();
+        let est = match parts[..] {
+            [shard] => shard.self_join_estimate(),
+            _ => E::self_join_estimate_of_sum(&parts)?,
+        };
+        let applied = shards
+            .iter()
+            .map(|s| s.ingested.load(Ordering::Relaxed))
+            .sum();
+        Some(Ok((est, applied)))
     }
 
     /// Typed at-all-times size-of-join query against another runtime over
@@ -1043,9 +1067,9 @@ impl<E: Summary> std::fmt::Debug for QueryHandle<E> {
 /// ingest reports honestly wider error bars rather than a silently stale
 /// point value.
 ///
-/// One answer bypasses the frame: on a one-shard runtime, a
+/// One answer bypasses the frame: at any shard count, a
 /// [`self_join_estimate`](ReadReplica::self_join_estimate) past
-/// `max_pending` is read off the caught-up shard itself, as
+/// `max_pending` is read off the caught-up shards themselves, as
 /// [`QueryHandle::self_join_estimate`] is, and adopts no frame. So
 /// [`version`](ReadReplica::version) and [`pending`](ReadReplica::pending)
 /// describe the frame the other families answer from, not that F₂
@@ -1109,14 +1133,14 @@ impl<E: Summary + SlimQuery> ReadReplica<E> {
     }
 
     /// Batches the adopted frame's merge reflects: at least every batch
-    /// accepted before it was projected. A fresh F₂ answer read off a lone
-    /// shard adopts no frame and leaves this where it was.
+    /// accepted before it was projected. A fresh F₂ answer read off the
+    /// shards adopts no frame and leaves this where it was.
     pub fn version(&self) -> u64 {
         self.version
     }
 
     /// Accepted batches past this replica's frame right now: the frame's
-    /// staleness, not that of a one-shard F₂ answer, which is caught up.
+    /// staleness, not that of a fresh F₂ answer, which is caught up.
     pub fn pending(&self) -> u64 {
         self.handle.accepted_total().saturating_sub(self.version)
     }
@@ -1128,21 +1152,23 @@ where
     E::Slim: JoinQuery,
 {
     /// Staleness-aware self-join query. Within `max_pending` it answers
-    /// from the frame. Past it, a one-shard runtime answers from the
-    /// shard, caught up to `max_pending` batches behind (see
-    /// [`QueryHandle::self_join_estimate`]); more shards refresh the frame
-    /// and answer from it. Either way the error bar widens by the
-    /// staleness plug-in for the tuples pushed since the state answered
-    /// from, whether a worker has applied them yet or not. With nothing
-    /// pending the answer is bit-identical to
-    /// [`QueryHandle::self_join_estimate`] on the same state.
+    /// from the frame. Past it, it answers from the shards in place (see
+    /// [`QueryHandle::self_join_estimate`]): one shard caught up to
+    /// `max_pending` batches behind, more shards each caught up to all of
+    /// its accepted batches. A summary that reads no sum in place
+    /// refreshes the frame at more than one shard and answers from it.
+    /// Either way the error bar widens by the staleness plug-in for the
+    /// tuples pushed since the state answered from, whether a worker has
+    /// applied them yet or not. With nothing pending the answer is
+    /// bit-identical to [`QueryHandle::self_join_estimate`] on the same
+    /// state.
     ///
     /// # Errors
     ///
     /// As for [`refresh`](ReadReplica::refresh).
     pub fn self_join_estimate(&mut self) -> Result<Estimate> {
         let in_place = if self.pending() > self.max_pending {
-            self.handle.one_shard_self_join(self.max_pending)
+            self.handle.fresh_self_join(self.max_pending)
         } else {
             None
         };
@@ -1818,27 +1844,51 @@ mod tests {
         assert_eq!(merged.raw_top_k(10), seq.raw_top_k(10));
     }
 
+    /// A join sketch that panics on `u64::MAX`.
+    #[derive(Clone)]
+    struct BombSketch(JoinSketch);
+
+    impl Summary for BombSketch {
+        fn update(&mut self, key: u64, count: i64) {
+            assert_ne!(key, u64::MAX, "injected worker panic");
+            self.0.update(key, count);
+        }
+        fn update_batch(&mut self, keys: &[u64]) {
+            for &k in keys {
+                self.update(k, 1);
+            }
+        }
+        fn merge_from(&mut self, other: &Self) -> sss_core::Result<()> {
+            self.0.merge_from(&other.0)
+        }
+    }
+
+    impl JoinQuery for BombSketch {
+        fn self_join(&self) -> f64 {
+            self.0.raw_self_join()
+        }
+        fn size_of_join(&self, other: &Self) -> sss_core::Result<f64> {
+            self.0.raw_size_of_join(&other.0)
+        }
+        fn self_join_estimate_of_sum(parts: &[&Self]) -> Option<Estimate> {
+            let joins: Vec<&JoinSketch> = parts.iter().map(|part| &part.0).collect();
+            JoinQuery::self_join_estimate_of_sum(&joins)
+        }
+    }
+
+    impl SlimQuery for BombSketch {
+        type Slim = JoinSketch;
+
+        fn slim(&self) -> JoinSketch {
+            self.0.clone()
+        }
+    }
+
     /// A worker that panics mid-batch: the shard dies, and every
     /// subsequent query reports [`StreamError::ShardDisconnected`] as a
     /// typed error — never a panic, never a hang.
     #[test]
     fn dead_worker_yields_typed_errors_not_panics() {
-        #[derive(Clone)]
-        struct BombSketch(JoinSketch);
-        impl Summary for BombSketch {
-            fn update(&mut self, key: u64, count: i64) {
-                assert_ne!(key, u64::MAX, "injected worker panic");
-                self.0.update(key, count);
-            }
-            fn update_batch(&mut self, keys: &[u64]) {
-                for &k in keys {
-                    self.update(k, 1);
-                }
-            }
-            fn merge_from(&mut self, other: &Self) -> sss_core::Result<()> {
-                self.0.merge_from(&other.0)
-            }
-        }
         let mut rng = StdRng::seed_from_u64(23);
         let schema = JoinSchema::fagms(1, 64, &mut rng);
         let config = RuntimeConfig {
@@ -1862,6 +1912,41 @@ mod tests {
             rt.into_merged(),
             Err(StreamError::ShardDisconnected { shard: 0 })
         ));
+    }
+
+    /// The same at two shards, where a fresh F₂ read holds every shard's
+    /// lock at once: when shard 1 is dead, the handle's and a
+    /// `max_pending = 0` replica's `self_join_estimate` are
+    /// `ShardDisconnected { shard: 1 }`, with no hang (the case runs on a
+    /// thread of its own and fails after 10 s) and no panic, and shard 0's
+    /// lock is free again.
+    #[test]
+    fn dead_worker_yields_typed_errors_not_panics_at_two_shards() {
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let schema = JoinSchema::fagms(2, 64, &mut StdRng::seed_from_u64(23));
+            let config = RuntimeConfig {
+                shards: 2,
+                queue_depth: 4,
+                partition: Partition::RoundRobin,
+            };
+            let mut rt = ShardedRuntime::new(config, &BombSketch(schema.sketch())).unwrap();
+            rt.push(&[1, 2, 3]).unwrap(); // shard 0
+            let mut replica = rt.read_replica(0).unwrap();
+            rt.push(&[u64::MAX]).unwrap(); // shard 1
+            let dead =
+                |r: Result<Estimate>| matches!(r, Err(StreamError::ShardDisconnected { shard: 1 }));
+            let handle = dead(rt.self_join_estimate());
+            let by_replica = dead(replica.self_join_estimate());
+            let free = rt.shared.shards[0].core.try_lock().is_ok();
+            done.send((handle, by_replica, free)).unwrap();
+        });
+        let (handle, by_replica, free) = finished
+            .recv_timeout(Duration::from_secs(10))
+            .unwrap_or_else(|e| panic!("a read hung or panicked ({e})"));
+        assert!(handle, "the handle's fresh read");
+        assert!(by_replica, "the replica's fresh read");
+        assert!(free, "shard 0's lock was kept");
     }
 
     /// A panic on the *querier* thread — estimator `Clone` runs user code

@@ -249,19 +249,19 @@ fn rebuilds<E: Summary>(rt: &ShardedRuntime<E>) -> u64 {
     stats.partial_rebuilds + stats.full_rebuilds
 }
 
-/// Push `keys` in `chunk`s into a one-shard runtime. After each chunk, a
-/// fresh F₂ read through the handle, then through `replica_read` (a
-/// replica's, where `E` has one), rebuilds no cached merge and answers
-/// what `merged()` then answers, bit for bit. A handle read served by that
+/// Push `keys` in `chunk`s into a runtime. After each chunk, a fresh F₂
+/// read through the handle, then through `replica_read` (a replica's,
+/// where `E` has one), rebuilds no cached merge and answers what
+/// `merged()` then answers, bit for bit. A handle read served by that
 /// now-current merge answers the same, even once `into_merged` has taken
-/// the shard.
-fn fresh_one_shard_reads_match_the_merge<E: Summary + JoinQuery>(
+/// the shards.
+fn fresh_reads_match_the_merge<E: Summary + JoinQuery>(
     mut rt: ShardedRuntime<E>,
     keys: &[u64],
     chunk: usize,
     mut replica_read: impl FnMut() -> Option<Estimate>,
 ) -> Result<(), TestCaseError> {
-    prop_assert_eq!(rt.shards(), 1);
+    let shards = rt.shards();
     for part in keys.chunks(chunk) {
         rt.push(part).unwrap();
         let before = rebuilds(&rt);
@@ -270,12 +270,13 @@ fn fresh_one_shard_reads_match_the_merge<E: Summary + JoinQuery>(
         prop_assert_eq!(
             rebuilds(&rt),
             before,
-            "a fresh one-shard read rebuilt the merge"
+            "a fresh read at {} shards rebuilt the merge",
+            shards
         );
         let merged = every_bit(&JoinQuery::self_join_estimate(&*rt.merged().unwrap()));
-        prop_assert_eq!(&fresh, &merged);
+        prop_assert_eq!(&fresh, &merged, "{} shards", shards);
         if let Some(replica) = replica {
-            prop_assert_eq!(&replica, &merged);
+            prop_assert_eq!(&replica, &merged, "{} shards", shards);
         }
         prop_assert_eq!(&every_bit(&rt.self_join_estimate().unwrap()), &merged);
     }
@@ -289,40 +290,98 @@ fn fresh_one_shard_reads_match_the_merge<E: Summary + JoinQuery>(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// On one shard a fresh `self_join` — the handle's, and a
-    /// `max_pending = 0` replica's — is read off the caught-up shard
-    /// without a fold. For the composite, the sampled composite and a
-    /// bare join sketch (depth 1 included, where the variance is the
-    /// plug-in) it equals `merged().self_join_estimate()` in value,
-    /// variance and every basic, and rebuilds no cached merge.
+    /// At one, two and three shards under both partitions, a fresh
+    /// `self_join` — the handle's, and a `max_pending = 0` replica's — is
+    /// read off the caught-up shards without a fold: one shard's own
+    /// estimate, or the F₂ of the shards' summed join rows. For the
+    /// composite, the sampled composite and a bare join sketch (depth 1
+    /// included, where the variance is the plug-in) it equals
+    /// `merged().self_join_estimate()` in value, variance and every basic,
+    /// and rebuilds no cached merge.
     #[test]
-    fn a_fresh_one_shard_self_join_is_the_merges_answer(
+    fn a_fresh_self_join_is_the_merges_answer_at_every_shard_count(
         keys in prop::collection::vec(0..500u64, 1..400),
         chunk in 1usize..97,
         depth in 1usize..4,
         seed: u64,
     ) {
-        let config = RuntimeConfig { shards: 1, queue_depth: 4, partition: Partition::RoundRobin };
+        for (shards, partition) in (1..=3).flat_map(|s| [(s, Partition::RoundRobin), (s, Partition::Hash)]) {
+            let config = RuntimeConfig { shards, queue_depth: 4, partition };
 
-        let rt = ShardedRuntime::new(config, &multi_spec(seed).summary().unwrap()).unwrap();
-        let mut replica = rt.read_replica(0).unwrap();
-        fresh_one_shard_reads_match_the_merge(rt, &keys, chunk, || {
-            Some(replica.self_join_estimate().unwrap())
-        })?;
+            let rt = ShardedRuntime::new(config, &multi_spec(seed).summary().unwrap()).unwrap();
+            let mut replica = rt.read_replica(0).unwrap();
+            fresh_reads_match_the_merge(rt, &keys, chunk, || {
+                Some(replica.self_join_estimate().unwrap())
+            })?;
 
-        let sampled = multi_spec(seed)
-            .sampled(0.3, &mut StdRng::seed_from_u64(seed ^ 1))
-            .unwrap();
-        let rt = ShardedRuntime::new(config, &sampled).unwrap();
-        fresh_one_shard_reads_match_the_merge(rt, &keys, chunk, || None)?;
+            let sampled = multi_spec(seed)
+                .sampled(0.3, &mut StdRng::seed_from_u64(seed ^ 1))
+                .unwrap();
+            let rt = ShardedRuntime::new(config, &sampled).unwrap();
+            fresh_reads_match_the_merge(rt, &keys, chunk, || None)?;
 
-        let schema = JoinSchema::fagms(depth, 64, &mut StdRng::seed_from_u64(seed));
-        let rt = ShardedRuntime::new(config, &schema.sketch()).unwrap();
-        let mut replica = rt.read_replica(0).unwrap();
-        fresh_one_shard_reads_match_the_merge(rt, &keys, chunk, || {
-            Some(replica.self_join_estimate().unwrap())
-        })?;
+            let schema = JoinSchema::fagms(depth, 64, &mut StdRng::seed_from_u64(seed));
+            let rt = ShardedRuntime::new(config, &schema.sketch()).unwrap();
+            let mut replica = rt.read_replica(0).unwrap();
+            fresh_reads_match_the_merge(rt, &keys, chunk, || {
+                Some(replica.self_join_estimate().unwrap())
+            })?;
+        }
     }
+}
+
+/// A fresh F₂ read holds every shard lock at once, taken in shard order
+/// under the cache lock, while each worker takes only its own. Three
+/// shards, one thread pushing, and a reader looping the handle's and a
+/// `max_pending = 0` replica's `self_join_estimate` plus `merged()`:
+/// nothing deadlocks (the case runs on a thread of its own and fails
+/// after 10 s), and once ingest stops a fresh read in place answers the
+/// merge's bits.
+#[test]
+fn fresh_reads_holding_every_shard_lock_cannot_deadlock() {
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let config = RuntimeConfig {
+            shards: 3,
+            queue_depth: 2,
+            partition: Partition::Hash,
+        };
+        let mut rt = ShardedRuntime::new(config, &multi_spec(43).summary().unwrap()).unwrap();
+        let handle = rt.query_handle();
+        let stop = Arc::new(AtomicBool::new(false));
+        let reader = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let mut replica = handle.read_replica(0).unwrap();
+                let mut reads = 0u64;
+                while !stop.load(Ordering::Acquire) {
+                    handle.self_join_estimate().unwrap();
+                    replica.self_join_estimate().unwrap();
+                    handle.merged().unwrap();
+                    reads += 1;
+                }
+                (handle, replica, reads)
+            })
+        };
+        let keys: Vec<u64> = (0..60_000u64).map(|i| splitmix64(i) % 5_000).collect();
+        for batch in keys.chunks(512) {
+            rt.push(batch).unwrap();
+        }
+        stop.store(true, Ordering::Release);
+        let (handle, mut replica, reads) = reader.join().unwrap();
+        // One more batch, so both reads below are read in place.
+        rt.push(&keys[..512]).unwrap();
+        let fresh = every_bit(&handle.self_join_estimate().unwrap());
+        let by_replica = every_bit(&replica.self_join_estimate().unwrap());
+        let merged = every_bit(&JoinQuery::self_join_estimate(&*rt.merged().unwrap()));
+        done.send((reads, fresh, by_replica, merged)).unwrap();
+    });
+    let (reads, fresh, by_replica, merged) = finished
+        .recv_timeout(Duration::from_secs(10))
+        .unwrap_or_else(|e| panic!("a shard lock was never given back, or a side panicked ({e})"));
+    assert!(reads > 0, "the reader never read");
+    assert_eq!(fresh, merged);
+    assert_eq!(by_replica, merged);
 }
 
 proptest! {
