@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sss_sketch::{AgmsSchema, FagmsSchema, Sketch};
+use sss_sketch::{AgmsSchema, FagmsSchema};
 use std::hint::black_box;
 
 fn benches(c: &mut Criterion) {

@@ -16,7 +16,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sss_core::Sampled;
 use sss_datagen::ZipfGenerator;
-use sss_sketch::{CountSketchTopK, FagmsSchema, HeavyHitters, MisraGries};
+use sss_sketch::{CountSketchTopK, FagmsSchema, MisraGries};
 use std::hint::black_box;
 
 const TUPLES: usize = 100_000;
@@ -46,7 +46,8 @@ fn benches(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("sampled", "p0.1"), |b| {
         b.iter(|| {
             let mut rng = StdRng::seed_from_u64(7);
-            let mut tracker = Sampled::count_sketch(&schema, 4 * K, 0.1, &mut rng).unwrap();
+            let tracker = CountSketchTopK::new(&schema, 4 * K).unwrap();
+            let mut tracker = Sampled::new(tracker, 0.1, &mut rng).unwrap();
             tracker.feed_batch(&stream);
             black_box(tracker.kept())
         })

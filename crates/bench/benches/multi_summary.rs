@@ -55,9 +55,12 @@ fn benches(c: &mut Criterion) {
         });
         group.bench_function(BenchmarkId::new("four_passes/sampled", p), |b| {
             let mut join = Sampled::new(join_schema.sketch(), p, &mut rng).expect("join");
-            let mut topk = Sampled::misra_gries(256, p, &mut rng).expect("topk");
-            let mut hll = Sampled::hyperloglog(12, p, &mut rng).expect("hll");
-            let mut kll = Sampled::kll(200, p, &mut rng).expect("kll");
+            let mg = MisraGries::new(256).expect("topk");
+            let mut topk = Sampled::new(mg, p, &mut rng).expect("topk");
+            let hll = HyperLogLog::new(12, &mut rng).expect("hll");
+            let mut hll = Sampled::new(hll, p, &mut rng).expect("hll");
+            let kll = KllSketch::new(200, &mut rng).expect("kll");
+            let mut kll = Sampled::new(kll, p, &mut rng).expect("kll");
             b.iter(|| {
                 join.feed_batch(black_box(&keys));
                 topk.feed_batch(black_box(&keys));

@@ -77,7 +77,7 @@ use crate::sampled::Sampled;
 use crate::sketch::{JoinSchema, JoinSketch};
 use crate::summary::{DistinctQuery, JoinQuery, Portable, QuantileQuery, Summary, TopKQuery};
 use rand::Rng;
-use sss_sketch::topk::{ranked, HeavyHitters};
+use sss_sketch::topk::ranked;
 use sss_sketch::{Estimate, HyperLogLog, KllSketch, MisraGries};
 use sss_xi::{Codec, CodecError, Reader, Writer};
 

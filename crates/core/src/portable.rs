@@ -10,6 +10,9 @@
 //!
 //! Not here, deliberately:
 //!
+//! * The raw `sss_sketch::{AgmsSketch, FagmsSketch}` — they travel as a
+//!   [`JoinSketch`] (kind `join`): a backend tag, then the raw sketch's own
+//!   [`sss_xi::Codec`] body.
 //! * [`crate::Sampled`] — not yet; snapshot the *inner* summary instead.
 //!   Its sampler state is plain words (`p`, seed, counter position,
 //!   `seen`, `kept`, pending gap), so serialising it is ROADMAP item 5(a).
@@ -18,7 +21,7 @@ use crate::multi::MultiSummary;
 use crate::sketch::JoinSketch;
 use crate::summary::Portable;
 use crate::wire;
-use sss_sketch::{AgmsSketch, CountSketchTopK, FagmsSketch, HyperLogLog, KllSketch, MisraGries};
+use sss_sketch::{CountSketchTopK, HyperLogLog, KllSketch, MisraGries};
 use sss_xi::{BucketFamily, Codec, SignFamily};
 
 // Kind discriminant words folded into each fingerprint so that two
@@ -32,50 +35,25 @@ pub(crate) const TAG_CS_TOPK: u64 = 0x05;
 pub(crate) const TAG_HLL: u64 = 0x06;
 pub(crate) const TAG_KLL: u64 = 0x07;
 
-impl<F> Portable for AgmsSketch<F>
-where
-    F: SignFamily + Codec,
-{
-    const KIND: &'static str = "agms";
-    const FORMAT: u32 = 2;
-
-    fn fingerprint(&self) -> u64 {
-        let schema = self.schema();
-        wire::fingerprint(&[TAG_AGMS, schema.id(), schema.len() as u64])
-    }
-}
-
-impl<S, B> Portable for FagmsSketch<S, B>
-where
-    S: SignFamily + Codec,
-    B: BucketFamily + Codec,
-{
-    const KIND: &'static str = "fagms";
-    const FORMAT: u32 = 2;
-
-    fn fingerprint(&self) -> u64 {
-        let schema = self.schema();
-        wire::fingerprint(&[
-            TAG_FAGMS,
-            schema.id(),
-            schema.depth() as u64,
-            schema.width() as u64,
-        ])
-    }
-}
-
-/// The backend enum fingerprints like its active variant, whose words start
-/// with the variant's tag, so an AGMS-backed and an F-AGMS-backed
-/// [`JoinSketch`] of coincidentally equal dimensions never claim
-/// compatibility.
+/// The one join summary fingerprints its backend's schema identity and
+/// dimensions behind the backend's tag, so an AGMS-backed and an
+/// F-AGMS-backed [`JoinSketch`] of coincidentally equal dimensions never
+/// claim compatibility.
 impl Portable for JoinSketch {
     const KIND: &'static str = "join";
     const FORMAT: u32 = 2;
 
     fn fingerprint(&self) -> u64 {
         match self {
-            JoinSketch::Agms(s) => s.fingerprint(),
-            JoinSketch::Fagms(s) => s.fingerprint(),
+            JoinSketch::Agms(s) => {
+                let schema = s.schema();
+                wire::fingerprint(&[TAG_AGMS, schema.id(), schema.len() as u64])
+            }
+            JoinSketch::Fagms(s) => {
+                let schema = s.schema();
+                let (depth, width) = (schema.depth() as u64, schema.width() as u64);
+                wire::fingerprint(&[TAG_FAGMS, schema.id(), depth, width])
+            }
         }
     }
 }
@@ -170,7 +148,6 @@ mod tests {
     use crate::summary::Summary;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use sss_sketch::topk::HeavyHitters;
     use sss_sketch::FagmsSchema;
 
     #[test]

@@ -24,6 +24,16 @@
 //! gap)` plus its position in the counter. [`Sampled::new`] draws the seed as one `u64` from the caller's
 //! RNG; a clone replays the same coins, which is what a snapshot wants.
 //!
+//! [`Sampled::new`] is the one constructor: the caller builds the inner
+//! summary first, so its seeds are drawn before the sampler's, whatever
+//! the summary.
+//!
+//! ```compile_fail
+//! use rand::SeedableRng;
+//! let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+//! let _ = sss_core::Sampled::hyperloglog(12, 0.5, &mut rng); // removed: Sampled::new(HyperLogLog::new(12, &mut rng)?, p, &mut rng)
+//! ```
+//!
 //! Because `Sampled<S>` itself implements [`Summary`], it rides the
 //! sharded runtime like any other summary. Its coin state is a [`Door`]
 //! ([`Summary::door`]): the runtime's producer holds a copy per shard and
@@ -85,7 +95,7 @@ use sss_sampling::{
     bernoulli_frequency_variance_plugin, bernoulli_self_join_variance_plugin,
     bernoulli_size_of_join_variance_plugin, Door,
 };
-use sss_sketch::{CountSketchTopK, Estimate, FagmsSchema, HyperLogLog, KllSketch, MisraGries};
+use sss_sketch::Estimate;
 use sss_xi::splitmix64;
 
 /// The Proposition 14 self-join correction, shared by every Bernoulli
@@ -128,60 +138,6 @@ pub struct Sampled<S: Summary> {
     seed: u64,
     seen: u64,
     kept: u64,
-}
-
-impl Sampled<MisraGries> {
-    /// A Misra–Gries summary of `capacity` counters behind a
-    /// `Bernoulli(p)` sample: deterministic `ε·n′` undercount bound on the
-    /// kept substream, `1/p`-corrected on the way out.
-    ///
-    /// # Errors
-    ///
-    /// [`crate::Error`] if `p ∉ (0, 1]` or `capacity == 0`.
-    pub fn misra_gries<R: Rng>(capacity: usize, p: f64, seed_rng: &mut R) -> Result<Self> {
-        Self::new(MisraGries::new(capacity)?, p, seed_rng)
-    }
-}
-
-impl Sampled<CountSketchTopK> {
-    /// A Count-Sketch top-k tracker (candidate heap over a
-    /// [`FagmsSchema`]) behind a `Bernoulli(p)` sample.
-    ///
-    /// # Errors
-    ///
-    /// [`crate::Error`] if `p ∉ (0, 1]` or `capacity == 0`.
-    pub fn count_sketch<R: Rng>(
-        schema: &FagmsSchema,
-        capacity: usize,
-        p: f64,
-        seed_rng: &mut R,
-    ) -> Result<Self> {
-        Self::new(CountSketchTopK::new(schema, capacity)?, p, seed_rng)
-    }
-}
-
-impl Sampled<HyperLogLog> {
-    /// A HyperLogLog distinct counter behind a `Bernoulli(p)` sample.
-    ///
-    /// # Errors
-    ///
-    /// [`crate::Error`] if `p ∉ (0, 1]` or the precision is out of range.
-    pub fn hyperloglog<R: Rng>(precision: u8, p: f64, seed_rng: &mut R) -> Result<Self> {
-        let hll = HyperLogLog::new(precision, seed_rng)?;
-        Self::new(hll, p, seed_rng)
-    }
-}
-
-impl Sampled<KllSketch> {
-    /// A KLL quantile summary behind a `Bernoulli(p)` sample.
-    ///
-    /// # Errors
-    ///
-    /// [`crate::Error`] if `p ∉ (0, 1]` or `k` is too small.
-    pub fn kll<R: Rng>(k: usize, p: f64, seed_rng: &mut R) -> Result<Self> {
-        let kll = KllSketch::new(k, seed_rng)?;
-        Self::new(kll, p, seed_rng)
-    }
 }
 
 impl<S: Summary> Sampled<S> {
@@ -605,7 +561,7 @@ mod tests {
     use crate::sketch::JoinSchema;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use sss_sketch::topk::HeavyHitters;
+    use sss_sketch::{HyperLogLog, KllSketch, MisraGries};
 
     fn rng(seed: u64) -> StdRng {
         StdRng::seed_from_u64(seed)
@@ -633,7 +589,7 @@ mod tests {
     #[test]
     fn p_one_is_the_raw_summary() {
         let mut r = rng(1);
-        let mut t = Sampled::misra_gries(16, 1.0, &mut r).unwrap();
+        let mut t = Sampled::new(MisraGries::new(16).unwrap(), 1.0, &mut r).unwrap();
         let keys = skewed_stream();
         for &k in &keys {
             assert!(t.observe(k));
@@ -653,15 +609,14 @@ mod tests {
     #[test]
     fn invalid_probability_rejected() {
         let mut r = rng(2);
-        assert!(Sampled::misra_gries(16, 0.0, &mut r).is_err());
-        assert!(Sampled::misra_gries(16, 1.5, &mut r).is_err());
-        assert!(Sampled::misra_gries(0, 0.5, &mut r).is_err());
+        assert!(Sampled::new(MisraGries::new(16).unwrap(), 0.0, &mut r).is_err());
+        assert!(Sampled::new(MisraGries::new(16).unwrap(), 1.5, &mut r).is_err());
     }
 
     #[test]
     fn sampled_estimates_recover_the_heavy_keys() {
         let mut r = rng(3);
-        let mut t = Sampled::misra_gries(16, 0.25, &mut r).unwrap();
+        let mut t = Sampled::new(MisraGries::new(16).unwrap(), 0.25, &mut r).unwrap();
         let keys = skewed_stream();
         t.feed_batch(&keys);
         assert!(t.kept() < keys.len() as u64 / 2, "kept {}", t.kept());
@@ -687,8 +642,8 @@ mod tests {
         for p in [0.03, 0.5, 1.0] {
             let mut seed_a = rng(11);
             let mut seed_b = rng(11);
-            let mut scalar = Sampled::misra_gries(8, p, &mut seed_a).unwrap();
-            let mut batched = Sampled::misra_gries(8, p, &mut seed_b).unwrap();
+            let mut scalar = Sampled::new(MisraGries::new(8).unwrap(), p, &mut seed_a).unwrap();
+            let mut batched = Sampled::new(MisraGries::new(8).unwrap(), p, &mut seed_b).unwrap();
             let keys: Vec<u64> = (0..30_000u64).map(|i| (i * 2_654_435_761) % 50).collect();
             for &k in &keys {
                 scalar.observe(k);
@@ -723,7 +678,7 @@ mod tests {
         let reps = 300;
         let mut acc = 0.0;
         for _ in 0..reps {
-            let mut t = Sampled::misra_gries(4, 0.3, &mut r).unwrap();
+            let mut t = Sampled::new(MisraGries::new(4).unwrap(), 0.3, &mut r).unwrap();
             for _ in 0..400u64 {
                 t.observe(42);
             }
@@ -836,7 +791,7 @@ mod tests {
         // homogeneous plug-in's miss term (0.9)^100 ≈ 3e-5 is negligible.
         let keys: Vec<u64> = (0..200_000u64).map(|i| i % 2_000).collect();
         let mut r = rng(31);
-        let mut d = Sampled::hyperloglog(12, 0.1, &mut r).unwrap();
+        let mut d = Sampled::new(HyperLogLog::new(12, &mut r).unwrap(), 0.1, &mut r).unwrap();
         d.feed_batch(&keys);
         let est = d.distinct_estimate();
         let rel = (est.value - 2_000.0).abs() / 2_000.0;
@@ -853,7 +808,7 @@ mod tests {
         // the interval honest (very wide).
         let keys: Vec<u64> = (0..10_000u64).collect();
         let mut r = rng(33);
-        let mut d = Sampled::hyperloglog(12, 0.25, &mut r).unwrap();
+        let mut d = Sampled::new(HyperLogLog::new(12, &mut r).unwrap(), 0.25, &mut r).unwrap();
         d.feed_batch(&keys);
         let est = d.distinct_estimate();
         assert!(
@@ -868,7 +823,7 @@ mod tests {
     fn quantiles_are_rank_invariant_under_sampling() {
         let n = 100_000u64;
         let mut r = rng(41);
-        let mut q = Sampled::kll(200, 0.1, &mut r).unwrap();
+        let mut q = Sampled::new(KllSketch::new(200, &mut r).unwrap(), 0.1, &mut r).unwrap();
         let mut v = 3u64;
         for _ in 0..n {
             v = v.wrapping_mul(2_862_933_555_777_941_757).wrapping_add(1);
@@ -893,7 +848,8 @@ mod tests {
     /// mergeable; a clone replays its source's coins.
     #[test]
     fn shard_copies_draw_their_own_coins() {
-        let proto = Sampled::hyperloglog(10, 0.5, &mut rng(52)).unwrap();
+        let mut r = rng(52);
+        let proto = Sampled::new(HyperLogLog::new(10, &mut r).unwrap(), 0.5, &mut r).unwrap();
         let decisions = |mut s: Sampled<HyperLogLog>| -> Vec<bool> {
             (0..256u64).map(|k| s.observe(k)).collect()
         };
@@ -911,7 +867,7 @@ mod tests {
     #[test]
     fn merge_requires_equal_probability() {
         let mut r = rng(51);
-        let mut a = Sampled::hyperloglog(10, 0.5, &mut r).unwrap();
+        let mut a = Sampled::new(HyperLogLog::new(10, &mut r).unwrap(), 0.5, &mut r).unwrap();
         let mut b = Sampled::new(a.summary().clone(), 0.5, &mut r).unwrap();
         let keys: Vec<u64> = (0..4_000u64).collect();
         a.feed_batch(&keys[..2_000]);
@@ -921,7 +877,7 @@ mod tests {
         a.merge_from(&b).unwrap();
         assert_eq!(a.seen(), seen);
         assert_eq!(a.kept(), kept);
-        let c = Sampled::hyperloglog(10, 0.25, &mut r).unwrap();
+        let c = Sampled::new(HyperLogLog::new(10, &mut r).unwrap(), 0.25, &mut r).unwrap();
         assert!(matches!(
             a.merge_from(&c),
             Err(Error::IncompatibleEstimators) | Err(Error::Sketch(_))

@@ -11,10 +11,22 @@
 //! [`JoinSchema`] fixes the seeds; every sketch created from one schema can
 //! be joined against every other. The concrete families are the workspace
 //! defaults (CW4 signs, CW2 bucket hashes).
+//!
+//! [`JoinSketch`] is the one join summary: the `Summary`, `JoinQuery`,
+//! `SlimQuery` and `Portable` impls are its, and the raw sketches it wraps
+//! have none. It updates, merges and estimates; it does not subtract (no
+//! workload, subcommand or served answer asks for a sketch of a stream
+//! difference):
+//!
+//! ```compile_fail
+//! fn gone(a: &mut sss_core::JoinSketch, b: &sss_core::JoinSketch) {
+//!     let _ = a.subtract(b); // removed: sketch the difference stream instead
+//! }
+//! ```
 
 use crate::error::Result;
 use rand::Rng;
-use sss_sketch::{AgmsSchema, AgmsSketch, Estimate, FagmsSchema, FagmsSketch, Sketch as _};
+use sss_sketch::{AgmsSchema, AgmsSketch, Estimate, FagmsSchema, FagmsSketch};
 use sss_xi::{Codec, CodecError, Reader, Writer};
 
 /// Seeds for a join-capable sketch (AGMS or F-AGMS).
@@ -182,19 +194,6 @@ impl JoinSketch {
         match (self, other) {
             (JoinSketch::Agms(a), JoinSketch::Agms(b)) => Ok(a.merge(b)?),
             (JoinSketch::Fagms(a), JoinSketch::Fagms(b)) => Ok(a.merge(b)?),
-            _ => Err(sss_sketch::Error::SchemaMismatch.into()),
-        }
-    }
-
-    /// Subtract another sketch of the same schema; afterwards this sketch
-    /// summarizes the frequency difference, so [`raw_self_join`] estimates
-    /// the squared L2 distance `Σᵢ(fᵢ−gᵢ)²` (change detection).
-    ///
-    /// [`raw_self_join`]: JoinSketch::raw_self_join
-    pub fn subtract(&mut self, other: &JoinSketch) -> Result<()> {
-        match (self, other) {
-            (JoinSketch::Agms(a), JoinSketch::Agms(b)) => Ok(a.subtract(b)?),
-            (JoinSketch::Fagms(a), JoinSketch::Fagms(b)) => Ok(a.subtract(b)?),
             _ => Err(sss_sketch::Error::SchemaMismatch.into()),
         }
     }

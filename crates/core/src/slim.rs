@@ -10,7 +10,7 @@
 //!
 //! | fat summary | slim form | kept state |
 //! |---|---|---|
-//! | AGMS / F-AGMS / [`JoinSketch`] | [`SlimJoin`] | per-lane self-join basics + combined [`Estimate`] |
+//! | [`JoinSketch`] (AGMS or F-AGMS) | [`SlimJoin`] | per-lane self-join basics + combined [`Estimate`] |
 //! | [`MisraGries`] / [`CountSketchTopK`] | [`SlimTopK`] | ranked candidate list + variance plug-in |
 //! | [`HyperLogLog`] | itself | registers *are* the compact state (documented pass-through) |
 //! | [`KllSketch`] | itself | compactors *are* the compact state (documented pass-through) |
@@ -44,9 +44,7 @@ use crate::error::{Error, Result};
 use crate::multi::MultiSummary;
 use crate::sketch::JoinSketch;
 use crate::summary::{DistinctQuery, JoinQuery, Portable, QuantileQuery, SlimQuery, TopKQuery};
-use sss_sketch::{
-    AgmsSketch, CountSketchTopK, Estimate, FagmsSketch, HyperLogLog, KllSketch, MisraGries,
-};
+use sss_sketch::{CountSketchTopK, Estimate, HyperLogLog, KllSketch, MisraGries};
 use sss_xi::{BucketFamily, Codec, CodecError, Reader, SignFamily, Writer};
 use std::sync::{Arc, OnceLock};
 
@@ -400,35 +398,6 @@ impl Portable for SlimMultiSummary {
 
     fn fingerprint(&self) -> u64 {
         self.fingerprint
-    }
-}
-
-impl<F> SlimQuery for AgmsSketch<F>
-where
-    F: SignFamily + Send + Sync + 'static + Codec,
-{
-    type Slim = SlimJoin;
-
-    fn slim(&self) -> SlimJoin {
-        SlimJoin::project(
-            Portable::fingerprint(self),
-            AgmsSketch::self_join_estimate(self),
-        )
-    }
-}
-
-impl<S, B> SlimQuery for FagmsSketch<S, B>
-where
-    S: SignFamily + Send + Sync + 'static + Codec,
-    B: BucketFamily + Send + Sync + 'static + Codec,
-{
-    type Slim = SlimJoin;
-
-    fn slim(&self) -> SlimJoin {
-        SlimJoin::project(
-            Portable::fingerprint(self),
-            FagmsSketch::self_join_estimate(self),
-        )
     }
 }
 

@@ -1,20 +1,20 @@
 //! The layered `Summary` hierarchy — one ingestion contract, four query
 //! capabilities.
 //!
-//! Historically each sketch family exposed its own ad-hoc surface
-//! (`AgmsSketch::self_join`, `FagmsSketch::size_of_join`,
-//! `JoinSketch::raw_self_join`, …), the streaming layer was hard-coded to
-//! [`JoinSketch`], and the only query capability beyond joins (top-k) was
-//! bolted on through `sss_sketch::topk::HeavyHitters`. The redesign splits
-//! the contract into one base trait and standalone capability traits:
+//! Every summary of `sss-sketch` offers its operations as inherent
+//! methods (`update`/`offer`, `merge`, the raw estimators); this module is
+//! the one interface over them — one base trait and standalone capability
+//! traits, each implemented by the summaries that a workload, an `sss`
+//! subcommand or a served answer reaches:
 //!
 //! * [`Summary`] is the *ingestion* contract the sharded runtime and the
 //!   snapshot cache are generic over: anything that can absorb keyed
 //!   updates and merge with a peer built from the same seeds.
 //! * [`JoinQuery`] adds the paper's two join-size queries (F₂ /
-//!   size-of-join).
-//! * [`TopKQuery`] adds heavy-hitter point and top-k queries, absorbing
-//!   the `HeavyHitters` plumbing behind a typed surface.
+//!   size-of-join), served by [`JoinSketch`] — the one join summary, over
+//!   AGMS or F-AGMS.
+//! * [`TopKQuery`] adds heavy-hitter point and top-k queries, served by
+//!   [`MisraGries`] and [`CountSketchTopK`].
 //! * [`DistinctQuery`] adds distinct-count (F₀) queries, served by
 //!   [`HyperLogLog`].
 //! * [`QuantileQuery`] adds rank/quantile queries, served by
@@ -67,7 +67,7 @@
 //! ```
 //!
 //! [`Summary`] has no retraction pair either (a merged view is rebuilt by
-//! merging again; sketch difference is `sss_sketch::Sketch::subtract`):
+//! merging again):
 //!
 //! ```compile_fail
 //! use sss_core::Summary;
@@ -85,6 +85,15 @@
 //! ```compile_fail
 //! fn summary<S: sss_core::Summary>() {}
 //! summary::<sss_sketch::CountMinSketch>(); // removed: F-AGMS is the join summary
+//! ```
+//!
+//! The raw AGMS and F-AGMS sketches are not summaries of their own either:
+//! [`JoinSketch`] wraps them, and is the one join summary that travels,
+//! projects and serves.
+//!
+//! ```compile_fail
+//! fn summary<S: sss_core::Summary>() {}
+//! summary::<sss_sketch::FagmsSketch>(); // removed: wrap it in sss_core::JoinSketch
 //! ```
 //!
 //! A summary implements whichever capabilities it can actually answer;
@@ -122,10 +131,7 @@ use crate::error::{Error, Result};
 use crate::sketch::JoinSketch;
 use crate::wire::Head;
 use sss_sampling::Door;
-use sss_sketch::topk::HeavyHitters;
-use sss_sketch::{
-    AgmsSketch, CountSketchTopK, Estimate, FagmsSketch, HyperLogLog, KllSketch, MisraGries, Sketch,
-};
+use sss_sketch::{CountSketchTopK, Estimate, FagmsSketch, HyperLogLog, KllSketch, MisraGries};
 use sss_xi::{BucketFamily, Codec, Reader, SignFamily, Writer};
 use std::sync::Arc;
 
@@ -400,7 +406,7 @@ pub trait QuantileQuery {
 /// [`merge_encoded`](Portable::merge_encoded) alone.
 pub trait Portable: Codec {
     /// Wire kind tag — distinct per concrete summary shape (e.g.
-    /// `"fagms"`, `"slim-join"`).
+    /// `"join"`, `"slim-join"`).
     const KIND: &'static str;
 
     /// Wire format version for this kind; decoders accept exactly this
@@ -500,88 +506,6 @@ pub trait SlimQuery: Summary {
     /// and projects each query family the first time it is asked.
     fn frame(merged: &Arc<Self>) -> Self::Slim {
         merged.slim()
-    }
-}
-
-impl<F> Summary for AgmsSketch<F>
-where
-    F: SignFamily + Send + Sync + 'static,
-{
-    fn update(&mut self, key: u64, count: i64) {
-        Sketch::update(self, key, count);
-    }
-
-    fn update_batch(&mut self, keys: &[u64]) {
-        Sketch::update_batch(self, keys);
-    }
-
-    fn merge_from(&mut self, other: &Self) -> Result<()> {
-        Ok(self.merge(other)?)
-    }
-}
-
-impl<F> JoinQuery for AgmsSketch<F>
-where
-    F: SignFamily + Send + Sync + 'static,
-{
-    fn self_join(&self) -> f64 {
-        AgmsSketch::self_join(self)
-    }
-
-    fn size_of_join(&self, other: &Self) -> Result<f64> {
-        Ok(AgmsSketch::size_of_join(self, other)?)
-    }
-
-    fn self_join_estimate(&self) -> Estimate {
-        AgmsSketch::self_join_estimate(self)
-    }
-
-    fn size_of_join_estimate(&self, other: &Self) -> Result<Estimate> {
-        Ok(AgmsSketch::size_of_join_estimate(self, other)?)
-    }
-}
-
-impl<S, B> Summary for FagmsSketch<S, B>
-where
-    S: SignFamily + Send + Sync + 'static,
-    B: BucketFamily + Send + Sync + 'static,
-{
-    fn update(&mut self, key: u64, count: i64) {
-        Sketch::update(self, key, count);
-    }
-
-    fn update_batch(&mut self, keys: &[u64]) {
-        Sketch::update_batch(self, keys);
-    }
-
-    fn merge_from(&mut self, other: &Self) -> Result<()> {
-        Ok(self.merge(other)?)
-    }
-}
-
-impl<S, B> JoinQuery for FagmsSketch<S, B>
-where
-    S: SignFamily + Send + Sync + 'static,
-    B: BucketFamily + Send + Sync + 'static,
-{
-    fn self_join(&self) -> f64 {
-        FagmsSketch::self_join(self)
-    }
-
-    fn size_of_join(&self, other: &Self) -> Result<f64> {
-        Ok(FagmsSketch::size_of_join(self, other)?)
-    }
-
-    fn self_join_estimate(&self) -> Estimate {
-        FagmsSketch::self_join_estimate(self)
-    }
-
-    fn self_join_estimate_of_sum(parts: &[&Self]) -> Option<Estimate> {
-        FagmsSketch::self_join_estimate_of_sum(parts)
-    }
-
-    fn size_of_join_estimate(&self, other: &Self) -> Result<Estimate> {
-        Ok(FagmsSketch::size_of_join_estimate(self, other)?)
     }
 }
 
@@ -788,7 +712,6 @@ mod tests {
     use crate::sketch::JoinSchema;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use sss_sketch::{AgmsSchema, FagmsSchema};
 
     /// Exercise one implementation generically: batch vs scalar identity,
     /// merge-equals-union, and a self-join in the right ballpark.
@@ -838,12 +761,13 @@ mod tests {
     #[test]
     fn every_join_backend_satisfies_the_contract() {
         let mut rng = StdRng::seed_from_u64(7);
-        let agms: AgmsSchema = AgmsSchema::new(256, &mut rng);
-        exercise(move || agms.sketch(), 0.25);
-        let fagms: FagmsSchema = FagmsSchema::new(3, 1024, &mut rng);
-        exercise(move || fagms.sketch(), 0.25);
-        let schema = JoinSchema::fagms(2, 1024, &mut rng);
-        exercise(move || schema.sketch(), 0.25);
+        for schema in [
+            JoinSchema::agms(256, &mut rng),
+            JoinSchema::fagms(3, 1024, &mut rng),
+            JoinSchema::fagms(2, 1024, &mut rng),
+        ] {
+            exercise(|| schema.sketch(), 0.25);
+        }
     }
 
     /// A minimal external implementor relying entirely on the default

@@ -16,7 +16,6 @@ use sss_sampling::bernoulli::BernoulliSampler;
 use sss_sampling::with_replacement::sample_with_replacement;
 use sss_sampling::without_replacement::sample_without_replacement;
 use sss_sketch::agms::AgmsSchema;
-use sss_sketch::Sketch;
 use sss_xi::Cw4;
 
 /// Expand a frequency vector into the multiset of tuples it describes.

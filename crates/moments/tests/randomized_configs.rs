@@ -15,7 +15,6 @@ use sss_sampling::bernoulli::BernoulliSampler;
 use sss_sampling::with_replacement::sample_with_replacement;
 use sss_sampling::without_replacement::sample_without_replacement;
 use sss_sketch::agms::AgmsSchema;
-use sss_sketch::Sketch;
 use sss_xi::Cw4;
 
 /// One random workload: 4–10 keys with counts 1–9 (plus possible zeros).

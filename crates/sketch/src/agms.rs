@@ -14,7 +14,6 @@
 
 use crate::error::{Error, Result};
 use crate::estimate::{self, Estimate};
-use crate::Sketch;
 use rand::Rng;
 use sss_xi::{Codec, CodecError, DefaultSign, Reader, SignFamily, Writer};
 use std::sync::Arc;
@@ -274,52 +273,50 @@ impl<F: SignFamily> AgmsSketch<F> {
         let e = Estimate::from_mean(self.size_of_join_basics(other)?);
         Ok(e.or_variance(|v| (self.self_join() * other.self_join() + v * v) / n))
     }
-}
 
-impl<F: SignFamily> Sketch for AgmsSketch<F> {
+    /// Add `count` occurrences of `key` (negative counts model deletions:
+    /// the sketch is turnstile-capable).
     #[inline]
-    fn update(&mut self, key: u64, count: i64) {
+    pub fn update(&mut self, key: u64, count: i64) {
         for (counter, family) in self.counters.iter_mut().zip(self.schema.families.iter()) {
             *counter += count * family.sign(key);
         }
     }
 
-    // Family-major batched kernel: a whole batch contributes `Σᵢ ξ(kᵢ)` to
-    // each counter, so every family makes one fused pass over the keys with
-    // its seed hot and never materializes a per-key sign. The sums come
-    // from the runtime-dispatched `sss_xi::kernels` sign kernels through
-    // the family's `sign_sum`/`sign_dot`. Bit-identical to per-key
-    // updates because integer addition commutes.
-    fn update_batch(&mut self, keys: &[u64]) {
+    /// Add one occurrence of every key in the batch, bit-identically to
+    /// [`update`](Self::update) once per key.
+    ///
+    /// Family-major: a whole batch contributes `Σᵢ ξ(kᵢ)` to each counter,
+    /// so every family makes one fused pass over the keys with its seed hot
+    /// and never materializes a per-key sign. The sums come from the
+    /// runtime-dispatched `sss_xi::kernels` sign kernels through the
+    /// family's `sign_sum`/`sign_dot`; integer addition commutes.
+    pub fn update_batch(&mut self, keys: &[u64]) {
         for (counter, family) in self.counters.iter_mut().zip(self.schema.families.iter()) {
             *counter += family.sign_sum(keys);
         }
     }
 
-    fn update_batch_counts(&mut self, items: &[(u64, i64)]) {
+    /// Add `count` occurrences of `key` for every `(key, count)` pair,
+    /// bit-identically to the per-pair [`update`](Self::update) loop.
+    pub fn update_batch_counts(&mut self, items: &[(u64, i64)]) {
         for (counter, family) in self.counters.iter_mut().zip(self.schema.families.iter()) {
             *counter += family.sign_dot(items);
         }
     }
 
-    fn merge(&mut self, other: &Self) -> Result<()> {
+    /// Entry-wise merge of a sketch of another stream fragment: afterwards
+    /// `self` sketches the union.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::SchemaMismatch`] if `other` was built from another schema.
+    pub fn merge(&mut self, other: &Self) -> Result<()> {
         self.check_schema(other)?;
         for (c, o) in self.counters.iter_mut().zip(&other.counters) {
             *c += o;
         }
         Ok(())
-    }
-
-    fn subtract(&mut self, other: &Self) -> Result<()> {
-        self.check_schema(other)?;
-        for (c, o) in self.counters.iter_mut().zip(&other.counters) {
-            *c -= o;
-        }
-        Ok(())
-    }
-
-    fn counters(&self) -> usize {
-        self.counters.len()
     }
 }
 

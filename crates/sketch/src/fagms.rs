@@ -18,7 +18,6 @@
 
 use crate::error::{Error, Result};
 use crate::estimate::{self, Estimate};
-use crate::Sketch;
 use rand::Rng;
 use sss_xi::{
     kernels, BucketFamily, Codec, CodecError, DefaultBucket, DefaultSign, Dispatch, Reader,
@@ -266,7 +265,7 @@ impl<S: SignFamily, B: BucketFamily> FagmsSketch<S, B> {
 
     /// [`self_join_rows`](Self::self_join_rows) of the merge of `parts`,
     /// without building it: each row of the parts is summed into one
-    /// buffer with [`merge`](Sketch::merge)'s `+`, and the summed rows are
+    /// buffer with [`merge`](Self::merge)'s `+`, and the summed rows are
     /// squared as a merged sketch's are, guards and fallback included.
     /// `None` for no parts or parts of different schemas.
     fn self_join_rows_of_sum(d: Dispatch, parts: &[&Self]) -> Option<Vec<f64>> {
@@ -436,7 +435,7 @@ impl<S: SignFamily, B: BucketFamily> FagmsSketch<S, B> {
         }
     }
 
-    /// [`update`](Sketch::update)`(key, 1)` for the key whose rows were
+    /// [`update`](Self::update)`(key, 1)` for the key whose rows were
     /// hashed into `cells`.
     #[inline]
     pub(crate) fn bump(&mut self, cells: &[Cell]) {
@@ -458,7 +457,7 @@ impl<S: SignFamily, B: BucketFamily> FagmsSketch<S, B> {
         estimate::median_in_place(per_row)
     }
 
-    /// Fused [`update`](Sketch::update) + [`point_query`](Self::point_query):
+    /// Fused [`update`](Self::update) + [`point_query`](Self::point_query):
     /// applies the update and returns the *post-update* point estimate,
     /// computing each row's bucket and sign hashes once instead of twice.
     /// Counter state and returned value are bit-identical to calling the
@@ -475,6 +474,53 @@ impl<S: SignFamily, B: BucketFamily> FagmsSketch<S, B> {
             }
             estimate::median_in_place(per_row)
         })
+    }
+
+    /// Add `count` occurrences of `key` (negative counts model deletions:
+    /// the sketch is turnstile-capable).
+    #[inline]
+    pub fn update(&mut self, key: u64, count: i64) {
+        let w = self.schema.width;
+        for (r, row) in self.schema.rows.iter().enumerate() {
+            let b = row.bucket.bucket(key, w);
+            self.counters[r * w + b] += count * row.sign.sign(key);
+        }
+    }
+
+    /// Add one occurrence of every key in the batch, bit-identically to
+    /// [`update`](Self::update) once per key.
+    ///
+    /// Row-major: each row hands the whole batch and its two coefficient
+    /// vectors to the fused `signed_scatter` kernel — shared lane
+    /// evaluation, runtime CPU dispatch, immediate scatter. Integer counter
+    /// increments commute.
+    pub fn update_batch(&mut self, keys: &[u64]) {
+        let w = self.schema.width;
+        for (row, counters) in self.schema.rows.iter().zip(self.counters.chunks_mut(w)) {
+            sss_xi::signed_scatter(row.sign.coeffs(), row.bucket.coeffs(), w, keys, counters);
+        }
+    }
+
+    /// Add `count` occurrences of `key` for every `(key, count)` pair,
+    /// bit-identically to the per-pair [`update`](Self::update) loop.
+    pub fn update_batch_counts(&mut self, items: &[(u64, i64)]) {
+        let w = self.schema.width;
+        for (row, counters) in self.schema.rows.iter().zip(self.counters.chunks_mut(w)) {
+            let (sc, bc) = (row.sign.coeffs(), row.bucket.coeffs());
+            sss_xi::signed_scatter_counts(sc, bc, w, items, counters);
+        }
+    }
+
+    /// Entry-wise merge of a sketch of another stream fragment: afterwards
+    /// `self` sketches the union.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::SchemaMismatch`] if `other` was built from another schema.
+    pub fn merge(&mut self, other: &Self) -> Result<()> {
+        self.check_schema(other)?;
+        add_counters(&mut self.counters, &other.counters);
+        Ok(())
     }
 }
 
@@ -563,54 +609,6 @@ fn rows_in_one_pass<const R: usize>(
     sums
 }
 
-impl<S: SignFamily, B: BucketFamily> Sketch for FagmsSketch<S, B> {
-    #[inline]
-    fn update(&mut self, key: u64, count: i64) {
-        let w = self.schema.width;
-        for (r, row) in self.schema.rows.iter().enumerate() {
-            let b = row.bucket.bucket(key, w);
-            self.counters[r * w + b] += count * row.sign.sign(key);
-        }
-    }
-
-    // Row-major batched kernel: each row hands the whole batch and its two
-    // coefficient vectors to the fused `signed_scatter` kernel — shared lane
-    // evaluation, runtime CPU dispatch, immediate scatter. Bit-identical to
-    // per-key updates because integer counter increments commute.
-    fn update_batch(&mut self, keys: &[u64]) {
-        let w = self.schema.width;
-        for (row, counters) in self.schema.rows.iter().zip(self.counters.chunks_mut(w)) {
-            sss_xi::signed_scatter(row.sign.coeffs(), row.bucket.coeffs(), w, keys, counters);
-        }
-    }
-
-    fn update_batch_counts(&mut self, items: &[(u64, i64)]) {
-        let w = self.schema.width;
-        for (row, counters) in self.schema.rows.iter().zip(self.counters.chunks_mut(w)) {
-            let (sc, bc) = (row.sign.coeffs(), row.bucket.coeffs());
-            sss_xi::signed_scatter_counts(sc, bc, w, items, counters);
-        }
-    }
-
-    fn merge(&mut self, other: &Self) -> Result<()> {
-        self.check_schema(other)?;
-        add_counters(&mut self.counters, &other.counters);
-        Ok(())
-    }
-
-    fn subtract(&mut self, other: &Self) -> Result<()> {
-        self.check_schema(other)?;
-        for (c, o) in self.counters.iter_mut().zip(&other.counters) {
-            *c -= o;
-        }
-        Ok(())
-    }
-
-    fn counters(&self) -> usize {
-        self.counters.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -630,7 +628,6 @@ mod tests {
         let s = Schema::new(3, 100, &mut rng(0));
         assert_eq!(s.depth(), 3);
         assert_eq!(s.width(), 100);
-        assert_eq!(s.sketch().counters(), 300);
     }
 
     #[test]

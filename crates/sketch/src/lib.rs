@@ -14,6 +14,13 @@
 //!   estimators but costs O(1) per update; rows are combined by median.
 //!   This is the sketch used in all the paper's experiments.
 //!
+//! The heavy-hitter summaries ([`topk`]), HyperLogLog ([`hll`]) and KLL
+//! ([`kll`]) sit beside them. Every type here offers its operations —
+//! `update`/`offer`, `update_batch`, `merge`, the estimators — as inherent
+//! methods. `sss-core`'s `Summary` and its capability traits are the one
+//! interface over them (the two join sketches through `sss-core`'s
+//! `JoinSketch`), so this crate declares no trait of its own.
+//!
 //! The three-way chain-join sketches are gone: no workload, subcommand or
 //! paper result reaches them. So is Count-Min: the paper sketches with ±1
 //! families only. [`Estimate`] has one method per tail bound, and no enum
@@ -31,6 +38,16 @@
 //! use sss_sketch::Bound; // removed: call Estimate::chebyshev or Estimate::clt
 //! ```
 //!
+//! Nor is the second trait layer that sat beside `Summary`:
+//!
+//! ```compile_fail
+//! use sss_sketch::Sketch; // removed: inherent methods, or sss_core::Summary
+//! ```
+//!
+//! ```compile_fail
+//! use sss_sketch::HeavyHitters; // removed: inherent methods, or sss_core::TopKQuery
+//! ```
+//!
 //! ## Seed sharing
 //!
 //! Size-of-join estimation requires the two sketches to be built with the
@@ -45,7 +62,6 @@
 //! ```
 //! use rand::SeedableRng;
 //! use sss_sketch::agms::AgmsSchema;
-//! use sss_sketch::Sketch;
 //!
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(1);
 //! let schema: AgmsSchema = AgmsSchema::new(800, &mut rng);
@@ -80,64 +96,4 @@ pub use fagms::{FagmsSchema, FagmsSketch};
 pub use hll::HyperLogLog;
 pub use kll::KllSketch;
 pub use runs::KeyRuns;
-pub use topk::{CountSketchTopK, HeavyHitters, MisraGries};
-
-/// Common behaviour of all linear sketches in this crate.
-///
-/// Linearity is the property that makes sketches streamable: the sketch of
-/// a union (or of a weighted difference) of streams is the entry-wise
-/// combination of the individual sketches.
-pub trait Sketch {
-    /// Add `count` occurrences of `key` (negative counts model deletions —
-    /// all sketches here are turnstile-capable).
-    fn update(&mut self, key: u64, count: i64);
-
-    /// Add one occurrence of every key in the batch.
-    ///
-    /// Semantically `for &k in keys { self.update(k, 1) }`, and every
-    /// implementation must leave **bit-identical** counter state to that
-    /// loop (exact by linearity: integer counter updates commute). The
-    /// sketches in this crate override the default with row-major kernels
-    /// that walk the batch once per row/family, keeping the family seeds
-    /// hot and evaluating the ξ polynomials several keys at a time.
-    fn update_batch(&mut self, keys: &[u64]) {
-        for &key in keys {
-            self.update(key, 1);
-        }
-    }
-
-    /// Add `count` occurrences of `key` for every `(key, count)` pair
-    /// (negative counts model deletions).
-    ///
-    /// Same bit-identity contract as [`Sketch::update_batch`], relative to
-    /// `for &(k, c) in items { self.update(k, c) }`.
-    fn update_batch_counts(&mut self, items: &[(u64, i64)]) {
-        for &(key, count) in items {
-            self.update(key, count);
-        }
-    }
-
-    /// Entry-wise merge of a sketch built over another stream fragment with
-    /// the same schema.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::SchemaMismatch`] if the sketches were not created by the
-    /// same schema.
-    fn merge(&mut self, other: &Self) -> Result<()>;
-
-    /// Entry-wise subtraction: afterwards `self` summarizes the frequency
-    /// *difference* `f − g` of the two streams. For the ±1 sketches the
-    /// self-join estimate of the result is the squared L2 distance
-    /// `Σᵢ(fᵢ−gᵢ)²` — the classic sketch-based change detector.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::SchemaMismatch`] if the sketches were not created by the
-    /// same schema.
-    fn subtract(&mut self, other: &Self) -> Result<()>;
-
-    /// Number of counters the sketch maintains (its memory footprint in
-    /// units of one counter).
-    fn counters(&self) -> usize;
-}
+pub use topk::{CountSketchTopK, MisraGries};

@@ -1,6 +1,9 @@
 //! Mergeable heavy-hitter (top-k) summaries.
 //!
-//! Two classic structures behind one [`HeavyHitters`] trait:
+//! Two classic structures with the same inherent methods (`offer`,
+//! `offer_batch`, `merge`, `raw_estimate`, `raw_top_k`, …). `sss-core`
+//! implements its `Summary` and `TopKQuery` traits over them, which is the
+//! one interface they share:
 //!
 //! * [`MisraGries`] — the deterministic counter summary of Misra & Gries
 //!   (the SpaceSaving family). With `capacity` counters over a stream of
@@ -28,7 +31,7 @@
 //! for the join estimators.
 //!
 //! Top-k answers are a *pure function* of the summary state and its
-//! candidate set: [`HeavyHitters::raw_top_k`] re-scores every candidate at
+//! candidate set: [`MisraGries::raw_top_k`] re-scores every candidate at
 //! query time and sorts with the same descending-estimate /
 //! ascending-key tie-break as [`FagmsSketch::top_k`]. That is what makes
 //! shard-merged answers reproducible — whenever the merged candidate sets
@@ -40,7 +43,6 @@ use crate::error::{Error, Result};
 use crate::fagms::{FagmsSchema, FagmsSketch, RowCells};
 use crate::fasthash::KeyHashMap;
 use crate::runs::{KeyRuns, CHUNK, MULTIPLIER};
-use crate::Sketch;
 use sss_xi::{
     BucketFamily, Codec, CodecError, DefaultBucket, DefaultSign, Reader, SignFamily, Writer,
 };
@@ -61,80 +63,6 @@ pub fn ranked(mut scored: Vec<(u64, f64)>, k: usize) -> Vec<(u64, f64)> {
     scored
 }
 
-/// A mergeable summary answering approximate frequent-item queries over
-/// the stream it has seen (its *sample universe* — corrections for
-/// sampled streams are applied by the caller).
-pub trait HeavyHitters: Clone {
-    /// Record `count` occurrences of `key`. Non-positive counts are
-    /// ignored by insert-only summaries (see the implementors' docs).
-    fn offer(&mut self, key: u64, count: i64);
-
-    /// Record one occurrence of every key in the batch — semantically
-    /// `for &k in keys { self.offer(k, 1) }`, and implementations must
-    /// leave state identical to that loop: the same counters, the same
-    /// candidates with the same running estimates, and the same behaviour
-    /// on every later offer. What an override may share across the batch is
-    /// whatever depends on a key alone (its hashes) or commutes (counter
-    /// additions between two fixed stream positions); whatever depends on
-    /// what arrived before (admission, eviction, the estimate a key is
-    /// admitted with) stays per tuple, in arrival order. State must be a
-    /// function of the tuple sequence, never of how it was cut into calls.
-    fn offer_batch(&mut self, keys: &[u64]) {
-        for &key in keys {
-            self.offer(key, 1);
-        }
-    }
-
-    /// Fold in a summary of another stream fragment.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::SchemaMismatch`] if the summaries are not structurally
-    /// compatible (different capacities, or sketch schemas).
-    fn merge(&mut self, other: &Self) -> Result<()>;
-
-    /// Estimated frequency of `key` in the offered stream.
-    fn raw_estimate(&self, key: u64) -> f64;
-
-    /// Scale of the per-key estimation error: a deterministic undercount
-    /// bound for counter summaries, one standard error for sketch-backed
-    /// ones.
-    fn raw_error_bound(&self) -> f64;
-
-    /// Variance proxy for a single [`raw_estimate`](Self::raw_estimate),
-    /// feeding the typed `Estimate` path. The default treats
-    /// [`raw_error_bound`](Self::raw_error_bound) as two standard errors;
-    /// sketch-backed summaries override it with their analytic plug-in.
-    fn raw_estimate_variance(&self) -> f64 {
-        let half = self.raw_error_bound() / 2.0;
-        half * half
-    }
-
-    /// The keys currently tracked — the candidate set a top-k query is
-    /// answered from. At most `capacity` keys.
-    fn candidates(&self) -> Vec<u64>;
-
-    /// The estimated `k` most frequent keys: every candidate re-scored
-    /// via [`raw_estimate`](Self::raw_estimate), sorted by estimate
-    /// descending with ties broken by ascending key (the
-    /// [`FagmsSketch::top_k`] convention), truncated to `k`.
-    fn raw_top_k(&self, k: usize) -> Vec<(u64, f64)> {
-        let scored = self
-            .candidates()
-            .into_iter()
-            .map(|key| (key, self.raw_estimate(key)))
-            .collect();
-        ranked(scored, k)
-    }
-
-    /// Total weight offered so far (the `n` of the `n/(capacity+1)`
-    /// guarantee).
-    fn items_offered(&self) -> u64;
-
-    /// Memory footprint in counters (sketch cells + candidate slots).
-    fn counters(&self) -> usize;
-}
-
 /// The Misra–Gries deterministic heavy-hitter summary.
 ///
 /// An offer adds to its key's counter, creating it if need be. Whenever the
@@ -148,7 +76,7 @@ pub trait HeavyHitters: Clone {
 ///
 /// Compactions sit at **stream positions**, not call positions. Between
 /// two of them only additions happen, and additions commute, so
-/// [`offer_batch`](HeavyHitters::offer_batch) may gather a whole chunk
+/// [`offer_batch`](Self::offer_batch) may gather a whole chunk
 /// before it compacts — provided the chunk ends where the per-key loop
 /// would compact, which is why the batch path cuts its first chunk at the
 /// distance to the next multiple. State is then a function of the offered
@@ -171,8 +99,8 @@ pub trait HeavyHitters: Clone {
 ///
 /// At most `capacity + CHUNK` counters are ever held (at most `CHUNK`
 /// offers, so at most `CHUNK` new keys, separate two compactions); a
-/// [`merge`](HeavyHitters::merge) always compacts, and
-/// [`candidates`](HeavyHitters::candidates) — so every top-k answer — is
+/// [`merge`](Self::merge) always compacts, and
+/// [`candidates`](Self::candidates) — so every top-k answer — is
 /// the `capacity` largest of them.
 ///
 /// This summary is insert-only: non-positive offer counts are ignored
@@ -483,7 +411,7 @@ impl MisraGries {
         self.offset
     }
 
-    /// [`offer_batch`](HeavyHitters::offer_batch), sharing the batch's
+    /// [`offer_batch`](Self::offer_batch), sharing the batch's
     /// deduplication: `keys` is cut into chunks ending on this summary's
     /// compaction positions, each chunk is gathered into the counter table
     /// one probe per tuple (see the type docs), and `each` then sees the
@@ -545,10 +473,11 @@ impl MisraGries {
         });
         self.offset += cut;
     }
-}
 
-impl HeavyHitters for MisraGries {
-    fn offer(&mut self, key: u64, count: i64) {
+    /// Record `count` occurrences of `key`. Non-positive counts are
+    /// ignored (see the type docs), and so is an offer that would take the
+    /// offered weight past `u64::MAX`.
+    pub fn offer(&mut self, key: u64, count: i64) {
         if count <= 0 {
             return;
         }
@@ -565,7 +494,11 @@ impl HeavyHitters for MisraGries {
         }
     }
 
-    fn offer_batch(&mut self, keys: &[u64]) {
+    /// Record one occurrence of every key in the batch, leaving the state
+    /// the loop `for &k in keys { self.offer(k, 1) }` leaves: compactions
+    /// sit at the same stream positions however the stream is cut into
+    /// calls.
+    pub fn offer_batch(&mut self, keys: &[u64]) {
         self.offer_chunks(keys, |_, _| {});
     }
 
@@ -583,7 +516,7 @@ impl HeavyHitters for MisraGries {
     /// [`Error::SchemaMismatch`] on different capacities,
     /// [`Error::WeightOverflow`] if the offered weights sum past
     /// `u64::MAX`; either way `self` is untouched.
-    fn merge(&mut self, other: &Self) -> Result<()> {
+    pub fn merge(&mut self, other: &Self) -> Result<()> {
         if self.capacity != other.capacity {
             return Err(Error::SchemaMismatch);
         }
@@ -605,18 +538,24 @@ impl HeavyHitters for MisraGries {
         Ok(())
     }
 
-    fn raw_estimate(&self, key: u64) -> f64 {
+    /// Estimated frequency of `key` in the offered stream: its held count,
+    /// an undercount by at most [`error_bound`](Self::error_bound).
+    pub fn raw_estimate(&self, key: u64) -> f64 {
         self.table.get(key).map_or(0, |counter| counter.count) as f64
     }
 
-    fn raw_error_bound(&self) -> f64 {
-        self.offset as f64
+    /// Variance proxy for one [`raw_estimate`](Self::raw_estimate), feeding
+    /// the typed `Estimate` path: the undercount bound taken as two
+    /// standard errors.
+    pub fn raw_estimate_variance(&self) -> f64 {
+        let half = self.offset as f64 / 2.0;
+        half * half
     }
 
     /// The keys of the `capacity` largest held counters (ties toward the
     /// smaller key) — what the next compaction would keep, and a few at
     /// its cut besides.
-    fn candidates(&self) -> Vec<u64> {
+    pub fn candidates(&self) -> Vec<u64> {
         let mut held = self.table.pairs();
         if held.len() > self.capacity {
             held.select_nth_unstable_by(self.capacity, |a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
@@ -625,12 +564,18 @@ impl HeavyHitters for MisraGries {
         held.into_iter().map(|(key, _)| key).collect()
     }
 
-    fn items_offered(&self) -> u64 {
-        self.offered
+    /// The estimated `k` most frequent keys: every candidate re-scored by
+    /// [`raw_estimate`](Self::raw_estimate), in the crate's [`ranked`]
+    /// order.
+    pub fn raw_top_k(&self, k: usize) -> Vec<(u64, f64)> {
+        let scored = self.candidates().into_iter();
+        ranked(scored.map(|key| (key, self.raw_estimate(key))).collect(), k)
     }
 
-    fn counters(&self) -> usize {
-        self.capacity.saturating_add(CHUNK)
+    /// Total weight offered so far (the `n` of the `n/(capacity+1)`
+    /// guarantee).
+    pub fn items_offered(&self) -> u64 {
+        self.offered
     }
 }
 
@@ -803,10 +748,10 @@ impl<S: SignFamily, B: BucketFamily> CountSketchTopK<S, B> {
             self.recompute_min();
         }
     }
-}
 
-impl<S: SignFamily, B: BucketFamily> HeavyHitters for CountSketchTopK<S, B> {
-    fn offer(&mut self, key: u64, count: i64) {
+    /// Record `count` occurrences of `key`. A non-positive count reaches
+    /// the sketch only: candidates are re-scored at query time.
+    pub fn offer(&mut self, key: u64, count: i64) {
         if count <= 0 {
             // The sketch absorbs the deletion; candidates are re-scored
             // at query time, so no bookkeeping is needed here.
@@ -833,13 +778,13 @@ impl<S: SignFamily, B: BucketFamily> HeavyHitters for CountSketchTopK<S, B> {
 
     /// Every row's sign and bucket is evaluated once per *distinct* key of
     /// a chunk ([`KeyRuns`]); the tuples are then walked in arrival order,
-    /// each doing exactly what [`offer`](HeavyHitters::offer) does —
+    /// each doing exactly what [`offer`](Self::offer) does —
     /// candidate bump or counter increments, median, admission, eviction —
     /// against the memoised cells. Counters, candidates, running estimates
     /// and the min-cache therefore pass through the same states as under
     /// the per-key loop, whatever the chunking and however the stream was
     /// cut into calls.
-    fn offer_batch(&mut self, keys: &[u64]) {
+    pub fn offer_batch(&mut self, keys: &[u64]) {
         let mut scratch = std::mem::take(&mut self.scratch);
         let Scratch {
             runs,
@@ -877,7 +822,12 @@ impl<S: SignFamily, B: BucketFamily> HeavyHitters for CountSketchTopK<S, B> {
     /// are re-scored against the *merged* sketch, and the strongest
     /// `capacity` survive. When `capacity` covers the union the merged
     /// summary answers bit-identically to the sequential one.
-    fn merge(&mut self, other: &Self) -> Result<()> {
+    ///
+    /// # Errors
+    ///
+    /// [`Error::SchemaMismatch`] on different capacities or sketch
+    /// schemas.
+    pub fn merge(&mut self, other: &Self) -> Result<()> {
         if self.capacity != other.capacity {
             return Err(Error::SchemaMismatch);
         }
@@ -900,34 +850,38 @@ impl<S: SignFamily, B: BucketFamily> HeavyHitters for CountSketchTopK<S, B> {
         Ok(())
     }
 
-    fn raw_estimate(&self, key: u64) -> f64 {
+    /// Estimated frequency of `key` in the offered stream: the sketch's
+    /// point query, for any key.
+    pub fn raw_estimate(&self, key: u64) -> f64 {
         self.sketch.point_query(key)
     }
 
-    /// One standard error of a point query: `√(F₂/width)` with `F₂` read
-    /// from the sketch itself (clamped at 0 — the F₂ estimate is noisy).
-    fn raw_error_bound(&self) -> f64 {
-        self.raw_estimate_variance().sqrt()
-    }
-
     /// Analytic plug-in for the point-query variance: a single row's
-    /// bucket collides with frequency mass of variance `F₂/width`; the
-    /// median over rows only concentrates further, so this is
+    /// bucket collides with frequency mass of variance `F₂/width`, with
+    /// `F₂` read from the sketch itself (clamped at 0 — the F₂ estimate is
+    /// noisy); the median over rows only concentrates further, so this is
     /// conservative.
-    fn raw_estimate_variance(&self) -> f64 {
+    pub fn raw_estimate_variance(&self) -> f64 {
         self.sketch.self_join().max(0.0) / self.sketch.schema().width() as f64
     }
 
-    fn candidates(&self) -> Vec<u64> {
+    /// The keys currently tracked, at most `capacity`: the candidate set a
+    /// top-k query is answered from.
+    pub fn candidates(&self) -> Vec<u64> {
         self.candidates.keys().copied().collect()
     }
 
-    fn items_offered(&self) -> u64 {
-        self.offered
+    /// The estimated `k` most frequent keys: every candidate re-scored by
+    /// [`raw_estimate`](Self::raw_estimate), in the crate's [`ranked`]
+    /// order.
+    pub fn raw_top_k(&self, k: usize) -> Vec<(u64, f64)> {
+        let scored = self.candidates().into_iter();
+        ranked(scored.map(|key| (key, self.raw_estimate(key))).collect(), k)
     }
 
-    fn counters(&self) -> usize {
-        self.sketch.counters() + self.capacity
+    /// Total positive weight offered so far.
+    pub fn items_offered(&self) -> u64 {
+        self.offered
     }
 }
 
@@ -1106,9 +1060,9 @@ mod tests {
         for (rank, &(_, est)) in top.iter().enumerate() {
             let truth = (1u64 << (9 - rank)) as f64;
             assert!(
-                (est - truth).abs() <= 4.0 * tk.raw_error_bound(),
-                "rank {rank}: {est} vs {truth} (bound {})",
-                tk.raw_error_bound()
+                (est - truth).abs() <= 4.0 * tk.raw_estimate_variance().sqrt(),
+                "rank {rank}: {est} vs {truth} (variance {})",
+                tk.raw_estimate_variance()
             );
         }
         assert!(tk.raw_estimate_variance() > 0.0);
@@ -1161,7 +1115,6 @@ mod tests {
         let keys: Vec<u64> = (0..1000u64).collect();
         tk.offer_batch(&keys);
         assert!(tk.candidates().len() <= 8);
-        assert_eq!(tk.counters(), 4 * 128 + 8);
         let mut mg = MisraGries::new(8).unwrap();
         mg.offer_batch(&keys);
         assert!(mg.candidates().len() <= 8);

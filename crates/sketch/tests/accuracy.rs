@@ -3,14 +3,15 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sss_sketch::{AgmsSchema, FagmsSchema, Sketch};
+use sss_sketch::{AgmsSchema, FagmsSchema};
 
-/// A mixed workload: a few heavy keys over a long uniform tail.
-fn load(sketch: &mut impl Sketch) -> f64 {
+/// A mixed workload: a few heavy keys over a long uniform tail, fed to
+/// `update` key by key. Returns its exact F₂.
+fn load(mut update: impl FnMut(u64, i64)) -> f64 {
     let mut f2 = 0.0;
     for k in 0..2000u64 {
         let f = if k < 5 { 500 } else { 2 };
-        sketch.update(k, f);
+        update(k, f);
         f2 += (f * f) as f64;
     }
     f2
@@ -25,7 +26,7 @@ fn fagms_for_accuracy_meets_its_promise() {
     for _ in 0..runs {
         let schema: FagmsSchema = FagmsSchema::for_accuracy(eps, delta, &mut rng);
         let mut s = schema.sketch();
-        let f2 = load(&mut s);
+        let f2 = load(|k, f| s.update(k, f));
         if (s.self_join() - f2).abs() > eps * f2 {
             misses += 1;
         }
@@ -45,7 +46,7 @@ fn agms_for_accuracy_with_median_of_means() {
     for _ in 0..runs {
         let schema: AgmsSchema = AgmsSchema::for_accuracy(eps, delta, &mut rng);
         let mut s = schema.sketch();
-        let f2 = load(&mut s);
+        let f2 = load(|k, f| s.update(k, f));
         if (s.self_join_median_of_means(groups) - f2).abs() > eps * f2 {
             misses += 1;
         }

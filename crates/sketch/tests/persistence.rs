@@ -9,7 +9,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sss_sketch::{AgmsSchema, AgmsSketch, FagmsSchema, FagmsSketch, Sketch};
+use sss_sketch::{AgmsSchema, AgmsSketch, FagmsSchema, FagmsSketch};
 use sss_xi::{BucketFamily, Codec, CodecError, Cw2Bucket, Cw4, Reader, SignFamily, Writer};
 
 fn ship<T: Codec>(value: &T) -> Vec<u8> {

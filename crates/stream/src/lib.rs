@@ -100,7 +100,7 @@
 //! ```
 //!
 //! Nor a sliding window: no workload or subcommand asks for one, and the
-//! L2² change statistic it fed is `sss_sketch::Sketch::subtract`.
+//! L2² change statistic it fed (a sketch subtraction) is gone with it.
 //!
 //! ```compile_fail
 //! use sss_stream::PanedWindowSketch; // removed: no caller outside its tests

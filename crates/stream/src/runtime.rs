@@ -1543,27 +1543,6 @@ mod tests {
         }
     }
 
-    /// The runtime works for any `JoinQuery`, not just `JoinSketch` —
-    /// here a concrete typed F-AGMS sketch.
-    #[test]
-    fn generic_over_any_estimator() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let schema: sss_sketch::FagmsSchema = sss_sketch::FagmsSchema::new(2, 128, &mut rng);
-        let config = RuntimeConfig {
-            shards: 3,
-            ..Default::default()
-        };
-        let mut rt = ShardedRuntime::new(config, &schema.sketch()).unwrap();
-        let s = stream();
-        for chunk in s.chunks(1000) {
-            rt.push(chunk).unwrap();
-        }
-        let merged = rt.into_merged().unwrap();
-        let mut seq = schema.sketch();
-        sss_sketch::Sketch::update_batch(&mut seq, &s);
-        assert_eq!(merged.self_join().to_bits(), seq.self_join().to_bits());
-    }
-
     /// One `Sampled` prototype: `new` hands every shard its own coins
     /// (`for_shard`), so correlated inclusions cannot bias the cross-shard
     /// estimator and the merged correction lands on the truth.
@@ -1820,7 +1799,7 @@ mod tests {
     /// sequential summary — same top-k keys, same raw estimates.
     #[test]
     fn hosts_heavy_hitter_summaries() {
-        use sss_sketch::{CountSketchTopK, FagmsSchema, HeavyHitters};
+        use sss_sketch::{CountSketchTopK, FagmsSchema};
         let mut rng = StdRng::seed_from_u64(22);
         let schema: FagmsSchema = FagmsSchema::new(3, 256, &mut rng);
         let proto = CountSketchTopK::new(&schema, 64).unwrap();

@@ -16,7 +16,7 @@ use rand::SeedableRng;
 use sketch_sampled_streams::core::Sampled;
 use sketch_sampled_streams::datagen::ZipfGenerator;
 use sketch_sampled_streams::moments::FrequencyVector;
-use sketch_sampled_streams::sketch::{FagmsSchema, HeavyHitters};
+use sketch_sampled_streams::sketch::{CountSketchTopK, FagmsSchema};
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(99);
@@ -30,12 +30,13 @@ fn main() {
     let truth = FrequencyVector::from_keys(stream.iter().copied(), domain);
 
     let schema: FagmsSchema = FagmsSchema::new(5, 4096, &mut rng);
-    let mut tracker = Sampled::count_sketch(&schema, 4 * k, p, &mut rng).unwrap();
+    let mut tracker =
+        Sampled::new(CountSketchTopK::new(&schema, 4 * k).unwrap(), p, &mut rng).unwrap();
     tracker.feed_batch(&stream);
     println!(
         "sketched {} of {tuples} tuples into {} counters + {} candidates\n",
         tracker.kept(),
-        tracker.summary().counters(),
+        schema.depth() * schema.width(),
         4 * k
     );
 

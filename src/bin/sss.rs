@@ -69,7 +69,7 @@ use sketch_sampled_streams::core::{
 };
 use sketch_sampled_streams::exact::ExactAggregator;
 use sketch_sampled_streams::net::{self, QueryClient, RunningServer, ServerConfig};
-use sketch_sampled_streams::sketch::FagmsSchema;
+use sketch_sampled_streams::sketch::{CountSketchTopK, FagmsSchema, HyperLogLog, KllSketch};
 use sketch_sampled_streams::stream::runtime::RuntimeConfig;
 use sketch_sampled_streams::stream::Partition;
 use sketch_sampled_streams::{Error, Result};
@@ -259,8 +259,8 @@ fn run_topk(args: &[String], p: f64, seed: u64, confidence: Option<f64>) -> Resu
     let width: usize = arg_value(args, "width", 2048);
     let capacity: usize = arg_value(args, "capacity", (4 * k).max(64));
     let mut rng = StdRng::seed_from_u64(seed);
-    let schema = FagmsSchema::new(depth, width, &mut rng);
-    let mut tracker = Sampled::count_sketch(&schema, capacity, p, &mut rng)?;
+    let schema: FagmsSchema = FagmsSchema::new(depth, width, &mut rng);
+    let mut tracker = Sampled::new(CountSketchTopK::new(&schema, capacity)?, p, &mut rng)?;
     tracker.feed_batch(&keys);
     out!("tuples     {}", keys.len());
     out!("sketched   {}", tracker.kept());
@@ -301,7 +301,7 @@ fn run_distinct(args: &[String], p: f64, seed: u64, confidence: Option<f64>) -> 
     let keys = read_keys(path)?;
     let precision: u8 = arg_value(args, "precision", 12);
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut counter = Sampled::hyperloglog(precision, p, &mut rng)?;
+    let mut counter = Sampled::new(HyperLogLog::new(precision, &mut rng)?, p, &mut rng)?;
     counter.feed_batch(&keys);
     let est = counter.distinct_estimate();
     out!("tuples     {}", keys.len());
@@ -326,7 +326,7 @@ fn run_quantiles(args: &[String], p: f64, seed: u64) -> Result<()> {
     let keys = read_keys(path)?;
     let k: usize = arg_value(args, "k", 200);
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut summary = Sampled::kll(k, p, &mut rng)?;
+    let mut summary = Sampled::new(KllSketch::new(k, &mut rng)?, p, &mut rng)?;
     summary.feed_batch(&keys);
     out!("tuples     {}", keys.len());
     out!("sketched   {}", summary.kept());

@@ -60,8 +60,6 @@ fn every_backend_is_a_summary() {
 #[test]
 fn capabilities_land_on_the_right_backends() {
     join_query::<JoinSketch>();
-    join_query::<sketch_sampled_streams::sketch::AgmsSketch>();
-    join_query::<sketch_sampled_streams::sketch::FagmsSketch>();
     join_query::<MultiSummary>();
 
     topk_query::<MisraGries>();

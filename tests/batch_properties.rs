@@ -16,10 +16,8 @@ use rand::Rng;
 use rand::SeedableRng;
 use sketch_sampled_streams::core::sketch::JoinSchema;
 use sketch_sampled_streams::core::{MultiSpec, MultiSummary, Portable, Sampled, Summary};
-use sketch_sampled_streams::sketch::topk::HeavyHitters;
 use sketch_sampled_streams::sketch::{
     AgmsSchema, CountSketchTopK, FagmsSchema, FagmsSketch, HyperLogLog, KllSketch, MisraGries,
-    Sketch,
 };
 use sketch_sampled_streams::xi::{
     BucketFamily, Codec, Cw2, Cw2Bucket, Cw4, Reader, SignFamily, Writer,
@@ -35,30 +33,35 @@ fn counted_stream() -> impl Strategy<Value = Vec<(u64, i64)>> {
     prop::collection::vec((any::<u64>(), -50i64..50), 1..400)
 }
 
-/// Feed `keys` through the scalar path into one sketch and through
-/// `update_batch` (split into two arbitrary chunks) into another; the
-/// counters must agree exactly.
-fn check_unit_batch<S: Sketch>(scalar: &mut S, batched: &mut S, keys: &[u64], split: usize) {
+/// Feed `keys` key by key to `update` and in two arbitrary chunks to
+/// `update_batch`: the two sketches behind them must then agree exactly.
+fn check_unit_batch(
+    keys: &[u64],
+    split: usize,
+    mut update: impl FnMut(u64, i64),
+    mut update_batch: impl FnMut(&[u64]),
+) {
     for &k in keys {
-        scalar.update(k, 1);
+        update(k, 1);
     }
     let split = split.min(keys.len());
-    batched.update_batch(&keys[..split]);
-    batched.update_batch(&keys[split..]);
+    update_batch(&keys[..split]);
+    update_batch(&keys[split..]);
 }
 
-fn check_counted_batch<S: Sketch>(
-    scalar: &mut S,
-    batched: &mut S,
+/// [`check_unit_batch`] for `(key, count)` pairs and `update_batch_counts`.
+fn check_counted_batch(
     items: &[(u64, i64)],
     split: usize,
+    mut update: impl FnMut(u64, i64),
+    mut update_batch_counts: impl FnMut(&[(u64, i64)]),
 ) {
     for &(k, c) in items {
-        scalar.update(k, c);
+        update(k, c);
     }
     let split = split.min(items.len());
-    batched.update_batch_counts(&items[..split]);
-    batched.update_batch_counts(&items[split..]);
+    update_batch_counts(&items[..split]);
+    update_batch_counts(&items[split..]);
 }
 
 /// The batch paths' chunk size (`sss_sketch::runs`): the lengths below
@@ -508,12 +511,12 @@ proptest! {
 
         let schema = AgmsSchema::<Cw4>::new(16, &mut rng);
         let (mut scalar, mut batched) = (schema.sketch(), schema.sketch());
-        check_unit_batch(&mut scalar, &mut batched, &keys, split);
+        check_unit_batch(&keys, split, |k, c| scalar.update(k, c), |b| batched.update_batch(b));
         prop_assert_eq!(scalar.raw_counters(), batched.raw_counters());
 
         let schema = AgmsSchema::<Cw2>::new(16, &mut rng);
         let (mut scalar, mut batched) = (schema.sketch(), schema.sketch());
-        check_unit_batch(&mut scalar, &mut batched, &keys, split);
+        check_unit_batch(&keys, split, |k, c| scalar.update(k, c), |b| batched.update_batch(b));
         prop_assert_eq!(scalar.raw_counters(), batched.raw_counters());
     }
 
@@ -524,7 +527,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let schema = AgmsSchema::<Cw2>::new(16, &mut rng);
         let (mut scalar, mut batched) = (schema.sketch(), schema.sketch());
-        check_counted_batch(&mut scalar, &mut batched, &items, split);
+        check_counted_batch(&items, split, |k, c| scalar.update(k, c), |b| batched.update_batch_counts(b));
         prop_assert_eq!(scalar.raw_counters(), batched.raw_counters());
     }
 
@@ -537,7 +540,7 @@ proptest! {
         // Polynomial sign × polynomial bucket → fused scatter kernel.
         let schema = FagmsSchema::<Cw4, Cw2Bucket>::new(3, 64, &mut rng);
         let (mut scalar, mut batched) = (schema.sketch(), schema.sketch());
-        check_unit_batch(&mut scalar, &mut batched, &keys, split);
+        check_unit_batch(&keys, split, |k, c| scalar.update(k, c), |b| batched.update_batch(b));
         for r in 0..schema.depth() {
             prop_assert_eq!(scalar.row(r), batched.row(r));
         }
@@ -545,7 +548,7 @@ proptest! {
         // Pairwise polynomial sign: a different coefficient degree.
         let schema = FagmsSchema::<Cw2, Cw2Bucket>::new(3, 64, &mut rng);
         let (mut scalar, mut batched) = (schema.sketch(), schema.sketch());
-        check_unit_batch(&mut scalar, &mut batched, &keys, split);
+        check_unit_batch(&keys, split, |k, c| scalar.update(k, c), |b| batched.update_batch(b));
         for r in 0..schema.depth() {
             prop_assert_eq!(scalar.row(r), batched.row(r));
         }
@@ -553,7 +556,7 @@ proptest! {
         // A second, independently seeded CW4 pair.
         let schema = FagmsSchema::<Cw4, Cw2Bucket>::new(3, 64, &mut rng);
         let (mut scalar, mut batched) = (schema.sketch(), schema.sketch());
-        check_unit_batch(&mut scalar, &mut batched, &keys, split);
+        check_unit_batch(&keys, split, |k, c| scalar.update(k, c), |b| batched.update_batch(b));
         for r in 0..schema.depth() {
             prop_assert_eq!(scalar.row(r), batched.row(r));
         }
@@ -565,7 +568,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let schema = FagmsSchema::<Cw4, Cw2Bucket>::new(4, 32, &mut rng);
         let (mut scalar, mut batched) = (schema.sketch(), schema.sketch());
-        check_counted_batch(&mut scalar, &mut batched, &items, split);
+        check_counted_batch(&items, split, |k, c| scalar.update(k, c), |b| batched.update_batch_counts(b));
         for r in 0..schema.depth() {
             prop_assert_eq!(scalar.row(r), batched.row(r));
         }

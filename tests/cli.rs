@@ -685,3 +685,47 @@ fn serve_accepts_the_ledger_spawn_lines() {
         );
     }
 }
+
+/// FNV-1a, 64-bit.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The whole stdout of the three single-family commands at `--p=0.5
+/// --seed=7`, pinned as FNV-1a hashes. Each command draws its summary's
+/// seeds and then its sampler's from one seeded RNG, so a change to that
+/// order, to what the summary keeps or to what the command prints moves a
+/// hash.
+#[test]
+fn sampled_family_commands_keep_their_golden_stdout() {
+    let dir = std::env::temp_dir().join("sss-cli-test-golden-stdout");
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("keys.txt");
+    write_keys(&file, (0..40_000u64).map(|i| i * i % 4099));
+    let got: Vec<(&str, u64)> = ["topk", "distinct", "quantiles"]
+        .into_iter()
+        .map(|cmd| {
+            let out = sss()
+                .args([cmd, file.to_str().unwrap(), "--p=0.5", "--seed=7"])
+                .output()
+                .unwrap();
+            assert!(
+                out.status.success(),
+                "{cmd} stderr: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            (cmd, fnv1a(&out.stdout))
+        })
+        .collect();
+    assert_eq!(
+        got,
+        [
+            ("topk", 0x22179f711aad4781),
+            ("distinct", 0x6afbf4cf6671fa82),
+            ("quantiles", 0x2e70026c2ccfcfc8),
+        ],
+        "{got:#x?}"
+    );
+}

@@ -22,15 +22,47 @@ use sketch_sampled_streams::moments::engine::{sampling_sjs, sketch_sample_sjs, s
 use sketch_sampled_streams::moments::scheme::Bernoulli;
 use sketch_sampled_streams::moments::FrequencyVector;
 use sketch_sampled_streams::sampling::bernoulli_self_join_variance;
-use sketch_sampled_streams::sketch::{AgmsSchema, Estimate, FagmsSchema, Sketch};
+use sketch_sampled_streams::sketch::{AgmsSchema, Estimate, FagmsSchema, HyperLogLog};
 
-/// Monte-Carlo runs per backend. 3σ of a 95%-coverage indicator over 300
-/// runs is ≈ 3.8 points, so the acceptance floor is ≈ 91.2%.
-const RUNS: usize = 300;
+/// How a configuration's Monte-Carlo runs are counted and seeded. Each
+/// sketch family is checked at its acceptance size over 300 runs seeded
+/// `base + run`, and over a sweep of sizes with 200 runs seeded
+/// `5 ^ (base + run)`: the draws CI has always checked the sweep at, so
+/// no checked draw moves.
+#[derive(Clone, Copy)]
+enum Runs {
+    Acceptance,
+    Sweep,
+}
+
+impl Runs {
+    fn count(self) -> usize {
+        match self {
+            Runs::Acceptance => 300,
+            Runs::Sweep => 200,
+        }
+    }
+
+    /// One estimate per run, each from a generator seeded for that run.
+    fn estimates(self, base: u64, one: impl Fn(&mut StdRng) -> Estimate) -> Vec<Estimate> {
+        (0..self.count() as u64)
+            .map(|run| {
+                let seed = match self {
+                    Runs::Acceptance => base + run,
+                    Runs::Sweep => 5 ^ (base + run),
+                };
+                one(&mut StdRng::seed_from_u64(seed))
+            })
+            .collect()
+    }
+}
+
 const LEVEL: f64 = 0.95;
 
-fn floor() -> f64 {
-    LEVEL - 3.0 * (LEVEL * (1.0 - LEVEL) / RUNS as f64).sqrt()
+/// The acceptance floor for `runs` indicator draws: nominal − 3σ. 3σ over
+/// 300 runs is ≈ 3.8 points (floor ≈ 91.2%), over 200 runs ≈ 4.6.
+fn floor(runs: usize) -> f64 {
+    LEVEL - 3.0 * (LEVEL * (1.0 - LEVEL) / runs as f64).sqrt()
 }
 
 /// A mildly Zipfian frequency vector: skewed enough to be interesting,
@@ -46,35 +78,31 @@ fn exact_self_join(counts: &[u32]) -> f64 {
 
 /// Aggregate the per-run results of one backend.
 struct Tally {
-    clt_hits: usize,
-    chebyshev_hits: usize,
+    clt: f64,
+    chebyshev: f64,
+    runs: usize,
     mean_variance: f64,
 }
 
 fn tally(estimates: &[Estimate], truth: f64) -> Tally {
-    let clt_hits = estimates
-        .iter()
-        .filter(|e| e.clt(LEVEL).unwrap().contains(truth))
-        .count();
-    let chebyshev_hits = estimates
-        .iter()
-        .filter(|e| e.chebyshev(LEVEL).unwrap().contains(truth))
-        .count();
-    let mean_variance = estimates.iter().map(|e| e.variance).sum::<f64>() / estimates.len() as f64;
+    let runs = estimates.len();
+    let share = |hit: &dyn Fn(&Estimate) -> bool| {
+        estimates.iter().filter(|e| hit(e)).count() as f64 / runs as f64
+    };
     Tally {
-        clt_hits,
-        chebyshev_hits,
-        mean_variance,
+        clt: share(&|e| e.clt(LEVEL).unwrap().contains(truth)),
+        chebyshev: share(&|e| e.chebyshev(LEVEL).unwrap().contains(truth)),
+        runs,
+        mean_variance: estimates.iter().map(|e| e.variance).sum::<f64>() / runs as f64,
     }
 }
 
 fn assert_covers(name: &str, t: &Tally, exact_variance: f64, ratio_low: f64, ratio_high: f64) {
-    let clt = t.clt_hits as f64 / RUNS as f64;
-    let cheb = t.chebyshev_hits as f64 / RUNS as f64;
+    let (clt, cheb) = (t.clt, t.chebyshev);
     assert!(
-        clt >= floor(),
+        clt >= floor(t.runs),
         "{name}: CLT coverage {clt:.3} below floor {:.3}",
-        floor()
+        floor(t.runs)
     );
     assert!(
         cheb >= clt,
@@ -88,58 +116,67 @@ fn assert_covers(name: &str, t: &Tally, exact_variance: f64, ratio_low: f64, rat
     );
 }
 
-/// AGMS: mean of 128 independent basic lanes; empirical variance must
+/// AGMS: mean of `n` independent basic lanes; empirical variance must
 /// track Proposition 8 exactly (in expectation).
 #[test]
 fn agms_intervals_cover_at_nominal_rate() {
     let counts = frequencies();
     let truth = exact_self_join(&counts);
-    let exact = sketch_sjs(&FrequencyVector::from_counts(counts.clone()), 128);
-    assert_eq!(exact.mean, truth);
-    let estimates: Vec<Estimate> = (0..RUNS)
-        .map(|run| {
-            let mut rng = StdRng::seed_from_u64(1000 + run as u64);
-            let schema: AgmsSchema = AgmsSchema::new(128, &mut rng);
+    for (n, runs) in [
+        (128, Runs::Acceptance),
+        (64, Runs::Sweep),
+        (256, Runs::Sweep),
+        (1024, Runs::Sweep),
+    ] {
+        let exact = sketch_sjs(&FrequencyVector::from_counts(counts.clone()), n);
+        assert_eq!(exact.mean, truth);
+        let estimates = runs.estimates(1000, |rng| {
+            let schema: AgmsSchema = AgmsSchema::new(n, rng);
             let mut sk = schema.sketch();
             for (k, &c) in counts.iter().enumerate() {
                 sk.update(k as u64, c as i64);
             }
             sk.self_join_estimate()
-        })
-        .collect();
-    let t = tally(&estimates, truth);
-    // The sample variance of the lanes is an unbiased estimator of the
-    // per-lane variance, so the run-averaged ratio should hug 1.
-    assert_covers("agms", &t, exact.variance, 0.5, 2.0);
+        });
+        // The sample variance of the lanes is an unbiased estimator of the
+        // per-lane variance, so the run-averaged ratio should hug 1.
+        let t = tally(&estimates, truth);
+        assert_covers(&format!("agms n = {n}"), &t, exact.variance, 0.5, 2.0);
+    }
 }
 
-/// F-AGMS: median of 11 rows of width 512. The reported variance uses the
-/// conservative π/(2·depth) median factor, so it may exceed the per-row
-/// mean-equivalent bound but must stay in its vicinity.
+/// F-AGMS: median of 11 rows of `width` buckets. The reported variance
+/// uses the conservative π/(2·depth) median factor, so it may exceed the
+/// per-row mean-equivalent bound but must stay in its vicinity.
 #[test]
 fn fagms_intervals_cover_at_nominal_rate() {
     let counts = frequencies();
     let truth = exact_self_join(&counts);
-    // Each row averages `width` bucketed products; Prop 8 with n = width
-    // bounds the per-row variance, and the median of `depth` rows has
-    // variance ≈ π/(2·depth) of that.
-    let per_row = sketch_sjs(&FrequencyVector::from_counts(counts.clone()), 512);
-    let median_ref = per_row.variance * std::f64::consts::PI / (2.0 * 11.0);
-    let estimates: Vec<Estimate> = (0..RUNS)
-        .map(|run| {
-            let mut rng = StdRng::seed_from_u64(2000 + run as u64);
-            let schema: FagmsSchema = FagmsSchema::new(11, 512, &mut rng);
+    for (width, runs) in [
+        (512, Runs::Acceptance),
+        (128, Runs::Sweep),
+        (512, Runs::Sweep),
+        (2048, Runs::Sweep),
+    ] {
+        // Each row averages `width` bucketed products; Prop 8 with
+        // n = width bounds the per-row variance, and the median of `depth`
+        // rows has variance ≈ π/(2·depth) of that.
+        let per_row = sketch_sjs(&FrequencyVector::from_counts(counts.clone()), width);
+        let median_ref = per_row.variance * std::f64::consts::PI / (2.0 * 11.0);
+        let estimates = runs.estimates(2000, |rng| {
+            let schema: FagmsSchema = FagmsSchema::new(11, width, rng);
             let mut sk = schema.sketch();
             for (k, &c) in counts.iter().enumerate() {
                 sk.update(k as u64, c as i64);
             }
             sk.self_join_estimate()
-        })
-        .collect();
-    let t = tally(&estimates, truth);
-    // Bucketing collisions add variance the n = width reference ignores,
-    // and the median factor is conservative: allow a wider band upward.
-    assert_covers("fagms", &t, median_ref, 0.5, 4.0);
+        });
+        // Bucketing collisions add variance the n = width reference
+        // ignores, and the median factor is conservative: allow a wider
+        // band upward.
+        let t = tally(&estimates, truth);
+        assert_covers(&format!("fagms width = {width}"), &t, median_ref, 0.5, 4.0);
+    }
 }
 
 /// Bernoulli shedder at p = 0.3 over an AGMS sketch: the empirical lane
@@ -153,26 +190,30 @@ fn bernoulli_shedder_intervals_cover_at_nominal_rate() {
     let truth = exact_self_join(&counts);
     let p = 0.3;
     let scheme = Bernoulli::new(p).unwrap();
-    let exact =
-        sketch_sample_sjs(&scheme, &FrequencyVector::from_counts(counts.clone()), 128).unwrap();
-    assert!((exact.mean - truth).abs() < 1e-6, "unbiasedness sanity");
     // The replayable tuple stream: key k repeated counts[k] times.
     let stream: Vec<u64> = counts
         .iter()
         .enumerate()
         .flat_map(|(k, &c)| std::iter::repeat(k as u64).take(c as usize))
         .collect();
-    let estimates: Vec<Estimate> = (0..RUNS)
-        .map(|run| {
-            let mut rng = StdRng::seed_from_u64(3000 + run as u64);
-            let schema = JoinSchema::agms(128, &mut rng);
-            let mut shed = Sampled::new(schema.sketch(), p, &mut rng).unwrap();
+    for (n, runs) in [
+        (128, Runs::Acceptance),
+        (128, Runs::Sweep),
+        (512, Runs::Sweep),
+    ] {
+        let frequencies = FrequencyVector::from_counts(counts.clone());
+        let exact = sketch_sample_sjs(&scheme, &frequencies, n).unwrap();
+        assert!((exact.mean - truth).abs() < 1e-6, "unbiasedness sanity");
+        let estimates = runs.estimates(3000, |rng| {
+            let schema = JoinSchema::agms(n, rng);
+            let mut shed = Sampled::new(schema.sketch(), p, rng).unwrap();
             shed.feed_batch(&stream);
             shed.self_join_estimate()
-        })
-        .collect();
-    let t = tally(&estimates, truth);
-    assert_covers("bernoulli-shedder", &t, exact.variance, 0.6, 5.0);
+        });
+        let t = tally(&estimates, truth);
+        let name = format!("bernoulli-shedder n = {n}");
+        assert_covers(&name, &t, exact.variance, 0.6, 5.0);
+    }
 }
 
 /// F₀ under Bernoulli sampling: `Sampled<HyperLogLog>` at p = 0.3 against
@@ -205,28 +246,22 @@ fn sampled_distinct_intervals_cover_at_nominal_rate() {
         let truth = exact.distinct() as f64;
         assert_eq!(truth, distinct_keys as f64, "exact ground truth sanity");
 
-        let estimates: Vec<Estimate> = (0..RUNS)
-            .map(|run| {
-                let mut rng = StdRng::seed_from_u64(seed_base + run as u64);
-                let mut sampled = Sampled::hyperloglog(12, p, &mut rng).unwrap();
-                sampled.feed_batch(&stream);
-                sampled.distinct_estimate()
-            })
-            .collect();
-        let clt = estimates
-            .iter()
-            .filter(|e| e.clt(LEVEL).unwrap().contains(truth))
-            .count() as f64
-            / RUNS as f64;
-        let cheb = estimates
-            .iter()
-            .filter(|e| e.chebyshev(LEVEL).unwrap().contains(truth))
-            .count() as f64
-            / RUNS as f64;
+        let estimates = Runs::Acceptance.estimates(seed_base, |rng| {
+            let hll = HyperLogLog::new(12, rng).unwrap();
+            let mut sampled = Sampled::new(hll, p, rng).unwrap();
+            sampled.feed_batch(&stream);
+            sampled.distinct_estimate()
+        });
+        let Tally {
+            clt,
+            chebyshev: cheb,
+            runs,
+            ..
+        } = tally(&estimates, truth);
         assert!(
-            clt >= floor(),
+            clt >= floor(runs),
             "{name}: CLT coverage {clt:.3} below floor {:.3}",
-            floor()
+            floor(runs)
         );
         assert!(
             cheb >= clt,
@@ -239,8 +274,8 @@ fn sampled_distinct_intervals_cover_at_nominal_rate() {
         // frequency because D′ < D, understating the correction) — the
         // contract is that the model-error term in the variance covers
         // that bias, i.e. the truth sits within one reported σ.
-        let mean_value = estimates.iter().map(|e| e.value).sum::<f64>() / RUNS as f64;
-        let mean_sd = estimates.iter().map(|e| e.variance.sqrt()).sum::<f64>() / RUNS as f64;
+        let mean_value = estimates.iter().map(|e| e.value).sum::<f64>() / runs as f64;
+        let mean_sd = estimates.iter().map(|e| e.variance.sqrt()).sum::<f64>() / runs as f64;
         if copies >= 20 {
             assert!(
                 (mean_value - truth).abs() / truth < 0.10,

@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sketch_sampled_streams::core::sketch::JoinSchema;
+use sketch_sampled_streams::core::sketch::{JoinSchema, JoinSketch};
 use sketch_sampled_streams::core::{JoinQuery, Sampled};
 use sketch_sampled_streams::sketch::{AgmsSchema, Estimate, FagmsSchema};
 use sketch_sampled_streams::stream::{RuntimeConfig, ShardedRuntime};
@@ -55,12 +55,12 @@ proptest! {
         let (mut af, mut ag) = (agms.sketch(), agms.sketch());
         let (mut ff, mut fg) = (fagms.sketch(), fagms.sketch());
         for &k in &f {
-            sketch_sampled_streams::sketch::Sketch::update(&mut af, k, 1);
-            sketch_sampled_streams::sketch::Sketch::update(&mut ff, k, 1);
+            af.update(k, 1);
+            ff.update(k, 1);
         }
         for &k in &g {
-            sketch_sampled_streams::sketch::Sketch::update(&mut ag, k, 1);
-            sketch_sampled_streams::sketch::Sketch::update(&mut fg, k, 1);
+            ag.update(k, 1);
+            fg.update(k, 1);
         }
 
         // Inherent methods.
@@ -75,15 +75,13 @@ proptest! {
             ff.size_of_join(&fg).unwrap().to_bits()
         );
 
-        // Trait methods agree with the inherent ones.
-        prop_assert_eq!(
-            JoinQuery::self_join_estimate(&af).value.to_bits(),
-            JoinQuery::self_join(&af).to_bits()
-        );
-        prop_assert_eq!(
-            JoinQuery::self_join_estimate(&ff).value.to_bits(),
-            JoinQuery::self_join(&ff).to_bits()
-        );
+        // The join summary's trait methods agree with the inherent ones.
+        for join in [JoinSketch::Agms(af.clone()), JoinSketch::Fagms(ff.clone())] {
+            prop_assert_eq!(
+                JoinQuery::self_join_estimate(&join).value.to_bits(),
+                JoinQuery::self_join(&join).to_bits()
+            );
+        }
 
         assert_coherent(&af.self_join_estimate());
         assert_coherent(&ff.self_join_estimate());

@@ -8,7 +8,7 @@ use sketch_sampled_streams::core::sketch::JoinSchema;
 use sketch_sampled_streams::core::{Sampled, ScanSketcher};
 use sketch_sampled_streams::sampling::estimators;
 use sketch_sampled_streams::sampling::SampleCounts;
-use sketch_sampled_streams::sketch::{AgmsSchema, FagmsSchema, Sketch};
+use sketch_sampled_streams::sketch::{AgmsSchema, FagmsSchema};
 use sketch_sampled_streams::xi::{Cw2Bucket, Cw4};
 
 fn stream() -> impl Strategy<Value = Vec<u64>> {

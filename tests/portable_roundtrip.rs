@@ -25,8 +25,7 @@ use sketch_sampled_streams::core::{
     SlimMultiSummary, SlimQuery, SlimTopK, Summary, TopKQuery,
 };
 use sketch_sampled_streams::sketch::{
-    AgmsSchema, AgmsSketch, CountSketchTopK, FagmsSchema, FagmsSketch, HeavyHitters, HyperLogLog,
-    KllSketch, MisraGries,
+    AgmsSchema, CountSketchTopK, FagmsSchema, HyperLogLog, KllSketch, MisraGries,
 };
 use sketch_sampled_streams::xi::{Codec, Reader, Writer};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -838,12 +837,11 @@ fn quantile_answers<S: QuantileQuery>(s: &S) {
     black_box((s.rank(42), s.rank_error(), s.stream_len()));
 }
 
-/// Decode `bytes` as a `kind` and ask it every query its kind answers.
+/// Decode `bytes` as the summary `kind` names and ask it every query its
+/// kind answers. `agms` and `fagms` name `join` payloads over one backend.
 fn answer_everything(kind: &str, bytes: &[u8]) -> Result<(), Error> {
     match kind {
-        "agms" => decode_and_answer::<AgmsSketch>(bytes, join_answers),
-        "fagms" => decode_and_answer::<FagmsSketch>(bytes, join_answers),
-        "join" => decode_and_answer::<JoinSketch>(bytes, |s| {
+        "agms" | "fagms" | "join" => decode_and_answer::<JoinSketch>(bytes, |s| {
             black_box(s.point_queries(&[1, 2, 3]));
             join_answers(s);
         }),
@@ -887,8 +885,16 @@ fn honest_payloads() -> Vec<(&'static str, Vec<u8>)> {
     let multi = fed(spec.summary().unwrap());
     let slim = multi.slim();
     vec![
-        ("agms", fed(agms.sketch()).encode().unwrap()),
-        ("fagms", fed(fagms.sketch()).encode().unwrap()),
+        (
+            "agms",
+            fed(JoinSchema::Agms(agms).sketch()).encode().unwrap(),
+        ),
+        (
+            "fagms",
+            fed(JoinSchema::Fagms(fagms.clone()).sketch())
+                .encode()
+                .unwrap(),
+        ),
         (
             "join",
             fed(JoinSchema::agms(4, &mut rng).sketch())

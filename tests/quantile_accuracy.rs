@@ -99,7 +99,8 @@ fn a_ten_percent_sample_still_covers_through_quantile_bounds() {
         for seed in 0..SEEDS {
             let mut rng = StdRng::seed_from_u64(0xC0DE + seed);
             let (values, below) = input(kind, &mut rng);
-            let mut sampled = Sampled::<KllSketch>::kll(200, 0.1, &mut rng).unwrap();
+            let mut sampled =
+                Sampled::new(KllSketch::new(200, &mut rng).unwrap(), 0.1, &mut rng).unwrap();
             values.chunks(2048).for_each(|chunk| {
                 sampled.feed_batch(chunk);
             });

@@ -13,7 +13,7 @@ use sketch_sampled_streams::core::{
     DistinctQuery, JoinQuery, MultiSpec, MultiSummary, Portable, QuantileQuery, Sampled, SlimJoin,
     SlimMultiSummary, SlimQuery, Summary, TopKQuery,
 };
-use sketch_sampled_streams::sketch::{Estimate, HeavyHitters, MisraGries};
+use sketch_sampled_streams::sketch::{Estimate, MisraGries};
 use sketch_sampled_streams::stream::runtime::RUN_TUPLES;
 use sketch_sampled_streams::stream::{
     Partition, ReadReplica, RuntimeConfig, ShardedRuntime, StreamError,

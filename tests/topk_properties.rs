@@ -31,7 +31,7 @@ use sketch_sampled_streams::core::sketch::JoinSchema;
 use sketch_sampled_streams::core::{MultiSpec, MultiSummary, Sampled, Summary, TopKQuery};
 use sketch_sampled_streams::datagen::ZipfGenerator;
 use sketch_sampled_streams::exact::ExactAggregator;
-use sketch_sampled_streams::sketch::{CountSketchTopK, FagmsSchema, HeavyHitters, MisraGries};
+use sketch_sampled_streams::sketch::{CountSketchTopK, FagmsSchema, MisraGries};
 use sketch_sampled_streams::stream::{Partition, RuntimeConfig, ShardedRuntime};
 
 /// Streams over a bounded domain so a fixed summary capacity can cover
@@ -55,7 +55,7 @@ fn partition() -> impl Strategy<Value = Partition> {
 
 /// Feed `keys` through a sharded runtime over `proto` and return the
 /// merged summary, exercising the snapshot path with a mid-stream query.
-fn sharded<H: HeavyHitters + sketch_sampled_streams::core::Summary>(
+fn sharded<H: Summary>(
     proto: &H,
     keys: &[u64],
     shards: usize,
@@ -203,13 +203,16 @@ fn zipf_top50_recall_at_ten_percent_sample() {
     let true_top: HashSet<u64> = exact.top_k(k).into_iter().map(|(key, _)| key).collect();
 
     let schema: FagmsSchema = FagmsSchema::new(5, 4096, &mut rng);
-    let mut tracker = Sampled::count_sketch(&schema, 4 * k, 0.1, &mut rng).unwrap();
+    let tracker = CountSketchTopK::new(&schema, 4 * k).unwrap();
+    let mut tracker = Sampled::new(tracker, 0.1, &mut rng).unwrap();
     tracker.feed_batch(&stream);
 
-    // Memory gate: O(k + sketch) — the counter total is the fixed sketch
-    // (5 × 4096 cells) plus at most the 4k-candidate set, independent of
-    // the 2M-tuple stream and the 100k-key domain.
-    assert!(tracker.summary().counters() <= 5 * 4096 + 4 * k);
+    // Memory gate: O(k + sketch) — the fixed sketch (5 × 4096 cells) plus
+    // at most the 4k-candidate set, independent of the 2M-tuple stream
+    // and the 100k-key domain.
+    let sketch = tracker.summary().sketch().schema();
+    assert_eq!(sketch.depth() * sketch.width(), 5 * 4096);
+    assert!(tracker.summary().candidates().len() <= 4 * k);
 
     let top = tracker.top_k(k);
     assert_eq!(top.len(), k);
@@ -246,12 +249,13 @@ fn sampled_frequency_correction_is_unbiased() {
     let mut cs_sum = 0.0;
     for rep in 0..reps {
         let mut rng = StdRng::seed_from_u64(1000 + rep);
-        let mut mg = Sampled::misra_gries(256, p, &mut rng).unwrap();
+        let mut mg = Sampled::new(MisraGries::new(256).unwrap(), p, &mut rng).unwrap();
         mg.feed_batch(&stream);
         mg_sum += mg.point_estimate(7).value;
 
         let schema: FagmsSchema = FagmsSchema::new(5, 1024, &mut rng);
-        let mut cs = Sampled::count_sketch(&schema, 64, p, &mut rng).unwrap();
+        let cs = CountSketchTopK::new(&schema, 64).unwrap();
+        let mut cs = Sampled::new(cs, p, &mut rng).unwrap();
         cs.feed_batch(&stream);
         cs_sum += cs.point_estimate(7).value;
     }
