@@ -14,17 +14,16 @@
 //!   boundary — the bytes go NIC → read buffer → pooled `Vec<u64>` →
 //!   shard ring with no intermediate `Vec` per frame.
 //! * **Queries never block ingest.** The query plane is a separate
-//!   thread and listener speaking newline-delimited JSON, answered from
-//!   a [`ReadReplica`](sss_stream::ReadReplica) slim frame — the
+//!   listener speaking newline-delimited JSON, each connection answered
+//!   from its own [`ReadReplica`](sss_stream::ReadReplica) slim frame — the
 //!   two-stage read path — so a slow or chatty query client costs the
-//!   ingest loop nothing.
+//!   ingest plane nothing.
 //!
-//! The event loop is hand-rolled ([`sys`]): epoll on Linux, `poll(2)` on
-//! other unix — the workspace is offline/vendored, so there is no tokio
-//! and no `libc` crate; the [`sys`] module is the crate's one audited
-//! `unsafe` island (the same policy as the `sss-xi` SIMD kernels),
-//! declaring the four syscall entry points against the libc the binary
-//! already links.
+//! Each plane's listener accepts in blocking mode and gives each
+//! connection a thread of its own, under a cap of 64 open connections
+//! per plane, with idle and write-stall deadlines
+//! ([`server`] says which rules every connection keeps). There is no
+//! event loop, no tokio and no `libc` crate: the crate uses no `unsafe`.
 //!
 //! The handshake reuses the snapshot wire head
 //! ([`sss_core::wire::Head`]): on accept the server sends its summary
@@ -35,18 +34,20 @@
 //! way a byte stream can fail to be a frame sequence maps to a typed
 //! [`FrameError`](sss_core::wire::FrameError), closes *that* connection
 //! with an error frame, and leaves every other connection streaming.
+//!
+//! The epoll shim that served both planes from one event loop is gone:
+//!
+//! ```compile_fail
+//! use sss_net::sys::Poller; // removed: each connection has a thread
+//! ```
 
-// `deny` rather than `forbid`: the syscall shim ([`sys`]) is the one
-// audited module allowed to use `unsafe`, mirroring the ring-transport
-// policy of `sss-stream` and the SIMD kernel policy of `sss-xi`.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod client;
 pub mod error;
 pub mod protocol;
 pub mod server;
-pub mod sys;
 
 pub use client::{run_load, synth_key, IngestClient, LoadConfig, LoadReport, QueryClient};
 pub use error::{NetError, Result};

@@ -1,50 +1,62 @@
-//! The ingest service: an event-loop front end over
+//! The ingest service: a thread per connection over
 //! [`ShardedRuntime<MultiSummary>`].
 //!
-//! Two planes, two threads, two listeners, one connection loop:
+//! Two planes, two listeners, one connection handler:
 //!
-//! * The **ingest thread** owns the sharded runtime and a [`Poller`]
-//!   over the ingest listener plus every ingest connection. Batch
-//!   frames are decoded *directly into* pooled buffers loaned from the
-//!   shard recycle rings ([`loan_batch_buf`](sss_stream::ShardedRuntime::loan_batch_buf) →
+//! * The **ingest plane** shares the sharded runtime behind one lock, so
+//!   there is one producer however many clients send. Batch frames are
+//!   decoded *directly into* pooled buffers loaned from the shard
+//!   recycle rings ([`loan_batch_buf`](sss_stream::ShardedRuntime::loan_batch_buf) →
 //!   [`protocol::decode_batch_into`] →
 //!   [`push_loaned`](sss_stream::ShardedRuntime::push_loaned)), so the
 //!   steady-state path from socket to shard ring performs zero heap
 //!   allocations per batch — the invariant
 //!   [`pool_stats`](sss_stream::QueryHandle::pool_stats) proves, which
 //!   [`ServerStats`] reads from the runtime's own counters. When every
-//!   shard ring is full the loop blocks in `push_loaned` — backpressure
-//!   propagates to the TCP receive windows of every client rather than
-//!   buffering unboundedly.
-//! * The **query thread** owns a [`ReadReplica`] opened from the
-//!   runtime's read side and a second poller over the query listener.
-//!   Every query line refreshes the replica once and is answered from
-//!   that one slim projection (single-flight refresh of the frame the
-//!   runtime's cache keeps, adopted by pointer), so a slow or chatty query
-//!   client never blocks ingest, and sustained ingest costs a query only
-//!   the staleness the replica's `max_pending` budget allows — with the
-//!   estimate's error bar widened to match. The exception is a
-//!   `self_join`, at any shard count: it is read off the caught-up shards
-//!   in place (their summed join rows), and the frame is refreshed after
-//!   the turn's answers are out.
+//!   shard ring is full a connection's thread blocks in `push_loaned` —
+//!   backpressure propagates to the TCP receive windows of every client
+//!   rather than buffering unboundedly.
+//! * Each **query connection** opens its own [`ReadReplica`] from the
+//!   runtime's read side. Every query line refreshes the replica once and
+//!   is answered from that one slim projection (single-flight refresh of
+//!   the frame the runtime's cache keeps, adopted by pointer), so a slow
+//!   or chatty query client never blocks ingest, and sustained ingest
+//!   costs a query only the staleness the replica's `max_pending` budget
+//!   allows — with the estimate's error bar widened to match. The
+//!   exception is a `self_join`, at any shard count: it is read off the
+//!   caught-up shards in place (their summed join rows), and the frame is
+//!   refreshed after the turn's answers are written, before the next read.
 //!
-//! Both threads run the same loop (`serve`) over their own poller; a plane
-//! only says what its bytes mean. The loop bounds what any client can
-//! cost: a connection holding 1 MiB (`OUT_LIMIT`) of unsent answers is
-//! neither read nor answered until its peer reads them, so a client that
-//! never reads stalls only itself. A client that shuts its write half is
-//! answered in full before the connection closes.
+//! Each plane's listener thread accepts in blocking mode and gives each
+//! connection a thread, which runs one handler (`converse`) over the
+//! connection's blocking socket; a plane only says what its bytes mean.
+//! Every thread is named after its plane (`sss-net-ingest`,
+//! `sss-net-query`). The rules every connection keeps:
 //!
-//! A graceful shutdown (the query-plane `{"cmd":"shutdown"}`, or
-//! [`RunningServer::shutdown_and_wait`]) stops accepting, drains the
-//! shard rings through [`ShardedRuntime::into_merged`], optionally
-//! flushes the merged summary as a `Portable` snapshot — loadable by
-//! `sss load` and mergeable with snapshots from other processes — and
-//! hands the merged [`MultiSummary`] back to the embedder.
+//! * **Bounded output.** Answers are written once 1 MiB (`OUT_LIMIT`) of
+//!   them is queued, and a write waits for the peer, so a client that
+//!   never reads stalls only its own thread and is not read further.
+//! * **Half-close.** A client that shuts its write half is answered in
+//!   full before the connection closes.
+//! * **A cap.** A plane serves at most 64 (`MAX_CONNS`) connections at
+//!   once. The next one gets one refusal — an `ERROR` frame, or an
+//!   `{"ok":false,…}` line — and is closed; it is neither counted as
+//!   accepted nor as a protocol error.
+//! * **Deadlines.** A read waits at most 300 s (`IDLE`) and a write 30 s
+//!   (`WRITE_STALL`); then the connection closes.
+//!
+//! A graceful shutdown (the query-plane `{"cmd":"shutdown"}`, once its
+//! answer is written, [`RunningServer::signal_shutdown`], or dropping the
+//! server) raises a flag and wakes each blocked accept by connecting to
+//! it. Each listener then shuts every open connection down and joins its
+//! thread; a client that does not read holds nothing up. The ingest side
+//! then drains the shard rings through [`ShardedRuntime::into_merged`],
+//! optionally flushes the merged summary as a `Portable` snapshot —
+//! loadable by `sss load` and mergeable with snapshots from other
+//! processes — and hands the merged [`MultiSummary`] back to the embedder.
 
 use crate::error::{NetError, Result};
 use crate::protocol::{self, error_line, push_f64_field, push_intervals, FrameReader, JsonNum};
-use crate::sys::{Interest, Poller};
 use sss_core::wire::{self, FrameError};
 use sss_core::{MultiSpec, MultiSummary, Portable, QuantileQuery};
 use sss_stream::runtime::RuntimeConfig;
@@ -52,27 +64,29 @@ use sss_stream::{QueryHandle, ReadReplica, ShardedRuntime};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io::{ErrorKind, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Poller token of the listening socket; connections count up from 1.
-const TOKEN_LISTENER: u64 = 0;
-/// Event-loop tick: the latency bound on noticing the shutdown flag.
-const TICK: Duration = Duration::from_millis(25);
 /// Socket read chunk per read call.
 const READ_CHUNK: usize = 64 << 10;
-/// Unsent output at which a connection is neither read nor answered
-/// further until its peer reads: what a client that never reads can cost
-/// the server, whatever its requests would expand to.
+/// Queued answers at which a connection's answers are written before it
+/// is answered further: what a client that never reads can cost the
+/// server, whatever its requests would expand to.
 const OUT_LIMIT: usize = 1 << 20;
 /// What a refused query connection may still send before it is dropped:
 /// room for an honest mistake (a snapshot pasted into the query port) to
-/// read its refusal, an end to what a flood costs the query thread.
+/// read its refusal, an end to what a flood costs its thread.
 const REFUSED_DRAIN: usize = 4 << 20;
+/// Open connections per plane; the next one is refused and closed.
+const MAX_CONNS: usize = 64;
+/// How long a read waits for a peer that sends nothing.
+const IDLE: Duration = Duration::from_secs(300);
+/// How long a write waits for a peer that reads nothing.
+const WRITE_STALL: Duration = Duration::from_secs(30);
 
 /// Configuration for [`RunningServer::start`].
 #[derive(Debug, Clone)]
@@ -190,7 +204,8 @@ impl ServerStats {
     }
 }
 
-/// A started service: two background threads, two bound listeners.
+/// A started service: two listener threads, two bound listeners, and a
+/// thread per open connection.
 ///
 /// Obtain the final merged summary with
 /// [`wait`](RunningServer::wait) (after a client-driven shutdown) or
@@ -200,13 +215,13 @@ pub struct RunningServer {
     ingest_addr: SocketAddr,
     query_addr: SocketAddr,
     stats: ServerStats,
-    shutdown: Arc<AtomicBool>,
+    stop: Arc<Stop>,
     ingest: Option<JoinHandle<Result<MultiSummary>>>,
-    query: Option<JoinHandle<Result<()>>>,
+    query: Option<JoinHandle<()>>,
 }
 
 impl RunningServer {
-    /// Bind both planes and spawn the service threads. The listeners
+    /// Bind both planes and spawn the listener threads. The listeners
     /// are bound synchronously, so [`ingest_addr`](Self::ingest_addr) /
     /// [`query_addr`](Self::query_addr) are valid (with real ports,
     /// even for port-0 binds) as soon as this returns.
@@ -234,57 +249,61 @@ impl RunningServer {
             fingerprint: prototype.fingerprint(),
         };
         let runtime = ShardedRuntime::new(config.runtime, &prototype)?;
-        let replica = runtime.read_replica(config.max_pending)?;
         let stats = ServerStats::new(runtime.query_handle());
-        let shutdown = Arc::new(AtomicBool::new(false));
+        let stop = Arc::new(Stop {
+            requested: AtomicBool::new(false),
+            listeners: [ingest_addr, query_addr],
+        });
 
-        let ingest = {
-            let mut plane = Ingest {
-                runtime,
-                banner: head.seal(&[]),
-                head,
-                stats: Arc::clone(&stats.inner),
-            };
-            let shutdown = Arc::clone(&shutdown);
-            let snapshot_path = config.snapshot_path.clone();
-            std::thread::Builder::new()
-                .name("sss-net-ingest".to_string())
-                .spawn(move || {
-                    serve(ingest_listener, &mut plane, &shutdown)
-                        .map_err(|e| NetError::io("ingest event loop", e))?;
-                    // The listener is closed; dropping the lanes closes the
-                    // data rings, and each worker drains its ring first.
-                    let summary = plane.runtime.into_merged()?;
-                    if let Some(path) = snapshot_path {
-                        let bytes = summary.encode()?;
-                        std::fs::write(&path, bytes)
-                            .map_err(|e| NetError::io("write final snapshot", e))?;
-                    }
-                    Ok(summary)
-                })
-                .map_err(|e| NetError::io("spawn ingest thread", e))?
+        let runtime = Arc::new(Mutex::new(runtime));
+        let open_ingest = {
+            let (runtime, stats) = (Arc::clone(&runtime), Arc::clone(&stats.inner));
+            move || Ok(Ingest::new(&runtime, &head, &stats))
         };
-        let query = {
-            let mut plane = Queries {
-                replica,
-                stats: stats.clone(),
-                shutdown: Arc::clone(&shutdown),
-            };
-            std::thread::Builder::new()
-                .name("sss-net-query".to_string())
-                .spawn(move || {
-                    let shutdown = Arc::clone(&plane.shutdown);
-                    serve(query_listener, &mut plane, &shutdown)
-                        .map_err(|e| NetError::io("query event loop", e))
+        let snapshot_path = config.snapshot_path;
+        let ingest = spawn_plane(
+            "sss-net-ingest",
+            ingest_listener,
+            &stop,
+            open_ingest,
+            || {
+                // Every connection thread is joined, so the runtime is this
+                // thread's alone. Dropping its lanes closes the data rings,
+                // and each worker drains its ring first.
+                let runtime = Arc::into_inner(runtime)
+                    .and_then(|runtime| runtime.into_inner().ok())
+                    .ok_or(NetError::ThreadPanicked { thread: "ingest" })?;
+                let summary = runtime.into_merged()?;
+                if let Some(path) = snapshot_path {
+                    let bytes = summary.encode()?;
+                    std::fs::write(&path, bytes)
+                        .map_err(|e| NetError::io("write final snapshot", e))?;
+                }
+                Ok(summary)
+            },
+        )?;
+        let open_query = {
+            let (stats, stop) = (stats.clone(), Arc::clone(&stop));
+            move || {
+                Ok(Queries {
+                    replica: stats
+                        .runtime
+                        .read_replica(config.max_pending)
+                        .map_err(|e| e.to_string())?,
+                    input: Vec::new(),
+                    stats: stats.clone(),
+                    stop: Arc::clone(&stop),
+                    stopping: false,
                 })
-                .map_err(|e| NetError::io("spawn query thread", e))?
+            }
         };
+        let query = spawn_plane("sss-net-query", query_listener, &stop, open_query, || ())?;
 
         Ok(RunningServer {
             ingest_addr,
             query_addr,
             stats,
-            shutdown,
+            stop,
             ingest: Some(ingest),
             query: Some(query),
         })
@@ -306,13 +325,14 @@ impl RunningServer {
         self.stats.clone()
     }
 
-    /// Raise the shutdown flag; both threads notice within one event
-    /// tick. Does not block — pair with [`wait`](Self::wait).
+    /// Start the shutdown: raise the flag and wake both listeners, which
+    /// then close every open connection. Does not block — pair with
+    /// [`wait`](Self::wait).
     pub fn signal_shutdown(&self) {
-        self.shutdown.store(true, Ordering::Release);
+        self.stop.request();
     }
 
-    /// Join both service threads and return the final merged summary
+    /// Join both listener threads and return the final merged summary
     /// (after the shard rings drained; the snapshot, if configured, has
     /// been written). Blocks until a shutdown is signalled — by
     /// [`signal_shutdown`](Self::signal_shutdown) or a query-plane
@@ -320,20 +340,17 @@ impl RunningServer {
     ///
     /// # Errors
     ///
-    /// The first error either thread hit, or
-    /// [`NetError::ThreadPanicked`].
+    /// The ingest side's error, or [`NetError::ThreadPanicked`].
     pub fn wait(mut self) -> Result<MultiSummary> {
         let ingest = self.ingest.take().expect("wait() consumes self");
         let query = self.query.take().expect("wait() consumes self");
         let summary = ingest
             .join()
             .map_err(|_| NetError::ThreadPanicked { thread: "ingest" })?;
-        let query_result = query
+        query
             .join()
             .map_err(|_| NetError::ThreadPanicked { thread: "query" })?;
-        let summary = summary?;
-        query_result?;
-        Ok(summary)
+        summary
     }
 
     /// [`signal_shutdown`](Self::signal_shutdown) then
@@ -350,27 +367,56 @@ impl RunningServer {
 
 impl Drop for RunningServer {
     fn drop(&mut self) {
-        // A dropped-without-wait server must not leave service threads
-        // spinning: raise the flag so they exit within a tick.
-        self.shutdown.store(true, Ordering::Release);
+        // A dropped-without-wait server must not leave threads serving.
+        self.stop.request();
     }
 }
 
-/// What a plane makes of the bytes its connections send; [`serve`] does
-/// the sockets.
-trait Plane {
-    /// A connection's input not yet answered.
-    type Input: Default;
+/// How a server stops: a flag every thread reads, and the two listening
+/// addresses whose blocked accepts are woken by connecting to them.
+#[derive(Debug)]
+struct Stop {
+    requested: AtomicBool,
+    listeners: [SocketAddr; 2],
+}
+
+impl Stop {
+    fn requested(&self) -> bool {
+        self.requested.load(Ordering::Acquire)
+    }
+
+    /// Raise the flag and wake both listeners (over loopback where one is
+    /// bound to an unspecified address). Later calls do nothing.
+    fn request(&self) {
+        if self.requested.swap(true, Ordering::AcqRel) {
+            return;
+        }
+        for mut addr in self.listeners {
+            if addr.ip().is_unspecified() {
+                addr.set_ip(match addr {
+                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            let _ = TcpStream::connect(addr);
+        }
+    }
+}
+
+/// What a plane makes of the bytes a connection sends; [`converse`] does
+/// the reads and writes. Each connection has a plane of its own.
+trait Plane: Send + 'static {
+    /// The one message a connection that is not served gets.
+    fn refuse(out: &mut Vec<u8>, why: &str);
     /// Queue what a new connection is sent before anything is read.
     fn greet(&mut self, _out: &mut Vec<u8>) {}
-    /// Keep bytes read from a connection.
-    fn extend(input: &mut Self::Input, bytes: &[u8]);
-    /// Answer the first complete request in `input` into `out`.
-    fn answer(&mut self, input: &mut Self::Input, out: &mut Vec<u8>) -> Step;
-    /// A connection is gone. `input` is what it left unanswered, unless
-    /// the plane closed it.
-    fn gone(&mut self, _input: Option<&Self::Input>) {}
-    /// Every connection ready this turn has been served.
+    /// Keep bytes read from the connection.
+    fn extend(&mut self, bytes: &[u8]);
+    /// Answer the first complete request kept into `out`.
+    fn answer(&mut self, out: &mut Vec<u8>) -> Step;
+    /// The connection is gone; `closed` if the plane closed it.
+    fn gone(&mut self, _closed: bool) {}
+    /// This turn's answers are written; the next read is about to wait.
     fn turn_done(&mut self) {}
 }
 
@@ -385,233 +431,221 @@ enum Step {
     Close(usize),
 }
 
-/// One connection, on either plane.
-struct Conn<I> {
-    stream: TcpStream,
-    input: I,
-    out: Vec<u8>,
-    out_pos: usize,
-    /// The peer shut its write half: nothing more is read.
-    eof: bool,
-    /// Set by [`Step::Close`]: nothing more is answered, the write half
-    /// shuts once `out` drains (closing only the write half lets the peer
-    /// read its last answer; closing both on unread input would reset it),
-    /// and this many more bytes are read and discarded.
-    closing: Option<usize>,
-    /// Interest currently armed with the poller.
-    armed: Interest,
-}
-
-impl<I> Conn<I> {
-    fn unsent(&self) -> usize {
-        self.out.len() - self.out_pos
-    }
-
-    /// Read only what can be answered or discarded, and only while the
-    /// peer reads what it is sent.
-    fn reading(&self) -> bool {
-        !self.eof && self.closing != Some(0) && self.unsent() < OUT_LIMIT
-    }
-
-    fn interest(&self) -> Interest {
-        Interest {
-            readable: self.reading(),
-            writable: self.unsent() > 0,
-        }
-    }
-
-    /// Push buffered output until the socket would block.
-    fn flush(&mut self) -> std::io::Result<()> {
-        while self.out_pos < self.out.len() {
-            match self.stream.write(&self.out[self.out_pos..]) {
-                Ok(0) => return Err(ErrorKind::WriteZero.into()),
-                Ok(n) => self.out_pos += n,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(()),
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
-        }
-        self.out.clear();
-        self.out_pos = 0;
-        Ok(())
-    }
-
-    /// Serve the connection after a readiness event: answer what is
-    /// complete while the output has room, write what the socket takes,
-    /// and read more only once everything complete is answered. `false`
-    /// when it is done with: input ended, every complete request
-    /// answered and every answer sent — or an I/O error.
-    fn drive<P: Plane<Input = I>>(
-        &mut self,
-        plane: &mut P,
-        mut readable: bool,
-        scratch: &mut [u8],
-    ) -> bool {
-        loop {
-            let mut idle = self.closing.is_some();
-            while !idle && self.unsent() < OUT_LIMIT {
-                match plane.answer(&mut self.input, &mut self.out) {
-                    Step::Idle => idle = true,
-                    Step::Answered => {}
-                    Step::Close(discard) => {
-                        self.closing = Some(discard);
-                        idle = true;
-                    }
-                }
-            }
-            if self.flush().is_err() {
-                return false;
-            }
-            if !idle {
-                if self.unsent() < OUT_LIMIT {
-                    continue; // the socket took it: answer on
-                }
-                return true; // until the peer reads
-            }
-            if !readable || !self.reading() {
-                break;
-            }
-            match self.stream.read(scratch) {
-                Ok(0) => self.eof = true,
-                Ok(n) => {
-                    match &mut self.closing {
-                        Some(left) => *left = left.saturating_sub(n),
-                        None => P::extend(&mut self.input, &scratch[..n]),
-                    }
-                    // A short read emptied the socket; level-triggered
-                    // polling reports anything that arrives after it.
-                    readable = n == scratch.len();
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) if e.kind() == ErrorKind::WouldBlock => readable = false,
-                Err(_) => return false,
-            }
-        }
-        if self.unsent() > 0 {
-            return true;
-        }
-        match self.closing {
-            Some(left) if left > 0 && !self.eof => {
-                let _ = self.stream.shutdown(Shutdown::Write);
-                true
-            }
-            Some(_) => false,
-            None => !self.eof,
-        }
-    }
-}
-
-/// One plane's event loop: accept, read, answer and write until
-/// `shutdown`, then a best-effort flush of what is unsent. Level-triggered
-/// polling re-reports whatever a turn leaves: a pending accept, unread
-/// bytes, room to write.
-fn serve<P: Plane>(
+/// Start a plane's listener thread, which runs [`serve`] and then `then`,
+/// and panics instead if a connection thread did. It and every connection
+/// thread it starts are named `name`: the ledger attributes CPU time by
+/// that prefix.
+fn spawn_plane<P: Plane, T: Send + 'static>(
+    name: &'static str,
     listener: TcpListener,
+    stop: &Arc<Stop>,
+    open: impl Fn() -> std::result::Result<P, String> + Send + Sync + 'static,
+    then: impl FnOnce() -> T + Send + 'static,
+) -> Result<JoinHandle<T>> {
+    let stop = Arc::clone(stop);
+    std::thread::Builder::new()
+        .name(name.to_string())
+        .spawn(move || {
+            if serve(&listener, name, &stop, open) {
+                panic!("a {name} connection thread panicked");
+            }
+            then()
+        })
+        .map_err(|e| NetError::io("spawn listener thread", e))
+}
+
+/// One plane's listener: accept until the stop, giving each connection a
+/// thread under the [`MAX_CONNS`] cap; then shut every open connection
+/// down and join its thread. `open` makes a connection's plane, or says
+/// why it is refused. Returns whether a connection thread panicked.
+fn serve<P: Plane>(
+    listener: &TcpListener,
+    name: &str,
+    stop: &Arc<Stop>,
+    open: impl Fn() -> std::result::Result<P, String> + Send + Sync + 'static,
+) -> bool {
+    let open = Arc::new(open);
+    // A clone of each open stream: the cap counts them, the stop shuts
+    // them down.
+    let conns: Arc<Mutex<HashMap<u64, TcpStream>>> = Arc::default();
+    let mut threads: Vec<JoinHandle<()>> = Vec::new();
+    let mut panicked = false;
+    for (id, stream) in (0u64..).zip(listener.incoming()) {
+        if stop.requested() {
+            break;
+        }
+        let Ok(mut stream) = stream else {
+            continue;
+        };
+        let (done, running) = threads.into_iter().partition(JoinHandle::is_finished);
+        threads = running;
+        panicked |= join_all(done);
+        let mut open_conns = lock(&conns);
+        if open_conns.len() >= MAX_CONNS {
+            drop(open_conns);
+            let mut out = Vec::new();
+            P::refuse(
+                &mut out,
+                &format!("{MAX_CONNS} connections open, try later"),
+            );
+            let _ = stream.write_all(&out);
+            continue;
+        }
+        let Ok(clone) = stream.try_clone() else {
+            continue;
+        };
+        open_conns.insert(id, clone);
+        drop(open_conns);
+        let spawned = {
+            let (open, conns, stop) = (Arc::clone(&open), Arc::clone(&conns), Arc::clone(stop));
+            std::thread::Builder::new()
+                .name(name.to_string())
+                .spawn(move || {
+                    connection(stream, &*open, &stop.requested);
+                    lock(&conns).remove(&id);
+                })
+        };
+        match spawned {
+            Ok(thread) => threads.push(thread),
+            Err(_) => drop(lock(&conns).remove(&id)),
+        }
+    }
+    for stream in lock(&conns).values() {
+        let _ = stream.shutdown(Shutdown::Both);
+    }
+    panicked | join_all(threads)
+}
+
+/// Join `threads`; whether any of them panicked.
+fn join_all(threads: Vec<JoinHandle<()>>) -> bool {
+    let mut panicked = false;
+    for thread in threads {
+        panicked |= thread.join().is_err();
+    }
+    panicked
+}
+
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Serve one accepted connection on its own thread, under the deadlines.
+fn connection<P: Plane>(
+    mut stream: TcpStream,
+    open: &dyn Fn() -> std::result::Result<P, String>,
+    stop: &AtomicBool,
+) {
+    let _ = stream.set_nodelay(true);
+    let _ = stream.set_read_timeout(Some(IDLE));
+    let _ = stream.set_write_timeout(Some(WRITE_STALL));
+    let mut plane = match open() {
+        Ok(plane) => plane,
+        Err(why) => {
+            let mut out = Vec::new();
+            P::refuse(&mut out, &why);
+            let _ = stream.write_all(&out);
+            return;
+        }
+    };
+    if let Some(discard) = converse(&mut plane, &mut stream, stop) {
+        // Closing only the write half lets the peer read its last answer;
+        // closing both on unread input would reset it.
+        let _ = stream.shutdown(Shutdown::Write);
+        let _ = std::io::copy(&mut (&stream).take(discard as u64), &mut std::io::sink());
+    }
+}
+
+/// Serve one connection to its end, over any byte stream: greet, then in
+/// turns answer every complete request, write the answers and read more.
+/// Writes and reads wait, so a connection whose answers go unread is not
+/// read either: its answers are written whenever `OUT_LIMIT` of them is
+/// queued. The connection ends at end of input (once every complete
+/// request is answered), at a read or write error — a reset, or a passed
+/// deadline as `WouldBlock` or `TimedOut` —, at `stop`, or when the plane
+/// closes it. `Some(n)`: the plane closed it, and the caller shuts the
+/// write half and discards at most `n` more bytes.
+fn converse<P: Plane>(
     plane: &mut P,
-    shutdown: &AtomicBool,
-) -> std::io::Result<()> {
-    listener.set_nonblocking(true)?;
-    let mut poller = Poller::new()?;
-    poller.register(&listener, TOKEN_LISTENER, Interest::READ)?;
-    let mut conns: HashMap<u64, Conn<P::Input>> = HashMap::new();
-    let mut next_token = TOKEN_LISTENER + 1;
-    let mut events = Vec::new();
+    stream: &mut (impl Read + Write),
+    stop: &AtomicBool,
+) -> Option<usize> {
+    let mut out = Vec::new();
     let mut scratch = vec![0u8; READ_CHUNK];
-
-    while !shutdown.load(Ordering::Acquire) {
-        poller.wait(&mut events, Some(TICK))?;
-        for ev in &events {
-            let mut token = ev.token;
-            if token == TOKEN_LISTENER {
-                // One accept a turn; the listener reports the rest again.
-                let Ok((stream, _peer)) = listener.accept() else {
-                    continue;
-                };
-                if stream.set_nonblocking(true).is_err() {
-                    continue;
+    plane.greet(&mut out);
+    let closed = 'conn: loop {
+        let step = loop {
+            match plane.answer(&mut out) {
+                Step::Answered if out.len() < OUT_LIMIT => {}
+                Step::Answered => {
+                    if send(stream, &mut out).is_err() {
+                        break 'conn None;
+                    }
                 }
-                let _ = stream.set_nodelay(true);
-                token = next_token;
-                next_token += 1;
-                if poller.register(&stream, token, Interest::READ).is_err() {
-                    continue;
-                }
-                let mut conn = Conn {
-                    stream,
-                    input: P::Input::default(),
-                    out: Vec::new(),
-                    out_pos: 0,
-                    eof: false,
-                    closing: None,
-                    armed: Interest::READ,
-                };
-                plane.greet(&mut conn.out);
-                conns.insert(token, conn);
+                step => break step,
             }
-            let Some(conn) = conns.get_mut(&token) else {
-                continue; // closed earlier this turn
-            };
-            // An error, or both halves shut: nothing left to answer to.
-            let keep = !ev.hangup && conn.drive(plane, ev.readable, &mut scratch);
-            if keep {
-                let interest = conn.interest();
-                if interest != conn.armed {
-                    conn.armed = interest;
-                    let _ = poller.modify(&conn.stream, token, interest);
-                }
-            } else if let Some(conn) = conns.remove(&token) {
-                let _ = poller.deregister(&conn.stream);
-                plane.gone(conn.closing.is_none().then_some(&conn.input));
-            }
+        };
+        if send(stream, &mut out).is_err() {
+            break None;
         }
-        if !events.is_empty() {
-            plane.turn_done();
+        plane.turn_done();
+        if let Step::Close(discard) = step {
+            break Some(discard);
         }
-    }
+        if stop.load(Ordering::Acquire) {
+            break None;
+        }
+        match stream.read(&mut scratch) {
+            Ok(0) => break None,
+            Ok(n) => plane.extend(&scratch[..n]),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(_) => break None,
+        }
+    };
+    plane.gone(closed.is_some());
+    closed.filter(|&discard| discard > 0)
+}
 
-    for conn in conns.values_mut() {
-        let _ = conn.flush();
-    }
+/// Write what is queued and clear it.
+fn send(stream: &mut impl Write, out: &mut Vec<u8>) -> std::io::Result<()> {
+    stream.write_all(out)?;
+    out.clear();
     Ok(())
 }
 
-/// The ingest plane: handshake, decode each batch into a buffer loaned
-/// from the runtime, push it.
+/// An ingest connection: handshake, decode each batch into a buffer
+/// loaned from the runtime, push it. Every connection shares the one
+/// runtime behind one lock, so there is one producer.
 struct Ingest {
-    runtime: ShardedRuntime<MultiSummary>,
+    runtime: Arc<Mutex<ShardedRuntime<MultiSummary>>>,
+    /// The server's head, sent first.
     head: wire::Head,
-    /// The server's head, sent first on every connection.
-    banner: Vec<u8>,
     stats: Arc<StatsInner>,
-}
-
-/// An ingest connection's input.
-#[derive(Default)]
-struct Frames {
     reader: FrameReader,
     /// Handshake completed: `BATCH`/`SYNC` frames are admissible.
     hello_done: bool,
 }
 
 impl Plane for Ingest {
-    type Input = Frames;
+    fn refuse(out: &mut Vec<u8>, why: &str) {
+        protocol::write_error(out, protocol::ERR_PROTOCOL, why);
+    }
 
     fn greet(&mut self, out: &mut Vec<u8>) {
         // The server speaks first: the banner head goes out before any
         // client frame is read.
-        protocol::write_frame(out, protocol::FRAME_HELLO_OK, &self.banner);
+        protocol::write_frame(out, protocol::FRAME_HELLO_OK, &self.head.seal(&[]));
         self.stats
             .connections_accepted
             .fetch_add(1, Ordering::AcqRel);
         self.stats.connections_open.fetch_add(1, Ordering::AcqRel);
     }
 
-    fn extend(input: &mut Frames, bytes: &[u8]) {
-        input.reader.extend(bytes);
+    fn extend(&mut self, bytes: &[u8]) {
+        self.reader.extend(bytes);
     }
 
-    fn answer(&mut self, input: &mut Frames, out: &mut Vec<u8>) -> Step {
-        match self.apply_frame(input, out) {
+    fn answer(&mut self, out: &mut Vec<u8>) -> Step {
+        match self.apply_frame(out) {
             Ok(true) => Step::Answered,
             Ok(false) => Step::Idle,
             Err(frame_error) => {
@@ -625,24 +659,34 @@ impl Plane for Ingest {
         }
     }
 
-    fn gone(&mut self, input: Option<&Frames>) {
+    fn gone(&mut self, closed: bool) {
         self.stats.connections_open.fetch_sub(1, Ordering::AcqRel);
         // A disconnect mid-frame is itself a typed protocol error —
         // partially transferred batches are never counted as ingested.
-        if input.is_some_and(|input| input.reader.finish().is_err()) {
+        if !closed && self.reader.finish().is_err() {
             self.stats.protocol_errors.fetch_add(1, Ordering::AcqRel);
         }
     }
 }
 
 impl Ingest {
-    /// Apply the first complete frame buffered on a connection, if any.
-    fn apply_frame(
-        &mut self,
-        input: &mut Frames,
-        out: &mut Vec<u8>,
-    ) -> std::result::Result<bool, FrameError> {
-        let Some((tag, payload)) = input.reader.next_frame()? else {
+    fn new(
+        runtime: &Arc<Mutex<ShardedRuntime<MultiSummary>>>,
+        head: &wire::Head,
+        stats: &Arc<StatsInner>,
+    ) -> Self {
+        Ingest {
+            runtime: Arc::clone(runtime),
+            head: head.clone(),
+            stats: Arc::clone(stats),
+            reader: FrameReader::new(),
+            hello_done: false,
+        }
+    }
+
+    /// Apply the first complete frame buffered, if any.
+    fn apply_frame(&mut self, out: &mut Vec<u8>) -> std::result::Result<bool, FrameError> {
+        let Some((tag, payload)) = self.reader.next_frame()? else {
             return Ok(false);
         };
         let head = &self.head;
@@ -670,37 +714,36 @@ impl Ingest {
                         ),
                     });
                 }
-                input.hello_done = true;
+                self.hello_done = true;
                 // Ack so the client's connect() is synchronous — it
                 // knows the handshake verdict before sending a batch.
                 protocol::write_frame(out, protocol::FRAME_HELLO_OK, &[]);
             }
             protocol::FRAME_BATCH => {
-                if !input.hello_done {
+                if !self.hello_done {
                     return Err(FrameError::HandshakeRequired);
                 }
-                let hint = payload.len() / 8;
-                let mut batch = self.runtime.loan_batch_buf(hint);
+                let unavailable = || FrameError::Rejected {
+                    code: protocol::ERR_PROTOCOL,
+                    detail: "ingest runtime unavailable".to_string(),
+                };
+                // A poisoned lock or a dead shard worker is a server-side
+                // failure, not a client protocol error.
+                let mut runtime = self.runtime.lock().map_err(|_| unavailable())?;
+                let mut batch = runtime.loan_batch_buf(payload.len() / 8);
                 if let Err(e) = protocol::decode_batch_into(payload, &mut batch) {
                     // Return the loaned buffer before reporting.
                     batch.clear();
-                    let _ = self.runtime.push_loaned(batch);
+                    let _ = runtime.push_loaned(batch);
                     return Err(e);
                 }
                 let tuples = batch.len() as u64;
-                if self.runtime.push_loaned(batch).is_err() {
-                    // A dead shard worker is a server-side failure, not a
-                    // client protocol error.
-                    return Err(FrameError::Rejected {
-                        code: protocol::ERR_PROTOCOL,
-                        detail: "ingest runtime unavailable".to_string(),
-                    });
-                }
+                runtime.push_loaned(batch).map_err(|_| unavailable())?;
                 self.stats.tuples.fetch_add(tuples, Ordering::AcqRel);
                 self.stats.batches.fetch_add(1, Ordering::AcqRel);
             }
             protocol::FRAME_SYNC => {
-                if !input.hello_done {
+                if !self.hello_done {
                     return Err(FrameError::HandshakeRequired);
                 }
                 let cookie = protocol::decode_sync(payload)?;
@@ -723,29 +766,37 @@ fn error_code(e: &FrameError) -> u16 {
     }
 }
 
-/// The query plane: newline-delimited JSON over the slim replica.
+/// The query plane: newline-delimited JSON over a connection's own slim
+/// replica.
 struct Queries {
     replica: ReadReplica<MultiSummary>,
-    stats: ServerStats,
-    shutdown: Arc<AtomicBool>,
-}
-
-impl Plane for Queries {
     /// The bytes after the last answered line: at most one read beyond
     /// the longest legal line, because a line is answered before the next
     /// read and a longer one is refused.
-    type Input = Vec<u8>;
+    input: Vec<u8>,
+    stats: ServerStats,
+    stop: Arc<Stop>,
+    /// This connection asked for the shutdown; it starts once the answer
+    /// is written.
+    stopping: bool,
+}
 
-    fn extend(input: &mut Vec<u8>, bytes: &[u8]) {
-        input.extend_from_slice(bytes);
+impl Plane for Queries {
+    fn refuse(out: &mut Vec<u8>, why: &str) {
+        out.extend_from_slice(error_line(why).as_bytes());
+        out.push(b'\n');
     }
 
-    fn answer(&mut self, input: &mut Vec<u8>, out: &mut Vec<u8>) -> Step {
+    fn extend(&mut self, bytes: &[u8]) {
+        self.input.extend_from_slice(bytes);
+    }
+
+    fn answer(&mut self, out: &mut Vec<u8>) -> Step {
+        let input = &mut self.input;
         let nl = input.iter().position(|&b| b == b'\n');
         if nl.unwrap_or(input.len()) > protocol::MAX_QUERY_LINE {
             let refusal = format!("query line exceeds {} bytes", protocol::MAX_QUERY_LINE);
-            out.extend_from_slice(error_line(&refusal).as_bytes());
-            out.push(b'\n');
+            Self::refuse(out, &refusal);
             *input = Vec::new();
             return Step::Close(REFUSED_DRAIN);
         }
@@ -753,7 +804,12 @@ impl Plane for Queries {
             return Step::Idle;
         };
         let line = String::from_utf8_lossy(&input[..nl]);
-        let response = answer_query(line.trim(), &mut self.replica, &self.stats, &self.shutdown);
+        let response = answer_query(
+            line.trim(),
+            &mut self.replica,
+            &self.stats,
+            &mut self.stopping,
+        );
         input.drain(..=nl);
         out.extend_from_slice(response.as_bytes());
         out.push(b'\n');
@@ -761,6 +817,10 @@ impl Plane for Queries {
     }
 
     fn turn_done(&mut self) {
+        if self.stopping {
+            self.stop.request();
+            return;
+        }
         // This turn's answers are out. A `self_join` read the shards in
         // place and left the frame behind, so bring the frame up to date
         // now (a no-op when it is current; an error shows on the next
@@ -777,7 +837,7 @@ fn answer_query(
     line: &str,
     replica: &mut ReadReplica<MultiSummary>,
     stats: &ServerStats,
-    shutdown: &AtomicBool,
+    stopping: &mut bool,
 ) -> String {
     let req = match protocol::parse_query_line(line) {
         Ok(req) => req,
@@ -863,10 +923,216 @@ fn answer_query(
             ))
         }
         "shutdown" => {
-            shutdown.store(true, Ordering::Release);
+            *stopping = true;
             Ok("{\"ok\":true,\"cmd\":\"shutdown\"}".to_string())
         }
         other => Err(format!("unknown cmd {other:?}")),
     };
     result.unwrap_or_else(|e| error_line(&e))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use sss_core::JoinSchema;
+    use sss_stream::Partition;
+    use std::collections::VecDeque;
+    use std::io;
+
+    type Reads = Vec<io::Result<Vec<u8>>>;
+
+    /// A scripted connection: each read returns the next scripted chunk or
+    /// error (end of input after the last); writes are kept until `room`
+    /// bytes are, then reset.
+    struct Script {
+        reads: VecDeque<io::Result<Vec<u8>>>,
+        written: Vec<u8>,
+        room: usize,
+    }
+
+    impl Read for Script {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let chunk = self.reads.pop_front().unwrap_or(Ok(Vec::new()))?;
+            buf[..chunk.len()].copy_from_slice(&chunk);
+            Ok(chunk.len())
+        }
+    }
+
+    impl Write for Script {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let n = buf.len().min(self.room - self.written.len());
+            if n == 0 {
+                return Err(ErrorKind::ConnectionReset.into());
+            }
+            self.written.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Serve `reads` to `plane`: what it wrote, and how many reads it left.
+    fn run(plane: &mut impl Plane, reads: Reads, room: usize) -> (Vec<u8>, usize) {
+        let mut script = Script {
+            reads: reads.into(),
+            written: Vec::new(),
+            room,
+        };
+        assert_eq!(converse(plane, &mut script, &AtomicBool::new(false)), None);
+        (script.written, script.reads.len())
+    }
+
+    /// `bytes` cut at every offset, and one byte per read.
+    fn deliveries(bytes: &[u8]) -> Vec<Reads> {
+        let mut all: Vec<Reads> = (1..bytes.len())
+            .map(|cut| vec![Ok(bytes[..cut].to_vec()), Ok(bytes[cut..].to_vec())])
+            .collect();
+        all.push(bytes.iter().map(|&b| Ok(vec![b])).collect());
+        all
+    }
+
+    fn runtime() -> (ShardedRuntime<MultiSummary>, wire::Head) {
+        let mut rng = StdRng::seed_from_u64(5);
+        let spec = MultiSpec::new(JoinSchema::fagms(2, 64, &mut rng), &mut rng)
+            .distinct_precision(6)
+            .quantile_k(64);
+        let prototype = spec.summary().unwrap();
+        let head = wire::Head {
+            kind: MultiSummary::KIND.to_string(),
+            format: MultiSummary::FORMAT,
+            fingerprint: prototype.fingerprint(),
+        };
+        let config = RuntimeConfig {
+            shards: 1,
+            queue_depth: 4,
+            partition: Partition::RoundRobin,
+        };
+        (ShardedRuntime::new(config, &prototype).unwrap(), head)
+    }
+
+    /// A client's `HELLO`, two batches (11 tuples) and a 13-byte `SYNC`.
+    fn ingest_bytes() -> Vec<u8> {
+        let mut bytes = Vec::new();
+        protocol::write_frame(&mut bytes, protocol::FRAME_HELLO, &runtime().1.seal(&[]));
+        protocol::write_batch(&mut bytes, &[3, 1, 4, 1, 5, 9, 2, 6]);
+        protocol::write_batch(&mut bytes, &[5, 3, 5]);
+        protocol::write_sync(&mut bytes, protocol::FRAME_SYNC, 77);
+        bytes
+    }
+
+    /// What an ingest connection served `reads` wrote, how many reads it
+    /// left, its gauges (tuples, batches, protocol errors, accepted, open)
+    /// and the merged summary's bytes.
+    fn ingest(reads: Reads) -> (Vec<u8>, usize, [u64; 5], Vec<u8>) {
+        let (runtime, head) = runtime();
+        let mut plane = Ingest::new(&Arc::new(Mutex::new(runtime)), &head, &Arc::default());
+        let (written, unread) = run(&mut plane, reads, usize::MAX);
+        let Ingest { runtime, stats, .. } = plane;
+        let runtime = Arc::into_inner(runtime).unwrap().into_inner().unwrap();
+        let gauges = [
+            &stats.tuples,
+            &stats.batches,
+            &stats.protocol_errors,
+            &stats.connections_accepted,
+            &stats.connections_open,
+        ]
+        .map(|gauge| gauge.load(Ordering::Acquire));
+        let merged = runtime.into_merged().unwrap().encode().unwrap();
+        (written, unread, gauges, merged)
+    }
+
+    #[test]
+    fn an_ingest_stream_cut_anywhere_is_served_as_a_whole() {
+        let bytes = ingest_bytes();
+        let whole = ingest(vec![Ok(bytes.clone())]);
+        let mut acks = Vec::new();
+        protocol::write_frame(&mut acks, protocol::FRAME_HELLO_OK, &runtime().1.seal(&[]));
+        protocol::write_frame(&mut acks, protocol::FRAME_HELLO_OK, &[]);
+        protocol::write_sync(&mut acks, protocol::FRAME_SYNC_OK, 77);
+        assert_eq!((&whole.0, whole.2), (&acks, [11, 2, 0, 1, 0]));
+        for reads in deliveries(&bytes) {
+            assert_eq!(ingest(reads), whole);
+        }
+    }
+
+    /// A reset in the middle of the second batch: the first batch counts,
+    /// the cut one is exactly one protocol error, nothing more is read.
+    #[test]
+    fn a_reset_mid_frame_is_one_protocol_error() {
+        let bytes = ingest_bytes();
+        let cut = bytes.len() - 13 - 10;
+        let reset = Err(ErrorKind::ConnectionReset.into());
+        let (written, unread, gauges, _) = ingest(vec![
+            Ok(bytes[..cut].to_vec()),
+            reset,
+            Ok(bytes[cut..].to_vec()),
+        ]);
+        assert_eq!((unread, gauges), (1, [8, 1, 1, 1, 0]));
+        let whole = ingest(vec![Ok(bytes)]).0;
+        assert_eq!(
+            written,
+            whole[..whole.len() - 13],
+            "all but the SYNC answered"
+        );
+    }
+
+    /// A read whose deadline passed closes the connection, whichever kind
+    /// the socket reports it as; an idle connection is no protocol error.
+    #[test]
+    fn a_passed_read_deadline_closes_the_connection() {
+        let bytes = ingest_bytes();
+        let (before, after) = bytes.split_at(bytes.len() - 13);
+        for kind in [ErrorKind::TimedOut, ErrorKind::WouldBlock] {
+            let (_, unread, gauges, _) = ingest(vec![
+                Ok(before.to_vec()),
+                Err(kind.into()),
+                Ok(after.to_vec()),
+            ]);
+            assert_eq!((unread, gauges), (1, [11, 2, 0, 1, 0]), "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn a_query_stream_cut_anywhere_is_answered_as_a_whole() {
+        const QUERIES: &[u8] =
+            b"{\"cmd\":\"self_join\",\"confidence\":0.9}\n{\"cmd\":\"distinct\"}\n\
+            {\"cmd\":\"topk\",\"k\":3}\n{\"cmd\":\"quantile\",\"q\":0.25}\n{\"cmd\":\"nope\"}\n";
+        let (mut runtime, _) = runtime();
+        let keys: Vec<u64> = (0..2_000).map(|i| i % 97).collect();
+        runtime.push(&keys).unwrap();
+        let handle = runtime.query_handle();
+        let queries = |reads: Reads, room: usize| {
+            let mut plane = Queries {
+                replica: handle.read_replica(0).unwrap(),
+                input: Vec::new(),
+                stats: ServerStats::new(handle.clone()),
+                stop: Arc::new(Stop {
+                    requested: AtomicBool::new(false),
+                    listeners: [([127, 0, 0, 1], 0).into(); 2],
+                }),
+                stopping: false,
+            };
+            run(&mut plane, reads, room)
+        };
+        let (whole, _) = queries(vec![Ok(QUERIES.to_vec())], usize::MAX);
+        let answers = String::from_utf8(whole.clone()).unwrap();
+        let ok: Vec<bool> = answers
+            .lines()
+            .map(|l| l.starts_with("{\"ok\":true"))
+            .collect();
+        assert_eq!(ok, [true, true, true, true, false], "{answers}");
+        for reads in deliveries(QUERIES) {
+            assert_eq!(queries(reads, usize::MAX).0, whole);
+        }
+
+        // A reset in the middle of the first answer ends the connection:
+        // nothing more is answered, nothing more is read.
+        let room = answers.find('\n').unwrap() / 2;
+        let reads = vec![Ok(QUERIES[..40].to_vec()), Ok(QUERIES[40..].to_vec())];
+        assert_eq!(queries(reads, room), (whole[..room].to_vec(), 1));
+    }
 }

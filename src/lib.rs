@@ -18,7 +18,7 @@
 //! * [`datagen`] — Zipf, self-similar, correlated-pair and mini-TPC-H
 //!   workload generators.
 //! * [`stream`] — streaming pipeline substrate: the sharded runtime.
-//! * [`net`] — the network ingest service: a non-blocking event-loop
+//! * [`net`] — the network ingest service: a thread-per-connection
 //!   TCP front-end decoding length-prefixed batches straight into the
 //!   sharded runtime's pooled buffers, plus a line-delimited JSON query
 //!   plane served from slim read replicas.
@@ -39,6 +39,8 @@
 //! let f2 = sketcher.self_join(); // unbiased estimate of the FULL stream's F₂
 //! assert!((f2 - 2e7).abs() / 2e7 < 0.1);
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub mod error;
 

@@ -828,6 +828,123 @@ fn a_half_closed_client_gets_every_answer() {
     srv.shutdown_and_wait().unwrap();
 }
 
+/// Retry `admitted` for up to 10 s: a closed connection leaves its
+/// plane's count once its thread has seen it go.
+fn eventually(mut admitted: impl FnMut() -> bool) {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while !admitted() {
+        assert!(std::time::Instant::now() < deadline, "never admitted");
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+}
+
+/// Each plane serves at most 64 connections at once. The next one reads
+/// one refusal, then end of stream; it counts neither as accepted nor as
+/// a protocol error; and once an open connection closes, a new one is
+/// admitted.
+#[test]
+fn each_plane_refuses_the_connection_past_its_cap() {
+    use std::io::{BufRead, BufReader};
+    const CAP: usize = 64;
+    let srv = server(12, 1, Partition::RoundRobin);
+    let stats = srv.stats();
+    let distinct = "{\"cmd\":\"distinct\"}";
+
+    // The ingest plane speaks first: a banner means admitted.
+    let banner = |stream: &mut TcpStream| {
+        read_raw_frame(stream).is_some_and(|(tag, _)| tag == protocol::FRAME_HELLO_OK)
+    };
+    let mut ingest: Vec<TcpStream> = (0..CAP)
+        .map(|_| TcpStream::connect(srv.ingest_addr()).unwrap())
+        .collect();
+    assert!(ingest.iter_mut().all(banner));
+    let mut refused = TcpStream::connect(srv.ingest_addr()).unwrap();
+    let (tag, payload) = read_raw_frame(&mut refused).expect("one refusal");
+    assert_eq!(tag, protocol::FRAME_ERROR);
+    let refusal = protocol::decode_error(&payload).to_string();
+    assert!(refusal.contains("64 connections open"), "{refusal}");
+    let mut rest = Vec::new();
+    refused.read_to_end(&mut rest).unwrap();
+    assert!(rest.is_empty(), "then end of stream");
+    assert_eq!(stats.connections_accepted(), CAP as u64);
+    drop(ingest.pop());
+    eventually(|| banner(&mut TcpStream::connect(srv.ingest_addr()).unwrap()));
+    assert_eq!(stats.connections_accepted(), CAP as u64 + 1);
+
+    // The query plane answers a line: an answer means admitted.
+    let mut queries: Vec<QueryClient> = (0..CAP)
+        .map(|_| QueryClient::connect(srv.query_addr()).unwrap())
+        .collect();
+    for client in &mut queries {
+        assert!(client.request(distinct).unwrap().contains("\"ok\":true"));
+    }
+    let mut refused = BufReader::new(TcpStream::connect(srv.query_addr()).unwrap());
+    let mut line = String::new();
+    refused.read_line(&mut line).unwrap();
+    assert!(
+        line.starts_with("{\"ok\":false") && line.contains("64 connections open"),
+        "{line}"
+    );
+    line.clear();
+    assert_eq!(
+        refused.read_line(&mut line).unwrap(),
+        0,
+        "then end of stream"
+    );
+    drop(queries.pop());
+    eventually(|| {
+        let mut client = QueryClient::connect(srv.query_addr()).unwrap();
+        client
+            .request(distinct)
+            .is_ok_and(|answer| answer.contains("\"ok\":true"))
+    });
+
+    assert_eq!(stats.protocol_errors(), 0);
+    srv.shutdown_and_wait().unwrap();
+}
+
+/// Voluntary context switches of all of process `pid`'s threads.
+#[cfg(target_os = "linux")]
+fn voluntary_switches(pid: u32) -> u64 {
+    let tasks = std::fs::read_dir(format!("/proc/{pid}/task")).expect("procfs");
+    tasks
+        .filter_map(|task| {
+            let status = std::fs::read_to_string(task.ok()?.path().join("status")).ok()?;
+            let switches = status
+                .lines()
+                .find_map(|line| line.strip_prefix("voluntary_ctxt_switches:"))?;
+            switches.trim().parse::<u64>().ok()
+        })
+        .sum()
+}
+
+/// An idle `sss serve` sleeps: after one ingest batch and one query, with
+/// both connections still open, all of its threads together make at most
+/// a few voluntary context switches in a second. A server that woke on a
+/// timer would make tens.
+#[cfg(target_os = "linux")]
+#[test]
+fn an_idle_server_sleeps() {
+    use std::time::Duration;
+    let (mut child, banner, ingest_addr, query_addr) = serve_child();
+    let mut ingest = IngestClient::connect(ingest_addr.as_str()).unwrap();
+    ingest.send_batch(&[1, 2, 3]).unwrap();
+    ingest.sync().unwrap();
+    let mut queries = QueryClient::connect(query_addr.as_str()).unwrap();
+    let answer = queries.request("{\"cmd\":\"distinct\"}").unwrap();
+    assert!(answer.contains("\"ok\":true"), "{answer}");
+    std::thread::sleep(Duration::from_millis(100));
+
+    let before = voluntary_switches(child.0.id());
+    std::thread::sleep(Duration::from_secs(1));
+    let woke = voluntary_switches(child.0.id()).saturating_sub(before);
+    assert!(woke <= 5, "an idle server switched {woke} times in 1 s");
+
+    queries.shutdown().unwrap();
+    banner.for_each(drop);
+    assert!(child.0.wait().unwrap().success());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
