@@ -21,17 +21,16 @@ use crate::multi::MultiSummary;
 use crate::sketch::JoinSketch;
 use crate::summary::Portable;
 use crate::wire;
-use sss_sketch::{CountSketchTopK, HyperLogLog, KllSketch, MisraGries};
-use sss_xi::{BucketFamily, Codec, SignFamily};
+use sss_sketch::{HyperLogLog, KllSketch, MisraGries};
 
 // Kind discriminant words folded into each fingerprint so that two
 // backends whose remaining configuration words collide (e.g. equal
-// depth/width) still fingerprint apart. 0x03 is retired, not reused, so
-// no fingerprint word changes meaning.
+// depth/width) still fingerprint apart. 0x03 and 0x05 (the retired
+// Count-Sketch top-k) are not reused, so no fingerprint word changes
+// meaning.
 pub(crate) const TAG_AGMS: u64 = 0x01;
 pub(crate) const TAG_FAGMS: u64 = 0x02;
 pub(crate) const TAG_MISRA_GRIES: u64 = 0x04;
-pub(crate) const TAG_CS_TOPK: u64 = 0x05;
 pub(crate) const TAG_HLL: u64 = 0x06;
 pub(crate) const TAG_KLL: u64 = 0x07;
 
@@ -69,26 +68,6 @@ impl Portable for MisraGries {
     }
 }
 
-impl<S, B> Portable for CountSketchTopK<S, B>
-where
-    S: SignFamily + Codec,
-    B: BucketFamily + Codec,
-{
-    const KIND: &'static str = "cs-topk";
-    const FORMAT: u32 = 2;
-
-    fn fingerprint(&self) -> u64 {
-        let schema = self.sketch().schema();
-        wire::fingerprint(&[
-            TAG_CS_TOPK,
-            schema.id(),
-            schema.depth() as u64,
-            schema.width() as u64,
-            self.capacity() as u64,
-        ])
-    }
-}
-
 /// HyperLogLog merges iff precision *and* hash seed agree (the module
 /// docs' schema identity), so both enter the fingerprint.
 impl Portable for HyperLogLog {
@@ -122,7 +101,7 @@ impl Portable for KllSketch {
 ///
 /// Format 4: format 3's parts in the binary layout (format 3 was JSON with
 /// a format-2 [`KllSketch`] body, format 2 carried a format-1 one, format 1
-/// a `CountSketchTopK` where the [`MisraGries`] body is). The head refuses
+/// a Count-Sketch top-k where the [`MisraGries`] body is). The head refuses
 /// an older snapshot before its body is read, and a body whose parts do not
 /// fingerprint to the head's value — a join sketch paired with another
 /// spec's candidates — is refused after.
@@ -148,7 +127,6 @@ mod tests {
     use crate::summary::Summary;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use sss_sketch::FagmsSchema;
 
     #[test]
     fn join_sketch_round_trips_through_the_wire() {
@@ -206,26 +184,17 @@ mod tests {
             KllSketch::decode(&bytes),
             Err(Error::WireMismatch { .. })
         ));
-        let tk: CountSketchTopK =
-            CountSketchTopK::new(&FagmsSchema::new(2, 16, &mut rng), 4).unwrap();
+        let join = JoinSchema::fagms(2, 16, &mut rng).sketch();
         assert!(matches!(
-            MisraGries::decode(&tk.encode().unwrap()),
+            MisraGries::decode(&join.encode().unwrap()),
             Err(Error::WireMismatch { .. })
         ));
     }
 
     #[test]
-    fn topk_summaries_round_trip_with_candidates() {
-        let mut rng = StdRng::seed_from_u64(15);
-        let schema: FagmsSchema = FagmsSchema::new(3, 128, &mut rng);
-        let mut tk: CountSketchTopK = CountSketchTopK::new(&schema, 8).unwrap();
+    fn misra_gries_round_trips_with_candidates() {
         let mut mg = MisraGries::new(8).unwrap();
-        let keys: Vec<u64> = (0..3_000u64).map(|i| i % 37).collect();
-        tk.offer_batch(&keys);
-        mg.offer_batch(&keys);
-        let tk2: CountSketchTopK = CountSketchTopK::decode(&tk.encode().unwrap()).unwrap();
-        assert_eq!(tk.raw_top_k(8), tk2.raw_top_k(8));
-        assert_eq!(tk.items_offered(), tk2.items_offered());
+        mg.offer_batch(&(0..3_000u64).map(|i| i % 37).collect::<Vec<_>>());
         let mg2 = MisraGries::decode(&mg.encode().unwrap()).unwrap();
         assert_eq!(mg.raw_top_k(8), mg2.raw_top_k(8));
         assert_eq!(mg.error_bound(), mg2.error_bound());

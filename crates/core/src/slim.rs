@@ -11,7 +11,7 @@
 //! | fat summary | slim form | kept state |
 //! |---|---|---|
 //! | [`JoinSketch`] (AGMS or F-AGMS) | [`SlimJoin`] | per-lane self-join basics + combined [`Estimate`] |
-//! | [`MisraGries`] / [`CountSketchTopK`] | [`SlimTopK`] | ranked candidate list + variance plug-in |
+//! | [`MisraGries`] | [`SlimTopK`] | ranked candidate list + variance plug-in |
 //! | [`HyperLogLog`] | itself | registers *are* the compact state (documented pass-through) |
 //! | [`KllSketch`] | itself | compactors *are* the compact state (documented pass-through) |
 //! | [`MultiSummary`] | [`SlimMultiSummary`] | all of the above: `slim()` projects the four at once; a replica frame ([`SlimQuery::frame`]) shares the merge and projects each family the first time it is asked |
@@ -30,9 +30,9 @@
 //!   typed error.
 //! * [`SlimTopK`] answers `top_k`/`frequency` for tracked candidates
 //!   exactly; frequencies of *untracked* keys report `0.0` (for
-//!   Misra–Gries that equals the fat answer; for Count-Sketch top-k the
-//!   fat summary can point-query any key — the slim one honestly
-//!   cannot).
+//!   Misra–Gries that equals the fat answer; inside a
+//!   [`SlimMultiSummary`] the fat composite can point-query any key — the
+//!   slim one honestly cannot).
 //!
 //! **Slim states do not merge.** `(a+b)² ≠ a² + b²`: a lane aggregate of
 //! a union cannot be recovered from the unions' lane aggregates. The
@@ -44,8 +44,8 @@ use crate::error::{Error, Result};
 use crate::multi::MultiSummary;
 use crate::sketch::JoinSketch;
 use crate::summary::{DistinctQuery, JoinQuery, Portable, QuantileQuery, SlimQuery, TopKQuery};
-use sss_sketch::{CountSketchTopK, Estimate, HyperLogLog, KllSketch, MisraGries};
-use sss_xi::{BucketFamily, Codec, CodecError, Reader, SignFamily, Writer};
+use sss_sketch::{Estimate, HyperLogLog, KllSketch, MisraGries};
+use sss_xi::{Codec, CodecError, Reader, Writer};
 use std::sync::{Arc, OnceLock};
 
 /// The slim join stage: the fat sketch's typed self-join estimate — value,
@@ -424,25 +424,6 @@ impl SlimQuery for MisraGries {
     }
 }
 
-/// Projects the ranked candidate list re-scored from the sketch at
-/// projection time; untracked keys honestly report 0 (the fat form can
-/// point-query them, the slim one cannot — documented pass-through gap).
-impl<S, B> SlimQuery for CountSketchTopK<S, B>
-where
-    S: SignFamily + Send + Sync + 'static + Codec,
-    B: BucketFamily + Send + Sync + 'static + Codec,
-{
-    type Slim = SlimTopK;
-
-    fn slim(&self) -> SlimTopK {
-        SlimTopK::project(
-            Portable::fingerprint(self),
-            TopKQuery::top_k(self, self.capacity()),
-            TopKQuery::frequency_variance(self),
-        )
-    }
-}
-
 /// Documented pass-through: the register array is already the minimal
 /// query state, so the slim form *is* the summary.
 impl SlimQuery for HyperLogLog {
@@ -512,7 +493,6 @@ mod tests {
     use crate::summary::Summary;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use sss_sketch::FagmsSchema;
 
     fn fed_join_sketch(seed: u64) -> JoinSketch {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -555,9 +535,7 @@ mod tests {
 
     #[test]
     fn slim_topk_matches_fat_answers() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let schema: FagmsSchema = FagmsSchema::new(4, 256, &mut rng);
-        let mut fat = CountSketchTopK::new(&schema, 16).unwrap();
+        let mut fat = MisraGries::new(16).unwrap();
         let keys: Vec<u64> = (0..5_000u64).map(|i| (i * i) % 61).collect();
         Summary::update_batch(&mut fat, &keys);
         let slim = fat.slim();

@@ -14,7 +14,8 @@
 //!   size-of-join), served by [`JoinSketch`] — the one join summary, over
 //!   AGMS or F-AGMS.
 //! * [`TopKQuery`] adds heavy-hitter point and top-k queries, served by
-//!   [`MisraGries`] and [`CountSketchTopK`].
+//!   [`MisraGries`] and by [`crate::MultiSummary`], whose Misra–Gries
+//!   candidates its join sketch prices.
 //! * [`DistinctQuery`] adds distinct-count (F₀) queries, served by
 //!   [`HyperLogLog`].
 //! * [`QuantileQuery`] adds rank/quantile queries, served by
@@ -94,6 +95,20 @@
 //! ```compile_fail
 //! fn summary<S: sss_core::Summary>() {}
 //! summary::<sss_sketch::FagmsSketch>(); // removed: wrap it in sss_core::JoinSketch
+//! ```
+//!
+//! The Count-Sketch top-k is a [`Summary`] and nothing more: it keeps the
+//! write path the benchmark ledger's `sketch.topk_update` row replays, and
+//! neither answers nor travels.
+//!
+//! ```compile_fail
+//! fn top_k<S: sss_core::TopKQuery>() {}
+//! top_k::<sss_sketch::CountSketchTopK>(); // removed: `sss topk` answers through MultiSummary
+//! ```
+//!
+//! ```compile_fail
+//! fn portable<S: sss_core::Portable>() {}
+//! portable::<sss_sketch::CountSketchTopK>(); // removed: the "cs-topk" kind
 //! ```
 //!
 //! A summary implements whichever capabilities it can actually answer;
@@ -271,13 +286,11 @@ pub trait TopKQuery {
     /// heaviest first (ties broken toward the smaller key).
     ///
     /// **At most** `k`: the answer is as long as the summary has tracked
-    /// keys to rank. A candidate set kept full by admission
-    /// (`CountSketchTopK`) fills `k` on any stream with `k` distinct keys;
-    /// a counter summary ([`crate::MultiSummary`]'s Misra–Gries front)
-    /// holds only keys that stand out — after a compaction nothing near or
-    /// below `n/(capacity+1)` — so on a flat stream its answer is short,
-    /// down to empty. [`frequency`](TopKQuery::frequency) answers for any
-    /// key either way.
+    /// keys to rank. A counter summary ([`crate::MultiSummary`]'s
+    /// Misra–Gries front) holds only keys that stand out — after a
+    /// compaction nothing near or below `n/(capacity+1)` — so on a flat
+    /// stream its answer is short, down to empty.
+    /// [`frequency`](TopKQuery::frequency) answers for any key either way.
     fn top_k(&self, k: usize) -> Vec<(u64, f64)>;
 
     /// The estimation variance of [`frequency`](TopKQuery::frequency)
@@ -608,24 +621,6 @@ where
 
     fn merge_from(&mut self, other: &Self) -> Result<()> {
         Ok(self.merge(other)?)
-    }
-}
-
-impl<S, B> TopKQuery for CountSketchTopK<S, B>
-where
-    S: SignFamily + Send + Sync + 'static,
-    B: BucketFamily + Send + Sync + 'static,
-{
-    fn frequency(&self, key: u64) -> f64 {
-        self.raw_estimate(key)
-    }
-
-    fn top_k(&self, k: usize) -> Vec<(u64, f64)> {
-        self.raw_top_k(k)
-    }
-
-    fn frequency_variance(&self) -> f64 {
-        self.raw_estimate_variance()
     }
 }
 

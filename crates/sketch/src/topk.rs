@@ -1,10 +1,5 @@
 //! Mergeable heavy-hitter (top-k) summaries.
 //!
-//! Two classic structures with the same inherent methods (`offer`,
-//! `offer_batch`, `merge`, `raw_estimate`, `raw_top_k`, …). `sss-core`
-//! implements its `Summary` and `TopKQuery` traits over them, which is the
-//! one interface they share:
-//!
 //! * [`MisraGries`] — the deterministic counter summary of Misra & Gries
 //!   (the SpaceSaving family). With `capacity` counters over a stream of
 //!   `n` tuples, every reported count undershoots the true frequency by at
@@ -15,29 +10,29 @@
 //!   merged error bounds add. The same step is how the summary absorbs its
 //!   own stream, one deduplicated chunk at a time (see its docs). This is
 //!   the candidate front of `sss-core`'s `MultiSummary`, which prices the
-//!   candidates with its join sketch.
+//!   candidates with its join sketch; `sss-core` implements its `Summary`
+//!   and `TopKQuery` traits over it.
 //! * [`CountSketchTopK`] — Charikar–Chen–Farach-Colton top-k over an
-//!   [`FagmsSketch`] (Count-Sketch): the sketch answers
-//!   [`point_query`](FagmsSketch::point_query) for *any* key with additive
-//!   error `≈ √(F₂/width)`, and a bounded candidate set tracks the keys
-//!   whose running estimates are largest. Memory is `O(capacity + depth ×
-//!   width)` — no per-domain state, unlike the dictionary pass the sketch
-//!   alone would need to enumerate keys. The stand-alone tracker: it
-//!   brings its own sketch and decides once per tuple.
+//!   [`FagmsSketch`] (Count-Sketch): a bounded candidate set admits a key
+//!   when its running point estimate beats the weakest candidate. No
+//!   answer reads it any more — every served top-k is the composite's —
+//!   and it keeps only its write path ([`offer`](CountSketchTopK::offer),
+//!   [`offer_batch`](CountSketchTopK::offer_batch),
+//!   [`merge`](CountSketchTopK::merge)), the work the benchmark ledger's
+//!   `sketch.topk_update` replay row times.
 //!
-//! Both summaries report **raw** (sample-universe) estimates; the
+//! Misra–Gries reports **raw** (sample-universe) estimates; the
 //! `1/p`-unbiasing for Bernoulli-sampled streams lives one layer up in
 //! `sss-core::Sampled`, next to the paper's Prop. 13/14 corrections
 //! for the join estimators.
 //!
-//! Top-k answers are a *pure function* of the summary state and its
-//! candidate set: [`MisraGries::raw_top_k`] re-scores every candidate at
-//! query time and sorts with the same descending-estimate /
-//! ascending-key tie-break as [`FagmsSketch::top_k`]. That is what makes
-//! shard-merged answers reproducible — whenever the merged candidate sets
-//! and counters match the sequential ones (always, when `capacity` covers
-//! the distinct keys), the merged top-k is bit-identical to the
-//! sequential top-k.
+//! Top-k answers are a *pure function* of the summary state:
+//! [`MisraGries::raw_top_k`] re-scores every candidate at query time and
+//! sorts with the same descending-estimate / ascending-key tie-break as
+//! [`FagmsSketch::top_k`]. That is what makes shard-merged answers
+//! reproducible — whenever the merged candidate sets and counters match
+//! the sequential ones (always, when `capacity` covers the distinct keys),
+//! the merged top-k is bit-identical to the sequential top-k.
 
 use crate::error::{Error, Result};
 use crate::fagms::{FagmsSchema, FagmsSketch, RowCells};
@@ -580,18 +575,13 @@ impl MisraGries {
 }
 
 /// Count-Sketch-backed top-k: an [`FagmsSketch`] plus a bounded candidate
-/// set (Charikar et al.'s heavy-hitter algorithm).
+/// set (Charikar et al.'s heavy-hitter algorithm), kept as a write path
+/// only (see the module docs).
 ///
 /// Every offer updates the sketch; the candidate set admits a new key when
 /// its [`point_query`](FagmsSketch::point_query) estimate beats the
-/// current weakest candidate, which is then evicted. Candidate membership
-/// is a stream-order heuristic, but the *answer* is not: `raw_top_k`
-/// re-scores all candidates from the sketch at query time, so the result
-/// is a pure function of (sketch state, candidate set).
-///
-/// Unlike [`MisraGries`] this summary is turnstile-capable in its
-/// estimates (the sketch handles negative counts), but eviction decisions
-/// only happen on positive offers.
+/// current weakest candidate, which is then evicted. A non-positive offer
+/// reaches the sketch only.
 #[derive(Debug)]
 pub struct CountSketchTopK<S = DefaultSign, B = DefaultBucket> {
     sketch: FagmsSketch<S, B>,
@@ -610,11 +600,19 @@ pub struct CountSketchTopK<S = DefaultSign, B = DefaultBucket> {
 }
 
 /// What [`CountSketchTopK`]'s `offer_batch` reuses from call to call.
-#[derive(Debug, Default)]
+#[derive(Default)]
 struct Scratch {
     runs: KeyRuns,
     cells: RowCells,
     per_row: Vec<f64>,
+}
+
+/// Not state, so `Debug` shows none of it: two trackers that passed
+/// through the same states print alike, whichever path fed them.
+impl std::fmt::Debug for Scratch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("Scratch")
+    }
 }
 
 // Manual impl, like the sketch's: the families sit behind the schema's
@@ -632,53 +630,6 @@ impl<S, B> Clone for CountSketchTopK<S, B> {
             offered: self.offered,
             scratch: Scratch::default(),
         }
-    }
-}
-
-// Persistence: the backing sketch plus the candidate set as parallel
-// key/estimate columns in ascending key order. The lazy min-cache is
-// deliberately *not* written: decode marks it dirty and the next admission
-// test rebuilds it, so a decoded summary behaves identically to the
-// in-memory original.
-impl<S: Codec, B: Codec> Codec for CountSketchTopK<S, B> {
-    fn put(&self, w: &mut Writer) {
-        let mut entries: Vec<(u64, f64)> = self.candidates.iter().map(|(&k, &e)| (k, e)).collect();
-        entries.sort_unstable_by_key(|&(k, _)| k);
-        let (keys, estimates): (Vec<u64>, Vec<f64>) = entries.into_iter().unzip();
-        self.sketch.put(w);
-        w.usize(self.capacity);
-        w.u64(self.offered);
-        w.u64s(&keys);
-        w.f64s(&estimates);
-    }
-
-    fn take(r: &mut Reader<'_>) -> std::result::Result<Self, CodecError> {
-        let sketch = FagmsSketch::take(r)?;
-        let capacity = r.usize()?;
-        if capacity == 0 {
-            return Err(CodecError::Invalid("top-k capacity must be non-zero"));
-        }
-        let offered = r.u64()?;
-        let keys = r.u64s()?;
-        let estimates = r.f64s()?;
-        if keys.len() != estimates.len() || keys.len() > capacity {
-            return Err(CodecError::Invalid(
-                "top-k holds matching key/estimate columns within capacity",
-            ));
-        }
-        // Reserved for what arrived, not for the claimed capacity.
-        let mut candidates = KeyHashMap::with_capacity_and_hasher(keys.len(), Default::default());
-        candidates.extend(keys.into_iter().zip(estimates));
-        Ok(Self {
-            sketch,
-            candidates,
-            capacity,
-            min_key: 0,
-            min_est: f64::INFINITY,
-            min_dirty: true,
-            offered,
-            scratch: Scratch::default(),
-        })
     }
 }
 
@@ -703,16 +654,6 @@ impl<S: SignFamily, B: BucketFamily> CountSketchTopK<S, B> {
             offered: 0,
             scratch: Scratch::default(),
         })
-    }
-
-    /// The configured candidate budget.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// The underlying Count-Sketch (point queries for arbitrary keys).
-    pub fn sketch(&self) -> &FagmsSketch<S, B> {
-        &self.sketch
     }
 
     /// Recompute the weakest candidate: smallest estimate, ties broken
@@ -750,11 +691,10 @@ impl<S: SignFamily, B: BucketFamily> CountSketchTopK<S, B> {
     }
 
     /// Record `count` occurrences of `key`. A non-positive count reaches
-    /// the sketch only: candidates are re-scored at query time.
+    /// the sketch only.
     pub fn offer(&mut self, key: u64, count: i64) {
         if count <= 0 {
-            // The sketch absorbs the deletion; candidates are re-scored
-            // at query time, so no bookkeeping is needed here.
+            // The sketch absorbs the deletion; no candidate bookkeeping.
             self.sketch.update(key, count);
             return;
         }
@@ -820,8 +760,7 @@ impl<S: SignFamily, B: BucketFamily> CountSketchTopK<S, B> {
 
     /// Sketch counters add entry-wise (linearity); candidate sets union,
     /// are re-scored against the *merged* sketch, and the strongest
-    /// `capacity` survive. When `capacity` covers the union the merged
-    /// summary answers bit-identically to the sequential one.
+    /// `capacity` survive.
     ///
     /// # Errors
     ///
@@ -848,40 +787,6 @@ impl<S: SignFamily, B: BucketFamily> CountSketchTopK<S, B> {
         self.offered += other.offered;
         self.min_dirty = true;
         Ok(())
-    }
-
-    /// Estimated frequency of `key` in the offered stream: the sketch's
-    /// point query, for any key.
-    pub fn raw_estimate(&self, key: u64) -> f64 {
-        self.sketch.point_query(key)
-    }
-
-    /// Analytic plug-in for the point-query variance: a single row's
-    /// bucket collides with frequency mass of variance `F₂/width`, with
-    /// `F₂` read from the sketch itself (clamped at 0 — the F₂ estimate is
-    /// noisy); the median over rows only concentrates further, so this is
-    /// conservative.
-    pub fn raw_estimate_variance(&self) -> f64 {
-        self.sketch.self_join().max(0.0) / self.sketch.schema().width() as f64
-    }
-
-    /// The keys currently tracked, at most `capacity`: the candidate set a
-    /// top-k query is answered from.
-    pub fn candidates(&self) -> Vec<u64> {
-        self.candidates.keys().copied().collect()
-    }
-
-    /// The estimated `k` most frequent keys: every candidate re-scored by
-    /// [`raw_estimate`](Self::raw_estimate), in the crate's [`ranked`]
-    /// order.
-    pub fn raw_top_k(&self, k: usize) -> Vec<(u64, f64)> {
-        let scored = self.candidates().into_iter();
-        ranked(scored.map(|key| (key, self.raw_estimate(key))).collect(), k)
-    }
-
-    /// Total positive weight offered so far.
-    pub fn items_offered(&self) -> u64 {
-        self.offered
     }
 }
 
@@ -1043,31 +948,9 @@ mod tests {
         assert_eq!(a.merge(&b).unwrap_err(), Error::SchemaMismatch);
     }
 
-    #[test]
-    fn count_sketch_topk_recovers_the_skewed_head() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let schema: FagmsSchema = FagmsSchema::new(5, 512, &mut rng);
-        let mut tk = CountSketchTopK::new(&schema, 8).unwrap();
-        tk.offer_batch(&skewed_stream());
-        let top = tk.raw_top_k(3);
-        assert_eq!(
-            top.iter().map(|&(k, _)| k).collect::<Vec<_>>(),
-            vec![0, 1, 2],
-            "head keys in rank order: {top:?}"
-        );
-        // Estimates are close to the truth at this width (error scale
-        // √(F₂/width) ≈ 25 ≪ the head frequencies).
-        for (rank, &(_, est)) in top.iter().enumerate() {
-            let truth = (1u64 << (9 - rank)) as f64;
-            assert!(
-                (est - truth).abs() <= 4.0 * tk.raw_estimate_variance().sqrt(),
-                "rank {rank}: {est} vs {truth} (variance {})",
-                tk.raw_estimate_variance()
-            );
-        }
-        assert!(tk.raw_estimate_variance() > 0.0);
-    }
-
+    /// The sketches add and the candidate sets union: at full capacity a
+    /// merge of two halves holds the sequential summary's counters and
+    /// candidate keys.
     #[test]
     fn count_sketch_topk_merge_matches_sequential_at_full_capacity() {
         let mut rng = StdRng::seed_from_u64(9);
@@ -1084,13 +967,17 @@ mod tests {
         let mut seq = CountSketchTopK::new(&schema, 16).unwrap();
         seq.offer_batch(&stream);
 
-        let merged_top = left.raw_top_k(10);
-        let seq_top = seq.raw_top_k(10);
-        assert_eq!(merged_top.len(), seq_top.len());
-        for (m, s) in merged_top.iter().zip(&seq_top) {
-            assert_eq!(m.0, s.0);
-            assert_eq!(m.1.to_bits(), s.1.to_bits(), "key {}", m.0);
+        for r in 0..5 {
+            assert_eq!(left.sketch.row(r), seq.sketch.row(r), "row {r}");
         }
+        let keys = |tk: &CountSketchTopK| {
+            let mut keys: Vec<u64> = tk.candidates.keys().copied().collect();
+            keys.sort_unstable();
+            keys
+        };
+        assert_eq!(keys(&left), keys(&seq));
+        assert_eq!(keys(&seq), (0..10).collect::<Vec<u64>>());
+        assert_eq!(left.offered, seq.offered);
     }
 
     #[test]
@@ -1114,7 +1001,7 @@ mod tests {
         // 1000 distinct keys, one occurrence each.
         let keys: Vec<u64> = (0..1000u64).collect();
         tk.offer_batch(&keys);
-        assert!(tk.candidates().len() <= 8);
+        assert!(tk.candidates.len() <= 8);
         let mut mg = MisraGries::new(8).unwrap();
         mg.offer_batch(&keys);
         assert!(mg.candidates().len() <= 8);

@@ -1795,14 +1795,12 @@ mod tests {
 
     /// The runtime hosts heavy-hitter summaries too (any
     /// [`Summary`], not only join estimators): with candidate
-    /// capacity ≥ distinct keys the sharded merge is bit-identical to the
-    /// sequential summary — same top-k keys, same raw estimates.
+    /// capacity ≥ distinct keys the sharded merge is identical to the
+    /// sequential summary — same top-k keys, same counts, same weight.
     #[test]
     fn hosts_heavy_hitter_summaries() {
-        use sss_sketch::{CountSketchTopK, FagmsSchema};
-        let mut rng = StdRng::seed_from_u64(22);
-        let schema: FagmsSchema = FagmsSchema::new(3, 256, &mut rng);
-        let proto = CountSketchTopK::new(&schema, 64).unwrap();
+        use sss_sketch::MisraGries;
+        let proto = MisraGries::new(64).unwrap();
         let s: Vec<u64> = (0..40_000u64).map(|i| (i * 2654435761) % 60).collect();
         let config = RuntimeConfig {
             shards: 4,
@@ -1817,10 +1815,11 @@ mod tests {
         // sequential summary exactly.
         let mid = rt.merged().unwrap();
         let merged = rt.into_merged().unwrap();
-        let mut seq = CountSketchTopK::new(&schema, 64).unwrap();
+        let mut seq = MisraGries::new(64).unwrap();
         seq.offer_batch(&s);
         assert_eq!(mid.raw_top_k(10), seq.raw_top_k(10));
         assert_eq!(merged.raw_top_k(10), seq.raw_top_k(10));
+        assert_eq!(merged.items_offered(), seq.items_offered());
     }
 
     /// A join sketch that panics on `u64::MAX`.

@@ -7,7 +7,7 @@
 //! ```text
 //! sss selfjoin <file> [--p=0.1] [--depth=3] [--width=5000] [--seed=1] [--exact] [--confidence=0.95]
 //! sss join <file_f> <file_g> [--p=0.1] [--q=0.1] [--depth=3] [--width=5000] [--seed=1] [--exact] [--confidence=0.95]
-//! sss topk <file> [--k=10] [--p=0.1] [--capacity=4k] [--depth=5] [--width=2048] [--seed=1] [--exact] [--confidence=0.95]
+//! sss topk <file> [--k=10] [--p=0.1] [--capacity=4k] [--depth=3] [--width=5000] [--seed=1] [--exact] [--confidence=0.95]
 //! sss distinct <file> [--p=0.1] [--precision=12] [--seed=1] [--exact] [--confidence=0.95]
 //! sss quantiles <file> [--p=0.1] [--k=200] [--at=0.5] [--seed=1] [--exact]
 //! sss multi <file> [--k=10] [--p=0.1] [--depth=3] [--width=5000] [--seed=1] [--exact] [--confidence=0.95]
@@ -18,10 +18,13 @@
 //! sss bench-client <host:port> [--connections=4] [--tuples=100000] [--check] [--shutdown]
 //! ```
 //!
-//! `topk` reports the `k` heaviest keys from a Count-Sketch heavy-hitter
-//! summary over the (optionally Bernoulli-sampled) stream, each with its
-//! `1/p`-corrected full-stream frequency estimate; memory stays
-//! O(capacity + depth·width) regardless of the file size.
+//! `topk` reports the `k` heaviest keys of the (optionally
+//! Bernoulli-sampled) stream, each with its `1/p`-corrected full-stream
+//! frequency estimate. It answers through the composite `multi` and `serve`
+//! answer through, with `--capacity` Misra–Gries candidates priced by the
+//! F-AGMS join sketch, so at `--capacity=256` its lines are `multi`'s top-k
+//! lines; memory stays O(capacity + depth·width) regardless of the file
+//! size.
 //!
 //! `distinct` estimates the number of distinct keys with a HyperLogLog
 //! (`2^precision` bytes), `quantiles` reports the median/p95/p99 (or a
@@ -69,7 +72,7 @@ use sketch_sampled_streams::core::{
 };
 use sketch_sampled_streams::exact::ExactAggregator;
 use sketch_sampled_streams::net::{self, QueryClient, RunningServer, ServerConfig};
-use sketch_sampled_streams::sketch::{CountSketchTopK, FagmsSchema, HyperLogLog, KllSketch};
+use sketch_sampled_streams::sketch::{HyperLogLog, KllSketch};
 use sketch_sampled_streams::stream::runtime::RuntimeConfig;
 use sketch_sampled_streams::stream::Partition;
 use sketch_sampled_streams::{Error, Result};
@@ -154,7 +157,7 @@ fn exact_join(f: &[u64], g: &[u64]) -> f64 {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  sss selfjoin <file> [--p=1.0] [--depth=3] [--width=5000] [--seed=1] [--exact] [--confidence=0.95]\n  sss join <file_f> <file_g> [--p=1.0] [--q=1.0] [--depth=3] [--width=5000] [--seed=1] [--exact] [--confidence=0.95]\n  sss topk <file> [--k=10] [--p=1.0] [--capacity=4k] [--depth=5] [--width=2048] [--seed=1] [--exact] [--confidence=0.95]\n  sss distinct <file> [--p=1.0] [--precision=12] [--seed=1] [--exact] [--confidence=0.95]\n  sss quantiles <file> [--p=1.0] [--k=200] [--at=0.5] [--seed=1] [--exact]\n  sss multi <file> [--k=10] [--p=1.0] [--depth=3] [--width=5000] [--seed=1] [--exact] [--confidence=0.95]\n  sss save <file> <out.sss> [--kind=join|multi] [--depth=3] [--width=5000] [--seed=1]\n  sss load <snapshot.sss> [--confidence=0.95]\n  sss merge-snapshots <in1.sss> <in2.sss> [more...] [--out=merged.sss] [--confidence=0.95]\n  sss serve [--ingest=127.0.0.1:0] [--query=127.0.0.1:0] [--shards=2] [--queue-depth=64] [--partition=rr|hash] [--depth=3] [--width=5000] [--seed=1] [--max-pending=0] [--snapshot=final.sss]\n  sss bench-client <host:port> [--connections=1] [--tuples=100000] [--batch=512] [--domain=10000] [--seed=7] [--query-addr=host:port] [--check] [--shutdown]"
+        "usage:\n  sss selfjoin <file> [--p=1.0] [--depth=3] [--width=5000] [--seed=1] [--exact] [--confidence=0.95]\n  sss join <file_f> <file_g> [--p=1.0] [--q=1.0] [--depth=3] [--width=5000] [--seed=1] [--exact] [--confidence=0.95]\n  sss topk <file> [--k=10] [--p=1.0] [--capacity=4k] [--depth=3] [--width=5000] [--seed=1] [--exact] [--confidence=0.95]\n  sss distinct <file> [--p=1.0] [--precision=12] [--seed=1] [--exact] [--confidence=0.95]\n  sss quantiles <file> [--p=1.0] [--k=200] [--at=0.5] [--seed=1] [--exact]\n  sss multi <file> [--k=10] [--p=1.0] [--depth=3] [--width=5000] [--seed=1] [--exact] [--confidence=0.95]\n  sss save <file> <out.sss> [--kind=join|multi] [--depth=3] [--width=5000] [--seed=1]\n  sss load <snapshot.sss> [--confidence=0.95]\n  sss merge-snapshots <in1.sss> <in2.sss> [more...] [--out=merged.sss] [--confidence=0.95]\n  sss serve [--ingest=127.0.0.1:0] [--query=127.0.0.1:0] [--shards=2] [--queue-depth=64] [--partition=rr|hash] [--depth=3] [--width=5000] [--seed=1] [--max-pending=0] [--snapshot=final.sss]\n  sss bench-client <host:port> [--connections=1] [--tuples=100000] [--batch=512] [--domain=10000] [--seed=7] [--query-addr=host:port] [--check] [--shutdown]"
     );
     ExitCode::from(2)
 }
@@ -249,18 +252,20 @@ fn run_join(
     Ok(())
 }
 
-fn run_topk(args: &[String], p: f64, seed: u64, confidence: Option<f64>) -> Result<()> {
+fn run_topk(
+    args: &[String],
+    schema: &JoinSchema,
+    p: f64,
+    confidence: Option<f64>,
+    rng: &mut StdRng,
+) -> Result<()> {
     let path = &args[1];
     let keys = read_keys(path)?;
     let k: usize = arg_value(args, "k", 10);
-    // The top-k summary has its own sketch geometry: point queries want
-    // more rows (median) and fewer buckets than the join estimators.
-    let depth: usize = arg_value(args, "depth", 5);
-    let width: usize = arg_value(args, "width", 2048);
     let capacity: usize = arg_value(args, "capacity", (4 * k).max(64));
-    let mut rng = StdRng::seed_from_u64(seed);
-    let schema: FagmsSchema = FagmsSchema::new(depth, width, &mut rng);
-    let mut tracker = Sampled::new(CountSketchTopK::new(&schema, capacity)?, p, &mut rng)?;
+    let mut tracker = MultiSpec::new(schema.clone(), rng)
+        .top_k(capacity)
+        .sampled(p, rng)?;
     tracker.feed_batch(&keys);
     out!("tuples     {}", keys.len());
     out!("sketched   {}", tracker.kept());
@@ -356,15 +361,17 @@ fn run_quantiles(args: &[String], p: f64, seed: u64) -> Result<()> {
     Ok(())
 }
 
-fn run_multi(args: &[String], p: f64, seed: u64, confidence: Option<f64>) -> Result<()> {
+fn run_multi(
+    args: &[String],
+    schema: &JoinSchema,
+    p: f64,
+    confidence: Option<f64>,
+    rng: &mut StdRng,
+) -> Result<()> {
     let path = &args[1];
     let keys = read_keys(path)?;
     let k: usize = arg_value(args, "k", 10);
-    let depth: usize = arg_value(args, "depth", 3);
-    let width: usize = arg_value(args, "width", 5000);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let spec = MultiSpec::new(JoinSchema::fagms(depth, width, &mut rng), &mut rng);
-    let mut s = spec.sampled(p, &mut rng)?;
+    let mut s = MultiSpec::new(schema.clone(), rng).sampled(p, rng)?;
     // The one pass: every query below is answered from this single
     // Bernoulli-sampled ingestion.
     s.feed_batch(&keys);
@@ -722,10 +729,10 @@ fn main() -> ExitCode {
     let result = match cmd.as_str() {
         "selfjoin" if args.len() >= 2 => run_selfjoin(&args, &schema, p, confidence, &mut rng),
         "join" if args.len() >= 3 => run_join(&args, &schema, p, confidence, &mut rng),
-        "topk" if args.len() >= 2 => run_topk(&args, p, seed, confidence),
+        "topk" if args.len() >= 2 => run_topk(&args, &schema, p, confidence, &mut rng),
         "distinct" if args.len() >= 2 => run_distinct(&args, p, seed, confidence),
         "quantiles" if args.len() >= 2 => run_quantiles(&args, p, seed),
-        "multi" if args.len() >= 2 => run_multi(&args, p, seed, confidence),
+        "multi" if args.len() >= 2 => run_multi(&args, &schema, p, confidence, &mut rng),
         "save" if args.len() >= 3 && !args[2].starts_with("--") => {
             match flag::<String>(&args, "kind").as_deref() {
                 None | Some("join") => run_save(&args, schema.sketch()),

@@ -38,7 +38,8 @@ fn clone_send_static<T: Clone + Send + 'static>() {}
 
 /// Every backend satisfies the base ingestion contract, and `Sampled<S>`
 /// preserves it (the sampling lens must ride the sharded runtime exactly
-/// like the summary it wraps).
+/// like the summary it wraps). `CountSketchTopK` is a summary and nothing
+/// else: the write path the ledger's `sketch.topk_update` row replays.
 #[test]
 fn every_backend_is_a_summary() {
     summary::<JoinSketch>();
@@ -48,7 +49,6 @@ fn every_backend_is_a_summary() {
     summary::<KllSketch>();
     summary::<MultiSummary>();
     summary::<Sampled<JoinSketch>>();
-    summary::<Sampled<CountSketchTopK>>();
     summary::<Sampled<HyperLogLog>>();
     summary::<Sampled<KllSketch>>();
     summary::<SampledMultiSummary>();
@@ -63,7 +63,6 @@ fn capabilities_land_on_the_right_backends() {
     join_query::<MultiSummary>();
 
     topk_query::<MisraGries>();
-    topk_query::<CountSketchTopK>();
     topk_query::<MultiSummary>();
 
     distinct_query::<HyperLogLog>();
@@ -113,14 +112,12 @@ fn capabilities_are_standalone_and_slim_replicas_hold_them() {
 fn fat_summaries_are_portable_and_project_slim() {
     slim_query::<JoinSketch>();
     slim_query::<MisraGries>();
-    slim_query::<CountSketchTopK>();
     slim_query::<HyperLogLog>();
     slim_query::<KllSketch>();
     slim_query::<MultiSummary>();
 
     portable::<JoinSketch>();
     portable::<MisraGries>();
-    portable::<CountSketchTopK>();
     portable::<HyperLogLog>();
     portable::<KllSketch>();
     portable::<MultiSummary>();

@@ -4,11 +4,12 @@
 //! skip-sampled `feed_batch` must reproduce `observe` exactly.
 //!
 //! The order-dependent summaries are held to the same bar by *state*, not
-//! by answers: the hash-once top-k batch path, the chunk-merging
-//! Misra–Gries batch path, the windowed KLL batch path and the
-//! `MultiSummary` fan-out that shares one deduplication between its parts
-//! must leave the bytes `encode()` writes equal to the per-key loop's,
-//! however the stream is cut into calls.
+//! by answers: the chunk-merging Misra–Gries batch path, the windowed KLL
+//! batch path and the `MultiSummary` fan-out that shares one deduplication
+//! between its parts must leave the bytes `encode()` writes equal to the
+//! per-key loop's, however the stream is cut into calls. The hash-once
+//! Count-Sketch top-k batch path, which writes no bytes, is held to its
+//! loop's state as `Debug` prints it.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -112,14 +113,15 @@ fn in_calls(keys: &[u64], cut: usize, mut call: impl FnMut(&[u64])) {
 }
 
 /// `offer_batch` (in arbitrary calls) against the per-key `offer` loop:
-/// same counters, same candidates with the same estimate bits, same
-/// `items_offered` — and, so that a stale min-cache would show, the same
-/// again after 100 further per-key offers on both sides.
+/// the same state — counters, candidates with the same estimate bits, the
+/// weakest-candidate cache, the offered weight — which `Debug` prints in
+/// full (the batch path's buffers, not state, print as a placeholder); and,
+/// so that a stale cache would show, the same again after 100 further
+/// per-key offers on both sides.
 fn check_topk_batch<S, B>(depth: usize, keys: &[u64], cut: usize, rng: &mut StdRng)
 where
-    S: SignFamily,
-    B: BucketFamily,
-    CountSketchTopK<S, B>: Portable,
+    S: SignFamily + std::fmt::Debug,
+    B: BucketFamily + std::fmt::Debug,
 {
     let schema = FagmsSchema::<S, B>::new(depth, 61, rng);
     // Far fewer candidate slots than distinct keys.
@@ -131,14 +133,10 @@ where
     in_calls(keys, cut, |call| batched.offer_batch(call));
     let tail = skewed(100, 500, rng);
     for round in 0..2 {
-        for r in 0..depth {
-            assert_eq!(scalar.sketch().row(r), batched.sketch().row(r), "row {r}");
-        }
-        assert_eq!(scalar.items_offered(), batched.items_offered());
         assert_eq!(
-            scalar.encode().unwrap(),
-            batched.encode().unwrap(),
-            "candidates or estimates diverged (round {round})"
+            format!("{scalar:?}"),
+            format!("{batched:?}"),
+            "state diverged (round {round})"
         );
         for &k in &tail {
             scalar.offer(k, 1);

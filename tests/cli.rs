@@ -1,6 +1,7 @@
 //! End-to-end tests of the `sss` command-line tool.
 
 use sketch_sampled_streams::core::wire::Head;
+use sketch_sampled_streams::datagen::ZipfGenerator;
 use std::io::Write;
 use std::process::Command;
 
@@ -222,6 +223,77 @@ fn topk_reports_heavy_keys_with_recall() {
         stdout.contains("recall     1.0000 (3/3 of the exact top-3)"),
         "stdout: {stdout}"
     );
+}
+
+/// `topk`'s and `multi`'s `top*` lines of one run each over `file`.
+fn top_lines(cmd: &str, file: &std::path::Path, flags: &[&str]) -> Vec<String> {
+    let out = sss().arg(cmd).arg(file).args(flags).output().unwrap();
+    assert!(
+        out.status.success(),
+        "{cmd} stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let lines = stdout.lines().filter(|l| l.starts_with("top"));
+    lines.map(str::to_string).collect()
+}
+
+/// A seeded Zipf key file, `tuples` long over 10⁵ keys.
+fn zipf_file(name: &str, skew: f64, tuples: usize) -> std::path::PathBuf {
+    use rand::SeedableRng;
+    let dir = std::env::temp_dir().join(name);
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("keys.txt");
+    let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+    write_keys(
+        &file,
+        ZipfGenerator::new(100_000, skew).relation(tuples, &mut rng),
+    );
+    file
+}
+
+/// `topk` answers through the composite `multi` answers through: at the
+/// composite's 256 candidates, the same `--p` and the same `--seed`, its
+/// ranked keys and estimates are `multi`'s, line for line.
+#[test]
+fn topk_at_the_composites_capacity_prints_multis_top_lines() {
+    let file = zipf_file("sss-cli-test-topk-is-multi", 1.1, 50_000);
+    for p in ["--p=1", "--p=0.1"] {
+        let topk = top_lines("topk", &file, &[p, "--seed=3", "--k=10", "--capacity=256"]);
+        let multi = top_lines("multi", &file, &[p, "--seed=3", "--k=10"]);
+        assert_eq!(topk.len(), 10, "{p}: {topk:?}");
+        assert_eq!(topk, multi, "{p}");
+    }
+}
+
+/// Top-10 recall of `sss topk --exact` on a seeded Zipf(0.8) file — the
+/// flattest skew, where the tenth and eleventh keys lie closest — summed
+/// over five seeds at p = 1 and p = 0.1. The floors are the Misra–Gries
+/// front's readings; the Count-Sketch tracker it replaced read 46 and 45.
+#[test]
+fn topk_recall_on_a_zipf_file_holds_at_full_and_tenth_rates() {
+    let file = zipf_file("sss-cli-test-topk-recall", 0.8, 200_000);
+    for (p, floor) in [("--p=1", 49), ("--p=0.1", 45)] {
+        let hits: usize = (1..=5)
+            .map(|seed| {
+                let seed = format!("--seed={seed}");
+                let out = sss()
+                    .arg("topk")
+                    .arg(&file)
+                    .args([p, &seed, "--exact"])
+                    .output()
+                    .unwrap();
+                let stdout = String::from_utf8_lossy(&out.stdout);
+                let recall = stdout.lines().find(|l| l.starts_with("recall")).unwrap();
+                let (hits, _) = recall.split_once('(').unwrap().1.split_once('/').unwrap();
+                hits.parse::<usize>().unwrap()
+            })
+            .sum();
+        assert!(
+            hits >= floor,
+            "{p}: {hits} of 50 top-10 keys, below {floor}"
+        );
+    }
 }
 
 /// A reader that closes the pipe after one line (`sss topk … | head -1`)
@@ -693,18 +765,18 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// The whole stdout of the three single-family commands at `--p=0.5
-/// --seed=7`, pinned as FNV-1a hashes. Each command draws its summary's
-/// seeds and then its sampler's from one seeded RNG, so a change to that
-/// order, to what the summary keeps or to what the command prints moves a
-/// hash.
+/// The whole stdout of the three single-family commands and of `multi` at
+/// `--p=0.5 --seed=7`, pinned as FNV-1a hashes. Each command draws its
+/// summary's seeds and then its sampler's from one seeded RNG, so a change
+/// to that order, to what the summary keeps or to what the command prints
+/// moves a hash.
 #[test]
 fn sampled_family_commands_keep_their_golden_stdout() {
     let dir = std::env::temp_dir().join("sss-cli-test-golden-stdout");
     std::fs::create_dir_all(&dir).unwrap();
     let file = dir.join("keys.txt");
     write_keys(&file, (0..40_000u64).map(|i| i * i % 4099));
-    let got: Vec<(&str, u64)> = ["topk", "distinct", "quantiles"]
+    let got: Vec<(&str, u64)> = ["topk", "distinct", "quantiles", "multi"]
         .into_iter()
         .map(|cmd| {
             let out = sss()
@@ -722,9 +794,10 @@ fn sampled_family_commands_keep_their_golden_stdout() {
     assert_eq!(
         got,
         [
-            ("topk", 0x22179f711aad4781),
+            ("topk", 0x522440d574218ce2),
             ("distinct", 0x6afbf4cf6671fa82),
             ("quantiles", 0x2e70026c2ccfcfc8),
+            ("multi", 0x1f4f097d1accfcb7),
         ],
         "{got:#x?}"
     );

@@ -24,9 +24,7 @@ use sketch_sampled_streams::core::{
     DistinctQuery, Error, JoinQuery, MultiSpec, MultiSummary, Portable, QuantileQuery, SlimJoin,
     SlimMultiSummary, SlimQuery, SlimTopK, Summary, TopKQuery,
 };
-use sketch_sampled_streams::sketch::{
-    AgmsSchema, CountSketchTopK, FagmsSchema, HyperLogLog, KllSketch, MisraGries,
-};
+use sketch_sampled_streams::sketch::{AgmsSchema, FagmsSchema, HyperLogLog, KllSketch, MisraGries};
 use sketch_sampled_streams::xi::{Codec, Reader, Writer};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -85,19 +83,6 @@ proptest! {
     #[test]
     fn misra_gries_wire_merge_is_bit_identical(a in stream(), b in stream()) {
         assert_wire_merge_matches_memory(|| MisraGries::new(16).unwrap(), &a, &b);
-    }
-
-    /// Count-Sketch top-k: both the sketch matrix and the candidate heap
-    /// travel; merge re-ranks candidates against the merged matrix.
-    #[test]
-    fn count_sketch_topk_wire_merge_is_bit_identical(a in stream(), b in stream()) {
-        let mut rng = StdRng::seed_from_u64(402);
-        let schema: FagmsSchema = FagmsSchema::new(3, 128, &mut rng);
-        assert_wire_merge_matches_memory(
-            || CountSketchTopK::new(&schema, 16).unwrap(),
-            &a,
-            &b,
-        );
     }
 
     /// HyperLogLog: register-wise max, bit-exact through the wire.
@@ -846,7 +831,6 @@ fn answer_everything(kind: &str, bytes: &[u8]) -> Result<(), Error> {
             join_answers(s);
         }),
         "misra-gries" => decode_and_answer::<MisraGries>(bytes, topk_answers),
-        "cs-topk" => decode_and_answer::<CountSketchTopK>(bytes, topk_answers),
         "hll" => decode_and_answer::<HyperLogLog>(bytes, distinct_answers),
         "kll" => decode_and_answer::<KllSketch>(bytes, quantile_answers),
         "multi" => decode_and_answer::<MultiSummary>(bytes, |s| {
@@ -891,9 +875,7 @@ fn honest_payloads() -> Vec<(&'static str, Vec<u8>)> {
         ),
         (
             "fagms",
-            fed(JoinSchema::Fagms(fagms.clone()).sketch())
-                .encode()
-                .unwrap(),
+            fed(JoinSchema::Fagms(fagms).sketch()).encode().unwrap(),
         ),
         (
             "join",
@@ -904,12 +886,6 @@ fn honest_payloads() -> Vec<(&'static str, Vec<u8>)> {
         (
             "misra-gries",
             fed(MisraGries::new(4).unwrap()).encode().unwrap(),
-        ),
-        (
-            "cs-topk",
-            fed(CountSketchTopK::new(&fagms, 4).unwrap())
-                .encode()
-                .unwrap(),
         ),
         (
             "hll",
@@ -1002,11 +978,6 @@ fn join_heads_must_match_their_bodies() {
 #[test]
 fn misra_gries_heads_must_match_their_bodies() {
     assert_head_must_match_the_body("misra-gries");
-}
-
-#[test]
-fn cs_topk_heads_must_match_their_bodies() {
-    assert_head_must_match_the_body("cs-topk");
 }
 
 #[test]

@@ -19,7 +19,7 @@ use sketch_sampled_streams::stream::{
     Partition, ReadReplica, RuntimeConfig, ShardedRuntime, StreamError,
 };
 use sketch_sampled_streams::xi::splitmix64;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
@@ -561,8 +561,12 @@ fn read_replicas_hold_the_same_projection_by_pointer() {
 /// `max_pending` 0 and 8: no replica's version goes back, replicas at one
 /// version hold one frame by address, and every version any of them saw
 /// cost exactly one rebuild of the merge and nothing else the cache counts.
+/// The owner pushes in four phases and, after each, waits until some
+/// replica has seen a version newer than the last phase's, so the replicas
+/// see at least five versions however the threads are scheduled.
 #[test]
 fn replicas_polling_under_ingest_share_one_frame_per_version() {
+    const PHASES: usize = 4;
     let keys: Vec<u64> = (0..60_000u64).map(|i| splitmix64(i) % 3000).collect();
     for max_pending in [0, 8] {
         let config = RuntimeConfig {
@@ -572,11 +576,13 @@ fn replicas_polling_under_ingest_share_one_frame_per_version() {
         };
         let mut rt = ShardedRuntime::new(config, &multi_spec(17).summary().unwrap()).unwrap();
         let done = Arc::new(AtomicBool::new(false));
+        let latest = Arc::new(AtomicU64::new(0));
         let barrier = Arc::new(Barrier::new(5));
         let readers: Vec<_> = (0..4)
             .map(|_| {
                 let handle = rt.query_handle();
-                let (done, barrier) = (Arc::clone(&done), Arc::clone(&barrier));
+                let (done, latest) = (Arc::clone(&done), Arc::clone(&latest));
+                let barrier = Arc::clone(&barrier);
                 std::thread::spawn(move || {
                     let mut replica = handle.read_replica(max_pending).unwrap();
                     let mut seen = vec![(replica.version(), replica.slim() as *const _ as usize)];
@@ -588,14 +594,27 @@ fn replicas_polling_under_ingest_share_one_frame_per_version() {
                         if now != *seen.last().unwrap() {
                             seen.push(now);
                         }
+                        latest.fetch_max(now.0, Ordering::AcqRel);
                     }
                     seen
                 })
             })
             .collect();
         barrier.wait();
-        for batch in keys.chunks(300) {
-            rt.push(batch).unwrap();
+        let mut last = latest.load(Ordering::Acquire);
+        for phase in keys.chunks(keys.len() / PHASES) {
+            for batch in phase.chunks(300) {
+                rt.push(batch).unwrap();
+            }
+            let deadline = Instant::now() + Duration::from_secs(60);
+            while latest.load(Ordering::Acquire) <= last {
+                assert!(
+                    Instant::now() < deadline,
+                    "no replica saw version {last} pass"
+                );
+                std::thread::yield_now();
+            }
+            last = latest.load(Ordering::Acquire);
         }
         done.store(true, Ordering::Release);
         let mut frames = std::collections::BTreeMap::new();

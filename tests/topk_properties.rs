@@ -1,18 +1,17 @@
 //! Properties and acceptance tests of the heavy-hitters layer.
 //!
-//! Three claims from the issue are pinned here end to end through the
-//! public facade:
+//! Three claims are pinned here end to end through the public facade:
 //!
 //! 1. **Merge identity** — a `ShardedRuntime` hosting per-shard top-k
-//!    summaries answers `raw_top_k` exactly like one sequential summary
-//!    fed the same stream, for every shard count, chunking and partition
-//!    policy. For `CountSketchTopK` the sketch merge is linear, so this
-//!    holds whenever the candidate capacity covers the distinct keys; the
-//!    same regime pins `MisraGries`, whose counters are exact until
-//!    capacity overflows.
+//!    summaries answers `top_k` exactly like one sequential summary fed
+//!    the same stream, for every shard count, chunking and partition
+//!    policy, whenever the candidate capacity covers the distinct keys:
+//!    `MisraGries`'s counters are exact until capacity overflows, and the
+//!    composite's join sketch that prices them merges linearly.
 //! 2. **Zipf acceptance** — top-50 recall ≥ 0.9 on a Zipf(1.2) stream
 //!    sampled at `p = 0.1`, the paper's headline sampled-sketch regime,
-//!    with memory `O(k + sketch)`.
+//!    through the composite every served top-k answer comes from, with
+//!    memory `O(k + sketch)`.
 //! 3. **Unbiasedness** — the `1/p` sampling correction makes the
 //!    frequency estimator unbiased: averaged over Monte-Carlo reruns of
 //!    the Bernoulli coin, estimates match the true count.
@@ -31,7 +30,7 @@ use sketch_sampled_streams::core::sketch::JoinSchema;
 use sketch_sampled_streams::core::{MultiSpec, MultiSummary, Sampled, Summary, TopKQuery};
 use sketch_sampled_streams::datagen::ZipfGenerator;
 use sketch_sampled_streams::exact::ExactAggregator;
-use sketch_sampled_streams::sketch::{CountSketchTopK, FagmsSchema, MisraGries};
+use sketch_sampled_streams::sketch::MisraGries;
 use sketch_sampled_streams::stream::{Partition, RuntimeConfig, ShardedRuntime};
 
 /// Streams over a bounded domain so a fixed summary capacity can cover
@@ -84,10 +83,11 @@ fn sharded<H: Summary>(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Count-Sketch top-k: shard-merged answers are bit-identical to
-    /// sequential whenever capacity covers the distinct keys.
+    /// The composite's top-k — Misra–Gries candidates priced by the join
+    /// sketch — is bit-identical shard-merged and sequential whenever
+    /// capacity covers the distinct keys.
     #[test]
-    fn sharded_count_sketch_topk_matches_sequential(
+    fn sharded_multi_summary_topk_matches_sequential(
         keys in stream(),
         shards in 1usize..6,
         chunk in 1usize..97,
@@ -95,15 +95,14 @@ proptest! {
         seed: u64,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let schema: FagmsSchema = FagmsSchema::new(3, 256, &mut rng);
-        let mut expect = CountSketchTopK::new(&schema, CAPACITY).unwrap();
-        expect.offer_batch(&keys);
+        let spec = MultiSpec::new(JoinSchema::fagms(3, 256, &mut rng), &mut rng).top_k(CAPACITY);
+        let mut expect = spec.summary().unwrap();
+        expect.update_batch(&keys);
 
-        let proto = CountSketchTopK::new(&schema, CAPACITY).unwrap();
-        let merged = sharded(&proto, &keys, shards, chunk, partition);
+        let merged = sharded(&spec.summary().unwrap(), &keys, shards, chunk, partition);
 
-        let want = expect.raw_top_k(10);
-        let got = merged.raw_top_k(10);
+        let want = expect.top_k(10);
+        let got = merged.top_k(10);
         prop_assert_eq!(want.len(), got.len());
         for ((wk, wv), (gk, gv)) in want.iter().zip(&got) {
             prop_assert_eq!(wk, gk);
@@ -191,9 +190,9 @@ proptest! {
     }
 }
 
-/// The issue's acceptance gate: Zipf(1.2), domain 100k, 2M tuples,
-/// sampled at p = 0.1 — the recovered top-50 must hit at least 90% of the
-/// exact top-50 while holding only O(k + sketch) state.
+/// The acceptance gate: Zipf(1.2), domain 100k, 2M tuples, sampled at
+/// p = 0.1 through the served composite — the recovered top-50 must hit at
+/// least 90% of the exact top-50 while holding only O(k + sketch) state.
 #[test]
 fn zipf_top50_recall_at_ten_percent_sample() {
     let mut rng = StdRng::seed_from_u64(42);
@@ -202,17 +201,21 @@ fn zipf_top50_recall_at_ten_percent_sample() {
     let exact = ExactAggregator::from_keys(stream.iter().copied());
     let true_top: HashSet<u64> = exact.top_k(k).into_iter().map(|(key, _)| key).collect();
 
-    let schema: FagmsSchema = FagmsSchema::new(5, 4096, &mut rng);
-    let tracker = CountSketchTopK::new(&schema, 4 * k).unwrap();
-    let mut tracker = Sampled::new(tracker, 0.1, &mut rng).unwrap();
+    let schema = JoinSchema::fagms(3, 5000, &mut rng);
+    let mut tracker = MultiSpec::new(schema.clone(), &mut rng)
+        .top_k(4 * k)
+        .sampled(0.1, &mut rng)
+        .unwrap();
     tracker.feed_batch(&stream);
 
-    // Memory gate: O(k + sketch) — the fixed sketch (5 × 4096 cells) plus
-    // at most the 4k-candidate set, independent of the 2M-tuple stream
-    // and the 100k-key domain.
-    let sketch = tracker.summary().sketch().schema();
-    assert_eq!(sketch.depth() * sketch.width(), 5 * 4096);
-    assert!(tracker.summary().candidates().len() <= 4 * k);
+    // Memory gate: O(k + sketch) — the fixed join rows (3 × 5000
+    // counters) plus at most 4k candidates, and never more than a chunk of
+    // counters beyond them, independent of the 2M-tuple stream and the
+    // 100k-key domain.
+    assert_eq!(schema.counters(), 3 * 5000);
+    let heavy = tracker.summary().heavy();
+    assert!(heavy.candidates().len() <= 4 * k);
+    assert!(heavy.held() <= 4 * k + MisraGries::CHUNK);
 
     let top = tracker.top_k(k);
     assert_eq!(top.len(), k);
@@ -232,7 +235,8 @@ fn zipf_top50_recall_at_ten_percent_sample() {
 }
 
 /// Monte-Carlo unbiasedness of the `1/p` correction: over independent
-/// Bernoulli coins the mean estimate converges on the true frequency.
+/// Bernoulli coins the mean estimate converges on the true frequency,
+/// for Misra–Gries alone and for the composite's sketch-priced answer.
 /// 200 reps at p = 0.25 put ≈ 0.4% relative 3σ noise on the mean of a
 /// 12800-count key; we allow 3%.
 #[test]
@@ -246,29 +250,28 @@ fn sampled_frequency_correction_is_unbiased() {
     let p = 0.25;
 
     let mut mg_sum = 0.0;
-    let mut cs_sum = 0.0;
+    let mut multi_sum = 0.0;
     for rep in 0..reps {
         let mut rng = StdRng::seed_from_u64(1000 + rep);
         let mut mg = Sampled::new(MisraGries::new(256).unwrap(), p, &mut rng).unwrap();
         mg.feed_batch(&stream);
         mg_sum += mg.point_estimate(7).value;
 
-        let schema: FagmsSchema = FagmsSchema::new(5, 1024, &mut rng);
-        let cs = CountSketchTopK::new(&schema, 64).unwrap();
-        let mut cs = Sampled::new(cs, p, &mut rng).unwrap();
-        cs.feed_batch(&stream);
-        cs_sum += cs.point_estimate(7).value;
+        let spec = MultiSpec::new(JoinSchema::fagms(5, 1024, &mut rng), &mut rng);
+        let mut multi = spec.top_k(64).sampled(p, &mut rng).unwrap();
+        multi.feed_batch(&stream);
+        multi_sum += multi.point_estimate(7).value;
     }
     let truth = truth as f64;
     let mg_mean = mg_sum / reps as f64;
-    let cs_mean = cs_sum / reps as f64;
+    let multi_mean = multi_sum / reps as f64;
     assert!(
         (mg_mean - truth).abs() / truth < 0.03,
         "Misra-Gries mean {mg_mean} vs true {truth}"
     );
     assert!(
-        (cs_mean - truth).abs() / truth < 0.03,
-        "Count-Sketch mean {cs_mean} vs true {truth}"
+        (multi_mean - truth).abs() / truth < 0.03,
+        "composite mean {multi_mean} vs true {truth}"
     );
 }
 
