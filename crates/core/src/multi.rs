@@ -67,6 +67,21 @@
 //! worker's coalescing cut the stream into calls
 //! (`tests/batch_properties.rs` pins it byte for byte).
 //!
+//! # Reads of a sum
+//!
+//! A sharded runtime's fresh answers come off its shards' parts without
+//! the merge (§VI-C: the merged join counters are the shards' sum): F₂
+//! from the summed join rows, F₀ from the HyperLogLog registers maxed,
+//! quantiles from the KLLs merged into scratch, top-k from the Misra–Gries
+//! parts merged into scratch and priced by the point query over the summed
+//! cells. The scratch merges start from the empty `zero` and take the
+//! parts in the fold's order, so every answer has the fold's bits
+//! ([`JoinQuery::self_join_estimate_of_sum`],
+//! [`DistinctQuery::distinct_estimate_of_sum`],
+//! [`QuantileQuery::quantile_with_bounds_of_sum`],
+//! [`TopKQuery::top_k_of_sum`]); only the join counters, the bulk of the
+//! state, are never copied.
+//!
 //! Construction goes through a [`MultiSpec`], which freezes the random
 //! seeds of the constituents: any two summaries minted from the same
 //! spec (or cloned from each other) are mergeable, which is exactly the
@@ -324,6 +339,45 @@ impl TopKQuery for MultiSummary {
     fn frequency_variance(&self) -> f64 {
         self.frequency_variance_at(self.join.raw_self_join())
     }
+
+    /// The Misra–Gries parts merged into a copy of `zero`'s in the fold's
+    /// order, so the candidates are the merge's; each priced by the point
+    /// query over the join sketches' summed cells
+    /// ([`JoinSketch::point_queries_of_sum`]), the variance from `f2` or
+    /// from the F₂ of their summed rows, which it leaves in `f2`.
+    fn top_k_of_sum(
+        zero: &Self,
+        parts: &[&Self],
+        k: usize,
+        f2: &mut Option<f64>,
+    ) -> Option<Vec<(u64, Estimate)>> {
+        Self::merging(zero, parts)?;
+        let mut heavy = zero.heavy.clone();
+        for part in parts {
+            heavy.merge(&part.heavy).ok()?;
+        }
+        let joins: Vec<&JoinSketch> = parts.iter().map(|part| &part.join).collect();
+        let keys = heavy.candidates();
+        let values = JoinSketch::point_queries_of_sum(&joins, &keys)?;
+        let f2 = match *f2 {
+            Some(f2) => f2,
+            None => *f2.insert(JoinQuery::self_join_estimate_of_sum(&joins)?.value),
+        };
+        let variance = zero.frequency_variance_at(f2);
+        let top = ranked(keys.into_iter().zip(values).collect(), k);
+        let priced = |(key, value)| {
+            let basics = Vec::new();
+            (
+                key,
+                Estimate {
+                    value,
+                    variance,
+                    basics,
+                },
+            )
+        };
+        Some(top.into_iter().map(priced).collect())
+    }
 }
 
 impl MultiSummary {
@@ -342,6 +396,15 @@ impl MultiSummary {
         Ok(())
     }
 
+    /// `parts`, first and rest, when every part would merge into `zero`
+    /// (what the fold asks of each one); `None` for no parts.
+    fn merging<'a>(zero: &Self, parts: &'a [&'a Self]) -> Option<(&'a Self, &'a [&'a Self])> {
+        if parts.iter().any(|part| zero.check_merge(part).is_err()) {
+            return None;
+        }
+        parts.split_first().map(|(first, rest)| (*first, rest))
+    }
+
     /// [`TopKQuery::frequency_variance`] given the join sketch's own `F₂`,
     /// for a caller that has already read it.
     pub(crate) fn frequency_variance_at(&self, f2: f64) -> f64 {
@@ -356,6 +419,17 @@ impl DistinctQuery for MultiSummary {
 
     fn distinct_estimate(&self) -> Estimate {
         DistinctQuery::distinct_estimate(&self.distinct)
+    }
+
+    /// The parts' HyperLogLog registers maxed into a copy of the first's,
+    /// as the fold copies and maxes them.
+    fn distinct_estimate_of_sum(zero: &Self, parts: &[&Self]) -> Option<Estimate> {
+        let (first, rest) = Self::merging(zero, parts)?;
+        let mut registers = first.distinct.clone();
+        for part in rest {
+            registers.merge(&part.distinct).ok()?;
+        }
+        Some(DistinctQuery::distinct_estimate(&registers))
     }
 }
 
@@ -378,6 +452,21 @@ impl QuantileQuery for MultiSummary {
 
     fn stream_len(&self) -> u64 {
         QuantileQuery::stream_len(&self.quantiles)
+    }
+
+    /// The parts' KLLs merged into a copy of `zero`'s in the fold's order
+    /// (the coins of a KLL merge depend on it), then asked.
+    fn quantile_with_bounds_of_sum(
+        zero: &Self,
+        parts: &[&Self],
+        q: f64,
+    ) -> Option<Result<(f64, (f64, f64))>> {
+        Self::merging(zero, parts)?;
+        let mut quantiles = zero.quantiles.clone();
+        for part in parts {
+            quantiles.merge(&part.quantiles).ok()?;
+        }
+        Some(QuantileQuery::quantile_with_bounds(&quantiles, q))
     }
 }
 
@@ -500,6 +589,65 @@ mod tests {
         let top = TopKQuery::top_k(&multi, 5);
         let keys: Vec<u64> = top.iter().map(|&(key, _)| key).collect();
         assert_eq!(keys, [9, 4, 2]);
+    }
+
+    /// Each family read off parts answers what the fold of those parts
+    /// into the empty summary answers, bit for bit, at one to three parts;
+    /// a top-k handed the merge's F₂ answers the same as one that reads it.
+    #[test]
+    fn reads_of_a_sum_are_the_folds_answers() {
+        let spec = spec(8);
+        let keys = stream();
+        let zero = spec.summary().unwrap();
+        let parts: Vec<MultiSummary> = keys
+            .chunks(keys.len() / 3 + 1)
+            .map(|chunk| {
+                let mut part = spec.summary().unwrap();
+                Summary::update_batch(&mut part, chunk);
+                part
+            })
+            .collect();
+        let bits = |e: &Estimate| [e.value.to_bits(), e.variance.to_bits()];
+        for n in 1..=3 {
+            let refs: Vec<&MultiSummary> = parts[..n].iter().collect();
+            let mut fold = refs[0].merged_into(&zero).unwrap();
+            for part in &refs[1..] {
+                fold.merge_from(part).unwrap();
+            }
+            let distinct = MultiSummary::distinct_estimate_of_sum(&zero, &refs).unwrap();
+            assert_eq!(bits(&distinct), bits(&fold.distinct_estimate()), "{n}");
+            let (q, (lo, hi)) = MultiSummary::quantile_with_bounds_of_sum(&zero, &refs, 0.3)
+                .unwrap()
+                .unwrap();
+            let (fq, (flo, fhi)) = fold.quantile_with_bounds(0.3).unwrap();
+            assert_eq!(
+                [q, lo, hi].map(f64::to_bits),
+                [fq, flo, fhi].map(f64::to_bits)
+            );
+            let mut f2 = None;
+            let top = MultiSummary::top_k_of_sum(&zero, &refs, 12, &mut f2).unwrap();
+            let want: Vec<_> = TopKQuery::top_k(&fold, 12)
+                .into_iter()
+                .map(|(key, _)| (key, bits(&fold.frequency_estimate(key))))
+                .collect();
+            let got: Vec<_> = top.iter().map(|(key, e)| (*key, bits(e))).collect();
+            assert_eq!(got, want, "{n}");
+            assert_eq!(
+                f2.map(f64::to_bits),
+                Some(JoinQuery::self_join(&fold).to_bits())
+            );
+            let again = MultiSummary::top_k_of_sum(&zero, &refs, 12, &mut f2).unwrap();
+            assert_eq!(
+                again
+                    .iter()
+                    .map(|(key, e)| (*key, bits(e)))
+                    .collect::<Vec<_>>(),
+                got
+            );
+        }
+        assert!(MultiSummary::distinct_estimate_of_sum(&zero, &[]).is_none());
+        let stranger = spec.clone().top_k(64).summary().unwrap();
+        assert!(MultiSummary::top_k_of_sum(&zero, &[&stranger], 3, &mut None).is_none());
     }
 
     /// The sampled composite answers all four query families with

@@ -189,6 +189,26 @@ impl JoinSketch {
         }
     }
 
+    /// [`point_queries`](Self::point_queries) of the merge of `parts`, in
+    /// order and bit for bit, read off the parts' F-AGMS rows
+    /// ([`FagmsSketch::point_queries_of_sum`]) without building it. `None`
+    /// for no parts, parts of different schemas, or AGMS parts (the
+    /// caller folds those).
+    pub fn point_queries_of_sum(parts: &[&JoinSketch], keys: &[u64]) -> Option<Vec<f64>> {
+        FagmsSketch::point_queries_of_sum(&Self::fagms_parts(parts)?, keys)
+    }
+
+    /// The F-AGMS sketches of `parts`, or `None` if any part is AGMS.
+    pub(crate) fn fagms_parts<'a>(parts: &[&'a JoinSketch]) -> Option<Vec<&'a FagmsSketch>> {
+        parts
+            .iter()
+            .map(|part| match part {
+                JoinSketch::Fagms(s) => Some(s),
+                JoinSketch::Agms(_) => None,
+            })
+            .collect()
+    }
+
     /// Merge another sketch of the same schema (stream union).
     pub fn merge(&mut self, other: &JoinSketch) -> Result<()> {
         match (self, other) {

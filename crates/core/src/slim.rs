@@ -28,11 +28,12 @@
 //! * [`SlimJoin`] answers `self_join`/`self_join_estimate` exactly, but
 //!   `size_of_join` against another summary needs both counter matrices —
 //!   typed error.
-//! * [`SlimTopK`] answers `top_k`/`frequency` for tracked candidates
-//!   exactly; frequencies of *untracked* keys report `0.0` (for
-//!   Misra–Gries that equals the fat answer; inside a
+//! * [`SlimTopK`] answers `top_k`/`frequency` for the candidates it
+//!   carries exactly; any other key reads `0.0`. The fat form may know
+//!   more: between compactions a [`MisraGries`] holds up to
+//!   `capacity + CHUNK` counters and prices every one, and inside a
 //!   [`SlimMultiSummary`] the fat composite can point-query any key — the
-//!   slim one honestly cannot).
+//!   slim one honestly cannot.
 //!
 //! **Slim states do not merge.** `(a+b)² ≠ a² + b²`: a lane aggregate of
 //! a union cannot be recovered from the unions' lane aggregates. The
@@ -169,9 +170,8 @@ impl SlimTopK {
 }
 
 impl TopKQuery for SlimTopK {
-    /// The tracked estimate, or `0.0` for untracked keys (exact for
-    /// Misra–Gries projections; honest refusal-by-zero for Count-Sketch
-    /// ones, whose fat form could point-query any key).
+    /// The carried estimate, or `0.0` for a key not carried: an honest
+    /// refusal-by-zero where the fat form could still price the key.
     fn frequency(&self, key: u64) -> f64 {
         self.ranked
             .iter()
@@ -268,12 +268,6 @@ impl SlimMultiSummary {
     pub fn topk(&self) -> &SlimTopK {
         self.topk
             .get_or_init(|| topk_stage(self.merge(), self.join().self_join()))
-    }
-
-    /// Fill every stage not asked for yet, so that later asks of this frame
-    /// find them ready.
-    pub fn finish(&self) {
-        self.topk();
     }
 
     /// The merge a frame projects from: only a frame has empty stages.
@@ -409,9 +403,11 @@ impl SlimQuery for JoinSketch {
     }
 }
 
-/// Projects the full tracked counter list (`capacity` entries), so every
-/// candidate query the fat summary answers, the slim one answers
-/// identically; untracked keys are 0 on both sides.
+/// Projects the `capacity` largest counters, the ones a compaction would
+/// keep: every key the slim form carries, it prices as the fat summary
+/// does. Between compactions the fat summary holds up to
+/// `capacity + CHUNK` counters and prices each of them, where the slim form
+/// reads 0 for the ones past its `capacity`.
 impl SlimQuery for MisraGries {
     type Slim = SlimTopK;
 
@@ -555,6 +551,32 @@ mod tests {
         assert_eq!(slim.frequency(10_000), 0.0);
         let back = SlimTopK::decode(&slim.encode().unwrap()).unwrap();
         assert_eq!(back, slim);
+    }
+
+    /// Between compactions the fat summary holds more counters than the
+    /// slim form carries: each key the slim form prices, it prices with the
+    /// fat bits, and some key the fat summary holds reads 0 on the slim.
+    #[test]
+    fn misra_gries_slim_prices_what_it_carries_as_the_fat_does() {
+        let mut fat = MisraGries::new(16).unwrap();
+        let keys: Vec<u64> = (0..5_000u64).map(|i| (i * i) % 61).collect();
+        Summary::update_batch(&mut fat, &keys);
+        assert!(
+            fat.held() > fat.capacity(),
+            "a chunk into its next compaction"
+        );
+        let slim = fat.slim();
+        let mut dropped = 0;
+        for key in 0..80u64 {
+            let (thin, full) = (slim.frequency(key), TopKQuery::frequency(&fat, key));
+            if slim.top_k(fat.capacity()).iter().any(|&(k, _)| k == key) {
+                assert_eq!(thin.to_bits(), full.to_bits(), "key {key}");
+            } else {
+                assert_eq!(thin, 0.0, "key {key}");
+                dropped += u32::from(full > 0.0);
+            }
+        }
+        assert!(dropped > 0, "some key the fat summary holds is not carried");
     }
 
     #[test]

@@ -310,6 +310,32 @@ pub trait TopKQuery {
             basics: Vec::new(),
         }
     }
+
+    /// [`top_k`](TopKQuery::top_k) of the merge `zero ⊕ parts[0] ⊕ …`,
+    /// each key with its [`frequency_estimate`](TopKQuery::frequency_estimate),
+    /// read without building the merge: bit for bit what folding the parts
+    /// into `zero` ([`Summary::merged_into`], then `merge_from` in order)
+    /// and asking the result would answer. `zero` is an empty summary of
+    /// the parts' schema, the fold's starting point. `f2` is that merge's
+    /// [`JoinQuery::self_join`] when the caller has read it already; a
+    /// summary whose frequency variance is priced off F₂ reuses it, and
+    /// may leave the F₂ it read there.
+    ///
+    /// `None` when the summary cannot read a sum in place (the default),
+    /// when `parts` is empty, or when the parts would not merge; the
+    /// caller then folds. A sharded runtime reads a fresh top-k off its
+    /// shards through this, under their locks.
+    fn top_k_of_sum(
+        _zero: &Self,
+        _parts: &[&Self],
+        _k: usize,
+        _f2: &mut Option<f64>,
+    ) -> Option<Vec<(u64, Estimate)>>
+    where
+        Self: Sized,
+    {
+        None
+    }
 }
 
 /// The capability of estimating the number of distinct keys (F₀) in the
@@ -324,6 +350,16 @@ pub trait DistinctQuery {
     /// model (HyperLogLog's `1.04/√m`).
     fn distinct_estimate(&self) -> Estimate {
         Estimate::point(self.distinct())
+    }
+
+    /// [`distinct_estimate`](DistinctQuery::distinct_estimate) of the
+    /// merge `zero ⊕ parts[0] ⊕ …`, read without building it; `None` as
+    /// for [`TopKQuery::top_k_of_sum`], whose contract this shares.
+    fn distinct_estimate_of_sum(_zero: &Self, _parts: &[&Self]) -> Option<Estimate>
+    where
+        Self: Sized,
+    {
+        None
     }
 }
 
@@ -393,6 +429,20 @@ pub trait QuantileQuery {
     /// As for [`quantile`](QuantileQuery::quantile).
     fn quantile_bounds(&self, q: f64) -> Result<(f64, f64)> {
         Ok(self.quantile_with_bounds(q)?.1)
+    }
+
+    /// [`quantile_with_bounds`](QuantileQuery::quantile_with_bounds) of
+    /// the merge `zero ⊕ parts[0] ⊕ …`, read without building it; `None`
+    /// as for [`TopKQuery::top_k_of_sum`], whose contract this shares.
+    fn quantile_with_bounds_of_sum(
+        _zero: &Self,
+        _parts: &[&Self],
+        _q: f64,
+    ) -> Option<Result<(f64, (f64, f64))>>
+    where
+        Self: Sized,
+    {
+        None
     }
 }
 
@@ -559,14 +609,7 @@ impl JoinQuery for JoinSketch {
 
     /// Read in place over F-AGMS rows; AGMS parts fold.
     fn self_join_estimate_of_sum(parts: &[&Self]) -> Option<Estimate> {
-        let rows: Option<Vec<_>> = parts
-            .iter()
-            .map(|part| match part {
-                JoinSketch::Fagms(s) => Some(s),
-                JoinSketch::Agms(_) => None,
-            })
-            .collect();
-        FagmsSketch::self_join_estimate_of_sum(&rows?)
+        FagmsSketch::self_join_estimate_of_sum(&JoinSketch::fagms_parts(parts)?)
     }
 
     fn size_of_join_estimate(&self, other: &Self) -> Result<Estimate> {

@@ -129,9 +129,10 @@ impl IngestClient {
     }
 
     /// Flush, then block until the server confirms every batch sent so
-    /// far has been accepted into the shard rings. After this returns,
-    /// a zero-staleness replica query covers all of them. Returns the
-    /// barrier cookie the server echoed.
+    /// far has been applied to the shards (not only queued on their
+    /// rings). After this returns, the server's `runtime_tuples` gauge
+    /// counts all of them and a query covers them. Returns the barrier
+    /// cookie the server echoed.
     ///
     /// # Errors
     ///

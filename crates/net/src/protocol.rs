@@ -22,8 +22,9 @@
 //! same fingerprint discipline snapshot merging already enforces, over
 //! a second transport. `SYNC` is the client's flush barrier: once the
 //! matching `SYNC_OK` arrives, every batch written before the `SYNC`
-//! has been accepted into the shard rings, so an immediately following
-//! replica query (with zero staleness budget) covers them.
+//! has been applied to the shards — the server catches every shard up
+//! before it answers — so the runtime's gauge counts them and an
+//! immediately following query covers them.
 //!
 //! Batch payloads are little-endian `u64` keys decoded **directly into
 //! a pooled buffer** ([`decode_batch_into`]) loaned from the shard

@@ -8,24 +8,31 @@
 //!   decoded *directly into* pooled buffers loaned from the shard
 //!   recycle rings ([`loan_batch_buf`](sss_stream::ShardedRuntime::loan_batch_buf) →
 //!   [`protocol::decode_batch_into`] →
-//!   [`push_loaned`](sss_stream::ShardedRuntime::push_loaned)), so the
+//!   [`push_loaned_deferred`](sss_stream::ShardedRuntime::push_loaned_deferred)), so the
 //!   steady-state path from socket to shard ring performs zero heap
 //!   allocations per batch — the invariant
 //!   [`pool_stats`](sss_stream::QueryHandle::pool_stats) proves, which
 //!   [`ServerStats`] reads from the runtime's own counters. When every
-//!   shard ring is full a connection's thread blocks in `push_loaned` —
+//!   shard ring is full a connection's thread blocks in the push —
 //!   backpressure propagates to the TCP receive windows of every client
 //!   rather than buffering unboundedly.
 //! * Each **query connection** opens its own [`ReadReplica`] from the
-//!   runtime's read side. Every query line refreshes the replica once and
-//!   is answered from that one slim projection (single-flight refresh of
-//!   the frame the runtime's cache keeps, adopted by pointer), so a slow
-//!   or chatty query client never blocks ingest, and sustained ingest
-//!   costs a query only the staleness the replica's `max_pending` budget
-//!   allows — with the estimate's error bar widened to match. The
-//!   exception is a `self_join`, at any shard count: it is read off the
-//!   caught-up shards in place (their summed join rows), and the frame is
-//!   refreshed after the turn's answers are written, before the next read.
+//!   runtime's read side. At `max_pending = 0` every query line is read
+//!   off the caught-up shards in place, under their locks — F₂ from the
+//!   summed join rows, F₀, the quantile and the top-k from scratch merges
+//!   of the small parts — with no fold and no frame. Past a larger
+//!   budget a line refreshes the replica once and is answered from that
+//!   one slim projection (single-flight refresh of the frame the
+//!   runtime's cache keeps, adopted by pointer), so sustained ingest
+//!   costs a query only the staleness the budget allows, with the
+//!   estimate's error bar widened to match; a `self_join` past the budget
+//!   is read in place too.
+//! * A `SYNC` is answered once every shard has applied what it accepted
+//!   ([`QueryHandle::catch_up`]): `SYNC_OK` means applied. Batches go
+//!   onto the rings without waking a worker
+//!   ([`push_loaned_deferred`](sss_stream::ShardedRuntime::push_loaned_deferred)),
+//!   and a turn's end wakes, once, each worker whose ring still holds a
+//!   batch, so a fresh turn — a batch, a `SYNC`, reads — wakes none.
 //!
 //! Each plane's listener thread accepts in blocking mode and gives each
 //! connection a thread, which runs one handler (`converse`) over the
@@ -58,7 +65,7 @@
 use crate::error::{NetError, Result};
 use crate::protocol::{self, error_line, push_f64_field, push_intervals, FrameReader, JsonNum};
 use sss_core::wire::{self, FrameError};
-use sss_core::{MultiSpec, MultiSummary, Portable, QuantileQuery};
+use sss_core::{MultiSpec, MultiSummary, Portable};
 use sss_stream::runtime::RuntimeConfig;
 use sss_stream::{QueryHandle, ReadReplica, ShardedRuntime};
 use std::collections::HashMap;
@@ -617,6 +624,9 @@ fn send(stream: &mut impl Write, out: &mut Vec<u8>) -> std::io::Result<()> {
 /// runtime behind one lock, so there is one producer.
 struct Ingest {
     runtime: Arc<Mutex<ShardedRuntime<MultiSummary>>>,
+    /// The runtime's read side, which catches the shards up on a `SYNC`
+    /// without the runtime's lock.
+    handle: QueryHandle<MultiSummary>,
     /// The server's head, sent first.
     head: wire::Head,
     stats: Arc<StatsInner>,
@@ -659,7 +669,16 @@ impl Plane for Ingest {
         }
     }
 
+    /// The turn's batches went onto the rings without waking a worker: a
+    /// `SYNC` applied what it covered, and a worker whose ring still holds
+    /// a batch is woken for it now, once.
+    fn turn_done(&mut self) {
+        lock(&self.runtime).wake_workers();
+    }
+
     fn gone(&mut self, closed: bool) {
+        // A turn cut short by a failed write ends here.
+        self.turn_done();
         self.stats.connections_open.fetch_sub(1, Ordering::AcqRel);
         // A disconnect mid-frame is itself a typed protocol error —
         // partially transferred batches are never counted as ingested.
@@ -677,6 +696,7 @@ impl Ingest {
     ) -> Self {
         Ingest {
             runtime: Arc::clone(runtime),
+            handle: lock(runtime).query_handle(),
             head: head.clone(),
             stats: Arc::clone(stats),
             reader: FrameReader::new(),
@@ -738,7 +758,9 @@ impl Ingest {
                     return Err(e);
                 }
                 let tuples = batch.len() as u64;
-                runtime.push_loaned(batch).map_err(|_| unavailable())?;
+                runtime
+                    .push_loaned_deferred(batch)
+                    .map_err(|_| unavailable())?;
                 self.stats.tuples.fetch_add(tuples, Ordering::AcqRel);
                 self.stats.batches.fetch_add(1, Ordering::AcqRel);
             }
@@ -747,6 +769,12 @@ impl Ingest {
                     return Err(FrameError::HandshakeRequired);
                 }
                 let cookie = protocol::decode_sync(payload)?;
+                // Applied, not only queued: every shard is caught up to the
+                // batches accepted so far, this connection's among them.
+                self.handle.catch_up().map_err(|_| FrameError::Rejected {
+                    code: protocol::ERR_PROTOCOL,
+                    detail: "ingest runtime unavailable".to_string(),
+                })?;
                 protocol::write_sync(out, protocol::FRAME_SYNC_OK, cookie);
             }
             other => {
@@ -819,16 +847,7 @@ impl Plane for Queries {
     fn turn_done(&mut self) {
         if self.stopping {
             self.stop.request();
-            return;
         }
-        // This turn's answers are out. A `self_join` read the shards in
-        // place and left the frame behind, so bring the frame up to date
-        // now (a no-op when it is current; an error shows on the next
-        // query that needs the frame), then project what its readers have
-        // not asked for yet while its merge is still in cache, so a later
-        // ask of this frame finds it ready.
-        let _ = self.replica.refresh();
-        self.replica.slim().finish();
     }
 }
 
@@ -854,13 +873,11 @@ fn answer_query(
             .map_err(|e| e.to_string()),
         "quantile" => {
             let q = req.q.unwrap_or(0.5);
-            // One refresh, then the value and its envelope from one borrow
-            // of the projection: under ingest at `max_pending = 0` two
-            // refreshing reads would answer from two frames.
+            // The value and its envelope from one state: under ingest two
+            // reads could answer from two.
             replica
-                .refresh()
-                .and_then(|_| {
-                    let (value, (lo, hi)) = replica.slim().quantile_with_bounds(q)?;
+                .quantile_with_bounds(q)
+                .map(|(value, (lo, hi))| {
                     let mut out = String::from("{\"ok\":true,\"cmd\":\"quantile\",");
                     let _ = write!(out, "\"q\":{},", JsonNum(q));
                     push_f64_field(&mut out, "value", value);
@@ -869,7 +886,7 @@ fn answer_query(
                     out.push(',');
                     push_f64_field(&mut out, "hi", hi);
                     out.push('}');
-                    Ok(out)
+                    out
                 })
                 .map_err(|e| e.to_string())
         }

@@ -390,6 +390,25 @@ impl<S: SignFamily, B: BucketFamily> FagmsSketch<S, B> {
     /// runtime-dispatched kernels the batched update path hashes with),
     /// then each key takes the median of its rows.
     pub fn point_queries(&self, keys: &[u64]) -> Vec<f64> {
+        self.point_queries_over(&[self], keys)
+    }
+
+    /// [`point_queries`](Self::point_queries) of the merge of `parts`,
+    /// every bit, read off the parts' counters: each key's cell in a row
+    /// is the parts' cells summed with [`merge`](Self::merge)'s `+`, and no
+    /// merged sketch is built. `None` for no parts or parts of different
+    /// schemas.
+    pub fn point_queries_of_sum(parts: &[&Self], keys: &[u64]) -> Option<Vec<f64>> {
+        let (first, rest) = parts.split_first()?;
+        if rest.iter().any(|part| first.check_schema(part).is_err()) {
+            return None;
+        }
+        Some(first.point_queries_over(parts, keys))
+    }
+
+    /// The point queries of `keys` over the sum of `parts`, all of this
+    /// sketch's schema.
+    fn point_queries_over(&self, parts: &[&Self], keys: &[u64]) -> Vec<f64> {
         let w = self.schema.width;
         let depth = self.schema.rows.len();
         let mut signs = vec![0; keys.len()];
@@ -398,10 +417,10 @@ impl<S: SignFamily, B: BucketFamily> FagmsSketch<S, B> {
         for (r, row) in self.schema.rows.iter().enumerate() {
             row.sign.sign_batch(keys, &mut signs);
             row.bucket.bucket_batch(keys, w, &mut buckets);
-            let counters = self.row(r);
             let hashed = signs.iter().zip(&buckets);
             for (out, (&sign, &bucket)) in per_row.iter_mut().skip(r).step_by(depth).zip(hashed) {
-                *out = (sign * counters[bucket]) as f64;
+                let cell: i64 = parts.iter().map(|part| part.row(r)[bucket]).sum();
+                *out = (sign * cell) as f64;
             }
         }
         per_row
@@ -854,5 +873,32 @@ mod tests {
         }
         let q = s.point_query(77);
         assert!((q - 10_001.0).abs() < 100.0, "q = {q}");
+    }
+
+    /// Point queries of the parts' sum are the merge's, bit for bit, for
+    /// one part and three; parts of different schemas read nothing.
+    #[test]
+    fn point_queries_of_a_sum_are_the_merges() {
+        let schema = Schema::new(3, 64, &mut rng(9));
+        let parts: Vec<FagmsSketch> = (0..3u64)
+            .map(|p| {
+                let mut s = schema.sketch();
+                s.update_batch(&(0..500).map(|i| (i * (p + 3)) % 97).collect::<Vec<_>>());
+                s
+            })
+            .collect();
+        let refs: Vec<&FagmsSketch> = parts.iter().collect();
+        let keys: Vec<u64> = (0..120).collect();
+        let mut merged = parts[0].clone();
+        for part in &parts[1..] {
+            merged.merge(part).unwrap();
+        }
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        let of_sum = FagmsSketch::point_queries_of_sum(&refs, &keys).unwrap();
+        assert_eq!(bits(of_sum), bits(merged.point_queries(&keys)));
+        let one = FagmsSketch::point_queries_of_sum(&refs[..1], &keys).unwrap();
+        assert_eq!(bits(one), bits(parts[0].point_queries(&keys)));
+        let stranger = Schema::new(3, 64, &mut rng(10)).sketch();
+        assert!(FagmsSketch::point_queries_of_sum(&[&parts[0], &stranger], &keys).is_none());
     }
 }

@@ -43,18 +43,24 @@ use sss_xi::{
 };
 
 /// The crate-wide top-k order: `scored` sorted by estimate descending,
-/// ties toward the smaller key, cut to the first `k`.
+/// ties toward the smaller key, cut to the first `k`. The first `k` are
+/// selected before they are sorted, so a long candidate list pays for
+/// sorting only what is kept.
 ///
 /// # Panics
 ///
 /// If an estimate is NaN (no summary in this crate produces one).
 pub fn ranked(mut scored: Vec<(u64, f64)>, k: usize) -> Vec<(u64, f64)> {
-    scored.sort_by(|a, b| {
+    let order = |a: &(u64, f64), b: &(u64, f64)| {
         b.1.partial_cmp(&a.1)
             .expect("estimates are finite")
             .then_with(|| a.0.cmp(&b.0))
-    });
-    scored.truncate(k);
+    };
+    if k < scored.len() {
+        scored.select_nth_unstable_by(k, order);
+        scored.truncate(k);
+    }
+    scored.sort_unstable_by(order);
     scored
 }
 
@@ -793,6 +799,21 @@ impl<S: SignFamily, B: BucketFamily> CountSketchTopK<S, B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Selecting the first `k` before sorting them ranks as a full sort
+    /// cut to `k` does, ties toward the smaller key, for every `k`.
+    #[test]
+    fn ranked_is_a_sort_cut_to_k() {
+        let scored: Vec<(u64, f64)> = (0..300u64)
+            .map(|key| (key, ((key * 7919) % 37) as f64))
+            .collect();
+        let mut sorted = scored.clone();
+        sorted.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+        for k in [0, 1, 10, 36, 299, 300, 400] {
+            let want: Vec<_> = sorted.iter().copied().take(k).collect();
+            assert_eq!(ranked(scored.clone(), k), want, "k = {k}");
+        }
+    }
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -12,6 +12,11 @@
 //! idle worker sleeps until a batch or a hang-up. Dropping either handle
 //! closes the ring and wakes both sides. One thread at most may block on
 //! each side.
+//!
+//! [`Producer::push_deferred`] leaves a sleeping consumer asleep, so a
+//! producer that pushes several values, or that may pop them itself, pays
+//! one wake-up for all of them ([`Producer::wake`]), or none. A full ring
+//! still wakes the consumer before the producer sleeps on it.
 
 use std::collections::VecDeque;
 use std::mem::take;
@@ -92,16 +97,39 @@ impl<T> Producer<T> {
         if state.closed || state.queue.len() >= self.0.capacity {
             return Err(value);
         }
-        self.append(state, value);
+        self.append(state, value, true);
         Ok(())
     }
 
     /// Push, sleeping while the ring is full. The value comes back if the
     /// consumer is gone.
     pub fn push(&mut self, value: T) -> Result<(), T> {
+        self.push_waking(value, true)
+    }
+
+    /// [`push`](Self::push), but a consumer sleeping on the ring is left
+    /// asleep unless the ring is full: then it is woken before the
+    /// producer sleeps, so the producer never waits on a ring nobody
+    /// drains. [`wake`](Self::wake) wakes it for what is queued.
+    pub fn push_deferred(&mut self, value: T) -> Result<(), T> {
+        self.push_waking(value, false)
+    }
+
+    /// Wake a consumer sleeping on the ring if a value waits for it.
+    pub fn wake(&self) {
+        let mut state = self.0.lock();
+        let consumer = !state.queue.is_empty() && take(&mut state.consumer_waits);
+        drop(state);
+        notify_if(consumer, &self.0.not_empty);
+    }
+
+    fn push_waking(&mut self, value: T, wake: bool) -> Result<(), T> {
         let s = &*self.0;
         let full = |state: &mut State<T>| {
             state.producer_waits = !state.closed && state.queue.len() >= s.capacity;
+            if state.producer_waits {
+                notify_if(take(&mut state.consumer_waits), &s.not_empty);
+            }
             state.producer_waits
         };
         let state = s.not_full.wait_while(s.lock(), full);
@@ -109,13 +137,13 @@ impl<T> Producer<T> {
         if state.closed {
             return Err(value);
         }
-        self.append(state, value);
+        self.append(state, value, wake);
         Ok(())
     }
 
-    fn append(&self, mut state: MutexGuard<'_, State<T>>, value: T) {
+    fn append(&self, mut state: MutexGuard<'_, State<T>>, value: T, wake: bool) {
         state.queue.push_back(value);
-        let consumer = take(&mut state.consumer_waits);
+        let consumer = wake && take(&mut state.consumer_waits);
         drop(state);
         notify_if(consumer, &self.0.not_empty);
     }
@@ -241,14 +269,16 @@ mod tests {
 
     /// Push `0..values` through a ring of `capacity` to a thread that
     /// drains it as the runtime's shard worker does (wait, then pop what
-    /// is queued), each side calling its pause between steps. The relay
-    /// runs on a thread of its own: no wait times out, so a lost wake-up
-    /// hangs it, and the case fails after 10 s. Every value arrives
-    /// once and in order.
+    /// is queued), each side calling its pause between steps; `deferred`
+    /// pushes wake the consumer only on a full ring and at the hang-up.
+    /// The relay runs on a thread of its own: no wait times out, so a lost
+    /// wake-up hangs it, and the case fails after 10 s. Every value
+    /// arrives once and in order.
     fn relay(
         case: &str,
         capacity: usize,
         values: u64,
+        deferred: bool,
         mut producer_pause: impl FnMut() + Send + 'static,
         mut consumer_pause: impl FnMut() + Send + 'static,
     ) {
@@ -265,7 +295,12 @@ mod tests {
             });
             for v in 0..values {
                 producer_pause();
-                tx.push(v).expect("consumer alive");
+                let pushed = if deferred {
+                    tx.push_deferred(v)
+                } else {
+                    tx.push(v)
+                };
+                pushed.expect("consumer alive");
             }
             drop(tx);
             done.send(consumer.join().unwrap())
@@ -279,7 +314,8 @@ mod tests {
     /// Every value arrives, across a tiny ring that keeps both sides blocking.
     #[test]
     fn spsc_threads_deliver_everything_in_order() {
-        relay("spsc", 2, 200_000, || {}, || {});
+        relay("spsc", 2, 200_000, false, || {}, || {});
+        relay("spsc deferred", 2, 200_000, true, || {}, || {});
     }
 
     /// A sleeping consumer is woken by a push and a sleeping producer by a
@@ -296,7 +332,7 @@ mod tests {
         let (mut pushes, mut runs) = (0, 0);
         let producer = move || nap_every(&mut pushes, 5);
         let consumer = move || nap_every(&mut runs, 7);
-        relay("stalls", 1, 400, producer, consumer);
+        relay("stalls", 1, 400, false, producer, consumer);
     }
 
     /// A thread waiting through a [`Watch`] is woken by a push even
@@ -317,6 +353,49 @@ mod tests {
         assert_eq!(worker.join().unwrap(), Some(7));
         drop(tx);
         assert!(!rx.lock().unwrap().watch().wait(), "closed and drained");
+    }
+
+    /// A deferred push leaves a sleeping consumer asleep; `wake` wakes it,
+    /// and so does a full ring, before the producer would wait on it.
+    #[test]
+    fn a_deferred_push_wakes_on_wake_or_a_full_ring() {
+        let (mut tx, rx) = bounded::<u64>(2);
+        let watch = rx.watch();
+        let (woke, wakes) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let mut rx = rx;
+            while watch.wait() {
+                let got: Vec<u64> = std::iter::from_fn(|| rx.try_pop()).collect();
+                woke.send(got).unwrap();
+            }
+        });
+        // Give the worker time to fall asleep.
+        std::thread::sleep(Duration::from_millis(20));
+        tx.push_deferred(1).unwrap();
+        let quiet = Duration::from_millis(50);
+        assert!(
+            wakes.recv_timeout(quiet).is_err(),
+            "a deferred push woke it"
+        );
+        tx.wake();
+        let long = Duration::from_secs(10);
+        assert_eq!(wakes.recv_timeout(long).unwrap(), [1]);
+        std::thread::sleep(Duration::from_millis(20)); // asleep again
+        tx.push_deferred(2).unwrap();
+        tx.push_deferred(3).unwrap();
+        assert!(
+            wakes.recv_timeout(quiet).is_err(),
+            "a deferred push woke it"
+        );
+        tx.push_deferred(4).unwrap(); // full: woken before the wait
+        let mut got = wakes.recv_timeout(long).unwrap();
+        if got.len() < 3 {
+            tx.wake();
+            got.extend(wakes.recv_timeout(long).unwrap());
+        }
+        assert_eq!(got, [2, 3, 4]);
+        drop(tx);
+        worker.join().unwrap();
     }
 
     /// A seeded pause: nothing, a yield, or a sleep of up to 200 µs.
@@ -341,7 +420,7 @@ mod tests {
                 let (mut producer_rng, mut consumer_rng) = (seed, seed ^ 0xc0ff_ee00);
                 let producer = move || pause(&mut producer_rng);
                 let consumer = move || pause(&mut consumer_rng);
-                relay(&case, capacity, 1_000, producer, consumer);
+                relay(&case, capacity, 1_000, seed % 2 == 1, producer, consumer);
             }
         }
     }

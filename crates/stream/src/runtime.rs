@@ -16,7 +16,8 @@
 //!  QueryHandle: the read side (the runtime derefs to it), one cache lock:
 //!  merged() ── lock shard s, apply what is queued below its floor, merge it in ──▶ Arc<E₀ ⊕ E₁ ⊕ E₂>
 //!  read_replica() ── the frame() over that Arc, kept beside it ──▶ Arc ──▶ every reader
-//!  fresh F₂ ── lock shards 0…S−1 in order, catch each up, keep every lock ──▶ F₂ of the summed join rows
+//!  fresh read ── lock shards 0…S−1 in order, catch each up, keep every lock ──▶ an answer of the parts
+//!  catch_up() ── lock shard s, apply what is queued below its floor, let go ──▶ (a SYNC)
 //! ```
 //!
 //! Two design decisions (see `DESIGN.md` §4h; the ledger's `stream.*`
@@ -50,19 +51,27 @@
 //!   also keeps the one replica frame over that merge
 //!   ([`SlimQuery::frame`]), under the same lock: [`ReadReplica`]s share it
 //!   by pointer, and it projects what its readers ask for, once. A fresh
-//!   F₂ answer skips all of that at any shard count: the merge's join
-//!   counters are the shards' counters summed (§VI-C), and F₂ needs
-//!   nothing else, so it is read off the caught-up shards under their
-//!   locks — one shard's own estimate, more shards' summed rows
-//!   ([`JoinQuery::self_join_estimate_of_sum`]) — with no fold, cache
-//!   install or frame. That read holds every shard lock at once, taken in
-//!   shard order under the cache lock; a worker only ever takes its own
-//!   shard's, so the locks cannot deadlock.
+//!   answer skips all of that at any shard count: the merge's join
+//!   counters are the shards' counters summed (§VI-C), so F₂ is read off
+//!   the caught-up shards under their locks — one shard's own estimate,
+//!   more shards' summed rows ([`JoinQuery::self_join_estimate_of_sum`])
+//!   — and a `max_pending = 0` replica reads every other family the same
+//!   way ([`DistinctQuery::distinct_estimate_of_sum`],
+//!   [`QuantileQuery::quantile_with_bounds_of_sum`],
+//!   [`TopKQuery::top_k_of_sum`]: scratch merges of the small parts in
+//!   the fold's order), with no fold, cache install or frame. That read
+//!   holds every shard lock at once, taken in shard order under the cache
+//!   lock; a worker only ever takes its own shard's, so the locks cannot
+//!   deadlock. [`catch_up`](QueryHandle::catch_up) applies what every
+//!   shard has accepted, one shard lock at a time, and reads nothing.
 //!
 //! * [`push`](ShardedRuntime::push) and
 //!   [`push_loaned`](ShardedRuntime::push_loaned) block when a ring is
 //!   full, so backpressure propagates to the source and nothing is
-//!   dropped. Shedding is the paper's one mechanism: a
+//!   dropped. Each wakes a sleeping worker for its batch;
+//!   [`push_loaned_deferred`](ShardedRuntime::push_loaned_deferred) wakes
+//!   one only on a full ring, and its caller catches the shards up itself
+//!   or calls [`wake_workers`](ShardedRuntime::wake_workers) once. Shedding is the paper's one mechanism: a
 //!   [`Sampled`](sss_core::Sampled) prototype at one rate `p`, its coins
 //!   drawn in the producer lane before the hop.
 //! * [`merged`](QueryHandle::merged) reflects at least every tuple
@@ -104,7 +113,7 @@
 use crate::error::{Result, StreamError};
 use crate::ring;
 use crate::snapshot::{CacheStats, ReplicaFrame, SnapshotCache, Stamp};
-use sss_core::{Estimate, JoinQuery, SlimQuery, Summary};
+use sss_core::{DistinctQuery, Estimate, JoinQuery, QuantileQuery, SlimQuery, Summary, TopKQuery};
 use sss_sampling::{staleness_variance_plugin, Door};
 use sss_xi::splitmix64;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -544,12 +553,19 @@ impl<E: Summary> ShardedRuntime<E> {
     }
 
     /// Enqueue a finished batch on `shard`, blocking while its ring is
-    /// full.
-    fn send_blocking(&mut self, shard: usize, batch: Batch) -> Result<()> {
+    /// full; `wake` wakes a sleeping worker for it, else only a full ring
+    /// does.
+    fn send_blocking(&mut self, shard: usize, batch: Batch, wake: bool) -> Result<()> {
         self.query.shared.shards[shard]
             .accepted_tuples
             .fetch_add(batch.offered, Ordering::AcqRel);
-        match self.lanes[shard].data.push(batch) {
+        let data = &mut self.lanes[shard].data;
+        let pushed = if wake {
+            data.push(batch)
+        } else {
+            data.push_deferred(batch)
+        };
+        match pushed {
             Ok(()) => {
                 self.note_enqueued(shard);
                 Ok(())
@@ -561,7 +577,7 @@ impl<E: Summary> ShardedRuntime<E> {
     /// Scatter `keys` by hash and send each shard its part: the filled
     /// scatter buffer itself, compacted by the shard's door, with a pooled
     /// buffer put in its place (one copy in all).
-    fn offer_scattered(&mut self, keys: &[u64]) -> Result<()> {
+    fn offer_scattered(&mut self, keys: &[u64], wake: bool) -> Result<()> {
         self.scatter_keys(keys);
         for shard in 0..self.shards() {
             if self.scatter[shard].is_empty() {
@@ -569,7 +585,7 @@ impl<E: Summary> ShardedRuntime<E> {
             }
             let part = std::mem::take(&mut self.scatter[shard]);
             let batch = self.admit_owned(shard, part);
-            self.send_blocking(shard, batch)?;
+            self.send_blocking(shard, batch, wake)?;
             self.scatter[shard] = self.take_buf(shard, keys.len());
         }
         Ok(())
@@ -609,7 +625,35 @@ impl<E: Summary> ShardedRuntime<E> {
     /// # Errors
     ///
     /// [`StreamError::ShardDisconnected`] if a shard's summary panicked.
-    pub fn push_loaned(&mut self, mut batch: Vec<u64>) -> Result<()> {
+    pub fn push_loaned(&mut self, batch: Vec<u64>) -> Result<()> {
+        self.push_loaned_waking(batch, true)
+    }
+
+    /// [`push_loaned`](Self::push_loaned), except that a sleeping worker is
+    /// not woken for the batch unless its ring is full. The caller applies
+    /// what it pushed itself ([`QueryHandle::catch_up`]) or wakes the
+    /// workers once for all of it ([`wake_workers`](Self::wake_workers)):
+    /// a worker left asleep with a batch on its ring applies it only when
+    /// the ring fills, a query catches its shard up, or the runtime shuts
+    /// down.
+    ///
+    /// # Errors
+    ///
+    /// As for [`push_loaned`](Self::push_loaned).
+    pub fn push_loaned_deferred(&mut self, batch: Vec<u64>) -> Result<()> {
+        self.push_loaned_waking(batch, false)
+    }
+
+    /// Wake every shard worker that sleeps while its ring holds a batch:
+    /// the one wake-up owed for any number of
+    /// [`push_loaned_deferred`](Self::push_loaned_deferred)s.
+    pub fn wake_workers(&self) {
+        for lane in &self.lanes {
+            lane.data.wake();
+        }
+    }
+
+    fn push_loaned_waking(&mut self, mut batch: Vec<u64>, wake: bool) -> Result<()> {
         if batch.is_empty() {
             self.lanes[self.cursor].spare.push(batch);
             return Ok(());
@@ -618,10 +662,10 @@ impl<E: Summary> ShardedRuntime<E> {
             Partition::RoundRobin => {
                 let shard = self.next_shard();
                 let batch = self.admit_owned(shard, batch);
-                self.send_blocking(shard, batch)
+                self.send_blocking(shard, batch, wake)
             }
             Partition::Hash => {
-                self.offer_scattered(&batch)?;
+                self.offer_scattered(&batch, wake)?;
                 batch.clear();
                 self.lanes[self.cursor].spare.push(batch);
                 Ok(())
@@ -644,9 +688,9 @@ impl<E: Summary> ShardedRuntime<E> {
             Partition::RoundRobin => {
                 let shard = self.next_shard();
                 let batch = self.admit_copy(shard, keys);
-                self.send_blocking(shard, batch)
+                self.send_blocking(shard, batch, true)
             }
-            Partition::Hash => self.offer_scattered(keys),
+            Partition::Hash => self.offer_scattered(keys, true),
         }
     }
 
@@ -836,6 +880,98 @@ impl<E: Summary> QueryHandle<E> {
         Ok(self.with_merged(&mut self.shared.lock_cache())?.0)
     }
 
+    /// Apply every batch accepted before the call. Each shard in turn is
+    /// caught up under its lock, as a query catches it up, and let go: one
+    /// shard lock at a time, nothing read or merged. Once this returns,
+    /// the shards reflect every tuple accepted before the call,
+    /// [`tuples_ingested`](Self::tuples_ingested) counts them, and no
+    /// worker need wake for them — the ingest service answers a `SYNC`
+    /// with this.
+    ///
+    /// # Errors
+    ///
+    /// [`StreamError::ShardDisconnected`] if a shard's summary panicked or
+    /// [`into_merged`](ShardedRuntime::into_merged) took it.
+    pub fn catch_up(&self) -> Result<()> {
+        // Held throughout, as by every query: one posted floor per shard.
+        let _cache = self.shared.lock_cache();
+        for (shard, state) in self.shared.shards.iter().enumerate() {
+            let floor = state.accepted.load(Ordering::Acquire);
+            if state.caught_up(floor).is_none() {
+                return Err(StreamError::ShardDisconnected { shard });
+            }
+        }
+        Ok(())
+    }
+
+    /// A read of the shards' state once caught up, with the offered tuples
+    /// that state had applied: `whole` asks the cached merge when it is
+    /// recent enough; otherwise `sum` reads the caught-up shards in place,
+    /// under every shard's lock. `sum` is given the prototype the shards
+    /// fold into, the states of the shards that have applied a batch in
+    /// shard order — the fold's parts — and the F₂ a read of this same
+    /// state left, if one did (it may leave one). Where there are no
+    /// parts, `whole` asks the prototype, which is what the fold of none
+    /// is. Linearity and fold-order scratch merges make every answer the
+    /// merge's bits, so no fold, cache install or frame is needed. One
+    /// shard is caught up to all but `max_pending` of its accepted
+    /// batches, more shards to all of theirs. `None` when `sum` reads
+    /// nothing: the locks are dropped and the caller folds.
+    fn read_fresh<T>(
+        &self,
+        max_pending: u64,
+        whole: impl FnOnce(&E) -> T,
+        sum: impl FnOnce(&E, &[&E], &mut Option<f64>) -> Option<T>,
+    ) -> Option<Result<(T, u64)>> {
+        let shards = &self.shared.shards;
+        let slack = if shards.len() == 1 { max_pending } else { 0 };
+        // Held throughout, as by every query: one posted floor per shard.
+        // The shard locks nest inside it in shard order, and a worker
+        // only ever takes its own, so holding them all cannot deadlock.
+        let mut cache = self.shared.lock_cache();
+        let floors: Vec<u64> = shards
+            .iter()
+            .map(|s| s.accepted.load(Ordering::Acquire).saturating_sub(slack))
+            .collect();
+        if let Some((merged, stamp)) = cache.hit(&floors) {
+            return Some(Ok((whole(merged), stamp.tuples)));
+        }
+        let mut cores = Vec::with_capacity(shards.len());
+        for (shard, (state, &floor)) in shards.iter().zip(&floors).enumerate() {
+            let core = state.caught_up(floor);
+            if core.is_none() {
+                return Some(Err(StreamError::ShardDisconnected { shard }));
+            }
+            cores.push(core);
+        }
+        let applied: Vec<u64> = shards
+            .iter()
+            .map(|s| s.applied.load(Ordering::Relaxed))
+            .collect();
+        // As in the fold, a shard that has applied no batch is left out.
+        let parts: Vec<&E> = cores
+            .iter()
+            .zip(&applied)
+            .filter(|&(_, &batches)| batches > 0)
+            .flat_map(|(core, _)| core.as_ref())
+            .map(|live| &live.est)
+            .collect();
+        let zero = &self.shared.prototype;
+        let answer = if parts.is_empty() {
+            whole(zero)
+        } else {
+            let mut f2 = cache.fresh_f2(&applied);
+            let answer = sum(zero, &parts, &mut f2)?;
+            cache.keep_fresh_f2(applied, f2);
+            answer
+        };
+        let tuples = shards
+            .iter()
+            .map(|s| s.ingested.load(Ordering::Relaxed))
+            .sum();
+        Some(Ok((answer, tuples)))
+    }
+
     /// The incremental at-all-times query, under the cache lock the caller
     /// holds, which serializes concurrent handles. See the module docs:
     /// the cached merge is served while every shard's floor is at or below
@@ -922,50 +1058,20 @@ impl<E: Summary + JoinQuery> QueryHandle<E> {
     }
 
     /// The F₂ estimate of the shards' state once caught up, with the
-    /// offered tuples that state had applied: the cached merge's answer
-    /// when the merge is recent enough, else read in place under every
-    /// shard's lock — one shard's own estimate, more shards'
-    /// [`JoinQuery::self_join_estimate_of_sum`]. Linearity makes either
-    /// the merge's bits, so no fold, cache install or frame is needed. One
-    /// shard is caught up to all but `max_pending` of its accepted
-    /// batches, more shards to all of theirs. `None` when `E` reads no sum
-    /// in place: the locks are dropped and the caller folds.
+    /// offered tuples that state had applied, read through
+    /// [`read_fresh`](Self::read_fresh): one part's own estimate, more
+    /// parts' [`JoinQuery::self_join_estimate_of_sum`], whose value it
+    /// leaves for a top-k read of the same state. `None` when `E` reads no
+    /// sum in place: the caller folds.
     fn fresh_self_join(&self, max_pending: u64) -> Option<Result<(Estimate, u64)>> {
-        let shards = &self.shared.shards;
-        let slack = if shards.len() == 1 { max_pending } else { 0 };
-        // Held throughout, as by every query: one posted floor per shard.
-        // The shard locks nest inside it in shard order, and a worker
-        // only ever takes its own, so holding them all cannot deadlock.
-        let mut cache = self.shared.lock_cache();
-        let floors: Vec<u64> = shards
-            .iter()
-            .map(|s| s.accepted.load(Ordering::Acquire).saturating_sub(slack))
-            .collect();
-        if let Some((merged, stamp)) = cache.hit(&floors) {
-            return Some(Ok((merged.self_join_estimate(), stamp.tuples)));
-        }
-        let mut cores = Vec::with_capacity(shards.len());
-        for (shard, (state, &floor)) in shards.iter().zip(&floors).enumerate() {
-            let core = state.caught_up(floor);
-            if core.is_none() {
-                return Some(Err(StreamError::ShardDisconnected { shard }));
-            }
-            cores.push(core);
-        }
-        let parts: Vec<&E> = cores
-            .iter()
-            .flat_map(|core| core.as_ref())
-            .map(|live| &live.est)
-            .collect();
-        let est = match parts[..] {
-            [shard] => shard.self_join_estimate(),
-            _ => E::self_join_estimate_of_sum(&parts)?,
-        };
-        let applied = shards
-            .iter()
-            .map(|s| s.ingested.load(Ordering::Relaxed))
-            .sum();
-        Some(Ok((est, applied)))
+        self.read_fresh(max_pending, E::self_join_estimate, |_, parts, f2| {
+            let est = match parts {
+                [part] => part.self_join_estimate(),
+                _ => E::self_join_estimate_of_sum(parts)?,
+            };
+            *f2 = Some(est.value);
+            Some(est)
+        })
     }
 
     /// Typed at-all-times size-of-join query against another runtime over
@@ -1067,13 +1173,15 @@ impl<E: Summary> std::fmt::Debug for QueryHandle<E> {
 /// ingest reports honestly wider error bars rather than a silently stale
 /// point value.
 ///
-/// One answer bypasses the frame: at any shard count, a
+/// Fresh answers bypass the frame: at any shard count, a
 /// [`self_join_estimate`](ReadReplica::self_join_estimate) past
 /// `max_pending` is read off the caught-up shards themselves, as
-/// [`QueryHandle::self_join_estimate`] is, and adopts no frame. So
+/// [`QueryHandle::self_join_estimate`] is, and at `max_pending = 0` so
+/// is every other family; none adopts a frame. At `max_pending = 0` a
+/// frame is therefore built only when the replica opens or
+/// [`refresh`](ReadReplica::refresh) is called, and
 /// [`version`](ReadReplica::version) and [`pending`](ReadReplica::pending)
-/// describe the frame the other families answer from, not that F₂
-/// answer.
+/// describe that frame, not the fresh answers.
 pub struct ReadReplica<E: Summary + SlimQuery> {
     handle: QueryHandle<E>,
     /// Accepted-batch staleness tolerated before a refresh is forced.
@@ -1185,67 +1293,141 @@ where
     }
 }
 
+impl<E: Summary + SlimQuery> ReadReplica<E> {
+    /// A fresh read in place ([`QueryHandle::read_fresh`]) at
+    /// `max_pending = 0` once a batch is pending past the frame; `None`
+    /// otherwise, or when `E` reads nothing in place: the caller refreshes
+    /// and asks the frame.
+    fn read_fresh<T>(
+        &self,
+        whole: impl FnOnce(&E) -> T,
+        sum: impl FnOnce(&E, &[&E], &mut Option<f64>) -> Option<T>,
+    ) -> Option<Result<T>> {
+        if self.max_pending > 0 || self.pending() == 0 {
+            return None;
+        }
+        let answer = self.handle.read_fresh(0, whole, sum)?;
+        Some(answer.map(|(answer, _)| answer))
+    }
+}
+
 impl<E> ReadReplica<E>
 where
-    E: Summary + SlimQuery,
-    E::Slim: sss_core::DistinctQuery,
+    E: Summary + SlimQuery + DistinctQuery,
+    E::Slim: DistinctQuery,
 {
-    /// Distinct-count query from the slim replica: refresh if past
-    /// `max_pending`, then answer from local slim state. The estimate
-    /// carries the slim projection's own variance; unlike
+    /// Distinct-count query. At `max_pending = 0` it is read off the
+    /// caught-up shards in place, the HyperLogLog registers maxed
+    /// ([`DistinctQuery::distinct_estimate_of_sum`]), and adopts no frame;
+    /// otherwise, or where `E` reads no sum in place, it refreshes if past
+    /// `max_pending` and answers from the frame. The estimate carries the
+    /// summary's own variance; unlike
     /// [`self_join_estimate`](ReadReplica::self_join_estimate) no
     /// staleness term is added (there is no F₀ drift bound analogous to
-    /// the F2 one), so treat the bar as "as of the adopted frame".
+    /// the F2 one), so treat the bar as "as of the state answered from".
     ///
     /// # Errors
     ///
     /// As for [`refresh`](ReadReplica::refresh).
     pub fn distinct_estimate(&mut self) -> Result<Estimate> {
+        let whole = E::distinct_estimate;
+        let sum =
+            |zero: &E, parts: &[&E], _: &mut Option<f64>| E::distinct_estimate_of_sum(zero, parts);
+        if let Some(fresh) = self.read_fresh(whole, sum) {
+            return fresh;
+        }
         self.refresh()?;
-        Ok(sss_core::DistinctQuery::distinct_estimate(self.slim()))
+        Ok(DistinctQuery::distinct_estimate(self.slim()))
     }
 }
 
 impl<E> ReadReplica<E>
 where
-    E: Summary + SlimQuery,
-    E::Slim: sss_core::QuantileQuery,
+    E: Summary + SlimQuery + QuantileQuery,
+    E::Slim: QuantileQuery,
 {
-    /// Quantile query from the slim replica (refreshes first).
+    /// Quantile query: [`quantile_with_bounds`](Self::quantile_with_bounds)'s
+    /// value.
+    ///
+    /// # Errors
+    ///
+    /// As for [`quantile_with_bounds`](Self::quantile_with_bounds).
+    pub fn quantile(&mut self, q: f64) -> Result<f64> {
+        Ok(self.quantile_with_bounds(q)?.0)
+    }
+
+    /// The `q`-quantile and its rank envelope, all three from one state: at
+    /// `max_pending = 0` the caught-up shards' KLLs merged into scratch in
+    /// the fold's order ([`QuantileQuery::quantile_with_bounds_of_sum`]),
+    /// adopting no frame; otherwise, or where `E` reads no sum in place,
+    /// one frame, refreshed if past `max_pending` — under ingest two
+    /// refreshing reads could answer from two frames.
     ///
     /// # Errors
     ///
     /// As for [`refresh`](ReadReplica::refresh), or an estimator error
     /// for `q ∉ [0, 1]` / an empty summary.
-    pub fn quantile(&mut self, q: f64) -> Result<f64> {
-        self.refresh()?;
-        sss_core::QuantileQuery::quantile(self.slim(), q).map_err(StreamError::Estimator)
+    pub fn quantile_with_bounds(&mut self, q: f64) -> Result<(f64, (f64, f64))> {
+        let whole = |whole: &E| whole.quantile_with_bounds(q);
+        let sum = |zero: &E, parts: &[&E], _: &mut Option<f64>| {
+            E::quantile_with_bounds_of_sum(zero, parts, q)
+        };
+        let answer = match self.read_fresh(whole, sum) {
+            Some(fresh) => fresh?,
+            None => {
+                self.refresh()?;
+                self.slim().quantile_with_bounds(q)
+            }
+        };
+        answer.map_err(StreamError::Estimator)
     }
 }
 
 impl<E> ReadReplica<E>
 where
-    E: Summary + SlimQuery,
-    E::Slim: sss_core::TopKQuery,
+    E: Summary + SlimQuery + TopKQuery,
+    E::Slim: TopKQuery,
 {
-    /// Top-k query from the slim replica (refreshes first): the `k`
-    /// heaviest tracked keys, each with its typed frequency estimate.
+    /// Top-k query: the `k` heaviest candidates, each with its typed
+    /// frequency estimate. At `max_pending = 0` it is read off the
+    /// caught-up shards in place ([`TopKQuery::top_k_of_sum`]: the
+    /// candidates of the Misra–Gries parts merged into scratch, priced by
+    /// the point query over the summed join cells, the variance from the
+    /// F₂ a `self_join` read off the same state, if one did), adopting no
+    /// frame; otherwise, or where `E` reads no sum in place, from the
+    /// frame, refreshed if past `max_pending`.
     ///
     /// # Errors
     ///
     /// As for [`refresh`](ReadReplica::refresh).
     pub fn top_k(&mut self, k: usize) -> Result<Vec<(u64, Estimate)>> {
+        let sum =
+            |zero: &E, parts: &[&E], f2: &mut Option<f64>| E::top_k_of_sum(zero, parts, k, f2);
+        if let Some(fresh) = self.read_fresh(|whole| priced_top_k(whole, k), sum) {
+            return fresh;
+        }
         self.refresh()?;
-        Ok(sss_core::TopKQuery::top_k(self.slim(), k)
-            .into_iter()
-            .map(|(key, _)| {
-                (
-                    key,
-                    sss_core::TopKQuery::frequency_estimate(self.slim(), key),
-                )
-            })
-            .collect())
+        Ok(priced_top_k(self.slim(), k))
     }
+}
+
+/// `summary`'s top `k`, each key with its
+/// [`frequency_estimate`](TopKQuery::frequency_estimate), whose variance is
+/// asked once.
+fn priced_top_k<S: TopKQuery + ?Sized>(summary: &S, k: usize) -> Vec<(u64, Estimate)> {
+    let variance = summary.frequency_variance();
+    let priced = |(key, _)| {
+        let (value, basics) = (summary.frequency(key), Vec::new());
+        (
+            key,
+            Estimate {
+                value,
+                variance,
+                basics,
+            },
+        )
+    };
+    summary.top_k(k).into_iter().map(priced).collect()
 }
 
 impl<E: Summary + SlimQuery> std::fmt::Debug for ReadReplica<E> {

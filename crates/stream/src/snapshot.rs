@@ -93,6 +93,9 @@ pub(crate) struct SnapshotCache<E> {
     merged: Option<Arc<E>>,
     /// The replica frame over `merged`, once a reader asked for one.
     frame: Option<ReplicaFrame>,
+    /// The F₂ a fresh read took off the shards in place, with the batches
+    /// each shard had applied: the merge's F₂ for as long as they have.
+    fresh_f2: Option<(Vec<u64>, f64)>,
     stats: CacheStats,
 }
 
@@ -102,8 +105,22 @@ impl<E> SnapshotCache<E> {
             stamps: vec![Stamp::default(); shards],
             merged: None,
             frame: None,
+            fresh_f2: None,
             stats: CacheStats::default(),
         }
+    }
+
+    /// The kept fresh F₂, if the shards have applied what they had when it
+    /// was read: `applied` batches, shard by shard.
+    pub(crate) fn fresh_f2(&self, applied: &[u64]) -> Option<f64> {
+        let (at, f2) = self.fresh_f2.as_ref()?;
+        (at[..] == *applied).then_some(*f2)
+    }
+
+    /// Keep `f2`, read off shards that had applied `applied` batches, or
+    /// forget the kept one.
+    pub(crate) fn keep_fresh_f2(&mut self, applied: Vec<u64>, f2: Option<f64>) {
+        self.fresh_f2 = f2.map(|f2| (applied, f2));
     }
 
     /// Shards whose stamp is below their floor.

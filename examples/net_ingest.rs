@@ -16,8 +16,8 @@
 //! 3. stream `BATCH` frames (`u32 count` + `count × u64` keys, all
 //!    little-endian), pipelined without waiting,
 //! 4. end with a `SYNC` cookie and wait for `SYNC_OK`: every batch sent
-//!    before the sync is now accepted into the shard rings and visible
-//!    to at-all-times queries.
+//!    before the sync is now applied to the shards and visible to
+//!    at-all-times queries.
 //!
 //! A raw query-plane exchange (newline-delimited JSON on a second port)
 //! closes the loop, then a shutdown command drains the rings and hands
@@ -111,7 +111,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // 4. The sync barrier: once SYNC_OK comes back, every batch above
-    //    is accepted into the shard rings.
+    //    is applied to the shards.
     write_frame(&mut wire, FRAME_SYNC, &7u64.to_le_bytes())?;
     wire.flush()?;
     let (tag, cookie) = read_frame(&mut wire)?;

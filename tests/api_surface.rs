@@ -19,7 +19,7 @@ use sketch_sampled_streams::core::{
     SampledMultiSummary, SlimJoin, SlimMultiSummary, SlimQuery, SlimTopK, Summary, TopKQuery,
 };
 use sketch_sampled_streams::sketch::{CountSketchTopK, HyperLogLog, KllSketch, MisraGries};
-use sketch_sampled_streams::stream::{ReadReplica, ShardedRuntime};
+use sketch_sampled_streams::stream::{QueryHandle, ReadReplica, RuntimeConfig, ShardedRuntime};
 
 fn rng(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed)
@@ -185,4 +185,38 @@ fn slim_projection_is_bit_identical_at_projection_time() {
         slim_bytes * 5 < fat_bytes,
         "slim {slim_bytes} bytes vs fat {fat_bytes} bytes"
     );
+}
+
+/// What a fresh wire turn rests on: the ingest plane pushes without waking
+/// a worker per batch (`push_loaned_deferred`, beside the ledger-named
+/// `push_loaned`, which keeps waking), wakes the workers once a turn
+/// (`wake_workers`), and answers a `SYNC` by catching every shard up
+/// (`catch_up`); a replica reads a quantile and its envelope from one
+/// state, and each composite family reads the shards' parts in place.
+#[test]
+fn a_fresh_turn_pushes_deferred_catches_up_and_reads_in_place() {
+    let _ = ShardedRuntime::<MultiSummary>::push_loaned;
+    let _ = ShardedRuntime::<MultiSummary>::push_loaned_deferred;
+    let _ = ShardedRuntime::<MultiSummary>::wake_workers;
+    let _ = QueryHandle::<MultiSummary>::catch_up;
+    let _ = ReadReplica::<MultiSummary>::quantile_with_bounds;
+    let _ = <MultiSummary as DistinctQuery>::distinct_estimate_of_sum;
+    let _ = <MultiSummary as QuantileQuery>::quantile_with_bounds_of_sum;
+    let _ = <MultiSummary as TopKQuery>::top_k_of_sum;
+
+    let mut r = rng(5);
+    let spec = MultiSpec::new(JoinSchema::fagms(3, 512, &mut r), &mut r);
+    let config = RuntimeConfig {
+        shards: 2,
+        ..RuntimeConfig::default()
+    };
+    let mut rt = ShardedRuntime::new(config, &spec.summary().unwrap()).unwrap();
+    for _ in 0..4 {
+        let mut loan = rt.loan_batch_buf(256);
+        loan.extend(0..256u64);
+        rt.push_loaned_deferred(loan).unwrap();
+    }
+    rt.catch_up().unwrap();
+    assert_eq!(rt.tuples_ingested(), 4 * 256, "applied, not only queued");
+    rt.wake_workers();
 }

@@ -438,7 +438,9 @@ fn out_of_domain_query_fields_are_refused_by_name() {
 
 /// `{"cmd":"stats"}` carries the ring's high-water mark and the snapshot
 /// cache's counters: after ingest and one `self_join` at `max_pending = 0`
-/// a batch has occupied a ring and the replica's refresh rebuilt the cache.
+/// a batch has occupied a ring, and the cache was rebuilt. A fresh read
+/// in place folds nothing, so the rebuild is the fold that opens the query
+/// connection's replica once the ingest is synced.
 #[test]
 fn stats_line_reports_ring_and_cache_gauges() {
     let srv = server(6, 2, Partition::RoundRobin);
@@ -454,6 +456,63 @@ fn stats_line_reports_ring_and_cache_gauges() {
     assert!(gauge("queue_high_water") >= 1, "{line}");
     assert!(gauge("cache_rebuilds") >= 1, "{line}");
     assert!(line.contains("\"cache_hits\":"), "{line}");
+    srv.shutdown_and_wait().unwrap();
+}
+
+/// `SYNC_OK` means applied, not queued: once `sync()` returns on a
+/// two-shard hash server fed a backlog, and before any query catches a
+/// shard up, the stats line's runtime gauge counts every accepted tuple.
+/// The query connection, and the replica it opens, predate the ingest.
+#[test]
+fn a_sync_returns_once_every_accepted_tuple_is_applied() {
+    let srv = server(21, 2, Partition::Hash);
+    let mut queries = QueryClient::connect(srv.query_addr()).unwrap();
+    let line = queries.stats_line().unwrap();
+    assert_eq!(protocol::response_u64(&line, "tuples"), Some(0), "{line}");
+    let mut client = IngestClient::connect(srv.ingest_addr()).unwrap();
+    let keys: Vec<u64> = (0..4096u64).map(|i| splitmix64(i) % 100_000).collect();
+    for _ in 0..256 {
+        client.send_batch(&keys).unwrap();
+    }
+    client.sync().unwrap();
+    let line = queries.stats_line().unwrap();
+    let gauge = |name| protocol::response_u64(&line, name).expect(name);
+    assert_eq!(gauge("tuples"), 256 * 4096, "{line}");
+    assert_eq!(gauge("runtime_tuples"), gauge("tuples"), "{line}");
+    srv.shutdown_and_wait().unwrap();
+}
+
+/// A turn's batches go onto the rings without waking a worker per batch,
+/// and the worker whose ring still holds a batch is woken once the turn's
+/// answers are out. A connection that sends batches and never a `SYNC`,
+/// then idles with the connection open, is applied within 5 s with no
+/// query issued: the stats line reads gauges and catches nothing up.
+#[test]
+fn batches_left_unsynced_are_applied_while_the_connection_idles() {
+    let srv = server(22, 2, Partition::RoundRobin);
+    let mut queries = QueryClient::connect(srv.query_addr()).unwrap();
+    queries.stats_line().unwrap();
+    let mut client = IngestClient::connect(srv.ingest_addr()).unwrap();
+    // Six batches, three a shard: no ring fills, which would wake its
+    // worker before the turn ends.
+    for batch in (0..3_000u64).collect::<Vec<_>>().chunks(500) {
+        client.send_batch(batch).unwrap();
+    }
+    client.flush().unwrap();
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    loop {
+        let line = queries.stats_line().unwrap();
+        let gauge = |name| protocol::response_u64(&line, name).expect(name);
+        if gauge("tuples") == 3_000 && gauge("runtime_tuples") == 3_000 {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "never applied: {line}"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    client.finish().unwrap();
     srv.shutdown_and_wait().unwrap();
 }
 

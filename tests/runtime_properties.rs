@@ -330,13 +330,89 @@ proptest! {
     }
 }
 
-/// A fresh F₂ read holds every shard lock at once, taken in shard order
-/// under the cache lock, while each worker takes only its own. Three
-/// shards, one thread pushing, and a reader looping the handle's and a
-/// `max_pending = 0` replica's `self_join_estimate` plus `merged()`:
-/// nothing deadlocks (the case runs on a thread of its own and fails
-/// after 10 s), and once ingest stops a fresh read in place answers the
-/// merge's bits.
+/// Every family a `max_pending = 0` replica serves, as bits, in one
+/// order: F₂ (every bit), F₀, the median and its envelope, the quantiles,
+/// then the top keys with their estimates. `topk_first` asks the top-k
+/// before the F₂, so it reads no F₂ a `self_join` left.
+fn replica_family_bits(replica: &mut ReadReplica<MultiSummary>, topk_first: bool) -> Vec<u64> {
+    let top_k = |replica: &mut ReadReplica<MultiSummary>| {
+        let top = replica.top_k(TOP).unwrap();
+        let pairs = top
+            .into_iter()
+            .map(|(key, est)| [key, bits(&est)[0], bits(&est)[1]]);
+        pairs.flatten().collect::<Vec<u64>>()
+    };
+    let top = topk_first.then(|| top_k(replica));
+    let mut out = every_bit(&replica.self_join_estimate().unwrap());
+    out.extend(bits(&replica.distinct_estimate().unwrap()));
+    let (value, (lo, hi)) = replica.quantile_with_bounds(0.5).unwrap();
+    out.extend([value, lo, hi].map(f64::to_bits));
+    out.extend(QUANTILES.map(|q| replica.quantile(q).unwrap().to_bits()));
+    out.extend(top.unwrap_or_else(|| top_k(replica)));
+    out
+}
+
+/// The same answers from a whole summary: the fold's.
+fn whole_family_bits(whole: &MultiSummary) -> Vec<u64> {
+    let mut out = every_bit(&JoinQuery::self_join_estimate(whole));
+    out.extend(bits(&whole.distinct_estimate()));
+    let (value, (lo, hi)) = whole.quantile_with_bounds(0.5).unwrap();
+    out.extend([value, lo, hi].map(f64::to_bits));
+    out.extend(QUANTILES.map(|q| whole.quantile(q).unwrap().to_bits()));
+    for (key, _) in TopKQuery::top_k(whole, TOP) {
+        let est = whole.frequency_estimate(key);
+        out.extend([key, bits(&est)[0], bits(&est)[1]]);
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// At one, two and three shards under both partitions, a
+    /// `max_pending = 0` replica reads every family off the caught-up
+    /// shards in place — F₀ from the maxed registers, the quantile and its
+    /// envelope from the KLLs merged into scratch, the top-k from the
+    /// Misra–Gries parts merged into scratch and priced over the summed
+    /// join cells, with or without the F₂ a `self_join` left — rebuilds
+    /// no cached merge, and answers what `merged()` then answers, bit for
+    /// bit.
+    #[test]
+    fn fresh_family_reads_are_the_folds_answers_at_every_shard_count(
+        keys in prop::collection::vec(0..500u64, 1..400),
+        chunk in 1usize..97,
+        seed: u64,
+    ) {
+        for (shards, partition) in (1..=3).flat_map(|s| [(s, Partition::RoundRobin), (s, Partition::Hash)]) {
+            let config = RuntimeConfig { shards, queue_depth: 4, partition };
+            let mut rt = ShardedRuntime::new(config, &multi_spec(seed).summary().unwrap()).unwrap();
+            let mut replica = rt.read_replica(0).unwrap();
+            for (i, part) in keys.chunks(chunk).enumerate() {
+                rt.push(part).unwrap();
+                let before = rebuilds(&rt);
+                let fresh = replica_family_bits(&mut replica, i % 2 == 1);
+                prop_assert_eq!(
+                    rebuilds(&rt),
+                    before,
+                    "a fresh read at {} shards rebuilt the merge",
+                    shards
+                );
+                let merged = whole_family_bits(&rt.merged().unwrap());
+                prop_assert_eq!(&fresh, &merged, "{} shards, {:?}", shards, partition);
+            }
+        }
+    }
+}
+
+/// A fresh read holds every shard lock at once, taken in shard order under
+/// the cache lock, while each worker takes only its own, and a `SYNC`'s
+/// catch-up takes them one at a time under the cache lock. Three shards,
+/// one thread pushing, a reader looping the handle's and a
+/// `max_pending = 0` replica's `self_join_estimate`, the replica's
+/// `distinct_estimate`, `quantile_with_bounds` and `top_k`, plus
+/// `merged()`, and a third thread looping `catch_up`: nothing deadlocks
+/// (the case runs on a thread of its own and fails after 10 s), and once
+/// ingest stops every fresh read in place answers the merge's bits.
 #[test]
 fn fresh_reads_holding_every_shard_lock_cannot_deadlock() {
     let (done, finished) = std::sync::mpsc::channel();
@@ -347,41 +423,63 @@ fn fresh_reads_holding_every_shard_lock_cannot_deadlock() {
             partition: Partition::Hash,
         };
         let mut rt = ShardedRuntime::new(config, &multi_spec(43).summary().unwrap()).unwrap();
+        let keys: Vec<u64> = (0..60_000u64).map(|i| splitmix64(i) % 5_000).collect();
+        // A first batch, so a quantile has a value to read from the start.
+        rt.push(&keys[..512]).unwrap();
         let handle = rt.query_handle();
         let stop = Arc::new(AtomicBool::new(false));
         let reader = {
             let stop = Arc::clone(&stop);
+            let handle = handle.clone();
             std::thread::spawn(move || {
                 let mut replica = handle.read_replica(0).unwrap();
                 let mut reads = 0u64;
                 while !stop.load(Ordering::Acquire) {
                     handle.self_join_estimate().unwrap();
                     replica.self_join_estimate().unwrap();
+                    replica.distinct_estimate().unwrap();
+                    replica.quantile_with_bounds(0.5).unwrap();
+                    replica.top_k(TOP).unwrap();
                     handle.merged().unwrap();
                     reads += 1;
                 }
-                (handle, replica, reads)
+                (replica, reads)
             })
         };
-        let keys: Vec<u64> = (0..60_000u64).map(|i| splitmix64(i) % 5_000).collect();
-        for batch in keys.chunks(512) {
+        let syncer = {
+            let (stop, handle) = (Arc::clone(&stop), handle.clone());
+            std::thread::spawn(move || {
+                let mut syncs = 0u64;
+                while !stop.load(Ordering::Acquire) {
+                    handle.catch_up().unwrap();
+                    syncs += 1;
+                }
+                syncs
+            })
+        };
+        for batch in keys[512..].chunks(512) {
             rt.push(batch).unwrap();
         }
         stop.store(true, Ordering::Release);
-        let (handle, mut replica, reads) = reader.join().unwrap();
-        // One more batch, so both reads below are read in place.
+        let (mut replica, reads) = reader.join().unwrap();
+        let syncs = syncer.join().unwrap();
+        // One more batch, so every read below is read in place.
         rt.push(&keys[..512]).unwrap();
         let fresh = every_bit(&handle.self_join_estimate().unwrap());
-        let by_replica = every_bit(&replica.self_join_estimate().unwrap());
-        let merged = every_bit(&JoinQuery::self_join_estimate(&*rt.merged().unwrap()));
-        done.send((reads, fresh, by_replica, merged)).unwrap();
+        let by_replica = replica_family_bits(&mut replica, false);
+        let merged = rt.merged().unwrap();
+        let whole = whole_family_bits(&merged);
+        let merged_f2 = every_bit(&JoinQuery::self_join_estimate(&*merged));
+        done.send((reads, syncs, fresh, by_replica, merged_f2, whole))
+            .unwrap();
     });
-    let (reads, fresh, by_replica, merged) = finished
+    let (reads, syncs, fresh, by_replica, merged_f2, whole) = finished
         .recv_timeout(Duration::from_secs(10))
         .unwrap_or_else(|e| panic!("a shard lock was never given back, or a side panicked ({e})"));
     assert!(reads > 0, "the reader never read");
-    assert_eq!(fresh, merged);
-    assert_eq!(by_replica, merged);
+    assert!(syncs > 0, "the catch-up never ran");
+    assert_eq!(fresh, merged_f2);
+    assert_eq!(by_replica, whole);
 }
 
 proptest! {
@@ -676,9 +774,11 @@ fn a_query_handle_reports_the_last_pool_stats_after_into_merged() {
 }
 
 /// One borrow of `slim()` is one frame: a push between two reads cannot
-/// move it, so a value and its envelope agree. Refreshing reads on either
-/// side of the push land on two versions — what a response built from two
-/// of them would straddle (`sss-net` refreshes once per request line).
+/// move it, so a value and its envelope agree. Reads on either side of the
+/// push land on two states — what a response built from two of them would
+/// straddle (`sss-net` reads a value and its envelope in one call). At
+/// `max_pending = 0` the later read is taken off the shards in place and
+/// adopts no frame; a refresh then adopts the frame of that same state.
 #[test]
 fn reads_through_one_slim_borrow_come_from_one_frame() {
     let proto = multi_spec(16).summary().unwrap();
@@ -694,10 +794,16 @@ fn reads_through_one_slim_borrow_come_from_one_frame() {
     assert!(lo <= value && value <= hi, "{lo} <= {value} <= {hi}");
     assert_eq!(replica.version(), v0);
     let moved = replica.quantile(0.5).unwrap();
-    assert!(replica.version() > v0);
+    assert_eq!(replica.version(), v0, "a read in place adopts no frame");
     assert!(
         moved > hi,
-        "the newer frame's median {moved} is outside ({lo}, {hi})"
+        "the newer state's median {moved} is outside ({lo}, {hi})"
+    );
+    assert!(replica.refresh().unwrap());
+    assert!(replica.version() > v0);
+    assert_eq!(
+        replica.slim().quantile(0.5).unwrap().to_bits(),
+        moved.to_bits()
     );
 }
 
