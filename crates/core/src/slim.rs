@@ -14,11 +14,12 @@
 //! | [`MisraGries`] | [`SlimTopK`] | ranked candidate list + variance plug-in |
 //! | [`HyperLogLog`] | itself | registers *are* the compact state (documented pass-through) |
 //! | [`KllSketch`] | itself | compactors *are* the compact state (documented pass-through) |
-//! | [`MultiSummary`] | [`SlimMultiSummary`] | all of the above: `slim()` projects the four at once; a replica frame ([`SlimQuery::frame`]) shares the merge and projects each family the first time it is asked |
+//! | [`MultiSummary`] | [`SlimMultiSummary`] | all of the above, projected at once |
 //!
-//! `slim()` is the eager whole projection, which the CLI prints and the
-//! codec ships; a runtime's replica frame takes the SF-sketch split one
-//! step further, building only what its readers ask for.
+//! A slim form is what crosses a process boundary: the CLI prints its size
+//! and the codec ships it. No in-process reader uses one — a runtime's
+//! read replica holds the fat merge itself and asks it, which the answer
+//! contract below makes the same bits.
 //!
 //! **Answer contract.** Every query a slim form answers is bit-identical
 //! to the fat summary's answer at projection time. Queries that
@@ -37,9 +38,7 @@
 //!
 //! **Slim states do not merge.** `(a+b)² ≠ a² + b²`: a lane aggregate of
 //! a union cannot be recovered from the unions' lane aggregates. The
-//! two-stage read path therefore always merges *fat* state first and
-//! projects after — see `sss-stream`'s snapshot cache, which keeps the
-//! replica frame beside the merge it projects.
+//! slim form is therefore always projected from *fat* state, merged first.
 
 use crate::error::{Error, Result};
 use crate::multi::MultiSummary;
@@ -47,7 +46,6 @@ use crate::sketch::JoinSketch;
 use crate::summary::{DistinctQuery, JoinQuery, Portable, QuantileQuery, SlimQuery, TopKQuery};
 use sss_sketch::{Estimate, HyperLogLog, KllSketch, MisraGries};
 use sss_xi::{Codec, CodecError, Reader, Writer};
-use std::sync::{Arc, OnceLock};
 
 /// The slim join stage: the fat sketch's typed self-join estimate — value,
 /// variance, and the per-lane medians-of-means basics it was combined
@@ -229,67 +227,26 @@ impl Portable for SlimTopK {
 /// state), so the composite's space win comes from the join and top-k
 /// stages — which is where the fat space went.
 ///
-/// Two ways to get one, with the same answers and bytes either way:
-/// [`MultiSummary`]'s [`slim`](SlimQuery::slim) (and
-/// [`decode`](Portable::decode)) fills all four stages at once and holds
-/// no fat state; a replica frame ([`SlimQuery::frame`]) shares the merge
-/// with the runtime's cache and fills the join stage on the first
-/// `self_join`, the top-k stage on the first `top_k`/`frequency` (its
-/// variance from the frame's own join stage), once, whichever thread asks
-/// first — HyperLogLog and KLL it reads from the merge in place.
+/// [`MultiSummary`]'s [`slim`](SlimQuery::slim) and
+/// [`decode`](Portable::decode) make one, all four stages filled.
 #[derive(Debug, Clone)]
 pub struct SlimMultiSummary {
-    join: OnceLock<SlimJoin>,
-    topk: OnceLock<SlimTopK>,
-    whole: Whole,
+    join: SlimJoin,
+    topk: SlimTopK,
+    distinct: HyperLogLog,
+    quantiles: KllSketch,
     fingerprint: u64,
-}
-
-/// What a [`SlimMultiSummary`] reads HLL and KLL from, and projects its
-/// join and top-k stages from while they are empty.
-#[derive(Debug, Clone)]
-enum Whole {
-    /// A frame over a merge shared with the cache that made it.
-    Shared(Arc<MultiSummary>),
-    /// An eager or decoded projection: both stages filled, nothing fat held.
-    Owned {
-        distinct: HyperLogLog,
-        quantiles: KllSketch,
-    },
 }
 
 impl SlimMultiSummary {
     /// The slim join stage.
     pub fn join(&self) -> &SlimJoin {
-        self.join.get_or_init(|| self.merge().join().slim())
+        &self.join
     }
 
     /// The slim top-k stage.
     pub fn topk(&self) -> &SlimTopK {
-        self.topk
-            .get_or_init(|| topk_stage(self.merge(), self.join().self_join()))
-    }
-
-    /// The merge a frame projects from: only a frame has empty stages.
-    fn merge(&self) -> &MultiSummary {
-        match &self.whole {
-            Whole::Shared(merged) => merged,
-            Whole::Owned { .. } => unreachable!("an owned projection is filled whole"),
-        }
-    }
-
-    fn hll(&self) -> &HyperLogLog {
-        match &self.whole {
-            Whole::Shared(merged) => merged.hll(),
-            Whole::Owned { distinct, .. } => distinct,
-        }
-    }
-
-    fn kll(&self) -> &KllSketch {
-        match &self.whole {
-            Whole::Shared(merged) => merged.kll(),
-            Whole::Owned { quantiles, .. } => quantiles,
-        }
+        &self.topk
     }
 }
 
@@ -327,58 +284,52 @@ impl TopKQuery for SlimMultiSummary {
 
 impl DistinctQuery for SlimMultiSummary {
     fn distinct(&self) -> f64 {
-        DistinctQuery::distinct(self.hll())
+        DistinctQuery::distinct(&self.distinct)
     }
 
     fn distinct_estimate(&self) -> Estimate {
-        DistinctQuery::distinct_estimate(self.hll())
+        DistinctQuery::distinct_estimate(&self.distinct)
     }
 }
 
 impl QuantileQuery for SlimMultiSummary {
     fn quantile(&self, q: f64) -> Result<f64> {
-        QuantileQuery::quantile(self.kll(), q)
+        QuantileQuery::quantile(&self.quantiles, q)
     }
 
     fn quantiles(&self, ranks: &[f64]) -> Result<Vec<f64>> {
-        QuantileQuery::quantiles(self.kll(), ranks)
+        QuantileQuery::quantiles(&self.quantiles, ranks)
     }
 
     fn rank(&self, value: u64) -> f64 {
-        QuantileQuery::rank(self.kll(), value)
+        QuantileQuery::rank(&self.quantiles, value)
     }
 
     fn rank_error(&self) -> f64 {
-        QuantileQuery::rank_error(self.kll())
+        QuantileQuery::rank_error(&self.quantiles)
     }
 
     fn stream_len(&self) -> u64 {
-        QuantileQuery::stream_len(self.kll())
+        QuantileQuery::stream_len(&self.quantiles)
     }
 }
 
-/// The four stages' layouts, in order, then the fat fingerprint. A frame
-/// fills its stages to encode them.
+/// The four stages' layouts, in order, then the fat fingerprint.
 impl Codec for SlimMultiSummary {
     fn put(&self, w: &mut Writer) {
-        self.join().put(w);
-        self.topk().put(w);
-        self.hll().put(w);
-        self.kll().put(w);
+        self.join.put(w);
+        self.topk.put(w);
+        self.distinct.put(w);
+        self.quantiles.put(w);
         w.u64(self.fingerprint);
     }
 
     fn take(r: &mut Reader<'_>) -> std::result::Result<Self, CodecError> {
-        let join = SlimJoin::take(r)?.into();
-        let topk = SlimTopK::take(r)?.into();
-        let whole = Whole::Owned {
+        Ok(Self {
+            join: SlimJoin::take(r)?,
+            topk: SlimTopK::take(r)?,
             distinct: HyperLogLog::take(r)?,
             quantiles: KllSketch::take(r)?,
-        };
-        Ok(Self {
-            join,
-            topk,
-            whole,
             fingerprint: r.u64()?,
         })
     }
@@ -444,40 +395,24 @@ impl SlimQuery for KllSketch {
 /// Misra–Gries candidates priced by the join sketch — so the slim form
 /// ranks exactly as the fat one does; a key outside it reads 0 where the
 /// fat form can point-query (the gap [`SlimTopK`] documents). Its variance
-/// takes `F₂` (`f2`) from the join stage, the same combination of the same
-/// lanes the fat `frequency_variance` reads, so the lanes are summed once.
-fn topk_stage(fat: &MultiSummary, f2: f64) -> SlimTopK {
-    SlimTopK::project(
-        Portable::fingerprint(fat.heavy()),
-        TopKQuery::top_k(fat, fat.heavy().capacity()),
-        fat.frequency_variance_at(f2),
-    )
-}
-
-/// `slim` projects all four stages at once; a replica frame shares the
-/// merge and projects each stage on first ask (see [`SlimMultiSummary`]).
+/// takes `F₂` from the join stage, the same combination of the same lanes
+/// the fat `frequency_variance` reads, so the lanes are summed once.
 impl SlimQuery for MultiSummary {
     type Slim = SlimMultiSummary;
 
     fn slim(&self) -> SlimMultiSummary {
         let join = self.join().slim();
+        let topk = SlimTopK::project(
+            Portable::fingerprint(self.heavy()),
+            TopKQuery::top_k(self, self.heavy().capacity()),
+            self.frequency_variance_at(join.self_join()),
+        );
         SlimMultiSummary {
-            topk: topk_stage(self, join.self_join()).into(),
-            join: join.into(),
-            whole: Whole::Owned {
-                distinct: self.hll().slim(),
-                quantiles: self.kll().slim(),
-            },
+            join,
+            topk,
+            distinct: self.hll().slim(),
+            quantiles: self.kll().slim(),
             fingerprint: Portable::fingerprint(self),
-        }
-    }
-
-    fn frame(merged: &Arc<Self>) -> SlimMultiSummary {
-        SlimMultiSummary {
-            join: OnceLock::new(),
-            topk: OnceLock::new(),
-            whole: Whole::Shared(Arc::clone(merged)),
-            fingerprint: Portable::fingerprint(&**merged),
         }
     }
 }

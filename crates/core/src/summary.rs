@@ -148,7 +148,6 @@ use crate::wire::Head;
 use sss_sampling::Door;
 use sss_sketch::{CountSketchTopK, Estimate, FagmsSketch, HyperLogLog, KllSketch, MisraGries};
 use sss_xi::{BucketFamily, Codec, Reader, SignFamily, Writer};
-use std::sync::Arc;
 
 /// A mergeable summary of a keyed stream — the ingestion half of the
 /// estimator contract, shared by join sketches, heavy-hitter summaries,
@@ -157,7 +156,7 @@ use std::sync::Arc;
 /// `Clone` is required so a concurrent runtime can snapshot shard state
 /// without draining it; `Send + 'static` so shards can live on worker
 /// threads; `Sync` so a merge can be shared, behind an `Arc`, by the
-/// runtime's cache and the replica frames readers on other threads hold.
+/// runtime's cache and the read replicas on other threads that hold it.
 pub trait Summary: Clone + Send + Sync + 'static {
     /// Add `count` occurrences of `key` (negative counts model deletions
     /// for turnstile-capable summaries; insert-only summaries may ignore
@@ -553,23 +552,15 @@ fn same_fingerprint(expected: u64, found: u64) -> Result<()> {
 /// — medians-of-means lanes for the join sketches, the candidate scores
 /// for top-k — instead of the full counter matrix. Slim states are *not*
 /// mergeable (lane aggregates don't add: `(a+b)² ≠ a² + b²`), so
-/// projection always happens **after** fat merging. In-process readers
-/// share one projection behind an `Arc` (hence `Sync`); a slim type that
-/// is also [`Portable`] can be shipped to another process, never merged.
+/// projection always happens **after** fat merging. A slim type that is
+/// also [`Portable`] can be shipped to another process, never merged; in
+/// process, a runtime's read replica asks the fat merge itself.
 pub trait SlimQuery: Summary {
     /// The compact read-replica form.
     type Slim: Clone + Send + Sync + 'static;
 
     /// Project the current state to its read-replica form.
     fn slim(&self) -> Self::Slim;
-
-    /// The replica frame a runtime's cache keeps over `merged`, a merge
-    /// it shares with that cache. By default the eager
-    /// [`slim`](SlimQuery::slim); [`crate::MultiSummary`] keeps the merge
-    /// and projects each query family the first time it is asked.
-    fn frame(merged: &Arc<Self>) -> Self::Slim {
-        merged.slim()
-    }
 }
 
 impl Summary for JoinSketch {

@@ -12,7 +12,7 @@
 //! | fingerprint | varint ([`Portable::fingerprint`](crate::Portable::fingerprint)) |
 //! | body | length-prefixed bytes, the summary's [`Codec`] layout |
 //!
-//! Snapshot files and slim frames carry a body; the network ingest
+//! Snapshot files and slim projections carry a body; the network ingest
 //! handshake ships the same head with an empty one, so two processes agree
 //! on kind, format and fingerprint with the machinery snapshot files use.
 //! A receiver can [`peek`] the head — route, version-check and

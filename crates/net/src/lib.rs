@@ -15,9 +15,8 @@
 //!   shard ring with no intermediate `Vec` per frame.
 //! * **Queries never block ingest.** The query plane is a separate
 //!   listener speaking newline-delimited JSON, each connection answered
-//!   from its own [`ReadReplica`](sss_stream::ReadReplica) slim frame — the
-//!   two-stage read path — so a slow or chatty query client costs the
-//!   ingest plane nothing.
+//!   from its own [`ReadReplica`](sss_stream::ReadReplica), so a slow or
+//!   chatty query client costs the ingest plane nothing.
 //!
 //! Each plane's listener accepts in blocking mode and gives each
 //! connection a thread of its own, under a cap of 64 open connections

@@ -17,16 +17,17 @@
 //!   backpressure propagates to the TCP receive windows of every client
 //!   rather than buffering unboundedly.
 //! * Each **query connection** opens its own [`ReadReplica`] from the
-//!   runtime's read side. At `max_pending = 0` every query line is read
-//!   off the caught-up shards in place, under their locks — F₂ from the
-//!   summed join rows, F₀, the quantile and the top-k from scratch merges
-//!   of the small parts — with no fold and no frame. Past a larger
-//!   budget a line refreshes the replica once and is answered from that
-//!   one slim projection (single-flight refresh of the frame the
-//!   runtime's cache keeps, adopted by pointer), so sustained ingest
-//!   costs a query only the staleness the budget allows, with the
-//!   estimate's error bar widened to match; a `self_join` past the budget
-//!   is read in place too.
+//!   runtime's read side; opening one folds nothing. At `max_pending = 0`
+//!   every query line is read off the caught-up shards in place, under
+//!   their locks — F₂ from the summed join rows, F₀, the quantile and the
+//!   top-k from scratch merges of the small parts — with no fold. Past a
+//!   larger budget a line refreshes the replica once and is answered from
+//!   the merge it holds (the runtime cache's merge, adopted by pointer or
+//!   rebuilt once for every replica refreshing to it), so sustained
+//!   ingest costs a query only the staleness the budget allows, with the
+//!   F₂ error bar widened to match; a `self_join` past the budget is read
+//!   in place too. The `stats` line's `replica_version` and
+//!   `replica_pending` describe the merge the connection's replica holds.
 //! * A `SYNC` is answered once every shard has applied what it accepted
 //!   ([`QueryHandle::catch_up`]): `SYNC_OK` means applied. Batches go
 //!   onto the rings without waking a worker
@@ -794,7 +795,7 @@ fn error_code(e: &FrameError) -> u16 {
     }
 }
 
-/// The query plane: newline-delimited JSON over a connection's own slim
+/// The query plane: newline-delimited JSON over a connection's own read
 /// replica.
 struct Queries {
     replica: ReadReplica<MultiSummary>,

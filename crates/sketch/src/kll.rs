@@ -300,7 +300,7 @@ impl KllSketch {
     /// Observe every value in the batch, as aligned windows: the largest
     /// run of `2^level <= 2^base` values that starts at position `n` on a
     /// multiple of its own length is reduced to its one survivor, which
-    /// enters at `level`. Whole `2^base` windows go straight into level
+    /// enters at `level`. Full `2^base` windows go straight into level
     /// `base`, as many at once as fit before its next compaction; a
     /// shorter one carries through the sampling levels. Where the windows
     /// fall, which value each keeps and when a level compacts depend on

@@ -14,7 +14,8 @@
 //!   `merged()`: a repeated at-all-times query is served from the cached
 //!   merge until a shard has applied past it, and a rebuild folds the
 //!   live shards, caught up by the query itself, into one copy of the
-//!   first. `merged()` lends the merge as an `Arc`.
+//!   first. `merged()` lends the merge as an `Arc`, which read replicas
+//!   hold.
 //!
 //! The runtime is the engine; a DSMS pipeline is composed from its calls:
 //!

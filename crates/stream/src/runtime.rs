@@ -15,7 +15,7 @@
 //!                                        └─ data ring ─▶ worker 2 ─┘  shard core (E₀, E₁, E₂)     rings
 //!  QueryHandle: the read side (the runtime derefs to it), one cache lock:
 //!  merged() ── lock shard s, apply what is queued below its floor, merge it in ──▶ Arc<E₀ ⊕ E₁ ⊕ E₂>
-//!  read_replica() ── the frame() over that Arc, kept beside it ──▶ Arc ──▶ every reader
+//!  refresh() ── adopts that Arc, or the kept one if it is recent enough ──▶ every replica
 //!  fresh read ── lock shards 0…S−1 in order, catch each up, keep every lock ──▶ an answer of the parts
 //!  catch_up() ── lock shard s, apply what is queued below its floor, let go ──▶ (a SYNC)
 //! ```
@@ -47,19 +47,18 @@
 //!   that, no wake-up to wait for. The cache
 //!   ([`snapshot`](crate::snapshot)) serves that merge until a shard's
 //!   accepted-batch count moves past it, and lends it as an `Arc`, so a
-//!   repeated query with no intervening ingest copies nothing. The cache
-//!   also keeps the one replica frame over that merge
-//!   ([`SlimQuery::frame`]), under the same lock: [`ReadReplica`]s share it
-//!   by pointer, and it projects what its readers ask for, once. A fresh
-//!   answer skips all of that at any shard count: the merge's join
-//!   counters are the shards' counters summed (§VI-C), so F₂ is read off
-//!   the caught-up shards under their locks — one shard's own estimate,
-//!   more shards' summed rows ([`JoinQuery::self_join_estimate_of_sum`])
-//!   — and a `max_pending = 0` replica reads every other family the same
-//!   way ([`DistinctQuery::distinct_estimate_of_sum`],
+//!   repeated query with no intervening ingest copies nothing. A
+//!   [`ReadReplica`] holds that `Arc` itself, and replicas that refresh
+//!   to one version share it by pointer. A fresh answer skips all of that
+//!   at any shard count: the merge's join counters are the shards'
+//!   counters summed (§VI-C), so F₂ is read off the caught-up shards
+//!   under their locks — one shard's own estimate, more shards' summed
+//!   rows ([`JoinQuery::self_join_estimate_of_sum`]) — and a
+//!   `max_pending = 0` replica reads every other family the same way
+//!   ([`DistinctQuery::distinct_estimate_of_sum`],
 //!   [`QuantileQuery::quantile_with_bounds_of_sum`],
 //!   [`TopKQuery::top_k_of_sum`]: scratch merges of the small parts in
-//!   the fold's order), with no fold, cache install or frame. That read
+//!   the fold's order), with no fold or cache install. That read
 //!   holds every shard lock at once, taken in shard order under the cache
 //!   lock; a worker only ever takes its own shard's, so the locks cannot
 //!   deadlock. [`catch_up`](QueryHandle::catch_up) applies what every
@@ -112,8 +111,8 @@
 
 use crate::error::{Result, StreamError};
 use crate::ring;
-use crate::snapshot::{CacheStats, ReplicaFrame, SnapshotCache, Stamp};
-use sss_core::{DistinctQuery, Estimate, JoinQuery, QuantileQuery, SlimQuery, Summary, TopKQuery};
+use crate::snapshot::{CacheStats, SnapshotCache, Stamp};
+use sss_core::{DistinctQuery, Estimate, JoinQuery, QuantileQuery, Summary, TopKQuery};
 use sss_sampling::{staleness_variance_plugin, Door};
 use sss_xi::splitmix64;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -282,12 +281,12 @@ impl Drop for Waiting<'_> {
 struct RuntimeShared<E> {
     config: RuntimeConfig,
     /// The empty estimator the shards' copies came from (schema seeds),
-    /// and the zero their states fold into.
-    prototype: E,
+    /// and the zero their states fold into: the merge of no shard, which
+    /// a replica opened before the first query holds.
+    prototype: Arc<E>,
     shards: Vec<ShardState<E>>,
-    /// The incremental snapshot cache, which also keeps the replica frame
-    /// over its merge; its mutex serializes concurrent queries from
-    /// multiple handles.
+    /// The incremental snapshot cache; its mutex serializes concurrent
+    /// queries from multiple handles.
     cache: Mutex<SnapshotCache<E>>,
     /// Highest `accepted − applied` any shard ever reached (≤ depth + 1).
     high_water: AtomicUsize,
@@ -302,9 +301,8 @@ struct RuntimeShared<E> {
 impl<E: Summary> RuntimeShared<E> {
     /// Lock the snapshot cache, recovering from poison. A querier thread
     /// can panic while holding this lock (estimator `Clone`/`merge_from`
-    /// and the frame projection run user code), but a rebuild installs its
-    /// merge, and a refresh its frame, only once whole, so a poisoned
-    /// cache is still a consistent one.
+    /// run user code), but a rebuild installs its merge only once whole,
+    /// so a poisoned cache is still a consistent one.
     fn lock_cache(&self) -> MutexGuard<'_, SnapshotCache<E>> {
         self.cache.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -452,7 +450,7 @@ impl<E: Summary> ShardedRuntime<E> {
         }
         let shared = Arc::new(RuntimeShared {
             config,
-            prototype: prototype.clone(),
+            prototype: Arc::new(prototype.clone()),
             shards: states,
             cache: Mutex::new(SnapshotCache::new(config.shards)),
             high_water: AtomicUsize::new(0),
@@ -714,7 +712,7 @@ impl<E: Summary> ShardedRuntime<E> {
         // Each worker left its ring drained, or its shard dead. The shards
         // are taken: a handle that needs one later finds it disconnected.
         let shared = &self.query.shared;
-        let mut fold = Fold::new(&shared.prototype);
+        let mut fold = Fold::new(&*shared.prototype);
         for (shard, state) in shared.shards.iter().enumerate() {
             let live = state
                 .lock_core()
@@ -913,7 +911,7 @@ impl<E: Summary> QueryHandle<E> {
     /// state left, if one did (it may leave one). Where there are no
     /// parts, `whole` asks the prototype, which is what the fold of none
     /// is. Linearity and fold-order scratch merges make every answer the
-    /// merge's bits, so no fold, cache install or frame is needed. One
+    /// merge's bits, so no fold or cache install is needed. One
     /// shard is caught up to all but `max_pending` of its accepted
     /// batches, more shards to all of theirs. `None` when `sum` reads
     /// nothing: the locks are dropped and the caller folds.
@@ -956,7 +954,7 @@ impl<E: Summary> QueryHandle<E> {
             .flat_map(|(core, _)| core.as_ref())
             .map(|live| &live.est)
             .collect();
-        let zero = &self.shared.prototype;
+        let zero: &E = &self.shared.prototype;
         let answer = if parts.is_empty() {
             whole(zero)
         } else {
@@ -989,7 +987,7 @@ impl<E: Summary> QueryHandle<E> {
         if let Some((merged, stamp)) = cache.hit(&floors) {
             return Ok((Arc::clone(merged), stamp));
         }
-        let mut fold = Fold::new(&self.shared.prototype);
+        let mut fold = Fold::new(&*self.shared.prototype);
         let mut stamps = Vec::with_capacity(floors.len());
         for (shard, (state, &floor)) in self.shared.shards.iter().zip(&floors).enumerate() {
             let core = state.caught_up(floor);
@@ -1012,7 +1010,7 @@ impl<E: Summary> QueryHandle<E> {
     }
 
     /// Sum of every shard's accepted-batch counter — the staleness
-    /// yardstick of the replica frames (monotone; each shard's counter is
+    /// yardstick of the read replicas (monotone; each shard's counter is
     /// bumped by the producer at enqueue time).
     fn accepted_total(&self) -> u64 {
         self.shared
@@ -1030,6 +1028,30 @@ impl<E: Summary> QueryHandle<E> {
             .iter()
             .map(|s| s.accepted_tuples.load(Ordering::Acquire))
             .sum()
+    }
+
+    /// Open a read replica (see [`ReadReplica`]). It holds the merge the
+    /// cache keeps, whatever that reflects, or before the first query the
+    /// prototype, the merge of no shard: opening one folds nothing, asks
+    /// the cache nothing and applies no batch.
+    ///
+    /// # Errors
+    ///
+    /// None: opening reads no shard.
+    pub fn read_replica(&self, max_pending: u64) -> Result<ReadReplica<E>> {
+        let kept = self
+            .shared
+            .lock_cache()
+            .lent()
+            .map(|(merged, stamp)| (Arc::clone(merged), stamp));
+        let (merged, stamp) =
+            kept.unwrap_or_else(|| (Arc::clone(&self.shared.prototype), Stamp::default()));
+        Ok(ReadReplica {
+            handle: self.clone(),
+            max_pending,
+            merged,
+            stamp,
+        })
     }
 }
 
@@ -1051,27 +1073,10 @@ impl<E: Summary + JoinQuery> QueryHandle<E> {
     ///
     /// As for [`merged`](Self::merged).
     pub fn self_join_estimate(&self) -> Result<Estimate> {
-        match self.fresh_self_join(0) {
+        match self.read_fresh(0, E::self_join_estimate, self_join_of_parts) {
             Some(answer) => Ok(answer?.0),
             None => Ok(self.merged()?.self_join_estimate()),
         }
-    }
-
-    /// The F₂ estimate of the shards' state once caught up, with the
-    /// offered tuples that state had applied, read through
-    /// [`read_fresh`](Self::read_fresh): one part's own estimate, more
-    /// parts' [`JoinQuery::self_join_estimate_of_sum`], whose value it
-    /// leaves for a top-k read of the same state. `None` when `E` reads no
-    /// sum in place: the caller folds.
-    fn fresh_self_join(&self, max_pending: u64) -> Option<Result<(Estimate, u64)>> {
-        self.read_fresh(max_pending, E::self_join_estimate, |_, parts, f2| {
-            let est = match parts {
-                [part] => part.self_join_estimate(),
-                _ => E::self_join_estimate_of_sum(parts)?,
-            };
-            *f2 = Some(est.value);
-            Some(est)
-        })
     }
 
     /// Typed at-all-times size-of-join query against another runtime over
@@ -1087,52 +1092,6 @@ impl<E: Summary + JoinQuery> QueryHandle<E> {
         let (ours, theirs) = (self.merged()?, other.merged()?);
         ours.size_of_join_estimate(&theirs)
             .map_err(StreamError::Estimator)
-    }
-}
-
-impl<E: Summary + SlimQuery> QueryHandle<E> {
-    /// Open a slim read replica — the two-stage read path. See
-    /// [`ReadReplica`]. Every replica opened on a runtime, through any
-    /// clone of its handle, shares the one frame its cache keeps, so N
-    /// readers trigger at most one fat merge per version.
-    ///
-    /// # Errors
-    ///
-    /// [`StreamError::ShardDisconnected`] if the initial projection needs
-    /// a dead shard.
-    pub fn read_replica(&self, max_pending: u64) -> Result<ReadReplica<E>> {
-        let floor = self.accepted_total().saturating_sub(max_pending);
-        let frame = self.ensure_replica(floor)?;
-        Ok(ReadReplica {
-            handle: self.clone(),
-            max_pending,
-            version: frame.version,
-            applied: frame.applied,
-            slim: frame_slim::<E>(frame),
-        })
-    }
-
-    /// The cached frame if it reflects at least `min_version` accepted
-    /// batches, with no catch-up and no cache count; otherwise a frame
-    /// over the merge [`with_merged`](Self::with_merged) serves, kept in
-    /// the cache beside it. One cache lock covers both, so concurrent
-    /// stale readers elect one refresher and the rest adopt its frame.
-    fn ensure_replica(&self, min_version: u64) -> Result<ReplicaFrame> {
-        let mut cache = self.shared.lock_cache();
-        if let Some(frame) = cache.frame(min_version) {
-            return Ok(frame);
-        }
-        // The frame is stamped with the batches and tuples of the shard
-        // states actually merged, read under their locks: at least every
-        // batch accepted before the call, and nothing applied after.
-        let (fat, stamp) = self.with_merged(&mut cache)?;
-        let frame = ReplicaFrame {
-            version: stamp.batches,
-            applied: stamp.tuples,
-            slim: Arc::new(E::frame(&fat)),
-        };
-        cache.keep_frame(frame.clone());
-        Ok(frame)
     }
 }
 
@@ -1153,61 +1112,45 @@ impl<E: Summary> std::fmt::Debug for QueryHandle<E> {
     }
 }
 
-/// A slim read replica on a [`ShardedRuntime`] — stage two of the
-/// two-stage read path.
+/// A read replica on a [`ShardedRuntime`]: the runtime's merge, held
+/// behind the [`Arc`] the snapshot cache lends, with what it reflects.
 ///
-/// Instead of answering every query from the fat merge of the shard
-/// estimators (the [`merged`](QueryHandle::merged) path), a replica holds
-/// a pointer to a [`SlimQuery::Slim`] projection and swaps it for the
-/// frame the runtime's cache keeps only when the accepted-batch counter
-/// has advanced past `max_pending`. N replicas across N query threads
-/// share that frame: per version, exactly one of them (single-flight,
-/// under the cache lock) pays the fat merge, everyone else pays a pointer
-/// bump and reads the same frame, and each part of the frame is projected
-/// once, when first asked ([`SlimQuery::frame`]).
+/// At `max_pending = 0` every read is fresh: it goes through the cache,
+/// which answers from its merge if that covers every accepted batch, and
+/// otherwise reads the caught-up shards in place (see the module docs),
+/// so the replica folds nothing and its held merge does not move. Past a
+/// larger budget a read asks the held merge — the fat summary's own
+/// answer — and [`refresh`](ReadReplica::refresh) first adopts a newer
+/// merge once more than `max_pending` accepted batches are past it:
+/// the kept one by pointer if it is recent enough, else one rebuild
+/// under the cache lock, which every replica refreshing to that version
+/// then shares. A `self_join_estimate` past the budget is read in place
+/// too. A summary that reads no sum in place refreshes and asks the held
+/// merge at any budget.
 ///
-/// `*_estimate()` answers carry the slim projection's sketch variance
-/// **plus** a staleness term
+/// `self_join_estimate` widens its error bar by a staleness term
 /// ([`sss_sampling::staleness_variance_plugin`]) grown from the tuples
-/// accepted since the frame was projected, so a replica lagging behind
+/// accepted past the state it answered from, so a replica lagging behind
 /// ingest reports honestly wider error bars rather than a silently stale
-/// point value.
-///
-/// Fresh answers bypass the frame: at any shard count, a
-/// [`self_join_estimate`](ReadReplica::self_join_estimate) past
-/// `max_pending` is read off the caught-up shards themselves, as
-/// [`QueryHandle::self_join_estimate`] is, and at `max_pending = 0` so
-/// is every other family; none adopts a frame. At `max_pending = 0` a
-/// frame is therefore built only when the replica opens or
-/// [`refresh`](ReadReplica::refresh) is called, and
-/// [`version`](ReadReplica::version) and [`pending`](ReadReplica::pending)
-/// describe that frame, not the fresh answers.
-pub struct ReadReplica<E: Summary + SlimQuery> {
+/// point value. [`version`](ReadReplica::version) and
+/// [`pending`](ReadReplica::pending) describe the held merge, not a fresh
+/// answer.
+pub struct ReadReplica<E: Summary> {
     handle: QueryHandle<E>,
     /// Accepted-batch staleness tolerated before a refresh is forced.
     max_pending: u64,
-    /// Batches the adopted frame's merge reflects.
-    version: u64,
-    /// Offered tuples the adopted frame's merge reflects.
-    applied: u64,
-    slim: Arc<E::Slim>,
+    /// The merge stale reads ask, as the cache lent it.
+    merged: Arc<E>,
+    /// What `merged` reflects: batches (the version) and offered tuples.
+    stamp: Stamp,
 }
 
-/// The typed projection in a cached frame. The slot is type-erased (see
-/// [`ReplicaFrame`]), but a runtime's cache is given frames only by its
-/// own `ensure_replica`, which stores an `E::Slim`.
-fn frame_slim<E: SlimQuery>(frame: ReplicaFrame) -> Arc<E::Slim> {
-    frame
-        .slim
-        .downcast()
-        .expect("a runtime's cache holds only its own E::Slim")
-}
-
-impl<E: Summary + SlimQuery> ReadReplica<E> {
-    /// Bring the local slim state within `max_pending` accepted batches
-    /// of the ingest frontier. Returns `true` if a newer frame was
-    /// adopted. At most one caller per version pays the fat projection;
-    /// the rest take a pointer to it.
+impl<E: Summary> ReadReplica<E> {
+    /// Bring the held merge within `max_pending` accepted batches of the
+    /// ingest frontier. Returns `true` if a newer merge was adopted. One
+    /// cache lock covers the choice, so of the replicas refreshing past
+    /// one version one rebuilds the merge and the rest adopt it by
+    /// pointer.
     ///
     /// # Errors
     ///
@@ -1215,56 +1158,89 @@ impl<E: Summary + SlimQuery> ReadReplica<E> {
     /// shard.
     pub fn refresh(&mut self) -> Result<bool> {
         let target = self.handle.accepted_total();
-        if target.saturating_sub(self.version) <= self.max_pending {
+        if target.saturating_sub(self.stamp.batches) <= self.max_pending {
             return Ok(false);
         }
-        let frame = self
-            .handle
-            .ensure_replica(target.saturating_sub(self.max_pending))?;
-        if frame.version <= self.version {
+        let floor = target.saturating_sub(self.max_pending);
+        let mut cache = self.handle.shared.lock_cache();
+        let kept = cache
+            .lent()
+            .filter(|&(_, stamp)| stamp.batches >= floor)
+            .map(|(merged, stamp)| (Arc::clone(merged), stamp));
+        let (merged, stamp) = match kept {
+            Some(kept) => kept,
+            // Stamped with the batches and tuples of the shard states
+            // actually merged, read under their locks.
+            None => self.handle.with_merged(&mut cache)?,
+        };
+        if stamp.batches <= self.stamp.batches {
             return Ok(false);
         }
-        self.version = frame.version;
-        self.applied = frame.applied;
-        self.slim = frame_slim::<E>(frame);
+        self.merged = merged;
+        self.stamp = stamp;
         Ok(true)
     }
 
-    /// The current slim projection (as of the last [`refresh`]). Every
-    /// read made through one borrow of it comes from one frame, so a
-    /// caller that needs several answers to agree — a quantile and its
-    /// rank envelope, say — refreshes once and asks them all of this.
-    ///
-    /// [`refresh`]: ReadReplica::refresh
-    pub fn slim(&self) -> &E::Slim {
-        &self.slim
+    /// The merge this replica holds (as of the last refresh).
+    pub fn merged(&self) -> &Arc<E> {
+        &self.merged
     }
 
-    /// Batches the adopted frame's merge reflects: at least every batch
-    /// accepted before it was projected. A fresh F₂ answer read off the
-    /// shards adopts no frame and leaves this where it was.
+    /// Batches the held merge reflects: at least every batch accepted
+    /// before it was adopted. A fresh answer adopts nothing and leaves
+    /// this where it was.
     pub fn version(&self) -> u64 {
-        self.version
+        self.stamp.batches
     }
 
-    /// Accepted batches past this replica's frame right now: the frame's
-    /// staleness, not that of a fresh F₂ answer, which is caught up.
+    /// Accepted batches past the held merge right now: its staleness, not
+    /// that of a fresh answer, which is caught up.
     pub fn pending(&self) -> u64 {
-        self.handle.accepted_total().saturating_sub(self.version)
+        self.handle
+            .accepted_total()
+            .saturating_sub(self.stamp.batches)
+    }
+
+    /// One read with the offered tuples of the state it read. `in_place`,
+    /// through [`QueryHandle::read_fresh`] at this replica's budget:
+    /// `whole` of the cache's merge on a hit, else `sum` of the caught-up
+    /// shards. Otherwise, or where `sum` reads nothing, `whole` of the
+    /// held merge, refreshed first.
+    fn read<T>(
+        &mut self,
+        in_place: bool,
+        whole: impl Fn(&E) -> T,
+        sum: impl FnOnce(&E, &[&E], &mut Option<f64>) -> Option<T>,
+    ) -> Result<(T, u64)> {
+        if in_place {
+            if let Some(fresh) = self.handle.read_fresh(self.max_pending, &whole, sum) {
+                return fresh;
+            }
+        }
+        self.refresh()?;
+        Ok((whole(&self.merged), self.stamp.tuples))
     }
 }
 
-impl<E> ReadReplica<E>
-where
-    E: Summary + SlimQuery + JoinQuery,
-    E::Slim: JoinQuery,
-{
-    /// Staleness-aware self-join query. Within `max_pending` it answers
-    /// from the frame. Past it, it answers from the shards in place (see
+/// The F₂ estimate of the fold's parts: one part's own, more parts'
+/// [`JoinQuery::self_join_estimate_of_sum`], whose value it leaves in `f2`
+/// for a top-k read of the same state. `None` when `E` reads no sum in
+/// place.
+fn self_join_of_parts<E: JoinQuery>(_: &E, parts: &[&E], f2: &mut Option<f64>) -> Option<Estimate> {
+    let est = match parts {
+        [part] => part.self_join_estimate(),
+        _ => E::self_join_estimate_of_sum(parts)?,
+    };
+    *f2 = Some(est.value);
+    Some(est)
+}
+
+impl<E: Summary + JoinQuery> ReadReplica<E> {
+    /// Staleness-aware self-join query. At `max_pending = 0`, and past a
+    /// larger budget, it is read in place (see
     /// [`QueryHandle::self_join_estimate`]): one shard caught up to
     /// `max_pending` batches behind, more shards each caught up to all of
-    /// its accepted batches. A summary that reads no sum in place
-    /// refreshes the frame at more than one shard and answers from it.
+    /// its accepted batches. Within the budget it asks the held merge.
     /// Either way the error bar widens by the staleness plug-in for the
     /// tuples pushed since the state answered from, whether a worker has
     /// applied them yet or not. With nothing pending the answer is
@@ -1275,53 +1251,20 @@ where
     ///
     /// As for [`refresh`](ReadReplica::refresh).
     pub fn self_join_estimate(&mut self) -> Result<Estimate> {
-        let in_place = if self.pending() > self.max_pending {
-            self.handle.fresh_self_join(self.max_pending)
-        } else {
-            None
-        };
-        let (est, applied) = match in_place {
-            Some(answer) => answer?,
-            None => {
-                self.refresh()?;
-                (self.slim.self_join_estimate(), self.applied)
-            }
-        };
+        let in_place = self.max_pending == 0 || self.pending() > self.max_pending;
+        let (est, applied) = self.read(in_place, E::self_join_estimate, self_join_of_parts)?;
         let pending = self.handle.accepted_tuples_total().saturating_sub(applied);
         let extra = staleness_variance_plugin(est.value, applied, pending);
         Ok(est.plus_variance(extra))
     }
 }
 
-impl<E: Summary + SlimQuery> ReadReplica<E> {
-    /// A fresh read in place ([`QueryHandle::read_fresh`]) at
-    /// `max_pending = 0` once a batch is pending past the frame; `None`
-    /// otherwise, or when `E` reads nothing in place: the caller refreshes
-    /// and asks the frame.
-    fn read_fresh<T>(
-        &self,
-        whole: impl FnOnce(&E) -> T,
-        sum: impl FnOnce(&E, &[&E], &mut Option<f64>) -> Option<T>,
-    ) -> Option<Result<T>> {
-        if self.max_pending > 0 || self.pending() == 0 {
-            return None;
-        }
-        let answer = self.handle.read_fresh(0, whole, sum)?;
-        Some(answer.map(|(answer, _)| answer))
-    }
-}
-
-impl<E> ReadReplica<E>
-where
-    E: Summary + SlimQuery + DistinctQuery,
-    E::Slim: DistinctQuery,
-{
+impl<E: Summary + DistinctQuery> ReadReplica<E> {
     /// Distinct-count query. At `max_pending = 0` it is read off the
     /// caught-up shards in place, the HyperLogLog registers maxed
-    /// ([`DistinctQuery::distinct_estimate_of_sum`]), and adopts no frame;
-    /// otherwise, or where `E` reads no sum in place, it refreshes if past
-    /// `max_pending` and answers from the frame. The estimate carries the
-    /// summary's own variance; unlike
+    /// ([`DistinctQuery::distinct_estimate_of_sum`]); otherwise it asks
+    /// the held merge, refreshed if past `max_pending`. The estimate
+    /// carries the summary's own variance; unlike
     /// [`self_join_estimate`](ReadReplica::self_join_estimate) no
     /// staleness term is added (there is no F₀ drift bound analogous to
     /// the F2 one), so treat the bar as "as of the state answered from".
@@ -1330,22 +1273,15 @@ where
     ///
     /// As for [`refresh`](ReadReplica::refresh).
     pub fn distinct_estimate(&mut self) -> Result<Estimate> {
-        let whole = E::distinct_estimate;
         let sum =
             |zero: &E, parts: &[&E], _: &mut Option<f64>| E::distinct_estimate_of_sum(zero, parts);
-        if let Some(fresh) = self.read_fresh(whole, sum) {
-            return fresh;
-        }
-        self.refresh()?;
-        Ok(DistinctQuery::distinct_estimate(self.slim()))
+        Ok(self
+            .read(self.max_pending == 0, E::distinct_estimate, sum)?
+            .0)
     }
 }
 
-impl<E> ReadReplica<E>
-where
-    E: Summary + SlimQuery + QuantileQuery,
-    E::Slim: QuantileQuery,
-{
+impl<E: Summary + QuantileQuery> ReadReplica<E> {
     /// Quantile query: [`quantile_with_bounds`](Self::quantile_with_bounds)'s
     /// value.
     ///
@@ -1358,10 +1294,9 @@ where
 
     /// The `q`-quantile and its rank envelope, all three from one state: at
     /// `max_pending = 0` the caught-up shards' KLLs merged into scratch in
-    /// the fold's order ([`QuantileQuery::quantile_with_bounds_of_sum`]),
-    /// adopting no frame; otherwise, or where `E` reads no sum in place,
-    /// one frame, refreshed if past `max_pending` — under ingest two
-    /// refreshing reads could answer from two frames.
+    /// the fold's order ([`QuantileQuery::quantile_with_bounds_of_sum`]);
+    /// otherwise the held merge, refreshed if past `max_pending` — under
+    /// ingest two refreshing reads could answer from two merges.
     ///
     /// # Errors
     ///
@@ -1372,30 +1307,19 @@ where
         let sum = |zero: &E, parts: &[&E], _: &mut Option<f64>| {
             E::quantile_with_bounds_of_sum(zero, parts, q)
         };
-        let answer = match self.read_fresh(whole, sum) {
-            Some(fresh) => fresh?,
-            None => {
-                self.refresh()?;
-                self.slim().quantile_with_bounds(q)
-            }
-        };
+        let (answer, _) = self.read(self.max_pending == 0, whole, sum)?;
         answer.map_err(StreamError::Estimator)
     }
 }
 
-impl<E> ReadReplica<E>
-where
-    E: Summary + SlimQuery + TopKQuery,
-    E::Slim: TopKQuery,
-{
+impl<E: Summary + TopKQuery> ReadReplica<E> {
     /// Top-k query: the `k` heaviest candidates, each with its typed
     /// frequency estimate. At `max_pending = 0` it is read off the
     /// caught-up shards in place ([`TopKQuery::top_k_of_sum`]: the
     /// candidates of the Misra–Gries parts merged into scratch, priced by
     /// the point query over the summed join cells, the variance from the
-    /// F₂ a `self_join` read off the same state, if one did), adopting no
-    /// frame; otherwise, or where `E` reads no sum in place, from the
-    /// frame, refreshed if past `max_pending`.
+    /// F₂ a `self_join` read off the same state, if one did); otherwise
+    /// from the held merge, refreshed if past `max_pending`.
     ///
     /// # Errors
     ///
@@ -1403,11 +1327,8 @@ where
     pub fn top_k(&mut self, k: usize) -> Result<Vec<(u64, Estimate)>> {
         let sum =
             |zero: &E, parts: &[&E], f2: &mut Option<f64>| E::top_k_of_sum(zero, parts, k, f2);
-        if let Some(fresh) = self.read_fresh(|whole| priced_top_k(whole, k), sum) {
-            return fresh;
-        }
-        self.refresh()?;
-        Ok(priced_top_k(self.slim(), k))
+        let whole = |whole: &E| priced_top_k(whole, k);
+        Ok(self.read(self.max_pending == 0, whole, sum)?.0)
     }
 }
 
@@ -1430,11 +1351,11 @@ fn priced_top_k<S: TopKQuery + ?Sized>(summary: &S, k: usize) -> Vec<(u64, Estim
     summary.top_k(k).into_iter().map(priced).collect()
 }
 
-impl<E: Summary + SlimQuery> std::fmt::Debug for ReadReplica<E> {
+impl<E: Summary> std::fmt::Debug for ReadReplica<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ReadReplica")
-            .field("version", &self.version)
-            .field("applied", &self.applied)
+            .field("version", &self.stamp.batches)
+            .field("applied", &self.stamp.tuples)
             .field("max_pending", &self.max_pending)
             .field("pending", &self.pending())
             .finish()
@@ -2036,14 +1957,6 @@ mod tests {
         }
     }
 
-    impl SlimQuery for BombSketch {
-        type Slim = JoinSketch;
-
-        fn slim(&self) -> JoinSketch {
-            self.0.clone()
-        }
-    }
-
     /// A worker that panics mid-batch: the shard dies, and every
     /// subsequent query reports [`StreamError::ShardDisconnected`] as a
     /// typed error — never a panic, never a hang.
@@ -2187,66 +2100,6 @@ mod tests {
         );
     }
 
-    /// The clones `merged()` pays: a clean query lends the cached answer
-    /// and copies nothing; a rebuild copies the prototype once to fold
-    /// into (a summary without its own `merged_into`), and no shard.
-    #[test]
-    fn merged_clones_the_prototype_only_to_rebuild() {
-        use crate::snapshot::tests::CloneLog;
-        let log = Arc::new(Mutex::new(Vec::new()));
-        let config = RuntimeConfig {
-            shards: 2,
-            queue_depth: 4,
-            partition: Partition::RoundRobin,
-        };
-        let mut rt = ShardedRuntime::new(config, &CloneLog::prototype(&log)).unwrap();
-        rt.push(&[1]).unwrap();
-        rt.push(&[2]).unwrap();
-        let take = || {
-            let mut roles = std::mem::take(&mut *log.lock().unwrap());
-            roles.sort_unstable();
-            roles
-        };
-        take();
-        rt.merged().unwrap();
-        assert_eq!(take(), ["prototype"]);
-        rt.merged().unwrap();
-        assert!(take().is_empty(), "a hit clones nothing");
-    }
-
-    /// The clones a replica refresh pays: one of the prototype to rebuild,
-    /// none of a shard, and none of the merged result, which it projects
-    /// in place. A refresh with nothing new clones nothing, and neither
-    /// does `merged()`, which lends the same merge.
-    #[test]
-    fn a_replica_refresh_projects_the_merge_without_cloning_it() {
-        use crate::snapshot::tests::CloneLog;
-        let log = Arc::new(Mutex::new(Vec::new()));
-        let config = RuntimeConfig {
-            shards: 2,
-            queue_depth: 4,
-            partition: Partition::RoundRobin,
-        };
-        let mut rt = ShardedRuntime::new(config, &CloneLog::prototype(&log)).unwrap();
-        let take = || {
-            let mut roles = std::mem::take(&mut *log.lock().unwrap());
-            roles.sort_unstable();
-            roles
-        };
-        let mut replica = rt.read_replica(0).unwrap();
-        assert_eq!(*replica.slim(), "prototype", "nothing pushed yet");
-        take();
-        rt.push(&[1]).unwrap();
-        rt.push(&[2]).unwrap();
-        assert!(replica.refresh().unwrap());
-        assert_eq!(*replica.slim(), "merged");
-        assert_eq!(take(), ["prototype"]);
-        rt.read_replica(0).unwrap();
-        assert!(take().is_empty(), "the published frame is shared");
-        rt.merged().unwrap();
-        assert!(take().is_empty(), "merged() lends the cached merge");
-    }
-
     /// The zero-allocations-per-batch claim, in accounting form: over a
     /// long steady-state run the pool allocates at most its warm-up
     /// complement (bounded by ring capacities, independent of batch
@@ -2314,11 +2167,13 @@ mod tests {
         // first answer reflects every accepted batch and the staleness
         // plug-in term is zero — the value AND variance are bit-identical
         // to the fat query on the same state.
+        // Both were read off the shards in place: the replica still holds
+        // the merge of no batch.
         let mut replica = rt.read_replica(0).unwrap();
-        let slim_est = replica.self_join_estimate().unwrap();
-        assert_eq!(slim_est.value.to_bits(), fat.value.to_bits());
-        assert_eq!(slim_est.variance.to_bits(), fat.variance.to_bits());
-        assert_eq!(replica.pending(), 0);
+        let fresh = replica.self_join_estimate().unwrap();
+        assert_eq!(fresh.value.to_bits(), fat.value.to_bits());
+        assert_eq!(fresh.variance.to_bits(), fat.variance.to_bits());
+        assert_eq!(replica.version(), 0);
     }
 
     #[test]
@@ -2333,14 +2188,17 @@ mod tests {
         };
         let mut rt = ShardedRuntime::new(config, &schema.sketch()).unwrap();
         rt.push(&s[..1024]).unwrap();
+        rt.merged().unwrap();
         let mut replica = rt.read_replica(1_000_000).unwrap();
         let v0 = replica.version();
+        assert!(v0 > 0, "the replica opened on the merge");
         // More ingest, but far below the staleness budget: no refresh.
         rt.push(&s[1024..2048]).unwrap();
         assert!(!replica.refresh().unwrap(), "within budget: no refresh");
         assert_eq!(replica.version(), v0);
         // A tight replica on the same runtime must refresh and see it.
         let mut tight = rt.read_replica(0).unwrap();
+        assert!(tight.refresh().unwrap());
         assert!(tight.version() > v0);
         // The wide replica's answer is still served, with the staleness
         // term widening the error bar instead of a silent stale value.
@@ -2350,10 +2208,10 @@ mod tests {
         assert!(est.variance >= fresh.variance);
     }
 
-    /// A stale replica's error bar counts every tuple pushed past its
-    /// frame, applied or still on a ring: a lone batch pushed after the
-    /// frame widens the bar by exactly its tuples, however soon a worker
-    /// or query gets to it.
+    /// A stale replica's error bar counts every tuple pushed past its held
+    /// merge, applied or still on a ring: a lone batch pushed after the
+    /// merge widens the bar by exactly its tuples, however soon a worker
+    /// or query gets to it. The replica opens on the merge a query left.
     #[test]
     fn a_stale_replica_counts_a_lone_batch_it_has_not_seen() {
         let mut rng = StdRng::seed_from_u64(14);
@@ -2368,48 +2226,19 @@ mod tests {
                 };
                 let mut rt = ShardedRuntime::new(config, &schema.sketch()).unwrap();
                 rt.push(&s[..1024]).unwrap();
+                rt.merged().unwrap();
                 let mut replica = rt.read_replica(1_000_000).unwrap();
                 rt.push(&s[1024..1536]).unwrap();
                 let est = replica.self_join_estimate().unwrap();
-                let slim = replica.slim().self_join_estimate();
-                let extra = staleness_variance_plugin(slim.value, 1024, 512);
+                let held = replica.merged().self_join_estimate();
+                let extra = staleness_variance_plugin(held.value, 1024, 512);
                 assert!(extra > 0.0);
                 assert_eq!(
                     est.variance.to_bits(),
-                    slim.plus_variance(extra).variance.to_bits(),
+                    held.plus_variance(extra).variance.to_bits(),
                     "{shards} shards, {partition:?}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn read_replicas_share_one_projection_per_version() {
-        let mut rng = StdRng::seed_from_u64(13);
-        let schema = JoinSchema::fagms(3, 256, &mut rng);
-        let s = stream();
-        let config = RuntimeConfig {
-            shards: 2,
-            queue_depth: 8,
-            partition: Partition::Hash,
-        };
-        let mut rt = ShardedRuntime::new(config, &schema.sketch()).unwrap();
-        rt.push(&s[..4096]).unwrap();
-        let handle = rt.query_handle();
-        // Open N replicas through cloned handles on N threads; every
-        // answer must be the current self-join value (no torn frames).
-        let expect = rt.self_join_estimate().unwrap().value;
-        let threads: Vec<_> = (0..4)
-            .map(|_| {
-                let h = handle.clone();
-                std::thread::spawn(move || {
-                    let mut r = h.read_replica(0).unwrap();
-                    r.self_join_estimate().unwrap().value
-                })
-            })
-            .collect();
-        for t in threads {
-            assert_eq!(t.join().unwrap().to_bits(), expect.to_bits());
         }
     }
 }

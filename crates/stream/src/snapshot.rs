@@ -1,7 +1,6 @@
 //! Versioned incremental snapshot cache behind
-//! [`QueryHandle::merged`](crate::QueryHandle::merged), and the replica
-//! frame over its merge that every [`ReadReplica`](crate::ReadReplica)
-//! shares.
+//! [`QueryHandle::merged`](crate::QueryHandle::merged), whose merge every
+//! [`ReadReplica`](crate::ReadReplica) holds.
 //!
 //! The paper's at-all-times query model (and Huang–Tai–Yi's continuous
 //! tracking argument, arXiv 1412.1763) means `merged()` runs *while* the
@@ -28,30 +27,23 @@
 //! Either way the cache *lends* the merged result, which it keeps behind
 //! an [`Arc`]. `merged()` hands its caller that `Arc` — a clean query
 //! copies nothing, and the ledger's `stream.merged_clean_us` times a
-//! pointer bump — and a replica frame holds the same `Arc` and projects
-//! from it per query family
-//! ([`SlimQuery::frame`](sss_core::SlimQuery::frame)), so a refresh copies
-//! no merged result at all.
-//!
-//! The cache keeps that frame beside the merge, stamped with what the
-//! merge reflects, until the next `install` replaces the merge. Slim
-//! states deliberately cannot merge (`(a+b)² ≠ a² + b²`), so a replica
-//! moves from whole frame to whole frame: a reader whose version lags
-//! takes the cache lock once, adopts the kept frame by pointer if it is
-//! recent enough, and otherwise refreshes the merge and projects the new
-//! frame under that same lock, which makes the refresh single-flight.
+//! pointer bump — and a read replica holds the same `Arc` with what it
+//! reflects, so a refresh copies no merged result at all. A replica that
+//! lags takes the cache lock once: it adopts the kept merge by pointer if
+//! that is recent enough (`lent`, which counts no query), and otherwise
+//! has the runtime rebuild it under that same lock, so a refresh is
+//! single-flight.
 //!
 //! The cache never touches a shard itself: the runtime catches each shard
 //! up and merges it under the shard's lock, and hands the whole merge in
 //! via `SnapshotCache::install`, so this module is pure bookkeeping.
 
-use std::any::Any;
 use std::sync::Arc;
 
 /// Counters describing how the cache served queries so far — exposed as
 /// [`QueryHandle::cache_stats`](crate::QueryHandle::cache_stats). A
-/// reader adopting the kept replica frame is not a query here: it merges
-/// nothing and reads no shard.
+/// replica adopting the kept merge is not a query here: it merges nothing
+/// and reads no shard.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Queries answered from the cached merged result alone (zero dirty
@@ -88,11 +80,9 @@ pub(crate) struct Stamp {
 pub(crate) struct SnapshotCache<E> {
     /// Per shard, what it had applied when it was merged into `merged`.
     stamps: Vec<Stamp>,
-    /// The merged result, shared with the replica frames projected from
-    /// it; `None` until the first query.
+    /// The merged result, shared with the read replicas that hold it;
+    /// `None` until the first query.
     merged: Option<Arc<E>>,
-    /// The replica frame over `merged`, once a reader asked for one.
-    frame: Option<ReplicaFrame>,
     /// The F₂ a fresh read took off the shards in place, with the batches
     /// each shard had applied: the merge's F₂ for as long as they have.
     fresh_f2: Option<(Vec<u64>, f64)>,
@@ -104,7 +94,6 @@ impl<E> SnapshotCache<E> {
         Self {
             stamps: vec![Stamp::default(); shards],
             merged: None,
-            frame: None,
             fresh_f2: None,
             stats: CacheStats::default(),
         }
@@ -146,13 +135,17 @@ impl<E> SnapshotCache<E> {
             return None;
         }
         self.stats.hits += 1;
-        let total = self.total();
-        self.merged.as_ref().map(|merged| (merged, total))
+        self.lent()
+    }
+
+    /// The cached merge and what it reflects, whatever it covers, counted
+    /// as nothing: what a read replica adopts.
+    pub(crate) fn lent(&self) -> Option<(&Arc<E>, Stamp)> {
+        Some((self.merged.as_ref()?, self.total()))
     }
 
     /// Install a rebuild that missed [`hit`](Self::hit) at `floors`:
-    /// `merged` reflects `stamps`, shard by shard. Lends it back, and drops
-    /// the frame over the merge it replaces.
+    /// `merged` reflects `stamps`, shard by shard. Lends it back.
     pub(crate) fn install(
         &mut self,
         merged: E,
@@ -167,7 +160,6 @@ impl<E> SnapshotCache<E> {
         }
         self.stats.shards_refreshed += dirty as u64;
         self.stamps = stamps;
-        self.frame = None;
         let total = self.total();
         (self.merged.insert(Arc::new(merged)), total)
     }
@@ -175,97 +167,11 @@ impl<E> SnapshotCache<E> {
     pub(crate) fn stats(&self) -> CacheStats {
         self.stats
     }
-
-    /// The kept replica frame, if it reflects at least `min_version`
-    /// batches.
-    pub(crate) fn frame(&self, min_version: u64) -> Option<ReplicaFrame> {
-        self.frame.clone().filter(|f| f.version >= min_version)
-    }
-
-    /// Keep `frame`, projected from the current merge, for the readers
-    /// after this one.
-    pub(crate) fn keep_frame(&mut self, frame: ReplicaFrame) {
-        self.frame = Some(frame);
-    }
-}
-
-/// The replica frame: the merged summary's
-/// [`SlimQuery::frame`](sss_core::SlimQuery::frame), stamped with the
-/// batches and tuples that merge reflects.
-///
-/// The frame sits behind an [`Arc`], so N concurrent readers adopt it by
-/// pointer and query the one shared value. The slot is type-erased because
-/// the cache lives in a runtime generic over plain
-/// [`Summary`](sss_core::Summary); the runtime's `SlimQuery` block, the
-/// only code that keeps or adopts frames, downcasts it back to `E::Slim`.
-#[derive(Clone)]
-pub(crate) struct ReplicaFrame {
-    /// Batches the merged shard states had applied, summed over the
-    /// shards: at least every batch accepted before the projection — the
-    /// staleness yardstick readers compare against the accepted total.
-    pub(crate) version: u64,
-    /// Offered tuples the merged shard states had applied — the
-    /// denominator of the staleness variance plug-in.
-    pub(crate) applied: u64,
-    /// The frame ([`sss_core::SlimQuery::frame`]).
-    pub(crate) slim: Arc<dyn Any + Send + Sync>,
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
-    use sss_core::Summary;
-    use std::sync::Mutex;
-
-    /// A summary double that logs whose clone was taken: the prototype's
-    /// (never updated or merged into), a shard's (updated), or a merge
-    /// result's.
-    #[derive(Debug)]
-    pub(crate) struct CloneLog {
-        role: &'static str,
-        log: Arc<Mutex<Vec<&'static str>>>,
-    }
-
-    impl CloneLog {
-        pub(crate) fn prototype(log: &Arc<Mutex<Vec<&'static str>>>) -> Self {
-            Self {
-                role: "prototype",
-                log: Arc::clone(log),
-            }
-        }
-    }
-
-    impl Clone for CloneLog {
-        fn clone(&self) -> Self {
-            self.log.lock().unwrap().push(self.role);
-            Self {
-                role: self.role,
-                log: Arc::clone(&self.log),
-            }
-        }
-    }
-
-    impl Summary for CloneLog {
-        fn update(&mut self, _key: u64, _count: i64) {
-            self.role = "shard";
-        }
-        fn update_batch(&mut self, _keys: &[u64]) {
-            self.role = "shard";
-        }
-        fn merge_from(&mut self, _other: &Self) -> sss_core::Result<()> {
-            self.role = "merged";
-            Ok(())
-        }
-    }
-
-    /// The projection names whose state it read and copies nothing.
-    impl sss_core::SlimQuery for CloneLog {
-        type Slim = &'static str;
-
-        fn slim(&self) -> &'static str {
-            self.role
-        }
-    }
 
     fn stamp(batches: u64, tuples: u64) -> Stamp {
         Stamp { batches, tuples }
@@ -274,12 +180,13 @@ pub(crate) mod tests {
     /// A hit needs a merge whose stamps cover every floor; a rebuild
     /// counts the shards that were behind theirs, and is partial unless
     /// all of them were. What the cache lends is summed from its stamps,
-    /// and a hit lends the installed merge itself, not a copy. A kept
-    /// frame is served while it is recent enough, and goes with its merge.
+    /// and a hit lends the installed merge itself, not a copy; so does
+    /// `lent`, whatever the floors, without counting a hit.
     #[test]
     fn a_hit_needs_a_merge_that_covers_every_floor() {
         let mut cache = SnapshotCache::new(2);
         assert!(cache.hit(&[0, 0]).is_none(), "nothing merged yet");
+        assert!(cache.lent().is_none());
         cache.install("empty", vec![stamp(0, 0); 2], &[0, 0]);
         assert_eq!(cache.hit(&[0, 0]), Some((&Arc::new("empty"), stamp(0, 0))));
         assert!(cache.hit(&[1, 0]).is_none());
@@ -290,14 +197,9 @@ pub(crate) mod tests {
         let (hit, total) = cache.hit(&[2, 0]).unwrap();
         assert!(Arc::ptr_eq(hit, &lent));
         assert_eq!(total, stamp(2, 20));
-        cache.keep_frame(ReplicaFrame {
-            version: 2,
-            applied: 20,
-            slim: Arc::new("frame"),
-        });
-        let frame = cache.frame(2).expect("recent enough");
-        assert_eq!(frame.slim.downcast_ref::<&str>(), Some(&"frame"));
-        assert!(cache.frame(3).is_none(), "too old");
+        let (kept, total) = cache.lent().expect("a merge is kept");
+        assert!(Arc::ptr_eq(kept, &lent));
+        assert_eq!(total, stamp(2, 20));
         cache.install("both", vec![stamp(3, 30), stamp(1, 5)], &[3, 1]);
         assert_eq!(
             cache.stats(),
@@ -309,6 +211,5 @@ pub(crate) mod tests {
             }
         );
         assert_eq!(cache.hit(&[3, 1]), Some((&Arc::new("both"), stamp(4, 35))));
-        assert!(cache.frame(0).is_none(), "a new merge drops the old frame");
     }
 }

@@ -1,5 +1,5 @@
 //! The binary layout every byte that leaves the process is written in:
-//! snapshots, slim frames and the ingest handshake head.
+//! snapshots, slim projections and the ingest handshake head.
 //!
 //! One [`Writer`], one [`Reader`], and a [`Codec`] impl next to each type
 //! that travels:

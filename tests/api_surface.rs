@@ -79,7 +79,8 @@ fn capabilities_land_on_the_right_backends() {
 /// them is a `Summary` (they have no `update`, and slim lane aggregates
 /// cannot merge: `(a+b)² ≠ a² + b²`). `Summary` itself still requires
 /// `Clone + Send + Sync + 'static` — the properties the sharded runtime's
-/// worker threads, snapshot cache and shared replica frames rely on.
+/// worker threads, snapshot cache and the read replicas sharing its merge
+/// rely on.
 #[test]
 fn capabilities_are_standalone_and_slim_replicas_hold_them() {
     // Capabilities without `Summary`: these instantiations would not
@@ -125,15 +126,16 @@ fn fat_summaries_are_portable_and_project_slim() {
 
 /// The streaming layer is generic over the hierarchy: the runtime accepts
 /// any `Summary` (a sampled composite included), the join-specific query
-/// surface demands `Summary + JoinQuery`, and the slim read path demands
-/// `Summary + SlimQuery`.
+/// surface demands `Summary + JoinQuery`, and a read replica, which holds
+/// the merge itself, any `Summary` (each read adds its family's query
+/// trait).
 #[test]
 fn streaming_layer_is_generic_over_the_hierarchy() {
     // Pure type-level instantiations — never constructed.
     fn runtime_accepts<E: Summary>() {
         let _ = std::marker::PhantomData::<ShardedRuntime<E>>;
     }
-    fn replica_accepts<E: Summary + SlimQuery>() {
+    fn replica_accepts<E: Summary>() {
         let _ = std::marker::PhantomData::<ReadReplica<E>>;
     }
     runtime_accepts::<HyperLogLog>();
@@ -141,6 +143,7 @@ fn streaming_layer_is_generic_over_the_hierarchy() {
     runtime_accepts::<SampledMultiSummary>();
     replica_accepts::<JoinSketch>();
     replica_accepts::<MultiSummary>();
+    replica_accepts::<SampledMultiSummary>();
 }
 
 /// `Estimate`-returning capability queries agree with their scalar

@@ -9,7 +9,7 @@
 //! estimate are pinned instead.
 //!
 //! A change that moves any of these hashes changed a byte a snapshot, a
-//! replica frame or an answer carries. Such a change re-pins the table in
+//! slim projection or an answer carries. Such a change re-pins the table in
 //! the same diff and says why in CHANGES.md (CONTRIBUTING.md); any other
 //! change leaves the table as it is. On a mismatch the test prints the
 //! whole table it computed, in the layout below.

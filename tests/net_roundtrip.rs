@@ -337,7 +337,7 @@ fn query_plane_answers_all_four_families_and_shutdown_snapshots() {
     assert_eq!(
         server_value.to_bits(),
         oracle.self_join_estimate().value.to_bits(),
-        "slim replica answer must be bit-identical to the sequential oracle"
+        "the replica answer must be bit-identical to the sequential oracle"
     );
 
     // Client-driven shutdown: drains, snapshots, exits. The merged
@@ -437,13 +437,23 @@ fn out_of_domain_query_fields_are_refused_by_name() {
 }
 
 /// `{"cmd":"stats"}` carries the ring's high-water mark and the snapshot
-/// cache's counters: after ingest and one `self_join` at `max_pending = 0`
-/// a batch has occupied a ring, and the cache was rebuilt. A fresh read
-/// in place folds nothing, so the rebuild is the fold that opens the query
-/// connection's replica once the ingest is synced.
+/// cache's counters: after ingest, a `self_join` and a `distinct` at
+/// `max_pending = 8` a batch has occupied a ring, and the cache was
+/// rebuilt. Opening a replica and a read in place fold nothing, so the
+/// rebuild is the `distinct`'s refresh of the query connection's replica,
+/// which opened on the merge of no batch with twenty accepted.
 #[test]
 fn stats_line_reports_ring_and_cache_gauges() {
-    let srv = server(6, 2, Partition::RoundRobin);
+    let config = ServerConfig {
+        runtime: RuntimeConfig {
+            shards: 2,
+            queue_depth: 8,
+            partition: Partition::RoundRobin,
+        },
+        max_pending: 8,
+        ..ServerConfig::default()
+    };
+    let srv = RunningServer::start(config, &spec(6)).expect("server starts");
     let mut client = IngestClient::connect(srv.ingest_addr()).unwrap();
     for batch in (0..2_000u64).collect::<Vec<_>>().chunks(100) {
         client.send_batch(batch).unwrap();
@@ -451,6 +461,7 @@ fn stats_line_reports_ring_and_cache_gauges() {
     client.sync().unwrap();
     let mut queries = QueryClient::connect(srv.query_addr()).unwrap();
     queries.self_join_bits().unwrap();
+    queries.request(r#"{"cmd":"distinct"}"#).unwrap();
     let line = queries.stats_line().unwrap();
     let gauge = |name| protocol::response_u64(&line, name).expect(name);
     assert!(gauge("queue_high_water") >= 1, "{line}");
@@ -600,14 +611,14 @@ fn a_pipelined_query_burst_is_answered_in_full_and_in_order() {
     srv.shutdown_and_wait().unwrap();
 }
 
-/// One request line, one frame. At `max_pending = 0` every read
-/// refreshes, so a `quantile` response whose value and `(lo, hi)` came
-/// from two refreshes could straddle an ingest batch. Each wave here is
-/// three times everything before it and far above it, so one frame's
-/// median lies outside the next frame's envelope; every response polled
-/// while the waves arrive must still be self-consistent. (The race is
-/// inside the server, so this only watches for it; the forced form is
-/// `runtime_properties.rs::reads_through_one_slim_borrow_come_from_one_frame`.)
+/// One request line, one state. At `max_pending = 0` every read is
+/// fresh, so a `quantile` response whose value and `(lo, hi)` came from
+/// two reads could straddle an ingest batch. Each wave here is three times
+/// everything before it and far above it, so one state's median lies
+/// outside the next state's envelope; every response polled while the
+/// waves arrive must still be self-consistent. (The race is inside the
+/// server, so this only watches for it; the forced form is
+/// `runtime_properties.rs::a_value_and_its_envelope_come_from_one_state`.)
 #[test]
 fn quantile_responses_never_straddle_frames_under_ingest() {
     let srv = server(5, 1, Partition::RoundRobin);

@@ -10,7 +10,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sketch_sampled_streams::core::sketch::{JoinSchema, JoinSketch};
 use sketch_sampled_streams::core::{
-    DistinctQuery, JoinQuery, MultiSpec, MultiSummary, Portable, QuantileQuery, Sampled, SlimJoin,
+    DistinctQuery, JoinQuery, MultiSpec, MultiSummary, Portable, QuantileQuery, Sampled,
     SlimMultiSummary, SlimQuery, Summary, TopKQuery,
 };
 use sketch_sampled_streams::sketch::{Estimate, MisraGries};
@@ -635,9 +635,35 @@ fn one_dirty_shard_is_recloned_and_the_remerge_equals_from_scratch() {
     assert_eq!(after.full_rebuilds, before.full_rebuilds);
 }
 
-/// Readers share the projection itself: two replicas refreshed on one
-/// runtime hold the same `Slim` by address, and a third opened later
-/// adopts the published frame without another fat merge.
+/// Opening a replica folds nothing. Batches sit on the rings of two parked
+/// workers (`push_loaned_deferred` wakes neither); `read_replica` asks the
+/// cache nothing and applies no batch, and the replica holds the merge of
+/// none of them, so every accepted batch is pending.
+#[test]
+fn opening_a_replica_folds_nothing() {
+    let config = RuntimeConfig {
+        shards: 2,
+        queue_depth: 8,
+        partition: Partition::RoundRobin,
+    };
+    let mut rt = ShardedRuntime::new(config, &multi_spec(44).summary().unwrap()).unwrap();
+    // Let both workers go idle and park.
+    std::thread::sleep(Duration::from_millis(50));
+    for batch in (0..2048u64).collect::<Vec<_>>().chunks(256) {
+        let mut loan = rt.loan_batch_buf(batch.len());
+        loan.extend_from_slice(batch);
+        rt.push_loaned_deferred(loan).unwrap();
+    }
+    let (queries, tuples) = (rt.cache_stats().queries(), rt.tuples_ingested());
+    let replica = rt.read_replica(0).unwrap();
+    assert_eq!(rt.cache_stats().queries(), queries, "the cache was asked");
+    assert_eq!(rt.tuples_ingested(), tuples, "a batch was applied");
+    assert_eq!((replica.version(), replica.pending()), (0, 8));
+}
+
+/// Readers share the merge itself: two replicas refreshed on one runtime
+/// hold the same merge by pointer, and a third opened later holds it too,
+/// without another fat merge.
 #[test]
 fn read_replicas_hold_the_same_projection_by_pointer() {
     let proto = multi_spec(15).summary().unwrap();
@@ -647,18 +673,19 @@ fn read_replicas_hold_the_same_projection_by_pointer() {
     rt.push(&(0..4096u64).collect::<Vec<_>>()).unwrap();
     assert!(a.refresh().unwrap());
     assert!(b.refresh().unwrap());
-    assert!(std::ptr::eq(a.slim(), b.slim()));
+    assert!(Arc::ptr_eq(a.merged(), b.merged()));
     let queries = rt.cache_stats().queries();
     let c = rt.read_replica(0).unwrap();
-    assert!(std::ptr::eq(a.slim(), c.slim()));
+    assert!(Arc::ptr_eq(a.merged(), c.merged()));
     assert_eq!(rt.cache_stats().queries(), queries, "no fat merge for c");
 }
 
-/// The runtime keeps one replica frame, beside its merge, for every
-/// reader. Four replicas poll on four threads while the owner pushes, at
-/// `max_pending` 0 and 8: no replica's version goes back, replicas at one
-/// version hold one frame by address, and every version any of them saw
-/// cost exactly one rebuild of the merge and nothing else the cache counts.
+/// The runtime keeps one merge, which every replica shares. Four replicas
+/// poll on four threads while the owner pushes, at `max_pending` 0 and 8:
+/// no replica's version goes back, replicas at one version hold one merge
+/// by pointer, and every version any of them saw but the first cost
+/// exactly one rebuild of the merge and nothing else the cache counts. The
+/// first, version 0, is the prototype each replica opened on.
 /// The owner pushes in four phases and, after each, waits until some
 /// replica has seen a version newer than the last phase's, so the replicas
 /// see at least five versions however the threads are scheduled.
@@ -683,11 +710,14 @@ fn replicas_polling_under_ingest_share_one_frame_per_version() {
                 let barrier = Arc::clone(&barrier);
                 std::thread::spawn(move || {
                     let mut replica = handle.read_replica(max_pending).unwrap();
-                    let mut seen = vec![(replica.version(), replica.slim() as *const _ as usize)];
+                    let held = |replica: &ReadReplica<MultiSummary>| {
+                        (replica.version(), Arc::as_ptr(replica.merged()) as usize)
+                    };
+                    let mut seen = vec![held(&replica)];
                     barrier.wait();
                     while !done.load(Ordering::Acquire) {
                         replica.refresh().unwrap();
-                        let now = (replica.version(), replica.slim() as *const _ as usize);
+                        let now = held(&replica);
                         assert!(now.0 >= seen.last().unwrap().0, "a version went back");
                         if now != *seen.last().unwrap() {
                             seen.push(now);
@@ -715,26 +745,26 @@ fn replicas_polling_under_ingest_share_one_frame_per_version() {
             last = latest.load(Ordering::Acquire);
         }
         done.store(true, Ordering::Release);
-        let mut frames = std::collections::BTreeMap::new();
+        let mut merges = std::collections::BTreeMap::new();
         for reader in readers {
-            for (version, frame) in reader.join().unwrap() {
-                let first = *frames.entry(version).or_insert(frame);
-                assert_eq!(first, frame, "version {version} has two frames");
+            for (version, merge) in reader.join().unwrap() {
+                let first = *merges.entry(version).or_insert(merge);
+                assert_eq!(first, merge, "version {version} has two merges");
             }
         }
-        assert!(frames.len() > 2, "the replicas saw ingest: {frames:?}");
+        assert!(merges.len() > 2, "the replicas saw ingest: {merges:?}");
         let stats = rt.cache_stats();
         assert_eq!(stats.hits, 0, "max_pending {max_pending}");
         assert_eq!(
             stats.queries(),
-            frames.len() as u64,
+            merges.len() as u64 - 1,
             "one rebuild per version, max_pending {max_pending}"
         );
     }
 }
 
-/// A replica past its budget adopts the frame the cache keeps when that
-/// frame is recent enough: by pointer, with no merge and no cache count.
+/// A replica past its budget adopts the merge the cache keeps when that
+/// merge is recent enough: by pointer, with no merge and no cache count.
 #[test]
 fn a_refresh_within_the_kept_frame_adopts_it_without_a_query() {
     let proto = multi_spec(18).summary().unwrap();
@@ -744,16 +774,15 @@ fn a_refresh_within_the_kept_frame_adopts_it_without_a_query() {
     for batch in keys.chunks(100) {
         rt.push(batch).unwrap();
     }
-    let eager = rt.read_replica(0).unwrap();
-    assert_eq!(eager.version(), 15);
+    let kept = rt.merged().unwrap();
     for batch in keys.chunks(300) {
         rt.push(batch).unwrap();
     }
     let queries = rt.cache_stats().queries();
     assert_eq!(lax.pending(), 20);
     assert!(lax.refresh().unwrap());
-    assert_eq!(lax.version(), 15, "the kept frame covers 20 - 8");
-    assert!(std::ptr::eq(lax.slim(), eager.slim()));
+    assert_eq!(lax.version(), 15, "the kept merge covers 20 - 8");
+    assert!(Arc::ptr_eq(lax.merged(), &kept));
     assert_eq!(rt.cache_stats().queries(), queries);
 }
 
@@ -773,28 +802,26 @@ fn a_query_handle_reports_the_last_pool_stats_after_into_merged() {
     assert_eq!(handle.pool_stats(), last);
 }
 
-/// One borrow of `slim()` is one frame: a push between two reads cannot
-/// move it, so a value and its envelope agree. Reads on either side of the
-/// push land on two states — what a response built from two of them would
-/// straddle (`sss-net` reads a value and its envelope in one call). At
-/// `max_pending = 0` the later read is taken off the shards in place and
-/// adopts no frame; a refresh then adopts the frame of that same state.
+/// A value and its envelope come from one state: one
+/// `quantile_with_bounds` call. A push between two calls lands them on two
+/// states — what a response built from two reads would straddle (`sss-net`
+/// makes one call). At `max_pending = 0` the later call is read off the
+/// shards in place and adopts no merge; a refresh then adopts the merge of
+/// that same state.
 #[test]
-fn reads_through_one_slim_borrow_come_from_one_frame() {
+fn a_value_and_its_envelope_come_from_one_state() {
     let proto = multi_spec(16).summary().unwrap();
     let mut rt = ShardedRuntime::new(RuntimeConfig::default(), &proto).unwrap();
     rt.push(&(0..1000u64).collect::<Vec<_>>()).unwrap();
     let mut replica = rt.read_replica(0).unwrap();
     let v0 = replica.version();
-    let slim = replica.slim();
-    let value = slim.quantile(0.5).unwrap();
+    let (value, (lo, hi)) = replica.quantile_with_bounds(0.5).unwrap();
+    assert!(lo <= value && value <= hi, "{lo} <= {value} <= {hi}");
     rt.push(&(1_000_000..1_004_000u64).collect::<Vec<_>>())
         .unwrap();
-    let (lo, hi) = slim.quantile_bounds(0.5).unwrap();
-    assert!(lo <= value && value <= hi, "{lo} <= {value} <= {hi}");
-    assert_eq!(replica.version(), v0);
-    let moved = replica.quantile(0.5).unwrap();
-    assert_eq!(replica.version(), v0, "a read in place adopts no frame");
+    let (moved, (low, high)) = replica.quantile_with_bounds(0.5).unwrap();
+    assert!(low <= moved && moved <= high, "{low} <= {moved} <= {high}");
+    assert_eq!(replica.version(), v0, "a read in place adopts no merge");
     assert!(
         moved > hi,
         "the newer state's median {moved} is outside ({lo}, {hi})"
@@ -802,101 +829,9 @@ fn reads_through_one_slim_borrow_come_from_one_frame() {
     assert!(replica.refresh().unwrap());
     assert!(replica.version() > v0);
     assert_eq!(
-        replica.slim().quantile(0.5).unwrap().to_bits(),
+        replica.merged().quantile(0.5).unwrap().to_bits(),
         moved.to_bits()
     );
-}
-
-/// One query family's answers from a projection, as bits: 0 is the join,
-/// 1 top-k, 2 distinct, 3 quantiles.
-fn family(slim: &SlimMultiSummary, which: usize) -> Vec<u64> {
-    match which {
-        0 => bits(&slim.self_join_estimate()).to_vec(),
-        1 => {
-            let mut out = vec![slim.frequency_variance().to_bits()];
-            for (key, value) in slim.top_k(TOP) {
-                out.extend([key, value.to_bits(), slim.frequency(key).to_bits()]);
-            }
-            out.push(slim.frequency(u64::MAX).to_bits());
-            out
-        }
-        2 => bits(&slim.distinct_estimate()).to_vec(),
-        _ => {
-            let (value, (lo, hi)) = slim.quantile_with_bounds(0.5).unwrap();
-            let mut out = vec![value.to_bits(), lo.to_bits(), hi.to_bits()];
-            out.extend(QUANTILES.map(|q| slim.quantile(q).unwrap().to_bits()));
-            out.push(slim.stream_len());
-            out
-        }
-    }
-}
-
-/// A replica frame projects each family the first time it is asked. On one
-/// and three shards, with both partitions, the four families of a fresh
-/// frame asked in every order — and different families asked of one frame
-/// from two replicas on two threads at once — answer bit for bit as the
-/// eager `slim()` of `merged()` at the same state, and the frame encodes to
-/// the eager slim's bytes.
-#[test]
-fn a_lazy_frame_answers_each_family_as_the_eager_slim_in_any_order() {
-    let keys: Vec<u64> = (0..6000u64).map(|i| splitmix64(i) % 700).collect();
-    let orders: Vec<[usize; 4]> = (0..256usize)
-        .map(|n| [n & 3, n >> 2 & 3, n >> 4 & 3, n >> 6 & 3])
-        .filter(|o| (0..4).all(|f| o.contains(&f)))
-        .collect();
-    assert_eq!(orders.len(), 24);
-    for shards in [1, 3] {
-        for partition in [Partition::RoundRobin, Partition::Hash] {
-            let config = RuntimeConfig {
-                shards,
-                queue_depth: 4,
-                partition,
-            };
-            let fed = || {
-                let mut rt =
-                    ShardedRuntime::new(config, &multi_spec(40).summary().unwrap()).unwrap();
-                for batch in keys.chunks(512) {
-                    rt.push(batch).unwrap();
-                }
-                rt
-            };
-            let eager = fed().merged().unwrap().slim();
-            let expect: Vec<Vec<u64>> = (0..4).map(|f| family(&eager, f)).collect();
-            let bytes = eager.encode().unwrap();
-            for order in &orders {
-                let rt = fed();
-                let replica = rt.read_replica(0).unwrap();
-                for &f in order {
-                    assert_eq!(family(replica.slim(), f), expect[f], "{order:?}");
-                }
-                assert_eq!(replica.slim().encode().unwrap(), bytes);
-            }
-
-            let rt = fed();
-            let barrier = Arc::new(Barrier::new(2));
-            let readers: Vec<_> = [[1, 2, 0, 3], [3, 0, 1, 2]]
-                .into_iter()
-                .map(|order| {
-                    let handle = rt.query_handle();
-                    let barrier = Arc::clone(&barrier);
-                    std::thread::spawn(move || {
-                        let replica = handle.read_replica(0).unwrap();
-                        barrier.wait();
-                        let answers: Vec<Vec<u64>> =
-                            order.map(|f| family(replica.slim(), f)).to_vec();
-                        (order, answers, replica.slim().encode().unwrap())
-                    })
-                })
-                .collect();
-            for reader in readers {
-                let (order, answers, encoded) = reader.join().unwrap();
-                for (f, answer) in order.iter().zip(answers) {
-                    assert_eq!(answer, expect[*f], "{shards} shards, {partition:?}");
-                }
-                assert_eq!(encoded, bytes);
-            }
-        }
-    }
 }
 
 /// FNV-1a over a byte stream: a golden value for bytes a test pins.
@@ -1056,7 +991,7 @@ fn a_push_only_producer_cannot_grow_the_coalesced_run() {
 
 /// A summary double that logs whose clone was taken: the prototype's
 /// (never updated or merged into), a shard's (updated), or a merge
-/// result's. Its projection names whose state it read.
+/// result's.
 struct CloneLog {
     role: &'static str,
     log: Arc<Mutex<Vec<&'static str>>>,
@@ -1087,17 +1022,10 @@ impl Summary for CloneLog {
     }
 }
 
-impl SlimQuery for CloneLog {
-    type Slim = &'static str;
-
-    fn slim(&self) -> &'static str {
-        self.role
-    }
-}
-
 /// No query clones a shard: a rebuild clones the prototype once, to fold
 /// the live shards into, and a hit clones nothing. `merged()` lends the
-/// cached merge rather than copying it; a replica projects it in place.
+/// cached merge rather than copying it, and a replica holds it as lent;
+/// opening one clones nothing, not even the prototype it holds first.
 #[test]
 fn a_rebuild_clones_the_prototype_once_and_no_shard() {
     let log = Arc::new(Mutex::new(Vec::new()));
@@ -1116,25 +1044,28 @@ fn a_rebuild_clones_the_prototype_once_and_no_shard() {
         roles.sort_unstable();
         roles
     };
+    take();
+    let early = rt.read_replica(0).unwrap();
+    assert_eq!(early.merged().role, "prototype");
+    assert!(take().is_empty(), "opening clones nothing");
     for key in 0..3 {
         rt.push(&[key]).unwrap();
     }
-    take();
     rt.merged().unwrap();
     assert_eq!(take(), ["prototype"], "rebuild");
     let mut replica = rt.read_replica(0).unwrap();
-    assert_eq!(*replica.slim(), "merged");
-    assert!(take().is_empty(), "a hit projected in place");
+    assert_eq!(replica.merged().role, "merged");
+    assert!(take().is_empty(), "the replica opened on the kept merge");
     rt.push(&[3]).unwrap();
     assert!(replica.refresh().unwrap());
-    assert_eq!(take(), ["prototype"], "rebuild, projected in place");
-    rt.merged().unwrap();
+    assert_eq!(take(), ["prototype"], "rebuild");
+    assert!(Arc::ptr_eq(&rt.merged().unwrap(), replica.merged()));
     assert!(take().is_empty(), "a hit clones nothing");
-    assert_eq!(rt.cache_stats().queries(), 4);
+    assert_eq!(rt.cache_stats().queries(), 3);
 }
 
 /// A join sketch that also counts its tuples, so an answer says how much
-/// of the stream it covers; its projection carries both.
+/// of the stream it covers.
 #[derive(Clone)]
 struct Counted {
     sketch: JoinSketch,
@@ -1155,14 +1086,6 @@ impl Summary for Counted {
     fn merge_from(&mut self, other: &Self) -> sketch_sampled_streams::core::Result<()> {
         self.tuples += other.tuples;
         self.sketch.merge_from(&other.sketch)
-    }
-}
-
-impl SlimQuery for Counted {
-    type Slim = (u64, SlimJoin);
-
-    fn slim(&self) -> (u64, SlimJoin) {
-        (self.tuples, self.sketch.slim())
     }
 }
 
@@ -1224,11 +1147,12 @@ fn polling_under_ingest_covers_what_was_accepted() {
                     }
                     let before = pushed.load(Ordering::SeqCst);
                     replica.refresh().unwrap();
-                    let (tuples, slim) = replica.slim();
-                    assert!(*tuples >= (before * BATCH) as u64);
+                    let held = replica.merged();
+                    assert!(held.tuples >= (before * BATCH) as u64);
                     if shards == 1 {
-                        let j = *tuples as usize / BATCH;
-                        assert_eq!(bits(&slim.self_join_estimate()), prefixes[j].1);
+                        let j = held.tuples as usize / BATCH;
+                        let est = held.sketch.raw_self_join_estimate();
+                        assert_eq!(bits(&est), prefixes[j].1);
                     }
                     polls += 1;
                     if before == BATCHES {
@@ -1300,16 +1224,8 @@ impl JoinQuery for HeldMerge {
     }
 }
 
-impl SlimQuery for HeldMerge {
-    type Slim = SlimJoin;
-
-    fn slim(&self) -> SlimJoin {
-        self.sketch.slim()
-    }
-}
-
-/// A replica frame counts only what it merged. The querier is held inside
-/// `merge_from` while the producer pushes one more batch; the frame must
+/// A replica's merge counts only what it merged. A refresh is held inside
+/// `merge_from` while the producer pushes one more batch; the merge must
 /// not count that batch's tuples as applied, or the replica prices too
 /// little staleness once the batch lands.
 #[test]
@@ -1321,30 +1237,36 @@ fn a_replica_frame_counts_only_the_tuples_it_merged() {
         gate: Arc::new(Barrier::new(2)),
     };
     let mut rt = ShardedRuntime::new(RuntimeConfig::default(), &proto).unwrap();
-    let keys: Vec<u64> = (0..2048u64).map(|i| i % 300).collect();
+    let keys: Vec<u64> = (0..3072u64).map(|i| i % 300).collect();
     rt.push(&keys[..1024]).unwrap();
+    rt.push(&keys[1024..2048]).unwrap();
     proto.armed.store(true, Ordering::SeqCst);
-    let handle = rt.query_handle();
-    let querier = std::thread::spawn(move || handle.read_replica(u64::MAX).unwrap());
+    // Both batches are past the prototype it opens on, one more than its
+    // budget: the refresh merges.
+    let mut replica = rt.read_replica(1).unwrap();
+    let querier = std::thread::spawn(move || {
+        assert!(replica.refresh().unwrap());
+        replica
+    });
     proto.gate.wait();
-    rt.push(&keys[1024..]).unwrap();
+    rt.push(&keys[2048..]).unwrap();
     // Time for a worker that is free to apply the batch to do so.
     let deadline = Instant::now() + Duration::from_millis(250);
-    while rt.tuples_ingested() < 2048 && Instant::now() < deadline {
+    while rt.tuples_ingested() < 3072 && Instant::now() < deadline {
         std::thread::yield_now();
     }
     proto.gate.wait();
     let mut replica = querier.join().unwrap();
-    assert_eq!(replica.version(), 1, "the frame merged one batch");
+    assert_eq!(replica.version(), 2, "the merge folded two batches");
     rt.merged().unwrap();
-    assert_eq!(rt.tuples_ingested(), 2048);
-    let bare = replica.slim().self_join_estimate();
+    assert_eq!(rt.tuples_ingested(), 3072);
+    let bare = replica.merged().self_join_estimate();
     let priced = replica.self_join_estimate().unwrap();
-    assert_eq!(replica.version(), 1, "max_pending = MAX: no refresh");
+    assert_eq!(replica.version(), 2, "one batch pending, max_pending = 1");
     assert_eq!(priced.value.to_bits(), bare.value.to_bits());
     assert!(
         priced.variance > bare.variance,
-        "1024 tuples past the frame must widen the bar: {} vs {}",
+        "1024 tuples past the merge must widen the bar: {} vs {}",
         priced.variance,
         bare.variance
     );
@@ -1378,14 +1300,6 @@ impl Summary for Fuse {
     }
 }
 
-impl SlimQuery for Fuse {
-    type Slim = u64;
-
-    fn slim(&self) -> u64 {
-        self.tuples
-    }
-}
-
 /// A summary panic kills its shard whichever thread applied the batch —
 /// the worker, or a query catching an idle shard up. Every later push,
 /// `merged()`, replica refresh and `into_merged` is `ShardDisconnected`:
@@ -1412,7 +1326,8 @@ fn a_summary_panic_on_either_applying_thread_kills_only_its_shard() {
             rt.push(&[1, 2]).unwrap();
             rt.push(&[3]).unwrap();
             let mut replica = rt.read_replica(0).unwrap();
-            assert_eq!(*replica.slim(), 3);
+            assert!(replica.refresh().unwrap());
+            assert_eq!(replica.merged().tuples, 3);
             let queries = rt.cache_stats().queries();
             // Let both workers go idle and park.
             std::thread::sleep(Duration::from_millis(20));
@@ -1432,7 +1347,7 @@ fn a_summary_panic_on_either_applying_thread_kills_only_its_shard() {
 
             assert!(disconnected(rt.merged().map(drop)));
             assert!(disconnected(replica.refresh().map(drop)));
-            assert_eq!(*replica.slim(), 3, "the last whole frame stays");
+            assert_eq!(replica.merged().tuples, 3, "the last whole merge stays");
             assert_eq!(rt.cache_stats().queries(), queries, "nothing cached");
             // Round-robin: shard 1 takes the next push, shard 0 refuses one.
             rt.push(&[4]).unwrap();

@@ -9,6 +9,10 @@
 //! and a non-ASCII character, is pinned as text. A change that moves any of
 //! them re-pins the table in the same diff and says why in CHANGES.md; on a
 //! mismatch the test prints the lines it read and the table it computed.
+//!
+//! A second table pins the answers of a server whose replicas may lag by
+//! eight batches (`max_pending = 8`), before and after fewer than eight
+//! more batches arrive.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -16,6 +20,7 @@ use sketch_sampled_streams::core::{JoinSchema, MultiSpec};
 use sketch_sampled_streams::datagen::ZipfGenerator;
 use sketch_sampled_streams::net::{IngestClient, QueryClient, RunningServer, ServerConfig};
 use sketch_sampled_streams::stream::RuntimeConfig;
+use std::path::PathBuf;
 
 const TUPLES: usize = 1 << 16;
 const BATCH: usize = 512;
@@ -58,19 +63,20 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// Serve the stream at `shards`; the four answers, the error line and the
-/// snapshot flushed at shutdown.
-fn serve(shards: usize) -> ([String; 4], String, Vec<u8>) {
-    let snapshot = std::env::temp_dir().join(format!(
-        "sss-served-golden-{}-{shards}.sss",
-        std::process::id()
-    ));
+/// A server at `shards` and `max_pending`, fed the stream and synced, with
+/// its ingest connection still open and the stream's keys.
+fn fed(
+    shards: usize,
+    max_pending: u64,
+    snapshot_path: Option<PathBuf>,
+) -> (RunningServer, IngestClient, Vec<u64>) {
     let config = ServerConfig {
         runtime: RuntimeConfig {
             shards,
             ..RuntimeConfig::default()
         },
-        snapshot_path: Some(snapshot.clone()),
+        max_pending,
+        snapshot_path,
         ..ServerConfig::default()
     };
     let mut rng = StdRng::seed_from_u64(0x5e7e);
@@ -83,6 +89,17 @@ fn serve(shards: usize) -> ([String; 4], String, Vec<u8>) {
         ingest.send_batch(batch).unwrap();
     }
     ingest.sync().unwrap();
+    (server, ingest, keys)
+}
+
+/// Serve the stream at `shards`; the four answers, the error line and the
+/// snapshot flushed at shutdown.
+fn serve(shards: usize) -> ([String; 4], String, Vec<u8>) {
+    let snapshot = std::env::temp_dir().join(format!(
+        "sss-served-golden-{}-{shards}.sss",
+        std::process::id()
+    ));
+    let (server, ingest, _) = fed(shards, 0, Some(snapshot.clone()));
     let mut queries = QueryClient::connect(server.query_addr()).unwrap();
     let answers = REQUESTS.map(|line| queries.request(line).unwrap());
     let error = queries.request(MALFORMED).unwrap();
@@ -112,5 +129,63 @@ fn served_answers_and_snapshot_match_the_golden_table() {
             eprintln!("    [{one:#018x}, {two:#018x}],");
         }
         panic!("served bytes moved; the table above is what this build serves");
+    }
+}
+
+/// The batches sent past the first answers of the stale table: fewer than
+/// its `max_pending` of 8.
+const LAG: usize = 7;
+
+/// FNV-1a of each answer at `max_pending = 8`, in `REQUESTS` order: before
+/// the `LAG` further batches, then after them.
+#[rustfmt::skip]
+const GOLDEN_STALE: [[u64; 2]; 8] = [
+    [0x3ea1f9f36d67798e, 0x3ea1f9f36d67798e],
+    [0xb2f9fbe1702a6234, 0xb2f9fbe1702a6234],
+    [0x05c4e1ab962783f2, 0x12c9f660aa710815],
+    [0xb2170e3cc78a8281, 0xb2170e3cc78a8281],
+    [0x7738b5dd2c9abd6c, 0x7738b5dd2c9abd6c],
+    [0xb2f9fbe1702a6234, 0xb2f9fbe1702a6234],
+    [0x05c4e1ab962783f2, 0x12c9f660aa710815],
+    [0xb2170e3cc78a8281, 0xb2170e3cc78a8281],
+];
+
+/// At `max_pending = 8` the four families are asked after the stream and a
+/// `SYNC`, then again after `LAG` more batches and another `SYNC`. The lag
+/// is within the budget, so the second answers come from the state the
+/// first came from: every line but the self-join's is the same, and the
+/// self-join keeps its value while its error bar widens for the tuples it
+/// does not reflect. Both rounds are pinned.
+#[test]
+fn stale_answers_within_the_budget_keep_their_bits() {
+    let mut table = [[0; 2]; 8];
+    let mut lines = Vec::new();
+    for (column, shards) in SHARDS.into_iter().enumerate() {
+        let (server, mut ingest, keys) = fed(shards, 8, None);
+        let mut queries = QueryClient::connect(server.query_addr()).unwrap();
+        let first = REQUESTS.map(|line| queries.request(line).unwrap());
+        for batch in keys.chunks(BATCH).take(LAG) {
+            ingest.send_batch(batch).unwrap();
+        }
+        ingest.sync().unwrap();
+        let second = REQUESTS.map(|line| queries.request(line).unwrap());
+        ingest.finish().unwrap();
+        server.shutdown_and_wait().unwrap();
+
+        assert_eq!(first[1..], second[1..], "{shards} shard(s)");
+        let value = |line: &str| line.split(",\"variance\"").next().unwrap().to_string();
+        assert_eq!(value(&first[0]), value(&second[0]), "{shards} shard(s)");
+        assert_ne!(first[0], second[0], "{shards} shard(s): the bar widens");
+        for (row, answer) in first.iter().chain(&second).enumerate() {
+            table[row][column] = fnv1a(answer.as_bytes());
+            lines.push(format!("{shards} shard(s): {answer}"));
+        }
+    }
+    if table != GOLDEN_STALE {
+        eprintln!("{}", lines.join("\n"));
+        for [one, two] in table {
+            eprintln!("    [{one:#018x}, {two:#018x}],");
+        }
+        panic!("stale served bytes moved; the table above is what this build serves");
     }
 }
