@@ -9,7 +9,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sss_core::sketch::JoinSchema;
-use sss_core::{IidStreamSketcher, Sampled, ScanSketcher};
+use sss_core::{IidStreamSketcher, JoinQuery, Sampled, ScanSketcher};
 use sss_datagen::{DiscreteAlias, TpchGenerator, ZipfGenerator};
 use sss_moments::FrequencyVector;
 use sss_sampling::without_replacement::PrefixScan;

@@ -90,7 +90,9 @@
 use crate::error::Result;
 use crate::sampled::Sampled;
 use crate::sketch::{JoinSchema, JoinSketch};
-use crate::summary::{DistinctQuery, JoinQuery, Portable, QuantileQuery, Summary, TopKQuery};
+use crate::summary::{
+    rank_band, DistinctQuery, JoinQuery, Portable, QuantileQuery, Summary, TopKQuery,
+};
 use rand::Rng;
 use sss_sketch::topk::ranked;
 use sss_sketch::{Estimate, HyperLogLog, KllSketch, MisraGries};
@@ -364,19 +366,12 @@ impl TopKQuery for MultiSummary {
             None => *f2.insert(JoinQuery::self_join_estimate_of_sum(&joins)?.value),
         };
         let variance = zero.frequency_variance_at(f2);
-        let top = ranked(keys.into_iter().zip(values).collect(), k);
-        let priced = |(key, value)| {
-            let basics = Vec::new();
-            (
-                key,
-                Estimate {
-                    value,
-                    variance,
-                    basics,
-                },
-            )
+        let top = ranked(keys.into_iter().zip(values).collect(), k).into_iter();
+        let priced = |value| Estimate {
+            variance,
+            ..Estimate::point(value)
         };
-        Some(top.into_iter().map(priced).collect())
+        Some(top.map(|(key, value)| (key, priced(value))).collect())
     }
 }
 
@@ -446,8 +441,8 @@ impl QuantileQuery for MultiSummary {
         QuantileQuery::rank(&self.quantiles, value)
     }
 
-    fn rank_error(&self) -> f64 {
-        QuantileQuery::rank_error(&self.quantiles)
+    fn rank_error(&self, q: f64) -> f64 {
+        QuantileQuery::rank_error(&self.quantiles, q)
     }
 
     fn stream_len(&self) -> u64 {
@@ -460,13 +455,16 @@ impl QuantileQuery for MultiSummary {
         zero: &Self,
         parts: &[&Self],
         q: f64,
+        widen: f64,
     ) -> Option<Result<(f64, (f64, f64))>> {
         Self::merging(zero, parts)?;
         let mut quantiles = zero.quantiles.clone();
         for part in parts {
             quantiles.merge(&part.quantiles).ok()?;
         }
-        Some(QuantileQuery::quantile_with_bounds(&quantiles, q))
+        let eps = QuantileQuery::rank_error(&quantiles, q) + widen;
+        let at = QuantileQuery::quantiles(&quantiles, &rank_band(q, eps));
+        Some(at.map(|at| (at[0], (at[1], at[2]))))
     }
 }
 
@@ -552,7 +550,7 @@ mod tests {
         // check the quantile lands within the (merged) rank error.
         let med = QuantileQuery::quantile(&left, 0.5).unwrap();
         let rank = QuantileQuery::rank(&whole, med as u64);
-        assert!((rank - 0.5).abs() < 2.0 * QuantileQuery::rank_error(&left));
+        assert!((rank - 0.5).abs() < 2.0 * QuantileQuery::rank_error(&left, 0.5));
         assert_eq!(QuantileQuery::stream_len(&left), keys.len() as u64);
     }
 
@@ -616,7 +614,7 @@ mod tests {
             }
             let distinct = MultiSummary::distinct_estimate_of_sum(&zero, &refs).unwrap();
             assert_eq!(bits(&distinct), bits(&fold.distinct_estimate()), "{n}");
-            let (q, (lo, hi)) = MultiSummary::quantile_with_bounds_of_sum(&zero, &refs, 0.3)
+            let (q, (lo, hi)) = MultiSummary::quantile_with_bounds_of_sum(&zero, &refs, 0.3, 0.0)
                 .unwrap()
                 .unwrap();
             let (fq, (flo, fhi)) = fold.quantile_with_bounds(0.3).unwrap();

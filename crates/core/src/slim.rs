@@ -305,8 +305,8 @@ impl QuantileQuery for SlimMultiSummary {
         QuantileQuery::rank(&self.quantiles, value)
     }
 
-    fn rank_error(&self) -> f64 {
-        QuantileQuery::rank_error(&self.quantiles)
+    fn rank_error(&self, q: f64) -> f64 {
+        QuantileQuery::rank_error(&self.quantiles, q)
     }
 
     fn stream_len(&self) -> u64 {

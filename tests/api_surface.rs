@@ -56,20 +56,25 @@ fn every_backend_is_a_summary() {
 
 /// Each capability trait is held by exactly the backends that can answer
 /// it — and by `MultiSummary`, which holds all four at once (that is the
-/// tentpole: one pass, every query family).
+/// tentpole: one pass, every query family), and so by the sampled
+/// composite, whose reads are the inner ones plus a sampling correction.
 #[test]
 fn capabilities_land_on_the_right_backends() {
     join_query::<JoinSketch>();
     join_query::<MultiSummary>();
+    join_query::<SampledMultiSummary>();
 
     topk_query::<MisraGries>();
     topk_query::<MultiSummary>();
+    topk_query::<SampledMultiSummary>();
 
     distinct_query::<HyperLogLog>();
     distinct_query::<MultiSummary>();
+    distinct_query::<SampledMultiSummary>();
 
     quantile_query::<KllSketch>();
     quantile_query::<MultiSummary>();
+    quantile_query::<SampledMultiSummary>();
 }
 
 /// The capability traits are *standalone* — deliberately not subtraits

@@ -493,6 +493,27 @@ fn a_sync_returns_once_every_accepted_tuple_is_applied() {
     srv.shutdown_and_wait().unwrap();
 }
 
+/// At `max_pending = 0` every answer is read fresh, so the stats line's
+/// replica gauges count the batches the shards have applied and those
+/// they have yet to: after a `SYNC`, all 40 and none, though the query
+/// connection opened its replica before the first batch.
+#[test]
+fn fresh_replica_gauges_count_the_applied_batches() {
+    let srv = server(22, 2, Partition::RoundRobin);
+    let mut queries = QueryClient::connect(srv.query_addr()).unwrap();
+    queries.stats_line().unwrap();
+    let mut client = IngestClient::connect(srv.ingest_addr()).unwrap();
+    for batch in (0..4_000u64).collect::<Vec<_>>().chunks(100) {
+        client.send_batch(batch).unwrap();
+    }
+    client.sync().unwrap();
+    let line = queries.stats_line().unwrap();
+    let gauge = |name| protocol::response_u64(&line, name).expect(name);
+    let gauges = (gauge("replica_version"), gauge("replica_pending"));
+    assert_eq!(gauges, (40, 0), "{line}");
+    srv.shutdown_and_wait().unwrap();
+}
+
 /// A turn's batches go onto the rings without waking a worker per batch,
 /// and the worker whose ring still holds a batch is woken once the turn's
 /// answers are out. A connection that sends batches and never a `SYNC`,

@@ -819,7 +819,7 @@ fn distinct_answers<S: DistinctQuery>(s: &S) {
 fn quantile_answers<S: QuantileQuery>(s: &S) {
     let _ = black_box(s.quantile_with_bounds(0.5));
     let _ = black_box(s.quantiles(&[0.0, 0.25, 1.0]));
-    black_box((s.rank(42), s.rank_error(), s.stream_len()));
+    black_box((s.rank(42), s.rank_error(0.5), s.stream_len()));
 }
 
 /// Decode `bytes` as the summary `kind` names and ask it every query its

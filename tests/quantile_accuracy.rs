@@ -10,7 +10,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sketch_sampled_streams::core::Sampled;
+use sketch_sampled_streams::core::{QuantileQuery, Sampled};
 use sketch_sampled_streams::datagen::ZipfGenerator;
 use sketch_sampled_streams::sketch::KllSketch;
 

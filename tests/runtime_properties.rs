@@ -55,32 +55,6 @@ fn bits(est: &Estimate) -> [u64; 2] {
     [est.value.to_bits(), est.variance.to_bits()]
 }
 
-/// Every answer the query plane serves from a projection, as bits.
-fn slim_answers(slim: &SlimMultiSummary) -> Vec<u64> {
-    let mut out = Vec::new();
-    out.extend(bits(&slim.self_join_estimate()));
-    out.extend(bits(&slim.distinct_estimate()));
-    out.extend(QUANTILES.map(|q| slim.quantile(q).unwrap().to_bits()));
-    for (key, _) in slim.top_k(TOP) {
-        out.push(key);
-        out.extend(bits(&slim.frequency_estimate(key)));
-    }
-    out
-}
-
-/// The same answers through a replica's refreshing calls.
-fn replica_answers(replica: &mut ReadReplica<MultiSummary>) -> Vec<u64> {
-    let mut out = Vec::new();
-    out.extend(bits(&replica.self_join_estimate().unwrap()));
-    out.extend(bits(&replica.distinct_estimate().unwrap()));
-    out.extend(QUANTILES.map(|q| replica.quantile(q).unwrap().to_bits()));
-    for (key, est) in replica.top_k(TOP).unwrap() {
-        out.push(key);
-        out.extend(bits(&est));
-    }
-    out
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -180,14 +154,14 @@ proptest! {
         }
         let fat = rt.merged().unwrap();
         let slim = fat.slim();
-        let expect = slim_answers(&slim);
-        prop_assert_eq!(bits(&fat.self_join_estimate()), expect[..2]);
+        let expect = whole_family_bits(&slim);
+        prop_assert_eq!(&whole_family_bits(&*fat), &expect);
         let mut fresh = rt.read_replica(0).unwrap();
         prop_assert_eq!(fresh.pending(), 0);
-        prop_assert_eq!(&replica_answers(&mut fresh), &expect);
-        prop_assert_eq!(&replica_answers(&mut veteran), &expect);
+        prop_assert_eq!(&replica_family_bits(&mut fresh, false), &expect);
+        prop_assert_eq!(&replica_family_bits(&mut veteran, false), &expect);
         let decoded = SlimMultiSummary::decode(&slim.encode().unwrap()).unwrap();
-        prop_assert_eq!(&slim_answers(&decoded), &expect);
+        prop_assert_eq!(&whole_family_bits(&decoded), &expect);
     }
 
     /// The same property with a filter stage in front (`retain` before
@@ -330,12 +304,19 @@ proptest! {
     }
 }
 
-/// Every family a `max_pending = 0` replica serves, as bits, in one
-/// order: F₂ (every bit), F₀, the median and its envelope, the quantiles,
-/// then the top keys with their estimates. `topk_first` asks the top-k
-/// before the F₂, so it reads no F₂ a `self_join` left.
-fn replica_family_bits(replica: &mut ReadReplica<MultiSummary>, topk_first: bool) -> Vec<u64> {
-    let top_k = |replica: &mut ReadReplica<MultiSummary>| {
+/// A quantile read of a summary that holds no value (a sample that kept
+/// nothing yet), as bits.
+const NOTHING: (f64, (f64, f64)) = (f64::NAN, (f64::NAN, f64::NAN));
+
+/// Every family a replica serves, as bits, in one order: F₂ (every bit),
+/// then F₀, the median and its envelope, the quantiles and the top keys
+/// with their estimates. `topk_first` asks the top-k before the F₂, so it
+/// reads no F₂ a `self_join` left.
+fn replica_family_bits<E>(replica: &mut ReadReplica<E>, topk_first: bool) -> (Vec<u64>, Vec<u64>)
+where
+    E: Summary + JoinQuery + TopKQuery + DistinctQuery + QuantileQuery,
+{
+    let top_k = |replica: &mut ReadReplica<E>| {
         let top = replica.top_k(TOP).unwrap();
         let pairs = top
             .into_iter()
@@ -343,27 +324,29 @@ fn replica_family_bits(replica: &mut ReadReplica<MultiSummary>, topk_first: bool
         pairs.flatten().collect::<Vec<u64>>()
     };
     let top = topk_first.then(|| top_k(replica));
-    let mut out = every_bit(&replica.self_join_estimate().unwrap());
-    out.extend(bits(&replica.distinct_estimate().unwrap()));
-    let (value, (lo, hi)) = replica.quantile_with_bounds(0.5).unwrap();
+    let f2 = every_bit(&replica.self_join_estimate().unwrap());
+    let mut out = bits(&replica.distinct_estimate().unwrap()).to_vec();
+    let (value, (lo, hi)) = replica.quantile_with_bounds(0.5).unwrap_or(NOTHING);
     out.extend([value, lo, hi].map(f64::to_bits));
-    out.extend(QUANTILES.map(|q| replica.quantile(q).unwrap().to_bits()));
+    out.extend(QUANTILES.map(|q| replica.quantile(q).unwrap_or(f64::NAN).to_bits()));
     out.extend(top.unwrap_or_else(|| top_k(replica)));
-    out
+    (f2, out)
 }
 
 /// The same answers from a whole summary: the fold's.
-fn whole_family_bits(whole: &MultiSummary) -> Vec<u64> {
-    let mut out = every_bit(&JoinQuery::self_join_estimate(whole));
-    out.extend(bits(&whole.distinct_estimate()));
-    let (value, (lo, hi)) = whole.quantile_with_bounds(0.5).unwrap();
+fn whole_family_bits<E>(whole: &E) -> (Vec<u64>, Vec<u64>)
+where
+    E: JoinQuery + TopKQuery + DistinctQuery + QuantileQuery,
+{
+    let mut out = bits(&whole.distinct_estimate()).to_vec();
+    let (value, (lo, hi)) = whole.quantile_with_bounds(0.5).unwrap_or(NOTHING);
     out.extend([value, lo, hi].map(f64::to_bits));
-    out.extend(QUANTILES.map(|q| whole.quantile(q).unwrap().to_bits()));
+    out.extend(QUANTILES.map(|q| whole.quantile(q).unwrap_or(f64::NAN).to_bits()));
     for (key, _) in TopKQuery::top_k(whole, TOP) {
         let est = whole.frequency_estimate(key);
         out.extend([key, bits(&est)[0], bits(&est)[1]]);
     }
-    out
+    (every_bit(&JoinQuery::self_join_estimate(whole)), out)
 }
 
 proptest! {
@@ -397,9 +380,47 @@ proptest! {
                     "a fresh read at {} shards rebuilt the merge",
                     shards
                 );
-                let merged = whole_family_bits(&rt.merged().unwrap());
+                let merged = whole_family_bits(&*rt.merged().unwrap());
                 prop_assert_eq!(&fresh, &merged, "{} shards, {:?}", shards, partition);
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// A sampled composite reads through the same capability traits, so
+    /// at p = 1, 0.5 and 0.1 on one to three hash-partitioned shards a
+    /// `max_pending = 0` replica answers every family in place as
+    /// `merged()` then answers, bit for bit, and so does the handle's F₂.
+    /// A `max_pending = 8` replica answers F₀, the quantiles and the top-k
+    /// as the merge it holds does, and one opened on the current merge
+    /// answers all four as it does.
+    #[test]
+    fn a_sampled_runtime_reads_every_family_as_its_merge(
+        keys in prop::collection::vec(0..500u64, 1..400),
+        chunk in 1usize..97,
+        seed: u64,
+    ) {
+        for (p, shards) in [1.0, 0.5, 0.1].into_iter().flat_map(|p| (1..=3).map(move |s| (p, s))) {
+            let config = RuntimeConfig { shards, queue_depth: 4, partition: Partition::Hash };
+            let sampled = multi_spec(seed).sampled(p, &mut StdRng::seed_from_u64(seed ^ 1));
+            let mut rt = ShardedRuntime::new(config, &sampled.unwrap()).unwrap();
+            let (mut fresh, mut lax) = (rt.read_replica(0).unwrap(), rt.read_replica(8).unwrap());
+            for (i, part) in keys.chunks(chunk).enumerate() {
+                rt.push(part).unwrap();
+                let got = replica_family_bits(&mut fresh, i % 2 == 1);
+                let handle = every_bit(&rt.self_join_estimate().unwrap());
+                let merged = whole_family_bits(&*rt.merged().unwrap());
+                prop_assert_eq!(&got, &merged, "p = {}, {} shards", p, shards);
+                prop_assert_eq!(&handle, &merged.0);
+                let stale = replica_family_bits(&mut lax, i % 2 == 0).1;
+                prop_assert_eq!(stale, whole_family_bits(&**lax.merged()).1);
+            }
+            let merged = whole_family_bits(&*rt.merged().unwrap());
+            let opened = replica_family_bits(&mut rt.read_replica(8).unwrap(), false);
+            prop_assert_eq!(opened, merged, "p = {}, {} shards", p, shards);
         }
     }
 }
@@ -468,7 +489,7 @@ fn fresh_reads_holding_every_shard_lock_cannot_deadlock() {
         let fresh = every_bit(&handle.self_join_estimate().unwrap());
         let by_replica = replica_family_bits(&mut replica, false);
         let merged = rt.merged().unwrap();
-        let whole = whole_family_bits(&merged);
+        let whole = whole_family_bits(&*merged);
         let merged_f2 = every_bit(&JoinQuery::self_join_estimate(&*merged));
         done.send((reads, syncs, fresh, by_replica, merged_f2, whole))
             .unwrap();

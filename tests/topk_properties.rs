@@ -255,12 +255,12 @@ fn sampled_frequency_correction_is_unbiased() {
         let mut rng = StdRng::seed_from_u64(1000 + rep);
         let mut mg = Sampled::new(MisraGries::new(256).unwrap(), p, &mut rng).unwrap();
         mg.feed_batch(&stream);
-        mg_sum += mg.point_estimate(7).value;
+        mg_sum += mg.frequency_estimate(7).value;
 
         let spec = MultiSpec::new(JoinSchema::fagms(5, 1024, &mut rng), &mut rng);
         let mut multi = spec.top_k(64).sampled(p, &mut rng).unwrap();
         multi.feed_batch(&stream);
-        multi_sum += multi.point_estimate(7).value;
+        multi_sum += multi.frequency_estimate(7).value;
     }
     let truth = truth as f64;
     let mg_mean = mg_sum / reps as f64;
