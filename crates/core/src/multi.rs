@@ -255,7 +255,9 @@ impl Summary for MultiSummary {
         } = self;
         heavy.offer_chunks(keys, |runs, chunk| {
             join.update_batch_counts(runs.items());
-            distinct.insert_batch(runs.keys());
+            for &(key, _) in runs.items() {
+                distinct.insert(key);
+            }
             quantiles.insert_batch(chunk);
         });
     }

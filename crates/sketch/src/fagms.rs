@@ -183,30 +183,6 @@ impl<S: SignFamily, B: BucketFamily> FagmsSchema<S, B> {
     }
 }
 
-/// One row's memoised hash of a key: which counter it lands on (an index
-/// into the whole `depth × width` array) and with which sign.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct Cell {
-    index: usize,
-    sign: i64,
-}
-
-/// Scratch of [`FagmsSketch::hash_cells`]: `depth` cells per key, key by
-/// key, plus the row-at-a-time buffers the batch hashes land in first.
-#[derive(Debug, Default)]
-pub(crate) struct RowCells {
-    cells: Vec<Cell>,
-    signs: Vec<i64>,
-    buckets: Vec<usize>,
-}
-
-impl RowCells {
-    /// The cells of every hashed key, `depth` consecutive entries each.
-    pub(crate) fn cells(&self) -> &[Cell] {
-        &self.cells
-    }
-}
-
 /// An F-AGMS sketch: `depth × width` counters.
 #[derive(Debug)]
 pub struct FagmsSketch<S = DefaultSign, B = DefaultBucket> {
@@ -237,7 +213,7 @@ impl<S: SignFamily, B: BucketFamily> FagmsSketch<S, B> {
         &self.counters[row * w..(row + 1) * w]
     }
 
-    fn check_schema(&self, other: &Self) -> Result<()> {
+    pub(crate) fn check_schema(&self, other: &Self) -> Result<()> {
         if self.schema.id == other.schema.id && self.counters.len() == other.counters.len() {
             Ok(())
         } else {
@@ -427,72 +403,6 @@ impl<S: SignFamily, B: BucketFamily> FagmsSketch<S, B> {
             .chunks_exact_mut(depth)
             .map(estimate::median_in_place)
             .collect()
-    }
-
-    /// Hash every key of `keys` once: afterwards `cells` holds, key by key,
-    /// the counter index and sign of each of the `depth` rows — what
-    /// [`bump`](Self::bump) and [`bump_and_query`](Self::bump_and_query)
-    /// take in place of the key. Rows are evaluated through the families'
-    /// `sign_batch` / `bucket_batch`, so any family pair takes the same
-    /// (runtime-dispatched) path.
-    pub(crate) fn hash_cells(&self, keys: &[u64], cells: &mut RowCells) {
-        let w = self.schema.width;
-        let depth = self.schema.rows.len();
-        cells.signs.resize(keys.len(), 0);
-        cells.buckets.resize(keys.len(), 0);
-        cells.cells.resize(keys.len() * depth, Cell::default());
-        for (r, row) in self.schema.rows.iter().enumerate() {
-            row.sign.sign_batch(keys, &mut cells.signs);
-            row.bucket.bucket_batch(keys, w, &mut cells.buckets);
-            let signed = cells.signs.iter().zip(&cells.buckets);
-            for (cell, (&sign, &bucket)) in cells.cells[r..].iter_mut().step_by(depth).zip(signed) {
-                *cell = Cell {
-                    index: r * w + bucket,
-                    sign,
-                };
-            }
-        }
-    }
-
-    /// [`update`](Self::update)`(key, 1)` for the key whose rows were
-    /// hashed into `cells`.
-    #[inline]
-    pub(crate) fn bump(&mut self, cells: &[Cell]) {
-        for cell in cells {
-            self.counters[cell.index] += cell.sign;
-        }
-    }
-
-    /// [`update_and_query`](Self::update_and_query)`(key, 1)` for the key
-    /// whose rows were hashed into `cells`; `per_row` is scratch of the
-    /// sketch's depth.
-    #[inline]
-    pub(crate) fn bump_and_query(&mut self, cells: &[Cell], per_row: &mut [f64]) -> f64 {
-        for (cell, out) in cells.iter().zip(per_row.iter_mut()) {
-            let counter = &mut self.counters[cell.index];
-            *counter += cell.sign;
-            *out = (cell.sign * *counter) as f64;
-        }
-        estimate::median_in_place(per_row)
-    }
-
-    /// Fused [`update`](Self::update) + [`point_query`](Self::point_query):
-    /// applies the update and returns the *post-update* point estimate,
-    /// computing each row's bucket and sign hashes once instead of twice.
-    /// Counter state and returned value are bit-identical to calling the
-    /// two operations in sequence; the per-tuple heavy-hitter path
-    /// ([`CountSketchTopK`](crate::CountSketchTopK)) lives on this.
-    pub fn update_and_query(&mut self, key: u64, count: i64) -> f64 {
-        let w = self.schema.width;
-        with_row_scratch(self.schema.rows.len(), |per_row| {
-            for (r, row) in self.schema.rows.iter().enumerate() {
-                let sign = row.sign.sign(key);
-                let counter = &mut self.counters[r * w + row.bucket.bucket(key, w)];
-                *counter += count * sign;
-                per_row[r] = (sign * *counter) as f64;
-            }
-            estimate::median_in_place(per_row)
-        })
     }
 
     /// Add `count` occurrences of `key` (negative counts model deletions:

@@ -83,7 +83,6 @@ pub mod agms;
 pub mod error;
 pub mod estimate;
 pub mod fagms;
-mod fasthash;
 pub mod hll;
 pub mod kll;
 mod runs;

@@ -12,14 +12,15 @@
 //!   the candidate front of `sss-core`'s `MultiSummary`, which prices the
 //!   candidates with its join sketch; `sss-core` implements its `Summary`
 //!   and `TopKQuery` traits over it.
-//! * [`CountSketchTopK`] — Charikar–Chen–Farach-Colton top-k over an
-//!   [`FagmsSketch`] (Count-Sketch): a bounded candidate set admits a key
-//!   when its running point estimate beats the weakest candidate. No
-//!   answer reads it any more — every served top-k is the composite's —
-//!   and it keeps only its write path ([`offer`](CountSketchTopK::offer),
+//! * [`CountSketchTopK`] — that candidate front next to an [`FagmsSketch`]
+//!   (Count-Sketch), fed exactly as `MultiSummary` feeds its heavy and
+//!   F-AGMS join parts: the composite's top-k write algorithm at whatever
+//!   geometry its caller picks. No answer reads it — every served top-k is
+//!   the composite's — so it has only that write path
+//!   ([`offer`](CountSketchTopK::offer),
 //!   [`offer_batch`](CountSketchTopK::offer_batch),
 //!   [`merge`](CountSketchTopK::merge)), the work the benchmark ledger's
-//!   `sketch.topk_update` replay row times.
+//!   `sketch.topk_update` replay row times at its own sketch size.
 //!
 //! Misra–Gries reports **raw** (sample-universe) estimates; the
 //! `1/p`-unbiasing for Bernoulli-sampled streams lives one layer up in
@@ -35,9 +36,8 @@
 //! the merged top-k is bit-identical to the sequential top-k.
 
 use crate::error::{Error, Result};
-use crate::fagms::{FagmsSchema, FagmsSketch, RowCells};
-use crate::fasthash::KeyHashMap;
-use crate::runs::{KeyRuns, CHUNK, MULTIPLIER};
+use crate::fagms::{FagmsSchema, FagmsSketch};
+use crate::runs::{KeyRuns, CHUNK};
 use sss_xi::{
     BucketFamily, Codec, CodecError, DefaultBucket, DefaultSign, Reader, SignFamily, Writer,
 };
@@ -146,6 +146,9 @@ struct CounterTable {
 
 /// Index slots of an empty table.
 const MIN_SLOTS: usize = 16;
+
+/// Fibonacci multiplier: a key's home slot is the product's top bits.
+const MULTIPLIER: u64 = 0x9E37_79B9_7F4A_7C15;
 
 impl CounterTable {
     fn new() -> Self {
@@ -580,219 +583,84 @@ impl MisraGries {
     }
 }
 
-/// Count-Sketch-backed top-k: an [`FagmsSketch`] plus a bounded candidate
-/// set (Charikar et al.'s heavy-hitter algorithm), kept as a write path
-/// only (see the module docs).
+/// Count-Sketch-backed top-k: an [`FagmsSketch`] and a [`MisraGries`]
+/// candidate front, fed as `sss-core`'s `MultiSummary` feeds its F-AGMS
+/// join part and its heavy part (see the module docs).
 ///
-/// Every offer updates the sketch; the candidate set admits a new key when
-/// its [`point_query`](FagmsSketch::point_query) estimate beats the
-/// current weakest candidate, which is then evicted. A non-positive offer
-/// reaches the sketch only.
+/// [`offer_batch`](Self::offer_batch) is
+/// [`MisraGries::offer_chunks`] with the sketch taking each chunk's
+/// [`KeyRuns`] as `(key, count)` pairs; [`offer`](Self::offer) offers the
+/// key to both. Each part ends where its per-key loop leaves it, so the
+/// pair does too, however the stream is cut into calls.
 #[derive(Debug)]
 pub struct CountSketchTopK<S = DefaultSign, B = DefaultBucket> {
     sketch: FagmsSketch<S, B>,
-    /// Candidate → running estimate (cheap bump on re-offer; refreshed
-    /// from the sketch on admission and at query time).
-    candidates: KeyHashMap<f64>,
-    capacity: usize,
-    /// Cached weakest candidate, rebuilt lazily when stale.
-    min_key: u64,
-    min_est: f64,
-    min_dirty: bool,
-    offered: u64,
-    /// Buffers of the batch path. Not state: never cloned, serialized or
-    /// compared, and empty until the first batch.
-    scratch: Scratch,
-}
-
-/// What [`CountSketchTopK`]'s `offer_batch` reuses from call to call.
-#[derive(Default)]
-struct Scratch {
-    runs: KeyRuns,
-    cells: RowCells,
-    per_row: Vec<f64>,
-}
-
-/// Not state, so `Debug` shows none of it: two trackers that passed
-/// through the same states print alike, whichever path fed them.
-impl std::fmt::Debug for Scratch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("Scratch")
-    }
+    heavy: MisraGries,
 }
 
 // Manual impl, like the sketch's: the families sit behind the schema's
-// `Arc`, so `S: Clone`/`B: Clone` are not required. A clone starts with
-// empty scratch.
+// `Arc`, so `S: Clone`/`B: Clone` are not required.
 impl<S, B> Clone for CountSketchTopK<S, B> {
     fn clone(&self) -> Self {
         Self {
             sketch: self.sketch.clone(),
-            candidates: self.candidates.clone(),
-            capacity: self.capacity,
-            min_key: self.min_key,
-            min_est: self.min_est,
-            min_dirty: self.min_dirty,
-            offered: self.offered,
-            scratch: Scratch::default(),
+            heavy: self.heavy.clone(),
         }
     }
 }
 
 impl<S: SignFamily, B: BucketFamily> CountSketchTopK<S, B> {
-    /// Create a top-k summary over `schema` tracking at most `capacity`
-    /// candidate keys.
+    /// Create a top-k summary over `schema` with `capacity` Misra–Gries
+    /// candidates.
     ///
     /// # Errors
     ///
-    /// [`Error::InvalidDimensions`] if `capacity` is zero.
+    /// [`Error::InvalidDimensions`] if `capacity` is zero or above 2^28.
     pub fn new(schema: &FagmsSchema<S, B>, capacity: usize) -> Result<Self> {
-        if capacity == 0 {
-            return Err(Error::InvalidDimensions);
-        }
         Ok(Self {
             sketch: schema.sketch(),
-            candidates: KeyHashMap::with_capacity_and_hasher(capacity, Default::default()),
-            capacity,
-            min_key: 0,
-            min_est: f64::INFINITY,
-            min_dirty: true,
-            offered: 0,
-            scratch: Scratch::default(),
+            heavy: MisraGries::new(capacity)?,
         })
     }
 
-    /// Recompute the weakest candidate: smallest estimate, ties broken
-    /// toward the *larger* key (so the smaller key survives eviction,
-    /// matching the top-k tie-break).
-    fn recompute_min(&mut self) {
-        self.min_est = f64::INFINITY;
-        self.min_key = 0;
-        for (&key, &est) in &self.candidates {
-            if est < self.min_est || (est == self.min_est && key > self.min_key) {
-                self.min_est = est;
-                self.min_key = key;
-            }
-        }
-        self.min_dirty = false;
+    /// The sketch part. Read-only; it and [`heavy`](Self::heavy) exist so
+    /// that a test can hold this write path to `MultiSummary`'s.
+    pub fn sketch(&self) -> &FagmsSketch<S, B> {
+        &self.sketch
     }
 
-    /// The admission test of a non-candidate `key` whose post-update point
-    /// estimate is `est`: take a free slot, or evict the weakest candidate
-    /// if `est` beats it.
-    fn admit(&mut self, key: u64, est: f64) {
-        if self.candidates.len() < self.capacity {
-            self.candidates.insert(key, est);
-            self.min_dirty = true;
-            return;
-        }
-        if self.min_dirty {
-            self.recompute_min();
-        }
-        if est > self.min_est {
-            self.candidates.remove(&self.min_key);
-            self.candidates.insert(key, est);
-            self.recompute_min();
-        }
+    /// The candidate front; see [`sketch`](Self::sketch).
+    pub fn heavy(&self) -> &MisraGries {
+        &self.heavy
     }
 
     /// Record `count` occurrences of `key`. A non-positive count reaches
     /// the sketch only.
     pub fn offer(&mut self, key: u64, count: i64) {
-        if count <= 0 {
-            // The sketch absorbs the deletion; no candidate bookkeeping.
-            self.sketch.update(key, count);
-            return;
-        }
-        self.offered += count as u64;
-        if let Some(est) = self.candidates.get_mut(&key) {
-            *est += count as f64;
-            self.sketch.update(key, count);
-            if key == self.min_key {
-                // The cached min grew; another candidate may now be
-                // weakest. Rebuild lazily on the next admission test.
-                self.min_dirty = true;
-            }
-            return;
-        }
-        // Non-candidate: the admission test needs the post-update point
-        // estimate anyway, so the fused sketch op computes each row's
-        // hashes once (state identical to update-then-query).
-        let est = self.sketch.update_and_query(key, count);
-        self.admit(key, est);
+        self.heavy.offer(key, count);
+        self.sketch.update(key, count);
     }
 
-    /// Every row's sign and bucket is evaluated once per *distinct* key of
-    /// a chunk ([`KeyRuns`]); the tuples are then walked in arrival order,
-    /// each doing exactly what [`offer`](Self::offer) does —
-    /// candidate bump or counter increments, median, admission, eviction —
-    /// against the memoised cells. Counters, candidates, running estimates
-    /// and the min-cache therefore pass through the same states as under
-    /// the per-key loop, whatever the chunking and however the stream was
-    /// cut into calls.
+    /// Record one occurrence of every key in the batch, leaving the state
+    /// the per-key [`offer`](Self::offer) loop leaves.
     pub fn offer_batch(&mut self, keys: &[u64]) {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let Scratch {
-            runs,
-            cells,
-            per_row,
-        } = &mut scratch;
-        let depth = self.sketch.schema().depth();
-        per_row.resize(depth, 0.0);
-        for chunk in keys.chunks(CHUNK) {
-            runs.fill(chunk);
-            let distinct = runs.keys();
-            self.sketch.hash_cells(distinct, cells);
-            let cells = cells.cells();
-            self.offered += chunk.len() as u64;
-            for &position in runs.index() {
-                let position = usize::from(position);
-                let key = distinct[position];
-                let cells = &cells[position * depth..(position + 1) * depth];
-                if let Some(est) = self.candidates.get_mut(&key) {
-                    *est += 1.0;
-                    self.sketch.bump(cells);
-                    if key == self.min_key {
-                        self.min_dirty = true;
-                    }
-                } else {
-                    let est = self.sketch.bump_and_query(cells, per_row);
-                    self.admit(key, est);
-                }
-            }
-        }
-        self.scratch = scratch;
+        let Self { sketch, heavy } = self;
+        heavy.offer_chunks(keys, |runs, _| sketch.update_batch_counts(runs.items()));
     }
 
-    /// Sketch counters add entry-wise (linearity); candidate sets union,
-    /// are re-scored against the *merged* sketch, and the strongest
-    /// `capacity` survive.
+    /// Both parts merge: sketch counters add entry-wise, Misra–Gries
+    /// counters add and compact.
     ///
     /// # Errors
     ///
     /// [`Error::SchemaMismatch`] on different capacities or sketch
-    /// schemas.
+    /// schemas, [`Error::WeightOverflow`] if the offered weights sum past
+    /// `u64::MAX`; either way `self` is untouched.
     pub fn merge(&mut self, other: &Self) -> Result<()> {
-        if self.capacity != other.capacity {
-            return Err(Error::SchemaMismatch);
-        }
-        self.sketch.merge(&other.sketch)?;
-        let mut union: Vec<u64> = self
-            .candidates
-            .keys()
-            .chain(other.candidates.keys())
-            .copied()
-            .collect();
-        union.sort_unstable();
-        union.dedup();
-        let scored = union
-            .into_iter()
-            .map(|key| (key, self.sketch.point_query(key)))
-            .collect();
-        self.candidates = ranked(scored, self.capacity).into_iter().collect();
-        self.offered += other.offered;
-        self.min_dirty = true;
-        Ok(())
+        self.sketch.check_schema(&other.sketch)?;
+        // Refuses another capacity, or weights past `u64::MAX`, untouched.
+        self.heavy.merge(&other.heavy)?;
+        self.sketch.merge(&other.sketch)
     }
 }
 
@@ -969,7 +837,7 @@ mod tests {
         assert_eq!(a.merge(&b).unwrap_err(), Error::SchemaMismatch);
     }
 
-    /// The sketches add and the candidate sets union: at full capacity a
+    /// The sketches add and the candidate fronts merge: at full capacity a
     /// merge of two halves holds the sequential summary's counters and
     /// candidate keys.
     #[test]
@@ -992,13 +860,13 @@ mod tests {
             assert_eq!(left.sketch.row(r), seq.sketch.row(r), "row {r}");
         }
         let keys = |tk: &CountSketchTopK| {
-            let mut keys: Vec<u64> = tk.candidates.keys().copied().collect();
+            let mut keys = tk.heavy.candidates();
             keys.sort_unstable();
             keys
         };
         assert_eq!(keys(&left), keys(&seq));
         assert_eq!(keys(&seq), (0..10).collect::<Vec<u64>>());
-        assert_eq!(left.offered, seq.offered);
+        assert_eq!(left.heavy.items_offered(), seq.heavy.items_offered());
     }
 
     #[test]
@@ -1022,9 +890,6 @@ mod tests {
         // 1000 distinct keys, one occurrence each.
         let keys: Vec<u64> = (0..1000u64).collect();
         tk.offer_batch(&keys);
-        assert!(tk.candidates.len() <= 8);
-        let mut mg = MisraGries::new(8).unwrap();
-        mg.offer_batch(&keys);
-        assert!(mg.candidates().len() <= 8);
+        assert!(tk.heavy.candidates().len() <= 8);
     }
 }

@@ -7,16 +7,17 @@
 //! by answers: the chunk-merging Misra–Gries batch path, the windowed KLL
 //! batch path and the `MultiSummary` fan-out that shares one deduplication
 //! between its parts must leave the bytes `encode()` writes equal to the
-//! per-key loop's, however the stream is cut into calls. The hash-once
-//! Count-Sketch top-k batch path, which writes no bytes, is held to its
-//! loop's state as `Debug` prints it.
+//! per-key loop's, however the stream is cut into calls. The Count-Sketch
+//! top-k tracker, which writes no bytes of its own, is held to its loop's
+//! F-AGMS counters and Misra–Gries bytes, and to a `MultiSummary`'s.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
-use sketch_sampled_streams::core::sketch::JoinSchema;
+use sketch_sampled_streams::core::sketch::{JoinSchema, JoinSketch};
 use sketch_sampled_streams::core::{MultiSpec, MultiSummary, Portable, Sampled, Summary};
+use sketch_sampled_streams::datagen::ZipfGenerator;
 use sketch_sampled_streams::sketch::{
     AgmsSchema, CountSketchTopK, FagmsSchema, FagmsSketch, HyperLogLog, KllSketch, MisraGries,
 };
@@ -112,18 +113,19 @@ fn in_calls(keys: &[u64], cut: usize, mut call: impl FnMut(&[u64])) {
     }
 }
 
+/// An F-AGMS sketch's counters, row by row.
+fn rows(sketch: &FagmsSketch) -> Vec<Vec<i64>> {
+    (0..sketch.schema().depth())
+        .map(|r| sketch.row(r).to_vec())
+        .collect()
+}
+
 /// `offer_batch` (in arbitrary calls) against the per-key `offer` loop:
-/// the same state — counters, candidates with the same estimate bits, the
-/// weakest-candidate cache, the offered weight — which `Debug` prints in
-/// full (the batch path's buffers, not state, print as a placeholder); and,
-/// so that a stale cache would show, the same again after 100 further
-/// per-key offers on both sides.
-fn check_topk_batch<S, B>(depth: usize, keys: &[u64], cut: usize, rng: &mut StdRng)
-where
-    S: SignFamily + std::fmt::Debug,
-    B: BucketFamily + std::fmt::Debug,
-{
-    let schema = FagmsSchema::<S, B>::new(depth, 61, rng);
+/// the same state — the sketch's counters and the bytes its Misra–Gries
+/// front encodes to; and, so that a stale chunk count would show, the
+/// same again after 100 further per-key offers on both sides.
+fn check_topk_batch(depth: usize, keys: &[u64], cut: usize, rng: &mut StdRng) {
+    let schema: FagmsSchema = FagmsSchema::new(depth, 61, rng);
     // Far fewer candidate slots than distinct keys.
     let mut scalar = CountSketchTopK::new(&schema, 8).unwrap();
     let mut batched = scalar.clone();
@@ -131,11 +133,12 @@ where
         scalar.offer(k, 1);
     }
     in_calls(keys, cut, |call| batched.offer_batch(call));
+    let state = |t: &CountSketchTopK| (rows(t.sketch()), t.heavy().encode().unwrap());
     let tail = skewed(100, 500, rng);
     for round in 0..2 {
         assert_eq!(
-            format!("{scalar:?}"),
-            format!("{batched:?}"),
+            state(&scalar),
+            state(&batched),
             "state diverged (round {round})"
         );
         for &k in &tail {
@@ -375,15 +378,70 @@ proptest! {
         }
     }
 
-    /// Top-k: hashing once per distinct key and deciding once per tuple
-    /// passes through exactly the states of the per-key loop — at depth 5
-    /// and at depth 7, past the median's comparison networks.
+    /// Top-k: gathering each chunk in Misra–Gries and adding its runs to
+    /// the sketch leaves the state of the per-key loop.
     #[test]
     fn topk_offer_batch_matches_offer_loop(length in 0usize..6, cut in 1usize..3000, seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
         let keys = skewed(LENGTHS[length], 500, &mut rng);
-        check_topk_batch::<Cw4, Cw2Bucket>(5, &keys, cut, &mut rng);
-        check_topk_batch::<Cw4, Cw2Bucket>(7, &keys, cut, &mut rng);
+        check_topk_batch(5, &keys, cut, &mut rng);
+    }
+
+    /// `CountSketchTopK` is the composite's top-k write path on its own:
+    /// fed one Zipf stream, each side in its own random call cuts, it holds
+    /// the F-AGMS counters and the Misra–Gries bytes of a `MultiSummary`'s
+    /// `join()` and `heavy()` over the same schema and capacity. Its two
+    /// read-only accessors, `sketch()` and `heavy()`, exist for this test.
+    #[test]
+    fn topk_tracker_holds_the_composites_join_and_heavy_parts(
+        length in 0usize..6,
+        capacity in 1usize..40,
+        cuts in (1usize..3000, 1usize..3000),
+        seed: u64,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let keys = ZipfGenerator::new(3000, 1.1).relation(LENGTHS[length], &mut rng);
+        let schema: FagmsSchema = FagmsSchema::new(3, 61, &mut rng);
+        let spec = MultiSpec::new(JoinSchema::Fagms(schema.clone()), &mut rng).top_k(capacity);
+        let mut multi = spec.summary().unwrap();
+        in_calls(&keys, cuts.0, |call| multi.update_batch(call));
+        let mut tracker = CountSketchTopK::new(&schema, capacity).unwrap();
+        in_calls(&keys, cuts.1, |call| tracker.offer_batch(call));
+        let JoinSketch::Fagms(join) = multi.join() else {
+            unreachable!("an F-AGMS spec mints an F-AGMS join part")
+        };
+        prop_assert_eq!(rows(tracker.sketch()), rows(join));
+        prop_assert_eq!(tracker.heavy().encode().unwrap(), multi.heavy().encode().unwrap());
+    }
+
+    /// Misra–Gries hands every chunk over as what it gathered: the runs are
+    /// the chunk's distinct keys with their counts, as a multiset, with
+    /// every key on one probe chain or spread, across compactions, wherever
+    /// the calls and a weighted lead put the chunk ends.
+    #[test]
+    fn misra_gries_runs_are_each_chunks_distinct_keys(
+        length in 0usize..6,
+        cut in 1usize..3000,
+        lead in 0i64..5000,
+        collide: bool,
+        seed: u64,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut keys = skewed(LENGTHS[length], 5000, &mut rng);
+        if collide {
+            keys.iter_mut().for_each(|key| *key = colliding(*key));
+        }
+        let mut mg = MisraGries::new(8).unwrap();
+        mg.offer(3, lead);
+        in_calls(&keys, cut, |call| {
+            mg.offer_chunks(call, |runs, chunk| {
+                let mut want = std::collections::BTreeMap::new();
+                chunk.iter().for_each(|&key| *want.entry(key).or_insert(0) += 1);
+                let mut got = runs.items().to_vec();
+                got.sort_unstable();
+                assert_eq!(got, want.into_iter().collect::<Vec<_>>());
+            })
+        });
     }
 
     /// Misra–Gries: gathering a chunk in the counter table one probe per
