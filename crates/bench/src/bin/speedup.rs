@@ -67,7 +67,7 @@ fn main() {
                 "{name},{p},{},{full_mtps:.2},{shed_mtps:.2},{:.1},{:.6}",
                 shed.kept(),
                 shed_mtps / full_mtps,
-                ((shed.self_join() - truth) / truth).abs()
+                ((shed.self_join_estimate().value - truth) / truth).abs()
             );
         }
     }

@@ -68,7 +68,7 @@ pub fn bernoulli_sj_sweep(cfg: &BernoulliSweep) -> Vec<SweepPoint> {
                 for &k in &g_stream {
                     gs.observe(k);
                 }
-                let est = fs.size_of_join(&gs).expect("shared schema");
+                let est = fs.size_of_join_estimate(&gs).expect("shared schema").value;
                 errors[pi] += ((est - truth) / truth).abs();
             }
         }
@@ -100,7 +100,7 @@ pub fn bernoulli_sjs_sweep(cfg: &BernoulliSweep) -> Vec<SweepPoint> {
                 for &k in &stream {
                     s.observe(k);
                 }
-                errors[pi] += ((s.self_join() - truth) / truth).abs();
+                errors[pi] += ((s.self_join_estimate().value - truth) / truth).abs();
             }
         }
         for (pi, &p) in cfg.probabilities.iter().enumerate() {

@@ -25,7 +25,7 @@ use sss_moments::engine::{self, Moments};
 use sss_moments::freq::FrequencyVector;
 use sss_moments::scheme::Bernoulli;
 
-/// Moments of [`crate::Sampled::self_join`] (over a join sketch) on a stream
+/// Moments of [`crate::Sampled::self_join_estimate`] (over a join sketch) on a stream
 /// with true frequencies `f`, shedding probability `p`, over `schema`.
 pub fn shedding_self_join(f: &FrequencyVector, p: f64, schema: &JoinSchema) -> Result<Moments> {
     let scheme = Bernoulli::new(p)?;

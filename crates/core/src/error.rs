@@ -51,14 +51,6 @@ pub enum Error {
         /// The payload's fingerprint.
         found: u64,
     },
-    /// A slim replica was asked a query its projection cannot answer; the
-    /// fat update-side summary must be consulted instead.
-    UnsupportedQuery {
-        /// The query that was attempted.
-        query: &'static str,
-        /// The summary that rejected it.
-        summary: &'static str,
-    },
     /// A network peer violated the length-prefixed ingest framing
     /// ([`crate::wire::FrameError`] carries the precise violation).
     Frame(crate::wire::FrameError),
@@ -99,12 +91,6 @@ impl fmt::Display for Error {
                     f,
                     "configuration fingerprint {found:#018x} does not match {expected:#018x}: \
                      only like-configured summaries merge"
-                )
-            }
-            Error::UnsupportedQuery { query, summary } => {
-                write!(
-                    f,
-                    "{summary} cannot answer {query}: query the fat update-side summary instead"
                 )
             }
             Error::Frame(e) => write!(f, "ingest protocol: {e}"),

@@ -44,14 +44,14 @@
 //!
 //! Each driver owns a [`sketch::JoinSketch`] (AGMS or F-AGMS, selected by a
 //! [`sketch::JoinSchema`]) and the per-scheme bookkeeping (tuples seen /
-//! kept / scanned), and exposes unbiased `self_join()` and
-//! `size_of_join()` estimates at any point in the stream.
+//! kept / scanned), and exposes unbiased self-join and size-of-join
+//! estimates at any point in the stream.
 //!
 //! When the true frequency vector is known, the `sss-moments` engine gives
 //! the exact mean and variance of each estimate, and [`analysis`] plans
 //! how aggressively a stream can be shed. When the truth is *not* known
-//! (the live-query case), every query path also offers a `*_estimate()`
-//! variant returning an [`Estimate`] whose variance is measured from the
+//! (the live-query case), every capability trait read returns an
+//! [`Estimate`] whose variance is measured from the
 //! sketch's own independent lanes plus a plug-in for the shared sampling
 //! noise, with intervals from [`Estimate::chebyshev`] and
 //! [`Estimate::clt`]. Neither layer has an enum choosing the tail bound:
@@ -75,7 +75,7 @@
 //! for i in 0..200_000u64 {
 //!     sketcher.observe(i % 1000);
 //! }
-//! let est = sketcher.self_join();
+//! let est = sketcher.self_join_estimate().value;
 //! assert!((est - 4e7).abs() / 4e7 < 0.1, "est = {est}");
 //! // Only ~10% of the stream was sketched:
 //! assert!(sketcher.kept() < 25_000);
@@ -102,7 +102,7 @@ pub use multi::{MultiSpec, MultiSummary, SampledMultiSummary};
 pub use sampled::{bernoulli_distinct_estimate, Sampled};
 pub use scan::ScanSketcher;
 pub use sketch::{JoinSchema, JoinSketch};
-pub use slim::{SlimJoin, SlimMultiSummary, SlimTopK};
+pub use slim::{SlimJoin, SlimMultiSummary};
 pub use sss_sketch::Estimate;
 pub use summary::{
     DistinctQuery, JoinQuery, Portable, QuantileQuery, SlimQuery, Summary, TopKQuery,

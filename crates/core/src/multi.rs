@@ -28,10 +28,10 @@
 //! tracker that admits by sketch estimate takes it, a counter never sees
 //! it twice); *pricing* them is the join sketch's, whose
 //! [`point_query`](JoinSketch::point_query) is unbiased where a
-//! Misra–Gries counter undercounts. [`TopKQuery::top_k`] is the
+//! Misra–Gries counter undercounts. [`TopKQuery::top_k_estimates`] is the
 //! `capacity` largest counters re-scored by the sketch;
-//! [`TopKQuery::frequency`] is the point query, for any key, with variance
-//! `F₂ /` [`averaging_factor`](JoinSketch::averaging_factor).
+//! [`TopKQuery::frequency_estimate`] is the point query, for any key, with
+//! variance `F₂ /` [`averaging_factor`](JoinSketch::averaging_factor).
 //!
 //! # The write path
 //!
@@ -91,7 +91,7 @@ use crate::error::Result;
 use crate::sampled::Sampled;
 use crate::sketch::{JoinSchema, JoinSketch};
 use crate::summary::{
-    rank_band, DistinctQuery, JoinQuery, Portable, QuantileQuery, Summary, TopKQuery,
+    priced, rank_band, DistinctQuery, JoinQuery, Portable, QuantileQuery, Summary, TopKQuery,
 };
 use rand::Rng;
 use sss_sketch::topk::ranked;
@@ -290,16 +290,12 @@ impl Summary for MultiSummary {
 }
 
 impl JoinQuery for MultiSummary {
-    fn self_join(&self) -> f64 {
-        JoinQuery::self_join(&self.join)
-    }
-
-    fn size_of_join(&self, other: &Self) -> Result<f64> {
-        JoinQuery::size_of_join(&self.join, &other.join)
-    }
-
     fn self_join_estimate(&self) -> Estimate {
         JoinQuery::self_join_estimate(&self.join)
+    }
+
+    fn size_of_join_estimate(&self, other: &Self) -> Result<Estimate> {
+        JoinQuery::size_of_join_estimate(&self.join, &other.join)
     }
 
     /// The join sketches' sum, once the parts would merge.
@@ -311,37 +307,27 @@ impl JoinQuery for MultiSummary {
         let joins: Vec<&JoinSketch> = parts.iter().map(|part| &part.join).collect();
         JoinQuery::self_join_estimate_of_sum(&joins)
     }
-
-    fn size_of_join_estimate(&self, other: &Self) -> Result<Estimate> {
-        JoinQuery::size_of_join_estimate(&self.join, &other.join)
-    }
 }
 
 /// Misra–Gries picks, the join sketch prices — see the module docs. A
-/// `top_k` answer is shorter than asked when fewer keys stand out: no
+/// top-k answer is shorter than asked when fewer keys stand out: no
 /// counter holds a key far below `n/(capacity+1)` across a compaction.
+///
+/// Every frequency carries one lane's point-query variance,
+/// `F₂ / averaging_factor` with `F₂` read from the sketch itself (clamped
+/// at 0 — the estimate is noisy); the median or mean over lanes only
+/// concentrates further.
 impl TopKQuery for MultiSummary {
-    fn frequency(&self, key: u64) -> f64 {
-        self.join.point_query(key)
+    fn frequency_estimate(&self, key: u64) -> Estimate {
+        let variance = self.frequency_variance_at(self.join.raw_self_join());
+        priced(self.join.point_query(key), variance)
     }
 
-    /// The candidates are priced in one batched call
-    /// ([`JoinSketch::point_queries`]), bit for bit the point queries.
-    fn top_k(&self, k: usize) -> Vec<(u64, f64)> {
-        let keys = self.heavy.candidates();
-        let scored = keys
-            .iter()
-            .copied()
-            .zip(self.join.point_queries(&keys))
-            .collect();
-        ranked(scored, k)
-    }
-
-    /// One lane's point-query variance, `F₂ / averaging_factor` with `F₂`
-    /// read from the sketch itself (clamped at 0 — the estimate is noisy);
-    /// the median or mean over lanes only concentrates further.
-    fn frequency_variance(&self) -> f64 {
-        self.frequency_variance_at(self.join.raw_self_join())
+    fn top_k_estimates(&self, k: usize) -> Vec<(u64, Estimate)> {
+        let variance = self.frequency_variance_at(self.join.raw_self_join());
+        let top = self.ranked_candidates(k).into_iter();
+        top.map(|(key, value)| (key, priced(value, variance)))
+            .collect()
     }
 
     /// The Misra–Gries parts merged into a copy of `zero`'s in the fold's
@@ -369,11 +355,10 @@ impl TopKQuery for MultiSummary {
         };
         let variance = zero.frequency_variance_at(f2);
         let top = ranked(keys.into_iter().zip(values).collect(), k).into_iter();
-        let priced = |value| Estimate {
-            variance,
-            ..Estimate::point(value)
-        };
-        Some(top.map(|(key, value)| (key, priced(value))).collect())
+        Some(
+            top.map(|(key, value)| (key, priced(value, variance)))
+                .collect(),
+        )
     }
 }
 
@@ -402,18 +387,26 @@ impl MultiSummary {
         parts.split_first().map(|(first, rest)| (*first, rest))
     }
 
-    /// [`TopKQuery::frequency_variance`] given the join sketch's own `F₂`,
-    /// for a caller that has already read it.
+    /// The point-query variance given the join sketch's own `F₂`.
     pub(crate) fn frequency_variance_at(&self, f2: f64) -> f64 {
         f2.max(0.0) / self.join.averaging_factor() as f64
+    }
+
+    /// The `k` heaviest Misra–Gries candidates, each priced by the join
+    /// sketch's point query in one batched call
+    /// ([`JoinSketch::point_queries`], bit for bit the point queries).
+    pub(crate) fn ranked_candidates(&self, k: usize) -> Vec<(u64, f64)> {
+        let keys = self.heavy.candidates();
+        let scored = keys
+            .iter()
+            .copied()
+            .zip(self.join.point_queries(&keys))
+            .collect();
+        ranked(scored, k)
     }
 }
 
 impl DistinctQuery for MultiSummary {
-    fn distinct(&self) -> f64 {
-        DistinctQuery::distinct(&self.distinct)
-    }
-
     fn distinct_estimate(&self) -> Estimate {
         DistinctQuery::distinct_estimate(&self.distinct)
     }
@@ -431,10 +424,6 @@ impl DistinctQuery for MultiSummary {
 }
 
 impl QuantileQuery for MultiSummary {
-    fn quantile(&self, q: f64) -> Result<f64> {
-        QuantileQuery::quantile(&self.quantiles, q)
-    }
-
     fn quantiles(&self, ranks: &[f64]) -> Result<Vec<f64>> {
         QuantileQuery::quantiles(&self.quantiles, ranks)
     }
@@ -504,24 +493,19 @@ mod tests {
         Summary::update_batch(&mut parts.distinct, &keys);
         Summary::update_batch(&mut parts.quantiles, &keys);
 
+        assert_eq!(multi.self_join_estimate(), parts.join.self_join_estimate());
+        assert_eq!(multi.top_k_estimates(10), parts.top_k_estimates(10));
         assert_eq!(
-            JoinQuery::self_join(&multi).to_bits(),
-            JoinQuery::self_join(&parts.join).to_bits()
-        );
-        assert_eq!(TopKQuery::top_k(&multi, 10), TopKQuery::top_k(&parts, 10));
-        assert_eq!(
-            TopKQuery::top_k(&multi.heavy, 10),
-            TopKQuery::top_k(&parts.heavy, 10)
+            multi.heavy.top_k_estimates(10),
+            parts.heavy.top_k_estimates(10)
         );
         assert_eq!(
-            DistinctQuery::distinct(&multi).to_bits(),
-            DistinctQuery::distinct(&parts.distinct).to_bits()
+            multi.distinct_estimate(),
+            parts.distinct.distinct_estimate()
         );
         assert_eq!(
-            QuantileQuery::quantile(&multi, 0.5).unwrap().to_bits(),
-            QuantileQuery::quantile(&parts.quantiles, 0.5)
-                .unwrap()
-                .to_bits()
+            multi.quantile_with_bounds(0.5).unwrap(),
+            parts.quantiles.quantile_with_bounds(0.5).unwrap()
         );
     }
 
@@ -539,18 +523,12 @@ mod tests {
         Summary::update_batch(&mut right, &keys[keys.len() / 2..]);
         left.merge_from(&right).unwrap();
         // Join sketches are linear: exactly equal.
-        assert_eq!(
-            JoinQuery::self_join(&left).to_bits(),
-            JoinQuery::self_join(&whole).to_bits()
-        );
+        assert_eq!(left.self_join_estimate(), whole.self_join_estimate());
         // HyperLogLog registers are max-merged: exactly equal.
-        assert_eq!(
-            DistinctQuery::distinct(&left).to_bits(),
-            DistinctQuery::distinct(&whole).to_bits()
-        );
+        assert_eq!(left.distinct_estimate(), whole.distinct_estimate());
         // KLL / top-k merges are guarantee-preserving, not bit-identical:
         // check the quantile lands within the (merged) rank error.
-        let med = QuantileQuery::quantile(&left, 0.5).unwrap();
+        let med = left.quantiles(&[0.5]).unwrap()[0];
         let rank = QuantileQuery::rank(&whole, med as u64);
         assert!((rank - 0.5).abs() < 2.0 * QuantileQuery::rank_error(&left, 0.5));
         assert_eq!(QuantileQuery::stream_len(&left), keys.len() as u64);
@@ -572,21 +550,21 @@ mod tests {
         }
     }
 
-    /// The contract a counter front brings: `top_k` ranks the keys that
+    /// The contract a counter front brings: a top-k ranks the keys that
     /// stand out and is as long as there are any. Two chunks of all-new
     /// keys end on a compaction that keeps none; once some keys repeat,
-    /// exactly those come back. `frequency` answers either way.
+    /// exactly those come back. A frequency answers either way.
     #[test]
     fn top_k_is_as_long_as_keys_stand_out() {
         let mut multi = spec(7).summary().unwrap();
         let flat: Vec<u64> = (0..2 * MisraGries::CHUNK as u64).collect();
         Summary::update_batch(&mut multi, &flat);
-        assert_eq!(TopKQuery::top_k(&multi, 5), vec![]);
-        assert!((TopKQuery::frequency(&multi, 9) - 1.0).abs() < 10.0);
+        assert_eq!(multi.top_k_estimates(5), vec![]);
+        assert!((multi.frequency_estimate(9).value - 1.0).abs() < 10.0);
         for (key, copies) in [(9u64, 300usize), (4, 200), (2, 100)] {
             Summary::update_batch(&mut multi, &vec![key; copies]);
         }
-        let top = TopKQuery::top_k(&multi, 5);
+        let top = multi.top_k_estimates(5);
         let keys: Vec<u64> = top.iter().map(|&(key, _)| key).collect();
         assert_eq!(keys, [9, 4, 2]);
     }
@@ -626,7 +604,8 @@ mod tests {
             );
             let mut f2 = None;
             let top = MultiSummary::top_k_of_sum(&zero, &refs, 12, &mut f2).unwrap();
-            let want: Vec<_> = TopKQuery::top_k(&fold, 12)
+            let want: Vec<_> = fold
+                .top_k_estimates(12)
                 .into_iter()
                 .map(|(key, _)| (key, bits(&fold.frequency_estimate(key))))
                 .collect();
@@ -634,7 +613,7 @@ mod tests {
             assert_eq!(got, want, "{n}");
             assert_eq!(
                 f2.map(f64::to_bits),
-                Some(JoinQuery::self_join(&fold).to_bits())
+                Some(fold.self_join_estimate().value.to_bits())
             );
             let again = MultiSummary::top_k_of_sum(&zero, &refs, 12, &mut f2).unwrap();
             assert_eq!(

@@ -18,21 +18,26 @@
 //! | [`DistinctQuery`] | frequency-domain plug-in (see below) |
 //! | [`QuantileQuery`] | identity, with the rank error widened by the sample's jitter |
 //!
-//! Beside the trait reads, five inherent ones stay for callers with only
+//! Beside the trait reads, four inherent ones stay for callers with only
 //! [`Summary`] in scope, each a call of its trait read:
-//! [`self_join`](Sampled::self_join),
 //! [`self_join_estimate`](Sampled::self_join_estimate),
 //! [`top_k`](Sampled::top_k) (the typed
 //! [`top_k_estimates`](TopKQuery::top_k_estimates)),
 //! [`distinct_estimate`](Sampled::distinct_estimate) and
-//! [`quantile`](Sampled::quantile). The other inherent reads are gone:
+//! [`quantile`](Sampled::quantile) (the value of
+//! [`quantiles`](QuantileQuery::quantiles) at one rank). The other
+//! inherent reads are gone:
+//!
+//! ```compile_fail
+//! fn gone(s: &sss_core::SampledMultiSummary) { let _ = s.self_join(); } // removed: s.self_join_estimate().value
+//! ```
 //!
 //! ```compile_fail
 //! fn gone(s: &sss_core::SampledMultiSummary) { let _ = s.point_estimate(7); } // removed: TopKQuery::frequency_estimate
 //! ```
 //!
 //! ```compile_fail
-//! fn gone(s: &sss_core::SampledMultiSummary) { let _ = s.distinct(); } // removed: DistinctQuery::distinct
+//! fn gone(s: &sss_core::SampledMultiSummary) { let _ = s.distinct(); } // removed: s.distinct_estimate().value
 //! ```
 //!
 //! ```compile_fail
@@ -44,11 +49,11 @@
 //! ```
 //!
 //! ```compile_fail
-//! fn gone(s: &sss_core::SampledMultiSummary) { let _ = s.quantile_bounds(0.5); } // removed: QuantileQuery::quantile_bounds
+//! fn gone(s: &sss_core::SampledMultiSummary) { let _ = s.quantile_bounds(0.5); } // removed: QuantileQuery::quantile_with_bounds
 //! ```
 //!
 //! ```compile_fail
-//! fn gone(s: &sss_core::SampledMultiSummary) { let _ = s.size_of_join(s); } // removed: JoinQuery::size_of_join
+//! fn gone(s: &sss_core::SampledMultiSummary) { let _ = s.size_of_join(s); } // removed: JoinQuery::size_of_join_estimate
 //! ```
 //!
 //! ```compile_fail
@@ -129,7 +134,7 @@
 //! bar is the rank-based bounds, not an [`Estimate`].
 
 use crate::error::{Error, Result};
-use crate::summary::{DistinctQuery, JoinQuery, QuantileQuery, Summary, TopKQuery};
+use crate::summary::{priced, DistinctQuery, JoinQuery, QuantileQuery, Summary, TopKQuery};
 use rand::Rng;
 use sss_sampling::{
     bernoulli_frequency_variance_plugin, bernoulli_self_join_variance_plugin,
@@ -151,7 +156,7 @@ use sss_xi::splitmix64;
 /// cleanly with sketching ("the size of the sample is unknown prior to
 /// running the process. This is not a problem anymore when the sample is
 /// sketched"). Keeping this in one place guarantees every [`Sampled`]
-/// answer — scalar, typed and per lane — applies the exact same formula.
+/// answer — the value and every lane — applies the exact same formula.
 #[inline]
 fn bernoulli_self_join(raw_self_join: f64, p: f64, kept: u64) -> f64 {
     let p2 = p * p;
@@ -372,14 +377,6 @@ fn corrected_self_join(raw: Estimate, p: f64, kept: u64, seen: u64) -> Estimate 
 /// Section VI-A stacked on it), size of join by Proposition 13 (`S·T/(p·q)`;
 /// the two sides may sample at different rates).
 impl<S: Summary + JoinQuery> JoinQuery for Sampled<S> {
-    fn self_join(&self) -> f64 {
-        bernoulli_self_join(self.summary.self_join(), self.p, self.kept)
-    }
-
-    fn size_of_join(&self, other: &Self) -> Result<f64> {
-        Ok(self.summary.size_of_join(&other.summary)? / (self.p * other.p))
-    }
-
     fn self_join_estimate(&self) -> Estimate {
         let raw = self.summary.self_join_estimate();
         corrected_self_join(raw, self.p, self.kept, self.seen)
@@ -403,8 +400,8 @@ impl<S: Summary + JoinQuery> JoinQuery for Sampled<S> {
         let sampling_variance = bernoulli_size_of_join_variance_plugin(
             self.p,
             other.p,
-            self.self_join(),
-            other.self_join(),
+            self.self_join_estimate().value,
+            other.self_join_estimate().value,
             value,
         );
         Ok(Estimate {
@@ -416,11 +413,6 @@ impl<S: Summary + JoinQuery> JoinQuery for Sampled<S> {
 }
 
 impl<S: Summary + JoinQuery> Sampled<S> {
-    /// [`JoinQuery::self_join`], for callers without the trait.
-    pub fn self_join(&self) -> f64 {
-        JoinQuery::self_join(self)
-    }
-
     /// [`JoinQuery::self_join_estimate`], for callers without the trait.
     pub fn self_join_estimate(&self) -> Estimate {
         JoinQuery::self_join_estimate(self)
@@ -433,33 +425,14 @@ impl<S: Summary + JoinQuery> Sampled<S> {
 fn thinned(raw: Estimate, p: f64) -> Estimate {
     let value = raw.value / p;
     let variance = raw.variance / (p * p) + bernoulli_frequency_variance_plugin(p, value);
-    Estimate {
-        variance,
-        ..Estimate::point(value)
-    }
+    priced(value, variance)
 }
 
-/// Every frequency scaled by `1/p`; each typed one also carries the
-/// thinning plug-in for its own value (`thinned`), so its variance
-/// depends on the key. The `1/p` correction is monotone, so the ranking is
-/// exactly the summary's raw ranking over the kept sample.
+/// Every frequency scaled by `1/p`, the summary's variance by `1/p²`, and
+/// the thinning plug-in for its own value added (`thinned`), so its
+/// variance depends on the key. The `1/p` correction is monotone, so the
+/// ranking is exactly the summary's ranking over the kept sample.
 impl<S: Summary + TopKQuery> TopKQuery for Sampled<S> {
-    fn frequency(&self, key: u64) -> f64 {
-        self.summary.frequency(key) / self.p
-    }
-
-    fn top_k(&self, k: usize) -> Vec<(u64, f64)> {
-        let top = self.summary.top_k(k).into_iter();
-        top.map(|(key, raw)| (key, raw / self.p)).collect()
-    }
-
-    /// The summary's own part, `1/p²` of its variance; the thinning part
-    /// depends on the key and is only in
-    /// [`frequency_estimate`](TopKQuery::frequency_estimate).
-    fn frequency_variance(&self) -> f64 {
-        self.summary.frequency_variance() / (self.p * self.p)
-    }
-
     fn frequency_estimate(&self, key: u64) -> Estimate {
         thinned(self.summary.frequency_estimate(key), self.p)
     }
@@ -496,10 +469,6 @@ impl<S: Summary + TopKQuery> Sampled<S> {
 /// one-pass correction is impossible and how the model error is priced
 /// into the variance).
 impl<S: Summary + DistinctQuery> DistinctQuery for Sampled<S> {
-    fn distinct(&self) -> f64 {
-        DistinctQuery::distinct_estimate(self).value
-    }
-
     fn distinct_estimate(&self) -> Estimate {
         bernoulli_distinct_estimate(self.summary.distinct_estimate(), self.p, self.kept)
     }
@@ -531,10 +500,6 @@ fn rank_jitter(q: f64, p: f64, kept: u64) -> f64 {
 /// rank-invariant (module docs) — with the rank error widened by
 /// `rank_jitter`.
 impl<S: Summary + QuantileQuery> QuantileQuery for Sampled<S> {
-    fn quantile(&self, q: f64) -> Result<f64> {
-        self.summary.quantile(q)
-    }
-
     fn quantiles(&self, ranks: &[f64]) -> Result<Vec<f64>> {
         self.summary.quantiles(ranks)
     }
@@ -565,13 +530,14 @@ impl<S: Summary + QuantileQuery> QuantileQuery for Sampled<S> {
 }
 
 impl<S: Summary + QuantileQuery> Sampled<S> {
-    /// [`QuantileQuery::quantile`], for callers without the trait.
+    /// The value at rank `q`, [`QuantileQuery::quantiles`] at that one
+    /// rank, for callers without the trait.
     ///
     /// # Errors
     ///
     /// Invalid `q`, or nothing sampled yet.
     pub fn quantile(&self, q: f64) -> Result<f64> {
-        QuantileQuery::quantile(self, q)
+        Ok(QuantileQuery::quantiles(self, &[q])?[0])
     }
 }
 
@@ -779,11 +745,13 @@ mod tests {
         full.feed_batch(&keys);
         // p = 1 keeps everything and the estimate is the raw sketch's.
         assert_eq!(full.kept(), keys.len() as u64);
-        assert_eq!(full.self_join(), full.summary().raw_self_join());
+        assert_eq!(
+            full.self_join_estimate().value,
+            full.summary().raw_self_join()
+        );
 
         let raw = shed.summary().raw_self_join_estimate();
         let value = bernoulli_self_join(shed.summary().raw_self_join(), p, shed.kept());
-        assert_eq!(shed.self_join().to_bits(), value.to_bits());
         let e = shed.self_join_estimate();
         assert_eq!(e.value.to_bits(), value.to_bits());
         assert_eq!(e.basics.len(), raw.basics.len());
@@ -797,10 +765,6 @@ mod tests {
         assert!(full.self_join_estimate().variance < e.variance);
 
         let raw_join = shed.summary().raw_size_of_join(full.summary()).unwrap();
-        assert_eq!(
-            shed.size_of_join(&full).unwrap().to_bits(),
-            (raw_join / (p * q)).to_bits()
-        );
         let ej = shed.size_of_join_estimate(&full).unwrap();
         assert_eq!(ej.value.to_bits(), (raw_join / (p * q)).to_bits());
         assert!(ej.variance.is_finite());
@@ -824,7 +788,7 @@ mod tests {
             }
         }
         let truth = 500.0 * 100.0 * 80.0;
-        let est = f.size_of_join(&g).unwrap();
+        let est = f.size_of_join_estimate(&g).unwrap().value;
         assert!(
             (est - truth).abs() / truth < 0.2,
             "est = {est}, truth = {truth}"
@@ -832,7 +796,7 @@ mod tests {
         // Sketches drawn from a different schema do not join.
         let other = JoinSchema::fagms(1, 4096, &mut r);
         let h = Sampled::new(other.sketch(), 0.5, &mut r).unwrap();
-        assert!(f.size_of_join(&h).is_err());
+        assert!(f.size_of_join_estimate(&h).is_err());
     }
 
     /// Prop. 14 unbiasedness at a small p: average many runs.
@@ -850,7 +814,7 @@ mod tests {
                     shed.observe(key);
                 }
             }
-            acc += shed.self_join();
+            acc += shed.self_join_estimate().value;
         }
         let mean = acc / reps as f64;
         assert!(
@@ -911,7 +875,8 @@ mod tests {
                 (true_rank - target).abs() <= eps,
                 "q={target}: rank {true_rank}, ε={eps}"
             );
-            let (lo, hi) = q.quantile_bounds(target).unwrap();
+            let (at, (lo, hi)) = q.quantile_with_bounds(target).unwrap();
+            assert_eq!(at, est);
             assert!(lo <= est && est <= hi);
         }
         // Sampling widens the rank error beyond the backend's own ε.

@@ -5,6 +5,7 @@
 
 use crate::error::{NetError, Result};
 use crate::protocol::{self, FrameReader};
+use crate::server::MAX_CONNS;
 use sss_core::wire::{self, FrameError, Head};
 use sss_xi::splitmix64;
 use std::io::{Read, Write};
@@ -365,8 +366,27 @@ pub struct LoadReport {
 ///
 /// # Errors
 ///
-/// The first connection/transport error any client hit.
+/// [`NetError::InvalidLoad`] for more connections than a server serves or
+/// a batch that does not fit one frame, before anything starts; then the
+/// first connection/transport error any client hit.
 pub fn run_load(addr: impl ToSocketAddrs, cfg: &LoadConfig) -> Result<LoadReport> {
+    let invalid = |parameter, value, reason| {
+        Err(NetError::InvalidLoad {
+            parameter,
+            value,
+            reason,
+        })
+    };
+    if cfg.connections > MAX_CONNS {
+        return invalid(
+            "connections",
+            cfg.connections,
+            "more than a server plane serves",
+        );
+    }
+    if cfg.batch > protocol::MAX_BATCH_KEYS {
+        return invalid("batch", cfg.batch, "must fit one BATCH frame");
+    }
     let addr = addr
         .to_socket_addrs()
         .map_err(|e| NetError::io("resolve ingest address", e))?

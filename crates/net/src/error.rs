@@ -33,6 +33,16 @@ pub enum NetError {
     /// The peer closed the connection before completing the handshake
     /// banner exchange.
     HandshakeClosed,
+    /// A [`LoadConfig`](crate::LoadConfig) parameter is out of range; it
+    /// is refused before any connection is opened or thread started.
+    InvalidLoad {
+        /// The offending parameter (`"connections"` or `"batch"`).
+        parameter: &'static str,
+        /// What the configuration said.
+        value: usize,
+        /// Why it is rejected.
+        reason: &'static str,
+    },
 }
 
 impl fmt::Display for NetError {
@@ -47,6 +57,11 @@ impl fmt::Display for NetError {
             NetError::HandshakeClosed => {
                 write!(f, "peer closed the connection during the handshake")
             }
+            NetError::InvalidLoad {
+                parameter,
+                value,
+                reason,
+            } => write!(f, "invalid load: {parameter} = {value} ({reason})"),
         }
     }
 }

@@ -93,7 +93,7 @@ const OUT_LIMIT: usize = 1 << 20;
 /// read its refusal, an end to what a flood costs its thread.
 const REFUSED_DRAIN: usize = 4 << 20;
 /// Open connections per plane; the next one is refused and closed.
-const MAX_CONNS: usize = 64;
+pub(crate) const MAX_CONNS: usize = 64;
 /// How long a read waits for a peer that sends nothing.
 const IDLE: Duration = Duration::from_secs(300);
 /// How long a write waits for a peer that reads nothing.

@@ -36,15 +36,6 @@ impl SampleCounts {
         self.total += 1;
     }
 
-    /// Record `count` occurrences of `key`.
-    pub fn insert_many(&mut self, key: u64, count: u64) {
-        if count == 0 {
-            return;
-        }
-        *self.counts.entry(key).or_insert(0) += count;
-        self.total += count;
-    }
-
     /// The sample size `|F′| = Σᵢ f′ᵢ`.
     #[inline]
     pub fn total(&self) -> u64 {
@@ -135,13 +126,12 @@ mod tests {
     }
 
     #[test]
-    fn insert_many_aggregates() {
+    fn insert_aggregates() {
         let mut s = SampleCounts::new();
-        s.insert_many(9, 4);
-        s.insert_many(9, 0);
         s.insert(9);
-        assert_eq!(s.get(9), 5);
-        assert_eq!(s.total(), 5);
+        s.insert(9);
+        assert_eq!(s.get(9), 2);
+        assert_eq!(s.total(), 2);
     }
 
     #[test]

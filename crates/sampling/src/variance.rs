@@ -125,8 +125,8 @@ pub fn bernoulli_size_of_join_variance_plugin(
     bernoulli_size_of_join_variance(pf, pg, sum_f2g, sum_fg2, fg_hat.max(0.0)).max(0.0)
 }
 
-/// Heuristic variance inflation for a *stale* slim read replica: the extra
-/// uncertainty in an F₂-style estimate `value` that was projected when
+/// Heuristic variance inflation for a *stale* read replica: the extra
+/// uncertainty in an F₂-style estimate `value` that was read when
 /// `applied` tuples had been absorbed, queried after `pending` more tuples
 /// have arrived but not yet been reflected in the replica.
 ///

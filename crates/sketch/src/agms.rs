@@ -227,14 +227,6 @@ impl<F: SignFamily> AgmsSketch<F> {
         Ok(estimate::mean(&self.size_of_join_basics(other)?))
     }
 
-    /// Median-of-means size-of-join estimate over `groups` groups.
-    pub fn size_of_join_median_of_means(&self, other: &Self, groups: usize) -> Result<f64> {
-        Ok(estimate::median_of_means(
-            &self.size_of_join_basics(other)?,
-            groups,
-        ))
-    }
-
     /// Typed self-join estimate: the value is bit-identical to
     /// [`AgmsSketch::self_join`], the variance is the empirical sample
     /// variance across the `n` independent basics divided by `n`.

@@ -164,14 +164,13 @@ pub struct Estimate {
     pub variance: f64,
     /// The independent per-lane basic estimates `value` was combined from
     /// (one per AGMS counter or F-AGMS row). Empty for estimates without
-    /// lane structure (a HyperLogLog count, a query-trait default).
+    /// lane structure (a HyperLogLog count, a top-k frequency).
     pub basics: Vec<f64>,
 }
 
 impl Estimate {
-    /// An estimate with no error state: infinite variance, no basics.
-    /// `sss-core`'s query-trait defaults report it for implementations
-    /// that carry no error model.
+    /// An estimate with no error state: infinite variance, no basics — what
+    /// an implementation that carries no error model reports.
     pub fn point(value: f64) -> Self {
         Estimate {
             value,

@@ -164,24 +164,34 @@ impl Default for RuntimeConfig {
     }
 }
 
+/// The most shard workers a runtime starts: each is an OS thread.
+const MAX_SHARDS: usize = 256;
+
+/// The deepest data ring a shard gets: each ring preallocates its slots.
+const MAX_QUEUE_DEPTH: usize = 1 << 16;
+
 impl RuntimeConfig {
-    /// Reject configurations the runtime cannot honour.
+    /// Reject configurations the runtime cannot honour, before anything
+    /// is allocated or started.
     fn validate(&self) -> Result<()> {
-        if self.shards == 0 {
-            return Err(StreamError::InvalidConfig {
-                parameter: "shards",
-                value: 0,
-                reason: "must be at least 1",
-            });
+        let invalid = |parameter, value, reason| {
+            Err(StreamError::InvalidConfig {
+                parameter,
+                value,
+                reason,
+            })
+        };
+        match (self.shards, self.queue_depth) {
+            (0, _) => invalid("shards", 0, "must be at least 1"),
+            (n, _) if n > MAX_SHARDS => invalid("shards", n, "must be at most 256"),
+            (_, 0) => invalid(
+                "queue_depth",
+                0,
+                "must be at least 1 (0 would rendezvous every batch)",
+            ),
+            (_, d) if d > MAX_QUEUE_DEPTH => invalid("queue_depth", d, "must be at most 65536"),
+            _ => Ok(()),
         }
-        if self.queue_depth == 0 {
-            return Err(StreamError::InvalidConfig {
-                parameter: "queue_depth",
-                value: 0,
-                reason: "must be at least 1 (0 would rendezvous every batch)",
-            });
-        }
-        Ok(())
     }
 }
 
@@ -1580,6 +1590,48 @@ mod tests {
         assert_eq!(rt.into_merged().unwrap().raw_self_join(), 0.0);
     }
 
+    /// The first shard count and ring depth past their bounds are refused
+    /// with the value named, before a ring is allocated or a thread
+    /// started; the bounds themselves pass.
+    #[test]
+    fn geometry_past_its_bounds_is_refused_before_anything_starts() {
+        let mut rng = StdRng::seed_from_u64(6);
+        let sketch = JoinSchema::agms(4, &mut rng).sketch();
+        for (config, parameter, value) in [
+            (
+                RuntimeConfig {
+                    shards: MAX_SHARDS + 1,
+                    ..Default::default()
+                },
+                "shards",
+                MAX_SHARDS + 1,
+            ),
+            (
+                RuntimeConfig {
+                    queue_depth: MAX_QUEUE_DEPTH + 1,
+                    ..Default::default()
+                },
+                "queue_depth",
+                MAX_QUEUE_DEPTH + 1,
+            ),
+        ] {
+            match ShardedRuntime::new(config, &sketch) {
+                Err(StreamError::InvalidConfig {
+                    parameter: p,
+                    value: v,
+                    ..
+                }) => assert_eq!((p, v), (parameter, value)),
+                other => panic!("{parameter}: {:?}", other.map(|_| ())),
+            }
+        }
+        let widest = RuntimeConfig {
+            shards: MAX_SHARDS,
+            queue_depth: MAX_QUEUE_DEPTH,
+            ..Default::default()
+        };
+        assert!(widest.validate().is_ok());
+    }
+
     /// The typed runtime queries answer on the combined sketch: values
     /// bit-identical to the sequential sketch's estimates, lanes intact.
     #[test]
@@ -1665,7 +1717,7 @@ mod tests {
         }
         let merged = rt.into_merged().unwrap();
         assert!(merged.kept() < 30_000, "only ~10% sketched");
-        let est = merged.self_join();
+        let est = merged.self_join_estimate().value;
         assert!((est - 2e7).abs() / 2e7 < 0.15, "est = {est}");
     }
 
@@ -1698,11 +1750,11 @@ mod tests {
     }
 
     impl JoinQuery for SlowSketch {
-        fn self_join(&self) -> f64 {
-            self.inner.raw_self_join()
+        fn self_join_estimate(&self) -> Estimate {
+            self.inner.raw_self_join_estimate()
         }
-        fn size_of_join(&self, other: &Self) -> sss_core::Result<f64> {
-            self.inner.raw_size_of_join(&other.inner)
+        fn size_of_join_estimate(&self, other: &Self) -> sss_core::Result<Estimate> {
+            self.inner.raw_size_of_join_estimate(&other.inner)
         }
     }
 
@@ -1755,7 +1807,7 @@ mod tests {
             expect.update_batch(&batch);
         }
         assert_eq!(
-            merged.self_join().to_bits(),
+            merged.self_join_estimate().value.to_bits(),
             expect.raw_self_join().to_bits()
         );
         assert_eq!(rt.cache_stats().full_rebuilds, 1, "the one shard was dirty");
@@ -1943,11 +1995,11 @@ mod tests {
     }
 
     impl JoinQuery for BombSketch {
-        fn self_join(&self) -> f64 {
-            self.0.raw_self_join()
+        fn self_join_estimate(&self) -> Estimate {
+            self.0.raw_self_join_estimate()
         }
-        fn size_of_join(&self, other: &Self) -> sss_core::Result<f64> {
-            self.0.raw_size_of_join(&other.0)
+        fn size_of_join_estimate(&self, other: &Self) -> sss_core::Result<Estimate> {
+            self.0.raw_size_of_join_estimate(&other.0)
         }
         fn self_join_estimate_of_sum(parts: &[&Self]) -> Option<Estimate> {
             let joins: Vec<&JoinSketch> = parts.iter().map(|part| &part.0).collect();

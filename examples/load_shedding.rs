@@ -50,7 +50,7 @@ fn main() {
         }
         let shed_mtps = mtps(start);
         // The shedded estimate is corrected for p; compare against truth.
-        let rel = (shed.self_join() - truth).abs() / truth;
+        let rel = (shed.self_join_estimate().value - truth).abs() / truth;
         println!(
             "{:>8} {:>10} {:>12.2} {:>12.2} {:>9.1}x {:>9.2}%",
             p,

@@ -43,7 +43,7 @@ fn main() {
         for &k in &stream {
             sketcher.observe(k);
         }
-        let est = sketcher.self_join();
+        let est = sketcher.self_join_estimate().value;
         println!(
             "{:>6} {:>14.0} {:>9.2}% {:>10}",
             p,

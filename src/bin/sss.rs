@@ -197,12 +197,13 @@ fn run_selfjoin(
     for &k in &keys {
         shed.observe(k);
     }
-    let est = shed.self_join();
+    let estimate = shed.self_join_estimate();
+    let est = estimate.value;
     out!("tuples     {}", keys.len());
     out!("sketched   {}", shed.kept());
     out!("estimate   {est:.2}");
     if let Some(level) = confidence {
-        print_intervals(&shed.self_join_estimate(), level);
+        print_intervals(&estimate, level);
     }
     if has_flag(args, "exact") {
         let truth = exact_self_join(&keys);
@@ -234,12 +235,13 @@ fn run_join(
     for &k in &g_keys {
         gs.observe(k);
     }
-    let est = fs.size_of_join(&gs)?;
+    let estimate = fs.size_of_join_estimate(&gs)?;
+    let est = estimate.value;
     out!("tuples     {} ⋈ {}", f_keys.len(), g_keys.len());
     out!("sketched   {} + {}", fs.kept(), gs.kept());
     out!("estimate   {est:.2}");
     if let Some(level) = confidence {
-        print_intervals(&fs.size_of_join_estimate(&gs)?, level);
+        print_intervals(&estimate, level);
     }
     if has_flag(args, "exact") {
         let truth = exact_join(&f_keys, &g_keys);
@@ -470,8 +472,7 @@ fn run_load(args: &[String], confidence: Option<f64>) -> Result<()> {
             print_intervals(&est, level);
         }
         out!("distinct    {:.2}", summary.distinct_estimate().value);
-        for (rank, (key, _)) in summary.top_k(5).iter().enumerate() {
-            let est = summary.frequency_estimate(*key);
+        for (rank, (key, est)) in summary.top_k_estimates(5).iter().enumerate() {
             out!("top{:<3}     key {key}: {:.2}", rank + 1, est.value);
         }
         return Ok(());

@@ -21,7 +21,7 @@
 //! * [`net`] — the network ingest service: a thread-per-connection
 //!   TCP front-end decoding length-prefixed batches straight into the
 //!   sharded runtime's pooled buffers, plus a line-delimited JSON query
-//!   plane served from slim read replicas.
+//!   plane served from read replicas that hold the runtime's merge.
 //!
 //! See `examples/quickstart.rs` for a five-minute tour.
 //!
@@ -36,8 +36,10 @@
 //! for i in 0..100_000u64 {
 //!     sketcher.observe(i % 500); // sketch a 10% sample of the stream
 //! }
-//! let f2 = sketcher.self_join(); // unbiased estimate of the FULL stream's F₂
-//! assert!((f2 - 2e7).abs() / 2e7 < 0.1);
+//! // An unbiased estimate of the FULL stream's F₂, with its error priced.
+//! let f2 = sketcher.self_join_estimate();
+//! assert!((f2.value - 2e7).abs() / 2e7 < 0.1);
+//! assert!(f2.chebyshev(0.99).unwrap().contains(f2.value));
 //! ```
 
 #![forbid(unsafe_code)]

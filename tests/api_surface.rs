@@ -1,22 +1,22 @@
 //! Static assertions over the redesigned `Summary` hierarchy — the
 //! API-surface contract of the one-pass multi-summary engine and of the
-//! two-stage slim-query read path.
+//! slim wire forms.
 //!
 //! These tests mostly "run" at compile time: each `fn bound<T: Trait>()`
 //! instantiation proves a trait bound holds, so a refactor that silently
 //! drops a capability (say, `HyperLogLog: DistinctQuery`) breaks the
 //! build here rather than in downstream code. The runtime bodies pin the
 //! parts of the contract the type system cannot see. That removed names
-//! stay removed can only be proven at compile time: `sss_core::summary`
-//! and the `sss_core`, `sss_stream`, `sss_sketch` and `sss_moments` crate
-//! docs carry the `compile_fail` doctests.
+//! stay removed can only be proven at compile time: `sss_core::summary`,
+//! `sss_core::slim` and the `sss_core`, `sss_stream`, `sss_sketch` and
+//! `sss_moments` crate docs carry the `compile_fail` doctests.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sketch_sampled_streams::core::sketch::{JoinSchema, JoinSketch};
 use sketch_sampled_streams::core::{
-    DistinctQuery, JoinQuery, MultiSpec, MultiSummary, Portable, QuantileQuery, Sampled,
-    SampledMultiSummary, SlimJoin, SlimMultiSummary, SlimQuery, SlimTopK, Summary, TopKQuery,
+    DistinctQuery, Estimate, JoinQuery, MultiSpec, MultiSummary, Portable, QuantileQuery, Result,
+    Sampled, SampledMultiSummary, SlimJoin, SlimMultiSummary, SlimQuery, Summary, TopKQuery,
 };
 use sketch_sampled_streams::sketch::{CountSketchTopK, HyperLogLog, KllSketch, MisraGries};
 use sketch_sampled_streams::stream::{QueryHandle, ReadReplica, RuntimeConfig, ShardedRuntime};
@@ -78,29 +78,30 @@ fn capabilities_land_on_the_right_backends() {
 }
 
 /// The capability traits are *standalone* — deliberately not subtraits
-/// of `Summary` — so read-only slim replicas can answer queries without
-/// carrying the ingestion contract. The compile-time proof: `SlimJoin`,
-/// `SlimTopK` and `SlimMultiSummary` hold capabilities although none of
-/// them is a `Summary` (they have no `update`, and slim lane aggregates
-/// cannot merge: `(a+b)² ≠ a² + b²`). `Summary` itself still requires
+/// of `Summary`: a type that only answers holds one without the ingestion
+/// contract (this instantiation would not compile if the supertrait bound
+/// came back). The slim forms answer nothing — `sss_core::slim`'s
+/// `compile_fail` doctests prove that — and only travel: they cross
+/// threads and the wire. `Summary` itself still requires
 /// `Clone + Send + Sync + 'static` — the properties the sharded runtime's
 /// worker threads, snapshot cache and the read replicas sharing its merge
 /// rely on.
 #[test]
-fn capabilities_are_standalone_and_slim_replicas_hold_them() {
-    // Capabilities without `Summary`: these instantiations would not
-    // compile if the supertrait bound came back.
-    join_query::<SlimJoin>();
-    topk_query::<SlimTopK>();
-    join_query::<SlimMultiSummary>();
-    topk_query::<SlimMultiSummary>();
-    distinct_query::<SlimMultiSummary>();
-    quantile_query::<SlimMultiSummary>();
+fn capabilities_are_standalone_and_slim_forms_only_travel() {
+    struct Answers;
+    impl JoinQuery for Answers {
+        fn self_join_estimate(&self) -> Estimate {
+            Estimate::point(1.0)
+        }
+        fn size_of_join_estimate(&self, _other: &Self) -> Result<Estimate> {
+            Ok(Estimate::point(1.0))
+        }
+    }
+    join_query::<Answers>();
 
-    // Slim replicas still cross threads and the wire.
     clone_send_static::<SlimJoin>();
+    clone_send_static::<SlimMultiSummary>();
     portable::<SlimJoin>();
-    portable::<SlimTopK>();
     portable::<SlimMultiSummary>();
 
     // The ingestion contract keeps its runtime-facing supertraits.
@@ -112,14 +113,12 @@ fn capabilities_are_standalone_and_slim_replicas_hold_them() {
     summary_is_clone_send_sync_static::<MultiSummary>();
 }
 
-/// Every fat update-side summary projects to a slim read replica, and
-/// every summary (fat or slim) has a versioned portable wire form.
+/// The join sketch and the composite project to slim wire forms (the
+/// HLL and KLL ride inside the composite's whole), and every fat summary
+/// has a versioned portable wire form.
 #[test]
 fn fat_summaries_are_portable_and_project_slim() {
     slim_query::<JoinSketch>();
-    slim_query::<MisraGries>();
-    slim_query::<HyperLogLog>();
-    slim_query::<KllSketch>();
     slim_query::<MultiSummary>();
 
     portable::<JoinSketch>();
@@ -151,29 +150,8 @@ fn streaming_layer_is_generic_over_the_hierarchy() {
     replica_accepts::<SampledMultiSummary>();
 }
 
-/// `Estimate`-returning capability queries agree with their scalar
-/// counterparts — the typed surface is a superset, not a fork.
-#[test]
-fn typed_queries_wrap_the_scalar_ones() {
-    let mut r = rng(3);
-    let spec = MultiSpec::new(JoinSchema::fagms(3, 512, &mut r), &mut r);
-    let mut multi = spec.summary().unwrap();
-    let keys: Vec<u64> = (0..500u64).map(|i| i % 40).collect();
-    multi.update_batch(&keys);
-
-    assert_eq!(multi.self_join_estimate().value, multi.self_join());
-    assert_eq!(multi.distinct_estimate().value, multi.distinct());
-    assert_eq!(multi.frequency_estimate(7).value, multi.frequency(7));
-    let median = multi.quantile(0.5).unwrap();
-    let rank_of_median = multi.rank(median as u64);
-    assert!((0.0..=1.0).contains(&rank_of_median));
-    assert_eq!(multi.stream_len(), keys.len() as u64);
-}
-
-/// The slim projection answers the fat summary's query bit-for-bit at
-/// projection time: the two-stage read path trades staleness (bounded,
-/// and priced into the variance) for bytes, never accuracy at the
-/// instant of projection.
+/// The slim projection carries the fat summary's estimate bit for bit at
+/// projection time, in fewer bytes.
 #[test]
 fn slim_projection_is_bit_identical_at_projection_time() {
     let mut r = rng(4);
@@ -183,7 +161,7 @@ fn slim_projection_is_bit_identical_at_projection_time() {
     fat.update_batch(&keys);
     let slim = fat.slim();
     let fat_est = fat.self_join_estimate();
-    let slim_est = slim.self_join_estimate();
+    let slim_est = slim.estimate();
     assert_eq!(slim_est.value.to_bits(), fat_est.value.to_bits());
     assert_eq!(slim_est.variance.to_bits(), fat_est.variance.to_bits());
     // And it is the cheaper wire object by construction.

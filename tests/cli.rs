@@ -185,6 +185,40 @@ fn bad_usage_and_bad_files_fail_cleanly() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("three"));
 }
 
+/// Geometry past the runtime's and the load driver's bounds is a typed
+/// error (exit 1, `error:` on stderr), never a panic (101): refused before
+/// a ring is allocated, a thread started or a connection opened. Each
+/// bound is probed at its first value past it and at 2⁶⁰, which once
+/// overflowed an allocation.
+#[test]
+fn out_of_range_geometry_is_a_typed_error_not_a_panic() {
+    let huge = (1u64 << 60).to_string();
+    let past_frame = (sketch_sampled_streams::net::protocol::MAX_BATCH_KEYS + 1).to_string();
+    let cases: [&[&str]; 7] = [
+        &["serve", "--shards=257"],
+        &["serve", &format!("--shards={huge}")],
+        &["serve", "--queue-depth=65537"],
+        &["serve", &format!("--queue-depth={huge}")],
+        &["bench-client", "127.0.0.1:9", "--connections=65"],
+        &[
+            "bench-client",
+            "127.0.0.1:9",
+            &format!("--connections={huge}"),
+        ],
+        &[
+            "bench-client",
+            "127.0.0.1:9",
+            &format!("--batch={past_frame}"),
+        ],
+    ];
+    for args in cases {
+        let out = sss().args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.starts_with("error:"), "{args:?}: {stderr}");
+    }
+}
+
 #[test]
 fn topk_reports_heavy_keys_with_recall() {
     let dir = std::env::temp_dir().join("sss-cli-test-topk");

@@ -25,8 +25,8 @@ fn zipf_stream_shedding_keeps_accuracy_at_10_percent() {
         full.observe(k);
         shed.observe(k);
     }
-    let full_err = (full.self_join() - truth).abs() / truth;
-    let shed_err = (shed.self_join() - truth).abs() / truth;
+    let full_err = (full.self_join_estimate().value - truth).abs() / truth;
+    let shed_err = (shed.self_join_estimate().value - truth).abs() / truth;
     assert!(full_err < 0.05, "full-stream error {full_err}");
     assert!(shed_err < 0.12, "10%-sample error {shed_err}");
     assert!(shed.kept() < 50_000, "≈10% of the stream should be kept");
@@ -54,7 +54,7 @@ fn predicted_confidence_interval_covers_realized_estimates() {
         for &k in &stream {
             shed.observe(k);
         }
-        if ci.contains(shed.self_join()) {
+        if ci.contains(shed.self_join_estimate().value) {
             inside += 1;
         }
     }
@@ -149,7 +149,8 @@ fn shedder_comparison_reports_consistent_estimates() {
     for &k in &stream {
         shed.observe(k);
     }
-    let gap = ((shed.self_join() - full.raw_self_join()) / full.raw_self_join()).abs();
+    let gap =
+        ((shed.self_join_estimate().value - full.raw_self_join()) / full.raw_self_join()).abs();
     assert!(gap < 0.15, "gap {gap}");
     assert!(shed.kept() < 40_000);
 }
@@ -181,7 +182,7 @@ fn three_regimes_agree_on_one_relation() {
         wor.observe(k).unwrap();
     }
     for (name, est) in [
-        ("bernoulli", shed.self_join()),
+        ("bernoulli", shed.self_join_estimate().value),
         ("wr", iid.self_join().unwrap()),
         ("wor", wor.self_join().unwrap()),
     ] {

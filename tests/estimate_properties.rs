@@ -1,8 +1,9 @@
 //! Property tests for the typed [`Estimate`] query path: every public
 //! query surface must report an `Estimate` whose **value is bit-identical**
-//! to the legacy scalar query, whose intervals are centered on that value,
-//! and whose Chebyshev interval is never tighter than the CLT interval at
-//! the same confidence level.
+//! to the raw sketch's scalar (with the sampling correction applied, for a
+//! shedder), whose intervals are centered on that value, and whose
+//! Chebyshev interval is never tighter than the CLT interval at the same
+//! confidence level.
 //!
 //! [`Estimate`]: sketch_sampled_streams::core::Estimate
 
@@ -30,6 +31,13 @@ fn assert_coherent(e: &Estimate) {
             clt.half_width()
         );
     }
+}
+
+/// Proposition 14's correction of a raw F₂ at rate `p` with `kept`
+/// tuples sketched, as the shedder computes it.
+fn corrected(raw: f64, p: f64, kept: u64) -> f64 {
+    let p2 = p * p;
+    raw / p2 - (1.0 - p) / p2 * kept as f64
 }
 
 /// A small but non-degenerate key stream: `len` keys over `domain` values.
@@ -75,11 +83,11 @@ proptest! {
             ff.size_of_join(&fg).unwrap().to_bits()
         );
 
-        // The join summary's trait methods agree with the inherent ones.
+        // The join summary's trait read is the inherent raw value.
         for join in [JoinSketch::Agms(af.clone()), JoinSketch::Fagms(ff.clone())] {
             prop_assert_eq!(
                 JoinQuery::self_join_estimate(&join).value.to_bits(),
-                JoinQuery::self_join(&join).to_bits()
+                join.raw_self_join().to_bits()
             );
         }
 
@@ -111,10 +119,11 @@ proptest! {
             other.observe(k);
         }
         let e = shed.self_join_estimate();
-        prop_assert_eq!(e.value.to_bits(), shed.self_join().to_bits());
+        prop_assert_eq!(e.value.to_bits(), corrected(shed.summary().raw_self_join(), p, shed.kept()).to_bits());
         assert_coherent(&e);
         let ej = shed.size_of_join_estimate(&other).unwrap();
-        prop_assert_eq!(ej.value.to_bits(), shed.size_of_join(&other).unwrap().to_bits());
+        let raw_join = shed.summary().raw_size_of_join(other.summary()).unwrap();
+        prop_assert_eq!(ej.value.to_bits(), (raw_join / (p * 1.0)).to_bits());
         assert_coherent(&ej);
     }
 
@@ -155,6 +164,7 @@ proptest! {
         }
         let shed = shed_rt.into_merged().unwrap();
         prop_assert_eq!(shed.seen(), stream.len() as u64);
-        prop_assert_eq!(shed.self_join_estimate().value.to_bits(), shed.self_join().to_bits());
+        let want = corrected(shed.summary().raw_self_join(), 0.5, shed.kept());
+        prop_assert_eq!(shed.self_join_estimate().value.to_bits(), want.to_bits());
     }
 }

@@ -35,7 +35,7 @@ fn readme_one_pass_engine_answers_every_family() -> Result<(), sketch_sampled_st
     let f2 = all.self_join_estimate(); // F₂ with error bars
     let d = all.distinct_estimate(); // F₀
     let (median, (lo, hi)) = all.quantile_with_bounds(0.5)?; // value and rank envelope
-    let top = all.top_k(10); // Misra–Gries picks the keys, the join sketch prices them
+    let top = all.top_k_estimates(10); // Misra–Gries picks the keys, the join sketch prices them
 
     // ---- end of the README snippet ----
 

@@ -2,7 +2,7 @@
 //! live: over shuffled, sorted and Zipf(1.1) input the worst rank error of
 //! any reported quantile stays inside `rank_error()`, and a `Bernoulli(0.1)`
 //! sample in front of the same summary still covers the true quantile
-//! through `quantile_bounds`.
+//! through `quantile_with_bounds`.
 //!
 //! Position-only coins are oblivious to the values, so sorted input — where
 //! every window's survivor is a fixed rank within the window — is the case

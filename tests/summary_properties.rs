@@ -64,19 +64,19 @@ proptest! {
         ab.merge_from(&hb).unwrap();
         let mut ba = hb.clone();
         ba.merge_from(&ha).unwrap();
-        prop_assert_eq!(ab.distinct().to_bits(), ba.distinct().to_bits());
+        prop_assert_eq!(ab.distinct_estimate().value.to_bits(), ba.distinct_estimate().value.to_bits());
 
         // Merge ≡ concatenation.
         let mut direct = empty.clone();
         direct.insert_batch(&a);
         direct.insert_batch(&b);
-        prop_assert_eq!(ab.distinct().to_bits(), direct.distinct().to_bits());
+        prop_assert_eq!(ab.distinct_estimate().value.to_bits(), direct.distinct_estimate().value.to_bits());
 
         // Idempotent: max(x, x) = x.
-        let before = ab.distinct().to_bits();
+        let before = ab.distinct_estimate().value.to_bits();
         let twin = ab.clone();
         ab.merge_from(&twin).unwrap();
-        prop_assert_eq!(ab.distinct().to_bits(), before);
+        prop_assert_eq!(ab.distinct_estimate().value.to_bits(), before);
     }
 
     /// KLL merging is lossy (compaction discards items), so the two merge
@@ -112,7 +112,7 @@ proptest! {
         let tol = ab.rank_error() + 1.0 / all.len() as f64 + 1e-9;
         for merged in [&ab, &ba] {
             for q in [0.0, 0.25, 0.5, 0.75, 1.0] {
-                let v = merged.quantile(q).unwrap();
+                let v = merged.quantiles(&[q]).unwrap()[0];
                 let r = exact_rank(&all, v);
                 prop_assert!(
                     (r - q).abs() <= tol,
@@ -301,7 +301,7 @@ fn snapshot_cache_falls_back_to_full_rebuilds_for_hll() {
     let first: Vec<u64> = (0..5_000u64).collect();
     rt.push(&first).unwrap();
     let merged = rt.merged().unwrap();
-    let d = merged.distinct();
+    let d = merged.distinct_estimate().value;
     assert!(
         (d - 5_000.0).abs() / 5_000.0 < 0.05,
         "merged F₀ {d} not within 5% of 5000"
@@ -312,7 +312,7 @@ fn snapshot_cache_falls_back_to_full_rebuilds_for_hll() {
     let second: Vec<u64> = (5_000..6_000u64).collect();
     rt.push(&second).unwrap();
     let merged = rt.merged().unwrap();
-    let d = merged.distinct();
+    let d = merged.distinct_estimate().value;
     assert!(
         (d - 6_000.0).abs() / 6_000.0 < 0.05,
         "post-refresh F₀ {d} not within 5% of 6000"
@@ -320,14 +320,20 @@ fn snapshot_cache_falls_back_to_full_rebuilds_for_hll() {
     let mut whole = proto.clone();
     whole.insert_batch(&first);
     whole.insert_batch(&second);
-    assert_eq!(merged.distinct().to_bits(), whole.distinct().to_bits());
+    assert_eq!(
+        merged.distinct_estimate().value.to_bits(),
+        whole.distinct_estimate().value.to_bits()
+    );
     let stats = rt.cache_stats();
     assert_eq!(stats.partial_rebuilds + stats.full_rebuilds, 2);
     assert_eq!(stats.shards_refreshed, 2, "one shard dirty per rebuild");
 
     // No intervening ingest: pure cache hit, bit-identical answer.
     let again = rt.merged().unwrap();
-    assert_eq!(again.distinct().to_bits(), merged.distinct().to_bits());
+    assert_eq!(
+        again.distinct_estimate().value.to_bits(),
+        merged.distinct_estimate().value.to_bits()
+    );
     assert_eq!(rt.cache_stats().hits, 1);
 }
 
@@ -351,7 +357,7 @@ fn snapshot_cache_falls_back_to_full_rebuilds_for_kll() {
     rt.push(&second).unwrap();
     let merged = rt.merged().unwrap();
     assert_eq!(merged.stream_len(), 20_000);
-    let median = merged.quantile(0.5).unwrap();
+    let median = merged.quantiles(&[0.5]).unwrap()[0];
     assert!(
         (median - 10_000.0).abs() / 20_000.0 <= merged.rank_error() + 0.01,
         "median {median} outside rank envelope around 10000"

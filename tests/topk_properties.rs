@@ -101,12 +101,12 @@ proptest! {
 
         let merged = sharded(&spec.summary().unwrap(), &keys, shards, chunk, partition);
 
-        let want = expect.top_k(10);
-        let got = merged.top_k(10);
+        let want = expect.top_k_estimates(10);
+        let got = merged.top_k_estimates(10);
         prop_assert_eq!(want.len(), got.len());
         for ((wk, wv), (gk, gv)) in want.iter().zip(&got) {
             prop_assert_eq!(wk, gk);
-            prop_assert_eq!(wv.to_bits(), gv.to_bits());
+            prop_assert_eq!(wv.value.to_bits(), gv.value.to_bits());
         }
     }
 
@@ -320,10 +320,17 @@ fn depth3_collision_is_priced_but_never_picked() {
             read > exact.get(truth[5]) as f64,
             "{order}: the collision is real, {read} reads above the sixth heaviest key"
         );
-        let top: Vec<u64> = summary.top_k(10).into_iter().map(|(key, _)| key).collect();
+        let top: Vec<u64> = summary
+            .top_k_estimates(10)
+            .into_iter()
+            .map(|(key, _)| key)
+            .collect();
         assert_eq!(top, truth, "{order}");
         assert!(
-            summary.top_k(256).iter().all(|&(key, _)| key != COLLIDER),
+            summary
+                .top_k_estimates(256)
+                .iter()
+                .all(|(key, _)| *key != COLLIDER),
             "{order}: a singleton among the candidates"
         );
     }
