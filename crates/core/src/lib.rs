@@ -105,5 +105,5 @@ pub use sketch::{JoinSchema, JoinSketch};
 pub use slim::{SlimJoin, SlimMultiSummary};
 pub use sss_sketch::Estimate;
 pub use summary::{
-    DistinctQuery, JoinQuery, Portable, QuantileQuery, SlimQuery, Summary, TopKQuery,
+    fold, DistinctQuery, JoinQuery, Portable, QuantileQuery, SlimQuery, Summary, TopKQuery,
 };

@@ -80,7 +80,8 @@
 //! [`DistinctQuery::distinct_estimate_of_sum`],
 //! [`QuantileQuery::quantile_with_bounds_of_sum`],
 //! [`TopKQuery::top_k_of_sum`]); only the join counters, the bulk of the
-//! state, are never copied.
+//! state, are never copied. A part of another spec is the error
+//! `merge_from` returns; over no parts each read is the zero's own.
 //!
 //! Construction goes through a [`MultiSpec`], which freezes the random
 //! seeds of the constituents: any two summaries minted from the same
@@ -91,7 +92,7 @@ use crate::error::Result;
 use crate::sampled::Sampled;
 use crate::sketch::{JoinSchema, JoinSketch};
 use crate::summary::{
-    priced, rank_band, DistinctQuery, JoinQuery, Portable, QuantileQuery, Summary, TopKQuery,
+    fold, priced, DistinctQuery, JoinQuery, Portable, QuantileQuery, Summary, TopKQuery,
 };
 use rand::Rng;
 use sss_sketch::topk::ranked;
@@ -298,14 +299,10 @@ impl JoinQuery for MultiSummary {
         JoinQuery::size_of_join_estimate(&self.join, &other.join)
     }
 
-    /// The join sketches' sum, once the parts would merge.
-    fn self_join_estimate_of_sum(parts: &[&Self]) -> Option<Estimate> {
-        let (first, rest) = parts.split_first()?;
-        if rest.iter().any(|part| first.check_merge(part).is_err()) {
-            return None;
-        }
-        let joins: Vec<&JoinSketch> = parts.iter().map(|part| &part.join).collect();
-        JoinQuery::self_join_estimate_of_sum(&joins)
+    /// The join sketches' read of their sum, once the parts would merge.
+    fn self_join_estimate_of_sum(zero: &Self, parts: &[&Self]) -> Result<Estimate> {
+        let joins = Self::each(zero, parts, |part| &part.join)?;
+        JoinQuery::self_join_estimate_of_sum(&zero.join, &joins)
     }
 }
 
@@ -330,35 +327,29 @@ impl TopKQuery for MultiSummary {
             .collect()
     }
 
-    /// The Misra–Gries parts merged into a copy of `zero`'s in the fold's
-    /// order, so the candidates are the merge's; each priced by the point
-    /// query over the join sketches' summed cells
+    /// The candidates of the Misra–Gries parts' [`fold`] into `zero`'s,
+    /// each priced by the point query over the join sketches' sum
     /// ([`JoinSketch::point_queries_of_sum`]), the variance from `f2` or
-    /// from the F₂ of their summed rows, which it leaves in `f2`.
+    /// from the F₂ of that sum, which it leaves in `f2`.
     fn top_k_of_sum(
         zero: &Self,
         parts: &[&Self],
         k: usize,
         f2: &mut Option<f64>,
-    ) -> Option<Vec<(u64, Estimate)>> {
-        Self::merging(zero, parts)?;
-        let mut heavy = zero.heavy.clone();
-        for part in parts {
-            heavy.merge(&part.heavy).ok()?;
-        }
-        let joins: Vec<&JoinSketch> = parts.iter().map(|part| &part.join).collect();
-        let keys = heavy.candidates();
-        let values = JoinSketch::point_queries_of_sum(&joins, &keys)?;
+    ) -> Result<Vec<(u64, Estimate)>> {
+        let joins = Self::each(zero, parts, |part| &part.join)?;
+        let heavies: Vec<&MisraGries> = parts.iter().map(|part| &part.heavy).collect();
+        let keys = fold(&zero.heavy, &heavies)?.candidates();
+        let values = JoinSketch::point_queries_of_sum(&zero.join, &joins, &keys)?;
         let f2 = match *f2 {
             Some(f2) => f2,
-            None => *f2.insert(JoinQuery::self_join_estimate_of_sum(&joins)?.value),
+            None => *f2.insert(JoinQuery::self_join_estimate_of_sum(&zero.join, &joins)?.value),
         };
         let variance = zero.frequency_variance_at(f2);
         let top = ranked(keys.into_iter().zip(values).collect(), k).into_iter();
-        Some(
-            top.map(|(key, value)| (key, priced(value, variance)))
-                .collect(),
-        )
+        Ok(top
+            .map(|(key, value)| (key, priced(value, variance)))
+            .collect())
     }
 }
 
@@ -378,13 +369,15 @@ impl MultiSummary {
         Ok(())
     }
 
-    /// `parts`, first and rest, when every part would merge into `zero`
-    /// (what the fold asks of each one); `None` for no parts.
-    fn merging<'a>(zero: &Self, parts: &'a [&'a Self]) -> Option<(&'a Self, &'a [&'a Self])> {
-        if parts.iter().any(|part| zero.check_merge(part).is_err()) {
-            return None;
-        }
-        parts.split_first().map(|(first, rest)| (*first, rest))
+    /// One constituent of every part, once every part would merge into
+    /// `zero` (what the fold asks of each one).
+    fn each<'a, T>(
+        zero: &Self,
+        parts: &[&'a Self],
+        of: fn(&'a Self) -> &'a T,
+    ) -> Result<Vec<&'a T>> {
+        parts.iter().try_for_each(|part| zero.check_merge(part))?;
+        Ok(parts.iter().map(|part| of(part)).collect())
     }
 
     /// The point-query variance given the join sketch's own `F₂`.
@@ -411,15 +404,10 @@ impl DistinctQuery for MultiSummary {
         DistinctQuery::distinct_estimate(&self.distinct)
     }
 
-    /// The parts' HyperLogLog registers maxed into a copy of the first's,
-    /// as the fold copies and maxes them.
-    fn distinct_estimate_of_sum(zero: &Self, parts: &[&Self]) -> Option<Estimate> {
-        let (first, rest) = Self::merging(zero, parts)?;
-        let mut registers = first.distinct.clone();
-        for part in rest {
-            registers.merge(&part.distinct).ok()?;
-        }
-        Some(DistinctQuery::distinct_estimate(&registers))
+    /// The HyperLogLogs' read of their sum: the registers maxed.
+    fn distinct_estimate_of_sum(zero: &Self, parts: &[&Self]) -> Result<Estimate> {
+        let registers = Self::each(zero, parts, |part| &part.distinct)?;
+        DistinctQuery::distinct_estimate_of_sum(&zero.distinct, &registers)
     }
 }
 
@@ -440,22 +428,16 @@ impl QuantileQuery for MultiSummary {
         QuantileQuery::stream_len(&self.quantiles)
     }
 
-    /// The parts' KLLs merged into a copy of `zero`'s in the fold's order
-    /// (the coins of a KLL merge depend on it), then asked.
+    /// The KLLs' read of their sum: their fold into `zero`'s, in order
+    /// (the coins of a KLL merge depend on it), asked.
     fn quantile_with_bounds_of_sum(
         zero: &Self,
         parts: &[&Self],
         q: f64,
         widen: f64,
-    ) -> Option<Result<(f64, (f64, f64))>> {
-        Self::merging(zero, parts)?;
-        let mut quantiles = zero.quantiles.clone();
-        for part in parts {
-            quantiles.merge(&part.quantiles).ok()?;
-        }
-        let eps = QuantileQuery::rank_error(&quantiles, q) + widen;
-        let at = QuantileQuery::quantiles(&quantiles, &rank_band(q, eps));
-        Some(at.map(|at| (at[0], (at[1], at[2]))))
+    ) -> Result<(f64, (f64, f64))> {
+        let klls = Self::each(zero, parts, |part| &part.quantiles)?;
+        QuantileQuery::quantile_with_bounds_of_sum(&zero.quantiles, &klls, q, widen)
     }
 }
 
@@ -572,6 +554,9 @@ mod tests {
     /// Each family read off parts answers what the fold of those parts
     /// into the empty summary answers, bit for bit, at one to three parts;
     /// a top-k handed the merge's F₂ answers the same as one that reads it.
+    /// Over no parts each read is the zero's own (a quantile of nothing is
+    /// an error), and a part of another spec is the error `merge_from`
+    /// returns.
     #[test]
     fn reads_of_a_sum_are_the_folds_answers() {
         let spec = spec(8);
@@ -588,15 +573,11 @@ mod tests {
         let bits = |e: &Estimate| [e.value.to_bits(), e.variance.to_bits()];
         for n in 1..=3 {
             let refs: Vec<&MultiSummary> = parts[..n].iter().collect();
-            let mut fold = refs[0].merged_into(&zero).unwrap();
-            for part in &refs[1..] {
-                fold.merge_from(part).unwrap();
-            }
+            let fold = fold(&zero, &refs).unwrap();
             let distinct = MultiSummary::distinct_estimate_of_sum(&zero, &refs).unwrap();
             assert_eq!(bits(&distinct), bits(&fold.distinct_estimate()), "{n}");
-            let (q, (lo, hi)) = MultiSummary::quantile_with_bounds_of_sum(&zero, &refs, 0.3, 0.0)
-                .unwrap()
-                .unwrap();
+            let (q, (lo, hi)) =
+                MultiSummary::quantile_with_bounds_of_sum(&zero, &refs, 0.3, 0.0).unwrap();
             let (fq, (flo, fhi)) = fold.quantile_with_bounds(0.3).unwrap();
             assert_eq!(
                 [q, lo, hi].map(f64::to_bits),
@@ -624,9 +605,24 @@ mod tests {
                 got
             );
         }
-        assert!(MultiSummary::distinct_estimate_of_sum(&zero, &[]).is_none());
+        let none = MultiSummary::distinct_estimate_of_sum(&zero, &[]).unwrap();
+        assert_eq!(bits(&none), bits(&zero.distinct_estimate()));
+        let none = MultiSummary::self_join_estimate_of_sum(&zero, &[]).unwrap();
+        assert_eq!(bits(&none), bits(&zero.self_join_estimate()));
+        let none = MultiSummary::top_k_of_sum(&zero, &[], 3, &mut None).unwrap();
+        assert_eq!(none, zero.top_k_estimates(3));
+        assert!(MultiSummary::quantile_with_bounds_of_sum(&zero, &[], 0.5, 0.0).is_err());
         let stranger = spec.clone().top_k(64).summary().unwrap();
-        assert!(MultiSummary::top_k_of_sum(&zero, &[&stranger], 3, &mut None).is_none());
+        let refused = zero.clone().merge_from(&stranger).unwrap_err();
+        assert_eq!(refused, sss_sketch::Error::SchemaMismatch.into());
+        let parts = [&parts[0], &stranger];
+        let errors = [
+            MultiSummary::self_join_estimate_of_sum(&zero, &parts).err(),
+            MultiSummary::distinct_estimate_of_sum(&zero, &parts).err(),
+            MultiSummary::top_k_of_sum(&zero, &parts, 3, &mut None).err(),
+            MultiSummary::quantile_with_bounds_of_sum(&zero, &parts, 0.5, 0.0).err(),
+        ];
+        assert_eq!(errors, [(); 4].map(|()| Some(refused.clone())));
     }
 
     /// The sampled composite answers all four query families with

@@ -263,17 +263,18 @@ impl<S: Summary> Sampled<S> {
         &self.summary
     }
 
-    /// The inner summaries of `parts` with their `kept` and `seen` summed,
-    /// as a merge sums them; `None` unless every part samples at rate `p`
-    /// (parts sampled at different rates do not merge).
-    fn inner_parts<'a>(p: f64, parts: &[&'a Self]) -> Option<(Vec<&'a S>, u64, u64)> {
-        if parts.iter().any(|part| part.p != p) {
-            return None;
+    /// The inner summaries of `parts` with `zero`'s and their `kept` and
+    /// `seen` summed, as the fold sums them; `merge_from`'s
+    /// [`Error::IncompatibleEstimators`] unless every part samples at
+    /// `zero`'s rate.
+    fn inner_parts<'a>(zero: &Self, parts: &[&'a Self]) -> Result<(Vec<&'a S>, u64, u64)> {
+        if parts.iter().any(|part| part.p != zero.p) {
+            return Err(Error::IncompatibleEstimators);
         }
         let inner = parts.iter().map(|part| &part.summary).collect();
-        let kept = parts.iter().map(|part| part.kept).sum();
-        let seen = parts.iter().map(|part| part.seen).sum();
-        Some((inner, kept, seen))
+        let kept = zero.kept + parts.iter().map(|part| part.kept).sum::<u64>();
+        let seen = zero.seen + parts.iter().map(|part| part.seen).sum::<u64>();
+        Ok((inner, kept, seen))
     }
 }
 
@@ -376,19 +377,18 @@ fn corrected_self_join(raw: Estimate, p: f64, kept: u64, seen: u64) -> Estimate 
 /// with the sketch variance scaled by `1/p⁴` and the sampling plug-in of
 /// Section VI-A stacked on it), size of join by Proposition 13 (`S·T/(p·q)`;
 /// the two sides may sample at different rates).
-impl<S: Summary + JoinQuery> JoinQuery for Sampled<S> {
+impl<S: JoinQuery> JoinQuery for Sampled<S> {
     fn self_join_estimate(&self) -> Estimate {
         let raw = self.summary.self_join_estimate();
         corrected_self_join(raw, self.p, self.kept, self.seen)
     }
 
-    /// The summaries' sum, corrected with the parts' `kept` and `seen`
-    /// summed, as a merge sums them.
-    fn self_join_estimate_of_sum(parts: &[&Self]) -> Option<Estimate> {
-        let p = parts.first()?.p;
-        let (inner, kept, seen) = Self::inner_parts(p, parts)?;
-        let raw = S::self_join_estimate_of_sum(&inner)?;
-        Some(corrected_self_join(raw, p, kept, seen))
+    /// The inner read of the sum, corrected with the `kept` and `seen`
+    /// the fold sums.
+    fn self_join_estimate_of_sum(zero: &Self, parts: &[&Self]) -> Result<Estimate> {
+        let (inner, kept, seen) = Self::inner_parts(zero, parts)?;
+        let raw = S::self_join_estimate_of_sum(&zero.summary, &inner)?;
+        Ok(corrected_self_join(raw, zero.p, kept, seen))
     }
 
     fn size_of_join_estimate(&self, other: &Self) -> Result<Estimate> {
@@ -412,7 +412,7 @@ impl<S: Summary + JoinQuery> JoinQuery for Sampled<S> {
     }
 }
 
-impl<S: Summary + JoinQuery> Sampled<S> {
+impl<S: JoinQuery> Sampled<S> {
     /// [`JoinQuery::self_join_estimate`], for callers without the trait.
     pub fn self_join_estimate(&self) -> Estimate {
         JoinQuery::self_join_estimate(self)
@@ -432,7 +432,7 @@ fn thinned(raw: Estimate, p: f64) -> Estimate {
 /// the thinning plug-in for its own value added (`thinned`), so its
 /// variance depends on the key. The `1/p` correction is monotone, so the
 /// ranking is exactly the summary's ranking over the kept sample.
-impl<S: Summary + TopKQuery> TopKQuery for Sampled<S> {
+impl<S: TopKQuery> TopKQuery for Sampled<S> {
     fn frequency_estimate(&self, key: u64) -> Estimate {
         thinned(self.summary.frequency_estimate(key), self.p)
     }
@@ -450,14 +450,14 @@ impl<S: Summary + TopKQuery> TopKQuery for Sampled<S> {
         parts: &[&Self],
         k: usize,
         _f2: &mut Option<f64>,
-    ) -> Option<Vec<(u64, Estimate)>> {
-        let (inner, _, _) = Self::inner_parts(zero.p, parts)?;
+    ) -> Result<Vec<(u64, Estimate)>> {
+        let (inner, _, _) = Self::inner_parts(zero, parts)?;
         let top = S::top_k_of_sum(&zero.summary, &inner, k, &mut None)?.into_iter();
-        Some(top.map(|(key, raw)| (key, thinned(raw, zero.p))).collect())
+        Ok(top.map(|(key, raw)| (key, thinned(raw, zero.p))).collect())
     }
 }
 
-impl<S: Summary + TopKQuery> Sampled<S> {
+impl<S: TopKQuery> Sampled<S> {
     /// [`TopKQuery::top_k_estimates`], for callers without the trait.
     pub fn top_k(&self, k: usize) -> Vec<(u64, Estimate)> {
         self.top_k_estimates(k)
@@ -468,19 +468,19 @@ impl<S: Summary + TopKQuery> Sampled<S> {
 /// ([`bernoulli_distinct_estimate`]; the module docs say why an exact
 /// one-pass correction is impossible and how the model error is priced
 /// into the variance).
-impl<S: Summary + DistinctQuery> DistinctQuery for Sampled<S> {
+impl<S: DistinctQuery> DistinctQuery for Sampled<S> {
     fn distinct_estimate(&self) -> Estimate {
         bernoulli_distinct_estimate(self.summary.distinct_estimate(), self.p, self.kept)
     }
 
-    fn distinct_estimate_of_sum(zero: &Self, parts: &[&Self]) -> Option<Estimate> {
-        let (inner, kept, _) = Self::inner_parts(zero.p, parts)?;
+    fn distinct_estimate_of_sum(zero: &Self, parts: &[&Self]) -> Result<Estimate> {
+        let (inner, kept, _) = Self::inner_parts(zero, parts)?;
         let raw = S::distinct_estimate_of_sum(&zero.summary, &inner)?;
-        Some(bernoulli_distinct_estimate(raw, zero.p, zero.kept + kept))
+        Ok(bernoulli_distinct_estimate(raw, zero.p, kept))
     }
 }
 
-impl<S: Summary + DistinctQuery> Sampled<S> {
+impl<S: DistinctQuery> Sampled<S> {
     /// [`DistinctQuery::distinct_estimate`], for callers without the trait.
     pub fn distinct_estimate(&self) -> Estimate {
         DistinctQuery::distinct_estimate(self)
@@ -499,7 +499,7 @@ fn rank_jitter(q: f64, p: f64, kept: u64) -> f64 {
 /// The sample's quantiles, unchanged — Bernoulli sampling is
 /// rank-invariant (module docs) — with the rank error widened by
 /// `rank_jitter`.
-impl<S: Summary + QuantileQuery> QuantileQuery for Sampled<S> {
+impl<S: QuantileQuery> QuantileQuery for Sampled<S> {
     fn quantiles(&self, ranks: &[f64]) -> Result<Vec<f64>> {
         self.summary.quantiles(ranks)
     }
@@ -522,14 +522,14 @@ impl<S: Summary + QuantileQuery> QuantileQuery for Sampled<S> {
         parts: &[&Self],
         q: f64,
         widen: f64,
-    ) -> Option<Result<(f64, (f64, f64))>> {
-        let (inner, kept, _) = Self::inner_parts(zero.p, parts)?;
-        let widen = widen + rank_jitter(q, zero.p, zero.kept + kept);
+    ) -> Result<(f64, (f64, f64))> {
+        let (inner, kept, _) = Self::inner_parts(zero, parts)?;
+        let widen = widen + rank_jitter(q, zero.p, kept);
         S::quantile_with_bounds_of_sum(&zero.summary, &inner, q, widen)
     }
 }
 
-impl<S: Summary + QuantileQuery> Sampled<S> {
+impl<S: QuantileQuery> Sampled<S> {
     /// The value at rank `q`, [`QuantileQuery::quantiles`] at that one
     /// rank, for callers without the trait.
     ///
@@ -902,7 +902,8 @@ mod tests {
     }
 
     /// Sampled summaries merge when probabilities agree (union of
-    /// independent samples) and refuse otherwise.
+    /// independent samples) and refuse otherwise, as a read of their sum
+    /// does.
     #[test]
     fn merge_requires_equal_probability() {
         let mut r = rng(51);
@@ -917,9 +918,9 @@ mod tests {
         assert_eq!(a.seen(), seen);
         assert_eq!(a.kept(), kept);
         let c = Sampled::new(HyperLogLog::new(10, &mut r).unwrap(), 0.25, &mut r).unwrap();
-        assert!(matches!(
-            a.merge_from(&c),
-            Err(Error::IncompatibleEstimators) | Err(Error::Sketch(_))
-        ));
+        let refused = a.merge_from(&c).unwrap_err();
+        assert_eq!(refused, Error::IncompatibleEstimators);
+        let read = Sampled::distinct_estimate_of_sum(&b, &[&a, &c]);
+        assert_eq!(read.unwrap_err(), refused);
     }
 }

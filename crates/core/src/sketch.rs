@@ -25,6 +25,7 @@
 //! ```
 
 use crate::error::Result;
+use crate::summary::fold;
 use rand::Rng;
 use sss_sketch::{AgmsSchema, AgmsSketch, Estimate, FagmsSchema, FagmsSketch};
 use sss_xi::{Codec, CodecError, Reader, Writer};
@@ -189,24 +190,36 @@ impl JoinSketch {
         }
     }
 
-    /// [`point_queries`](Self::point_queries) of the merge of `parts`, in
-    /// order and bit for bit, read off the parts' F-AGMS rows
-    /// ([`FagmsSketch::point_queries_of_sum`]) without building it. `None`
-    /// for no parts, parts of different schemas, or AGMS parts (the
-    /// caller folds those).
-    pub fn point_queries_of_sum(parts: &[&JoinSketch], keys: &[u64]) -> Option<Vec<f64>> {
-        FagmsSketch::point_queries_of_sum(&Self::fagms_parts(parts)?, keys)
+    /// [`point_queries`](Self::point_queries) of the merge
+    /// `zero ⊕ parts[0] ⊕ …` ([`fold`]), in order and bit for bit: read off
+    /// F-AGMS parts' rows ([`FagmsSketch::point_queries_of_sum`]) without
+    /// building it, asked of the fold for AGMS parts.
+    ///
+    /// # Errors
+    ///
+    /// Schema mismatch for a part that would not merge into `zero`.
+    pub fn point_queries_of_sum(zero: &Self, parts: &[&Self], keys: &[u64]) -> Result<Vec<f64>> {
+        match zero.fagms_parts(parts)? {
+            Some((zero, parts)) => Ok(FagmsSketch::point_queries_of_sum(zero, &parts, keys)?),
+            None => Ok(fold(zero, parts)?.point_queries(keys)),
+        }
     }
 
-    /// The F-AGMS sketches of `parts`, or `None` if any part is AGMS.
-    pub(crate) fn fagms_parts<'a>(parts: &[&'a JoinSketch]) -> Option<Vec<&'a FagmsSketch>> {
-        parts
-            .iter()
-            .map(|part| match part {
-                JoinSketch::Fagms(s) => Some(s),
-                JoinSketch::Agms(_) => None,
-            })
-            .collect()
+    /// This F-AGMS sketch and the F-AGMS sketches of `parts`, or schema
+    /// mismatch for an AGMS part; `None` for an AGMS sketch, whose reads of
+    /// a sum fold.
+    pub(crate) fn fagms_parts<'a>(
+        &'a self,
+        parts: &[&'a Self],
+    ) -> Result<Option<(&'a FagmsSketch, Vec<&'a FagmsSketch>)>> {
+        let JoinSketch::Fagms(zero) = self else {
+            return Ok(None);
+        };
+        let parts = parts.iter().map(|part| match part {
+            JoinSketch::Fagms(s) => Ok(s),
+            JoinSketch::Agms(_) => Err(sss_sketch::Error::SchemaMismatch.into()),
+        });
+        Ok(Some((zero, parts.collect::<Result<_>>()?)))
     }
 
     /// Merge another sketch of the same schema (stream union).

@@ -3,8 +3,8 @@
 //!
 //! Every summary of `sss-sketch` offers its operations as inherent
 //! methods (`update`/`offer`, `merge`, the raw estimators); this module is
-//! the one interface over them — one base trait and standalone capability
-//! traits, each implemented by the summaries that a workload, an `sss`
+//! the one interface over them — one base trait and four capability
+//! subtraits, each implemented by the summaries that a workload, an `sss`
 //! subcommand or a served answer reaches:
 //!
 //! * [`Summary`] is the *ingestion* contract the sharded runtime and the
@@ -32,8 +32,14 @@
 //! fn gone<S: JoinQuery>(s: &S) -> f64 { s.self_join() } // removed: s.self_join_estimate().value
 //! ```
 //!
-//! The capability traits are deliberately **not** subtraits of
-//! [`Summary`]: a query capability describes *answering*, not ingesting.
+//! Each capability also reads the merge of parts, `zero ⊕ parts[0] ⊕ …`
+//! (the `*_of_sum` reads, one shape: `zero`, the parts, the query's
+//! arguments). By default a read builds that merge with [`fold`], the one
+//! merge loop, and asks it; [`JoinSketch`], [`crate::MultiSummary`] and
+//! [`crate::Sampled`] read the parts in place instead, with the fold's
+//! bits. A part that would not merge is the error `merge_from` returns.
+//! Each capability is a subtrait of [`Summary`], so whatever answers can
+//! merge, and its reads of a sum always have the fold to fall to.
 //!
 //! Two further capabilities make summaries portable across processes:
 //!
@@ -137,8 +143,7 @@
 //!   for the linear sketches, guarantee-preserving for the (order-lossy)
 //!   heavy-hitter/quantile summaries — so a sharded runtime can partition
 //!   tuples arbitrarily, and its snapshot cache can rebuild a merged view
-//!   by folding the live shard states in shard order, the first through
-//!   [`merged_into`](Summary::merged_into).
+//!   by folding the live shard states in shard order ([`fold`]).
 
 use crate::error::{Error, Result};
 use crate::sketch::JoinSketch;
@@ -211,11 +216,28 @@ pub trait Summary: Clone + Send + Sync + 'static {
     }
 }
 
-/// The capability of answering the paper's join-size queries.
+/// The merge `zero ⊕ parts[0] ⊕ …` of parts into `zero`, an empty summary
+/// of their schema (a runtime's prototype): the first part through
+/// [`merged_into`](Summary::merged_into), the rest through
+/// [`merge_from`](Summary::merge_from), a copy of `zero` for none. The one
+/// merge loop; every read of a sum defaults to asking it.
 ///
-/// Standalone rather than a [`Summary`] subtrait: it describes answering,
-/// not ingesting; ingest-capable callers bound `Summary + JoinQuery`.
-pub trait JoinQuery {
+/// # Errors
+///
+/// The first error `merged_into` or `merge_from` returns.
+pub fn fold<S: Summary>(zero: &S, parts: &[&S]) -> Result<S> {
+    let Some((first, rest)) = parts.split_first() else {
+        return Ok(zero.clone());
+    };
+    let mut merged = first.merged_into(zero)?;
+    for part in rest {
+        merged.merge_from(part)?;
+    }
+    Ok(merged)
+}
+
+/// The capability of answering the paper's join-size queries.
+pub trait JoinQuery: Summary {
     /// Typed self-join (second frequency moment) estimate of the
     /// summarized stream: the value, an empirical variance, and the
     /// per-lane basics it came from.
@@ -229,27 +251,22 @@ pub trait JoinQuery {
     /// Schema mismatch, as for [`merge_from`](Summary::merge_from).
     fn size_of_join_estimate(&self, other: &Self) -> Result<Estimate>;
 
-    /// The [`self_join_estimate`](JoinQuery::self_join_estimate) of the
-    /// merge of `parts`, in order, read without building it: bit for bit
-    /// what folding them with [`merge_from`](Summary::merge_from) and
-    /// asking the result would answer. A sharded runtime reads a fresh F₂
-    /// off its shards through this, under their locks.
+    /// [`self_join_estimate`](JoinQuery::self_join_estimate) of the merge
+    /// `zero ⊕ parts[0] ⊕ …`, bit for bit: by default [`fold`]'s, asked. A
+    /// sharded runtime reads every fresh F₂ through this, under the
+    /// shards' locks.
     ///
-    /// `None` when the summary cannot read a sum in place (the default),
-    /// when `parts` is empty, or when the parts would not merge; the
-    /// caller then folds them.
-    fn self_join_estimate_of_sum(_parts: &[&Self]) -> Option<Estimate>
-    where
-        Self: Sized,
-    {
-        None
+    /// # Errors
+    ///
+    /// What [`fold`] returns for a part that would not merge.
+    fn self_join_estimate_of_sum(zero: &Self, parts: &[&Self]) -> Result<Estimate> {
+        Ok(fold(zero, parts)?.self_join_estimate())
     }
 }
 
 /// The capability of answering heavy-hitter queries: per-key frequency
 /// point estimates and a top-k ranking over tracked candidates.
-/// Standalone, like [`JoinQuery`].
-pub trait TopKQuery {
+pub trait TopKQuery: Summary {
     /// Typed frequency estimate for one key in the summarized stream.
     fn frequency_estimate(&self, key: u64) -> Estimate;
 
@@ -267,62 +284,59 @@ pub trait TopKQuery {
     fn top_k_estimates(&self, k: usize) -> Vec<(u64, Estimate)>;
 
     /// [`top_k_estimates`](TopKQuery::top_k_estimates) of the merge
-    /// `zero ⊕ parts[0] ⊕ …`, read without building it: bit for bit what
-    /// folding the parts into `zero` ([`Summary::merged_into`], then
-    /// `merge_from` in order) and asking the result would answer. `zero`
-    /// is an empty summary of the parts' schema, the fold's starting point.
-    /// `f2` is that merge's [`JoinQuery::self_join_estimate`] value when
-    /// the caller has read it already; a summary whose frequency variance
-    /// is priced off F₂ reuses it, and may leave the F₂ it read there.
+    /// `zero ⊕ parts[0] ⊕ …`, as for
+    /// [`JoinQuery::self_join_estimate_of_sum`]. `f2` is that merge's
+    /// [`JoinQuery::self_join_estimate`] value when the caller has read it
+    /// already; a summary whose frequency variance is priced off F₂ reuses
+    /// it, and may leave the F₂ it read there.
     ///
-    /// `None` when the summary cannot read a sum in place (the default),
-    /// when `parts` is empty, or when the parts would not merge; the
-    /// caller then folds. A sharded runtime reads a fresh top-k off its
-    /// shards through this, under their locks.
+    /// # Errors
+    ///
+    /// As for [`JoinQuery::self_join_estimate_of_sum`].
     fn top_k_of_sum(
-        _zero: &Self,
-        _parts: &[&Self],
-        _k: usize,
+        zero: &Self,
+        parts: &[&Self],
+        k: usize,
         _f2: &mut Option<f64>,
-    ) -> Option<Vec<(u64, Estimate)>>
-    where
-        Self: Sized,
-    {
-        None
+    ) -> Result<Vec<(u64, Estimate)>> {
+        Ok(fold(zero, parts)?.top_k_estimates(k))
     }
 }
 
 /// The capability of estimating the number of distinct keys (F₀) in the
-/// summarized stream. Standalone, like [`JoinQuery`].
-pub trait DistinctQuery {
+/// summarized stream.
+pub trait DistinctQuery: Summary {
     /// Typed distinct-count estimate of the summarized stream.
     fn distinct_estimate(&self) -> Estimate;
 
     /// [`distinct_estimate`](DistinctQuery::distinct_estimate) of the
-    /// merge `zero ⊕ parts[0] ⊕ …`, read without building it; `None` as
-    /// for [`TopKQuery::top_k_of_sum`], whose contract this shares.
-    fn distinct_estimate_of_sum(_zero: &Self, _parts: &[&Self]) -> Option<Estimate>
-    where
-        Self: Sized,
-    {
-        None
+    /// merge `zero ⊕ parts[0] ⊕ …`, as for
+    /// [`JoinQuery::self_join_estimate_of_sum`].
+    ///
+    /// # Errors
+    ///
+    /// As for [`JoinQuery::self_join_estimate_of_sum`].
+    fn distinct_estimate_of_sum(zero: &Self, parts: &[&Self]) -> Result<Estimate> {
+        Ok(fold(zero, parts)?.distinct_estimate())
     }
 }
 
-/// Rank `q` and the ends of its envelope `q ∓ eps`, clamped to `[0, 1]`.
-pub(crate) fn rank_band(q: f64, eps: f64) -> [f64; 3] {
-    [q, (q - eps).max(0.0), (q + eps).min(1.0)]
+/// The value at rank `q` and at the ends of its envelope `q ∓ eps`
+/// (clamped to `[0, 1]`), from one [`QuantileQuery::quantiles`] call.
+pub(crate) fn banded<Q: QuantileQuery>(s: &Q, q: f64, eps: f64) -> Result<(f64, (f64, f64))> {
+    let at = s.quantiles(&[q, (q - eps).max(0.0), (q + eps).min(1.0)])?;
+    Ok((at[0], (at[1], at[2])))
 }
 
 /// The capability of answering rank/quantile queries over the key
-/// *values* of the summarized stream. Standalone, like [`JoinQuery`].
+/// *values* of the summarized stream.
 ///
 /// Values are reported as `f64` (exact for keys below 2⁵³). A quantile's
 /// error bar is its rank envelope
 /// ([`quantile_with_bounds`](QuantileQuery::quantile_with_bounds)), not
 /// an [`Estimate`]: its value-domain variance is unknowable without a
 /// density model.
-pub trait QuantileQuery {
+pub trait QuantileQuery: Summary {
     /// The value at every normalized rank of `ranks` (`0` = minimum,
     /// `1` = maximum), in that order. A backend that sorts its items to
     /// answer (KLL) sorts once for all of them.
@@ -355,28 +369,27 @@ pub trait QuantileQuery {
     ///
     /// As for [`quantiles`](QuantileQuery::quantiles).
     fn quantile_with_bounds(&self, q: f64) -> Result<(f64, (f64, f64))> {
-        let at = self.quantiles(&rank_band(q, self.rank_error(q)))?;
-        Ok((at[0], (at[1], at[2])))
+        banded(self, q, self.rank_error(q))
     }
 
     /// [`quantile_with_bounds`](QuantileQuery::quantile_with_bounds) of
-    /// the merge `zero ⊕ parts[0] ⊕ …`, read without building it, its
-    /// envelope at ranks `q ∓ (ε + widen)` with ε the merge's
-    /// [`rank_error(q)`](QuantileQuery::rank_error): at `widen = 0` the
-    /// merge's own answer, bit for bit. A wrapper that widens its inner
-    /// summary's rank error ([`crate::Sampled`]) passes its part down.
-    /// `None` as for [`TopKQuery::top_k_of_sum`], whose contract this
-    /// shares.
+    /// the merge `zero ⊕ parts[0] ⊕ …`, as for
+    /// [`JoinQuery::self_join_estimate_of_sum`], its envelope widened by
+    /// `widen` (a wrapper that widens its inner summary's rank error,
+    /// [`crate::Sampled`], passes its part down).
+    ///
+    /// # Errors
+    ///
+    /// As for [`JoinQuery::self_join_estimate_of_sum`] and
+    /// [`quantiles`](QuantileQuery::quantiles).
     fn quantile_with_bounds_of_sum(
-        _zero: &Self,
-        _parts: &[&Self],
-        _q: f64,
-        _widen: f64,
-    ) -> Option<Result<(f64, (f64, f64))>>
-    where
-        Self: Sized,
-    {
-        None
+        zero: &Self,
+        parts: &[&Self],
+        q: f64,
+        widen: f64,
+    ) -> Result<(f64, (f64, f64))> {
+        let merged = fold(zero, parts)?;
+        banded(&merged, q, merged.rank_error(q) + widen)
     }
 }
 
@@ -528,9 +541,13 @@ impl JoinQuery for JoinSketch {
         self.raw_size_of_join_estimate(other)
     }
 
-    /// Read in place over F-AGMS rows; AGMS parts fold.
-    fn self_join_estimate_of_sum(parts: &[&Self]) -> Option<Estimate> {
-        FagmsSketch::self_join_estimate_of_sum(&JoinSketch::fagms_parts(parts)?)
+    /// Read in place over F-AGMS rows
+    /// ([`FagmsSketch::self_join_estimate_of_sum`]); AGMS parts fold.
+    fn self_join_estimate_of_sum(zero: &Self, parts: &[&Self]) -> Result<Estimate> {
+        match zero.fagms_parts(parts)? {
+            Some((zero, parts)) => Ok(FagmsSketch::self_join_estimate_of_sum(zero, &parts)?),
+            None => Ok(fold(zero, parts)?.self_join_estimate()),
+        }
     }
 }
 
@@ -670,7 +687,7 @@ mod tests {
 
     /// Exercise one implementation generically: batch vs scalar identity,
     /// merge-equals-union, and a self-join in the right ballpark.
-    fn exercise<E: Summary + JoinQuery>(make: impl Fn() -> E, tolerance: f64) {
+    fn exercise<E: JoinQuery>(make: impl Fn() -> E, tolerance: f64) {
         let f2 = |s: &E| s.self_join_estimate().value;
         let keys: Vec<u64> = (0..4_000u64).map(|i| i % 100).collect();
         let mut scalar = make();
@@ -723,8 +740,8 @@ mod tests {
     }
 
     /// A minimal external implementor writes the two typed reads and
-    /// nothing else: its read of a sum defaults to `None`, so a runtime
-    /// folds its parts instead.
+    /// nothing else: its read of a sum is the fold's answer, over two parts
+    /// and over none (the zero's own).
     #[test]
     fn an_external_implementor_needs_only_the_typed_reads() {
         #[derive(Clone)]
@@ -755,12 +772,17 @@ mod tests {
                 Ok(Estimate::point(dot))
             }
         }
-        let mut e = ExactCounter(Default::default());
+        let zero = ExactCounter(Default::default());
+        let mut e = zero.clone();
         e.update_batch(&[1, 1, 2, 3]);
         let est = e.self_join_estimate();
         assert_eq!(est.value, 6.0);
         assert!(est.chebyshev(0.99).unwrap().half_width().is_infinite());
-        assert!(ExactCounter::self_join_estimate_of_sum(&[&e, &e]).is_none());
+        let sum = ExactCounter::self_join_estimate_of_sum(&zero, &[&e, &e]).unwrap();
+        let folded = fold(&zero, &[&e, &e]).unwrap().self_join_estimate();
+        assert_eq!((sum.value, folded.value), (24.0, 24.0));
+        let none = ExactCounter::self_join_estimate_of_sum(&zero, &[]).unwrap();
+        assert_eq!(none.value, zero.self_join_estimate().value);
     }
 
     #[test]

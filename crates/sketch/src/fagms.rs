@@ -239,16 +239,12 @@ impl<S: SignFamily, B: BucketFamily> FagmsSketch<S, B> {
         exact.unwrap_or_else(|| folded_squares(&self.counters, self.schema.width))
     }
 
-    /// [`self_join_rows`](Self::self_join_rows) of the merge of `parts`,
-    /// without building it: each row of the parts is summed into one
-    /// buffer with [`merge`](Self::merge)'s `+`, and the summed rows are
-    /// squared as a merged sketch's are, guards and fallback included.
-    /// `None` for no parts or parts of different schemas.
-    fn self_join_rows_of_sum(d: Dispatch, parts: &[&Self]) -> Option<Vec<f64>> {
-        let (first, rest) = parts.split_first()?;
-        if rest.iter().any(|part| first.check_schema(part).is_err()) {
-            return None;
-        }
+    /// [`self_join_rows`](Self::self_join_rows) of the merge of `first`
+    /// and `rest`, all of one schema, without building it: each row of the
+    /// parts is summed into one buffer with [`merge`](Self::merge)'s `+`,
+    /// and the summed rows are squared as a merged sketch's are, guards and
+    /// fallback included.
+    fn self_join_rows_of_sum(d: Dispatch, first: &Self, rest: &[&Self]) -> Vec<f64> {
         let mut row = vec![0; first.schema.width];
         let exact: Option<Vec<f64>> = (0..first.schema.depth())
             .map(|r| {
@@ -256,13 +252,13 @@ impl<S: SignFamily, B: BucketFamily> FagmsSketch<S, B> {
                 exact_square_sum(d, &row)
             })
             .collect();
-        Some(exact.unwrap_or_else(|| {
+        exact.unwrap_or_else(|| {
             let mut sum = first.counters.clone();
             for part in rest {
                 add_counters(&mut sum, &part.counters);
             }
             folded_squares(&sum, first.schema.width)
-        }))
+        })
     }
 
     /// Self-join size estimate: median across rows.
@@ -301,13 +297,24 @@ impl<S: SignFamily, B: BucketFamily> FagmsSketch<S, B> {
         self.self_join_estimate_from(self.self_join_rows())
     }
 
-    /// The merge of `parts`' [`self_join_estimate`](Self::self_join_estimate),
-    /// every bit, read off the parts' counters: no merged sketch is built
-    /// (F₂ of a union needs only its summed rows). `None` for no parts or
-    /// parts of different schemas.
-    pub fn self_join_estimate_of_sum(parts: &[&Self]) -> Option<Estimate> {
-        let rows = Self::self_join_rows_of_sum(Dispatch::get(), parts)?;
-        Some(parts[0].self_join_estimate_from(rows))
+    /// The [`self_join_estimate`](Self::self_join_estimate) of `parts`
+    /// merged into `zero`, an empty sketch of their schema, every bit, read
+    /// off the parts' summed rows without building the merge; over no
+    /// parts `zero`'s own, over one that part's.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::SchemaMismatch`] if a part was built from another schema.
+    pub fn self_join_estimate_of_sum(zero: &Self, parts: &[&Self]) -> Result<Estimate> {
+        parts.iter().try_for_each(|part| zero.check_schema(part))?;
+        Ok(match parts {
+            [] => zero.self_join_estimate(),
+            [part] => part.self_join_estimate(),
+            [first, rest @ ..] => {
+                let rows = Self::self_join_rows_of_sum(Dispatch::get(), first, rest);
+                zero.self_join_estimate_from(rows)
+            }
+        })
     }
 
     fn self_join_estimate_from(&self, rows: Vec<f64>) -> Estimate {
@@ -369,17 +376,18 @@ impl<S: SignFamily, B: BucketFamily> FagmsSketch<S, B> {
         self.point_queries_over(&[self], keys)
     }
 
-    /// [`point_queries`](Self::point_queries) of the merge of `parts`,
-    /// every bit, read off the parts' counters: each key's cell in a row
+    /// [`point_queries`](Self::point_queries) of `parts` merged into
+    /// `zero`, an empty sketch of their schema, every bit: each key's cell
     /// is the parts' cells summed with [`merge`](Self::merge)'s `+`, and no
-    /// merged sketch is built. `None` for no parts or parts of different
-    /// schemas.
-    pub fn point_queries_of_sum(parts: &[&Self], keys: &[u64]) -> Option<Vec<f64>> {
-        let (first, rest) = parts.split_first()?;
-        if rest.iter().any(|part| first.check_schema(part).is_err()) {
-            return None;
-        }
-        Some(first.point_queries_over(parts, keys))
+    /// merge is built. Over no parts they are `zero`'s own.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::SchemaMismatch`] if a part was built from another schema.
+    pub fn point_queries_of_sum(zero: &Self, parts: &[&Self], keys: &[u64]) -> Result<Vec<f64>> {
+        parts.iter().try_for_each(|part| zero.check_schema(part))?;
+        let parts = if parts.is_empty() { &[zero][..] } else { parts };
+        Ok(zero.point_queries_over(parts, keys))
     }
 
     /// The point queries of `keys` over the sum of `parts`, all of this
@@ -740,7 +748,7 @@ mod tests {
                 }
                 let declined = (0..3).filter(|&r| kernels::square_sum(d, merged.row(r)).is_none());
                 assert_eq!(declined.count(), 3, "{case}: every summed row declines");
-                let rows = FagmsSketch::self_join_rows_of_sum(d, &refs).unwrap();
+                let rows = FagmsSketch::self_join_rows_of_sum(d, refs[0], &refs[1..]);
                 let want = merged.self_join_rows_on(d);
                 let bits = |rows: &[f64]| rows.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&rows), bits(&want), "{case}");
@@ -760,17 +768,20 @@ mod tests {
             });
             let folded = merged.self_join_rows();
             assert!(exact.zip(&folded).any(|(e, f)| e != *f), "{case}");
-            let of_sum = FagmsSketch::self_join_estimate_of_sum(&refs).unwrap();
+            let zero = schema.sketch();
+            let of_sum = FagmsSketch::self_join_estimate_of_sum(&zero, &refs).unwrap();
             assert_eq!(every_bit(&of_sum), every_bit(&merged.self_join_estimate()));
-            let one = FagmsSketch::self_join_estimate_of_sum(&refs[..1]).unwrap();
+            let one = FagmsSketch::self_join_estimate_of_sum(&zero, &refs[..1]).unwrap();
             assert_eq!(every_bit(&one), every_bit(&parts[0].self_join_estimate()));
         }
         let stranger = Schema::new(3, 64, &mut rng(62)).sketch();
-        let sketch = schema.sketch();
-        assert!(FagmsSketch::self_join_estimate_of_sum(&[&sketch, &stranger]).is_none());
-        assert!(
-            FagmsSketch::<DefaultSign, DefaultBucket>::self_join_estimate_of_sum(&[]).is_none()
-        );
+        let zero = schema.sketch();
+        let none = FagmsSketch::self_join_estimate_of_sum(&zero, &[]).unwrap();
+        assert_eq!(every_bit(&none), every_bit(&zero.self_join_estimate()));
+        assert!(matches!(
+            FagmsSketch::self_join_estimate_of_sum(&zero, &[&zero, &stranger]),
+            Err(Error::SchemaMismatch)
+        ));
     }
 
     #[test]
@@ -786,7 +797,8 @@ mod tests {
     }
 
     /// Point queries of the parts' sum are the merge's, bit for bit, for
-    /// one part and three; parts of different schemas read nothing.
+    /// one part and three, and the zero's own for none; a part of another
+    /// schema is the error a merge returns.
     #[test]
     fn point_queries_of_a_sum_are_the_merges() {
         let schema = Schema::new(3, 64, &mut rng(9));
@@ -804,11 +816,15 @@ mod tests {
             merged.merge(part).unwrap();
         }
         let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
-        let of_sum = FagmsSketch::point_queries_of_sum(&refs, &keys).unwrap();
+        let zero = schema.sketch();
+        let of_sum = FagmsSketch::point_queries_of_sum(&zero, &refs, &keys).unwrap();
         assert_eq!(bits(of_sum), bits(merged.point_queries(&keys)));
-        let one = FagmsSketch::point_queries_of_sum(&refs[..1], &keys).unwrap();
+        let one = FagmsSketch::point_queries_of_sum(&zero, &refs[..1], &keys).unwrap();
         assert_eq!(bits(one), bits(parts[0].point_queries(&keys)));
+        let none = FagmsSketch::point_queries_of_sum(&zero, &[], &keys).unwrap();
+        assert_eq!(bits(none), bits(zero.point_queries(&keys)));
         let stranger = Schema::new(3, 64, &mut rng(10)).sketch();
-        assert!(FagmsSketch::point_queries_of_sum(&[&parts[0], &stranger], &keys).is_none());
+        let mixed = FagmsSketch::point_queries_of_sum(&zero, &[&parts[0], &stranger], &keys);
+        assert!(matches!(mixed, Err(Error::SchemaMismatch)));
     }
 }

@@ -39,30 +39,25 @@
 //! * **Queries** — a shard's summary, the consumer ends of its rings and
 //!   its run buffer are one *shard core* behind a mutex, under which the
 //!   worker applies each run. A query takes the shard locks in shard
-//!   order, applies what is still queued below its floor itself (the same
-//!   `apply_run`, so the same runs and bits, on the core that then reads
-//!   them) and folds the live summary into the merge: the first live
-//!   shard through [`Summary::merged_into`], one copy of its state, the
-//!   rest through `merge_from`. No request, no copy of a shard beyond
-//!   that, no wake-up to wait for. The cache
-//!   ([`snapshot`](crate::snapshot)) serves that merge until a shard's
-//!   accepted-batch count moves past it, and lends it as an `Arc`, so a
-//!   repeated query with no intervening ingest copies nothing. A
-//!   [`ReadReplica`] holds that `Arc` itself, and replicas that refresh
-//!   to one version share it by pointer. A fresh answer skips all of that
-//!   at any shard count: the merge's join counters are the shards'
-//!   counters summed (§VI-C), so F₂ is read off the caught-up shards
-//!   under their locks — one shard's own estimate, more shards' summed
-//!   rows ([`JoinQuery::self_join_estimate_of_sum`]) — and a
-//!   `max_pending = 0` replica reads every other family the same way
-//!   ([`DistinctQuery::distinct_estimate_of_sum`],
-//!   [`QuantileQuery::quantile_with_bounds_of_sum`],
-//!   [`TopKQuery::top_k_of_sum`]: scratch merges of the small parts in
-//!   the fold's order), with no fold or cache install. That read
-//!   holds every shard lock at once, taken in shard order under the cache
-//!   lock; a worker only ever takes its own shard's, so the locks cannot
-//!   deadlock. [`catch_up`](QueryHandle::catch_up) applies what every
-//!   shard has accepted, one shard lock at a time, and reads nothing.
+//!   order under the cache lock, applies what is still queued below its
+//!   floor itself (the same `apply_run`, so the same runs and bits, on the
+//!   core that then reads them) and keeps every lock while it reads the
+//!   live summaries, the parts. No request, no copy of a shard, no
+//!   wake-up to wait for; a worker only ever takes its own shard's lock,
+//!   so the locks cannot deadlock. [`merged`](QueryHandle::merged) builds
+//!   the parts' merge with [`sss_core::fold`], and the cache
+//!   ([`snapshot`](crate::snapshot)) serves it until a shard's
+//!   accepted-batch count moves past it, lent as an `Arc`: a repeated
+//!   query with no intervening ingest copies nothing. A [`ReadReplica`]
+//!   holds that `Arc` itself, and replicas that refresh to one version
+//!   share it by pointer. A fresh answer asks the parts instead, through
+//!   the capability's read of a sum
+//!   ([`JoinQuery::self_join_estimate_of_sum`] and its siblings): the
+//!   merge's answer, bit for bit, with no cache install — and, for the
+//!   join counters (summed, §VI-C) and a composite's small parts (merged
+//!   into scratch), no fold either. [`catch_up`](QueryHandle::catch_up)
+//!   applies what every shard has accepted, one shard lock at a time, and
+//!   reads nothing.
 //!
 //! * [`push`](ShardedRuntime::push) and
 //!   [`push_loaned`](ShardedRuntime::push_loaned) block when a ring is
@@ -118,7 +113,7 @@
 use crate::error::{Result, StreamError};
 use crate::ring;
 use crate::snapshot::{CacheStats, SnapshotCache, Stamp};
-use sss_core::{DistinctQuery, Estimate, JoinQuery, QuantileQuery, Summary, TopKQuery};
+use sss_core::{fold, DistinctQuery, Estimate, JoinQuery, QuantileQuery, Summary, TopKQuery};
 use sss_sampling::{staleness_variance_plugin, Door};
 use sss_xi::splitmix64;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -321,37 +316,6 @@ impl<E: Summary> RuntimeShared<E> {
     /// so a poisoned cache is still a consistent one.
     fn lock_cache(&self) -> MutexGuard<'_, SnapshotCache<E>> {
         self.cache.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-/// The one merge loop, for a query and for
-/// [`into_merged`](ShardedRuntime::into_merged) alike: shard states fold
-/// into the prototype in shard order, the first through
-/// [`merged_into`](Summary::merged_into) (one copy, where a summary can
-/// copy), the rest through `merge_from`. With no state folded in, the
-/// result is a copy of the prototype.
-struct Fold<'a, E> {
-    zero: &'a E,
-    merged: Option<E>,
-}
-
-impl<'a, E: Summary> Fold<'a, E> {
-    fn new(zero: &'a E) -> Self {
-        Self { zero, merged: None }
-    }
-
-    fn add(&mut self, shard: &E) -> sss_core::Result<()> {
-        match &mut self.merged {
-            Some(merged) => merged.merge_from(shard),
-            None => {
-                self.merged = Some(shard.merged_into(self.zero)?);
-                Ok(())
-            }
-        }
-    }
-
-    fn finish(self) -> E {
-        self.merged.unwrap_or_else(|| self.zero.clone())
     }
 }
 
@@ -709,7 +673,7 @@ impl<E: Summary> ShardedRuntime<E> {
     }
 
     /// Shut the pool down and merge the final shard estimators through the
-    /// same fold as [`merged`](QueryHandle::merged): the natural
+    /// same [`fold`] as [`merged`](QueryHandle::merged): the natural
     /// end-of-stream call, which waits for the workers to drain their
     /// rings, takes the shards and hands back an owned merge.
     ///
@@ -728,15 +692,12 @@ impl<E: Summary> ShardedRuntime<E> {
         // Each worker left its ring drained, or its shard dead. The shards
         // are taken: a handle that needs one later finds it disconnected.
         let shared = &self.query.shared;
-        let mut fold = Fold::new(&*shared.prototype);
+        let mut parts = Vec::with_capacity(shared.shards.len());
         for (shard, state) in shared.shards.iter().enumerate() {
-            let live = state
-                .lock_core()
-                .take()
-                .ok_or(StreamError::ShardDisconnected { shard })?;
-            fold.add(&live.est)?;
+            let live = state.lock_core().take();
+            parts.push(live.ok_or(StreamError::ShardDisconnected { shard })?.est);
         }
-        Ok(fold.finish())
+        Ok(fold(&*shared.prototype, &parts.iter().collect::<Vec<_>>())?)
     }
 }
 
@@ -810,12 +771,14 @@ impl<E: Summary> QueryHandle<E> {
     /// [`catch_up`](Self::catch_up) or a query has caught every shard up.
     pub fn applied_and_pending(&self) -> (u64, u64) {
         // Applied first: accepted counts only grow, so it never trails.
-        let shards = &self.shared.shards;
-        let applied = shards
-            .iter()
-            .map(|s| s.applied.load(Ordering::Acquire))
-            .sum();
+        let applied = self.total(|s| &s.applied);
         (applied, self.accepted_total().saturating_sub(applied))
+    }
+
+    /// `counter` summed over the shards.
+    fn total(&self, counter: fn(&ShardState<E>) -> &AtomicU64) -> u64 {
+        let shards = self.shared.shards.iter();
+        shards.map(|s| counter(s).load(Ordering::Acquire)).sum()
     }
 
     /// Tuples applied to shard sketches so far, summed over all workers.
@@ -828,11 +791,7 @@ impl<E: Summary> QueryHandle<E> {
     /// [`merged`](Self::merged) call returns, the gauge covers every tuple
     /// accepted before it (the query catches each shard up to its floor).
     pub fn tuples_ingested(&self) -> u64 {
-        self.shared
-            .shards
-            .iter()
-            .map(|s| s.ingested.load(Ordering::Acquire))
-            .sum()
+        self.total(|s| &s.ingested)
     }
 
     /// Offered tuples applied by one worker (panics if
@@ -916,110 +875,95 @@ impl<E: Summary> QueryHandle<E> {
         Ok(())
     }
 
-    /// A read of the shards' state once caught up, with the offered tuples
-    /// that state had applied: `whole` asks the cached merge when it is
-    /// recent enough; otherwise `sum` reads the caught-up shards in place,
-    /// under every shard's lock. `sum` is given the prototype the shards
-    /// fold into, the states of the shards that have applied a batch in
-    /// shard order — the fold's parts — and the F₂ a read of this same
-    /// state left, if one did (it may leave one). Where there are no
-    /// parts, `whole` asks the prototype, which is what the fold of none
-    /// is. Linearity and fold-order scratch merges make every answer the
-    /// merge's bits, so no fold or cache install is needed. One
-    /// shard is caught up to all but `max_pending` of its accepted
-    /// batches, more shards to all of theirs. `None` when `sum` reads
-    /// nothing: the locks are dropped and the caller folds.
-    fn read_fresh<T>(
+    /// Every shard's accepted-batch count, less `slack`: the floors a
+    /// query catches the shards up to.
+    fn floors(&self, slack: u64) -> Vec<u64> {
+        let floor = |s: &ShardState<E>| s.accepted.load(Ordering::Acquire).saturating_sub(slack);
+        self.shared.shards.iter().map(floor).collect()
+    }
+
+    /// The one read of the shards: under the cache lock the caller holds,
+    /// catch every shard up to its floor in shard order, keep every shard
+    /// lock, and hand `read` the prototype, the states of the shards that
+    /// have applied a batch in shard order — the fold's parts — and every
+    /// shard's stamp. The shard locks nest inside the cache lock in shard
+    /// order, and a worker only ever takes its own, so holding them all
+    /// cannot deadlock.
+    fn with_parts<T>(
         &self,
-        max_pending: u64,
-        whole: impl FnOnce(&E) -> T,
-        sum: impl FnOnce(&E, &[&E], &mut Option<f64>) -> Option<T>,
-    ) -> Option<Result<(T, u64)>> {
+        floors: &[u64],
+        read: impl FnOnce(&E, &[&E], Vec<Stamp>) -> Result<T>,
+    ) -> Result<T> {
         let shards = &self.shared.shards;
-        let slack = if shards.len() == 1 { max_pending } else { 0 };
-        // Held throughout, as by every query: one posted floor per shard.
-        // The shard locks nest inside it in shard order, and a worker
-        // only ever takes its own, so holding them all cannot deadlock.
-        let mut cache = self.shared.lock_cache();
-        let floors: Vec<u64> = shards
-            .iter()
-            .map(|s| s.accepted.load(Ordering::Acquire).saturating_sub(slack))
-            .collect();
-        if let Some((merged, stamp)) = cache.hit(&floors) {
-            return Some(Ok((whole(merged), stamp.tuples)));
-        }
         let mut cores = Vec::with_capacity(shards.len());
-        for (shard, (state, &floor)) in shards.iter().zip(&floors).enumerate() {
+        for (shard, (state, &floor)) in shards.iter().zip(floors).enumerate() {
             let core = state.caught_up(floor);
             if core.is_none() {
-                return Some(Err(StreamError::ShardDisconnected { shard }));
+                return Err(StreamError::ShardDisconnected { shard });
             }
             cores.push(core);
         }
-        let applied: Vec<u64> = shards
+        let stamps: Vec<Stamp> = shards
             .iter()
-            .map(|s| s.applied.load(Ordering::Relaxed))
+            .map(|s| Stamp {
+                batches: s.applied.load(Ordering::Relaxed),
+                tuples: s.ingested.load(Ordering::Relaxed),
+            })
             .collect();
-        // As in the fold, a shard that has applied no batch is left out.
+        // A shard that has applied no batch holds no tuple: it is left
+        // out rather than merged as an empty copy.
         let parts: Vec<&E> = cores
             .iter()
-            .zip(&applied)
-            .filter(|&(_, &batches)| batches > 0)
+            .zip(&stamps)
+            .filter(|&(_, stamp)| stamp.batches > 0)
             .flat_map(|(core, _)| core.as_ref())
             .map(|live| &live.est)
             .collect();
-        let zero: &E = &self.shared.prototype;
-        let answer = if parts.is_empty() {
-            whole(zero)
-        } else {
+        read(&self.shared.prototype, &parts, stamps)
+    }
+
+    /// A fresh read, with the offered tuples of the state it read: `whole`
+    /// of the cached merge when that covers every floor, else `sum` of the
+    /// parts ([`with_parts`](Self::with_parts)) and the F₂ a read of this
+    /// same state left, if one did (it may leave one). One shard is caught
+    /// up to all but `max_pending` of its accepted batches, more shards to
+    /// all of theirs.
+    fn read_fresh<T>(
+        &self,
+        max_pending: u64,
+        whole: impl FnOnce(&E) -> sss_core::Result<T>,
+        sum: impl FnOnce(&E, &[&E], &mut Option<f64>) -> sss_core::Result<T>,
+    ) -> Result<(T, u64)> {
+        let slack = if self.shards() == 1 { max_pending } else { 0 };
+        let mut cache = self.shared.lock_cache();
+        let floors = self.floors(slack);
+        if let Some((merged, stamp)) = cache.hit(&floors) {
+            return Ok((whole(merged)?, stamp.tuples));
+        }
+        self.with_parts(&floors, |zero, parts, stamps| {
+            let applied: Vec<u64> = stamps.iter().map(|s| s.batches).collect();
             let mut f2 = cache.fresh_f2(&applied);
-            let answer = sum(zero, &parts, &mut f2)?;
+            let answer = sum(zero, parts, &mut f2)?;
             cache.keep_fresh_f2(applied, f2);
-            answer
-        };
-        let tuples = shards
-            .iter()
-            .map(|s| s.ingested.load(Ordering::Relaxed))
-            .sum();
-        Some(Ok((answer, tuples)))
+            Ok((answer, stamps.iter().map(|s| s.tuples).sum()))
+        })
     }
 
     /// The incremental at-all-times query, under the cache lock the caller
-    /// holds, which serializes concurrent handles. See the module docs:
-    /// the cached merge is served while every shard's floor is at or below
-    /// what it reflects; otherwise each shard in turn is caught up to its
-    /// floor under its lock and folded into the merge ([`Fold`]), which
-    /// the cache keeps. Returns the merge the cache shares, with what it
+    /// holds, which serializes concurrent handles: the cached merge while
+    /// every shard's floor is at or below what it reflects, otherwise the
+    /// [`fold`] of the parts ([`with_parts`](Self::with_parts)), which the
+    /// cache keeps. Returns the merge the cache shares, with what it
     /// reflects.
     fn with_merged(&self, cache: &mut SnapshotCache<E>) -> Result<(Arc<E>, Stamp)> {
-        let floors: Vec<u64> = self
-            .shared
-            .shards
-            .iter()
-            .map(|s| s.accepted.load(Ordering::Acquire))
-            .collect();
+        let floors = self.floors(0);
         if let Some((merged, stamp)) = cache.hit(&floors) {
             return Ok((Arc::clone(merged), stamp));
         }
-        let mut fold = Fold::new(&*self.shared.prototype);
-        let mut stamps = Vec::with_capacity(floors.len());
-        for (shard, (state, &floor)) in self.shared.shards.iter().zip(&floors).enumerate() {
-            let core = state.caught_up(floor);
-            let live = core
-                .as_ref()
-                .ok_or(StreamError::ShardDisconnected { shard })?;
-            let stamp = Stamp {
-                batches: state.applied.load(Ordering::Relaxed),
-                tuples: state.ingested.load(Ordering::Relaxed),
-            };
-            // A shard that has applied no batch holds no tuple: it is
-            // left out rather than merged as an empty copy.
-            if stamp.batches > 0 {
-                fold.add(&live.est)?;
-            }
-            stamps.push(stamp);
-        }
-        let (merged, stamp) = cache.install(fold.finish(), stamps, &floors);
+        let (merged, stamps) = self.with_parts(&floors, |zero, parts, stamps| {
+            Ok((fold(zero, parts)?, stamps))
+        })?;
+        let (merged, stamp) = cache.install(merged, stamps, &floors);
         Ok((Arc::clone(merged), stamp))
     }
 
@@ -1027,21 +971,13 @@ impl<E: Summary> QueryHandle<E> {
     /// yardstick of the read replicas (monotone; each shard's counter is
     /// bumped by the producer at enqueue time).
     fn accepted_total(&self) -> u64 {
-        self.shared
-            .shards
-            .iter()
-            .map(|s| s.accepted.load(Ordering::Acquire))
-            .sum()
+        self.total(|s| &s.accepted)
     }
 
     /// Offered tuples pushed so far, applied or not: the frontier a
     /// replica's staleness term is measured against.
     fn accepted_tuples_total(&self) -> u64 {
-        self.shared
-            .shards
-            .iter()
-            .map(|s| s.accepted_tuples.load(Ordering::Acquire))
-            .sum()
+        self.total(|s| &s.accepted_tuples)
     }
 
     /// Open a read replica (see [`ReadReplica`]). It holds the merge the
@@ -1069,7 +1005,7 @@ impl<E: Summary> QueryHandle<E> {
     }
 }
 
-impl<E: Summary + JoinQuery> QueryHandle<E> {
+impl<E: JoinQuery> QueryHandle<E> {
     /// Typed at-all-times self-join query: merge the shards as of now and
     /// return the merged estimator's [`Estimate`]. The error bar is
     /// computed on the *combined* sketch — by linearity the merge is
@@ -1078,19 +1014,15 @@ impl<E: Summary + JoinQuery> QueryHandle<E> {
     /// measure the noise of partial streams instead).
     ///
     /// The answer is read off the shards themselves, each caught up under
-    /// its lock: the same bits as the merge's, without the merge (see the
-    /// module docs). A summary that reads no sum in place
-    /// ([`JoinQuery::self_join_estimate_of_sum`] is `None`) answers from
-    /// the merge at more than one shard.
+    /// its lock ([`JoinQuery::self_join_estimate_of_sum`]): the merge's
+    /// bits, and no cache install (see the module docs).
     ///
     /// # Errors
     ///
     /// As for [`merged`](Self::merged).
     pub fn self_join_estimate(&self) -> Result<Estimate> {
-        match self.read_fresh(0, E::self_join_estimate, self_join_of_parts) {
-            Some(answer) => Ok(answer?.0),
-            None => Ok(self.merged()?.self_join_estimate()),
-        }
+        let whole = |merged: &E| Ok(merged.self_join_estimate());
+        Ok(self.read_fresh(0, whole, self_join_of_parts)?.0)
     }
 
     /// Typed at-all-times size-of-join query against another runtime over
@@ -1129,18 +1061,14 @@ impl<E: Summary> std::fmt::Debug for QueryHandle<E> {
 /// A read replica on a [`ShardedRuntime`]: the runtime's merge, held
 /// behind the [`Arc`] the snapshot cache lends, with what it reflects.
 ///
-/// At `max_pending = 0` every read is fresh: it goes through the cache,
-/// which answers from its merge if that covers every accepted batch, and
-/// otherwise reads the caught-up shards in place (see the module docs),
-/// so the replica folds nothing and its held merge does not move. Past a
-/// larger budget a read asks the held merge — the fat summary's own
-/// answer — and [`refresh`](ReadReplica::refresh) first adopts a newer
-/// merge once more than `max_pending` accepted batches are past it:
-/// the kept one by pointer if it is recent enough, else one rebuild
-/// under the cache lock, which every replica refreshing to that version
-/// then shares. A `self_join_estimate` past the budget is read in place
-/// too. A summary that reads no sum in place refreshes and asks the held
-/// merge at any budget.
+/// At `max_pending = 0` every read is fresh: the cache's merge if that
+/// covers every accepted batch, else the capability's read of the
+/// caught-up shards' sum (see the module docs), so the held merge does not
+/// move. Past a larger budget a read asks the held merge, and
+/// [`refresh`](ReadReplica::refresh) first adopts a newer one once more
+/// than `max_pending` accepted batches are past it: the kept one by
+/// pointer if it is recent enough, else one rebuild under the cache lock,
+/// which every replica refreshing to that version then shares.
 ///
 /// `self_join_estimate` widens its error bar by a staleness term
 /// ([`sss_sampling::staleness_variance_plugin`]) grown from the tuples
@@ -1231,84 +1159,73 @@ impl<E: Summary> ReadReplica<E> {
     /// One read with the offered tuples of the state it read. `in_place`,
     /// through [`QueryHandle::read_fresh`] at this replica's budget:
     /// `whole` of the cache's merge on a hit, else `sum` of the caught-up
-    /// shards. Otherwise, or where `sum` reads nothing, `whole` of the
-    /// held merge, refreshed first.
+    /// shards. Otherwise `whole` of the held merge, refreshed first.
     fn read<T>(
         &mut self,
         in_place: bool,
-        whole: impl Fn(&E) -> T,
-        sum: impl FnOnce(&E, &[&E], &mut Option<f64>) -> Option<T>,
+        whole: impl FnOnce(&E) -> sss_core::Result<T>,
+        sum: impl FnOnce(&E, &[&E], &mut Option<f64>) -> sss_core::Result<T>,
     ) -> Result<(T, u64)> {
         if in_place {
-            if let Some(fresh) = self.handle.read_fresh(self.max_pending, &whole, sum) {
-                return fresh;
-            }
+            return self.handle.read_fresh(self.max_pending, whole, sum);
         }
         self.refresh()?;
-        Ok((whole(&self.merged), self.stamp.tuples))
+        Ok((whole(&self.merged)?, self.stamp.tuples))
     }
 }
 
-/// The F₂ estimate of the fold's parts: one part's own, more parts'
-/// [`JoinQuery::self_join_estimate_of_sum`], whose value it leaves in `f2`
-/// for a top-k read of the same state. `None` when `E` reads no sum in
-/// place.
-fn self_join_of_parts<E: JoinQuery>(_: &E, parts: &[&E], f2: &mut Option<f64>) -> Option<Estimate> {
-    let est = match parts {
-        [part] => part.self_join_estimate(),
-        _ => E::self_join_estimate_of_sum(parts)?,
-    };
+/// [`JoinQuery::self_join_estimate_of_sum`], its value left in `f2` for a
+/// top-k read of the same state.
+fn self_join_of_parts<E: JoinQuery>(
+    zero: &E,
+    parts: &[&E],
+    f2: &mut Option<f64>,
+) -> sss_core::Result<Estimate> {
+    let est = E::self_join_estimate_of_sum(zero, parts)?;
     *f2 = Some(est.value);
-    Some(est)
+    Ok(est)
 }
 
-impl<E: Summary + JoinQuery> ReadReplica<E> {
-    /// Staleness-aware self-join query. At `max_pending = 0`, and past a
-    /// larger budget, it is read in place (see
-    /// [`QueryHandle::self_join_estimate`]): one shard caught up to
-    /// `max_pending` batches behind, more shards each caught up to all of
-    /// its accepted batches. Within the budget it asks the held merge.
+impl<E: JoinQuery> ReadReplica<E> {
+    /// Staleness-aware self-join query: fresh at `max_pending = 0` and
+    /// past a larger budget (one shard caught up to `max_pending` batches
+    /// behind, more shards to all of theirs), the held merge's within it.
     /// Either way the error bar widens by the staleness plug-in for the
-    /// tuples pushed since the state answered from, whether a worker has
-    /// applied them yet or not. With nothing pending the answer is
-    /// bit-identical to [`QueryHandle::self_join_estimate`] on the same
-    /// state.
+    /// tuples pushed since the state answered from. With nothing pending
+    /// it is [`QueryHandle::self_join_estimate`] on the same state, bit for
+    /// bit.
     ///
     /// # Errors
     ///
     /// As for [`refresh`](ReadReplica::refresh).
     pub fn self_join_estimate(&mut self) -> Result<Estimate> {
         let in_place = self.max_pending == 0 || self.pending() > self.max_pending;
-        let (est, applied) = self.read(in_place, E::self_join_estimate, self_join_of_parts)?;
+        let whole = |merged: &E| Ok(merged.self_join_estimate());
+        let (est, applied) = self.read(in_place, whole, self_join_of_parts)?;
         let pending = self.handle.accepted_tuples_total().saturating_sub(applied);
         let extra = staleness_variance_plugin(est.value, applied, pending);
         Ok(est.plus_variance(extra))
     }
 }
 
-impl<E: Summary + DistinctQuery> ReadReplica<E> {
-    /// Distinct-count query. At `max_pending = 0` it is read off the
-    /// caught-up shards in place, the HyperLogLog registers maxed
-    /// ([`DistinctQuery::distinct_estimate_of_sum`]); otherwise it asks
-    /// the held merge, refreshed if past `max_pending`. The estimate
-    /// carries the summary's own variance; unlike
-    /// [`self_join_estimate`](ReadReplica::self_join_estimate) no
-    /// staleness term is added (there is no F₀ drift bound analogous to
-    /// the F2 one), so treat the bar as "as of the state answered from".
+impl<E: DistinctQuery> ReadReplica<E> {
+    /// Distinct-count query ([`DistinctQuery::distinct_estimate_of_sum`]
+    /// at `max_pending = 0`). No staleness term is added (there is no F₀
+    /// drift bound analogous to the F₂ one): the bar is "as of the state
+    /// answered from".
     ///
     /// # Errors
     ///
     /// As for [`refresh`](ReadReplica::refresh).
     pub fn distinct_estimate(&mut self) -> Result<Estimate> {
+        let whole = |merged: &E| Ok(merged.distinct_estimate());
         let sum =
             |zero: &E, parts: &[&E], _: &mut Option<f64>| E::distinct_estimate_of_sum(zero, parts);
-        Ok(self
-            .read(self.max_pending == 0, E::distinct_estimate, sum)?
-            .0)
+        Ok(self.read(self.max_pending == 0, whole, sum)?.0)
     }
 }
 
-impl<E: Summary + QuantileQuery> ReadReplica<E> {
+impl<E: QuantileQuery> ReadReplica<E> {
     /// Quantile query: [`quantile_with_bounds`](Self::quantile_with_bounds)'s
     /// value.
     ///
@@ -1319,11 +1236,9 @@ impl<E: Summary + QuantileQuery> ReadReplica<E> {
         Ok(self.quantile_with_bounds(q)?.0)
     }
 
-    /// The `q`-quantile and its rank envelope, all three from one state: at
-    /// `max_pending = 0` the caught-up shards' KLLs merged into scratch in
-    /// the fold's order ([`QuantileQuery::quantile_with_bounds_of_sum`]);
-    /// otherwise the held merge, refreshed if past `max_pending` — under
-    /// ingest two refreshing reads could answer from two merges.
+    /// The `q`-quantile and its rank envelope, all three from one state
+    /// ([`QuantileQuery::quantile_with_bounds_of_sum`] at
+    /// `max_pending = 0`); under ingest two reads could answer from two.
     ///
     /// # Errors
     ///
@@ -1334,19 +1249,15 @@ impl<E: Summary + QuantileQuery> ReadReplica<E> {
         let sum = |zero: &E, parts: &[&E], _: &mut Option<f64>| {
             E::quantile_with_bounds_of_sum(zero, parts, q, 0.0)
         };
-        let (answer, _) = self.read(self.max_pending == 0, whole, sum)?;
-        answer.map_err(StreamError::Estimator)
+        Ok(self.read(self.max_pending == 0, whole, sum)?.0)
     }
 }
 
-impl<E: Summary + TopKQuery> ReadReplica<E> {
+impl<E: TopKQuery> ReadReplica<E> {
     /// Top-k query: the `k` heaviest candidates, each with its typed
-    /// frequency estimate. At `max_pending = 0` it is read off the
-    /// caught-up shards in place ([`TopKQuery::top_k_of_sum`]: the
-    /// candidates of the Misra–Gries parts merged into scratch, priced by
-    /// the point query over the summed join cells, the variance from the
-    /// F₂ a `self_join` read off the same state, if one did); otherwise
-    /// from the held merge, refreshed if past `max_pending`.
+    /// frequency estimate ([`TopKQuery::top_k_of_sum`] at
+    /// `max_pending = 0`, handed the F₂ a `self_join` read off the same
+    /// state, if one did).
     ///
     /// # Errors
     ///
@@ -1354,7 +1265,7 @@ impl<E: Summary + TopKQuery> ReadReplica<E> {
     pub fn top_k(&mut self, k: usize) -> Result<Vec<(u64, Estimate)>> {
         let sum =
             |zero: &E, parts: &[&E], f2: &mut Option<f64>| E::top_k_of_sum(zero, parts, k, f2);
-        let whole = |whole: &E| whole.top_k_estimates(k);
+        let whole = |merged: &E| Ok(merged.top_k_estimates(k));
         Ok(self.read(self.max_pending == 0, whole, sum)?.0)
     }
 }
@@ -2000,10 +1911,6 @@ mod tests {
         }
         fn size_of_join_estimate(&self, other: &Self) -> sss_core::Result<Estimate> {
             self.0.raw_size_of_join_estimate(&other.0)
-        }
-        fn self_join_estimate_of_sum(parts: &[&Self]) -> Option<Estimate> {
-            let joins: Vec<&JoinSketch> = parts.iter().map(|part| &part.0).collect();
-            JoinQuery::self_join_estimate_of_sum(&joins)
         }
     }
 

@@ -14,15 +14,10 @@
 //!   floor; a shard whose stamp is below its floor is *dirty*.
 //! * **Nothing dirty:** the cached merged result is served as it is —
 //!   no merge work, independent of the shard count.
-//! * **Otherwise:** the runtime folds every shard's live state again, in
-//!   shard order, into the prototype (`stream.merged_dirty_us`) and
-//!   installs the result with the new stamps. The first live shard enters
-//!   through [`merged_into`](sss_core::Summary::merged_into), which is one
-//!   copy of its state where the summary can copy (the join counters, the
-//!   HyperLogLog registers), the rest through `merge_from`, so linear
-//!   sketches, HyperLogLog and KLL all take the same path, and the result
-//!   *is* a from-scratch merge of the current shard states — there is
-//!   nothing to drift.
+//! * **Otherwise:** the runtime folds every shard's live state again
+//!   ([`sss_core::fold`], `stream.merged_dirty_us`) and installs the
+//!   result with the new stamps: a from-scratch merge of the current shard
+//!   states, with nothing to drift.
 //!
 //! Either way the cache *lends* the merged result, which it keeps behind
 //! an [`Arc`]. `merged()` hands its caller that `Arc` — a clean query

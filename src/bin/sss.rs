@@ -510,7 +510,7 @@ fn run_merge_snapshots(args: &[String], confidence: Option<f64>) -> Result<()> {
     }
 }
 
-fn merge_snapshots_as<S: Summary + Portable + JoinQuery>(
+fn merge_snapshots_as<S: Portable + JoinQuery>(
     args: &[String],
     inputs: &[&String],
     first: &[u8],

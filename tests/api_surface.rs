@@ -15,8 +15,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sketch_sampled_streams::core::sketch::{JoinSchema, JoinSketch};
 use sketch_sampled_streams::core::{
-    DistinctQuery, Estimate, JoinQuery, MultiSpec, MultiSummary, Portable, QuantileQuery, Result,
-    Sampled, SampledMultiSummary, SlimJoin, SlimMultiSummary, SlimQuery, Summary, TopKQuery,
+    DistinctQuery, JoinQuery, MultiSpec, MultiSummary, Portable, QuantileQuery, Sampled,
+    SampledMultiSummary, SlimJoin, SlimMultiSummary, SlimQuery, Summary, TopKQuery,
 };
 use sketch_sampled_streams::sketch::{CountSketchTopK, HyperLogLog, KllSketch, MisraGries};
 use sketch_sampled_streams::stream::{QueryHandle, ReadReplica, RuntimeConfig, ShardedRuntime};
@@ -77,27 +77,20 @@ fn capabilities_land_on_the_right_backends() {
     quantile_query::<SampledMultiSummary>();
 }
 
-/// The capability traits are *standalone* — deliberately not subtraits
-/// of `Summary`: a type that only answers holds one without the ingestion
-/// contract (this instantiation would not compile if the supertrait bound
-/// came back). The slim forms answer nothing — `sss_core::slim`'s
-/// `compile_fail` doctests prove that — and only travel: they cross
-/// threads and the wire. `Summary` itself still requires
-/// `Clone + Send + Sync + 'static` — the properties the sharded runtime's
-/// worker threads, snapshot cache and the read replicas sharing its merge
-/// rely on.
+/// Each capability trait is a subtrait of `Summary`: whatever answers can
+/// ingest and merge, so its reads of a sum default to the fold's answer
+/// (this would not compile if a capability stood alone again). The slim
+/// forms answer nothing — `sss_core::slim`'s `compile_fail` doctests prove
+/// that — and only travel: they cross threads and the wire. `Summary`
+/// itself still requires `Clone + Send + Sync + 'static` — the properties
+/// the sharded runtime's worker threads, snapshot cache and the read
+/// replicas sharing its merge rely on.
 #[test]
-fn capabilities_are_standalone_and_slim_forms_only_travel() {
-    struct Answers;
-    impl JoinQuery for Answers {
-        fn self_join_estimate(&self) -> Estimate {
-            Estimate::point(1.0)
-        }
-        fn size_of_join_estimate(&self, _other: &Self) -> Result<Estimate> {
-            Ok(Estimate::point(1.0))
-        }
+fn capabilities_are_summaries_and_slim_forms_only_travel() {
+    fn capabilities_merge<T: JoinQuery + TopKQuery + DistinctQuery + QuantileQuery>() {
+        summary::<T>();
     }
-    join_query::<Answers>();
+    capabilities_merge::<SampledMultiSummary>();
 
     clone_send_static::<SlimJoin>();
     clone_send_static::<SlimMultiSummary>();
@@ -130,7 +123,7 @@ fn fat_summaries_are_portable_and_project_slim() {
 
 /// The streaming layer is generic over the hierarchy: the runtime accepts
 /// any `Summary` (a sampled composite included), the join-specific query
-/// surface demands `Summary + JoinQuery`, and a read replica, which holds
+/// surface demands `JoinQuery`, and a read replica, which holds
 /// the merge itself, any `Summary` (each read adds its family's query
 /// trait).
 #[test]

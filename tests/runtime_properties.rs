@@ -13,10 +13,10 @@ use sketch_sampled_streams::core::{
     DistinctQuery, JoinQuery, MultiSpec, MultiSummary, Portable, QuantileQuery, Sampled,
     SlimMultiSummary, SlimQuery, Summary, TopKQuery,
 };
-use sketch_sampled_streams::sketch::{Estimate, MisraGries};
+use sketch_sampled_streams::sketch::{Estimate, HyperLogLog, KllSketch, MisraGries};
 use sketch_sampled_streams::stream::runtime::RUN_TUPLES;
 use sketch_sampled_streams::stream::{
-    Partition, ReadReplica, RuntimeConfig, ShardedRuntime, StreamError,
+    Partition, QueryHandle, ReadReplica, RuntimeConfig, ShardedRuntime, StreamError,
 };
 use sketch_sampled_streams::xi::splitmix64;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -223,42 +223,50 @@ fn rebuilds<E: Summary>(rt: &ShardedRuntime<E>) -> u64 {
     stats.partial_rebuilds + stats.full_rebuilds
 }
 
-/// Push `keys` in `chunk`s into a runtime. After each chunk, a fresh F₂
-/// read through the handle, then through `replica_read` (a replica's,
-/// where `E` has one), rebuilds no cached merge and answers what
-/// `merged()` then answers, bit for bit. A handle read served by that
-/// now-current merge answers the same, even once `into_merged` has taken
-/// the shards.
-fn fresh_reads_match_the_merge<E: Summary + JoinQuery>(
+/// Push `keys` in `chunk`s into a runtime. After each chunk `fresh` of the
+/// handle and a `max_pending = 0` replica rebuilds no cached merge and
+/// answers, as bits, what `whole` of `merged()` then answers; so does a
+/// read that merge now serves, even once `into_merged` has taken the
+/// shards.
+fn fresh_reads_match_the_merge<E: Summary>(
     mut rt: ShardedRuntime<E>,
     keys: &[u64],
     chunk: usize,
-    mut replica_read: impl FnMut() -> Option<Estimate>,
+    mut fresh: impl FnMut(&QueryHandle<E>, &mut ReadReplica<E>) -> Vec<u64>,
+    whole: impl Fn(&E) -> Vec<u64>,
 ) -> Result<(), TestCaseError> {
     let shards = rt.shards();
+    let mut replica = rt.read_replica(0).unwrap();
     for part in keys.chunks(chunk) {
         rt.push(part).unwrap();
         let before = rebuilds(&rt);
-        let fresh = every_bit(&rt.self_join_estimate().unwrap());
-        let replica = replica_read().map(|est| every_bit(&est));
+        let got = fresh(&rt, &mut replica);
+        prop_assert_eq!(rebuilds(&rt), before, "a rebuild at {} shards", shards);
+        let merged = whole(&*rt.merged().unwrap());
+        prop_assert_eq!(&got, &merged, "{} shards", shards);
         prop_assert_eq!(
-            rebuilds(&rt),
-            before,
-            "a fresh read at {} shards rebuilt the merge",
+            &fresh(&rt, &mut replica),
+            &merged,
+            "a hit, {} shards",
             shards
         );
-        let merged = every_bit(&JoinQuery::self_join_estimate(&*rt.merged().unwrap()));
-        prop_assert_eq!(&fresh, &merged, "{} shards", shards);
-        if let Some(replica) = replica {
-            prop_assert_eq!(&replica, &merged, "{} shards", shards);
-        }
-        prop_assert_eq!(&every_bit(&rt.self_join_estimate().unwrap()), &merged);
     }
     let handle = rt.query_handle();
-    let merged = every_bit(&JoinQuery::self_join_estimate(&*rt.merged().unwrap()));
+    let merged = whole(&*rt.merged().unwrap());
     rt.into_merged().unwrap();
-    prop_assert_eq!(every_bit(&handle.self_join_estimate().unwrap()), merged);
+    prop_assert_eq!(fresh(&handle, &mut replica), merged);
     Ok(())
+}
+
+/// The handle's F₂ and a replica's, every bit.
+fn f2_bits<E: JoinQuery>(handle: &QueryHandle<E>, replica: &mut ReadReplica<E>) -> Vec<u64> {
+    let fresh = every_bit(&handle.self_join_estimate().unwrap());
+    [fresh, every_bit(&replica.self_join_estimate().unwrap())].concat()
+}
+
+/// A whole summary's F₂, every bit, as [`f2_bits`] reads it.
+fn whole_f2_bits<E: JoinQuery>(whole: &E) -> Vec<u64> {
+    every_bit(&whole.self_join_estimate()).repeat(2)
 }
 
 proptest! {
@@ -266,12 +274,12 @@ proptest! {
 
     /// At one, two and three shards under both partitions, a fresh
     /// `self_join` — the handle's, and a `max_pending = 0` replica's — is
-    /// read off the caught-up shards without a fold: one shard's own
-    /// estimate, or the F₂ of the shards' summed join rows. For the
-    /// composite, the sampled composite and a bare join sketch (depth 1
-    /// included, where the variance is the plug-in) it equals
-    /// `merged().self_join_estimate()` in value, variance and every basic,
-    /// and rebuilds no cached merge.
+    /// read off the caught-up shards: one shard's own estimate, the F₂ of
+    /// the shards' summed F-AGMS rows, or, for AGMS counters, the fold's.
+    /// For the composite, the sampled composite, a bare F-AGMS sketch
+    /// (depth 1 included, where the variance is the plug-in) and an AGMS
+    /// one it equals `merged().self_join_estimate()` in value, variance and
+    /// every basic, and rebuilds no cached merge.
     #[test]
     fn a_fresh_self_join_is_the_merges_answer_at_every_shard_count(
         keys in prop::collection::vec(0..500u64, 1..400),
@@ -281,25 +289,70 @@ proptest! {
     ) {
         for (shards, partition) in (1..=3).flat_map(|s| [(s, Partition::RoundRobin), (s, Partition::Hash)]) {
             let config = RuntimeConfig { shards, queue_depth: 4, partition };
-
             let rt = ShardedRuntime::new(config, &multi_spec(seed).summary().unwrap()).unwrap();
-            let mut replica = rt.read_replica(0).unwrap();
-            fresh_reads_match_the_merge(rt, &keys, chunk, || {
-                Some(replica.self_join_estimate().unwrap())
-            })?;
-
+            fresh_reads_match_the_merge(rt, &keys, chunk, f2_bits, whole_f2_bits)?;
             let sampled = multi_spec(seed)
                 .sampled(0.3, &mut StdRng::seed_from_u64(seed ^ 1))
                 .unwrap();
             let rt = ShardedRuntime::new(config, &sampled).unwrap();
-            fresh_reads_match_the_merge(rt, &keys, chunk, || None)?;
+            fresh_reads_match_the_merge(rt, &keys, chunk, f2_bits, whole_f2_bits)?;
+            for schema in [
+                JoinSchema::fagms(depth, 64, &mut StdRng::seed_from_u64(seed)),
+                JoinSchema::agms(8 * depth, &mut StdRng::seed_from_u64(seed)),
+            ] {
+                let rt = ShardedRuntime::new(config, &schema.sketch()).unwrap();
+                fresh_reads_match_the_merge(rt, &keys, chunk, f2_bits, whole_f2_bits)?;
+            }
+        }
+    }
+}
 
-            let schema = JoinSchema::fagms(depth, 64, &mut StdRng::seed_from_u64(seed));
-            let rt = ShardedRuntime::new(config, &schema.sketch()).unwrap();
-            let mut replica = rt.read_replica(0).unwrap();
-            fresh_reads_match_the_merge(rt, &keys, chunk, || {
-                Some(replica.self_join_estimate().unwrap())
-            })?;
+fn top_bits(top: Vec<(u64, Estimate)>) -> Vec<u64> {
+    let pairs = top
+        .iter()
+        .map(|(key, est)| [*key, bits(est)[0], bits(est)[1]]);
+    pairs.flatten().collect()
+}
+
+fn quantile_bits((value, (lo, hi)): (f64, (f64, f64))) -> Vec<u64> {
+    [value, lo, hi].map(f64::to_bits).to_vec()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// A lone Misra–Gries, HyperLogLog or KLL summary reads no sum in
+    /// place: its family's read of a sum is the fold's answer. At one, two
+    /// and three shards under both partitions a `max_pending = 0`
+    /// replica's top-k, F₀ or quantile comes off the caught-up shards
+    /// through it, rebuilds no cached merge, and is what `merged()` then
+    /// answers, bit for bit.
+    #[test]
+    fn a_lone_summary_reads_fresh_without_a_rebuild_at_every_shard_count(
+        keys in prop::collection::vec(0..500u64, 1..400),
+        chunk in 1usize..97,
+        seed: u64,
+    ) {
+        for (shards, partition) in (1..=3).flat_map(|s| [(s, Partition::RoundRobin), (s, Partition::Hash)]) {
+            let config = RuntimeConfig { shards, queue_depth: 4, partition };
+            let rt = ShardedRuntime::new(config, &MisraGries::new(16).unwrap()).unwrap();
+            fresh_reads_match_the_merge(
+                rt, &keys, chunk,
+                |_, replica| top_bits(replica.top_k(TOP).unwrap()),
+                |whole| top_bits(whole.top_k_estimates(TOP)),
+            )?;
+            let rt = ShardedRuntime::new(config, &HyperLogLog::with_seed(8, seed).unwrap()).unwrap();
+            fresh_reads_match_the_merge(
+                rt, &keys, chunk,
+                |_, replica| bits(&replica.distinct_estimate().unwrap()).to_vec(),
+                |whole| bits(&whole.distinct_estimate()).to_vec(),
+            )?;
+            let rt = ShardedRuntime::new(config, &KllSketch::with_seed(16, seed).unwrap()).unwrap();
+            fresh_reads_match_the_merge(
+                rt, &keys, chunk,
+                |_, replica| quantile_bits(replica.quantile_with_bounds(0.5).unwrap()),
+                |whole| quantile_bits(whole.quantile_with_bounds(0.5).unwrap()),
+            )?;
         }
     }
 }
@@ -314,7 +367,7 @@ const NOTHING: (f64, (f64, f64)) = (f64::NAN, (f64::NAN, f64::NAN));
 /// reads no F₂ a `self_join` left.
 fn replica_family_bits<E>(replica: &mut ReadReplica<E>, topk_first: bool) -> (Vec<u64>, Vec<u64>)
 where
-    E: Summary + JoinQuery + TopKQuery + DistinctQuery + QuantileQuery,
+    E: JoinQuery + TopKQuery + DistinctQuery + QuantileQuery,
 {
     let top_k = |replica: &mut ReadReplica<E>| {
         let top = replica.top_k(TOP).unwrap();
@@ -367,21 +420,22 @@ proptest! {
     ) {
         for (shards, partition) in (1..=3).flat_map(|s| [(s, Partition::RoundRobin), (s, Partition::Hash)]) {
             let config = RuntimeConfig { shards, queue_depth: 4, partition };
-            let mut rt = ShardedRuntime::new(config, &multi_spec(seed).summary().unwrap()).unwrap();
-            let mut replica = rt.read_replica(0).unwrap();
-            for (i, part) in keys.chunks(chunk).enumerate() {
-                rt.push(part).unwrap();
-                let before = rebuilds(&rt);
-                let fresh = replica_family_bits(&mut replica, i % 2 == 1);
-                prop_assert_eq!(
-                    rebuilds(&rt),
-                    before,
-                    "a fresh read at {} shards rebuilt the merge",
-                    shards
-                );
-                let merged = whole_family_bits(&*rt.merged().unwrap());
-                prop_assert_eq!(&fresh, &merged, "{} shards, {:?}", shards, partition);
-            }
+            let rt = ShardedRuntime::new(config, &multi_spec(seed).summary().unwrap()).unwrap();
+            // Two reads a chunk, fresh then a hit: each of them asks the
+            // top-k first at every other chunk.
+            let mut reads = 0;
+            fresh_reads_match_the_merge(
+                rt, &keys, chunk,
+                |_, replica| {
+                    reads += 1;
+                    let (f2, out) = replica_family_bits(replica, reads % 4 < 2);
+                    [f2, out].concat()
+                },
+                |whole| {
+                    let (f2, out) = whole_family_bits(whole);
+                    [f2, out].concat()
+                },
+            )?;
         }
     }
 }
