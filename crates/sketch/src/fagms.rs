@@ -15,6 +15,30 @@
 //! hash-bucket *contention* is what produces the paper's Section VII-D
 //! observation that sketching **more** data can *increase* F-AGMS error —
 //! an effect reproduced by the `fig7` harness.
+//!
+//! # Shared rows and the kept `Σ c²`
+//!
+//! The counters sit behind an [`Arc`], and every write goes through
+//! [`Arc::make_mut`]: a clone shares the rows, and a sketch copies them
+//! only when it writes while a clone still holds them. A one-shard merge
+//! (a clone of the shard's sketch) and a shard's starting copy (a clone
+//! of the prototype) therefore share rows instead of copying them, and a
+//! shard that writes while a reader still holds its last merge copies
+//! them once.
+//!
+//! The counted writes ([`FagmsSketch::update`],
+//! [`FagmsSketch::update_batch_counts`], the composite's path) also keep
+//! each row's `Σ c²`: a write of `delta` onto `c` changes it by
+//! `delta·(2c + delta)` ([`kernels::square_change`]), summed wrapping,
+//! and the sketch adds the writes' weight `W = Σ|count|`. A row's `Σ|c|`
+//! is at most `W`, so while `W < 2³¹` its `Σ c²` is below `2⁶²` and the
+//! wrapped sum is exact. A kept sum below `2⁵²` has every `|c| < 2²⁶`, inside
+//! [`kernels::square_sum`]'s limits, so
+//! [`self_join_rows`](FagmsSketch::self_join_rows) returns the pass's
+//! value, bit for bit, in O(depth). Every other state squares the rows:
+//! after the uncounted [`FagmsSketch::update_batch`], after a
+//! merge or a decode, once `W` reaches `2³¹`, and while a kept sum is at
+//! or above `2⁵²`.
 
 use crate::error::{Error, Result};
 use crate::estimate::{self, Estimate};
@@ -94,6 +118,7 @@ impl<S: Codec, B: Codec> Codec for FagmsSketch<S, B> {
         w.i64s(&self.counters);
     }
 
+    /// A decoded sketch keeps no `Σ c²`: its reads square the rows.
     fn take(r: &mut Reader<'_>) -> std::result::Result<Self, CodecError> {
         let schema = FagmsSchema::take(r)?;
         let counters = r.i64s()?;
@@ -102,7 +127,11 @@ impl<S: Codec, B: Codec> Codec for FagmsSketch<S, B> {
                 "an F-AGMS sketch has depth × width counters",
             ));
         }
-        Ok(Self { schema, counters })
+        Ok(Self {
+            schema,
+            counters: Arc::new(counters),
+            squares: None,
+        })
     }
 }
 
@@ -178,25 +207,64 @@ impl<S: SignFamily, B: BucketFamily> FagmsSchema<S, B> {
     pub fn sketch(&self) -> FagmsSketch<S, B> {
         FagmsSketch {
             schema: self.clone(),
-            counters: vec![0; self.rows.len() * self.width],
+            counters: Arc::new(vec![0; self.rows.len() * self.width]),
+            squares: Some(Squares {
+                rows: vec![0; self.rows.len()],
+                weight: 0,
+            }),
         }
     }
 }
 
 /// An F-AGMS sketch: `depth × width` counters.
-#[derive(Debug)]
 pub struct FagmsSketch<S = DefaultSign, B = DefaultBucket> {
     schema: FagmsSchema<S, B>,
-    counters: Vec<i64>,
+    /// The rows, row-major, shared with clones until one of them writes:
+    /// every write goes through [`Arc::make_mut`].
+    counters: Arc<Vec<i64>>,
+    /// Each row's `Σ c²`, kept by the counted writes while it is exact;
+    /// `None` once another write, a merge or a decode left it behind.
+    squares: Option<Squares>,
+}
+
+/// Each row's `Σ c²` as the counted writes left it, wrapping, and the
+/// weight `Σ|count|` of every write since the rows were zero.
+#[derive(Debug, Clone)]
+struct Squares {
+    rows: Vec<i64>,
+    weight: u64,
+}
+
+/// The kept `Σ c²` is dropped once the writes' weight reaches this: below
+/// it every row's `Σ c² ≤ (Σ|c|)² < 2⁶²`, so the wrapped sums are exact.
+const KEPT_WEIGHT_LIMIT: u64 = 1 << 31;
+
+/// A kept row sum answers for the pass below this: every `|c|` is then
+/// below `2²⁶` and the sum below `2⁵³`, where [`kernels::square_sum`]
+/// returns the same integer.
+const KEPT_SUM_LIMIT: i64 = 1 << 52;
+
+// The state is the schema and the counters; the kept sums are derived
+// from them, so two sketches of one state print alike however they got
+// there.
+impl<S: std::fmt::Debug, B: std::fmt::Debug> std::fmt::Debug for FagmsSketch<S, B> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FagmsSketch")
+            .field("schema", &self.schema)
+            .field("counters", &self.counters)
+            .finish()
+    }
 }
 
 // Manual impl, like the schema's: the families sit behind `Arc`s, so a
-// sketch clones without requiring `S: Clone` or `B: Clone`.
+// sketch clones without requiring `S: Clone` or `B: Clone`. The rows are
+// shared, not copied.
 impl<S, B> Clone for FagmsSketch<S, B> {
     fn clone(&self) -> Self {
         Self {
             schema: self.schema.clone(),
-            counters: self.counters.clone(),
+            counters: Arc::clone(&self.counters),
+            squares: self.squares.clone(),
         }
     }
 }
@@ -225,18 +293,31 @@ impl<S: SignFamily, B: BucketFamily> FagmsSketch<S, B> {
     /// sum ([`sss_xi::kernels::square_sum`]) rounded once, which is the f64
     /// fold's every bit while the counters and sums stay in the kernel's
     /// range, and the f64 fold itself for a sketch where some row does not.
+    /// The sums the counted writes kept answer in O(depth) where they can
+    /// (see the module docs), with the same bits.
     pub fn self_join_rows(&self) -> Vec<f64> {
         self.self_join_rows_on(Dispatch::get())
     }
 
     /// [`self_join_rows`](Self::self_join_rows) on the kernel path `d`.
     fn self_join_rows_on(&self, d: Dispatch) -> Vec<f64> {
+        if let Some(rows) = self.kept_rows() {
+            return rows;
+        }
         let exact: Option<Vec<f64>> = self
             .counters
             .chunks(self.schema.width)
             .map(|row| exact_square_sum(d, row))
             .collect();
         exact.unwrap_or_else(|| folded_squares(&self.counters, self.schema.width))
+    }
+
+    /// The kept row sums as the pass would round them, if every one is
+    /// below [`KEPT_SUM_LIMIT`].
+    fn kept_rows(&self) -> Option<Vec<f64>> {
+        let squares = self.squares.as_ref()?;
+        let exact = |&sum: &i64| (0..KEPT_SUM_LIMIT).contains(&sum).then_some(sum as f64);
+        squares.rows.iter().map(exact).collect()
     }
 
     /// [`self_join_rows`](Self::self_join_rows) of the merge of `first`
@@ -253,7 +334,7 @@ impl<S: SignFamily, B: BucketFamily> FagmsSketch<S, B> {
             })
             .collect();
         exact.unwrap_or_else(|| {
-            let mut sum = first.counters.clone();
+            let mut sum = first.counters.to_vec();
             for part in rest {
                 add_counters(&mut sum, &part.counters);
             }
@@ -414,14 +495,21 @@ impl<S: SignFamily, B: BucketFamily> FagmsSketch<S, B> {
     }
 
     /// Add `count` occurrences of `key` (negative counts model deletions:
-    /// the sketch is turnstile-capable).
+    /// the sketch is turnstile-capable). Keeps the rows' `Σ c²`.
     #[inline]
     pub fn update(&mut self, key: u64, count: i64) {
         let w = self.schema.width;
+        let counters = Arc::make_mut(&mut self.counters);
         for (r, row) in self.schema.rows.iter().enumerate() {
-            let b = row.bucket.bucket(key, w);
-            self.counters[r * w + b] += count * row.sign.sign(key);
+            let c = &mut counters[r * w + row.bucket.bucket(key, w)];
+            let delta = count * row.sign.sign(key);
+            if let Some(squares) = &mut self.squares {
+                let sum = &mut squares.rows[r];
+                *sum = sum.wrapping_add(kernels::square_change(*c, delta));
+            }
+            *c += delta;
         }
+        self.weigh(count.unsigned_abs());
     }
 
     /// Add one occurrence of every key in the batch, bit-identically to
@@ -431,20 +519,45 @@ impl<S: SignFamily, B: BucketFamily> FagmsSketch<S, B> {
     /// vectors to the fused `signed_scatter` kernel — shared lane
     /// evaluation, runtime CPU dispatch, immediate scatter. Integer counter
     /// increments commute.
+    ///
+    /// The kernel reports no change to a row's `Σ c²`, so the sketch keeps
+    /// none from here on: its reads square the rows.
     pub fn update_batch(&mut self, keys: &[u64]) {
         let w = self.schema.width;
-        for (row, counters) in self.schema.rows.iter().zip(self.counters.chunks_mut(w)) {
+        let rows = Arc::make_mut(&mut self.counters).chunks_mut(w);
+        for (row, counters) in self.schema.rows.iter().zip(rows) {
             sss_xi::signed_scatter(row.sign.coeffs(), row.bucket.coeffs(), w, keys, counters);
         }
+        self.squares = None;
     }
 
     /// Add `count` occurrences of `key` for every `(key, count)` pair,
-    /// bit-identically to the per-pair [`update`](Self::update) loop.
+    /// bit-identically to the per-pair [`update`](Self::update) loop, and
+    /// keep the rows' `Σ c²` from the change each row's kernel reports.
     pub fn update_batch_counts(&mut self, items: &[(u64, i64)]) {
         let w = self.schema.width;
-        for (row, counters) in self.schema.rows.iter().zip(self.counters.chunks_mut(w)) {
+        let rows = Arc::make_mut(&mut self.counters).chunks_mut(w);
+        for (r, (row, counters)) in self.schema.rows.iter().zip(rows).enumerate() {
             let (sc, bc) = (row.sign.coeffs(), row.bucket.coeffs());
-            sss_xi::signed_scatter_counts(sc, bc, w, items, counters);
+            let change = sss_xi::signed_scatter_counts(sc, bc, w, items, counters);
+            if let Some(squares) = &mut self.squares {
+                squares.rows[r] = squares.rows[r].wrapping_add(change);
+            }
+        }
+        if self.squares.is_some() {
+            let weight = items.iter().map(|&(_, count)| count.unsigned_abs());
+            self.weigh(weight.fold(0, u64::saturating_add));
+        }
+    }
+
+    /// Add `weight` to the kept sums' writes, and drop the sums once it
+    /// reaches [`KEPT_WEIGHT_LIMIT`].
+    fn weigh(&mut self, weight: u64) {
+        if let Some(squares) = &mut self.squares {
+            squares.weight = squares.weight.saturating_add(weight);
+            if squares.weight >= KEPT_WEIGHT_LIMIT {
+                self.squares = None;
+            }
         }
     }
 
@@ -454,9 +567,15 @@ impl<S: SignFamily, B: BucketFamily> FagmsSketch<S, B> {
     /// # Errors
     ///
     /// [`Error::SchemaMismatch`] if `other` was built from another schema.
+    ///
+    /// The merged sketch keeps no `Σ c²`: its reads square the rows.
     pub fn merge(&mut self, other: &Self) -> Result<()> {
         self.check_schema(other)?;
-        add_counters(&mut self.counters, &other.counters);
+        add_counters(
+            Arc::make_mut(&mut self.counters).as_mut_slice(),
+            &other.counters,
+        );
+        self.squares = None;
         Ok(())
     }
 }
@@ -697,6 +816,15 @@ mod tests {
         assert_eq!(scalar.counters, batched.counters);
     }
 
+    impl FagmsSketch {
+        /// [`FagmsSketch::self_join_rows`] as the pass computes it.
+        fn self_join_rows_by_pass(&self) -> Vec<f64> {
+            let mut pass = self.clone();
+            pass.squares = None;
+            pass.self_join_rows()
+        }
+    }
+
     /// An estimate's value, variance and every basic, as bits.
     fn every_bit(e: &Estimate) -> Vec<u64> {
         [e.value, e.variance]
@@ -712,7 +840,8 @@ mod tests {
         let mut r = rng(61);
         std::array::from_fn(|_| {
             let mut s = schema.sketch();
-            for (i, c) in s.counters.iter_mut().enumerate() {
+            s.squares = None;
+            for (i, c) in Arc::make_mut(&mut s.counters).iter_mut().enumerate() {
                 let noise = r.random_range(-999..=999);
                 *c = if i % schema.width() < big {
                     magnitude + 2 * noise + 1
@@ -782,6 +911,51 @@ mod tests {
             FagmsSketch::self_join_estimate_of_sum(&zero, &[&zero, &stranger]),
             Err(Error::SchemaMismatch)
         ));
+    }
+
+    /// The kept sums answer only inside their guards: from a zeroed sketch
+    /// through counted writes, while the writes' weight is below 2³¹ and
+    /// every row sum below 2⁵². An uncounted batch, a merge, a decode and
+    /// the weight guard drop them; a clone keeps them and shares the rows
+    /// until it writes.
+    #[test]
+    fn the_kept_sums_answer_only_inside_their_guards() {
+        let schema = Schema::new(3, 64, &mut rng(70));
+        let mut s = schema.sketch();
+        assert_eq!(s.kept_rows(), Some(vec![0.0; 3]));
+        s.update(5, (1 << 26) - 1);
+        let below = (((1i64 << 26) - 1) * ((1 << 26) - 1)) as f64;
+        assert_eq!(s.kept_rows(), Some(vec![below; 3]));
+        s.update_batch_counts(&[(5, 1)]);
+        assert!(s.squares.is_some() && s.kept_rows().is_none(), "Σc² = 2⁵²");
+        s.update(5, -1);
+        assert_eq!(s.kept_rows(), Some(vec![below; 3]));
+
+        let mut clone = s.clone();
+        assert!(Arc::ptr_eq(&clone.counters, &s.counters));
+        clone.update(6, 1);
+        assert!(!Arc::ptr_eq(&clone.counters, &s.counters));
+        assert_eq!(s.kept_rows(), Some(vec![below; 3]));
+        assert_eq!(clone.self_join_rows(), clone.self_join_rows_by_pass());
+
+        let mut light = schema.sketch();
+        light.update_batch_counts(&[(1, 1 << 30), (1, 1 - (1 << 30))]);
+        assert_eq!(light.kept_rows(), Some(vec![1.0; 3]), "weight 2³¹ − 1");
+        let mut heavy = schema.sketch();
+        heavy.update_batch_counts(&[(1, 1 << 30), (1, -(1 << 30))]);
+        assert!(heavy.squares.is_none(), "weight 2³¹");
+
+        let mut batched = schema.sketch();
+        batched.update_batch(&[1, 2, 3]);
+        assert!(batched.squares.is_none());
+        let mut merged = schema.sketch();
+        merged.merge(&light).unwrap();
+        assert!(merged.squares.is_none());
+        let mut w = Writer::new();
+        light.put(&mut w);
+        let bytes = w.into_bytes();
+        let decoded = FagmsSketch::<DefaultSign, DefaultBucket>::take(&mut Reader::new(&bytes));
+        assert!(decoded.unwrap().squares.is_none());
     }
 
     #[test]

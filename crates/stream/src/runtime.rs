@@ -48,7 +48,16 @@
 //!   the parts' merge with [`sss_core::fold`], and the cache
 //!   ([`snapshot`](crate::snapshot)) serves it until a shard's
 //!   accepted-batch count moves past it, lent as an `Arc`: a repeated
-//!   query with no intervening ingest copies nothing. A [`ReadReplica`]
+//!   query with no intervening ingest copies nothing. A rebuild releases
+//!   the stale merge before it catches the shards up. An F-AGMS sketch
+//!   keeps its rows behind an `Arc` and copies them on a write only while
+//!   a reader still holds them, so with no reader holding the last merge
+//!   a one-shard `merged()` applies the queued keys in place and its fold
+//!   shares the rows: it copies no row, and a composite's F₂ then reads
+//!   the `Σ c²` its counted writes kept, exact below their weight guard
+//!   (see `sss_sketch::fagms`), in O(depth). A shard that writes while a
+//!   reader holds its rows (a worker that wins the race to a pushed batch,
+//!   a replica's merge) copies them once. A [`ReadReplica`]
 //!   holds that `Arc` itself, and replicas that refresh to one version
 //!   share it by pointer. A fresh answer asks the parts instead, through
 //!   the capability's read of a sum
@@ -954,12 +963,14 @@ impl<E: Summary> QueryHandle<E> {
     /// every shard's floor is at or below what it reflects, otherwise the
     /// [`fold`] of the parts ([`with_parts`](Self::with_parts)), which the
     /// cache keeps. Returns the merge the cache shares, with what it
-    /// reflects.
+    /// reflects. A rebuild releases the stale merge before the shards
+    /// catch up, so a shard whose rows it shared writes them in place.
     fn with_merged(&self, cache: &mut SnapshotCache<E>) -> Result<(Arc<E>, Stamp)> {
         let floors = self.floors(0);
         if let Some((merged, stamp)) = cache.hit(&floors) {
             return Ok((Arc::clone(merged), stamp));
         }
+        cache.release();
         let (merged, stamps) = self.with_parts(&floors, |zero, parts, stamps| {
             Ok((fold(zero, parts)?, stamps))
         })?;

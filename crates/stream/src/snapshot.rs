@@ -32,6 +32,18 @@
 //! The cache never touches a shard itself: the runtime catches each shard
 //! up and merges it under the shard's lock, and hands the whole merge in
 //! via `SnapshotCache::install`, so this module is pure bookkeeping.
+//!
+//! A rebuild first lets go of the merge it replaces
+//! (`SnapshotCache::release`). A merge shares its summary's rows with the
+//! shards where the summary allows it (an F-AGMS sketch's counters sit
+//! behind an `Arc`, and a one-shard merge is a clone of the shard's
+//! summary), and a shard that writes while a reader still holds them
+//! copies them first. With the stale merge gone and no caller holding
+//! it, a one-shard rebuild's catch-up writes in place and its fold copies
+//! no row: `merged()` pays for the keys it applies, not for the width of
+//! the sketch. A worker that applies the batch before the query releases
+//! the merge copies the rows once. A rebuild that fails (a dead shard)
+//! leaves no merge kept.
 
 use std::sync::Arc;
 
@@ -139,6 +151,13 @@ impl<E> SnapshotCache<E> {
         Some((self.merged.as_ref()?, self.total()))
     }
 
+    /// Let go of the kept merge ahead of the rebuild that replaces it, so
+    /// the shards catching up no longer share their rows with it. Until
+    /// the rebuild installs, nothing is kept or lent.
+    pub(crate) fn release(&mut self) {
+        self.merged = None;
+    }
+
     /// Install a rebuild that missed [`hit`](Self::hit) at `floors`:
     /// `merged` reflects `stamps`, shard by shard. Lends it back.
     pub(crate) fn install(
@@ -206,5 +225,22 @@ mod tests {
             }
         );
         assert_eq!(cache.hit(&[3, 1]), Some((&Arc::new("both"), stamp(4, 35))));
+    }
+
+    /// A released merge is neither lent nor a hit, and the stamps and
+    /// counters stay for the rebuild that installs the next one.
+    #[test]
+    fn a_released_merge_is_dropped_and_its_stamps_kept() {
+        let mut cache = SnapshotCache::new(2);
+        cache.install("one", vec![stamp(2, 20), stamp(1, 10)], &[2, 1]);
+        let held = Arc::clone(cache.lent().unwrap().0);
+        cache.release();
+        assert_eq!(Arc::strong_count(&held), 1, "the cache let go of it");
+        assert!(cache.lent().is_none());
+        assert!(cache.hit(&[2, 1]).is_none());
+        cache.install("two", vec![stamp(3, 30), stamp(1, 10)], &[3, 1]);
+        assert_eq!(cache.stats().partial_rebuilds, 1);
+        assert_eq!(cache.stats().full_rebuilds, 1);
+        assert_eq!(cache.lent(), Some((&Arc::new("two"), stamp(4, 40))));
     }
 }

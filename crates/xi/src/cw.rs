@@ -54,6 +54,8 @@ pub fn signed_scatter(
 
 /// Count-carrying twin of [`signed_scatter`]:
 /// `counters[hash(key) % width] += count·sign(key)` per `(key, count)`.
+/// Returns the wrapping change to the row's `Σ c²`, as
+/// [`kernels::signed_scatter_counts`] does.
 ///
 /// # Panics
 ///
@@ -64,7 +66,7 @@ pub fn signed_scatter_counts(
     width: usize,
     items: &[(u64, i64)],
     counters: &mut [i64],
-) {
+) -> i64 {
     kernels::signed_scatter_counts(
         Dispatch::get(),
         sign_coeffs,
@@ -72,7 +74,7 @@ pub fn signed_scatter_counts(
         width,
         items,
         counters,
-    );
+    )
 }
 
 /// Pairwise-independent family: `h(x) = a + b·x mod (2⁶¹ − 1)`.

@@ -358,6 +358,10 @@ pub fn signed_scatter(
 
 /// Count-carrying twin of [`signed_scatter`]:
 /// `counters[hash(key) % width] += count·sign(key)` per `(key, count)`.
+/// Returns the change the writes made to the row's `Σ c²`, summed with
+/// [`square_change`] per write: wrapping, so it is the exact change modulo
+/// `2⁶⁴` whatever the counters hold, and the exact change itself while the
+/// row's `Σ c²` stays below `2⁶³` before and after.
 ///
 /// # Panics
 ///
@@ -369,7 +373,7 @@ pub fn signed_scatter_counts(
     width: usize,
     items: &[(u64, i64)],
     counters: &mut [i64],
-) {
+) -> i64 {
     assert!(width > 0, "bucket width must be non-zero");
     assert!(counters.len() >= width, "counter row narrower than width");
     let mut sbuf = [0u64; 8];
@@ -378,26 +382,47 @@ pub fn signed_scatter_counts(
         reduced_coeffs(sign_coeffs, &mut sbuf),
         reduced_coeffs(bucket_coeffs, &mut bbuf),
     ) else {
+        let mut change = 0i64;
         for &(k, count) in items {
             let s = 1 - 2 * ((poly_eval(sign_coeffs, k) & 1) as i64);
-            counters[(poly_eval(bucket_coeffs, k) % width as u64) as usize] += s * count;
+            let b = (poly_eval(bucket_coeffs, k) % width as u64) as usize;
+            change = change.wrapping_add(add_counted(&mut counters[b], s * count));
         }
-        return;
+        return change;
     };
     let (sc, bc) = (&sbuf[..sn], &bbuf[..bn]);
     let wm = FixedMod::new(width as u64);
+    let mut change = 0i64;
     let mut chunks = items.chunks_exact(CHUNK);
     for ic in chunks.by_ref() {
         let ks: [u64; CHUNK] = std::array::from_fn(|l| ic[l].0);
         let (hs, hb) = hash8_pair(d, sc, bc, &ks);
         for l in 0..CHUNK {
-            counters[wm.rem(hb[l]) as usize] += (1 - 2 * ((hs[l] & 1) as i64)) * ic[l].1;
+            let delta = (1 - 2 * ((hs[l] & 1) as i64)) * ic[l].1;
+            change = change.wrapping_add(add_counted(&mut counters[wm.rem(hb[l]) as usize], delta));
         }
     }
     for &(k, count) in chunks.remainder() {
         let s = 1 - 2 * ((poly_eval(sc, k) & 1) as i64);
-        counters[wm.rem(poly_eval(bc, k)) as usize] += s * count;
+        let b = wm.rem(poly_eval(bc, k)) as usize;
+        change = change.wrapping_add(add_counted(&mut counters[b], s * count));
     }
+    change
+}
+
+/// `c += delta`, returning the change to `c²`.
+#[inline(always)]
+fn add_counted(c: &mut i64, delta: i64) -> i64 {
+    let change = square_change(*c, delta);
+    *c += delta;
+    change
+}
+
+/// The change to `c²` when `c = old` becomes `old + delta`:
+/// `delta·(2·old + delta)`, wrapping, so it is exact modulo `2⁶⁴`.
+#[inline(always)]
+pub fn square_change(old: i64, delta: i64) -> i64 {
+    delta.wrapping_mul(old.wrapping_mul(2).wrapping_add(delta))
 }
 
 // ---------------------------------------------------------------------------

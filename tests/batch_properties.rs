@@ -10,8 +10,13 @@
 //! per-key loop's, however the stream is cut into calls. The Count-Sketch
 //! top-k tracker, which writes no bytes of its own, is held to its loop's
 //! F-AGMS counters and Misra–Gries bytes, and to a `MultiSummary`'s.
+//!
+//! The rows' `Σ c²` an F-AGMS sketch keeps on its counted writes must read
+//! as the pass over its counters does, bit for bit, after any sequence of
+//! writes, merges, clones and decodes, and at each edge of its fast path.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
@@ -21,6 +26,7 @@ use sketch_sampled_streams::datagen::ZipfGenerator;
 use sketch_sampled_streams::sketch::{
     AgmsSchema, CountSketchTopK, FagmsSchema, FagmsSketch, HyperLogLog, KllSketch, MisraGries,
 };
+use sketch_sampled_streams::xi::kernels::{self, Dispatch};
 use sketch_sampled_streams::xi::{
     BucketFamily, Codec, Cw2, Cw2Bucket, Cw4, Reader, SignFamily, Writer,
 };
@@ -662,4 +668,205 @@ proptest! {
         );
         prop_assert_eq!(scalar.self_join_estimate(), batched.self_join_estimate());
     }
+}
+
+type Fagms = FagmsSketch<Cw4, Cw2Bucket>;
+
+/// The pass `self_join_rows` stands for: every row's exact `Σ c²` rounded
+/// once where `square_sum` takes every row, else every row's f64 fold.
+fn squared_rows(sketch: &Fagms) -> Vec<f64> {
+    let rows: Vec<&[i64]> = (0..sketch.schema().depth())
+        .map(|r| sketch.row(r))
+        .collect();
+    let exact = |row: &&[i64]| kernels::square_sum(Dispatch::get(), row).map(|sum| sum as f64);
+    let exact: Option<Vec<f64>> = rows.iter().map(exact).collect();
+    exact.unwrap_or_else(|| rows.iter().map(|row| row_fold(row, row)).collect())
+}
+
+/// `self_join_rows` reads the pass's bits, and so does a decoded copy,
+/// which keeps no sum.
+fn check_kept_rows(sketch: &Fagms) -> Result<(), TestCaseError> {
+    let want = bits(&squared_rows(sketch));
+    prop_assert_eq!(bits(&sketch.self_join_rows()), want.clone());
+    prop_assert_eq!(bits(&round_trip(sketch).self_join_rows()), want);
+    Ok(())
+}
+
+fn round_trip(sketch: &Fagms) -> Fagms {
+    let mut w = Writer::new();
+    sketch.put(&mut w);
+    let bytes = w.into_bytes();
+    let mut r = Reader::new(&bytes);
+    let back = Fagms::take(&mut r).unwrap();
+    r.finish().unwrap();
+    back
+}
+
+/// One step of [`the_kept_square_sums_read_as_the_pass`].
+#[derive(Debug, Clone)]
+enum Step {
+    Update(u64, i64),
+    Counts(Vec<(u64, i64)>),
+    Batch(Vec<u64>),
+    /// Merge in a sketch fed these pairs.
+    Merge(Vec<(u64, i64)>),
+    /// Continue on a clone written with these pairs; the original must
+    /// keep its rows.
+    CloneThenWrite(Vec<(u64, i64)>),
+    RoundTrip,
+}
+
+/// Mostly small signed counts; now and then one past `2²⁶` or near `2³¹`,
+/// so a sketch crosses each edge of the fast path.
+fn edge_count() -> impl Strategy<Value = i64> {
+    let wide = (0u8..8, -50i64..50, -(1i64 << 27)..(1 << 27), any::<i32>());
+    wide.prop_map(|(pick, small, mid, big)| match pick {
+        0 => mid,
+        1 => i64::from(big),
+        _ => small,
+    })
+}
+
+fn step() -> impl Strategy<Value = Step> {
+    let pairs = prop::collection::vec((0u64..300, edge_count()), 0..40);
+    let keys = prop::collection::vec(0u64..300, 0..40);
+    let one = (0u64..300, edge_count());
+    (0u8..10, one, pairs, keys).prop_map(|(pick, (key, count), pairs, keys)| match pick {
+        0..=2 => Step::Update(key, count),
+        3..=5 => Step::Counts(pairs),
+        6 => Step::Batch(keys),
+        7 => Step::Merge(pairs),
+        8 => Step::CloneThenWrite(pairs),
+        _ => Step::RoundTrip,
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Any interleaving of counted and uncounted writes, merges, clones
+    /// and decodes leaves `self_join_rows` the pass's every bit, step by
+    /// step; a clone's write leaves the original's rows and reads alone.
+    #[test]
+    fn the_kept_square_sums_read_as_the_pass(
+        steps in prop::collection::vec(step(), 1..24),
+        width in 1usize..80,
+        seed: u64,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let schema = FagmsSchema::<Cw4, Cw2Bucket>::new(3, width, &mut rng);
+        let mut sketch = schema.sketch();
+        check_kept_rows(&sketch)?;
+        for step in steps {
+            match step {
+                Step::Update(key, count) => sketch.update(key, count),
+                Step::Counts(items) => sketch.update_batch_counts(&items),
+                Step::Batch(keys) => sketch.update_batch(&keys),
+                Step::Merge(items) => {
+                    let mut other = schema.sketch();
+                    other.update_batch_counts(&items);
+                    sketch.merge(&other).unwrap();
+                }
+                Step::CloneThenWrite(items) => {
+                    let original = sketch.clone();
+                    let (held, read) = (rows(&original), bits(&original.self_join_rows()));
+                    sketch.update_batch_counts(&items);
+                    prop_assert_eq!(rows(&original), held);
+                    prop_assert_eq!(bits(&original.self_join_rows()), read);
+                }
+                Step::RoundTrip => sketch = round_trip(&sketch),
+            }
+            check_kept_rows(&sketch)?;
+        }
+    }
+}
+
+/// Keys of distinct buckets in every row of `schema`, found by probing.
+fn keys_in_distinct_buckets(schema: &FagmsSchema<Cw4, Cw2Bucket>, n: usize) -> Vec<u64> {
+    let bucket_of = |key: u64| {
+        let mut probe = schema.sketch();
+        probe.update(key, 1);
+        (0..schema.depth())
+            .map(|r| probe.row(r).iter().position(|&c| c != 0).unwrap())
+            .collect::<Vec<_>>()
+    };
+    let mut taken: Vec<Vec<usize>> = Vec::new();
+    let mut keys = Vec::new();
+    for key in 0.. {
+        let buckets = bucket_of(key);
+        if taken
+            .iter()
+            .all(|t| t.iter().zip(&buckets).all(|(a, b)| a != b))
+        {
+            taken.push(buckets);
+            keys.push(key);
+            if keys.len() == n {
+                break;
+            }
+        }
+    }
+    keys
+}
+
+/// Each edge of the fast path, on both sides, through the per-key and
+/// the counted batch write: a counter at `±(2²⁶ − 1)` and `±2²⁶`; a row
+/// sum just below `2⁵²` and at it, from four counters of `2²⁵`; a weight
+/// just below `2³¹` and at it; and a counter at `2³²`, whose square wraps
+/// to 0 modulo `2⁶⁴`, so only the weight guard keeps its row off the
+/// kept sum.
+#[test]
+fn the_kept_square_sums_hold_at_each_edge() -> Result<(), TestCaseError> {
+    let mut rng = StdRng::seed_from_u64(56);
+    let schema = FagmsSchema::<Cw4, Cw2Bucket>::new(3, 64, &mut rng);
+    let write = |items: &[(u64, i64)], counted: bool| {
+        let mut sketch = schema.sketch();
+        for &(key, count) in items {
+            if counted {
+                sketch.update_batch_counts(&[(key, count)]);
+            } else {
+                sketch.update(key, count);
+            }
+        }
+        sketch
+    };
+    let limit = 1i64 << 26;
+    let four = keys_in_distinct_buckets(&schema, 4);
+    let quarter = 1i64 << 25;
+    let cases: Vec<Vec<(u64, i64)>> = vec![
+        vec![(7, limit - 1)],
+        vec![(7, 1 - limit)],
+        vec![(7, limit - 1), (7, 1)],
+        vec![(7, -limit)],
+        vec![(7, limit), (7, -1)],
+        four.iter()
+            .map(|&k| (k, quarter))
+            .take(3)
+            .chain([(four[3], quarter - 1)])
+            .collect(),
+        four.iter().map(|&k| (k, quarter)).collect(),
+        vec![(7, (1 << 31) - 1)],
+        vec![(7, 1 << 30), (7, -(1 << 30) + 1)],
+        vec![(7, 1 << 30), (7, -(1 << 30))],
+        vec![(7, 1 << 31)],
+        vec![(7, 1 << 32)],
+        vec![(7, 1 << 32), (8, 3)],
+    ];
+    for items in &cases {
+        for counted in [false, true] {
+            let sketch = write(items, counted);
+            check_kept_rows(&sketch)?;
+        }
+    }
+    // The row sum at 2⁵² is exactly that, below the counter guard.
+    let at = write(&cases[6], true);
+    for r in 0..3 {
+        let sum: i128 = at
+            .row(r)
+            .iter()
+            .map(|&c| i128::from(c) * i128::from(c))
+            .sum();
+        assert_eq!(sum, 1 << 52);
+        assert!(at.row(r).iter().all(|c| c.abs() < limit));
+    }
+    Ok(())
 }

@@ -9,7 +9,8 @@
 //! ten million draws per rate, and draws forced onto and next to integer
 //! quotients, where the AVX2 path hands lanes to its exact fallback. The
 //! exact row square sum must equal an `i128` reference and today's f64
-//! row fold, and decline exactly at its two guards.
+//! row fold, and decline exactly at its two guards; the change to it that
+//! the counted scatter reports must be the sums' difference.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -136,6 +137,81 @@ proptest! {
         kernels::signed_scatter_counts(Dispatch::get(), sc, bc, width, &items, &mut got);
         prop_assert_eq!(&got, &expect);
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The change `signed_scatter_counts` reports is the row's square sum
+    /// after the writes less the one before, on both paths, over signed
+    /// counts and batches of every length from empty through tails.
+    #[test]
+    fn counted_scatter_reports_its_change_to_the_square_sum(
+        items in items_strategy(),
+        start in prop::collection::vec(-300i64..300, 1..400),
+        seed: u64,
+    ) {
+        check_reported_change(&items, &start, seed)?;
+    }
+}
+
+/// [`counted_scatter_reports_its_change_to_the_square_sum`] for one batch
+/// and one starting row: the reported change is `square_sum(after) −
+/// square_sum(before)` on both paths, and, whatever the counters reach,
+/// the `i128` change modulo `2⁶⁴`.
+fn check_reported_change(
+    items: &[(u64, i64)],
+    start: &[i64],
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let sign = <Cw4 as SignFamily>::random(&mut rng);
+    let bucket = <Cw2Bucket as BucketFamily>::random(&mut rng);
+    let (sc, bc) = (sign.coeffs(), bucket.coeffs());
+    let width = start.len();
+    let exact = |row: &[i64]| {
+        row.iter()
+            .map(|&c| i128::from(c) * i128::from(c))
+            .sum::<i128>()
+    };
+    for d in paths() {
+        let mut row = start.to_vec();
+        let change = kernels::signed_scatter_counts(d, sc, bc, width, items, &mut row);
+        prop_assert_eq!(
+            change,
+            (exact(&row) - exact(start)) as i64,
+            "{} path",
+            d.label()
+        );
+        if let (Some(before), Some(after)) =
+            (kernels::square_sum(d, start), kernels::square_sum(d, &row))
+        {
+            prop_assert_eq!(change, after as i64 - before as i64, "{} path", d.label());
+        }
+    }
+    Ok(())
+}
+
+/// The reported change on the batches the property may miss: empty, tails
+/// alone (under one chunk), a chunk and a tail, counts that cancel, and
+/// counts of `2³²`, whose squares wrap.
+#[test]
+fn counted_scatter_reports_its_change_on_short_and_wrapping_batches() -> Result<(), TestCaseError> {
+    let items: Vec<(u64, i64)> = (0..11u64)
+        .map(|i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15), (i as i64 % 5) - 2))
+        .collect();
+    let start: Vec<i64> = (0..37).map(|i| (i * 7) % 19 - 9).collect();
+    for len in [0, 1, 3, 7, 8, 9, 11] {
+        check_reported_change(&items[..len], &start, len as u64)?;
+        for &w in &[1usize, 2, 5] {
+            check_reported_change(&items[..len], &start[..w], 100 + len as u64)?;
+        }
+    }
+    let cancel = [(5, 9), (6, -4), (5, -9), (6, 4)];
+    check_reported_change(&cancel, &start, 7)?;
+    let wrapping = [(5, 1 << 32), (6, -(1 << 32)), (7, 3)];
+    check_reported_change(&wrapping, &start, 8)?;
+    Ok(())
 }
 
 /// The F-AGMS row fold the exact square sum stands in for: `c as f64 *

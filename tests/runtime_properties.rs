@@ -19,6 +19,8 @@ use sketch_sampled_streams::stream::{
     Partition, QueryHandle, ReadReplica, RuntimeConfig, ShardedRuntime, StreamError,
 };
 use sketch_sampled_streams::xi::splitmix64;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
@@ -1548,5 +1550,142 @@ fn an_idle_runtime_leaves_its_shard_workers_asleep() {
             assert!(woke <= 5, "shard worker {tid} woke {woke} times in 300 ms");
         }
         return;
+    }
+}
+
+/// Every merge a reader holds keeps its bytes while the shards write on:
+/// an `Arc` from `merged()` and the merge a `max_pending = 8` replica
+/// adopted, each of which shares rows with the shards until one writes, at
+/// one shard and at two.
+#[test]
+fn merges_held_by_readers_keep_their_bytes_while_ingest_continues() {
+    let keys: Vec<u64> = (0..40 * 256u64).map(|i| splitmix64(i) % 700).collect();
+    for shards in [1, 2] {
+        let config = RuntimeConfig {
+            shards,
+            queue_depth: 8,
+            partition: Partition::RoundRobin,
+        };
+        let proto = multi_spec(56).summary().unwrap();
+        let mut rt = ShardedRuntime::new(config, &proto).unwrap();
+        let mut replica = rt.read_replica(8).unwrap();
+        let mut held: Vec<(Arc<MultiSummary>, Vec<u8>)> = Vec::new();
+        for (i, batch) in keys.chunks(256).enumerate() {
+            rt.push(batch).unwrap();
+            if i % 5 == 0 {
+                let merged = rt.merged().unwrap();
+                let bytes = merged.encode().unwrap();
+                held.push((merged, bytes));
+            }
+            if replica.refresh().unwrap() {
+                let merged = Arc::clone(replica.merged());
+                let bytes = merged.encode().unwrap();
+                held.push((merged, bytes));
+            }
+        }
+        let last = rt.merged().unwrap();
+        let fin = rt.into_merged().unwrap();
+        assert_eq!(last.encode().unwrap(), fin.encode().unwrap());
+        assert!(held.len() > 8, "{shards} shards: too few merges held");
+        for (at, (merged, bytes)) in held.iter().enumerate() {
+            let now = merged.encode().unwrap();
+            assert!(now == *bytes, "{shards} shards: merge {at} moved");
+        }
+    }
+}
+
+// Allocations on the test thread of at least `WATCHED` bytes, counted.
+// Per thread, because the harness runs tests on several.
+thread_local! {
+    static WATCHED: Cell<usize> = const { Cell::new(usize::MAX) };
+    static BLOCKS: Cell<usize> = const { Cell::new(0) };
+}
+
+struct BlockCounter;
+
+fn watch(bytes: usize) {
+    // `try_with`: the allocator also runs while a thread's locals are torn
+    // down.
+    let _ = WATCHED.try_with(|watched| {
+        if bytes >= watched.get() {
+            let _ = BLOCKS.try_with(|blocks| blocks.set(blocks.get() + 1));
+        }
+    });
+}
+
+// SAFETY: every call forwards to the system allocator with the caller's
+// own arguments, whose contracts are the ones `GlobalAlloc` states; the
+// counting touches only thread-local `Cell`s, which do not allocate.
+unsafe impl GlobalAlloc for BlockCounter {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        watch(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        watch(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        watch(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: BlockCounter = BlockCounter;
+
+/// Blocks of at least `bytes` that `f` allocates on this thread.
+fn blocks_of<T>(bytes: usize, f: impl FnOnce() -> T) -> (T, usize) {
+    WATCHED.with(|watched| watched.set(bytes));
+    BLOCKS.with(|blocks| blocks.set(0));
+    let out = f();
+    WATCHED.with(|watched| watched.set(usize::MAX));
+    (out, BLOCKS.with(Cell::get))
+}
+
+/// A one-shard fresh `merged()` copies no F-AGMS row. Each round pushes a
+/// batch with `push_loaned_deferred`, which leaves the worker asleep, so
+/// the query applies it on this thread; no reader holds the previous
+/// merge, so the query lets go of the cache's copy before it catches the
+/// shard up, the shard writes its rows in place, and the one-part fold
+/// shares them. Nothing the query does on this thread allocates a block
+/// of `depth × width × 8` bytes. The merges still read as the sequential
+/// sample's.
+#[test]
+fn a_one_shard_fresh_merge_copies_no_row() {
+    let (depth, width) = (3, 5000);
+    let mut rng = StdRng::seed_from_u64(56);
+    let spec = MultiSpec::new(JoinSchema::fagms(depth, width, &mut rng), &mut rng);
+    let proto = spec.sampled(0.1, &mut rng).unwrap();
+    let config = RuntimeConfig {
+        shards: 1,
+        queue_depth: 64,
+        partition: Partition::RoundRobin,
+    };
+    let mut rt = ShardedRuntime::new(config, &proto).unwrap();
+    let mut sequential = proto.for_shard(0);
+    let keys: Vec<u64> = (0..24 * 512u64).map(|i| splitmix64(i) % 5000).collect();
+    for (round, batch) in keys.chunks(512).enumerate() {
+        let mut loan = rt.loan_batch_buf(batch.len());
+        loan.extend_from_slice(batch);
+        rt.push_loaned_deferred(loan).unwrap();
+        sequential.update_batch(batch);
+        // The shard's first write copies the rows it shares with the
+        // prototype; every later one has them to itself.
+        let (merged, blocks) = blocks_of(depth * width * 8, || rt.merged().unwrap());
+        if round > 0 {
+            assert_eq!(blocks, 0, "round {round}: a query copied the rows");
+        }
+        assert_eq!(
+            every_bit(&merged.self_join_estimate()),
+            every_bit(&sequential.self_join_estimate()),
+            "round {round}"
+        );
     }
 }
