@@ -39,9 +39,9 @@
 //! probe two hash tables for them. Misra–Gries cuts the batch into chunks
 //! ending on its compaction positions and gathers each chunk in its
 //! counter table, one probe per tuple that bumps both the key's counter
-//! and its count in the chunk. At the chunk's end one walk down the
-//! counter list collects the keys the chunk touched, with those counts:
-//! the chunk's [`KeyRuns`](sss_sketch::KeyRuns). The other parts ride on
+//! and its count in the chunk. At the chunk's end the positions the chunk
+//! touched give its keys, with those counts: the chunk's
+//! [`KeyRuns`](sss_sketch::KeyRuns). The other parts ride on
 //! them ([`MisraGries::offer_chunks`]):
 //!
 //! * **Order-free, fed per distinct key:** the join sketch takes
@@ -256,9 +256,7 @@ impl Summary for MultiSummary {
         } = self;
         heavy.offer_chunks(keys, |runs, chunk| {
             join.update_batch_counts(runs.items());
-            for &(key, _) in runs.items() {
-                distinct.insert(key);
-            }
+            distinct.insert_all(runs.items().iter().map(|&(key, _)| key));
             quantiles.insert_batch(chunk);
         });
     }
@@ -271,10 +269,11 @@ impl Summary for MultiSummary {
         self.quantiles.merge_from(&other.quantiles)
     }
 
-    /// The join counters and HLL registers are copied (`0 + c = c`,
+    /// The join counters and HLL registers are shared (`0 + c = c`,
     /// `max(0, r) = r`); Misra–Gries and KLL merge into the zero's empty
     /// parts as [`merge_from`](Summary::merge_from) would, compaction
-    /// included.
+    /// included, KLL sharing the part's levels and Misra–Gries building
+    /// only its survivors.
     fn merged_into(&self, zero: &Self) -> Result<Self> {
         zero.check_merge(self)?;
         let mut heavy = zero.heavy.clone();

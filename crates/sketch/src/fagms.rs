@@ -18,13 +18,15 @@
 //!
 //! # Shared rows and the kept `Σ c²`
 //!
-//! The counters sit behind an [`Arc`], and every write goes through
-//! [`Arc::make_mut`]: a clone shares the rows, and a sketch copies them
-//! only when it writes while a clone still holds them. A one-shard merge
-//! (a clone of the shard's sketch) and a shard's starting copy (a clone
-//! of the prototype) therefore share rows instead of copying them, and a
-//! shard that writes while a reader still holds its last merge copies
-//! them once.
+//! The counters and their kept `Σ c²` sit behind one [`Arc`], and every
+//! write goes through [`Arc::make_mut`]: a clone shares them, allocating
+//! nothing, and a sketch copies them only when it writes while a clone
+//! still holds them. A one-shard merge (a clone of the shard's sketch) and
+//! a shard's starting copy (a clone of the prototype) therefore share rows
+//! instead of copying them, and a shard that writes while a reader still
+//! holds its last merge copies them once. The composite's other parts do
+//! the same (`kll`, `hll`), so a one-shard fold copies only Misra–Gries's
+//! survivors (`tests/runtime_properties.rs::a_one_shard_fold_allocates_only_the_survivors`).
 //!
 //! The counted writes ([`FagmsSketch::update`],
 //! [`FagmsSketch::update_batch_counts`], the composite's path) also keep
@@ -43,9 +45,10 @@
 use crate::error::{Error, Result};
 use crate::estimate::{self, Estimate};
 use rand::Rng;
+use sss_xi::kernels::{self, RowPolys};
 use sss_xi::{
-    kernels, BucketFamily, Codec, CodecError, DefaultBucket, DefaultSign, Dispatch, Reader,
-    SignFamily, Writer,
+    BucketFamily, Codec, CodecError, DefaultBucket, DefaultSign, Dispatch, Reader, SignFamily,
+    Writer,
 };
 use std::sync::Arc;
 
@@ -115,7 +118,7 @@ impl<S: Codec, B: Codec> Codec for FagmsSchema<S, B> {
 impl<S: Codec, B: Codec> Codec for FagmsSketch<S, B> {
     fn put(&self, w: &mut Writer) {
         self.schema.put(w);
-        w.i64s(&self.counters);
+        w.i64s(&self.cells.counters);
     }
 
     /// A decoded sketch keeps no `Σ c²`: its reads square the rows.
@@ -129,8 +132,10 @@ impl<S: Codec, B: Codec> Codec for FagmsSketch<S, B> {
         }
         Ok(Self {
             schema,
-            counters: Arc::new(counters),
-            squares: None,
+            cells: Arc::new(Cells {
+                counters,
+                squares: None,
+            }),
         })
     }
 }
@@ -203,14 +208,24 @@ impl<S: SignFamily, B: BucketFamily> FagmsSchema<S, B> {
         self.id
     }
 
+    /// Every row's sign and bucket polynomials, in row order: what the
+    /// all-rows kernels take.
+    fn polys(&self) -> Vec<RowPolys<'_>> {
+        let rows = self.rows.iter();
+        rows.map(|row| (row.sign.coeffs(), row.bucket.coeffs()))
+            .collect()
+    }
+
     /// A zeroed sketch bound to this schema.
     pub fn sketch(&self) -> FagmsSketch<S, B> {
         FagmsSketch {
             schema: self.clone(),
-            counters: Arc::new(vec![0; self.rows.len() * self.width]),
-            squares: Some(Squares {
-                rows: vec![0; self.rows.len()],
-                weight: 0,
+            cells: Arc::new(Cells {
+                counters: vec![0; self.rows.len() * self.width],
+                squares: Some(Squares {
+                    rows: vec![0; self.rows.len()],
+                    weight: 0,
+                }),
             }),
         }
     }
@@ -219,9 +234,16 @@ impl<S: SignFamily, B: BucketFamily> FagmsSchema<S, B> {
 /// An F-AGMS sketch: `depth × width` counters.
 pub struct FagmsSketch<S = DefaultSign, B = DefaultBucket> {
     schema: FagmsSchema<S, B>,
-    /// The rows, row-major, shared with clones until one of them writes:
-    /// every write goes through [`Arc::make_mut`].
-    counters: Arc<Vec<i64>>,
+    /// Shared with clones until one of them writes: every write goes
+    /// through [`Arc::make_mut`].
+    cells: Arc<Cells>,
+}
+
+/// The counters of an [`FagmsSketch`] and the sums kept of them.
+#[derive(Debug, Clone)]
+struct Cells {
+    /// The rows, row-major.
+    counters: Vec<i64>,
     /// Each row's `Σ c²`, kept by the counted writes while it is exact;
     /// `None` once another write, a merge or a decode left it behind.
     squares: Option<Squares>,
@@ -251,20 +273,19 @@ impl<S: std::fmt::Debug, B: std::fmt::Debug> std::fmt::Debug for FagmsSketch<S, 
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FagmsSketch")
             .field("schema", &self.schema)
-            .field("counters", &self.counters)
+            .field("counters", &self.cells.counters)
             .finish()
     }
 }
 
 // Manual impl, like the schema's: the families sit behind `Arc`s, so a
-// sketch clones without requiring `S: Clone` or `B: Clone`. The rows are
-// shared, not copied.
+// sketch clones without requiring `S: Clone` or `B: Clone`. The rows and
+// their kept sums are shared, not copied.
 impl<S, B> Clone for FagmsSketch<S, B> {
     fn clone(&self) -> Self {
         Self {
             schema: self.schema.clone(),
-            counters: Arc::clone(&self.counters),
-            squares: self.squares.clone(),
+            cells: Arc::clone(&self.cells),
         }
     }
 }
@@ -278,11 +299,12 @@ impl<S: SignFamily, B: BucketFamily> FagmsSketch<S, B> {
     /// The raw counters of row `row`.
     pub fn row(&self, row: usize) -> &[i64] {
         let w = self.schema.width;
-        &self.counters[row * w..(row + 1) * w]
+        &self.cells.counters[row * w..(row + 1) * w]
     }
 
     pub(crate) fn check_schema(&self, other: &Self) -> Result<()> {
-        if self.schema.id == other.schema.id && self.counters.len() == other.counters.len() {
+        let len = |sketch: &Self| sketch.cells.counters.len();
+        if self.schema.id == other.schema.id && len(self) == len(other) {
             Ok(())
         } else {
             Err(Error::SchemaMismatch)
@@ -304,18 +326,18 @@ impl<S: SignFamily, B: BucketFamily> FagmsSketch<S, B> {
         if let Some(rows) = self.kept_rows() {
             return rows;
         }
-        let exact: Option<Vec<f64>> = self
-            .counters
+        let counters = &self.cells.counters;
+        let exact: Option<Vec<f64>> = counters
             .chunks(self.schema.width)
             .map(|row| exact_square_sum(d, row))
             .collect();
-        exact.unwrap_or_else(|| folded_squares(&self.counters, self.schema.width))
+        exact.unwrap_or_else(|| folded_squares(counters, self.schema.width))
     }
 
     /// The kept row sums as the pass would round them, if every one is
     /// below [`KEPT_SUM_LIMIT`].
     fn kept_rows(&self) -> Option<Vec<f64>> {
-        let squares = self.squares.as_ref()?;
+        let squares = self.cells.squares.as_ref()?;
         let exact = |&sum: &i64| (0..KEPT_SUM_LIMIT).contains(&sum).then_some(sum as f64);
         squares.rows.iter().map(exact).collect()
     }
@@ -334,9 +356,9 @@ impl<S: SignFamily, B: BucketFamily> FagmsSketch<S, B> {
             })
             .collect();
         exact.unwrap_or_else(|| {
-            let mut sum = first.counters.to_vec();
+            let mut sum = first.cells.counters.to_vec();
             for part in rest {
-                add_counters(&mut sum, &part.counters);
+                add_counters(&mut sum, &part.cells.counters);
             }
             folded_squares(&sum, first.schema.width)
         })
@@ -356,8 +378,8 @@ impl<S: SignFamily, B: BucketFamily> FagmsSketch<S, B> {
         self.check_schema(other)?;
         let product = |s: i64, t: i64| s as f64 * t as f64;
         Ok(row_sums(
-            &self.counters,
-            &other.counters,
+            &self.cells.counters,
+            &other.cells.counters,
             self.schema.width,
             product,
         ))
@@ -441,17 +463,16 @@ impl<S: SignFamily, B: BucketFamily> FagmsSketch<S, B> {
         let w = self.schema.width;
         with_row_scratch(self.schema.rows.len(), |per_row| {
             for ((r, row), out) in self.schema.rows.iter().enumerate().zip(per_row.iter_mut()) {
-                *out =
-                    (row.sign.sign(key) * self.counters[r * w + row.bucket.bucket(key, w)]) as f64;
+                let cell = self.cells.counters[r * w + row.bucket.bucket(key, w)];
+                *out = (row.sign.sign(key) * cell) as f64;
             }
             estimate::median_in_place(per_row)
         })
     }
 
     /// [`point_query`](Self::point_query) of every key of `keys`, in order
-    /// and bit for bit, priced a row at a time: each row hashes the whole
-    /// batch through its families' `sign_batch` / `bucket_batch` (the
-    /// runtime-dispatched kernels the batched update path hashes with),
+    /// and bit for bit: one [`kernels::hash_rows`] pass (the hashing the
+    /// counted write runs) gives each key's sign and bucket at every row,
     /// then each key takes the median of its rows.
     pub fn point_queries(&self, keys: &[u64]) -> Vec<f64> {
         self.point_queries_over(&[self], keys)
@@ -474,20 +495,15 @@ impl<S: SignFamily, B: BucketFamily> FagmsSketch<S, B> {
     /// The point queries of `keys` over the sum of `parts`, all of this
     /// sketch's schema.
     fn point_queries_over(&self, parts: &[&Self], keys: &[u64]) -> Vec<f64> {
-        let w = self.schema.width;
         let depth = self.schema.rows.len();
-        let mut signs = vec![0; keys.len()];
-        let mut buckets = vec![0; keys.len()];
-        let mut per_row = vec![0.0; keys.len() * depth];
-        for (r, row) in self.schema.rows.iter().enumerate() {
-            row.sign.sign_batch(keys, &mut signs);
-            row.bucket.bucket_batch(keys, w, &mut buckets);
-            let hashed = signs.iter().zip(&buckets);
-            for (out, (&sign, &bucket)) in per_row.iter_mut().skip(r).step_by(depth).zip(hashed) {
-                let cell: i64 = parts.iter().map(|part| part.row(r)[bucket]).sum();
-                *out = (sign * cell) as f64;
-            }
-        }
+        let mut hashed = vec![(0, 0); keys.len() * depth];
+        let (polys, d) = (self.schema.polys(), Dispatch::get());
+        kernels::hash_rows(d, &polys, self.schema.width, keys, &mut hashed);
+        let cell =
+            |r: usize, bucket: usize| -> i64 { parts.iter().map(|part| part.row(r)[bucket]).sum() };
+        let mut per_row: Vec<f64> = (hashed.iter().enumerate())
+            .map(|(j, &(sign, bucket))| (sign * cell(j % depth, bucket)) as f64)
+            .collect();
         per_row
             .chunks_exact_mut(depth)
             .map(estimate::median_in_place)
@@ -499,65 +515,59 @@ impl<S: SignFamily, B: BucketFamily> FagmsSketch<S, B> {
     #[inline]
     pub fn update(&mut self, key: u64, count: i64) {
         let w = self.schema.width;
-        let counters = Arc::make_mut(&mut self.counters);
+        let Cells { counters, squares } = Arc::make_mut(&mut self.cells);
         for (r, row) in self.schema.rows.iter().enumerate() {
             let c = &mut counters[r * w + row.bucket.bucket(key, w)];
             let delta = count * row.sign.sign(key);
-            if let Some(squares) = &mut self.squares {
+            if let Some(squares) = squares {
                 let sum = &mut squares.rows[r];
                 *sum = sum.wrapping_add(kernels::square_change(*c, delta));
             }
             *c += delta;
         }
-        self.weigh(count.unsigned_abs());
+        weigh(squares, count.unsigned_abs());
     }
 
     /// Add one occurrence of every key in the batch, bit-identically to
     /// [`update`](Self::update) once per key.
     ///
     /// Row-major: each row hands the whole batch and its two coefficient
-    /// vectors to the fused `signed_scatter` kernel — shared lane
-    /// evaluation, runtime CPU dispatch, immediate scatter. Integer counter
-    /// increments commute.
+    /// vectors to the fused [`kernels::signed_scatter`] kernel — shared
+    /// lane evaluation, runtime CPU dispatch, immediate scatter. Integer
+    /// counter increments commute.
     ///
     /// The kernel reports no change to a row's `Σ c²`, so the sketch keeps
     /// none from here on: its reads square the rows.
     pub fn update_batch(&mut self, keys: &[u64]) {
-        let w = self.schema.width;
-        let rows = Arc::make_mut(&mut self.counters).chunks_mut(w);
-        for (row, counters) in self.schema.rows.iter().zip(rows) {
-            sss_xi::signed_scatter(row.sign.coeffs(), row.bucket.coeffs(), w, keys, counters);
+        let (w, d) = (self.schema.width, Dispatch::get());
+        let cells = Arc::make_mut(&mut self.cells);
+        for (row, counters) in self.schema.rows.iter().zip(cells.counters.chunks_mut(w)) {
+            let (sc, bc) = (row.sign.coeffs(), row.bucket.coeffs());
+            kernels::signed_scatter(d, sc, bc, w, keys, counters);
         }
-        self.squares = None;
+        cells.squares = None;
     }
 
     /// Add `count` occurrences of `key` for every `(key, count)` pair,
     /// bit-identically to the per-pair [`update`](Self::update) loop, and
-    /// keep the rows' `Σ c²` from the change each row's kernel reports.
+    /// keep the rows' `Σ c²` from the changes the kernel reports. One
+    /// [`kernels::signed_scatter_counts`] call writes every row.
     pub fn update_batch_counts(&mut self, items: &[(u64, i64)]) {
-        let w = self.schema.width;
-        let rows = Arc::make_mut(&mut self.counters).chunks_mut(w);
-        for (r, (row, counters)) in self.schema.rows.iter().zip(rows).enumerate() {
-            let (sc, bc) = (row.sign.coeffs(), row.bucket.coeffs());
-            let change = sss_xi::signed_scatter_counts(sc, bc, w, items, counters);
-            if let Some(squares) = &mut self.squares {
-                squares.rows[r] = squares.rows[r].wrapping_add(change);
+        let polys = self.schema.polys();
+        let Cells { counters, squares } = Arc::make_mut(&mut self.cells);
+        let mut scratch = Vec::new();
+        let changes = match squares {
+            Some(squares) => &mut squares.rows,
+            None => {
+                scratch.resize(polys.len(), 0);
+                &mut scratch
             }
-        }
-        if self.squares.is_some() {
+        };
+        let d = Dispatch::get();
+        kernels::signed_scatter_counts(d, &polys, self.schema.width, items, counters, changes);
+        if squares.is_some() {
             let weight = items.iter().map(|&(_, count)| count.unsigned_abs());
-            self.weigh(weight.fold(0, u64::saturating_add));
-        }
-    }
-
-    /// Add `weight` to the kept sums' writes, and drop the sums once it
-    /// reaches [`KEPT_WEIGHT_LIMIT`].
-    fn weigh(&mut self, weight: u64) {
-        if let Some(squares) = &mut self.squares {
-            squares.weight = squares.weight.saturating_add(weight);
-            if squares.weight >= KEPT_WEIGHT_LIMIT {
-                self.squares = None;
-            }
+            weigh(squares, weight.fold(0, u64::saturating_add));
         }
     }
 
@@ -571,12 +581,21 @@ impl<S: SignFamily, B: BucketFamily> FagmsSketch<S, B> {
     /// The merged sketch keeps no `Σ c²`: its reads square the rows.
     pub fn merge(&mut self, other: &Self) -> Result<()> {
         self.check_schema(other)?;
-        add_counters(
-            Arc::make_mut(&mut self.counters).as_mut_slice(),
-            &other.counters,
-        );
-        self.squares = None;
+        let cells = Arc::make_mut(&mut self.cells);
+        add_counters(&mut cells.counters, &other.cells.counters);
+        cells.squares = None;
         Ok(())
+    }
+}
+
+/// Add `weight` to the kept sums' writes, and drop the sums once it
+/// reaches [`KEPT_WEIGHT_LIMIT`].
+fn weigh(squares: &mut Option<Squares>, weight: u64) {
+    if let Some(kept) = squares {
+        kept.weight = kept.weight.saturating_add(weight);
+        if kept.weight >= KEPT_WEIGHT_LIMIT {
+            *squares = None;
+        }
     }
 }
 
@@ -724,7 +743,7 @@ mod tests {
             }
         }
         a.merge(&b).unwrap();
-        assert_eq!(a.counters, whole.counters);
+        assert_eq!(a.cells.counters, whole.cells.counters);
     }
 
     #[test]
@@ -808,19 +827,19 @@ mod tests {
             scalar.update(k, 1);
         }
         batched.update_batch(&keys);
-        assert_eq!(scalar.counters, batched.counters);
+        assert_eq!(scalar.cells.counters, batched.cells.counters);
         for &(k, c) in &items {
             scalar.update(k, c);
         }
         batched.update_batch_counts(&items);
-        assert_eq!(scalar.counters, batched.counters);
+        assert_eq!(scalar.cells.counters, batched.cells.counters);
     }
 
     impl FagmsSketch {
         /// [`FagmsSketch::self_join_rows`] as the pass computes it.
         fn self_join_rows_by_pass(&self) -> Vec<f64> {
             let mut pass = self.clone();
-            pass.squares = None;
+            Arc::make_mut(&mut pass.cells).squares = None;
             pass.self_join_rows()
         }
     }
@@ -840,8 +859,9 @@ mod tests {
         let mut r = rng(61);
         std::array::from_fn(|_| {
             let mut s = schema.sketch();
-            s.squares = None;
-            for (i, c) in Arc::make_mut(&mut s.counters).iter_mut().enumerate() {
+            let cells = Arc::make_mut(&mut s.cells);
+            cells.squares = None;
+            for (i, c) in cells.counters.iter_mut().enumerate() {
                 let noise = r.random_range(-999..=999);
                 *c = if i % schema.width() < big {
                     magnitude + 2 * noise + 1
@@ -927,14 +947,17 @@ mod tests {
         let below = (((1i64 << 26) - 1) * ((1 << 26) - 1)) as f64;
         assert_eq!(s.kept_rows(), Some(vec![below; 3]));
         s.update_batch_counts(&[(5, 1)]);
-        assert!(s.squares.is_some() && s.kept_rows().is_none(), "Σc² = 2⁵²");
+        assert!(
+            s.cells.squares.is_some() && s.kept_rows().is_none(),
+            "Σc² = 2⁵²"
+        );
         s.update(5, -1);
         assert_eq!(s.kept_rows(), Some(vec![below; 3]));
 
         let mut clone = s.clone();
-        assert!(Arc::ptr_eq(&clone.counters, &s.counters));
+        assert!(Arc::ptr_eq(&clone.cells, &s.cells));
         clone.update(6, 1);
-        assert!(!Arc::ptr_eq(&clone.counters, &s.counters));
+        assert!(!Arc::ptr_eq(&clone.cells, &s.cells));
         assert_eq!(s.kept_rows(), Some(vec![below; 3]));
         assert_eq!(clone.self_join_rows(), clone.self_join_rows_by_pass());
 
@@ -943,19 +966,19 @@ mod tests {
         assert_eq!(light.kept_rows(), Some(vec![1.0; 3]), "weight 2³¹ − 1");
         let mut heavy = schema.sketch();
         heavy.update_batch_counts(&[(1, 1 << 30), (1, -(1 << 30))]);
-        assert!(heavy.squares.is_none(), "weight 2³¹");
+        assert!(heavy.cells.squares.is_none(), "weight 2³¹");
 
         let mut batched = schema.sketch();
         batched.update_batch(&[1, 2, 3]);
-        assert!(batched.squares.is_none());
+        assert!(batched.cells.squares.is_none());
         let mut merged = schema.sketch();
         merged.merge(&light).unwrap();
-        assert!(merged.squares.is_none());
+        assert!(merged.cells.squares.is_none());
         let mut w = Writer::new();
         light.put(&mut w);
         let bytes = w.into_bytes();
         let decoded = FagmsSketch::<DefaultSign, DefaultBucket>::take(&mut Reader::new(&bytes));
-        assert!(decoded.unwrap().squares.is_none());
+        assert!(decoded.unwrap().cells.squares.is_none());
     }
 
     #[test]

@@ -21,6 +21,7 @@
 
 use crate::error::{Error, Result};
 use sss_xi::{splitmix64, Codec, CodecError, Reader, Writer};
+use std::sync::Arc;
 
 /// Smallest accepted precision (m = 16 registers).
 pub const MIN_PRECISION: u8 = 4;
@@ -28,9 +29,14 @@ pub const MIN_PRECISION: u8 = 4;
 pub const MAX_PRECISION: u8 = 18;
 
 /// A HyperLogLog register array with a seeded 64-bit hash.
+///
+/// The registers sit behind an [`Arc`], written through
+/// [`Arc::make_mut`] once per write call: a clone shares them, allocating
+/// nothing, and copies them only when it writes while another still holds
+/// them.
 #[derive(Debug, Clone)]
 pub struct HyperLogLog {
-    registers: Vec<u8>,
+    registers: Arc<Vec<u8>>,
     precision: u8,
     seed: u64,
 }
@@ -65,7 +71,7 @@ impl Codec for HyperLogLog {
             ));
         }
         Ok(Self {
-            registers: registers.to_vec(),
+            registers: Arc::new(registers.to_vec()),
             precision,
             seed: r.u64()?,
         })
@@ -102,7 +108,7 @@ impl HyperLogLog {
             return Err(Error::InvalidDimensions);
         }
         Ok(Self {
-            registers: vec![0u8; 1 << precision],
+            registers: Arc::new(vec![0u8; 1 << precision]),
             precision,
             seed,
         })
@@ -127,26 +133,35 @@ impl HyperLogLog {
     /// depends only on the *set* of keys inserted.
     #[inline]
     pub fn insert(&mut self, key: u64) {
-        let h = splitmix64(key ^ self.seed);
-        let idx = (h >> (64 - self.precision)) as usize;
-        // Rank of the remaining 64 − precision bits: position of the
-        // leftmost 1-bit, counting from 1; all-zero tail gets the maximum.
-        let tail = h << self.precision;
-        let rank = if tail == 0 {
-            max_rank(self.precision)
-        } else {
-            tail.leading_zeros() as u8 + 1
-        };
-        if self.registers[idx] < rank {
-            self.registers[idx] = rank;
-        }
+        self.insert_all([key]);
     }
 
     /// Observe every key in the batch (order-insensitive: registers only
     /// ever grow, so any interleaving gives bit-identical state).
     pub fn insert_batch(&mut self, keys: &[u64]) {
-        for &k in keys {
-            self.insert(k);
+        self.insert_all(keys.iter().copied());
+    }
+
+    /// [`insert`](Self::insert) every key `keys` yields, with one
+    /// [`Arc::make_mut`] for all of them.
+    pub fn insert_all(&mut self, keys: impl IntoIterator<Item = u64>) {
+        let (precision, seed) = (self.precision, self.seed);
+        let registers = Arc::make_mut(&mut self.registers).as_mut_slice();
+        for key in keys {
+            let h = splitmix64(key ^ seed);
+            let idx = (h >> (64 - precision)) as usize;
+            // Rank of the remaining 64 − precision bits: position of the
+            // leftmost 1-bit, counting from 1; all-zero tail gets the
+            // maximum.
+            let tail = h << precision;
+            let rank = if tail == 0 {
+                max_rank(precision)
+            } else {
+                tail.leading_zeros() as u8 + 1
+            };
+            if registers[idx] < rank {
+                registers[idx] = rank;
+            }
         }
     }
 
@@ -162,7 +177,8 @@ impl HyperLogLog {
             return Err(Error::SchemaMismatch);
         }
         // A branch-free max, which the compiler turns into vector maxima.
-        for (r, &o) in self.registers.iter_mut().zip(&other.registers) {
+        let registers = Arc::make_mut(&mut self.registers);
+        for (r, &o) in registers.iter_mut().zip(other.registers.iter()) {
             *r = (*r).max(o);
         }
         Ok(())
@@ -184,7 +200,7 @@ impl HyperLogLog {
         let inverse: [f64; 64] = std::array::from_fn(|r| 1.0 / (1u64 << r) as f64);
         let mut inverse_sum = 0.0f64;
         let mut zeros = 0u64;
-        for &r in &self.registers {
+        for &r in self.registers.iter() {
             inverse_sum += inverse[usize::from(r)];
             if r == 0 {
                 zeros += 1;

@@ -75,6 +75,7 @@
 
 use crate::error::{Error, Result};
 use sss_xi::{splitmix64, Codec, CodecError, Reader, Writer};
+use std::sync::Arc;
 
 /// Smallest accepted `k` — below this the rank guarantee is vacuous.
 pub const MIN_K: usize = 8;
@@ -88,11 +89,14 @@ const MAX_LEVELS: usize = 64;
 
 /// A KLL quantile summary over `u64` values with seeded, reproducible
 /// randomness.
+///
+/// The levels sit behind an [`Arc`], written through [`Arc::make_mut`]: a
+/// clone shares them, allocating nothing, and copies them only when it
+/// writes while another still holds them. A merge into an empty summary
+/// takes the other's levels the same way, so a one-shard fold copies none.
 #[derive(Debug, Clone)]
 pub struct KllSketch {
-    /// `compactors[h]` holds items of weight `2^h`: below `base` at most
-    /// one (the sampler), from `base` up unsorted between compactions.
-    compactors: Vec<Vec<u64>>,
+    levels: Arc<Levels>,
     k: usize,
     /// Total weight inserted (= total stored weight, conserved exactly).
     n: u64,
@@ -107,12 +111,20 @@ pub struct KllSketch {
     /// maintained incrementally so the overflow check is O(1) instead of
     /// an O(levels) walk.
     stored: usize,
+    /// Cached `Σ capacities` over the compacting levels.
+    cap_total: usize,
+}
+
+/// The items of a [`KllSketch`] and what each level may hold.
+#[derive(Debug, Clone)]
+struct Levels {
+    /// `compactors[h]` holds items of weight `2^h`: below `base` at most
+    /// one (the sampler), from `base` up unsorted between compactions.
+    compactors: Vec<Vec<u64>>,
     /// `capacities[h]`: how many items level `h` may hold before it is
     /// compacted. Keyed off the distance from the *top* level, so the
     /// table is rebuilt when (and only when) the level count changes.
     capacities: Vec<usize>,
-    /// Cached `Σ capacities` over the compacting levels.
-    cap_total: usize,
 }
 
 // Persistence: the levels, `k`, the weight, the coin and the sampler seed.
@@ -122,8 +134,9 @@ pub struct KllSketch {
 // is checked before any level is read.
 impl Codec for KllSketch {
     fn put(&self, w: &mut Writer) {
-        w.usize(self.compactors.len());
-        self.compactors.iter().for_each(|level| w.u64s(level));
+        let compactors = &self.levels.compactors;
+        w.usize(compactors.len());
+        compactors.iter().for_each(|level| w.u64s(level));
         w.usize(self.k);
         w.u64(self.n);
         w.u64(self.coin);
@@ -155,14 +168,16 @@ impl Codec for KllSketch {
             return Err(CodecError::Invalid("KLL weight does not match its levels"));
         }
         let mut s = Self {
-            compactors,
+            levels: Arc::new(Levels {
+                compactors,
+                capacities: Vec::new(),
+            }),
             k,
             n,
             coin: r.u64()?,
             seed: r.u64()?,
             base: 0,
             stored: 0,
-            capacities: Vec::new(),
             cap_total: 0,
         };
         s.reprice();
@@ -215,14 +230,16 @@ impl KllSketch {
             return Err(Error::InvalidDimensions);
         }
         let mut s = Self {
-            compactors: vec![Vec::new()],
+            levels: Arc::new(Levels {
+                compactors: vec![Vec::new()],
+                capacities: Vec::new(),
+            }),
             k,
             n: 0,
             coin: seed,
             seed,
             base: 0,
             stored: 0,
-            capacities: Vec::new(),
             cap_total: 0,
         };
         s.reprice();
@@ -251,7 +268,7 @@ impl KllSketch {
         let sampled = (self.n & ((1 << self.base) - 1)).count_ones() as usize;
         debug_assert_eq!(
             self.stored + sampled,
-            self.compactors.iter().map(Vec::len).sum()
+            self.levels.compactors.iter().map(Vec::len).sum()
         );
         self.stored + sampled
     }
@@ -262,17 +279,21 @@ impl KllSketch {
     /// because a level that has just become a sampling level (or arrived
     /// by merge or decode) may hold more than its one item.
     fn reprice(&mut self) {
-        let levels = self.compactors.len();
+        let Levels {
+            compactors,
+            capacities,
+        } = Arc::make_mut(&mut self.levels);
+        let levels = compactors.len();
         let k = self.k as f64;
-        self.capacities.clear();
-        self.capacities.extend((0..levels).map(|h| {
+        capacities.clear();
+        capacities.extend((0..levels).map(|h| {
             let depth = (levels - 1 - h) as i32;
             ((k * DECAY.powi(depth)).ceil() as usize).max(2)
         }));
         // Capacities grow with `h` and the top one is `k >= MIN_K`.
-        self.base = self.capacities.iter().take_while(|&&c| c == 2).count();
+        self.base = capacities.iter().take_while(|&&c| c == 2).count();
         // Saturating: a decoded `k` may be anything from `MIN_K` up.
-        self.cap_total = self.capacities[self.base..]
+        self.cap_total = capacities[self.base..]
             .iter()
             .fold(0, |sum, &c| sum.saturating_add(c));
         self.normalize();
@@ -284,11 +305,12 @@ impl KllSketch {
     /// above weighs a multiple of `2^base`.
     fn normalize(&mut self) {
         for h in 0..self.base {
-            if self.compactors[h].len() > 1 {
+            if self.levels.compactors[h].len() > 1 {
                 self.halve(h);
             }
         }
-        self.stored = self.compactors[self.base..].iter().map(Vec::len).sum();
+        let compacting = &self.levels.compactors[self.base..];
+        self.stored = compacting.iter().map(Vec::len).sum();
     }
 
     /// Observe one value.
@@ -324,7 +346,7 @@ impl KllSketch {
                     .chunks_exact(1 << base)
                     .zip(window..)
                     .map(|(run, window)| run[survivor(seed, base, window)]);
-                self.compactors[base].extend(survivors);
+                Arc::make_mut(&mut self.levels).compactors[base].extend(survivors);
                 self.n += now.len() as u64;
                 self.stored += now.len() >> base;
                 values = later;
@@ -335,8 +357,9 @@ impl KllSketch {
                 values = later;
                 // Carry: a level that holds an item holds the window just
                 // before this one, and a coin sends one of the two up.
+                let compactors = &mut Arc::make_mut(&mut self.levels).compactors;
                 while level < base {
-                    let Some(earlier) = self.compactors[level].pop() else {
+                    let Some(earlier) = compactors[level].pop() else {
                         break;
                     };
                     level += 1;
@@ -345,7 +368,7 @@ impl KllSketch {
                         item = earlier;
                     }
                 }
-                self.compactors[level].push(item);
+                compactors[level].push(item);
                 self.stored += usize::from(level == base);
             }
             if self.stored > self.cap_total {
@@ -367,7 +390,8 @@ impl KllSketch {
     /// property that makes [`merge`](KllSketch::merge) commutative.
     fn halve(&mut self, h: usize) {
         let offset = self.next_offset();
-        let (lower, upper) = self.compactors.split_at_mut(h + 1);
+        let compactors = &mut Arc::make_mut(&mut self.levels).compactors;
+        let (lower, upper) = compactors.split_at_mut(h + 1);
         let (level, above) = (&mut lower[h], &mut upper[0]);
         level.sort_unstable();
         let even = level.len() & !1;
@@ -387,18 +411,22 @@ impl KllSketch {
     /// sampling level), so the search starts over.
     fn compress(&mut self) {
         while self.stored > self.cap_total {
-            let Some(h) = (self.base..self.compactors.len())
-                .find(|&h| self.compactors[h].len() > self.capacities[h])
+            let Levels {
+                compactors,
+                capacities,
+            } = &*self.levels;
+            let Some(h) =
+                (self.base..compactors.len()).find(|&h| compactors[h].len() > capacities[h])
             else {
                 break;
             };
-            if h + 1 == self.compactors.len() {
-                self.compactors.push(Vec::new());
+            if h + 1 == compactors.len() {
+                Arc::make_mut(&mut self.levels).compactors.push(Vec::new());
                 self.reprice();
                 continue;
             }
             // An even prefix compacts into half as many survivors.
-            self.stored -= self.compactors[h].len() / 2;
+            self.stored -= compactors[h].len() / 2;
             self.halve(h);
         }
     }
@@ -406,6 +434,12 @@ impl KllSketch {
     /// Merge another summary built with the same `k`: afterwards `self`
     /// summarizes the concatenation of both streams. Commutative: the two
     /// merge orders answer every quantile query bit-identically.
+    ///
+    /// An empty summary of one level (a runtime's empty prototype) takes
+    /// the other's levels, shared, with the XORed coin and its own seed,
+    /// and compresses them: what concatenating them onto its empty level
+    /// leaves, since the other's sampling levels already hold one item
+    /// each.
     ///
     /// # Errors
     ///
@@ -421,15 +455,21 @@ impl KllSketch {
         let Some(n) = self.n.checked_add(other.n) else {
             return Err(Error::WeightOverflow);
         };
-        while self.compactors.len() < other.compactors.len() {
-            self.compactors.push(Vec::new());
-        }
-        for (h, level) in other.compactors.iter().enumerate() {
-            self.compactors[h].extend_from_slice(level);
+        self.coin ^= other.coin;
+        if self.n == 0 && self.levels.compactors.len() == 1 {
+            self.levels = Arc::clone(&other.levels);
+            (self.base, self.stored, self.cap_total) = (other.base, other.stored, other.cap_total);
+        } else {
+            let compactors = &mut Arc::make_mut(&mut self.levels).compactors;
+            if compactors.len() < other.levels.compactors.len() {
+                compactors.resize(other.levels.compactors.len(), Vec::new());
+            }
+            for (h, level) in other.levels.compactors.iter().enumerate() {
+                compactors[h].extend_from_slice(level);
+            }
+            self.reprice();
         }
         self.n = n;
-        self.coin ^= other.coin;
-        self.reprice();
         self.compress();
         Ok(())
     }
@@ -437,7 +477,7 @@ impl KllSketch {
     /// All stored (value, weight) pairs, sorted by value.
     fn weighted(&self) -> Vec<(u64, u64)> {
         let mut items: Vec<(u64, u64)> = Vec::with_capacity(self.stored());
-        for (h, level) in self.compactors.iter().enumerate() {
+        for (h, level) in self.levels.compactors.iter().enumerate() {
             let w = 1u64 << h;
             items.extend(level.iter().map(|&v| (v, w)));
         }
@@ -495,6 +535,7 @@ impl KllSketch {
             return 0.0;
         }
         let below: u64 = self
+            .levels
             .compactors
             .iter()
             .enumerate()
@@ -583,6 +624,7 @@ mod tests {
             s.insert(v);
         }
         let stored_weight: u64 = s
+            .levels
             .compactors
             .iter()
             .enumerate()
@@ -663,12 +705,12 @@ mod tests {
             "k = 8 samples early: base {}",
             batched.base
         );
-        assert_eq!(batched.compactors, scalar.compactors);
+        assert_eq!(batched.levels.compactors, scalar.levels.compactors);
         assert_eq!(batched.coin, scalar.coin);
         for h in 0..batched.base {
-            assert_eq!(batched.compactors[h].len() as u64, (3001 >> h) & 1);
+            assert_eq!(batched.levels.compactors[h].len() as u64, (3001 >> h) & 1);
         }
-        let held: usize = batched.compactors.iter().map(Vec::len).sum();
+        let held: usize = batched.levels.compactors.iter().map(Vec::len).sum();
         assert_eq!(batched.stored(), held);
         assert!(held <= batched.cap_total + batched.base);
     }

@@ -92,15 +92,21 @@ pub fn ranked(mut scored: Vec<(u64, f64)>, k: usize) -> Vec<(u64, f64)> {
 /// current stamp, so re-indexing writes the live entries and clears
 /// nothing. The list is also the batch path's deduplication table:
 /// [`offer_chunks`](Self::offer_chunks) probes the index **once per
-/// tuple**, bumping the key's counter and its count in the current chunk.
-/// At the chunk's end one walk down the list collects every entry the
-/// chunk touched, with that count, as the chunk's [`KeyRuns`], and zeroes
-/// the count again. A compaction is a selection over the counts, an
-/// in-place retain and a re-index of the at most `capacity` survivors.
+/// tuple**, bumping the key's counter and its count in the current chunk,
+/// and notes the position of every counter held before the chunk that it
+/// touches first; the counters it creates are appended to the list. At
+/// the chunk's end the noted positions and the appended tail give the
+/// chunk's [`KeyRuns`], each with its count, and the counts are zeroed
+/// again: the chunk's distinct keys are visited, not the whole list. A
+/// compaction is a selection over `(count, key)` pairs, the list refilled
+/// with the at most `capacity` survivors and a re-index of them. An empty
+/// table holds no index until its first counter arrives, so an empty
+/// summary allocates nothing.
 ///
 /// At most `capacity + CHUNK` counters are ever held (at most `CHUNK`
 /// offers, so at most `CHUNK` new keys, separate two compactions); a
-/// [`merge`](Self::merge) always compacts, and
+/// [`merge`](Self::merge) always compacts (into an empty summary it
+/// builds only the survivors), and
 /// [`candidates`](Self::candidates) — so every top-k answer — is
 /// the `capacity` largest of them.
 ///
@@ -134,14 +140,31 @@ struct Counter {
 }
 
 /// The dense counter list and its index; see [`MisraGries`].
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct CounterTable {
     counters: Vec<Counter>,
-    /// A power of two, at least twice `counters.len()`. A slot holds
-    /// `stamp << log2(slots.len()) | position` and is empty unless it
-    /// carries the current `stamp`.
+    /// Empty while no counter is held, else a power of two, at least twice
+    /// `counters.len()`. A slot holds `stamp << log2(slots.len()) |
+    /// position` and is empty unless it carries the current `stamp`.
     slots: Vec<u32>,
     stamp: u32,
+    /// Scratch, not state: the first entries are the positions of the
+    /// counters held before the chunk being gathered began that it has
+    /// touched, in the order it first touched them. The counters it
+    /// created follow those in the list.
+    touched: Vec<u32>,
+}
+
+// A clone starts with no scratch.
+impl Clone for CounterTable {
+    fn clone(&self) -> Self {
+        Self {
+            counters: self.counters.clone(),
+            slots: self.slots.clone(),
+            stamp: self.stamp,
+            touched: Vec::new(),
+        }
+    }
 }
 
 /// Index slots of an empty table.
@@ -152,11 +175,19 @@ const MULTIPLIER: u64 = 0x9E37_79B9_7F4A_7C15;
 
 impl CounterTable {
     fn new() -> Self {
-        Self {
-            counters: Vec::new(),
-            slots: vec![0; MIN_SLOTS],
+        Self::holding(Vec::new())
+    }
+
+    /// A table of `counters`, in that order, indexed.
+    fn holding(counters: Vec<Counter>) -> Self {
+        let mut table = Self {
+            counters,
+            slots: Vec::new(),
             stamp: 1,
-        }
+            touched: Vec::new(),
+        };
+        table.reindex();
+        table
     }
 
     /// The bits of a slot above its position, as a live slot carries them.
@@ -176,6 +207,9 @@ impl CounterTable {
     /// wrong answer.
     #[inline]
     fn probe(&self, key: u64) -> std::result::Result<usize, usize> {
+        if self.slots.is_empty() {
+            return Err(0);
+        }
         let mask = self.slots.len() - 1;
         let live = self.live();
         let mut slot = self.home(key);
@@ -228,14 +262,36 @@ impl CounterTable {
         }
     }
 
-    /// One tuple of the chunk being gathered: `key`'s counter grows by
-    /// `weight` and its chunk count by one.
-    #[inline]
-    fn tally(&mut self, key: u64, weight: u64) {
-        let position = self.upsert(key);
-        let counter = &mut self.counters[position];
-        counter.in_chunk += 1;
-        counter.count += weight;
+    /// Gather `chunk`, at most [`CHUNK`] tuples: each adds one chunk count
+    /// to its key's counter, and the first `counted` add one to its count
+    /// too. Then hand the chunk's distinct keys and their chunk counts to
+    /// `runs` — the noted counters held before it, then the counters it
+    /// created — and zero the chunk counts.
+    fn gather(&mut self, chunk: &[u64], counted: usize, runs: &mut KeyRuns) {
+        let start = self.counters.len();
+        if self.touched.len() < CHUNK {
+            self.touched.resize(CHUNK, 0);
+        }
+        let mut noted = 0;
+        for (i, &key) in chunk.iter().enumerate() {
+            let position = self.upsert(key);
+            let counter = &mut self.counters[position];
+            // Branch-free: the next slot is always written, and kept only
+            // on the first touch of a counter held before the chunk.
+            self.touched[noted] = position as u32;
+            noted += usize::from((counter.in_chunk == 0) & (position < start));
+            counter.in_chunk += 1;
+            counter.count += u64::from(i < counted);
+        }
+        runs.clear();
+        let mut take = |counter: &mut Counter| {
+            runs.push(counter.key, i64::from(counter.in_chunk));
+            counter.in_chunk = 0;
+        };
+        for &position in &self.touched[..noted] {
+            take(&mut self.counters[position as usize]);
+        }
+        self.counters[start..].iter_mut().for_each(take);
     }
 
     /// Keep the counters `keep` returns `true` for (it may change them),
@@ -266,8 +322,11 @@ impl CounterTable {
     /// [`reindex`](Self::reindex), sizing the slots for `held` counters.
     #[inline(never)]
     fn reindex_for(&mut self, held: usize) {
+        if held == 0 && self.slots.is_empty() {
+            return;
+        }
         if 2 * held > self.slots.len() {
-            self.slots = vec![0; (2 * held).next_power_of_two()];
+            self.slots = vec![0; (2 * held).next_power_of_two().max(MIN_SLOTS)];
             self.stamp = 1;
         } else {
             self.stamp += 1;
@@ -374,6 +433,40 @@ impl Codec for MisraGries {
     }
 }
 
+/// The compaction of `counters` to `capacity`: the cut, the
+/// `(capacity+1)`-th largest count, and the `(count − cut, key)` of every
+/// counter above it, in the order the selection leaves them. `None` while
+/// no more than `capacity` are held. The selection runs over
+/// `(count, key)` pairs, not the counters, so compacting a table and
+/// merging into an empty summary, which builds only the survivors of the
+/// other's table, are one routine and keep the same list.
+fn survivors(counters: &[Counter], capacity: usize) -> Option<(u64, Vec<(u64, u64)>)> {
+    if counters.len() <= capacity {
+        return None;
+    }
+    let mut order: Vec<(u64, u64)> = (counters.iter())
+        .map(|counter| (counter.count, counter.key))
+        .collect();
+    let (_, &mut (cut, _), _) = order.select_nth_unstable_by(capacity, |a, b| b.0.cmp(&a.0));
+    // What the selection put first is at least the cut.
+    order.truncate(capacity);
+    order.retain_mut(|(count, _)| {
+        *count -= cut;
+        *count > 0
+    });
+    Some((cut, order))
+}
+
+/// A survivor's counter. No chunk is being gathered while a table is
+/// compacted or merged, so its chunk count is zero.
+fn held((count, key): (u64, u64)) -> Counter {
+    Counter {
+        key,
+        count,
+        in_chunk: 0,
+    }
+}
+
 impl MisraGries {
     /// Offered weight between two compactions — part of the summary's
     /// definition, not a knob (see the type docs).
@@ -434,20 +527,8 @@ impl MisraGries {
             // still reach `each`, but no counter.
             let room = usize::try_from(u64::MAX - self.offered).unwrap_or(usize::MAX);
             let counted = chunk.len().min(room);
-            for &key in &chunk[..counted] {
-                self.table.tally(key, 1);
-            }
-            for &key in &chunk[counted..] {
-                self.table.tally(key, 0);
-            }
+            self.table.gather(chunk, counted, &mut self.runs);
             self.offered += counted as u64;
-            self.runs.clear();
-            for counter in &mut self.table.counters {
-                if counter.in_chunk > 0 {
-                    self.runs.push(counter.key, i64::from(counter.in_chunk));
-                    counter.in_chunk = 0;
-                }
-            }
             if counted < chunk.len() {
                 self.table.retain(|counter| counter.count > 0);
             }
@@ -460,21 +541,15 @@ impl MisraGries {
 
     /// Subtract the `(capacity+1)`-th largest counter value from every
     /// counter and drop the non-positive ones. Leaves at most `capacity`
-    /// counters (everything at or below the cut dies).
+    /// counters (everything at or below the cut dies), in the order
+    /// [`survivors`] lists them.
     fn compact(&mut self) {
-        let counters = &mut self.table.counters;
-        if counters.len() <= self.capacity {
+        let Some((cut, survivors)) = survivors(&self.table.counters, self.capacity) else {
             return;
-        }
-        let (_, nth, _) =
-            counters.select_nth_unstable_by(self.capacity, |a, b| b.count.cmp(&a.count));
-        let cut = nth.count;
-        // What the selection put first is at least the cut.
-        counters.truncate(self.capacity);
-        self.table.retain(|counter| {
-            counter.count -= cut;
-            counter.count > 0
-        });
+        };
+        self.table.counters.clear();
+        self.table.counters.extend(survivors.into_iter().map(held));
+        self.table.reindex();
         self.offset += cut;
     }
 
@@ -510,10 +585,12 @@ impl MisraGries {
     /// Agarwal et al. merge; the undercount bounds (`offset`s) add.
     ///
     /// Into a summary that holds no counters (a runtime's empty prototype)
-    /// the addition is a copy of the other table, index and all; otherwise
-    /// the index is sized for both tables before the other's counters are
-    /// added. Either way the counter list is in the order adding them one
-    /// by one leaves it, so the compaction keeps the same counters.
+    /// the addition would be a copy of the other table, so only what the
+    /// compaction keeps of that copy is built: [`survivors`] runs over the
+    /// other's list as it would over the copy. Otherwise the index is sized
+    /// for both tables before the other's counters are added. Either way
+    /// the counter list is in the order adding them one by one and
+    /// compacting leaves it.
     ///
     /// # Errors
     ///
@@ -528,17 +605,24 @@ impl MisraGries {
             .offered
             .checked_add(other.offered)
             .ok_or(Error::WeightOverflow)?;
+        self.offset += other.offset;
         if self.table.counters.is_empty() {
-            self.table.clone_from(&other.table);
+            let counters = match survivors(&other.table.counters, self.capacity) {
+                Some((cut, survivors)) => {
+                    self.offset += cut;
+                    survivors.into_iter().map(held).collect()
+                }
+                None => other.table.counters.clone(),
+            };
+            self.table = CounterTable::holding(counters);
         } else {
             self.table.reserve(other.table.counters.len());
             for counter in &other.table.counters {
                 let position = self.table.upsert(counter.key);
                 self.table.counters[position].count += counter.count;
             }
+            self.compact();
         }
-        self.offset += other.offset;
-        self.compact();
         Ok(())
     }
 
@@ -580,6 +664,13 @@ impl MisraGries {
     /// guarantee).
     pub fn items_offered(&self) -> u64 {
         self.offered
+    }
+
+    /// Every held `(key, count)` in the counter list's order: the order a
+    /// compaction selects over, and the order of
+    /// [`candidates`](Self::candidates) when nothing is cut.
+    pub fn counters(&self) -> Vec<(u64, u64)> {
+        self.table.pairs()
     }
 }
 

@@ -10,7 +10,6 @@
 
 use crate::codec::{Codec, CodecError, Reader, Writer};
 use crate::family::{BucketFamily, SignFamily};
-use crate::kernels::{self, Dispatch};
 use crate::prime::{poly_eval, P61};
 use rand::Rng;
 
@@ -22,59 +21,6 @@ fn random_coeff<R: Rng + ?Sized>(rng: &mut R) -> u64 {
             return x;
         }
     }
-}
-
-/// Fused F-AGMS row kernel: for every key, add `sign(key)` (the low bit of
-/// the `sign_coeffs` polynomial) into `counters[hash(key) % width]` (the
-/// `bucket_coeffs` polynomial), in one pass with no intermediate buffers.
-///
-/// Thin wrapper over [`kernels::signed_scatter`] on the runtime-dispatched
-/// fast path; bit-identical to the per-key
-/// `counters[bucket(k, width)] += sign(k)` loop on every path.
-///
-/// # Panics
-///
-/// Panics if `width == 0` or `counters.len() < width`.
-pub fn signed_scatter(
-    sign_coeffs: &[u64],
-    bucket_coeffs: &[u64],
-    width: usize,
-    keys: &[u64],
-    counters: &mut [i64],
-) {
-    kernels::signed_scatter(
-        Dispatch::get(),
-        sign_coeffs,
-        bucket_coeffs,
-        width,
-        keys,
-        counters,
-    );
-}
-
-/// Count-carrying twin of [`signed_scatter`]:
-/// `counters[hash(key) % width] += count·sign(key)` per `(key, count)`.
-/// Returns the wrapping change to the row's `Σ c²`, as
-/// [`kernels::signed_scatter_counts`] does.
-///
-/// # Panics
-///
-/// Panics if `width == 0` or `counters.len() < width`.
-pub fn signed_scatter_counts(
-    sign_coeffs: &[u64],
-    bucket_coeffs: &[u64],
-    width: usize,
-    items: &[(u64, i64)],
-    counters: &mut [i64],
-) -> i64 {
-    kernels::signed_scatter_counts(
-        Dispatch::get(),
-        sign_coeffs,
-        bucket_coeffs,
-        width,
-        items,
-        counters,
-    )
 }
 
 /// Pairwise-independent family: `h(x) = a + b·x mod (2⁶¹ − 1)`.
@@ -288,69 +234,6 @@ mod tests {
         let mean = acc as f64 / trials as f64;
         // Std of the mean is 1/sqrt(trials) ≈ 0.007; allow 5 sigma.
         assert!(mean.abs() < 0.036, "mean = {mean}");
-    }
-
-    /// The fused row kernels must reproduce the per-key
-    /// `counters[bucket] += sign·count` loop exactly, across lane
-    /// remainders, widths, and negative counts.
-    #[test]
-    fn scatter_kernels_match_per_key_loops() {
-        let mut rng = StdRng::seed_from_u64(71);
-        let sign = Cw4::random(&mut rng);
-        let bucket = Cw2Bucket::random(&mut rng);
-        let (sc, bc) = (sign.coeffs(), bucket.coeffs());
-        let keys: Vec<u64> = (0..203u64)
-            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            .chain([0, u64::MAX])
-            .collect();
-        let items: Vec<(u64, i64)> = keys
-            .iter()
-            .enumerate()
-            .map(|(i, &k)| (k, (i as i64 % 7) - 3))
-            .collect();
-        for width in [1usize, 3, 300, 5000] {
-            for len in [0usize, 1, 3, 4, 5, keys.len()] {
-                let mut want = vec![0i64; width];
-                for &k in &keys[..len] {
-                    want[bucket.bucket(k, width)] += sign.sign(k);
-                }
-                let mut got = vec![0i64; width];
-                signed_scatter(sc, bc, width, &keys[..len], &mut got);
-                assert_eq!(got, want, "signed width {width} len {len}");
-
-                let mut want = vec![0i64; width];
-                for &(k, c) in &items[..len] {
-                    want[bucket.bucket(k, width)] += c * sign.sign(k);
-                }
-                let mut got = vec![0i64; width];
-                signed_scatter_counts(sc, bc, width, &items[..len], &mut got);
-                assert_eq!(got, want, "signed counts width {width} len {len}");
-            }
-        }
-    }
-
-    /// Coefficient vectors beyond the lane budget take the scalar branch
-    /// and must agree with direct polynomial evaluation.
-    #[test]
-    fn scatter_kernels_fall_back_beyond_lane_budget() {
-        let sc: Vec<u64> = (1..=12u64).collect();
-        let bc: Vec<u64> = (3..=14u64).collect();
-        let keys: Vec<u64> = (0..37u64).map(|i| i * 997).collect();
-        let width = 29usize;
-        let mut want = vec![0i64; width];
-        for &k in &keys {
-            let s = 1 - 2 * ((poly_eval(&sc, k) & 1) as i64);
-            want[(poly_eval(&bc, k) % width as u64) as usize] += s;
-        }
-        let mut got = vec![0i64; width];
-        signed_scatter(&sc, &bc, width, &keys, &mut got);
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    #[should_panic(expected = "width must be non-zero")]
-    fn signed_scatter_rejects_zero_width() {
-        signed_scatter(&[1, 2, 3, 4], &[1, 2], 0, &[1], &mut []);
     }
 
     /// Contrast: CW2 is only pairwise, and its *fourth*-order products are

@@ -46,15 +46,6 @@ pub trait SignFamily: sealed::Sealed {
         1 - 2 * ((poly_eval(self.coeffs(), key) & 1) as i64)
     }
 
-    /// Fill `out[i] = self.sign(keys[i])` for a whole batch of keys.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `keys.len() != out.len()`.
-    fn sign_batch(&self, keys: &[u64], out: &mut [i64]) {
-        kernels::sign_batch(Dispatch::get(), self.coeffs(), keys, out);
-    }
-
     /// `Σᵢ sign(keys[i])` — the net increment a single AGMS counter
     /// receives from a batch of unit-count tuples. The sum folds into the
     /// evaluation loop, so no per-key sign is materialized.
@@ -95,16 +86,6 @@ pub trait BucketFamily: sealed::Sealed {
     fn bucket(&self, key: u64, width: usize) -> usize {
         debug_assert!(width > 0, "bucket width must be non-zero");
         (poly_eval(self.coeffs(), key) % width as u64) as usize
-    }
-
-    /// Fill `out[i] = self.bucket(keys[i], width)` for a whole batch,
-    /// bit-identically to the per-key loop.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `keys.len() != out.len()` or `width == 0`.
-    fn bucket_batch(&self, keys: &[u64], width: usize, out: &mut [usize]) {
-        kernels::bucket_batch(Dispatch::get(), self.coeffs(), width, keys, out);
     }
 
     /// [`coeffs`](BucketFamily::coeffs), always `Some`; kept as an `Option`
@@ -161,11 +142,6 @@ mod tests {
             .map(|(i, &k)| (k, (i as i64 % 7) - 3))
             .collect();
         for len in [0usize, 1, 3, 4, 5, 17, keys.len()] {
-            let mut out = vec![0i64; len];
-            f.sign_batch(&keys[..len], &mut out);
-            for (i, &s) in out.iter().enumerate() {
-                assert_eq!(s, f.sign(keys[i]), "len {len}, index {i}");
-            }
             let want_sum: i64 = keys[..len].iter().map(|&k| f.sign(k)).sum();
             assert_eq!(f.sign_sum(&keys[..len]), want_sum, "len {len}");
             let want_dot: i64 = items[..len].iter().map(|&(k, c)| c * f.sign(k)).sum();
@@ -189,26 +165,5 @@ mod tests {
         let bucket = Cw2Bucket::random(&mut rng);
         assert_eq!(bucket.poly_coeffs(), Some(bucket.coeffs()));
         assert_eq!(bucket.coeffs().len(), 2);
-    }
-
-    #[test]
-    fn bucket_batch_matches_per_key() {
-        let f = Cw2Bucket::random(&mut StdRng::seed_from_u64(36));
-        let keys: Vec<u64> = (0..131u64).map(|i| i * 2_654_435_761).collect();
-        for width in [1usize, 2, 1000, 5000] {
-            let mut out = vec![0usize; keys.len()];
-            f.bucket_batch(&keys, width, &mut out);
-            for (i, &b) in out.iter().enumerate() {
-                assert_eq!(b, f.bucket(keys[i], width), "width {width}, index {i}");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "one output slot per key")]
-    fn sign_batch_rejects_mismatched_lengths() {
-        let f = Cw4::random(&mut StdRng::seed_from_u64(37));
-        let mut out = [0i64; 1];
-        f.sign_batch(&[1, 2], &mut out);
     }
 }

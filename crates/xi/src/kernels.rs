@@ -136,28 +136,6 @@ fn hash8(d: Dispatch, coeffs: &[u64], keys: &[u64; CHUNK]) -> [u64; CHUNK] {
     }
 }
 
-/// Evaluate two polynomials at the same 8 keys, sharing the key reduction.
-/// This is the inner step of the fused sign+bucket row scatter.
-#[inline]
-fn hash8_pair(
-    d: Dispatch,
-    sign_coeffs: &[u64],
-    bucket_coeffs: &[u64],
-    keys: &[u64; CHUNK],
-) -> ([u64; CHUNK], [u64; CHUNK]) {
-    match d.path {
-        Path::Chunked => {
-            let xs = keys.map(|k| k % P61);
-            (
-                horner_lanes_reduced(sign_coeffs, &xs),
-                horner_lanes_reduced(bucket_coeffs, &xs),
-            )
-        }
-        #[cfg(target_arch = "x86_64")]
-        Path::Avx2(token) => avx2::horner8_pair(token, sign_coeffs, bucket_coeffs, keys),
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Carter–Wegman polynomial kernels
 // ---------------------------------------------------------------------------
@@ -224,92 +202,14 @@ pub fn sign_dot_chunked(coeffs: &[u64], items: &[(u64, i64)]) -> i64 {
     sign_dot(Dispatch::chunked(), coeffs, items)
 }
 
-/// Fill `out[i]` with the ±1 sign (low hash bit) of every key.
-///
-/// # Panics
-///
-/// Panics if `keys.len() != out.len()`.
-pub fn sign_batch(d: Dispatch, coeffs: &[u64], keys: &[u64], out: &mut [i64]) {
-    assert_eq!(
-        keys.len(),
-        out.len(),
-        "sign_batch needs one output slot per key"
-    );
-    let mut buf = [0u64; 8];
-    let Some(n) = reduced_coeffs(coeffs, &mut buf) else {
-        for (o, &k) in out.iter_mut().zip(keys) {
-            *o = 1 - 2 * ((poly_eval(coeffs, k) & 1) as i64);
-        }
-        return;
-    };
-    let c = &buf[..n];
-    let mut key_chunks = keys.chunks_exact(CHUNK);
-    let mut out_chunks = out.chunks_exact_mut(CHUNK);
-    for (kc, oc) in key_chunks.by_ref().zip(out_chunks.by_ref()) {
-        let ks: &[u64; CHUNK] = kc.try_into().expect("chunks_exact yields full chunks");
-        let h = hash8(d, c, ks);
-        for (o, v) in oc.iter_mut().zip(h) {
-            *o = 1 - 2 * ((v & 1) as i64);
-        }
-    }
-    for (o, &k) in out_chunks
-        .into_remainder()
-        .iter_mut()
-        .zip(key_chunks.remainder())
-    {
-        *o = 1 - 2 * ((poly_eval(c, k) & 1) as i64);
-    }
-}
-
-/// Fill `out[i] = hash(keys[i]) % width` for a polynomial bucket family.
-///
-/// # Panics
-///
-/// Panics if `keys.len() != out.len()` or `width == 0`.
-pub fn bucket_batch(d: Dispatch, coeffs: &[u64], width: usize, keys: &[u64], out: &mut [usize]) {
-    assert_eq!(
-        keys.len(),
-        out.len(),
-        "bucket_batch needs one output slot per key"
-    );
-    assert!(width > 0, "bucket width must be non-zero");
-    let mut buf = [0u64; 8];
-    let Some(n) = reduced_coeffs(coeffs, &mut buf) else {
-        for (o, &k) in out.iter_mut().zip(keys) {
-            *o = (poly_eval(coeffs, k) % width as u64) as usize;
-        }
-        return;
-    };
-    let c = &buf[..n];
-    let wm = FixedMod::new(width as u64);
-    let mut key_chunks = keys.chunks_exact(CHUNK);
-    let mut out_chunks = out.chunks_exact_mut(CHUNK);
-    for (kc, oc) in key_chunks.by_ref().zip(out_chunks.by_ref()) {
-        let ks: &[u64; CHUNK] = kc.try_into().expect("chunks_exact yields full chunks");
-        let h = hash8(d, c, ks);
-        for (o, v) in oc.iter_mut().zip(h) {
-            *o = wm.rem(v) as usize;
-        }
-    }
-    for (o, &k) in out_chunks
-        .into_remainder()
-        .iter_mut()
-        .zip(key_chunks.remainder())
-    {
-        *o = wm.rem(poly_eval(c, k)) as usize;
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Fused sign+bucket row scatter kernels
 // ---------------------------------------------------------------------------
 
 /// Fused F-AGMS row kernel: for every key, add `sign(key)` (the low bit of
 /// the `sign_coeffs` polynomial) into `counters[hash(key) % width]` (the
-/// `bucket_coeffs` polynomial). One pass over the keys evaluates both
-/// polynomials on shared reduced lanes and scatters immediately — no
-/// intermediate sign/bucket buffers — and the per-key `% width` divide is
-/// replaced by a [`FixedMod`] multiply.
+/// `bucket_coeffs` polynomial): the pass [`hash_rows`] runs, over one row,
+/// scattering as it hashes, with no sign or bucket buffer.
 ///
 /// Bit-identical to the per-key `counters[bucket(k, width)] += sign(k)`
 /// loop: hashes are canonical, `FixedMod` is an exact remainder, and
@@ -326,88 +226,180 @@ pub fn signed_scatter(
     keys: &[u64],
     counters: &mut [i64],
 ) {
-    assert!(width > 0, "bucket width must be non-zero");
     assert!(counters.len() >= width, "counter row narrower than width");
-    let mut sbuf = [0u64; 8];
-    let mut bbuf = [0u64; 8];
-    let (Some(sn), Some(bn)) = (
-        reduced_coeffs(sign_coeffs, &mut sbuf),
-        reduced_coeffs(bucket_coeffs, &mut bbuf),
-    ) else {
-        for &k in keys {
-            let s = 1 - 2 * ((poly_eval(sign_coeffs, k) & 1) as i64);
-            counters[(poly_eval(bucket_coeffs, k) % width as u64) as usize] += s;
+    let rows = [(sign_coeffs, bucket_coeffs)];
+    for_each_hash(
+        d,
+        &rows,
+        width,
+        keys.len(),
+        |i| keys[i],
+        |_, _, sign, bucket| {
+            counters[bucket] += sign;
+        },
+    );
+}
+
+/// One F-AGMS row's two polynomials over GF(2⁶¹−1): its sign family's
+/// coefficients and its bucket family's, lowest degree first.
+pub type RowPolys<'a> = (&'a [u64], &'a [u64]);
+
+/// Rows one pass over the keys hashes; a deeper sketch takes one pass per
+/// group of this many rows.
+const ROW_GROUP: usize = 8;
+
+/// At most [`ROW_GROUP`] rows' polynomials, reduced onto the stack:
+/// `coeffs[2r]` is row `r`'s sign polynomial, `coeffs[2r + 1]` its bucket
+/// polynomial. `None` from [`RowGroup::new`] means one of them exceeds
+/// the kernels' coefficient budget.
+struct RowGroup {
+    coeffs: [[u64; 8]; 2 * ROW_GROUP],
+    lens: [usize; 2 * ROW_GROUP],
+    rows: usize,
+}
+
+impl RowGroup {
+    fn new(rows: &[RowPolys<'_>]) -> Option<Self> {
+        let mut group = Self {
+            coeffs: [[0; 8]; 2 * ROW_GROUP],
+            lens: [0; 2 * ROW_GROUP],
+            rows: rows.len(),
+        };
+        for (r, &(sign, bucket)) in rows.iter().enumerate() {
+            group.lens[2 * r] = reduced_coeffs(sign, &mut group.coeffs[2 * r])?;
+            group.lens[2 * r + 1] = reduced_coeffs(bucket, &mut group.coeffs[2 * r + 1])?;
         }
-        return;
-    };
-    let (sc, bc) = (&sbuf[..sn], &bbuf[..bn]);
-    let wm = FixedMod::new(width as u64);
-    let mut chunks = keys.chunks_exact(CHUNK);
-    for kc in chunks.by_ref() {
-        let ks: &[u64; CHUNK] = kc.try_into().expect("chunks_exact yields full chunks");
-        let (hs, hb) = hash8_pair(d, sc, bc, ks);
-        for l in 0..CHUNK {
-            counters[wm.rem(hb[l]) as usize] += 1 - 2 * ((hs[l] & 1) as i64);
-        }
+        Some(group)
     }
-    for &k in chunks.remainder() {
-        let s = 1 - 2 * ((poly_eval(sc, k) & 1) as i64);
-        counters[wm.rem(poly_eval(bc, k)) as usize] += s;
+
+    fn sign(&self, r: usize) -> &[u64] {
+        &self.coeffs[2 * r][..self.lens[2 * r]]
+    }
+
+    fn bucket(&self, r: usize) -> &[u64] {
+        &self.coeffs[2 * r + 1][..self.lens[2 * r + 1]]
     }
 }
 
-/// Count-carrying twin of [`signed_scatter`]:
-/// `counters[hash(key) % width] += count·sign(key)` per `(key, count)`.
-/// Returns the change the writes made to the row's `Σ c²`, summed with
-/// [`square_change`] per write: wrapping, so it is the exact change modulo
-/// `2⁶⁴` whatever the counters hold, and the exact change itself while the
-/// row's `Σ c²` stays below `2⁶³` before and after.
+/// Every row's sign and bucket of every key: `out[i·rows.len() + r]` is
+/// `(sign, bucket)` of `keys[i]` at row `r`, where `sign` is the low bit
+/// of the row's sign polynomial at the key as ±1 and `bucket` its bucket
+/// polynomial modulo `width`. The F-AGMS point queries read through this;
+/// the writes ([`signed_scatter`], [`signed_scatter_counts`]) run the same
+/// pass and scatter as they hash.
+///
+/// On either path a key is reduced once for all rows, and on the AVX2 path
+/// the whole pass runs inside one `target_feature` function, every row's
+/// Horner chains for eight keys issued before they are used. Bit-identical
+/// to `poly_eval` per key and row on every path.
 ///
 /// # Panics
 ///
-/// Panics if `width == 0` or `counters.len() < width`.
+/// Panics if `width == 0` or `out.len() != keys.len() × rows.len()`.
+pub fn hash_rows(
+    d: Dispatch,
+    rows: &[RowPolys<'_>],
+    width: usize,
+    keys: &[u64],
+    out: &mut [(i64, usize)],
+) {
+    let depth = rows.len();
+    assert_eq!(out.len(), keys.len() * depth, "one output per key and row");
+    let key = |i: usize| keys[i];
+    for_each_hash(d, rows, width, keys.len(), key, |i, r, sign, bucket| {
+        out[i * depth + r] = (sign, bucket);
+    });
+}
+
+/// [`hash_rows`] handing each `(i, r, sign, bucket)` to `visit` instead,
+/// in no promised order, for the key index `i < n` whose key is `key(i)`.
+/// Generic, so it stays private: its callers here are compiled with this
+/// crate's optimizations, whoever calls them.
+fn for_each_hash(
+    d: Dispatch,
+    rows: &[RowPolys<'_>],
+    width: usize,
+    n: usize,
+    key: impl Fn(usize) -> u64,
+    mut visit: impl FnMut(usize, usize, i64, usize),
+) {
+    assert!(width > 0, "bucket width must be non-zero");
+    let wm = FixedMod::new(width as u64);
+    let sign = |h: u64| 1 - 2 * ((h & 1) as i64);
+    for (g, group) in rows.chunks(ROW_GROUP).enumerate() {
+        let first = g * ROW_GROUP;
+        let mut at = |i: usize, r: usize, hs: u64, hb: u64| {
+            visit(i, first + r, sign(hs), wm.rem(hb) as usize);
+        };
+        // A group past the coefficient budget takes the scalar tail whole.
+        let polys = RowGroup::new(group);
+        let full = polys.as_ref().map_or(0, |_| n - n % CHUNK);
+        match (d.path, &polys) {
+            (_, None) => {}
+            (Path::Chunked, Some(polys)) => hash_rows_chunked(polys, full, &key, &mut at),
+            #[cfg(target_arch = "x86_64")]
+            (Path::Avx2(token), Some(polys)) => avx2::hash_rows(token, polys, full, &key, &mut at),
+        }
+        for i in full..n {
+            let k = key(i);
+            for (r, &(sc, bc)) in group.iter().enumerate() {
+                at(i, r, poly_eval(sc, k), poly_eval(bc, k));
+            }
+        }
+    }
+}
+
+/// The portable body of [`for_each_hash`] over the first `full` keys, a
+/// multiple of [`CHUNK`]: `at(i, r, sign hash, bucket hash)`.
+fn hash_rows_chunked(
+    polys: &RowGroup,
+    full: usize,
+    key: &impl Fn(usize) -> u64,
+    at: &mut impl FnMut(usize, usize, u64, u64),
+) {
+    for start in (0..full).step_by(CHUNK) {
+        let xs: [u64; CHUNK] = std::array::from_fn(|l| key(start + l) % P61);
+        for r in 0..polys.rows {
+            let hs = horner_lanes_reduced(polys.sign(r), &xs);
+            let hb = horner_lanes_reduced(polys.bucket(r), &xs);
+            for l in 0..CHUNK {
+                at(start + l, r, hs[l], hb[l]);
+            }
+        }
+    }
+}
+
+/// The count-carrying F-AGMS write over every row at once:
+/// `counters[r·width + bucket_r(key)] += count·sign_r(key)` per
+/// `(key, count)` and row `r` of `rows`, hashed as [`hash_rows`] hashes.
+/// Adds to
+/// `changes[r]` the change the writes made to row `r`'s `Σ c²`, summed
+/// with [`square_change`] per write: wrapping, so it is the exact change
+/// modulo `2⁶⁴` whatever the counters hold, and the exact change itself
+/// while the row's `Σ c²` stays below `2⁶³` before and after.
+///
+/// # Panics
+///
+/// Panics if `width == 0`, `counters` holds fewer than
+/// `rows.len() × width` counters or `changes` is shorter than `rows`.
 pub fn signed_scatter_counts(
     d: Dispatch,
-    sign_coeffs: &[u64],
-    bucket_coeffs: &[u64],
+    rows: &[RowPolys<'_>],
     width: usize,
     items: &[(u64, i64)],
     counters: &mut [i64],
-) -> i64 {
-    assert!(width > 0, "bucket width must be non-zero");
-    assert!(counters.len() >= width, "counter row narrower than width");
-    let mut sbuf = [0u64; 8];
-    let mut bbuf = [0u64; 8];
-    let (Some(sn), Some(bn)) = (
-        reduced_coeffs(sign_coeffs, &mut sbuf),
-        reduced_coeffs(bucket_coeffs, &mut bbuf),
-    ) else {
-        let mut change = 0i64;
-        for &(k, count) in items {
-            let s = 1 - 2 * ((poly_eval(sign_coeffs, k) & 1) as i64);
-            let b = (poly_eval(bucket_coeffs, k) % width as u64) as usize;
-            change = change.wrapping_add(add_counted(&mut counters[b], s * count));
-        }
-        return change;
-    };
-    let (sc, bc) = (&sbuf[..sn], &bbuf[..bn]);
-    let wm = FixedMod::new(width as u64);
-    let mut change = 0i64;
-    let mut chunks = items.chunks_exact(CHUNK);
-    for ic in chunks.by_ref() {
-        let ks: [u64; CHUNK] = std::array::from_fn(|l| ic[l].0);
-        let (hs, hb) = hash8_pair(d, sc, bc, &ks);
-        for l in 0..CHUNK {
-            let delta = (1 - 2 * ((hs[l] & 1) as i64)) * ic[l].1;
-            change = change.wrapping_add(add_counted(&mut counters[wm.rem(hb[l]) as usize], delta));
-        }
-    }
-    for &(k, count) in chunks.remainder() {
-        let s = 1 - 2 * ((poly_eval(sc, k) & 1) as i64);
-        let b = wm.rem(poly_eval(bc, k)) as usize;
-        change = change.wrapping_add(add_counted(&mut counters[b], s * count));
-    }
-    change
+    changes: &mut [i64],
+) {
+    assert!(
+        counters.len() >= rows.len() * width,
+        "counter block smaller than depth × width"
+    );
+    assert!(changes.len() >= rows.len(), "one change per row");
+    let key = |i: usize| items[i].0;
+    for_each_hash(d, rows, width, items.len(), key, |i, r, sign, bucket| {
+        let change = add_counted(&mut counters[r * width + bucket], sign * items[i].1);
+        changes[r] = changes[r].wrapping_add(change);
+    });
 }
 
 /// `c += delta`, returning the change to `c²`.
@@ -569,7 +561,7 @@ fn square_block(block: &[i64]) -> Option<u64> {
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 pub(crate) mod avx2 {
-    use super::{geometric_gap, CHUNK, GAP_LANES, SQUARE_LIMIT};
+    use super::{geometric_gap, RowGroup, CHUNK, GAP_LANES, ROW_GROUP, SQUARE_LIMIT};
     use crate::prime::P61;
     use crate::{splitmix64, GOLDEN_GAMMA};
     use std::arch::x86_64::{
@@ -715,23 +707,6 @@ pub(crate) mod avx2 {
         horner(coeffs, x0, x1)
     }
 
-    /// Two-polynomial variant sharing the reduced keys.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2; `keys` must point at 8 readable u64s.
-    #[target_feature(enable = "avx2")]
-    unsafe fn horner8_pair_impl(
-        sc: &[u64],
-        bc: &[u64],
-        keys: &[u64; CHUNK],
-    ) -> ([u64; CHUNK], [u64; CHUNK]) {
-        // SAFETY: `keys` is a [u64; 8]; see `horner8_impl`.
-        let x0 = canonicalize(_mm256_loadu_si256(keys.as_ptr().cast()));
-        let x1 = canonicalize(_mm256_loadu_si256(keys.as_ptr().add(4).cast()));
-        (horner(sc, x0, x1), horner(bc, x0, x1))
-    }
-
     /// Safe-to-call wrapper: the token witnesses AVX2 support.
     #[inline]
     pub(crate) fn horner8(_token: Avx2Token, coeffs: &[u64], keys: &[u64; CHUNK]) -> [u64; CHUNK] {
@@ -741,16 +716,54 @@ pub(crate) mod avx2 {
         unsafe { horner8_impl(coeffs, keys) }
     }
 
+    /// [`super::for_each_hash`] over the first `full` keys, a multiple of
+    /// [`CHUNK`]: each eight keys are loaded and reduced once, every row's
+    /// sign and bucket chains run on them (independent chains, which
+    /// overlap), and only then does `at(i, r, sign hash, bucket hash)` see
+    /// them.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 (call only while holding an [`Avx2Token`]).
+    #[target_feature(enable = "avx2")]
+    unsafe fn hash_rows_impl(
+        polys: &RowGroup,
+        full: usize,
+        key: &impl Fn(usize) -> u64,
+        at: &mut impl FnMut(usize, usize, u64, u64),
+    ) {
+        let mut hs = [[0u64; CHUNK]; ROW_GROUP];
+        let mut hb = [[0u64; CHUNK]; ROW_GROUP];
+        for start in (0..full).step_by(CHUNK) {
+            let keys: [u64; CHUNK] = std::array::from_fn(|l| key(start + l));
+            // SAFETY: `keys` is a [u64; 8], so both 32-byte unaligned loads
+            // are in bounds.
+            let x0 = canonicalize(_mm256_loadu_si256(keys.as_ptr().cast()));
+            let x1 = canonicalize(_mm256_loadu_si256(keys.as_ptr().add(4).cast()));
+            for r in 0..polys.rows {
+                hs[r] = horner(polys.sign(r), x0, x1);
+                hb[r] = horner(polys.bucket(r), x0, x1);
+            }
+            for r in 0..polys.rows {
+                for l in 0..CHUNK {
+                    at(start + l, r, hs[r][l], hb[r][l]);
+                }
+            }
+        }
+    }
+
     /// Safe-to-call wrapper: the token witnesses AVX2 support.
     #[inline]
-    pub(crate) fn horner8_pair(
+    pub(super) fn hash_rows(
         _token: Avx2Token,
-        sc: &[u64],
-        bc: &[u64],
-        keys: &[u64; CHUNK],
-    ) -> ([u64; CHUNK], [u64; CHUNK]) {
-        // SAFETY: as in `horner8`.
-        unsafe { horner8_pair_impl(sc, bc, keys) }
+        polys: &RowGroup,
+        full: usize,
+        key: &impl Fn(usize) -> u64,
+        at: &mut impl FnMut(usize, usize, u64, u64),
+    ) {
+        // SAFETY: an Avx2Token exists only if is_x86_feature_detected!
+        // ("avx2") returned true, so the target-feature call is sound.
+        unsafe { hash_rows_impl(polys, full, key, at) }
     }
 
     /// SplitMix64's two multipliers.
@@ -1102,11 +1115,6 @@ mod tests {
                 for d in paths {
                     assert_eq!(sign_sum(d, coeffs, &keys[..len]), want_sum, "len {len}");
                     assert_eq!(sign_dot(d, coeffs, &items[..len]), want_dot, "len {len}");
-                    let mut out = vec![0i64; len];
-                    sign_batch(d, coeffs, &keys[..len], &mut out);
-                    for (i, &s) in out.iter().enumerate() {
-                        assert_eq!(s, 1 - 2 * ((poly_eval(coeffs, keys[i]) & 1) as i64));
-                    }
                 }
             }
         }
@@ -1136,7 +1144,9 @@ mod tests {
                         want[(poly_eval(bc, k) % width as u64) as usize] += s * c;
                     }
                     let mut got = vec![0i64; width];
-                    signed_scatter_counts(d, sc, bc, width, &items[..len], &mut got);
+                    let mut change = [0];
+                    let rows = [(sc, bc)];
+                    signed_scatter_counts(d, &rows, width, &items[..len], &mut got, &mut change);
                     assert_eq!(got, want, "signed counts width {width} len {len}");
                 }
             }
@@ -1155,6 +1165,72 @@ mod tests {
             .sum();
         for d in [Dispatch::chunked(), Dispatch::get()] {
             assert_eq!(sign_sum(d, &coeffs, &keys), want);
+        }
+    }
+
+    /// A row whose sign or bucket polynomial is past the coefficient
+    /// budget takes the scalar way on every path, and so does every row of
+    /// its group: the scatters still equal direct evaluation.
+    #[test]
+    fn scatter_kernels_fall_back_beyond_coefficient_budget() {
+        let long: Vec<u64> = (1..=12u64).collect();
+        let short: &[u64] = &[3, 5, 7, 11];
+        let keys: Vec<u64> = (0..37u64).map(|i| i * 997).collect();
+        let items = test_items(&keys);
+        let width = 29usize;
+        let row_sets: [&[RowPolys<'_>]; 3] = [
+            &[(&long, short)],
+            &[(short, &long)],
+            &[(short, short), (&long, &long), (short, &[1, 2])],
+        ];
+        for rows in row_sets {
+            let mut want = vec![0i64; rows.len() * width];
+            for (r, &(sc, bc)) in rows.iter().enumerate() {
+                for &(k, c) in &items {
+                    let s = 1 - 2 * ((poly_eval(sc, k) & 1) as i64);
+                    want[r * width + (poly_eval(bc, k) % width as u64) as usize] += s * c;
+                }
+            }
+            for d in [Dispatch::chunked(), Dispatch::get()] {
+                let mut got = vec![0i64; rows.len() * width];
+                let mut changes = vec![0i64; rows.len()];
+                signed_scatter_counts(d, rows, width, &items, &mut got, &mut changes);
+                assert_eq!(got, want, "{} path", d.label());
+
+                let (sc, bc) = rows[0];
+                let mut want = vec![0i64; width];
+                for &k in &keys {
+                    let s = 1 - 2 * ((poly_eval(sc, k) & 1) as i64);
+                    want[(poly_eval(bc, k) % width as u64) as usize] += s;
+                }
+                let mut got = vec![0i64; width];
+                signed_scatter(d, sc, bc, width, &keys, &mut got);
+                assert_eq!(got, want, "{} path", d.label());
+            }
+        }
+    }
+
+    /// A zero width is refused on every path, by both scatters and the
+    /// gather, before any key is hashed.
+    #[test]
+    fn scatter_kernels_reject_zero_width() {
+        let rows: [RowPolys<'_>; 1] = [(&[1, 2, 3, 4], &[1, 2])];
+        for d in [Dispatch::chunked(), Dispatch::get()] {
+            let calls: [&(dyn Fn() + std::panic::RefUnwindSafe); 3] = [
+                &|| signed_scatter(d, rows[0].0, rows[0].1, 0, &[1], &mut []),
+                &|| signed_scatter_counts(d, &rows, 0, &[(1, 1)], &mut [], &mut [0]),
+                &|| hash_rows(d, &rows, 0, &[1], &mut [(0, 0)]),
+            ];
+            for call in calls {
+                let panic = std::panic::catch_unwind(call).expect_err("width 0 must panic");
+                let message = panic.downcast_ref::<&str>().copied().unwrap_or_default();
+                assert_eq!(
+                    message,
+                    "bucket width must be non-zero",
+                    "{} path",
+                    d.label()
+                );
+            }
         }
     }
 

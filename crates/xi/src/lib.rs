@@ -112,7 +112,7 @@ pub mod kernels;
 pub mod prime;
 
 pub use codec::{Codec, CodecError, Reader, Writer};
-pub use cw::{signed_scatter, signed_scatter_counts, Cw2, Cw2Bucket, Cw4};
+pub use cw::{Cw2, Cw2Bucket, Cw4};
 pub use family::{BucketFamily, SignFamily};
 pub use kernels::Dispatch;
 

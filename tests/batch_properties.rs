@@ -870,3 +870,148 @@ fn the_kept_square_sums_hold_at_each_edge() -> Result<(), TestCaseError> {
     }
     Ok(())
 }
+
+/// What the old merge into an empty Misra–Gries summary left: a copy of
+/// `other`'s counter list, compacted as `compact` does it (select the
+/// `capacity + 1`-th largest count, keep the first `capacity` in the order
+/// the selection leaves them, less the cut, dropping the non-positive).
+/// The survivors in list order, and the cut.
+fn clone_then_compact(other: &MisraGries) -> (Vec<(u64, u64)>, u64) {
+    let mut counters = other.counters();
+    let capacity = other.capacity();
+    if counters.len() <= capacity {
+        return (counters, 0);
+    }
+    let (_, &mut (_, cut), _) = counters.select_nth_unstable_by(capacity, |a, b| b.1.cmp(&a.1));
+    counters.truncate(capacity);
+    counters.retain_mut(|(_, count)| {
+        *count -= cut;
+        *count > 0
+    });
+    (counters, cut)
+}
+
+/// A Misra–Gries layout: capacity, offset, offered weight, then the keys
+/// in ascending order and their counts.
+fn misra_gries_body(
+    capacity: usize,
+    offset: u64,
+    offered: u64,
+    counters: &[(u64, u64)],
+) -> Vec<u8> {
+    let mut sorted = counters.to_vec();
+    sorted.sort_unstable();
+    let (keys, counts): (Vec<u64>, Vec<u64>) = sorted.into_iter().unzip();
+    let mut w = Writer::new();
+    w.usize(capacity);
+    w.u64(offset);
+    w.u64(offered);
+    w.u64s(&keys);
+    w.u64s(&counts);
+    w.into_bytes()
+}
+
+/// A value's layout, without a head.
+fn layout<T: Codec>(value: &T) -> Vec<u8> {
+    let mut w = Writer::new();
+    value.put(&mut w);
+    w.into_bytes()
+}
+
+/// A KLL layout: the levels, `k`, the weight, the coin and the seed.
+fn kll_layout(levels: &[Vec<u64>], k: usize, n: u64, coin: u64, seed: u64) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.usize(levels.len());
+    levels.iter().for_each(|level| w.u64s(level));
+    w.usize(k);
+    w.u64(n);
+    w.u64(coin);
+    w.u64(seed);
+    w.into_bytes()
+}
+
+/// A KLL summary's fields, read off its layout.
+fn kll_fields(kll: &KllSketch) -> (Vec<Vec<u64>>, usize, u64, u64, u64) {
+    let bytes = layout(kll);
+    let mut r = Reader::new(&bytes);
+    let levels = r.count(1).unwrap();
+    let levels = (0..levels).map(|_| r.u64s().unwrap()).collect();
+    let fields = (levels, r.usize().unwrap(), r.u64().unwrap());
+    (
+        fields.0,
+        fields.1,
+        fields.2,
+        r.u64().unwrap(),
+        r.u64().unwrap(),
+    )
+}
+
+/// `merge` into an empty summary of `receiver`'s seed, checked against the
+/// concatenation it stands for: `other`'s levels with the XORed coin and
+/// the receiver's seed, decoded, then compressed by merging an empty
+/// summary whose coin is zero (a summary holding weight, so it takes the
+/// general path).
+fn check_kll_into_empty(other: &KllSketch, receiver_seed: u64) -> Result<(), TestCaseError> {
+    let k = other.k();
+    let mut into = KllSketch::with_seed(k, receiver_seed).unwrap();
+    into.merge(other).unwrap();
+    let (levels, _, n, coin, _) = kll_fields(other);
+    let body = kll_layout(&levels, k, n, coin ^ receiver_seed, receiver_seed);
+    let mut reference = KllSketch::take(&mut Reader::new(&body)).unwrap();
+    reference
+        .merge(&KllSketch::with_seed(k, 0).unwrap())
+        .unwrap();
+    prop_assert_eq!(layout(&into), layout(&reference));
+    prop_assert_eq!(into.stored(), reference.stored());
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A merge into an empty summary builds only what the merge keeps, and
+    /// leaves what the general path leaves. Misra–Gries: tables at
+    /// capacities 1–300 of tie-heavy counts (every count in 1–4, so many
+    /// counters sit at the cut), into a new summary and into one whose
+    /// counters all compacted away; `encode()`, the counter list and the
+    /// order of `candidates()` equal a copy of the other table compacted
+    /// in place. KLL: a fed summary at `k` 8, 16 or 200, and a decoded
+    /// overfull one, whose merge compresses; the layout equals the
+    /// concatenation's.
+    #[test]
+    fn an_empty_receiver_merges_as_the_general_path_does(
+        capacity in 1usize..300,
+        offers in prop::collection::vec((0u64..800, 1i64..5), 0..700),
+        gone: bool,
+        k_pick in 0usize..3,
+        values in prop::collection::vec(any::<u64>(), 0..5000),
+        overfull in prop::collection::vec(prop::collection::vec(any::<u64>(), 0..60), 1..7),
+        seed: u64,
+    ) {
+        let mut other = MisraGries::new(capacity).unwrap();
+        offers.iter().for_each(|&(key, count)| other.offer(key, count));
+        let mut into = MisraGries::new(capacity).unwrap();
+        if gone {
+            into.offer_batch(&(1 << 40..(1 << 40) + 2 * CHUNK as u64).collect::<Vec<_>>());
+            prop_assert_eq!(into.held(), 0);
+        }
+        let offset = into.error_bound() + other.error_bound();
+        let offered = into.items_offered() + other.items_offered();
+        let (survivors, cut) = clone_then_compact(&other);
+        into.merge(&other).unwrap();
+        prop_assert_eq!(into.counters(), survivors.clone());
+        let keys: Vec<u64> = survivors.iter().map(|&(key, _)| key).collect();
+        prop_assert_eq!(into.candidates(), keys);
+        let body = misra_gries_body(capacity, offset + cut, offered, &survivors);
+        prop_assert_eq!(layout(&into), body);
+
+        let k = [8, 16, 200][k_pick];
+        let mut fed = KllSketch::with_seed(k, seed ^ 1).unwrap();
+        fed.insert_batch(&values);
+        check_kll_into_empty(&fed, seed)?;
+        let weight: u64 = (overfull.iter().enumerate()).map(|(h, l)| (l.len() as u64) << h).sum();
+        let body = kll_layout(&overfull, 8, weight, seed.rotate_left(7), seed ^ 2);
+        let decoded = KllSketch::take(&mut Reader::new(&body)).unwrap();
+        check_kll_into_empty(&decoded, seed)?;
+    }
+}

@@ -3,8 +3,11 @@
 //! the vectorized path behind [`Dispatch::get`] — must agree **exactly**
 //! with the per-key scalar reference for the CW sign and bucket families, on
 //! arbitrary keys and signed counts, including empty batches and lengths
-//! that are not a multiple of the kernel width (tails). Every case runs on
-//! both dispatches, so the portable path stays covered on AVX2 hosts. The
+//! that are not a multiple of the kernel width (tails). The all-rows
+//! gather (`hash_rows`) must give every row's sign and bucket as
+//! `poly_eval` does, row by row, at depths across its row groups. Every
+//! case runs on both dispatches, so the portable path stays covered on
+//! AVX2 hosts. The
 //! Bernoulli sampler's gap kernel must equal its reference draw by draw:
 //! ten million draws per rate, and draws forced onto and next to integer
 //! quotients, where the AVX2 path hands lanes to its exact fallback. The
@@ -18,6 +21,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sketch_sampled_streams::sampling::{CounterRng, GeometricSkip};
 use sketch_sampled_streams::xi::kernels::{self, Dispatch, GAP_LANES};
+use sketch_sampled_streams::xi::prime::poly_eval;
 use sketch_sampled_streams::xi::{
     splitmix64, BucketFamily, Cw2, Cw2Bucket, Cw4, SignFamily, GOLDEN_GAMMA,
 };
@@ -50,15 +54,11 @@ fn check_poly_sign<F: SignFamily>(
     let coeffs = f.coeffs();
     let sum: i64 = keys.iter().map(|&k| f.sign(k)).sum();
     let dot: i64 = items.iter().map(|&(k, c)| f.sign(k) * c).sum();
-    let signs: Vec<i64> = keys.iter().map(|&k| f.sign(k)).collect();
     prop_assert_eq!(kernels::sign_sum_chunked(coeffs, keys), sum);
     prop_assert_eq!(kernels::sign_dot_chunked(coeffs, items), dot);
     for d in paths() {
         prop_assert_eq!(kernels::sign_sum(d, coeffs, keys), sum);
         prop_assert_eq!(kernels::sign_dot(d, coeffs, items), dot);
-        let mut out = vec![0i64; keys.len()];
-        kernels::sign_batch(d, coeffs, keys, &mut out);
-        prop_assert_eq!(&out, &signs);
     }
     // The trait methods route through Dispatch::get(); pin them too.
     prop_assert_eq!(f.sign_sum(keys), sum);
@@ -84,36 +84,56 @@ proptest! {
         check_poly_sign(&cw4, &keys, &items)?;
     }
 
-    /// The CW2 bucket family: batched bucket computation equals the per-key
-    /// `bucket()` on every path, for widths from degenerate to large.
+    /// The all-rows gather: `hash_rows` gives every key at every row the
+    /// sign and bucket `poly_eval` gives for that row (its low bit as ±1,
+    /// its value modulo the width), key-major, on both paths,
+    /// at depths that fill one row group, cross into a second, and take
+    /// polynomials past the kernels' coefficient budget.
     #[test]
     fn bucket_kernels_are_bit_identical(
         keys in keys_strategy(),
         width in 1usize..5000,
+        depth in 1usize..20,
+        long in 0usize..4,
         seed: u64,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let cwb = <Cw2Bucket as BucketFamily>::random(&mut rng);
-        let coeffs = cwb.coeffs();
-        let expect: Vec<usize> = keys.iter().map(|&k| cwb.bucket(k, width)).collect();
-        for d in paths() {
-            let mut out = vec![0usize; keys.len()];
-            kernels::bucket_batch(d, coeffs, width, &keys, &mut out);
-            prop_assert_eq!(&out, &expect);
+        let mut coeffs = random_rows(depth, &mut rng);
+        // One row's sign (0) or bucket (1) polynomial past the budget: that
+        // row group takes the scalar way.
+        let past: Vec<u64> = (1..=12u64).map(|c| c.wrapping_mul(seed)).collect();
+        match long {
+            0 => coeffs[depth / 2].0 = past,
+            1 => coeffs[depth / 2].1 = past,
+            _ => {}
         }
-        let mut out = vec![0usize; keys.len()];
-        cwb.bucket_batch(&keys, width, &mut out);
-        prop_assert_eq!(&out, &expect);
+        let rows: Vec<(&[u64], &[u64])> =
+            coeffs.iter().map(|(s, b)| (&s[..], &b[..])).collect();
+        let mut expect = Vec::new();
+        for &k in &keys {
+            for (sc, bc) in &rows {
+                let sign = 1 - 2 * (poly_eval(sc, k) & 1) as i64;
+                expect.push((sign, (poly_eval(bc, k) % width as u64) as usize));
+            }
+        }
+        for d in paths() {
+            let mut got = vec![(0, 0); keys.len() * depth];
+            kernels::hash_rows(d, &rows, width, &keys, &mut got);
+            prop_assert_eq!(&got, &expect, "{} path", d.label());
+        }
     }
 
-    /// The fused sign+bucket scatter kernels (the F-AGMS row update) leave counter state byte-identical to the per-key loop —
-    /// these route through `Dispatch::get()` internally, so on an AVX2
-    /// host this exercises the AVX2 pair-evaluation end to end.
+    /// The fused sign+bucket scatter kernels (the F-AGMS row update) leave
+    /// counter state byte-identical to the per-key loop: `signed_scatter`
+    /// on one row through `Dispatch::get()`, and the counted all-rows
+    /// `signed_scatter_counts` on every row of a `depth × width` block, on
+    /// both paths.
     #[test]
     fn scatter_kernels_are_bit_identical(
         keys in keys_strategy(),
         items in items_strategy(),
         width in 1usize..3000,
+        depth in 1usize..12,
         seed: u64,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -129,14 +149,34 @@ proptest! {
         kernels::signed_scatter(Dispatch::get(), sc, bc, width, &keys, &mut got);
         prop_assert_eq!(&got, &expect);
 
-        let mut expect = vec![0i64; width];
-        for &(k, c) in &items {
-            expect[bucket.bucket(k, width)] += sign.sign(k) * c;
+        let coeffs = random_rows(depth, &mut rng);
+        let rows: Vec<(&[u64], &[u64])> =
+            coeffs.iter().map(|(s, b)| (&s[..], &b[..])).collect();
+        let mut expect = vec![0i64; depth * width];
+        for (r, (sc, bc)) in rows.iter().enumerate() {
+            for &(k, c) in &items {
+                let sign = 1 - 2 * (poly_eval(sc, k) & 1) as i64;
+                expect[r * width + (poly_eval(bc, k) % width as u64) as usize] += sign * c;
+            }
         }
-        let mut got = vec![0i64; width];
-        kernels::signed_scatter_counts(Dispatch::get(), sc, bc, width, &items, &mut got);
-        prop_assert_eq!(&got, &expect);
+        for d in paths() {
+            let mut got = vec![0i64; depth * width];
+            let mut changes = vec![0i64; depth];
+            kernels::signed_scatter_counts(d, &rows, width, &items, &mut got, &mut changes);
+            prop_assert_eq!(&got, &expect, "{} path", d.label());
+        }
     }
+}
+
+/// `depth` rows of a Cw4 sign polynomial and a Cw2 bucket polynomial.
+fn random_rows(depth: usize, rng: &mut StdRng) -> Vec<(Vec<u64>, Vec<u64>)> {
+    (0..depth)
+        .map(|_| {
+            let sign = <Cw4 as SignFamily>::random(rng);
+            let bucket = <Cw2Bucket as BucketFamily>::random(rng);
+            (sign.coeffs().to_vec(), bucket.coeffs().to_vec())
+        })
+        .collect()
 }
 
 proptest! {
@@ -156,9 +196,11 @@ proptest! {
 }
 
 /// [`counted_scatter_reports_its_change_to_the_square_sum`] for one batch
-/// and one starting row: the reported change is `square_sum(after) −
-/// square_sum(before)` on both paths, and, whatever the counters reach,
-/// the `i128` change modulo `2⁶⁴`.
+/// and one starting row, written as the first of two rows whose second
+/// starts at zero: the change reported for the first is `square_sum(after)
+/// − square_sum(before)` on both paths, and, whatever the counters reach,
+/// the `i128` change modulo `2⁶⁴`; the change added to a row's slot is
+/// added to what the slot held.
 fn check_reported_change(
     items: &[(u64, i64)],
     start: &[i64],
@@ -175,16 +217,22 @@ fn check_reported_change(
             .sum::<i128>()
     };
     for d in paths() {
-        let mut row = start.to_vec();
-        let change = kernels::signed_scatter_counts(d, sc, bc, width, items, &mut row);
+        let mut block = start.to_vec();
+        block.resize(2 * width, 0);
+        let mut changes = [7, 0];
+        let rows = [(sc, bc), (sc, bc)];
+        kernels::signed_scatter_counts(d, &rows, width, items, &mut block, &mut changes);
+        let (row, second) = block.split_at(width);
+        prop_assert_eq!(changes[1], exact(second) as i64);
+        let change = changes[0].wrapping_sub(7);
         prop_assert_eq!(
             change,
-            (exact(&row) - exact(start)) as i64,
+            (exact(row) - exact(start)) as i64,
             "{} path",
             d.label()
         );
         if let (Some(before), Some(after)) =
-            (kernels::square_sum(d, start), kernels::square_sum(d, &row))
+            (kernels::square_sum(d, start), kernels::square_sum(d, row))
         {
             prop_assert_eq!(change, after as i64 - before as i64, "{} path", d.label());
         }

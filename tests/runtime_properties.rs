@@ -1689,3 +1689,53 @@ fn a_one_shard_fresh_merge_copies_no_row() {
         );
     }
 }
+
+/// What a one-shard fold allocates. Once `catch_up()` has applied every
+/// batch, `merged()` on a one-shard `Sampled<MultiSummary>` runtime builds
+/// only Misra–Gries's survivors: its list and index (two blocks) and the
+/// `(count, key)` scratch the selection runs over (one), besides the
+/// box the cache keeps the merge in (one) and the read's own four small
+/// vectors (the floors, the shard locks, the stamps and the parts). The
+/// join rows and their kept sums, the HyperLogLog registers and the KLL
+/// levels are shared with the shard, not copied: eight blocks in all,
+/// counted at a threshold of one byte (copying them read 19). The merge
+/// answers as the sequential sample does.
+#[test]
+fn a_one_shard_fold_allocates_only_the_survivors() {
+    let mut rng = StdRng::seed_from_u64(57);
+    let spec = MultiSpec::new(JoinSchema::fagms(3, 5000, &mut rng), &mut rng);
+    let proto = spec.sampled(0.1, &mut rng).unwrap();
+    let config = RuntimeConfig {
+        shards: 1,
+        queue_depth: 64,
+        partition: Partition::RoundRobin,
+    };
+    let mut rt = ShardedRuntime::new(config, &proto).unwrap();
+    let mut sequential = proto.for_shard(0);
+    // Skewed keys over a wide domain: many distinct keys between two
+    // compactions, a few heavy enough to survive one.
+    let keys: Vec<u64> = (0..60_000u64)
+        .map(|i| (1e6 * (splitmix64(i) as f64 / u64::MAX as f64).powi(3)) as u64)
+        .collect();
+    for batch in keys.chunks(4096) {
+        rt.push(batch).unwrap();
+        sequential.update_batch(batch);
+    }
+    rt.catch_up().unwrap();
+    let (merged, blocks) = blocks_of(1, || rt.merged().unwrap());
+    assert_eq!(blocks, 8);
+    let heavy = merged.summary().heavy();
+    assert!((1..=heavy.capacity()).contains(&heavy.held()));
+    assert_eq!(
+        every_bit(&merged.self_join_estimate()),
+        every_bit(&sequential.self_join_estimate())
+    );
+    assert_eq!(
+        every_bit(&merged.distinct_estimate()),
+        every_bit(&sequential.distinct_estimate())
+    );
+    assert_eq!(
+        merged.quantiles(&[0.1, 0.5, 0.9]).unwrap(),
+        sequential.quantiles(&[0.1, 0.5, 0.9]).unwrap()
+    );
+}
