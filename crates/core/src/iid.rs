@@ -9,8 +9,8 @@
 //! algorithm is though different because it has to take into consideration
 //! that the stream is only a sample").
 //!
-//! Estimates apply the Section III-D / Proposition 15 corrections with
-//! `α = observed/population`:
+//! Estimates apply the Section III-D / Proposition 15 corrections of
+//! [`WithReplacement`] with `α = observed/population`:
 //!
 //! ```text
 //! size of join:  X = (1/αβ) · S·T
@@ -19,6 +19,7 @@
 
 use crate::error::{Error, Result};
 use crate::sketch::{JoinSchema, JoinSketch};
+use sss_moments::scheme::{SamplingScheme, WithReplacement};
 
 /// Sketches a stream understood as a with-replacement sample from a finite
 /// population of known size.
@@ -63,9 +64,15 @@ impl IidStreamSketcher {
         self.population
     }
 
-    /// The sampling fraction `α = m/N` (may exceed 1 for WR streams).
+    /// The sampling fraction `α = m/N` (may exceed 1 for WR streams); 0
+    /// before the first tuple.
     pub fn alpha(&self) -> f64 {
-        self.observed as f64 / self.population as f64
+        self.scheme().map_or(0.0, |wr| wr.alpha())
+    }
+
+    /// The with-replacement scheme of the `m ≥ 1` draws observed so far.
+    fn scheme(&self) -> Result<WithReplacement> {
+        Ok(WithReplacement::new(self.observed, self.population)?)
     }
 
     /// The underlying sketch.
@@ -86,9 +93,7 @@ impl IidStreamSketcher {
                 need: 2,
             });
         }
-        let a = self.alpha();
-        let a2 = (self.observed - 1) as f64 / self.population as f64;
-        Ok(self.sketch.raw_self_join() / (a * a2) - self.population as f64 / a2)
+        Ok(self.scheme()?.self_join(self.sketch.raw_self_join())?)
     }
 
     /// Unbiased estimate of the *population* size of join against another
@@ -106,7 +111,7 @@ impl IidStreamSketcher {
             });
         }
         let raw = self.sketch.raw_size_of_join(&other.sketch)?;
-        Ok(raw / (self.alpha() * other.alpha()))
+        Ok(self.scheme()?.size_of_join(raw, &other.scheme()?))
     }
 }
 

@@ -136,32 +136,13 @@
 use crate::error::{Error, Result};
 use crate::summary::{priced, DistinctQuery, JoinQuery, QuantileQuery, Summary, TopKQuery};
 use rand::Rng;
+use sss_moments::scheme::{Bernoulli, SamplingScheme};
 use sss_sampling::{
     bernoulli_frequency_variance_plugin, bernoulli_self_join_variance_plugin,
     bernoulli_size_of_join_variance_plugin, Door,
 };
 use sss_sketch::Estimate;
 use sss_xi::splitmix64;
-
-/// The Proposition 14 self-join correction, shared by every Bernoulli
-/// estimator in the workspace: the unbiased full-stream self-join estimate
-/// from the raw sketch estimate of a Bernoulli(`p`) sample in which `kept`
-/// tuples were retained:
-///
-/// ```text
-/// X = (1/p²)·S² − ((1−p)/p²)·|F′|
-/// ```
-///
-/// `|F′|` is known exactly, which is why Bernoulli sampling composes so
-/// cleanly with sketching ("the size of the sample is unknown prior to
-/// running the process. This is not a problem anymore when the sample is
-/// sketched"). Keeping this in one place guarantees every [`Sampled`]
-/// answer — the value and every lane — applies the exact same formula.
-#[inline]
-fn bernoulli_self_join(raw_self_join: f64, p: f64, kept: u64) -> f64 {
-    let p2 = p * p;
-    raw_self_join / p2 - (1.0 - p) / p2 * kept as f64
-}
 
 /// Offered tuples per door walk in [`Sampled::feed_batch`]: bounds its
 /// buffer of kept keys at 128 KiB however long the batch.
@@ -177,7 +158,8 @@ const FEED_SLICE: usize = 1 << 14;
 pub struct Sampled<S: Summary> {
     summary: S,
     door: Door,
-    p: f64,
+    /// `Bernoulli(p)`: its estimators correct every F₂ and join read.
+    scheme: Bernoulli,
     /// The counter's seed; [`Summary::for_shard`] derives shard seeds
     /// from it.
     seed: u64,
@@ -206,7 +188,7 @@ impl<S: Summary> Sampled<S> {
         Ok(Self {
             summary,
             door: Door::new(p, seed)?,
-            p,
+            scheme: Bernoulli::new(p)?,
             seed,
             seen: 0,
             kept: 0,
@@ -234,7 +216,7 @@ impl<S: Summary> Sampled<S> {
     /// reach the summary in one `update_batch`.
     pub fn feed_batch(&mut self, keys: &[u64]) -> u64 {
         let kept_before = self.kept;
-        if self.p >= 1.0 {
+        if self.p() >= 1.0 {
             self.update_admitted(keys, keys.len() as u64);
         } else {
             let mut kept = Vec::new();
@@ -245,6 +227,11 @@ impl<S: Summary> Sampled<S> {
             }
         }
         self.kept - kept_before
+    }
+
+    /// The inclusion probability `p`.
+    fn p(&self) -> f64 {
+        self.scheme.p()
     }
 
     /// Tuples offered so far.
@@ -268,7 +255,7 @@ impl<S: Summary> Sampled<S> {
     /// [`Error::IncompatibleEstimators`] unless every part samples at
     /// `zero`'s rate.
     fn inner_parts<'a>(zero: &Self, parts: &[&'a Self]) -> Result<(Vec<&'a S>, u64, u64)> {
-        if parts.iter().any(|part| part.p != zero.p) {
+        if parts.iter().any(|part| part.scheme != zero.scheme) {
             return Err(Error::IncompatibleEstimators);
         }
         let inner = parts.iter().map(|part| &part.summary).collect();
@@ -321,12 +308,12 @@ impl<S: Summary> Summary for Sampled<S> {
         Self {
             seen: self.seen,
             kept: self.kept,
-            ..Self::seeded(summary, self.p, seed).expect("p was validated when self was built")
+            ..Self::seeded(summary, self.p(), seed).expect("p was validated when self was built")
         }
     }
 
     fn merge_from(&mut self, other: &Self) -> Result<()> {
-        if self.p != other.p {
+        if self.scheme != other.scheme {
             return Err(Error::IncompatibleEstimators);
         }
         self.summary.merge_from(&other.summary)?;
@@ -338,13 +325,13 @@ impl<S: Summary> Summary for Sampled<S> {
     /// The inner summary's [`merged_into`](Summary::merged_into); `p`, the
     /// seed and the door are the zero's, as a merge into it keeps them.
     fn merged_into(&self, zero: &Self) -> Result<Self> {
-        if zero.p != self.p {
+        if zero.scheme != self.scheme {
             return Err(Error::IncompatibleEstimators);
         }
         Ok(Self {
             summary: self.summary.merged_into(&zero.summary)?,
             door: zero.door.clone(),
-            p: zero.p,
+            scheme: zero.scheme,
             seed: zero.seed,
             seen: zero.seen + self.seen,
             kept: zero.kept + self.kept,
@@ -354,15 +341,17 @@ impl<S: Summary> Summary for Sampled<S> {
 
 /// Proposition 14's correction of `raw`, an F₂ estimate of the `kept`
 /// keys a Bernoulli(`p`) door admitted out of `seen`: the value and every
-/// basic corrected, the sketch variance scaled by `1/p⁴`, and the
-/// sampling variance plug-in of the paper's Section VI-A stacked on it.
-fn corrected_self_join(raw: Estimate, p: f64, kept: u64, seen: u64) -> Estimate {
-    let value = bernoulli_self_join(raw.value, p, kept);
+/// basic corrected by [`Bernoulli::self_join`], the sketch variance scaled
+/// by `1/p⁴`, and the sampling variance plug-in of the paper's Section
+/// VI-A stacked on it.
+fn corrected_self_join(raw: Estimate, scheme: Bernoulli, kept: u64, seen: u64) -> Estimate {
+    let value = scheme.self_join(raw.value, kept);
     let basics = raw
         .basics
         .iter()
-        .map(|&b| bernoulli_self_join(b, p, kept))
+        .map(|&b| scheme.self_join(b, kept))
         .collect();
+    let p = scheme.p();
     let p4 = (p * p) * (p * p);
     let sketch_variance = raw.variance / p4;
     let sampling_variance = bernoulli_self_join_variance_plugin(p, seen, value);
@@ -380,7 +369,7 @@ fn corrected_self_join(raw: Estimate, p: f64, kept: u64, seen: u64) -> Estimate 
 impl<S: JoinQuery> JoinQuery for Sampled<S> {
     fn self_join_estimate(&self) -> Estimate {
         let raw = self.summary.self_join_estimate();
-        corrected_self_join(raw, self.p, self.kept, self.seen)
+        corrected_self_join(raw, self.scheme, self.kept, self.seen)
     }
 
     /// The inner read of the sum, corrected with the `kept` and `seen`
@@ -388,18 +377,19 @@ impl<S: JoinQuery> JoinQuery for Sampled<S> {
     fn self_join_estimate_of_sum(zero: &Self, parts: &[&Self]) -> Result<Estimate> {
         let (inner, kept, seen) = Self::inner_parts(zero, parts)?;
         let raw = S::self_join_estimate_of_sum(&zero.summary, &inner)?;
-        Ok(corrected_self_join(raw, zero.p, kept, seen))
+        Ok(corrected_self_join(raw, zero.scheme, kept, seen))
     }
 
     fn size_of_join_estimate(&self, other: &Self) -> Result<Estimate> {
         let raw = self.summary.size_of_join_estimate(&other.summary)?;
-        let scale = self.p * other.p;
-        let value = raw.value / scale;
-        let basics = raw.basics.iter().map(|&b| b / scale).collect();
-        let sketch_variance = raw.variance / (scale * scale);
+        let (p, q) = (self.p(), other.p());
+        let join = |raw| self.scheme.size_of_join(raw, &other.scheme);
+        let value = join(raw.value);
+        let basics = raw.basics.iter().map(|&b| join(b)).collect();
+        let sketch_variance = raw.variance / ((p * q) * (p * q));
         let sampling_variance = bernoulli_size_of_join_variance_plugin(
-            self.p,
-            other.p,
+            p,
+            q,
             self.self_join_estimate().value,
             other.self_join_estimate().value,
             value,
@@ -434,12 +424,13 @@ fn thinned(raw: Estimate, p: f64) -> Estimate {
 /// ranking is exactly the summary's ranking over the kept sample.
 impl<S: TopKQuery> TopKQuery for Sampled<S> {
     fn frequency_estimate(&self, key: u64) -> Estimate {
-        thinned(self.summary.frequency_estimate(key), self.p)
+        thinned(self.summary.frequency_estimate(key), self.p())
     }
 
     fn top_k_estimates(&self, k: usize) -> Vec<(u64, Estimate)> {
         let top = self.summary.top_k_estimates(k).into_iter();
-        top.map(|(key, raw)| (key, thinned(raw, self.p))).collect()
+        top.map(|(key, raw)| (key, thinned(raw, self.p())))
+            .collect()
     }
 
     /// The inner read of the sum, thinned. The `f2` a read of the same
@@ -453,7 +444,9 @@ impl<S: TopKQuery> TopKQuery for Sampled<S> {
     ) -> Result<Vec<(u64, Estimate)>> {
         let (inner, _, _) = Self::inner_parts(zero, parts)?;
         let top = S::top_k_of_sum(&zero.summary, &inner, k, &mut None)?.into_iter();
-        Ok(top.map(|(key, raw)| (key, thinned(raw, zero.p))).collect())
+        Ok(top
+            .map(|(key, raw)| (key, thinned(raw, zero.p())))
+            .collect())
     }
 }
 
@@ -470,13 +463,13 @@ impl<S: TopKQuery> Sampled<S> {
 /// into the variance).
 impl<S: DistinctQuery> DistinctQuery for Sampled<S> {
     fn distinct_estimate(&self) -> Estimate {
-        bernoulli_distinct_estimate(self.summary.distinct_estimate(), self.p, self.kept)
+        bernoulli_distinct_estimate(self.summary.distinct_estimate(), self.p(), self.kept)
     }
 
     fn distinct_estimate_of_sum(zero: &Self, parts: &[&Self]) -> Result<Estimate> {
         let (inner, kept, _) = Self::inner_parts(zero, parts)?;
         let raw = S::distinct_estimate_of_sum(&zero.summary, &inner)?;
-        Ok(bernoulli_distinct_estimate(raw, zero.p, kept))
+        Ok(bernoulli_distinct_estimate(raw, zero.p(), kept))
     }
 }
 
@@ -509,7 +502,7 @@ impl<S: QuantileQuery> QuantileQuery for Sampled<S> {
     }
 
     fn rank_error(&self, q: f64) -> f64 {
-        self.summary.rank_error(q) + rank_jitter(q, self.p, self.kept)
+        self.summary.rank_error(q) + rank_jitter(q, self.p(), self.kept)
     }
 
     /// The sample's length, `kept`: the weight that normalizes its ranks.
@@ -524,7 +517,7 @@ impl<S: QuantileQuery> QuantileQuery for Sampled<S> {
         widen: f64,
     ) -> Result<(f64, (f64, f64))> {
         let (inner, kept, _) = Self::inner_parts(zero, parts)?;
-        let widen = widen + rank_jitter(q, zero.p, kept);
+        let widen = widen + rank_jitter(q, zero.p(), kept);
         S::quantile_with_bounds_of_sum(&zero.summary, &inner, q, widen)
     }
 }
@@ -751,7 +744,8 @@ mod tests {
         );
 
         let raw = shed.summary().raw_self_join_estimate();
-        let value = bernoulli_self_join(shed.summary().raw_self_join(), p, shed.kept());
+        let scheme = Bernoulli::new(p).unwrap();
+        let value = scheme.self_join(shed.summary().raw_self_join(), shed.kept());
         let e = shed.self_join_estimate();
         assert_eq!(e.value.to_bits(), value.to_bits());
         assert_eq!(e.basics.len(), raw.basics.len());
@@ -766,7 +760,8 @@ mod tests {
 
         let raw_join = shed.summary().raw_size_of_join(full.summary()).unwrap();
         let ej = shed.size_of_join_estimate(&full).unwrap();
-        assert_eq!(ej.value.to_bits(), (raw_join / (p * q)).to_bits());
+        let join = scheme.size_of_join(raw_join, &Bernoulli::new(q).unwrap());
+        assert_eq!(ej.value.to_bits(), join.to_bits());
         assert!(ej.variance.is_finite());
     }
 

@@ -9,7 +9,8 @@
 //! completes (`α = α₁ = 1`) the corrections vanish and the estimate is the
 //! plain sketch estimate of the full relation.
 //!
-//! Estimates apply the Section III-E / Proposition 16 corrections:
+//! Estimates apply the Section III-E / Proposition 16 corrections of
+//! [`WithoutReplacement`]:
 //!
 //! ```text
 //! size of join:  X = (1/αβ) · S·T
@@ -18,6 +19,7 @@
 
 use crate::error::{Error, Result};
 use crate::sketch::{JoinSchema, JoinSketch};
+use sss_moments::scheme::{SamplingScheme, WithoutReplacement};
 
 /// Sketches the prefix of a random-order scan of a relation of known size.
 ///
@@ -93,7 +95,13 @@ impl ScanSketcher {
 
     /// Scan progress `α = m/N ∈ [0, 1]`.
     pub fn progress(&self) -> f64 {
-        self.scanned as f64 / self.population as f64
+        self.scheme().map_or(0.0, |wor| wor.alpha())
+    }
+
+    /// The without-replacement scheme of the `m ≥ 1` tuples scanned so
+    /// far.
+    fn scheme(&self) -> Result<WithoutReplacement> {
+        Ok(WithoutReplacement::new(self.scanned, self.population)?)
     }
 
     /// Whether the whole relation has been scanned (estimates are then the
@@ -120,13 +128,7 @@ impl ScanSketcher {
                 need: 2,
             });
         }
-        let a = self.progress();
-        let a1 = if self.population == 1 {
-            1.0
-        } else {
-            (self.scanned - 1) as f64 / (self.population - 1) as f64
-        };
-        Ok(self.sketch.raw_self_join() / (a * a1) - (1.0 - a1) / a1 * self.population as f64)
+        Ok(self.scheme()?.self_join(self.sketch.raw_self_join())?)
     }
 
     /// Running estimate of the **correlation** between the two scanned
@@ -170,7 +172,7 @@ impl ScanSketcher {
             });
         }
         let raw = self.sketch.raw_size_of_join(&other.sketch)?;
-        Ok(raw / (self.progress() * other.progress()))
+        Ok(self.scheme()?.size_of_join(raw, &other.scheme()?))
     }
 }
 

@@ -31,7 +31,7 @@ fn display_messages_are_informative() {
 
 #[test]
 fn sources_are_preserved() {
-    let err = Error::Sampling(sss_sampling::Error::EmptySample);
+    let err = Error::Sampling(sss_sampling::Error::EmptyPopulation);
     assert!(err.source().is_some(), "wrapped errors expose their source");
     let err = Error::InsufficientSample { got: 0, need: 2 };
     assert!(err.source().is_none(), "leaf errors have no source");

@@ -211,7 +211,7 @@ where
     check_domains(f, g)?;
     let fa = Analysis::new(scheme_f, f);
     let ga = Analysis::new(scheme_g, g);
-    let c = 1.0 / (scheme_f.rate() * scheme_g.rate());
+    let c = scheme_f.sj_scale(scheme_g);
     let m: f64 = fa.e1.iter().zip(&ga.e1).map(|(a, b)| a * b).sum();
     let a = all_pairs_cross(&fa, &ga);
     Ok(Moments {
@@ -276,7 +276,7 @@ where
     check_averages(n)?;
     let fa = Analysis::new(scheme_f, f);
     let ga = Analysis::new(scheme_g, g);
-    let c = 1.0 / (scheme_f.rate() * scheme_g.rate());
+    let c = scheme_f.sj_scale(scheme_g);
     let m: f64 = fa.e1.iter().zip(&ga.e1).map(|(a, b)| a * b).sum();
     let a = all_pairs_cross(&fa, &ga);
     let s2f = fa.sum_single(2);

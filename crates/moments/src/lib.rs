@@ -33,7 +33,9 @@
 //! * [`freq`] — [`FrequencyVector`]: the true frequency profile of a
 //!   relation plus its power sums.
 //! * [`scheme`] — the `(κ, φ)` oracles for the three sampling schemes and
-//!   the scaling/bias-correction constants of each estimator.
+//!   their estimators: the scaling/bias-correction constants the engine
+//!   uses, and the one served application of them that every sampled
+//!   estimate in the workspace calls.
 //! * [`engine`] — the **generic evaluator**: Propositions 1–2 (sampling
 //!   only), 9–12 (sketch over samples, basic and averaged), instantiated
 //!   mechanically through the oracles.
@@ -111,6 +113,14 @@ pub enum Error {
     },
     /// The number of averaged estimators must be at least 1.
     InvalidAverageCount(usize),
+    /// A fixed-size self-join needs at least two sampled tuples (its
+    /// `α₁`, `α₂` corrections divide by `m − 1`).
+    SampleTooSmall {
+        /// Sample size that was provided.
+        got: u64,
+        /// Minimum size the estimator requires.
+        need: u64,
+    },
 }
 
 impl std::fmt::Display for Error {
@@ -130,6 +140,12 @@ impl std::fmt::Display for Error {
                 )
             }
             Error::InvalidAverageCount(n) => write!(f, "cannot average {n} estimators"),
+            Error::SampleTooSmall { got, need } => {
+                write!(
+                    f,
+                    "estimator requires a sample of at least {need} tuples, got {got}"
+                )
+            }
         }
     }
 }

@@ -1,12 +1,31 @@
-//! The `(κ, φ)` factorial-moment oracles for the three sampling schemes.
+//! The `(κ, φ)` factorial-moment oracles for the three sampling schemes,
+//! and the one place their estimators are applied.
 //!
 //! See the crate docs for the factorization. Each scheme also knows the
-//! constants of its unbiased estimators:
+//! constants of its unbiased estimators, in two forms that the tests of
+//! this module hold together within 1e-12:
 //!
-//! * the **rate** `E[f′ᵢ]/fᵢ` (the size-of-join scaling is the product of
-//!   the two relations' inverse rates), and
-//! * the affine self-join correction `X = u·Σf′ᵢ² + v·Σf′ᵢ + c` that undoes
-//!   the `E[f′²] ≠ rate²·f²` bias.
+//! * the **engine's form**, which [`crate::engine`] evaluates moments
+//!   through: the rate `E[f′ᵢ]/fᵢ`, the size-of-join multiplier
+//!   [`sj_scale`](SamplingScheme::sj_scale) `C = 1/(rate_F·rate_G)`, and
+//!   the affine self-join correction `X = u·Σf′ᵢ² + v·Σf′ᵢ + c`
+//!   ([`sjs_affine`](SamplingScheme::sjs_affine)) that undoes the
+//!   `E[f′²] ≠ rate²·f²` bias;
+//! * the **served form**, the estimate itself from a raw aggregate:
+//!   [`size_of_join`](SamplingScheme::size_of_join) `raw/(rate_F·rate_G)`
+//!   and each scheme's own `self_join` ([`Bernoulli::self_join`],
+//!   [`WithReplacement::self_join`], [`WithoutReplacement::self_join`]).
+//!
+//! The raw aggregate is the same whether it comes from a sketch of the
+//! sample (Props 13–16) or from the exact sample (Props 3–6), so the
+//! served form is the estimator of both. Its callers:
+//! `sss_core::Sampled` (Bernoulli, every F₂ and join read),
+//! `sss_core::IidStreamSketcher` (with replacement),
+//! `sss_core::ScanSketcher` (without replacement), the coordinator of
+//! `examples/distributed_shedding.rs`, and the sampling-only estimators
+//! over an `sss_exact::ExactAggregator` of the sample
+//! (`tests/sampling_estimators.rs` of this crate,
+//! `tests/pipeline_properties.rs`).
 
 use crate::factorial::falling_u64;
 use crate::{Error, Result};
@@ -34,6 +53,25 @@ pub trait SamplingScheme {
     /// `X = u·Σf′² + v·Σf′ + c`.
     fn sjs_affine(&self) -> (f64, f64, f64);
 
+    /// The size-of-join multiplier `C = 1/(rate·rateₒ)` of the unbiased
+    /// estimator `X = C·Σf′g′` against a sample of `other`.
+    fn sj_scale<T: SamplingScheme>(&self, other: &T) -> f64
+    where
+        Self: Sized,
+    {
+        1.0 / (self.rate() * other.rate())
+    }
+
+    /// The unbiased size-of-join estimate `raw/(rate·rateₒ)` from `raw`,
+    /// the join of this scheme's sample with a sample of `other`, sketched
+    /// or exact (Props 3, 5, 6, 13, 15, 16).
+    fn size_of_join<T: SamplingScheme>(&self, raw: f64, other: &T) -> f64
+    where
+        Self: Sized,
+    {
+        raw / (self.rate() * other.rate())
+    }
+
     /// Human-readable scheme name for reports.
     fn name(&self) -> &'static str;
 }
@@ -58,6 +96,16 @@ impl Bernoulli {
     /// The inclusion probability.
     pub fn p(&self) -> f64 {
         self.p
+    }
+
+    /// The unbiased self-join estimate `s/p² − (1−p)/p²·|F′|` from
+    /// `s = Σf′²`, sketched or exact, of a sample of `kept = |F′|` tuples
+    /// (Props 4 and 14). `|F′|` is known exactly, which is why Bernoulli
+    /// sampling composes so cleanly with sketching.
+    #[inline]
+    pub fn self_join(&self, s: f64, kept: u64) -> f64 {
+        let p2 = self.p * self.p;
+        s / p2 - (1.0 - self.p) / p2 * kept as f64
     }
 }
 
@@ -124,6 +172,20 @@ impl WithReplacement {
     /// `α₂ = (m−1)/N`.
     pub fn alpha2(&self) -> f64 {
         (self.m - 1) as f64 / self.n as f64
+    }
+
+    /// The unbiased population self-join estimate `s/(α·α₂) − N/α₂` from
+    /// `s = Σf′²` of the `m` draws, sketched or exact (Section III-D,
+    /// Prop 15).
+    ///
+    /// # Errors
+    ///
+    /// [`Error::SampleTooSmall`] if `m < 2`: `α₂` is then 0.
+    pub fn self_join(&self, s: f64) -> Result<f64> {
+        check_pairs(self.m)?;
+        let a = self.alpha();
+        let a2 = self.alpha2();
+        Ok(s / (a * a2) - self.n as f64 / a2)
     }
 }
 
@@ -195,6 +257,29 @@ impl WithoutReplacement {
             (self.m - 1) as f64 / (self.n - 1) as f64
         }
     }
+
+    /// The unbiased self-join estimate `s/(α·α₁) − (1−α₁)/α₁·N` from
+    /// `s = Σf′²` of the `m`-subset, sketched or exact (Section III-E,
+    /// Prop 16). A full sample (`m = N`) returns `s` itself.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::SampleTooSmall`] if `m < 2`: `α₁` is then 0 for `N > 1`.
+    pub fn self_join(&self, s: f64) -> Result<f64> {
+        check_pairs(self.m)?;
+        let a = self.alpha();
+        let a1 = self.alpha1();
+        Ok(s / (a * a1) - (1.0 - a1) / a1 * self.n as f64)
+    }
+}
+
+/// A fixed-size self-join corrects by `m − 1`: refuse fewer than two
+/// tuples rather than answer NaN or ±∞.
+fn check_pairs(m: u64) -> Result<()> {
+    if m < 2 {
+        return Err(Error::SampleTooSmall { got: m, need: 2 });
+    }
+    Ok(())
 }
 
 impl SamplingScheme for WithoutReplacement {
@@ -232,6 +317,7 @@ impl SamplingScheme for WithoutReplacement {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// Direct enumeration of a Binomial(f, p) pmf.
     fn binomial_pmf(f: u64, p: f64) -> Vec<f64> {
@@ -424,6 +510,86 @@ mod tests {
         assert!((u - 1.0 / (0.1 * a1)).abs() < 1e-12);
         assert_eq!(v, 0.0);
         assert!((c - -((1.0 - a1) / a1 * 100.0)).abs() < 1e-9);
+    }
+
+    /// `|a − b|` within `1e-12` of the magnitude of the terms that made
+    /// them, so a corrected estimate near zero is held to its parts.
+    fn agree(a: f64, b: f64, terms: f64) -> bool {
+        (a - b).abs() <= 1e-12 * terms
+    }
+
+    proptest! {
+        /// The served corrections (`self_join`, `size_of_join`) are the
+        /// engine's affine forms (`sjs_affine`, `sj_scale`, `rate`), so the
+        /// estimate served and the estimate whose moments the engine
+        /// evaluates cannot drift apart.
+        #[test]
+        fn served_corrections_are_the_engines_affine_forms(
+            spread in 1.0f64..1e4,
+            raw_join in -1e15f64..1e15,
+            kept in 0u64..1 << 40,
+            p in 1e-4f64..=1.0,
+            q in 1e-4f64..=1.0,
+            m in 2u64..1 << 32,
+            extra in 0u64..1 << 32,
+            other_m in 1u64..1 << 32,
+        ) {
+            // `Σf′²` lies between `|F′|` (all keys distinct) and `|F′|²`:
+            // `spread` times the sample size.
+            let b = Bernoulli::new(p).unwrap();
+            let bq = Bernoulli::new(q).unwrap();
+            let s = spread * kept as f64;
+            let (u, v, c) = b.sjs_affine();
+            let affine = u * s + v * kept as f64 + c;
+            let terms = (u * s).abs() + (v * kept as f64).abs() + c.abs();
+            prop_assert!(agree(b.self_join(s, kept), affine, terms));
+            let scaled = b.sj_scale(&bq) * raw_join;
+            prop_assert!(agree(b.size_of_join(raw_join, &bq), scaled, scaled.abs()));
+
+            // With replacement: m may exceed N, and Σf′ = m.
+            let n = (m + extra) / 2 + 1;
+            let wr = WithReplacement::new(m, n).unwrap();
+            let wr_other = WithReplacement::new(other_m, n).unwrap();
+            let s = spread * m as f64;
+            let (u, v, c) = wr.sjs_affine();
+            let affine = u * s + v * m as f64 + c;
+            let terms = (u * s).abs() + (v * m as f64).abs() + c.abs();
+            prop_assert!(agree(wr.self_join(s).unwrap(), affine, terms));
+            let scaled = wr.sj_scale(&wr_other) * raw_join;
+            prop_assert!(agree(wr.size_of_join(raw_join, &wr_other), scaled, scaled.abs()));
+
+            // Without replacement: 2 ≤ m ≤ N.
+            let n = m + extra;
+            let wor = WithoutReplacement::new(m, n).unwrap();
+            let wor_other = WithoutReplacement::new(other_m.min(n), n).unwrap();
+            let (u, v, c) = wor.sjs_affine();
+            let affine = u * s + v * m as f64 + c;
+            let terms = (u * s).abs() + (v * m as f64).abs() + c.abs();
+            prop_assert!(agree(wor.self_join(s).unwrap(), affine, terms));
+            let scaled = wor.sj_scale(&wor_other) * raw_join;
+            prop_assert!(agree(wor.size_of_join(raw_join, &wor_other), scaled, scaled.abs()));
+            // A mixed pair (Props 1/9): the scale is the two rates'.
+            let scaled = b.sj_scale(&wor) * raw_join;
+            prop_assert!(agree(b.size_of_join(raw_join, &wor), scaled, scaled.abs()));
+        }
+    }
+
+    #[test]
+    fn fixed_size_self_joins_refuse_fewer_than_two_tuples() {
+        let too_small = Err(Error::SampleTooSmall { got: 1, need: 2 });
+        assert_eq!(
+            WithReplacement::new(1, 10).unwrap().self_join(4.0),
+            too_small
+        );
+        assert_eq!(
+            WithoutReplacement::new(1, 10).unwrap().self_join(4.0),
+            too_small
+        );
+        assert_eq!(
+            WithoutReplacement::new(1, 1).unwrap().self_join(4.0),
+            too_small
+        );
+        assert!(WithReplacement::new(2, 10).unwrap().self_join(4.0).is_ok());
     }
 
     #[test]

@@ -5,7 +5,10 @@
 //! This closes the loop the unit tests leave open: the engine is pinned
 //! against exhaustive enumeration (tiny domains, idealized ξ), and here the
 //! production CW4 families and real sampling code are pinned against the
-//! engine on larger inputs.
+//! engine on larger inputs. Every estimate is the schemes' served
+//! correction (`self_join`, `size_of_join`), the one the product applies;
+//! `scheme`'s own proptest ties it to the affine form the engine
+//! evaluates.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -74,7 +77,6 @@ fn bernoulli_combined_self_join_matches_theory() {
     let tuples = expand(&f);
     let p = 0.3;
     let scheme = Bernoulli::new(p).unwrap();
-    let (u, v, c) = scheme.sjs_affine();
     let n_avg = 6usize;
     let reps = 6000;
     let mut rng = StdRng::seed_from_u64(0xB0);
@@ -90,7 +92,7 @@ fn bernoulli_combined_self_join_matches_theory() {
                 kept += 1;
             }
         }
-        xs.push(u * sk.self_join() + v * kept as f64 + c);
+        xs.push(scheme.self_join(sk.self_join(), kept));
     }
     let theory = engine::sketch_sample_sjs(&scheme, &f, n_avg).unwrap();
     assert_moments(empirical(&xs), theory, reps, "bernoulli sjs");
@@ -105,7 +107,6 @@ fn bernoulli_combined_size_of_join_matches_theory() {
     let (p, q) = (0.4, 0.25);
     let sp = Bernoulli::new(p).unwrap();
     let sq = Bernoulli::new(q).unwrap();
-    let c = 1.0 / (p * q);
     let n_avg = 6usize;
     let reps = 6000;
     let mut rng = StdRng::seed_from_u64(0xB1);
@@ -126,7 +127,7 @@ fn bernoulli_combined_size_of_join_matches_theory() {
                 t.update(k, 1);
             }
         }
-        xs.push(c * s.size_of_join(&t).unwrap());
+        xs.push(sp.size_of_join(s.size_of_join(&t).unwrap(), &sq));
     }
     let theory = engine::sketch_sample_sj(&sp, &f, &sq, &g, n_avg).unwrap();
     assert_moments(empirical(&xs), theory, reps, "bernoulli sj");
@@ -139,7 +140,6 @@ fn wr_combined_self_join_matches_theory() {
     let n_pop = tuples.len() as u64;
     let m = 30u64;
     let scheme = WithReplacement::new(m, n_pop).unwrap();
-    let (u, v, c) = scheme.sjs_affine();
     let n_avg = 6usize;
     let reps = 6000;
     let mut rng = StdRng::seed_from_u64(0xB2);
@@ -150,7 +150,7 @@ fn wr_combined_self_join_matches_theory() {
         for k in sample_with_replacement(&tuples, m, &mut rng).unwrap() {
             sk.update(k, 1);
         }
-        xs.push(u * sk.self_join() + v * m as f64 + c);
+        xs.push(scheme.self_join(sk.self_join()).unwrap());
     }
     let theory = engine::sketch_sample_sjs(&scheme, &f, n_avg).unwrap();
     assert_moments(empirical(&xs), theory, reps, "wr sjs");
@@ -163,7 +163,6 @@ fn wor_combined_self_join_matches_theory() {
     let n_pop = tuples.len() as u64;
     let m = 30u64;
     let scheme = WithoutReplacement::new(m, n_pop).unwrap();
-    let (u, v, c) = scheme.sjs_affine();
     let n_avg = 6usize;
     let reps = 6000;
     let mut rng = StdRng::seed_from_u64(0xB3);
@@ -174,7 +173,7 @@ fn wor_combined_self_join_matches_theory() {
         for k in sample_without_replacement(&tuples, m, &mut rng).unwrap() {
             sk.update(k, 1);
         }
-        xs.push(u * sk.self_join() + v * m as f64 + c);
+        xs.push(scheme.self_join(sk.self_join()).unwrap());
     }
     let theory = engine::sketch_sample_sjs(&scheme, &f, n_avg).unwrap();
     assert_moments(empirical(&xs), theory, reps, "wor sjs");
@@ -189,7 +188,6 @@ fn wr_combined_size_of_join_matches_theory() {
     let (mf, mg) = (30u64, 25u64);
     let sf = WithReplacement::new(mf, tf.len() as u64).unwrap();
     let sg = WithReplacement::new(mg, tg.len() as u64).unwrap();
-    let c = 1.0 / (sf.rate() * sg.rate());
     let n_avg = 6usize;
     let reps = 6000;
     let mut rng = StdRng::seed_from_u64(0xB4);
@@ -204,7 +202,7 @@ fn wr_combined_size_of_join_matches_theory() {
         for k in sample_with_replacement(&tg, mg, &mut rng).unwrap() {
             t.update(k, 1);
         }
-        xs.push(c * s.size_of_join(&t).unwrap());
+        xs.push(sf.size_of_join(s.size_of_join(&t).unwrap(), &sg));
     }
     let theory = engine::sketch_sample_sj(&sf, &f, &sg, &g, n_avg).unwrap();
     assert_moments(empirical(&xs), theory, reps, "wr sj");
@@ -219,7 +217,6 @@ fn wor_combined_size_of_join_matches_theory() {
     let (mf, mg) = (30u64, 25u64);
     let sf = WithoutReplacement::new(mf, tf.len() as u64).unwrap();
     let sg = WithoutReplacement::new(mg, tg.len() as u64).unwrap();
-    let c = 1.0 / (sf.rate() * sg.rate());
     let n_avg = 6usize;
     let reps = 6000;
     let mut rng = StdRng::seed_from_u64(0xB5);
@@ -234,7 +231,7 @@ fn wor_combined_size_of_join_matches_theory() {
         for k in sample_without_replacement(&tg, mg, &mut rng).unwrap() {
             t.update(k, 1);
         }
-        xs.push(c * s.size_of_join(&t).unwrap());
+        xs.push(sf.size_of_join(s.size_of_join(&t).unwrap(), &sg));
     }
     let theory = engine::sketch_sample_sj(&sf, &f, &sg, &g, n_avg).unwrap();
     assert_moments(empirical(&xs), theory, reps, "wor sj");
@@ -254,7 +251,6 @@ fn mixed_bernoulli_wor_size_of_join_matches_theory() {
     let mg = 25u64;
     let sf = Bernoulli::new(p).unwrap();
     let sg = WithoutReplacement::new(mg, tg.len() as u64).unwrap();
-    let c = 1.0 / (p * sg.rate());
     let n_avg = 6usize;
     let reps = 6000;
     let mut rng = StdRng::seed_from_u64(0xB7);
@@ -272,7 +268,7 @@ fn mixed_bernoulli_wor_size_of_join_matches_theory() {
         for k in sample_without_replacement(&tg, mg, &mut rng).unwrap() {
             t.update(k, 1);
         }
-        xs.push(c * s.size_of_join(&t).unwrap());
+        xs.push(sf.size_of_join(s.size_of_join(&t).unwrap(), &sg));
     }
     let theory = engine::sketch_sample_sj(&sf, &f, &sg, &g, n_avg).unwrap();
     assert!(
@@ -291,7 +287,6 @@ fn averaging_cannot_erase_the_sampling_variance() {
     let tuples = expand(&f);
     let p = 0.2;
     let scheme = Bernoulli::new(p).unwrap();
-    let (u, v, c) = scheme.sjs_affine();
     let n_avg = 64usize;
     let reps = 3000;
     let mut rng = StdRng::seed_from_u64(0xB6);
@@ -307,7 +302,7 @@ fn averaging_cannot_erase_the_sampling_variance() {
                 kept += 1;
             }
         }
-        xs.push(u * sk.self_join() + v * kept as f64 + c);
+        xs.push(scheme.self_join(sk.self_join(), kept));
     }
     let emp = empirical(&xs);
     let sampling_floor = engine::sampling_sjs(&scheme, &f).unwrap().variance;

@@ -1,30 +1,19 @@
-//! Error type shared by the sampling constructors and estimators.
+//! Error type shared by the samplers.
 
 use std::fmt;
 
-/// Errors produced by sampling constructors and estimators.
+/// Errors produced by the samplers' constructors and draws.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Error {
     /// A probability parameter was outside `(0, 1]` (or `[0, 1]` where a
     /// zero is meaningful); the payload is the offending value.
     InvalidProbability(f64),
-    /// A sample size of zero was requested where at least one element is
-    /// required for the estimator to be defined.
-    EmptySample,
     /// A without-replacement sample larger than the population was requested.
     SampleExceedsPopulation {
         /// Requested sample size.
         sample: u64,
         /// Available population size.
         population: u64,
-    },
-    /// An estimator needs at least two sampled tuples (the `α₁`, `α₂`
-    /// corrections divide by `|F′| − 1`).
-    SampleTooSmall {
-        /// Sample size that was provided.
-        got: u64,
-        /// Minimum size the estimator requires.
-        need: u64,
     },
     /// The population size parameter was zero.
     EmptyPopulation,
@@ -36,14 +25,10 @@ impl fmt::Display for Error {
             Error::InvalidProbability(p) => {
                 write!(f, "sampling probability {p} is outside the valid range")
             }
-            Error::EmptySample => write!(f, "sample is empty"),
             Error::SampleExceedsPopulation { sample, population } => write!(
                 f,
                 "without-replacement sample of size {sample} exceeds population of size {population}"
             ),
-            Error::SampleTooSmall { got, need } => {
-                write!(f, "estimator requires a sample of at least {need} tuples, got {got}")
-            }
             Error::EmptyPopulation => write!(f, "population size must be non-zero"),
         }
     }

@@ -157,10 +157,10 @@ pub fn staleness_variance_plugin(value: f64, applied: u64, pending: u64) -> f64 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::counts::SampleCounts;
-    use crate::estimators;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use sss_exact::ExactAggregator;
+    use sss_moments::scheme::{Bernoulli, SamplingScheme};
 
     #[test]
     fn self_join_variance_hand_case() {
@@ -194,6 +194,7 @@ mod tests {
         let f3: f64 = freqs.iter().map(|&(_, f)| (f * f * f) as f64).sum();
         let exact = bernoulli_self_join_variance(p, f1, f2, f3);
 
+        let scheme = Bernoulli::new(p).unwrap();
         let mut rng = StdRng::seed_from_u64(7);
         let reps = 8_000;
         let (mut s, mut s2) = (0.0, 0.0);
@@ -204,8 +205,8 @@ mod tests {
                     .map(move |_| k)
                     .collect::<Vec<_>>()
             });
-            let sample = SampleCounts::from_keys(kept);
-            let est = estimators::bernoulli_self_join(&sample, p).unwrap();
+            let sample = ExactAggregator::from_keys(kept);
+            let est = scheme.self_join(sample.self_join(), sample.total() as u64);
             s += est;
             s2 += est * est;
         }
@@ -242,12 +243,13 @@ mod tests {
         );
         let truth = moment(f, g, 1, 1);
 
+        let schemes = (Bernoulli::new(pf).unwrap(), Bernoulli::new(pg).unwrap());
         let mut rng = StdRng::seed_from_u64(11);
         let reps = 15_000;
         let (mut s, mut s2) = (0.0, 0.0);
         for _ in 0..reps {
             let draw = |freqs: &[(u64, u64)], p: f64, rng: &mut StdRng| {
-                SampleCounts::from_keys(freqs.iter().flat_map(|&(k, cnt)| {
+                ExactAggregator::from_keys(freqs.iter().flat_map(|&(k, cnt)| {
                     (0..cnt)
                         .filter(|_| rng.random::<f64>() < p)
                         .map(move |_| k)
@@ -256,7 +258,7 @@ mod tests {
             };
             let sf = draw(f, pf, &mut rng);
             let sg = draw(g, pg, &mut rng);
-            let est = estimators::bernoulli_size_of_join(&sf, &sg, pf, pg).unwrap();
+            let est = schemes.0.size_of_join(sf.join(&sg), &schemes.1);
             s += est;
             s2 += est * est;
         }

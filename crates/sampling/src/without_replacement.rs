@@ -1,13 +1,10 @@
 //! Sampling without replacement: a uniform random subset of fixed size.
 //!
 //! The sampled frequency vector `f′` follows the multivariate hypergeometric
-//! law. Three entry points match the three ways WOR samples arise in
-//! practice:
+//! law. Two entry points match the two ways WOR samples arise here:
 //!
 //! * [`sample_without_replacement`] — partial Fisher–Yates over a
 //!   materialized relation.
-//! * [`reservoir_sample`] — Vitter's Algorithm R over a one-pass stream of
-//!   unknown length.
 //! * [`PrefixScan`] — shuffle once, then expose every prefix of the scan as
 //!   a growing WOR sample. This models the online-aggregation scenario of
 //!   the paper's Section VI-C, where "the fraction of the relation seen at
@@ -46,87 +43,6 @@ pub fn sample_without_replacement<R: Rng + ?Sized>(
     }
     pool.truncate(m);
     Ok(pool)
-}
-
-/// One-pass reservoir sampling (Algorithm R) over a stream of unknown
-/// length.
-///
-/// Returns `min(m, stream length)` tuples; every subset of that size is
-/// equally likely.
-pub fn reservoir_sample<I, R>(stream: I, m: usize, rng: &mut R) -> Vec<u64>
-where
-    I: IntoIterator<Item = u64>,
-    R: Rng + ?Sized,
-{
-    let mut reservoir: Vec<u64> = Vec::with_capacity(m);
-    if m == 0 {
-        return reservoir;
-    }
-    for (seen, item) in stream.into_iter().enumerate() {
-        if reservoir.len() < m {
-            reservoir.push(item);
-        } else {
-            let j = rng.random_range(0..=seen);
-            if j < m {
-                reservoir[j] = item;
-            }
-        }
-    }
-    reservoir
-}
-
-/// One-pass reservoir sampling with geometric jumps (Li's Algorithm L).
-///
-/// Produces the same distribution as [`reservoir_sample`] but does O(1)
-/// work per *replacement* instead of per element: after the reservoir
-/// fills, the index of the next replaced element is drawn directly, so a
-/// stream of `n` elements costs `O(m·(1 + log(n/m)))` RNG work. This is
-/// the reservoir analogue of the geometric-skip Bernoulli sampler and the
-/// right choice when the stream is cheap to advance (e.g. an in-memory
-/// scan or a seekable file).
-pub fn reservoir_sample_l<I, R>(stream: I, m: usize, rng: &mut R) -> Vec<u64>
-where
-    I: IntoIterator<Item = u64>,
-    R: Rng + ?Sized,
-{
-    let mut it = stream.into_iter();
-    let mut reservoir: Vec<u64> = Vec::with_capacity(m);
-    if m == 0 {
-        return reservoir;
-    }
-    for item in it.by_ref().take(m) {
-        reservoir.push(item);
-    }
-    if reservoir.len() < m {
-        return reservoir; // stream shorter than the reservoir
-    }
-    // W is the running maximum of m uniform "keys" (in expectation);
-    // ln-space arithmetic avoids underflow on long streams.
-    let mut w: f64 = (rng.random::<f64>().max(f64::MIN_POSITIVE).ln() / m as f64).exp();
-    loop {
-        let u: f64 = rng.random::<f64>().max(f64::MIN_POSITIVE);
-        let skip = (u.ln() / (1.0 - w).ln()).floor();
-        if !skip.is_finite() || skip < 0.0 {
-            // w rounded to 1.0: every future key loses; sampling is done.
-            return reservoir;
-        }
-        // Advance past `skip` elements, then replace a random slot.
-        let mut remaining = skip as u64;
-        loop {
-            match it.next() {
-                None => return reservoir,
-                Some(item) => {
-                    if remaining == 0 {
-                        let slot = rng.random_range(0..m);
-                        reservoir[slot] = item;
-                        break;
-                    }
-                    remaining -= 1;
-                }
-            }
-        }
-        w *= (rng.random::<f64>().max(f64::MIN_POSITIVE).ln() / m as f64).exp();
-    }
 }
 
 /// A randomly-ordered scan whose prefixes are without-replacement samples.
@@ -226,71 +142,6 @@ mod tests {
         let mut r = rng(4);
         for _ in 0..reps {
             for k in sample_without_replacement(&pop, 5, &mut r).unwrap() {
-                incl[k as usize] += 1;
-            }
-        }
-        for (k, &c) in incl.iter().enumerate() {
-            let freq = c as f64 / reps as f64;
-            assert!((freq - 0.25).abs() < 0.015, "element {k}: inclusion {freq}");
-        }
-    }
-
-    #[test]
-    fn reservoir_matches_stream_when_short() {
-        let s = reservoir_sample(0..5u64, 10, &mut rng(5));
-        assert_eq!(s, vec![0, 1, 2, 3, 4]);
-        assert!(reservoir_sample(0..5u64, 0, &mut rng(5)).is_empty());
-    }
-
-    #[test]
-    fn algorithm_l_matches_stream_when_short() {
-        let s = reservoir_sample_l(0..5u64, 10, &mut rng(50));
-        assert_eq!(s, vec![0, 1, 2, 3, 4]);
-        assert!(reservoir_sample_l(0..5u64, 0, &mut rng(50)).is_empty());
-    }
-
-    /// Algorithm L must induce the same uniform inclusion law as
-    /// Algorithm R.
-    #[test]
-    fn algorithm_l_inclusion_probability_is_uniform() {
-        let reps = 40_000;
-        let n = 20u64;
-        let m = 5usize;
-        let mut incl = vec![0u32; n as usize];
-        let mut r = rng(51);
-        for _ in 0..reps {
-            for k in reservoir_sample_l(0..n, m, &mut r) {
-                incl[k as usize] += 1;
-            }
-        }
-        for (k, &c) in incl.iter().enumerate() {
-            let freq = c as f64 / reps as f64;
-            assert!((freq - 0.25).abs() < 0.015, "element {k}: inclusion {freq}");
-        }
-    }
-
-    /// On long streams Algorithm L consumes far fewer RNG draws than
-    /// Algorithm R performs index draws — spot-check the sample is still
-    /// exact-size and in range.
-    #[test]
-    fn algorithm_l_long_stream() {
-        let mut r = rng(52);
-        let s = reservoir_sample_l(0..1_000_000u64, 64, &mut r);
-        assert_eq!(s.len(), 64);
-        assert!(s.iter().all(|&k| k < 1_000_000));
-        let distinct: HashSet<u64> = s.iter().copied().collect();
-        assert_eq!(distinct.len(), 64, "WOR sample must not repeat tuples");
-    }
-
-    #[test]
-    fn reservoir_inclusion_probability_is_uniform() {
-        let reps = 40_000;
-        let n = 20u64;
-        let m = 5usize;
-        let mut incl = vec![0u32; n as usize];
-        let mut r = rng(6);
-        for _ in 0..reps {
-            for k in reservoir_sample(0..n, m, &mut r) {
                 incl[k as usize] += 1;
             }
         }

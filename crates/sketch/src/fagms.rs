@@ -28,8 +28,8 @@
 //! the same (`kll`, `hll`), so a one-shard fold copies only Misra–Gries's
 //! survivors (`tests/runtime_properties.rs::a_one_shard_fold_allocates_only_the_survivors`).
 //!
-//! The counted writes ([`FagmsSketch::update`],
-//! [`FagmsSketch::update_batch_counts`], the composite's path) also keep
+//! Every write ([`FagmsSketch::update`], [`FagmsSketch::update_batch`],
+//! [`FagmsSketch::update_batch_counts`], the composite's path) also keeps
 //! each row's `Σ c²`: a write of `delta` onto `c` changes it by
 //! `delta·(2c + delta)` ([`kernels::square_change`]), summed wrapping,
 //! and the sketch adds the writes' weight `W = Σ|count|`. A row's `Σ|c|`
@@ -38,9 +38,8 @@
 //! [`kernels::square_sum`]'s limits, so
 //! [`self_join_rows`](FagmsSketch::self_join_rows) returns the pass's
 //! value, bit for bit, in O(depth). Every other state squares the rows:
-//! after the uncounted [`FagmsSketch::update_batch`], after a
-//! merge or a decode, once `W` reaches `2³¹`, and while a kept sum is at
-//! or above `2⁵²`.
+//! after a merge or a decode, once `W` reaches `2³¹`, and while a kept
+//! sum is at or above `2⁵²`.
 
 use crate::error::{Error, Result};
 use crate::estimate::{self, Estimate};
@@ -208,12 +207,22 @@ impl<S: SignFamily, B: BucketFamily> FagmsSchema<S, B> {
         self.id
     }
 
-    /// Every row's sign and bucket polynomials, in row order: what the
-    /// all-rows kernels take.
-    fn polys(&self) -> Vec<RowPolys<'_>> {
-        let rows = self.rows.iter();
-        rows.map(|row| (row.sign.coeffs(), row.bucket.coeffs()))
-            .collect()
+    /// Run `f` on every row's sign and bucket polynomials, in row order
+    /// (what the all-rows kernels take): on the stack at the depths
+    /// sketches use, on the heap past them.
+    fn with_polys<T>(&self, f: impl FnOnce(&[RowPolys<'_>]) -> T) -> T {
+        if self.rows.len() <= STACK_ROWS {
+            let mut polys: [RowPolys<'_>; STACK_ROWS] = [(&[], &[]); STACK_ROWS];
+            for (slot, row) in polys.iter_mut().zip(self.rows.iter()) {
+                *slot = (row.sign.coeffs(), row.bucket.coeffs());
+            }
+            f(&polys[..self.rows.len()])
+        } else {
+            let rows = self.rows.iter();
+            f(&rows
+                .map(|row| (row.sign.coeffs(), row.bucket.coeffs()))
+                .collect::<Vec<_>>())
+        }
     }
 
     /// A zeroed sketch bound to this schema.
@@ -497,8 +506,9 @@ impl<S: SignFamily, B: BucketFamily> FagmsSketch<S, B> {
     fn point_queries_over(&self, parts: &[&Self], keys: &[u64]) -> Vec<f64> {
         let depth = self.schema.rows.len();
         let mut hashed = vec![(0, 0); keys.len() * depth];
-        let (polys, d) = (self.schema.polys(), Dispatch::get());
-        kernels::hash_rows(d, &polys, self.schema.width, keys, &mut hashed);
+        let (width, d) = (self.schema.width, Dispatch::get());
+        self.schema
+            .with_polys(|polys| kernels::hash_rows(d, polys, width, keys, &mut hashed));
         let cell =
             |r: usize, bucket: usize| -> i64 { parts.iter().map(|part| part.row(r)[bucket]).sum() };
         let mut per_row: Vec<f64> = (hashed.iter().enumerate())
@@ -529,23 +539,22 @@ impl<S: SignFamily, B: BucketFamily> FagmsSketch<S, B> {
     }
 
     /// Add one occurrence of every key in the batch, bit-identically to
-    /// [`update`](Self::update) once per key.
-    ///
-    /// Row-major: each row hands the whole batch and its two coefficient
-    /// vectors to the fused [`kernels::signed_scatter`] kernel — shared
-    /// lane evaluation, runtime CPU dispatch, immediate scatter. Integer
-    /// counter increments commute.
-    ///
-    /// The kernel reports no change to a row's `Σ c²`, so the sketch keeps
-    /// none from here on: its reads square the rows.
+    /// [`update`](Self::update) once per key, keeping the rows' `Σ c²`:
+    /// the keys go, as unit counts in stack chunks of 512,
+    /// through [`update_batch_counts`](Self::update_batch_counts)'s
+    /// all-rows write.
     pub fn update_batch(&mut self, keys: &[u64]) {
-        let (w, d) = (self.schema.width, Dispatch::get());
+        let width = self.schema.width;
         let cells = Arc::make_mut(&mut self.cells);
-        for (row, counters) in self.schema.rows.iter().zip(cells.counters.chunks_mut(w)) {
-            let (sc, bc) = (row.sign.coeffs(), row.bucket.coeffs());
-            kernels::signed_scatter(d, sc, bc, w, keys, counters);
-        }
-        cells.squares = None;
+        self.schema.with_polys(|polys| {
+            let mut items = [(0, 1); UNIT_CHUNK];
+            for chunk in keys.chunks(UNIT_CHUNK) {
+                for (item, &key) in items.iter_mut().zip(chunk) {
+                    item.0 = key;
+                }
+                cells.write_counted(polys, width, &items[..chunk.len()]);
+            }
+        });
     }
 
     /// Add `count` occurrences of `key` for every `(key, count)` pair,
@@ -553,22 +562,10 @@ impl<S: SignFamily, B: BucketFamily> FagmsSketch<S, B> {
     /// keep the rows' `Σ c²` from the changes the kernel reports. One
     /// [`kernels::signed_scatter_counts`] call writes every row.
     pub fn update_batch_counts(&mut self, items: &[(u64, i64)]) {
-        let polys = self.schema.polys();
-        let Cells { counters, squares } = Arc::make_mut(&mut self.cells);
-        let mut scratch = Vec::new();
-        let changes = match squares {
-            Some(squares) => &mut squares.rows,
-            None => {
-                scratch.resize(polys.len(), 0);
-                &mut scratch
-            }
-        };
-        let d = Dispatch::get();
-        kernels::signed_scatter_counts(d, &polys, self.schema.width, items, counters, changes);
-        if squares.is_some() {
-            let weight = items.iter().map(|&(_, count)| count.unsigned_abs());
-            weigh(squares, weight.fold(0, u64::saturating_add));
-        }
+        let width = self.schema.width;
+        let cells = Arc::make_mut(&mut self.cells);
+        self.schema
+            .with_polys(|polys| cells.write_counted(polys, width, items));
     }
 
     /// Entry-wise merge of a sketch of another stream fragment: afterwards
@@ -588,6 +585,27 @@ impl<S: SignFamily, B: BucketFamily> FagmsSketch<S, B> {
     }
 }
 
+impl Cells {
+    /// The counted write of `items` into every row of `polys`, with the
+    /// change to each row's `Σ c²` added to the kept sums while there are
+    /// any.
+    fn write_counted(&mut self, polys: &[RowPolys<'_>], width: usize, items: &[(u64, i64)]) {
+        let Cells { counters, squares } = self;
+        let d = Dispatch::get();
+        let mut write = |changes: &mut [i64]| {
+            kernels::signed_scatter_counts(d, polys, width, items, counters, changes)
+        };
+        match squares {
+            Some(kept) => write(&mut kept.rows),
+            None => with_row_scratch(polys.len(), write),
+        }
+        if squares.is_some() {
+            let weight = items.iter().map(|&(_, count)| count.unsigned_abs());
+            weigh(squares, weight.fold(0, u64::saturating_add));
+        }
+    }
+}
+
 /// Add `weight` to the kept sums' writes, and drop the sums once it
 /// reaches [`KEPT_WEIGHT_LIMIT`].
 fn weigh(squares: &mut Option<Squares>, weight: u64) {
@@ -599,14 +617,19 @@ fn weigh(squares: &mut Option<Squares>, weight: u64) {
     }
 }
 
-/// Run `f` on `depth` floats of scratch: on the stack at the depths
+/// Rows whose scratch and polynomials live on the stack.
+const STACK_ROWS: usize = 16;
+
+/// Keys per stack chunk of [`FagmsSketch::update_batch`]'s unit counts.
+const UNIT_CHUNK: usize = 512;
+
+/// Run `f` on `depth` zeroed scratch values: on the stack at the depths
 /// sketches use, on the heap past them.
-fn with_row_scratch<T>(depth: usize, f: impl FnOnce(&mut [f64]) -> T) -> T {
-    const STACK_ROWS: usize = 16;
+fn with_row_scratch<X: Copy + Default, T>(depth: usize, f: impl FnOnce(&mut [X]) -> T) -> T {
     if depth <= STACK_ROWS {
-        f(&mut [0.0; STACK_ROWS][..depth])
+        f(&mut [X::default(); STACK_ROWS][..depth])
     } else {
-        f(&mut vec![0.0; depth])
+        f(&mut vec![X::default(); depth])
     }
 }
 
@@ -934,10 +957,10 @@ mod tests {
     }
 
     /// The kept sums answer only inside their guards: from a zeroed sketch
-    /// through counted writes, while the writes' weight is below 2³¹ and
-    /// every row sum below 2⁵². An uncounted batch, a merge, a decode and
-    /// the weight guard drop them; a clone keeps them and shares the rows
-    /// until it writes.
+    /// through any write, while the writes' weight is below 2³¹ and every
+    /// row sum below 2⁵². A merge, a decode and the weight guard drop
+    /// them; a clone keeps them and shares the rows until it writes; a
+    /// batch of unit counts keeps the rows' full squaring.
     #[test]
     fn the_kept_sums_answer_only_inside_their_guards() {
         let schema = Schema::new(3, 64, &mut rng(70));
@@ -969,8 +992,17 @@ mod tests {
         assert!(heavy.cells.squares.is_none(), "weight 2³¹");
 
         let mut batched = schema.sketch();
-        batched.update_batch(&[1, 2, 3]);
-        assert!(batched.cells.squares.is_none());
+        let keys: Vec<u64> = (0..3 * UNIT_CHUNK as u64 + 7).map(|k| k % 97).collect();
+        batched.update_batch(&keys);
+        let squared = (0..3).map(|r| batched.row(r).iter().map(|&c| c * c).sum::<i64>());
+        let kept = &batched
+            .cells
+            .squares
+            .as_ref()
+            .expect("a batch keeps its sums");
+        assert_eq!(kept.rows, squared.collect::<Vec<_>>());
+        assert_eq!(kept.weight, keys.len() as u64);
+        assert_eq!(batched.self_join_rows(), batched.self_join_rows_by_pass());
         let mut merged = schema.sketch();
         merged.merge(&light).unwrap();
         assert!(merged.cells.squares.is_none());

@@ -586,7 +586,7 @@ impl MisraGries {
     ///
     /// Into a summary that holds no counters (a runtime's empty prototype)
     /// the addition would be a copy of the other table, so only what the
-    /// compaction keeps of that copy is built: [`survivors`] runs over the
+    /// compaction keeps of that copy is built: `survivors` runs over the
     /// other's list as it would over the copy. Otherwise the index is sized
     /// for both tables before the other's counters are added. Either way
     /// the counter list is in the order adding them one by one and

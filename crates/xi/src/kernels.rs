@@ -213,7 +213,10 @@ pub fn sign_dot_chunked(coeffs: &[u64], items: &[(u64, i64)]) -> i64 {
 ///
 /// Bit-identical to the per-key `counters[bucket(k, width)] += sign(k)`
 /// loop: hashes are canonical, `FixedMod` is an exact remainder, and
-/// integer counter increments commute.
+/// integer counter increments commute. The sketches write through
+/// [`signed_scatter_counts`], which also reports each row's change to its
+/// `Σ c²`; this one-row form is the kernel the ledger's
+/// `xi.signed_scatter` row times.
 ///
 /// # Panics
 ///
@@ -285,8 +288,8 @@ impl RowGroup {
 /// `(sign, bucket)` of `keys[i]` at row `r`, where `sign` is the low bit
 /// of the row's sign polynomial at the key as ±1 and `bucket` its bucket
 /// polynomial modulo `width`. The F-AGMS point queries read through this;
-/// the writes ([`signed_scatter`], [`signed_scatter_counts`]) run the same
-/// pass and scatter as they hash.
+/// the writes ([`signed_scatter`] over one row, [`signed_scatter_counts`]
+/// over all) run the same pass and scatter as they hash.
 ///
 /// On either path a key is reduced once for all rows, and on the AVX2 path
 /// the whole pass runs inside one `target_feature` function, every row's

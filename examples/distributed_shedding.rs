@@ -25,6 +25,7 @@ use sketch_sampled_streams::core::sketch::{JoinSchema, JoinSketch};
 use sketch_sampled_streams::core::{Portable, Sampled};
 use sketch_sampled_streams::datagen::ZipfGenerator;
 use sketch_sampled_streams::exact::ExactAggregator;
+use sketch_sampled_streams::moments::scheme::Bernoulli;
 use sketch_sampled_streams::stream::{RuntimeConfig, ShardedRuntime};
 
 fn main() {
@@ -82,7 +83,8 @@ fn main() {
         merged.merge_encoded(payload).expect("same schema");
         kept_total += kept;
     }
-    let est = merged.raw_self_join() / (p * p) - (1.0 - p) / (p * p) * kept_total as f64;
+    let scheme = Bernoulli::new(p).expect("valid probability");
+    let est = scheme.self_join(merged.raw_self_join(), kept_total);
     println!(
         "\ncoordinator estimate: {est:.4e}  (rel. error {:.2}%)",
         100.0 * (est - truth).abs() / truth

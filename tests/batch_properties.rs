@@ -593,8 +593,8 @@ proptest! {
         prop_assert_eq!(scalar.raw_counters(), batched.raw_counters());
     }
 
-    /// F-AGMS: the fused `signed_scatter` row kernel is bit-identical to
-    /// the scalar path, for both CW sign degrees.
+    /// F-AGMS: a batch of unit counts through the all-rows counted kernel
+    /// is bit-identical to the scalar path, for both CW sign degrees.
     #[test]
     fn fagms_update_batch_matches_scalar(keys in stream(), split in 0usize..400, seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -744,7 +744,7 @@ fn step() -> impl Strategy<Value = Step> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Any interleaving of counted and uncounted writes, merges, clones
+    /// Any interleaving of counted writes and unit batches, merges, clones
     /// and decodes leaves `self_join_rows` the pass's every bit, step by
     /// step; a clone's write leaves the original's rows and reads alone.
     #[test]

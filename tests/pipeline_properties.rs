@@ -6,8 +6,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sketch_sampled_streams::core::sketch::JoinSchema;
 use sketch_sampled_streams::core::{Sampled, ScanSketcher};
-use sketch_sampled_streams::sampling::estimators;
-use sketch_sampled_streams::sampling::SampleCounts;
+use sketch_sampled_streams::exact::ExactAggregator;
+use sketch_sampled_streams::moments::scheme::{Bernoulli, WithoutReplacement};
 use sketch_sampled_streams::sketch::{AgmsSchema, FagmsSchema};
 use sketch_sampled_streams::xi::{Cw2Bucket, Cw4};
 
@@ -92,28 +92,29 @@ proptest! {
         }
     }
 
-    /// Sampling-only estimators at full rate are exact, whatever the data.
+    /// Sampling-only estimators at full rate are exact, whatever the data:
+    /// the schemes' corrections over a sample's exact aggregates.
     #[test]
     fn sampling_estimators_exact_at_full_rate(keys in stream()) {
-        let counts = SampleCounts::from_keys(keys.iter().copied());
-        let truth: f64 = counts.sum_squares();
-        let est = estimators::bernoulli_self_join(&counts, 1.0).unwrap();
+        let counts = ExactAggregator::from_keys(keys.iter().copied());
+        let (truth, m) = (counts.self_join(), counts.total() as u64);
+        let est = Bernoulli::new(1.0).unwrap().self_join(truth, m);
         prop_assert!((est - truth).abs() < 1e-9);
-        if counts.total() >= 2 {
-            let est = estimators::wor_self_join(&counts, counts.total()).unwrap();
+        if m >= 2 {
+            let est = WithoutReplacement::new(m, m).unwrap().self_join(truth).unwrap();
             prop_assert!((est - truth).abs() < 1e-6 * truth.max(1.0));
         }
     }
 
-    /// SampleCounts dot products are symmetric and bounded by the
+    /// The join of two samples' counts is symmetric and bounded by the
     /// Cauchy–Schwarz inequality.
     #[test]
     fn sample_counts_dot_is_cauchy_schwarz(a in stream(), b in stream()) {
-        let ca = SampleCounts::from_keys(a.iter().copied());
-        let cb = SampleCounts::from_keys(b.iter().copied());
-        let dot = ca.dot(&cb);
-        prop_assert_eq!(dot, cb.dot(&ca));
-        let bound = (ca.sum_squares() * cb.sum_squares()).sqrt();
+        let ca = ExactAggregator::from_keys(a.iter().copied());
+        let cb = ExactAggregator::from_keys(b.iter().copied());
+        let dot = ca.join(&cb);
+        prop_assert_eq!(dot, cb.join(&ca));
+        let bound = (ca.self_join() * cb.self_join()).sqrt();
         prop_assert!(dot <= bound + 1e-6);
     }
 }
