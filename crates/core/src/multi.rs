@@ -272,8 +272,8 @@ impl Summary for MultiSummary {
     /// The join counters and HLL registers are shared (`0 + c = c`,
     /// `max(0, r) = r`); Misra–Gries and KLL merge into the zero's empty
     /// parts as [`merge_from`](Summary::merge_from) would, compaction
-    /// included, KLL sharing the part's levels and Misra–Gries building
-    /// only its survivors.
+    /// included, KLL sharing the part's levels and Misra–Gries the part's
+    /// table, its compaction owed until the merge is read or written.
     fn merged_into(&self, zero: &Self) -> Result<Self> {
         zero.check_merge(self)?;
         let mut heavy = zero.heavy.clone();

@@ -342,8 +342,8 @@ impl<S: Summary> Summary for Sampled<S> {
 /// Proposition 14's correction of `raw`, an F₂ estimate of the `kept`
 /// keys a Bernoulli(`p`) door admitted out of `seen`: the value and every
 /// basic corrected by [`Bernoulli::self_join`], the sketch variance scaled
-/// by `1/p⁴`, and the sampling variance plug-in of the paper's Section
-/// VI-A stacked on it.
+/// by `1/p⁴` ([`Bernoulli::self_join_sketch_variance`]), and the sampling
+/// variance plug-in of the paper's Section VI-A stacked on it.
 fn corrected_self_join(raw: Estimate, scheme: Bernoulli, kept: u64, seen: u64) -> Estimate {
     let value = scheme.self_join(raw.value, kept);
     let basics = raw
@@ -351,10 +351,8 @@ fn corrected_self_join(raw: Estimate, scheme: Bernoulli, kept: u64, seen: u64) -
         .iter()
         .map(|&b| scheme.self_join(b, kept))
         .collect();
-    let p = scheme.p();
-    let p4 = (p * p) * (p * p);
-    let sketch_variance = raw.variance / p4;
-    let sampling_variance = bernoulli_self_join_variance_plugin(p, seen, value);
+    let sketch_variance = scheme.self_join_sketch_variance(raw.variance);
+    let sampling_variance = bernoulli_self_join_variance_plugin(scheme.p(), seen, value);
     Estimate {
         value,
         variance: sketch_variance + sampling_variance,
@@ -386,7 +384,9 @@ impl<S: JoinQuery> JoinQuery for Sampled<S> {
         let join = |raw| self.scheme.size_of_join(raw, &other.scheme);
         let value = join(raw.value);
         let basics = raw.basics.iter().map(|&b| join(b)).collect();
-        let sketch_variance = raw.variance / ((p * q) * (p * q));
+        let sketch_variance = self
+            .scheme
+            .size_of_join_sketch_variance(raw.variance, &other.scheme);
         let sampling_variance = bernoulli_size_of_join_variance_plugin(
             p,
             q,
@@ -409,12 +409,15 @@ impl<S: JoinQuery> Sampled<S> {
     }
 }
 
-/// `raw`, a sample-frequency estimate at rate `p`, as a full-stream one:
-/// the value scaled by `1/p`, the summary's variance by `1/p²`, and the
-/// binomial thinning plug-in for that value added.
-fn thinned(raw: Estimate, p: f64) -> Estimate {
+/// `raw`, a sample-frequency estimate at the scheme's rate `p`, as a
+/// full-stream one: the value scaled by `1/p`, the summary's variance by
+/// `1/p²` ([`Bernoulli::frequency_sketch_variance`]), and the binomial
+/// thinning plug-in for that value added.
+fn thinned(raw: Estimate, scheme: Bernoulli) -> Estimate {
+    let p = scheme.p();
     let value = raw.value / p;
-    let variance = raw.variance / (p * p) + bernoulli_frequency_variance_plugin(p, value);
+    let variance = scheme.frequency_sketch_variance(raw.variance)
+        + bernoulli_frequency_variance_plugin(p, value);
     priced(value, variance)
 }
 
@@ -424,12 +427,12 @@ fn thinned(raw: Estimate, p: f64) -> Estimate {
 /// ranking is exactly the summary's ranking over the kept sample.
 impl<S: TopKQuery> TopKQuery for Sampled<S> {
     fn frequency_estimate(&self, key: u64) -> Estimate {
-        thinned(self.summary.frequency_estimate(key), self.p())
+        thinned(self.summary.frequency_estimate(key), self.scheme)
     }
 
     fn top_k_estimates(&self, k: usize) -> Vec<(u64, Estimate)> {
         let top = self.summary.top_k_estimates(k).into_iter();
-        top.map(|(key, raw)| (key, thinned(raw, self.p())))
+        top.map(|(key, raw)| (key, thinned(raw, self.scheme)))
             .collect()
     }
 
@@ -445,7 +448,7 @@ impl<S: TopKQuery> TopKQuery for Sampled<S> {
         let (inner, _, _) = Self::inner_parts(zero, parts)?;
         let top = S::top_k_of_sum(&zero.summary, &inner, k, &mut None)?.into_iter();
         Ok(top
-            .map(|(key, raw)| (key, thinned(raw, zero.p())))
+            .map(|(key, raw)| (key, thinned(raw, zero.scheme)))
             .collect())
     }
 }

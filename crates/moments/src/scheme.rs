@@ -72,6 +72,18 @@ pub trait SamplingScheme {
         raw / (self.rate() * other.rate())
     }
 
+    /// The sketch's share of the variance of
+    /// [`size_of_join`](Self::size_of_join): `var`, the variance of the raw
+    /// sketched join, times the square of the estimate's slope,
+    /// `1/(rate·rateₒ)²`.
+    fn size_of_join_sketch_variance<T: SamplingScheme>(&self, var: f64, other: &T) -> f64
+    where
+        Self: Sized,
+    {
+        let (p, q) = (self.rate(), other.rate());
+        var / ((p * q) * (p * q))
+    }
+
     /// Human-readable scheme name for reports.
     fn name(&self) -> &'static str;
 }
@@ -106,6 +118,20 @@ impl Bernoulli {
     pub fn self_join(&self, s: f64, kept: u64) -> f64 {
         let p2 = self.p * self.p;
         s / p2 - (1.0 - self.p) / p2 * kept as f64
+    }
+
+    /// The sketch's share of the variance of
+    /// [`self_join`](Self::self_join): `var`, the variance of the sketched
+    /// `s`, times the square of the estimate's slope `1/p²` — `var/p⁴`.
+    pub fn self_join_sketch_variance(&self, var: f64) -> f64 {
+        let p = self.p;
+        var / ((p * p) * (p * p))
+    }
+
+    /// The summary's share of the variance of a frequency read off the
+    /// sample and scaled by `1/p`: `var/p²`.
+    pub fn frequency_sketch_variance(&self, var: f64) -> f64 {
+        var / (self.p * self.p)
     }
 }
 
@@ -571,6 +597,42 @@ mod tests {
             // A mixed pair (Props 1/9): the scale is the two rates'.
             let scaled = b.sj_scale(&wor) * raw_join;
             prop_assert!(agree(b.size_of_join(raw_join, &wor), scaled, scaled.abs()));
+        }
+    }
+
+    proptest! {
+        /// The sketch variance scalings the served corrections carry, bit
+        /// for bit as they are written out — `var/((p·p)·(p·p))`,
+        /// `var/(p·p)` and `var/((p·q)·(p·q))` — and each the raw variance
+        /// times the square of its estimate's slope in the engine's form
+        /// (`u` of [`SamplingScheme::sjs_affine`], `1/p`,
+        /// [`SamplingScheme::sj_scale`]).
+        #[test]
+        fn sketch_variance_scalings_are_the_slopes_squared(
+            var in 0.0f64..1e30,
+            p in 1e-4f64..=1.0,
+            q in 1e-4f64..=1.0,
+            m in 2u64..1 << 32,
+            extra in 0u64..1 << 32,
+        ) {
+            let (b, bq) = (Bernoulli::new(p).unwrap(), Bernoulli::new(q).unwrap());
+            let sj = b.self_join_sketch_variance(var);
+            prop_assert_eq!(sj.to_bits(), (var / ((p * p) * (p * p))).to_bits());
+            let (u, _, _) = b.sjs_affine();
+            prop_assert!(agree(sj, var * u * u, sj));
+            let freq = b.frequency_sketch_variance(var);
+            prop_assert_eq!(freq.to_bits(), (var / (p * p)).to_bits());
+            prop_assert!(agree(freq, var / p / p, freq));
+            let join = b.size_of_join_sketch_variance(var, &bq);
+            prop_assert_eq!(join.to_bits(), (var / ((p * q) * (p * q))).to_bits());
+            let c = b.sj_scale(&bq);
+            prop_assert!(agree(join, var * c * c, join));
+            // A fixed-size scheme's rate is its sampling fraction.
+            let wor = WithoutReplacement::new(m, m + extra).unwrap();
+            let join = wor.size_of_join_sketch_variance(var, &b);
+            let (a, c) = (wor.alpha(), wor.sj_scale(&b));
+            prop_assert_eq!(join.to_bits(), (var / ((a * p) * (a * p))).to_bits());
+            prop_assert!(agree(join, var * c * c, join));
         }
     }
 

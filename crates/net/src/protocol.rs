@@ -80,7 +80,8 @@
 
 use sss_core::wire::FrameError;
 use sss_core::Estimate;
-use std::fmt::{self, Write as _};
+use std::fmt;
+use std::io::Write as _;
 use std::str::FromStr;
 
 /// Client → server: the echoed handshake head.
@@ -456,8 +457,8 @@ impl fmt::Display for JsonNum {
 
 /// Append `"name":value,"name_bits":bits` for an exact-round-trip
 /// float field.
-pub(crate) fn push_f64_field(out: &mut String, name: &str, value: f64) {
-    // Writing into a `String` cannot fail.
+pub(crate) fn push_f64_field(out: &mut Vec<u8>, name: &str, value: f64) {
+    // Writing into a `Vec` cannot fail.
     let _ = write!(
         out,
         "\"{name}\":{},\"{name}_bits\":{}",
@@ -466,21 +467,20 @@ pub(crate) fn push_f64_field(out: &mut String, name: &str, value: f64) {
     );
 }
 
-/// `{"ok":true,"cmd":…,"value":…,"variance":…}` with the `*_bits`
+/// Append `{"ok":true,"cmd":…,"value":…,"variance":…}` with the `*_bits`
 /// siblings, and the intervals when a confidence level was requested.
-pub(crate) fn estimate_line(cmd: &str, est: &Estimate, confidence: Option<f64>) -> String {
-    let mut out = format!("{{\"ok\":true,\"cmd\":\"{cmd}\",");
-    push_f64_field(&mut out, "value", est.value);
-    out.push(',');
-    push_f64_field(&mut out, "variance", est.variance);
-    push_intervals(&mut out, est, confidence);
-    out.push('}');
-    out
+pub(crate) fn estimate_line(out: &mut Vec<u8>, cmd: &str, est: &Estimate, confidence: Option<f64>) {
+    let _ = write!(out, "{{\"ok\":true,\"cmd\":\"{cmd}\",");
+    push_f64_field(out, "value", est.value);
+    out.push(b',');
+    push_f64_field(out, "variance", est.variance);
+    push_intervals(out, est, confidence);
+    out.push(b'}');
 }
 
 /// Append `,"confidence":…,"half_width_chebyshev":…,"half_width_clt":…`
 /// when a confidence level was requested and the estimate carries variance.
-pub(crate) fn push_intervals(out: &mut String, est: &Estimate, confidence: Option<f64>) {
+pub(crate) fn push_intervals(out: &mut Vec<u8>, est: &Estimate, confidence: Option<f64>) {
     let Some(level) = confidence else { return };
     if let (Ok(cheb), Ok(clt)) = (est.chebyshev(level), est.clt(level)) {
         let _ = write!(
@@ -493,32 +493,31 @@ pub(crate) fn push_intervals(out: &mut String, est: &Estimate, confidence: Optio
     }
 }
 
-/// The `{"ok":false,"error":…}` response. Parse errors echo client text,
-/// so the message goes out as a JSON string (module docs).
-pub(crate) fn error_line(message: &str) -> String {
-    let mut out = String::from("{\"ok\":false,\"error\":");
-    push_json_str(&mut out, message);
-    out.push('}');
-    out
+/// Append the `{"ok":false,"error":…}` response. Parse errors echo client
+/// text, so the message goes out as a JSON string (module docs).
+pub(crate) fn error_line(out: &mut Vec<u8>, message: &str) {
+    out.extend_from_slice(b"{\"ok\":false,\"error\":");
+    push_json_str(out, message);
+    out.push(b'}');
 }
 
 /// Append `s` as a JSON string, escaped as the module docs say.
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
+fn push_json_str(out: &mut Vec<u8>, s: &str) {
+    out.push(b'"');
     for c in s.chars() {
         match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
+            '"' => out.extend_from_slice(b"\\\""),
+            '\\' => out.extend_from_slice(b"\\\\"),
+            '\n' => out.extend_from_slice(b"\\n"),
+            '\r' => out.extend_from_slice(b"\\r"),
+            '\t' => out.extend_from_slice(b"\\t"),
             c if c < ' ' => {
                 let _ = write!(out, "\\u{:04x}", c as u32);
             }
-            c => out.push(c),
+            c => out.extend_from_slice(c.encode_utf8(&mut [0; 4]).as_bytes()),
         }
     }
-    out.push('"');
+    out.push(b'"');
 }
 
 #[cfg(test)]
@@ -660,10 +659,10 @@ mod tests {
             (f64::NEG_INFINITY, "null"),
         ];
         for (value, text) in cases {
-            let mut out = String::from("{");
+            let mut out = b"{".to_vec();
             push_f64_field(&mut out, "value", value);
             assert_eq!(
-                out,
+                String::from_utf8(out).unwrap(),
                 format!("{{\"value\":{text},\"value_bits\":{}", value.to_bits()),
                 "{value:?}"
             );
@@ -674,10 +673,10 @@ mod tests {
             basics: Vec::new(),
         };
         let clt = est.clt(0.75).unwrap().half_width();
-        let mut out = String::new();
+        let mut out = Vec::new();
         push_intervals(&mut out, &est, Some(0.75));
         assert_eq!(
-            out,
+            String::from_utf8(out).unwrap(),
             format!(",\"confidence\":0.75,\"half_width_chebyshev\":8,\"half_width_clt\":{clt}")
         );
     }

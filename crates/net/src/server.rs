@@ -73,7 +73,6 @@ use sss_core::{MultiSpec, MultiSummary, Portable};
 use sss_stream::runtime::RuntimeConfig;
 use sss_stream::{QueryHandle, ReadReplica, ShardedRuntime};
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -815,7 +814,7 @@ struct Queries {
 
 impl Plane for Queries {
     fn refuse(out: &mut Vec<u8>, why: &str) {
-        out.extend_from_slice(error_line(why).as_bytes());
+        error_line(out, why);
         out.push(b'\n');
     }
 
@@ -836,14 +835,14 @@ impl Plane for Queries {
             return Step::Idle;
         };
         let line = String::from_utf8_lossy(&input[..nl]);
-        let response = answer_query(
+        answer_query(
             line.trim(),
             &mut self.replica,
             &self.stats,
             &mut self.stopping,
+            out,
         );
         input.drain(..=nl);
-        out.extend_from_slice(response.as_bytes());
         out.push(b'\n');
         Step::Answered
     }
@@ -855,25 +854,29 @@ impl Plane for Queries {
     }
 }
 
-/// Answer one query-plane request line.
+/// Answer one query-plane request line: its answer, without the newline,
+/// rendered straight into the connection's output buffer `out`.
 fn answer_query(
     line: &str,
     replica: &mut ReadReplica<MultiSummary>,
     stats: &ServerStats,
     stopping: &mut bool,
-) -> String {
+    out: &mut Vec<u8>,
+) {
     let req = match protocol::parse_query_line(line) {
         Ok(req) => req,
-        Err(e) => return error_line(&e),
+        Err(e) => return error_line(out, &e),
     };
-    let result: std::result::Result<String, String> = match req.cmd.as_str() {
+    // Each arm writes only once its read has answered, so a refusal
+    // appends to what the buffer held.
+    let result: std::result::Result<(), String> = match req.cmd.as_str() {
         "self_join" => replica
             .self_join_estimate()
-            .map(|est| protocol::estimate_line("self_join", &est, req.confidence))
+            .map(|est| protocol::estimate_line(out, "self_join", &est, req.confidence))
             .map_err(|e| e.to_string()),
         "distinct" => replica
             .distinct_estimate()
-            .map(|est| protocol::estimate_line("distinct", &est, req.confidence))
+            .map(|est| protocol::estimate_line(out, "distinct", &est, req.confidence))
             .map_err(|e| e.to_string()),
         "quantile" => {
             let q = req.q.unwrap_or(0.5);
@@ -882,15 +885,17 @@ fn answer_query(
             replica
                 .quantile_with_bounds(q)
                 .map(|(value, (lo, hi))| {
-                    let mut out = String::from("{\"ok\":true,\"cmd\":\"quantile\",");
-                    let _ = write!(out, "\"q\":{},", JsonNum(q));
-                    push_f64_field(&mut out, "value", value);
-                    out.push(',');
-                    push_f64_field(&mut out, "lo", lo);
-                    out.push(',');
-                    push_f64_field(&mut out, "hi", hi);
-                    out.push('}');
-                    out
+                    let _ = write!(
+                        out,
+                        "{{\"ok\":true,\"cmd\":\"quantile\",\"q\":{},",
+                        JsonNum(q)
+                    );
+                    push_f64_field(out, "value", value);
+                    out.push(b',');
+                    push_f64_field(out, "lo", lo);
+                    out.push(b',');
+                    push_f64_field(out, "hi", hi);
+                    out.push(b'}');
                 })
                 .map_err(|e| e.to_string())
         }
@@ -899,18 +904,17 @@ fn answer_query(
             replica
                 .top_k(k)
                 .map(|top| {
-                    let mut out = String::from("{\"ok\":true,\"cmd\":\"topk\",\"top\":[");
+                    out.extend_from_slice(b"{\"ok\":true,\"cmd\":\"topk\",\"top\":[");
                     for (i, (key, est)) in top.iter().enumerate() {
                         if i > 0 {
-                            out.push(',');
+                            out.push(b',');
                         }
                         let _ = write!(out, "{{\"key\":{key},");
-                        push_f64_field(&mut out, "value", est.value);
-                        push_intervals(&mut out, est, req.confidence);
-                        out.push('}');
+                        push_f64_field(out, "value", est.value);
+                        push_intervals(out, est, req.confidence);
+                        out.push(b'}');
                     }
-                    out.push_str("]}");
-                    out
+                    out.extend_from_slice(b"]}");
                 })
                 .map_err(|e| e.to_string())
         }
@@ -919,7 +923,8 @@ fn answer_query(
             let handle = &stats.runtime;
             let cache = handle.cache_stats();
             let (version, pending) = replica.gauges();
-            Ok(format!(
+            let _ = write!(
+                out,
                 "{{\"ok\":true,\"cmd\":\"stats\",\"tuples\":{},\"batches\":{},\
                  \"tuples_per_sec\":{},\"protocol_errors\":{},\
                  \"connections_accepted\":{},\"connections_open\":{},\
@@ -942,15 +947,19 @@ fn answer_query(
                 cache.hits,
                 cache.partial_rebuilds + cache.full_rebuilds,
                 sss_xi::Dispatch::get().label(),
-            ))
+            );
+            Ok(())
         }
         "shutdown" => {
             *stopping = true;
-            Ok("{\"ok\":true,\"cmd\":\"shutdown\"}".to_string())
+            out.extend_from_slice(b"{\"ok\":true,\"cmd\":\"shutdown\"}");
+            Ok(())
         }
         other => Err(format!("unknown cmd {other:?}")),
     };
-    result.unwrap_or_else(|e| error_line(&e))
+    if let Err(e) = result {
+        error_line(out, &e);
+    }
 }
 
 #[cfg(test)]

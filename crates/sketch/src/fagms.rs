@@ -25,8 +25,9 @@
 //! a shard's starting copy (a clone of the prototype) therefore share rows
 //! instead of copying them, and a shard that writes while a reader still
 //! holds its last merge copies them once. The composite's other parts do
-//! the same (`kll`, `hll`), so a one-shard fold copies only Misra–Gries's
-//! survivors (`tests/runtime_properties.rs::a_one_shard_fold_allocates_only_the_survivors`).
+//! the same (`kll`, `hll`, and `topk`, whose merge into an empty summary
+//! owes its compaction until it is read), so a one-shard fold copies no
+//! part (`tests/runtime_properties.rs::a_one_shard_fold_allocates_only_the_survivors`).
 //!
 //! Every write ([`FagmsSketch::update`], [`FagmsSketch::update_batch`],
 //! [`FagmsSketch::update_batch_counts`], the composite's path) also keeps
@@ -44,12 +45,12 @@
 use crate::error::{Error, Result};
 use crate::estimate::{self, Estimate};
 use rand::Rng;
-use sss_xi::kernels::{self, RowPolys};
+use sss_xi::kernels::{self, RowHashes, RowPolys};
 use sss_xi::{
     BucketFamily, Codec, CodecError, DefaultBucket, DefaultSign, Dispatch, Reader, SignFamily,
     Writer,
 };
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Per-row seeds: a bucket hash and a sign family.
 #[derive(Debug, Clone)]
@@ -59,11 +60,14 @@ struct Row<S, B> {
 }
 
 /// The shared seeds of an F-AGMS sketch: `depth` rows over `width` buckets.
-#[derive(Debug)]
 pub struct FagmsSchema<S = DefaultSign, B = DefaultBucket> {
     rows: Arc<[Row<S, B>]>,
     width: usize,
     id: u64,
+    /// The rows' polynomials and the width prepared for the all-rows
+    /// kernels, built on the first write or point query and shared by
+    /// every clone: derived from the seeds, so never printed or stored.
+    hashes: Arc<OnceLock<RowHashes>>,
 }
 
 // Manual impl: cloning shares the seed Arc, so `S: Clone`/`B: Clone` are not
@@ -74,7 +78,19 @@ impl<S, B> Clone for FagmsSchema<S, B> {
             rows: Arc::clone(&self.rows),
             width: self.width,
             id: self.id,
+            hashes: Arc::clone(&self.hashes),
         }
+    }
+}
+
+// The seeds, the width and the identity: the prepared hashes are derived.
+impl<S: std::fmt::Debug, B: std::fmt::Debug> std::fmt::Debug for FagmsSchema<S, B> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FagmsSchema")
+            .field("rows", &self.rows)
+            .field("width", &self.width)
+            .field("id", &self.id)
+            .finish()
     }
 }
 
@@ -110,6 +126,7 @@ impl<S: Codec, B: Codec> Codec for FagmsSchema<S, B> {
             rows: rows.into(),
             width,
             id: r.u64()?,
+            hashes: Arc::default(),
         })
     }
 }
@@ -188,6 +205,7 @@ impl<S: SignFamily, B: BucketFamily> FagmsSchema<S, B> {
             rows,
             width,
             id: rng.random::<u64>(),
+            hashes: Arc::default(),
         })
     }
 
@@ -207,22 +225,17 @@ impl<S: SignFamily, B: BucketFamily> FagmsSchema<S, B> {
         self.id
     }
 
-    /// Run `f` on every row's sign and bucket polynomials, in row order
-    /// (what the all-rows kernels take): on the stack at the depths
-    /// sketches use, on the heap past them.
-    fn with_polys<T>(&self, f: impl FnOnce(&[RowPolys<'_>]) -> T) -> T {
-        if self.rows.len() <= STACK_ROWS {
-            let mut polys: [RowPolys<'_>; STACK_ROWS] = [(&[], &[]); STACK_ROWS];
-            for (slot, row) in polys.iter_mut().zip(self.rows.iter()) {
-                *slot = (row.sign.coeffs(), row.bucket.coeffs());
-            }
-            f(&polys[..self.rows.len()])
-        } else {
+    /// Every row's sign and bucket polynomials, in row order, prepared
+    /// with the width for the all-rows kernels: built once per schema and
+    /// shared by its clones, so a write of a few keys pays for its keys.
+    fn hashes(&self) -> &RowHashes {
+        self.hashes.get_or_init(|| {
             let rows = self.rows.iter();
-            f(&rows
+            let polys: Vec<RowPolys<'_>> = rows
                 .map(|row| (row.sign.coeffs(), row.bucket.coeffs()))
-                .collect::<Vec<_>>())
-        }
+                .collect();
+            RowHashes::new(&polys, self.width)
+        })
     }
 
     /// A zeroed sketch bound to this schema.
@@ -506,9 +519,7 @@ impl<S: SignFamily, B: BucketFamily> FagmsSketch<S, B> {
     fn point_queries_over(&self, parts: &[&Self], keys: &[u64]) -> Vec<f64> {
         let depth = self.schema.rows.len();
         let mut hashed = vec![(0, 0); keys.len() * depth];
-        let (width, d) = (self.schema.width, Dispatch::get());
-        self.schema
-            .with_polys(|polys| kernels::hash_rows(d, polys, width, keys, &mut hashed));
+        kernels::hash_rows(Dispatch::get(), self.schema.hashes(), keys, &mut hashed);
         let cell =
             |r: usize, bucket: usize| -> i64 { parts.iter().map(|part| part.row(r)[bucket]).sum() };
         let mut per_row: Vec<f64> = (hashed.iter().enumerate())
@@ -544,17 +555,15 @@ impl<S: SignFamily, B: BucketFamily> FagmsSketch<S, B> {
     /// through [`update_batch_counts`](Self::update_batch_counts)'s
     /// all-rows write.
     pub fn update_batch(&mut self, keys: &[u64]) {
-        let width = self.schema.width;
+        let hashes = self.schema.hashes();
         let cells = Arc::make_mut(&mut self.cells);
-        self.schema.with_polys(|polys| {
-            let mut items = [(0, 1); UNIT_CHUNK];
-            for chunk in keys.chunks(UNIT_CHUNK) {
-                for (item, &key) in items.iter_mut().zip(chunk) {
-                    item.0 = key;
-                }
-                cells.write_counted(polys, width, &items[..chunk.len()]);
+        let mut items = [(0, 1); UNIT_CHUNK];
+        for chunk in keys.chunks(UNIT_CHUNK) {
+            for (item, &key) in items.iter_mut().zip(chunk) {
+                item.0 = key;
             }
-        });
+            cells.write_counted(hashes, &items[..chunk.len()]);
+        }
     }
 
     /// Add `count` occurrences of `key` for every `(key, count)` pair,
@@ -562,10 +571,8 @@ impl<S: SignFamily, B: BucketFamily> FagmsSketch<S, B> {
     /// keep the rows' `Σ c²` from the changes the kernel reports. One
     /// [`kernels::signed_scatter_counts`] call writes every row.
     pub fn update_batch_counts(&mut self, items: &[(u64, i64)]) {
-        let width = self.schema.width;
-        let cells = Arc::make_mut(&mut self.cells);
-        self.schema
-            .with_polys(|polys| cells.write_counted(polys, width, items));
+        let hashes = self.schema.hashes();
+        Arc::make_mut(&mut self.cells).write_counted(hashes, items);
     }
 
     /// Entry-wise merge of a sketch of another stream fragment: afterwards
@@ -586,18 +593,17 @@ impl<S: SignFamily, B: BucketFamily> FagmsSketch<S, B> {
 }
 
 impl Cells {
-    /// The counted write of `items` into every row of `polys`, with the
-    /// change to each row's `Σ c²` added to the kept sums while there are
-    /// any.
-    fn write_counted(&mut self, polys: &[RowPolys<'_>], width: usize, items: &[(u64, i64)]) {
+    /// The counted write of `items` into every row `rows` prepares, with
+    /// the change to each row's `Σ c²` added to the kept sums while there
+    /// are any.
+    fn write_counted(&mut self, rows: &RowHashes, items: &[(u64, i64)]) {
         let Cells { counters, squares } = self;
         let d = Dispatch::get();
-        let mut write = |changes: &mut [i64]| {
-            kernels::signed_scatter_counts(d, polys, width, items, counters, changes)
-        };
+        let mut write =
+            |changes: &mut [i64]| kernels::signed_scatter_counts(d, rows, items, counters, changes);
         match squares {
             Some(kept) => write(&mut kept.rows),
-            None => with_row_scratch(polys.len(), write),
+            None => with_row_scratch(rows.depth(), write),
         }
         if squares.is_some() {
             let weight = items.iter().map(|&(_, count)| count.unsigned_abs());
@@ -617,7 +623,7 @@ fn weigh(squares: &mut Option<Squares>, weight: u64) {
     }
 }
 
-/// Rows whose scratch and polynomials live on the stack.
+/// Rows whose scratch lives on the stack.
 const STACK_ROWS: usize = 16;
 
 /// Keys per stack chunk of [`FagmsSketch::update_batch`]'s unit counts.

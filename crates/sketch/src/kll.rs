@@ -331,7 +331,21 @@ impl KllSketch {
     /// stores the same items and flips the same coins.
     pub fn insert_batch(&mut self, mut values: &[u64]) {
         while !values.is_empty() {
-            let (base, seed) = (self.base, self.seed);
+            values = self.insert_windows(values);
+            if self.stored > self.cap_total {
+                self.compress();
+            }
+        }
+    }
+
+    /// [`insert_batch`](Self::insert_batch)'s windows, from the first of
+    /// `values` (at least one) until they run out or one leaves the
+    /// compacting levels overfull; returns the values left. The levels
+    /// are made writable once for all of them.
+    fn insert_windows<'v>(&mut self, mut values: &'v [u64]) -> &'v [u64] {
+        let (base, seed) = (self.base, self.seed);
+        let compactors = &mut Arc::make_mut(&mut self.levels).compactors;
+        loop {
             let aligned = self.n.trailing_zeros() as usize;
             let mut level = aligned.min(values.len().ilog2() as usize).min(base);
             let mut window = self.n >> level;
@@ -346,33 +360,33 @@ impl KllSketch {
                     .chunks_exact(1 << base)
                     .zip(window..)
                     .map(|(run, window)| run[survivor(seed, base, window)]);
-                Arc::make_mut(&mut self.levels).compactors[base].extend(survivors);
+                compactors[base].extend(survivors);
                 self.n += now.len() as u64;
                 self.stored += now.len() >> base;
                 values = later;
             } else {
                 let (now, later) = values.split_at(1 << level);
                 let mut item = now[survivor(seed, level, window)];
-                self.n += now.len() as u64;
-                values = later;
-                // Carry: a level that holds an item holds the window just
-                // before this one, and a coin sends one of the two up.
-                let compactors = &mut Arc::make_mut(&mut self.levels).compactors;
-                while level < base {
-                    let Some(earlier) = compactors[level].pop() else {
-                        break;
-                    };
-                    level += 1;
+                // Carry: the sampling levels from `level` up that hold an
+                // item are the set bits of the window count from there
+                // (each holds the window just before this one's ancestor),
+                // and a coin sends one of each two up.
+                let carries = ((self.n >> level).trailing_ones() as usize).min(base - level);
+                for earlier in &mut compactors[level..level + carries] {
                     window >>= 1;
-                    if coin(seed, level, window) == 0 {
-                        item = earlier;
+                    if coin(seed, level + 1, window) == 0 {
+                        item = earlier[0];
                     }
+                    earlier.clear();
+                    level += 1;
                 }
                 compactors[level].push(item);
+                self.n += now.len() as u64;
                 self.stored += usize::from(level == base);
+                values = later;
             }
-            if self.stored > self.cap_total {
-                self.compress();
+            if values.is_empty() || self.stored > self.cap_total {
+                return values;
             }
         }
     }

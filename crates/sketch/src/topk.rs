@@ -41,6 +41,7 @@ use crate::runs::{KeyRuns, CHUNK};
 use sss_xi::{
     BucketFamily, Codec, CodecError, DefaultBucket, DefaultSign, Reader, SignFamily, Writer,
 };
+use std::sync::{Arc, OnceLock};
 
 /// The crate-wide top-k order: `scored` sorted by estimate descending,
 /// ties toward the smaller key, cut to the first `k`. The first `k` are
@@ -101,29 +102,67 @@ pub fn ranked(mut scored: Vec<(u64, f64)>, k: usize) -> Vec<(u64, f64)> {
 /// compaction is a selection over `(count, key)` pairs, the list refilled
 /// with the at most `capacity` survivors and a re-index of them. An empty
 /// table holds no index until its first counter arrives, so an empty
-/// summary allocates nothing.
+/// summary allocates only its table's `Arc`, and a clone of it nothing.
 ///
 /// At most `capacity + CHUNK` counters are ever held (at most `CHUNK`
 /// offers, so at most `CHUNK` new keys, separate two compactions); a
-/// [`merge`](Self::merge) always compacts (into an empty summary it
-/// builds only the survivors), and
+/// [`merge`](Self::merge) always compacts, and
 /// [`candidates`](Self::candidates) — so every top-k answer — is
 /// the `capacity` largest of them.
+///
+/// # When a merge compacts
+///
+/// The table sits behind an [`Arc`], written through [`Arc::make_mut`]: a
+/// clone shares it and copies it only when it writes while another still
+/// holds it. A merge into a summary that holds no counters (a runtime's
+/// empty prototype, so every one-shard fold) shares the other's table as
+/// it is and owes the compaction: the first read of the result —
+/// [`candidates`](Self::candidates), [`raw_estimate`](Self::raw_estimate),
+/// [`held`](Self::held), [`error_bound`](Self::error_bound),
+/// [`counters`](Self::counters), `encode` — builds the survivors once and
+/// keeps them, and the first write, or a merge on either side, settles
+/// them into the summary. A fold that is read only for its other parts
+/// (an F₂ answer) never compacts. Either way it is the same selection
+/// over the same list, so every read and every byte is the eager
+/// compaction's.
 ///
 /// This summary is insert-only: non-positive offer counts are ignored
 /// (deletions would break the deterministic guarantee). So is an offer
 /// that would take the offered weight past `u64::MAX`.
-#[derive(Debug)]
 pub struct MisraGries {
-    table: CounterTable,
+    /// The counters — while a compaction is owed, the uncompacted table
+    /// the merge shared.
+    table: Arc<CounterTable>,
+    /// `Some` while a merge into an empty summary owes its compaction:
+    /// then the cut and the survivors' table, once a read builds them.
+    owed: Option<OnceLock<Compacted>>,
     capacity: usize,
     /// Cumulative amount subtracted by compactions and merges — the
-    /// deterministic per-key undercount bound.
+    /// deterministic per-key undercount bound — less an owed cut.
     offset: u64,
     offered: u64,
     /// The last chunk's runs, the batch path's buffer. Not state: never
     /// cloned, serialized or compared.
     runs: KeyRuns,
+    /// The gather's scratch (see `CounterTable::gather`); not state either.
+    touched: Vec<u32>,
+}
+
+/// An owed compaction, built: the cut it adds to the offset and the
+/// survivors' table (the table itself when nothing is cut).
+type Compacted = (u64, Arc<CounterTable>);
+
+// The state is what a read sees: an owed compaction prints as built.
+impl std::fmt::Debug for MisraGries {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (table, offset) = self.settled();
+        f.debug_struct("MisraGries")
+            .field("counters", &table.pairs())
+            .field("capacity", &self.capacity)
+            .field("offset", &offset)
+            .field("offered", &self.offered)
+            .finish()
+    }
 }
 
 /// The largest `capacity`: a merge holds up to `2·(capacity + CHUNK)`
@@ -140,7 +179,7 @@ struct Counter {
 }
 
 /// The dense counter list and its index; see [`MisraGries`].
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct CounterTable {
     counters: Vec<Counter>,
     /// Empty while no counter is held, else a power of two, at least twice
@@ -148,23 +187,6 @@ struct CounterTable {
     /// position` and is empty unless it carries the current `stamp`.
     slots: Vec<u32>,
     stamp: u32,
-    /// Scratch, not state: the first entries are the positions of the
-    /// counters held before the chunk being gathered began that it has
-    /// touched, in the order it first touched them. The counters it
-    /// created follow those in the list.
-    touched: Vec<u32>,
-}
-
-// A clone starts with no scratch.
-impl Clone for CounterTable {
-    fn clone(&self) -> Self {
-        Self {
-            counters: self.counters.clone(),
-            slots: self.slots.clone(),
-            stamp: self.stamp,
-            touched: Vec::new(),
-        }
-    }
 }
 
 /// Index slots of an empty table.
@@ -184,7 +206,6 @@ impl CounterTable {
             counters,
             slots: Vec::new(),
             stamp: 1,
-            touched: Vec::new(),
         };
         table.reindex();
         table
@@ -266,11 +287,20 @@ impl CounterTable {
     /// to its key's counter, and the first `counted` add one to its count
     /// too. Then hand the chunk's distinct keys and their chunk counts to
     /// `runs` — the noted counters held before it, then the counters it
-    /// created — and zero the chunk counts.
-    fn gather(&mut self, chunk: &[u64], counted: usize, runs: &mut KeyRuns) {
+    /// created — and zero the chunk counts. `touched` is scratch: its
+    /// first entries are noted as the positions of the counters held
+    /// before the chunk that it touches, in the order it first touches
+    /// them.
+    fn gather(
+        &mut self,
+        chunk: &[u64],
+        counted: usize,
+        runs: &mut KeyRuns,
+        touched: &mut Vec<u32>,
+    ) {
         let start = self.counters.len();
-        if self.touched.len() < CHUNK {
-            self.touched.resize(CHUNK, 0);
+        if touched.len() < CHUNK {
+            touched.resize(CHUNK, 0);
         }
         let mut noted = 0;
         for (i, &key) in chunk.iter().enumerate() {
@@ -278,7 +308,7 @@ impl CounterTable {
             let counter = &mut self.counters[position];
             // Branch-free: the next slot is always written, and kept only
             // on the first touch of a counter held before the chunk.
-            self.touched[noted] = position as u32;
+            touched[noted] = position as u32;
             noted += usize::from((counter.in_chunk == 0) & (position < start));
             counter.in_chunk += 1;
             counter.count += u64::from(i < counted);
@@ -288,7 +318,7 @@ impl CounterTable {
             runs.push(counter.key, i64::from(counter.in_chunk));
             counter.in_chunk = 0;
         };
-        for &position in &self.touched[..noted] {
+        for &position in &touched[..noted] {
             take(&mut self.counters[position as usize]);
         }
         self.counters[start..].iter_mut().for_each(take);
@@ -347,15 +377,18 @@ impl CounterTable {
     }
 }
 
-// A clone starts with empty runs.
+// A clone shares the table (and an owed compaction) and starts with
+// empty scratch.
 impl Clone for MisraGries {
     fn clone(&self) -> Self {
         Self {
-            table: self.table.clone(),
+            table: Arc::clone(&self.table),
+            owed: self.owed.clone(),
             capacity: self.capacity,
             offset: self.offset,
             offered: self.offered,
             runs: KeyRuns::default(),
+            touched: Vec::new(),
         }
     }
 }
@@ -375,11 +408,12 @@ impl Clone for MisraGries {
 // offered weight does, and that one is checked where it grows.
 impl Codec for MisraGries {
     fn put(&self, w: &mut Writer) {
-        let mut entries = self.table.pairs();
+        let (table, offset) = self.settled();
+        let mut entries = table.pairs();
         entries.sort_unstable_by_key(|&(k, _)| k);
         let (keys, counts): (Vec<u64>, Vec<u64>) = entries.into_iter().unzip();
         w.usize(self.capacity);
-        w.u64(self.offset);
+        w.u64(offset);
         w.u64(self.offered);
         w.u64s(&keys);
         w.u64s(&counts);
@@ -424,11 +458,13 @@ impl Codec for MisraGries {
             counter.count = count;
         }
         Ok(Self {
-            table,
+            table: Arc::new(table),
+            owed: None,
             capacity,
             offset,
             offered,
             runs: KeyRuns::default(),
+            touched: Vec::new(),
         })
     }
 }
@@ -467,6 +503,19 @@ fn held((count, key): (u64, u64)) -> Counter {
     }
 }
 
+/// The compaction a merge of `table` into an empty summary owes: the
+/// [`survivors`] of its list, indexed, or `table` itself, shared, when it
+/// holds no more than `capacity`.
+fn compacted(table: &Arc<CounterTable>, capacity: usize) -> Compacted {
+    match survivors(&table.counters, capacity) {
+        Some((cut, survivors)) => {
+            let counters = survivors.into_iter().map(held).collect();
+            (cut, Arc::new(CounterTable::holding(counters)))
+        }
+        None => (0, Arc::clone(table)),
+    }
+}
+
 impl MisraGries {
     /// Offered weight between two compactions — part of the summary's
     /// definition, not a knob (see the type docs).
@@ -482,12 +531,45 @@ impl MisraGries {
             return Err(Error::InvalidDimensions);
         }
         Ok(Self {
-            table: CounterTable::new(),
+            table: Arc::new(CounterTable::new()),
+            owed: None,
             capacity,
             offset: 0,
             offered: 0,
             runs: KeyRuns::default(),
+            touched: Vec::new(),
         })
+    }
+
+    /// The counters and the offset a read sees: an owed compaction is
+    /// built on the first read and kept.
+    fn settled(&self) -> (&CounterTable, u64) {
+        match &self.owed {
+            None => (&self.table, self.offset),
+            Some(owed) => {
+                let (cut, table) = owed.get_or_init(|| compacted(&self.table, self.capacity));
+                (table, self.offset + cut)
+            }
+        }
+    }
+
+    /// Pay an owed compaction — the one a read built, or a new one — so
+    /// that `table` and `offset` are the state.
+    fn settle(&mut self) {
+        if let Some(owed) = self.owed.take() {
+            let (cut, table) = owed
+                .into_inner()
+                .unwrap_or_else(|| compacted(&self.table, self.capacity));
+            self.offset += cut;
+            self.table = table;
+        }
+    }
+
+    /// The table to write, settled and unshared: copied if a clone still
+    /// holds it.
+    fn table_mut(&mut self) -> &mut CounterTable {
+        self.settle();
+        Arc::make_mut(&mut self.table)
     }
 
     /// The configured counter budget.
@@ -498,14 +580,14 @@ impl MisraGries {
     /// Counters held right now: at most `capacity` after a compaction or a
     /// merge, at most `capacity + CHUNK` in between.
     pub fn held(&self) -> usize {
-        self.table.counters.len()
+        self.settled().0.counters.len()
     }
 
     /// The deterministic undercount bound: for every key,
     /// `true frequency − raw_estimate ∈ [0, error_bound]`. Bounded by
     /// `items_offered / (capacity + 1)`.
     pub fn error_bound(&self) -> u64 {
-        self.offset
+        self.settled().1
     }
 
     /// [`offer_batch`](Self::offer_batch), sharing the batch's
@@ -527,10 +609,12 @@ impl MisraGries {
             // still reach `each`, but no counter.
             let room = usize::try_from(u64::MAX - self.offered).unwrap_or(usize::MAX);
             let counted = chunk.len().min(room);
-            self.table.gather(chunk, counted, &mut self.runs);
+            self.settle();
+            let table = Arc::make_mut(&mut self.table);
+            table.gather(chunk, counted, &mut self.runs, &mut self.touched);
             self.offered += counted as u64;
             if counted < chunk.len() {
-                self.table.retain(|counter| counter.count > 0);
+                table.retain(|counter| counter.count > 0);
             }
             if self.offered % CHUNK as u64 == 0 {
                 self.compact();
@@ -544,12 +628,14 @@ impl MisraGries {
     /// counters (everything at or below the cut dies), in the order
     /// [`survivors`] lists them.
     fn compact(&mut self) {
-        let Some((cut, survivors)) = survivors(&self.table.counters, self.capacity) else {
+        let capacity = self.capacity;
+        let table = self.table_mut();
+        let Some((cut, survivors)) = survivors(&table.counters, capacity) else {
             return;
         };
-        self.table.counters.clear();
-        self.table.counters.extend(survivors.into_iter().map(held));
-        self.table.reindex();
+        table.counters.clear();
+        table.counters.extend(survivors.into_iter().map(held));
+        table.reindex();
         self.offset += cut;
     }
 
@@ -564,8 +650,9 @@ impl MisraGries {
         let Some(offered) = self.offered.checked_add(count) else {
             return;
         };
-        let position = self.table.upsert(key);
-        self.table.counters[position].count += count;
+        let table = self.table_mut();
+        let position = table.upsert(key);
+        table.counters[position].count += count;
         let crossed = offered / CHUNK as u64 != self.offered / CHUNK as u64;
         self.offered = offered;
         if crossed {
@@ -585,12 +672,12 @@ impl MisraGries {
     /// Agarwal et al. merge; the undercount bounds (`offset`s) add.
     ///
     /// Into a summary that holds no counters (a runtime's empty prototype)
-    /// the addition would be a copy of the other table, so only what the
-    /// compaction keeps of that copy is built: `survivors` runs over the
-    /// other's list as it would over the copy. Otherwise the index is sized
-    /// for both tables before the other's counters are added. Either way
-    /// the counter list is in the order adding them one by one and
-    /// compacting leaves it.
+    /// the addition would be a copy of the other table, so the other's
+    /// table is shared and its compaction owed (see the type docs): it
+    /// runs over the other's list as it would over the copy, on the first
+    /// read or write. Otherwise the index is sized for both tables before
+    /// the other's counters are added. Either way the counter list is in
+    /// the order adding them one by one and compacting leaves it.
     ///
     /// # Errors
     ///
@@ -605,21 +692,21 @@ impl MisraGries {
             .offered
             .checked_add(other.offered)
             .ok_or(Error::WeightOverflow)?;
-        self.offset += other.offset;
+        self.settle();
         if self.table.counters.is_empty() {
-            let counters = match survivors(&other.table.counters, self.capacity) {
-                Some((cut, survivors)) => {
-                    self.offset += cut;
-                    survivors.into_iter().map(held).collect()
-                }
-                None => other.table.counters.clone(),
-            };
-            self.table = CounterTable::holding(counters);
+            // What `other` owes, this owes; a compaction it has built is
+            // shared too.
+            self.offset += other.offset;
+            self.table = Arc::clone(&other.table);
+            self.owed = Some(other.owed.clone().unwrap_or_default());
         } else {
-            self.table.reserve(other.table.counters.len());
-            for counter in &other.table.counters {
-                let position = self.table.upsert(counter.key);
-                self.table.counters[position].count += counter.count;
+            let (theirs, offset) = other.settled();
+            self.offset += offset;
+            let table = Arc::make_mut(&mut self.table);
+            table.reserve(theirs.counters.len());
+            for counter in &theirs.counters {
+                let position = table.upsert(counter.key);
+                table.counters[position].count += counter.count;
             }
             self.compact();
         }
@@ -629,14 +716,14 @@ impl MisraGries {
     /// Estimated frequency of `key` in the offered stream: its held count,
     /// an undercount by at most [`error_bound`](Self::error_bound).
     pub fn raw_estimate(&self, key: u64) -> f64 {
-        self.table.get(key).map_or(0, |counter| counter.count) as f64
+        self.settled().0.get(key).map_or(0, |counter| counter.count) as f64
     }
 
     /// Variance proxy for one [`raw_estimate`](Self::raw_estimate), feeding
     /// the typed `Estimate` path: the undercount bound taken as two
     /// standard errors.
     pub fn raw_estimate_variance(&self) -> f64 {
-        let half = self.offset as f64 / 2.0;
+        let half = self.error_bound() as f64 / 2.0;
         half * half
     }
 
@@ -644,7 +731,7 @@ impl MisraGries {
     /// smaller key) — what the next compaction would keep, and a few at
     /// its cut besides.
     pub fn candidates(&self) -> Vec<u64> {
-        let mut held = self.table.pairs();
+        let mut held = self.settled().0.pairs();
         if held.len() > self.capacity {
             held.select_nth_unstable_by(self.capacity, |a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
             held.truncate(self.capacity);
@@ -670,7 +757,7 @@ impl MisraGries {
     /// compaction selects over, and the order of
     /// [`candidates`](Self::candidates) when nothing is cut.
     pub fn counters(&self) -> Vec<(u64, u64)> {
-        self.table.pairs()
+        self.settled().0.pairs()
     }
 }
 

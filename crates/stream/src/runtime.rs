@@ -71,9 +71,14 @@
 //! * [`push`](ShardedRuntime::push) and
 //!   [`push_loaned`](ShardedRuntime::push_loaned) block when a ring is
 //!   full, so backpressure propagates to the source and nothing is
-//!   dropped. Each wakes a sleeping worker for its batch;
+//!   dropped. Each wakes a sleeping worker once the kept keys it and the
+//!   pushes before it left on the ring since the last wake reach its
+//!   batch's offered count: every batch at `p = 1`, about every `1/p`-th
+//!   behind a door, so a sampled worker wakes to one coalesced run rather
+//!   than to each ≈ `p`-sized batch, and a read applies what is still
+//!   queued itself. A full ring always wakes it;
 //!   [`push_loaned_deferred`](ShardedRuntime::push_loaned_deferred) wakes
-//!   one only on a full ring, and its caller catches the shards up itself
+//!   one only then, and its caller catches the shards up itself
 //!   or calls [`wake_workers`](ShardedRuntime::wake_workers) once. Shedding is the paper's one mechanism: a
 //!   [`Sampled`](sss_core::Sampled) prototype at one rate `p`, its coins
 //!   drawn in the producer lane before the hop.
@@ -343,6 +348,10 @@ struct IngestLane {
     recycle: ring::Consumer<Vec<u64>>,
     spare: Vec<Vec<u64>>,
     door: Option<Door>,
+    /// Kept keys of the waking pushes since this lane last woke its
+    /// worker: a waking push wakes it once they reach the push's offered
+    /// count (see [`send_blocking`](ShardedRuntime::send_blocking)).
+    unwoken: u64,
 }
 
 /// Batch-buffer pool accounting ([`QueryHandle::pool_stats`]): in
@@ -421,6 +430,7 @@ impl<E: Summary> ShardedRuntime<E> {
                 recycle: recycle_rx,
                 spare: Vec::new(),
                 door: est.door(),
+                unwoken: 0,
             });
             watches.push(data_rx.watch());
             states.push(ShardState {
@@ -540,13 +550,26 @@ impl<E: Summary> ShardedRuntime<E> {
     }
 
     /// Enqueue a finished batch on `shard`, blocking while its ring is
-    /// full; `wake` wakes a sleeping worker for it, else only a full ring
-    /// does.
+    /// full. A full ring always wakes a sleeping worker. Otherwise `wake`
+    /// (a waking push) wakes it once the kept keys of the waking pushes
+    /// since the lane last woke it reach this batch's offered count — every
+    /// batch when no door drops a key, about every `1/p`-th behind a door
+    /// at rate `p`, so the worker gets one coalesced run for the lot — and
+    /// a deferred push never does. A read applies what its floor covers
+    /// itself, so a batch left queued is still in every answer.
     fn send_blocking(&mut self, shard: usize, batch: Batch, wake: bool) -> Result<()> {
         self.query.shared.shards[shard]
             .accepted_tuples
             .fetch_add(batch.offered, Ordering::AcqRel);
-        let data = &mut self.lanes[shard].data;
+        let lane = &mut self.lanes[shard];
+        let wake = wake && {
+            lane.unwoken += batch.keys.len() as u64;
+            lane.unwoken >= batch.offered
+        };
+        if wake {
+            lane.unwoken = 0;
+        }
+        let data = &mut lane.data;
         let pushed = if wake {
             data.push(batch)
         } else {
@@ -600,7 +623,8 @@ impl<E: Summary> ShardedRuntime<E> {
 
     /// Enqueue a buffer obtained from
     /// [`loan_batch_buf`](Self::loan_batch_buf), **blocking** while the
-    /// target ring is full.
+    /// target ring is full. A sleeping worker is woken as by
+    /// [`push`](Self::push).
     ///
     /// Under [`Partition::RoundRobin`] the buffer itself is shipped to
     /// the worker, compacted in place to what the shard's door admits —
@@ -663,6 +687,13 @@ impl<E: Summary> ShardedRuntime<E> {
     /// Feed one batch, **blocking** while any target shard's ring is
     /// full. Backpressure propagates to the caller; nothing is dropped.
     /// Only the keys a shard's door admits are copied onto its ring.
+    ///
+    /// A sleeping worker is woken once the kept keys pushed to its shard
+    /// since the last wake reach this batch's offered count, or on a full
+    /// ring: without a door every push wakes it, behind a door at rate
+    /// `p` about every `1/p`-th does. No read waits for a worker — each
+    /// applies what it covers — and [`into_merged`](Self::into_merged) or
+    /// a drop applies the rest.
     ///
     /// # Errors
     ///

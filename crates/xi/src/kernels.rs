@@ -229,12 +229,15 @@ pub fn signed_scatter(
     keys: &[u64],
     counters: &mut [i64],
 ) {
+    assert!(width > 0, "bucket width must be non-zero");
     assert!(counters.len() >= width, "counter row narrower than width");
-    let rows = [(sign_coeffs, bucket_coeffs)];
+    let group = RowGroup::new(&[(sign_coeffs, bucket_coeffs)]);
+    let wm = FixedMod::new(width as u64);
+    let groups = std::slice::from_ref(&group);
     for_each_hash(
         d,
-        &rows,
-        width,
+        groups,
+        wm,
         keys.len(),
         |i| keys[i],
         |_, _, sign, bucket| {
@@ -251,30 +254,51 @@ pub type RowPolys<'a> = (&'a [u64], &'a [u64]);
 /// group of this many rows.
 const ROW_GROUP: usize = 8;
 
-/// At most [`ROW_GROUP`] rows' polynomials, reduced onto the stack:
-/// `coeffs[2r]` is row `r`'s sign polynomial, `coeffs[2r + 1]` its bucket
-/// polynomial. `None` from [`RowGroup::new`] means one of them exceeds
-/// the kernels' coefficient budget.
+/// At most [`ROW_GROUP`] rows' polynomials, the way the pass evaluates
+/// them: reduced into fixed arrays, or, when one of them exceeds the
+/// kernels' coefficient budget, kept whole in `long` and evaluated key by
+/// key.
+#[derive(Debug, Clone)]
 struct RowGroup {
+    reduced: Reduced,
+    long: Option<Vec<(Vec<u64>, Vec<u64>)>>,
+}
+
+/// A [`RowGroup`]'s polynomials reduced: `coeffs[2r]` is row `r`'s sign
+/// polynomial, `coeffs[2r + 1]` its bucket polynomial.
+#[derive(Debug, Clone)]
+struct Reduced {
     coeffs: [[u64; 8]; 2 * ROW_GROUP],
     lens: [usize; 2 * ROW_GROUP],
     rows: usize,
 }
 
 impl RowGroup {
-    fn new(rows: &[RowPolys<'_>]) -> Option<Self> {
-        let mut group = Self {
+    fn new(rows: &[RowPolys<'_>]) -> Self {
+        let mut group = Reduced {
             coeffs: [[0; 8]; 2 * ROW_GROUP],
             lens: [0; 2 * ROW_GROUP],
             rows: rows.len(),
         };
-        for (r, &(sign, bucket)) in rows.iter().enumerate() {
-            group.lens[2 * r] = reduced_coeffs(sign, &mut group.coeffs[2 * r])?;
-            group.lens[2 * r + 1] = reduced_coeffs(bucket, &mut group.coeffs[2 * r + 1])?;
+        let mut reduce = || {
+            for (r, &(sign, bucket)) in rows.iter().enumerate() {
+                group.lens[2 * r] = reduced_coeffs(sign, &mut group.coeffs[2 * r])?;
+                group.lens[2 * r + 1] = reduced_coeffs(bucket, &mut group.coeffs[2 * r + 1])?;
+            }
+            Some(())
+        };
+        let long = reduce().is_none().then(|| {
+            let rows = rows.iter();
+            rows.map(|&(s, b)| (s.to_vec(), b.to_vec())).collect()
+        });
+        Self {
+            reduced: group,
+            long,
         }
-        Some(group)
     }
+}
 
+impl Reduced {
     fn sign(&self, r: usize) -> &[u64] {
         &self.coeffs[2 * r][..self.lens[2 * r]]
     }
@@ -284,91 +308,144 @@ impl RowGroup {
     }
 }
 
-/// Every row's sign and bucket of every key: `out[i·rows.len() + r]` is
+/// Every row's polynomials of an F-AGMS schema and its width, prepared
+/// once for the all-rows pass ([`hash_rows`], [`signed_scatter_counts`]):
+/// the coefficients reduced into row groups and the width's remainder
+/// constants ([`FixedMod`]), which a call would otherwise recompute for a
+/// batch of any size.
+#[derive(Debug, Clone)]
+pub struct RowHashes {
+    groups: Vec<RowGroup>,
+    depth: usize,
+    width: usize,
+    wm: FixedMod,
+}
+
+impl RowHashes {
+    /// Prepare `rows` over `width` buckets.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width == 0`.
+    pub fn new(rows: &[RowPolys<'_>], width: usize) -> Self {
+        assert!(width > 0, "bucket width must be non-zero");
+        Self {
+            groups: rows.chunks(ROW_GROUP).map(RowGroup::new).collect(),
+            depth: rows.len(),
+            width,
+            wm: FixedMod::new(width as u64),
+        }
+    }
+
+    /// Rows prepared.
+    pub fn depth(&self) -> usize {
+        self.depth
+    }
+}
+
+/// Every row's sign and bucket of every key: `out[i·depth + r]` is
 /// `(sign, bucket)` of `keys[i]` at row `r`, where `sign` is the low bit
 /// of the row's sign polynomial at the key as ±1 and `bucket` its bucket
-/// polynomial modulo `width`. The F-AGMS point queries read through this;
-/// the writes ([`signed_scatter`] over one row, [`signed_scatter_counts`]
-/// over all) run the same pass and scatter as they hash.
+/// polynomial modulo the width. The F-AGMS point queries read through
+/// this; the writes ([`signed_scatter`] over one row,
+/// [`signed_scatter_counts`] over all) run the same pass and scatter as
+/// they hash.
 ///
 /// On either path a key is reduced once for all rows, and on the AVX2 path
 /// the whole pass runs inside one `target_feature` function, every row's
-/// Horner chains for eight keys issued before they are used. Bit-identical
-/// to `poly_eval` per key and row on every path.
+/// Horner chains for eight keys issued before they are used. The last
+/// `n mod 8` keys run as one more group of eight, padded, whose padding
+/// lanes are never visited. Bit-identical to `poly_eval` per key and row
+/// on every path.
 ///
 /// # Panics
 ///
-/// Panics if `width == 0` or `out.len() != keys.len() × rows.len()`.
-pub fn hash_rows(
-    d: Dispatch,
-    rows: &[RowPolys<'_>],
-    width: usize,
-    keys: &[u64],
-    out: &mut [(i64, usize)],
-) {
-    let depth = rows.len();
+/// Panics if `out.len() != keys.len() × rows.depth()`.
+pub fn hash_rows(d: Dispatch, rows: &RowHashes, keys: &[u64], out: &mut [(i64, usize)]) {
+    let depth = rows.depth;
     assert_eq!(out.len(), keys.len() * depth, "one output per key and row");
     let key = |i: usize| keys[i];
-    for_each_hash(d, rows, width, keys.len(), key, |i, r, sign, bucket| {
-        out[i * depth + r] = (sign, bucket);
-    });
+    for_each_hash(
+        d,
+        &rows.groups,
+        rows.wm,
+        keys.len(),
+        key,
+        |i, r, sign, bucket| {
+            out[i * depth + r] = (sign, bucket);
+        },
+    );
 }
 
 /// [`hash_rows`] handing each `(i, r, sign, bucket)` to `visit` instead,
-/// in no promised order, for the key index `i < n` whose key is `key(i)`.
-/// Generic, so it stays private: its callers here are compiled with this
-/// crate's optimizations, whoever calls them.
+/// in no promised order, for the key index `i < n` whose key is `key(i)`,
+/// over `groups` of [`ROW_GROUP`] rows (the last may hold fewer) and the
+/// width `wm` divides by. Generic, so it stays private: its callers here
+/// are compiled with this crate's optimizations, whoever calls them.
 fn for_each_hash(
     d: Dispatch,
-    rows: &[RowPolys<'_>],
-    width: usize,
+    groups: &[RowGroup],
+    wm: FixedMod,
     n: usize,
     key: impl Fn(usize) -> u64,
     mut visit: impl FnMut(usize, usize, i64, usize),
 ) {
-    assert!(width > 0, "bucket width must be non-zero");
-    let wm = FixedMod::new(width as u64);
     let sign = |h: u64| 1 - 2 * ((h & 1) as i64);
-    for (g, group) in rows.chunks(ROW_GROUP).enumerate() {
+    for (g, group) in groups.iter().enumerate() {
         let first = g * ROW_GROUP;
         let mut at = |i: usize, r: usize, hs: u64, hb: u64| {
             visit(i, first + r, sign(hs), wm.rem(hb) as usize);
         };
-        // A group past the coefficient budget takes the scalar tail whole.
-        let polys = RowGroup::new(group);
-        let full = polys.as_ref().map_or(0, |_| n - n % CHUNK);
-        match (d.path, &polys) {
-            (_, None) => {}
-            (Path::Chunked, Some(polys)) => hash_rows_chunked(polys, full, &key, &mut at),
-            #[cfg(target_arch = "x86_64")]
-            (Path::Avx2(token), Some(polys)) => avx2::hash_rows(token, polys, full, &key, &mut at),
-        }
-        for i in full..n {
-            let k = key(i);
-            for (r, &(sc, bc)) in group.iter().enumerate() {
-                at(i, r, poly_eval(sc, k), poly_eval(bc, k));
+        match (d.path, &group.long) {
+            // A group past the coefficient budget is evaluated key by key.
+            (_, Some(rows)) => {
+                for i in 0..n {
+                    let k = key(i);
+                    for (r, (sc, bc)) in rows.iter().enumerate() {
+                        at(i, r, poly_eval(sc, k), poly_eval(bc, k));
+                    }
+                }
             }
+            (Path::Chunked, None) => hash_rows_chunked(&group.reduced, n, &key, &mut at),
+            #[cfg(target_arch = "x86_64")]
+            (Path::Avx2(token), None) => avx2::hash_rows(token, &group.reduced, n, &key, &mut at),
         }
     }
 }
 
-/// The portable body of [`for_each_hash`] over the first `full` keys, a
-/// multiple of [`CHUNK`]: `at(i, r, sign hash, bucket hash)`.
+/// The eight keys from `start` on, the ones at or past `n` read as 0: a
+/// pass's last group of eight, padded. The caller visits only the first
+/// `n − start` lanes.
+#[inline(always)]
+fn eight_keys(key: &impl Fn(usize) -> u64, start: usize, n: usize) -> [u64; CHUNK] {
+    std::array::from_fn(|l| if start + l < n { key(start + l) } else { 0 })
+}
+
+/// The portable body of [`for_each_hash`] over `n` keys:
+/// `at(i, r, sign hash, bucket hash)`, eight keys at a time and the last
+/// `n mod 8` as one padded eight.
 fn hash_rows_chunked(
-    polys: &RowGroup,
-    full: usize,
+    polys: &Reduced,
+    n: usize,
     key: &impl Fn(usize) -> u64,
     at: &mut impl FnMut(usize, usize, u64, u64),
 ) {
-    for start in (0..full).step_by(CHUNK) {
-        let xs: [u64; CHUNK] = std::array::from_fn(|l| key(start + l) % P61);
+    let full = n - n % CHUNK;
+    let mut eight = |start: usize, keys: [u64; CHUNK], lanes: usize| {
+        let xs = keys.map(|k| k % P61);
         for r in 0..polys.rows {
             let hs = horner_lanes_reduced(polys.sign(r), &xs);
             let hb = horner_lanes_reduced(polys.bucket(r), &xs);
-            for l in 0..CHUNK {
+            for l in 0..lanes {
                 at(start + l, r, hs[l], hb[l]);
             }
         }
+    };
+    for start in (0..full).step_by(CHUNK) {
+        eight(start, std::array::from_fn(|l| key(start + l)), CHUNK);
+    }
+    if full < n {
+        eight(full, eight_keys(key, full, n), n - full);
     }
 }
 
@@ -383,26 +460,33 @@ fn hash_rows_chunked(
 ///
 /// # Panics
 ///
-/// Panics if `width == 0`, `counters` holds fewer than
-/// `rows.len() × width` counters or `changes` is shorter than `rows`.
+/// Panics if `counters` holds fewer than `depth × width` counters or
+/// `changes` has fewer than `depth` entries.
 pub fn signed_scatter_counts(
     d: Dispatch,
-    rows: &[RowPolys<'_>],
-    width: usize,
+    rows: &RowHashes,
     items: &[(u64, i64)],
     counters: &mut [i64],
     changes: &mut [i64],
 ) {
+    let (depth, width) = (rows.depth, rows.width);
     assert!(
-        counters.len() >= rows.len() * width,
+        counters.len() >= depth * width,
         "counter block smaller than depth × width"
     );
-    assert!(changes.len() >= rows.len(), "one change per row");
+    assert!(changes.len() >= depth, "one change per row");
     let key = |i: usize| items[i].0;
-    for_each_hash(d, rows, width, items.len(), key, |i, r, sign, bucket| {
-        let change = add_counted(&mut counters[r * width + bucket], sign * items[i].1);
-        changes[r] = changes[r].wrapping_add(change);
-    });
+    for_each_hash(
+        d,
+        &rows.groups,
+        rows.wm,
+        items.len(),
+        key,
+        |i, r, sign, bucket| {
+            let change = add_counted(&mut counters[r * width + bucket], sign * items[i].1);
+            changes[r] = changes[r].wrapping_add(change);
+        },
+    );
 }
 
 /// `c += delta`, returning the change to `c²`.
@@ -564,7 +648,7 @@ fn square_block(block: &[i64]) -> Option<u64> {
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 pub(crate) mod avx2 {
-    use super::{geometric_gap, RowGroup, CHUNK, GAP_LANES, ROW_GROUP, SQUARE_LIMIT};
+    use super::{eight_keys, geometric_gap, Reduced, CHUNK, GAP_LANES, ROW_GROUP, SQUARE_LIMIT};
     use crate::prime::P61;
     use crate::{splitmix64, GOLDEN_GAMMA};
     use std::arch::x86_64::{
@@ -719,37 +803,63 @@ pub(crate) mod avx2 {
         unsafe { horner8_impl(coeffs, keys) }
     }
 
-    /// [`super::for_each_hash`] over the first `full` keys, a multiple of
-    /// [`CHUNK`]: each eight keys are loaded and reduced once, every row's
-    /// sign and bucket chains run on them (independent chains, which
-    /// overlap), and only then does `at(i, r, sign hash, bucket hash)` see
-    /// them.
+    /// Every row's sign and bucket hashes of eight keys, into `hs` and
+    /// `hb`: the keys are loaded and reduced once, and every row's chains
+    /// run on them (independent chains, which overlap).
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 (call only while holding an [`Avx2Token`]).
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn hash_eight(
+        polys: &Reduced,
+        keys: &[u64; CHUNK],
+        hs: &mut [[u64; CHUNK]; ROW_GROUP],
+        hb: &mut [[u64; CHUNK]; ROW_GROUP],
+    ) {
+        // SAFETY: `keys` is a [u64; 8], so both 32-byte unaligned loads
+        // are in bounds.
+        let x0 = canonicalize(_mm256_loadu_si256(keys.as_ptr().cast()));
+        let x1 = canonicalize(_mm256_loadu_si256(keys.as_ptr().add(4).cast()));
+        for r in 0..polys.rows {
+            hs[r] = horner(polys.sign(r), x0, x1);
+            hb[r] = horner(polys.bucket(r), x0, x1);
+        }
+    }
+
+    /// [`super::for_each_hash`] over `n` keys: each eight are hashed at
+    /// every row ([`hash_eight`]) before `at(i, r, sign hash, bucket
+    /// hash)` sees them, and the last `n mod 8` run as one padded eight
+    /// whose padding lanes `at` never sees.
     ///
     /// # Safety
     ///
     /// Requires AVX2 (call only while holding an [`Avx2Token`]).
     #[target_feature(enable = "avx2")]
     unsafe fn hash_rows_impl(
-        polys: &RowGroup,
-        full: usize,
+        polys: &Reduced,
+        n: usize,
         key: &impl Fn(usize) -> u64,
         at: &mut impl FnMut(usize, usize, u64, u64),
     ) {
         let mut hs = [[0u64; CHUNK]; ROW_GROUP];
         let mut hb = [[0u64; CHUNK]; ROW_GROUP];
+        let full = n - n % CHUNK;
         for start in (0..full).step_by(CHUNK) {
             let keys: [u64; CHUNK] = std::array::from_fn(|l| key(start + l));
-            // SAFETY: `keys` is a [u64; 8], so both 32-byte unaligned loads
-            // are in bounds.
-            let x0 = canonicalize(_mm256_loadu_si256(keys.as_ptr().cast()));
-            let x1 = canonicalize(_mm256_loadu_si256(keys.as_ptr().add(4).cast()));
-            for r in 0..polys.rows {
-                hs[r] = horner(polys.sign(r), x0, x1);
-                hb[r] = horner(polys.bucket(r), x0, x1);
-            }
+            hash_eight(polys, &keys, &mut hs, &mut hb);
             for r in 0..polys.rows {
                 for l in 0..CHUNK {
                     at(start + l, r, hs[r][l], hb[r][l]);
+                }
+            }
+        }
+        if full < n {
+            hash_eight(polys, &eight_keys(key, full, n), &mut hs, &mut hb);
+            for r in 0..polys.rows {
+                for l in 0..n - full {
+                    at(full + l, r, hs[r][l], hb[r][l]);
                 }
             }
         }
@@ -759,14 +869,14 @@ pub(crate) mod avx2 {
     #[inline]
     pub(super) fn hash_rows(
         _token: Avx2Token,
-        polys: &RowGroup,
-        full: usize,
+        polys: &Reduced,
+        n: usize,
         key: &impl Fn(usize) -> u64,
         at: &mut impl FnMut(usize, usize, u64, u64),
     ) {
         // SAFETY: an Avx2Token exists only if is_x86_feature_detected!
         // ("avx2") returned true, so the target-feature call is sound.
-        unsafe { hash_rows_impl(polys, full, key, at) }
+        unsafe { hash_rows_impl(polys, n, key, at) }
     }
 
     /// SplitMix64's two multipliers.
@@ -1148,8 +1258,8 @@ mod tests {
                     }
                     let mut got = vec![0i64; width];
                     let mut change = [0];
-                    let rows = [(sc, bc)];
-                    signed_scatter_counts(d, &rows, width, &items[..len], &mut got, &mut change);
+                    let rows = RowHashes::new(&[(sc, bc)], width);
+                    signed_scatter_counts(d, &rows, &items[..len], &mut got, &mut change);
                     assert_eq!(got, want, "signed counts width {width} len {len}");
                 }
             }
@@ -1197,7 +1307,8 @@ mod tests {
             for d in [Dispatch::chunked(), Dispatch::get()] {
                 let mut got = vec![0i64; rows.len() * width];
                 let mut changes = vec![0i64; rows.len()];
-                signed_scatter_counts(d, rows, width, &items, &mut got, &mut changes);
+                let prepared = RowHashes::new(rows, width);
+                signed_scatter_counts(d, &prepared, &items, &mut got, &mut changes);
                 assert_eq!(got, want, "{} path", d.label());
 
                 let (sc, bc) = rows[0];
@@ -1213,16 +1324,16 @@ mod tests {
         }
     }
 
-    /// A zero width is refused on every path, by both scatters and the
-    /// gather, before any key is hashed.
+    /// A zero width is refused on every path, by the one-row scatter and
+    /// by the preparation the counted scatter and the gather take, before
+    /// any key is hashed.
     #[test]
     fn scatter_kernels_reject_zero_width() {
         let rows: [RowPolys<'_>; 1] = [(&[1, 2, 3, 4], &[1, 2])];
         for d in [Dispatch::chunked(), Dispatch::get()] {
-            let calls: [&(dyn Fn() + std::panic::RefUnwindSafe); 3] = [
+            let calls: [&(dyn Fn() + std::panic::RefUnwindSafe); 2] = [
                 &|| signed_scatter(d, rows[0].0, rows[0].1, 0, &[1], &mut []),
-                &|| signed_scatter_counts(d, &rows, 0, &[(1, 1)], &mut [], &mut [0]),
-                &|| hash_rows(d, &rows, 0, &[1], &mut [(0, 0)]),
+                &|| drop(RowHashes::new(&rows, 0)),
             ];
             for call in calls {
                 let panic = std::panic::catch_unwind(call).expect_err("width 0 must panic");

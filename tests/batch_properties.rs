@@ -891,6 +891,118 @@ fn clone_then_compact(other: &MisraGries) -> (Vec<(u64, u64)>, u64) {
     (counters, cut)
 }
 
+/// One step of [`an_owed_compaction_reads_and_writes_as_the_eager_one`]:
+/// a read, a write, or a merge on either side, by `pick`. The counter
+/// list and the candidates read in their order, or sorted by key when
+/// `sorted`.
+fn owed_step(mg: &mut MisraGries, pick: u8, key: u64, peer: &MisraGries, sorted: bool) -> Vec<u64> {
+    match pick % 9 {
+        0 => {
+            let mut keys = mg.candidates();
+            if sorted {
+                keys.sort_unstable();
+            }
+            keys
+        }
+        1 => vec![
+            mg.raw_estimate(key).to_bits(),
+            mg.raw_estimate(key ^ 1).to_bits(),
+        ],
+        2 => vec![mg.error_bound(), mg.raw_estimate_variance().to_bits()],
+        3 => vec![mg.held() as u64],
+        4 => {
+            let mut counters = mg.counters();
+            if sorted {
+                counters.sort_unstable();
+            }
+            counters.into_iter().flat_map(|(k, c)| [k, c]).collect()
+        }
+        5 => {
+            mg.offer(key, 1 + (key % 3) as i64);
+            vec![]
+        }
+        6 => {
+            mg.offer_batch(&(key..key + 700).map(|k| k % 97).collect::<Vec<_>>());
+            vec![]
+        }
+        7 => {
+            mg.merge(peer).unwrap();
+            vec![]
+        }
+        _ => {
+            // Merged into a peer: the owed side is the one read.
+            let mut other = peer.clone();
+            other.merge(mg).unwrap();
+            layout(&other).into_iter().map(u64::from).collect()
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A merge into an empty Misra–Gries summary owes its compaction and
+    /// pays it on the first read or write; read or written in any order,
+    /// that summary, a clone of it and a summary merged from it through
+    /// another empty one (which shares what the first owes) answer as the
+    /// eager compaction does — the same merge with its survivors built at
+    /// once, which hold the clone-and-compact list in its order and write
+    /// the general path's layout — step by step: `encode()`,
+    /// `candidates()`, `raw_estimate`, `error_bound`, `held`, the counter
+    /// list in order, offers, batches and merges on either side. Every
+    /// read but the list's order also equals that of the survivors decoded
+    /// from that layout and put through the same steps: a compaction's
+    /// survivors are the counters above its cut, whatever their order.
+    #[test]
+    fn an_owed_compaction_reads_and_writes_as_the_eager_one(
+        capacity in 1usize..200,
+        offers in prop::collection::vec((0u64..500, 1i64..5), 0..900),
+        peer_offers in prop::collection::vec((0u64..300, 1i64..4), 0..300),
+        steps in prop::collection::vec((any::<u8>(), 0u64..600), 0..12),
+        chain: bool,
+    ) {
+        let mut other = MisraGries::new(capacity).unwrap();
+        offers.iter().for_each(|&(key, count)| other.offer(key, count));
+        let mut peer = MisraGries::new(capacity).unwrap();
+        peer_offers.iter().for_each(|&(key, count)| peer.offer(key, count));
+        let (survivors, cut) = clone_then_compact(&other);
+        let body = misra_gries_body(
+            capacity,
+            other.error_bound() + cut,
+            other.items_offered(),
+            &survivors,
+        );
+        let mut decoded = MisraGries::take(&mut Reader::new(&body)).unwrap();
+        let mut eager = MisraGries::new(capacity).unwrap();
+        eager.merge(&other).unwrap();
+        prop_assert_eq!(eager.counters(), survivors);
+        prop_assert_eq!(layout(&eager), body);
+        let mut owed = MisraGries::new(capacity).unwrap();
+        owed.merge(&other).unwrap();
+        if chain {
+            let mut again = MisraGries::new(capacity).unwrap();
+            again.merge(&owed).unwrap();
+            owed = again;
+        }
+        let mut twin = owed.clone();
+        for (i, &(pick, key)) in steps.iter().enumerate() {
+            let want = owed_step(&mut eager, pick, key, &peer, false);
+            prop_assert_eq!(owed_step(&mut owed, pick, key, &peer, false), want.clone(), "step {}", i);
+            prop_assert_eq!(owed_step(&mut twin, pick, key, &peer, false), want, "clone, step {}", i);
+            prop_assert_eq!(
+                owed_step(&mut decoded, pick, key, &peer, true),
+                owed_step(&mut owed.clone(), pick, key, &peer, true),
+                "decoded, step {}",
+                i
+            );
+        }
+        prop_assert_eq!(layout(&decoded), layout(&eager));
+        prop_assert_eq!(layout(&owed), layout(&eager));
+        prop_assert_eq!(layout(&twin), layout(&eager));
+        prop_assert_eq!(owed.counters(), eager.counters());
+    }
+}
+
 /// A Misra–Gries layout: capacity, offset, offered weight, then the keys
 /// in ascending order and their counts.
 fn misra_gries_body(

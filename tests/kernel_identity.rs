@@ -20,7 +20,7 @@ use proptest::test_runner::TestCaseError;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sketch_sampled_streams::sampling::{CounterRng, GeometricSkip};
-use sketch_sampled_streams::xi::kernels::{self, Dispatch, GAP_LANES};
+use sketch_sampled_streams::xi::kernels::{self, Dispatch, RowHashes, GAP_LANES};
 use sketch_sampled_streams::xi::prime::poly_eval;
 use sketch_sampled_streams::xi::{
     splitmix64, BucketFamily, Cw2, Cw2Bucket, Cw4, SignFamily, GOLDEN_GAMMA,
@@ -118,7 +118,7 @@ proptest! {
         }
         for d in paths() {
             let mut got = vec![(0, 0); keys.len() * depth];
-            kernels::hash_rows(d, &rows, width, &keys, &mut got);
+            kernels::hash_rows(d, &RowHashes::new(&rows, width), &keys, &mut got);
             prop_assert_eq!(&got, &expect, "{} path", d.label());
         }
     }
@@ -162,8 +162,59 @@ proptest! {
         for d in paths() {
             let mut got = vec![0i64; depth * width];
             let mut changes = vec![0i64; depth];
-            kernels::signed_scatter_counts(d, &rows, width, &items, &mut got, &mut changes);
+            let prepared = RowHashes::new(&rows, width);
+            kernels::signed_scatter_counts(d, &prepared, &items, &mut got, &mut changes);
             prop_assert_eq!(&got, &expect, "{} path", d.label());
+        }
+    }
+}
+
+/// Every item count from 0 through 17 — every tail length `n mod 8`
+/// alone, after one full group of eight and after two — at depths inside
+/// one row group and across two, on both paths: the gather and the
+/// counted scatter hash each tail as one padded group of eight and visit
+/// only its real lanes, as `poly_eval` per key and row places them.
+#[test]
+fn every_tail_length_takes_the_padded_group() {
+    let mut rng = StdRng::seed_from_u64(17);
+    let items: Vec<(u64, i64)> = (0..17u64)
+        .map(|i| (splitmix64(i), (i as i64 % 7) - 3))
+        .collect();
+    for depth in [1, 3, 9] {
+        let coeffs = random_rows(depth, &mut rng);
+        let rows: Vec<(&[u64], &[u64])> = coeffs.iter().map(|(s, b)| (&s[..], &b[..])).collect();
+        for width in [1, 7, 5000] {
+            let prepared = RowHashes::new(&rows, width);
+            for n in 0..=17 {
+                let (keys, items) = (
+                    items[..n].iter().map(|&(k, _)| k).collect::<Vec<u64>>(),
+                    &items[..n],
+                );
+                let hashed = |k: u64, (sc, bc): (&[u64], &[u64])| {
+                    let sign = 1 - 2 * (poly_eval(sc, k) & 1) as i64;
+                    (sign, (poly_eval(bc, k) % width as u64) as usize)
+                };
+                let expect: Vec<(i64, usize)> = (keys.iter())
+                    .flat_map(|&k| rows.iter().map(move |&row| hashed(k, row)))
+                    .collect();
+                let mut written = vec![0i64; depth * width];
+                for &(k, c) in items {
+                    for (r, &row) in rows.iter().enumerate() {
+                        let (sign, bucket) = hashed(k, row);
+                        written[r * width + bucket] += sign * c;
+                    }
+                }
+                for d in paths() {
+                    let case = format!("{} path, depth {depth}, width {width}, n {n}", d.label());
+                    let mut got = vec![(0, 0); n * depth];
+                    kernels::hash_rows(d, &prepared, &keys, &mut got);
+                    assert_eq!(got, expect, "gather, {case}");
+                    let mut block = vec![0i64; depth * width];
+                    let mut changes = vec![0i64; depth];
+                    kernels::signed_scatter_counts(d, &prepared, items, &mut block, &mut changes);
+                    assert_eq!(block, written, "counted scatter, {case}");
+                }
+            }
         }
     }
 }
@@ -220,8 +271,8 @@ fn check_reported_change(
         let mut block = start.to_vec();
         block.resize(2 * width, 0);
         let mut changes = [7, 0];
-        let rows = [(sc, bc), (sc, bc)];
-        kernels::signed_scatter_counts(d, &rows, width, items, &mut block, &mut changes);
+        let rows = RowHashes::new(&[(sc, bc), (sc, bc)], width);
+        kernels::signed_scatter_counts(d, &rows, items, &mut block, &mut changes);
         let (row, second) = block.split_at(width);
         prop_assert_eq!(changes[1], exact(second) as i64);
         let change = changes[0].wrapping_sub(7);

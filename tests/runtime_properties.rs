@@ -1692,14 +1692,17 @@ fn a_one_shard_fresh_merge_copies_no_row() {
 
 /// What a one-shard fold allocates. Once `catch_up()` has applied every
 /// batch, `merged()` on a one-shard `Sampled<MultiSummary>` runtime builds
-/// only Misra–Gries's survivors: its list and index (two blocks) and the
-/// `(count, key)` scratch the selection runs over (one), besides the
-/// box the cache keeps the merge in (one) and the read's own four small
-/// vectors (the floors, the shard locks, the stamps and the parts). The
-/// join rows and their kept sums, the HyperLogLog registers and the KLL
-/// levels are shared with the shard, not copied: eight blocks in all,
-/// counted at a threshold of one byte (copying them read 19). The merge
-/// answers as the sequential sample does.
+/// the box the cache keeps the merge in (one block) and the read's own
+/// four small vectors (the floors, the shard locks, the stamps and the
+/// parts), and nothing of the summary: the join rows and their kept
+/// sums, the HyperLogLog registers and the KLL levels are shared with the
+/// shard, and so is the Misra–Gries table, whose compaction the merge
+/// owes. Five blocks in all, counted at a threshold of one byte (eight
+/// while the fold built the survivors, 19 while it copied every part).
+/// The first read of the heavy part builds the survivors — their
+/// `(count, key)` selection, list, index and shared box, four blocks —
+/// and a second read builds nothing. The merge answers as the sequential
+/// sample does.
 #[test]
 fn a_one_shard_fold_allocates_only_the_survivors() {
     let mut rng = StdRng::seed_from_u64(57);
@@ -1723,9 +1726,12 @@ fn a_one_shard_fold_allocates_only_the_survivors() {
     }
     rt.catch_up().unwrap();
     let (merged, blocks) = blocks_of(1, || rt.merged().unwrap());
-    assert_eq!(blocks, 8);
+    assert_eq!(blocks, 5);
     let heavy = merged.summary().heavy();
-    assert!((1..=heavy.capacity()).contains(&heavy.held()));
+    let (held, blocks) = blocks_of(1, || heavy.held());
+    assert_eq!(blocks, 4, "the first read builds the survivors");
+    assert_eq!(blocks_of(1, || heavy.error_bound()).1, 0, "and keeps them");
+    assert!((1..=heavy.capacity()).contains(&held));
     assert_eq!(
         every_bit(&merged.self_join_estimate()),
         every_bit(&sequential.self_join_estimate())
@@ -1738,4 +1744,115 @@ fn a_one_shard_fold_allocates_only_the_survivors() {
         merged.quantiles(&[0.1, 0.5, 0.9]).unwrap(),
         sequential.quantiles(&[0.1, 0.5, 0.9]).unwrap()
     );
+}
+
+/// A one-shard runtime holding `proto`, rings 64 deep.
+fn one_shard<E: Summary>(proto: &E) -> ShardedRuntime<E> {
+    let config = RuntimeConfig {
+        shards: 1,
+        queue_depth: 64,
+        partition: Partition::RoundRobin,
+    };
+    ShardedRuntime::new(config, proto).unwrap()
+}
+
+/// Poll `handle` until nothing is pending, or fail after 10 s.
+fn drained<E: Summary>(handle: &QueryHandle<E>, case: &str) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while handle.applied_and_pending().1 > 0 {
+        assert!(
+            Instant::now() < deadline,
+            "{case}: no worker applied the batches"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// The wake rule. At p = 0.1 a 512-key push leaves ≈ 51 kept keys, fewer
+/// than the 512 the batch offered, so it leaves the sleeping worker
+/// asleep: 50 ms later the batch is still pending (at `4153d5f`, where
+/// every push woke the worker, it had been applied on every try). A read
+/// then applies it itself. At p = 1 every push keeps what it offers and wakes the
+/// worker, which applies its batch with no read.
+#[test]
+fn a_sampled_push_wakes_no_worker_until_its_kept_keys_fill_a_batch() {
+    let mut rng = StdRng::seed_from_u64(59);
+    let spec = multi_spec(59);
+    let keys: Vec<u64> = (0..512u64).map(|i| splitmix64(i) % 4000).collect();
+
+    let proto = spec.sampled(0.1, &mut rng).unwrap();
+    // A new worker that has not yet fallen asleep finds the batch without
+    // a wake: it is given longer on each of five tries, and one that slept
+    // through the push passes.
+    let slept = (0..5).find_map(|attempt| {
+        let mut rt = one_shard(&proto);
+        std::thread::sleep(Duration::from_millis(20 << attempt));
+        rt.push(&keys).unwrap();
+        std::thread::sleep(Duration::from_millis(50));
+        (rt.applied_and_pending() == (0, 1)).then_some(rt)
+    });
+    let rt = slept.expect("a sampled push woke the worker");
+    let merged = rt.merged().unwrap();
+    assert_eq!(rt.applied_and_pending(), (1, 0));
+    assert_eq!((merged.seen(), rt.tuples_ingested()), (512, 512));
+
+    let mut rt = one_shard(&spec.summary().unwrap());
+    rt.push(&keys).unwrap();
+    drained(&rt, "p = 1");
+    assert_eq!(rt.tuples_ingested(), 512);
+}
+
+/// Liveness of the wake rule without reads: 512-key pushes at p = 0.1
+/// (≈ 51 kept keys each, counted on a sequential copy of the shard's
+/// sampler) leave the worker asleep until the kept keys since its last
+/// wake reach 512; that push wakes it and it applies everything queued,
+/// within ⌈512/kept⌉ + 1 pushes for the fewest kept of one batch. At the
+/// end `into_merged` applies what is left, and a drop every batch too:
+/// the merge is the sequential sample's.
+#[test]
+fn pushes_with_no_read_are_applied_within_a_batch_of_kept_keys() {
+    let mut rng = StdRng::seed_from_u64(60);
+    let proto = Sampled::new(multi_spec(60).summary().unwrap(), 0.1, &mut rng).unwrap();
+    let keys: Vec<u64> = (0..40 * 512u64).map(|i| splitmix64(i) % 4000).collect();
+    let batches: Vec<&[u64]> = keys.chunks(512).collect();
+    for drop_it in [false, true] {
+        let mut rt = one_shard(&proto);
+        let handle = rt.query_handle();
+        let mut sequential = proto.for_shard(0);
+        let (mut unwoken, mut since, mut fewest, mut wakes) = (0, 0, u64::MAX, 0);
+        for (i, batch) in batches.iter().enumerate() {
+            let before = sequential.kept();
+            sequential.update_batch(batch);
+            let kept = sequential.kept() - before;
+            fewest = fewest.min(kept);
+            (unwoken, since) = (unwoken + kept, since + 1);
+            rt.push(batch).unwrap();
+            if unwoken >= batch.len() as u64 {
+                drained(&handle, &format!("push {i}"));
+                let bound = (512u64).div_ceil(fewest.max(1)) + 1;
+                assert!(since <= bound, "push {i}: {since} pushes before a wake");
+                (unwoken, since, wakes) = (0, 0, wakes + 1);
+            }
+        }
+        assert!(wakes >= 3, "{wakes} wakes in 40 pushes");
+        let offered = keys.len() as u64;
+        if drop_it {
+            drop(rt);
+            assert_eq!(
+                handle.tuples_ingested(),
+                offered,
+                "a drop applies every batch"
+            );
+        } else {
+            let merged = rt.into_merged().unwrap();
+            assert_eq!(
+                (merged.seen(), handle.tuples_ingested()),
+                (offered, offered)
+            );
+            assert_eq!(
+                every_bit(&merged.self_join_estimate()),
+                every_bit(&sequential.self_join_estimate())
+            );
+        }
+    }
 }
