@@ -60,6 +60,13 @@
 //! use sss_core::analysis::BoundKind; // removed: call sss_moments::bounds::{chebyshev, normal}
 //! ```
 //!
+//! Every Bernoulli correction and error-bar term is a method of
+//! `sss_moments::scheme::Bernoulli`, which [`Sampled`] composes:
+//!
+//! ```compile_fail
+//! use sss_core::bernoulli_distinct_estimate; // removed: sss_moments::scheme::Bernoulli::distinct
+//! ```
+//!
 //! ## Quick example: 10× load shedding
 //!
 //! ```
@@ -99,7 +106,7 @@ pub mod wire;
 pub use error::{Error, Result};
 pub use iid::IidStreamSketcher;
 pub use multi::{MultiSpec, MultiSummary, SampledMultiSummary};
-pub use sampled::{bernoulli_distinct_estimate, Sampled};
+pub use sampled::Sampled;
 pub use scan::ScanSketcher;
 pub use sketch::{JoinSchema, JoinSketch};
 pub use slim::{SlimJoin, SlimMultiSummary};

@@ -112,7 +112,7 @@
 //! therefore applies the homogeneous-frequency plug-in: treat every key
 //! as carrying the mean full-stream frequency `f̄ = (kept/p)/D` and solve
 //! the self-consistency equation `D = D′/(1 − (1−p)^{f̄})` for `D` by
-//! fixed-point iteration (see [`bernoulli_distinct_estimate`] for why the
+//! fixed-point iteration ([`Bernoulli::distinct`], which says why the
 //! one-step version is biased low). The unmodelled histogram spread is
 //! acknowledged by inflating the variance with the full correction
 //! magnitude (treated as one standard deviation of model error), so the
@@ -137,10 +137,7 @@ use crate::error::{Error, Result};
 use crate::summary::{priced, DistinctQuery, JoinQuery, QuantileQuery, Summary, TopKQuery};
 use rand::Rng;
 use sss_moments::scheme::{Bernoulli, SamplingScheme};
-use sss_sampling::{
-    bernoulli_frequency_variance_plugin, bernoulli_self_join_variance_plugin,
-    bernoulli_size_of_join_variance_plugin, Door,
-};
+use sss_sampling::Door;
 use sss_sketch::Estimate;
 use sss_xi::splitmix64;
 
@@ -343,7 +340,8 @@ impl<S: Summary> Summary for Sampled<S> {
 /// keys a Bernoulli(`p`) door admitted out of `seen`: the value and every
 /// basic corrected by [`Bernoulli::self_join`], the sketch variance scaled
 /// by `1/p⁴` ([`Bernoulli::self_join_sketch_variance`]), and the sampling
-/// variance plug-in of the paper's Section VI-A stacked on it.
+/// variance plug-in of the paper's Section VI-A
+/// ([`Bernoulli::self_join_variance_plugin`]) stacked on it.
 fn corrected_self_join(raw: Estimate, scheme: Bernoulli, kept: u64, seen: u64) -> Estimate {
     let value = scheme.self_join(raw.value, kept);
     let basics = raw
@@ -352,7 +350,7 @@ fn corrected_self_join(raw: Estimate, scheme: Bernoulli, kept: u64, seen: u64) -
         .map(|&b| scheme.self_join(b, kept))
         .collect();
     let sketch_variance = scheme.self_join_sketch_variance(raw.variance);
-    let sampling_variance = bernoulli_self_join_variance_plugin(scheme.p(), seen, value);
+    let sampling_variance = scheme.self_join_variance_plugin(seen, value);
     Estimate {
         value,
         variance: sketch_variance + sampling_variance,
@@ -380,16 +378,13 @@ impl<S: JoinQuery> JoinQuery for Sampled<S> {
 
     fn size_of_join_estimate(&self, other: &Self) -> Result<Estimate> {
         let raw = self.summary.size_of_join_estimate(&other.summary)?;
-        let (p, q) = (self.p(), other.p());
-        let join = |raw| self.scheme.size_of_join(raw, &other.scheme);
+        let (scheme, other_scheme) = (&self.scheme, &other.scheme);
+        let join = |raw| scheme.size_of_join(raw, other_scheme);
         let value = join(raw.value);
         let basics = raw.basics.iter().map(|&b| join(b)).collect();
-        let sketch_variance = self
-            .scheme
-            .size_of_join_sketch_variance(raw.variance, &other.scheme);
-        let sampling_variance = bernoulli_size_of_join_variance_plugin(
-            p,
-            q,
+        let sketch_variance = scheme.size_of_join_sketch_variance(raw.variance, other_scheme);
+        let sampling_variance = scheme.size_of_join_variance_plugin(
+            other_scheme,
             self.self_join_estimate().value,
             other.self_join_estimate().value,
             value,
@@ -410,14 +405,14 @@ impl<S: JoinQuery> Sampled<S> {
 }
 
 /// `raw`, a sample-frequency estimate at the scheme's rate `p`, as a
-/// full-stream one: the value scaled by `1/p`, the summary's variance by
-/// `1/p²` ([`Bernoulli::frequency_sketch_variance`]), and the binomial
-/// thinning plug-in for that value added.
+/// full-stream one: the value scaled by `1/p` ([`Bernoulli::frequency`]),
+/// the summary's variance by `1/p²`
+/// ([`Bernoulli::frequency_sketch_variance`]), and the binomial thinning
+/// plug-in for that value ([`Bernoulli::frequency_variance_plugin`]) added.
 fn thinned(raw: Estimate, scheme: Bernoulli) -> Estimate {
-    let p = scheme.p();
-    let value = raw.value / p;
-    let variance = scheme.frequency_sketch_variance(raw.variance)
-        + bernoulli_frequency_variance_plugin(p, value);
+    let value = scheme.frequency(raw.value);
+    let variance =
+        scheme.frequency_sketch_variance(raw.variance) + scheme.frequency_variance_plugin(value);
     priced(value, variance)
 }
 
@@ -460,19 +455,29 @@ impl<S: TopKQuery> Sampled<S> {
     }
 }
 
-/// F₀ by the homogeneous-frequency plug-in
-/// ([`bernoulli_distinct_estimate`]; the module docs say why an exact
-/// one-pass correction is impossible and how the model error is priced
-/// into the variance).
+/// `raw`, the sample's F₀ estimate, corrected by the homogeneous-frequency
+/// fixed point [`Bernoulli::distinct`] from the `kept` sampled tuples, or
+/// `raw` itself where there is nothing to correct (`p = 1`, nothing
+/// sampled).
+fn corrected_distinct(raw: Estimate, scheme: Bernoulli, kept: u64) -> Estimate {
+    match scheme.distinct(raw.value, raw.variance, kept) {
+        Some((value, variance)) => priced(value, variance),
+        None => raw,
+    }
+}
+
+/// F₀ by the homogeneous-frequency plug-in (`corrected_distinct`; the
+/// module docs say why an exact one-pass correction is impossible and how
+/// the model error is priced into the variance).
 impl<S: DistinctQuery> DistinctQuery for Sampled<S> {
     fn distinct_estimate(&self) -> Estimate {
-        bernoulli_distinct_estimate(self.summary.distinct_estimate(), self.p(), self.kept)
+        corrected_distinct(self.summary.distinct_estimate(), self.scheme, self.kept)
     }
 
     fn distinct_estimate_of_sum(zero: &Self, parts: &[&Self]) -> Result<Estimate> {
         let (inner, kept, _) = Self::inner_parts(zero, parts)?;
         let raw = S::distinct_estimate_of_sum(&zero.summary, &inner)?;
-        Ok(bernoulli_distinct_estimate(raw, zero.p(), kept))
+        Ok(corrected_distinct(raw, zero.scheme, kept))
     }
 }
 
@@ -483,18 +488,9 @@ impl<S: DistinctQuery> Sampled<S> {
     }
 }
 
-/// `3·√(q(1−q)(1−p)/kept)`: the 3σ binomial rank jitter of a
-/// Bernoulli(`p`) sample of `kept` tuples at rank `q` (zero at `p = 1`).
-fn rank_jitter(q: f64, p: f64, kept: u64) -> f64 {
-    if p >= 1.0 || kept == 0 {
-        return 0.0;
-    }
-    3.0 * (q * (1.0 - q) * (1.0 - p) / kept as f64).sqrt()
-}
-
 /// The sample's quantiles, unchanged — Bernoulli sampling is
 /// rank-invariant (module docs) — with the rank error widened by
-/// `rank_jitter`.
+/// [`Bernoulli::rank_jitter`].
 impl<S: QuantileQuery> QuantileQuery for Sampled<S> {
     fn quantiles(&self, ranks: &[f64]) -> Result<Vec<f64>> {
         self.summary.quantiles(ranks)
@@ -505,7 +501,7 @@ impl<S: QuantileQuery> QuantileQuery for Sampled<S> {
     }
 
     fn rank_error(&self, q: f64) -> f64 {
-        self.summary.rank_error(q) + rank_jitter(q, self.p(), self.kept)
+        self.summary.rank_error(q) + self.scheme.rank_jitter(q, self.kept)
     }
 
     /// The sample's length, `kept`: the weight that normalizes its ranks.
@@ -520,7 +516,7 @@ impl<S: QuantileQuery> QuantileQuery for Sampled<S> {
         widen: f64,
     ) -> Result<(f64, (f64, f64))> {
         let (inner, kept, _) = Self::inner_parts(zero, parts)?;
-        let widen = widen + rank_jitter(q, zero.p(), kept);
+        let widen = widen + zero.scheme.rank_jitter(q, kept);
         S::quantile_with_bounds_of_sum(&zero.summary, &inner, q, widen)
     }
 }
@@ -534,60 +530,6 @@ impl<S: QuantileQuery> Sampled<S> {
     /// Invalid `q`, or nothing sampled yet.
     pub fn quantile(&self, q: f64) -> Result<f64> {
         Ok(QuantileQuery::quantiles(self, &[q])?[0])
-    }
-}
-
-/// The homogeneous-frequency F₀ correction shared by
-/// [`Sampled::distinct_estimate`] and the multi-summary drivers.
-///
-/// `raw` is the backend's typed estimate of the *sample's* distinct count
-/// `D′`; `kept` the number of sampled tuples. The homogeneous model says a
-/// stream of `N̂ = kept/p` tuples over `D` equally frequent keys loses a
-/// key with probability `(1−p)^{N̂/D}`, so `D` must satisfy the
-/// self-consistency equation
-///
-/// ```text
-/// D = D′ / (1 − (1−p)^{N̂/D})
-/// ```
-///
-/// solved here by fixed-point iteration from `D₀ = D′`. (The one-step
-/// plug-in that evaluates the mean frequency at `D′` instead of `D` is
-/// biased low — `D′ < D` overstates the mean frequency, understating the
-/// correction — by ~20% in low-frequency regimes. The iteration map is
-/// increasing and a contraction at the fixed point, so starting below it
-/// converges monotonically upward.) The survival probability is floored
-/// (at 1%) to keep the estimate finite in the degenerate
-/// all-frequencies-tiny regime, and the correction magnitude `D̂ − D′` is
-/// added to the standard deviation as model error — see the module docs
-/// for why no one-pass estimator can do better without the full frequency
-/// histogram.
-pub fn bernoulli_distinct_estimate(raw: Estimate, p: f64, kept: u64) -> Estimate {
-    if p >= 1.0 {
-        return raw;
-    }
-    let d_sample = raw.value.max(0.0);
-    if d_sample == 0.0 || kept == 0 {
-        return raw;
-    }
-    let scaled_len = kept as f64 / p;
-    let mut value = d_sample;
-    for _ in 0..64 {
-        let mean_frequency = scaled_len / value;
-        let survival = (1.0 - (1.0 - p).powf(mean_frequency)).max(0.01);
-        let next = d_sample / survival;
-        if (next - value).abs() <= 1e-9 * value {
-            value = next;
-            break;
-        }
-        value = next;
-    }
-    // The survival probability implied by the fixed point itself.
-    let survival = (d_sample / value).clamp(0.01, 1.0);
-    let model_error = value - d_sample;
-    Estimate {
-        value,
-        variance: raw.variance / (survival * survival) + model_error * model_error,
-        basics: Vec::new(),
     }
 }
 
@@ -727,8 +669,9 @@ mod tests {
         );
     }
 
-    /// The join corrections are exactly the shared Prop. 13/14 scalings of
-    /// the raw sketch answers: value *and* variance, to the bit.
+    /// Every read is the inner read plus the scheme's calls, to the bit:
+    /// the Prop. 13/14 values, basics and variances, a thinned top-k
+    /// estimate, and the F₀ fixed point.
     #[test]
     fn join_corrections_are_the_shared_scalings_bit_for_bit() {
         let schema = JoinSchema::fagms(3, 512, &mut rng(5));
@@ -747,12 +690,12 @@ mod tests {
         );
 
         let raw = shed.summary().raw_self_join_estimate();
-        let scheme = Bernoulli::new(p).unwrap();
+        let (scheme, scheme_q) = (Bernoulli::new(p).unwrap(), Bernoulli::new(q).unwrap());
         let value = scheme.self_join(shed.summary().raw_self_join(), shed.kept());
         let e = shed.self_join_estimate();
         assert_eq!(e.value.to_bits(), value.to_bits());
         assert_eq!(e.basics.len(), raw.basics.len());
-        let sampling = bernoulli_self_join_variance_plugin(p, shed.seen(), value);
+        let sampling = scheme.self_join_variance_plugin(shed.seen(), value);
         assert_eq!(
             e.variance.to_bits(),
             (raw.variance / ((p * p) * (p * p)) + sampling).to_bits()
@@ -761,11 +704,44 @@ mod tests {
         // the shedded variance on the same stream.
         assert!(full.self_join_estimate().variance < e.variance);
 
-        let raw_join = shed.summary().raw_size_of_join(full.summary()).unwrap();
+        let raw_join = shed
+            .summary()
+            .raw_size_of_join_estimate(full.summary())
+            .unwrap();
         let ej = shed.size_of_join_estimate(&full).unwrap();
-        let join = scheme.size_of_join(raw_join, &Bernoulli::new(q).unwrap());
+        let join = scheme.size_of_join(raw_join.value, &scheme_q);
         assert_eq!(ej.value.to_bits(), join.to_bits());
-        assert!(ej.variance.is_finite());
+        let sampling = scheme.size_of_join_variance_plugin(
+            &scheme_q,
+            e.value,
+            full.self_join_estimate().value,
+            join,
+        );
+        assert!(sampling > 0.0);
+        let variance = scheme.size_of_join_sketch_variance(raw_join.variance, &scheme_q) + sampling;
+        assert_eq!(ej.variance.to_bits(), variance.to_bits());
+
+        let mut top = Sampled::new(MisraGries::new(16).unwrap(), p, &mut r).unwrap();
+        top.feed_batch(&keys);
+        let (key, raw) = top.summary().top_k_estimates(1).remove(0);
+        let (at, est) = top.top_k(1).remove(0);
+        assert_eq!(at, key);
+        let value = scheme.frequency(raw.value);
+        let variance = scheme.frequency_sketch_variance(raw.variance)
+            + scheme.frequency_variance_plugin(value);
+        assert_eq!(est.value.to_bits(), value.to_bits());
+        assert_eq!(est.variance.to_bits(), variance.to_bits());
+
+        let mut distinct = Sampled::new(HyperLogLog::new(12, &mut r).unwrap(), p, &mut r).unwrap();
+        distinct.feed_batch(&(0..20_000u64).map(|i| i % 3_000).collect::<Vec<_>>());
+        let raw = distinct.summary().distinct_estimate();
+        let (value, variance) = scheme
+            .distinct(raw.value, raw.variance, distinct.kept())
+            .unwrap();
+        let d = distinct.distinct_estimate();
+        assert!(value > raw.value);
+        assert_eq!(d.value.to_bits(), value.to_bits());
+        assert_eq!(d.variance.to_bits(), variance.to_bits());
     }
 
     #[test]

@@ -18,8 +18,16 @@
 //!
 //! The raw aggregate is the same whether it comes from a sketch of the
 //! sample (Props 13–16) or from the exact sample (Props 3–6), so the
-//! served form is the estimator of both. Its callers:
-//! `sss_core::Sampled` (Bernoulli, every F₂ and join read),
+//! served form is the estimator of both. [`Bernoulli`] also holds the rest
+//! of a served Bernoulli answer, each a plain `f64` function: the sketch
+//! variance scalings, the sampling-variance plug-ins of Section VI-A
+//! ([`Bernoulli::self_join_variance_plugin`],
+//! [`Bernoulli::size_of_join_variance_plugin`],
+//! [`Bernoulli::frequency_variance_plugin`]), the `1/p` frequency scale,
+//! the quantile [`rank_jitter`](Bernoulli::rank_jitter) and the F₀ fixed
+//! point [`Bernoulli::distinct`]. Its callers:
+//! `sss_core::Sampled` (Bernoulli, every F₂, join, top-k, F₀ and
+//! quantile read, over a whole summary and over the parts of a sum),
 //! `sss_core::IidStreamSketcher` (with replacement),
 //! `sss_core::ScanSketcher` (without replacement), the coordinator of
 //! `examples/distributed_shedding.rs`, and the sampling-only estimators
@@ -132,6 +140,143 @@ impl Bernoulli {
     /// sample and scaled by `1/p`: `var/p²`.
     pub fn frequency_sketch_variance(&self, var: f64) -> f64 {
         var / (self.p * self.p)
+    }
+
+    /// Eq. 7 in moment form: the exact sampling-only variance of
+    /// [`self_join`](Self::self_join) over a stream with `F₁ = Σfᵢ`,
+    /// `F₂ = Σfᵢ²`, `F₃ = Σfᵢ³`. With `q = 1 − p`:
+    ///
+    /// ```text
+    /// Var = (4q/p)·F₃ + (2q(1 − 3p)/p²)·F₂ + (q(3p − 2)/p²)·F₁
+    /// ```
+    ///
+    /// At `p = 1` the sample is the stream and the variance is 0.
+    pub fn self_join_variance(&self, f1: f64, f2: f64, f3: f64) -> f64 {
+        let p = self.p;
+        let q = 1.0 - p;
+        let p2 = p * p;
+        (4.0 * q / p) * f3 + (2.0 * q * (1.0 - 3.0 * p) / p2) * f2 + (q * (3.0 * p - 2.0) / p2) * f1
+    }
+
+    /// The sampling term of a served F₂ error bar (Section VI-A): the
+    /// [`self_join_variance`](Self::self_join_variance) with its unknown
+    /// moments bounded by what a query knows. `F₁` is `seen`, the exact
+    /// count of offered tuples; `F₂` is the estimate `f2_hat` itself,
+    /// clamped at 0; `F₃ ≤ F₂^{3/2}` (‖f‖₃ ≤ ‖f‖₂). Conservative: tight for
+    /// heavy-hitter vectors, loose for near-uniform ones. Clamped at 0, as
+    /// inconsistent plug-ins (`f2_hat` below `seen`) can make it negative.
+    ///
+    /// Because every basic estimator of a sketch sees the same sample, this
+    /// term is added once and not divided by the number of basics.
+    pub fn self_join_variance_plugin(&self, seen: u64, f2_hat: f64) -> f64 {
+        let f2 = f2_hat.max(0.0);
+        let f3 = f2.powf(1.5);
+        self.self_join_variance(seen as f64, f2, f3).max(0.0)
+    }
+
+    /// The sampling term of a served size-of-join error bar against a
+    /// sample of `other`: Eq. 6,
+    /// `((1−q)/q)·Σf²g + ((1−p)/p)·Σfg² + ((1−p)(1−q)/(pq))·Σfg`, with
+    /// `Σf²g ≤ F₂(f)·√F₂(g)` and `Σfg² ≤ F₂(g)·√F₂(f)` (Cauchy–Schwarz and
+    /// `F₄ ≤ F₂²`) from each side's self-join estimate and `Σfg` from the
+    /// join estimate `fg_hat`, each clamped at 0. Clamped at 0; an
+    /// unsampled side (rate 1) adds nothing.
+    pub fn size_of_join_variance_plugin(
+        &self,
+        other: &Bernoulli,
+        f2_f_hat: f64,
+        f2_g_hat: f64,
+        fg_hat: f64,
+    ) -> f64 {
+        let (pf, pg) = (self.p, other.p);
+        let f2f = f2_f_hat.max(0.0);
+        let f2g = f2_g_hat.max(0.0);
+        let sum_f2g = f2f * f2g.sqrt();
+        let sum_fg2 = f2g * f2f.sqrt();
+        let sum_fg = fg_hat.max(0.0);
+        let qf = 1.0 - pf;
+        let qg = 1.0 - pg;
+        ((qg / pg) * sum_f2g + (qf / pf) * sum_fg2 + (qf * qg / (pf * pg)) * sum_fg).max(0.0)
+    }
+
+    /// The unbiased full-stream frequency `raw/p` of a key counted `raw`
+    /// times in the sample.
+    pub fn frequency(&self, raw: f64) -> f64 {
+        raw / self.p
+    }
+
+    /// The binomial thinning term of a served frequency's error bar:
+    /// `f′ ~ Binomial(f, p)`, so [`frequency`](Self::frequency) has
+    /// variance `f·(1−p)/p`, evaluated at the estimate `f_hat` itself
+    /// (unbiased for `f`) clamped at 0. Zero at `p = 1`.
+    pub fn frequency_variance_plugin(&self, f_hat: f64) -> f64 {
+        let f = f_hat.max(0.0);
+        (f * (1.0 - self.p) / self.p).max(0.0)
+    }
+
+    /// `3·√(q(1−q)(1−p)/kept)`: the 3σ binomial jitter of rank `q` in a
+    /// sample of `kept` tuples, which widens a sampled quantile's rank
+    /// error. Zero at `p = 1` or before anything is kept.
+    pub fn rank_jitter(&self, q: f64, kept: u64) -> f64 {
+        let p = self.p;
+        if p >= 1.0 || kept == 0 {
+            return 0.0;
+        }
+        3.0 * (q * (1.0 - q) * (1.0 - p) / kept as f64).sqrt()
+    }
+
+    /// The homogeneous-frequency F₀ correction: the full stream's distinct
+    /// count and its variance from `d_raw`, an estimate of the *sample's*
+    /// distinct count `D′` with variance `var_raw`, and the `kept` sampled
+    /// tuples. `None` when there is nothing to correct (`p = 1`, or
+    /// nothing sampled).
+    ///
+    /// An exact one-pass correction needs the whole frequency histogram,
+    /// since a key survives with probability `1 − (1−p)^{fᵢ}`. The model
+    /// gives every key the mean frequency `N̂/D` of a stream of
+    /// `N̂ = kept/p` tuples, so `D` must satisfy
+    ///
+    /// ```text
+    /// D = D′ / (1 − (1−p)^{N̂/D})
+    /// ```
+    ///
+    /// solved by fixed-point iteration from `D₀ = D′`. (The one-step
+    /// plug-in at `D′` overstates the mean frequency and is biased low,
+    /// by ~20% at low frequencies; the map is increasing and a contraction
+    /// at the fixed point, so the iteration climbs to it.) The survival
+    /// probability is floored at 1% to keep the estimate finite when every
+    /// frequency is tiny. The variance is `var_raw` over the squared
+    /// survival plus the squared correction `D̂ − D′`, the unmodelled
+    /// histogram spread priced as one standard deviation: negligible when
+    /// almost every key survives, wide when the correction matters.
+    pub fn distinct(&self, d_raw: f64, var_raw: f64, kept: u64) -> Option<(f64, f64)> {
+        let p = self.p;
+        if p >= 1.0 {
+            return None;
+        }
+        let d_sample = d_raw.max(0.0);
+        if d_sample == 0.0 || kept == 0 {
+            return None;
+        }
+        let scaled_len = kept as f64 / p;
+        let mut value = d_sample;
+        for _ in 0..64 {
+            let mean_frequency = scaled_len / value;
+            let survival = (1.0 - (1.0 - p).powf(mean_frequency)).max(0.01);
+            let next = d_sample / survival;
+            if (next - value).abs() <= 1e-9 * value {
+                value = next;
+                break;
+            }
+            value = next;
+        }
+        // The survival probability implied by the fixed point itself.
+        let survival = (d_sample / value).clamp(0.01, 1.0);
+        let model_error = value - d_sample;
+        Some((
+            value,
+            var_raw / (survival * survival) + model_error * model_error,
+        ))
     }
 }
 
@@ -343,6 +488,7 @@ impl SamplingScheme for WithoutReplacement {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FrequencyVector;
     use proptest::prelude::*;
 
     /// Direct enumeration of a Binomial(f, p) pmf.
@@ -634,6 +780,69 @@ mod tests {
             prop_assert_eq!(join.to_bits(), (var / ((a * p) * (a * p))).to_bits());
             prop_assert!(agree(join, var * c * c, join));
         }
+    }
+
+    #[test]
+    fn self_join_variance_hand_case() {
+        // One key with f = 2, p = 1/2: f′ ∈ {0, 1, 2} with probabilities
+        // 1/4, 1/2, 1/4, and the estimate 4f′² − 2f′ takes 0, 2, 12.
+        // E = 4 (unbiased: F₂ = 4), E[X²] = 0 + 2 + 36 = 38, Var = 22.
+        let v = Bernoulli::new(0.5)
+            .unwrap()
+            .self_join_variance(2.0, 4.0, 8.0);
+        assert!((v - 22.0).abs() < 1e-12, "got {v}");
+    }
+
+    #[test]
+    fn sampling_variances_vanish_without_sampling() {
+        let (full, half) = (Bernoulli::new(1.0).unwrap(), Bernoulli::new(0.5).unwrap());
+        assert_eq!(full.self_join_variance(10.0, 40.0, 100.0), 0.0);
+        assert_eq!(full.self_join_variance_plugin(10, 40.0), 0.0);
+        assert_eq!(full.size_of_join_variance_plugin(&full, 4.0, 9.0, 5.0), 0.0);
+        assert_eq!(full.frequency_variance_plugin(1e6), 0.0);
+        assert_eq!(full.rank_jitter(0.5, 1000), 0.0);
+        assert_eq!(full.distinct(10.0, 1.0, 100), None);
+        // An unsampled g side: only the f side's `Σfg²` term survives,
+        // `((1−p)/p)·F₂(g)·√F₂(f)` = 1·9·2.
+        let v = half.size_of_join_variance_plugin(&full, 4.0, 9.0, 5.0);
+        assert!((v - 18.0).abs() < 1e-12, "got {v}");
+    }
+
+    #[test]
+    fn plugins_upper_bound_the_exact_forms() {
+        // Skewed moments: one heavy key dominates, so F₃ ≈ F₂^{3/2}.
+        let (f1, f2, f3) = (120.0, 10_000.0 + 20.0 * 20.0, 1_000_000.0 + 8_000.0);
+        for p in [0.1, 0.3, 0.7, 0.95] {
+            let b = Bernoulli::new(p).unwrap();
+            let exact = b.self_join_variance(f1, f2, f3);
+            let plug = b.self_join_variance_plugin(f1 as u64, f2);
+            assert!(plug >= exact - 1e-9, "p={p}: plug-in {plug} below {exact}");
+        }
+        // Size of join: the plug-in at the true F₂s and join dominates
+        // Eq. 6, as Cauchy–Schwarz promises.
+        let f = FrequencyVector::from_counts(vec![0u32, 6, 4, 2, 0]);
+        let g = FrequencyVector::from_counts(vec![0u32, 3, 5, 0, 7]);
+        let (bf, bg) = (Bernoulli::new(0.4).unwrap(), Bernoulli::new(0.6).unwrap());
+        let exact = crate::closed_form::bernoulli_sampling_sj_variance(&f, &g, &bf, &bg).unwrap();
+        let plug = bf.size_of_join_variance_plugin(&bg, f.self_join(), g.self_join(), f.dot(&g));
+        assert!(plug >= exact, "plug-in {plug} below {exact}");
+    }
+
+    #[test]
+    fn plugins_are_clamped_nonnegative() {
+        // Inconsistent inputs (a tiny F̂₂ against a huge seen count) take
+        // the moment form negative below p = 2/3.
+        let half = Bernoulli::new(0.5).unwrap();
+        assert!(half.self_join_variance(1e6, 1.0, 1.0) < 0.0);
+        assert_eq!(half.self_join_variance_plugin(1_000_000, 1.0), 0.0);
+        let near_one = Bernoulli::new(0.9).unwrap();
+        assert!(near_one.self_join_variance_plugin(1_000_000, 1.0) >= 0.0);
+        assert!(half.size_of_join_variance_plugin(&half, -5.0, -5.0, -5.0) >= 0.0);
+        // A negative Count-Sketch frequency prices no thinning.
+        assert_eq!(half.frequency_variance_plugin(-3.0), 0.0);
+        // Nothing sampled, nothing to correct.
+        assert_eq!(half.distinct(0.0, 1.0, 100), None);
+        assert_eq!(half.distinct(10.0, 1.0, 0), None);
     }
 
     #[test]

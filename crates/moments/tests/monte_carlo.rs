@@ -8,16 +8,21 @@
 //! engine on larger inputs. Every estimate is the schemes' served
 //! correction (`self_join`, `size_of_join`), the one the product applies;
 //! `scheme`'s own proptest ties it to the affine form the engine
-//! evaluates.
+//! evaluates. The sampling-only variances that price the served error
+//! bars (`Bernoulli::self_join_variance`, and Eq. 6 of `closed_form` for
+//! a join and for one key's frequency) are pinned the same way against
+//! the estimators over exact samples.
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
+use sss_exact::ExactAggregator;
+use sss_moments::closed_form::bernoulli_sampling_sj_variance;
 use sss_moments::engine::{self, Moments};
 use sss_moments::freq::FrequencyVector;
 use sss_moments::scheme::{Bernoulli, SamplingScheme, WithReplacement, WithoutReplacement};
-use sss_sampling::bernoulli::BernoulliSampler;
 use sss_sampling::with_replacement::sample_with_replacement;
 use sss_sampling::without_replacement::sample_without_replacement;
+use sss_sampling::Door;
 use sss_sketch::agms::AgmsSchema;
 use sss_xi::Cw4;
 
@@ -82,7 +87,7 @@ fn bernoulli_combined_self_join_matches_theory() {
     let mut rng = StdRng::seed_from_u64(0xB0);
     let mut xs = Vec::with_capacity(reps);
     for _ in 0..reps {
-        let mut sampler = BernoulliSampler::<StdRng>::new(p, &mut rng).unwrap();
+        let mut sampler = Door::new(p, rng.next_u64()).unwrap();
         let schema = AgmsSchema::<Cw4>::new(n_avg, &mut rng);
         let mut sk = schema.sketch();
         let mut kept = 0u64;
@@ -115,8 +120,8 @@ fn bernoulli_combined_size_of_join_matches_theory() {
         let schema = AgmsSchema::<Cw4>::new(n_avg, &mut rng);
         let mut s = schema.sketch();
         let mut t = schema.sketch();
-        let mut keep_f = BernoulliSampler::<StdRng>::new(p, &mut rng).unwrap();
-        let mut keep_g = BernoulliSampler::<StdRng>::new(q, &mut rng).unwrap();
+        let mut keep_f = Door::new(p, rng.next_u64()).unwrap();
+        let mut keep_g = Door::new(q, rng.next_u64()).unwrap();
         for &k in &tf {
             if keep_f.keep() {
                 s.update(k, 1);
@@ -259,7 +264,7 @@ fn mixed_bernoulli_wor_size_of_join_matches_theory() {
         let schema = AgmsSchema::<Cw4>::new(n_avg, &mut rng);
         let mut s = schema.sketch();
         let mut t = schema.sketch();
-        let mut keep_f = BernoulliSampler::<StdRng>::new(p, &mut rng).unwrap();
+        let mut keep_f = Door::new(p, rng.next_u64()).unwrap();
         for &k in &tf {
             if keep_f.keep() {
                 s.update(k, 1);
@@ -292,7 +297,7 @@ fn averaging_cannot_erase_the_sampling_variance() {
     let mut rng = StdRng::seed_from_u64(0xB6);
     let mut xs = Vec::with_capacity(reps);
     for _ in 0..reps {
-        let mut sampler = BernoulliSampler::<StdRng>::new(p, &mut rng).unwrap();
+        let mut sampler = Door::new(p, rng.next_u64()).unwrap();
         let schema = AgmsSchema::<Cw4>::new(n_avg, &mut rng);
         let mut sk = schema.sketch();
         let mut kept = 0u64;
@@ -321,4 +326,75 @@ fn averaging_cannot_erase_the_sampling_variance() {
         emp.variance,
         naive_if_independent
     );
+}
+
+/// A Bernoulli(`p`) sample of `f`'s tuples, one `Door::keep` coin each,
+/// as exact aggregates.
+fn thin(f: &FrequencyVector, p: f64, rng: &mut StdRng) -> ExactAggregator {
+    let mut door = Door::new(p, rng.next_u64()).unwrap();
+    ExactAggregator::from_keys(expand(f).into_iter().filter(|_| door.keep()))
+}
+
+/// Mean and variance of `reps` draws of `est`.
+fn draws(reps: usize, est: impl FnMut(usize) -> f64) -> Moments {
+    empirical(&(0..reps).map(est).collect::<Vec<_>>())
+}
+
+/// `got` within a relative `tol` of `want`.
+fn assert_near(got: f64, want: f64, tol: f64, what: &str) {
+    assert!((got - want).abs() / want < tol, "{what}: {got} vs {want}");
+}
+
+/// The moment form of Eq. 7, `Bernoulli::self_join_variance`, against the
+/// empirical variance of the Prop.-4 estimator over exact samples.
+#[test]
+fn self_join_variance_matches_monte_carlo() {
+    let f = FrequencyVector::from_counts(vec![0u32, 9, 5, 3, 1]);
+    let scheme = Bernoulli::new(0.4).unwrap();
+    let exact = scheme.self_join_variance(f.total(), f.power_sum(2), f.power_sum(3));
+    let mut rng = StdRng::seed_from_u64(7);
+    let m = draws(8_000, |_| {
+        let sample = thin(&f, 0.4, &mut rng);
+        scheme.self_join(sample.self_join(), sample.total() as u64)
+    });
+    assert_near(m.mean, f.self_join(), 0.02, "mean");
+    assert_near(m.variance, exact, 0.15, "variance");
+}
+
+/// Eq. 6 against the empirical variance of the Prop.-3 estimator with
+/// independently sampled sides at different rates.
+#[test]
+fn size_of_join_variance_matches_monte_carlo() {
+    let f = FrequencyVector::from_counts(vec![0u32, 6, 4, 2, 0]);
+    let g = FrequencyVector::from_counts(vec![0u32, 3, 5, 0, 7]);
+    let (sf, sg) = (Bernoulli::new(0.5).unwrap(), Bernoulli::new(0.3).unwrap());
+    let exact = bernoulli_sampling_sj_variance(&f, &g, &sf, &sg).unwrap();
+    let mut rng = StdRng::seed_from_u64(11);
+    let m = draws(15_000, |_| {
+        let (a, b) = (thin(&f, 0.5, &mut rng), thin(&g, 0.3, &mut rng));
+        sf.size_of_join(a.join(&b), &sg)
+    });
+    assert_near(m.mean, f.dot(&g), 0.03, "mean");
+    assert_near(m.variance, exact, 0.15, "variance");
+}
+
+/// One key's frequency `f′/p` is a join with an unsampled indicator of
+/// that key, so Eq. 6 gives its variance `f·(1−p)/p`, which the plug-in
+/// at the true frequency is: unbiased, with the empirical variance
+/// matching, over a key sampled many times.
+#[test]
+fn frequency_variance_matches_monte_carlo() {
+    let (f, p) = (200.0, 0.3);
+    let (scheme, unsampled) = (Bernoulli::new(p).unwrap(), Bernoulli::new(1.0).unwrap());
+    let key = FrequencyVector::from_counts(vec![f]);
+    let indicator = FrequencyVector::from_counts(vec![1u32]);
+    let exact = bernoulli_sampling_sj_variance(&key, &indicator, &scheme, &unsampled).unwrap();
+    let mut rng = StdRng::seed_from_u64(23);
+    let m = draws(20_000, |_| {
+        scheme.frequency(thin(&key, p, &mut rng).total() as f64)
+    });
+    assert_near(m.mean, f, 0.01, "mean");
+    assert_near(m.variance, exact, 0.1, "variance");
+    let plug = scheme.frequency_variance_plugin(f);
+    assert!((plug - exact).abs() <= 1e-12 * exact, "{plug} vs {exact}");
 }

@@ -7,13 +7,13 @@
 //! schemes, deterministic seeds.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use sss_moments::engine;
 use sss_moments::scheme::{Bernoulli, SamplingScheme, WithReplacement, WithoutReplacement};
 use sss_moments::FrequencyVector;
-use sss_sampling::bernoulli::BernoulliSampler;
 use sss_sampling::with_replacement::sample_with_replacement;
 use sss_sampling::without_replacement::sample_without_replacement;
+use sss_sampling::Door;
 use sss_sketch::agms::AgmsSchema;
 use sss_xi::Cw4;
 
@@ -61,7 +61,7 @@ fn run_config(seed: u64) {
                 Box::new(move |r: &mut StdRng| {
                     let schema = AgmsSchema::<Cw4>::new(n_avg, r);
                     let mut sk = schema.sketch();
-                    let mut sampler = BernoulliSampler::<StdRng>::new(p, r).unwrap();
+                    let mut sampler = Door::new(p, r.next_u64()).unwrap();
                     let mut kept = 0u64;
                     for &t in &tuples {
                         if sampler.keep() {

@@ -5,13 +5,13 @@
 //! full sample, to their refusals, and to unbiasedness by Monte Carlo.
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use sss_exact::ExactAggregator;
 use sss_moments::scheme::{Bernoulli, SamplingScheme, WithReplacement, WithoutReplacement};
 use sss_moments::Error;
-use sss_sampling::bernoulli::BernoulliSampler;
 use sss_sampling::with_replacement::sample_with_replacement;
 use sss_sampling::without_replacement::sample_without_replacement;
+use sss_sampling::Door;
 
 /// A small relation with known aggregates: keys `0..k` where key `i` has
 /// frequency `i + 1`.
@@ -134,10 +134,10 @@ fn estimators_are_unbiased() {
     let mut acc_wor = 0f64;
     let mut acc_join = 0f64;
     for _ in 0..reps {
-        let mut s = BernoulliSampler::<StdRng>::new(p, &mut r).unwrap();
+        let mut s = Door::new(p, r.next_u64()).unwrap();
         let bern = ExactAggregator::from_keys(rel.iter().copied().filter(|_| s.keep()));
         acc_bern_sj += bernoulli.self_join(bern.self_join(), size(&bern));
-        let mut t = BernoulliSampler::<StdRng>::new(p, &mut r).unwrap();
+        let mut t = Door::new(p, r.next_u64()).unwrap();
         let bern_g = ExactAggregator::from_keys(rel.iter().copied().filter(|_| t.keep()));
         acc_bern_join += bernoulli.size_of_join(bern.join(&bern_g), &bernoulli);
 

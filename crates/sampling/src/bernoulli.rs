@@ -1,82 +1,18 @@
 //! Bernoulli sampling: each tuple is kept independently with probability `p`.
 //!
-//! This is the *load shedding* scheme of the paper's Section VI-A. Two
-//! implementations are provided:
-//!
-//! * [`BernoulliSampler`] tosses one coin per tuple — O(1) work per stream
-//!   item whether or not it is kept.
-//! * [`GeometricSkip`] draws the *gap* until the next kept tuple from the
-//!   geometric distribution (Olken's interval generation, the paper's
-//!   reference \[18\]) — O(1) work per *kept* tuple, which is what makes the
-//!   speed-up of sketching a p-sample proportional to `1/p` rather than
-//!   bounded by the per-tuple coin cost. Over a [`CounterRng`], gap `j` is
-//!   a function of `(seed, j)` alone.
+//! This is the *load shedding* scheme of the paper's Section VI-A.
+//! [`GeometricSkip`] draws the *gap* until the next kept tuple from the
+//! geometric distribution (Olken's interval generation, the paper's
+//! reference \[18\]) — O(1) work per *kept* tuple, which is what makes the
+//! speed-up of sketching a p-sample proportional to `1/p` rather than
+//! bounded by a per-tuple coin's cost. Over a [`CounterRng`], gap `j` is a
+//! function of `(seed, j)` alone, and a [`Door`] walks those gaps over a
+//! stream arriving in slices: [`Door::keep`] is the per-tuple coin.
 
 use crate::error::{Error, Result};
 use rand::{Rng, RngCore, SeedableRng};
 use sss_xi::kernels::{self, Dispatch, GAP_LANES};
 use sss_xi::{splitmix64, GOLDEN_GAMMA};
-
-/// Per-tuple coin-flip Bernoulli sampler.
-///
-/// The sampler owns its RNG so that a pipeline can call [`keep`] in a tight
-/// loop without re-borrowing.
-///
-/// [`keep`]: BernoulliSampler::keep
-#[derive(Debug, Clone)]
-pub struct BernoulliSampler<R = rand::rngs::StdRng> {
-    p: f64,
-    rng: R,
-}
-
-impl<R: Rng> BernoulliSampler<R> {
-    /// Create a sampler with inclusion probability `p ∈ (0, 1]`, seeding its
-    /// internal RNG from `seed_rng`.
-    ///
-    /// `p = 0` is rejected along with everything else outside `(0, 1]`:
-    /// a zero-probability sample carries no information, and every
-    /// `1/p`-scaled estimator downstream would silently produce inf/NaN.
-    pub fn new<S: Rng>(p: f64, seed_rng: &mut S) -> Result<Self>
-    where
-        R: rand::SeedableRng,
-    {
-        if !(p > 0.0 && p <= 1.0) {
-            return Err(Error::InvalidProbability(p));
-        }
-        Ok(Self {
-            p,
-            rng: R::from_rng(seed_rng),
-        })
-    }
-
-    /// Create from an explicit RNG. Same `p ∈ (0, 1]` contract as
-    /// [`new`](Self::new).
-    pub fn with_rng(p: f64, rng: R) -> Result<Self> {
-        if !(p > 0.0 && p <= 1.0) {
-            return Err(Error::InvalidProbability(p));
-        }
-        Ok(Self { p, rng })
-    }
-
-    /// The inclusion probability.
-    #[inline]
-    pub fn probability(&self) -> f64 {
-        self.p
-    }
-
-    /// Toss the coin for the next tuple.
-    #[inline]
-    pub fn keep(&mut self) -> bool {
-        // Fast path for p = 1.0 keeps the unsampled case exactly lossless
-        // (random() < 1.0 would already be always-true, but being explicit
-        // documents the contract). p = 0 cannot occur: the constructors
-        // reject it.
-        if self.p >= 1.0 {
-            return true;
-        }
-        self.rng.random::<f64>() < self.p
-    }
-}
 
 /// A counter generator: output `j` is `splitmix64(seed + j·γ)` with `γ`
 /// SplitMix64's own increment, so its whole state is one `u64`
@@ -115,11 +51,10 @@ impl SeedableRng for CounterRng {
 /// use sss_sampling::GeometricSkip;
 ///
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-/// let sampler: GeometricSkip = GeometricSkip::new(0.01, &mut rng).unwrap();
-/// let positions = sampler.sample_indices(1_000_000);
-/// // ≈ 1% of the stream positions are selected, strictly increasing.
-/// assert!((positions.len() as f64 - 10_000.0).abs() < 600.0);
-/// assert!(positions.windows(2).all(|w| w[0] < w[1]));
+/// let mut sampler: GeometricSkip = GeometricSkip::new(0.01, &mut rng).unwrap();
+/// // 10 000 kept tuples span ≈ 1 000 000 stream positions.
+/// let span: u64 = (0..10_000).map(|_| sampler.next_gap() + 1).sum();
+/// assert!((span as f64 - 1_000_000.0).abs() < 60_000.0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct GeometricSkip<R = rand::rngs::StdRng> {
@@ -173,23 +108,6 @@ impl<R: Rng> GeometricSkip<R> {
             return 0;
         }
         kernels::geometric_gap(self.rng.next_u64(), self.log_q)
-    }
-
-    /// Iterator over the (0-based) positions of kept tuples in an infinite
-    /// stream; take positions `< n` to sample a stream of length `n`.
-    pub fn positions(mut self) -> impl Iterator<Item = u64> {
-        let mut next: Option<u64> = Some(0);
-        std::iter::from_fn(move || {
-            let base = next?;
-            let pos = base.checked_add(self.next_gap())?;
-            next = pos.checked_add(1);
-            Some(pos)
-        })
-    }
-
-    /// Sample the indices of kept tuples from a stream of length `n`.
-    pub fn sample_indices(self, n: u64) -> Vec<u64> {
-        self.positions().take_while(|&pos| pos < n).collect()
     }
 }
 
@@ -306,18 +224,25 @@ mod tests {
         StdRng::seed_from_u64(seed)
     }
 
+    /// The positions `0..n` a door at rate `p` seeded `seed` keeps.
+    fn kept_positions(p: f64, seed: u64, n: u64) -> Vec<u64> {
+        let mut kept = Vec::new();
+        let positions: Vec<u64> = (0..n).collect();
+        Door::new(p, seed).unwrap().admit(&positions, &mut kept);
+        kept
+    }
+
     #[test]
     fn rejects_bad_probabilities() {
         let mut r = rng(0);
-        assert!(BernoulliSampler::<StdRng>::new(-0.1, &mut r).is_err());
-        assert!(BernoulliSampler::<StdRng>::new(1.1, &mut r).is_err());
-        assert!(BernoulliSampler::<StdRng>::new(f64::NAN, &mut r).is_err());
+        assert!(Door::new(-0.1, 0).is_err());
+        assert!(Door::new(1.1, 0).is_err());
+        assert!(Door::new(f64::NAN, 0).is_err());
         // p = 0 is rejected: downstream 1/p corrections would be inf/NaN.
         assert!(matches!(
-            BernoulliSampler::<StdRng>::new(0.0, &mut r),
+            Door::new(0.0, 0),
             Err(Error::InvalidProbability(p)) if p == 0.0
         ));
-        assert!(BernoulliSampler::with_rng(0.0, rng(1)).is_err());
         assert!(GeometricSkip::<StdRng>::new(0.0, &mut r).is_err());
         assert!(GeometricSkip::<StdRng>::new(-1.0, &mut r).is_err());
         assert!(GeometricSkip::<StdRng>::new(1.5, &mut r).is_err());
@@ -325,8 +250,8 @@ mod tests {
 
     #[test]
     fn degenerate_probabilities() {
-        let mut s = BernoulliSampler::<StdRng>::new(1.0, &mut rng(1)).unwrap();
-        assert!((0..100).all(|_| s.keep()));
+        let mut door = Door::new(1.0, rng(1).next_u64()).unwrap();
+        assert!((0..100).all(|_| door.keep()));
         let mut g = GeometricSkip::<StdRng>::new(1.0, &mut rng(3)).unwrap();
         assert!((0..100).all(|_| g.next_gap() == 0));
     }
@@ -335,8 +260,8 @@ mod tests {
     fn coin_sample_size_concentrates() {
         let n = 100_000u64;
         let p = 0.1;
-        let mut s = BernoulliSampler::<StdRng>::new(p, &mut rng(4)).unwrap();
-        let kept = (0..n).filter(|_| s.keep()).count() as f64;
+        let mut door = Door::new(p, rng(4).next_u64()).unwrap();
+        let kept = (0..n).filter(|_| door.keep()).count() as f64;
         let mean = n as f64 * p;
         let std = (n as f64 * p * (1.0 - p)).sqrt();
         assert!(
@@ -349,8 +274,7 @@ mod tests {
     fn skip_sample_size_concentrates() {
         let n = 100_000u64;
         let p = 0.05;
-        let g = GeometricSkip::<StdRng>::new(p, &mut rng(5)).unwrap();
-        let kept = g.sample_indices(n).len() as f64;
+        let kept = kept_positions(p, rng(5).next_u64(), n).len() as f64;
         let mean = n as f64 * p;
         let std = (n as f64 * p * (1.0 - p)).sqrt();
         assert!(
@@ -361,8 +285,7 @@ mod tests {
 
     #[test]
     fn skip_positions_are_strictly_increasing_and_in_range() {
-        let g = GeometricSkip::<StdRng>::new(0.03, &mut rng(6)).unwrap();
-        let idx = g.sample_indices(50_000);
+        let idx = kept_positions(0.03, rng(6).next_u64(), 50_000);
         assert!(idx.windows(2).all(|w| w[0] < w[1]));
         assert!(idx.iter().all(|&i| i < 50_000));
     }
@@ -391,9 +314,9 @@ mod tests {
         assert!((p0 - p).abs() < 0.01, "P(G=0) = {p0}, expect {p}");
     }
 
-    /// Coin and skip samplers induce the same inclusion law: each index is
-    /// kept with probability p, independently. Check per-index inclusion
-    /// frequency for the skip sampler.
+    /// The skip sampler induces the per-tuple coin's inclusion law: each
+    /// index is kept with probability p. Check per-index inclusion
+    /// frequency through `retain`.
     #[test]
     fn skip_inclusion_is_uniform_over_positions() {
         let p = 0.3;
@@ -402,8 +325,9 @@ mod tests {
         let mut incl = vec![0u32; n as usize];
         let mut r = rng(8);
         for _ in 0..reps {
-            let g: GeometricSkip<StdRng> = GeometricSkip::new(p, &mut r).unwrap();
-            for i in g.sample_indices(n) {
+            let mut kept: Vec<u64> = (0..n).collect();
+            Door::new(p, r.next_u64()).unwrap().retain(&mut kept);
+            for i in kept {
                 incl[i as usize] += 1;
             }
         }
@@ -429,7 +353,7 @@ mod tests {
     }
 
     /// Output `j` of the counter generator is `splitmix64(seed + j·γ)`,
-    /// and the skip sampler over it is still geometric.
+    /// and a door, whose skip sampler runs over it, keeps a `p` share.
     #[test]
     fn counter_outputs_are_a_function_of_seed_and_position() {
         let mut c = CounterRng::seed_from_u64(7);
@@ -438,9 +362,8 @@ mod tests {
             assert_eq!(c.next_u64(), splitmix64(at));
         }
         let p = 0.2;
-        let g = GeometricSkip::with_rng(p, CounterRng::seed_from_u64(3)).unwrap();
         let n = 100_000u64;
-        let kept = g.sample_indices(n).len() as f64;
+        let kept = kept_positions(p, 3, n).len() as f64;
         let std = (n as f64 * p * (1.0 - p)).sqrt();
         assert!((kept - n as f64 * p).abs() < 5.0 * std, "kept = {kept}");
     }

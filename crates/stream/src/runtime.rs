@@ -128,7 +128,7 @@ use crate::error::{Result, StreamError};
 use crate::ring;
 use crate::snapshot::{CacheStats, SnapshotCache, Stamp};
 use sss_core::{fold, DistinctQuery, Estimate, JoinQuery, QuantileQuery, Summary, TopKQuery};
-use sss_sampling::{staleness_variance_plugin, Door};
+use sss_sampling::Door;
 use sss_xi::splitmix64;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -1113,7 +1113,7 @@ impl<E: Summary> std::fmt::Debug for QueryHandle<E> {
 /// which every replica refreshing to that version then shares.
 ///
 /// `self_join_estimate` widens its error bar by a staleness term
-/// ([`sss_sampling::staleness_variance_plugin`]) grown from the tuples
+/// (`staleness_variance_plugin`) grown from the tuples
 /// accepted past the state it answered from, so a replica lagging behind
 /// ingest reports honestly wider error bars rather than a silently stale
 /// point value. [`version`](ReadReplica::version) and
@@ -1226,6 +1226,22 @@ fn self_join_of_parts<E: JoinQuery>(
     let est = E::self_join_estimate_of_sum(zero, parts)?;
     *f2 = Some(est.value);
     Ok(est)
+}
+
+/// The staleness term of a replica's F₂ error bar. Read at `applied`
+/// tuples with `pending` more accepted since, an F₂ `value` (quadratic in
+/// a homogeneously growing stream) has drifted by
+/// `≈ value·((1 + pending/applied)² − 1)`, priced as one standard
+/// deviation: a model term, not a moment, since real streams drift slower
+/// (repeated keys) or faster (novel keys). Zero when nothing is pending or
+/// nothing was applied.
+fn staleness_variance_plugin(value: f64, applied: u64, pending: u64) -> f64 {
+    if pending == 0 || applied == 0 {
+        return 0.0;
+    }
+    let growth = 1.0 + pending as f64 / applied as f64;
+    let drift = value.abs() * (growth * growth - 1.0);
+    drift * drift
 }
 
 impl<E: JoinQuery> ReadReplica<E> {
@@ -1418,6 +1434,20 @@ mod tests {
 
     fn stream() -> Vec<u64> {
         (0..50_000u64).map(|i| (i * 2654435761) % 4000).collect()
+    }
+
+    #[test]
+    fn staleness_plugin_scales_with_the_pending_backlog() {
+        let stale = staleness_variance_plugin;
+        // Nothing pending (or an empty replica): no staleness term.
+        assert_eq!(stale(1e6, 10_000, 0), 0.0);
+        assert_eq!(stale(1e6, 0, 10_000), 0.0);
+        // 10% backlog on an F₂ estimate: drift ≈ value·(1.1² − 1) = 21%.
+        let sd = stale(1e6, 100_000, 10_000).sqrt();
+        assert!((sd - 0.21 * 1e6).abs() < 1e-6 * 1e6, "sd = {sd}");
+        // Monotone in the backlog, and symmetric in sign of the value.
+        assert!(stale(1e6, 100_000, 20_000) > stale(1e6, 100_000, 10_000));
+        assert_eq!(stale(-1e6, 100_000, 10_000), stale(1e6, 100_000, 10_000));
     }
 
     fn sequential(schema: &JoinSchema, keys: &[u64]) -> JoinSketch {

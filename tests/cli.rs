@@ -800,29 +800,48 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// The whole stdout of the three single-family commands and of `multi` at
-/// `--p=0.5 --seed=7`, pinned as FNV-1a hashes. Each command draws its
-/// summary's seeds and then its sampler's from one seeded RNG, so a change
-/// to that order, to what the summary keeps or to what the command prints
-/// moves a hash.
+/// `--p=0.5 --seed=7`, pinned as FNV-1a hashes; then, with
+/// `--confidence=0.95`, of `selfjoin`, `join` at `--p=0.5 --q=0.25`,
+/// `topk`, `distinct` and `multi`, so every printed Bernoulli interval
+/// (F₂ Chebyshev and CLT, the join's, each top-k ±, F₀'s, the quantile
+/// bounds) is pinned too. Each command draws its summary's seeds and then
+/// its sampler's from one seeded RNG, so a change to that order, to what
+/// the summary keeps, to a correction or to what the command prints moves
+/// a hash.
 #[test]
 fn sampled_family_commands_keep_their_golden_stdout() {
     let dir = std::env::temp_dir().join("sss-cli-test-golden-stdout");
     std::fs::create_dir_all(&dir).unwrap();
     let file = dir.join("keys.txt");
     write_keys(&file, (0..40_000u64).map(|i| i * i % 4099));
-    let got: Vec<(&str, u64)> = ["topk", "distinct", "quantiles", "multi"]
+    let other = dir.join("other.txt");
+    write_keys(&other, (0..30_000u64).map(|i| i * 7 % 3001));
+    let (file, other) = (file.to_str().unwrap(), other.to_str().unwrap());
+    let interval = "--confidence=0.95";
+    let runs: [(&str, &[&str]); 9] = [
+        ("topk", &["topk", file, "--p=0.5"]),
+        ("distinct", &["distinct", file, "--p=0.5"]),
+        ("quantiles", &["quantiles", file, "--p=0.5"]),
+        ("multi", &["multi", file, "--p=0.5"]),
+        ("selfjoin ci", &["selfjoin", file, "--p=0.5", interval]),
+        (
+            "join ci",
+            &["join", file, other, "--p=0.5", "--q=0.25", interval],
+        ),
+        ("topk ci", &["topk", file, "--p=0.5", interval]),
+        ("distinct ci", &["distinct", file, "--p=0.5", interval]),
+        ("multi ci", &["multi", file, "--p=0.5", interval]),
+    ];
+    let got: Vec<(&str, u64)> = runs
         .into_iter()
-        .map(|cmd| {
-            let out = sss()
-                .args([cmd, file.to_str().unwrap(), "--p=0.5", "--seed=7"])
-                .output()
-                .unwrap();
+        .map(|(name, args)| {
+            let out = sss().args(args).arg("--seed=7").output().unwrap();
             assert!(
                 out.status.success(),
-                "{cmd} stderr: {}",
+                "{name} stderr: {}",
                 String::from_utf8_lossy(&out.stderr)
             );
-            (cmd, fnv1a(&out.stdout))
+            (name, fnv1a(&out.stdout))
         })
         .collect();
     assert_eq!(
@@ -832,6 +851,11 @@ fn sampled_family_commands_keep_their_golden_stdout() {
             ("distinct", 0x6afbf4cf6671fa82),
             ("quantiles", 0x2e70026c2ccfcfc8),
             ("multi", 0x1f4f097d1accfcb7),
+            ("selfjoin ci", 0xc9a581520b8b3f57),
+            ("join ci", 0x458847db37a71189),
+            ("topk ci", 0xd38abdaacf43a0de),
+            ("distinct ci", 0x5e834e7cd66583c8),
+            ("multi ci", 0xf617f0468fa86744),
         ],
         "{got:#x?}"
     );

@@ -21,7 +21,6 @@ use sketch_sampled_streams::exact::ExactAggregator;
 use sketch_sampled_streams::moments::engine::{sampling_sjs, sketch_sample_sjs, sketch_sjs};
 use sketch_sampled_streams::moments::scheme::Bernoulli;
 use sketch_sampled_streams::moments::FrequencyVector;
-use sketch_sampled_streams::sampling::bernoulli_self_join_variance;
 use sketch_sampled_streams::sketch::{AgmsSchema, Estimate, FagmsSchema, HyperLogLog};
 
 /// How a configuration's Monte-Carlo runs are counted and seeded. Each
@@ -303,7 +302,7 @@ fn closed_form_sampling_variance_matches_moments_engine() {
         let f1: f64 = counts.iter().map(|&c| c as f64).sum();
         let f2: f64 = counts.iter().map(|&c| (c as f64).powi(2)).sum();
         let f3: f64 = counts.iter().map(|&c| (c as f64).powi(3)).sum();
-        let closed = bernoulli_self_join_variance(p, f1, f2, f3);
+        let closed = scheme.self_join_variance(f1, f2, f3);
         assert!(
             (closed - exact.variance).abs() <= 1e-9 * exact.variance.abs().max(1.0),
             "p = {p}: closed form {closed} vs engine {}",
